@@ -26,7 +26,7 @@
 //! `tests/schedule_equivalence.rs` pins this down on both the simulator
 //! and the thread transport.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use kacc_comm::{smcoll, Tag};
@@ -1918,7 +1918,11 @@ pub struct PlanCacheStats {
 }
 
 struct CacheInner {
-    map: HashMap<PlanKey, (Arc<Schedule>, u64)>,
+    /// Plan and last-use tick per key.
+    map: HashMap<Arc<PlanKey>, (Arc<Schedule>, u64)>,
+    /// The same keys by last-use tick (ticks are unique), so the LRU
+    /// victim is the first entry rather than an O(capacity) scan.
+    by_tick: BTreeMap<u64, Arc<PlanKey>>,
     tick: u64,
     stats: PlanCacheStats,
 }
@@ -1946,6 +1950,7 @@ impl PlanCache {
         PlanCache {
             inner: Mutex::new(CacheInner {
                 map: HashMap::new(),
+                by_tick: BTreeMap::new(),
                 tick: 0,
                 stats: PlanCacheStats::default(),
             }),
@@ -1965,28 +1970,27 @@ impl PlanCache {
         key: PlanKey,
         compile: impl FnOnce() -> Schedule,
     ) -> Arc<Schedule> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let mut guard = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let inner = &mut *guard;
         inner.tick += 1;
         let tick = inner.tick;
         if let Some((plan, used)) = inner.map.get_mut(&key) {
+            let key = inner.by_tick.remove(used).expect("every plan is indexed");
+            inner.by_tick.insert(tick, key);
             *used = tick;
-            let plan = Arc::clone(plan);
             inner.stats.hits += 1;
-            return plan;
+            return Arc::clone(plan);
         }
         inner.stats.misses += 1;
         let plan = Arc::new(compile());
         if inner.map.len() >= self.capacity {
-            if let Some(oldest) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, (_, used))| *used)
-                .map(|(k, _)| k.clone())
-            {
-                inner.map.remove(&oldest);
+            if let Some((_, oldest)) = inner.by_tick.pop_first() {
+                inner.map.remove(&*oldest);
                 inner.stats.evictions += 1;
             }
         }
+        let key = Arc::new(key);
+        inner.by_tick.insert(tick, Arc::clone(&key));
         inner.map.insert(key, (Arc::clone(&plan), tick));
         plan
     }
@@ -2018,9 +2022,9 @@ impl PlanCache {
     pub fn invalidate_members_before(&self, epoch: u32) -> usize {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         let before = inner.map.len();
-        inner
-            .map
-            .retain(|k, _| !matches!(k, PlanKey::Member { epoch: e, .. } if *e < epoch));
+        let live = |k: &PlanKey| !matches!(k, PlanKey::Member { epoch: e, .. } if *e < epoch);
+        inner.map.retain(|k, _| live(k));
+        inner.by_tick.retain(|_, k| live(k));
         before - inner.map.len()
     }
 
@@ -2028,6 +2032,7 @@ impl PlanCache {
     pub fn clear(&self) {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.map.clear();
+        inner.by_tick.clear();
         inner.stats = PlanCacheStats::default();
     }
 }
@@ -2156,6 +2161,9 @@ mod tests {
         assert_eq!(s.misses, 3);
         assert_eq!(s.evictions, 1);
         assert_eq!(cache.len(), 2);
+        // The survivors are key(8) and key(32).
+        cache.get_or_compile(key(8), || unreachable!("cached"));
+        cache.get_or_compile(key(32), || unreachable!("cached"));
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.stats(), PlanCacheStats::default());
@@ -2313,5 +2321,13 @@ mod tests {
         // The epoch-3 member plan and the plain plan survive.
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.invalidate_members_before(3), 0);
+        // The dropped plans left the eviction order too: filling the cache
+        // evicts nothing until it is full again.
+        for rank in 1..=14 {
+            cache.get_or_compile(*inner(rank), compile);
+        }
+        assert_eq!((cache.len(), cache.stats().evictions), (16, 0));
+        cache.get_or_compile(*inner(15), compile);
+        assert_eq!((cache.len(), cache.stats().evictions), (16, 1));
     }
 }

@@ -29,8 +29,8 @@ use kacc_collectives::verify::{
 };
 use kacc_collectives::{
     remap_for_members, run_survivable, run_survivable_polled, AllgatherAlgo, AlltoallAlgo,
-    BcastAlgo, Dtype, GatherAlgo, MembershipReport, RecoveryPolicy, ScatterAlgo, Schedule, Step,
-    SurvivableOp,
+    BcastAlgo, Dtype, GatherAlgo, MembershipPolicy, MembershipReport, RecoveryPolicy, ScatterAlgo,
+    Schedule, Step, SurvivableOp,
 };
 use kacc_collectives::{ReduceAlgo, ReduceOp};
 use kacc_comm::{Comm, CommExt, Tag};
@@ -722,6 +722,16 @@ fn membership_fault_free_native_threads_smoke() {
     let p = 4;
     let count = 128;
     let all: Vec<usize> = (0..p).collect();
+    // `survivable()`'s 200 µs liveness timeout is virtual time; here it is
+    // measured on the wall clock, where a rank thread that loses its CPU
+    // to the rest of the suite for that long would be declared dead.
+    let policy = RecoveryPolicy {
+        membership: MembershipPolicy {
+            liveness_timeout_ns: 2_000_000_000,
+            ..MembershipPolicy::survivable()
+        },
+        ..RecoveryPolicy::survivable()
+    };
     for pick in 0..6 {
         let results = run_threads(p, move |comm| {
             let me = comm.rank();
@@ -762,8 +772,7 @@ fn membership_fault_free_native_threads_smoke() {
                 }
                 _ => unreachable!(),
             };
-            let o = run_survivable(comm, &op, sb, rb, &RecoveryPolicy::survivable())
-                .expect("fault-free survivable");
+            let o = run_survivable(comm, &op, sb, rb, &policy).expect("fault-free survivable");
             let payload = out
                 .map(|b| comm.read_all(b).expect("read"))
                 .unwrap_or_default();

@@ -6,6 +6,36 @@
 //! add/remove boundaries, which in our cooperative simulator always
 //! happen in thread context under the kernel lock.
 //!
+//! ## Service clocks
+//!
+//! Flows that share a rate need no per-flow integration. A server keeps
+//! one cumulative *service clock* per rate class: the work delivered to
+//! every flow of the class since the class was last idle. A flow stores
+//! the clock value at which it drains (its *finish tag* = clock at
+//! arrival + size) and never changes again. The clock is *folded*
+//! (advanced to the current time at the current rate) only when the
+//! active set changes, inside `add`/`remove_with`; in between,
+//! `update(now)` merely records `now` and readers evaluate
+//! `clock(t_fold) + (now − t_fold)·rate`. Server state is therefore a
+//! function of the add/remove history alone: extra `update`/`is_done`/
+//! `eta` calls, i.e. extra dispatches, cannot move a completion time.
+//! A min-heap on finish tags per class gives the next flow to drain, so
+//! every operation is O(log c) in the number of live flows c. Clocks
+//! restart at zero whenever their class goes idle, which keeps
+//! magnitudes small and makes an isolated flow exact.
+//!
+//! ## Completion ownership
+//!
+//! The server owns its next completion: exactly one flow, the *head*
+//! (earliest to drain under the current set), has an owner holding a
+//! timer. `remove_with` re-wakes only the new head's owner (removals
+//! speed flows up, so its timer must move earlier); an `add` slows flows
+//! down, so the head's existing timer merely fires early and re-parks —
+//! unless the add promoted a flow of another rate class to head, whose
+//! owner [`MemSys::arm_head`] then wakes. Every other owner parks
+//! without a timer ([`PageLockServer::park`], [`MemSys::park`]) and is
+//! woken when a removal makes its flow the head.
+//!
 //! ## Page-lock server (one per simulated process)
 //!
 //! Models the per-process `mmap_sem`/page-table lock inside
@@ -22,20 +52,254 @@
 //! Each request therefore progresses at `1/(c·s(c))` pages/ns, which
 //! makes the *effective* per-page time `c·s(c)` — super-linear in `c`.
 //! The paper's γ factor is an emergent property of this mechanism; the
-//! Fig 5 pipeline fits it from simulated measurements.
+//! Fig 5 pipeline fits it from simulated measurements. All requests
+//! share one rate, so the server runs on a single page clock (plus two
+//! attribution clocks splitting wall time into lock and pin shares).
 //!
 //! ## Memory system (one per node)
 //!
 //! Copies are flows with per-flow ceiling `bw_core` (optionally derated
 //! for inter-socket transfers) sharing an aggregate `bw_total`:
-//! `rate_i = min(peak_i, bw_total / c)`.
+//! `rate_i = min(peak_i, bw_total / Σw)`. The rate is uniform among
+//! flows with the same `peak`, so there is one byte clock per distinct
+//! peak — two in the machine model (intra- and inter-socket copies).
 
 /// Numerical slack for "flow is drained" checks (work units).
 const EPS: f64 = 1e-6;
 
+/// Drain times beyond this many ns past a fold are not refined to the
+/// exact whole nanosecond: `u64 → f64` stops being exact at 2⁵³, and 52
+/// days of virtual time is no simulation's horizon.
+const EXACT_NS: f64 = (1u64 << 52) as f64;
+
 /// Handle to a flow inside a server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowId(usize);
+
+/// Cumulative work delivered to each flow of one rate class.
+#[derive(Debug, Clone, Copy, Default)]
+struct Clock {
+    /// Clock value at the server's last fold.
+    at_fold: f64,
+    /// Work per ns per flow under the current active set.
+    rate: f64,
+}
+
+impl Clock {
+    /// Clock value `dt` ns after the fold.
+    fn read(&self, dt: u64) -> f64 {
+        self.at_fold + dt as f64 * self.rate
+    }
+
+    /// Has a flow with finish tag `tag` drained `dt` ns after the fold?
+    fn done(&self, tag: f64, dt: u64) -> bool {
+        tag - self.read(dt) <= EPS
+    }
+
+    /// First whole ns after the fold at which [`Self::done`] holds — by
+    /// the same arithmetic, so a timer set from it never finds the flow
+    /// one rounding error short of drained.
+    fn drains_after(&self, tag: f64) -> u64 {
+        let guess = (tag - EPS - self.at_fold) / self.rate;
+        if guess.is_nan() || guess >= EXACT_NS {
+            return guess as u64;
+        }
+        // The division lands within a step of the answer; `done` decides.
+        let mut dt = guess as u64;
+        if self.done(tag, dt) {
+            while dt > 0 && self.done(tag, dt - 1) {
+                dt -= 1;
+            }
+        } else {
+            dt += 1;
+            while !self.done(tag, dt) {
+                dt += 1;
+            }
+        }
+        dt
+    }
+}
+
+/// Slot table with a free list: O(1) insert and remove, ids reused.
+#[derive(Debug)]
+struct Slab<T> {
+    slots: Vec<Option<T>>,
+    free: Vec<usize>,
+    /// Heap position of each live slot, maintained by [`TagHeap`].
+    pos: Vec<usize>,
+}
+
+impl<T> Slab<T> {
+    fn new() -> Slab<T> {
+        Slab {
+            slots: Vec::new(),
+            free: Vec::new(),
+            pos: Vec::new(),
+        }
+    }
+
+    fn live(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    fn insert(&mut self, v: T) -> usize {
+        match self.free.pop() {
+            Some(i) => {
+                self.slots[i] = Some(v);
+                i
+            }
+            None => {
+                self.slots.push(Some(v));
+                self.pos.push(0);
+                self.slots.len() - 1
+            }
+        }
+    }
+
+    fn remove(&mut self, i: usize) -> T {
+        let v = self.slots[i].take().expect("live flow");
+        self.free.push(i);
+        v
+    }
+
+    fn get(&self, i: usize) -> &T {
+        self.slots[i].as_ref().expect("live flow")
+    }
+}
+
+/// One flow's place in a [`TagHeap`].
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    tag: f64,
+    /// Arrival order, breaking ties between equal tags.
+    seq: u64,
+    slot: usize,
+}
+
+impl Entry {
+    fn before(&self, other: &Entry) -> bool {
+        (self.tag, self.seq) < (other.tag, other.seq)
+    }
+}
+
+/// Min-heap of one rate class's flows by finish tag. Positions live in
+/// the owning [`Slab`] so that any flow, not only the top, leaves in
+/// O(log c) (flows with equal tags drain together; whichever owner runs
+/// first removes its own).
+#[derive(Debug, Default)]
+struct TagHeap {
+    heap: Vec<Entry>,
+}
+
+impl TagHeap {
+    fn top(&self) -> Option<Entry> {
+        self.heap.first().copied()
+    }
+
+    fn push(&mut self, e: Entry, pos: &mut [usize]) {
+        self.heap.push(e);
+        self.sift_up(self.heap.len() - 1, pos);
+    }
+
+    /// Remove the entry at heap index `i`.
+    fn remove(&mut self, i: usize, pos: &mut [usize]) {
+        let last = self.heap.pop().expect("nonempty heap");
+        if i == self.heap.len() {
+            return;
+        }
+        self.heap[i] = last;
+        if i > 0 && last.before(&self.heap[(i - 1) / 2]) {
+            self.sift_up(i, pos);
+        } else {
+            self.sift_down(i, pos);
+        }
+    }
+
+    fn sift_up(&mut self, mut i: usize, pos: &mut [usize]) {
+        let e = self.heap[i];
+        while i > 0 {
+            let p = (i - 1) / 2;
+            if !e.before(&self.heap[p]) {
+                break;
+            }
+            self.heap[i] = self.heap[p];
+            pos[self.heap[i].slot] = i;
+            i = p;
+        }
+        self.heap[i] = e;
+        pos[e.slot] = i;
+    }
+
+    fn sift_down(&mut self, mut i: usize, pos: &mut [usize]) {
+        let e = self.heap[i];
+        loop {
+            let mut m = 2 * i + 1;
+            if m >= self.heap.len() {
+                break;
+            }
+            if m + 1 < self.heap.len() && self.heap[m + 1].before(&self.heap[m]) {
+                m += 1;
+            }
+            if !self.heap[m].before(&e) {
+                break;
+            }
+            self.heap[i] = self.heap[m];
+            pos[self.heap[i].slot] = i;
+            i = m;
+        }
+        self.heap[i] = e;
+        pos[e.slot] = i;
+    }
+}
+
+/// The flow that drains first under the current active set.
+#[derive(Debug, Clone, Copy)]
+struct Head {
+    slot: usize,
+    /// Absolute drain time, ns.
+    at: u64,
+}
+
+/// A server's single outstanding completion: which flow drains next, and
+/// whether its owner has been told.
+#[derive(Debug, Default)]
+struct Completion {
+    head: Option<Head>,
+    /// Slot of the flow whose owner holds the completion timer.
+    armed: Option<usize>,
+}
+
+impl Completion {
+    /// A newcomer that is the head holds the timer without being woken:
+    /// its owner evaluates its wait before anyone else runs.
+    fn admit(&mut self, slot: usize) {
+        if self.head.is_some_and(|h| h.slot == slot) {
+            self.armed = Some(slot);
+        }
+    }
+
+    /// Give the head the timer; returns it if its owner must be woken —
+    /// after a removal always (`sped_up`: its timer must move earlier),
+    /// otherwise only if it did not hold the timer already.
+    fn arm(&mut self, sped_up: bool) -> Option<Head> {
+        let was = std::mem::replace(&mut self.armed, self.head.map(|h| h.slot));
+        self.head.filter(|_| sped_up || was != self.armed)
+    }
+
+    /// Only the head parks with a timer, and whenever anyone parks the
+    /// head must already hold it — otherwise a flow would drain with
+    /// nobody scheduled to notice.
+    fn park(&self, id: FlowId, now: u64) -> Option<u64> {
+        debug_assert_eq!(
+            self.armed,
+            self.head.map(|h| h.slot),
+            "a busy server's head flow must hold its completion timer"
+        );
+        let at = self.head.filter(|h| h.slot == id.0)?.at;
+        debug_assert!(at > now, "a parking flow's timer must lie ahead");
+        Some(at)
+    }
+}
 
 /// A pinning request in the page-lock server.
 #[derive(Debug)]
@@ -43,11 +307,11 @@ struct LockFlow {
     owner_tid: usize,
     /// Socket of the requesting rank, for the cross-socket test.
     socket: usize,
-    remaining_pages: f64,
-    /// Wall time attributed to lock acquisition so far, ns.
-    lock_ns: f64,
-    /// Wall time attributed to pinning so far, ns.
-    pin_ns: f64,
+    /// Page-clock value at which the request is fully granted.
+    tag: f64,
+    /// Attribution clocks when the request arrived.
+    lock0: f64,
+    pin0: f64,
 }
 
 /// Per-process page-lock server.
@@ -57,16 +321,24 @@ pub struct PageLockServer {
     l_pin_ns: f64,
     k_bounce: f64,
     x_socket: f64,
-    flows: Vec<Option<LockFlow>>,
-    last_update: u64,
-    /// Cached live-flow count, refreshed on add/remove. Polls between
-    /// mutations reuse it instead of rescanning the slot vector.
-    active_count: usize,
-    /// Cached per-grant service time for the current active set,
-    /// recomputed with exactly the same expression as [`Self::grant_ns`]
-    /// on every add/remove — bit-identical to evaluating it fresh, but
-    /// O(1) at the `eta`/`update` call sites that dominate wake storms.
+    flows: Slab<LockFlow>,
+    heap: TagHeap,
+    seq: u64,
+    /// Live requests per requester socket; the set spans sockets when
+    /// more than one count is nonzero.
+    per_socket: Vec<u32>,
+    /// Pages granted to every live request since the server was idle.
+    pages: Clock,
+    /// Wall time every live request has spent acquiring the lock / pinning
+    /// since the server was idle, ns (as of the last fold).
+    lock_clock: f64,
+    pin_clock: f64,
+    /// Per-grant service time for the current active set.
     grant: f64,
+    /// Time of the last fold, and the latest time seen by `update`.
+    t_fold: u64,
+    now: u64,
+    next: Completion,
     /// Peak concurrency ever observed (observability).
     pub peak_concurrency: usize,
     /// Queue-depth histogram: one sample per arriving pinning request,
@@ -85,162 +357,196 @@ impl PageLockServer {
             l_pin_ns,
             k_bounce,
             x_socket,
-            flows: Vec::new(),
-            last_update: 0,
-            active_count: 0,
+            flows: Slab::new(),
+            heap: TagHeap::default(),
+            seq: 0,
+            per_socket: Vec::new(),
+            pages: Clock::default(),
+            lock_clock: 0.0,
+            pin_clock: 0.0,
             grant: l_lock_ns + l_pin_ns,
+            t_fold: 0,
+            now: 0,
+            next: Completion::default(),
             peak_concurrency: 0,
             depth: kacc_metrics::LocalHist::default(),
             recaches: 0,
         }
     }
 
-    fn active(&self) -> usize {
-        self.active_count
-    }
-
-    /// Refresh the cached count and grant time after a set mutation.
-    fn recache(&mut self) {
-        self.recaches += 1;
-        self.active_count = self.flows.iter().flatten().count();
-        self.grant = self.grant_ns();
-    }
-
     /// Number of currently active pinning flows — the queue depth the
     /// trace's lock-server counter track samples.
     pub fn concurrency(&self) -> usize {
-        self.active()
+        self.flows.live()
     }
 
-    /// Per-grant service time with the current active set (the fresh
-    /// computation backing the `grant` cache).
-    fn grant_ns(&self) -> f64 {
-        let c = self.active_count as f64;
-        let mut sockets = self.flows.iter().flatten().map(|f| f.socket);
-        let first = sockets.next();
-        let spans = first.is_some_and(|f| sockets.any(|s| s != f));
-        let xs = if spans { self.x_socket } else { 1.0 };
-        self.l_lock_ns * (1.0 + self.k_bounce * (c - 1.0).max(0.0) * xs) + self.l_pin_ns
+    /// Does `tid` own a live request here? (Invariant checks only: O(c).)
+    pub fn owns_flow(&self, tid: usize) -> bool {
+        self.flows
+            .slots
+            .iter()
+            .flatten()
+            .any(|f| f.owner_tid == tid)
     }
 
-    /// Integrate progress up to `now`.
+    /// Record the current time. Progress is read off the clocks on
+    /// demand, so nothing is integrated here.
     pub fn update(&mut self, now: u64) {
-        let dt = now.saturating_sub(self.last_update) as f64;
-        self.last_update = now;
-        if dt == 0.0 {
-            return;
-        }
-        let c = self.active_count;
-        if c == 0 {
-            return;
-        }
-        let s = self.grant;
-        let lock_part = s - self.l_pin_ns;
-        let rate = 1.0 / (c as f64 * s); // pages per ns, per flow
-        for f in self.flows.iter_mut().flatten() {
-            f.remaining_pages -= dt * rate;
-            f.lock_ns += dt * lock_part / s;
-            f.pin_ns += dt * self.l_pin_ns / s;
+        self.now = now;
+    }
+
+    /// Advance the clocks to `self.now` at the outgoing set's rates, or
+    /// restart them if the server was idle.
+    fn fold(&mut self) {
+        let dt = self.now.saturating_sub(self.t_fold);
+        self.t_fold = self.now;
+        if self.flows.live() == 0 {
+            self.pages.at_fold = 0.0;
+            self.lock_clock = 0.0;
+            self.pin_clock = 0.0;
+        } else {
+            // Each page a request is granted costs it one grant from each
+            // of the c live requests: s − l_pin of it locking, l_pin pinning.
+            let pages = dt as f64 * self.pages.rate;
+            let per_page = self.flows.live() as f64 * pages;
+            self.pages.at_fold += pages;
+            self.lock_clock += per_page * (self.grant - self.l_pin_ns);
+            self.pin_clock += per_page * self.l_pin_ns;
         }
     }
 
-    /// Add a pinning request. Call `update(now)` first.
+    /// Re-evaluate grant time, rate and head after a set mutation.
+    fn recache(&mut self) {
+        self.recaches += 1;
+        let c = self.flows.live() as f64;
+        let spans = self.per_socket.iter().filter(|&&n| n > 0).count() > 1;
+        let xs = if spans { self.x_socket } else { 1.0 };
+        self.grant =
+            self.l_lock_ns * (1.0 + self.k_bounce * (c - 1.0).max(0.0) * xs) + self.l_pin_ns;
+        self.next.head = None;
+        if let Some(e) = self.heap.top() {
+            self.pages.rate = 1.0 / (c * self.grant); // pages per ns, per flow
+            let at = self.t_fold.saturating_add(self.pages.drains_after(e.tag));
+            self.next.head = Some(Head { slot: e.slot, at });
+        }
+    }
+
+    /// Add a pinning request. Call `update(now)` first. Every request
+    /// slows equally, so the head is the old head (still armed) or the
+    /// newcomer, whose owner evaluates its wait before anyone else runs.
     pub fn add(&mut self, owner_tid: usize, socket: usize, pages: usize) -> FlowId {
-        let flow = LockFlow {
+        self.fold();
+        let tag = self.pages.at_fold + pages as f64;
+        let slot = self.flows.insert(LockFlow {
             owner_tid,
             socket,
-            remaining_pages: pages as f64,
-            lock_ns: 0.0,
-            pin_ns: 0.0,
-        };
-        let id = self
-            .flows
-            .iter()
-            .position(|f| f.is_none())
-            .unwrap_or_else(|| {
-                self.flows.push(None);
-                self.flows.len() - 1
-            });
-        self.flows[id] = Some(flow);
+            tag,
+            lock0: self.lock_clock,
+            pin0: self.pin_clock,
+        });
+        self.seq += 1;
+        let seq = self.seq;
+        self.heap
+            .push(Entry { tag, seq, slot }, &mut self.flows.pos);
+        if socket >= self.per_socket.len() {
+            self.per_socket.resize(socket + 1, 0);
+        }
+        self.per_socket[socket] += 1;
         self.recache();
-        self.peak_concurrency = self.peak_concurrency.max(self.active());
-        self.depth.record(self.active() as u64);
-        FlowId(id)
+        self.next.admit(slot);
+        let c = self.flows.live();
+        self.peak_concurrency = self.peak_concurrency.max(c);
+        self.depth.record(c as u64);
+        FlowId(slot)
     }
 
     /// Is a flow drained? Call `update(now)` first.
     pub fn is_done(&self, id: FlowId) -> bool {
-        self.flows[id.0]
-            .as_ref()
-            .expect("live flow")
-            .remaining_pages
-            <= EPS
+        let dt = self.now.saturating_sub(self.t_fold);
+        self.pages.done(self.flows.get(id.0).tag, dt)
     }
 
-    /// Estimated completion time of a flow under the current set.
+    /// Completion time of a flow under the current set: the first whole
+    /// ns at which [`Self::is_done`] holds, but not before `now`.
     pub fn eta(&self, id: FlowId, now: u64) -> u64 {
-        let f = self.flows[id.0].as_ref().expect("live flow");
-        let c = self.active_count as f64;
-        let rate = 1.0 / (c * self.grant);
-        now + (f.remaining_pages.max(0.0) / rate).ceil() as u64
+        let at = match self.next.head {
+            Some(h) if h.slot == id.0 => h.at,
+            _ => {
+                let tag = self.flows.get(id.0).tag;
+                self.t_fold.saturating_add(self.pages.drains_after(tag))
+            }
+        };
+        at.max(now)
     }
 
-    /// Remove a drained flow, streaming `(owner_tid, new_eta)` for each
-    /// remaining flow (which just sped up and must be re-woken) into
-    /// `wake`; returns the `(lock_ns, pin_ns)` attribution. Allocation-
-    /// free: wake storms feed [`kacc_sim_core::Waker::wake_at`] directly.
+    /// Timer for the owner of an undrained flow to park with: its
+    /// completion time if the flow is the head, none otherwise (the
+    /// removal that makes it the head wakes it).
+    pub fn park(&self, id: FlowId, now: u64) -> Option<u64> {
+        self.next.park(id, now)
+    }
+
+    /// Remove a flow (call `update(now)` first), passing the new head's
+    /// `(owner_tid, completion time)` to `wake` — it just sped up, so its
+    /// timer must move; returns the `(lock_ns, pin_ns)` attribution.
     pub fn remove_with(
         &mut self,
         id: FlowId,
         now: u64,
-        mut wake: impl FnMut(usize, u64),
+        wake: impl FnOnce(usize, u64),
     ) -> (f64, f64) {
-        let f = self.flows[id.0].take().expect("live flow");
+        self.fold();
+        let f = self.flows.remove(id.0);
+        self.heap.remove(self.flows.pos[id.0], &mut self.flows.pos);
+        self.per_socket[f.socket] -= 1;
         self.recache();
-        for (i, slot) in self.flows.iter().enumerate() {
-            if let Some(flow) = slot.as_ref() {
-                wake(flow.owner_tid, self.eta(FlowId(i), now));
-            }
+        if let Some(h) = self.next.arm(true) {
+            wake(self.flows.get(h.slot).owner_tid, h.at.max(now));
         }
-        (f.lock_ns, f.pin_ns)
+        (self.lock_clock - f.lock0, self.pin_clock - f.pin0)
     }
+}
 
-    /// Remove a drained flow, returning `(lock_ns, pin_ns)` attribution
-    /// and the list of `(owner_tid, new_eta)` for the remaining flows.
-    pub fn remove(&mut self, id: FlowId, now: u64) -> ((f64, f64), Vec<(usize, u64)>) {
-        let mut wakes = Vec::new();
-        let attribution = self.remove_with(id, now, |t, at| wakes.push((t, at)));
-        (attribution, wakes)
-    }
+/// Flows sharing one bandwidth ceiling, hence one rate and one clock.
+#[derive(Debug)]
+struct PeakClass {
+    /// Per-flow bandwidth ceiling (bytes/ns), inter-socket-adjusted.
+    peak: f64,
+    /// Bytes delivered to every live flow of the class since it was idle.
+    bytes: Clock,
+    heap: TagHeap,
 }
 
 /// A copy flow in the memory system.
 #[derive(Debug)]
 struct MemFlow {
     owner_tid: usize,
-    remaining_bytes: f64,
-    /// Per-flow bandwidth ceiling (bytes/ns), inter-socket-adjusted.
-    peak: f64,
-    /// Capacity consumed per delivered byte (≥ 1): cross-socket flows
-    /// burn DRAM *and* interconnect bandwidth, so they weigh more.
-    weight: f64,
+    /// Index into `MemSys::classes`.
+    class: usize,
+    /// Byte-clock value at which the copy completes.
+    tag: f64,
+    /// Index into `MemSys::weights`.
+    weight: usize,
 }
 
 /// Node-wide shared memory system.
 #[derive(Debug)]
 pub struct MemSys {
     bw_total: f64,
-    flows: Vec<Option<MemFlow>>,
-    last_update: u64,
-    /// Cached live-flow count, refreshed on add/remove.
-    active_count: usize,
-    /// Cached Σ weight over live flows, recomputed with exactly the same
-    /// fold as [`Self::total_weight`] on every add/remove — bit-identical
-    /// to re-summing, but O(1) at the `eta`/`update`/`rate_of` call sites
-    /// that dominate wake storms.
-    weight_sum: f64,
-    /// Total bytes ever moved (observability).
-    pub bytes_moved: f64,
+    flows: Slab<MemFlow>,
+    /// One entry per distinct `peak` ever added (two in the machine
+    /// model: intra- and inter-socket copies).
+    classes: Vec<PeakClass>,
+    /// Live flows per distinct capacity weight (≥ 1: cross-socket flows
+    /// burn DRAM *and* interconnect bandwidth, so they weigh more); two
+    /// entries in the machine model. Σ weight·count is exact in any
+    /// arrival order.
+    weights: Vec<(f64, u32)>,
+    seq: u64,
+    /// Time of the last fold, and the latest time seen by `update`.
+    t_fold: u64,
+    now: u64,
+    next: Completion,
     /// Peak concurrent flows (observability).
     pub peak_concurrency: usize,
     /// Rate recomputations performed (observability): each add/remove
@@ -254,51 +560,70 @@ impl MemSys {
     pub fn new(bw_total: f64) -> MemSys {
         MemSys {
             bw_total,
-            flows: Vec::new(),
-            last_update: 0,
-            active_count: 0,
-            weight_sum: 0.0,
-            bytes_moved: 0.0,
+            flows: Slab::new(),
+            classes: Vec::new(),
+            weights: Vec::new(),
+            seq: 0,
+            t_fold: 0,
+            now: 0,
+            next: Completion::default(),
             peak_concurrency: 0,
             recaches: 0,
         }
     }
 
-    fn active(&self) -> usize {
-        self.active_count
+    /// Does `tid` own a live flow here? (Invariant checks only: O(c).)
+    pub fn owns_flow(&self, tid: usize) -> bool {
+        self.flows
+            .slots
+            .iter()
+            .flatten()
+            .any(|f| f.owner_tid == tid)
     }
 
-    /// Refresh the cached count and weight sum after a set mutation.
+    /// Record the current time. Progress is read off the clocks on
+    /// demand, so nothing is integrated here.
+    pub fn update(&mut self, now: u64) {
+        self.now = now;
+    }
+
+    /// Advance every busy class's clock to `self.now` at the outgoing
+    /// set's rates; restart the clocks of idle classes.
+    fn fold(&mut self) {
+        let dt = self.now.saturating_sub(self.t_fold);
+        self.t_fold = self.now;
+        for k in &mut self.classes {
+            k.bytes.at_fold = if k.heap.heap.is_empty() {
+                0.0
+            } else {
+                k.bytes.read(dt)
+            };
+        }
+    }
+
+    /// Re-evaluate the bandwidth split and the head after a set mutation.
     fn recache(&mut self) {
         self.recaches += 1;
-        self.active_count = self.flows.iter().flatten().count();
-        self.weight_sum = self.total_weight();
-    }
-
-    /// Fresh Σ weight over live flows (backs the `weight_sum` cache).
-    fn total_weight(&self) -> f64 {
-        self.flows.iter().flatten().map(|f| f.weight).sum()
-    }
-
-    fn rate_of(&self, f: &MemFlow) -> f64 {
-        // Equal-rate weighted processor sharing: Σ wᵢ·rᵢ ≤ bw_total.
-        let w = self.weight_sum.max(1.0);
-        f.peak.min(self.bw_total / w)
-    }
-
-    /// Integrate progress up to `now`.
-    pub fn update(&mut self, now: u64) {
-        let dt = now.saturating_sub(self.last_update) as f64;
-        self.last_update = now;
-        if dt == 0.0 || self.active_count == 0 {
+        self.next.head = None;
+        if self.flows.live() == 0 {
             return;
         }
-        let share = self.bw_total / self.weight_sum.max(1.0);
-        for f in self.flows.iter_mut().flatten() {
-            let rate = f.peak.min(share);
-            let moved = (dt * rate).min(f.remaining_bytes);
-            f.remaining_bytes -= dt * rate;
-            self.bytes_moved += moved;
+        // Equal-rate weighted processor sharing: Σ wᵢ·rᵢ ≤ bw_total.
+        let w: f64 = self.weights.iter().map(|&(w, n)| w * n as f64).sum();
+        let share = self.bw_total / w.max(1.0);
+        let mut head_seq = 0;
+        for k in &mut self.classes {
+            let Some(e) = k.heap.top() else { continue };
+            k.bytes.rate = k.peak.min(share);
+            let at = self.t_fold.saturating_add(k.bytes.drains_after(e.tag));
+            if self
+                .next
+                .head
+                .is_none_or(|h| (at, e.seq) < (h.at, head_seq))
+            {
+                self.next.head = Some(Head { slot: e.slot, at });
+                head_seq = e.seq;
+            }
         }
     }
 
@@ -307,7 +632,8 @@ impl MemSys {
         self.add_weighted(owner_tid, bytes, peak, 1.0)
     }
 
-    /// Add a copy flow with an explicit capacity weight.
+    /// Add a copy flow with an explicit capacity weight. Call
+    /// `update(now)` first and [`Self::arm_head`] after.
     pub fn add_weighted(
         &mut self,
         owner_tid: usize,
@@ -316,66 +642,125 @@ impl MemSys {
         weight: f64,
     ) -> FlowId {
         assert!(weight >= 1.0, "weights below 1 would create capacity");
-        let flow = MemFlow {
-            owner_tid,
-            remaining_bytes: bytes as f64,
-            peak,
-            weight,
+        self.fold();
+        let class = match self.classes.iter().position(|k| k.peak == peak) {
+            Some(k) => k,
+            None => {
+                self.classes.push(PeakClass {
+                    peak,
+                    bytes: Clock::default(),
+                    heap: TagHeap::default(),
+                });
+                self.classes.len() - 1
+            }
         };
-        let id = self
-            .flows
-            .iter()
-            .position(|f| f.is_none())
-            .unwrap_or_else(|| {
-                self.flows.push(None);
-                self.flows.len() - 1
-            });
-        self.flows[id] = Some(flow);
+        let weight = match self.weights.iter().position(|&(w, _)| w == weight) {
+            Some(i) => i,
+            None => {
+                self.weights.push((weight, 0));
+                self.weights.len() - 1
+            }
+        };
+        self.weights[weight].1 += 1;
+        let tag = self.classes[class].bytes.at_fold + bytes as f64;
+        let slot = self.flows.insert(MemFlow {
+            owner_tid,
+            class,
+            tag,
+            weight,
+        });
+        self.seq += 1;
+        let seq = self.seq;
+        self.classes[class]
+            .heap
+            .push(Entry { tag, seq, slot }, &mut self.flows.pos);
         self.recache();
-        self.peak_concurrency = self.peak_concurrency.max(self.active());
-        FlowId(id)
+        self.next.admit(slot);
+        self.peak_concurrency = self.peak_concurrency.max(self.flows.live());
+        FlowId(slot)
+    }
+
+    /// Hand the completion timer to the head's owner if it does not hold
+    /// it: an add slows only the share-limited classes, so a peak-limited
+    /// flow parked without a timer can overtake the armed head. At most
+    /// one `wake(owner_tid, completion time)`.
+    pub fn arm_head(&mut self, now: u64, wake: impl FnOnce(usize, u64)) {
+        if let Some(h) = self.next.arm(false) {
+            wake(self.flows.get(h.slot).owner_tid, h.at.max(now));
+        }
     }
 
     /// Is a flow drained? Call `update(now)` first.
     pub fn is_done(&self, id: FlowId) -> bool {
-        self.flows[id.0]
-            .as_ref()
-            .expect("live flow")
-            .remaining_bytes
-            <= EPS
+        let f = self.flows.get(id.0);
+        let dt = self.now.saturating_sub(self.t_fold);
+        self.classes[f.class].bytes.done(f.tag, dt)
     }
 
-    /// Estimated completion time of a flow under the current set.
+    /// Completion time of a flow under the current set: the first whole
+    /// ns at which [`Self::is_done`] holds, but not before `now`.
     pub fn eta(&self, id: FlowId, now: u64) -> u64 {
-        let f = self.flows[id.0].as_ref().expect("live flow");
-        let rate = self.rate_of(f);
-        now + (f.remaining_bytes.max(0.0) / rate).ceil() as u64
+        let at = match self.next.head {
+            Some(h) if h.slot == id.0 => h.at,
+            _ => {
+                let f = self.flows.get(id.0);
+                let dt = self.classes[f.class].bytes.drains_after(f.tag);
+                self.t_fold.saturating_add(dt)
+            }
+        };
+        at.max(now)
     }
 
-    /// Remove a drained flow, streaming `(owner_tid, new_eta)` for each
-    /// remaining flow into `wake` — allocation-free for wake storms.
-    pub fn remove_with(&mut self, id: FlowId, now: u64, mut wake: impl FnMut(usize, u64)) {
-        self.flows[id.0].take().expect("live flow");
+    /// Timer for the owner of an undrained flow to park with: its
+    /// completion time if the flow is the head, none otherwise (the
+    /// add or removal that makes it the head wakes it).
+    pub fn park(&self, id: FlowId, now: u64) -> Option<u64> {
+        self.next.park(id, now)
+    }
+
+    /// Remove a flow (call `update(now)` first), passing the new head's
+    /// `(owner_tid, completion time)` to `wake` — the survivors just sped
+    /// up, so its timer must move.
+    pub fn remove_with(&mut self, id: FlowId, now: u64, wake: impl FnOnce(usize, u64)) {
+        self.fold();
+        let f = self.flows.remove(id.0);
+        self.classes[f.class]
+            .heap
+            .remove(self.flows.pos[id.0], &mut self.flows.pos);
+        self.weights[f.weight].1 -= 1;
         self.recache();
-        for (i, slot) in self.flows.iter().enumerate() {
-            if let Some(flow) = slot.as_ref() {
-                wake(flow.owner_tid, self.eta(FlowId(i), now));
-            }
+        if let Some(h) = self.next.arm(true) {
+            wake(self.flows.get(h.slot).owner_tid, h.at.max(now));
         }
     }
-
-    /// Remove a drained flow; returns re-wake list for remaining flows.
-    pub fn remove(&mut self, id: FlowId, now: u64) -> Vec<(usize, u64)> {
-        let mut wakes = Vec::new();
-        self.remove_with(id, now, |t, at| wakes.push((t, at)));
-        wakes
-    }
 }
+
+#[cfg(test)]
+mod props;
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+
+    // Vec-returning removal, as the unit tests below were written against.
+    impl PageLockServer {
+        fn remove(&mut self, id: FlowId, now: u64) -> ((f64, f64), Vec<(usize, u64)>) {
+            let mut wakes = Vec::new();
+            let attribution = self.remove_with(id, now, |t, at| wakes.push((t, at)));
+            (attribution, wakes)
+        }
+    }
+
+    impl MemSys {
+        fn remove(&mut self, id: FlowId, now: u64) -> Vec<(usize, u64)> {
+            let mut wakes = Vec::new();
+            self.remove_with(id, now, |t, at| wakes.push((t, at)));
+            wakes
+        }
+    }
 
     #[test]
     fn single_lock_flow_takes_l_per_page() {
@@ -527,5 +912,62 @@ mod tests {
         m.remove(a, 1);
         let b = m.add(1, 10, 100.0);
         assert_eq!(a.0, b.0, "slot reused");
+    }
+
+    /// X (share-limited) heads the queue, Y (peak-limited) trails it; a
+    /// third flow slows X alone, so Y overtakes without ever having held
+    /// a timer.
+    fn overtaken_head() -> (MemSys, [FlowId; 3]) {
+        let mut m = MemSys::new(10.0);
+        m.update(0);
+        let x = m.add(0, 1000, 100.0); // 10 B/ns → 100
+        m.arm_head(0, |_, _| unreachable!("the newcomer is the head"));
+        let y = m.add(1, 500, 2.0); // X at 5 B/ns → 200, Y at 2 B/ns → 250
+        m.arm_head(0, |_, _| unreachable!("X is still the head"));
+        let z = m.add(2, 5000, 100.0); // X at 10/3 B/ns → 300, Y still 250
+        (m, [x, y, z])
+    }
+
+    #[test]
+    fn add_hands_the_timer_to_an_overtaking_flow() {
+        let (mut m, [x, y, z]) = overtaken_head();
+        let mut woken = Vec::new();
+        m.arm_head(0, |t, at| woken.push((t, at)));
+        assert_eq!(woken, vec![(1, 250)]);
+        m.arm_head(0, |_, _| unreachable!("armed once"));
+        // Only the head parks with a timer.
+        assert_eq!(m.park(y, 0), Some(250));
+        assert_eq!(m.park(x, 0), None);
+        assert_eq!(m.park(z, 0), None);
+        // Y drains; the removal re-arms X, the next to drain.
+        m.update(250);
+        assert!(m.is_done(y) && !m.is_done(x));
+        assert_eq!(m.remove(y, 250), vec![(0, 284)]); // 166.7 B left at 5 B/ns
+        assert_eq!(m.park(x, 250), Some(284));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "must hold its completion timer")]
+    fn parking_behind_an_unarmed_head_is_caught() {
+        let (m, [.., z]) = overtaken_head();
+        // `arm_head` skipped: Y would drain with nobody scheduled to notice.
+        m.park(z, 0);
+    }
+
+    #[test]
+    fn equal_tags_leave_in_any_order() {
+        let mut srv = PageLockServer::new(100.0, 0.0, 0.0, 1.0);
+        srv.update(0);
+        let ids: Vec<FlowId> = (0..5).map(|i| srv.add(i, 0, 10)).collect();
+        srv.update(5000);
+        // The head is the first arrival, but any drained flow may go first.
+        for (&id, next_head) in [ids[3], ids[0], ids[4], ids[1]].iter().zip([0, 1, 1, 2]) {
+            assert!(srv.is_done(id));
+            let (_, wakes) = srv.remove(id, 5000);
+            assert_eq!(wakes, vec![(next_head, 5000)]);
+        }
+        assert!(srv.remove(ids[2], 5000).1.is_empty());
+        assert_eq!(srv.concurrency(), 0);
     }
 }

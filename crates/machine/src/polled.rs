@@ -185,7 +185,7 @@ impl PolledComm {
                 Poll::Ready(attr)
             } else {
                 Poll::Wait {
-                    wake_at: Some(s.locks[target].eta(id, now)),
+                    wake_at: s.locks[target].park(id, now),
                 }
             }
         })
@@ -209,10 +209,12 @@ impl PolledComm {
         let tid = sim_tid();
         let start = self.time_ns();
         let pick_add = pick.clone();
-        let id: FlowId = sim_poll("flow:add", move |s: &mut MachineState, _w, now| {
+        let id: FlowId = sim_poll("flow:add", move |s: &mut MachineState, w, now| {
             let srv = pick_add(s);
             srv.update(now);
-            Poll::Ready(srv.add_weighted(tid, bytes, peak, weight))
+            let id = srv.add_weighted(tid, bytes, peak, weight);
+            srv.arm_head(now, |t, at| w.wake_at(t, at));
+            Poll::Ready(id)
         })
         .await;
         sim_poll("flow:wait", move |s: &mut MachineState, w, now| {
@@ -223,7 +225,7 @@ impl PolledComm {
                 Poll::Ready(())
             } else {
                 Poll::Wait {
-                    wake_at: Some(srv.eta(id, now)),
+                    wake_at: srv.park(id, now),
                 }
             }
         })
@@ -1209,6 +1211,10 @@ where
         sim.spawn(move |tid| async move {
             debug_assert_eq!(tid, rank, "tasks spawn in rank order");
             let r = f(rank).await;
+            debug_assert!(
+                !sim_with_state(|s: &mut MachineState, _| s.owns_live_flow(rank)),
+                "rank {rank} finished while it owns a live flow"
+            );
             results.borrow_mut()[rank] = Some(r);
         });
     }
@@ -1247,6 +1253,20 @@ mod tests {
     use super::*;
     use crate::team::{run_team, run_team_traced};
     use kacc_comm::{Comm, CommExt};
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "rank 1 finished while it owns a live flow")]
+    fn finishing_with_a_live_flow_is_caught() {
+        run_polled_team(&ArchProfile::broadwell(), 2, |rank| async move {
+            if rank == 1 {
+                sim_with_state(|s: &mut MachineState, now| {
+                    s.mems[0].update(now);
+                    s.mems[0].add(1, 4096, 1.0);
+                });
+            }
+        });
+    }
 
     /// The team-harness smoke program (two-rank CMA read) expressed for
     /// both engines; every observable must be bitwise-identical.

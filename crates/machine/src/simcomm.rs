@@ -160,7 +160,7 @@ impl SimComm {
                 Poll::Ready(attr)
             } else {
                 Poll::Wait {
-                    wake_at: Some(s.locks[target].eta(id, now)),
+                    wake_at: s.locks[target].park(id, now),
                 }
             }
         })
@@ -185,10 +185,12 @@ impl SimComm {
         let tid = self.ctx.tid();
         let start = self.ctx.now();
         let pick_add = pick.clone();
-        let id: FlowId = self.ctx.poll("flow:add", move |s, _w, now| {
+        let id: FlowId = self.ctx.poll("flow:add", move |s, w, now| {
             let srv = pick_add(s);
             srv.update(now);
-            Poll::Ready(srv.add_weighted(tid, bytes, peak, weight))
+            let id = srv.add_weighted(tid, bytes, peak, weight);
+            srv.arm_head(now, |t, at| w.wake_at(t, at));
+            Poll::Ready(id)
         });
         self.ctx.poll("flow:wait", move |s, w, now| {
             let srv = pick(s);
@@ -198,7 +200,7 @@ impl SimComm {
                 Poll::Ready(())
             } else {
                 Poll::Wait {
-                    wake_at: Some(srv.eta(id, now)),
+                    wake_at: srv.park(id, now),
                 }
             }
         });

@@ -304,6 +304,19 @@ impl MachineState {
         let rpn = self.nranks / self.mems.len();
         rank % rpn
     }
+
+    /// Does `tid` own a live flow in any fluid server? The harnesses
+    /// assert it does not when a rank finishes: a leaked flow would sit
+    /// at its server's head forever, and with head-only completion wakes
+    /// every flow queued behind it would never be woken.
+    pub fn owns_live_flow(&self, tid: usize) -> bool {
+        let links = self
+            .net
+            .iter()
+            .flat_map(|n| n.egress.iter().chain(&n.ingress));
+        self.locks.iter().any(|l| l.owns_flow(tid))
+            || self.mems.iter().chain(links).any(|m| m.owns_flow(tid))
+    }
 }
 
 #[cfg(test)]

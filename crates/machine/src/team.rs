@@ -310,6 +310,10 @@ where
         sim.spawn(move |ctx| {
             let mut comm = SimComm::new(ctx, rank);
             let r = f(&mut comm);
+            debug_assert!(
+                !comm.ctx().with_state(|s, _| s.owns_live_flow(rank)),
+                "rank {rank} finished while it owns a live flow"
+            );
             results
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner)[rank] = Some(r);
@@ -459,6 +463,20 @@ mod tests {
             (t4 as f64) < 2.0 * t1 as f64,
             "independent pairs should not contend much: {t4} vs {t1}"
         );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "rank 1 finished while it owns a live flow")]
+    fn finishing_with_a_live_flow_is_caught() {
+        run_team(&ArchProfile::broadwell(), 2, |comm| {
+            if comm.rank() == 1 {
+                comm.ctx().with_state(|s, now| {
+                    s.mems[0].update(now);
+                    s.mems[0].add(1, 4096, 1.0);
+                });
+            }
+        });
     }
 
     #[test]
