@@ -2,9 +2,10 @@
 //! (simulated time unless noted).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use kacc_bench::measure::{allgather_ns, scatter_ns, timed_team};
-use kacc_collectives::{scatter, AllgatherAlgo, ScatterAlgo};
-use kacc_comm::{smcoll, Comm};
+use kacc_bench::measure::{allgather_ns, scatter_ns, timed_team_polled};
+use kacc_collectives::{scatter_polled, AllgatherAlgo, ScatterAlgo};
+use kacc_machine::polled::sm_barrier_polled;
+use kacc_machine::PolledComm;
 use kacc_model::ArchProfile;
 use std::time::Duration;
 
@@ -39,7 +40,7 @@ fn bench(c: &mut Criterion) {
             .measurement_time(Duration::from_millis(200));
         let chained = scatter_ns(&arch, p, eta, ScatterAlgo::ThrottledRead { k: 8 });
         custom(&mut g, "chained-notifies", chained);
-        let barriered = timed_team(&arch, p, move |comm| {
+        let barriered = timed_team_polled(&arch, p, async move |comm: &mut PolledComm| {
             // Same wave structure, but a full barrier after every wave.
             let me = comm.rank();
             let sb = (me == 0).then(|| comm.alloc(p * eta));
@@ -53,11 +54,13 @@ fn bench(c: &mut Criterion) {
                     // This wave's readers pull their slice.
                     let _ = (sb, rb);
                 }
-                smcoll::sm_barrier(comm).unwrap();
+                sm_barrier_polled(comm).await.unwrap();
             }
             // The barrier-cost skeleton above isolates synchronization
             // overhead; add the actual data movement once.
-            scatter(comm, ScatterAlgo::ThrottledRead { k }, sb, Some(rb), eta, 0).unwrap();
+            scatter_polled(comm, ScatterAlgo::ThrottledRead { k }, sb, Some(rb), eta, 0)
+                .await
+                .unwrap();
         });
         custom(&mut g, "barrier-per-wave", barriered);
         g.finish();
@@ -119,10 +122,11 @@ fn bench(c: &mut Criterion) {
             .measurement_time(Duration::from_millis(200));
         let native = allgather_ns(&arch, p, 64 << 10, AllgatherAlgo::RingSourceRead);
         custom(&mut g, "native-token-exchange", native);
-        let pt2pt = timed_team(&arch, p, move |comm| {
+        let pt2pt = timed_team_polled(&arch, p, async move |comm: &mut PolledComm| {
             let sb = comm.alloc(64 << 10);
             let rb = comm.alloc(p * (64 << 10));
             kacc_mpi::ptcoll::allgather(comm, sb, rb, 64 << 10, kacc_mpi::Protocol::RendezvousCma)
+                .await
                 .unwrap();
         });
         custom(&mut g, "pt2pt-rts-cts", pt2pt);

@@ -2,13 +2,12 @@
 //!
 //! Every figure in the reproduction is a sweep of `run_team` points, so
 //! the kernel's per-event overhead (heap traffic, floor hand-offs,
-//! thread setup) multiplies into everything. This bench pins the cost on
-//! both engines:
+//! thread setup) multiplies into everything. This bench pins the cost:
 //!
-//! * `one_to_all_p64` / `one_to_all_p64_polled` — the paper's contention
-//!   microbenchmark at p=64 (65 simulated ranks, fluid-server wake
-//!   storms) on the thread-per-rank and the thread-free polled engine:
-//!   the PR-4/PR-6 acceptance gates measure events/sec here.
+//! * `one_to_all_p64_polled` — the paper's contention microbenchmark at
+//!   p=64 (65 simulated ranks, fluid-server wake storms) on the polled
+//!   engine every figure now runs on: the PR-4/PR-6 acceptance gates
+//!   measure events/sec here.
 //! * `advance_heavy` / `advance_heavy_polled` — a single task burning
 //!   timer self-wakes, the direct-handoff fast path's best case.
 //! * `pingpong` / `pingpong_polled` — two tasks strictly alternating via
@@ -22,7 +21,7 @@
 //! conversion is mechanical.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use kacc_bench::measure::{one_to_all_read_ns, set_engine, Engine};
+use kacc_bench::measure::one_to_all_read_ns;
 use kacc_model::ArchProfile;
 use kacc_sim_core::polled::{sim_advance, sim_poll, PolledSim};
 use kacc_sim_core::{total_events, Poll, Sim};
@@ -40,11 +39,8 @@ fn probe(f: impl Fn()) -> (u64, f64) {
     (events, events as f64 / secs.max(1e-9))
 }
 
-fn one_to_all(arch: &ArchProfile, engine: Engine) -> f64 {
-    set_engine(engine);
-    let ns = one_to_all_read_ns(arch, 64, 64 << 10, false);
-    set_engine(Engine::Threads);
-    ns
+fn one_to_all(arch: &ArchProfile) -> f64 {
+    one_to_all_read_ns(arch, 64, 64 << 10, false)
 }
 
 fn advance_heavy(steps: u64) -> u64 {
@@ -120,27 +116,15 @@ fn bench(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(500))
         .measurement_time(Duration::from_secs(3));
 
-    // The two engines must agree on the simulated result before their
-    // costs are worth comparing.
-    let t = one_to_all(&knl, Engine::Threads);
-    let q = one_to_all(&knl, Engine::Polled);
-    assert_eq!(t, q, "engines disagree on one_to_all_p64");
-
-    for engine in [Engine::Threads, Engine::Polled] {
-        let (events, eps) = probe(|| {
-            one_to_all(&knl, engine);
-        });
-        let suffix = match engine {
-            Engine::Threads => "",
-            Engine::Polled => "_polled",
-        };
-        println!(
-            "des_kernel/one_to_all_p64{suffix}: {events} simulated events per iter (~{eps:.0} events/sec)"
-        );
-        g.bench_function(format!("one_to_all_p64{suffix}"), |b| {
-            b.iter(|| black_box(one_to_all(black_box(&knl), engine)))
-        });
-    }
+    let (events, eps) = probe(|| {
+        one_to_all(&knl);
+    });
+    println!(
+        "des_kernel/one_to_all_p64_polled: {events} simulated events per iter (~{eps:.0} events/sec)"
+    );
+    g.bench_function("one_to_all_p64_polled", |b| {
+        b.iter(|| black_box(one_to_all(black_box(&knl))))
+    });
 
     let steps = 20_000u64;
     assert_eq!(advance_heavy(steps), advance_heavy_polled(steps));

@@ -2,9 +2,9 @@
 //! sequential root-pull vs the k-nomial combining tree (simulated time).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use kacc_bench::measure::timed_team;
-use kacc_collectives::reduce::{reduce, Dtype, ReduceAlgo, ReduceOp};
-use kacc_comm::Comm;
+use kacc_bench::measure::timed_team_polled;
+use kacc_collectives::reduce::{reduce_polled, Dtype, ReduceAlgo, ReduceOp};
+use kacc_machine::PolledComm;
 use kacc_model::ArchProfile;
 use std::time::Duration;
 
@@ -22,10 +22,12 @@ fn bench(c: &mut Criterion) {
             ("knomial-4", ReduceAlgo::KNomialTree { radix: 4 }),
             ("knomial-8", ReduceAlgo::KNomialTree { radix: 8 }),
         ] {
-            let ns = timed_team(&arch, p, move |comm| {
+            let ns = timed_team_polled(&arch, p, async move |comm: &mut PolledComm| {
                 let sb = comm.alloc(eta);
                 let rb = (comm.rank() == 0).then(|| comm.alloc(eta));
-                reduce(comm, algo, sb, rb, eta, Dtype::U64, ReduceOp::Sum, 0).expect("reduce");
+                reduce_polled(comm, algo, sb, rb, eta, Dtype::U64, ReduceOp::Sum, 0)
+                    .await
+                    .expect("reduce");
             });
             g.bench_function(format!("{label}/{}", kacc_bench::size_label(eta)), |b| {
                 b.iter_custom(|iters| {

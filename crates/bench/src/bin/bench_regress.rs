@@ -2,8 +2,7 @@
 //! committed baseline.
 //!
 //! ```text
-//! bench-regress                          # check vs BENCH_PR10.json, both engines
-//! bench-regress --engine threads        # check one engine only
+//! bench-regress                          # check vs BENCH_BASELINE.json
 //! bench-regress --baseline FILE         # alternate baseline
 //! bench-regress --out verdict.json      # machine-readable verdict
 //! bench-regress --wall-tol-pct 50       # loosen the wall-clock tolerance
@@ -11,8 +10,8 @@
 //! ```
 //!
 //! The reference run is deterministic by construction: `--jobs 1`, quick
-//! scale, every figure in registry order, then the wake-storm probe, all
-//! on one engine, with the metric registry reset first. Everything the
+//! scale, every figure in registry order, then the wake-storm probe,
+//! with the metric registry reset first. Everything the
 //! baseline stores as an integer — per-figure event counts, wake-storm
 //! diagnostics, and the full `kacc-metrics` snapshot — must match
 //! **exactly**; any drift is a hard failure (exit 1), because those
@@ -30,12 +29,12 @@
 //! baseline without noticing.
 
 use kacc_bench::figs::registry;
-use kacc_bench::measure::{self, Engine, WakeStorm};
+use kacc_bench::measure::{self, WakeStorm};
 use kacc_bench::minijson::Json;
 use kacc_bench::par;
 use kacc_metrics::Value;
 
-/// One engine's deterministic quick-mode reference measurement.
+/// The deterministic quick-mode reference measurement.
 struct Reference {
     wall_s: f64,
     events_per_sec: f64,
@@ -54,11 +53,11 @@ struct Reference {
 /// the committed baseline: 40 ms virtual, 4× under the gen-1 cost.
 const RECOVERY_CAP_NS: u64 = 40_000_000;
 
-/// Run the quick reference workload on `engine` and collect every
-/// deterministic quantity the baseline pins.
-fn quick_reference(engine: Engine) -> Reference {
+/// Run the quick reference workload and collect every deterministic
+/// quantity the baseline pins.
+fn quick_reference() -> Reference {
+    eprintln!("[reference run: --jobs 1, quick]");
     kacc_metrics::reset();
-    measure::set_engine(engine);
     par::set_jobs(1);
     let t0 = std::time::Instant::now();
     let mut figures = Vec::new();
@@ -70,7 +69,7 @@ fn quick_reference(engine: Engine) -> Reference {
         total_events += ev;
         figures.push((name.to_string(), ev));
     }
-    let storm = measure::wake_storm_probe(&kacc_model::ArchProfile::knl(), 8, 32 << 10, 5, engine);
+    let storm = measure::wake_storm_probe(&kacc_model::ArchProfile::knl(), 8, 32 << 10, 5);
     total_events += storm.events;
     let per_failure_cost_ns = kacc_bench::figs::failures::per_failure_cost_ns();
     let wall_s = t0.elapsed().as_secs_f64();
@@ -96,56 +95,45 @@ fn quick_reference(engine: Engine) -> Reference {
     }
 }
 
-fn baseline_json(refs: &[(Engine, Reference)]) -> String {
+fn baseline_json(r: &Reference) -> String {
     let mut s = String::from("{\n");
-    s.push_str("  \"schema\": \"kacc-bench-regress-v1\",\n");
+    s.push_str("  \"schema\": \"kacc-bench-regress-v2\",\n");
     s.push_str(
-        "  \"note\": \"Committed quick-mode regression baseline for bench-regress: per-figure event counts, wake-storm diagnostics, the per-failure recovery cost, and the full kacc-metrics snapshot are deterministic and compared exactly; the recovery cost is additionally hard-capped at 40 ms virtual regardless of the baseline; wall_s / events_per_sec are machine-dependent and only warn; metrics newly registered since the baseline warn as additions. Regenerate with: cargo run --release -p kacc-bench --bin bench-regress -- --write-baseline BENCH_PR10.json\",\n",
+        "  \"note\": \"Committed quick-mode regression baseline for bench-regress: per-figure event counts, wake-storm diagnostics, the per-failure recovery cost, and the full kacc-metrics snapshot are deterministic and compared exactly; the recovery cost is additionally hard-capped at 40 ms virtual regardless of the baseline; wall_s / events_per_sec are machine-dependent and only warn; metrics newly registered since the baseline warn as additions. Regenerate with: cargo run --release -p kacc-bench --bin bench-regress -- --write-baseline BENCH_BASELINE.json\",\n",
     );
-    s.push_str("  \"quick\": true,\n  \"jobs\": 1,\n  \"engines\": {\n");
-    for (i, (engine, r)) in refs.iter().enumerate() {
-        s.push_str(&format!("    \"{}\": {{\n", engine.label()));
-        s.push_str(&format!("      \"wall_s\": {:.3},\n", r.wall_s));
+    s.push_str("  \"quick\": true,\n  \"jobs\": 1,\n");
+    s.push_str(&format!("  \"wall_s\": {:.3},\n", r.wall_s));
+    s.push_str(&format!("  \"events_per_sec\": {:.0},\n", r.events_per_sec));
+    s.push_str(&format!("  \"total_events\": {},\n", r.total_events));
+    s.push_str("  \"figures\": [\n");
+    for (j, (name, ev)) in r.figures.iter().enumerate() {
         s.push_str(&format!(
-            "      \"events_per_sec\": {:.0},\n",
-            r.events_per_sec
+            "    {{\"name\": \"{name}\", \"events\": {ev}}}{}\n",
+            if j + 1 < r.figures.len() { "," } else { "" }
         ));
-        s.push_str(&format!("      \"total_events\": {},\n", r.total_events));
-        s.push_str("      \"figures\": [\n");
-        for (j, (name, ev)) in r.figures.iter().enumerate() {
-            s.push_str(&format!(
-                "        {{\"name\": \"{name}\", \"events\": {ev}}}{}\n",
-                if j + 1 < r.figures.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("      ],\n");
-        let w = &r.storm;
+    }
+    s.push_str("  ],\n");
+    let w = &r.storm;
+    s.push_str(&format!(
+        "  \"wake_storm\": {{\"iterations\": {}, \"events\": {}, \"peak_queue_len\": {}, \"wake_fanout_max\": {}, \"wakes_raw\": {}, \"wakes_coalesced\": {}}},\n",
+        w.iterations, w.events, w.peak_queue_len, w.wake_fanout_max, w.wakes_raw, w.wakes_coalesced
+    ));
+    s.push_str(&format!(
+        "  \"recovery\": {{\"per_failure_cost_ns\": {}, \"cap_ns\": {RECOVERY_CAP_NS}}},\n",
+        r.per_failure_cost_ns
+    ));
+    s.push_str("  \"metrics\": {\n");
+    for (j, (name, v)) in r.metrics.iter().enumerate() {
         s.push_str(&format!(
-            "      \"wake_storm\": {{\"iterations\": {}, \"events\": {}, \"peak_queue_len\": {}, \"wake_fanout_max\": {}, \"wakes_raw\": {}, \"wakes_coalesced\": {}}},\n",
-            w.iterations, w.events, w.peak_queue_len, w.wake_fanout_max, w.wakes_raw, w.wakes_coalesced
-        ));
-        s.push_str(&format!(
-            "      \"recovery\": {{\"per_failure_cost_ns\": {}, \"cap_ns\": {RECOVERY_CAP_NS}}},\n",
-            r.per_failure_cost_ns
-        ));
-        s.push_str("      \"metrics\": {\n");
-        for (j, (name, v)) in r.metrics.iter().enumerate() {
-            s.push_str(&format!(
-                "        \"{name}\": {v}{}\n",
-                if j + 1 < r.metrics.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("      }\n");
-        s.push_str(&format!(
-            "    }}{}\n",
-            if i + 1 < refs.len() { "," } else { "" }
+            "    \"{name}\": {v}{}\n",
+            if j + 1 < r.metrics.len() { "," } else { "" }
         ));
     }
     s.push_str("  }\n}\n");
     s
 }
 
-/// Compare one engine's fresh reference against its baseline block.
+/// Compare the fresh reference against the baseline document.
 /// Returns (hard failures, warnings).
 fn check(base: &Json, fresh: &Reference, wall_tol_pct: f64) -> (Vec<String>, Vec<String>) {
     let mut hard = Vec::new();
@@ -272,37 +260,26 @@ fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-fn verdict_json(baseline: &str, results: &[(&str, Vec<String>, Vec<String>)]) -> String {
-    let ok = results.iter().all(|(_, hard, _)| hard.is_empty());
-    let mut s = String::from("{\n");
-    s.push_str(&format!(
-        "  \"baseline\": \"{}\",\n  \"ok\": {ok},\n  \"engines\": [\n",
-        json_escape(baseline)
-    ));
-    for (i, (engine, hard, warn)) in results.iter().enumerate() {
-        let list = |items: &[String]| {
-            items
-                .iter()
-                .map(|m| format!("\"{}\"", json_escape(m)))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        s.push_str(&format!(
-            "    {{\"engine\": \"{engine}\", \"ok\": {}, \"hard_failures\": [{}], \"warnings\": [{}]}}{}\n",
-            hard.is_empty(),
-            list(hard),
-            list(warn),
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+fn verdict_json(baseline: &str, hard: &[String], warn: &[String]) -> String {
+    let list = |items: &[String]| {
+        items
+            .iter()
+            .map(|m| format!("\"{}\"", json_escape(m)))
+            .collect::<Vec<_>>()
+            .join(", ")
+    };
+    format!(
+        "{{\n  \"baseline\": \"{}\",\n  \"ok\": {},\n  \"hard_failures\": [{}],\n  \"warnings\": [{}]\n}}\n",
+        json_escape(baseline),
+        hard.is_empty(),
+        list(hard),
+        list(warn),
+    )
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut baseline = String::from("BENCH_PR10.json");
-    let mut engines = vec![Engine::Threads, Engine::Polled];
+    let mut baseline = String::from("BENCH_BASELINE.json");
     let mut out: Option<String> = None;
     let mut write_baseline: Option<String> = None;
     let mut wall_tol_pct = 30.0;
@@ -319,18 +296,6 @@ fn main() {
             "--baseline" => baseline = value("--baseline"),
             "--out" => out = Some(value("--out")),
             "--write-baseline" => write_baseline = Some(value("--write-baseline")),
-            "--engine" => {
-                let v = value("--engine");
-                engines = match v.as_str() {
-                    "both" => vec![Engine::Threads, Engine::Polled],
-                    other => vec![Engine::parse(other).unwrap_or_else(|| {
-                        eprintln!(
-                            "unknown engine '{other}' (expected 'threads', 'polled', or 'both')"
-                        );
-                        std::process::exit(2);
-                    })],
-                };
-            }
             "--wall-tol-pct" => {
                 wall_tol_pct = value("--wall-tol-pct").parse().unwrap_or_else(|_| {
                     eprintln!("--wall-tol-pct needs a number");
@@ -339,7 +304,7 @@ fn main() {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: bench-regress [--baseline FILE] [--engine threads|polled|both] [--out FILE] [--wall-tol-pct P] [--write-baseline FILE]"
+                    "usage: bench-regress [--baseline FILE] [--out FILE] [--wall-tol-pct P] [--write-baseline FILE]"
                 );
                 return;
             }
@@ -351,14 +316,7 @@ fn main() {
     }
 
     if let Some(path) = &write_baseline {
-        let refs: Vec<(Engine, Reference)> = engines
-            .iter()
-            .map(|&e| {
-                eprintln!("[reference run: --engine {}, --jobs 1, quick]", e.label());
-                (e, quick_reference(e))
-            })
-            .collect();
-        std::fs::write(path, baseline_json(&refs)).unwrap_or_else(|e| {
+        std::fs::write(path, baseline_json(&quick_reference())).unwrap_or_else(|e| {
             eprintln!("cannot write {path}: {e}");
             std::process::exit(2);
         });
@@ -375,35 +333,20 @@ fn main() {
         std::process::exit(2);
     });
 
-    let mut results: Vec<(&str, Vec<String>, Vec<String>)> = Vec::new();
-    for &engine in &engines {
-        let label = engine.label();
-        let Some(block) = doc.path(&["engines", label]) else {
-            results.push((
-                label,
-                vec![format!("engines.{label}: missing from baseline")],
-                Vec::new(),
-            ));
-            continue;
-        };
-        eprintln!("[reference run: --engine {label}, --jobs 1, quick]");
-        let fresh = quick_reference(engine);
-        let (hard, warn) = check(block, &fresh, wall_tol_pct);
-        eprintln!(
-            "[{label}: {} hard failure(s), {} warning(s)]",
-            hard.len(),
-            warn.len()
-        );
-        for m in &hard {
-            eprintln!("  FAIL {m}");
-        }
-        for m in &warn {
-            eprintln!("  warn {m}");
-        }
-        results.push((label, hard, warn));
+    let (hard, warn) = check(&doc, &quick_reference(), wall_tol_pct);
+    eprintln!(
+        "[{} hard failure(s), {} warning(s)]",
+        hard.len(),
+        warn.len()
+    );
+    for m in &hard {
+        eprintln!("  FAIL {m}");
+    }
+    for m in &warn {
+        eprintln!("  warn {m}");
     }
 
-    let verdict = verdict_json(&baseline, &results);
+    let verdict = verdict_json(&baseline, &hard, &warn);
     match &out {
         Some(path) => {
             std::fs::write(path, &verdict).expect("write verdict");
@@ -411,7 +354,7 @@ fn main() {
         }
         None => print!("{verdict}"),
     }
-    if results.iter().any(|(_, hard, _)| !hard.is_empty()) {
+    if !hard.is_empty() {
         std::process::exit(1);
     }
 }

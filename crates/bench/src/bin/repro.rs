@@ -8,18 +8,14 @@
 //! repro --jobs 8 all         # fan sweep points over 8 workers
 //!                            # (default: available parallelism; output
 //!                            # is bitwise-identical for every N)
-//! repro --engine polled all  # thread-free DES engine (bitwise-identical
-//!                            # artifacts; much faster on wake-tied
-//!                            # figures; legacy library-persona bodies
-//!                            # still run on the threads engine)
 //! repro --bench-out b.json   # record events/sec + wall-clock metrics
-//!                            # (incl. wake-storm diagnostics on both
-//!                            # engines and p50/p95/p99 probe latencies)
+//!                            # (incl. wake-storm diagnostics and
+//!                            # p50/p95/p99 probe latencies)
 //! repro --metrics-out m.json # dump the kacc-metrics registry snapshot
 //!                            # (JSON + Prometheus-style m.json.prom);
 //!                            # virtual-time/count metrics only, so the
 //!                            # files are bitwise-identical for every
-//!                            # --jobs value and both engines
+//!                            # --jobs value
 //! repro --list               # list artifact names
 //! repro --trace-out t.json   # Chrome trace of a contended scatter
 //! repro --fault-plan plan.txt  # same scatter under a fault plan:
@@ -28,7 +24,7 @@
 //! ```
 
 use kacc_bench::figs::registry;
-use kacc_bench::measure::{self, Engine};
+use kacc_bench::measure;
 use kacc_bench::{par, size_label, Chart};
 use kacc_fault::FaultPlan;
 use std::io::Write;
@@ -42,7 +38,6 @@ fn main() {
     let mut bench_out: Option<String> = None;
     let mut metrics_out: Option<String> = None;
     let mut jobs: Option<usize> = None;
-    let mut engine = Engine::Threads;
     let mut wanted: Vec<String> = Vec::new();
     let mut list_only = false;
 
@@ -57,16 +52,6 @@ fn main() {
                     eprintln!("--jobs needs a positive integer");
                     std::process::exit(2);
                 }));
-            }
-            "--engine" => {
-                let v = it.next().unwrap_or_else(|| {
-                    eprintln!("--engine needs 'threads' or 'polled'");
-                    std::process::exit(2);
-                });
-                engine = Engine::parse(&v).unwrap_or_else(|| {
-                    eprintln!("unknown engine '{v}' (expected 'threads' or 'polled')");
-                    std::process::exit(2);
-                });
             }
             "--bench-out" => {
                 bench_out = Some(it.next().unwrap_or_else(|| {
@@ -100,7 +85,7 @@ fn main() {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: repro [--quick] [--engine threads|polled] [--jobs N] [--csv DIR] [--bench-out FILE] [--metrics-out FILE] [--trace-out FILE] [--fault-plan FILE] [--list] <artifact...|all>\n\
+                    "usage: repro [--quick] [--jobs N] [--csv DIR] [--bench-out FILE] [--metrics-out FILE] [--trace-out FILE] [--fault-plan FILE] [--list] <artifact...|all>\n\
                      artifacts: {}",
                     registry()
                         .iter()
@@ -175,7 +160,6 @@ fn main() {
         std::fs::create_dir_all(dir).expect("create csv dir");
     }
 
-    measure::set_engine(engine);
     let jobs = jobs.unwrap_or_else(par::default_jobs);
     par::set_jobs(jobs);
     let selected: Vec<(&str, kacc_bench::figs::ArtifactFn)> = reg
@@ -223,24 +207,19 @@ fn main() {
         println!();
     }
     eprintln!(
-        "[total: {total_wall:.1}s, {total_events} events ({:.2} Mev/s, {:.0}% fast-path), --engine {}, --jobs {jobs}{}]",
+        "[total: {total_wall:.1}s, {total_events} events ({:.2} Mev/s, {:.0}% fast-path), --jobs {jobs}{}]",
         total_events as f64 / total_wall.max(1e-9) / 1e6,
         total_fast as f64 / (total_events as f64).max(1.0) * 100.0,
-        engine.label(),
         if quick { ", --quick" } else { "" }
     );
 
     if let Some(path) = &bench_out {
         // Wake-storm diagnostics at figure-10 scale, probed sequentially
-        // on BOTH engines after the sweep so the storm numbers in the
-        // summary are exact regardless of --jobs or --engine.
+        // after the sweep so the storm numbers in the summary are exact
+        // regardless of --jobs.
         let knl = kacc_model::ArchProfile::knl();
-        let storms = [
-            measure::wake_storm_probe(&knl, p, count, 5, Engine::Threads),
-            measure::wake_storm_probe(&knl, p, count, 5, Engine::Polled),
-        ];
+        let storm = measure::wake_storm_probe(&knl, p, count, 5);
         let json = bench_report_json(
-            engine,
             jobs,
             quick,
             total_wall,
@@ -252,7 +231,7 @@ fn main() {
                 .collect::<Vec<_>>(),
             p,
             count,
-            &storms,
+            &storm,
         );
         std::fs::write(path, json).expect("write bench report");
         eprintln!("[bench metrics -> {path}]");
@@ -262,8 +241,7 @@ fn main() {
         // Snapshot last, so everything the process simulated (figures,
         // probes) is folded in. The registry holds only virtual-time and
         // count metrics — no wall-clock — and every update commutes, so
-        // these files are bitwise-identical for every --jobs value and
-        // for both engines on fault-free runs.
+        // these files are bitwise-identical for every --jobs value.
         let snap = kacc_metrics::snapshot();
         std::fs::write(path, snap.to_json()).expect("write metrics snapshot");
         let prom = format!("{path}.prom");
@@ -277,10 +255,9 @@ fn main() {
 /// contention microbench at p=64 (the PR-4 acceptance metric, now with
 /// per-reader latency percentiles) so the events/sec trajectory is
 /// comparable across machines and job counts, and the wake-storm
-/// diagnostics probed on both engines.
+/// diagnostics.
 #[allow(clippy::too_many_arguments)]
 fn bench_report_json(
-    engine: Engine,
     jobs: usize,
     quick: bool,
     total_wall: f64,
@@ -289,7 +266,7 @@ fn bench_report_json(
     figures: &[(&str, f64, u64)],
     storm_p: usize,
     storm_eta: usize,
-    storms: &[measure::WakeStorm],
+    w: &measure::WakeStorm,
 ) -> String {
     use kacc_numerics::stats;
     let knl = kacc_model::ArchProfile::knl();
@@ -310,7 +287,6 @@ fn bench_report_json(
     let lat_p99 = stats::percentile(&lats, 99.0).unwrap_or(0.0);
 
     let mut s = String::from("{\n");
-    s.push_str(&format!("  \"engine\": \"{}\",\n", engine.label()));
     s.push_str(&format!("  \"jobs\": {jobs},\n"));
     s.push_str(&format!("  \"quick\": {quick},\n"));
     s.push_str(&format!("  \"total_wall_s\": {total_wall:.3},\n"));
@@ -325,24 +301,16 @@ fn bench_report_json(
         probe_events as f64 / probe_wall.max(1e-9)
     ));
     s.push_str(&format!(
-        "  \"wake_storm\": {{\"p\": {storm_p}, \"eta\": {storm_eta}, \"engines\": [\n"
+        "  \"wake_storm\": {{\"p\": {storm_p}, \"eta\": {storm_eta}, \"iterations\": {}, \"events\": {}, \"events_per_barrier\": {:.1}, \"peak_queue_len\": {}, \"wake_fanout_max\": {}, \"wake_fanout_mean\": {:.3}, \"wakes_raw\": {}, \"wakes_coalesced\": {}}},\n",
+        w.iterations,
+        w.events,
+        w.events_per_barrier,
+        w.peak_queue_len,
+        w.wake_fanout_max,
+        w.wake_fanout_mean,
+        w.wakes_raw,
+        w.wakes_coalesced,
     ));
-    for (i, w) in storms.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"engine\": \"{}\", \"iterations\": {}, \"events\": {}, \"events_per_barrier\": {:.1}, \"peak_queue_len\": {}, \"wake_fanout_max\": {}, \"wake_fanout_mean\": {:.3}, \"wakes_raw\": {}, \"wakes_coalesced\": {}}}{}\n",
-            w.engine,
-            w.iterations,
-            w.events,
-            w.events_per_barrier,
-            w.peak_queue_len,
-            w.wake_fanout_max,
-            w.wake_fanout_mean,
-            w.wakes_raw,
-            w.wakes_coalesced,
-            if i + 1 < storms.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]},\n");
     s.push_str("  \"figures\": [\n");
     for (i, (name, secs, events)) in figures.iter().enumerate() {
         s.push_str(&format!(

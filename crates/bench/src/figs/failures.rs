@@ -12,19 +12,16 @@
 //! failure" curve. The gen-2 sweep covers p ∈ {16, 64, 128} and
 //! k ∈ {0..4} kills, and a companion chart splits the recovery into
 //! its detect / agree / re-execute phases straight from
-//! [`kacc_collectives::MembershipReport`]. Runs are dispatched on the
-//! engine selected with `--engine` and are bitwise-identical across
-//! engines and `--jobs` values.
+//! [`kacc_collectives::MembershipReport`]. Runs are bitwise-identical
+//! across `--jobs` values.
 
-use crate::measure::{engine, Engine};
 use crate::render::{Chart, Series};
 use kacc_collectives::{
-    run_survivable, run_survivable_polled, AllgatherAlgo, AlltoallAlgo, BcastAlgo, Dtype,
-    GatherAlgo, RecoveryPolicy, ReduceAlgo, ReduceOp, ScatterAlgo, SurvivableOp,
+    run_survivable_polled, AllgatherAlgo, AlltoallAlgo, BcastAlgo, Dtype, GatherAlgo,
+    RecoveryPolicy, ReduceAlgo, ReduceOp, ScatterAlgo, SurvivableOp,
 };
-use kacc_comm::{Comm, CommExt};
 use kacc_fault::{FaultHook, FaultPlan};
-use kacc_machine::{run_polled_team_faulty, run_team_faulty, PolledComm, SimComm};
+use kacc_machine::{run_polled_team_faulty, PolledComm};
 use kacc_model::ArchProfile;
 
 const US: f64 = 1000.0;
@@ -128,9 +125,9 @@ struct FailurePoint {
     reexec_ns: u64,
 }
 
-/// Run one survivable collective under a silent-kill plan on the
-/// selected engine. Per-rank errors on killed ranks are expected and
-/// count a zero breakdown; the end time covers every rank's exit.
+/// Run one survivable collective under a silent-kill plan. Per-rank
+/// errors on killed ranks are expected and count a zero breakdown; the
+/// end time covers every rank's exit.
 fn survivable_point(
     arch: &ArchProfile,
     p: usize,
@@ -139,42 +136,22 @@ fn survivable_point(
 ) -> FailurePoint {
     let root = op.root().unwrap_or(0);
     let count = op.count();
-    let (run, reps): (_, Vec<(u64, u64, u64)>) = match engine() {
-        Engine::Threads => run_team_faulty(arch, p, kill_hook(&dead), move |comm: &mut SimComm| {
-            let me = comm.rank();
-            let sb = comm.alloc_with(&vec![me as u8; p * count]);
-            let rb = comm.alloc(p * count);
-            let (s, r) = bindings(op, me, root, sb, rb);
-            match run_survivable(comm, &op, s, r, &RecoveryPolicy::survivable()) {
-                Ok(o) => (
-                    o.membership.detect_ns,
-                    o.membership.agree_ns,
-                    o.membership.reexec_ns,
-                ),
-                Err(_) => (0, 0, 0),
-            }
-        }),
-        Engine::Polled => {
-            run_polled_team_faulty(arch, p, kill_hook(&dead), move |rank| async move {
-                let mut comm = PolledComm::new(rank);
-                let sb = comm
-                    .alloc_with(&vec![rank as u8; p * count])
-                    .expect("alloc");
-                let rb = comm.alloc(p * count);
-                let (s, r) = bindings(op, rank, root, sb, rb);
-                match run_survivable_polled(&mut comm, &op, s, r, &RecoveryPolicy::survivable())
-                    .await
-                {
-                    Ok(o) => (
-                        o.membership.detect_ns,
-                        o.membership.agree_ns,
-                        o.membership.reexec_ns,
-                    ),
-                    Err(_) => (0, 0, 0),
-                }
-            })
+    let (run, reps) = run_polled_team_faulty(arch, p, kill_hook(&dead), move |rank| async move {
+        let mut comm = PolledComm::new(rank);
+        let sb = comm
+            .alloc_with(&vec![rank as u8; p * count])
+            .expect("alloc");
+        let rb = comm.alloc(p * count);
+        let (s, r) = bindings(op, rank, root, sb, rb);
+        match run_survivable_polled(&mut comm, &op, s, r, &RecoveryPolicy::survivable()).await {
+            Ok(o) => (
+                o.membership.detect_ns,
+                o.membership.agree_ns,
+                o.membership.reexec_ns,
+            ),
+            Err(_) => (0, 0, 0),
         }
-    };
+    });
     FailurePoint {
         end_ns: run.end_ns,
         detect_ns: reps.iter().map(|t| t.0).max().unwrap_or(0),

@@ -1,103 +1,39 @@
 //! Simulated-latency measurement helpers shared by every figure.
 //!
-//! Each helper dispatches on the process-wide [`Engine`] selector: the
-//! thread-per-rank engine (`run_team`/`SimComm`) or the thread-free
-//! polled engine (`run_polled_team`/`PolledComm`). Both produce bitwise
-//! identical virtual latencies (pinned by the engine-equivalence suite),
-//! so the selector only changes wall-clock cost. Helpers whose bodies
-//! are legacy blocking closures generic over `Comm` — the library
-//! personas ([`library_ns`]), [`pairs_read_ns`], [`breakdown`] — always
-//! run on the threads engine regardless of the selector.
+//! Every helper runs one async body per rank on the polled engine
+//! (`run_polled_team_phantom` / `PolledComm`): the native collectives
+//! through their `*_polled` entries, the library personas through
+//! `kacc_mpi::baseline::*_async`, the microbenchmarks straight on the
+//! endpoint. All reported quantities are virtual time or counts.
 
 use kacc_collectives::{
-    allgather, allgather_polled, alltoall, alltoall_polled, bcast, bcast_polled, gather,
-    gatherv_polled, scatter, scatter_polled, AllgatherAlgo, AlltoallAlgo, BcastAlgo, GatherAlgo,
-    ScatterAlgo, Tuner,
+    allgather_polled, alltoall_polled, bcast_polled, gatherv_polled, scatter_polled, AllgatherAlgo,
+    AlltoallAlgo, BcastAlgo, GatherAlgo, ScatterAlgo, Tuner,
 };
-use kacc_comm::{smcoll, Comm, CommExt, RemoteToken, Tag};
+use kacc_comm::{RemoteToken, Tag};
 use kacc_machine::polled::sm_barrier_polled;
-use kacc_machine::{run_polled_team_phantom, run_team_phantom, PolledComm, RankStats, SimComm};
+use kacc_machine::{run_polled_team_phantom, PolledComm, RankStats, TeamRun};
 use kacc_model::ArchProfile;
 use kacc_mpi::baseline::{self, Library};
 use kacc_numerics::stats;
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// Which DES engine executes the simulated teams.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Engine {
-    /// One OS thread per simulated rank, condvar hand-offs (the
-    /// original engine; required for legacy blocking closure bodies).
-    Threads,
-    /// Single-threaded kernel polling resumable rank tasks — no
-    /// hand-off cost on wake-tied (0% fast-path) workloads.
-    Polled,
-}
-
-impl Engine {
-    /// Parse a `--engine` argument.
-    pub fn parse(s: &str) -> Option<Engine> {
-        match s {
-            "threads" => Some(Engine::Threads),
-            "polled" => Some(Engine::Polled),
-            _ => None,
-        }
-    }
-
-    /// Display name (matches the `--engine` argument spelling).
-    pub fn label(self) -> &'static str {
-        match self {
-            Engine::Threads => "threads",
-            Engine::Polled => "polled",
-        }
-    }
-}
-
-static ENGINE: AtomicU8 = AtomicU8::new(0);
-
-/// Select the engine for all subsequent measurements (process-wide).
-pub fn set_engine(e: Engine) {
-    ENGINE.store(e as u8, Ordering::Relaxed);
-}
-
-/// The currently selected engine.
-pub fn engine() -> Engine {
-    match ENGINE.load(Ordering::Relaxed) {
-        0 => Engine::Threads,
-        _ => Engine::Polled,
-    }
-}
 
 /// Run `f` on a simulated team and return the collective latency in
-/// nanoseconds: ranks synchronize, run `f`, and the slowest rank's
-/// elapsed virtual time is reported (the standard `MPI_Barrier` +
-/// max-time measurement loop of collective benchmarks).
-pub fn timed_team<F>(arch: &ArchProfile, p: usize, f: F) -> f64
+/// nanoseconds: ranks synchronize over the dissemination barrier, then
+/// `f` runs on the rank's endpoint, and the slowest rank's elapsed
+/// virtual time is reported (the standard `MPI_Barrier` + max-time
+/// measurement loop of collective benchmarks).
+pub fn timed_team_polled<F>(arch: &ArchProfile, p: usize, f: F) -> f64
 where
-    F: Fn(&mut SimComm) + Send + Sync + 'static,
-{
-    let (_, durs) = run_team_phantom(arch, p, move |comm| {
-        smcoll::sm_barrier(comm).expect("barrier");
-        let t0 = comm.time_ns();
-        f(comm);
-        comm.time_ns() - t0
-    });
-    durs.into_iter().max().expect("nonempty team") as f64
-}
-
-/// The polled twin of [`timed_team`]: ranks synchronize over the polled
-/// dissemination barrier, then `f` runs on a fresh endpoint and returns
-/// its own elapsed virtual ns; the slowest rank's time is reported.
-pub fn timed_team_polled<F, Fut>(arch: &ArchProfile, p: usize, f: F) -> f64
-where
-    F: Fn(PolledComm) -> Fut + Clone + 'static,
-    Fut: std::future::Future<Output = u64> + 'static,
+    F: AsyncFn(&mut PolledComm) + Clone + 'static,
 {
     let (_, durs) = run_polled_team_phantom(arch, p, move |rank| {
         let f = f.clone();
         async move {
             let mut comm = PolledComm::new(rank);
             sm_barrier_polled(&mut comm).await.expect("barrier");
-            f(comm).await
+            let t0 = comm.time_ns();
+            f(&mut comm).await;
+            comm.time_ns() - t0
         }
     });
     durs.into_iter().max().expect("nonempty team") as f64
@@ -105,105 +41,54 @@ where
 
 /// Scatter latency (root 0), ns.
 pub fn scatter_ns(arch: &ArchProfile, p: usize, eta: usize, algo: ScatterAlgo) -> f64 {
-    match engine() {
-        Engine::Threads => timed_team(arch, p, move |comm| {
-            let me = comm.rank();
-            let sb = (me == 0).then(|| comm.alloc(p * eta));
-            let rb = comm.alloc(eta);
-            scatter(comm, algo, sb, Some(rb), eta, 0).expect("scatter");
-        }),
-        Engine::Polled => timed_team_polled(arch, p, move |mut comm| async move {
-            let t0 = comm.time_ns();
-            let me = comm.rank();
-            let sb = (me == 0).then(|| comm.alloc(p * eta));
-            let rb = comm.alloc(eta);
-            scatter_polled(&mut comm, algo, sb, Some(rb), eta, 0)
-                .await
-                .expect("scatter");
-            comm.time_ns() - t0
-        }),
-    }
+    timed_team_polled(arch, p, async move |comm: &mut PolledComm| {
+        let sb = (comm.rank() == 0).then(|| comm.alloc(p * eta));
+        let rb = comm.alloc(eta);
+        scatter_polled(comm, algo, sb, Some(rb), eta, 0)
+            .await
+            .expect("scatter");
+    })
 }
 
 /// Gather latency (root 0), ns.
 pub fn gather_ns(arch: &ArchProfile, p: usize, eta: usize, algo: GatherAlgo) -> f64 {
-    match engine() {
-        Engine::Threads => timed_team(arch, p, move |comm| {
-            let me = comm.rank();
-            let sb = comm.alloc(eta);
-            let rb = (me == 0).then(|| comm.alloc(p * eta));
-            gather(comm, algo, Some(sb), rb, eta, 0).expect("gather");
-        }),
-        Engine::Polled => timed_team_polled(arch, p, move |mut comm| async move {
-            let t0 = comm.time_ns();
-            let me = comm.rank();
-            let sb = comm.alloc(eta);
-            let rb = (me == 0).then(|| comm.alloc(p * eta));
-            let counts = vec![eta; p];
-            gatherv_polled(&mut comm, algo, Some(sb), rb, &counts, None, 0)
-                .await
-                .expect("gather");
-            comm.time_ns() - t0
-        }),
-    }
+    timed_team_polled(arch, p, async move |comm: &mut PolledComm| {
+        let sb = comm.alloc(eta);
+        let rb = (comm.rank() == 0).then(|| comm.alloc(p * eta));
+        gatherv_polled(comm, algo, Some(sb), rb, &vec![eta; p], None, 0)
+            .await
+            .expect("gather");
+    })
 }
 
 /// Allgather latency, ns.
 pub fn allgather_ns(arch: &ArchProfile, p: usize, eta: usize, algo: AllgatherAlgo) -> f64 {
-    match engine() {
-        Engine::Threads => timed_team(arch, p, move |comm| {
-            let sb = comm.alloc(eta);
-            let rb = comm.alloc(p * eta);
-            allgather(comm, algo, Some(sb), rb, eta).expect("allgather");
-        }),
-        Engine::Polled => timed_team_polled(arch, p, move |mut comm| async move {
-            let t0 = comm.time_ns();
-            let sb = comm.alloc(eta);
-            let rb = comm.alloc(p * eta);
-            allgather_polled(&mut comm, algo, Some(sb), rb, eta)
-                .await
-                .expect("allgather");
-            comm.time_ns() - t0
-        }),
-    }
+    timed_team_polled(arch, p, async move |comm: &mut PolledComm| {
+        let sb = comm.alloc(eta);
+        let rb = comm.alloc(p * eta);
+        allgather_polled(comm, algo, Some(sb), rb, eta)
+            .await
+            .expect("allgather");
+    })
 }
 
 /// Alltoall latency, ns.
 pub fn alltoall_ns(arch: &ArchProfile, p: usize, eta: usize, algo: AlltoallAlgo) -> f64 {
-    match engine() {
-        Engine::Threads => timed_team(arch, p, move |comm| {
-            let sb = comm.alloc(p * eta);
-            let rb = comm.alloc(p * eta);
-            alltoall(comm, algo, Some(sb), rb, eta).expect("alltoall");
-        }),
-        Engine::Polled => timed_team_polled(arch, p, move |mut comm| async move {
-            let t0 = comm.time_ns();
-            let sb = comm.alloc(p * eta);
-            let rb = comm.alloc(p * eta);
-            alltoall_polled(&mut comm, algo, Some(sb), rb, eta)
-                .await
-                .expect("alltoall");
-            comm.time_ns() - t0
-        }),
-    }
+    timed_team_polled(arch, p, async move |comm: &mut PolledComm| {
+        let sb = comm.alloc(p * eta);
+        let rb = comm.alloc(p * eta);
+        alltoall_polled(comm, algo, Some(sb), rb, eta)
+            .await
+            .expect("alltoall");
+    })
 }
 
 /// Bcast latency (root 0), ns.
 pub fn bcast_ns(arch: &ArchProfile, p: usize, eta: usize, algo: BcastAlgo) -> f64 {
-    match engine() {
-        Engine::Threads => timed_team(arch, p, move |comm| {
-            let buf = comm.alloc(eta);
-            bcast(comm, algo, buf, eta, 0).expect("bcast");
-        }),
-        Engine::Polled => timed_team_polled(arch, p, move |mut comm| async move {
-            let t0 = comm.time_ns();
-            let buf = comm.alloc(eta);
-            bcast_polled(&mut comm, algo, buf, eta, 0)
-                .await
-                .expect("bcast");
-            comm.time_ns() - t0
-        }),
-    }
+    timed_team_polled(arch, p, async move |comm: &mut PolledComm| {
+        let buf = comm.alloc(eta);
+        bcast_polled(comm, algo, buf, eta, 0).await.expect("bcast");
+    })
 }
 
 /// Which collective a library persona runs.
@@ -248,36 +133,110 @@ impl Coll {
 /// Latency of `coll` under a library persona, ns.
 pub fn library_ns(arch: &ArchProfile, p: usize, eta: usize, coll: Coll, lib: Library) -> f64 {
     let tuner_arch = arch.clone();
-    timed_team(arch, p, move |comm| {
-        let tuner = Tuner::new(&tuner_arch);
+    timed_team_polled(arch, p, async move |comm: &mut PolledComm| {
+        let tuner = &Tuner::new(&tuner_arch);
         let me = comm.rank();
         match coll {
             Coll::Bcast => {
                 let buf = comm.alloc(eta);
-                baseline::bcast(comm, lib, &tuner, buf, eta, 0).expect("bcast");
+                baseline::bcast_async(comm, lib, tuner, buf, eta, 0).await
             }
             Coll::Scatter => {
                 let sb = (me == 0).then(|| comm.alloc(p * eta));
                 let rb = comm.alloc(eta);
-                baseline::scatter(comm, lib, &tuner, sb, Some(rb), eta, 0).expect("scatter");
+                baseline::scatter_async(comm, lib, tuner, sb, Some(rb), eta, 0).await
             }
             Coll::Gather => {
                 let sb = comm.alloc(eta);
                 let rb = (me == 0).then(|| comm.alloc(p * eta));
-                baseline::gather(comm, lib, &tuner, Some(sb), rb, eta, 0).expect("gather");
+                baseline::gather_async(comm, lib, tuner, Some(sb), rb, eta, 0).await
             }
             Coll::Allgather => {
                 let sb = comm.alloc(eta);
                 let rb = comm.alloc(p * eta);
-                baseline::allgather(comm, lib, &tuner, Some(sb), rb, eta).expect("allgather");
+                baseline::allgather_async(comm, lib, tuner, Some(sb), rb, eta).await
             }
             Coll::Alltoall => {
                 let sb = comm.alloc(p * eta);
                 let rb = comm.alloc(p * eta);
-                baseline::alltoall(comm, lib, &tuner, Some(sb), rb, eta).expect("alltoall");
+                baseline::alltoall_async(comm, lib, tuner, Some(sb), rb, eta).await
             }
         }
+        .unwrap_or_else(|e| panic!("{} {}: {e}", lib.label(), coll.label()));
     })
+}
+
+/// The contention microbenchmark body shared by Figs 2–4: a source
+/// exposes its buffer, hands the token to its readers and waits for
+/// their completion notes; a reader reads `eta` bytes once the token
+/// arrives. Returns the read's duration (0 on a source).
+async fn serve_or_read(comm: &mut PolledComm, role: Role, eta: usize) -> u64 {
+    match role {
+        Role::Source { readers, len } => {
+            let buf = comm.alloc(len);
+            let tok = comm.expose(buf).await.expect("expose");
+            for r in readers.clone() {
+                comm.ctrl_send(r, Tag::user(1), &tok.to_bytes())
+                    .await
+                    .expect("send");
+            }
+            for r in readers {
+                comm.wait_notify(r, Tag::user(2)).await.expect("done");
+            }
+            0
+        }
+        Role::Reader { source, off } => {
+            let raw = comm.ctrl_recv(source, Tag::user(1)).await.expect("token");
+            let tok = RemoteToken::from_bytes(&raw).expect("token bytes");
+            let dst = comm.alloc(eta);
+            let t0 = comm.time_ns();
+            comm.cma_read(tok, off, dst, 0, eta).await.expect("read");
+            let d = comm.time_ns() - t0;
+            comm.notify(source, Tag::user(2)).await.expect("notify");
+            d
+        }
+    }
+}
+
+/// What one rank does in [`serve_or_read`].
+enum Role {
+    /// Expose `len` bytes and serve the ranks in `readers`.
+    Source {
+        readers: std::ops::Range<usize>,
+        len: usize,
+    },
+    /// Read from `source`'s buffer at `off`.
+    Reader { source: usize, off: usize },
+}
+
+/// Run [`serve_or_read`] on `p` ranks with `role(rank)` deciding who
+/// serves and who reads.
+fn contention_team(
+    arch: &ArchProfile,
+    p: usize,
+    eta: usize,
+    role: impl Fn(usize) -> Role + 'static,
+) -> (TeamRun, Vec<u64>) {
+    run_polled_team_phantom(arch, p, move |rank| {
+        let role = role(rank);
+        async move { serve_or_read(&mut PolledComm::new(rank), role, eta).await }
+    })
+}
+
+/// Ranks `1..=readers` each read their own (or the same) `eta`-byte
+/// region of rank 0's buffer.
+fn one_to_all_role(rank: usize, readers: usize, eta: usize, same_region: bool) -> Role {
+    if rank == 0 {
+        Role::Source {
+            readers: 1..readers + 1,
+            len: if same_region { eta } else { eta * readers },
+        }
+    } else {
+        Role::Reader {
+            source: 0,
+            off: if same_region { 0 } else { (rank - 1) * eta },
+        }
+    }
 }
 
 /// Per-reader latency of the One-to-all access pattern: `readers` ranks
@@ -303,94 +262,26 @@ pub fn one_to_all_read_lats(
     eta: usize,
     same_region: bool,
 ) -> Vec<f64> {
-    let durs = match engine() {
-        Engine::Threads => {
-            run_team_phantom(arch, readers + 1, move |comm| {
-                if comm.rank() == 0 {
-                    let len = if same_region { eta } else { eta * readers };
-                    let buf = comm.alloc(len);
-                    let tok = comm.expose(buf).expect("expose");
-                    for r in 1..=readers {
-                        comm.ctrl_send(r, Tag::user(1), &tok.to_bytes())
-                            .expect("send");
-                    }
-                    for r in 1..=readers {
-                        comm.wait_notify(r, Tag::user(2)).expect("done");
-                    }
-                    0u64
-                } else {
-                    let raw = comm.ctrl_recv(0, Tag::user(1)).expect("token");
-                    let tok = RemoteToken::from_bytes(&raw).expect("token bytes");
-                    let dst = comm.alloc(eta);
-                    let off = if same_region {
-                        0
-                    } else {
-                        (comm.rank() - 1) * eta
-                    };
-                    let t0 = comm.time_ns();
-                    comm.cma_read(tok, off, dst, 0, eta).expect("read");
-                    let d = comm.time_ns() - t0;
-                    comm.notify(0, Tag::user(2)).expect("notify");
-                    d
-                }
-            })
-            .1
-        }
-        Engine::Polled => {
-            run_polled_team_phantom(arch, readers + 1, move |rank| async move {
-                let mut comm = PolledComm::new(rank);
-                if rank == 0 {
-                    let len = if same_region { eta } else { eta * readers };
-                    let buf = comm.alloc(len);
-                    let tok = comm.expose(buf).await.expect("expose");
-                    for r in 1..=readers {
-                        comm.ctrl_send(r, Tag::user(1), &tok.to_bytes())
-                            .await
-                            .expect("send");
-                    }
-                    for r in 1..=readers {
-                        comm.wait_notify(r, Tag::user(2)).await.expect("done");
-                    }
-                    0u64
-                } else {
-                    let raw = comm.ctrl_recv(0, Tag::user(1)).await.expect("token");
-                    let tok = RemoteToken::from_bytes(&raw).expect("token bytes");
-                    let dst = comm.alloc(eta);
-                    let off = if same_region { 0 } else { (rank - 1) * eta };
-                    let t0 = comm.time_ns();
-                    comm.cma_read(tok, off, dst, 0, eta).await.expect("read");
-                    let d = comm.time_ns() - t0;
-                    comm.notify(0, Tag::user(2)).await.expect("notify");
-                    d
-                }
-            })
-            .1
-        }
-    };
+    let (_, durs) = contention_team(arch, readers + 1, eta, move |rank| {
+        one_to_all_role(rank, readers, eta, same_region)
+    });
     durs.iter().skip(1).map(|&d| d as f64).collect()
 }
 
 /// Per-reader latency of the All-to-all access pattern: `pairs`
 /// disjoint (reader, source) pairs, ns (mean). Fig 2(a).
 pub fn pairs_read_ns(arch: &ArchProfile, pairs: usize, eta: usize) -> f64 {
-    let (_, durs) = run_team_phantom(arch, 2 * pairs, move |comm| {
-        let me = comm.rank();
+    let (_, durs) = contention_team(arch, 2 * pairs, eta, move |me| {
         if me % 2 == 0 {
-            let buf = comm.alloc(eta);
-            let tok = comm.expose(buf).expect("expose");
-            comm.ctrl_send(me + 1, Tag::user(1), &tok.to_bytes())
-                .expect("send");
-            comm.wait_notify(me + 1, Tag::user(2)).expect("done");
-            0u64
+            Role::Source {
+                readers: me + 1..me + 2,
+                len: eta,
+            }
         } else {
-            let raw = comm.ctrl_recv(me - 1, Tag::user(1)).expect("token");
-            let tok = RemoteToken::from_bytes(&raw).expect("token bytes");
-            let dst = comm.alloc(eta);
-            let t0 = comm.time_ns();
-            comm.cma_read(tok, 0, dst, 0, eta).expect("read");
-            let d = comm.time_ns() - t0;
-            comm.notify(me - 1, Tag::user(2)).expect("notify");
-            d
+            Role::Reader {
+                source: me - 1,
+                off: 0,
+            }
         }
     });
     let lats: Vec<f64> = durs.iter().skip(1).step_by(2).map(|&d| d as f64).collect();
@@ -399,12 +290,9 @@ pub fn pairs_read_ns(arch: &ArchProfile, pairs: usize, eta: usize) -> f64 {
 
 /// Wake-storm diagnostics from one instrumented barrier+allgather run —
 /// the broadcast-wake pressure the coalescing work in PR 6 targets. All
-/// fields are virtual-time/count quantities, so a probe is bitwise
-/// identical on both engines (pinned by [`tests::wake_storm_engine_invariant`]).
+/// fields are virtual-time/count quantities, so a probe repeats exactly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WakeStorm {
-    /// Engine the probe ran on (`threads` / `polled`).
-    pub engine: &'static str,
     /// Barrier+allgather iterations executed.
     pub iterations: u64,
     /// Kernel events dispatched by the run.
@@ -426,43 +314,20 @@ pub struct WakeStorm {
 /// Run `iters` rounds of dissemination barrier + Bruck allgather on a
 /// `p`-rank team (`eta` bytes per rank) and report the wake-storm
 /// diagnostics carried back on the `TeamRun`.
-pub fn wake_storm_probe(
-    arch: &ArchProfile,
-    p: usize,
-    eta: usize,
-    iters: usize,
-    engine: Engine,
-) -> WakeStorm {
-    let run = match engine {
-        Engine::Threads => {
-            run_team_phantom(arch, p, move |comm| {
-                let sb = comm.alloc(eta);
-                let rb = comm.alloc(p * eta);
-                for _ in 0..iters {
-                    smcoll::sm_barrier(comm).expect("barrier");
-                    allgather(comm, AllgatherAlgo::Bruck, Some(sb), rb, eta).expect("allgather");
-                }
-            })
-            .0
+pub fn wake_storm_probe(arch: &ArchProfile, p: usize, eta: usize, iters: usize) -> WakeStorm {
+    let (run, _) = run_polled_team_phantom(arch, p, move |rank| async move {
+        let mut comm = PolledComm::new(rank);
+        let sb = comm.alloc(eta);
+        let rb = comm.alloc(p * eta);
+        for _ in 0..iters {
+            sm_barrier_polled(&mut comm).await.expect("barrier");
+            allgather_polled(&mut comm, AllgatherAlgo::Bruck, Some(sb), rb, eta)
+                .await
+                .expect("allgather");
         }
-        Engine::Polled => {
-            run_polled_team_phantom(arch, p, move |rank| async move {
-                let mut comm = PolledComm::new(rank);
-                let sb = comm.alloc(eta);
-                let rb = comm.alloc(p * eta);
-                for _ in 0..iters {
-                    sm_barrier_polled(&mut comm).await.expect("barrier");
-                    allgather_polled(&mut comm, AllgatherAlgo::Bruck, Some(sb), rb, eta)
-                        .await
-                        .expect("allgather");
-                }
-            })
-            .0
-        }
-    };
+    });
     let fanout = &run.sim.wake_fanout;
     WakeStorm {
-        engine: engine.label(),
         iterations: iters as u64,
         events: run.events,
         events_per_barrier: run.events as f64 / (iters as f64).max(1.0),
@@ -478,25 +343,8 @@ pub fn wake_storm_probe(
 /// pages each from rank 0 (per-reader mean), the Fig 4 experiment.
 pub fn breakdown(arch: &ArchProfile, readers: usize, pages: usize) -> RankStats {
     let eta = pages * arch.page_size;
-    let (run, _) = run_team_phantom(arch, readers + 1, move |comm| {
-        if comm.rank() == 0 {
-            let buf = comm.alloc(eta * readers);
-            let tok = comm.expose(buf).expect("expose");
-            for r in 1..=readers {
-                comm.ctrl_send(r, Tag::user(1), &tok.to_bytes())
-                    .expect("send");
-            }
-            for r in 1..=readers {
-                comm.wait_notify(r, Tag::user(2)).expect("done");
-            }
-        } else {
-            let raw = comm.ctrl_recv(0, Tag::user(1)).expect("token");
-            let tok = RemoteToken::from_bytes(&raw).expect("token bytes");
-            let dst = comm.alloc(eta);
-            comm.cma_read(tok, (comm.rank() - 1) * eta, dst, 0, eta)
-                .expect("read");
-            comm.notify(0, Tag::user(2)).expect("notify");
-        }
+    let (run, _) = contention_team(arch, readers + 1, eta, move |rank| {
+        one_to_all_role(rank, readers, eta, false)
     });
     let mut total = RankStats::default();
     for s in run.stats.iter().skip(1) {
@@ -525,89 +373,16 @@ mod tests {
         assert!(t > 0.0);
     }
 
-    /// Every engine-dispatched helper reports the identical virtual
-    /// latency on both engines (the measurement-level face of the
-    /// engine-equivalence suite). Serialized via explicit set_engine
-    /// calls around each probe; the selector is process-wide, so this
-    /// test restores Threads before returning.
-    #[test]
-    fn measurements_identical_on_both_engines() {
-        let arch = ArchProfile::broadwell();
-        let eta = 32 << 10;
-        type Probe = (&'static str, Box<dyn Fn() -> f64>);
-        let probes: Vec<Probe> = vec![
-            (
-                "scatter",
-                Box::new(move || {
-                    scatter_ns(
-                        &ArchProfile::broadwell(),
-                        6,
-                        eta,
-                        ScatterAlgo::ThrottledRead { k: 2 },
-                    )
-                }),
-            ),
-            (
-                "gather",
-                Box::new(move || {
-                    gather_ns(&ArchProfile::broadwell(), 6, eta, GatherAlgo::ParallelWrite)
-                }),
-            ),
-            (
-                "allgather",
-                Box::new(move || {
-                    allgather_ns(&ArchProfile::broadwell(), 6, eta, AllgatherAlgo::Bruck)
-                }),
-            ),
-            (
-                "alltoall",
-                Box::new(move || {
-                    alltoall_ns(&ArchProfile::broadwell(), 6, eta, AlltoallAlgo::Pairwise)
-                }),
-            ),
-            (
-                "bcast",
-                Box::new(move || {
-                    bcast_ns(
-                        &ArchProfile::broadwell(),
-                        6,
-                        eta,
-                        BcastAlgo::KNomial { radix: 2 },
-                    )
-                }),
-            ),
-            (
-                "one_to_all",
-                Box::new(move || one_to_all_read_ns(&ArchProfile::broadwell(), 6, eta, false)),
-            ),
-        ];
-        let _ = arch;
-        for (name, probe) in &probes {
-            set_engine(Engine::Threads);
-            let t = probe();
-            set_engine(Engine::Polled);
-            let q = probe();
-            set_engine(Engine::Threads);
-            assert_eq!(t, q, "{name}: engines disagree (threads {t} vs polled {q})");
-        }
-    }
-
     /// The wake-storm probe carries only virtual-time/count diagnostics,
-    /// so both engines must report the identical storm.
+    /// so it repeats exactly and every counter moves.
     #[test]
-    fn wake_storm_engine_invariant() {
+    fn wake_storm_probe_is_deterministic() {
         let arch = ArchProfile::broadwell();
-        let t = wake_storm_probe(&arch, 6, 4 << 10, 3, Engine::Threads);
-        let p = wake_storm_probe(&arch, 6, 4 << 10, 3, Engine::Polled);
-        assert_eq!(t.events, p.events);
-        assert_eq!(t.peak_queue_len, p.peak_queue_len);
-        assert_eq!(t.wake_fanout_max, p.wake_fanout_max);
-        assert_eq!(t.wake_fanout_mean, p.wake_fanout_mean);
-        assert_eq!(t.wakes_raw, p.wakes_raw);
-        assert_eq!(t.wakes_coalesced, p.wakes_coalesced);
-        assert!(t.events > 0, "probe dispatched no events");
-        assert!(t.peak_queue_len > 0, "queue high-water never moved");
-        assert!(t.wake_fanout_max >= 1, "no wake flushes observed");
+        let a = wake_storm_probe(&arch, 6, 4 << 10, 3);
+        assert_eq!(a, wake_storm_probe(&arch, 6, 4 << 10, 3));
+        assert!(a.events > 0, "probe dispatched no events");
+        assert!(a.peak_queue_len > 0, "queue high-water never moved");
+        assert!(a.wake_fanout_max >= 1, "no wake flushes observed");
     }
 
     #[test]

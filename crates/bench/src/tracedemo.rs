@@ -9,12 +9,9 @@
 //! time the simulator charges.
 
 use crate::render::{Chart, Series};
-use kacc_collectives::{
-    scatter, scatterv_with_report, RecoveryReport, ScatterAlgo, ScheduleReport,
-};
-use kacc_comm::{Comm, CommExt};
+use kacc_collectives::{scatter_polled, RecoveryReport, ScatterAlgo, ScheduleReport};
 use kacc_fault::FaultPlan;
-use kacc_machine::{run_team_faulty_traced, run_team_traced, TeamRun};
+use kacc_machine::{run_polled_team_faulty_traced, run_polled_team_traced, PolledComm, TeamRun};
 use kacc_model::ArchProfile;
 use kacc_trace::{chrome_trace_json, Breakdown, Event};
 
@@ -30,13 +27,32 @@ pub fn traced_contended_scatter(
     p: usize,
     count: usize,
 ) -> (TeamRun, Vec<Event>) {
-    let (run, _, events) = run_team_traced(arch, p, move |comm| {
-        let me = comm.rank();
-        let sb = (me == 0).then(|| comm.alloc_with(&vec![0x5Au8; p * count]));
-        let rb = comm.alloc(count);
-        scatter(comm, ScatterAlgo::ParallelRead, sb, Some(rb), count, 0).expect("traced scatter");
+    let (run, _, events) = run_polled_team_traced(arch, p, move |rank| async move {
+        contended_scatter(rank, p, count)
+            .await
+            .0
+            .expect("traced scatter");
     });
     (run, events)
+}
+
+/// One rank's part of the contended scatter: rank 0 scatters `count`
+/// bytes of `0x5A` to each of `p` ranks by parallel reads. Returns the
+/// executor's report (or the typed error) and the received payload.
+async fn contended_scatter(
+    rank: usize,
+    p: usize,
+    count: usize,
+) -> (kacc_comm::Result<ScheduleReport>, Vec<u8>) {
+    let mut comm = PolledComm::new(rank);
+    let sb = (rank == 0).then(|| {
+        comm.alloc_with(&vec![0x5Au8; p * count])
+            .expect("fresh buffer accepts write")
+    });
+    let rb = comm.alloc(count);
+    let res = scatter_polled(&mut comm, ScatterAlgo::ParallelRead, sb, Some(rb), count, 0).await;
+    let report = res.map(|r| r.expect("multi-rank scatter always runs a schedule"));
+    (report, comm.read_all(rb).unwrap_or_default())
 }
 
 /// Chrome trace-event JSON for a default contended scatter (used by
@@ -61,26 +77,9 @@ pub fn traced_faulty_scatter(
     count: usize,
     plan: FaultPlan,
 ) -> (TeamRun, Vec<FaultyOutcome>, Vec<Event>) {
-    run_team_faulty_traced(arch, p, plan.hook(), move |comm| {
-        let me = comm.rank();
-        let counts = vec![count; p];
-        let sb = (me == 0).then(|| comm.alloc_with(&vec![0x5Au8; p * count]));
-        let rb = comm.alloc(count);
-        let res = scatterv_with_report(
-            comm,
-            ScatterAlgo::ParallelRead,
-            sb,
-            Some(rb),
-            &counts,
-            None,
-            0,
-        );
-        let payload = comm.read_all(rb).unwrap_or_default();
-        let res = match res {
-            Ok(report) => Ok(report.expect("multi-rank scatter always runs a schedule")),
-            Err(e) => Err(format!("{e:?}")),
-        };
-        (res, payload)
+    run_polled_team_faulty_traced(arch, p, plan.hook(), move |rank| async move {
+        let (res, payload) = contended_scatter(rank, p, count).await;
+        (res.map_err(|e| format!("{e:?}")), payload)
     })
 }
 

@@ -20,29 +20,20 @@
 
 use kacc_bench::figs::registry;
 use kacc_bench::par;
-use kacc_collectives::{scatterv_with_report, ScatterAlgo, ScheduleReport};
-use kacc_comm::Comm;
-use kacc_machine::{run_team, run_team_traced, TeamRun};
+use kacc_collectives::{scatter_polled, ScatterAlgo, ScheduleReport};
+use kacc_machine::{run_polled_team, run_polled_team_traced, PolledComm, TeamRun};
 use kacc_model::ArchProfile;
 use kacc_trace::chrome_trace_json;
 
 /// One grid point: contended scatter with per-step accounting.
 fn point(arch: &ArchProfile, p: usize, eta: usize) -> (TeamRun, Vec<Option<ScheduleReport>>) {
-    run_team(arch, p, move |comm| {
-        let me = comm.rank();
+    run_polled_team(arch, p, move |me| async move {
+        let mut comm = PolledComm::new(me);
         let sb = (me == 0).then(|| comm.alloc(p * eta));
         let rb = comm.alloc(eta);
-        let counts = vec![eta; p];
-        scatterv_with_report(
-            comm,
-            ScatterAlgo::ParallelRead,
-            sb,
-            Some(rb),
-            &counts,
-            None,
-            0,
-        )
-        .expect("scatter")
+        scatter_polled(&mut comm, ScatterAlgo::ParallelRead, sb, Some(rb), eta, 0)
+            .await
+            .expect("scatter")
     })
 }
 
@@ -96,22 +87,15 @@ fn grid_repeats_job_counts_and_traces_are_bitwise_identical() {
     // virtual timestamps every time.
     let traced = || {
         let arch = ArchProfile::broadwell();
-        let (_, _, events) = run_team_traced(&arch, 6, |comm| {
-            let me = comm.rank();
+        let (_, _, events) = run_polled_team_traced(&arch, 6, |me| async move {
+            let mut comm = PolledComm::new(me);
             let eta = 16 << 10;
             let sb = (me == 0).then(|| comm.alloc(6 * eta));
             let rb = comm.alloc(eta);
-            let counts = vec![eta; 6];
-            scatterv_with_report(
-                comm,
-                ScatterAlgo::ThrottledRead { k: 2 },
-                sb,
-                Some(rb),
-                &counts,
-                None,
-                0,
-            )
-            .expect("scatter");
+            let algo = ScatterAlgo::ThrottledRead { k: 2 };
+            scatter_polled(&mut comm, algo, sb, Some(rb), eta, 0)
+                .await
+                .expect("scatter");
         });
         chrome_trace_json(&events)
     };

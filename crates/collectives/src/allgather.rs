@@ -1,14 +1,20 @@
 //! All-to-all non-personalized communication: MPI_Allgather (§V-A).
 //!
-//! The public entry point compiles to a [`crate::schedule::Schedule`]
-//! (cached in the global [`PlanCache`]) and replays it through the
-//! generic executor; `allgather_legacy` keeps the direct implementation
-//! for equivalence tests.
+//! The entry points compile to a [`crate::schedule::Schedule`] (cached
+//! in the global [`PlanCache`]) and replay it through the executor:
+//! [`allgather_polled`] is the one implementation, async over any
+//! [`AsyncComm`], and [`allgather`]/[`allgather_with_report`] run it on
+//! a blocking [`Comm`]. `allgather_legacy` keeps the direct
+//! implementation for equivalence tests.
 
 use crate::class;
-use crate::exec::{execute, Bindings, ScheduleReport};
+use crate::exec::{Bindings, ScheduleReport};
+use crate::polled::execute_polled;
 use crate::schedule::{compile_allgather, PlanCache, PlanKey};
-use kacc_comm::{smcoll, BufId, Comm, CommError, CommExt, RemoteToken, Result, Tag};
+use kacc_comm::{
+    block_on, smcoll, AsyncComm, Blocking, BufId, Comm, CommError, CommExt, RemoteToken, Result,
+    Tag,
+};
 
 /// Allgather algorithm selection (§V-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -62,9 +68,28 @@ pub fn allgather_with_report<C: Comm + ?Sized>(
     recvbuf: BufId,
     count: usize,
 ) -> Result<Option<ScheduleReport>> {
+    block_on(allgather_polled(
+        &mut Blocking(comm),
+        algo,
+        sendbuf,
+        recvbuf,
+        count,
+    ))
+}
+
+/// [`allgather`] on any [`AsyncComm`] endpoint: validate, fetch (or
+/// compile) the plan, execute it. `None` when the call was satisfied
+/// without a schedule (single rank or zero count).
+pub async fn allgather_polled<C: AsyncComm>(
+    comm: &mut C,
+    algo: AllgatherAlgo,
+    sendbuf: Option<BufId>,
+    recvbuf: BufId,
+    count: usize,
+) -> Result<Option<ScheduleReport>> {
     let p = comm.size();
     let me = comm.rank();
-    if !validate(comm, sendbuf, recvbuf, count)? {
+    if !validate(comm, sendbuf, recvbuf, count).await? {
         return Ok(None);
     }
     // Normalize the ring stride mod p so equivalent strides share a plan.
@@ -89,7 +114,7 @@ pub fn allgather_with_report<C: Comm + ?Sized>(
         },
         || compile_allgather(algo, p, me, count, sendbuf.is_some()),
     );
-    execute(
+    execute_polled(
         comm,
         &plan,
         &Bindings {
@@ -97,11 +122,12 @@ pub fn allgather_with_report<C: Comm + ?Sized>(
             recv: Some(recvbuf),
         },
     )
+    .await
     .map(Some)
 }
 
 /// Shared validation; `Ok(false)` means the degenerate case was handled.
-fn validate<C: Comm + ?Sized>(
+async fn validate<C: AsyncComm>(
     comm: &mut C,
     sendbuf: Option<BufId>,
     recvbuf: BufId,
@@ -121,7 +147,7 @@ fn validate<C: Comm + ?Sized>(
     }
     if count == 0 || p == 1 {
         if let (Some(sb), true) = (sendbuf, count > 0) {
-            comm.copy_local(sb, 0, recvbuf, me * count, count)?;
+            comm.copy_local(sb, 0, recvbuf, me * count, count).await?;
         }
         return Ok(false);
     }
@@ -139,7 +165,7 @@ pub fn allgather_legacy<C: Comm + ?Sized>(
     count: usize,
 ) -> Result<()> {
     let p = comm.size();
-    if !validate(comm, sendbuf, recvbuf, count)? {
+    if !block_on(validate(&mut Blocking(&mut *comm), sendbuf, recvbuf, count))? {
         return Ok(());
     }
     match algo {

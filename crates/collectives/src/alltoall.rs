@@ -1,14 +1,19 @@
 //! All-to-all personalized communication: MPI_Alltoall (§IV-C).
 //!
-//! The public entry point is a thin compile+execute wrapper over
+//! The entry points are thin compile+execute wrappers over
 //! [`crate::schedule::compile_alltoall`] (memoized in the global
-//! [`PlanCache`]); `alltoall_legacy` keeps the original direct
-//! implementation for the traffic-equivalence tests.
+//! [`PlanCache`]): [`alltoall_polled`] is the one implementation, async
+//! over any [`AsyncComm`], and [`alltoall`]/[`alltoall_with_report`] run
+//! it on a blocking [`Comm`]. `alltoall_legacy` keeps the original
+//! direct implementation for the traffic-equivalence tests.
 
 use crate::class;
-use crate::exec::{execute, Bindings, ScheduleReport};
+use crate::exec::{Bindings, ScheduleReport};
+use crate::polled::execute_polled;
 use crate::schedule::{compile_alltoall, PlanCache, PlanKey};
-use kacc_comm::{smcoll, BufId, Comm, CommError, RemoteToken, Result, Tag};
+use kacc_comm::{
+    block_on, smcoll, AsyncComm, Blocking, BufId, Comm, CommError, RemoteToken, Result, Tag,
+};
 
 /// Alltoall algorithm selection (§IV-C).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -58,12 +63,32 @@ pub fn alltoall_with_report<C: Comm + ?Sized>(
     recvbuf: BufId,
     count: usize,
 ) -> Result<Option<ScheduleReport>> {
-    if !prepare(comm, sendbuf, recvbuf, count)? {
+    block_on(alltoall_polled(
+        &mut Blocking(comm),
+        algo,
+        sendbuf,
+        recvbuf,
+        count,
+    ))
+}
+
+/// [`alltoall`] on any [`AsyncComm`] endpoint: validate, stage
+/// `MPI_IN_PLACE`, fetch (or compile) the plan, execute it. `None` when
+/// the call was satisfied without a schedule (single rank or zero
+/// count).
+pub async fn alltoall_polled<C: AsyncComm>(
+    comm: &mut C,
+    algo: AlltoallAlgo,
+    sendbuf: Option<BufId>,
+    recvbuf: BufId,
+    count: usize,
+) -> Result<Option<ScheduleReport>> {
+    if !prepare(comm, sendbuf, recvbuf, count).await? {
         return Ok(None);
     }
     let p = comm.size();
     let me = comm.rank();
-    let (source, staged) = stage_in_place(comm, sendbuf, recvbuf, count)?;
+    let (source, staged) = stage_in_place(comm, sendbuf, recvbuf, count).await?;
     let plan = PlanCache::global().get_or_compile(
         PlanKey::Alltoall {
             algo,
@@ -73,14 +98,15 @@ pub fn alltoall_with_report<C: Comm + ?Sized>(
         },
         || compile_alltoall(algo, p, me, count),
     );
-    let result = execute(
+    let result = execute_polled(
         comm,
         &plan,
         &Bindings {
             send: Some(source),
             recv: Some(recvbuf),
         },
-    );
+    )
+    .await;
     if let Some(tmp) = staged {
         comm.free(tmp)?;
     }
@@ -89,7 +115,7 @@ pub fn alltoall_with_report<C: Comm + ?Sized>(
 
 /// Validation and degenerate-case handling shared by the compiled and
 /// legacy paths. Returns `false` when nothing is left to do.
-fn prepare<C: Comm + ?Sized>(
+async fn prepare<C: AsyncComm>(
     comm: &mut C,
     sendbuf: Option<BufId>,
     recvbuf: BufId,
@@ -122,7 +148,7 @@ fn prepare<C: Comm + ?Sized>(
     }
     if p == 1 {
         if let Some(sb) = sendbuf {
-            comm.copy_local(sb, 0, recvbuf, 0, count)?;
+            comm.copy_local(sb, 0, recvbuf, 0, count).await?;
         }
         return Ok(false);
     }
@@ -131,7 +157,7 @@ fn prepare<C: Comm + ?Sized>(
 
 /// MPI_IN_PLACE: stage the outgoing blocks so concurrent peers never
 /// observe half-overwritten source data.
-fn stage_in_place<C: Comm + ?Sized>(
+async fn stage_in_place<C: AsyncComm>(
     comm: &mut C,
     sendbuf: Option<BufId>,
     recvbuf: BufId,
@@ -142,7 +168,7 @@ fn stage_in_place<C: Comm + ?Sized>(
         None => {
             let need = comm.size() * count;
             let tmp = comm.alloc(need);
-            comm.copy_local(recvbuf, 0, tmp, 0, need)?;
+            comm.copy_local(recvbuf, 0, tmp, 0, need).await?;
             Ok((tmp, Some(tmp)))
         }
     }
@@ -158,10 +184,11 @@ pub fn alltoall_legacy<C: Comm + ?Sized>(
     recvbuf: BufId,
     count: usize,
 ) -> Result<()> {
-    if !prepare(comm, sendbuf, recvbuf, count)? {
+    let blocking = &mut Blocking(&mut *comm);
+    if !block_on(prepare(blocking, sendbuf, recvbuf, count))? {
         return Ok(());
     }
-    let (source, staged) = stage_in_place(comm, sendbuf, recvbuf, count)?;
+    let (source, staged) = block_on(stage_in_place(blocking, sendbuf, recvbuf, count))?;
     let result = match algo {
         AlltoallAlgo::Pairwise => pairwise(comm, source, recvbuf, count),
         AlltoallAlgo::PairwiseWrite => pairwise_write(comm, source, recvbuf, count),

@@ -1,14 +1,20 @@
 //! One-to-all non-personalized communication: MPI_Bcast (§V-B).
 //!
-//! The public entry point compiles to a [`crate::schedule::Schedule`]
-//! (cached in the global [`PlanCache`]) and replays it through the
-//! generic executor; `bcast_legacy` keeps the direct implementation for
+//! The entry points compile to a [`crate::schedule::Schedule`] (cached
+//! in the global [`PlanCache`]) and replay it through the executor:
+//! [`bcast_polled`] is the one implementation, async over any
+//! [`AsyncComm`], and [`bcast`]/[`bcast_with_report`] run it on a
+//! blocking [`Comm`]. `bcast_legacy` keeps the direct implementation for
 //! equivalence tests.
 
-use crate::exec::{execute, Bindings, ScheduleReport};
+use crate::exec::{Bindings, ScheduleReport};
+use crate::polled::execute_polled;
 use crate::schedule::{compile_bcast, PlanCache, PlanKey};
 use crate::{class, unvrank, vrank};
-use kacc_comm::{smcoll, BufId, Comm, CommError, CommExt, RemoteToken, Result, Tag};
+use kacc_comm::{
+    block_on, smcoll, AsyncComm, Blocking, BufId, Comm, CommError, CommExt, RemoteToken, Result,
+    Tag,
+};
 
 /// Broadcast algorithm selection (§V-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -55,6 +61,19 @@ pub fn bcast_with_report<C: Comm + ?Sized>(
     count: usize,
     root: usize,
 ) -> Result<Option<ScheduleReport>> {
+    block_on(bcast_polled(&mut Blocking(comm), algo, buf, count, root))
+}
+
+/// [`bcast`] on any [`AsyncComm`] endpoint: validate, fetch (or compile)
+/// the plan, execute it. `None` when the call was satisfied without a
+/// schedule (single rank or zero count).
+pub async fn bcast_polled<C: AsyncComm>(
+    comm: &mut C,
+    algo: BcastAlgo,
+    buf: BufId,
+    count: usize,
+    root: usize,
+) -> Result<Option<ScheduleReport>> {
     let p = comm.size();
     let me = comm.rank();
     if !validate(comm, buf, count, root)? {
@@ -75,7 +94,7 @@ pub fn bcast_with_report<C: Comm + ?Sized>(
         },
         || compile_bcast(algo, p, me, count, root),
     );
-    execute(
+    execute_polled(
         comm,
         &plan,
         &Bindings {
@@ -83,11 +102,12 @@ pub fn bcast_with_report<C: Comm + ?Sized>(
             recv: None,
         },
     )
+    .await
     .map(Some)
 }
 
 /// Shared validation; `Ok(false)` means the degenerate case was handled.
-fn validate<C: Comm + ?Sized>(comm: &mut C, buf: BufId, count: usize, root: usize) -> Result<bool> {
+fn validate<C: AsyncComm>(comm: &C, buf: BufId, count: usize, root: usize) -> Result<bool> {
     let p = comm.size();
     if root >= p {
         return Err(CommError::BadRank(root));
@@ -114,7 +134,7 @@ pub fn bcast_legacy<C: Comm + ?Sized>(
     count: usize,
     root: usize,
 ) -> Result<()> {
-    if !validate(comm, buf, count, root)? {
+    if !validate(&Blocking(&mut *comm), buf, count, root)? {
         return Ok(());
     }
     match algo {

@@ -1,23 +1,30 @@
-//! Generic schedule executor (execute phase).
+//! Execution policy, accounting and the blocking entry points of the
+//! schedule executor.
 //!
-//! [`execute`] replays a compiled [`Schedule`] on any [`Comm`]: it binds
-//! the schedule's symbolic [`Slot`]s to caller buffers, allocates the
-//! scratch buffers the plan declares, resolves token registers as
-//! `Expose`/`CtrlRecv` steps fill them, and runs every step in order
-//! while recording per-step-kind wall/virtual time and byte counters
-//! into a [`ScheduleReport`].
+//! The executor itself — step loop and recovery ladder — lives in
+//! [`crate::polled`] and is written once against
+//! [`kacc_comm::AsyncComm`]. This module holds what every execution
+//! shares regardless of transport: the [`RecoveryPolicy`] /
+//! [`MembershipPolicy`] knobs, the [`ScheduleReport`] /
+//! [`RecoveryReport`] accounting with its single [`Recorder`] write
+//! path, the slot/register context a plan executes in, and
+//! [`execute`] / [`execute_traced`] / [`execute_with_policy`], which run
+//! that executor on a blocking [`Comm`] through [`Blocking`] +
+//! [`block_on`].
 //!
 //! On the simulator the timings are deterministic virtual nanoseconds;
 //! on the native transports they are monotonic wall-clock nanoseconds —
-//! both come from [`Comm::time_ns`], so the report means "time this rank
-//! spent inside each primitive" on every transport.
+//! both come from the endpoint's `time_ns`, so the report means "time
+//! this rank spent inside each primitive" on every transport.
 
 use std::sync::OnceLock;
 
-use kacc_comm::{smcoll, BufId, Comm, CommError, CommExt, RemoteToken, Result, Tag};
+use kacc_comm::{
+    block_on, smcoll, AsyncComm, Blocking, BufId, Comm, CommError, RemoteToken, Result,
+};
 use kacc_trace::{Event, EventKind, Tracer, Track};
 
-use crate::reduce::combine;
+use crate::polled::{execute_polled, execute_polled_traced, execute_polled_with_policy};
 use crate::schedule::{Payload, RecvInto, Schedule, Slot, Step};
 
 /// Liveness-watchdog and shrink parameters of the membership layer:
@@ -718,60 +725,33 @@ impl Ctx<'_> {
     }
 }
 
-/// Execute a compiled schedule on `comm` with the given bindings.
-///
-/// Scratch buffers declared by the plan are allocated up front and freed
-/// on success. The schedule must have been compiled for this rank and
-/// communicator size. Step spans go to the transport's own tracer
-/// ([`Comm::tracer`]), so a traced simulator run carries the executor's
-/// events without extra plumbing.
+/// Execute a compiled schedule on a blocking transport — see
+/// [`execute_polled`], which this drives through [`Blocking`].
 pub fn execute<C: Comm + ?Sized>(
     comm: &mut C,
     sched: &Schedule,
     bind: &Bindings,
 ) -> Result<ScheduleReport> {
-    let tracer = comm.tracer();
-    execute_traced(comm, sched, bind, &tracer)
+    block_on(execute_polled(&mut Blocking(comm), sched, bind))
 }
 
-/// [`execute`] with per-step trace spans: every IR step emits one
-/// `step:<kind>` span on this rank's track, attributed to the schedule's
-/// collective class, through the same recording path that feeds the
-/// returned [`ScheduleReport`] (see [`ScheduleReport::from_events`]).
-///
-/// Runs under [`RecoveryPolicy::default`]: a fault-free execution takes
-/// exactly the same transport calls (and, under simulation, the same
-/// virtual time) as it did before recovery existed, while injected or
-/// real transient faults are retried instead of aborting the collective.
+/// [`execute`] with an explicit tracer — see [`execute_polled_traced`].
 pub fn execute_traced<C: Comm + ?Sized>(
     comm: &mut C,
     sched: &Schedule,
     bind: &Bindings,
     tracer: &Tracer,
 ) -> Result<ScheduleReport> {
-    execute_with_policy(comm, sched, bind, tracer, &RecoveryPolicy::default())
+    block_on(execute_polled_traced(
+        &mut Blocking(comm),
+        sched,
+        bind,
+        tracer,
+    ))
 }
 
-/// [`execute_traced`] with an explicit [`RecoveryPolicy`].
-///
-/// Every fallible step runs through a bounded retry loop:
-///
-/// * transient errors (EAGAIN-class `Os`, [`CommError::Timeout`]) retry
-///   up to `max_retries` times with exponential backoff charged via
-///   [`Comm::sleep_ns`];
-/// * short CMA transfers ([`CommError::Truncated`]) resume from the
-///   partial offset — forward progress resets the retry budget;
-/// * persistently failing CMA steps degrade to the two-copy
-///   [`Comm::shm_fallback_read`]/`write` path when `cma_fallback` is on
-///   (peer death, `Os(ESRCH)`, is never degraded — a dead peer cannot
-///   serve the fallback either);
-/// * with `step_timeout_ns` set, blocking receives use the transports'
-///   deadline variants so a lost message or dead peer surfaces as
-///   [`CommError::Timeout`] instead of a hang.
-///
-/// Every action is recorded in [`ScheduleReport::recovery`] and emitted
-/// as a `fault:*` / `retry:*` / `fallback:*` span nested inside the
-/// step's own span.
+/// [`execute_traced`] with an explicit [`RecoveryPolicy`] — see
+/// [`execute_polled_with_policy`] for the recovery ladder.
 pub fn execute_with_policy<C: Comm + ?Sized>(
     comm: &mut C,
     sched: &Schedule,
@@ -779,24 +759,13 @@ pub fn execute_with_policy<C: Comm + ?Sized>(
     tracer: &Tracer,
     policy: &RecoveryPolicy,
 ) -> Result<ScheduleReport> {
-    if sched.rank != comm.rank() || sched.p != comm.size() {
-        return Err(proto(format!(
-            "schedule compiled for rank {}/{} executed on rank {}/{}",
-            sched.rank,
-            sched.p,
-            comm.rank(),
-            comm.size()
-        )));
-    }
-
-    let mut resume = None;
-    let (result, report) = execute_resumable(comm, sched, bind, tracer, policy, &mut resume);
-    // Public entry points never resume: abandon any torn-execution
-    // state so scratch is freed exactly as it always was.
-    if let Some(state) = resume {
-        state.abandon(comm);
-    }
-    result.map(|()| report)
+    block_on(execute_polled_with_policy(
+        &mut Blocking(comm),
+        sched,
+        bind,
+        tracer,
+        policy,
+    ))
 }
 
 /// Execution state that survives a torn schedule run so a later attempt
@@ -834,101 +803,15 @@ impl ResumeState {
         self.temps.len() == sched.temps.len() && self.regs.len() == sched.token_regs
     }
 
-    /// Tear the state apart for reuse (or for freeing by an engine whose
-    /// endpoint does not implement [`Comm`], i.e. the polled engine).
+    /// Tear the state apart for reuse by the next attempt.
     pub(crate) fn into_parts(self) -> (Vec<BufId>, Vec<Option<RemoteToken>>) {
         (self.temps, self.regs)
     }
 
     /// Give up on resuming: free the preserved scratch buffers.
-    pub(crate) fn abandon<C: Comm + ?Sized>(self, comm: &mut C) {
+    pub(crate) fn abandon<C: AsyncComm>(self, comm: &mut C) {
         for t in self.temps {
             let _ = comm.free(t);
-        }
-    }
-}
-
-/// [`execute_with_policy`] with partial-progress resume: the membership
-/// layer's crate-internal entry point.
-///
-/// Always returns the execution's [`ScheduleReport`], even when a step
-/// failed — a torn run's report carries the watermark
-/// ([`ScheduleReport::completed_steps`]) and the observed step-latency
-/// p99 the adaptive liveness deadline feeds on.
-///
-/// On entry, `resume` carries the state of a previous torn attempt of
-/// the *same* schedule (or `None` for a fresh run). On a torn exit the
-/// state is stored back with an updated watermark and scratch is *not*
-/// freed; on success (or a non-resumable error shape) the state is
-/// consumed and scratch is freed. A caller that decides not to resume
-/// must call [`ResumeState::abandon`].
-pub(crate) fn execute_resumable<C: Comm + ?Sized>(
-    comm: &mut C,
-    sched: &Schedule,
-    bind: &Bindings,
-    tracer: &Tracer,
-    policy: &RecoveryPolicy,
-    resume: &mut Option<ResumeState>,
-) -> (Result<()>, ScheduleReport) {
-    if sched.rank != comm.rank() || sched.p != comm.size() {
-        let e = proto(format!(
-            "schedule compiled for rank {}/{} executed on rank {}/{}",
-            sched.rank,
-            sched.p,
-            comm.rank(),
-            comm.size()
-        ));
-        return (Err(e), ScheduleReport::default());
-    }
-
-    let (mut ctx, start) = match resume.take() {
-        Some(st) if st.matches(sched) => {
-            let start = st.next_step.min(sched.steps.len());
-            let (temps, regs) = st.into_parts();
-            (Ctx { bind, temps, regs }, start)
-        }
-        Some(st) => {
-            // Shape drifted under the caller (different plan): resuming
-            // would corrupt state. Start over.
-            st.abandon(comm);
-            (
-                Ctx {
-                    bind,
-                    temps: sched.temps.iter().map(|&len| comm.alloc(len)).collect(),
-                    regs: vec![None; sched.token_regs],
-                },
-                0,
-            )
-        }
-        None => (
-            Ctx {
-                bind,
-                temps: sched.temps.iter().map(|&len| comm.alloc(len)).collect(),
-                regs: vec![None; sched.token_regs],
-            },
-            0,
-        ),
-    };
-    let mut rec = Recorder::new(tracer, Track::Rank(comm.rank()), sched.class);
-
-    let t_start = comm.time_ns();
-    let result = run_steps(comm, sched, &mut ctx, &mut rec, policy, start);
-    rec.finish(comm.time_ns().saturating_sub(t_start));
-
-    match result {
-        Ok(()) => {
-            for t in ctx.temps.drain(..) {
-                let _ = comm.free(t);
-            }
-            (Ok(()), rec.report)
-        }
-        Err(e) => {
-            *resume = Some(ResumeState::new(
-                std::mem::take(&mut ctx.temps),
-                std::mem::take(&mut ctx.regs),
-                rec.report.completed_steps as usize,
-            ));
-            (Err(e), rec.report)
         }
     }
 }
@@ -987,460 +870,4 @@ pub(crate) fn step_peer(step: &Step, ctx: &Ctx<'_>) -> Option<usize> {
         }
         Step::Expose { .. } | Step::CopyLocal { .. } | Step::Reduce { .. } => None,
     }
-}
-
-/// Sleep the policy's exponential backoff for the `attempt`-th
-/// consecutive failure (1-based), charging it on the transport's clock.
-fn backoff<C: Comm + ?Sized>(
-    comm: &mut C,
-    rec: &mut Recorder<'_>,
-    policy: &RecoveryPolicy,
-    attempt: u32,
-) {
-    if policy.backoff_ns == 0 {
-        return;
-    }
-    let ns = policy.backoff_ns << (attempt.min(6) - 1).min(5);
-    let t0 = comm.time_ns();
-    comm.sleep_ns(ns);
-    rec.recovery("retry:backoff", 0, t0, comm.time_ns());
-}
-
-/// Run one non-resumable operation under the transient-retry loop.
-fn retry_transient<C: Comm + ?Sized, T>(
-    comm: &mut C,
-    rec: &mut Recorder<'_>,
-    policy: &RecoveryPolicy,
-    mut op: impl FnMut(&mut C) -> Result<T>,
-) -> Result<T> {
-    let mut attempts = 0u32;
-    loop {
-        let t0 = comm.time_ns();
-        match op(comm) {
-            Ok(v) => return Ok(v),
-            Err(e) if is_transient(&e) => {
-                rec.recovery("fault:transient", 0, t0, comm.time_ns());
-                attempts += 1;
-                if attempts > policy.max_retries {
-                    return Err(e);
-                }
-                backoff(comm, rec, policy, attempts);
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// A CMA read or write with the full recovery ladder: short transfers
-/// resume from the partial offset (progress resets the retry budget),
-/// transient errors retry with backoff, and persistent failure or
-/// permission denial degrades to the two-copy fallback when allowed.
-#[allow(clippy::too_many_arguments)]
-fn recovered_cma<C: Comm + ?Sized>(
-    comm: &mut C,
-    rec: &mut Recorder<'_>,
-    policy: &RecoveryPolicy,
-    read: bool,
-    token: RemoteToken,
-    remote_off: usize,
-    local: BufId,
-    local_off: usize,
-    len: usize,
-) -> Result<()> {
-    let mut at = 0usize;
-    let mut attempts = 0u32;
-    loop {
-        let t0 = comm.time_ns();
-        let r = if read {
-            comm.cma_read(token, remote_off + at, local, local_off + at, len - at)
-        } else {
-            comm.cma_write(token, remote_off + at, local, local_off + at, len - at)
-        };
-        let e = match r {
-            Ok(()) => return Ok(()),
-            Err(e) => e,
-        };
-        match e {
-            CommError::Truncated { got, .. } if got > 0 => {
-                // Forward progress: resume past the bytes that landed.
-                rec.recovery("fault:short", got, t0, comm.time_ns());
-                at += got.min(len - at);
-                attempts = 0;
-                if at >= len {
-                    return Ok(());
-                }
-            }
-            CommError::Truncated { .. } => {
-                // Zero-progress truncation is just a transient failure.
-                rec.recovery("fault:short", 0, t0, comm.time_ns());
-                attempts += 1;
-                if attempts > policy.max_retries {
-                    let orig = CommError::Truncated {
-                        wanted: len,
-                        got: at,
-                    };
-                    return fallback_or(
-                        comm, rec, policy, read, orig, token, remote_off, at, local, local_off, len,
-                    );
-                }
-                backoff(comm, rec, policy, attempts);
-            }
-            CommError::PermissionDenied => {
-                // Revoked access never heals by retrying the same path.
-                rec.recovery("fault:denied", 0, t0, comm.time_ns());
-                return fallback_or(
-                    comm,
-                    rec,
-                    policy,
-                    read,
-                    CommError::PermissionDenied,
-                    token,
-                    remote_off,
-                    at,
-                    local,
-                    local_off,
-                    len,
-                );
-            }
-            e if is_transient(&e) => {
-                rec.recovery("fault:transient", 0, t0, comm.time_ns());
-                attempts += 1;
-                if attempts > policy.max_retries {
-                    return fallback_or(
-                        comm, rec, policy, read, e, token, remote_off, at, local, local_off, len,
-                    );
-                }
-                backoff(comm, rec, policy, attempts);
-            }
-            e => return Err(e),
-        }
-    }
-}
-
-/// Finish the remainder (`at..len`) of a failed CMA step over the
-/// two-copy shared-memory fallback, or return the original CMA error
-/// when the policy forbids it, the peer is dead, or the transport cannot
-/// stage the fallback. The *original* error is surfaced in every failure
-/// case — it names the root cause; the fallback failing is secondary.
-#[allow(clippy::too_many_arguments)]
-fn fallback_or<C: Comm + ?Sized>(
-    comm: &mut C,
-    rec: &mut Recorder<'_>,
-    policy: &RecoveryPolicy,
-    read: bool,
-    orig: CommError,
-    token: RemoteToken,
-    remote_off: usize,
-    at: usize,
-    local: BufId,
-    local_off: usize,
-    len: usize,
-) -> Result<()> {
-    let peer_dead = matches!(orig, CommError::Os(ESRCH) | CommError::PeerDead(_));
-    if !policy.cma_fallback || peer_dead {
-        return Err(orig);
-    }
-    let rest = len - at;
-    let t0 = comm.time_ns();
-    let r = if read {
-        comm.shm_fallback_read(token, remote_off + at, local, local_off + at, rest)
-    } else {
-        comm.shm_fallback_write(token, remote_off + at, local, local_off + at, rest)
-    };
-    match r {
-        Ok(()) => {
-            let name = if read {
-                "fallback:read"
-            } else {
-                "fallback:write"
-            };
-            rec.recovery(name, rest, t0, comm.time_ns());
-            Ok(())
-        }
-        Err(_) => Err(orig),
-    }
-}
-
-/// A control receive under the policy: bounded by `step_timeout_ns` when
-/// set (expiry surfaces as [`CommError::Timeout`] and counts against the
-/// retry budget without backoff — the wait itself was the delay), and
-/// retried on transient errors like every other step.
-fn recovered_ctrl_recv<C: Comm + ?Sized>(
-    comm: &mut C,
-    rec: &mut Recorder<'_>,
-    policy: &RecoveryPolicy,
-    from: usize,
-    tag: Tag,
-) -> Result<Vec<u8>> {
-    let mut attempts = 0u32;
-    loop {
-        let t0 = comm.time_ns();
-        let r = match recv_deadline_ns(policy) {
-            Some(ns) => match comm.ctrl_recv_deadline(from, tag, ns) {
-                Ok(Some(body)) => Ok(body),
-                Ok(None) => Err(CommError::Timeout { waited_ns: ns }),
-                Err(e) => Err(e),
-            },
-            None => comm.ctrl_recv(from, tag),
-        };
-        match r {
-            Ok(body) => return Ok(body),
-            Err(e @ CommError::Timeout { .. }) => {
-                rec.recovery("fault:timeout", 0, t0, comm.time_ns());
-                attempts += 1;
-                if attempts > policy.max_retries {
-                    return Err(e);
-                }
-            }
-            Err(e) if is_transient(&e) => {
-                rec.recovery("fault:transient", 0, t0, comm.time_ns());
-                attempts += 1;
-                if attempts > policy.max_retries {
-                    return Err(e);
-                }
-                backoff(comm, rec, policy, attempts);
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// A bulk shared-memory receive under the policy; the deadline-bounded
-/// twin of [`recovered_ctrl_recv`] for the two-copy data plane.
-#[allow(clippy::too_many_arguments)]
-fn recovered_shm_recv<C: Comm + ?Sized>(
-    comm: &mut C,
-    rec: &mut Recorder<'_>,
-    policy: &RecoveryPolicy,
-    from: usize,
-    tag: Tag,
-    dst: BufId,
-    off: usize,
-    len: usize,
-) -> Result<()> {
-    let mut attempts = 0u32;
-    loop {
-        let t0 = comm.time_ns();
-        let r = match recv_deadline_ns(policy) {
-            Some(ns) => match comm.shm_recv_deadline(from, tag, dst, off, len, ns) {
-                Ok(true) => Ok(()),
-                Ok(false) => Err(CommError::Timeout { waited_ns: ns }),
-                Err(e) => Err(e),
-            },
-            None => comm.shm_recv_data(from, tag, dst, off, len),
-        };
-        match r {
-            Ok(()) => return Ok(()),
-            Err(e @ CommError::Timeout { .. }) => {
-                rec.recovery("fault:timeout", 0, t0, comm.time_ns());
-                attempts += 1;
-                if attempts > policy.max_retries {
-                    return Err(e);
-                }
-            }
-            Err(e) if is_transient(&e) => {
-                rec.recovery("fault:transient", 0, t0, comm.time_ns());
-                attempts += 1;
-                if attempts > policy.max_retries {
-                    return Err(e);
-                }
-                backoff(comm, rec, policy, attempts);
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// Run every step, interposing the liveness watchdog: when the policy's
-/// membership watch is armed and a step with an identifiable peer dies
-/// with a suspect error (timeout, `ESRCH`), the failure is recorded as
-/// a `membership:suspect` span and either converted to the typed
-/// [`CommError::PeerDead`] or — under a tolerant policy — the step is
-/// skipped so the rest of the schedule still runs.
-fn run_steps<C: Comm + ?Sized>(
-    comm: &mut C,
-    sched: &Schedule,
-    ctx: &mut Ctx<'_>,
-    rec: &mut Recorder<'_>,
-    policy: &RecoveryPolicy,
-    start: usize,
-) -> Result<()> {
-    rec.report.completed_steps = start as u64;
-    let mut suspects: Vec<usize> = Vec::new();
-    for step in &sched.steps[start..] {
-        let t0 = comm.time_ns();
-        let m = &policy.membership;
-        if m.watch && m.tolerant {
-            if let Some(peer) = step_peer(step, ctx) {
-                if suspects.contains(&peer) {
-                    // A peer that already missed one deadline in this
-                    // run will not answer later steps either; skipping
-                    // immediately bounds a rank's detection lateness to
-                    // one timeout chain instead of one per torn
-                    // exchange, which keeps stragglers inside the
-                    // agreement's refutation window.
-                    rec.recovery("membership:suspect", peer, t0, t0);
-                    rec.report.completed_steps += 1;
-                    continue;
-                }
-            }
-        }
-        if let Err(e) = run_one_step(comm, step, ctx, rec, policy, t0) {
-            let m = &policy.membership;
-            if m.watch && is_suspect_error(&e) {
-                if let Some(peer) = step_peer(step, ctx) {
-                    rec.recovery("membership:suspect", peer, t0, comm.time_ns());
-                    if m.tolerant {
-                        // A tolerated failure still moves the watermark:
-                        // the executor is past this step for good.
-                        suspects.push(peer);
-                        rec.report.completed_steps += 1;
-                        continue;
-                    }
-                    return Err(CommError::PeerDead(peer));
-                }
-            }
-            return Err(e);
-        }
-        rec.report.completed_steps += 1;
-    }
-    Ok(())
-}
-
-/// Execute one IR step under the recovery policy; the watchdog wrapper
-/// in [`run_steps`] decides what a failure means.
-fn run_one_step<C: Comm + ?Sized>(
-    comm: &mut C,
-    step: &Step,
-    ctx: &mut Ctx<'_>,
-    rec: &mut Recorder<'_>,
-    policy: &RecoveryPolicy,
-    t0: u64,
-) -> Result<()> {
-    match step {
-        Step::Expose { slot, reg } => {
-            let buf = ctx.slot(*slot)?;
-            let token = retry_transient(comm, rec, policy, |c| c.expose(buf))?;
-            ctx.set_token(*reg, token)?;
-            rec.add(StepKind::Expose, 0, t0, comm.time_ns());
-        }
-        Step::CmaRead {
-            token,
-            remote_off,
-            dst,
-            dst_off,
-            len,
-        } => {
-            let t = ctx.token(*token)?;
-            let dst = ctx.slot(*dst)?;
-            recovered_cma(comm, rec, policy, true, t, *remote_off, dst, *dst_off, *len)?;
-            rec.add(StepKind::CmaRead, *len, t0, comm.time_ns());
-        }
-        Step::CmaWrite {
-            token,
-            remote_off,
-            src,
-            src_off,
-            len,
-        } => {
-            let t = ctx.token(*token)?;
-            let src = ctx.slot(*src)?;
-            recovered_cma(
-                comm,
-                rec,
-                policy,
-                false,
-                t,
-                *remote_off,
-                src,
-                *src_off,
-                *len,
-            )?;
-            rec.add(StepKind::CmaWrite, *len, t0, comm.time_ns());
-        }
-        Step::CopyLocal {
-            src,
-            src_off,
-            dst,
-            dst_off,
-            len,
-        } => {
-            let src = ctx.slot(*src)?;
-            let dst = ctx.slot(*dst)?;
-            comm.copy_local(src, *src_off, dst, *dst_off, *len)?;
-            rec.add(StepKind::CopyLocal, *len, t0, comm.time_ns());
-        }
-        Step::CtrlSend { to, tag, payload } => {
-            let body = ctx.render_payload(payload)?;
-            retry_transient(comm, rec, policy, |c| c.ctrl_send(*to, *tag, &body))?;
-            rec.add(StepKind::CtrlSend, body.len(), t0, comm.time_ns());
-        }
-        Step::CtrlRecv { from, tag, into } => {
-            let body = recovered_ctrl_recv(comm, rec, policy, *from, *tag)?;
-            let n = body.len();
-            ctx.apply_recv(into, body)?;
-            rec.add(StepKind::CtrlRecv, n, t0, comm.time_ns());
-        }
-        Step::Notify { to, tag } => {
-            retry_transient(comm, rec, policy, |c| c.notify(*to, *tag))?;
-            rec.add(StepKind::Notify, 0, t0, comm.time_ns());
-        }
-        Step::WaitNotify { from, tag } => {
-            // A notification is a 0-byte control message; route it
-            // through the bounded receive so the wait obeys the step
-            // timeout (mirrors `CommExt::wait_notify`).
-            let body = recovered_ctrl_recv(comm, rec, policy, *from, *tag)?;
-            if !body.is_empty() {
-                return Err(proto(format!(
-                    "expected 0-byte notification from rank {from}, got {} bytes",
-                    body.len()
-                )));
-            }
-            rec.add(StepKind::WaitNotify, 0, t0, comm.time_ns());
-        }
-        Step::ShmSend {
-            to,
-            tag,
-            src,
-            off,
-            len,
-        } => {
-            let src = ctx.slot(*src)?;
-            retry_transient(comm, rec, policy, |c| {
-                c.shm_send_data(*to, *tag, src, *off, *len)
-            })?;
-            rec.add(StepKind::ShmSend, *len, t0, comm.time_ns());
-        }
-        Step::ShmRecv {
-            from,
-            tag,
-            dst,
-            off,
-            len,
-        } => {
-            let dst = ctx.slot(*dst)?;
-            recovered_shm_recv(comm, rec, policy, *from, *tag, dst, *off, *len)?;
-            rec.add(StepKind::ShmRecv, *len, t0, comm.time_ns());
-        }
-        Step::Reduce {
-            op,
-            dtype,
-            acc,
-            acc_off,
-            src,
-            src_off,
-            len,
-        } => {
-            let acc_buf = ctx.slot(*acc)?;
-            let src_buf = ctx.slot(*src)?;
-            let mut acc_bytes = vec![0u8; *len];
-            let mut src_bytes = vec![0u8; *len];
-            comm.read_local(acc_buf, *acc_off, &mut acc_bytes)?;
-            comm.read_local(src_buf, *src_off, &mut src_bytes)?;
-            combine(&mut acc_bytes, &src_bytes, *dtype, *op);
-            comm.write_local(acc_buf, *acc_off, &acc_bytes)?;
-            rec.add(StepKind::Reduce, *len, t0, comm.time_ns());
-        }
-    }
-    Ok(())
 }

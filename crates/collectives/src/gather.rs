@@ -4,15 +4,22 @@
 //! kernel-assisted operations reversed: the contended resource is the
 //! *root's* page-table lock, written to by many peers at once.
 //!
-//! Like Scatter, the public entry points compile to a
+//! Like Scatter, the entry points compile to a
 //! [`crate::schedule::Schedule`] (cached in the global [`PlanCache`])
-//! and replay it through the generic executor; `gatherv_legacy` keeps
-//! the direct implementation for equivalence tests.
+//! and replay it through the executor: [`gatherv_polled`] is the one
+//! implementation, async over any [`AsyncComm`], and
+//! [`gather`]/[`gatherv`]/[`gatherv_with_report`] run it on a blocking
+//! [`Comm`]. `gatherv_legacy` keeps the direct implementation for
+//! equivalence tests.
 
-use crate::exec::{execute, Bindings, ScheduleReport};
+use crate::exec::{Bindings, ScheduleReport};
+use crate::polled::execute_polled;
 use crate::schedule::{compile_gather, PlanCache, PlanKey};
 use crate::{class, unvrank, vrank};
-use kacc_comm::{smcoll, BufId, Comm, CommError, CommExt, RemoteToken, Result, Tag};
+use kacc_comm::{
+    block_on, smcoll, AsyncComm, Blocking, BufId, Comm, CommError, CommExt, RemoteToken, Result,
+    Tag,
+};
 
 /// Gather algorithm selection (§IV-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -79,9 +86,31 @@ pub fn gatherv_with_report<C: Comm + ?Sized>(
     displs: Option<&[usize]>,
     root: usize,
 ) -> Result<Option<ScheduleReport>> {
-    let layout = match prepare(comm, sendbuf, recvbuf, counts, displs, root)? {
-        Prepared::Done => return Ok(None),
-        Prepared::Run(layout) => layout,
+    block_on(gatherv_polled(
+        &mut Blocking(comm),
+        algo,
+        sendbuf,
+        recvbuf,
+        counts,
+        displs,
+        root,
+    ))
+}
+
+/// [`gatherv`] on any [`AsyncComm`] endpoint: validate, fetch (or
+/// compile) the plan, execute it. `None` when the call was satisfied
+/// without a schedule (single rank or all-zero counts).
+pub async fn gatherv_polled<C: AsyncComm>(
+    comm: &mut C,
+    algo: GatherAlgo,
+    sendbuf: Option<BufId>,
+    recvbuf: Option<BufId>,
+    counts: &[usize],
+    displs: Option<&[usize]>,
+    root: usize,
+) -> Result<Option<ScheduleReport>> {
+    let Some(layout) = prepare(comm, sendbuf, recvbuf, counts, displs, root).await? else {
+        return Ok(None);
     };
     if let GatherAlgo::ThrottledWrite { k } = algo {
         if k == 0 {
@@ -102,7 +131,7 @@ pub fn gatherv_with_report<C: Comm + ?Sized>(
         },
         || compile_gather(algo, p, me, &layout, root, sendbuf.is_some()),
     );
-    execute(
+    execute_polled(
         comm,
         &plan,
         &Bindings {
@@ -110,26 +139,22 @@ pub fn gatherv_with_report<C: Comm + ?Sized>(
             recv: recvbuf,
         },
     )
+    .await
     .map(Some)
 }
 
 /// Validation and degenerate-case handling shared by the compiled and
-/// legacy paths.
-enum Prepared {
-    /// Nothing left to do (single rank or all-zero counts).
-    Done,
-    /// Run the algorithm with this per-rank layout.
-    Run(Vec<(usize, usize)>),
-}
-
-fn prepare<C: Comm + ?Sized>(
+/// legacy paths: the per-rank `(offset, len)` layout to run the algorithm
+/// with, or `None` when nothing is left to do (single rank or all-zero
+/// counts).
+async fn prepare<C: AsyncComm>(
     comm: &mut C,
     sendbuf: Option<BufId>,
     recvbuf: Option<BufId>,
     counts: &[usize],
     displs: Option<&[usize]>,
     root: usize,
-) -> Result<Prepared> {
+) -> Result<Option<Vec<(usize, usize)>>> {
     let p = comm.size();
     let me = comm.rank();
     if root >= p {
@@ -161,19 +186,17 @@ fn prepare<C: Comm + ?Sized>(
         return Err(CommError::Protocol("non-root gather needs sendbuf".into()));
     }
     if p == 1 {
-        root_self_copy(
-            comm,
-            recvbuf.expect("validated: root binds recvbuf"),
-            sendbuf,
-            &layout,
-            root,
-        )?;
-        return Ok(Prepared::Done);
+        let rb = recvbuf.expect("validated: root binds recvbuf");
+        let (off, len) = layout[root];
+        if let (Some(sb), true) = (sendbuf, len > 0) {
+            comm.copy_local(sb, 0, rb, off, len).await?;
+        }
+        return Ok(None);
     }
     if counts.iter().all(|&c| c == 0) {
-        return Ok(Prepared::Done);
+        return Ok(None);
     }
-    Ok(Prepared::Run(layout))
+    Ok(Some(layout))
 }
 
 /// Original direct implementation, kept verbatim so tests can assert the
@@ -188,9 +211,10 @@ pub fn gatherv_legacy<C: Comm + ?Sized>(
     displs: Option<&[usize]>,
     root: usize,
 ) -> Result<()> {
-    let layout = match prepare(comm, sendbuf, recvbuf, counts, displs, root)? {
-        Prepared::Done => return Ok(()),
-        Prepared::Run(layout) => layout,
+    let blocking = &mut Blocking(&mut *comm);
+    let prepared = prepare(blocking, sendbuf, recvbuf, counts, displs, root);
+    let Some(layout) = block_on(prepared)? else {
+        return Ok(());
     };
     match algo {
         GatherAlgo::ParallelWrite => parallel_write(comm, sendbuf, recvbuf, &layout, root),

@@ -29,9 +29,14 @@
 //! * **Hierarchical** ([`hierarchical`]): two-level designs whose
 //!   intra-node phase uses the contention-aware algorithms (§VII-G).
 //!
-//! Algorithms are generic over [`kacc_comm::Comm`], so the identical code
-//! runs on the deterministic machine simulator, the in-process thread
-//! transport, and the real `process_vm_readv` transport.
+//! Every collective is implemented once, as an `async` `*_polled` entry
+//! generic over [`kacc_comm::AsyncComm`] that compiles a plan and hands
+//! it to the one executor in [`polled`]. The polled machine simulator
+//! runs those entries natively; the blocking entry points
+//! ([`scatter`](fn@scatter), [`gather`](fn@gather), …) drive the same
+//! code on any [`kacc_comm::Comm`] — the in-process thread transport,
+//! the real `process_vm_readv` transport — through
+//! [`kacc_comm::Blocking`] and [`kacc_comm::block_on`].
 
 pub mod allgather;
 pub mod alltoall;
@@ -47,13 +52,13 @@ pub mod schedule;
 pub mod tuner;
 pub mod verify;
 
-pub use allgather::{allgather, allgather_with_report, AllgatherAlgo};
-pub use alltoall::{alltoall, alltoall_with_report, AlltoallAlgo};
-pub use bcast::{bcast, bcast_with_report, BcastAlgo};
-pub use gather::{gather, gatherv, gatherv_with_report, GatherAlgo};
+pub use allgather::{allgather, allgather_polled, allgather_with_report, AllgatherAlgo};
+pub use alltoall::{alltoall, alltoall_polled, alltoall_with_report, AlltoallAlgo};
+pub use bcast::{bcast, bcast_polled, bcast_with_report, BcastAlgo};
+pub use gather::{gather, gatherv, gatherv_polled, gatherv_with_report, GatherAlgo};
 pub use reduce::{
-    allreduce, reduce, reduce_scatter_block, reduce_with_report, AllreduceAlgo, Dtype, ReduceAlgo,
-    ReduceOp,
+    allreduce, reduce, reduce_polled, reduce_scatter_block, reduce_with_report, AllreduceAlgo,
+    Dtype, ReduceAlgo, ReduceOp,
 };
 
 pub(crate) use allgather::allgather_ranges;
@@ -64,11 +69,10 @@ pub use exec::{
 pub use membership::{
     run_survivable, run_survivable_polled, MembershipReport, SurvivableOp, SurvivableOutcome,
 };
-pub use polled::{
-    allgather_polled, alltoall_polled, bcast_polled, execute_polled, execute_polled_traced,
-    execute_polled_with_policy, gatherv_polled, reduce_polled, scatter_polled, scatterv_polled,
+pub use polled::{execute_polled, execute_polled_traced, execute_polled_with_policy};
+pub use scatter::{
+    scatter, scatter_polled, scatterv, scatterv_polled, scatterv_with_report, ScatterAlgo,
 };
-pub use scatter::{scatter, scatterv, scatterv_with_report, ScatterAlgo};
 pub use schedule::{compile_agree, remap_for_members, PlanCache, PlanKey, Schedule, Step};
 pub use tuner::Tuner;
 

@@ -1,8 +1,9 @@
 //! Survivable collectives: deterministic failure detection, agreement,
 //! and shrink-and-re-execute recovery (ULFM-inspired membership layer).
 //!
-//! [`run_survivable`] wraps any of the six bulk collectives in a
-//! membership loop:
+//! [`run_survivable_polled`] (async over any [`AsyncComm`];
+//! [`run_survivable`] drives it on a blocking transport) wraps any of
+//! the six bulk collectives in a membership loop:
 //!
 //! 1. **Detect (adaptive)** — the data plan executes with the liveness
 //!    watchdog armed ([`MembershipPolicy`]), so a silent peer death
@@ -49,7 +50,7 @@
 //!
 //! Everything is deterministic under simulation: the same seed produces
 //! the same suspicions, the same agreed masks, the same shrink sequence,
-//! and bitwise-identical reports on both engines. A fault-free run
+//! and bitwise-identical reports on every run. A fault-free run
 //! executes exactly one data plan plus one (clean) agreement and reports
 //! an empty [`RecoveryReport`](crate::RecoveryReport).
 //!
@@ -61,16 +62,14 @@
 use std::sync::{Arc, OnceLock};
 
 use kacc_comm::mask::{FLAG_NORESUME, FLAG_REDO};
-use kacc_comm::{BufId, Comm, CommError, MemberMask, Result, Topology};
-use kacc_machine::PolledComm;
+use kacc_comm::{
+    block_on, AsyncComm, Blocking, BufId, Comm, CommError, MemberMask, Result, Topology,
+};
 use kacc_model::ArchProfile;
 use kacc_trace::{Tracer, Track};
 
-use crate::exec::{
-    execute_resumable, execute_with_policy, proto, Bindings, MembershipPolicy, RecoveryPolicy,
-    ResumeState, ScheduleReport,
-};
-use crate::polled::{abandon_polled, execute_polled_with_policy, execute_resumable_polled};
+use crate::exec::{proto, Bindings, MembershipPolicy, RecoveryPolicy, ResumeState, ScheduleReport};
+use crate::polled::{execute_polled_with_policy, execute_resumable_polled};
 use crate::schedule::{
     compile_agree, compile_agree_split, compile_allgather, compile_alltoall, compile_bcast,
     compile_gather, compile_reduce, compile_scatter, remap_for_members, PlanCache, PlanKey,
@@ -306,9 +305,9 @@ fn adaptive_liveness(m: &MembershipPolicy, plan_cost_ns: u64, obs_p99_ns: u64) -
     )
 }
 
-/// Up-front validation shared by both engines: communicator bounds,
-/// per-op buffer requirements, and algorithm parameters the compile
-/// functions assume were already checked.
+/// Up-front validation: communicator bounds, per-op buffer
+/// requirements, and algorithm parameters the compile functions assume
+/// were already checked.
 fn validate(
     op: &SurvivableOp,
     p: usize,
@@ -507,14 +506,7 @@ fn member_plan(
             has_recvbuf,
             ..
         } => {
-            let layout: Vec<(usize, usize)> = counts
-                .iter()
-                .scan(0, |off, &c| {
-                    let entry = (*off, c);
-                    *off += c;
-                    Some(entry)
-                })
-                .collect();
+            let layout = crate::scatter::build_layout(counts, None);
             compile_scatter(algo, p, rank, &layout, root, has_recvbuf)
         }
         PlanKey::Gather {
@@ -526,14 +518,7 @@ fn member_plan(
             has_sendbuf,
             ..
         } => {
-            let layout: Vec<(usize, usize)> = counts
-                .iter()
-                .scan(0, |off, &c| {
-                    let entry = (*off, c);
-                    *off += c;
-                    Some(entry)
-                })
-                .collect();
+            let layout = crate::scatter::build_layout(counts, None);
             compile_gather(algo, p, rank, &layout, root, has_sendbuf)
         }
         PlanKey::Bcast {
@@ -718,8 +703,8 @@ fn fold_ballots(
     union
 }
 
-/// Three-round suspected-dead agreement over `members` (threads
-/// engine): two gossip-and-refute rounds ([`fold_round`]) followed by a
+/// Three-round suspected-dead agreement over `members`: two
+/// gossip-and-refute rounds ([`fold_round`]) followed by a
 /// pure ballot round ([`fold_ballots`]). Returns the union of every
 /// member's final ballot. Never blocks forever: every receive is
 /// bounded and failures are tolerated.
@@ -764,7 +749,7 @@ fn fold_ballots(
 /// loss. The floor only burns time when a slot is genuinely silent
 /// that long, so the steady-state failure cost is unchanged.
 #[allow(clippy::too_many_arguments)]
-fn agree<C: Comm + ?Sized>(
+async fn agree<C: AsyncComm>(
     comm: &mut C,
     members: &[usize],
     epoch: u32,
@@ -809,7 +794,7 @@ fn agree<C: Comm + ?Sized>(
     let mut deadline = a0.max(w0_floor);
     for r in 0..3u32 {
         let t_round = comm.time_ns();
-        let step = (|| {
+        let step: Result<MemberMask> = async {
             let wire = cur.to_bytes();
             comm.write_local(send, 0, &wire)?;
             comm.write_local(recv, 0, &vec![0u8; width * l])?;
@@ -820,10 +805,11 @@ fn agree<C: Comm + ?Sized>(
                 send: Some(send),
                 recv: Some(recv),
             };
-            execute_with_policy(comm, &live_plan, &bind, tracer, &agree_policy(m, deadline))?;
+            let live = agree_policy(m, deadline);
+            execute_polled_with_policy(comm, &live_plan, &bind, tracer, &live).await?;
             if !susp_plan.steps.is_empty() {
-                let cap = if r < 2 { a0.saturating_mul(2) } else { a0 };
-                execute_with_policy(comm, &susp_plan, &bind, tracer, &agree_policy(m, cap))?;
+                let cap = agree_policy(m, if r < 2 { a0.saturating_mul(2) } else { a0 });
+                execute_polled_with_policy(comm, &susp_plan, &bind, tracer, &cap).await?;
             }
             let mut bytes = vec![0u8; width * l];
             comm.read_local(recv, 0, &mut bytes)?;
@@ -832,7 +818,8 @@ fn agree<C: Comm + ?Sized>(
             } else {
                 fold_ballots(&cur, members, me, &bytes, width, p)
             })
-        })();
+        }
+        .await;
         match step {
             Ok(next) => {
                 deadline = comm
@@ -854,117 +841,7 @@ fn agree<C: Comm + ?Sized>(
     out.map(|mask| (mask, deadline.min(a0.saturating_mul(16))))
 }
 
-/// Three-round suspected-dead agreement over `members` — the polled
-/// twin of [`agree`], transliterated operation for operation (same
-/// adaptive deadlines, same tag namespace, same folds).
-#[allow(clippy::too_many_arguments)]
-async fn agree_polled(
-    comm: &mut PolledComm,
-    members: &[usize],
-    epoch: u32,
-    base_round: u32,
-    suspected: &MemberMask,
-    m: &MembershipPolicy,
-    retries: u32,
-    liveness: u64,
-    w0_floor: u64,
-    tracer: &Tracer,
-) -> Result<(MemberMask, u64)> {
-    let p = comm.size();
-    let me = comm.rank();
-    let l = members.len();
-    let my_idx = members
-        .iter()
-        .position(|&x| x == me)
-        .ok_or_else(|| proto("caller is not a surviving member".into()))?;
-    let width = MemberMask::wire_len(p);
-    let send = comm.alloc(width);
-    let recv = comm.alloc(width * l);
-    let mut cur = suspected.clone();
-    let mut out: Result<MemberMask> = Ok(cur.clone());
-    // Same two-part rounds (wide window for live slots, round-shaped
-    // flat cap for suspected slots), window growth, and skew-hint floor
-    // as the threads twin (see [`agree`] for the sizing argument).
-    let a0 = liveness.saturating_mul(u64::from(retries) + 3);
-    let mut deadline = a0.max(w0_floor);
-    for r in 0..3u32 {
-        let t_round = comm.time_ns();
-        let step: Result<MemberMask> = {
-            let wire = cur.to_bytes();
-            let setup = comm
-                .write_local(send, 0, &wire)
-                .and_then(|()| comm.write_local(recv, 0, &vec![0u8; width * l]))
-                .and_then(|()| comm.write_local(recv, width * my_idx, &wire));
-            match setup {
-                Err(e) => Err(e),
-                Ok(()) => {
-                    let (live_plan, susp_plan) =
-                        compile_agree_split(p, me, members, epoch, base_round + r, width, &cur);
-                    let bind = Bindings {
-                        send: Some(send),
-                        recv: Some(recv),
-                    };
-                    let run = async {
-                        execute_polled_with_policy(
-                            comm,
-                            &live_plan,
-                            &bind,
-                            tracer,
-                            &agree_policy(m, deadline),
-                        )
-                        .await?;
-                        if !susp_plan.steps.is_empty() {
-                            let cap = if r < 2 { a0.saturating_mul(2) } else { a0 };
-                            execute_polled_with_policy(
-                                comm,
-                                &susp_plan,
-                                &bind,
-                                tracer,
-                                &agree_policy(m, cap),
-                            )
-                            .await?;
-                        }
-                        Ok(())
-                    };
-                    match run.await {
-                        Err(e) => Err(e),
-                        Ok(()) => {
-                            let mut bytes = vec![0u8; width * l];
-                            match comm.read_local(recv, 0, &mut bytes) {
-                                Err(e) => Err(e),
-                                Ok(()) => Ok(if r < 2 {
-                                    fold_round(&cur, members, me, &bytes, width, p)
-                                } else {
-                                    fold_ballots(&cur, members, me, &bytes, width, p)
-                                }),
-                            }
-                        }
-                    }
-                }
-            }
-        };
-        match step {
-            Ok(next) => {
-                deadline = comm
-                    .time_ns()
-                    .saturating_sub(t_round)
-                    .saturating_add(deadline)
-                    .saturating_add(a0.saturating_mul(2));
-                cur = next;
-                out = Ok(cur.clone());
-            }
-            Err(e) => {
-                out = Err(e);
-                break;
-            }
-        }
-    }
-    let _ = comm.free(send);
-    let _ = comm.free(recv);
-    out.map(|mask| (mask, deadline.min(a0.saturating_mul(16))))
-}
-
-/// Run `op` survivably on the threads/blocking engine: detect peer
+/// Run `op` survivably on any [`AsyncComm`] endpoint: detect peer
 /// death, agree on the survivors, then either *resume* the torn plan
 /// from each rank's watermark (membership unchanged) or shrink and
 /// re-execute, until the collective completes over a stable membership
@@ -972,7 +849,7 @@ async fn agree_polled(
 /// surfaces. Never hangs: every wait the loop takes is
 /// deadline-bounded, and a peer dying *inside* the agreement folds into
 /// the suspect set and restarts the agreement under fresh tags.
-pub fn run_survivable<C: Comm + ?Sized>(
+pub async fn run_survivable_polled<C: AsyncComm>(
     comm: &mut C,
     op: &SurvivableOp,
     send: Option<BufId>,
@@ -1070,7 +947,8 @@ pub fn run_survivable<C: Comm + ?Sized>(
             Ok(report)
         } else {
             let (res, report) =
-                execute_resumable(comm, &plan, &bind, &tracer, &pol, &mut resume_state);
+                execute_resumable_polled(comm, &plan, &bind, &tracer, &pol, &mut resume_state)
+                    .await;
             obs_p99 = obs_p99.max(report.step_p99_ns);
             res.map(|()| report)
         };
@@ -1116,7 +994,9 @@ pub fn run_survivable<C: Comm + ?Sized>(
                 agree_liveness,
                 skew_hint,
                 &tracer,
-            ) {
+            )
+            .await
+            {
                 Ok((mask, hint)) => {
                     skew_hint = hint;
                     agreed = Some(mask);
@@ -1205,7 +1085,7 @@ pub fn run_survivable<C: Comm + ?Sized>(
         }
         member_handles().shrinks.add(1);
         let t0 = comm.time_ns();
-        comm.sleep_ns(m.restart_backoff_ns);
+        comm.sleep_ns(m.restart_backoff_ns).await;
         PlanCache::global().invalidate_members_before(epoch);
         tracer.span(
             Track::Rank(me),
@@ -1236,239 +1116,22 @@ pub fn run_survivable<C: Comm + ?Sized>(
     }
 }
 
-/// Run `op` survivably on the polled engine — the twin of
-/// [`run_survivable`], transliterated one operation at a time so a
-/// polled survivable call is bitwise-identical (same virtual times,
-/// same reports, same shrink sequence) to the threads call.
-pub async fn run_survivable_polled(
-    comm: &mut PolledComm,
+/// [`run_survivable_polled`] on a blocking transport, driven through
+/// [`Blocking`] + [`block_on`].
+pub fn run_survivable<C: Comm + ?Sized>(
+    comm: &mut C,
     op: &SurvivableOp,
     send: Option<BufId>,
     recv: Option<BufId>,
     policy: &RecoveryPolicy,
 ) -> Result<SurvivableOutcome> {
-    let p = comm.size();
-    let me = comm.rank();
-    validate(op, p, me, send, recv)?;
-    let m = effective_membership(policy);
-    let bind = bindings_for(op, send, recv);
-    let tracer = comm.tracer();
-    let tuner = Tuner::new(&arch_for(&comm.topology()));
-    let resume_cap = m.max_shrinks.min(15);
-    let mut dead = MemberMask::new(p);
-    let mut epoch = 0u32;
-    let mut iter = 0u32;
-    let mut aiter = 0u32;
-    let mut resumes = 0u32;
-    let mut obs_p99 = 0u64;
-    // Exit-skew hint threaded between successive agreements: a rank can
-    // leave an agreement up to one final window late when a peer died
-    // mid-fan-out, and the next agreement's round 0 must still hear it.
-    let mut skew_hint = 0u64;
-    let mut resume_state: Option<ResumeState> = None;
-    let mut done: Option<ScheduleReport> = None;
-    let mut mrep = MembershipReport::default();
-    macro_rules! bail {
-        ($e:expr) => {{
-            if let Some(st) = resume_state.take() {
-                abandon_polled(comm, st);
-            }
-            return Err($e);
-        }};
-    }
-    loop {
-        if dead.get(me) {
-            bail!(CommError::PeerDead(me));
-        }
-        if let Some(r) = op.root() {
-            if dead.get(r) {
-                bail!(CommError::PeerDead(r));
-            }
-        }
-        let members = survivor_list(&dead, p);
-        if members.len() * 2 <= p {
-            bail!(proto(format!(
-                "membership lost quorum: {}/{p} survivors",
-                members.len()
-            )));
-        }
-        let l = members.len();
-        let plan = match member_plan(op, p, me, &members, epoch, send.is_some(), recv.is_some()) {
-            Ok(plan) => plan,
-            Err(e) => bail!(e),
-        };
-        let liveness = adaptive_liveness(&m, tuner.cost_schedule(&plan, l) as u64, obs_p99);
-        let agree_liveness = adaptive_liveness(
-            &m,
-            tuner.cost_schedule(
-                &compile_agree(p, me, &members, epoch, 0, MemberMask::wire_len(p)),
-                l,
-            ) as u64,
-            obs_p99,
-        )
-        .max(liveness);
-        let mut pol = *policy;
-        pol.membership = MembershipPolicy {
-            watch: true,
-            tolerant: false,
-            liveness_timeout_ns: liveness,
-            ..m
-        };
-        let t_exec = comm.time_ns();
-        let exec: Result<ScheduleReport> = if let Some(report) = done {
-            Ok(report)
-        } else {
-            let (res, report) =
-                execute_resumable_polled(comm, &plan, &bind, &tracer, &pol, &mut resume_state)
-                    .await;
-            obs_p99 = obs_p99.max(report.step_p99_ns);
-            res.map(|()| report)
-        };
-        let exec_ns = comm.time_ns().saturating_sub(t_exec);
-        let mut own = dead.clone();
-        match &exec {
-            Ok(_) => {
-                if iter > 0 {
-                    mrep.reexec_ns += exec_ns;
-                }
-            }
-            Err(CommError::PeerDead(q)) => {
-                mrep.detect_ns += exec_ns;
-                if *q < p {
-                    own.set(*q);
-                }
-                own.set_flag(FLAG_REDO);
-                if resumes >= resume_cap {
-                    own.set_flag(FLAG_NORESUME);
-                }
-            }
-            Err(e) => bail!(e.clone()),
-        }
-        let t0 = comm.time_ns();
-        let mut agreed: Option<MemberMask> = None;
-        for attempt in 0..MAX_AGREE_ATTEMPTS {
-            let base_round = aiter * 12 + attempt * 3;
-            match agree_polled(
-                comm,
-                &members,
-                epoch,
-                base_round,
-                &own,
-                &m,
-                policy.max_retries,
-                agree_liveness,
-                skew_hint,
-                &tracer,
-            )
-            .await
-            {
-                Ok((mask, hint)) => {
-                    skew_hint = hint;
-                    agreed = Some(mask);
-                    break;
-                }
-                Err(CommError::PeerDead(q)) => {
-                    if q < p {
-                        own.set(q);
-                    }
-                    own.set_flag(FLAG_REDO);
-                }
-                Err(e) => bail!(e),
-            }
-        }
-        let Some(agreed) = agreed else {
-            bail!(proto(format!(
-                "membership agreement failed after {MAX_AGREE_ATTEMPTS} attempts"
-            )));
-        };
-        let agree_ns = comm.time_ns().saturating_sub(t0);
-        mrep.agreements += 1;
-        mrep.agree_ns += agree_ns;
-        member_handles().agreements.add(1);
-        tracer.span(
-            Track::Rank(me),
-            "membership:agree",
-            t0,
-            agree_ns as f64,
-            agreed.low64(),
-            Some(class::MEMBERSHIP),
-        );
-        let mut newly = agreed.clone();
-        newly.subtract(&dead);
-        if newly.is_empty() && !agreed.has_flag(FLAG_REDO) {
-            let report = match exec {
-                Ok(report) => report,
-                Err(_) => unreachable!("a failed execution always raises the redo flag"),
-            };
-            mrep.dead_mask = dead.low64();
-            let h = member_handles();
-            h.detect_ns.record(mrep.detect_ns);
-            h.agree_ns.record(mrep.agree_ns);
-            h.reexec_ns.record(mrep.reexec_ns);
-            return Ok(SurvivableOutcome {
-                report,
-                membership: mrep,
-                members,
-            });
-        }
-        if newly.is_empty() && !agreed.has_flag(FLAG_NORESUME) && resumes < resume_cap {
-            resumes += 1;
-            mrep.resumes += 1;
-            member_handles().resumes.add(1);
-            done = exec.ok();
-            tracer.span(
-                Track::Rank(me),
-                "membership:resume",
-                comm.time_ns(),
-                0.0,
-                u64::from(resumes),
-                Some(class::MEMBERSHIP),
-            );
-            iter += 1;
-            aiter += 1;
-            continue;
-        }
-        dead = agreed.clone();
-        dead.clear_flag(FLAG_REDO);
-        dead.clear_flag(FLAG_NORESUME);
-        epoch += 1;
-        mrep.epochs = epoch;
-        mrep.dead_mask = dead.low64();
-        if epoch > m.max_shrinks.min(15) {
-            bail!(proto(format!(
-                "membership exceeded {} shrinks",
-                m.max_shrinks.min(15)
-            )));
-        }
-        member_handles().shrinks.add(1);
-        let t0 = comm.time_ns();
-        comm.sleep_ns(m.restart_backoff_ns).await;
-        PlanCache::global().invalidate_members_before(epoch);
-        tracer.span(
-            Track::Rank(me),
-            "membership:shrink",
-            t0,
-            comm.time_ns().saturating_sub(t0) as f64,
-            dead.low64(),
-            Some(class::MEMBERSHIP),
-        );
-        mrep.reexecs += 1;
-        member_handles().reexecs.add(1);
-        tracer.span(
-            Track::Rank(me),
-            "membership:reexec",
-            comm.time_ns(),
-            0.0,
-            u64::from(epoch),
-            Some(class::MEMBERSHIP),
-        );
-        if let Some(st) = resume_state.take() {
-            abandon_polled(comm, st);
-        }
-        done = None;
-        iter += 1;
-        aiter = 0;
-    }
+    block_on(run_survivable_polled(
+        &mut Blocking(comm),
+        op,
+        send,
+        recv,
+        policy,
+    ))
 }
 
 #[cfg(test)]

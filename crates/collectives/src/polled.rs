@@ -1,42 +1,42 @@
-//! Polled-engine execution of compiled schedules.
+//! The schedule executor: one async step loop and recovery ladder for
+//! every transport.
 //!
-//! [`execute_polled`] replays a compiled [`Schedule`] on a
-//! [`PolledComm`] endpoint — the thread-free twin of [`crate::execute`].
-//! It shares the threads executor's entire accounting machinery
-//! ([`crate::exec::Ctx`], `Recorder`, `StepKind`) and transliterates the
-//! step loop and the full [`RecoveryPolicy`] ladder (transient retries
-//! with exponential backoff, short-CMA resume, fallback degradation,
-//! deadline-bounded waits) one operation at a time, so a polled
-//! execution is bitwise-identical — same virtual times, same
-//! [`ScheduleReport`], same recovery actions, same trace spans — to the
-//! threads execution of the same plan. The engine-equivalence suite pins
-//! this across all six collectives, clean and faulty.
+//! [`execute_polled`] replays a compiled [`Schedule`] on any
+//! [`AsyncComm`] endpoint: it binds the schedule's symbolic slots to
+//! caller buffers, allocates the scratch buffers the plan declares,
+//! resolves token registers as `Expose`/`CtrlRecv` steps fill them, and
+//! runs every step in order under the [`RecoveryPolicy`] ladder
+//! (transient retries with exponential backoff, short-CMA resume,
+//! fallback degradation, deadline-bounded waits, the liveness watchdog)
+//! while the [`Recorder`] turns each step into report counters, metric
+//! samples and trace spans.
 //!
-//! The `*_polled` entry points mirror their `*_with_report` twins'
-//! validation and degenerate-case handling line for line and then reuse
-//! the *same* [`PlanCache`] compile paths, so both engines replay
-//! literally the same cached plan objects.
+//! On the polled simulator the endpoint is `kacc_machine::PolledComm`
+//! and the futures suspend in virtual time; on the blocking transports
+//! the blocking entry points in [`crate::exec`] wrap the endpoint in
+//! [`kacc_comm::Blocking`] and drive this same code with
+//! [`kacc_comm::block_on`]. There is no second executor: the
+//! engine-equivalence suite compares two *transports* under this one
+//! loop.
 
 use crate::exec::{
     is_suspect_error, is_transient, proto, recv_deadline_ns, step_peer, Bindings, Ctx, Recorder,
     RecoveryPolicy, ResumeState, ScheduleReport, StepKind, ESRCH,
 };
 use crate::reduce::combine;
-use crate::schedule::{
-    compile_allgather, compile_alltoall, compile_bcast, compile_gather, compile_reduce,
-    compile_scatter, PlanCache, PlanKey, Schedule, Step,
-};
-use crate::{
-    AllgatherAlgo, AlltoallAlgo, BcastAlgo, Dtype, GatherAlgo, ReduceAlgo, ReduceOp, ScatterAlgo,
-};
-use kacc_comm::{BufId, CommError, RemoteToken, Result, Tag};
-use kacc_machine::PolledComm;
+use crate::schedule::{Schedule, Step};
+use kacc_comm::{AsyncComm, BufId, CommError, RemoteToken, Result, Tag};
 use kacc_trace::{Tracer, Track};
 
-/// Execute a compiled schedule on a polled endpoint — the thread-free
-/// twin of [`crate::execute`].
-pub async fn execute_polled(
-    comm: &mut PolledComm,
+/// Execute a compiled schedule on `comm` with the given bindings.
+///
+/// Scratch buffers declared by the plan are allocated up front and freed
+/// on success. The schedule must have been compiled for this rank and
+/// communicator size. Step spans go to the transport's own tracer
+/// ([`AsyncComm::tracer`]), so a traced simulator run carries the
+/// executor's events without extra plumbing.
+pub async fn execute_polled<C: AsyncComm>(
+    comm: &mut C,
     sched: &Schedule,
     bind: &Bindings,
 ) -> Result<ScheduleReport> {
@@ -44,10 +44,16 @@ pub async fn execute_polled(
     execute_polled_with_policy(comm, sched, bind, &tracer, &RecoveryPolicy::default()).await
 }
 
-/// [`execute_polled`] with an explicit tracer — the twin of
-/// [`crate::execute_traced`].
-pub async fn execute_polled_traced(
-    comm: &mut PolledComm,
+/// [`execute_polled`] with an explicit tracer: every IR step emits one
+/// `step:<kind>` span on this rank's track, attributed to the schedule's
+/// collective class, through the same recording path that feeds the
+/// returned [`ScheduleReport`] (see [`ScheduleReport::from_events`]).
+///
+/// Runs under [`RecoveryPolicy::default`]: a fault-free execution takes
+/// exactly the transport calls the plan lists, while injected or real
+/// transient faults are retried instead of aborting the collective.
+pub async fn execute_polled_traced<C: AsyncComm>(
+    comm: &mut C,
     sched: &Schedule,
     bind: &Bindings,
     tracer: &Tracer,
@@ -55,10 +61,28 @@ pub async fn execute_polled_traced(
     execute_polled_with_policy(comm, sched, bind, tracer, &RecoveryPolicy::default()).await
 }
 
-/// [`execute_polled_traced`] with an explicit [`RecoveryPolicy`] — the
-/// twin of [`crate::execute_with_policy`], recovery ladder included.
-pub async fn execute_polled_with_policy(
-    comm: &mut PolledComm,
+/// [`execute_polled_traced`] with an explicit [`RecoveryPolicy`].
+///
+/// Every fallible step runs through a bounded retry loop:
+///
+/// * transient errors (EAGAIN-class `Os`, [`CommError::Timeout`]) retry
+///   up to `max_retries` times with exponential backoff charged via
+///   [`AsyncComm::sleep_ns`];
+/// * short CMA transfers ([`CommError::Truncated`]) resume from the
+///   partial offset — forward progress resets the retry budget;
+/// * persistently failing CMA steps degrade to the two-copy
+///   [`AsyncComm::shm_fallback_read`]/`write` path when `cma_fallback` is
+///   on (peer death, `Os(ESRCH)`, is never degraded — a dead peer cannot
+///   serve the fallback either);
+/// * with `step_timeout_ns` set, blocking receives use the transports'
+///   deadline variants so a lost message or dead peer surfaces as
+///   [`CommError::Timeout`] instead of a hang.
+///
+/// Every action is recorded in [`ScheduleReport::recovery`] and emitted
+/// as a `fault:*` / `retry:*` / `fallback:*` span nested inside the
+/// step's own span.
+pub async fn execute_polled_with_policy<C: AsyncComm>(
+    comm: &mut C,
     sched: &Schedule,
     bind: &Bindings,
     tracer: &Tracer,
@@ -70,25 +94,27 @@ pub async fn execute_polled_with_policy(
     // Public entry points never resume: abandon any torn-execution
     // state so scratch is freed exactly as it always was.
     if let Some(state) = resume {
-        abandon_polled(comm, state);
+        state.abandon(comm);
     }
     result.map(|()| report)
 }
 
-/// Free a torn execution's preserved scratch on a polled endpoint — the
-/// twin of `ResumeState::abandon` (whose `Comm` bound the polled
-/// endpoint does not satisfy).
-pub(crate) fn abandon_polled(comm: &mut PolledComm, state: ResumeState) {
-    let (temps, _) = state.into_parts();
-    for t in temps {
-        let _ = comm.free(t);
-    }
-}
-
-/// [`execute_polled_with_policy`] with partial-progress resume — the
-/// twin of `exec::execute_resumable`, same `ResumeState` handoff.
-pub(crate) async fn execute_resumable_polled(
-    comm: &mut PolledComm,
+/// [`execute_polled_with_policy`] with partial-progress resume: the
+/// membership layer's crate-internal entry point.
+///
+/// Always returns the execution's [`ScheduleReport`], even when a step
+/// failed — a torn run's report carries the watermark
+/// ([`ScheduleReport::completed_steps`]) and the observed step-latency
+/// p99 the adaptive liveness deadline feeds on.
+///
+/// On entry, `resume` carries the state of a previous torn attempt of
+/// the *same* schedule (or `None` for a fresh run). On a torn exit the
+/// state is stored back with an updated watermark and scratch is *not*
+/// freed; on success (or a non-resumable error shape) the state is
+/// consumed and scratch is freed. A caller that decides not to resume
+/// must call [`ResumeState::abandon`].
+pub(crate) async fn execute_resumable_polled<C: AsyncComm>(
+    comm: &mut C,
     sched: &Schedule,
     bind: &Bindings,
     tracer: &Tracer,
@@ -106,24 +132,21 @@ pub(crate) async fn execute_resumable_polled(
         return (Err(e), ScheduleReport::default());
     }
 
-    let (mut ctx, start) = match resume.take() {
-        Some(st) if st.matches(sched) => {
+    let resumed = match resume.take() {
+        Some(st) if st.matches(sched) => Some(st),
+        // Shape drifted under the caller (different plan): resuming
+        // would corrupt state. Start over.
+        Some(st) => {
+            st.abandon(comm);
+            None
+        }
+        None => None,
+    };
+    let (mut ctx, start) = match resumed {
+        Some(st) => {
             let start = st.next_step().min(sched.steps.len());
             let (temps, regs) = st.into_parts();
             (Ctx { bind, temps, regs }, start)
-        }
-        Some(st) => {
-            // Shape drifted under the caller (different plan): resuming
-            // would corrupt state. Start over.
-            abandon_polled(comm, st);
-            (
-                Ctx {
-                    bind,
-                    temps: sched.temps.iter().map(|&len| comm.alloc(len)).collect(),
-                    regs: vec![None; sched.token_regs],
-                },
-                0,
-            )
         }
         None => (
             Ctx {
@@ -159,9 +182,9 @@ pub(crate) async fn execute_resumable_polled(
 }
 
 /// Sleep the policy's exponential backoff for the `attempt`-th
-/// consecutive failure (1-based) — the twin of `exec::backoff`.
-async fn backoff(
-    comm: &mut PolledComm,
+/// consecutive failure (1-based), charging it on the transport's clock.
+async fn backoff<C: AsyncComm>(
+    comm: &mut C,
     rec: &mut Recorder<'_>,
     policy: &RecoveryPolicy,
     attempt: u32,
@@ -175,10 +198,10 @@ async fn backoff(
     rec.recovery("retry:backoff", 0, t0, comm.time_ns());
 }
 
-/// Run one non-resumable operation under the transient-retry loop — the
-/// twin of `exec::retry_transient`. A macro because the retried
-/// operation is an `.await`ed expression re-evaluated per attempt, which
-/// a closure cannot express without boxing every call.
+/// Run one non-resumable operation under the transient-retry loop. A
+/// macro because the retried operation is an `.await`ed expression
+/// re-evaluated per attempt, which a closure cannot express without
+/// boxing every call.
 macro_rules! retry_transient {
     ($comm:ident, $rec:ident, $policy:ident, $op:expr) => {{
         let mut attempts = 0u32;
@@ -200,25 +223,41 @@ macro_rules! retry_transient {
     }};
 }
 
-/// A CMA read or write with the full recovery ladder — the twin of
-/// `exec::recovered_cma`.
-#[allow(clippy::too_many_arguments)]
-async fn recovered_cma(
-    comm: &mut PolledComm,
-    rec: &mut Recorder<'_>,
-    policy: &RecoveryPolicy,
+/// One CMA step's addressing: direction, the peer's token, and the
+/// remote and local ranges.
+#[derive(Clone, Copy)]
+struct CmaOp {
     read: bool,
     token: RemoteToken,
     remote_off: usize,
     local: BufId,
     local_off: usize,
     len: usize,
+}
+
+/// A CMA read or write with the full recovery ladder: short transfers
+/// resume from the partial offset (progress resets the retry budget),
+/// transient errors retry with backoff, and persistent failure or
+/// permission denial degrades to the two-copy fallback when allowed.
+async fn recovered_cma<C: AsyncComm>(
+    comm: &mut C,
+    rec: &mut Recorder<'_>,
+    policy: &RecoveryPolicy,
+    op: CmaOp,
 ) -> Result<()> {
+    let CmaOp {
+        token,
+        remote_off,
+        local,
+        local_off,
+        len,
+        ..
+    } = op;
     let mut at = 0usize;
     let mut attempts = 0u32;
     loop {
         let t0 = comm.time_ns();
-        let r = if read {
+        let r = if op.read {
             comm.cma_read(token, remote_off + at, local, local_off + at, len - at)
                 .await
         } else {
@@ -248,39 +287,20 @@ async fn recovered_cma(
                         wanted: len,
                         got: at,
                     };
-                    return fallback_or(
-                        comm, rec, policy, read, orig, token, remote_off, at, local, local_off, len,
-                    )
-                    .await;
+                    return fallback_or(comm, rec, policy, op, at, orig).await;
                 }
                 backoff(comm, rec, policy, attempts).await;
             }
             CommError::PermissionDenied => {
                 // Revoked access never heals by retrying the same path.
                 rec.recovery("fault:denied", 0, t0, comm.time_ns());
-                return fallback_or(
-                    comm,
-                    rec,
-                    policy,
-                    read,
-                    CommError::PermissionDenied,
-                    token,
-                    remote_off,
-                    at,
-                    local,
-                    local_off,
-                    len,
-                )
-                .await;
+                return fallback_or(comm, rec, policy, op, at, e).await;
             }
             e if is_transient(&e) => {
                 rec.recovery("fault:transient", 0, t0, comm.time_ns());
                 attempts += 1;
                 if attempts > policy.max_retries {
-                    return fallback_or(
-                        comm, rec, policy, read, e, token, remote_off, at, local, local_off, len,
-                    )
-                    .await;
+                    return fallback_or(comm, rec, policy, op, at, e).await;
                 }
                 backoff(comm, rec, policy, attempts).await;
             }
@@ -289,42 +309,34 @@ async fn recovered_cma(
     }
 }
 
-/// Finish the remainder of a failed CMA step over the two-copy fallback,
-/// or surface the original error — the twin of `exec::fallback_or`.
-#[allow(clippy::too_many_arguments)]
-async fn fallback_or(
-    comm: &mut PolledComm,
+/// Finish the remainder (`at..len`) of a failed CMA step over the
+/// two-copy shared-memory fallback, or return the original CMA error
+/// when the policy forbids it, the peer is dead, or the transport cannot
+/// stage the fallback. The *original* error is surfaced in every failure
+/// case — it names the root cause; the fallback failing is secondary.
+async fn fallback_or<C: AsyncComm>(
+    comm: &mut C,
     rec: &mut Recorder<'_>,
     policy: &RecoveryPolicy,
-    read: bool,
-    orig: CommError,
-    token: RemoteToken,
-    remote_off: usize,
+    op: CmaOp,
     at: usize,
-    local: BufId,
-    local_off: usize,
-    len: usize,
+    orig: CommError,
 ) -> Result<()> {
     let peer_dead = matches!(orig, CommError::Os(ESRCH) | CommError::PeerDead(_));
     if !policy.cma_fallback || peer_dead {
         return Err(orig);
     }
-    let rest = len - at;
+    let (remote_off, local_off, rest) = (op.remote_off + at, op.local_off + at, op.len - at);
     let t0 = comm.time_ns();
-    let r = if read {
-        comm.shm_fallback_read(token, remote_off + at, local, local_off + at, rest)
-            .await
+    let (name, r) = if op.read {
+        let r = comm.shm_fallback_read(op.token, remote_off, op.local, local_off, rest);
+        ("fallback:read", r.await)
     } else {
-        comm.shm_fallback_write(token, remote_off + at, local, local_off + at, rest)
-            .await
+        let r = comm.shm_fallback_write(op.token, remote_off, op.local, local_off, rest);
+        ("fallback:write", r.await)
     };
     match r {
         Ok(()) => {
-            let name = if read {
-                "fallback:read"
-            } else {
-                "fallback:write"
-            };
             rec.recovery(name, rest, t0, comm.time_ns());
             Ok(())
         }
@@ -332,98 +344,75 @@ async fn fallback_or(
     }
 }
 
-/// A control receive under the policy — the twin of
-/// `exec::recovered_ctrl_recv`.
-async fn recovered_ctrl_recv(
-    comm: &mut PolledComm,
+/// A receive under the policy: bounded by the step (or liveness)
+/// deadline when one applies — expiry surfaces as
+/// [`CommError::Timeout`] and counts against the retry budget without
+/// backoff, the wait itself was the delay — and retried on transient
+/// errors like every other step. `$bounded` sees the deadline as `$ns`
+/// and yields `Result<Option<T>>` (`None` = expired); `$unbounded`
+/// yields `Result<T>`. A macro for the same reason as
+/// [`retry_transient!`].
+macro_rules! recovered_recv {
+    ($comm:ident, $rec:ident, $policy:ident, |$ns:ident| $bounded:expr, $unbounded:expr) => {{
+        let mut attempts = 0u32;
+        loop {
+            let t0 = $comm.time_ns();
+            let r = match recv_deadline_ns($policy) {
+                Some($ns) => match $bounded {
+                    Ok(Some(v)) => Ok(v),
+                    Ok(None) => Err(CommError::Timeout { waited_ns: $ns }),
+                    Err(e) => Err(e),
+                },
+                None => $unbounded,
+            };
+            match r {
+                Ok(v) => break Ok(v),
+                Err(e @ CommError::Timeout { .. }) => {
+                    $rec.recovery("fault:timeout", 0, t0, $comm.time_ns());
+                    attempts += 1;
+                    if attempts > $policy.max_retries {
+                        break Err(e);
+                    }
+                }
+                Err(e) if is_transient(&e) => {
+                    $rec.recovery("fault:transient", 0, t0, $comm.time_ns());
+                    attempts += 1;
+                    if attempts > $policy.max_retries {
+                        break Err(e);
+                    }
+                    backoff($comm, $rec, $policy, attempts).await;
+                }
+                Err(e) => break Err(e),
+            }
+        }
+    }};
+}
+
+/// A control receive under the policy (see [`recovered_recv!`]).
+async fn recovered_ctrl_recv<C: AsyncComm>(
+    comm: &mut C,
     rec: &mut Recorder<'_>,
     policy: &RecoveryPolicy,
     from: usize,
     tag: Tag,
 ) -> Result<Vec<u8>> {
-    let mut attempts = 0u32;
-    loop {
-        let t0 = comm.time_ns();
-        let r = match recv_deadline_ns(policy) {
-            Some(ns) => match comm.ctrl_recv_deadline(from, tag, ns).await {
-                Ok(Some(body)) => Ok(body),
-                Ok(None) => Err(CommError::Timeout { waited_ns: ns }),
-                Err(e) => Err(e),
-            },
-            None => comm.ctrl_recv(from, tag).await,
-        };
-        match r {
-            Ok(body) => return Ok(body),
-            Err(e @ CommError::Timeout { .. }) => {
-                rec.recovery("fault:timeout", 0, t0, comm.time_ns());
-                attempts += 1;
-                if attempts > policy.max_retries {
-                    return Err(e);
-                }
-            }
-            Err(e) if is_transient(&e) => {
-                rec.recovery("fault:transient", 0, t0, comm.time_ns());
-                attempts += 1;
-                if attempts > policy.max_retries {
-                    return Err(e);
-                }
-                backoff(comm, rec, policy, attempts).await;
-            }
-            Err(e) => return Err(e),
-        }
-    }
+    recovered_recv!(
+        comm,
+        rec,
+        policy,
+        |ns| comm.ctrl_recv_deadline(from, tag, ns).await,
+        comm.ctrl_recv(from, tag).await
+    )
 }
 
-/// A bulk shared-memory receive under the policy — the twin of
-/// `exec::recovered_shm_recv`.
-#[allow(clippy::too_many_arguments)]
-async fn recovered_shm_recv(
-    comm: &mut PolledComm,
-    rec: &mut Recorder<'_>,
-    policy: &RecoveryPolicy,
-    from: usize,
-    tag: Tag,
-    dst: BufId,
-    off: usize,
-    len: usize,
-) -> Result<()> {
-    let mut attempts = 0u32;
-    loop {
-        let t0 = comm.time_ns();
-        let r = match recv_deadline_ns(policy) {
-            Some(ns) => match comm.shm_recv_deadline(from, tag, dst, off, len, ns).await {
-                Ok(true) => Ok(()),
-                Ok(false) => Err(CommError::Timeout { waited_ns: ns }),
-                Err(e) => Err(e),
-            },
-            None => comm.shm_recv_data(from, tag, dst, off, len).await,
-        };
-        match r {
-            Ok(()) => return Ok(()),
-            Err(e @ CommError::Timeout { .. }) => {
-                rec.recovery("fault:timeout", 0, t0, comm.time_ns());
-                attempts += 1;
-                if attempts > policy.max_retries {
-                    return Err(e);
-                }
-            }
-            Err(e) if is_transient(&e) => {
-                rec.recovery("fault:transient", 0, t0, comm.time_ns());
-                attempts += 1;
-                if attempts > policy.max_retries {
-                    return Err(e);
-                }
-                backoff(comm, rec, policy, attempts).await;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// Run every step, interposing the liveness watchdog — the twin of
-/// `exec::run_steps` (see there for the suspect/tolerant semantics).
-async fn run_steps(
-    comm: &mut PolledComm,
+/// Run every step, interposing the liveness watchdog: when the policy's
+/// membership watch is armed and a step with an identifiable peer dies
+/// with a suspect error (timeout, `ESRCH`), the failure is recorded as
+/// a `membership:suspect` span and either converted to the typed
+/// [`CommError::PeerDead`] or — under a tolerant policy — the step is
+/// skipped so the rest of the schedule still runs.
+async fn run_steps<C: AsyncComm>(
+    comm: &mut C,
     sched: &Schedule,
     ctx: &mut Ctx<'_>,
     rec: &mut Recorder<'_>,
@@ -472,10 +461,10 @@ async fn run_steps(
     Ok(())
 }
 
-/// Execute one IR step under the recovery policy — the twin of
-/// `exec::run_one_step`.
-async fn run_one_step(
-    comm: &mut PolledComm,
+/// Execute one IR step under the recovery policy; the watchdog wrapper
+/// in [`run_steps`] decides what a failure means.
+async fn run_one_step<C: AsyncComm>(
+    comm: &mut C,
     step: &Step,
     ctx: &mut Ctx<'_>,
     rec: &mut Recorder<'_>,
@@ -496,9 +485,15 @@ async fn run_one_step(
             dst_off,
             len,
         } => {
-            let t = ctx.token(*token)?;
-            let dst = ctx.slot(*dst)?;
-            recovered_cma(comm, rec, policy, true, t, *remote_off, dst, *dst_off, *len).await?;
+            let op = CmaOp {
+                read: true,
+                token: ctx.token(*token)?,
+                remote_off: *remote_off,
+                local: ctx.slot(*dst)?,
+                local_off: *dst_off,
+                len: *len,
+            };
+            recovered_cma(comm, rec, policy, op).await?;
             rec.add(StepKind::CmaRead, *len, t0, comm.time_ns());
         }
         Step::CmaWrite {
@@ -508,20 +503,15 @@ async fn run_one_step(
             src_off,
             len,
         } => {
-            let t = ctx.token(*token)?;
-            let src = ctx.slot(*src)?;
-            recovered_cma(
-                comm,
-                rec,
-                policy,
-                false,
-                t,
-                *remote_off,
-                src,
-                *src_off,
-                *len,
-            )
-            .await?;
+            let op = CmaOp {
+                read: false,
+                token: ctx.token(*token)?,
+                remote_off: *remote_off,
+                local: ctx.slot(*src)?,
+                local_off: *src_off,
+                len: *len,
+            };
+            recovered_cma(comm, rec, policy, op).await?;
             rec.add(StepKind::CmaWrite, *len, t0, comm.time_ns());
         }
         Step::CopyLocal {
@@ -554,7 +544,7 @@ async fn run_one_step(
         Step::WaitNotify { from, tag } => {
             // A notification is a 0-byte control message; route it
             // through the bounded receive so the wait obeys the step
-            // timeout (mirrors `CommExt::wait_notify`).
+            // timeout (mirrors `AsyncComm::wait_notify`).
             let body = recovered_ctrl_recv(comm, rec, policy, *from, *tag).await?;
             if !body.is_empty() {
                 return Err(proto(format!(
@@ -588,7 +578,16 @@ async fn run_one_step(
             len,
         } => {
             let dst = ctx.slot(*dst)?;
-            recovered_shm_recv(comm, rec, policy, *from, *tag, dst, *off, *len).await?;
+            recovered_recv!(
+                comm,
+                rec,
+                policy,
+                |ns| comm
+                    .shm_recv_deadline(*from, *tag, dst, *off, *len, ns)
+                    .await
+                    .map(|done| done.then_some(())),
+                comm.shm_recv_data(*from, *tag, dst, *off, *len).await
+            )?;
             rec.add(StepKind::ShmRecv, *len, t0, comm.time_ns());
         }
         Step::Reduce {
@@ -612,439 +611,4 @@ async fn run_one_step(
         }
     }
     Ok(())
-}
-
-// ---------------------------------------------------------------------
-// Entry twins: same validation, same PlanCache paths, polled execution.
-// ---------------------------------------------------------------------
-
-/// MPI_Scatter on the polled engine — the twin of
-/// [`crate::scatter`](fn@crate::scatter).
-pub async fn scatter_polled(
-    comm: &mut PolledComm,
-    algo: ScatterAlgo,
-    sendbuf: Option<BufId>,
-    recvbuf: Option<BufId>,
-    count: usize,
-    root: usize,
-) -> Result<Option<ScheduleReport>> {
-    let counts = vec![count; comm.size()];
-    scatterv_polled(comm, algo, sendbuf, recvbuf, &counts, None, root).await
-}
-
-/// MPI_Scatterv on the polled engine — the twin of
-/// [`crate::scatterv_with_report`]. Validation and degenerate handling
-/// mirror `scatter::prepare` line for line.
-pub async fn scatterv_polled(
-    comm: &mut PolledComm,
-    algo: ScatterAlgo,
-    sendbuf: Option<BufId>,
-    recvbuf: Option<BufId>,
-    counts: &[usize],
-    displs: Option<&[usize]>,
-    root: usize,
-) -> Result<Option<ScheduleReport>> {
-    let p = comm.size();
-    let me = comm.rank();
-    if root >= p {
-        return Err(CommError::BadRank(root));
-    }
-    if counts.len() != p || displs.is_some_and(|d| d.len() != p) {
-        return Err(CommError::Protocol(
-            "counts/displs length must equal size".into(),
-        ));
-    }
-    let layout = crate::scatter::build_layout(counts, displs);
-    if me == root {
-        let sb = sendbuf.ok_or(CommError::Protocol("root scatter needs sendbuf".into()))?;
-        let need = layout
-            .iter()
-            .map(|&(off, len)| off + len)
-            .max()
-            .unwrap_or(0);
-        let cap = comm.buf_len(sb)?;
-        if cap < need {
-            return Err(CommError::OutOfRange {
-                buf: sb.0,
-                off: 0,
-                len: need,
-                cap,
-            });
-        }
-    } else if recvbuf.is_none() && counts[me] > 0 {
-        return Err(CommError::Protocol("non-root scatter needs recvbuf".into()));
-    }
-    if p == 1 {
-        let sb = sendbuf.expect("validated: sender binds sendbuf");
-        let (off, len) = layout[root];
-        if let (Some(rb), true) = (recvbuf, len > 0) {
-            comm.copy_local(sb, off, rb, 0, len).await?;
-        }
-        return Ok(None);
-    }
-    if counts.iter().all(|&c| c == 0) {
-        return Ok(None);
-    }
-    if let ScatterAlgo::ThrottledRead { k } = algo {
-        if k == 0 {
-            return Err(CommError::Protocol("throttle factor must be ≥ 1".into()));
-        }
-    }
-    let plan = PlanCache::global().get_or_compile(
-        PlanKey::Scatter {
-            algo,
-            p,
-            rank: me,
-            counts: counts.to_vec(),
-            displs: displs.map(<[usize]>::to_vec),
-            root,
-            has_recvbuf: recvbuf.is_some(),
-        },
-        || compile_scatter(algo, p, me, &layout, root, recvbuf.is_some()),
-    );
-    execute_polled(
-        comm,
-        &plan,
-        &Bindings {
-            send: sendbuf,
-            recv: recvbuf,
-        },
-    )
-    .await
-    .map(Some)
-}
-
-/// MPI_Gatherv on the polled engine — the twin of
-/// [`crate::gatherv_with_report`]. Validation mirrors `gather::prepare`.
-pub async fn gatherv_polled(
-    comm: &mut PolledComm,
-    algo: GatherAlgo,
-    sendbuf: Option<BufId>,
-    recvbuf: Option<BufId>,
-    counts: &[usize],
-    displs: Option<&[usize]>,
-    root: usize,
-) -> Result<Option<ScheduleReport>> {
-    let p = comm.size();
-    let me = comm.rank();
-    if root >= p {
-        return Err(CommError::BadRank(root));
-    }
-    if counts.len() != p || displs.is_some_and(|d| d.len() != p) {
-        return Err(CommError::Protocol(
-            "counts/displs length must equal size".into(),
-        ));
-    }
-    let layout = crate::scatter::build_layout(counts, displs);
-    if me == root {
-        let rb = recvbuf.ok_or(CommError::Protocol("root gather needs recvbuf".into()))?;
-        let need = layout
-            .iter()
-            .map(|&(off, len)| off + len)
-            .max()
-            .unwrap_or(0);
-        let cap = comm.buf_len(rb)?;
-        if cap < need {
-            return Err(CommError::OutOfRange {
-                buf: rb.0,
-                off: 0,
-                len: need,
-                cap,
-            });
-        }
-    } else if sendbuf.is_none() && counts[me] > 0 {
-        return Err(CommError::Protocol("non-root gather needs sendbuf".into()));
-    }
-    if p == 1 {
-        let rb = recvbuf.expect("validated: root binds recvbuf");
-        let (off, len) = layout[root];
-        if let (Some(sb), true) = (sendbuf, len > 0) {
-            comm.copy_local(sb, 0, rb, off, len).await?;
-        }
-        return Ok(None);
-    }
-    if counts.iter().all(|&c| c == 0) {
-        return Ok(None);
-    }
-    if let GatherAlgo::ThrottledWrite { k } = algo {
-        if k == 0 {
-            return Err(CommError::Protocol("throttle factor must be ≥ 1".into()));
-        }
-    }
-    let plan = PlanCache::global().get_or_compile(
-        PlanKey::Gather {
-            algo,
-            p,
-            rank: me,
-            counts: counts.to_vec(),
-            displs: displs.map(<[usize]>::to_vec),
-            root,
-            has_sendbuf: sendbuf.is_some(),
-        },
-        || compile_gather(algo, p, me, &layout, root, sendbuf.is_some()),
-    );
-    execute_polled(
-        comm,
-        &plan,
-        &Bindings {
-            send: sendbuf,
-            recv: recvbuf,
-        },
-    )
-    .await
-    .map(Some)
-}
-
-/// MPI_Allgather on the polled engine — the twin of
-/// [`crate::allgather_with_report`]. Validation mirrors
-/// `allgather::validate`.
-pub async fn allgather_polled(
-    comm: &mut PolledComm,
-    algo: AllgatherAlgo,
-    sendbuf: Option<BufId>,
-    recvbuf: BufId,
-    count: usize,
-) -> Result<Option<ScheduleReport>> {
-    let p = comm.size();
-    let me = comm.rank();
-    let need = p * count;
-    let cap = comm.buf_len(recvbuf)?;
-    if cap < need {
-        return Err(CommError::OutOfRange {
-            buf: recvbuf.0,
-            off: 0,
-            len: need,
-            cap,
-        });
-    }
-    if count == 0 || p == 1 {
-        if let (Some(sb), true) = (sendbuf, count > 0) {
-            comm.copy_local(sb, 0, recvbuf, me * count, count).await?;
-        }
-        return Ok(None);
-    }
-    // Normalize the ring stride mod p so equivalent strides share a plan.
-    let algo = match algo {
-        AllgatherAlgo::RingNeighbor { j } => {
-            if crate::allgather::gcd(j % p, p) != 1 {
-                return Err(CommError::Protocol(format!(
-                    "ring-neighbor stride {j} shares a factor with p={p}"
-                )));
-            }
-            AllgatherAlgo::RingNeighbor { j: j % p }
-        }
-        other => other,
-    };
-    let plan = PlanCache::global().get_or_compile(
-        PlanKey::Allgather {
-            algo,
-            p,
-            rank: me,
-            count,
-            has_sendbuf: sendbuf.is_some(),
-        },
-        || compile_allgather(algo, p, me, count, sendbuf.is_some()),
-    );
-    execute_polled(
-        comm,
-        &plan,
-        &Bindings {
-            send: sendbuf,
-            recv: Some(recvbuf),
-        },
-    )
-    .await
-    .map(Some)
-}
-
-/// MPI_Alltoall on the polled engine — the twin of
-/// [`crate::alltoall_with_report`]. Validation and in-place staging
-/// mirror `alltoall::prepare` / `alltoall::stage_in_place`.
-pub async fn alltoall_polled(
-    comm: &mut PolledComm,
-    algo: AlltoallAlgo,
-    sendbuf: Option<BufId>,
-    recvbuf: BufId,
-    count: usize,
-) -> Result<Option<ScheduleReport>> {
-    let p = comm.size();
-    let me = comm.rank();
-    let need = p * count;
-    let cap = comm.buf_len(recvbuf)?;
-    if cap < need {
-        return Err(CommError::OutOfRange {
-            buf: recvbuf.0,
-            off: 0,
-            len: need,
-            cap,
-        });
-    }
-    if let Some(sb) = sendbuf {
-        let scap = comm.buf_len(sb)?;
-        if scap < need {
-            return Err(CommError::OutOfRange {
-                buf: sb.0,
-                off: 0,
-                len: need,
-                cap: scap,
-            });
-        }
-    }
-    if count == 0 {
-        return Ok(None);
-    }
-    if p == 1 {
-        if let Some(sb) = sendbuf {
-            comm.copy_local(sb, 0, recvbuf, 0, count).await?;
-        }
-        return Ok(None);
-    }
-    // MPI_IN_PLACE: stage the outgoing blocks so concurrent peers never
-    // observe half-overwritten source data.
-    let (source, staged) = match sendbuf {
-        Some(sb) => (sb, None),
-        None => {
-            let tmp = comm.alloc(need);
-            comm.copy_local(recvbuf, 0, tmp, 0, need).await?;
-            (tmp, Some(tmp))
-        }
-    };
-    let plan = PlanCache::global().get_or_compile(
-        PlanKey::Alltoall {
-            algo,
-            p,
-            rank: me,
-            count,
-        },
-        || compile_alltoall(algo, p, me, count),
-    );
-    let result = execute_polled(
-        comm,
-        &plan,
-        &Bindings {
-            send: Some(source),
-            recv: Some(recvbuf),
-        },
-    )
-    .await;
-    if let Some(tmp) = staged {
-        comm.free(tmp)?;
-    }
-    result.map(Some)
-}
-
-/// MPI_Bcast on the polled engine — the twin of
-/// [`crate::bcast_with_report`]. Validation mirrors `bcast::validate`.
-pub async fn bcast_polled(
-    comm: &mut PolledComm,
-    algo: BcastAlgo,
-    buf: BufId,
-    count: usize,
-    root: usize,
-) -> Result<Option<ScheduleReport>> {
-    let p = comm.size();
-    let me = comm.rank();
-    if root >= p {
-        return Err(CommError::BadRank(root));
-    }
-    let cap = comm.buf_len(buf)?;
-    if cap < count {
-        return Err(CommError::OutOfRange {
-            buf: buf.0,
-            off: 0,
-            len: count,
-            cap,
-        });
-    }
-    if p == 1 || count == 0 {
-        return Ok(None);
-    }
-    if let BcastAlgo::KNomial { radix } = algo {
-        if radix < 2 {
-            return Err(CommError::Protocol("k-nomial radix must be ≥ 2".into()));
-        }
-    }
-    let plan = PlanCache::global().get_or_compile(
-        PlanKey::Bcast {
-            algo,
-            p,
-            rank: me,
-            count,
-            root,
-        },
-        || compile_bcast(algo, p, me, count, root),
-    );
-    execute_polled(
-        comm,
-        &plan,
-        &Bindings {
-            send: Some(buf),
-            recv: None,
-        },
-    )
-    .await
-    .map(Some)
-}
-
-/// MPI_Reduce on the polled engine — the twin of
-/// [`crate::reduce_with_report`]. Validation mirrors `reduce::prepare`.
-#[allow(clippy::too_many_arguments)]
-pub async fn reduce_polled(
-    comm: &mut PolledComm,
-    algo: ReduceAlgo,
-    sendbuf: BufId,
-    recvbuf: Option<BufId>,
-    count: usize,
-    dtype: Dtype,
-    op: ReduceOp,
-    root: usize,
-) -> Result<Option<ScheduleReport>> {
-    let p = comm.size();
-    let me = comm.rank();
-    if root >= p {
-        return Err(CommError::BadRank(root));
-    }
-    if !count.is_multiple_of(dtype.width()) {
-        return Err(CommError::Protocol(format!(
-            "count {count} is not a multiple of the {dtype:?} width"
-        )));
-    }
-    if me == root && recvbuf.is_none() {
-        return Err(CommError::Protocol("root reduce needs recvbuf".into()));
-    }
-    if let ReduceAlgo::KNomialTree { radix } = algo {
-        if radix < 2 {
-            return Err(CommError::Protocol("tree radix must be ≥ 2".into()));
-        }
-    }
-    if count == 0 {
-        return Ok(None);
-    }
-    if p == 1 {
-        let rb = recvbuf.expect("validated: root binds recvbuf");
-        comm.copy_local(sendbuf, 0, rb, 0, count).await?;
-        return Ok(None);
-    }
-    let plan = PlanCache::global().get_or_compile(
-        PlanKey::Reduce {
-            algo,
-            p,
-            rank: me,
-            count,
-            dtype,
-            op,
-            root,
-        },
-        || compile_reduce(algo, p, me, count, dtype, op, root),
-    );
-    execute_polled(
-        comm,
-        &plan,
-        &Bindings {
-            send: Some(sendbuf),
-            recv: recvbuf,
-        },
-    )
-    .await
-    .map(Some)
 }

@@ -21,10 +21,13 @@
 //! [`allreduce`] composes these with the Bcast designs.
 
 use crate::bcast::{bcast, BcastAlgo};
-use crate::exec::{execute, Bindings, ScheduleReport};
+use crate::exec::{Bindings, ScheduleReport};
+use crate::polled::execute_polled;
 use crate::schedule::{compile_reduce, PlanCache, PlanKey};
 use crate::{class, unvrank, vrank};
-use kacc_comm::{BufId, Comm, CommError, CommExt, RemoteToken, Result, Tag};
+use kacc_comm::{
+    block_on, AsyncComm, Blocking, BufId, Comm, CommError, CommExt, RemoteToken, Result, Tag,
+};
 
 /// Element type of a reduction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -172,7 +175,33 @@ pub fn reduce_with_report<C: Comm + ?Sized>(
     op: ReduceOp,
     root: usize,
 ) -> Result<Option<ScheduleReport>> {
-    if !prepare(comm, algo, sendbuf, recvbuf, count, dtype, root)? {
+    block_on(reduce_polled(
+        &mut Blocking(comm),
+        algo,
+        sendbuf,
+        recvbuf,
+        count,
+        dtype,
+        op,
+        root,
+    ))
+}
+
+/// [`reduce`] on any [`AsyncComm`] endpoint: validate, fetch (or
+/// compile) the plan, execute it. `None` when the call was satisfied
+/// without a schedule (single rank or zero count).
+#[allow(clippy::too_many_arguments)]
+pub async fn reduce_polled<C: AsyncComm>(
+    comm: &mut C,
+    algo: ReduceAlgo,
+    sendbuf: BufId,
+    recvbuf: Option<BufId>,
+    count: usize,
+    dtype: Dtype,
+    op: ReduceOp,
+    root: usize,
+) -> Result<Option<ScheduleReport>> {
+    if !prepare(comm, algo, sendbuf, recvbuf, count, dtype, root).await? {
         return Ok(None);
     }
     let p = comm.size();
@@ -189,7 +218,7 @@ pub fn reduce_with_report<C: Comm + ?Sized>(
         },
         || compile_reduce(algo, p, me, count, dtype, op, root),
     );
-    execute(
+    execute_polled(
         comm,
         &plan,
         &Bindings {
@@ -197,12 +226,13 @@ pub fn reduce_with_report<C: Comm + ?Sized>(
             recv: recvbuf,
         },
     )
+    .await
     .map(Some)
 }
 
 /// Validation and degenerate-case handling shared by the compiled and
 /// legacy paths. Returns `false` when nothing is left to do.
-fn prepare<C: Comm + ?Sized>(
+async fn prepare<C: AsyncComm>(
     comm: &mut C,
     algo: ReduceAlgo,
     sendbuf: BufId,
@@ -234,7 +264,7 @@ fn prepare<C: Comm + ?Sized>(
     }
     if p == 1 {
         let rb = recvbuf.expect("validated: root binds recvbuf");
-        comm.copy_local(sendbuf, 0, rb, 0, count)?;
+        comm.copy_local(sendbuf, 0, rb, 0, count).await?;
         return Ok(false);
     }
     Ok(true)
@@ -254,7 +284,15 @@ pub fn reduce_legacy<C: Comm + ?Sized>(
     op: ReduceOp,
     root: usize,
 ) -> Result<()> {
-    if !prepare(comm, algo, sendbuf, recvbuf, count, dtype, root)? {
+    if !block_on(prepare(
+        &mut Blocking(&mut *comm),
+        algo,
+        sendbuf,
+        recvbuf,
+        count,
+        dtype,
+        root,
+    ))? {
         return Ok(());
     }
     match algo {

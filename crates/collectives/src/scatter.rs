@@ -1,15 +1,21 @@
 //! One-to-all personalized communication: MPI_Scatter (§IV-A).
 //!
-//! The public entry points are thin compile+execute wrappers: the
-//! algorithm structure is compiled once into a [`crate::schedule::Schedule`]
-//! (memoized in the global [`PlanCache`]) and replayed by the generic
-//! executor. `scatterv_legacy` keeps the original direct implementation
-//! for the traffic-equivalence tests.
+//! The entry points are thin compile+execute wrappers: the algorithm
+//! structure is compiled once into a [`crate::schedule::Schedule`]
+//! (memoized in the global [`PlanCache`]) and replayed by the executor.
+//! [`scatterv_polled`] is the one implementation, async over any
+//! [`AsyncComm`]; [`scatter`]/[`scatterv`]/[`scatterv_with_report`] run
+//! it on a blocking [`Comm`]. `scatterv_legacy` keeps the original
+//! direct implementation for the traffic-equivalence tests.
 
-use crate::exec::{execute, Bindings, ScheduleReport};
+use crate::exec::{Bindings, ScheduleReport};
+use crate::polled::execute_polled;
 use crate::schedule::{compile_scatter, PlanCache, PlanKey};
 use crate::{class, unvrank, vrank};
-use kacc_comm::{smcoll, BufId, Comm, CommError, CommExt, RemoteToken, Result, Tag};
+use kacc_comm::{
+    block_on, smcoll, AsyncComm, Blocking, BufId, Comm, CommError, CommExt, RemoteToken, Result,
+    Tag,
+};
 
 /// Scatter algorithm selection (§IV-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -80,9 +86,45 @@ pub fn scatterv_with_report<C: Comm + ?Sized>(
     displs: Option<&[usize]>,
     root: usize,
 ) -> Result<Option<ScheduleReport>> {
-    let layout = match prepare(comm, sendbuf, recvbuf, counts, displs, root)? {
-        Prepared::Done => return Ok(None),
-        Prepared::Run(layout) => layout,
+    block_on(scatterv_polled(
+        &mut Blocking(comm),
+        algo,
+        sendbuf,
+        recvbuf,
+        counts,
+        displs,
+        root,
+    ))
+}
+
+/// [`scatter`](fn@scatter) on any [`AsyncComm`] endpoint, returning the
+/// executor's per-step accounting.
+pub async fn scatter_polled<C: AsyncComm>(
+    comm: &mut C,
+    algo: ScatterAlgo,
+    sendbuf: Option<BufId>,
+    recvbuf: Option<BufId>,
+    count: usize,
+    root: usize,
+) -> Result<Option<ScheduleReport>> {
+    let counts = vec![count; comm.size()];
+    scatterv_polled(comm, algo, sendbuf, recvbuf, &counts, None, root).await
+}
+
+/// [`scatterv`] on any [`AsyncComm`] endpoint: validate, fetch (or
+/// compile) the plan, execute it. `None` when the call was satisfied
+/// without a schedule (single rank or all-zero counts).
+pub async fn scatterv_polled<C: AsyncComm>(
+    comm: &mut C,
+    algo: ScatterAlgo,
+    sendbuf: Option<BufId>,
+    recvbuf: Option<BufId>,
+    counts: &[usize],
+    displs: Option<&[usize]>,
+    root: usize,
+) -> Result<Option<ScheduleReport>> {
+    let Some(layout) = prepare(comm, sendbuf, recvbuf, counts, displs, root).await? else {
+        return Ok(None);
     };
     if let ScatterAlgo::ThrottledRead { k } = algo {
         if k == 0 {
@@ -103,7 +145,7 @@ pub fn scatterv_with_report<C: Comm + ?Sized>(
         },
         || compile_scatter(algo, p, me, &layout, root, recvbuf.is_some()),
     );
-    execute(
+    execute_polled(
         comm,
         &plan,
         &Bindings {
@@ -111,26 +153,22 @@ pub fn scatterv_with_report<C: Comm + ?Sized>(
             recv: recvbuf,
         },
     )
+    .await
     .map(Some)
 }
 
 /// Validation and degenerate-case handling shared by the compiled and
-/// legacy paths.
-enum Prepared {
-    /// Nothing left to do (single rank or all-zero counts).
-    Done,
-    /// Run the algorithm with this per-rank layout.
-    Run(Vec<(usize, usize)>),
-}
-
-fn prepare<C: Comm + ?Sized>(
+/// legacy paths: the per-rank `(offset, len)` layout to run the algorithm
+/// with, or `None` when nothing is left to do (single rank or all-zero
+/// counts).
+async fn prepare<C: AsyncComm>(
     comm: &mut C,
     sendbuf: Option<BufId>,
     recvbuf: Option<BufId>,
     counts: &[usize],
     displs: Option<&[usize]>,
     root: usize,
-) -> Result<Prepared> {
+) -> Result<Option<Vec<(usize, usize)>>> {
     let p = comm.size();
     let me = comm.rank();
     if root >= p {
@@ -162,19 +200,17 @@ fn prepare<C: Comm + ?Sized>(
         return Err(CommError::Protocol("non-root scatter needs recvbuf".into()));
     }
     if p == 1 {
-        root_self_copy(
-            comm,
-            sendbuf.expect("validated: sender binds sendbuf"),
-            recvbuf,
-            &layout,
-            root,
-        )?;
-        return Ok(Prepared::Done);
+        let sb = sendbuf.expect("validated: sender binds sendbuf");
+        let (off, len) = layout[root];
+        if let (Some(rb), true) = (recvbuf, len > 0) {
+            comm.copy_local(sb, off, rb, 0, len).await?;
+        }
+        return Ok(None);
     }
     if counts.iter().all(|&c| c == 0) {
-        return Ok(Prepared::Done);
+        return Ok(None);
     }
-    Ok(Prepared::Run(layout))
+    Ok(Some(layout))
 }
 
 /// Original direct implementation, kept verbatim so tests can assert the
@@ -189,9 +225,10 @@ pub fn scatterv_legacy<C: Comm + ?Sized>(
     displs: Option<&[usize]>,
     root: usize,
 ) -> Result<()> {
-    let layout = match prepare(comm, sendbuf, recvbuf, counts, displs, root)? {
-        Prepared::Done => return Ok(()),
-        Prepared::Run(layout) => layout,
+    let blocking = &mut Blocking(&mut *comm);
+    let prepared = prepare(blocking, sendbuf, recvbuf, counts, displs, root);
+    let Some(layout) = block_on(prepared)? else {
+        return Ok(());
     };
     match algo {
         ScatterAlgo::ParallelRead => parallel_read(comm, sendbuf, recvbuf, &layout, root),

@@ -1,20 +1,26 @@
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used)]
 
-//! Foundation types for kacc: the [`Comm`] endpoint trait, buffer handles,
-//! node topology, and small-message shared-memory collectives.
+//! Foundation types for kacc: the [`Comm`] / [`AsyncComm`] endpoint
+//! traits, buffer handles, node topology, and small-message
+//! shared-memory collectives.
 //!
-//! A [`Comm`] is one rank's endpoint into an intra-node communication
-//! domain. Collective algorithms (in `kacc-collectives`) are written once
-//! against this trait and run unchanged on:
+//! A [`Comm`] is one rank's blocking endpoint into an intra-node
+//! communication domain; [`AsyncComm`] is the same surface with `async`
+//! operations. The schedule executor, the membership loop and the
+//! library personas are written once against [`AsyncComm`] and run
+//! unchanged on:
 //!
-//! * the deterministic machine simulator (`kacc-machine::SimComm`), which
-//!   charges virtual time according to a mechanistic contention model,
+//! * the deterministic machine simulator (`kacc-machine::PolledComm`, a
+//!   native [`AsyncComm`]), which charges virtual time according to a
+//!   mechanistic contention model,
 //! * the real Linux transport (`kacc-native::NativeComm`), which issues
 //!   actual `process_vm_readv`/`process_vm_writev` syscalls between forked
 //!   processes, and
 //! * an in-process thread transport (`kacc-native::ThreadComm`) for
-//!   portable functional tests.
+//!   portable functional tests,
+//!
+//! the blocking ones through the [`Blocking`] adapter and [`block_on`].
 //!
 //! The data plane mirrors what a native CMA collective needs: processes
 //! allocate buffers, *expose* them to peers as [`RemoteToken`]s (the
@@ -23,14 +29,18 @@
 //! single-copy [`Comm::cma_read`] / [`Comm::cma_write`] operations or
 //! two-copy [`Comm::shm_send_data`] / [`Comm::shm_recv_data`] transfers.
 
+pub mod asynccomm;
 pub mod buffer;
 pub mod error;
 pub mod group;
 pub mod mask;
 pub mod smcoll;
+#[cfg(test)]
+mod stub;
 pub mod tagclass;
 pub mod topology;
 
+pub use asynccomm::{block_on, AsyncComm, Blocking};
 pub use buffer::{BufId, RemoteToken};
 pub use error::{CommError, Result};
 pub use group::{validate_members, SubComm};

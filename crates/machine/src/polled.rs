@@ -1,26 +1,27 @@
-//! `PolledComm`: the completion-based comm endpoint for the thread-free
-//! engine, plus the `run_polled_*` harness family.
+//! `PolledComm`: the simulator's endpoint, plus the `run_polled_*`
+//! harness family.
 //!
-//! [`PolledComm`] mirrors [`crate::SimComm`] operation for operation —
-//! the same poll closures, the same cost model, the same trace spans and
-//! `RankStats` accounting in the same order, the same fault-gate
-//! placement — with one difference: operations that would park the rank
-//! thread are `async` and return `Pending(wake_at)` to the
-//! [`kacc_sim_core::polled::PolledSim`] driver instead. Because the two
-//! engines share the kernel's event-queue bookkeeping and this module
-//! replays `SimComm`'s exact sequence of poll evaluations, state reads,
-//! and tracer calls, a polled run is bitwise-identical (virtual times,
-//! stats, payloads, traces) to the threads run of the same program — the
-//! engine-equivalence suite pins this.
+//! [`PolledComm`] is the machine model behind a native
+//! [`kacc_comm::AsyncComm`]: syscall, permission check, batched pinning
+//! through the page-lock server, copying through the memory system, the
+//! two-copy shared-memory path and the small-message control plane, each
+//! charged in virtual time. Operations that wait are `async` and return
+//! `Pending(wake_at)` to the [`kacc_sim_core::polled::PolledSim`]
+//! driver. Every figure, the benchmark and the measurement helpers run
+//! on this endpoint.
 //!
-//! `SimComm` itself stays untouched as the reference implementation:
-//! legacy closure-on-threads bodies keep running there, and any drift
-//! between the two is a bug in this mirror.
+//! [`crate::SimComm`] is the same model as a blocking
+//! [`kacc_comm::Comm`] on the threads kernel — operation for operation
+//! the same poll closures, cost arithmetic, trace spans, `RankStats`
+//! accounting and fault-gate placement, so a run of the same program is
+//! bitwise-identical on both (the engine-equivalence suite pins this).
+//! It survives only as a test transport; a change to the model must be
+//! made in both until it is deleted.
 
 use crate::fluid::FlowId;
-use crate::state::{MachineState, RankStats};
+use crate::state::MachineState;
 use crate::team::TeamRun;
-use kacc_comm::{BufId, CommError, RemoteToken, Result, Tag, Topology};
+use kacc_comm::{AsyncComm, BufId, CommError, RemoteToken, Result, Tag, Topology};
 use kacc_fault::{FaultDecision, FaultHook, FaultOp, FaultSite};
 use kacc_model::{ArchProfile, FabricParams};
 use kacc_sim_core::polled::{sim_advance, sim_now, sim_poll, sim_tid, sim_with_state, PolledSim};
@@ -42,6 +43,9 @@ pub struct PolledComm {
     nodes: Vec<usize>,
     node: usize,
     local: usize,
+    /// Ranks hosted per node (nodes are equally subscribed), cached so
+    /// [`PolledComm::local_of`] is a single modulo on the CMA hot path.
+    ranks_per_node: usize,
     t_syscall: u64,
     t_permcheck: u64,
     sm_msg_ns: f64,
@@ -80,6 +84,7 @@ impl PolledComm {
             tracer,
             fault,
             node: nodes[rank],
+            ranks_per_node: nranks / nodes.iter().max().map_or(1, |m| m + 1),
             nodes,
             local,
             rank,
@@ -143,7 +148,7 @@ impl PolledComm {
     }
 
     fn local_of(&self, rank: usize) -> usize {
-        rank % (self.nranks / self.nodes.iter().max().map_or(1, |m| m + 1))
+        rank % self.ranks_per_node
     }
 
     fn peak_bw(&self, peer: usize) -> f64 {
@@ -579,9 +584,8 @@ impl PolledComm {
     pub fn write_local(&mut self, buf: BufId, off: usize, data: &[u8]) -> Result<()> {
         self.check_local(buf, off, data.len())?;
         let me = self.rank;
-        let data = data.to_vec();
-        sim_with_state(move |s: &mut MachineState, _| {
-            s.heaps[me].write(buf.0, off, &data);
+        sim_with_state(|s: &mut MachineState, _| {
+            s.heaps[me].write(buf.0, off, data);
         });
         Ok(())
     }
@@ -590,13 +594,8 @@ impl PolledComm {
     pub fn read_local(&self, buf: BufId, off: usize, out: &mut [u8]) -> Result<()> {
         self.check_local(buf, off, out.len())?;
         let me = self.rank;
-        let len = out.len();
-        let data = sim_with_state(move |s: &mut MachineState, _| {
-            s.heaps[me]
-                .extract(buf.0, off, len)
-                .expect("range checked above")
-        });
-        out.copy_from_slice(&data);
+        let ok = sim_with_state(|s: &mut MachineState, _| s.heaps[me].read(buf.0, off, out));
+        debug_assert!(ok, "range checked above");
         Ok(())
     }
 
@@ -715,10 +714,12 @@ impl PolledComm {
         };
         let arrival = start + latency as u64;
         let me = self.rank;
-        let payload = data.to_vec();
+        // The closure is ready on its first evaluation, so the payload
+        // moves into the mailbox instead of being cloned.
+        let mut payload = data.to_vec();
         sim_poll("ctrl:send", move |s: &mut MachineState, w, _now| {
-            s.mail
-                .deposit(w, to, me, tag.0 as u64, arrival, payload.clone());
+            let payload = std::mem::take(&mut payload);
+            s.mail.deposit(w, to, me, tag.0 as u64, arrival, payload);
             Poll::Ready(())
         })
         .await;
@@ -813,11 +814,8 @@ impl PolledComm {
             self.copy_flow(len, self.bw_core).await;
         }
         let me = self.rank;
-        let payload = {
-            let mut out = vec![0u8; len];
-            self.read_local(src, off, &mut out)?;
-            out
-        };
+        let mut payload = vec![0u8; len];
+        self.read_local(src, off, &mut payload)?;
         let arrival = self.time_ns()
             + if cross_node {
                 self.net_alpha_ns as u64
@@ -828,7 +826,8 @@ impl PolledComm {
         sim_poll("shm:post", move |s: &mut MachineState, w, _now| {
             s.transport.shm_ops += 1;
             s.transport.shm_bytes += len as u64;
-            s.mail.deposit(w, to, me, key, arrival, payload.clone());
+            let payload = std::mem::take(&mut payload);
+            s.mail.deposit(w, to, me, key, arrival, payload);
             Poll::Ready(())
         })
         .await;
@@ -1046,6 +1045,83 @@ impl PolledComm {
     }
 }
 
+/// `fn name(&mut self, args..) -> impl Future<Output = T>` handing back
+/// the inherent method's future, one line per async trait method.
+macro_rules! forward_async {
+    ($($name:ident($($arg:ident: $ty:ty),*) -> $out:ty;)*) => {$(
+        fn $name(&mut self, $($arg: $ty),*) -> impl Future<Output = $out> {
+            PolledComm::$name(self, $($arg),*)
+        }
+    )*};
+}
+
+/// The polled endpoint is a native [`AsyncComm`]: every trait method
+/// hands back the inherent method's future unchanged, so generic bodies
+/// (executor, membership loop, library personas) instantiated over
+/// `PolledComm` compile to the same state machines a hand-written
+/// polled body would.
+impl AsyncComm for PolledComm {
+    fn rank(&self) -> usize {
+        self.rank
+    }
+
+    fn size(&self) -> usize {
+        self.nranks
+    }
+
+    fn topology(&self) -> Topology {
+        self.topo
+    }
+
+    fn node_of(&self, rank: usize) -> usize {
+        PolledComm::node_of(self, rank)
+    }
+
+    fn alloc(&mut self, len: usize) -> BufId {
+        PolledComm::alloc(self, len)
+    }
+
+    fn free(&mut self, buf: BufId) -> Result<()> {
+        PolledComm::free(self, buf)
+    }
+
+    fn buf_len(&self, buf: BufId) -> Result<usize> {
+        PolledComm::buf_len(self, buf)
+    }
+
+    fn write_local(&mut self, buf: BufId, off: usize, data: &[u8]) -> Result<()> {
+        PolledComm::write_local(self, buf, off, data)
+    }
+
+    fn read_local(&self, buf: BufId, off: usize, out: &mut [u8]) -> Result<()> {
+        PolledComm::read_local(self, buf, off, out)
+    }
+
+    fn time_ns(&self) -> u64 {
+        PolledComm::time_ns(self)
+    }
+
+    fn tracer(&self) -> Tracer {
+        PolledComm::tracer(self)
+    }
+
+    forward_async! {
+        copy_local(src: BufId, src_off: usize, dst: BufId, dst_off: usize, len: usize) -> Result<()>;
+        expose(buf: BufId) -> Result<RemoteToken>;
+        cma_read(token: RemoteToken, remote_off: usize, dst: BufId, dst_off: usize, len: usize) -> Result<()>;
+        cma_write(token: RemoteToken, remote_off: usize, src: BufId, src_off: usize, len: usize) -> Result<()>;
+        ctrl_send(to: usize, tag: Tag, data: &[u8]) -> Result<()>;
+        ctrl_recv(from: usize, tag: Tag) -> Result<Vec<u8>>;
+        ctrl_recv_deadline(from: usize, tag: Tag, timeout_ns: u64) -> Result<Option<Vec<u8>>>;
+        sleep_ns(ns: u64) -> ();
+        shm_send_data(to: usize, tag: Tag, src: BufId, off: usize, len: usize) -> Result<()>;
+        shm_recv_data(from: usize, tag: Tag, dst: BufId, off: usize, len: usize) -> Result<()>;
+        shm_recv_deadline(from: usize, tag: Tag, dst: BufId, off: usize, len: usize, timeout_ns: u64) -> Result<bool>;
+        shm_fallback_read(token: RemoteToken, remote_off: usize, dst: BufId, dst_off: usize, len: usize) -> Result<()>;
+        shm_fallback_write(token: RemoteToken, remote_off: usize, src: BufId, src_off: usize, len: usize) -> Result<()>;
+    }
+}
+
 /// Dissemination barrier over the polled control plane — the mirror of
 /// [`kacc_comm::smcoll::sm_barrier`] (same tags, same rounds, same
 /// message sequence).
@@ -1239,12 +1315,6 @@ where
             .collect(),
         trace,
     )
-}
-
-/// Aggregate stats helper mirroring [`TeamRun::total_stats`] — re-export
-/// for polled-engine callers that only import this module.
-pub fn total_stats(run: &TeamRun) -> RankStats {
-    run.total_stats()
 }
 
 #[cfg(test)]

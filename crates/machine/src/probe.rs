@@ -1,9 +1,8 @@
 //! Simulated Table III probes: implements `kacc_model::extract::CmaProbe`
 //! on top of the machine simulator.
 
-use crate::simcomm::CmaDir;
-use crate::team::run_team;
-use kacc_comm::{Comm, CommExt, RemoteToken, Tag};
+use crate::polled::{run_polled_team, CmaDir, PolledComm};
+use kacc_comm::{RemoteToken, Tag};
 use kacc_model::extract::{CmaProbe, ProbeSpec};
 use kacc_model::ArchProfile;
 
@@ -34,33 +33,40 @@ impl CmaProbe for SimProbe {
         // against a *distinct* region of rank 0's buffer (the Fig 2(c)
         // pattern: same process, different buffers — pure lock
         // contention, no data races).
-        let (_, durs) = run_team(&self.arch, readers + 1, move |comm| {
-            if comm.rank() == 0 {
+        let (_, durs) = run_polled_team(&self.arch, readers + 1, move |rank| async move {
+            let mut comm = PolledComm::new(rank);
+            if rank == 0 {
                 let buf = comm.alloc(remote_len.max(1) * readers);
                 let tok = comm
                     .expose(buf)
+                    .await
                     .expect("probe: expose cannot fail on fresh buffer");
                 for r in 1..=readers {
                     comm.ctrl_send(r, Tag::user(1), &tok.to_bytes())
+                        .await
                         .expect("probe: ctrl_send is infallible in-sim");
                 }
                 for r in 1..=readers {
                     comm.wait_notify(r, Tag::user(2))
+                        .await
                         .expect("probe: notification arrives");
                 }
                 0u64
             } else {
                 let raw = comm
                     .ctrl_recv(0, Tag::user(1))
+                    .await
                     .expect("probe: token message arrives");
                 let tok = RemoteToken::from_bytes(&raw).expect("probe: root sends a valid token");
                 let dst = comm.alloc(copy_len.max(1));
-                let off = (comm.rank() - 1) * remote_len;
+                let off = (rank - 1) * remote_len;
                 let t0 = comm.time_ns();
                 comm.cma_transfer(tok, off, dst, 0, remote_len, copy_len, CmaDir::Read)
+                    .await
                     .expect("probe: transfer succeeds fault-free");
                 let d = comm.time_ns() - t0;
                 comm.notify(0, Tag::user(2))
+                    .await
                     .expect("probe: notify is infallible in-sim");
                 d
             }

@@ -14,18 +14,20 @@
 //! * **Kacc** — this repository's contention-aware designs, selected by
 //!   the model-driven [`Tuner`].
 //!
-//! All personas run over the same `Comm`, so measured differences come
+//! All personas run over the same endpoint, so measured differences come
 //! from algorithm and protocol choices alone — the apples-to-apples
-//! setting the paper's Figs 13–18 need.
+//! setting the paper's Figs 13–18 need. Each persona is written once as
+//! an `*_async` function over [`AsyncComm`] (what the simulator runs);
+//! the plain-named functions drive the same code on a blocking
+//! [`Comm`].
 
 use crate::pt2pt::Protocol;
 use crate::ptcoll;
 use kacc_collectives::{
-    allgather as kacc_allgather, alltoall as kacc_alltoall, bcast as kacc_bcast,
-    gather as kacc_gather, scatter as kacc_scatter, AllgatherAlgo, BcastAlgo, GatherAlgo,
-    ScatterAlgo, Tuner,
+    allgather_polled, alltoall_polled, bcast_polled, gatherv_polled, scatter_polled, AllgatherAlgo,
+    BcastAlgo, GatherAlgo, ScatterAlgo, Tuner,
 };
-use kacc_comm::{BufId, Comm, Result};
+use kacc_comm::{block_on, AsyncComm, Blocking, BufId, Comm, Result};
 
 /// Which library persona executes the collective.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -77,7 +79,7 @@ impl Library {
 
 /// Scatter under a persona. `tuner` is consulted only by
 /// [`Library::Kacc`].
-pub fn scatter<C: Comm + ?Sized>(
+pub async fn scatter_async<C: AsyncComm>(
     comm: &mut C,
     lib: Library,
     tuner: &Tuner,
@@ -90,18 +92,16 @@ pub fn scatter<C: Comm + ?Sized>(
     match lib {
         Library::Kacc => {
             let algo = tuner.scatter(p, count);
-            kacc_scatter(comm, algo, sendbuf, recvbuf, count, root)
+            scatter_polled(comm, algo, sendbuf, recvbuf, count, root)
+                .await
+                .map(drop)
         }
         Library::OpenMpi => {
             // One-copy parallel reads, no throttling (Ma et al. style).
-            kacc_scatter(
-                comm,
-                ScatterAlgo::ParallelRead,
-                sendbuf,
-                recvbuf,
-                count,
-                root,
-            )
+            let algo = ScatterAlgo::ParallelRead;
+            scatter_polled(comm, algo, sendbuf, recvbuf, count, root)
+                .await
+                .map(drop)
         }
         Library::Mvapich2 | Library::IntelMpi => {
             let rb = match recvbuf {
@@ -109,18 +109,19 @@ pub fn scatter<C: Comm + ?Sized>(
                 // pt2pt trees cannot leave the root's slice in place.
                 None => {
                     let tmp = comm.alloc(count);
-                    let r = ptcoll::scatter(comm, sendbuf, tmp, count, root, lib.pt_proto(count));
+                    let r =
+                        ptcoll::scatter(comm, sendbuf, tmp, count, root, lib.pt_proto(count)).await;
                     comm.free(tmp)?;
                     return r;
                 }
             };
-            ptcoll::scatter(comm, sendbuf, rb, count, root, lib.pt_proto(count))
+            ptcoll::scatter(comm, sendbuf, rb, count, root, lib.pt_proto(count)).await
         }
     }
 }
 
 /// Gather under a persona.
-pub fn gather<C: Comm + ?Sized>(
+pub async fn gather_async<C: AsyncComm>(
     comm: &mut C,
     lib: Library,
     tuner: &Tuner,
@@ -134,16 +135,16 @@ pub fn gather<C: Comm + ?Sized>(
     match lib {
         Library::Kacc => {
             let algo = tuner.gather(p, count);
-            kacc_gather(comm, algo, sendbuf, recvbuf, count, root)
+            gatherv_polled(comm, algo, sendbuf, recvbuf, &vec![count; p], None, root)
+                .await
+                .map(drop)
         }
-        Library::OpenMpi => kacc_gather(
-            comm,
-            GatherAlgo::ParallelWrite,
-            sendbuf,
-            recvbuf,
-            count,
-            root,
-        ),
+        Library::OpenMpi => {
+            let algo = GatherAlgo::ParallelWrite;
+            gatherv_polled(comm, algo, sendbuf, recvbuf, &vec![count; p], None, root)
+                .await
+                .map(drop)
+        }
         Library::Mvapich2 | Library::IntelMpi => {
             let sb = match sendbuf {
                 Some(sb) => sb,
@@ -151,19 +152,20 @@ pub fn gather<C: Comm + ?Sized>(
                     // MPI_IN_PLACE at the root: stage the root's block.
                     let rb = recvbuf.expect("root gather has recvbuf");
                     let tmp = comm.alloc(count);
-                    comm.copy_local(rb, me * count, tmp, 0, count)?;
-                    let r = ptcoll::gather(comm, tmp, recvbuf, count, root, lib.pt_proto(count));
+                    comm.copy_local(rb, me * count, tmp, 0, count).await?;
+                    let r =
+                        ptcoll::gather(comm, tmp, recvbuf, count, root, lib.pt_proto(count)).await;
                     comm.free(tmp)?;
                     return r;
                 }
             };
-            ptcoll::gather(comm, sb, recvbuf, count, root, lib.pt_proto(count))
+            ptcoll::gather(comm, sb, recvbuf, count, root, lib.pt_proto(count)).await
         }
     }
 }
 
 /// Broadcast under a persona.
-pub fn bcast<C: Comm + ?Sized>(
+pub async fn bcast_async<C: AsyncComm>(
     comm: &mut C,
     lib: Library,
     tuner: &Tuner,
@@ -175,17 +177,19 @@ pub fn bcast<C: Comm + ?Sized>(
     match lib {
         Library::Kacc => {
             let algo = tuner.bcast(p, count);
-            kacc_bcast(comm, algo, buf, count, root)
+            bcast_polled(comm, algo, buf, count, root).await.map(drop)
         }
-        Library::OpenMpi => kacc_bcast(comm, BcastAlgo::DirectRead, buf, count, root),
+        Library::OpenMpi => bcast_polled(comm, BcastAlgo::DirectRead, buf, count, root)
+            .await
+            .map(drop),
         Library::Mvapich2 | Library::IntelMpi => {
-            ptcoll::bcast(comm, buf, count, root, lib.pt_proto(count))
+            ptcoll::bcast(comm, buf, count, root, lib.pt_proto(count)).await
         }
     }
 }
 
 /// Allgather under a persona.
-pub fn allgather<C: Comm + ?Sized>(
+pub async fn allgather_async<C: AsyncComm>(
     comm: &mut C,
     lib: Library,
     tuner: &Tuner,
@@ -198,36 +202,35 @@ pub fn allgather<C: Comm + ?Sized>(
     match lib {
         Library::Kacc => {
             let algo = tuner.allgather(p, count);
-            kacc_allgather(comm, algo, sendbuf, recvbuf, count)
+            allgather_polled(comm, algo, sendbuf, recvbuf, count)
+                .await
+                .map(drop)
         }
         Library::OpenMpi => {
             // Neighbor-exchange kernel-assisted ring (Ma et al. style).
-            kacc_allgather(
-                comm,
-                AllgatherAlgo::RingNeighbor { j: 1 },
-                sendbuf,
-                recvbuf,
-                count,
-            )
+            let algo = AllgatherAlgo::RingNeighbor { j: 1 };
+            allgather_polled(comm, algo, sendbuf, recvbuf, count)
+                .await
+                .map(drop)
         }
         Library::Mvapich2 | Library::IntelMpi => {
             let sb = match sendbuf {
                 Some(sb) => sb,
                 None => {
                     let tmp = comm.alloc(count);
-                    comm.copy_local(recvbuf, me * count, tmp, 0, count)?;
-                    let r = ptcoll::allgather(comm, tmp, recvbuf, count, lib.pt_proto(count));
+                    comm.copy_local(recvbuf, me * count, tmp, 0, count).await?;
+                    let r = ptcoll::allgather(comm, tmp, recvbuf, count, lib.pt_proto(count)).await;
                     comm.free(tmp)?;
                     return r;
                 }
             };
-            ptcoll::allgather(comm, sb, recvbuf, count, lib.pt_proto(count))
+            ptcoll::allgather(comm, sb, recvbuf, count, lib.pt_proto(count)).await
         }
     }
 }
 
 /// Alltoall under a persona.
-pub fn alltoall<C: Comm + ?Sized>(
+pub async fn alltoall_async<C: AsyncComm>(
     comm: &mut C,
     lib: Library,
     tuner: &Tuner,
@@ -239,22 +242,101 @@ pub fn alltoall<C: Comm + ?Sized>(
     match lib {
         Library::Kacc => {
             let algo = tuner.alltoall(p, count);
-            kacc_alltoall(comm, algo, sendbuf, recvbuf, count)
+            alltoall_polled(comm, algo, sendbuf, recvbuf, count)
+                .await
+                .map(drop)
         }
         Library::OpenMpi | Library::Mvapich2 | Library::IntelMpi => {
             let sb = match sendbuf {
                 Some(sb) => sb,
                 None => {
                     let tmp = comm.alloc(p * count);
-                    comm.copy_local(recvbuf, 0, tmp, 0, p * count)?;
-                    let r = ptcoll::alltoall(comm, tmp, recvbuf, count, lib.pt_proto(count));
+                    comm.copy_local(recvbuf, 0, tmp, 0, p * count).await?;
+                    let r = ptcoll::alltoall(comm, tmp, recvbuf, count, lib.pt_proto(count)).await;
                     comm.free(tmp)?;
                     return r;
                 }
             };
-            ptcoll::alltoall(comm, sb, recvbuf, count, lib.pt_proto(count))
+            ptcoll::alltoall(comm, sb, recvbuf, count, lib.pt_proto(count)).await
         }
     }
+}
+
+/// [`scatter_async`] on a blocking transport.
+pub fn scatter<C: Comm + ?Sized>(
+    comm: &mut C,
+    lib: Library,
+    tuner: &Tuner,
+    sendbuf: Option<BufId>,
+    recvbuf: Option<BufId>,
+    count: usize,
+    root: usize,
+) -> Result<()> {
+    let comm = &mut Blocking(comm);
+    block_on(scatter_async(
+        comm, lib, tuner, sendbuf, recvbuf, count, root,
+    ))
+}
+
+/// [`gather_async`] on a blocking transport.
+pub fn gather<C: Comm + ?Sized>(
+    comm: &mut C,
+    lib: Library,
+    tuner: &Tuner,
+    sendbuf: Option<BufId>,
+    recvbuf: Option<BufId>,
+    count: usize,
+    root: usize,
+) -> Result<()> {
+    let comm = &mut Blocking(comm);
+    block_on(gather_async(
+        comm, lib, tuner, sendbuf, recvbuf, count, root,
+    ))
+}
+
+/// [`bcast_async`] on a blocking transport.
+pub fn bcast<C: Comm + ?Sized>(
+    comm: &mut C,
+    lib: Library,
+    tuner: &Tuner,
+    buf: BufId,
+    count: usize,
+    root: usize,
+) -> Result<()> {
+    block_on(bcast_async(
+        &mut Blocking(comm),
+        lib,
+        tuner,
+        buf,
+        count,
+        root,
+    ))
+}
+
+/// [`allgather_async`] on a blocking transport.
+pub fn allgather<C: Comm + ?Sized>(
+    comm: &mut C,
+    lib: Library,
+    tuner: &Tuner,
+    sendbuf: Option<BufId>,
+    recvbuf: BufId,
+    count: usize,
+) -> Result<()> {
+    let comm = &mut Blocking(comm);
+    block_on(allgather_async(comm, lib, tuner, sendbuf, recvbuf, count))
+}
+
+/// [`alltoall_async`] on a blocking transport.
+pub fn alltoall<C: Comm + ?Sized>(
+    comm: &mut C,
+    lib: Library,
+    tuner: &Tuner,
+    sendbuf: Option<BufId>,
+    recvbuf: BufId,
+    count: usize,
+) -> Result<()> {
+    let comm = &mut Blocking(comm);
+    block_on(alltoall_async(comm, lib, tuner, sendbuf, recvbuf, count))
 }
 
 #[cfg(test)]
@@ -262,8 +344,7 @@ pub fn alltoall<C: Comm + ?Sized>(
 mod tests {
     use super::*;
     use kacc_collectives::verify::{contribution, diff, gather_expected};
-    use kacc_comm::CommExt;
-    use kacc_machine::run_team;
+    use kacc_machine::{run_polled_team, PolledComm};
     use kacc_model::ArchProfile;
 
     const LIBS: [Library; 4] = [
@@ -278,13 +359,14 @@ mod tests {
         let arch = ArchProfile::broadwell();
         for lib in LIBS {
             for count in [512usize, 40_000] {
-                let tuner_arch = arch.clone();
-                let (_, results) = run_team(&arch, 8, move |comm| {
-                    let tuner = Tuner::new(&tuner_arch);
-                    let me = comm.rank();
-                    let sb = comm.alloc_with(&contribution(me, count));
+                let (_, results) = run_polled_team(&arch, 8, move |me| async move {
+                    let comm = &mut PolledComm::new(me);
+                    let tuner = Tuner::new(&ArchProfile::broadwell());
+                    let sb = comm.alloc_with(&contribution(me, count)).unwrap();
                     let rb = (me == 0).then(|| comm.alloc(8 * count));
-                    gather(comm, lib, &tuner, Some(sb), rb, count, 0).unwrap();
+                    gather_async(comm, lib, &tuner, Some(sb), rb, count, 0)
+                        .await
+                        .unwrap();
                     rb.map(|b| comm.read_all(b).unwrap()).unwrap_or_default()
                 });
                 if let Some(d) = diff(&results[0], &gather_expected(8, count)) {
@@ -298,14 +380,17 @@ mod tests {
     fn every_library_bcasts_correctly() {
         let arch = ArchProfile::broadwell();
         for lib in LIBS {
-            let (_, results) = run_team(&arch, 7, move |comm| {
+            let (_, results) = run_polled_team(&arch, 7, move |me| async move {
+                let comm = &mut PolledComm::new(me);
                 let tuner = Tuner::new(&ArchProfile::broadwell());
-                let buf = if comm.rank() == 2 {
-                    comm.alloc_with(&contribution(2, 30_000))
+                let buf = if me == 2 {
+                    comm.alloc_with(&contribution(2, 30_000)).unwrap()
                 } else {
                     comm.alloc(30_000)
                 };
-                bcast(comm, lib, &tuner, buf, 30_000, 2).unwrap();
+                bcast_async(comm, lib, &tuner, buf, 30_000, 2)
+                    .await
+                    .unwrap();
                 comm.read_all(buf).unwrap()
             });
             for got in &results {
@@ -324,12 +409,16 @@ mod tests {
             let mut lat = std::collections::HashMap::new();
             for lib in LIBS {
                 let tuner_arch = arch.clone();
-                let (run, _) = run_team(&arch, p, move |comm| {
+                let (run, _) = run_polled_team(&arch, p, move |me| {
                     let tuner = Tuner::new(&tuner_arch);
-                    let me = comm.rank();
-                    let sb = comm.alloc(count);
-                    let rb = (me == 0).then(|| comm.alloc(p * count));
-                    gather(comm, lib, &tuner, Some(sb), rb, count, 0).unwrap();
+                    async move {
+                        let comm = &mut PolledComm::new(me);
+                        let sb = comm.alloc(count);
+                        let rb = (me == 0).then(|| comm.alloc(p * count));
+                        gather_async(comm, lib, &tuner, Some(sb), rb, count, 0)
+                            .await
+                            .unwrap();
+                    }
                 });
                 lat.insert(lib, run.end_ns);
             }

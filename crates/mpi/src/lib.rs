@@ -20,6 +20,13 @@
 //!   [`baseline::Library::OpenMpi`] (kernel-assisted one-copy collectives
 //!   à la Ma et al., *without* contention awareness), plus
 //!   [`baseline::Library::Kacc`] — this repository's tuned designs.
+//!
+//! All protocol code is `async` over [`kacc_comm::AsyncComm`] and exists
+//! once: the simulator runs it natively, and the entry points a blocking
+//! transport needs (`baseline::{bcast, scatter, gather, allgather,
+//! alltoall}`, `ptcoll::{gather_direct, scatter_direct}`) are
+//! `block_on(.. &mut Blocking(comm) ..)` wrappers over the `*_async`
+//! bodies.
 
 pub mod baseline;
 pub mod pt2pt;

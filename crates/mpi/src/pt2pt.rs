@@ -1,4 +1,4 @@
-//! Point-to-point protocols over a [`Comm`] endpoint.
+//! Point-to-point protocols over an [`AsyncComm`] endpoint.
 //!
 //! Four protocols, mirroring what production MPI libraries do:
 //!
@@ -21,7 +21,7 @@
 //! `NetRendezvous` automatically when the peers sit on different nodes
 //! (both sides compute this locally, so they always agree).
 
-use kacc_comm::{BufId, Comm, CommError, RemoteToken, Result, Tag};
+use kacc_comm::{AsyncComm, BufId, CommError, RemoteToken, Result, Tag};
 
 /// Point-to-point transfer protocol. Sender and receiver must agree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,7 +72,7 @@ fn cts_tag(user: u16) -> Tag {
 /// Kernel-assisted copies cannot cross node boundaries; both ends of a
 /// cross-node CMA rendezvous deterministically resolve to the network
 /// rendezvous instead.
-fn effective<C: Comm + ?Sized>(comm: &C, peer: usize, proto: Protocol) -> Protocol {
+fn effective<C: AsyncComm>(comm: &C, peer: usize, proto: Protocol) -> Protocol {
     if proto == Protocol::RendezvousCma && comm.node_of(peer) != comm.node_of(comm.rank()) {
         Protocol::NetRendezvous
     } else {
@@ -88,7 +88,7 @@ fn effective<C: Comm + ?Sized>(comm: &C, peer: usize, proto: Protocol) -> Protoc
 //   serve    — react to the peer's announcement (read + FIN, or CTS)
 //   finish   — collect the data
 
-fn post_send<C: Comm + ?Sized>(
+async fn post_send<C: AsyncComm>(
     comm: &mut C,
     to: usize,
     tag: u16,
@@ -101,21 +101,24 @@ fn post_send<C: Comm + ?Sized>(
         Protocol::Eager => {
             let mut payload = vec![0u8; len];
             comm.read_local(buf, off, &mut payload)?;
-            comm.ctrl_send(to, data_tag(tag), &payload)
+            comm.ctrl_send(to, data_tag(tag), &payload).await
         }
-        Protocol::ShmCopy => comm.shm_send_data(to, data_tag(tag), buf, off, len),
+        Protocol::ShmCopy => comm.shm_send_data(to, data_tag(tag), buf, off, len).await,
         Protocol::RendezvousCma => {
-            let token = comm.expose(buf)?;
+            let token = comm.expose(buf).await?;
             let mut rts = token.to_bytes().to_vec();
             rts.extend_from_slice(&(off as u64).to_le_bytes());
             rts.extend_from_slice(&(len as u64).to_le_bytes());
-            comm.ctrl_send(to, rts_tag(tag), &rts)
+            comm.ctrl_send(to, rts_tag(tag), &rts).await
         }
-        Protocol::NetRendezvous => comm.ctrl_send(to, rts_tag(tag), &(len as u64).to_le_bytes()),
+        Protocol::NetRendezvous => {
+            comm.ctrl_send(to, rts_tag(tag), &(len as u64).to_le_bytes())
+                .await
+        }
     }
 }
 
-fn complete_send<C: Comm + ?Sized>(
+async fn complete_send<C: AsyncComm>(
     comm: &mut C,
     to: usize,
     tag: u16,
@@ -127,7 +130,7 @@ fn complete_send<C: Comm + ?Sized>(
     match proto {
         Protocol::Eager | Protocol::ShmCopy => Ok(()),
         Protocol::RendezvousCma => {
-            let fin = comm.ctrl_recv(to, fin_tag(tag))?;
+            let fin = comm.ctrl_recv(to, fin_tag(tag)).await?;
             if fin.is_empty() {
                 Ok(())
             } else {
@@ -135,16 +138,16 @@ fn complete_send<C: Comm + ?Sized>(
             }
         }
         Protocol::NetRendezvous => {
-            let cts = comm.ctrl_recv(to, cts_tag(tag))?;
+            let cts = comm.ctrl_recv(to, cts_tag(tag)).await?;
             if !cts.is_empty() {
                 return Err(CommError::Protocol("unexpected CTS payload".into()));
             }
-            comm.shm_send_data(to, data_tag(tag), buf, off, len)
+            comm.shm_send_data(to, data_tag(tag), buf, off, len).await
         }
     }
 }
 
-fn serve_recv<C: Comm + ?Sized>(
+async fn serve_recv<C: AsyncComm>(
     comm: &mut C,
     from: usize,
     tag: u16,
@@ -156,7 +159,7 @@ fn serve_recv<C: Comm + ?Sized>(
     match proto {
         Protocol::Eager | Protocol::ShmCopy => Ok(()),
         Protocol::RendezvousCma => {
-            let rts = comm.ctrl_recv(from, rts_tag(tag))?;
+            let rts = comm.ctrl_recv(from, rts_tag(tag)).await?;
             let (token, roff, rlen) = parse_rts(&rts)?;
             if rlen != len {
                 return Err(CommError::Truncated {
@@ -164,11 +167,11 @@ fn serve_recv<C: Comm + ?Sized>(
                     got: rlen,
                 });
             }
-            comm.cma_read(token, roff, buf, off, len)?;
-            comm.ctrl_send(from, fin_tag(tag), &[])
+            comm.cma_read(token, roff, buf, off, len).await?;
+            comm.ctrl_send(from, fin_tag(tag), &[]).await
         }
         Protocol::NetRendezvous => {
-            let rts = comm.ctrl_recv(from, rts_tag(tag))?;
+            let rts = comm.ctrl_recv(from, rts_tag(tag)).await?;
             if rts.len() != 8 {
                 return Err(CommError::Protocol("bad network RTS".into()));
             }
@@ -179,12 +182,12 @@ fn serve_recv<C: Comm + ?Sized>(
                     got: rlen,
                 });
             }
-            comm.ctrl_send(from, cts_tag(tag), &[])
+            comm.ctrl_send(from, cts_tag(tag), &[]).await
         }
     }
 }
 
-fn finish_recv<C: Comm + ?Sized>(
+async fn finish_recv<C: AsyncComm>(
     comm: &mut C,
     from: usize,
     tag: u16,
@@ -195,7 +198,7 @@ fn finish_recv<C: Comm + ?Sized>(
 ) -> Result<()> {
     match proto {
         Protocol::Eager => {
-            let payload = comm.ctrl_recv(from, data_tag(tag))?;
+            let payload = comm.ctrl_recv(from, data_tag(tag)).await?;
             if payload.len() != len {
                 return Err(CommError::Truncated {
                     wanted: len,
@@ -205,14 +208,14 @@ fn finish_recv<C: Comm + ?Sized>(
             comm.write_local(buf, off, &payload)
         }
         Protocol::ShmCopy | Protocol::NetRendezvous => {
-            comm.shm_recv_data(from, data_tag(tag), buf, off, len)
+            comm.shm_recv_data(from, data_tag(tag), buf, off, len).await
         }
         Protocol::RendezvousCma => Ok(()),
     }
 }
 
-/// Blocking send of `len` bytes from `buf[off..]` to rank `to`.
-pub fn send<C: Comm + ?Sized>(
+/// Send `len` bytes from `buf[off..]` to rank `to`.
+pub async fn send<C: AsyncComm>(
     comm: &mut C,
     to: usize,
     tag: u16,
@@ -222,12 +225,12 @@ pub fn send<C: Comm + ?Sized>(
     proto: Protocol,
 ) -> Result<()> {
     let proto = effective(comm, to, proto);
-    post_send(comm, to, tag, buf, off, len, proto)?;
-    complete_send(comm, to, tag, buf, off, len, proto)
+    post_send(comm, to, tag, buf, off, len, proto).await?;
+    complete_send(comm, to, tag, buf, off, len, proto).await
 }
 
-/// Blocking receive of `len` bytes into `buf[off..]` from rank `from`.
-pub fn recv<C: Comm + ?Sized>(
+/// Receive `len` bytes into `buf[off..]` from rank `from`.
+pub async fn recv<C: AsyncComm>(
     comm: &mut C,
     from: usize,
     tag: u16,
@@ -237,8 +240,8 @@ pub fn recv<C: Comm + ?Sized>(
     proto: Protocol,
 ) -> Result<()> {
     let proto = effective(comm, from, proto);
-    serve_recv(comm, from, tag, buf, off, len, proto)?;
-    finish_recv(comm, from, tag, buf, off, len, proto)
+    serve_recv(comm, from, tag, buf, off, len, proto).await?;
+    finish_recv(comm, from, tag, buf, off, len, proto).await
 }
 
 /// Deadlock-free combined send+receive (the engine of exchange
@@ -246,7 +249,7 @@ pub fn recv<C: Comm + ?Sized>(
 /// only on a phase its peer has already executed, which makes arbitrary
 /// cycles of `sendrecv` safe for every protocol mix.
 #[allow(clippy::too_many_arguments)]
-pub fn sendrecv<C: Comm + ?Sized>(
+pub async fn sendrecv<C: AsyncComm>(
     comm: &mut C,
     to: usize,
     sbuf: BufId,
@@ -261,10 +264,10 @@ pub fn sendrecv<C: Comm + ?Sized>(
 ) -> Result<()> {
     let sproto = effective(comm, to, proto);
     let rproto = effective(comm, from, proto);
-    post_send(comm, to, tag, sbuf, soff, slen, sproto)?;
-    serve_recv(comm, from, tag, rbuf, roff, rlen, rproto)?;
-    complete_send(comm, to, tag, sbuf, soff, slen, sproto)?;
-    finish_recv(comm, from, tag, rbuf, roff, rlen, rproto)
+    post_send(comm, to, tag, sbuf, soff, slen, sproto).await?;
+    serve_recv(comm, from, tag, rbuf, roff, rlen, rproto).await?;
+    complete_send(comm, to, tag, sbuf, soff, slen, sproto).await?;
+    finish_recv(comm, from, tag, rbuf, roff, rlen, rproto).await
 }
 
 fn parse_rts(rts: &[u8]) -> Result<(RemoteToken, usize, usize)> {
@@ -281,20 +284,20 @@ fn parse_rts(rts: &[u8]) -> Result<(RemoteToken, usize, usize)> {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use kacc_comm::CommExt;
-    use kacc_machine::{run_cluster, run_team};
+    use kacc_machine::{run_polled_cluster, run_polled_team, PolledComm};
     use kacc_model::{ArchProfile, FabricParams};
 
     fn ping(proto: Protocol, len: usize) {
-        let (_, results) = run_team(&ArchProfile::broadwell(), 2, move |comm| {
-            if comm.rank() == 0 {
+        let (_, results) = run_polled_team(&ArchProfile::broadwell(), 2, move |rank| async move {
+            let comm = &mut PolledComm::new(rank);
+            if rank == 0 {
                 let data: Vec<u8> = (0..len).map(|i| (i * 7) as u8).collect();
-                let sb = comm.alloc_with(&data);
-                send(comm, 1, 3, sb, 0, len, proto).unwrap();
+                let sb = comm.alloc_with(&data).unwrap();
+                send(comm, 1, 3, sb, 0, len, proto).await.unwrap();
                 Vec::new()
             } else {
                 let rb = comm.alloc(len);
-                recv(comm, 0, 3, rb, 0, len, proto).unwrap();
+                recv(comm, 0, 3, rb, 0, len, proto).await.unwrap();
                 comm.read_all(rb).unwrap()
             }
         });
@@ -315,20 +318,47 @@ mod tests {
     fn rendezvous_downgrades_across_nodes() {
         // A CMA rendezvous between nodes must silently become a network
         // rendezvous and still deliver.
-        let (_, results) = run_cluster(&ArchProfile::knl(), 2, 2, FabricParams::ib_edr(), |comm| {
-            if comm.rank() == 0 {
-                let sb = comm.alloc_with(&[0x5A; 70_000]);
-                send(comm, 3, 1, sb, 0, 70_000, Protocol::RendezvousCma).unwrap();
-                Vec::new()
-            } else if comm.rank() == 3 {
-                let rb = comm.alloc(70_000);
-                recv(comm, 0, 1, rb, 0, 70_000, Protocol::RendezvousCma).unwrap();
-                comm.read_all(rb).unwrap()
-            } else {
-                Vec::new()
-            }
-        });
+        let (_, results) = run_polled_cluster(
+            &ArchProfile::knl(),
+            2,
+            2,
+            FabricParams::ib_edr(),
+            |rank| async move {
+                let comm = &mut PolledComm::new(rank);
+                if rank == 0 {
+                    let sb = comm.alloc_with(&[0x5A; 70_000]).unwrap();
+                    send(comm, 3, 1, sb, 0, 70_000, Protocol::RendezvousCma)
+                        .await
+                        .unwrap();
+                    Vec::new()
+                } else if rank == 3 {
+                    let rb = comm.alloc(70_000);
+                    recv(comm, 0, 1, rb, 0, 70_000, Protocol::RendezvousCma)
+                        .await
+                        .unwrap();
+                    comm.read_all(rb).unwrap()
+                } else {
+                    Vec::new()
+                }
+            },
+        );
         assert_eq!(results[3], vec![0x5A; 70_000]);
+    }
+
+    /// One `len`-byte message from rank 0 to rank 1 of a two-node
+    /// cluster; returns the run's end time.
+    fn cross_node_ns(fabric: FabricParams, len: usize, proto: Protocol) -> u64 {
+        let (run, _) =
+            run_polled_cluster(&ArchProfile::knl(), 2, 1, fabric, move |rank| async move {
+                let comm = &mut PolledComm::new(rank);
+                let buf = comm.alloc(len);
+                if rank == 0 {
+                    send(comm, 1, 0, buf, 0, len, proto).await.unwrap();
+                } else {
+                    recv(comm, 0, 0, buf, 0, len, proto).await.unwrap();
+                }
+            });
+        run.end_ns
     }
 
     #[test]
@@ -338,30 +368,11 @@ mod tests {
         let fabric = FabricParams::ib_edr();
         let alpha = fabric.alpha_ns as u64;
         let len = 64 * 1024;
-        let (rndv, _) = run_cluster(&ArchProfile::knl(), 2, 1, fabric.clone(), move |comm| {
-            if comm.rank() == 0 {
-                let sb = comm.alloc(len);
-                send(comm, 1, 0, sb, 0, len, Protocol::RendezvousCma).unwrap();
-            } else {
-                let rb = comm.alloc(len);
-                recv(comm, 0, 0, rb, 0, len, Protocol::RendezvousCma).unwrap();
-            }
-        });
-        let (push, _) = run_cluster(&ArchProfile::knl(), 2, 1, fabric, move |comm| {
-            if comm.rank() == 0 {
-                let sb = comm.alloc(len);
-                send(comm, 1, 0, sb, 0, len, Protocol::ShmCopy).unwrap();
-            } else {
-                let rb = comm.alloc(len);
-                recv(comm, 0, 0, rb, 0, len, Protocol::ShmCopy).unwrap();
-            }
-        });
+        let rndv = cross_node_ns(fabric.clone(), len, Protocol::RendezvousCma);
+        let push = cross_node_ns(fabric, len, Protocol::ShmCopy);
         assert!(
-            rndv.end_ns >= push.end_ns + 2 * alpha,
-            "rendezvous {} vs push {} (alpha {})",
-            rndv.end_ns,
-            push.end_ns,
-            alpha
+            rndv >= push + 2 * alpha,
+            "rendezvous {rndv} vs push {push} (alpha {alpha})"
         );
     }
 
@@ -371,27 +382,34 @@ mod tests {
         // bare cma_read of the same size (Fig 9's CMA-pt2pt vs CMA-coll).
         let arch = ArchProfile::knl();
         let len = 256 * 1024;
-        let (pt2pt_run, _) = run_team(&arch, 2, move |comm| {
-            if comm.rank() == 0 {
-                let sb = comm.alloc(len);
-                send(comm, 1, 0, sb, 0, len, Protocol::RendezvousCma).unwrap();
+        let (pt2pt_run, _) = run_polled_team(&arch, 2, move |rank| async move {
+            let comm = &mut PolledComm::new(rank);
+            let buf = comm.alloc(len);
+            if rank == 0 {
+                send(comm, 1, 0, buf, 0, len, Protocol::RendezvousCma)
+                    .await
+                    .unwrap();
             } else {
-                let rb = comm.alloc(len);
-                recv(comm, 0, 0, rb, 0, len, Protocol::RendezvousCma).unwrap();
+                recv(comm, 0, 0, buf, 0, len, Protocol::RendezvousCma)
+                    .await
+                    .unwrap();
             }
         });
-        let (native_run, _) = run_team(&arch, 2, move |comm| {
-            if comm.rank() == 0 {
+        let (native_run, _) = run_polled_team(&arch, 2, move |rank| async move {
+            let mut comm = PolledComm::new(rank);
+            if rank == 0 {
                 let sb = comm.alloc(len);
-                let tok = comm.expose(sb).unwrap();
-                comm.ctrl_send(1, Tag::user(1), &tok.to_bytes()).unwrap();
-                comm.wait_notify(1, Tag::user(2)).unwrap();
+                let tok = comm.expose(sb).await.unwrap();
+                comm.ctrl_send(1, Tag::user(1), &tok.to_bytes())
+                    .await
+                    .unwrap();
+                comm.wait_notify(1, Tag::user(2)).await.unwrap();
             } else {
-                let raw = comm.ctrl_recv(0, Tag::user(1)).unwrap();
+                let raw = comm.ctrl_recv(0, Tag::user(1)).await.unwrap();
                 let tok = RemoteToken::from_bytes(&raw).unwrap();
                 let rb = comm.alloc(len);
-                comm.cma_read(tok, 0, rb, 0, len).unwrap();
-                comm.notify(0, Tag::user(2)).unwrap();
+                comm.cma_read(tok, 0, rb, 0, len).await.unwrap();
+                comm.notify(0, Tag::user(2)).await.unwrap();
             }
         });
         assert!(
@@ -402,35 +420,29 @@ mod tests {
         );
     }
 
+    /// Every rank sends right and receives from left; returns the first
+    /// received byte per rank.
+    async fn ring_exchange(rank: usize, p: usize, len: usize, proto: Protocol) -> u8 {
+        let comm = &mut PolledComm::new(rank);
+        let sb = comm.alloc_with(&vec![rank as u8; len]).unwrap();
+        let rb = comm.alloc(len);
+        let (right, left) = ((rank + 1) % p, (rank + p - 1) % p);
+        sendrecv(comm, right, sb, 0, len, left, rb, 0, len, 9, proto)
+            .await
+            .unwrap();
+        comm.read_all(rb).unwrap()[0]
+    }
+
     #[test]
     fn sendrecv_cycles_do_not_deadlock() {
-        // A full exchange ring with every rank sending right and
-        // receiving from left, all protocols.
+        // A full exchange ring, all protocols.
         for proto in [Protocol::Eager, Protocol::ShmCopy, Protocol::RendezvousCma] {
             let p = 6;
-            let len = 2048;
-            let (_, results) = run_team(&ArchProfile::broadwell(), p, move |comm| {
-                let me = comm.rank();
-                let sb = comm.alloc_with(&vec![me as u8; len]);
-                let rb = comm.alloc(len);
-                sendrecv(
-                    comm,
-                    (me + 1) % p,
-                    sb,
-                    0,
-                    len,
-                    (me + p - 1) % p,
-                    rb,
-                    0,
-                    len,
-                    9,
-                    proto,
-                )
-                .unwrap();
-                comm.read_all(rb).unwrap()
+            let (_, results) = run_polled_team(&ArchProfile::broadwell(), p, move |rank| {
+                ring_exchange(rank, p, 2048, proto)
             });
             for (me, got) in results.iter().enumerate() {
-                assert_eq!(got[0] as usize, (me + p - 1) % p, "{proto:?}");
+                assert_eq!(*got as usize, (me + p - 1) % p, "{proto:?}");
             }
         }
     }
@@ -440,35 +452,15 @@ mod tests {
         // Exchange ring spanning two nodes: some directions resolve to
         // network rendezvous, some to intra-node CMA.
         let p = 6;
-        let len = 50_000;
-        let (_, results) = run_cluster(
+        let (_, results) = run_polled_cluster(
             &ArchProfile::knl(),
             2,
             3,
             FabricParams::ib_edr(),
-            move |comm| {
-                let me = comm.rank();
-                let sb = comm.alloc_with(&vec![me as u8; len]);
-                let rb = comm.alloc(len);
-                sendrecv(
-                    comm,
-                    (me + 1) % p,
-                    sb,
-                    0,
-                    len,
-                    (me + p - 1) % p,
-                    rb,
-                    0,
-                    len,
-                    9,
-                    Protocol::RendezvousCma,
-                )
-                .unwrap();
-                comm.read_all(rb).unwrap()
-            },
+            move |rank| ring_exchange(rank, p, 50_000, Protocol::RendezvousCma),
         );
         for (me, got) in results.iter().enumerate() {
-            assert_eq!(got[0] as usize, (me + p - 1) % p);
+            assert_eq!(*got as usize, (me + p - 1) % p);
         }
     }
 
@@ -480,16 +472,19 @@ mod tests {
 
     #[test]
     fn truncated_rendezvous_is_detected() {
-        let (_, results) = run_team(&ArchProfile::broadwell(), 2, |comm| {
-            if comm.rank() == 0 {
+        let (_, results) = run_polled_team(&ArchProfile::broadwell(), 2, |rank| async move {
+            let comm = &mut PolledComm::new(rank);
+            if rank == 0 {
                 let sb = comm.alloc(64);
-                send(comm, 1, 0, sb, 0, 64, Protocol::RendezvousCma).is_ok()
+                send(comm, 1, 0, sb, 0, 64, Protocol::RendezvousCma)
+                    .await
+                    .is_ok()
             } else {
                 let rb = comm.alloc(128);
                 // Expecting 128 bytes but the sender offers 64.
-                let r = recv(comm, 0, 0, rb, 0, 128, Protocol::RendezvousCma);
+                let r = recv(comm, 0, 0, rb, 0, 128, Protocol::RendezvousCma).await;
                 // Release the sender (it blocks on FIN) before checking.
-                comm.ctrl_send(0, fin_tag(0), &[]).unwrap();
+                comm.ctrl_send(0, fin_tag(0), &[]).await.unwrap();
                 matches!(
                     r,
                     Err(CommError::Truncated {

@@ -7,9 +7,13 @@
 //! Every data hop pays the full pt2pt protocol cost (eager copies or
 //! RTS/CTS rendezvous), which is precisely the overhead the paper's
 //! native designs eliminate.
+//!
+//! Everything here is `async` over [`AsyncComm`]; the two flat variants
+//! the blocking cluster bodies in `kacc-netsim` call keep blocking
+//! wrappers under their historical names.
 
 use crate::pt2pt::{self, Protocol};
-use kacc_comm::{BufId, Comm, CommError, Result};
+use kacc_comm::{block_on, AsyncComm, Blocking, BufId, Comm, CommError, Result};
 
 fn vrank(rank: usize, root: usize, p: usize) -> usize {
     (rank + p - root) % p
@@ -21,7 +25,7 @@ fn unvrank(v: usize, root: usize, p: usize) -> usize {
 
 /// Binomial-tree broadcast over pt2pt: ⌈log₂ p⌉ forwarding rounds, each
 /// moving the full message.
-pub fn bcast<C: Comm + ?Sized>(
+pub async fn bcast<C: AsyncComm>(
     comm: &mut C,
     buf: BufId,
     count: usize,
@@ -39,7 +43,7 @@ pub fn bcast<C: Comm + ?Sized>(
     let v = vrank(me, root, p);
     if v != 0 {
         let parent = v & (v - 1);
-        pt2pt::recv(comm, unvrank(parent, root, p), 20, buf, 0, count, proto)?;
+        pt2pt::recv(comm, unvrank(parent, root, p), 20, buf, 0, count, proto).await?;
     }
     let low = if v == 0 {
         usize::MAX
@@ -58,7 +62,7 @@ pub fn bcast<C: Comm + ?Sized>(
     for &b in bits.iter().rev() {
         let child = v | b;
         if child != v && child < p {
-            pt2pt::send(comm, unvrank(child, root, p), 20, buf, 0, count, proto)?;
+            pt2pt::send(comm, unvrank(child, root, p), 20, buf, 0, count, proto).await?;
         }
     }
     Ok(())
@@ -67,7 +71,7 @@ pub fn bcast<C: Comm + ?Sized>(
 /// Binomial-tree scatter over pt2pt: the root pushes halves of the block
 /// range down the tree; intermediate ranks stage their subtree's blocks
 /// in a temporary buffer.
-pub fn scatter<C: Comm + ?Sized>(
+pub async fn scatter<C: AsyncComm>(
     comm: &mut C,
     sendbuf: Option<BufId>,
     recvbuf: BufId,
@@ -90,7 +94,8 @@ pub fn scatter<C: Comm + ?Sized>(
         // Stage in virtual order so subtree ranges are contiguous.
         let staged = comm.alloc(p * count);
         for vv in 0..p {
-            comm.copy_local(sb, unvrank(vv, root, p) * count, staged, vv * count, count)?;
+            comm.copy_local(sb, unvrank(vv, root, p) * count, staged, vv * count, count)
+                .await?;
         }
         let mut span = p.next_power_of_two();
         while span > 1 {
@@ -106,10 +111,11 @@ pub fn scatter<C: Comm + ?Sized>(
                     child * count,
                     blocks * count,
                     proto,
-                )?;
+                )
+                .await?;
             }
         }
-        comm.copy_local(staged, 0, recvbuf, 0, count)?;
+        comm.copy_local(staged, 0, recvbuf, 0, count).await?;
         comm.free(staged)?;
     } else {
         // My subtree spans [v, v + span) where span = lowest set bit.
@@ -117,7 +123,7 @@ pub fn scatter<C: Comm + ?Sized>(
         let blocks = span.min(p - v);
         let parent = v & (v - 1);
         if blocks == 1 {
-            pt2pt::recv(comm, unvrank(parent, root, p), 21, recvbuf, 0, count, proto)?;
+            pt2pt::recv(comm, unvrank(parent, root, p), 21, recvbuf, 0, count, proto).await?;
         } else {
             let staged = comm.alloc(blocks * count);
             pt2pt::recv(
@@ -128,7 +134,8 @@ pub fn scatter<C: Comm + ?Sized>(
                 0,
                 blocks * count,
                 proto,
-            )?;
+            )
+            .await?;
             // Forward sub-halves to children: child = v + 2^b for each
             // bit b below our span bit.
             let mut half = span;
@@ -145,10 +152,11 @@ pub fn scatter<C: Comm + ?Sized>(
                         half * count,
                         cblocks * count,
                         proto,
-                    )?;
+                    )
+                    .await?;
                 }
             }
-            comm.copy_local(staged, 0, recvbuf, 0, count)?;
+            comm.copy_local(staged, 0, recvbuf, 0, count).await?;
             comm.free(staged)?;
         }
     }
@@ -156,7 +164,7 @@ pub fn scatter<C: Comm + ?Sized>(
 }
 
 /// Binomial-tree gather over pt2pt (reverse of [`scatter`]).
-pub fn gather<C: Comm + ?Sized>(
+pub async fn gather<C: AsyncComm>(
     comm: &mut C,
     sendbuf: BufId,
     recvbuf: Option<BufId>,
@@ -188,7 +196,7 @@ pub fn gather<C: Comm + ?Sized>(
     };
     let own_target = staged.unwrap_or(sendbuf);
     if staged.is_some() {
-        comm.copy_local(sendbuf, 0, own_target, 0, count)?;
+        comm.copy_local(sendbuf, 0, own_target, 0, count).await?;
     }
     // Receive children's subtrees, smallest first (mirrors scatter).
     let mut half = 1usize;
@@ -205,7 +213,8 @@ pub fn gather<C: Comm + ?Sized>(
                 half * count,
                 cblocks * count,
                 proto,
-            )?;
+            )
+            .await?;
         }
         half *= 2;
     }
@@ -214,7 +223,8 @@ pub fn gather<C: Comm + ?Sized>(
         let rb = recvbuf.ok_or(CommError::Protocol("root gather needs recvbuf".into()))?;
         let st = staged.expect("the tree root always stages");
         for vv in 0..p {
-            comm.copy_local(st, vv * count, rb, unvrank(vv, root, p) * count, count)?;
+            comm.copy_local(st, vv * count, rb, unvrank(vv, root, p) * count, count)
+                .await?;
         }
         comm.free(st)?;
     } else {
@@ -227,7 +237,8 @@ pub fn gather<C: Comm + ?Sized>(
             0,
             blocks * count,
             proto,
-        )?;
+        )
+        .await?;
         if let Some(st) = staged {
             comm.free(st)?;
         }
@@ -240,7 +251,7 @@ pub fn gather<C: Comm + ?Sized>(
 /// single-level strategy libraries default to for large messages; every
 /// message pays the full protocol handshake at the root, which is what
 /// makes it degrade with scale (§VII-G).
-pub fn gather_direct<C: Comm + ?Sized>(
+pub async fn gather_direct_async<C: AsyncComm>(
     comm: &mut C,
     sendbuf: BufId,
     recvbuf: Option<BufId>,
@@ -258,20 +269,20 @@ pub fn gather_direct<C: Comm + ?Sized>(
     }
     if me == root {
         let rb = recvbuf.ok_or(CommError::Protocol("root gather needs recvbuf".into()))?;
-        comm.copy_local(sendbuf, 0, rb, root * count, count)?;
+        comm.copy_local(sendbuf, 0, rb, root * count, count).await?;
         for v in 1..p {
             let r = unvrank(v, root, p);
-            pt2pt::recv(comm, r, 25, rb, r * count, count, proto)?;
+            pt2pt::recv(comm, r, 25, rb, r * count, count, proto).await?;
         }
     } else {
-        pt2pt::send(comm, root, 25, sendbuf, 0, count, proto)?;
+        pt2pt::send(comm, root, 25, sendbuf, 0, count, proto).await?;
     }
     Ok(())
 }
 
 /// Flat (direct) scatter over pt2pt: the root sends each rank its block
 /// directly, in rank order.
-pub fn scatter_direct<C: Comm + ?Sized>(
+pub async fn scatter_direct_async<C: AsyncComm>(
     comm: &mut C,
     sendbuf: Option<BufId>,
     recvbuf: BufId,
@@ -289,20 +300,58 @@ pub fn scatter_direct<C: Comm + ?Sized>(
     }
     if me == root {
         let sb = sendbuf.ok_or(CommError::Protocol("root scatter needs sendbuf".into()))?;
-        comm.copy_local(sb, root * count, recvbuf, 0, count)?;
+        comm.copy_local(sb, root * count, recvbuf, 0, count).await?;
         for v in 1..p {
             let r = unvrank(v, root, p);
-            pt2pt::send(comm, r, 26, sb, r * count, count, proto)?;
+            pt2pt::send(comm, r, 26, sb, r * count, count, proto).await?;
         }
     } else {
-        pt2pt::recv(comm, root, 26, recvbuf, 0, count, proto)?;
+        pt2pt::recv(comm, root, 26, recvbuf, 0, count, proto).await?;
     }
     Ok(())
 }
 
+/// [`gather_direct_async`] on a blocking transport.
+pub fn gather_direct<C: Comm + ?Sized>(
+    comm: &mut C,
+    sendbuf: BufId,
+    recvbuf: Option<BufId>,
+    count: usize,
+    root: usize,
+    proto: Protocol,
+) -> Result<()> {
+    block_on(gather_direct_async(
+        &mut Blocking(comm),
+        sendbuf,
+        recvbuf,
+        count,
+        root,
+        proto,
+    ))
+}
+
+/// [`scatter_direct_async`] on a blocking transport.
+pub fn scatter_direct<C: Comm + ?Sized>(
+    comm: &mut C,
+    sendbuf: Option<BufId>,
+    recvbuf: BufId,
+    count: usize,
+    root: usize,
+    proto: Protocol,
+) -> Result<()> {
+    block_on(scatter_direct_async(
+        &mut Blocking(comm),
+        sendbuf,
+        recvbuf,
+        count,
+        root,
+        proto,
+    ))
+}
+
 /// Ring allgather over pt2pt: p−1 `sendrecv` steps forwarding the block
 /// received in the previous step.
-pub fn allgather<C: Comm + ?Sized>(
+pub async fn allgather<C: AsyncComm>(
     comm: &mut C,
     sendbuf: BufId,
     recvbuf: BufId,
@@ -314,7 +363,8 @@ pub fn allgather<C: Comm + ?Sized>(
     if count == 0 {
         return Ok(());
     }
-    comm.copy_local(sendbuf, 0, recvbuf, me * count, count)?;
+    comm.copy_local(sendbuf, 0, recvbuf, me * count, count)
+        .await?;
     if p == 1 {
         return Ok(());
     }
@@ -335,13 +385,14 @@ pub fn allgather<C: Comm + ?Sized>(
             count,
             23,
             proto,
-        )?;
+        )
+        .await?;
     }
     Ok(())
 }
 
 /// Pairwise-exchange alltoall over pt2pt: p−1 `sendrecv` steps.
-pub fn alltoall<C: Comm + ?Sized>(
+pub async fn alltoall<C: AsyncComm>(
     comm: &mut C,
     sendbuf: BufId,
     recvbuf: BufId,
@@ -353,7 +404,8 @@ pub fn alltoall<C: Comm + ?Sized>(
     if count == 0 {
         return Ok(());
     }
-    comm.copy_local(sendbuf, me * count, recvbuf, me * count, count)?;
+    comm.copy_local(sendbuf, me * count, recvbuf, me * count, count)
+        .await?;
     for i in 1..p {
         let (to, from) = if p.is_power_of_two() {
             (me ^ i, me ^ i)
@@ -372,7 +424,8 @@ pub fn alltoall<C: Comm + ?Sized>(
             count,
             24,
             proto,
-        )?;
+        )
+        .await?;
     }
     Ok(())
 }
@@ -385,8 +438,7 @@ mod tests {
         alltoall_expected, alltoall_sendbuf, contribution, diff, gather_expected, scatter_expected,
         scatter_sendbuf,
     };
-    use kacc_comm::CommExt;
-    use kacc_machine::run_team;
+    use kacc_machine::{run_polled_team, PolledComm};
     use kacc_model::ArchProfile;
 
     const PROTOS: [Protocol; 3] = [Protocol::Eager, Protocol::ShmCopy, Protocol::RendezvousCma];
@@ -396,15 +448,17 @@ mod tests {
         for proto in PROTOS {
             for p in [2usize, 5, 8] {
                 for root in [0usize, p - 1] {
-                    let (_, results) = run_team(&ArchProfile::broadwell(), p, move |comm| {
-                        let buf = if comm.rank() == root {
-                            comm.alloc_with(&contribution(root, 3000))
-                        } else {
-                            comm.alloc(3000)
-                        };
-                        bcast(comm, buf, 3000, root, proto).unwrap();
-                        comm.read_all(buf).unwrap()
-                    });
+                    let (_, results) =
+                        run_polled_team(&ArchProfile::broadwell(), p, move |rank| async move {
+                            let comm = &mut PolledComm::new(rank);
+                            let buf = if rank == root {
+                                comm.alloc_with(&contribution(root, 3000)).unwrap()
+                            } else {
+                                comm.alloc(3000)
+                            };
+                            bcast(comm, buf, 3000, root, proto).await.unwrap();
+                            comm.read_all(buf).unwrap()
+                        });
                     for got in &results {
                         assert!(diff(got, &contribution(root, 3000)).is_none());
                     }
@@ -419,13 +473,15 @@ mod tests {
             for p in [2usize, 6, 8] {
                 for root in [0usize, 2 % p] {
                     let count = 1234;
-                    let (_, results) = run_team(&ArchProfile::broadwell(), p, move |comm| {
-                        let me = comm.rank();
-                        let rb = comm.alloc(count);
-                        let sb = (me == root).then(|| comm.alloc_with(&scatter_sendbuf(p, count)));
-                        scatter(comm, sb, rb, count, root, proto).unwrap();
-                        comm.read_all(rb).unwrap()
-                    });
+                    let (_, results) =
+                        run_polled_team(&ArchProfile::broadwell(), p, move |me| async move {
+                            let comm = &mut PolledComm::new(me);
+                            let rb = comm.alloc(count);
+                            let sb = (me == root)
+                                .then(|| comm.alloc_with(&scatter_sendbuf(p, count)).unwrap());
+                            scatter(comm, sb, rb, count, root, proto).await.unwrap();
+                            comm.read_all(rb).unwrap()
+                        });
                     for (r, got) in results.iter().enumerate() {
                         if let Some(d) = diff(got, &scatter_expected(r, count)) {
                             panic!("{proto:?} p={p} root={root} rank {r}: {d}");
@@ -442,13 +498,14 @@ mod tests {
             for p in [2usize, 6, 8] {
                 for root in [0usize, p / 2] {
                     let count = 999;
-                    let (_, results) = run_team(&ArchProfile::broadwell(), p, move |comm| {
-                        let me = comm.rank();
-                        let sb = comm.alloc_with(&contribution(me, count));
-                        let rb = (me == root).then(|| comm.alloc(p * count));
-                        gather(comm, sb, rb, count, root, proto).unwrap();
-                        rb.map(|b| comm.read_all(b).unwrap()).unwrap_or_default()
-                    });
+                    let (_, results) =
+                        run_polled_team(&ArchProfile::broadwell(), p, move |me| async move {
+                            let comm = &mut PolledComm::new(me);
+                            let sb = comm.alloc_with(&contribution(me, count)).unwrap();
+                            let rb = (me == root).then(|| comm.alloc(p * count));
+                            gather(comm, sb, rb, count, root, proto).await.unwrap();
+                            rb.map(|b| comm.read_all(b).unwrap()).unwrap_or_default()
+                        });
                     if let Some(d) = diff(&results[root], &gather_expected(p, count)) {
                         panic!("{proto:?} p={p} root={root}: {d}");
                     }
@@ -462,13 +519,14 @@ mod tests {
         for proto in PROTOS {
             for p in [2usize, 7, 8] {
                 let count = 800;
-                let (_, results) = run_team(&ArchProfile::broadwell(), p, move |comm| {
-                    let me = comm.rank();
-                    let sb = comm.alloc_with(&contribution(me, count));
-                    let rb = comm.alloc(p * count);
-                    allgather(comm, sb, rb, count, proto).unwrap();
-                    comm.read_all(rb).unwrap()
-                });
+                let (_, results) =
+                    run_polled_team(&ArchProfile::broadwell(), p, move |me| async move {
+                        let comm = &mut PolledComm::new(me);
+                        let sb = comm.alloc_with(&contribution(me, count)).unwrap();
+                        let rb = comm.alloc(p * count);
+                        allgather(comm, sb, rb, count, proto).await.unwrap();
+                        comm.read_all(rb).unwrap()
+                    });
                 for got in &results {
                     assert!(diff(got, &gather_expected(p, count)).is_none(), "{proto:?}");
                 }
@@ -481,13 +539,14 @@ mod tests {
         for proto in PROTOS {
             for p in [2usize, 5, 8] {
                 let count = 600;
-                let (_, results) = run_team(&ArchProfile::broadwell(), p, move |comm| {
-                    let me = comm.rank();
-                    let sb = comm.alloc_with(&alltoall_sendbuf(me, p, count));
-                    let rb = comm.alloc(p * count);
-                    alltoall(comm, sb, rb, count, proto).unwrap();
-                    comm.read_all(rb).unwrap()
-                });
+                let (_, results) =
+                    run_polled_team(&ArchProfile::broadwell(), p, move |me| async move {
+                        let comm = &mut PolledComm::new(me);
+                        let sb = comm.alloc_with(&alltoall_sendbuf(me, p, count)).unwrap();
+                        let rb = comm.alloc(p * count);
+                        alltoall(comm, sb, rb, count, proto).await.unwrap();
+                        comm.read_all(rb).unwrap()
+                    });
                 for (r, got) in results.iter().enumerate() {
                     if let Some(d) = diff(got, &alltoall_expected(r, p, count)) {
                         panic!("{proto:?} p={p} rank {r}: {d}");

@@ -23,9 +23,12 @@ echo "== determinism suite (repeat runs, --jobs 1 vs 8, traces) =="
 cargo test -q --release -p kacc-bench --test determinism
 cargo test -q --release -p kacc-collectives --test fastpath_equivalence
 
-echo "== engine equivalence (threads vs polled, bitwise) =="
+echo "== transport equivalence (SimComm behind Blocking vs PolledComm, one executor, bitwise) =="
 cargo test -q --release -p kacc-sim-core --test polled_parity
 cargo test -q --release -p kacc-collectives --test engine_equivalence
+
+echo "== persona pins (library personas bit-for-bit vs the pre-port capture) =="
+cargo test -q --release -p kacc-bench --test persona_pins
 
 echo "== chaos suite (fixed seed corpus + one fresh seed) =="
 # The chaos tests always run their fixed corpus; KACC_CHAOS_SEED adds one
@@ -36,11 +39,11 @@ chaos_seed="${KACC_CHAOS_SEED:-$(od -An -N8 -tu8 /dev/urandom | tr -d ' ')}"
 echo "[chaos fresh seed: ${chaos_seed}]"
 KACC_CHAOS_SEED="$chaos_seed" cargo test -q --release -p kacc-collectives --test chaos
 
-echo "== membership chaos (kill-k recovery, fixed corpus + fresh seed, both engines) =="
+echo "== membership chaos (kill-k recovery, fixed corpus + fresh seed, both sim transports) =="
 # Silent-kill fault plans: k in {1,2} ranks die mid-collective; survivors
 # must detect, agree, shrink, and re-execute with verified payloads on the
-# threads AND the polled engine (the suite checks bitwise engine equality
-# itself). Same seed protocol as the chaos suite above; reproduce with
+# blocking AND the polled simulator endpoint (the suite checks their
+# bitwise equality itself). Same seed protocol as the chaos suite above; reproduce with
 # `KACC_CHAOS_SEED=<seed> cargo test -p kacc-collectives --test membership_chaos`.
 echo "[membership chaos fresh seed: ${chaos_seed}]"
 KACC_CHAOS_SEED="$chaos_seed" cargo test -q --release -p kacc-collectives --test membership_chaos
@@ -58,41 +61,32 @@ printf 'seed 42\nrule prob=0.05 kind=transient errno=11\nrule ops=cma_read prob=
 cargo run --release -q -p kacc-bench --bin repro -- --quick --fault-plan "$fault_tmp" --trace-out "$trace_tmp"
 cargo run --release -q -p kacc-trace --bin trace-validate -- "$trace_tmp"
 
-echo "== repro artifacts identical under both engines =="
-# The quick sweep of an engine-routed figure must print byte-identical
-# charts on the threads and the polled engine (the repro-level face of
-# the engine-equivalence suite).
-threads_tmp="$(mktemp -t kacc-threads-XXXXXX.txt)"
-polled_tmp="$(mktemp -t kacc-polled-XXXXXX.txt)"
-cargo run --release -q -p kacc-bench --bin repro -- --quick --jobs 1 fig10 > "$threads_tmp"
-cargo run --release -q -p kacc-bench --bin repro -- --quick --jobs 1 --engine polled fig10 > "$polled_tmp"
-diff "$threads_tmp" "$polled_tmp"
-rm -f "$threads_tmp" "$polled_tmp"
-
-echo "== metrics snapshot determinism (--jobs 1 vs 4, both engines) =="
+echo "== metrics snapshot determinism (--jobs 1 vs 4) =="
 cargo test -q --release -p kacc-bench --test metrics_determinism
 
 echo "== perf-regression gate (bench-regress vs committed baseline) =="
 # Hard-fails (exit 1) on any event-count or metric drift from the
-# committed BENCH_PR10.json; brand-new metric keys only warn (additions,
+# committed BENCH_BASELINE.json; brand-new metric keys only warn (additions,
 # not regressions); wall-clock drift only warns (machines vary).
 # Refresh the baseline after an intentional behavior change via
-#   cargo run --release -p kacc-bench --bin bench-regress -- --write-baseline BENCH_PR10.json
+#   cargo run --release -p kacc-bench --bin bench-regress -- --write-baseline BENCH_BASELINE.json
 cargo run --release -q -p kacc-bench --bin bench-regress -- \
-  --baseline BENCH_PR10.json --out /tmp/bench-regress-verdict.json
+  --baseline BENCH_BASELINE.json --out /tmp/bench-regress-verdict.json
 cat /tmp/bench-regress-verdict.json
 
-echo "== bench metrics snapshot (both engines) =="
+echo "== bench metrics snapshot =="
 # Quick-scale events/sec + wall-clock snapshot, including the p=64
 # one-to-all probe (the PR-4 acceptance metric) and wake-storm
-# diagnostics, on each engine, plus the always-on metrics registry dump.
-# Kept out of git status noise: CI uploads them; refresh the committed
-# BENCH_PR6.json with full runs via
-#   cargo run --release -p kacc-bench --bin repro -- --bench-out ... fig10 table6
-cargo run --release -q -p kacc-bench --bin repro -- --quick --bench-out /tmp/BENCH_threads.json --metrics-out /tmp/METRICS_threads.json all >/dev/null
-cargo run --release -q -p kacc-bench --bin repro -- --quick --engine polled --bench-out /tmp/BENCH_polled.json --metrics-out /tmp/METRICS_polled.json all >/dev/null
-# The registry dump must be engine-invariant, byte for byte.
-cmp /tmp/METRICS_threads.json /tmp/METRICS_polled.json
-cat /tmp/BENCH_threads.json /tmp/BENCH_polled.json
+# diagnostics, plus the always-on metrics registry dump. Kept out of git
+# status noise: CI uploads them.
+cargo run --release -q -p kacc-bench --bin repro -- --quick --bench-out /tmp/BENCH_quick.json --metrics-out /tmp/METRICS_quick.json all >/dev/null
+cat /tmp/BENCH_quick.json
+
+echo "== benchmark package (public-API drift fails here, not in the pipeline) =="
+# benchmark/ is a package of its own reaching the crates through
+# benchmark/src/api.rs only; building and testing it here means a rename
+# that breaks that file fails CI.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "CI gates all green."
