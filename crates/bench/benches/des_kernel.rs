@@ -14,6 +14,10 @@
 //!   external wakes, the floor-transfer worst case for the threads
 //!   engine (every event is a futex round-trip) and the polled engine's
 //!   biggest win (every event is a queue pop).
+//! * `mailbox_pair_polled` — one `Mailboxes` deposit and the matching
+//!   take per poll evaluation on one task, no queue traffic: the same
+//!   loop as the benchmark's `sim_core.mailbox_pair_ns` probe, so the two
+//!   numbers can be checked against each other (ns per iter / pairs).
 //!
 //! Simulated-event counts per iteration are deterministic, so
 //! events/sec = events-per-iter / (ns-per-iter · 1e-9); each benchmark
@@ -24,7 +28,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use kacc_bench::measure::one_to_all_read_ns;
 use kacc_model::ArchProfile;
 use kacc_sim_core::polled::{sim_advance, sim_poll, PolledSim};
-use kacc_sim_core::{total_events, Poll, Sim};
+use kacc_sim_core::{total_events, Mailboxes, Poll, Sim};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -108,6 +112,22 @@ fn pingpong_polled(rounds: u64) -> u64 {
     sim.run().end_time
 }
 
+fn mailbox_pairs_polled(pairs: u64) -> u64 {
+    let mut sim = PolledSim::new(Mailboxes::new());
+    sim.spawn(move |tid| async move {
+        for _ in 0..pairs {
+            // A `Waker` only exists inside a poll evaluation, so the pair
+            // runs there.
+            sim_poll("pair", move |mb: &mut Mailboxes, w, now| {
+                mb.deposit(w, 0, 0, 7, now, Vec::new());
+                mb.take(tid, 0, 0, 7, now)
+            })
+            .await;
+        }
+    });
+    sim.run().state.delivered
+}
+
 fn bench(c: &mut Criterion) {
     let knl = ArchProfile::knl();
 
@@ -162,6 +182,13 @@ fn bench(c: &mut Criterion) {
     );
     g.bench_function("pingpong_polled", |b| {
         b.iter(|| black_box(pingpong_polled(black_box(rounds))))
+    });
+
+    let pairs = 10_000u64;
+    assert_eq!(mailbox_pairs_polled(pairs), pairs);
+    println!("des_kernel/mailbox_pair_polled: {pairs} deposit+take pairs per iter");
+    g.bench_function("mailbox_pair_polled", |b| {
+        b.iter(|| black_box(mailbox_pairs_polled(black_box(pairs))))
     });
 
     g.finish();

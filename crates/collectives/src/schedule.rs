@@ -1906,6 +1906,23 @@ pub enum PlanKey {
     },
 }
 
+impl PlanKey {
+    /// Split the key into the team-wide shape and the compiling rank:
+    /// zeroes the rank in place and returns it with the rank count it
+    /// indexes into (the subgroup's, for a survivor-remapped plan).
+    fn take_rank(&mut self) -> (usize, usize) {
+        match self {
+            PlanKey::Scatter { p, rank, .. }
+            | PlanKey::Gather { p, rank, .. }
+            | PlanKey::Bcast { p, rank, .. }
+            | PlanKey::Allgather { p, rank, .. }
+            | PlanKey::Alltoall { p, rank, .. }
+            | PlanKey::Reduce { p, rank, .. } => (std::mem::take(rank), *p),
+            PlanKey::Member { inner, .. } => inner.take_rank(),
+        }
+    }
+}
+
 /// Hit/miss/eviction counters for the plan cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
@@ -1913,17 +1930,31 @@ pub struct PlanCacheStats {
     pub hits: u64,
     /// Lookups that had to compile.
     pub misses: u64,
-    /// Entries displaced by the LRU policy.
+    /// Team shapes displaced by the LRU policy (with every rank's plan).
     pub evictions: u64,
 }
 
+/// One team shape's plans, a slot per rank, and its last-use tick.
+struct Shape {
+    plans: Vec<Option<Arc<Schedule>>>,
+    used: u64,
+}
+
+impl Shape {
+    fn count(&self) -> usize {
+        self.plans.iter().flatten().count()
+    }
+}
+
 struct CacheInner {
-    /// Plan and last-use tick per key.
-    map: HashMap<Arc<PlanKey>, (Arc<Schedule>, u64)>,
+    /// Plans by team shape: the [`PlanKey`] with its rank zeroed.
+    map: HashMap<Arc<PlanKey>, Shape>,
     /// The same keys by last-use tick (ticks are unique), so the LRU
     /// victim is the first entry rather than an O(capacity) scan.
     by_tick: BTreeMap<u64, Arc<PlanKey>>,
     tick: u64,
+    /// Plans held across all shapes.
+    plans: usize,
     stats: PlanCacheStats,
 }
 
@@ -1931,20 +1962,21 @@ struct CacheInner {
 ///
 /// The collective entry points consult the process-wide instance
 /// ([`PlanCache::global`]) so repeated same-shape calls skip the compile
-/// phase entirely. Capacity is bounded; the least-recently-used plan is
-/// evicted on overflow.
+/// phase entirely. Every rank of a team compiles its own plan for the
+/// same call, so plans are stored per team shape and the capacity bounds
+/// shapes — the least-recently-used shape is evicted on overflow, with
+/// all of its (at most `p`) plans — rather than letting one wide team's
+/// ranks push each other's plans out.
 pub struct PlanCache {
     inner: Mutex<CacheInner>,
     capacity: usize,
 }
 
 impl PlanCache {
-    /// Default capacity of [`PlanCache::global`]. Plans are per-rank, so
-    /// this comfortably holds several concurrent collective shapes even
-    /// at high rank counts.
+    /// Default capacity of [`PlanCache::global`], in team shapes.
     pub const DEFAULT_CAPACITY: usize = 1024;
 
-    /// Create a cache bounded to `capacity` plans.
+    /// Create a cache bounded to `capacity` team shapes.
     pub fn new(capacity: usize) -> PlanCache {
         assert!(capacity > 0, "plan cache capacity must be positive");
         PlanCache {
@@ -1952,6 +1984,7 @@ impl PlanCache {
                 map: HashMap::new(),
                 by_tick: BTreeMap::new(),
                 tick: 0,
+                plans: 0,
                 stats: PlanCacheStats::default(),
             }),
             capacity,
@@ -1967,31 +2000,57 @@ impl PlanCache {
     /// Look up `key`, compiling (and inserting) with `compile` on miss.
     pub fn get_or_compile(
         &self,
-        key: PlanKey,
+        mut key: PlanKey,
         compile: impl FnOnce() -> Schedule,
     ) -> Arc<Schedule> {
+        let (rank, p) = key.take_rank();
+        assert!(rank < p, "plan key for rank {rank} of {p}");
         let mut guard = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         let inner = &mut *guard;
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some((plan, used)) = inner.map.get_mut(&key) {
-            let key = inner.by_tick.remove(used).expect("every plan is indexed");
-            inner.by_tick.insert(tick, key);
-            *used = tick;
-            inner.stats.hits += 1;
-            return Arc::clone(plan);
+        if let Some(shape) = inner.map.get_mut(&key) {
+            // A team's ranks look their shape up back to back: only a
+            // shape that is not already the newest moves in the LRU order.
+            if shape.used != inner.tick {
+                inner.tick += 1;
+                let key = inner
+                    .by_tick
+                    .remove(&shape.used)
+                    .expect("every shape is indexed");
+                inner.by_tick.insert(inner.tick, key);
+                shape.used = inner.tick;
+            }
+            if let Some(plan) = &shape.plans[rank] {
+                inner.stats.hits += 1;
+                return Arc::clone(plan);
+            }
+            inner.stats.misses += 1;
+            let plan = Arc::new(compile());
+            shape.plans[rank] = Some(Arc::clone(&plan));
+            inner.plans += 1;
+            return plan;
         }
         inner.stats.misses += 1;
         let plan = Arc::new(compile());
         if inner.map.len() >= self.capacity {
             if let Some((_, oldest)) = inner.by_tick.pop_first() {
-                inner.map.remove(&*oldest);
+                let evicted = inner.map.remove(&*oldest).expect("indexed shape exists");
+                inner.plans -= evicted.count();
                 inner.stats.evictions += 1;
             }
         }
+        inner.tick += 1;
+        let mut plans = vec![None; p];
+        plans[rank] = Some(Arc::clone(&plan));
         let key = Arc::new(key);
-        inner.by_tick.insert(tick, Arc::clone(&key));
-        inner.map.insert(key, (Arc::clone(&plan), tick));
+        inner.by_tick.insert(inner.tick, Arc::clone(&key));
+        inner.map.insert(
+            key,
+            Shape {
+                plans,
+                used: inner.tick,
+            },
+        );
+        inner.plans += 1;
         plan
     }
 
@@ -2000,13 +2059,9 @@ impl PlanCache {
         self.inner.lock().unwrap_or_else(|e| e.into_inner()).stats
     }
 
-    /// Number of cached plans.
+    /// Number of cached plans, over all shapes and ranks.
     pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .map
-            .len()
+        self.inner.lock().unwrap_or_else(|e| e.into_inner()).plans
     }
 
     /// True when no plans are cached.
@@ -2020,12 +2075,20 @@ impl PlanCache {
     /// holding them only wastes capacity and can evict live plans.
     /// Returns the number of plans dropped.
     pub fn invalidate_members_before(&self, epoch: u32) -> usize {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let before = inner.map.len();
+        let mut guard = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let inner = &mut *guard;
+        let before = inner.plans;
         let live = |k: &PlanKey| !matches!(k, PlanKey::Member { epoch: e, .. } if *e < epoch);
-        inner.map.retain(|k, _| live(k));
         inner.by_tick.retain(|_, k| live(k));
-        before - inner.map.len()
+        let plans = &mut inner.plans;
+        inner.map.retain(|k, shape| {
+            let keep = live(k);
+            if !keep {
+                *plans -= shape.count();
+            }
+            keep
+        });
+        before - inner.plans
     }
 
     /// Drop every cached plan and reset the counters (bench/test hook).
@@ -2033,6 +2096,7 @@ impl PlanCache {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.map.clear();
         inner.by_tick.clear();
+        inner.plans = 0;
         inner.stats = PlanCacheStats::default();
     }
 }
@@ -2137,16 +2201,20 @@ mod tests {
         }
     }
 
+    fn bcast_key(p: usize, rank: usize, count: usize) -> PlanKey {
+        PlanKey::Bcast {
+            algo: BcastAlgo::DirectRead,
+            p,
+            rank,
+            count,
+            root: 0,
+        }
+    }
+
     #[test]
     fn plan_cache_lru_hits_and_evicts() {
         let cache = PlanCache::new(2);
-        let key = |count: usize| PlanKey::Bcast {
-            algo: BcastAlgo::DirectRead,
-            p: 4,
-            rank: 0,
-            count,
-            root: 0,
-        };
+        let key = |count: usize| bcast_key(4, 0, count);
         let compile = |count: usize| move || compile_bcast(BcastAlgo::DirectRead, 4, 0, count, 0);
 
         let a = cache.get_or_compile(key(8), compile(8));
@@ -2167,6 +2235,53 @@ mod tests {
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.stats(), PlanCacheStats::default());
+    }
+
+    #[test]
+    fn plan_cache_capacity_counts_team_shapes_not_ranks() {
+        // Two shapes fit; a team far wider than that cycles through its
+        // ranks call after call, as every collective entry point does.
+        let cache = PlanCache::new(2);
+        let p = 16;
+        let team = |count: usize, compiled: &mut usize| {
+            for rank in 0..p {
+                let plan = cache.get_or_compile(bcast_key(p, rank, count), || {
+                    *compiled += 1;
+                    compile_bcast(BcastAlgo::DirectRead, p, rank, count, 0)
+                });
+                assert_eq!(
+                    (plan.p, plan.rank),
+                    (p, rank),
+                    "each rank gets its own plan"
+                );
+            }
+        };
+        let mut compiled = 0;
+        for _ in 0..3 {
+            team(8, &mut compiled);
+            team(64, &mut compiled);
+        }
+        assert_eq!(compiled, 2 * p, "each rank's plan compiles once per shape");
+        let s = cache.stats();
+        assert_eq!(
+            (s.hits, s.misses, s.evictions),
+            (4 * p as u64, 2 * p as u64, 0)
+        );
+        assert_eq!(cache.len(), 2 * p);
+        // A third shape displaces the older one whole, every rank's plan.
+        team(8, &mut compiled);
+        team(512, &mut compiled);
+        assert_eq!((cache.stats().evictions, cache.len()), (1, 2 * p));
+        team(8, &mut compiled);
+        assert_eq!(compiled, 3 * p, "the recently used shape survived");
+        team(64, &mut compiled);
+        assert_eq!(compiled, 4 * p, "the displaced one compiles afresh");
+    }
+
+    #[test]
+    #[should_panic(expected = "plan key for rank 4 of 4")]
+    fn plan_cache_rejects_a_rank_outside_the_team() {
+        PlanCache::new(2).get_or_compile(bcast_key(4, 4, 8), || unreachable!("rejected"));
     }
 
     #[test]
@@ -2286,48 +2401,31 @@ mod tests {
     #[test]
     fn member_plans_invalidate_below_the_epoch() {
         let cache = PlanCache::new(16);
-        let inner = |rank: usize| {
-            Box::new(PlanKey::Bcast {
-                algo: BcastAlgo::DirectRead,
-                p: 3,
-                rank,
-                count: 8,
-                root: 0,
-            })
-        };
         let compile = || compile_bcast(BcastAlgo::DirectRead, 3, 0, 8, 0);
-        for epoch in 1..=3u32 {
-            cache.get_or_compile(
-                PlanKey::Member {
-                    epoch,
-                    members: vec![0, 1, 2],
-                    inner: inner(0),
-                },
-                compile,
-            );
+        let member = |epoch: u32, rank: usize| PlanKey::Member {
+            epoch,
+            members: vec![0, 2, 5],
+            inner: Box::new(bcast_key(3, rank, 8)),
+        };
+        // Epochs 1 and 2 hold two survivors' plans each, epoch 3 one.
+        for (epoch, rank) in [(1, 0), (1, 2), (2, 0), (2, 1), (3, 1)] {
+            cache.get_or_compile(member(epoch, rank), compile);
         }
-        cache.get_or_compile(
-            PlanKey::Bcast {
-                algo: BcastAlgo::DirectRead,
-                p: 3,
-                rank: 0,
-                count: 8,
-                root: 0,
-            },
-            compile,
-        );
-        assert_eq!(cache.len(), 4);
-        assert_eq!(cache.invalidate_members_before(3), 2);
+        cache.get_or_compile(bcast_key(3, 0, 8), compile);
+        assert_eq!(cache.len(), 6);
+        assert_eq!(cache.invalidate_members_before(3), 4);
         // The epoch-3 member plan and the plain plan survive.
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.invalidate_members_before(3), 0);
-        // The dropped plans left the eviction order too: filling the cache
+        cache.get_or_compile(member(3, 1), || unreachable!("cached"));
+        cache.get_or_compile(bcast_key(3, 0, 8), || unreachable!("cached"));
+        // The dropped shapes left the eviction order too: filling the cache
         // evicts nothing until it is full again.
-        for rank in 1..=14 {
-            cache.get_or_compile(*inner(rank), compile);
+        for count in 1..=14 {
+            cache.get_or_compile(bcast_key(3, 0, 100 + count), compile);
         }
         assert_eq!((cache.len(), cache.stats().evictions), (16, 0));
-        cache.get_or_compile(*inner(15), compile);
+        cache.get_or_compile(bcast_key(3, 0, 99), compile);
         assert_eq!((cache.len(), cache.stats().evictions), (16, 1));
     }
 }

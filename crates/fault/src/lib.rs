@@ -360,13 +360,20 @@ impl FaultRule {
     }
 }
 
+/// One initiating rank's position in the plan.
+#[derive(Default, Clone)]
+struct RankCounters {
+    /// Position of the next op in this rank's deterministic stream.
+    op_idx: u64,
+    /// Firings so far per rule index, grown when a capped rule first
+    /// fires for this rank.
+    triggers: Vec<u32>,
+}
+
+/// Counters by initiating rank, grown when a rank issues its first op.
 #[derive(Default)]
 struct PlanCounters {
-    /// Per-rank operation index: position of the next op in that rank's
-    /// deterministic stream.
-    op_idx: HashMap<usize, u64>,
-    /// Firings so far, per (rule index, initiating rank).
-    triggers: HashMap<(usize, usize), u32>,
+    ranks: Vec<RankCounters>,
 }
 
 /// A seeded, declarative fault plan: the built-in [`FaultInjector`].
@@ -448,9 +455,7 @@ impl FaultPlan {
     /// Reset op counters and trigger budgets, so the same plan value can
     /// drive a second identical run.
     pub fn reset(&self) {
-        let mut c = self.lock();
-        c.op_idx.clear();
-        c.triggers.clear();
+        self.lock().ranks.clear();
     }
 
     fn lock(&self) -> MutexGuard<'_, PlanCounters> {
@@ -653,9 +658,12 @@ fn parse_rule(rest: &str) -> Result<FaultRule, String> {
 impl FaultInjector for FaultPlan {
     fn decide(&self, site: &FaultSite) -> FaultDecision {
         let mut c = self.lock();
-        let idx = c.op_idx.entry(site.rank).or_insert(0);
-        let op_idx = *idx;
-        *idx += 1;
+        if c.ranks.len() <= site.rank {
+            c.ranks.resize(site.rank + 1, RankCounters::default());
+        }
+        let rank = &mut c.ranks[site.rank];
+        let op_idx = rank.op_idx;
+        rank.op_idx += 1;
         for (rule_idx, rule) in self.rules.iter().enumerate() {
             if op_idx < rule.after {
                 continue;
@@ -670,7 +678,10 @@ impl FaultInjector for FaultPlan {
                 continue;
             }
             if let Some(cap) = rule.max_triggers {
-                let n = c.triggers.entry((rule_idx, site.rank)).or_insert(0);
+                if rank.triggers.len() <= rule_idx {
+                    rank.triggers.resize(rule_idx + 1, 0);
+                }
+                let n = &mut rank.triggers[rule_idx];
                 if *n >= cap {
                     continue;
                 }

@@ -1,5 +1,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used)]
+#![forbid(unsafe_code)]
 
 //! Deterministic simulation of a multi-/many-core node's kernel-assisted
 //! copy path.

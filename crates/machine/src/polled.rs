@@ -365,14 +365,8 @@ impl PolledComm {
                 .span(Track::Rank(me), "check", t0, t_chk, 0, None);
         }
 
-        let exposed_len = sim_with_state(|s: &mut MachineState, _| {
-            let h = &s.heaps[peer];
-            if h.is_exposed(token.token) {
-                h.len_of(token.token)
-            } else {
-                None
-            }
-        });
+        let exposed_len =
+            sim_with_state(|s: &mut MachineState, _| s.heaps[peer].exposed_len(token.token));
         let Some(rcap) = exposed_len else {
             return Err(CommError::PermissionDenied);
         };
@@ -433,23 +427,14 @@ impl PolledComm {
 
         // 4. Move the actual bytes (correctness plane; phantom-aware).
         if copy_len > 0 {
+            let (remote, near) = ((peer, token.token, remote_off), (me, local.0, local_off));
             sim_with_state(|s: &mut MachineState, _| match dir {
                 CmaDir::Read => {
-                    if !s.heaps[peer].is_phantom(token.token) && !s.heaps[me].is_phantom(local.0) {
-                        let src = s.heaps[peer]
-                            .extract(token.token, remote_off, copy_len)
-                            .expect("range checked above");
-                        s.heaps[me].write(local.0, local_off, &src);
-                    }
+                    s.move_bytes(remote, near, copy_len);
                     s.stats[me].bytes_read += copy_len as u64;
                 }
                 CmaDir::Write => {
-                    if !s.heaps[peer].is_phantom(token.token) && !s.heaps[me].is_phantom(local.0) {
-                        let src = s.heaps[me]
-                            .extract(local.0, local_off, copy_len)
-                            .expect("range checked above");
-                        s.heaps[peer].write(token.token, remote_off, &src);
-                    }
+                    s.move_bytes(near, remote, copy_len);
                     s.stats[me].bytes_written += copy_len as u64;
                 }
             });
@@ -484,14 +469,8 @@ impl PolledComm {
         if let FaultDecision::Fail(e) = self.fault_gate(Some(peer), op, len).await {
             return Err(e);
         }
-        let exposed_len = sim_with_state(|s: &mut MachineState, _| {
-            let h = &s.heaps[peer];
-            if h.is_exposed(token.token) {
-                h.len_of(token.token)
-            } else {
-                None
-            }
-        });
+        let exposed_len =
+            sim_with_state(|s: &mut MachineState, _| s.heaps[peer].exposed_len(token.token));
         let Some(rcap) = exposed_len else {
             return Err(CommError::PermissionDenied);
         };
@@ -531,23 +510,14 @@ impl PolledComm {
                 .span(Track::Rank(me), "copy", t1, w2, len as u64, None);
         }
         // Data plane (phantom-aware), same accounting as the CMA path.
+        let (remote, near) = ((peer, token.token, remote_off), (me, local.0, local_off));
         sim_with_state(move |s: &mut MachineState, _| match dir {
             CmaDir::Read => {
-                if !s.heaps[peer].is_phantom(token.token) && !s.heaps[me].is_phantom(local.0) {
-                    let src = s.heaps[peer]
-                        .extract(token.token, remote_off, len)
-                        .expect("range checked above");
-                    s.heaps[me].write(local.0, local_off, &src);
-                }
+                s.move_bytes(remote, near, len);
                 s.stats[me].bytes_read += len as u64;
             }
             CmaDir::Write => {
-                if !s.heaps[peer].is_phantom(token.token) && !s.heaps[me].is_phantom(local.0) {
-                    let src = s.heaps[me]
-                        .extract(local.0, local_off, len)
-                        .expect("range checked above");
-                    s.heaps[peer].write(token.token, remote_off, &src);
-                }
+                s.move_bytes(near, remote, len);
                 s.stats[me].bytes_written += len as u64;
             }
         });
@@ -639,12 +609,7 @@ impl PolledComm {
         );
         let me = self.rank;
         sim_with_state(move |s: &mut MachineState, _| {
-            if !s.heaps[me].is_phantom(src.0) && !s.heaps[me].is_phantom(dst.0) {
-                let data = s.heaps[me]
-                    .extract(src.0, src_off, len)
-                    .expect("range checked above");
-                s.heaps[me].write(dst.0, dst_off, &data);
-            }
+            s.move_bytes((me, src.0, src_off), (me, dst.0, dst_off), len);
         });
         Ok(())
     }

@@ -345,14 +345,9 @@ impl SimComm {
                 .span(Track::Rank(me), "check", t0, t_chk, 0, None);
         }
 
-        let exposed_len = self.ctx.with_state(|s, _| {
-            let h = &s.heaps[peer];
-            if h.is_exposed(token.token) {
-                h.len_of(token.token)
-            } else {
-                None
-            }
-        });
+        let exposed_len = self
+            .ctx
+            .with_state(|s, _| s.heaps[peer].exposed_len(token.token));
         let Some(rcap) = exposed_len else {
             return Err(CommError::PermissionDenied);
         };
@@ -420,23 +415,14 @@ impl SimComm {
         // carry no data, so the copy is skipped — timing was already
         // charged above.
         if copy_len > 0 {
+            let (remote, near) = ((peer, token.token, remote_off), (me, local.0, local_off));
             self.ctx.with_state(|s, _| match dir {
                 CmaDir::Read => {
-                    if !s.heaps[peer].is_phantom(token.token) && !s.heaps[me].is_phantom(local.0) {
-                        let src = s.heaps[peer]
-                            .extract(token.token, remote_off, copy_len)
-                            .expect("range checked above");
-                        s.heaps[me].write(local.0, local_off, &src);
-                    }
+                    s.move_bytes(remote, near, copy_len);
                     s.stats[me].bytes_read += copy_len as u64;
                 }
                 CmaDir::Write => {
-                    if !s.heaps[peer].is_phantom(token.token) && !s.heaps[me].is_phantom(local.0) {
-                        let src = s.heaps[me]
-                            .extract(local.0, local_off, copy_len)
-                            .expect("range checked above");
-                        s.heaps[peer].write(token.token, remote_off, &src);
-                    }
+                    s.move_bytes(near, remote, copy_len);
                     s.stats[me].bytes_written += copy_len as u64;
                 }
             });
@@ -477,14 +463,9 @@ impl SimComm {
         if let FaultDecision::Fail(e) = self.fault_gate(Some(peer), op, len) {
             return Err(e);
         }
-        let exposed_len = self.ctx.with_state(|s, _| {
-            let h = &s.heaps[peer];
-            if h.is_exposed(token.token) {
-                h.len_of(token.token)
-            } else {
-                None
-            }
-        });
+        let exposed_len = self
+            .ctx
+            .with_state(|s, _| s.heaps[peer].exposed_len(token.token));
         let Some(rcap) = exposed_len else {
             return Err(CommError::PermissionDenied);
         };
@@ -525,23 +506,14 @@ impl SimComm {
                 .span(Track::Rank(me), "copy", t1, w2, len as u64, None);
         }
         // Data plane (phantom-aware), same accounting as the CMA path.
+        let (remote, near) = ((peer, token.token, remote_off), (me, local.0, local_off));
         self.ctx.with_state(move |s, _| match dir {
             CmaDir::Read => {
-                if !s.heaps[peer].is_phantom(token.token) && !s.heaps[me].is_phantom(local.0) {
-                    let src = s.heaps[peer]
-                        .extract(token.token, remote_off, len)
-                        .expect("range checked above");
-                    s.heaps[me].write(local.0, local_off, &src);
-                }
+                s.move_bytes(remote, near, len);
                 s.stats[me].bytes_read += len as u64;
             }
             CmaDir::Write => {
-                if !s.heaps[peer].is_phantom(token.token) && !s.heaps[me].is_phantom(local.0) {
-                    let src = s.heaps[me]
-                        .extract(local.0, local_off, len)
-                        .expect("range checked above");
-                    s.heaps[peer].write(token.token, remote_off, &src);
-                }
+                s.move_bytes(near, remote, len);
                 s.stats[me].bytes_written += len as u64;
             }
         });
@@ -633,12 +605,7 @@ impl Comm for SimComm {
         );
         let me = self.rank;
         self.ctx.with_state(move |s, _| {
-            if !s.heaps[me].is_phantom(src.0) && !s.heaps[me].is_phantom(dst.0) {
-                let data = s.heaps[me]
-                    .extract(src.0, src_off, len)
-                    .expect("range checked above");
-                s.heaps[me].write(dst.0, dst_off, &data);
-            }
+            s.move_bytes((me, src.0, src_off), (me, dst.0, dst_off), len);
         });
         Ok(())
     }

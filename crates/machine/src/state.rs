@@ -4,7 +4,6 @@ use crate::fluid::{MemSys, PageLockServer};
 use kacc_comm::Topology;
 use kacc_model::{ArchProfile, FabricParams};
 use kacc_sim_core::Mailboxes;
-use std::collections::{HashMap, HashSet};
 
 /// One simulated buffer: real bytes, or a *phantom* that tracks only
 /// its length. Phantoms let measurement sweeps simulate terabyte-scale
@@ -31,47 +30,79 @@ impl Buf {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Write bytes in (no-op into phantoms). False if out of range.
+    fn write(&mut self, off: usize, data: &[u8]) -> bool {
+        match self {
+            Buf::Real(v) if off + data.len() <= v.len() => {
+                v[off..off + data.len()].copy_from_slice(data);
+                true
+            }
+            Buf::Real(_) => false,
+            Buf::Phantom(n) => off + data.len() <= *n,
+        }
+    }
+}
+
+/// One live buffer and whether its owner exposed it.
+#[derive(Debug)]
+struct HeapSlot {
+    buf: Buf,
+    exposed: bool,
 }
 
 /// One simulated process's private memory: buffers and exposure set.
 #[derive(Debug, Default)]
 pub struct RankHeap {
-    bufs: HashMap<u64, Buf>,
-    next: u64,
-    exposed: HashSet<u64>,
+    /// `slots[id]`: ids are handed out in sequence and never reused, so a
+    /// buffer id is its index and a freed id stays `None` for good.
+    slots: Vec<Option<HeapSlot>>,
     /// Allocate phantoms instead of real buffers.
     pub phantom: bool,
 }
 
 impl RankHeap {
+    fn slot(&self, id: u64) -> Option<&HeapSlot> {
+        self.slots.get(usize::try_from(id).ok()?)?.as_ref()
+    }
+
+    /// The slab entry an id names, live or freed.
+    fn entry_mut(&mut self, id: u64) -> Option<&mut Option<HeapSlot>> {
+        self.slots.get_mut(usize::try_from(id).ok()?)
+    }
+
+    fn slot_mut(&mut self, id: u64) -> Option<&mut HeapSlot> {
+        self.entry_mut(id)?.as_mut()
+    }
+
     /// Allocate a zeroed buffer, returning its id.
     pub fn alloc(&mut self, len: usize) -> u64 {
-        let id = self.next;
-        self.next += 1;
         let buf = if self.phantom {
             Buf::Phantom(len)
         } else {
             Buf::Real(vec![0u8; len])
         };
-        self.bufs.insert(id, buf);
-        id
+        self.slots.push(Some(HeapSlot {
+            buf,
+            exposed: false,
+        }));
+        self.slots.len() as u64 - 1
     }
 
     /// Free a buffer (revoking exposure). Returns false if unknown.
     pub fn free(&mut self, id: u64) -> bool {
-        self.exposed.remove(&id);
-        self.bufs.remove(&id).is_some()
+        self.entry_mut(id).and_then(Option::take).is_some()
     }
 
     /// Buffer length, if allocated.
     pub fn len_of(&self, id: u64) -> Option<usize> {
-        self.bufs.get(&id).map(Buf::len)
+        self.slot(id).map(|s| s.buf.len())
     }
 
     /// Read bytes out (phantoms yield zeroes). False if the access is
     /// invalid.
     pub fn read(&self, id: u64, off: usize, out: &mut [u8]) -> bool {
-        match self.bufs.get(&id) {
+        match self.slot(id).map(|s| &s.buf) {
             Some(Buf::Real(v)) if off + out.len() <= v.len() => {
                 out.copy_from_slice(&v[off..off + out.len()]);
                 true
@@ -86,14 +117,7 @@ impl RankHeap {
 
     /// Write bytes in (no-op into phantoms). False if invalid.
     pub fn write(&mut self, id: u64, off: usize, data: &[u8]) -> bool {
-        match self.bufs.get_mut(&id) {
-            Some(Buf::Real(v)) if off + data.len() <= v.len() => {
-                v[off..off + data.len()].copy_from_slice(data);
-                true
-            }
-            Some(Buf::Phantom(n)) => off + data.len() <= *n,
-            _ => false,
-        }
+        self.slot_mut(id).is_some_and(|s| s.buf.write(off, data))
     }
 
     /// Copy a region out as a vector (zeroes for phantoms). None if
@@ -107,29 +131,88 @@ impl RankHeap {
         }
     }
 
+    /// The bytes of a region of a real buffer; `None` for phantoms and
+    /// invalid accesses.
+    fn region(&self, id: u64, off: usize, len: usize) -> Option<&[u8]> {
+        match &self.slot(id)?.buf {
+            Buf::Real(v) if off + len <= v.len() => Some(&v[off..off + len]),
+            _ => None,
+        }
+    }
+
+    /// Copy `len` bytes from a buffer of `src` straight into a buffer of
+    /// this heap — one memcpy where [`extract`](Self::extract) then
+    /// [`write`](Self::write) allocate and copy twice. False (and nothing
+    /// moves) if either access is invalid or the source is a phantom.
+    pub fn copy_from(
+        &mut self,
+        dst: u64,
+        dst_off: usize,
+        src: &RankHeap,
+        src_id: u64,
+        src_off: usize,
+        len: usize,
+    ) -> bool {
+        src.region(src_id, src_off, len)
+            .is_some_and(|bytes| self.write(dst, dst_off, bytes))
+    }
+
+    /// [`copy_from`](Self::copy_from) between two buffers of this heap,
+    /// or two regions of one buffer (overlap behaves as `memmove`).
+    pub fn copy_within(
+        &mut self,
+        src: u64,
+        src_off: usize,
+        dst: u64,
+        dst_off: usize,
+        len: usize,
+    ) -> bool {
+        if src == dst {
+            return match self.slot_mut(dst).map(|s| &mut s.buf) {
+                Some(Buf::Real(v)) if src_off + len <= v.len() && dst_off + len <= v.len() => {
+                    v.copy_within(src_off..src_off + len, dst_off);
+                    true
+                }
+                _ => false,
+            };
+        }
+        // Lift the destination out of the slab while the source is
+        // borrowed from it.
+        let Some(mut to) = self.entry_mut(dst).and_then(Option::take) else {
+            return false;
+        };
+        let ok = self
+            .region(src, src_off, len)
+            .is_some_and(|bytes| to.buf.write(dst_off, bytes));
+        self.slots[dst as usize] = Some(to);
+        ok
+    }
+
     /// Is the buffer a phantom?
     pub fn is_phantom(&self, id: u64) -> bool {
-        matches!(self.bufs.get(&id), Some(Buf::Phantom(_)))
+        self.slot(id)
+            .is_some_and(|s| matches!(s.buf, Buf::Phantom(_)))
     }
 
     /// Mark a buffer exposed for kernel-assisted access.
     pub fn expose(&mut self, id: u64) -> bool {
-        if self.bufs.contains_key(&id) {
-            self.exposed.insert(id);
-            true
-        } else {
-            false
-        }
+        self.slot_mut(id).map(|s| s.exposed = true).is_some()
     }
 
     /// Is a buffer exposed?
     pub fn is_exposed(&self, id: u64) -> bool {
-        self.exposed.contains(&id)
+        self.slot(id).is_some_and(|s| s.exposed)
+    }
+
+    /// Length of a buffer a peer may access: `None` unless it is allocated
+    /// and exposed.
+    pub fn exposed_len(&self, id: u64) -> Option<usize> {
+        self.slot(id).filter(|s| s.exposed).map(|s| s.buf.len())
     }
 
     /// Number of live buffers (leak checks in tests).
     pub fn live_buffers(&self) -> usize {
-        self.bufs.len()
+        self.slots.iter().flatten().count()
     }
 }
 
@@ -305,6 +388,35 @@ impl MachineState {
         rank % rpn
     }
 
+    /// Data plane of a transfer whose ranges the caller has already
+    /// checked: move `len` bytes from `src` to `dst`, each a `(rank,
+    /// buffer id, offset)`. Nothing moves when either buffer is a phantom
+    /// (phantom runs model time only), or when the destination was freed
+    /// while the transfer was in flight.
+    pub fn move_bytes(&mut self, src: (usize, u64, usize), dst: (usize, u64, usize), len: usize) {
+        let ((from, src, src_off), (to, dst, dst_off)) = (src, dst);
+        if self.heaps[from].is_phantom(src) || self.heaps[to].is_phantom(dst) {
+            return;
+        }
+        assert!(
+            self.heaps[from]
+                .len_of(src)
+                .is_some_and(|cap| src_off + len <= cap),
+            "range checked above"
+        );
+        if from == to {
+            self.heaps[to].copy_within(src, src_off, dst, dst_off, len);
+        } else {
+            let (lo, hi) = self.heaps.split_at_mut(from.max(to));
+            let (src_heap, dst_heap) = if from < to {
+                (&lo[from], &mut hi[0])
+            } else {
+                (&hi[0], &mut lo[to])
+            };
+            dst_heap.copy_from(dst, dst_off, src_heap, src, src_off, len);
+        }
+    }
+
     /// Does `tid` own a live flow in any fluid server? The harnesses
     /// assert it does not when a rank finishes: a leaked flow would sit
     /// at its server's head forever, and with head-only completion wakes
@@ -343,6 +455,103 @@ mod tests {
         assert!(!h.is_exposed(a), "free revokes exposure");
         assert!(!h.free(a), "double free detected");
         assert_eq!(h.live_buffers(), 1);
+    }
+
+    #[test]
+    fn freed_and_never_allocated_ids_fail_every_accessor() {
+        let mut h = RankHeap::default();
+        let keep = h.alloc(8);
+        let freed = h.alloc(8);
+        assert!(h.expose(freed));
+        assert!(h.free(freed));
+        let mut out = [0u8; 1];
+        // A freed id, the next id to be handed out, and ids no slab index
+        // can hold.
+        for id in [freed, 2, 99, u64::MAX] {
+            assert_eq!(h.len_of(id), None, "id {id}");
+            assert_eq!(h.exposed_len(id), None, "id {id}");
+            assert!(!h.is_exposed(id), "id {id}");
+            assert!(!h.is_phantom(id), "id {id}");
+            assert!(!h.read(id, 0, &mut out), "id {id}");
+            assert!(!h.write(id, 0, &[1]), "id {id}");
+            assert_eq!(h.extract(id, 0, 1), None, "id {id}");
+            assert!(!h.expose(id), "id {id}");
+            assert!(!h.free(id), "id {id}");
+            assert!(!h.copy_within(id, 0, keep, 0, 1), "id {id} as source");
+            assert!(!h.copy_within(keep, 0, id, 0, 1), "id {id} as destination");
+            assert!(!h.copy_within(id, 0, id, 0, 1), "id {id} onto itself");
+        }
+        // Ids are never reused: the freed slot stays dead, exposure and all.
+        assert_eq!(h.alloc(8), 2);
+        assert_eq!(h.len_of(freed), None);
+        assert_eq!(h.live_buffers(), 2);
+    }
+
+    #[test]
+    fn copies_move_bytes_without_staging() {
+        let mut a = RankHeap::default();
+        let mut b = RankHeap::default();
+        let src = a.alloc(8);
+        a.write(src, 0, &[1, 2, 3, 4, 5, 6, 7, 8]);
+        let dst = b.alloc(4);
+        assert!(b.copy_from(dst, 1, &a, src, 2, 3));
+        assert_eq!(b.extract(dst, 0, 4), Some(vec![0, 3, 4, 5]));
+        assert!(!b.copy_from(dst, 2, &a, src, 0, 3), "destination overflow");
+        assert!(!b.copy_from(dst, 0, &a, src, 6, 3), "source overflow");
+        assert_eq!(b.extract(dst, 0, 4), Some(vec![0, 3, 4, 5]), "untouched");
+
+        // Within one heap: to a lower id, to a higher id, and overlapping
+        // regions of one buffer.
+        let hi = a.alloc(4);
+        assert!(a.copy_within(src, 4, hi, 0, 4));
+        assert_eq!(a.extract(hi, 0, 4), Some(vec![5, 6, 7, 8]));
+        assert!(a.copy_within(hi, 2, src, 0, 2));
+        assert!(a.copy_within(src, 0, src, 1, 4));
+        assert_eq!(a.extract(src, 0, 8), Some(vec![7, 7, 8, 3, 4, 6, 7, 8]));
+        assert!(!a.copy_within(src, 6, src, 0, 3));
+        assert!(!a.copy_within(src, 0, hi, 2, 3));
+        assert_eq!(a.live_buffers(), 2, "a failed copy puts the slot back");
+
+        // Phantoms: a sink that checks the range, never a source.
+        let mut ph = RankHeap {
+            phantom: true,
+            ..RankHeap::default()
+        };
+        let p = ph.alloc(4);
+        assert!(ph.copy_from(p, 0, &a, src, 0, 4));
+        assert!(!ph.copy_from(p, 2, &a, src, 0, 4));
+        assert!(!a.copy_from(src, 0, &ph, p, 0, 4));
+    }
+
+    #[test]
+    fn move_bytes_skips_phantoms_and_freed_destinations() {
+        let mut st = MachineState::new(ArchProfile::broadwell(), 3);
+        st.heaps[2].phantom = true;
+        let a = st.heaps[0].alloc(4);
+        let b = st.heaps[1].alloc(4);
+        let ph = st.heaps[2].alloc(4);
+        st.heaps[0].write(a, 0, &[9, 8, 7, 6]);
+        st.move_bytes((0, a, 1), (1, b, 0), 3);
+        assert_eq!(st.heaps[1].extract(b, 0, 4), Some(vec![8, 7, 6, 0]));
+        st.move_bytes((1, b, 0), (0, a, 2), 2);
+        assert_eq!(st.heaps[0].extract(a, 0, 4), Some(vec![9, 8, 8, 7]));
+        st.move_bytes((0, a, 0), (0, a, 1), 3);
+        assert_eq!(st.heaps[0].extract(a, 0, 4), Some(vec![9, 9, 8, 8]));
+        st.move_bytes((2, ph, 0), (0, a, 0), 4);
+        st.move_bytes((0, a, 0), (2, ph, 0), 4);
+        assert_eq!(st.heaps[0].extract(a, 0, 4), Some(vec![9, 9, 8, 8]));
+        st.heaps[1].free(b);
+        st.move_bytes((0, a, 0), (1, b, 0), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "range checked above")]
+    fn move_bytes_from_a_freed_source_is_a_bug() {
+        let mut st = MachineState::new(ArchProfile::broadwell(), 2);
+        let a = st.heaps[0].alloc(4);
+        let b = st.heaps[1].alloc(4);
+        st.heaps[0].free(a);
+        st.move_bytes((0, a, 0), (1, b, 0), 4);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
 //! Deterministic discrete-event simulation kernel with cooperative rank
 //! threads.
@@ -42,7 +43,8 @@
 //!   a thread's epoch advances. Stale entries stop accumulating (the old
 //!   binary heap grew O(waker-storm²) garbage under fluid-server
 //!   contention) and duplicate wakes coalesce to the earliest time
-//!   before they ever reach the queue.
+//!   before they ever reach the queue. The heap is 4-ary with the
+//!   `(time, seq)` key inline in each node.
 //! * **Persistent worker pool** — rank bodies run on [`SimPool`] threads
 //!   that persist for the process lifetime, so a sweep of thousands of
 //!   `Sim::run` points stops paying `nranks` OS thread spawns + joins
@@ -50,6 +52,8 @@
 
 pub mod mailbox;
 pub mod polled;
+#[cfg(test)]
+mod queue_reference;
 
 pub use mailbox::Mailboxes;
 pub use polled::{PolledSim, RankTask, TaskCtx, TaskPoll};
@@ -237,13 +241,18 @@ impl Waker {
 /// would only be popped and discarded). This keeps the queue at ≤ one
 /// entry per live thread where the old `BinaryHeap` accumulated a stale
 /// entry per wake under fluid-server waker storms.
+///
+/// The heap is 4-ary and its nodes carry their own `(time, seq)`, so a
+/// sift compares neighbouring nodes without chasing a per-thread key
+/// table. `seq` is unique per insert, so the order is total and the pop
+/// sequence does not depend on the heap's shape (the binary heap of tids
+/// this replaced is the test oracle in `queue_reference.rs`).
 struct EventQueue {
-    /// Heap of tids ordered by `key`.
-    heap: Vec<usize>,
-    /// `pos[tid]` = heap index + 1, or 0 when the thread has no entry.
-    pos: Vec<usize>,
-    /// `key[tid]` = (time, seq, epoch); valid while `pos[tid] != 0`.
-    key: Vec<(SimTime, u64, u64)>,
+    /// 4-ary min-heap of pending wakes.
+    heap: Vec<QueueNode>,
+    /// Per-thread side of the index: where the thread's node sits and
+    /// which epoch it was issued for.
+    slots: Vec<QueueSlot>,
     /// Insert calls (metrics).
     inserts: u64,
     /// Inserts dropped by same-epoch later-time coalescing (metrics).
@@ -254,12 +263,38 @@ struct EventQueue {
     len_hwm: usize,
 }
 
+#[derive(Clone, Copy)]
+struct QueueNode {
+    t: SimTime,
+    seq: u64,
+    tid: u32,
+}
+
+impl QueueNode {
+    fn before(&self, other: &QueueNode) -> bool {
+        (self.t, self.seq) < (other.t, other.seq)
+    }
+}
+
+#[derive(Clone, Copy, Default)]
+struct QueueSlot {
+    /// Epoch of the thread's node; valid while `pos != 0`.
+    epoch: u64,
+    /// Heap index + 1, or 0 when the thread has no node.
+    pos: u32,
+}
+
 impl EventQueue {
+    const ARITY: usize = 4;
+
     fn new(nthreads: usize) -> EventQueue {
+        assert!(
+            u32::try_from(nthreads).is_ok(),
+            "thread ids must fit the queue's 32-bit index"
+        );
         EventQueue {
             heap: Vec::with_capacity(nthreads),
-            pos: vec![0; nthreads],
-            key: vec![(0, 0, 0); nthreads],
+            slots: vec![QueueSlot::default(); nthreads],
             inserts: 0,
             coalesce_drops: 0,
             pops: 0,
@@ -267,51 +302,47 @@ impl EventQueue {
         }
     }
 
-    fn less(&self, a: usize, b: usize) -> bool {
-        let (ta, sa, _) = self.key[a];
-        let (tb, sb, _) = self.key[b];
-        (ta, sa) < (tb, sb)
+    fn place(&mut self, i: usize, node: QueueNode) {
+        self.heap[i] = node;
+        self.slots[node.tid as usize].pos = i as u32 + 1;
     }
 
-    fn swap(&mut self, a: usize, b: usize) {
-        self.heap.swap(a, b);
-        self.pos[self.heap[a]] = a + 1;
-        self.pos[self.heap[b]] = b + 1;
-    }
-
-    /// Returns true when the entry moved.
-    fn sift_up(&mut self, mut i: usize) -> bool {
-        let mut moved = false;
+    /// Settle `node` at or above the hole `i`.
+    fn sift_up(&mut self, mut i: usize, node: QueueNode) {
         while i > 0 {
-            let p = (i - 1) / 2;
-            if self.less(self.heap[i], self.heap[p]) {
-                self.swap(i, p);
-                i = p;
-                moved = true;
-            } else {
+            let p = (i - 1) / Self::ARITY;
+            let parent = self.heap[p];
+            if !node.before(&parent) {
                 break;
             }
+            self.place(i, parent);
+            i = p;
         }
-        moved
+        self.place(i, node);
     }
 
-    fn sift_down(&mut self, mut i: usize) {
+    /// Settle `node` at or below the hole `i`.
+    fn sift_down(&mut self, mut i: usize, node: QueueNode) {
         loop {
-            let l = 2 * i + 1;
-            let r = l + 1;
-            let mut m = i;
-            if l < self.heap.len() && self.less(self.heap[l], self.heap[m]) {
-                m = l;
+            let first = Self::ARITY * i + 1;
+            if first >= self.heap.len() {
+                break;
             }
-            if r < self.heap.len() && self.less(self.heap[r], self.heap[m]) {
-                m = r;
+            let end = (first + Self::ARITY).min(self.heap.len());
+            let mut least = first;
+            for c in first + 1..end {
+                if self.heap[c].before(&self.heap[least]) {
+                    least = c;
+                }
             }
-            if m == i {
-                return;
+            let child = self.heap[least];
+            if !child.before(&node) {
+                break;
             }
-            self.swap(i, m);
-            i = m;
+            self.place(i, child);
+            i = least;
         }
+        self.place(i, node);
     }
 
     /// Insert or update thread `tid`'s wake. See the type docs for the
@@ -319,9 +350,15 @@ impl EventQueue {
     /// dispatch order the duplicate-tolerant heap produced.
     fn insert(&mut self, tid: usize, t: SimTime, seq: u64, epoch: u64) {
         self.inserts += 1;
-        if self.pos[tid] != 0 {
-            let (ct, _cs, ce) = self.key[tid];
-            if ce == epoch && t >= ct {
+        let node = QueueNode {
+            t,
+            seq,
+            tid: tid as u32,
+        };
+        let slot = &mut self.slots[tid];
+        if slot.pos != 0 {
+            let i = slot.pos as usize - 1;
+            if slot.epoch == epoch && t >= self.heap[i].t {
                 // Same-epoch duplicate at a later (or equal) time: the
                 // existing earlier wake dispatches first and the thread
                 // re-parks with a new epoch, so this one could only ever
@@ -329,40 +366,37 @@ impl EventQueue {
                 self.coalesce_drops += 1;
                 return;
             }
-            self.key[tid] = (t, seq, epoch);
-            let i = self.pos[tid] - 1;
-            if !self.sift_up(i) {
-                self.sift_down(i);
+            slot.epoch = epoch;
+            if i > 0 && node.before(&self.heap[(i - 1) / Self::ARITY]) {
+                self.sift_up(i, node);
+            } else {
+                self.sift_down(i, node);
             }
         } else {
-            self.key[tid] = (t, seq, epoch);
-            self.heap.push(tid);
-            self.pos[tid] = self.heap.len();
+            slot.epoch = epoch;
+            self.heap.push(node);
             self.len_hwm = self.len_hwm.max(self.heap.len());
-            self.sift_up(self.heap.len() - 1);
+            self.sift_up(self.heap.len() - 1, node);
         }
     }
 
     /// Earliest pending wake as `(time, seq, tid, epoch)`.
     fn peek(&self) -> Option<(SimTime, u64, usize, u64)> {
-        self.heap.first().map(|&tid| {
-            let (t, s, e) = self.key[tid];
-            (t, s, tid, e)
+        self.heap.first().map(|n| {
+            let tid = n.tid as usize;
+            (n.t, n.seq, tid, self.slots[tid].epoch)
         })
     }
 
     fn pop(&mut self) -> Option<(SimTime, u64, usize, u64)> {
-        let &tid = self.heap.first()?;
+        let top = self.peek()?;
         self.pops += 1;
-        let (t, s, e) = self.key[tid];
         let last = self.heap.pop().expect("nonempty");
-        self.pos[tid] = 0;
+        self.slots[top.2].pos = 0;
         if !self.heap.is_empty() {
-            self.heap[0] = last;
-            self.pos[last] = 1;
-            self.sift_down(0);
+            self.sift_down(0, last);
         }
-        Some((t, s, tid, e))
+        Some(top)
     }
 }
 

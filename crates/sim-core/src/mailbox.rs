@@ -19,15 +19,75 @@
 //! ```
 
 use crate::{Poll, SimTime, Waker};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 type Key = (usize, usize, u64); // (to, from, tag)
+
+/// Multiply-rotate hash over the key's three words. Keys are rank
+/// indices and tags the simulator itself builds, so there is no
+/// adversary to defend the table against and SipHash is pure overhead
+/// on a path every control message crosses twice.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type Message = (SimTime, Vec<u8>);
+
+/// One `(to, from, tag)` channel: messages in flight and the receiver
+/// parked on them. A channel exists only while it has either.
+#[derive(Debug, Default)]
+struct Channel {
+    /// Oldest undelivered message. Kept out of `backlog` because nearly
+    /// every channel holds at most one, and a channel that lives for one
+    /// message should not allocate and free a queue buffer for it.
+    head: Option<Message>,
+    /// Messages behind `head`, oldest first; empty while `head` is `None`.
+    backlog: VecDeque<Message>,
+    waiter: Option<usize>,
+}
+
+impl Channel {
+    fn push(&mut self, msg: Message) {
+        match self.head {
+            None => self.head = Some(msg),
+            Some(_) => self.backlog.push_back(msg),
+        }
+    }
+
+    fn pop(&mut self) -> Option<Message> {
+        std::mem::replace(&mut self.head, self.backlog.pop_front())
+    }
+
+    fn len(&self) -> usize {
+        usize::from(self.head.is_some()) + self.backlog.len()
+    }
+}
 
 /// FIFO virtual-time mailboxes keyed by `(to, from, tag)`.
 #[derive(Debug, Default)]
 pub struct Mailboxes {
-    queues: HashMap<Key, VecDeque<(SimTime, Vec<u8>)>>,
-    waiters: HashMap<Key, usize>,
+    channels: HashMap<Key, Channel, BuildHasherDefault<WordHasher>>,
     /// Total messages ever deposited (observability/testing).
     pub deposited: u64,
     /// Total messages ever delivered.
@@ -51,13 +111,10 @@ impl Mailboxes {
         arrival: SimTime,
         payload: Vec<u8>,
     ) {
-        let key = (to, from, tag);
-        self.queues
-            .entry(key)
-            .or_default()
-            .push_back((arrival, payload));
+        let channel = self.channels.entry((to, from, tag)).or_default();
+        channel.push((arrival, payload));
         self.deposited += 1;
-        if let Some(&tid) = self.waiters.get(&key) {
+        if let Some(tid) = channel.waiter {
             waker.wake_at(tid, arrival);
         }
     }
@@ -77,61 +134,58 @@ impl Mailboxes {
         now: SimTime,
     ) -> Poll<Vec<u8>> {
         let key = (to, from, tag);
-        // Peek the head's arrival without cloning the payload (bulk
+        let mut slot = match self.channels.entry(key) {
+            Entry::Occupied(slot) => slot,
+            Entry::Vacant(slot) => {
+                slot.insert(Channel {
+                    waiter: Some(tid),
+                    ..Channel::default()
+                });
+                return Poll::Wait { wake_at: None };
+            }
+        };
+        let channel = slot.get_mut();
+        // Look at the head's arrival before moving the payload out (bulk
         // messages can be megabytes).
-        match self
-            .queues
-            .get_mut(&key)
-            .and_then(|q| q.front().map(|(a, _)| *a))
-        {
-            Some(arrival) if arrival <= now => {
-                let (_, payload) = self
-                    .queues
-                    .get_mut(&key)
-                    .and_then(|q| q.pop_front())
-                    .expect("peeked head exists");
-                self.waiters.remove(&key);
-                self.delivered += 1;
-                Poll::Ready(payload)
+        let head = channel.head.as_ref().map(|(arrival, _)| *arrival);
+        if head.is_some_and(|arrival| arrival <= now) {
+            let (_, payload) = channel.pop().expect("peeked head exists");
+            channel.waiter = None;
+            if channel.head.is_none() {
+                slot.remove();
             }
-            Some(arrival) => {
-                self.register(key, tid);
-                Poll::Wait {
-                    wake_at: Some(arrival),
-                }
-            }
-            None => {
-                self.register(key, tid);
-                Poll::Wait { wake_at: None }
-            }
+            self.delivered += 1;
+            return Poll::Ready(payload);
         }
-    }
-
-    fn register(&mut self, key: Key, tid: usize) {
-        if let Some(&prev) = self.waiters.get(&key) {
-            assert_eq!(
+        match channel.waiter {
+            Some(prev) => assert_eq!(
                 prev, tid,
                 "two threads ({prev} and {tid}) waiting on mailbox {key:?}"
-            );
-        } else {
-            self.waiters.insert(key, tid);
+            ),
+            None => channel.waiter = Some(tid),
         }
+        Poll::Wait { wake_at: head }
     }
 
     /// Withdraw `tid`'s wait registration on a key without consuming a
     /// message. Deadline receives use this when they give up: leaving the
     /// registration behind would make a later deposit wake (or a future
-    /// `register` assert against) a thread that is no longer waiting.
+    /// `take` assert against) a thread that is no longer waiting.
     pub fn unregister(&mut self, to: usize, from: usize, tag: u64, tid: usize) {
-        let key = (to, from, tag);
-        if self.waiters.get(&key) == Some(&tid) {
-            self.waiters.remove(&key);
+        if let Entry::Occupied(mut slot) = self.channels.entry((to, from, tag)) {
+            let channel = slot.get_mut();
+            if channel.waiter == Some(tid) {
+                channel.waiter = None;
+                if channel.head.is_none() {
+                    slot.remove();
+                }
+            }
         }
     }
 
     /// Number of undelivered messages across all queues (leak checking).
     pub fn pending(&self) -> usize {
-        self.queues.values().map(|q| q.len()).sum()
+        self.channels.values().map(Channel::len).sum()
     }
 }
 
@@ -139,6 +193,112 @@ impl Mailboxes {
 mod tests {
     use super::*;
     use crate::Sim;
+
+    /// A waker outside any kernel, to see which wakes a deposit requests.
+    fn waker() -> Waker {
+        Waker {
+            pending: Vec::new(),
+            slots: Vec::new(),
+            gen: 1,
+            raw: 0,
+            coalesced: 0,
+        }
+    }
+
+    fn ready(p: Poll<Vec<u8>>) -> Vec<u8> {
+        match p {
+            Poll::Ready(v) => v,
+            Poll::Wait { wake_at } => panic!("expected a message, would wait until {wake_at:?}"),
+        }
+    }
+
+    fn wait(p: Poll<Vec<u8>>) -> Option<SimTime> {
+        match p {
+            Poll::Ready(v) => panic!("expected to wait, got {v:?}"),
+            Poll::Wait { wake_at } => wake_at,
+        }
+    }
+
+    #[test]
+    fn fifo_holds_per_key_across_interleaved_keys() {
+        let mut m = Mailboxes::new();
+        let mut w = waker();
+        // Three channels into rank 1 — two senders, and a second tag from
+        // sender 0 — fed round-robin.
+        let keys = [(1, 0, 7u64), (1, 2, 7), (1, 0, (1 << 32) | 7)];
+        for i in 0..4u8 {
+            for (k, &(to, from, tag)) in keys.iter().enumerate() {
+                m.deposit(&mut w, to, from, tag, 10, vec![k as u8, i]);
+            }
+        }
+        assert_eq!(m.pending(), 12);
+        assert!(w.pending.is_empty(), "nobody was parked");
+        // Drained in another interleaving, each still in its own order.
+        for i in 0..4u8 {
+            for (k, &(to, from, tag)) in keys.iter().enumerate().rev() {
+                assert_eq!(ready(m.take(9, to, from, tag, 10)), vec![k as u8, i]);
+            }
+        }
+        assert_eq!((m.deposited, m.delivered), (12, 12));
+    }
+
+    #[test]
+    fn deposit_wakes_the_parked_receiver_at_the_arrival_time() {
+        let mut m = Mailboxes::new();
+        let mut w = waker();
+        assert_eq!(wait(m.take(3, 1, 0, 7, 100)), None);
+        m.deposit(&mut w, 1, 0, 7, 140, vec![1]);
+        assert_eq!(w.pending, vec![(3, 140)]);
+        // Woken early: re-parks with the head's arrival as its timer.
+        assert_eq!(wait(m.take(3, 1, 0, 7, 120)), Some(140));
+        assert_eq!(ready(m.take(3, 1, 0, 7, 140)), vec![1]);
+        // Delivery withdrew the registration: the next deposit wakes nobody.
+        let mut w = waker();
+        m.deposit(&mut w, 1, 0, 7, 150, vec![2]);
+        assert!(w.pending.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "two threads (3 and 4) waiting on mailbox (1, 0, 7)")]
+    fn two_receivers_on_one_key_are_rejected() {
+        let mut m = Mailboxes::new();
+        let _ = m.take(3, 1, 0, 7, 0);
+        let _ = m.take(4, 1, 0, 7, 0);
+    }
+
+    #[test]
+    fn unregister_hands_the_key_to_another_receiver() {
+        let mut m = Mailboxes::new();
+        let mut w = waker();
+        assert_eq!(wait(m.take(3, 1, 0, 7, 0)), None);
+        // Not the registered waiter: no effect, 3 stays parked.
+        m.unregister(1, 0, 7, 4);
+        m.unregister(1, 0, 7, 3);
+        assert_eq!(wait(m.take(4, 1, 0, 7, 5)), None);
+        m.deposit(&mut w, 1, 0, 7, 20, vec![9]);
+        assert_eq!(w.pending, vec![(4, 20)], "only the new receiver is woken");
+        // Giving up with a message in flight leaves the message.
+        m.unregister(1, 0, 7, 4);
+        assert_eq!(m.pending(), 1);
+        assert_eq!(ready(m.take(3, 1, 0, 7, 20)), vec![9]);
+    }
+
+    #[test]
+    fn drained_and_unwatched_channels_leave_nothing_behind() {
+        let mut m = Mailboxes::new();
+        let mut w = waker();
+        for from in 0..64 {
+            m.deposit(&mut w, 1, from, 7, 0, vec![0; 32]);
+            let _ = m.take(2, 2, from, 7, 0);
+        }
+        assert_eq!((m.pending(), m.channels.len()), (64, 128));
+        for from in 0..64 {
+            ready(m.take(1, 1, from, 7, 0));
+            m.unregister(2, from, 7, 2);
+        }
+        assert_eq!(m.pending(), 0);
+        assert!(m.channels.is_empty(), "no record outlives its last use");
+    }
 
     #[test]
     fn message_latency_is_respected() {

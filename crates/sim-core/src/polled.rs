@@ -45,13 +45,12 @@ use crate::{
     SimRunMetrics, SimTime, ThreadPhase, ThreadSlot, Tracer, Waker, TOTAL_EVENTS, TOTAL_FAST,
 };
 use kacc_trace::Track;
-use std::any::Any;
+use std::any::TypeId;
 use std::cell::{Cell, RefCell};
 use std::future::Future;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
-use std::rc::Rc;
 use std::sync::atomic::Ordering;
 use std::task;
 
@@ -87,7 +86,7 @@ pub trait RankTask<S> {
 
 /// Per-poll context handed to [`RankTask::poll_task`].
 pub struct TaskCtx<'a, S> {
-    shared: &'a Rc<PolledShared<S>>,
+    shared: &'a PolledShared<S>,
     tid: usize,
 }
 
@@ -133,8 +132,8 @@ struct PendingWait {
 }
 
 /// Kernel state shared between the driver and the leaf futures of the
-/// tasks it polls. Single-threaded by design: `Rc` + `RefCell` replace
-/// the threads engine's `Arc<Mutex<..>>`.
+/// tasks it polls. Single-threaded by design: a `RefCell` on the driver's
+/// stack replaces the threads engine's `Arc<Mutex<..>>`.
 struct PolledShared<S> {
     st: RefCell<KernelState<S>>,
     /// Set by the innermost leaf future that returned `Pending`; taken
@@ -181,73 +180,93 @@ impl<S: 'static> PolledShared<S> {
 // a handle through every async call.
 // ---------------------------------------------------------------------
 
+/// The kernel a task poll is running under: a type-erased pointer to its
+/// `PolledShared<S>`, the `TypeId` of that `S`, and the polled tid.
+#[derive(Clone, Copy)]
 struct Scope {
-    shared: Rc<dyn Any>,
+    shared: *const (),
+    state: TypeId,
     tid: usize,
 }
 
 thread_local! {
-    /// Stack of active polled scopes (a stack so a polled sim can run
-    /// inside another sim's host thread, e.g. in tests).
-    static SCOPE: RefCell<Vec<Scope>> = const { RefCell::new(Vec::new()) };
+    /// Scope of the innermost task poll on this thread, if any. One cell
+    /// rather than a stack: a sim run inside another sim's task (tests do
+    /// this) saves the outer scope in its [`ScopeGuard`] and restores it.
+    static SCOPE: Cell<Option<Scope>> = const { Cell::new(None) };
 }
 
-/// Pushes a scope on construction, pops it on drop (unwind-safe).
-struct ScopeGuard;
+/// Installs a scope for one task poll and restores the previous one on
+/// drop (unwind-safe). Borrows the kernel for as long as leaves can see
+/// it, which is what makes the pointer in [`Scope`] valid.
+struct ScopeGuard<'a, S> {
+    outer: Option<Scope>,
+    _kernel: PhantomData<&'a PolledShared<S>>,
+}
 
-impl ScopeGuard {
-    fn enter(shared: Rc<dyn Any>, tid: usize) -> ScopeGuard {
-        SCOPE.with(|s| s.borrow_mut().push(Scope { shared, tid }));
-        ScopeGuard
+impl<'a, S: 'static> ScopeGuard<'a, S> {
+    fn enter(shared: &'a PolledShared<S>, tid: usize) -> ScopeGuard<'a, S> {
+        let outer = SCOPE.replace(Some(Scope {
+            shared: std::ptr::from_ref(shared).cast(),
+            state: TypeId::of::<S>(),
+            tid,
+        }));
+        ScopeGuard {
+            outer,
+            _kernel: PhantomData,
+        }
     }
 }
 
-impl Drop for ScopeGuard {
+impl<S> Drop for ScopeGuard<'_, S> {
     fn drop(&mut self) {
-        SCOPE.with(|s| {
-            s.borrow_mut().pop();
-        });
+        SCOPE.set(self.outer);
     }
 }
 
-fn current<S: 'static>() -> (Rc<PolledShared<S>>, usize) {
-    SCOPE.with(|s| {
-        let scopes = s.borrow();
-        let scope = scopes
-            .last()
-            .expect("sim leaf used outside a PolledSim task poll");
-        let shared = Rc::clone(&scope.shared)
-            .downcast::<PolledShared<S>>()
-            .unwrap_or_else(|_| panic!("sim leaf state type does not match the running PolledSim"));
-        (shared, scope.tid)
-    })
+/// Run `f` against the kernel of the task poll in progress.
+fn with_current<S: 'static, T>(f: impl FnOnce(&PolledShared<S>, usize) -> T) -> T {
+    let scope = SCOPE
+        .get()
+        .expect("sim leaf used outside a PolledSim task poll");
+    assert!(
+        scope.state == TypeId::of::<S>(),
+        "sim leaf state type does not match the running PolledSim"
+    );
+    // SAFETY: `scope.shared` was taken from a `&PolledShared<S>` by the
+    // `ScopeGuard` that is still alive further up this thread's stack —
+    // it removes the scope from `SCOPE` before that borrow ends, and the
+    // guard is private to this module and never leaked — so the pointee
+    // is live and only shared references to it exist. The `TypeId` check
+    // above proves the pointee's type is `PolledShared<S>` for this `S`.
+    // `SCOPE` is thread-local, so the reference stays on the thread that
+    // owns the kernel, and it cannot outlive this call.
+    let shared = unsafe { &*scope.shared.cast::<PolledShared<S>>() };
+    f(shared, scope.tid)
 }
 
 /// Index of the task currently being polled (spawn order) — the polled
 /// analogue of [`crate::Ctx::tid`]. Callable from inside a task body.
 pub fn sim_tid() -> usize {
-    SCOPE.with(|s| {
-        s.borrow()
-            .last()
-            .expect("sim_tid used outside a PolledSim task poll")
-            .tid
-    })
+    SCOPE
+        .get()
+        .expect("sim_tid used outside a PolledSim task poll")
+        .tid
 }
 
 /// Current virtual time — the polled analogue of [`crate::Ctx::now`].
 pub fn sim_now<S: 'static>() -> SimTime {
-    let (shared, _) = current::<S>();
-    let now = shared.st.borrow().now;
-    now
+    with_current::<S, _>(|shared, _| shared.st.borrow().now)
 }
 
 /// Run `f` atomically against the shared state — the polled analogue of
 /// [`crate::Ctx::with_state`]. Non-blocking, evaluates exactly once.
 pub fn sim_with_state<S: 'static, T>(f: impl FnOnce(&mut S, SimTime) -> T) -> T {
-    let (shared, _) = current::<S>();
-    let mut guard = shared.st.borrow_mut();
-    let st = &mut *guard;
-    f(&mut st.user, st.now)
+    with_current::<S, _>(|shared, _| {
+        let mut guard = shared.st.borrow_mut();
+        let st = &mut *guard;
+        f(&mut st.user, st.now)
+    })
 }
 
 /// Leaf future mirroring [`crate::Ctx::poll`]: evaluates `f` once per
@@ -283,8 +302,7 @@ where
 
     fn poll(self: Pin<&mut Self>, _cx: &mut task::Context<'_>) -> task::Poll<T> {
         let this = self.get_mut();
-        let (shared, _) = current::<S>();
-        match shared.eval(&mut this.f) {
+        with_current::<S, _>(|shared, _| match shared.eval(&mut this.f) {
             Poll::Ready(v) => task::Poll::Ready(v),
             Poll::Wait { wake_at } => {
                 shared.pending.set(Some(PendingWait {
@@ -293,7 +311,7 @@ where
                 }));
                 task::Poll::Pending
             }
-        }
+        })
     }
 }
 
@@ -324,7 +342,7 @@ struct BoxTask {
 
 impl<S: 'static> RankTask<S> for BoxTask {
     fn poll_task(&mut self, cx: &mut TaskCtx<'_, S>) -> TaskPoll {
-        let _scope = ScopeGuard::enter(Rc::clone(cx.shared) as Rc<dyn Any>, cx.tid);
+        let _scope = ScopeGuard::enter(cx.shared, cx.tid);
         let waker = task::Waker::noop();
         let mut fcx = task::Context::from_waker(waker);
         match self.fut.as_mut().poll(&mut fcx) {
@@ -419,7 +437,7 @@ impl<S: 'static> PolledSim<S> {
     /// engine produces.
     pub fn run(mut self) -> RunReport<S> {
         let n = self.pending.len();
-        let shared = Rc::new(PolledShared {
+        let shared = PolledShared {
             st: RefCell::new(KernelState {
                 now: 0,
                 seq: 0,
@@ -447,7 +465,7 @@ impl<S: 'static> PolledSim<S> {
                 tracer: self.tracer.clone(),
             }),
             pending: Cell::new(None),
-        });
+        };
 
         // Seed start events in spawn order, as `Sim::run`.
         {
@@ -592,12 +610,9 @@ impl<S: 'static> PolledSim<S> {
             }
         }
 
-        // Drop the task state machines before unwrapping the kernel (a
-        // task's locals may hold leaf futures; none hold the Rc).
+        // Run the task state machines' destructors now, not while a panic
+        // raised below unwinds.
         drop(tasks);
-        let shared = Rc::try_unwrap(shared)
-            .ok()
-            .expect("all task scopes dropped at run end");
         let st = shared.st.into_inner();
         if let Some(msg) = st.panic_msg {
             panic!("{msg}");
@@ -893,6 +908,47 @@ mod tests {
             (r.end_time, r.finish_times, r.events)
         };
         assert_eq!(threads(), polled());
+    }
+
+    /// An inner sim of another state type, run to completion from inside a
+    /// task of the outer one, then `leaf` back in the outer task.
+    fn nested(leaf: impl FnOnce() + 'static) -> u64 {
+        let mut outer = PolledSim::new(0u64);
+        outer.spawn(|_| async move {
+            sim_advance::<u64>(5).await;
+            let mut inner = PolledSim::new(String::new());
+            inner.spawn(|tid| async move {
+                sim_advance::<String>(7).await;
+                assert_eq!(sim_tid(), tid);
+                sim_with_state(|s: &mut String, now| *s = format!("inner@{now}"));
+            });
+            let r = inner.run();
+            assert_eq!((r.state.as_str(), r.end_time), ("inner@7", 7));
+            // The outer scope is back: right tid, right clock, right type.
+            assert_eq!((sim_tid(), sim_now::<u64>()), (0, 5));
+            sim_advance::<u64>(1).await;
+            leaf();
+        });
+        outer.run().state
+    }
+
+    #[test]
+    fn a_sim_inside_a_task_restores_the_outer_scope() {
+        assert_eq!(nested(|| sim_with_state(|n: &mut u64, now| *n = now)), 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "sim leaf state type does not match the running PolledSim")]
+    fn wrong_typed_leaf_after_a_nested_sim_is_caught() {
+        nested(|| {
+            sim_now::<String>();
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "outside a PolledSim task poll")]
+    fn leaves_outside_a_task_poll_are_caught() {
+        sim_now::<()>();
     }
 
     #[test]

@@ -27,6 +27,10 @@ echo "== transport equivalence (SimComm behind Blocking vs PolledComm, one execu
 cargo test -q --release -p kacc-sim-core --test polled_parity
 cargo test -q --release -p kacc-collectives --test engine_equivalence
 
+echo "== differential suites (event queue, fluid servers vs their test oracles; mailbox, heap, scope units) =="
+# Tier-1 runs these in debug; release is the build every figure uses.
+cargo test -q --release -p kacc-sim-core -p kacc-machine --lib
+
 echo "== persona pins (library personas bit-for-bit vs the pre-port capture) =="
 cargo test -q --release -p kacc-bench --test persona_pins
 
