@@ -14,6 +14,12 @@
 //!   external wakes, the floor-transfer worst case for the threads
 //!   engine (every event is a futex round-trip) and the polled engine's
 //!   biggest win (every event is a queue pop).
+//! * `cma_read_multibatch_polled` — 16 ranks each reading 1 MiB (four
+//!   pin batches of 64 pages) from a distinct peer, eight times over: the
+//!   per-operation path of a kernel-assisted transfer with no lock
+//!   contention. One read is nine dispatches (entry timer, then a pin
+//!   wait and a copy wait per batch) stepped by the machine, and two
+//!   polls of the rank's future (one starts it, one collects it).
 //! * `mailbox_pair_polled` — one `Mailboxes` deposit and the matching
 //!   take per poll evaluation on one task, no queue traffic: the same
 //!   loop as the benchmark's `sim_core.mailbox_pair_ns` probe, so the two
@@ -26,6 +32,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use kacc_bench::measure::one_to_all_read_ns;
+use kacc_comm::RemoteToken;
+use kacc_machine::polled::sm_barrier_polled;
+use kacc_machine::{run_polled_team_phantom, PolledComm};
 use kacc_model::ArchProfile;
 use kacc_sim_core::polled::{sim_advance, sim_poll, PolledSim};
 use kacc_sim_core::{total_events, Mailboxes, Poll, Sim};
@@ -128,6 +137,29 @@ fn mailbox_pairs_polled(pairs: u64) -> u64 {
     sim.run().state.delivered
 }
 
+fn cma_read_multibatch_polled(arch: &ArchProfile) -> u64 {
+    const P: usize = 16;
+    const LEN: usize = 1 << 20;
+    const READS: usize = 8;
+    let (run, _) = run_polled_team_phantom(arch, P, |rank| async move {
+        let mut comm = PolledComm::new(rank);
+        let src = comm.alloc(LEN);
+        let own = comm.expose(src).await.expect("own buffer");
+        let dst = comm.alloc(LEN);
+        sm_barrier_polled(&mut comm).await.expect("barrier");
+        // Every rank exposed its first allocation, so the peer's token
+        // differs from ours in the rank alone.
+        let peer = RemoteToken {
+            rank: ((rank + 1) % P) as u64,
+            ..own
+        };
+        for _ in 0..READS {
+            comm.cma_read(peer, 0, dst, 0, LEN).await.expect("read");
+        }
+    });
+    run.end_ns
+}
+
 fn bench(c: &mut Criterion) {
     let knl = ArchProfile::knl();
 
@@ -182,6 +214,16 @@ fn bench(c: &mut Criterion) {
     );
     g.bench_function("pingpong_polled", |b| {
         b.iter(|| black_box(pingpong_polled(black_box(rounds))))
+    });
+
+    let (events, eps) = probe(|| {
+        cma_read_multibatch_polled(&knl);
+    });
+    println!(
+        "des_kernel/cma_read_multibatch_polled: {events} simulated events per iter (~{eps:.0} events/sec)"
+    );
+    g.bench_function("cma_read_multibatch_polled", |b| {
+        b.iter(|| black_box(cma_read_multibatch_polled(black_box(&knl))))
     });
 
     let pairs = 10_000u64;

@@ -22,6 +22,10 @@
 //!   virtual time for syscalls, permission checks, batched pinning and
 //!   copying, plus a two-copy shared-memory data path and a
 //!   small-message control plane;
+//! * [`polled::PolledComm`] — the same model as a native
+//!   [`kacc_comm::AsyncComm`] on the thread-free kernel, the endpoint every
+//!   figure runs on; its kernel-assisted transfers are state machines
+//!   resident in the machine ([`xfer`]), stepped by the kernel itself;
 //! * [`team::run_team`] — the harness that runs one closure per rank on
 //!   a simulated node and reports per-rank timing and the Fig 4 step
 //!   breakdown;
@@ -36,6 +40,7 @@ pub mod probe;
 pub mod simcomm;
 pub mod state;
 pub mod team;
+pub mod xfer;
 
 pub use polled::{
     run_polled_cluster, run_polled_machine_full, run_polled_team, run_polled_team_faulty,

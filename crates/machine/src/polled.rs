@@ -2,29 +2,37 @@
 //! harness family.
 //!
 //! [`PolledComm`] is the machine model behind a native
-//! [`kacc_comm::AsyncComm`]: syscall, permission check, batched pinning
-//! through the page-lock server, copying through the memory system, the
-//! two-copy shared-memory path and the small-message control plane, each
-//! charged in virtual time. Operations that wait are `async` and return
-//! `Pending(wake_at)` to the [`kacc_sim_core::polled::PolledSim`]
-//! driver. Every figure, the benchmark and the measurement helpers run
-//! on this endpoint.
+//! [`kacc_comm::AsyncComm`]: the two-copy shared-memory path, the
+//! small-message control plane and local copies, each charged in virtual
+//! time by `async` methods that return `Pending(wake_at)` to the
+//! [`kacc_sim_core::polled::PolledSim`] driver. Kernel-assisted transfers
+//! are the exception: [`PolledComm::cma_transfer`] hands the call to the
+//! machine ([`crate::xfer`]) and the kernel steps it — syscall,
+//! permission check, batched pinning through the page-lock server,
+//! copying through the memory system — from the event loop, through the
+//! step hook [`run_polled_machine_full`] installs; the rank's future is
+//! polled again only to collect the result. Every figure, the benchmark
+//! and the measurement helpers run on this endpoint.
 //!
 //! [`crate::SimComm`] is the same model as a blocking
 //! [`kacc_comm::Comm`] on the threads kernel — operation for operation
-//! the same poll closures, cost arithmetic, trace spans, `RankStats`
+//! the same server calls, cost arithmetic, trace spans, `RankStats`
 //! accounting and fault-gate placement, so a run of the same program is
-//! bitwise-identical on both (the engine-equivalence suite pins this).
-//! It survives only as a test transport; a change to the model must be
-//! made in both until it is deleted.
+//! bitwise-identical on both (`tests/xfer_parity.rs` and the
+//! engine-equivalence suite pin this). It survives only as a test
+//! transport; a change to the model must be made in both until it is
+//! deleted.
 
 use crate::fluid::FlowId;
 use crate::state::MachineState;
 use crate::team::TeamRun;
+use crate::xfer::{step_xfer, CmaCall, Xfer};
 use kacc_comm::{AsyncComm, BufId, CommError, RemoteToken, Result, Tag, Topology};
 use kacc_fault::{FaultDecision, FaultHook, FaultOp, FaultSite};
 use kacc_model::{ArchProfile, FabricParams};
-use kacc_sim_core::polled::{sim_advance, sim_now, sim_poll, sim_tid, sim_with_state, PolledSim};
+use kacc_sim_core::polled::{
+    sim_advance, sim_now, sim_poll, sim_steps, sim_tid, sim_with_state, PolledSim,
+};
 use kacc_sim_core::Poll;
 use kacc_trace::{Event, Tracer, Track};
 use std::cell::RefCell;
@@ -40,20 +48,16 @@ pub struct PolledComm {
     rank: usize,
     nranks: usize,
     topo: Topology,
-    nodes: Vec<usize>,
     node: usize,
     local: usize,
-    /// Ranks hosted per node (nodes are equally subscribed), cached so
-    /// [`PolledComm::local_of`] is a single modulo on the CMA hot path.
+    /// Ranks hosted per node (nodes are equally subscribed, ranks
+    /// block-distributed), so node and local rank of any peer are one
+    /// division away.
     ranks_per_node: usize,
-    t_syscall: u64,
-    t_permcheck: u64,
     sm_msg_ns: f64,
     sm_byte_ns: f64,
     bw_core: f64,
     inter_socket_bw_penalty: f64,
-    page_size: usize,
-    pin_batch_pages: usize,
     net_alpha_ns: f64,
     net_bw: f64,
     qpi_weight: f64,
@@ -67,41 +71,28 @@ impl PolledComm {
     /// order, so the driving tid must equal the rank).
     pub fn new(rank: usize) -> PolledComm {
         assert_eq!(sim_tid(), rank, "rank tasks must be spawned in rank order");
-        let (nranks, topo, nodes, local, a, fabric, tracer, fault) =
-            sim_with_state(|s: &mut MachineState, _| {
-                (
-                    s.nranks,
-                    s.topo,
-                    s.node_of.clone(),
-                    s.local_rank(rank),
-                    s.arch.clone(),
-                    s.net.as_ref().map(|n| n.params.clone()),
-                    s.tracer.clone(),
-                    s.fault.clone(),
-                )
-            });
-        PolledComm {
-            tracer,
-            fault,
-            node: nodes[rank],
-            ranks_per_node: nranks / nodes.iter().max().map_or(1, |m| m + 1),
-            nodes,
-            local,
-            rank,
-            nranks,
-            topo,
-            t_syscall: a.t_syscall_ns as u64,
-            t_permcheck: a.t_permcheck_ns as u64,
-            sm_msg_ns: a.sm_msg_ns,
-            sm_byte_ns: a.sm_byte_ns,
-            bw_core: a.bw_core,
-            inter_socket_bw_penalty: a.inter_socket_bw_penalty,
-            page_size: a.page_size,
-            pin_batch_pages: a.pin_batch_pages,
-            net_alpha_ns: fabric.as_ref().map_or(0.0, |f| f.alpha_ns),
-            net_bw: fabric.as_ref().map_or(f64::INFINITY, |f| f.bw_link),
-            qpi_weight: (a.bw_total / a.bw_qpi).max(1.0),
-        }
+        sim_with_state(|s: &mut MachineState, _| {
+            let a = &s.arch;
+            let fabric = s.net.as_ref().map(|n| &n.params);
+            let ranks_per_node = s.nranks / s.mems.len();
+            PolledComm {
+                rank,
+                nranks: s.nranks,
+                topo: s.topo,
+                node: rank / ranks_per_node,
+                local: rank % ranks_per_node,
+                ranks_per_node,
+                sm_msg_ns: a.sm_msg_ns,
+                sm_byte_ns: a.sm_byte_ns,
+                bw_core: a.bw_core,
+                inter_socket_bw_penalty: a.inter_socket_bw_penalty,
+                net_alpha_ns: fabric.map_or(0.0, |f| f.alpha_ns),
+                net_bw: fabric.map_or(f64::INFINITY, |f| f.bw_link),
+                qpi_weight: (a.bw_total / a.bw_qpi).max(1.0),
+                tracer: s.tracer.clone(),
+                fault: s.fault.clone(),
+            }
+        })
     }
 
     /// This rank's index.
@@ -119,9 +110,13 @@ impl PolledComm {
         self.topo
     }
 
-    /// Node hosting `rank`.
+    /// Node hosting `rank` (0 for a rank outside the team).
     pub fn node_of(&self, rank: usize) -> usize {
-        self.nodes.get(rank).copied().unwrap_or(0)
+        if rank < self.nranks {
+            rank / self.ranks_per_node
+        } else {
+            0
+        }
     }
 
     /// Current virtual time.
@@ -157,44 +152,6 @@ impl PolledComm {
         } else {
             self.bw_core / self.inter_socket_bw_penalty
         }
-    }
-
-    async fn lock_flow(&self, target: usize, pages: usize) -> (f64, f64) {
-        if pages == 0 {
-            return (0.0, 0.0);
-        }
-        let tid = sim_tid();
-        let socket = self.topo.socket_of(self.local);
-        let id: FlowId = sim_poll("pin:add", move |s: &mut MachineState, _w, now| {
-            s.locks[target].update(now);
-            let id = s.locks[target].add(tid, socket, pages);
-            s.tracer.counter(
-                Track::LockServer(target),
-                "queue_depth",
-                now,
-                s.locks[target].concurrency() as f64,
-            );
-            Poll::Ready(id)
-        })
-        .await;
-        sim_poll("pin:wait", move |s: &mut MachineState, w, now| {
-            s.locks[target].update(now);
-            if s.locks[target].is_done(id) {
-                let attr = s.locks[target].remove_with(id, now, |t, at| w.wake_at(t, at));
-                s.tracer.counter(
-                    Track::LockServer(target),
-                    "queue_depth",
-                    now,
-                    s.locks[target].concurrency() as f64,
-                );
-                Poll::Ready(attr)
-            } else {
-                Poll::Wait {
-                    wake_at: s.locks[target].park(id, now),
-                }
-            }
-        })
-        .await
     }
 
     async fn flow_via<F>(&self, bytes: usize, peak: f64, pick: F) -> u64
@@ -284,27 +241,39 @@ impl PolledComm {
             CmaDir::Read => FaultOp::CmaRead,
             CmaDir::Write => FaultOp::CmaWrite,
         };
+        let call = CmaCall {
+            token,
+            remote_off,
+            local,
+            local_off,
+            remote_len,
+            copy_len,
+            dir,
+        };
         match self
             .fault_gate(Some(token.rank as usize), op, copy_len)
             .await
         {
-            FaultDecision::Allow | FaultDecision::Delay { .. } => {
-                self.cma_transfer_inner(
-                    token, remote_off, local, local_off, remote_len, copy_len, dir,
-                )
-                .await
-            }
+            FaultDecision::Allow | FaultDecision::Delay { .. } => self.cma_call(call).await,
             FaultDecision::Fail(e) => {
                 // The failed syscall still enters and exits the kernel; an
                 // empty transfer charges exactly that.
-                self.cma_transfer_inner(token, remote_off, local, local_off, 0, 0, dir)
-                    .await?;
+                let empty = CmaCall {
+                    remote_len: 0,
+                    copy_len: 0,
+                    ..call
+                };
+                self.cma_call(empty).await?;
                 Err(e)
             }
             FaultDecision::Truncate { got } => {
                 let got = got.min(copy_len);
-                self.cma_transfer_inner(token, remote_off, local, local_off, got, got, dir)
-                    .await?;
+                let short = CmaCall {
+                    remote_len: got,
+                    copy_len: got,
+                    ..call
+                };
+                self.cma_call(short).await?;
                 Err(CommError::Truncated {
                     wanted: copy_len,
                     got,
@@ -313,133 +282,22 @@ impl PolledComm {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    async fn cma_transfer_inner(
-        &mut self,
-        token: RemoteToken,
-        remote_off: usize,
-        local: BufId,
-        local_off: usize,
-        remote_len: usize,
-        copy_len: usize,
-        dir: CmaDir,
-    ) -> Result<()> {
-        assert!(copy_len <= remote_len, "cannot copy more than is pinned");
-        let peer = token.rank as usize;
-        let me = self.rank;
-        let traced = self.tracer.on();
-
-        // 1. Syscall entry/exit.
-        let t0 = if traced { self.time_ns() } else { 0 };
-        sim_advance::<MachineState>(self.t_syscall).await;
-        let t_sys = self.t_syscall as f64;
-        sim_with_state(move |s: &mut MachineState, _| {
-            s.stats[me].syscall_ns += t_sys;
-            s.stats[me].cma_ops += 1;
-        });
-        if traced {
-            self.tracer
-                .span(Track::Rank(me), "syscall", t0, t_sys, 0, None);
-        }
-
-        if peer >= self.nranks {
-            return Err(CommError::BadRank(peer));
-        }
-        if self.nodes[peer] != self.node {
-            return Err(CommError::Protocol(format!(
-                "kernel-assisted transfer to rank {peer} crosses nodes ({} -> {})",
-                self.node, self.nodes[peer]
-            )));
-        }
-        if remote_len == 0 {
-            return Ok(());
-        }
-
-        // 2. Permission / capability check against the remote process.
-        let t0 = if traced { self.time_ns() } else { 0 };
-        sim_advance::<MachineState>(self.t_permcheck).await;
-        let t_chk = self.t_permcheck as f64;
-        sim_with_state(move |s: &mut MachineState, _| s.stats[me].check_ns += t_chk);
-        if traced {
-            self.tracer
-                .span(Track::Rank(me), "check", t0, t_chk, 0, None);
-        }
-
-        let exposed_len =
-            sim_with_state(|s: &mut MachineState, _| s.heaps[peer].exposed_len(token.token));
-        let Some(rcap) = exposed_len else {
-            return Err(CommError::PermissionDenied);
-        };
-        if remote_off
-            .checked_add(remote_len)
-            .is_none_or(|end| end > rcap)
-        {
-            return Err(CommError::OutOfRange {
-                buf: token.token,
-                off: remote_off,
-                len: remote_len,
-                cap: rcap,
-            });
-        }
-        self.check_local(local, local_off, copy_len)?;
-
-        // 3. Pin + copy in batches (get_user_pages a batch, copy it).
-        let pages_total = remote_len.div_ceil(self.page_size);
-        let batch = self.pin_batch_pages.max(1);
-        let peak = self.peak_bw(peer);
-        let inter_socket = !self.topo.same_socket(self.local, self.local_of(peer));
-        let mut page_at = 0usize;
-        let mut copied = 0usize;
-        while page_at < pages_total {
-            let pages_now = batch.min(pages_total - page_at);
-            let tb = if traced { self.time_ns() } else { 0 };
-            let (lock_ns, pin_ns) = self.lock_flow(peer, pages_now).await;
-            sim_with_state(move |s: &mut MachineState, _| {
-                s.stats[me].lock_ns += lock_ns;
-                s.stats[me].pin_ns += pin_ns;
-            });
-            if traced {
-                self.tracer
-                    .span(Track::Rank(me), "lock", tb, lock_ns, 0, None);
-                self.tracer.span(
-                    Track::Rank(me),
-                    "pin",
-                    tb.saturating_add(lock_ns as u64),
-                    pin_ns,
-                    0,
-                    None,
-                );
+    /// One system call: hand it to the machine ([`crate::xfer`]), which
+    /// steps it from the event loop, and come back for the return value.
+    async fn cma_call(&mut self, call: CmaCall) -> Result<()> {
+        let mut fresh = Some(call);
+        sim_steps(move |s: &mut MachineState, me, w, now| {
+            if let Some(call) = fresh.take() {
+                debug_assert!(s.xfers[me].is_none(), "rank {me} is already in a call");
+                s.xfers[me] = Some(Xfer::new(s, me, call, now));
             }
-            let batch_end_byte = ((page_at + pages_now) * self.page_size).min(remote_len);
-            let copy_now = batch_end_byte.min(copy_len).saturating_sub(copied);
-            if copy_now > 0 {
-                let tc = if traced { self.time_ns() } else { 0 };
-                let wall = self.copy_flow_routed(copy_now, peak, inter_socket).await as f64;
-                sim_with_state(move |s: &mut MachineState, _| s.stats[me].copy_ns += wall);
-                if traced {
-                    self.tracer
-                        .span(Track::Rank(me), "copy", tc, wall, copy_now as u64, None);
-                }
-                copied += copy_now;
-            }
-            page_at += pages_now;
-        }
-
-        // 4. Move the actual bytes (correctness plane; phantom-aware).
-        if copy_len > 0 {
-            let (remote, near) = ((peer, token.token, remote_off), (me, local.0, local_off));
-            sim_with_state(|s: &mut MachineState, _| match dir {
-                CmaDir::Read => {
-                    s.move_bytes(remote, near, copy_len);
-                    s.stats[me].bytes_read += copy_len as u64;
-                }
-                CmaDir::Write => {
-                    s.move_bytes(near, remote, copy_len);
-                    s.stats[me].bytes_written += copy_len as u64;
-                }
-            });
-        }
-        Ok(())
+            step_xfer(s, me, w, now).map(|()| {
+                let done = s.xfers[me].take();
+                done.expect("the transfer stays resident until collected")
+                    .into_result()
+            })
+        })
+        .await
     }
 
     async fn shm_fallback_transfer(
@@ -456,10 +314,11 @@ impl PolledComm {
         if peer >= self.nranks {
             return Err(CommError::BadRank(peer));
         }
-        if self.nodes[peer] != self.node {
+        if self.node_of(peer) != self.node {
             return Err(CommError::Protocol(format!(
                 "shared-memory fallback to rank {peer} crosses nodes ({} -> {})",
-                self.node, self.nodes[peer]
+                self.node,
+                self.node_of(peer)
             )));
         }
         let op = match dir {
@@ -672,7 +531,7 @@ impl PolledComm {
         // payload into the shared slot (or NIC doorbell + inline copy).
         let occupancy = (0.3 * self.sm_msg_ns + 0.5 * data.len() as f64 * self.sm_byte_ns) as u64;
         sim_advance::<MachineState>(occupancy).await;
-        let latency = if self.nodes[to] == self.node {
+        let latency = if self.node_of(to) == self.node {
             self.sm_msg_ns + data.len() as f64 * self.sm_byte_ns
         } else {
             self.net_alpha_ns + data.len() as f64 / self.net_bw
@@ -767,7 +626,7 @@ impl PolledComm {
         }
         self.check_local(src, off, len)?;
         let t0 = if self.tracer.on() { self.time_ns() } else { 0 };
-        let cross_node = self.nodes[to] != self.node;
+        let cross_node = self.node_of(to) != self.node;
         if cross_node {
             let node = self.node;
             self.flow_via(len, self.net_bw, move |s| {
@@ -840,7 +699,7 @@ impl PolledComm {
                 got: payload.len(),
             });
         }
-        if self.nodes[from] != self.node {
+        if self.node_of(from) != self.node {
             let node = self.node;
             self.flow_via(len, self.net_bw, move |s| {
                 &mut s.net.as_mut().expect("fabric present").ingress[node]
@@ -950,7 +809,7 @@ impl PolledComm {
                 got: payload.len(),
             });
         }
-        if self.nodes[from] != self.node {
+        if self.node_of(from) != self.node {
             let node = self.node;
             self.flow_via(len, self.net_bw, move |s| {
                 &mut s.net.as_mut().expect("fabric present").ingress[node]
@@ -1239,6 +1098,7 @@ where
     });
     let nranks = state.nranks;
     let mut sim = PolledSim::new(state);
+    sim.set_step_hook(step_xfer);
     sim.set_fast_path(fast_path);
     if let Some((tracer, _)) = &capture {
         sim.set_tracer(tracer.clone());
@@ -1255,6 +1115,10 @@ where
             debug_assert!(
                 !sim_with_state(|s: &mut MachineState, _| s.owns_live_flow(rank)),
                 "rank {rank} finished while it owns a live flow"
+            );
+            debug_assert!(
+                sim_with_state(|s: &mut MachineState, _| s.xfers[rank].is_none()),
+                "rank {rank} finished inside a kernel-assisted transfer"
             );
             results.borrow_mut()[rank] = Some(r);
         });
@@ -1298,6 +1162,28 @@ mod tests {
                 sim_with_state(|s: &mut MachineState, now| {
                     s.mems[0].update(now);
                     s.mems[0].add(1, 4096, 1.0);
+                });
+            }
+        });
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "rank 1 finished inside a kernel-assisted transfer")]
+    fn finishing_inside_a_transfer_is_caught() {
+        run_polled_team(&ArchProfile::broadwell(), 2, |rank| async move {
+            if rank == 1 {
+                sim_with_state(|s: &mut MachineState, now| {
+                    let call = CmaCall {
+                        token: RemoteToken { rank: 0, token: 0 },
+                        remote_off: 0,
+                        local: BufId(0),
+                        local_off: 0,
+                        remote_len: 4096,
+                        copy_len: 4096,
+                        dir: CmaDir::Read,
+                    };
+                    s.xfers[1] = Some(Xfer::new(s, 1, call, now));
                 });
             }
         });

@@ -1,4 +1,14 @@
-//! `SimComm`: the [`Comm`] endpoint backed by the simulated machine.
+//! `SimComm`: the blocking [`Comm`] endpoint backed by the simulated
+//! machine — a test transport, and the reference the polled endpoint is
+//! compared against.
+//!
+//! Every operation is sequential code over [`Ctx::poll`] closures, so the
+//! cost model reads top to bottom here; [`crate::PolledComm`] charges the
+//! same costs through `async` methods, and its kernel-assisted transfers
+//! through the resident state machine in [`crate::xfer`], which must stay
+//! this file's `cma_transfer_inner` event for event (same server calls in
+//! the same order, one wake-requesting call per evaluation, the single
+//! entry timer for syscall + permission check).
 
 use crate::fluid::FlowId;
 use crate::state::MachineState;
@@ -306,9 +316,17 @@ impl SimComm {
         // are only read when tracing is on; the untraced path is unchanged.
         let traced = self.tracer.on();
 
-        // 1. Syscall entry/exit.
+        // 1+2. Syscall entry/exit, then the permission / capability check
+        // against the remote process. Nothing another rank can observe
+        // happens between the two, so a call known to reach the check
+        // charges both delays on one timer.
+        let past_syscall = peer < self.nranks && self.nodes[peer] == self.node && remote_len > 0;
         let t0 = if traced { self.ctx.now() } else { 0 };
-        self.ctx.advance(self.t_syscall);
+        self.ctx.advance(if past_syscall {
+            self.t_syscall + self.t_permcheck
+        } else {
+            self.t_syscall
+        });
         let t_sys = self.t_syscall as f64;
         self.ctx.with_state(move |s, _| {
             s.stats[me].syscall_ns += t_sys;
@@ -334,15 +352,18 @@ impl SimComm {
             return Ok(());
         }
 
-        // 2. Permission / capability check against the remote process.
-        let t0 = if traced { self.ctx.now() } else { 0 };
-        self.ctx.advance(self.t_permcheck);
         let t_chk = self.t_permcheck as f64;
         self.ctx
             .with_state(move |s, _| s.stats[me].check_ns += t_chk);
         if traced {
-            self.tracer
-                .span(Track::Rank(me), "check", t0, t_chk, 0, None);
+            self.tracer.span(
+                Track::Rank(me),
+                "check",
+                t0 + self.t_syscall,
+                t_chk,
+                0,
+                None,
+            );
         }
 
         let exposed_len = self

@@ -1,6 +1,7 @@
 //! Shared simulated-node state living inside the DES kernel.
 
 use crate::fluid::{MemSys, PageLockServer};
+use crate::xfer::Xfer;
 use kacc_comm::Topology;
 use kacc_model::{ArchProfile, FabricParams};
 use kacc_sim_core::Mailboxes;
@@ -307,6 +308,9 @@ pub struct MachineState {
     pub net: Option<NetState>,
     /// Per-rank step accounting.
     pub stats: Vec<RankStats>,
+    /// Per-rank kernel-assisted transfer in flight, if any (a rank is
+    /// inside at most one system call); see [`crate::xfer`].
+    pub xfers: Vec<Option<Xfer>>,
     /// Machine-wide per-transport traffic totals.
     pub transport: TransportCounters,
     /// Destination for phase spans and lock-server counters. Defaults to
@@ -375,6 +379,7 @@ impl MachineState {
                 params,
             }),
             stats: vec![RankStats::default(); nranks],
+            xfers: (0..nranks).map(|_| None).collect(),
             transport: TransportCounters::default(),
             tracer: kacc_trace::Tracer::off(),
             fault: kacc_fault::FaultHook::off(),
@@ -394,27 +399,7 @@ impl MachineState {
     /// (phantom runs model time only), or when the destination was freed
     /// while the transfer was in flight.
     pub fn move_bytes(&mut self, src: (usize, u64, usize), dst: (usize, u64, usize), len: usize) {
-        let ((from, src, src_off), (to, dst, dst_off)) = (src, dst);
-        if self.heaps[from].is_phantom(src) || self.heaps[to].is_phantom(dst) {
-            return;
-        }
-        assert!(
-            self.heaps[from]
-                .len_of(src)
-                .is_some_and(|cap| src_off + len <= cap),
-            "range checked above"
-        );
-        if from == to {
-            self.heaps[to].copy_within(src, src_off, dst, dst_off, len);
-        } else {
-            let (lo, hi) = self.heaps.split_at_mut(from.max(to));
-            let (src_heap, dst_heap) = if from < to {
-                (&lo[from], &mut hi[0])
-            } else {
-                (&hi[0], &mut lo[to])
-            };
-            dst_heap.copy_from(dst, dst_off, src_heap, src, src_off, len);
-        }
+        move_bytes(&mut self.heaps, src, dst, len);
     }
 
     /// Does `tid` own a live flow in any fluid server? The harnesses
@@ -428,6 +413,37 @@ impl MachineState {
             .flat_map(|n| n.egress.iter().chain(&n.ingress));
         self.locks.iter().any(|l| l.owns_flow(tid))
             || self.mems.iter().chain(links).any(|m| m.owns_flow(tid))
+    }
+}
+
+/// [`MachineState::move_bytes`] over the heaps alone, for callers that
+/// hold other fields of the state borrowed.
+pub(crate) fn move_bytes(
+    heaps: &mut [RankHeap],
+    src: (usize, u64, usize),
+    dst: (usize, u64, usize),
+    len: usize,
+) {
+    let ((from, src, src_off), (to, dst, dst_off)) = (src, dst);
+    if heaps[from].is_phantom(src) || heaps[to].is_phantom(dst) {
+        return;
+    }
+    assert!(
+        heaps[from]
+            .len_of(src)
+            .is_some_and(|cap| src_off + len <= cap),
+        "range checked above"
+    );
+    if from == to {
+        heaps[to].copy_within(src, src_off, dst, dst_off, len);
+    } else {
+        let (lo, hi) = heaps.split_at_mut(from.max(to));
+        let (src_heap, dst_heap) = if from < to {
+            (&lo[from], &mut hi[0])
+        } else {
+            (&hi[0], &mut lo[to])
+        };
+        dst_heap.copy_from(dst, dst_off, src_heap, src, src_off, len);
     }
 }
 

@@ -195,13 +195,24 @@ pub struct Waker {
     /// O(storm) per evaluation where the old linear scan cost O(storm²).
     slots: Vec<(u64, u32)>,
     gen: u64,
-    /// Wakes that created a pending entry this evaluation.
+    /// Wakes that created a pending entry, over the whole run.
     raw: u64,
-    /// Wakes coalesced into an existing entry this evaluation.
+    /// Wakes coalesced into an existing entry, over the whole run.
     coalesced: u64,
 }
 
 impl Waker {
+    /// A waker with nothing pending, as a run starts with.
+    fn new() -> Waker {
+        Waker {
+            pending: Vec::new(),
+            slots: Vec::new(),
+            gen: 0,
+            raw: 0,
+            coalesced: 0,
+        }
+    }
+
     /// Schedule thread `tid` to re-evaluate its poll closure at virtual
     /// time `at` (clamped to the current time if in the past; debug
     /// builds assert against past times so scheduling bugs can't hide
@@ -438,13 +449,10 @@ struct KernelState<S> {
     dispatches: u64,
     /// Subset of `dispatches` that took the direct-handoff fast path.
     fast_handoffs: u64,
-    /// Reusable buffer backing `Waker::pending`, recycled across poll
-    /// evaluations to keep wake delivery allocation-free.
-    wake_buf: Vec<(usize, SimTime)>,
-    /// Reusable buffer backing `Waker::slots` (O(1) wake coalescing);
-    /// `wake_gen` invalidates it wholesale between evaluations.
-    wake_slots: Vec<(u64, u32)>,
-    wake_gen: u64,
+    /// The waker every poll evaluation of the run is handed: its buffers
+    /// are reused (wake delivery allocates nothing) and its generation
+    /// invalidates the coalescing slots wholesale between evaluations.
+    waker: Waker,
     /// Direct-handoff fast path enabled (default); disable via
     /// [`Sim::set_fast_path`] to force every wake through the queue.
     fast_path: bool,
@@ -462,12 +470,33 @@ impl<S> KernelState<S> {
     /// accumulator and the queue's own counters.
     fn run_metrics(&self) -> SimRunMetrics {
         let mut m = self.metrics.clone();
+        m.wakes_raw = self.waker.raw;
+        m.wakes_coalesced = self.waker.coalesced;
         m.queue_inserts = self.queue.inserts;
         m.queue_coalesce_drops = self.queue.coalesce_drops;
         m.queue_pops = self.queue.pops;
         m.queue_len_hwm = self.queue.len_hwm as u64;
         m.fast_handoffs = self.fast_handoffs;
         m
+    }
+
+    /// One evaluation of a poll closure, on either engine: run it against
+    /// the user state with a fresh waker generation, then push the wakes
+    /// it requested against each target's *current* epoch.
+    fn evaluate<R>(&mut self, f: impl FnOnce(&mut S, &mut Waker, SimTime) -> R) -> R {
+        self.waker.gen += 1;
+        let outcome = f(&mut self.user, &mut self.waker, self.now);
+        if !self.waker.pending.is_empty() {
+            let mut pending = std::mem::take(&mut self.waker.pending);
+            for &(tid, at) in &pending {
+                let epoch = self.threads[tid].epoch;
+                Kernel::push_event(self, at, tid, epoch);
+            }
+            self.metrics.wake_fanout.record(pending.len() as u64);
+            pending.clear();
+            self.waker.pending = pending;
+        }
+        outcome
     }
 }
 
@@ -614,29 +643,7 @@ impl<S: Send + 'static> Ctx<S> {
             }
             let now = guard.now;
             let st = &mut *guard;
-            st.wake_gen += 1;
-            let mut waker = Waker {
-                pending: std::mem::take(&mut st.wake_buf),
-                slots: std::mem::take(&mut st.wake_slots),
-                gen: st.wake_gen,
-                raw: 0,
-                coalesced: 0,
-            };
-            let outcome = f(&mut st.user, &mut waker, now);
-            // Apply wakes requested for other threads: bump-free — they
-            // target the *current* epoch of each thread.
-            for &(tid, at) in &waker.pending {
-                let epoch = st.threads[tid].epoch;
-                Kernel::push_event(st, at, tid, epoch);
-            }
-            st.metrics.wakes_raw += waker.raw;
-            st.metrics.wakes_coalesced += waker.coalesced;
-            if !waker.pending.is_empty() {
-                st.metrics.wake_fanout.record(waker.pending.len() as u64);
-            }
-            waker.pending.clear();
-            st.wake_buf = waker.pending;
-            st.wake_slots = waker.slots;
+            let outcome = st.evaluate(&mut f);
             match outcome {
                 Poll::Ready(v) => return v,
                 Poll::Wait { wake_at } => {
@@ -912,9 +919,7 @@ impl<S: Send + 'static> Sim<S> {
                 all_done: false,
                 dispatches: 0,
                 fast_handoffs: 0,
-                wake_buf: Vec::new(),
-                wake_slots: Vec::new(),
-                wake_gen: 0,
+                waker: Waker::new(),
                 fast_path: self.fast_path,
                 metrics: SimRunMetrics::default(),
                 tracer: self.tracer.clone(),

@@ -196,12 +196,10 @@ mod tests {
 
     /// A waker outside any kernel, to see which wakes a deposit requests.
     fn waker() -> Waker {
+        // Generation 0 is what never-written coalescing slots hold.
         Waker {
-            pending: Vec::new(),
-            slots: Vec::new(),
             gen: 1,
-            raw: 0,
-            coalesced: 0,
+            ..Waker::new()
         }
     }
 

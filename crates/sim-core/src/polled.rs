@@ -25,6 +25,17 @@
 //! the state machine. Hand-rolled [`RankTask`] impls are also accepted
 //! for bodies that want explicit control over their states.
 //!
+//! An operation that waits only on timers and on the shared state need
+//! not live in the task at all. It keeps its progress in `S`, reports
+//! through the three-valued [`Step`], and is started by the task with
+//! [`sim_steps`]; if the same function is installed with
+//! [`PolledSim::set_step_hook`], the driver evaluates it on every
+//! dispatch *before* polling the task and re-parks the task on
+//! [`Step::Wait`] without entering its future — the task is polled again
+//! only when the operation has completed. Epochs, sequence numbers, the
+//! fast path, labels and dispatch instants are those of a [`sim_poll`]
+//! leaf returning the same waits.
+//!
 //! ```
 //! use kacc_sim_core::polled::{sim_advance, sim_with_state, PolledSim};
 //!
@@ -71,6 +82,46 @@ pub enum TaskPoll {
         wake_at: Option<SimTime>,
     },
 }
+
+/// Result of one evaluation of a stepped operation ([`sim_steps`], or
+/// the kernel-side hook of [`PolledSim::set_step_hook`]): [`Poll`] with
+/// the park label carried by the wait, plus a way to end an evaluation
+/// without parking.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step<T> {
+    /// The operation completed with this value.
+    Ready(T),
+    /// End this evaluation — the wakes it requested are applied, exactly
+    /// as at the end of a [`sim_poll`] evaluation — and evaluate again at
+    /// once, at the same virtual time. An operation made of several
+    /// evaluations returns this at each boundary between them, so wake
+    /// coalescing and the fan-out histogram see the same evaluations a
+    /// chain of [`sim_poll`] leaves would produce.
+    Again,
+    /// Park, as [`TaskPoll::Pending`].
+    Wait {
+        /// Operation name for deadlock dumps and dispatch traces.
+        label: &'static str,
+        /// Optional self-wake timer (must not be in the past).
+        wake_at: Option<SimTime>,
+    },
+}
+
+impl<T> Step<T> {
+    /// Transform the completion value, leaving `Again` and `Wait` as
+    /// they are.
+    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> Step<U> {
+        match self {
+            Step::Ready(v) => Step::Ready(f(v)),
+            Step::Again => Step::Again,
+            Step::Wait { label, wake_at } => Step::Wait { label, wake_at },
+        }
+    }
+}
+
+/// Kernel-side step function: evaluated with the dispatched task's tid
+/// before the task itself is polled. See [`PolledSim::set_step_hook`].
+pub type StepHook<S> = fn(&mut S, usize, &mut Waker, SimTime) -> Step<()>;
 
 /// A resumable rank body driven by [`PolledSim`].
 ///
@@ -142,36 +193,26 @@ struct PolledShared<S> {
 }
 
 impl<S: 'static> PolledShared<S> {
-    /// One evaluation of a poll closure: identical to the evaluation
-    /// step inside [`crate::Ctx::poll`] — take the wake buffer, run the
-    /// closure, push the wakes it requested against each target's
-    /// *current* epoch, recycle the buffer.
-    fn eval<T>(&self, f: &mut impl FnMut(&mut S, &mut Waker, SimTime) -> Poll<T>) -> Poll<T> {
-        let mut guard = self.st.borrow_mut();
-        let st = &mut *guard;
-        let now = st.now;
-        st.wake_gen += 1;
-        let mut waker = Waker {
-            pending: std::mem::take(&mut st.wake_buf),
-            slots: std::mem::take(&mut st.wake_slots),
-            gen: st.wake_gen,
-            raw: 0,
-            coalesced: 0,
-        };
-        let outcome = f(&mut st.user, &mut waker, now);
-        for &(tid, at) in &waker.pending {
-            let epoch = st.threads[tid].epoch;
-            Kernel::push_event(st, at, tid, epoch);
+    /// One evaluation of a poll closure — the evaluation step inside
+    /// [`crate::Ctx::poll`], shared with it.
+    fn eval<R>(&self, f: impl FnOnce(&mut S, &mut Waker, SimTime) -> R) -> R {
+        self.st.borrow_mut().evaluate(f)
+    }
+
+    /// Evaluate a step function for `tid` until it completes or parks,
+    /// one [`Self::eval`] (hence one wake flush) per evaluation.
+    fn steps<T>(
+        &self,
+        tid: usize,
+        mut f: impl FnMut(&mut S, usize, &mut Waker, SimTime) -> Step<T>,
+    ) -> Result<T, PendingWait> {
+        loop {
+            match self.eval(|s, w, now| f(s, tid, w, now)) {
+                Step::Ready(v) => return Ok(v),
+                Step::Again => {}
+                Step::Wait { label, wake_at } => return Err(PendingWait { label, wake_at }),
+            }
         }
-        st.metrics.wakes_raw += waker.raw;
-        st.metrics.wakes_coalesced += waker.coalesced;
-        if !waker.pending.is_empty() {
-            st.metrics.wake_fanout.record(waker.pending.len() as u64);
-        }
-        waker.pending.clear();
-        st.wake_buf = waker.pending;
-        st.wake_slots = waker.slots;
-        outcome
     }
 }
 
@@ -331,6 +372,49 @@ pub async fn sim_advance<S: 'static>(dt: SimTime) {
     .await
 }
 
+/// Leaf future for an operation whose progress lives in the shared state
+/// rather than in the awaiting task: evaluates `f` (with the task's tid)
+/// until it returns [`Step::Ready`], parking the task on [`Step::Wait`]
+/// with the label the step names. Paired with
+/// [`PolledSim::set_step_hook`], the kernel advances the operation on
+/// every later dispatch and this future is polled again only to collect
+/// the result.
+pub fn sim_steps<S, T, F>(f: F) -> SimStepsFuture<S, T, F>
+where
+    S: 'static,
+    F: FnMut(&mut S, usize, &mut Waker, SimTime) -> Step<T>,
+{
+    SimStepsFuture {
+        f,
+        _types: PhantomData,
+    }
+}
+
+/// Future returned by [`sim_steps`].
+pub struct SimStepsFuture<S, T, F> {
+    f: F,
+    _types: PhantomData<fn(&mut S) -> T>,
+}
+
+impl<S, T, F> Future for SimStepsFuture<S, T, F>
+where
+    S: 'static,
+    F: FnMut(&mut S, usize, &mut Waker, SimTime) -> Step<T> + Unpin,
+{
+    type Output = T;
+
+    fn poll(self: Pin<&mut Self>, _cx: &mut task::Context<'_>) -> task::Poll<T> {
+        let this = self.get_mut();
+        with_current::<S, _>(|shared, tid| match shared.steps(tid, &mut this.f) {
+            Ok(v) => task::Poll::Ready(v),
+            Err(wait) => {
+                shared.pending.set(Some(wait));
+                task::Poll::Pending
+            }
+        })
+    }
+}
+
 /// Adapter: a boxed future is a [`RankTask`]. The compiler-derived
 /// state machine of an `async` block is exactly the resumable step
 /// machine the driver wants; this adapter installs the task-local scope
@@ -371,6 +455,7 @@ pub struct PolledSim<S: 'static> {
     tracer: Tracer,
     capture: Option<SharedBuffer>,
     fast_path: bool,
+    hook: Option<StepHook<S>>,
 }
 
 impl<S: 'static> PolledSim<S> {
@@ -382,6 +467,7 @@ impl<S: 'static> PolledSim<S> {
             tracer: Tracer::off(),
             capture: None,
             fast_path: true,
+            hook: None,
         }
     }
 
@@ -407,6 +493,20 @@ impl<S: 'static> PolledSim<S> {
     /// dispatch order is pinned either way.
     pub fn set_fast_path(&mut self, enabled: bool) {
         self.fast_path = enabled;
+    }
+
+    /// Install a kernel-side step function: on every dispatch (queue pop
+    /// or direct hand-off) it is evaluated for the dispatched tid *before*
+    /// the task is polled — through the same wake-flushing evaluation as
+    /// a [`sim_poll`] closure, again on [`Step::Again`]. On
+    /// [`Step::Wait`] the task parks with that label and timer without
+    /// being polled at all; on [`Step::Ready`] the task is polled as
+    /// usual. An operation whose state is resident in `S` (started by the
+    /// task through [`sim_steps`] with the same function) thus advances
+    /// without re-entering the task's future until it completes. The
+    /// function must return `Ready(())` when `tid` has nothing resident.
+    pub fn set_step_hook(&mut self, hook: StepHook<S>) {
+        self.hook = Some(hook);
     }
 
     /// Register a rank body as an `async` block. `f` receives the tid
@@ -457,9 +557,7 @@ impl<S: 'static> PolledSim<S> {
                 all_done: false,
                 dispatches: 0,
                 fast_handoffs: 0,
-                wake_buf: Vec::new(),
-                wake_slots: Vec::new(),
-                wake_gen: 0,
+                waker: Waker::new(),
                 fast_path: self.fast_path,
                 metrics: SimRunMetrics::default(),
                 tracer: self.tracer.clone(),
@@ -478,6 +576,7 @@ impl<S: 'static> PolledSim<S> {
 
         let mut tasks: Vec<Option<Box<dyn RankTask<S>>>> =
             self.pending.drain(..).map(Some).collect();
+        let hook = self.hook;
 
         'outer: loop {
             // Dispatch: pick the next runnable task and advance the
@@ -532,7 +631,16 @@ impl<S: 'static> PolledSim<S> {
                     shared: &shared,
                     tid,
                 };
-                let polled = catch_unwind(AssertUnwindSafe(|| task.poll_task(&mut cx)));
+                let polled = catch_unwind(AssertUnwindSafe(|| {
+                    // The resident operation first: while it waits, the
+                    // task's own future has nothing to do.
+                    if let Some(PendingWait { label, wake_at }) =
+                        hook.and_then(|hook| shared.steps(tid, hook).err())
+                    {
+                        return TaskPoll::Pending { label, wake_at };
+                    }
+                    task.poll_task(&mut cx)
+                }));
                 match polled {
                     Err(p) => {
                         let msg = p
@@ -949,6 +1057,200 @@ mod tests {
     #[should_panic(expected = "outside a PolledSim task poll")]
     fn leaves_outside_a_task_poll_are_caught() {
         sim_now::<()>();
+    }
+
+    /// State for the stepped-operation tests: task 0's resident "sleep
+    /// until", advanced by [`resident_hook`], plus evaluation counters.
+    #[derive(Default)]
+    struct Resident {
+        until: Option<SimTime>,
+        hook_evals: Vec<SimTime>,
+        leaf_evals: u32,
+    }
+
+    fn resident_hook(s: &mut Resident, tid: usize, _w: &mut Waker, now: SimTime) -> Step<()> {
+        match s.until {
+            Some(u) if tid == 0 => {
+                s.hook_evals.push(now);
+                if now < u {
+                    Step::Wait {
+                        label: "resident",
+                        wake_at: Some(u),
+                    }
+                } else {
+                    s.until = None;
+                    Step::Ready(())
+                }
+            }
+            _ => Step::Ready(()),
+        }
+    }
+
+    /// A rank body that starts a resident sleep of `dt` through
+    /// `sim_steps` and collects it.
+    async fn resident_sleep(dt: SimTime) {
+        let mut started = false;
+        sim_steps(move |s: &mut Resident, tid, w, now| {
+            s.leaf_evals += 1;
+            if !std::mem::replace(&mut started, true) {
+                s.until = Some(now + dt);
+            }
+            resident_hook(s, tid, w, now)
+        })
+        .await
+    }
+
+    #[test]
+    fn again_flushes_wakes_once_per_evaluation() {
+        // Two wakes from two evaluations of one stepped operation are two
+        // fan-out samples of 1; the same two wakes from one `sim_poll`
+        // evaluation are one sample of 2.
+        let run = |split: bool| {
+            let mut sim = PolledSim::new(());
+            sim.spawn(move |_| async move {
+                if split {
+                    let mut evals = 0;
+                    sim_steps(move |_: &mut (), _tid, w, now| {
+                        evals += 1;
+                        w.wake_at(evals, now + 5);
+                        if evals == 1 {
+                            Step::Again
+                        } else {
+                            Step::Ready(())
+                        }
+                    })
+                    .await;
+                } else {
+                    sim_poll("both", |_: &mut (), w, now| {
+                        w.wake_at(1, now + 5);
+                        w.wake_at(2, now + 5);
+                        Poll::Ready(())
+                    })
+                    .await;
+                }
+            });
+            for _ in 0..2 {
+                sim.spawn(|_| async {
+                    sim_advance::<()>(9).await;
+                });
+            }
+            let m = sim.run().metrics;
+            (m.wakes_raw, m.wake_fanout.count(), m.wake_fanout.max())
+        };
+        assert_eq!(run(true), (2, 2, 1));
+        assert_eq!(run(false), (2, 1, 2));
+    }
+
+    #[test]
+    fn hook_steps_the_operation_and_the_future_is_polled_twice() {
+        // Another task's wake at t=4 dispatches the sleeper early: the
+        // hook re-parks it without touching its future. The sleeper's
+        // leaf runs once to start the operation and once to collect it.
+        let mut sim = PolledSim::new(Resident::default());
+        sim.enable_trace();
+        sim.set_step_hook(resident_hook);
+        sim.spawn(|_| resident_sleep(10));
+        sim.spawn(|_| async {
+            sim_advance::<Resident>(4).await;
+            sim_poll("poke", |_: &mut Resident, w, now| {
+                w.wake_at(0, now);
+                Poll::Ready(())
+            })
+            .await;
+            sim_advance::<Resident>(20).await;
+        });
+        let r = sim.run();
+        assert_eq!(r.finish_times, vec![10, 24]);
+        assert_eq!(r.state.leaf_evals, 2);
+        // Evaluated while resident: by the leaf at 0 (starts it), by the
+        // hook at 4 (premature) and 10 (completes it).
+        assert_eq!(r.state.hook_evals, vec![0, 4, 10]);
+        let dispatched: Vec<SimTime> = r
+            .trace
+            .iter()
+            .filter(|e| e.track == Track::Rank(0) && e.name == "resident")
+            .map(|e| e.ts())
+            .collect();
+        assert_eq!(
+            dispatched,
+            vec![4, 10],
+            "the hook's label names the dispatches"
+        );
+    }
+
+    #[test]
+    fn own_timer_wait_from_the_hook_takes_the_fast_path() {
+        // Alone in the sim, the sleeper's timer is strictly earliest when
+        // its leaf parks: it hands off in place and the dispatch at t=10
+        // goes through the hook, which completes the operation.
+        let mut sim = PolledSim::new(Resident::default());
+        sim.set_step_hook(resident_hook);
+        sim.spawn(|_| resident_sleep(10));
+        let r = sim.run();
+        assert_eq!(r.end_time, 10);
+        assert_eq!(r.metrics.fast_handoffs, 1);
+        assert_eq!((r.state.leaf_evals, r.state.hook_evals), (2, vec![0, 10]));
+
+        // Woken early at t=3 by a task that then finishes, the sleeper is
+        // re-parked by the hook with the queue empty: the hook's own wait
+        // hands off in place too (the other hand-off is the waker's
+        // `advance`), and comes back through the hook at t=10.
+        let mut sim = PolledSim::new(Resident::default());
+        sim.set_step_hook(resident_hook);
+        sim.spawn(|_| resident_sleep(10));
+        sim.spawn(|_| async {
+            sim_advance::<Resident>(3).await;
+            sim_poll("poke", |_: &mut Resident, w, now| {
+                w.wake_at(0, now);
+                Poll::Ready(())
+            })
+            .await;
+        });
+        let r = sim.run();
+        assert_eq!(r.finish_times, vec![10, 3]);
+        assert_eq!(r.metrics.fast_handoffs, 2);
+        assert_eq!(
+            (r.state.leaf_evals, r.state.hook_evals),
+            (2, vec![0, 3, 10])
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "Parked on 'resident'")]
+    fn a_hook_wait_without_a_timer_is_named_in_the_deadlock_dump() {
+        fn stuck(_: &mut (), _tid: usize, _w: &mut Waker, now: SimTime) -> Step<()> {
+            if now == 0 {
+                Step::Ready(())
+            } else {
+                Step::Wait {
+                    label: "resident",
+                    wake_at: None,
+                }
+            }
+        }
+        let mut sim = PolledSim::new(());
+        sim.set_step_hook(stuck);
+        sim.spawn(|_| async {
+            sim_advance::<()>(5).await;
+        });
+        sim.run();
+    }
+
+    #[test]
+    #[should_panic(expected = "simulated thread 1 panicked: hook boom")]
+    fn hook_panics_are_reported_as_the_dispatched_task() {
+        fn boom(_: &mut (), tid: usize, _w: &mut Waker, now: SimTime) -> Step<()> {
+            assert!(!(tid == 1 && now == 7), "hook boom");
+            Step::Ready(())
+        }
+        let mut sim = PolledSim::new(());
+        sim.set_step_hook(boom);
+        for dt in [3, 7] {
+            sim.spawn(move |_| async move {
+                sim_advance::<()>(dt).await;
+            });
+        }
+        sim.run();
     }
 
     #[test]

@@ -25,6 +25,9 @@ cargo test -q --release -p kacc-collectives --test fastpath_equivalence
 
 echo "== transport equivalence (SimComm behind Blocking vs PolledComm, one executor, bitwise) =="
 cargo test -q --release -p kacc-sim-core --test polled_parity
+# Random CMA teams: the machine-resident transfer (PolledComm) vs the
+# blocking cost model (SimComm) — TeamRun, results, buffers, Chrome traces.
+cargo test -q --release -p kacc-machine --test xfer_parity
 cargo test -q --release -p kacc-collectives --test engine_equivalence
 
 echo "== differential suites (event queue, fluid servers vs their test oracles; mailbox, heap, scope units) =="
