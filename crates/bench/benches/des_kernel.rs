@@ -24,6 +24,12 @@
 //!   take per poll evaluation on one task, no queue traffic: the same
 //!   loop as the benchmark's `sim_core.mailbox_pair_ns` probe, so the two
 //!   numbers can be checked against each other (ns per iter / pairs).
+//! * `shm_bulk_pingpong_polled_{phantom,real}` — two ranks bouncing a
+//!   1 MiB `shm_send_data` / `shm_recv_data` message 32 times: the
+//!   per-message cost of the bulk message plane. Same events and virtual
+//!   time in both variants; a phantom team's message is a length (no
+//!   allocation, no byte touched), a real team's is copied once out of
+//!   the sender's heap and once into the receiver's.
 //!
 //! Simulated-event counts per iteration are deterministic, so
 //! events/sec = events-per-iter / (ns-per-iter · 1e-9); each benchmark
@@ -32,9 +38,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use kacc_bench::measure::one_to_all_read_ns;
-use kacc_comm::RemoteToken;
+use kacc_comm::{RemoteToken, Tag};
 use kacc_machine::polled::sm_barrier_polled;
-use kacc_machine::{run_polled_team_phantom, PolledComm};
+use kacc_machine::{run_polled_team, run_polled_team_phantom, PolledComm};
 use kacc_model::ArchProfile;
 use kacc_sim_core::polled::{sim_advance, sim_poll, PolledSim};
 use kacc_sim_core::{total_events, Mailboxes, Poll, Sim};
@@ -160,6 +166,40 @@ fn cma_read_multibatch_polled(arch: &ArchProfile) -> u64 {
     run.end_ns
 }
 
+fn shm_bulk_pingpong_polled(arch: &ArchProfile, phantom: bool) -> u64 {
+    const LEN: usize = 1 << 20;
+    const ROUNDS: u32 = 32;
+    let body = |rank: usize| async move {
+        let mut comm = PolledComm::new(rank);
+        let buf = comm.alloc(LEN);
+        let peer = 1 - rank;
+        for round in 0..ROUNDS {
+            let tag = Tag::user(round);
+            if rank == 0 {
+                comm.shm_send_data(peer, tag, buf, 0, LEN)
+                    .await
+                    .expect("ping");
+                comm.shm_recv_data(peer, tag, buf, 0, LEN)
+                    .await
+                    .expect("pong");
+            } else {
+                comm.shm_recv_data(peer, tag, buf, 0, LEN)
+                    .await
+                    .expect("ping");
+                comm.shm_send_data(peer, tag, buf, 0, LEN)
+                    .await
+                    .expect("pong");
+            }
+        }
+    };
+    let (run, _) = if phantom {
+        run_polled_team_phantom(arch, 2, body)
+    } else {
+        run_polled_team(arch, 2, body)
+    };
+    run.end_ns
+}
+
 fn bench(c: &mut Criterion) {
     let knl = ArchProfile::knl();
 
@@ -232,6 +272,25 @@ fn bench(c: &mut Criterion) {
     g.bench_function("mailbox_pair_polled", |b| {
         b.iter(|| black_box(mailbox_pairs_polled(black_box(pairs))))
     });
+
+    assert_eq!(
+        shm_bulk_pingpong_polled(&knl, true),
+        shm_bulk_pingpong_polled(&knl, false)
+    );
+    for (name, phantom) in [
+        ("shm_bulk_pingpong_polled_phantom", true),
+        ("shm_bulk_pingpong_polled_real", false),
+    ] {
+        let (events, eps) = probe(|| {
+            shm_bulk_pingpong_polled(&knl, phantom);
+        });
+        println!(
+            "des_kernel/{name}: {events} simulated events, 64 messages of 1 MiB per iter (~{eps:.0} events/sec)"
+        );
+        g.bench_function(name, |b| {
+            b.iter(|| black_box(shm_bulk_pingpong_polled(black_box(&knl), phantom)))
+        });
+    }
 
     g.finish();
 }

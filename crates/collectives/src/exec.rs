@@ -655,15 +655,14 @@ impl Ctx<'_> {
             Payload::Bytes(b) => Ok(b.clone()),
             Payload::Token(reg) => Ok(self.token(*reg)?.to_bytes().to_vec()),
             Payload::Pack(entries) => {
-                let mut out = Vec::with_capacity(entries.len());
+                let mut out = Vec::with_capacity(entries.len() * (8 + RemoteToken::WIRE_LEN));
                 for &(rank, reg) in entries {
-                    let body = match reg {
-                        Some(r) => self.token(r)?.to_bytes().to_vec(),
-                        None => Vec::new(),
-                    };
-                    out.push((rank, body));
+                    match reg {
+                        Some(r) => smcoll::encode_entry(&mut out, rank, &self.token(r)?.to_bytes()),
+                        None => smcoll::encode_entry(&mut out, rank, &[]),
+                    }
                 }
-                Ok(smcoll::encode_entries(&out))
+                Ok(out)
             }
         }
     }
@@ -688,15 +687,22 @@ impl Ctx<'_> {
                 self.set_token(*reg, t)
             }
             RecvInto::Pack(entries) => {
-                let decoded = smcoll::decode_entries(&body)?;
-                if decoded.len() != entries.len() {
+                // Two walks over the borrowed entries, so a truncated or
+                // miscounted pack is refused before any register is set.
+                let mut count = 0usize;
+                for entry in smcoll::entries(&body) {
+                    entry?;
+                    count += 1;
+                }
+                if count != entries.len() {
                     return Err(proto(format!(
                         "entry pack has {} entries, schedule expected {}",
-                        decoded.len(),
+                        count,
                         entries.len()
                     )));
                 }
-                for (&(want_rank, reg), (got_rank, payload)) in entries.iter().zip(decoded) {
+                for (&(want_rank, reg), entry) in entries.iter().zip(smcoll::entries(&body)) {
+                    let (got_rank, payload) = entry?;
                     if want_rank != got_rank {
                         return Err(proto(format!(
                             "entry pack rank mismatch: expected {want_rank}, got {got_rank}"
@@ -704,7 +710,7 @@ impl Ctx<'_> {
                     }
                     match reg {
                         Some(r) => {
-                            let t = RemoteToken::from_bytes(&payload).ok_or_else(|| {
+                            let t = RemoteToken::from_bytes(payload).ok_or_else(|| {
                                 proto(format!("entry for rank {got_rank} is not a token"))
                             })?;
                             self.set_token(r, t)?;
@@ -869,5 +875,114 @@ pub(crate) fn step_peer(step: &Step, ctx: &Ctx<'_>) -> Option<usize> {
             ctx.token(*token).ok().map(|t| t.rank as usize)
         }
         Step::Expose { .. } | Step::CopyLocal { .. } | Step::Reduce { .. } => None,
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used)]
+mod tests {
+    use super::*;
+    use crate::schedule::TokenReg;
+
+    fn token(rank: u64) -> RemoteToken {
+        RemoteToken {
+            rank,
+            token: 100 + rank,
+        }
+    }
+
+    fn ctx(bind: &Bindings, regs: usize) -> Ctx<'_> {
+        Ctx {
+            bind,
+            temps: Vec::new(),
+            regs: vec![None; regs],
+        }
+    }
+
+    #[test]
+    fn a_rendered_pack_is_the_sm_wire_format_and_applies_back() {
+        let bind = Bindings::default();
+        let mut sender = ctx(&bind, 2);
+        sender.set_token(TokenReg(0), token(3)).unwrap();
+        sender.set_token(TokenReg(1), token(5)).unwrap();
+        let shape = vec![(3, Some(TokenReg(0))), (4, None), (5, Some(TokenReg(1)))];
+        let body = sender
+            .render_payload(&Payload::Pack(shape.clone()))
+            .unwrap();
+        let owned = [
+            (3, token(3).to_bytes().to_vec()),
+            (4, Vec::new()),
+            (5, token(5).to_bytes().to_vec()),
+        ];
+        assert_eq!(body, smcoll::encode_entries(&owned));
+
+        let mut receiver = ctx(&bind, 2);
+        receiver.apply_recv(&RecvInto::Pack(shape), body).unwrap();
+        assert_eq!(receiver.regs, vec![Some(token(3)), Some(token(5))]);
+
+        let unfilled = ctx(&bind, 1);
+        let err = unfilled
+            .render_payload(&Payload::Pack(vec![(0, Some(TokenReg(0)))]))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            proto("token register 0 used before it was filled".into())
+        );
+    }
+
+    #[test]
+    fn a_bad_pack_is_refused_with_the_entry_it_fails_on() {
+        let bind = Bindings::default();
+        let shape = RecvInto::Pack(vec![(1, Some(TokenReg(0))), (2, None)]);
+        let good = [(1, token(1).to_bytes().to_vec()), (2, Vec::new())];
+        let apply = |body: Vec<u8>| {
+            let mut c = ctx(&bind, 1);
+            let r = c.apply_recv(&shape, body);
+            (r, c.regs[0])
+        };
+        let refused = |body: Vec<u8>, msg: &str, reg: Option<RemoteToken>| {
+            assert_eq!(apply(body), (Err(proto(msg.into())), reg), "{msg}");
+        };
+        assert_eq!(
+            apply(smcoll::encode_entries(&good)),
+            (Ok(()), Some(token(1)))
+        );
+
+        // Refused whole, before any register is written.
+        let mut cut = smcoll::encode_entries(&good);
+        cut.truncate(cut.len() - 3);
+        refused(cut, "truncated sm entry header", None);
+        let mut long_body = smcoll::encode_entries(&good);
+        let at = long_body.len() - 4;
+        long_body[at] = 1;
+        refused(long_body, "truncated sm entry body", None);
+        refused(
+            smcoll::encode_entries(&good[..1]),
+            "entry pack has 1 entries, schedule expected 2",
+            None,
+        );
+        let wrong_rank = [good[0].clone(), (9, Vec::new())];
+        refused(
+            smcoll::encode_entries(&[(7, good[0].1.clone()), good[1].clone()]),
+            "entry pack rank mismatch: expected 1, got 7",
+            None,
+        );
+        refused(
+            smcoll::encode_entries(&[(1, vec![0; 15]), good[1].clone()]),
+            "entry for rank 1 is not a token",
+            None,
+        );
+
+        // Refused at the second entry: the first one's token has landed.
+        refused(
+            smcoll::encode_entries(&wrong_rank),
+            "entry pack rank mismatch: expected 2, got 9",
+            Some(token(1)),
+        );
+        refused(
+            smcoll::encode_entries(&[good[0].clone(), (2, vec![0; 3])]),
+            "entry for rank 2 should be empty, got 3 bytes",
+            Some(token(1)),
+        );
     }
 }

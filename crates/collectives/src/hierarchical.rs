@@ -7,15 +7,19 @@
 //! been forced into by slow intra-node gathers, and the advantage grows
 //! with node count.
 //!
-//! These functions work over any [`Comm`] whose [`Comm::node_of`]
-//! partitions ranks into nodes (the `kacc-netsim` cluster transport).
+//! Each design is written once, as an `async` `*_polled` body over any
+//! [`AsyncComm`] whose [`AsyncComm::node_of`] partitions ranks into nodes.
+//! The polled simulator's cluster endpoint runs the bodies natively
+//! (`kacc-netsim`, Fig 17); the blocking names ([`hier_gather`],
+//! [`hier_scatter`], [`hier_gather_pipelined`]) drive the same bodies on a
+//! blocking [`Comm`] through [`Blocking`] and [`block_on`].
 //! Kernel-assisted single-copy ops are used *within* a node; bulk
 //! leader-to-root transfers use the two-copy data path, which the
 //! cluster transport maps onto the fabric.
 
 use crate::class;
 use crate::exec::is_transient;
-use kacc_comm::{BufId, Comm, CommError, CommExt, RemoteToken, Result, Tag};
+use kacc_comm::{block_on, AsyncComm, Blocking, BufId, Comm, CommError, RemoteToken, Result, Tag};
 
 const TAG_TOKEN: Tag = Tag::internal(class::HIER, 0);
 const TAG_CHAIN: Tag = Tag::internal(class::HIER, 1);
@@ -29,16 +33,17 @@ const TAG_BULK: Tag = Tag::internal(class::HIER, 3);
 const RETRY_MAX: u32 = 3;
 const RETRY_BACKOFF_NS: u64 = 200;
 
-fn with_retry<C, T>(comm: &mut C, mut f: impl FnMut(&mut C) -> Result<T>) -> Result<T>
+async fn with_retry<C, T>(comm: &mut C, mut f: impl AsyncFnMut(&mut C) -> Result<T>) -> Result<T>
 where
-    C: Comm + ?Sized,
+    C: AsyncComm,
 {
     let mut attempts = 0u32;
     loop {
-        match f(comm) {
+        match f(comm).await {
             Err(e) if is_transient(&e) && attempts < RETRY_MAX => {
                 attempts += 1;
-                comm.sleep_ns(RETRY_BACKOFF_NS << (attempts - 1).min(5));
+                comm.sleep_ns(RETRY_BACKOFF_NS << (attempts - 1).min(5))
+                    .await;
             }
             r => return r,
         }
@@ -49,7 +54,7 @@ where
 /// move resumes past the bytes that landed (forward progress resets the
 /// retry budget), zero-progress truncations and transients retry
 /// bounded.
-fn cma_resume<C: Comm + ?Sized>(
+async fn cma_resume<C: AsyncComm>(
     comm: &mut C,
     read: bool,
     token: RemoteToken,
@@ -63,8 +68,10 @@ fn cma_resume<C: Comm + ?Sized>(
     while at < len {
         let r = if read {
             comm.cma_read(token, remote_off + at, buf, local_off + at, len - at)
+                .await
         } else {
             comm.cma_write(token, remote_off + at, buf, local_off + at, len - at)
+                .await
         };
         match r {
             Ok(()) => return Ok(()),
@@ -77,7 +84,8 @@ fn cma_resume<C: Comm + ?Sized>(
                     && attempts < RETRY_MAX =>
             {
                 attempts += 1;
-                comm.sleep_ns(RETRY_BACKOFF_NS << (attempts - 1).min(5));
+                comm.sleep_ns(RETRY_BACKOFF_NS << (attempts - 1).min(5))
+                    .await;
             }
             Err(e) => return Err(e),
         }
@@ -96,7 +104,7 @@ pub struct NodeLayout {
 
 impl NodeLayout {
     /// Compute the layout of `comm` (node ids must be dense from 0).
-    pub fn of<C: Comm + ?Sized>(comm: &C) -> NodeLayout {
+    pub fn of<C: AsyncComm>(comm: &C) -> NodeLayout {
         let p = comm.size();
         let node_of: Vec<usize> = (0..p).map(|r| comm.node_of(r)).collect();
         let n_nodes = node_of.iter().max().copied().unwrap_or(0) + 1;
@@ -121,7 +129,7 @@ impl NodeLayout {
 /// Two-level MPI_Gather: throttled intra-node writes to the node leader
 /// (throttle factor `k`), then leaders ship their node's blocks to the
 /// root over the bulk data path.
-pub fn hier_gather<C: Comm + ?Sized>(
+pub async fn hier_gather_polled<C: AsyncComm>(
     comm: &mut C,
     sendbuf: Option<BufId>,
     recvbuf: Option<BufId>,
@@ -159,7 +167,7 @@ pub fn hier_gather<C: Comm + ?Sized>(
 
         // Intra-node phase: send the leader's token to every member and
         // wait for the last wave's completion notifications.
-        let token = with_retry(comm, |c| c.expose(rb))?;
+        let token = with_retry(comm, async |c| c.expose(rb).await).await?;
         let others: Vec<(usize, usize)> = members
             .iter()
             .enumerate()
@@ -169,7 +177,7 @@ pub fn hier_gather<C: Comm + ?Sized>(
         for &(li, m) in &others {
             let mut msg = token.to_bytes().to_vec();
             msg.extend_from_slice(&(slot(li, m) as u64).to_le_bytes());
-            with_retry(comm, |c| c.ctrl_send(m, TAG_TOKEN, &msg))?;
+            with_retry(comm, async |c| c.ctrl_send(m, TAG_TOKEN, &msg).await).await?;
         }
         // Leader's own contribution.
         let my_li = members
@@ -177,17 +185,17 @@ pub fn hier_gather<C: Comm + ?Sized>(
             .position(|&m| m == me)
             .expect("calling rank is in the member list");
         match (me == root, sendbuf) {
-            (true, Some(sb)) => comm.copy_local(sb, 0, rb, me * count, count)?,
+            (true, Some(sb)) => comm.copy_local(sb, 0, rb, me * count, count).await?,
             (true, None) => {} // MPI_IN_PLACE at root
             (false, sb) => {
                 let sb = sb.ok_or(CommError::Protocol("non-root gather needs sendbuf".into()))?;
-                comm.copy_local(sb, 0, rb, slot(my_li, me), count)?;
+                comm.copy_local(sb, 0, rb, slot(my_li, me), count).await?;
             }
         }
         for (w, &(_, m)) in others.iter().enumerate() {
             // Last wave = chain positions within k of the end.
             if w + k >= others.len() {
-                with_retry(comm, |c| c.wait_notify(m, TAG_DONE))?;
+                with_retry(comm, async |c| c.wait_notify(m, TAG_DONE).await).await?;
             }
         }
 
@@ -204,7 +212,7 @@ pub fn hier_gather<C: Comm + ?Sized>(
                 let l = layout.leader(n, root);
                 let contiguous = node_members.windows(2).all(|w| w[1] == w[0] + 1);
                 if contiguous {
-                    with_retry(comm, |c| {
+                    with_retry(comm, async |c| {
                         c.shm_recv_data(
                             l,
                             TAG_BULK,
@@ -212,28 +220,35 @@ pub fn hier_gather<C: Comm + ?Sized>(
                             node_members[0] * count,
                             node_members.len() * count,
                         )
-                    })?;
+                        .await
+                    })
+                    .await?;
                 } else {
                     let tmp = comm.alloc(node_members.len() * count);
-                    with_retry(comm, |c| {
+                    with_retry(comm, async |c| {
                         c.shm_recv_data(l, TAG_BULK, tmp, 0, node_members.len() * count)
-                    })?;
+                            .await
+                    })
+                    .await?;
                     for (li, &m) in node_members.iter().enumerate() {
-                        comm.copy_local(tmp, li * count, rb, m * count, count)?;
+                        comm.copy_local(tmp, li * count, rb, m * count, count)
+                            .await?;
                     }
                     comm.free(tmp)?;
                 }
             }
         } else {
-            with_retry(comm, |c| {
+            with_retry(comm, async |c| {
                 c.shm_send_data(root, TAG_BULK, rb, 0, members.len() * count)
-            })?;
+                    .await
+            })
+            .await?;
             comm.free(rb)?;
         }
     } else {
         // Member: receive leader token + slot, throttled-write, chain.
         let sb = sendbuf.ok_or(CommError::Protocol("non-root gather needs sendbuf".into()))?;
-        let msg = with_retry(comm, |c| c.ctrl_recv(leader, TAG_TOKEN))?;
+        let msg = with_retry(comm, async |c| c.ctrl_recv(leader, TAG_TOKEN).await).await?;
         if msg.len() != RemoteToken::WIRE_LEN + 8 {
             return Err(CommError::Protocol("bad hier token message".into()));
         }
@@ -250,14 +265,17 @@ pub fn hier_gather<C: Comm + ?Sized>(
             .position(|&m| m == me)
             .expect("calling rank is in the member list");
         if pos >= k {
-            with_retry(comm, |c| c.wait_notify(others[pos - k], TAG_CHAIN))?;
+            with_retry(comm, async |c| {
+                c.wait_notify(others[pos - k], TAG_CHAIN).await
+            })
+            .await?;
         }
-        cma_resume(comm, false, token, off, sb, 0, count)?;
+        cma_resume(comm, false, token, off, sb, 0, count).await?;
         if pos + k < others.len() {
-            with_retry(comm, |c| c.notify(others[pos + k], TAG_CHAIN))?;
+            with_retry(comm, async |c| c.notify(others[pos + k], TAG_CHAIN).await).await?;
         }
         if pos + k >= others.len() {
-            with_retry(comm, |c| c.notify(leader, TAG_DONE))?;
+            with_retry(comm, async |c| c.notify(leader, TAG_DONE).await).await?;
         }
     }
     Ok(())
@@ -265,7 +283,7 @@ pub fn hier_gather<C: Comm + ?Sized>(
 
 /// Two-level MPI_Scatter: the root ships each node's chunk to its leader
 /// over the bulk path; leaders serve their node with throttled reads.
-pub fn hier_scatter<C: Comm + ?Sized>(
+pub async fn hier_scatter_polled<C: AsyncComm>(
     comm: &mut C,
     sendbuf: Option<BufId>,
     recvbuf: Option<BufId>,
@@ -300,7 +318,7 @@ pub fn hier_scatter<C: Comm + ?Sized>(
             let l = layout.leader(n, root);
             let contiguous = node_members.windows(2).all(|w| w[1] == w[0] + 1);
             if contiguous {
-                with_retry(comm, |c| {
+                with_retry(comm, async |c| {
                     c.shm_send_data(
                         l,
                         TAG_BULK,
@@ -308,29 +326,36 @@ pub fn hier_scatter<C: Comm + ?Sized>(
                         node_members[0] * count,
                         node_members.len() * count,
                     )
-                })?;
+                    .await
+                })
+                .await?;
             } else {
                 let tmp = comm.alloc(node_members.len() * count);
                 for (li, &m) in node_members.iter().enumerate() {
-                    comm.copy_local(sb, m * count, tmp, li * count, count)?;
+                    comm.copy_local(sb, m * count, tmp, li * count, count)
+                        .await?;
                 }
-                with_retry(comm, |c| {
+                with_retry(comm, async |c| {
                     c.shm_send_data(l, TAG_BULK, tmp, 0, node_members.len() * count)
-                })?;
+                        .await
+                })
+                .await?;
                 comm.free(tmp)?;
             }
         }
         // Serve the root's own node with throttled reads from sendbuf.
-        serve_node(comm, sb, members, me, count, k, |m| m * count)?;
+        serve_node(comm, sb, members, me, count, k, |m| m * count).await?;
         if let Some(rb) = recvbuf {
-            comm.copy_local(sb, me * count, rb, 0, count)?;
+            comm.copy_local(sb, me * count, rb, 0, count).await?;
         }
     } else if me == leader {
         // Receive this node's chunk, then serve members.
         let staging = comm.alloc(members.len() * count);
-        with_retry(comm, |c| {
+        with_retry(comm, async |c| {
             c.shm_recv_data(root, TAG_BULK, staging, 0, members.len() * count)
-        })?;
+                .await
+        })
+        .await?;
         let my_li = members
             .iter()
             .position(|&m| m == me)
@@ -343,13 +368,14 @@ pub fn hier_scatter<C: Comm + ?Sized>(
                 .expect("member list covers all node ranks")
                 * count
         };
-        serve_node(comm, staging, members, me, count, k, li_of)?;
-        comm.copy_local(staging, my_li * count, rb, 0, count)?;
+        serve_node(comm, staging, members, me, count, k, li_of).await?;
+        comm.copy_local(staging, my_li * count, rb, 0, count)
+            .await?;
         comm.free(staging)?;
     } else {
         // Member: token + offset arrive from the leader; throttled read.
         let rb = recvbuf.ok_or(CommError::Protocol("non-root scatter needs recvbuf".into()))?;
-        let msg = with_retry(comm, |c| c.ctrl_recv(leader, TAG_TOKEN))?;
+        let msg = with_retry(comm, async |c| c.ctrl_recv(leader, TAG_TOKEN).await).await?;
         if msg.len() != RemoteToken::WIRE_LEN + 8 {
             return Err(CommError::Protocol("bad hier token message".into()));
         }
@@ -363,14 +389,17 @@ pub fn hier_scatter<C: Comm + ?Sized>(
             .position(|&m| m == me)
             .expect("calling rank is in the member list");
         if pos >= k {
-            with_retry(comm, |c| c.wait_notify(others[pos - k], TAG_CHAIN))?;
+            with_retry(comm, async |c| {
+                c.wait_notify(others[pos - k], TAG_CHAIN).await
+            })
+            .await?;
         }
-        cma_resume(comm, true, token, off, rb, 0, count)?;
+        cma_resume(comm, true, token, off, rb, 0, count).await?;
         if pos + k < others.len() {
-            with_retry(comm, |c| c.notify(others[pos + k], TAG_CHAIN))?;
+            with_retry(comm, async |c| c.notify(others[pos + k], TAG_CHAIN).await).await?;
         }
         if pos + k >= others.len() {
-            with_retry(comm, |c| c.notify(leader, TAG_DONE))?;
+            with_retry(comm, async |c| c.notify(leader, TAG_DONE).await).await?;
         }
     }
     Ok(())
@@ -383,8 +412,8 @@ pub fn hier_scatter<C: Comm + ?Sized>(
 /// and intra-node transfers overlap instead of serializing.
 ///
 /// Requires block-contiguous rank placement (the `kacc-netsim` cluster
-/// layout); falls back to [`hier_gather`] otherwise.
-pub fn hier_gather_pipelined<C: Comm + ?Sized>(
+/// layout); falls back to [`hier_gather_polled`] otherwise.
+pub async fn hier_gather_pipelined_polled<C: AsyncComm>(
     comm: &mut C,
     sendbuf: Option<BufId>,
     recvbuf: Option<BufId>,
@@ -406,7 +435,7 @@ pub fn hier_gather_pipelined<C: Comm + ?Sized>(
         .iter()
         .all(|m| m.windows(2).all(|w| w[1] == w[0] + 1))
     {
-        return hier_gather(comm, sendbuf, recvbuf, count, root, k);
+        return hier_gather_polled(comm, sendbuf, recvbuf, count, root, k).await;
     }
     let my_node = layout.node_of[me];
     let leader = layout.leader(my_node, root);
@@ -425,7 +454,7 @@ pub fn hier_gather_pipelined<C: Comm + ?Sized>(
             comm.alloc(members.len() * count)
         };
         let base = if me == root { members[0] * count } else { 0 };
-        let token = with_retry(comm, |c| c.expose(rb))?;
+        let token = with_retry(comm, async |c| c.expose(rb).await).await?;
         let others: Vec<(usize, usize)> = members
             .iter()
             .enumerate()
@@ -435,25 +464,26 @@ pub fn hier_gather_pipelined<C: Comm + ?Sized>(
         for &(li, m) in &others {
             let mut msg = token.to_bytes().to_vec();
             msg.extend_from_slice(&((base + li * count) as u64).to_le_bytes());
-            with_retry(comm, |c| c.ctrl_send(m, TAG_TOKEN, &msg))?;
+            with_retry(comm, async |c| c.ctrl_send(m, TAG_TOKEN, &msg).await).await?;
         }
         let my_li = members
             .iter()
             .position(|&m| m == me)
             .expect("calling rank is in the member list");
         match (me == root, sendbuf) {
-            (true, Some(sb)) => comm.copy_local(sb, 0, rb, me * count, count)?,
+            (true, Some(sb)) => comm.copy_local(sb, 0, rb, me * count, count).await?,
             (true, None) => {}
             (false, sb) => {
                 let sb = sb.ok_or(CommError::Protocol("non-root gather needs sendbuf".into()))?;
-                comm.copy_local(sb, 0, rb, base + my_li * count, count)?;
+                comm.copy_local(sb, 0, rb, base + my_li * count, count)
+                    .await?;
             }
         }
         if me == root {
             // The root overlaps by receiving each remote node's waves in
             // order; remote leaders push as waves complete.
             for &(_, m) in &others {
-                with_retry(comm, |c| c.wait_notify(m, TAG_DONE))?;
+                with_retry(comm, async |c| c.wait_notify(m, TAG_DONE).await).await?;
             }
             for (n, node_members) in layout.nodes.iter().enumerate() {
                 if n == my_node {
@@ -464,7 +494,7 @@ pub fn hier_gather_pipelined<C: Comm + ?Sized>(
                 for w in 0..waves {
                     let lo = w * k;
                     let hi = ((w + 1) * k).min(node_members.len());
-                    with_retry(comm, |c| {
+                    with_retry(comm, async |c| {
                         c.shm_recv_data(
                             l,
                             Tag::internal(class::HIER, 16 + w as u32),
@@ -472,7 +502,9 @@ pub fn hier_gather_pipelined<C: Comm + ?Sized>(
                             node_members[lo] * count,
                             (hi - lo) * count,
                         )
-                    })?;
+                        .await
+                    })
+                    .await?;
                 }
             }
         } else {
@@ -486,11 +518,12 @@ pub fn hier_gather_pipelined<C: Comm + ?Sized>(
                 let hi = ((w + 1) * k).min(members.len());
                 for li in lo..hi {
                     if !done[li] {
-                        with_retry(comm, |c| c.wait_notify(members[li], TAG_DONE))?;
+                        with_retry(comm, async |c| c.wait_notify(members[li], TAG_DONE).await)
+                            .await?;
                         done[li] = true;
                     }
                 }
-                with_retry(comm, |c| {
+                with_retry(comm, async |c| {
                     c.shm_send_data(
                         root,
                         Tag::internal(class::HIER, 16 + w as u32),
@@ -498,13 +531,15 @@ pub fn hier_gather_pipelined<C: Comm + ?Sized>(
                         lo * count,
                         (hi - lo) * count,
                     )
-                })?;
+                    .await
+                })
+                .await?;
             }
             comm.free(rb)?;
         }
     } else {
         let sb = sendbuf.ok_or(CommError::Protocol("non-root gather needs sendbuf".into()))?;
-        let msg = with_retry(comm, |c| c.ctrl_recv(leader, TAG_TOKEN))?;
+        let msg = with_retry(comm, async |c| c.ctrl_recv(leader, TAG_TOKEN).await).await?;
         if msg.len() != RemoteToken::WIRE_LEN + 8 {
             return Err(CommError::Protocol("bad hier token message".into()));
         }
@@ -518,15 +553,18 @@ pub fn hier_gather_pipelined<C: Comm + ?Sized>(
             .position(|&m| m == me)
             .expect("calling rank is in the member list");
         if pos >= k {
-            with_retry(comm, |c| c.wait_notify(others[pos - k], TAG_CHAIN))?;
+            with_retry(comm, async |c| {
+                c.wait_notify(others[pos - k], TAG_CHAIN).await
+            })
+            .await?;
         }
-        cma_resume(comm, false, token, off, sb, 0, count)?;
+        cma_resume(comm, false, token, off, sb, 0, count).await?;
         if pos + k < others.len() {
-            with_retry(comm, |c| c.notify(others[pos + k], TAG_CHAIN))?;
+            with_retry(comm, async |c| c.notify(others[pos + k], TAG_CHAIN).await).await?;
         }
         // Pipelining needs every member's completion, not just the
         // final wave's.
-        with_retry(comm, |c| c.notify(leader, TAG_DONE))?;
+        with_retry(comm, async |c| c.notify(leader, TAG_DONE).await).await?;
         let _ = wave_of;
     }
     Ok(())
@@ -534,7 +572,7 @@ pub fn hier_gather_pipelined<C: Comm + ?Sized>(
 
 /// Leader side of a throttled intra-node scatter: expose `buf`, hand each
 /// member its token + offset, wait for the last wave.
-fn serve_node<C: Comm + ?Sized>(
+async fn serve_node<C: AsyncComm>(
     comm: &mut C,
     buf: BufId,
     members: &[usize],
@@ -543,18 +581,75 @@ fn serve_node<C: Comm + ?Sized>(
     k: usize,
     offset_of: impl Fn(usize) -> usize,
 ) -> Result<()> {
-    let token = with_retry(comm, |c| c.expose(buf))?;
+    let token = with_retry(comm, async |c| c.expose(buf).await).await?;
     let others: Vec<usize> = members.iter().copied().filter(|&m| m != leader).collect();
     for &m in &others {
         let mut msg = token.to_bytes().to_vec();
         msg.extend_from_slice(&(offset_of(m) as u64).to_le_bytes());
-        with_retry(comm, |c| c.ctrl_send(m, TAG_TOKEN, &msg))?;
+        with_retry(comm, async |c| c.ctrl_send(m, TAG_TOKEN, &msg).await).await?;
     }
     for (w, &m) in others.iter().enumerate() {
         if w + k >= others.len() {
-            with_retry(comm, |c| c.wait_notify(m, TAG_DONE))?;
+            with_retry(comm, async |c| c.wait_notify(m, TAG_DONE).await).await?;
         }
     }
     let _ = count;
     Ok(())
+}
+
+/// [`hier_gather_polled`] on a blocking transport.
+pub fn hier_gather<C: Comm + ?Sized>(
+    comm: &mut C,
+    sendbuf: Option<BufId>,
+    recvbuf: Option<BufId>,
+    count: usize,
+    root: usize,
+    k: usize,
+) -> Result<()> {
+    block_on(hier_gather_polled(
+        &mut Blocking(comm),
+        sendbuf,
+        recvbuf,
+        count,
+        root,
+        k,
+    ))
+}
+
+/// [`hier_scatter_polled`] on a blocking transport.
+pub fn hier_scatter<C: Comm + ?Sized>(
+    comm: &mut C,
+    sendbuf: Option<BufId>,
+    recvbuf: Option<BufId>,
+    count: usize,
+    root: usize,
+    k: usize,
+) -> Result<()> {
+    block_on(hier_scatter_polled(
+        &mut Blocking(comm),
+        sendbuf,
+        recvbuf,
+        count,
+        root,
+        k,
+    ))
+}
+
+/// [`hier_gather_pipelined_polled`] on a blocking transport.
+pub fn hier_gather_pipelined<C: Comm + ?Sized>(
+    comm: &mut C,
+    sendbuf: Option<BufId>,
+    recvbuf: Option<BufId>,
+    count: usize,
+    root: usize,
+    k: usize,
+) -> Result<()> {
+    block_on(hier_gather_pipelined_polled(
+        &mut Blocking(comm),
+        sendbuf,
+        recvbuf,
+        count,
+        root,
+        k,
+    ))
 }

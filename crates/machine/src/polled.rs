@@ -24,7 +24,7 @@
 //! deleted.
 
 use crate::fluid::FlowId;
-use crate::state::MachineState;
+use crate::state::{Buf, MachineState};
 use crate::team::TeamRun;
 use crate::xfer::{step_xfer, CmaCall, Xfer};
 use kacc_comm::{AsyncComm, BufId, CommError, RemoteToken, Result, Tag, Topology};
@@ -431,18 +431,21 @@ impl PolledComm {
     /// Allocate and fill a buffer — the polled mirror of
     /// [`kacc_comm::CommExt::alloc_with`].
     pub fn alloc_with(&mut self, data: &[u8]) -> Result<BufId> {
-        let buf = self.alloc(data.len());
-        self.write_local(buf, 0, data)?;
-        Ok(buf)
+        let me = self.rank;
+        Ok(BufId(sim_with_state(|s: &mut MachineState, _| {
+            s.heaps[me].alloc_from(data)
+        })))
     }
 
     /// Read a whole buffer — the polled mirror of
     /// [`kacc_comm::CommExt::read_all`].
     pub fn read_all(&self, buf: BufId) -> Result<Vec<u8>> {
-        let len = self.buf_len(buf)?;
-        let mut out = vec![0u8; len];
-        self.read_local(buf, 0, &mut out)?;
-        Ok(out)
+        let me = self.rank;
+        sim_with_state(|s: &mut MachineState, _| {
+            let heap = &s.heaps[me];
+            heap.extract(buf.0, 0, heap.len_of(buf.0)?)
+        })
+        .ok_or(CommError::InvalidBuffer(buf.0))
     }
 
     /// Local memcpy charged to memory bandwidth.
@@ -638,20 +641,21 @@ impl PolledComm {
             self.copy_flow(len, self.bw_core).await;
         }
         let me = self.rank;
-        let mut payload = vec![0u8; len];
-        self.read_local(src, off, &mut payload)?;
         let arrival = self.time_ns()
             + if cross_node {
                 self.net_alpha_ns as u64
             } else {
                 self.sm_msg_ns as u64
             };
-        let key = (1u64 << 32) | tag.0 as u64;
         sim_poll("shm:post", move |s: &mut MachineState, w, _now| {
             s.transport.shm_ops += 1;
             s.transport.shm_bytes += len as u64;
-            let payload = std::mem::take(&mut payload);
-            s.mail.deposit(w, to, me, key, arrival, payload);
+            // The message is the region as it is once the copy is paid
+            // for: its bytes, or for a phantom team its length.
+            let payload = s.heaps[me]
+                .copy_out(src.0, off, len)
+                .expect("range checked above");
+            s.bulk.deposit(w, to, me, tag.0 as u64, arrival, payload);
             Poll::Ready(())
         })
         .await;
@@ -687,12 +691,29 @@ impl PolledComm {
         self.check_local(dst, off, len)?;
         let me = self.rank;
         let tid = sim_tid();
-        let key = (1u64 << 32) | tag.0 as u64;
         let t0 = if self.tracer.on() { self.time_ns() } else { 0 };
         let payload = sim_poll("shm:wait", move |s: &mut MachineState, _w, now| {
-            s.mail.take(tid, me, from, key, now)
+            s.bulk.take(tid, me, from, tag.0 as u64, now)
         })
         .await;
+        self.shm_land(from, tag, dst, off, len, payload, t0).await
+    }
+
+    /// Second half of a bulk receive, shared by the plain and the deadline
+    /// variant: the length check on the message taken from the mailbox,
+    /// the second copy (or the ingress link), the message landing in
+    /// `dst`, and the `shm_recv` span opened at `t0`.
+    #[allow(clippy::too_many_arguments)]
+    async fn shm_land(
+        &mut self,
+        from: usize,
+        tag: Tag,
+        dst: BufId,
+        off: usize,
+        len: usize,
+        payload: Buf,
+        t0: u64,
+    ) -> Result<()> {
         if payload.len() != len {
             return Err(CommError::Truncated {
                 wanted: len,
@@ -710,7 +731,10 @@ impl PolledComm {
             let inter = !self.topo.same_socket(self.local, self.local_of(from));
             self.copy_flow_routed(len, peak, inter).await;
         }
-        self.write_local(dst, off, &payload)?;
+        let me = self.rank;
+        let landed =
+            sim_with_state(|s: &mut MachineState, _| s.heaps[me].copy_in(dst.0, off, &payload));
+        debug_assert!(landed, "range checked before the wait");
         if self.tracer.on() {
             let dur = (self.time_ns() - t0) as f64;
             self.tracer.span(
@@ -784,14 +808,14 @@ impl PolledComm {
         self.check_local(dst, off, len)?;
         let me = self.rank;
         let tid = sim_tid();
-        let key = (1u64 << 32) | tag.0 as u64;
+        let key = tag.0 as u64;
         let deadline = self.time_ns().saturating_add(timeout_ns);
         let t0 = if self.tracer.on() { self.time_ns() } else { 0 };
         let payload = sim_poll("shm:wait", move |s: &mut MachineState, _w, now| {
-            match s.mail.take(tid, me, from, key, now) {
+            match s.bulk.take(tid, me, from, key, now) {
                 Poll::Ready(p) => Poll::Ready(Some(p)),
                 Poll::Wait { .. } if now >= deadline => {
-                    s.mail.unregister(me, from, key, tid);
+                    s.bulk.unregister(me, from, key, tid);
                     Poll::Ready(None)
                 }
                 Poll::Wait { wake_at } => Poll::Wait {
@@ -803,35 +827,7 @@ impl PolledComm {
         let Some(payload) = payload else {
             return Ok(false);
         };
-        if payload.len() != len {
-            return Err(CommError::Truncated {
-                wanted: len,
-                got: payload.len(),
-            });
-        }
-        if self.node_of(from) != self.node {
-            let node = self.node;
-            self.flow_via(len, self.net_bw, move |s| {
-                &mut s.net.as_mut().expect("fabric present").ingress[node]
-            })
-            .await;
-        } else {
-            let peak = self.peak_bw(from);
-            let inter = !self.topo.same_socket(self.local, self.local_of(from));
-            self.copy_flow_routed(len, peak, inter).await;
-        }
-        self.write_local(dst, off, &payload)?;
-        if self.tracer.on() {
-            let dur = (self.time_ns() - t0) as f64;
-            self.tracer.span(
-                Track::Rank(me),
-                "shm_recv",
-                t0,
-                dur,
-                len as u64,
-                tag.class(),
-            );
-        }
+        self.shm_land(from, tag, dst, off, len, payload, t0).await?;
         Ok(true)
     }
 
@@ -1375,5 +1371,237 @@ mod tests {
         });
         assert_eq!(t_res, p_res);
         assert_eq!(t_run, p_run);
+    }
+
+    // ---- the bulk message plane, on real and on phantom heaps ----------
+
+    /// Run `f` on a `nodes × rpn` Broadwell cluster twice, with real and
+    /// with phantom heaps.
+    fn on_both_heaps<R, F, Fut>(nodes: usize, rpn: usize, f: F) -> [(TeamRun, Vec<R>); 2]
+    where
+        F: Fn(usize) -> Fut + Clone + 'static,
+        Fut: Future<Output = R> + 'static,
+        R: 'static,
+    {
+        [false, true].map(|phantom| {
+            let arch = ArchProfile::broadwell();
+            let fabric = (nodes > 1).then(|| arch.default_fabric());
+            let state = MachineState::cluster_opts(arch, nodes, rpn, fabric, phantom);
+            let (run, results, _) = run_polled_machine_full(state, false, true, f.clone());
+            (run, results)
+        })
+    }
+
+    /// The message as it sits on the plane: taken straight off the
+    /// mailbox, no receive-side copy.
+    fn intercept(to: usize, from: usize, tag: Tag) -> Buf {
+        let tid = sim_tid();
+        sim_with_state(|s: &mut MachineState, now| {
+            match s.bulk.take(tid, to, from, tag.0 as u64, now) {
+                Poll::Ready(msg) => msg,
+                Poll::Wait { wake_at } => panic!("no message yet (due {wake_at:?})"),
+            }
+        })
+    }
+
+    #[test]
+    fn a_phantom_message_is_a_length_and_a_real_one_its_bytes() {
+        const LEN: usize = 1 << 20;
+        let [(real_run, real), (ph_run, ph)] = on_both_heaps(1, 2, |rank| async move {
+            let comm = &mut PolledComm::new(rank);
+            let buf = comm.alloc_with(&vec![0xA5; LEN + 8]).unwrap();
+            if rank == 0 {
+                for tag in [1, 2] {
+                    comm.shm_send_data(1, Tag::user(tag), buf, 8, LEN)
+                        .await
+                        .unwrap();
+                }
+                comm.wait_notify(1, Tag::user(3)).await.unwrap();
+                None
+            } else {
+                comm.sleep_ns(10_000_000).await;
+                let in_flight = intercept(1, 0, Tag::user(1));
+                let dst = comm.alloc(LEN);
+                comm.shm_recv_data(0, Tag::user(2), dst, 0, LEN)
+                    .await
+                    .unwrap();
+                comm.notify(0, Tag::user(3)).await.unwrap();
+                let landed = comm.read_all(dst).unwrap();
+                let me = comm.rank();
+                let still_phantom =
+                    sim_with_state(|s: &mut MachineState, _| s.heaps[me].is_phantom(dst.0));
+                Some((in_flight, landed, still_phantom))
+            }
+        });
+        assert_eq!(
+            real[1],
+            Some((Buf::Real(vec![0xA5; LEN]), vec![0xA5; LEN], false))
+        );
+        assert_eq!(ph[1], Some((Buf::Phantom(LEN), vec![0; LEN], true)));
+        assert_eq!(real_run, ph_run, "the heaps' kind is invisible in time");
+        assert_eq!(
+            (real_run.transport.shm_ops, real_run.transport.shm_bytes),
+            (2, 2 * LEN as u64)
+        );
+        assert_eq!(real_run.mail_pending, 0);
+    }
+
+    #[test]
+    fn a_length_mismatch_is_truncated_on_both_heaps() {
+        let [(real_run, real), (ph_run, ph)] = on_both_heaps(1, 2, |rank| async move {
+            let comm = &mut PolledComm::new(rank);
+            let buf = comm.alloc(4096);
+            if rank == 0 {
+                comm.shm_send_data(1, Tag::user(1), buf, 0, 100)
+                    .await
+                    .unwrap();
+                comm.shm_send_data(1, Tag::user(2), buf, 0, 100)
+                    .await
+                    .unwrap();
+                Vec::new()
+            } else {
+                let short = comm.shm_recv_data(0, Tag::user(1), buf, 0, 64).await;
+                let t_short = comm.time_ns();
+                let long = comm
+                    .shm_recv_deadline(0, Tag::user(2), buf, 0, 4096, 1_000_000)
+                    .await;
+                vec![(short, t_short), (long.map(|_| ()), comm.time_ns())]
+            }
+        });
+        let want = |wanted| Err(CommError::Truncated { wanted, got: 100 });
+        assert_eq!(real[1][0].0, want(64));
+        assert_eq!(real[1][1].0, want(4096));
+        assert_eq!(real, ph, "same errors at the same virtual times");
+        assert_eq!(real_run, ph_run);
+        // The refused messages were consumed, and the receiver was charged
+        // no copy: it fails the moment the second message arrives.
+        assert_eq!(real_run.mail_pending, 0);
+        let arrival = real_run.finish_ns[0] + ArchProfile::broadwell().sm_msg_ns as u64;
+        assert_eq!(real[1][1].1, arrival);
+    }
+
+    #[test]
+    fn an_expired_bulk_deadline_is_false_and_leaves_no_waiter() {
+        let [(real_run, real), (ph_run, ph)] = on_both_heaps(1, 2, |rank| async move {
+            if rank == 0 {
+                return None;
+            }
+            let comm = &mut PolledComm::new(rank);
+            let dst = comm.alloc(64);
+            let got = comm
+                .shm_recv_deadline(0, Tag::user(1), dst, 0, 64, 700)
+                .await;
+            let expired_at = comm.time_ns();
+            // A second receiver may claim the key (a leftover registration
+            // would trip the two-waiters assertion), and once it withdraws
+            // too the channel is gone.
+            let channels = sim_with_state(|s: &mut MachineState, now| {
+                let key = Tag::user(1).0 as u64;
+                assert!(matches!(
+                    s.bulk.take(99, 1, 0, key, now),
+                    Poll::Wait { wake_at: None }
+                ));
+                s.bulk.unregister(1, 0, key, 99);
+                (s.bulk.deposited, s.bulk.pending())
+            });
+            Some((got, expired_at, channels))
+        });
+        assert_eq!(real[1], Some((Ok(false), 700, (0, 0))));
+        assert_eq!(real, ph);
+        assert_eq!(real_run, ph_run);
+    }
+
+    #[test]
+    fn a_cross_node_message_rides_the_fabric_servers() {
+        const LEN: usize = 256 << 10;
+        let [(real_run, real), (ph_run, ph)] = on_both_heaps(2, 2, |rank| async move {
+            let comm = &mut PolledComm::new(rank);
+            match rank {
+                1 => {
+                    let src = comm.alloc_with(&vec![0x3C; LEN]).unwrap();
+                    comm.shm_send_data(2, Tag::user(1), src, 0, LEN)
+                        .await
+                        .unwrap();
+                    (comm.time_ns(), Vec::new())
+                }
+                2 => {
+                    let dst = comm.alloc(LEN);
+                    let got = comm
+                        .shm_recv_deadline(1, Tag::user(1), dst, 0, LEN, u64::MAX / 2)
+                        .await;
+                    assert_eq!(got, Ok(true));
+                    (comm.time_ns(), comm.read_all(dst).unwrap())
+                }
+                _ => (0, Vec::new()),
+            }
+        });
+        assert_eq!(real[2].1, vec![0x3C; LEN]);
+        assert_eq!(ph[2].1, vec![0; LEN]);
+        assert_eq!(real_run, ph_run);
+        // Egress link, the fabric's latency, ingress link — and no node's
+        // memory system.
+        let fabric = ArchProfile::broadwell().default_fabric();
+        let wire = (LEN as f64 / fabric.bw_link).ceil() as u64;
+        let (sent, received) = (real[1].0, real[2].0);
+        assert!(sent >= wire && sent <= wire + 2, "egress: {sent} vs {wire}");
+        let floor = sent + fabric.alpha_ns as u64 + wire;
+        assert!(
+            received >= floor && received <= floor + 2,
+            "ingress: {received} vs {floor}"
+        );
+        assert_eq!(real_run.mem_peak_concurrency, vec![0, 0]);
+        assert!(real_run.mem_recaches > 0, "the link servers did the work");
+    }
+
+    /// The blocking twin refuses and times out exactly as the polled
+    /// endpoint does, on either kind of heap.
+    #[test]
+    fn bulk_refusals_match_threads_engine() {
+        use crate::team::run_team_phantom;
+        let arch = ArchProfile::broadwell();
+        let threads = |comm: &mut crate::SimComm| {
+            let buf = comm.alloc(4096);
+            if comm.rank() == 0 {
+                comm.shm_send_data(1, Tag::user(1), buf, 0, 100).unwrap();
+                (Ok(()), Ok(true), comm.time_ns())
+            } else {
+                let short = comm.shm_recv_data(0, Tag::user(1), buf, 0, 64);
+                let expired = comm.shm_recv_deadline(0, Tag::user(2), buf, 0, 64, 900);
+                (short, expired, comm.time_ns())
+            }
+        };
+        let polled = |rank| async move {
+            let comm = &mut PolledComm::new(rank);
+            let buf = comm.alloc(4096);
+            if rank == 0 {
+                comm.shm_send_data(1, Tag::user(1), buf, 0, 100)
+                    .await
+                    .unwrap();
+                (Ok(()), Ok(true), comm.time_ns())
+            } else {
+                let short = comm.shm_recv_data(0, Tag::user(1), buf, 0, 64).await;
+                let expired = comm
+                    .shm_recv_deadline(0, Tag::user(2), buf, 0, 64, 900)
+                    .await;
+                (short, expired, comm.time_ns())
+            }
+        };
+        let (p_run, p_res) = run_polled_team(&arch, 2, polled);
+        assert_eq!(
+            (&p_res[1].0, &p_res[1].1),
+            (
+                &Err(CommError::Truncated {
+                    wanted: 64,
+                    got: 100
+                }),
+                &Ok(false)
+            )
+        );
+        assert_eq!(run_team(&arch, 2, threads), (p_run.clone(), p_res.clone()));
+        assert_eq!(
+            run_team_phantom(&arch, 2, threads),
+            (p_run.clone(), p_res.clone())
+        );
+        assert_eq!(run_polled_team_phantom(&arch, 2, polled), (p_run, p_res));
     }
 }

@@ -11,7 +11,7 @@
 //! entry timer for syscall + permission check).
 
 use crate::fluid::FlowId;
-use crate::state::MachineState;
+use crate::state::{Buf, MachineState};
 use kacc_comm::{BufId, Comm, CommError, RemoteToken, Result, Tag, Topology};
 use kacc_fault::{FaultDecision, FaultHook, FaultOp, FaultSite};
 use kacc_sim_core::{Ctx, Poll};
@@ -540,6 +540,59 @@ impl SimComm {
         });
         Ok(())
     }
+
+    /// Second half of a bulk receive, shared by the plain and the deadline
+    /// variant: the length check on the message taken from the mailbox,
+    /// the second copy (or the ingress link), the message landing in
+    /// `dst`, and the `shm_recv` span opened at `t0`.
+    #[allow(clippy::too_many_arguments)]
+    fn shm_land(
+        &mut self,
+        from: usize,
+        tag: Tag,
+        dst: BufId,
+        off: usize,
+        len: usize,
+        payload: Buf,
+        t0: u64,
+    ) -> Result<()> {
+        if payload.len() != len {
+            return Err(CommError::Truncated {
+                wanted: len,
+                got: payload.len(),
+            });
+        }
+        if self.nodes[from] != self.node {
+            // Wire occupancy on this node's ingress link.
+            let node = self.node;
+            self.flow_via(len, self.net_bw, move |s| {
+                &mut s.net.as_mut().expect("fabric present").ingress[node]
+            });
+        } else {
+            // Second copy: shared staging → local buffer. The peer for
+            // socket purposes is the sender.
+            let peak = self.peak_bw(from);
+            let inter = !self.topo.same_socket(self.local, self.local_of(from));
+            self.copy_flow_routed(len, peak, inter);
+        }
+        let me = self.rank;
+        let landed = self
+            .ctx
+            .with_state(|s, _| s.heaps[me].copy_in(dst.0, off, &payload));
+        debug_assert!(landed, "range checked before the wait");
+        if self.tracer.on() {
+            let dur = (self.ctx.now() - t0) as f64;
+            self.tracer.span(
+                Track::Rank(me),
+                "shm_recv",
+                t0,
+                dur,
+                len as u64,
+                tag.class(),
+            );
+        }
+        Ok(())
+    }
 }
 
 impl Comm for SimComm {
@@ -766,24 +819,21 @@ impl Comm for SimComm {
             self.copy_flow(len, self.bw_core);
         }
         let me = self.rank;
-        let payload = {
-            let mut out = vec![0u8; len];
-            self.read_local(src, off, &mut out)?;
-            out
-        };
         let arrival = self.ctx.now()
             + if cross_node {
                 self.net_alpha_ns as u64
             } else {
                 self.sm_msg_ns as u64
             };
-        // Tag shifted into a distinct namespace so bulk data never
-        // collides with control messages of the same tag.
-        let key = (1u64 << 32) | tag.0 as u64;
+        // Bulk data has a mailbox of its own, so it never collides with
+        // control messages of the same tag.
         self.ctx.poll("shm:post", move |s, w, _now| {
             s.transport.shm_ops += 1;
             s.transport.shm_bytes += len as u64;
-            s.mail.deposit(w, to, me, key, arrival, payload.clone());
+            let payload = s.heaps[me]
+                .copy_out(src.0, off, len)
+                .expect("range checked above");
+            s.bulk.deposit(w, to, me, tag.0 as u64, arrival, payload);
             Poll::Ready(())
         });
         if self.tracer.on() {
@@ -817,43 +867,11 @@ impl Comm for SimComm {
         self.check_local(dst, off, len)?;
         let me = self.rank;
         let tid = self.ctx.tid();
-        let key = (1u64 << 32) | tag.0 as u64;
         let t0 = if self.tracer.on() { self.ctx.now() } else { 0 };
         let payload = self.ctx.poll("shm:wait", move |s, _w, now| {
-            s.mail.take(tid, me, from, key, now)
+            s.bulk.take(tid, me, from, tag.0 as u64, now)
         });
-        if payload.len() != len {
-            return Err(CommError::Truncated {
-                wanted: len,
-                got: payload.len(),
-            });
-        }
-        if self.nodes[from] != self.node {
-            // Wire occupancy on this node's ingress link.
-            let node = self.node;
-            self.flow_via(len, self.net_bw, move |s| {
-                &mut s.net.as_mut().expect("fabric present").ingress[node]
-            });
-        } else {
-            // Second copy: shared staging → local buffer. The peer for
-            // socket purposes is the sender.
-            let peak = self.peak_bw(from);
-            let inter = !self.topo.same_socket(self.local, self.local_of(from));
-            self.copy_flow_routed(len, peak, inter);
-        }
-        self.write_local(dst, off, &payload)?;
-        if self.tracer.on() {
-            let dur = (self.ctx.now() - t0) as f64;
-            self.tracer.span(
-                Track::Rank(me),
-                "shm_recv",
-                t0,
-                dur,
-                len as u64,
-                tag.class(),
-            );
-        }
-        Ok(())
+        self.shm_land(from, tag, dst, off, len, payload, t0)
     }
 
     fn ctrl_recv_deadline(
@@ -913,14 +931,14 @@ impl Comm for SimComm {
         self.check_local(dst, off, len)?;
         let me = self.rank;
         let tid = self.ctx.tid();
-        let key = (1u64 << 32) | tag.0 as u64;
+        let key = tag.0 as u64;
         let deadline = self.ctx.now().saturating_add(timeout_ns);
         let t0 = if self.tracer.on() { self.ctx.now() } else { 0 };
         let payload = self.ctx.poll("shm:wait", move |s, _w, now| {
-            match s.mail.take(tid, me, from, key, now) {
+            match s.bulk.take(tid, me, from, key, now) {
                 Poll::Ready(p) => Poll::Ready(Some(p)),
                 Poll::Wait { .. } if now >= deadline => {
-                    s.mail.unregister(me, from, key, tid);
+                    s.bulk.unregister(me, from, key, tid);
                     Poll::Ready(None)
                 }
                 Poll::Wait { wake_at } => Poll::Wait {
@@ -931,34 +949,7 @@ impl Comm for SimComm {
         let Some(payload) = payload else {
             return Ok(false);
         };
-        if payload.len() != len {
-            return Err(CommError::Truncated {
-                wanted: len,
-                got: payload.len(),
-            });
-        }
-        if self.nodes[from] != self.node {
-            let node = self.node;
-            self.flow_via(len, self.net_bw, move |s| {
-                &mut s.net.as_mut().expect("fabric present").ingress[node]
-            });
-        } else {
-            let peak = self.peak_bw(from);
-            let inter = !self.topo.same_socket(self.local, self.local_of(from));
-            self.copy_flow_routed(len, peak, inter);
-        }
-        self.write_local(dst, off, &payload)?;
-        if self.tracer.on() {
-            let dur = (self.ctx.now() - t0) as f64;
-            self.tracer.span(
-                Track::Rank(me),
-                "shm_recv",
-                t0,
-                dur,
-                len as u64,
-                tag.class(),
-            );
-        }
+        self.shm_land(from, tag, dst, off, len, payload, t0)?;
         Ok(true)
     }
 

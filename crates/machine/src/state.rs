@@ -1,4 +1,18 @@
 //! Shared simulated-node state living inside the DES kernel.
+//!
+//! [`MachineState`] is what the simulation kernel owns and every rank's
+//! endpoint reaches through poll closures: the fluid servers, the per-rank
+//! heaps and the two message planes.
+//!
+//! A heap buffer is a [`Buf`] — real bytes, or for a *phantom* team just
+//! a length. The same type is what a bulk shared-memory message is
+//! ([`MachineState::bulk`]): [`RankHeap::copy_out`] takes it from the
+//! sender's heap and [`RankHeap::copy_in`] lands it in the receiver's, so
+//! a phantom team's messages are lengths (every range, length and
+//! truncation check runs on lengths alone; no byte is allocated or
+//! touched) and a real team's bytes are copied once out and once in.
+//! Control messages ([`MachineState::mail`]) are always real bytes: the
+//! protocols read them.
 
 use crate::fluid::{MemSys, PageLockServer};
 use crate::xfer::Xfer;
@@ -6,11 +20,11 @@ use kacc_comm::Topology;
 use kacc_model::{ArchProfile, FabricParams};
 use kacc_sim_core::Mailboxes;
 
-/// One simulated buffer: real bytes, or a *phantom* that tracks only
-/// its length. Phantoms let measurement sweeps simulate terabyte-scale
-/// traffic without allocating it (timing is unaffected; reads return
-/// zeroes).
-#[derive(Debug)]
+/// One simulated buffer — or one bulk message in flight between two
+/// heaps: real bytes, or a *phantom* that tracks only its length.
+/// Phantoms let measurement sweeps simulate terabyte-scale traffic
+/// without allocating it (timing is unaffected; reads return zeroes).
+#[derive(Debug, PartialEq, Eq)]
 pub enum Buf {
     /// Backed by real bytes (default; data-correctness tests use this).
     Real(Vec<u8>),
@@ -43,6 +57,11 @@ impl Buf {
             Buf::Phantom(n) => off + data.len() <= *n,
         }
     }
+}
+
+/// Does `[off, off + len)` lie inside a buffer of `cap` bytes?
+fn in_range(off: usize, len: usize, cap: usize) -> bool {
+    off.checked_add(len).is_some_and(|end| end <= cap)
 }
 
 /// One live buffer and whether its owner exposed it.
@@ -78,11 +97,24 @@ impl RankHeap {
 
     /// Allocate a zeroed buffer, returning its id.
     pub fn alloc(&mut self, len: usize) -> u64 {
-        let buf = if self.phantom {
+        self.push(if self.phantom {
             Buf::Phantom(len)
         } else {
             Buf::Real(vec![0u8; len])
-        };
+        })
+    }
+
+    /// Allocate a buffer holding a copy of `data` (its length alone on a
+    /// phantom heap), returning its id.
+    pub fn alloc_from(&mut self, data: &[u8]) -> u64 {
+        self.push(if self.phantom {
+            Buf::Phantom(data.len())
+        } else {
+            Buf::Real(data.to_vec())
+        })
+    }
+
+    fn push(&mut self, buf: Buf) -> u64 {
         self.slots.push(Some(HeapSlot {
             buf,
             exposed: false,
@@ -124,19 +156,38 @@ impl RankHeap {
     /// Copy a region out as a vector (zeroes for phantoms). None if
     /// invalid.
     pub fn extract(&self, id: u64, off: usize, len: usize) -> Option<Vec<u8>> {
-        let mut out = vec![0u8; len];
-        if self.read(id, off, &mut out) {
-            Some(out)
-        } else {
-            None
+        self.copy_out(id, off, len).map(|msg| match msg {
+            Buf::Real(bytes) => bytes,
+            Buf::Phantom(len) => vec![0u8; len],
+        })
+    }
+
+    /// Copy a region out as a bulk message: the bytes of a real buffer,
+    /// the length alone of a phantom (nothing is allocated). None if the
+    /// access is invalid.
+    pub fn copy_out(&self, id: u64, off: usize, len: usize) -> Option<Buf> {
+        match &self.slot(id)?.buf {
+            Buf::Real(_) => Some(Buf::Real(self.region(id, off, len)?.to_vec())),
+            Buf::Phantom(cap) => in_range(off, len, *cap).then_some(Buf::Phantom(len)),
         }
+    }
+
+    /// Land a bulk message at `off` of a buffer: one copy of real bytes
+    /// into a real buffer; with a phantom on either side the range check
+    /// alone (as [`MachineState::move_bytes`], nothing moves). False if
+    /// the access is invalid.
+    pub fn copy_in(&mut self, id: u64, off: usize, msg: &Buf) -> bool {
+        self.slot_mut(id).is_some_and(|s| match msg {
+            Buf::Real(bytes) => s.buf.write(off, bytes),
+            Buf::Phantom(len) => in_range(off, *len, s.buf.len()),
+        })
     }
 
     /// The bytes of a region of a real buffer; `None` for phantoms and
     /// invalid accesses.
     fn region(&self, id: u64, off: usize, len: usize) -> Option<&[u8]> {
         match &self.slot(id)?.buf {
-            Buf::Real(v) if off + len <= v.len() => Some(&v[off..off + len]),
+            Buf::Real(v) if in_range(off, len, v.len()) => Some(&v[off..off + len]),
             _ => None,
         }
     }
@@ -295,8 +346,14 @@ pub struct MachineState {
     pub nranks: usize,
     /// Node hosting each rank (block distribution).
     pub node_of: Vec<usize>,
-    /// Control-plane mailboxes.
+    /// Control-plane mailboxes: small messages the protocols read, always
+    /// real bytes.
     pub mail: Mailboxes,
+    /// Bulk shared-memory messages in flight (`shm_send_data` →
+    /// `shm_recv_data`): regions copied out of the sender's heap, so a
+    /// phantom team's are lengths. A plane of its own — a control and a
+    /// bulk message of the same `(to, from, tag)` never meet.
+    pub bulk: Mailboxes<Buf>,
     /// Per-rank private heaps.
     pub heaps: Vec<RankHeap>,
     /// Per-rank page-lock servers (contention point).
@@ -361,6 +418,7 @@ impl MachineState {
             nranks,
             node_of: (0..nranks).map(|r| r / ranks_per_node).collect(),
             mail: Mailboxes::new(),
+            bulk: Mailboxes::default(),
             heaps: (0..nranks)
                 .map(|_| RankHeap {
                     phantom,
@@ -537,6 +595,73 @@ mod tests {
         assert!(ph.copy_from(p, 0, &a, src, 0, 4));
         assert!(!ph.copy_from(p, 2, &a, src, 0, 4));
         assert!(!a.copy_from(src, 0, &ph, p, 0, 4));
+    }
+
+    #[test]
+    fn alloc_from_copies_the_slice_or_keeps_its_length() {
+        let mut real = RankHeap::default();
+        let a = real.alloc_from(&[7, 8, 9]);
+        assert_eq!(real.extract(a, 0, 3), Some(vec![7, 8, 9]));
+        assert!(!real.is_phantom(a) && !real.is_exposed(a));
+        let empty = real.alloc_from(&[]);
+        assert_eq!((empty, real.len_of(empty)), (a + 1, Some(0)));
+
+        let mut ph = RankHeap {
+            phantom: true,
+            ..RankHeap::default()
+        };
+        let p = ph.alloc_from(&[7, 8, 9]);
+        assert!(ph.is_phantom(p));
+        assert_eq!(ph.len_of(p), Some(3));
+        assert_eq!(
+            ph.extract(p, 0, 3),
+            Some(vec![0, 0, 0]),
+            "phantoms read as zeroes"
+        );
+    }
+
+    #[test]
+    fn bulk_messages_carry_bytes_or_lengths() {
+        let mut real = RankHeap::default();
+        let src = real.alloc_from(&[1, 2, 3, 4, 5, 6]);
+        let dst = real.alloc(4);
+        let mut ph = RankHeap {
+            phantom: true,
+            ..RankHeap::default()
+        };
+        let p = ph.alloc(6);
+
+        // Out: the bytes of a real region, the length of a phantom one.
+        assert_eq!(real.copy_out(src, 2, 3), Some(Buf::Real(vec![3, 4, 5])));
+        assert_eq!(real.copy_out(src, 6, 0), Some(Buf::Real(Vec::new())));
+        assert_eq!(ph.copy_out(p, 2, 3), Some(Buf::Phantom(3)));
+        for heap in [&real, &ph] {
+            assert_eq!(heap.copy_out(0, 4, 3), None, "past the end");
+            assert_eq!(heap.copy_out(0, usize::MAX, 2), None, "offset overflow");
+            assert_eq!(heap.extract(0, 4, 3), None);
+        }
+
+        // In: one copy real → real; a range check with a phantom on
+        // either side.
+        assert!(real.copy_in(dst, 1, &Buf::Real(vec![3, 4, 5])));
+        assert_eq!(real.extract(dst, 0, 4), Some(vec![0, 3, 4, 5]));
+        assert!(!real.copy_in(dst, 2, &Buf::Real(vec![9, 9, 9])), "overflow");
+        assert!(real.copy_in(dst, 0, &Buf::Phantom(4)));
+        assert!(!real.copy_in(dst, 1, &Buf::Phantom(4)));
+        assert!(!real.copy_in(dst, usize::MAX, &Buf::Phantom(2)));
+        assert_eq!(real.extract(dst, 0, 4), Some(vec![0, 3, 4, 5]), "untouched");
+        assert!(ph.copy_in(p, 3, &Buf::Real(vec![1, 2, 3])));
+        assert!(!ph.copy_in(p, 4, &Buf::Real(vec![1, 2, 3])));
+        assert!(ph.copy_in(p, 0, &Buf::Phantom(6)));
+        assert!(!ph.copy_in(p, 0, &Buf::Phantom(7)));
+
+        // Dead ids: freed, next to be handed out, unindexable.
+        real.free(src);
+        for id in [src, 2, u64::MAX] {
+            assert_eq!(real.copy_out(id, 0, 0), None, "id {id}");
+            assert!(!real.copy_in(id, 0, &Buf::Phantom(0)), "id {id}");
+            assert!(!real.copy_in(id, 0, &Buf::Real(Vec::new())), "id {id}");
+        }
     }
 
     #[test]

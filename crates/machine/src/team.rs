@@ -25,8 +25,8 @@ pub struct TeamRun {
     pub mem_peak_concurrency: Vec<usize>,
     /// Peak concurrency each page-lock server saw, indexed by rank.
     pub lock_peak_concurrency: Vec<usize>,
-    /// Undelivered control messages left behind (should be 0 for clean
-    /// protocols).
+    /// Undelivered control and bulk messages left behind (should be 0 for
+    /// clean protocols).
     pub mail_pending: usize,
     /// Simulated events the kernel dispatched for this run (fast-path
     /// hand-offs included) — the numerator of the events/sec metric.
@@ -119,7 +119,7 @@ pub(crate) fn finish_team_run(
         stats: st.stats.clone(),
         mem_peak_concurrency: st.mems.iter().map(|m| m.peak_concurrency).collect(),
         lock_peak_concurrency: st.locks.iter().map(|l| l.peak_concurrency).collect(),
-        mail_pending: st.mail.pending(),
+        mail_pending: st.mail.pending() + st.bulk.pending(),
         events,
         sim,
         lock_depth,

@@ -343,8 +343,10 @@ pub fn alltoall<C: Comm + ?Sized>(
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use kacc_collectives::verify::{contribution, diff, gather_expected};
-    use kacc_machine::{run_polled_team, PolledComm};
+    use kacc_collectives::verify::{
+        alltoall_expected, alltoall_sendbuf, contribution, diff, gather_expected,
+    };
+    use kacc_machine::{run_polled_team, run_polled_team_phantom, PolledComm};
     use kacc_model::ArchProfile;
 
     const LIBS: [Library; 4] = [
@@ -397,6 +399,38 @@ mod tests {
                 assert!(diff(got, &contribution(2, 30_000)).is_none(), "{lib:?}");
             }
         }
+    }
+
+    /// One point of the persona sweep on both kinds of heap: the two-copy
+    /// persona's alltoall at 64 KiB (`Protocol::ShmCopy`, 56 bulk messages)
+    /// takes the same virtual time, events and kernel traffic whether the
+    /// messages carry bytes or lengths — and the bytes arrive.
+    #[test]
+    fn a_shm_copy_point_is_the_same_run_on_phantom_and_real_heaps() {
+        const P: usize = 8;
+        const COUNT: usize = 64 << 10;
+        assert_eq!(Library::IntelMpi.pt_proto(COUNT), Protocol::ShmCopy);
+        let body = |me| async move {
+            let comm = &mut PolledComm::new(me);
+            let tuner = Tuner::new(&ArchProfile::broadwell());
+            let sb = comm.alloc_with(&alltoall_sendbuf(me, P, COUNT)).unwrap();
+            let rb = comm.alloc(P * COUNT);
+            alltoall_async(comm, Library::IntelMpi, &tuner, Some(sb), rb, COUNT)
+                .await
+                .unwrap();
+            comm.read_all(rb).unwrap()
+        };
+        let arch = ArchProfile::broadwell();
+        let (real_run, real) = run_polled_team(&arch, P, body);
+        let (phantom_run, phantom) = run_polled_team_phantom(&arch, P, body);
+        assert_eq!(real_run, phantom_run);
+        assert_eq!(real_run.transport.shm_ops, (P * (P - 1)) as u64);
+        for (r, got) in real.iter().enumerate() {
+            if let Some(d) = diff(got, &alltoall_expected(r, P, COUNT)) {
+                panic!("rank {r}: {d}");
+            }
+        }
+        assert!(phantom.iter().all(|got| got == &vec![0u8; P * COUNT]));
     }
 
     #[test]

@@ -24,9 +24,8 @@
 //! All protocol code is `async` over [`kacc_comm::AsyncComm`] and exists
 //! once: the simulator runs it natively, and the entry points a blocking
 //! transport needs (`baseline::{bcast, scatter, gather, allgather,
-//! alltoall}`, `ptcoll::{gather_direct, scatter_direct}`) are
-//! `block_on(.. &mut Blocking(comm) ..)` wrappers over the `*_async`
-//! bodies.
+//! alltoall}`) are `block_on(.. &mut Blocking(comm) ..)` wrappers over the
+//! `*_async` bodies.
 
 pub mod baseline;
 pub mod pt2pt;

@@ -8,12 +8,10 @@
 //! RTS/CTS rendezvous), which is precisely the overhead the paper's
 //! native designs eliminate.
 //!
-//! Everything here is `async` over [`AsyncComm`]; the two flat variants
-//! the blocking cluster bodies in `kacc-netsim` call keep blocking
-//! wrappers under their historical names.
+//! Everything here is `async` over [`AsyncComm`].
 
 use crate::pt2pt::{self, Protocol};
-use kacc_comm::{block_on, AsyncComm, Blocking, BufId, Comm, CommError, Result};
+use kacc_comm::{AsyncComm, BufId, CommError, Result};
 
 fn vrank(rank: usize, root: usize, p: usize) -> usize {
     (rank + p - root) % p
@@ -251,7 +249,7 @@ pub async fn gather<C: AsyncComm>(
 /// single-level strategy libraries default to for large messages; every
 /// message pays the full protocol handshake at the root, which is what
 /// makes it degrade with scale (§VII-G).
-pub async fn gather_direct_async<C: AsyncComm>(
+pub async fn gather_direct<C: AsyncComm>(
     comm: &mut C,
     sendbuf: BufId,
     recvbuf: Option<BufId>,
@@ -282,7 +280,7 @@ pub async fn gather_direct_async<C: AsyncComm>(
 
 /// Flat (direct) scatter over pt2pt: the root sends each rank its block
 /// directly, in rank order.
-pub async fn scatter_direct_async<C: AsyncComm>(
+pub async fn scatter_direct<C: AsyncComm>(
     comm: &mut C,
     sendbuf: Option<BufId>,
     recvbuf: BufId,
@@ -309,44 +307,6 @@ pub async fn scatter_direct_async<C: AsyncComm>(
         pt2pt::recv(comm, root, 26, recvbuf, 0, count, proto).await?;
     }
     Ok(())
-}
-
-/// [`gather_direct_async`] on a blocking transport.
-pub fn gather_direct<C: Comm + ?Sized>(
-    comm: &mut C,
-    sendbuf: BufId,
-    recvbuf: Option<BufId>,
-    count: usize,
-    root: usize,
-    proto: Protocol,
-) -> Result<()> {
-    block_on(gather_direct_async(
-        &mut Blocking(comm),
-        sendbuf,
-        recvbuf,
-        count,
-        root,
-        proto,
-    ))
-}
-
-/// [`scatter_direct_async`] on a blocking transport.
-pub fn scatter_direct<C: Comm + ?Sized>(
-    comm: &mut C,
-    sendbuf: Option<BufId>,
-    recvbuf: BufId,
-    count: usize,
-    root: usize,
-    proto: Protocol,
-) -> Result<()> {
-    block_on(scatter_direct_async(
-        &mut Blocking(comm),
-        sendbuf,
-        recvbuf,
-        count,
-        root,
-        proto,
-    ))
 }
 
 /// Ring allgather over pt2pt: p−1 `sendrecv` steps forwarding the block

@@ -15,10 +15,19 @@
 //!   design), and report the latency;
 //! * shape checks that reproduce Fig 17's observation: the two-level
 //!   design wins, and its advantage *grows* with node count.
+//!
+//! The bodies are `async` and run on the polled engine, one task per
+//! rank, over a *phantom* cluster: the experiments report time, and a
+//! phantom team's heaps and bulk messages are lengths, so a point
+//! allocates and copies nothing however large `count` is.
+//! Payload correctness is the tests' business — they run the same bodies
+//! on `run_polled_cluster`'s real buffers and verify every byte.
 
-use kacc_collectives::hierarchical::{hier_gather, hier_gather_pipelined, hier_scatter};
-use kacc_comm::{BufId, Comm, Result};
-use kacc_machine::{run_cluster, TeamRun};
+use kacc_collectives::hierarchical::{
+    hier_gather_pipelined_polled, hier_gather_polled, hier_scatter_polled,
+};
+use kacc_comm::{BufId, Result};
+use kacc_machine::{run_polled_machine_full, MachineState, PolledComm, TeamRun};
 use kacc_model::{ArchProfile, FabricParams};
 use kacc_mpi::{ptcoll, Protocol};
 
@@ -59,14 +68,17 @@ pub fn cluster_gather(
     count: usize,
     strategy: MultiNodeStrategy,
 ) -> TeamRun {
-    let (run, _) = run_cluster(arch, nodes, ranks_per_node, fabric, move |comm| {
-        gather_body(comm, count, strategy).expect("cluster gather body")
+    let state = MachineState::cluster_opts(arch.clone(), nodes, ranks_per_node, Some(fabric), true);
+    let (run, _, _) = run_polled_machine_full(state, false, true, move |rank| async move {
+        gather_body(&mut PolledComm::new(rank), count, strategy)
+            .await
+            .expect("cluster gather body")
     });
     run
 }
 
-fn gather_body<C: Comm + ?Sized>(
-    comm: &mut C,
+async fn gather_body(
+    comm: &mut PolledComm,
     count: usize,
     strategy: MultiNodeStrategy,
 ) -> Result<()> {
@@ -76,11 +88,13 @@ fn gather_body<C: Comm + ?Sized>(
     let rb: Option<BufId> = (me == 0).then(|| comm.alloc(p * count));
     match strategy {
         MultiNodeStrategy::SingleLevel => {
-            ptcoll::gather_direct(comm, sb, rb, count, 0, single_level_proto(count))
+            ptcoll::gather_direct(comm, sb, rb, count, 0, single_level_proto(count)).await
         }
-        MultiNodeStrategy::TwoLevel { k } => hier_gather(comm, Some(sb), rb, count, 0, k),
+        MultiNodeStrategy::TwoLevel { k } => {
+            hier_gather_polled(comm, Some(sb), rb, count, 0, k).await
+        }
         MultiNodeStrategy::TwoLevelPipelined { k } => {
-            hier_gather_pipelined(comm, Some(sb), rb, count, 0, k)
+            hier_gather_pipelined_polled(comm, Some(sb), rb, count, 0, k).await
         }
     }
 }
@@ -94,14 +108,17 @@ pub fn cluster_scatter(
     count: usize,
     strategy: MultiNodeStrategy,
 ) -> TeamRun {
-    let (run, _) = run_cluster(arch, nodes, ranks_per_node, fabric, move |comm| {
-        scatter_body(comm, count, strategy).expect("cluster scatter body")
+    let state = MachineState::cluster_opts(arch.clone(), nodes, ranks_per_node, Some(fabric), true);
+    let (run, _, _) = run_polled_machine_full(state, false, true, move |rank| async move {
+        scatter_body(&mut PolledComm::new(rank), count, strategy)
+            .await
+            .expect("cluster scatter body")
     });
     run
 }
 
-fn scatter_body<C: Comm + ?Sized>(
-    comm: &mut C,
+async fn scatter_body(
+    comm: &mut PolledComm,
     count: usize,
     strategy: MultiNodeStrategy,
 ) -> Result<()> {
@@ -111,10 +128,10 @@ fn scatter_body<C: Comm + ?Sized>(
     let rb = comm.alloc(count);
     match strategy {
         MultiNodeStrategy::SingleLevel => {
-            ptcoll::scatter_direct(comm, sb, rb, count, 0, single_level_proto(count))
+            ptcoll::scatter_direct(comm, sb, rb, count, 0, single_level_proto(count)).await
         }
         MultiNodeStrategy::TwoLevel { k } | MultiNodeStrategy::TwoLevelPipelined { k } => {
-            hier_scatter(comm, sb, Some(rb), count, 0, k)
+            hier_scatter_polled(comm, sb, Some(rb), count, 0, k).await
         }
     }
 }
@@ -123,8 +140,11 @@ fn scatter_body<C: Comm + ?Sized>(
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use kacc_collectives::verify::{contribution, diff, gather_expected, scatter_sendbuf};
-    use kacc_comm::CommExt;
+    use kacc_collectives::verify::{
+        contribution, diff, gather_expected, scatter_expected, scatter_sendbuf,
+    };
+    use kacc_comm::{RemoteToken, Tag};
+    use kacc_machine::run_polled_cluster;
 
     fn mini_arch() -> ArchProfile {
         let mut a = ArchProfile::knl();
@@ -134,11 +154,18 @@ mod tests {
 
     #[test]
     fn cluster_placement_is_block_distributed() {
-        let (_, nodes) = run_cluster(&mini_arch(), 3, 4, FabricParams::ib_edr(), |comm| {
-            (0..comm.size())
-                .map(|r| comm.node_of(r))
-                .collect::<Vec<_>>()
-        });
+        let (_, nodes) = run_polled_cluster(
+            &mini_arch(),
+            3,
+            4,
+            FabricParams::ib_edr(),
+            |rank| async move {
+                let comm = PolledComm::new(rank);
+                (0..comm.size())
+                    .map(|r| comm.node_of(r))
+                    .collect::<Vec<_>>()
+            },
+        );
         for per_rank in &nodes {
             assert_eq!(per_rank, &vec![0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2]);
         }
@@ -146,39 +173,55 @@ mod tests {
 
     #[test]
     fn cma_across_nodes_is_rejected() {
-        let (_, results) = run_cluster(&mini_arch(), 2, 2, FabricParams::ib_edr(), |comm| {
-            if comm.rank() == 0 {
-                let b = comm.alloc(64);
-                let tok = comm.expose(b).unwrap();
-                comm.ctrl_send(2, kacc_comm::Tag::user(1), &tok.to_bytes())
-                    .unwrap();
-                comm.wait_notify(2, kacc_comm::Tag::user(2)).unwrap();
-                true
-            } else if comm.rank() == 2 {
-                let raw = comm.ctrl_recv(0, kacc_comm::Tag::user(1)).unwrap();
-                let tok = kacc_comm::RemoteToken::from_bytes(&raw).unwrap();
-                let dst = comm.alloc(64);
-                let err = comm.cma_read(tok, 0, dst, 0, 64);
-                comm.notify(0, kacc_comm::Tag::user(2)).unwrap();
-                err.is_err()
-            } else {
-                true
-            }
-        });
+        let (_, results) = run_polled_cluster(
+            &mini_arch(),
+            2,
+            2,
+            FabricParams::ib_edr(),
+            |rank| async move {
+                let comm = &mut PolledComm::new(rank);
+                if rank == 0 {
+                    let b = comm.alloc(64);
+                    let tok = comm.expose(b).await.unwrap();
+                    comm.ctrl_send(2, Tag::user(1), &tok.to_bytes())
+                        .await
+                        .unwrap();
+                    comm.wait_notify(2, Tag::user(2)).await.unwrap();
+                    true
+                } else if rank == 2 {
+                    let raw = comm.ctrl_recv(0, Tag::user(1)).await.unwrap();
+                    let tok = RemoteToken::from_bytes(&raw).unwrap();
+                    let dst = comm.alloc(64);
+                    let err = comm.cma_read(tok, 0, dst, 0, 64).await;
+                    comm.notify(0, Tag::user(2)).await.unwrap();
+                    err.is_err()
+                } else {
+                    true
+                }
+            },
+        );
         assert!(results.iter().all(|&ok| ok));
     }
 
     #[test]
     fn hier_gather_is_correct_across_nodes() {
         let count = 3000;
-        let (run, results) = run_cluster(&mini_arch(), 2, 4, FabricParams::ib_edr(), move |comm| {
-            let me = comm.rank();
-            let p = comm.size();
-            let sb = comm.alloc_with(&contribution(me, count));
-            let rb = (me == 0).then(|| comm.alloc(p * count));
-            hier_gather(comm, Some(sb), rb, count, 0, 2).unwrap();
-            rb.map(|b| comm.read_all(b).unwrap()).unwrap_or_default()
-        });
+        let (run, results) = run_polled_cluster(
+            &mini_arch(),
+            2,
+            4,
+            FabricParams::ib_edr(),
+            move |me| async move {
+                let comm = &mut PolledComm::new(me);
+                let p = comm.size();
+                let sb = comm.alloc_with(&contribution(me, count)).unwrap();
+                let rb = (me == 0).then(|| comm.alloc(p * count));
+                hier_gather_polled(comm, Some(sb), rb, count, 0, 2)
+                    .await
+                    .unwrap();
+                rb.map(|b| comm.read_all(b).unwrap()).unwrap_or_default()
+            },
+        );
         if let Some(d) = diff(&results[0], &gather_expected(8, count)) {
             panic!("hier gather: {d}");
         }
@@ -189,15 +232,23 @@ mod tests {
     fn hier_scatter_is_correct_across_nodes() {
         let count = 2000;
         let p = 9;
-        let (_, results) = run_cluster(&mini_arch(), 3, 3, FabricParams::ib_edr(), move |comm| {
-            let me = comm.rank();
-            let sb = (me == 0).then(|| comm.alloc_with(&scatter_sendbuf(p, count)));
-            let rb = comm.alloc(count);
-            hier_scatter(comm, sb, Some(rb), count, 0, 2).unwrap();
-            comm.read_all(rb).unwrap()
-        });
+        let (_, results) = run_polled_cluster(
+            &mini_arch(),
+            3,
+            3,
+            FabricParams::ib_edr(),
+            move |me| async move {
+                let comm = &mut PolledComm::new(me);
+                let sb = (me == 0).then(|| comm.alloc_with(&scatter_sendbuf(p, count)).unwrap());
+                let rb = comm.alloc(count);
+                hier_scatter_polled(comm, sb, Some(rb), count, 0, 2)
+                    .await
+                    .unwrap();
+                comm.read_all(rb).unwrap()
+            },
+        );
         for (r, got) in results.iter().enumerate() {
-            if let Some(d) = diff(got, &kacc_collectives::verify::scatter_expected(r, count)) {
+            if let Some(d) = diff(got, &scatter_expected(r, count)) {
                 panic!("hier scatter rank {r}: {d}");
             }
         }
@@ -206,14 +257,22 @@ mod tests {
     #[test]
     fn single_level_gather_is_correct_across_nodes() {
         let count = 1500;
-        let (_, results) = run_cluster(&mini_arch(), 2, 3, FabricParams::ib_edr(), move |comm| {
-            let me = comm.rank();
-            let p = comm.size();
-            let sb = comm.alloc_with(&contribution(me, count));
-            let rb = (me == 0).then(|| comm.alloc(p * count));
-            ptcoll::gather_direct(comm, sb, rb, count, 0, single_level_proto(count)).unwrap();
-            rb.map(|b| comm.read_all(b).unwrap()).unwrap_or_default()
-        });
+        let (_, results) = run_polled_cluster(
+            &mini_arch(),
+            2,
+            3,
+            FabricParams::ib_edr(),
+            move |me| async move {
+                let comm = &mut PolledComm::new(me);
+                let p = comm.size();
+                let sb = comm.alloc_with(&contribution(me, count)).unwrap();
+                let rb = (me == 0).then(|| comm.alloc(p * count));
+                ptcoll::gather_direct(comm, sb, rb, count, 0, single_level_proto(count))
+                    .await
+                    .unwrap();
+                rb.map(|b| comm.read_all(b).unwrap()).unwrap_or_default()
+            },
+        );
         if let Some(d) = diff(&results[0], &gather_expected(6, count)) {
             panic!("single-level gather: {d}");
         }
@@ -224,15 +283,22 @@ mod tests {
         let count = 48 * 1024;
         let rpn = 8;
         // Correctness with data verification.
-        let (_, results) = run_cluster(&mini_arch(), 2, rpn, FabricParams::ib_edr(), move |comm| {
-            let me = comm.rank();
-            let p = comm.size();
-            let sb = comm.alloc_with(&contribution(me, 512));
-            let rb = (me == 0).then(|| comm.alloc(p * 512));
-            kacc_collectives::hierarchical::hier_gather_pipelined(comm, Some(sb), rb, 512, 0, 3)
-                .unwrap();
-            rb.map(|b| comm.read_all(b).unwrap()).unwrap_or_default()
-        });
+        let (_, results) = run_polled_cluster(
+            &mini_arch(),
+            2,
+            rpn,
+            FabricParams::ib_edr(),
+            move |me| async move {
+                let comm = &mut PolledComm::new(me);
+                let p = comm.size();
+                let sb = comm.alloc_with(&contribution(me, 512)).unwrap();
+                let rb = (me == 0).then(|| comm.alloc(p * 512));
+                hier_gather_pipelined_polled(comm, Some(sb), rb, 512, 0, 3)
+                    .await
+                    .unwrap();
+                rb.map(|b| comm.read_all(b).unwrap()).unwrap_or_default()
+            },
+        );
         if let Some(d) = diff(&results[0], &gather_expected(2 * rpn, 512)) {
             panic!("pipelined hier gather: {d}");
         }

@@ -6,6 +6,13 @@
 //! virtual time. Matching is FIFO per `(to, from, tag)` key, mirroring
 //! MPI-style ordered channels.
 //!
+//! The mailbox never looks inside a message, so the payload type `M` is
+//! the owner's choice: byte vectors by default (`Mailboxes::new()`), or
+//! whatever a model moves instead of bytes — `kacc-machine` keeps a second
+//! instance whose messages are heap buffers that may be length-only.
+//! Channels, FIFO order, waiter, wake and counter rules are the same for
+//! every `M`.
+//!
 //! Use from a [`crate::Ctx::poll`] closure:
 //!
 //! ```ignore
@@ -52,30 +59,41 @@ impl Hasher for WordHasher {
     }
 }
 
-type Message = (SimTime, Vec<u8>);
+type Message<M> = (SimTime, M);
 
 /// One `(to, from, tag)` channel: messages in flight and the receiver
 /// parked on them. A channel exists only while it has either.
-#[derive(Debug, Default)]
-struct Channel {
+#[derive(Debug)]
+struct Channel<M> {
     /// Oldest undelivered message. Kept out of `backlog` because nearly
     /// every channel holds at most one, and a channel that lives for one
     /// message should not allocate and free a queue buffer for it.
-    head: Option<Message>,
+    head: Option<Message<M>>,
     /// Messages behind `head`, oldest first; empty while `head` is `None`.
-    backlog: VecDeque<Message>,
+    backlog: VecDeque<Message<M>>,
     waiter: Option<usize>,
 }
 
-impl Channel {
-    fn push(&mut self, msg: Message) {
+// Not derived: an empty channel needs no `M: Default`.
+impl<M> Default for Channel<M> {
+    fn default() -> Self {
+        Channel {
+            head: None,
+            backlog: VecDeque::new(),
+            waiter: None,
+        }
+    }
+}
+
+impl<M> Channel<M> {
+    fn push(&mut self, msg: Message<M>) {
         match self.head {
             None => self.head = Some(msg),
             Some(_) => self.backlog.push_back(msg),
         }
     }
 
-    fn pop(&mut self) -> Option<Message> {
+    fn pop(&mut self) -> Option<Message<M>> {
         std::mem::replace(&mut self.head, self.backlog.pop_front())
     }
 
@@ -84,22 +102,38 @@ impl Channel {
     }
 }
 
-/// FIFO virtual-time mailboxes keyed by `(to, from, tag)`.
-#[derive(Debug, Default)]
-pub struct Mailboxes {
-    channels: HashMap<Key, Channel, BuildHasherDefault<WordHasher>>,
+/// FIFO virtual-time mailboxes keyed by `(to, from, tag)`, carrying
+/// messages of type `M`.
+#[derive(Debug)]
+pub struct Mailboxes<M = Vec<u8>> {
+    channels: HashMap<Key, Channel<M>, BuildHasherDefault<WordHasher>>,
     /// Total messages ever deposited (observability/testing).
     pub deposited: u64,
     /// Total messages ever delivered.
     pub delivered: u64,
 }
 
+// Not derived: an empty mailbox set needs no `M: Default`.
+impl<M> Default for Mailboxes<M> {
+    fn default() -> Self {
+        Mailboxes {
+            channels: HashMap::default(),
+            deposited: 0,
+            delivered: 0,
+        }
+    }
+}
+
 impl Mailboxes {
-    /// Create an empty mailbox set.
+    /// Create an empty set of byte-vector mailboxes. Defined on the
+    /// default instantiation only, so a bare `Mailboxes::new()` names a
+    /// type; other payloads start from `Mailboxes::<M>::default()`.
     pub fn new() -> Mailboxes {
         Mailboxes::default()
     }
+}
 
+impl<M> Mailboxes<M> {
     /// Deposit a message arriving at `arrival`. If a receiver is already
     /// parked on the key, schedule its wake at the arrival time.
     pub fn deposit(
@@ -109,7 +143,7 @@ impl Mailboxes {
         from: usize,
         tag: u64,
         arrival: SimTime,
-        payload: Vec<u8>,
+        payload: M,
     ) {
         let channel = self.channels.entry((to, from, tag)).or_default();
         channel.push((arrival, payload));
@@ -125,14 +159,7 @@ impl Mailboxes {
     ///
     /// Panics if two threads wait on the same key simultaneously — that
     /// would make matching nondeterministic, and no kacc protocol does it.
-    pub fn take(
-        &mut self,
-        tid: usize,
-        to: usize,
-        from: usize,
-        tag: u64,
-        now: SimTime,
-    ) -> Poll<Vec<u8>> {
+    pub fn take(&mut self, tid: usize, to: usize, from: usize, tag: u64, now: SimTime) -> Poll<M> {
         let key = (to, from, tag);
         let mut slot = match self.channels.entry(key) {
             Entry::Occupied(slot) => slot,
@@ -296,6 +323,42 @@ mod tests {
         }
         assert_eq!(m.pending(), 0);
         assert!(m.channels.is_empty(), "no record outlives its last use");
+    }
+
+    /// The mailbox never looks inside a message: a payload that is neither
+    /// `Clone`, `Default` nor `Debug` goes through the same channel,
+    /// waiter, wake and counter rules.
+    #[test]
+    fn a_non_vec_payload_follows_the_same_rules() {
+        struct Parcel(usize);
+        let mut m = Mailboxes::<Parcel>::default();
+        let mut w = waker();
+        assert!(matches!(
+            m.take(3, 1, 0, 7, 0),
+            Poll::Wait { wake_at: None }
+        ));
+        m.deposit(&mut w, 1, 0, 7, 40, Parcel(1 << 20));
+        m.deposit(&mut w, 1, 0, 7, 50, Parcel(2));
+        assert_eq!(
+            w.pending,
+            vec![(3, 40)],
+            "both wakes, coalesced to the earliest"
+        );
+        assert!(matches!(
+            m.take(3, 1, 0, 7, 10),
+            Poll::Wait { wake_at: Some(40) }
+        ));
+        assert!(matches!(m.take(3, 1, 0, 7, 40), Poll::Ready(Parcel(n)) if n == 1 << 20));
+        // Giving up on the second message leaves it for the next receiver.
+        assert!(matches!(
+            m.take(3, 1, 0, 7, 40),
+            Poll::Wait { wake_at: Some(50) }
+        ));
+        m.unregister(1, 0, 7, 3);
+        assert_eq!(m.pending(), 1);
+        assert!(matches!(m.take(4, 1, 0, 7, 50), Poll::Ready(Parcel(2))));
+        assert_eq!((m.deposited, m.delivered, m.pending()), (2, 2, 0));
+        assert!(m.channels.is_empty());
     }
 
     #[test]

@@ -37,6 +37,9 @@ cargo test -q --release -p kacc-sim-core -p kacc-machine --lib
 echo "== persona pins (library personas bit-for-bit vs the pre-port capture) =="
 cargo test -q --release -p kacc-bench --test persona_pins
 
+echo "== cluster pins (Fig 17 bodies bit-for-bit vs the pre-port capture, plus the netsim units) =="
+cargo test -q --release -p kacc-netsim
+
 echo "== chaos suite (fixed seed corpus + one fresh seed) =="
 # The chaos tests always run their fixed corpus; KACC_CHAOS_SEED adds one
 # fresh seed on top. Echoed up front so a failure is reproducible with
