@@ -1,19 +1,16 @@
 //! DES kernel throughput: wall-clock cost per simulated event.
 //!
-//! Every figure in the reproduction is a sweep of `run_team` points, so
-//! the kernel's per-event overhead (heap traffic, floor hand-offs,
-//! thread setup) multiplies into everything. This bench pins the cost:
+//! Every figure in the reproduction is a sweep of `run_polled_team`
+//! points, so the kernel's per-event overhead (queue traffic, task polls,
+//! wake delivery) multiplies into everything. This bench pins the cost:
 //!
 //! * `one_to_all_p64_polled` — the paper's contention microbenchmark at
-//!   p=64 (65 simulated ranks, fluid-server wake storms) on the polled
-//!   engine every figure now runs on: the PR-4/PR-6 acceptance gates
-//!   measure events/sec here.
-//! * `advance_heavy` / `advance_heavy_polled` — a single task burning
-//!   timer self-wakes, the direct-handoff fast path's best case.
-//! * `pingpong` / `pingpong_polled` — two tasks strictly alternating via
-//!   external wakes, the floor-transfer worst case for the threads
-//!   engine (every event is a futex round-trip) and the polled engine's
-//!   biggest win (every event is a queue pop).
+//!   p=64 (65 simulated ranks, fluid-server wake storms): the PR-4/PR-6
+//!   acceptance gates measure events/sec here.
+//! * `advance_heavy_polled` — a single task burning timer self-wakes,
+//!   the direct-handoff fast path's best case.
+//! * `pingpong_polled` — two tasks strictly alternating via external
+//!   wakes: every event is a queue pop.
 //! * `cma_read_multibatch_polled` — 16 ranks each reading 1 MiB (four
 //!   pin batches of 64 pages) from a distinct peer, eight times over: the
 //!   per-operation path of a kernel-assisted transfer with no lock
@@ -43,7 +40,7 @@ use kacc_machine::polled::sm_barrier_polled;
 use kacc_machine::{run_polled_team, run_polled_team_phantom, PolledComm};
 use kacc_model::ArchProfile;
 use kacc_sim_core::polled::{sim_advance, sim_poll, PolledSim};
-use kacc_sim_core::{total_events, Mailboxes, Poll, Sim};
+use kacc_sim_core::{total_events, Mailboxes, Poll};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -62,16 +59,6 @@ fn one_to_all(arch: &ArchProfile) -> f64 {
     one_to_all_read_ns(arch, 64, 64 << 10, false)
 }
 
-fn advance_heavy(steps: u64) -> u64 {
-    let mut sim = Sim::new(());
-    sim.spawn(move |ctx| {
-        for _ in 0..steps {
-            ctx.advance(3);
-        }
-    });
-    sim.run().end_time
-}
-
 fn advance_heavy_polled(steps: u64) -> u64 {
     let mut sim = PolledSim::new(());
     sim.spawn(move |_tid| async move {
@@ -79,29 +66,6 @@ fn advance_heavy_polled(steps: u64) -> u64 {
             sim_advance::<()>(3).await;
         }
     });
-    sim.run().end_time
-}
-
-fn pingpong(rounds: u64) -> u64 {
-    let mut sim = Sim::new(0u64);
-    for me in 0..2usize {
-        sim.spawn(move |ctx| {
-            let peer = 1 - me;
-            for _ in 0..rounds {
-                // Wait until the shared counter's parity selects us, then
-                // bump it and wake the peer: a pure floor hand-off chain.
-                ctx.poll("turn", move |count: &mut u64, w, now| {
-                    if *count as usize % 2 == me {
-                        *count += 1;
-                        w.wake_at(peer, now + 1);
-                        Poll::Ready(())
-                    } else {
-                        Poll::Wait { wake_at: None }
-                    }
-                });
-            }
-        });
-    }
     sim.run().end_time
 }
 
@@ -219,14 +183,7 @@ fn bench(c: &mut Criterion) {
     });
 
     let steps = 20_000u64;
-    assert_eq!(advance_heavy(steps), advance_heavy_polled(steps));
-    let (events, eps) = probe(|| {
-        advance_heavy(steps);
-    });
-    println!("des_kernel/advance_heavy: {events} simulated events per iter (~{eps:.0} events/sec)");
-    g.bench_function("advance_heavy", |b| {
-        b.iter(|| black_box(advance_heavy(black_box(steps))))
-    });
+    assert_eq!(advance_heavy_polled(steps), 3 * steps);
     let (events, eps) = probe(|| {
         advance_heavy_polled(steps);
     });
@@ -238,14 +195,6 @@ fn bench(c: &mut Criterion) {
     });
 
     let rounds = 5_000u64;
-    assert_eq!(pingpong(rounds), pingpong_polled(rounds));
-    let (events, eps) = probe(|| {
-        pingpong(rounds);
-    });
-    println!("des_kernel/pingpong: {events} simulated events per iter (~{eps:.0} events/sec)");
-    g.bench_function("pingpong", |b| {
-        b.iter(|| black_box(pingpong(black_box(rounds))))
-    });
     let (events, eps) = probe(|| {
         pingpong_polled(rounds);
     });

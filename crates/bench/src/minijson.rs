@@ -1,6 +1,6 @@
 //! A minimal JSON reader for the bench baselines.
 //!
-//! The workspace is offline (no serde), and the only JSON this repo
+//! The workspace is offline (no JSON library), and the only JSON this repo
 //! consumes is its own machine-written output (`BENCH_PR*.json`,
 //! `--bench-out`, `--metrics-out`), so a small recursive-descent parser
 //! covering objects, arrays, strings, numbers, booleans, and null is
@@ -22,7 +22,7 @@ pub enum Json {
     /// Array.
     Arr(Vec<Json>),
     /// Object, in document order (duplicate keys keep the last value
-    /// on lookup, like serde's default).
+    /// on lookup, like a derived deserializer's default).
     Obj(Vec<(String, Json)>),
 }
 

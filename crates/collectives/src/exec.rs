@@ -454,8 +454,7 @@ impl<'t> Recorder<'t> {
     /// Close out one schedule execution: stamp `total_ns` and the
     /// observed per-step p99, record the end-to-end latency into the
     /// global and per-class histograms, and fold the recovery counters
-    /// into the metric registry. Called by both engines' executors so
-    /// the metrics cannot drift between them.
+    /// into the metric registry.
     pub(crate) fn finish(&mut self, total_ns: u64) {
         self.report.total_ns = total_ns;
         let mut all = kacc_metrics::LocalHist::default();

@@ -9,17 +9,12 @@
 //! and replay it through the executor: [`gatherv_polled`] is the one
 //! implementation, async over any [`AsyncComm`], and
 //! [`gather`]/[`gatherv`]/[`gatherv_with_report`] run it on a blocking
-//! [`Comm`]. `gatherv_legacy` keeps the direct implementation for
-//! equivalence tests.
+//! [`Comm`].
 
 use crate::exec::{Bindings, ScheduleReport};
 use crate::polled::execute_polled;
 use crate::schedule::{compile_gather, PlanCache, PlanKey};
-use crate::{class, unvrank, vrank};
-use kacc_comm::{
-    block_on, smcoll, AsyncComm, Blocking, BufId, Comm, CommError, CommExt, RemoteToken, Result,
-    Tag,
-};
+use kacc_comm::{block_on, AsyncComm, Blocking, BufId, Comm, CommError, Result};
 
 /// Gather algorithm selection (§IV-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -36,9 +31,6 @@ pub enum GatherAlgo {
         k: usize,
     },
 }
-
-const TAG_DONE: Tag = Tag::internal(class::GATHER, 1);
-const TAG_CHAIN: Tag = Tag::internal(class::GATHER, 2);
 
 /// MPI_Gather: every rank contributes `count` bytes from `sendbuf`; the
 /// root assembles them (by rank order) into its `p·count`-byte `recvbuf`.
@@ -143,10 +135,9 @@ pub async fn gatherv_polled<C: AsyncComm>(
     .map(Some)
 }
 
-/// Validation and degenerate-case handling shared by the compiled and
-/// legacy paths: the per-rank `(offset, len)` layout to run the algorithm
-/// with, or `None` when nothing is left to do (single rank or all-zero
-/// counts).
+/// Validation and degenerate-case handling: the per-rank
+/// `(offset, len)` layout to run the algorithm with, or `None` when
+/// nothing is left to do (single rank or all-zero counts).
 async fn prepare<C: AsyncComm>(
     comm: &mut C,
     sendbuf: Option<BufId>,
@@ -197,168 +188,4 @@ async fn prepare<C: AsyncComm>(
         return Ok(None);
     }
     Ok(Some(layout))
-}
-
-/// Original direct implementation, kept verbatim so tests can assert the
-/// compiled schedules are traffic- and result-identical to it.
-#[doc(hidden)]
-pub fn gatherv_legacy<C: Comm + ?Sized>(
-    comm: &mut C,
-    algo: GatherAlgo,
-    sendbuf: Option<BufId>,
-    recvbuf: Option<BufId>,
-    counts: &[usize],
-    displs: Option<&[usize]>,
-    root: usize,
-) -> Result<()> {
-    let blocking = &mut Blocking(&mut *comm);
-    let prepared = prepare(blocking, sendbuf, recvbuf, counts, displs, root);
-    let Some(layout) = block_on(prepared)? else {
-        return Ok(());
-    };
-    match algo {
-        GatherAlgo::ParallelWrite => parallel_write(comm, sendbuf, recvbuf, &layout, root),
-        GatherAlgo::SequentialRead => sequential_read(comm, sendbuf, recvbuf, &layout, root),
-        GatherAlgo::ThrottledWrite { k } => {
-            if k == 0 {
-                return Err(CommError::Protocol("throttle factor must be ≥ 1".into()));
-            }
-            throttled_write(comm, sendbuf, recvbuf, &layout, root, k)
-        }
-    }
-}
-
-/// Copy the root's own block into its receive buffer (skipped under
-/// `MPI_IN_PLACE`, i.e. `sendbuf == None` at the root).
-fn root_self_copy<C: Comm + ?Sized>(
-    comm: &mut C,
-    recvbuf: BufId,
-    sendbuf: Option<BufId>,
-    layout: &[(usize, usize)],
-    root: usize,
-) -> Result<()> {
-    let (off, len) = layout[root];
-    if let (Some(sb), true) = (sendbuf, len > 0) {
-        comm.copy_local(sb, 0, recvbuf, off, len)?;
-    }
-    Ok(())
-}
-
-fn parallel_write<C: Comm + ?Sized>(
-    comm: &mut C,
-    sendbuf: Option<BufId>,
-    recvbuf: Option<BufId>,
-    layout: &[(usize, usize)],
-    root: usize,
-) -> Result<()> {
-    let me = comm.rank();
-    if me == root {
-        let rb = recvbuf.expect("validated: root binds recvbuf");
-        let token = comm.expose(rb)?;
-        smcoll::sm_bcast(comm, root, &token.to_bytes())?;
-        root_self_copy(comm, rb, sendbuf, layout, root)?;
-        smcoll::sm_gather(comm, root, &[])?;
-    } else {
-        let raw = smcoll::sm_bcast(comm, root, &[])?;
-        let token =
-            RemoteToken::from_bytes(&raw).ok_or(CommError::Protocol("bad gather token".into()))?;
-        let (off, len) = layout[me];
-        if len > 0 {
-            comm.cma_write(
-                token,
-                off,
-                sendbuf.expect("validated: sender binds sendbuf"),
-                0,
-                len,
-            )?;
-        }
-        smcoll::sm_gather(comm, root, &[])?;
-    }
-    Ok(())
-}
-
-fn sequential_read<C: Comm + ?Sized>(
-    comm: &mut C,
-    sendbuf: Option<BufId>,
-    recvbuf: Option<BufId>,
-    layout: &[(usize, usize)],
-    root: usize,
-) -> Result<()> {
-    let p = comm.size();
-    let me = comm.rank();
-    if me == root {
-        let rb = recvbuf.expect("validated: root binds recvbuf");
-        let tokens =
-            smcoll::sm_gather(comm, root, &[])?.expect("sm_gather yields entries at the root");
-        root_self_copy(comm, rb, sendbuf, layout, root)?;
-        for v in 1..p {
-            let r = unvrank(v, root, p);
-            let (off, len) = layout[r];
-            if len == 0 {
-                continue;
-            }
-            let token = RemoteToken::from_bytes(&tokens[r])
-                .ok_or(CommError::Protocol("bad gather send token".into()))?;
-            comm.cma_read(token, 0, rb, off, len)?;
-        }
-        smcoll::sm_bcast(comm, root, &[])?;
-    } else {
-        // Zero-count ranks still join the collective control phases but
-        // have no buffer to expose (the root skips their slot).
-        let token_bytes = if layout[comm.rank()].1 > 0 {
-            comm.expose(sendbuf.expect("validated: sender binds sendbuf"))?
-                .to_bytes()
-                .to_vec()
-        } else {
-            Vec::new()
-        };
-        smcoll::sm_gather(comm, root, &token_bytes)?;
-        smcoll::sm_bcast(comm, root, &[])?;
-    }
-    Ok(())
-}
-
-fn throttled_write<C: Comm + ?Sized>(
-    comm: &mut C,
-    sendbuf: Option<BufId>,
-    recvbuf: Option<BufId>,
-    layout: &[(usize, usize)],
-    root: usize,
-    k: usize,
-) -> Result<()> {
-    let p = comm.size();
-    let me = comm.rank();
-    if me == root {
-        let rb = recvbuf.expect("validated: root binds recvbuf");
-        let token = comm.expose(rb)?;
-        smcoll::sm_bcast(comm, root, &token.to_bytes())?;
-        root_self_copy(comm, rb, sendbuf, layout, root)?;
-        for v in (1..p).filter(|v| v + k > p - 1) {
-            comm.wait_notify(unvrank(v, root, p), TAG_DONE)?;
-        }
-    } else {
-        let raw = smcoll::sm_bcast(comm, root, &[])?;
-        let token =
-            RemoteToken::from_bytes(&raw).ok_or(CommError::Protocol("bad gather token".into()))?;
-        let v = vrank(me, root, p);
-        if v > k {
-            comm.wait_notify(unvrank(v - k, root, p), TAG_CHAIN)?;
-        }
-        let (off, len) = layout[me];
-        if len > 0 {
-            comm.cma_write(
-                token,
-                off,
-                sendbuf.expect("validated: sender binds sendbuf"),
-                0,
-                len,
-            )?;
-        }
-        if v + k < p {
-            comm.notify(unvrank(v + k, root, p), TAG_CHAIN)?;
-        } else {
-            comm.notify(root, TAG_DONE)?;
-        }
-    }
-    Ok(())
 }

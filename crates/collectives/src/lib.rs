@@ -57,8 +57,8 @@ pub use alltoall::{alltoall, alltoall_polled, alltoall_with_report, AlltoallAlgo
 pub use bcast::{bcast, bcast_polled, bcast_with_report, BcastAlgo};
 pub use gather::{gather, gatherv, gatherv_polled, gatherv_with_report, GatherAlgo};
 pub use reduce::{
-    allreduce, reduce, reduce_polled, reduce_scatter_block, reduce_with_report, AllreduceAlgo,
-    Dtype, ReduceAlgo, ReduceOp,
+    allreduce, allreduce_polled, reduce, reduce_polled, reduce_scatter_block,
+    reduce_scatter_block_polled, reduce_with_report, AllreduceAlgo, Dtype, ReduceAlgo, ReduceOp,
 };
 
 pub(crate) use allgather::allgather_ranges;

@@ -15,9 +15,7 @@
 //! and the futures suspend in virtual time; on the blocking transports
 //! the blocking entry points in [`crate::exec`] wrap the endpoint in
 //! [`kacc_comm::Blocking`] and drive this same code with
-//! [`kacc_comm::block_on`]. There is no second executor: the
-//! engine-equivalence suite compares two *transports* under this one
-//! loop.
+//! [`kacc_comm::block_on`]. There is no second executor.
 
 use crate::exec::{
     is_suspect_error, is_transient, proto, recv_deadline_ns, step_peer, Bindings, Ctx, Recorder,

@@ -18,15 +18,16 @@
 //!   the copies and the combine arithmetic are parallelized across the
 //!   node — a k-nomial broadcast run in reverse.
 //!
-//! [`allreduce`] composes these with the Bcast designs.
+//! [`allreduce`] composes these with the Bcast designs. Every entry is
+//! one `async` body over [`AsyncComm`] (the `*_polled` names) with a
+//! blocking wrapper for a [`Comm`].
 
-use crate::bcast::{bcast, BcastAlgo};
+use crate::bcast::{bcast_polled, BcastAlgo};
 use crate::exec::{Bindings, ScheduleReport};
 use crate::polled::execute_polled;
 use crate::schedule::{compile_reduce, PlanCache, PlanKey};
-use crate::{class, unvrank, vrank};
 use kacc_comm::{
-    block_on, AsyncComm, Blocking, BufId, Comm, CommError, CommExt, RemoteToken, Result, Tag,
+    block_on, smcoll, AsyncComm, Blocking, BufId, Comm, CommError, RemoteToken, Result,
 };
 
 /// Element type of a reduction.
@@ -74,9 +75,6 @@ pub enum ReduceAlgo {
     },
 }
 
-const TAG_READY: Tag = Tag::internal(class::REDUCE, 0);
-const TAG_DONE: Tag = Tag::internal(class::REDUCE, 1);
-
 /// Fold `src` into `acc` lane-wise.
 pub fn combine(acc: &mut [u8], src: &[u8], dtype: Dtype, op: ReduceOp) {
     assert_eq!(acc.len(), src.len());
@@ -116,31 +114,6 @@ pub fn combine(acc: &mut [u8], src: &[u8], dtype: Dtype, op: ReduceOp) {
             }
         }
     }
-}
-
-/// Fold a remote contribution (read into scratch) into a local buffer.
-/// The local combine is charged as a memcpy-class operation via
-/// `copy_local` on the scratch round-trip.
-fn pull_and_combine<C: Comm + ?Sized>(
-    comm: &mut C,
-    token: RemoteToken,
-    scratch: BufId,
-    acc: BufId,
-    count: usize,
-    dtype: Dtype,
-    op: ReduceOp,
-) -> Result<()> {
-    comm.cma_read(token, 0, scratch, 0, count)?;
-    // Charge the arithmetic pass like a local copy (one read + one
-    // write stream over `count` bytes).
-    comm.copy_local(scratch, 0, scratch, 0, count)?;
-    let mut a = vec![0u8; count];
-    comm.read_local(acc, 0, &mut a)?;
-    let mut s = vec![0u8; count];
-    comm.read_local(scratch, 0, &mut s)?;
-    combine(&mut a, &s, dtype, op);
-    comm.write_local(acc, 0, &a)?;
-    Ok(())
 }
 
 /// MPI_Reduce: lane-wise combination of every rank's `count`-byte
@@ -230,8 +203,8 @@ pub async fn reduce_polled<C: AsyncComm>(
     .map(Some)
 }
 
-/// Validation and degenerate-case handling shared by the compiled and
-/// legacy paths. Returns `false` when nothing is left to do.
+/// Validation and degenerate-case handling. Returns `false` when nothing
+/// is left to do.
 async fn prepare<C: AsyncComm>(
     comm: &mut C,
     algo: ReduceAlgo,
@@ -270,142 +243,6 @@ async fn prepare<C: AsyncComm>(
     Ok(true)
 }
 
-/// Original direct implementation, kept verbatim so tests can assert the
-/// compiled schedules are traffic- and result-identical to it.
-#[doc(hidden)]
-#[allow(clippy::too_many_arguments)]
-pub fn reduce_legacy<C: Comm + ?Sized>(
-    comm: &mut C,
-    algo: ReduceAlgo,
-    sendbuf: BufId,
-    recvbuf: Option<BufId>,
-    count: usize,
-    dtype: Dtype,
-    op: ReduceOp,
-    root: usize,
-) -> Result<()> {
-    if !block_on(prepare(
-        &mut Blocking(&mut *comm),
-        algo,
-        sendbuf,
-        recvbuf,
-        count,
-        dtype,
-        root,
-    ))? {
-        return Ok(());
-    }
-    match algo {
-        ReduceAlgo::SequentialRead => root_pull(comm, sendbuf, recvbuf, count, dtype, op, root),
-        ReduceAlgo::KNomialTree { radix } => {
-            knomial_tree(comm, sendbuf, recvbuf, count, dtype, op, root, radix)
-        }
-    }
-}
-
-/// Sequential root-pull: the root reads and folds contributions in
-/// virtual-rank order.
-#[allow(clippy::too_many_arguments)]
-fn root_pull<C: Comm + ?Sized>(
-    comm: &mut C,
-    sendbuf: BufId,
-    recvbuf: Option<BufId>,
-    count: usize,
-    dtype: Dtype,
-    op: ReduceOp,
-    root: usize,
-) -> Result<()> {
-    let p = comm.size();
-    let me = comm.rank();
-    if me == root {
-        let rb = recvbuf.expect("validated: root binds recvbuf");
-        comm.copy_local(sendbuf, 0, rb, 0, count)?;
-        let scratch = comm.alloc(count);
-        // Contributions arrive in virtual-rank order; the fold is
-        // commutative-associative per MPI's requirements on Op.
-        for v in 1..p {
-            let r = unvrank(v, root, p);
-            let raw = comm.ctrl_recv(r, TAG_READY)?;
-            let token = RemoteToken::from_bytes(&raw)
-                .ok_or(CommError::Protocol("bad reduce token".into()))?;
-            pull_and_combine(comm, token, scratch, rb, count, dtype, op)?;
-            comm.notify(r, TAG_DONE)?;
-        }
-        comm.free(scratch)?;
-    } else {
-        let token = comm.expose(sendbuf)?;
-        comm.ctrl_send(root, TAG_READY, &token.to_bytes())?;
-        comm.wait_notify(root, TAG_DONE)?;
-    }
-    Ok(())
-}
-
-/// Radix-`k` combining tree: virtual rank v's parent is v − (v mod k^j)
-/// where k^j is v's join stride; parents accumulate into a private
-/// partial buffer, pulling each child exactly once.
-#[allow(clippy::too_many_arguments)]
-fn knomial_tree<C: Comm + ?Sized>(
-    comm: &mut C,
-    sendbuf: BufId,
-    recvbuf: Option<BufId>,
-    count: usize,
-    dtype: Dtype,
-    op: ReduceOp,
-    root: usize,
-    k: usize,
-) -> Result<()> {
-    let p = comm.size();
-    let me = comm.rank();
-    let v = vrank(me, root, p);
-
-    // Accumulate into a private partial (the root can use recvbuf).
-    let acc = if v == 0 {
-        recvbuf.expect("validated: root binds recvbuf")
-    } else {
-        comm.alloc(count)
-    };
-    comm.copy_local(sendbuf, 0, acc, 0, count)?;
-    let scratch = comm.alloc(count);
-
-    // This is the bcast k-nomial tree run in reverse. A rank whose join
-    // stride (largest k-power ≤ v, or ∞ for the root) is `j` has
-    // children `v + m·s` for every stride `s` a k-power with
-    // first_pow_gt(v) ≤ s < p and m ∈ 1..k; each child's own join
-    // stride is exactly `s`, so parent(c) = c mod s.
-    let mut join_stride = 1usize;
-    while join_stride * k <= v {
-        join_stride *= k;
-    }
-    let mut s = 1usize;
-    while s <= v {
-        s *= k;
-    }
-    while s < p {
-        for m in 1..k {
-            let child = v + m * s;
-            if child < p {
-                let r = unvrank(child, root, p);
-                let raw = comm.ctrl_recv(r, TAG_READY)?;
-                let token = RemoteToken::from_bytes(&raw)
-                    .ok_or(CommError::Protocol("bad reduce tree token".into()))?;
-                pull_and_combine(comm, token, scratch, acc, count, dtype, op)?;
-                comm.notify(r, TAG_DONE)?;
-            }
-        }
-        s *= k;
-    }
-
-    if v != 0 {
-        let parent = v % join_stride;
-        let token = comm.expose(acc)?;
-        comm.ctrl_send(unvrank(parent, root, p), TAG_READY, &token.to_bytes())?;
-        comm.wait_notify(unvrank(parent, root, p), TAG_DONE)?;
-        comm.free(acc)?;
-    }
-    comm.free(scratch)?;
-    Ok(())
-}
-
 /// MPI_Reduce_scatter_block: every rank contributes `p·count` bytes
 /// (block j destined for rank j) and receives the lane-wise combination
 /// of everyone's block `me` in `recvbuf`.
@@ -414,6 +251,25 @@ fn knomial_tree<C: Comm + ?Sized>(
 /// processes — the same contention-free structure as the pairwise
 /// Alltoall (§IV-C1), with a fold after each read.
 pub fn reduce_scatter_block<C: Comm + ?Sized>(
+    comm: &mut C,
+    sendbuf: BufId,
+    recvbuf: BufId,
+    count: usize,
+    dtype: Dtype,
+    op: ReduceOp,
+) -> Result<()> {
+    block_on(reduce_scatter_block_polled(
+        &mut Blocking(comm),
+        sendbuf,
+        recvbuf,
+        count,
+        dtype,
+        op,
+    ))
+}
+
+/// [`reduce_scatter_block`] on any [`AsyncComm`] endpoint.
+pub async fn reduce_scatter_block_polled<C: AsyncComm>(
     comm: &mut C,
     sendbuf: BufId,
     recvbuf: BufId,
@@ -441,33 +297,53 @@ pub fn reduce_scatter_block<C: Comm + ?Sized>(
     if count == 0 {
         return Ok(());
     }
-    comm.copy_local(sendbuf, me * count, recvbuf, 0, count)?;
+    comm.copy_local(sendbuf, me * count, recvbuf, 0, count)
+        .await?;
     if p == 1 {
         return Ok(());
     }
-    let token = comm.expose(sendbuf)?;
-    let tokens = kacc_comm::smcoll::sm_allgather(comm, &token.to_bytes())?;
+    let token = comm.expose(sendbuf).await?;
+    let tokens = smcoll::sm_allgather(comm, &token.to_bytes()).await?;
     let scratch = comm.alloc(count);
     let mut acc = vec![0u8; count];
     comm.read_local(recvbuf, 0, &mut acc)?;
     for i in 1..p {
-        let src = if p.is_power_of_two() {
-            me ^ i
-        } else {
-            (me + p - i) % p
-        };
-        let tok = RemoteToken::from_bytes(&tokens[src])
+        let tok = RemoteToken::from_bytes(&tokens[pairwise_source(me, p, i)])
             .ok_or(CommError::Protocol("bad reduce-scatter token".into()))?;
-        comm.cma_read(tok, me * count, scratch, 0, count)?;
-        // Charge the fold pass and combine.
-        comm.copy_local(scratch, 0, scratch, 0, count)?;
-        let mut s = vec![0u8; count];
-        comm.read_local(scratch, 0, &mut s)?;
-        combine(&mut acc, &s, dtype, op);
+        comm.cma_read(tok, me * count, scratch, 0, count).await?;
+        fold_scratch(comm, scratch, &mut acc, dtype, op).await?;
     }
     comm.write_local(recvbuf, 0, &acc)?;
-    kacc_comm::smcoll::sm_barrier(comm)?;
+    smcoll::sm_barrier(comm).await?;
     comm.free(scratch)?;
+    Ok(())
+}
+
+/// The peer a pairwise rotation reads from in step `i` (1..p): XOR
+/// partners on power-of-two teams, a rotation otherwise — either way
+/// every step's sources are distinct.
+fn pairwise_source(me: usize, p: usize, i: usize) -> usize {
+    if p.is_power_of_two() {
+        me ^ i
+    } else {
+        (me + p - i) % p
+    }
+}
+
+/// Charge the fold pass over `scratch` like a local copy (one read and
+/// one write stream), then combine its bytes into `acc`.
+async fn fold_scratch<C: AsyncComm>(
+    comm: &mut C,
+    scratch: BufId,
+    acc: &mut [u8],
+    dtype: Dtype,
+    op: ReduceOp,
+) -> Result<()> {
+    let len = acc.len();
+    comm.copy_local(scratch, 0, scratch, 0, len).await?;
+    let mut s = vec![0u8; len];
+    comm.read_local(scratch, 0, &mut s)?;
+    combine(acc, &s, dtype, op);
     Ok(())
 }
 
@@ -500,17 +376,38 @@ pub fn allreduce<C: Comm + ?Sized>(
     dtype: Dtype,
     op: ReduceOp,
 ) -> Result<()> {
+    block_on(allreduce_polled(
+        &mut Blocking(comm),
+        algo,
+        sendbuf,
+        recvbuf,
+        count,
+        dtype,
+        op,
+    ))
+}
+
+/// [`allreduce`] on any [`AsyncComm`] endpoint.
+pub async fn allreduce_polled<C: AsyncComm>(
+    comm: &mut C,
+    algo: AllreduceAlgo,
+    sendbuf: BufId,
+    recvbuf: BufId,
+    count: usize,
+    dtype: Dtype,
+    op: ReduceOp,
+) -> Result<()> {
     match algo {
         AllreduceAlgo::ReduceBcast {
             reduce: ralgo,
             bcast: balgo,
         } => {
-            reduce(comm, ralgo, sendbuf, Some(recvbuf), count, dtype, op, 0)?;
-            bcast(comm, balgo, recvbuf, count, 0)?;
+            reduce_polled(comm, ralgo, sendbuf, Some(recvbuf), count, dtype, op, 0).await?;
+            bcast_polled(comm, balgo, recvbuf, count, 0).await?;
             Ok(())
         }
         AllreduceAlgo::ReduceScatterAllgather => {
-            rabenseifner(comm, sendbuf, recvbuf, count, dtype, op)
+            rabenseifner(comm, sendbuf, recvbuf, count, dtype, op).await
         }
     }
 }
@@ -519,7 +416,7 @@ pub fn allreduce<C: Comm + ?Sized>(
 /// (rank v's responsibility) is folded by rank v from every peer's
 /// send buffer, then the reduced chunks ride a ring-neighbor allgather
 /// into everyone's receive buffer.
-fn rabenseifner<C: Comm + ?Sized>(
+async fn rabenseifner<C: AsyncComm>(
     comm: &mut C,
     sendbuf: BufId,
     recvbuf: BufId,
@@ -533,7 +430,7 @@ fn rabenseifner<C: Comm + ?Sized>(
     // Lane-aligned chunk boundaries.
     let lanes = count / w;
     let chunk_lanes = lanes.div_ceil(p);
-    let range = |v: usize| {
+    let range = move |v: usize| {
         let lo = (v * chunk_lanes).min(lanes) * w;
         let hi = ((v + 1) * chunk_lanes).min(lanes) * w;
         (lo, hi - lo)
@@ -541,39 +438,29 @@ fn rabenseifner<C: Comm + ?Sized>(
 
     // Phase A — reduce-scatter my chunk: fold everyone's bytes at my
     // chunk range, reading each peer once (distinct sources per step).
-    let token = comm.expose(sendbuf)?;
-    let tokens = kacc_comm::smcoll::sm_allgather(comm, &token.to_bytes())?;
+    let token = comm.expose(sendbuf).await?;
+    let tokens = smcoll::sm_allgather(comm, &token.to_bytes()).await?;
     let (my_off, my_len) = range(me);
     let scratch = comm.alloc(my_len.max(1));
     let mut acc = vec![0u8; my_len];
     comm.read_local(sendbuf, my_off, &mut acc)?;
-    for i in 1..p {
-        if my_len == 0 {
-            break;
+    if my_len > 0 {
+        for i in 1..p {
+            let tok = RemoteToken::from_bytes(&tokens[pairwise_source(me, p, i)])
+                .ok_or(CommError::Protocol("bad allreduce token".into()))?;
+            comm.cma_read(tok, my_off, scratch, 0, my_len).await?;
+            fold_scratch(comm, scratch, &mut acc, dtype, op).await?;
         }
-        let src = if p.is_power_of_two() {
-            me ^ i
-        } else {
-            (me + p - i) % p
-        };
-        let tok = RemoteToken::from_bytes(&tokens[src])
-            .ok_or(CommError::Protocol("bad allreduce token".into()))?;
-        comm.cma_read(tok, my_off, scratch, 0, my_len)?;
-        comm.copy_local(scratch, 0, scratch, 0, my_len)?;
-        let mut s = vec![0u8; my_len];
-        comm.read_local(scratch, 0, &mut s)?;
-        combine(&mut acc, &s, dtype, op);
     }
     comm.write_local(recvbuf, my_off, &acc)?;
     comm.free(scratch)?;
     // Everyone's reduced chunk must be committed before the allgather
     // reads begin.
-    kacc_comm::smcoll::sm_barrier(comm)?;
+    smcoll::sm_barrier(comm).await?;
 
     // Phase B — ring-neighbor allgather of the reduced chunks out of
     // the receive buffers (intra-socket-friendly forwarding).
-    crate::allgather_ranges(comm, recvbuf, &|v| range(v))?;
-    Ok(())
+    crate::allgather_ranges(comm, recvbuf, range).await
 }
 
 /// Expected lane-wise combination of `p` rank-stamped u64 contributions

@@ -20,11 +20,12 @@
 //!    sequence a rank will issue (op counts, byte volumes, tag usage)
 //!    independent of any transport.
 //!
-//! Compiled schedules are *traffic-identical* to the legacy direct
-//! implementations: same tags, same message ordering, same wire bytes on
-//! the control plane, same CMA transfers. The equivalence proptest in
-//! `tests/schedule_equivalence.rs` pins this down on both the simulator
-//! and the thread transport.
+//! Compiled schedules were built *traffic-identical* to the hand-written
+//! direct implementations they replaced: same tags, same message
+//! ordering, same wire bytes on the control plane, same CMA transfers.
+//! Those bodies are gone; `tests/collective_pins.rs` at the repository
+//! root holds their virtual end times, which the compiled plans still
+//! reach.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -78,8 +79,8 @@ pub enum RecvInto {
     /// Drop the body (still blocks for the message).
     Discard,
     /// Require the body to equal these bytes exactly — used where the
-    /// legacy algorithm validated a compile-time-predictable message
-    /// (e.g. recursive-doubling have-sets).
+    /// algorithm validates a compile-time-predictable message (e.g.
+    /// recursive-doubling have-sets).
     Verify(Vec<u8>),
     /// Parse the body as one 16-byte `RemoteToken` into a register.
     Token(TokenReg),
@@ -310,12 +311,13 @@ impl Builder {
 
     // ---- compiled smcoll primitives --------------------------------
     //
-    // These mirror the trees in `kacc_comm::smcoll` exactly (same tags,
-    // same message order, same wire bytes) so that a compiled collective
-    // is traffic-identical to its legacy counterpart.
+    // The small-message bootstrap trees (binomial bcast and gather,
+    // Bruck allgather, dissemination barrier), with `kacc_comm::smcoll`'s
+    // tags and wire format: the allgather and barrier rounds are message
+    // for message those of `smcoll::sm_allgather` / `sm_barrier`.
 
     /// Virtual-rank children in a binomial tree, in the bit-ascending
-    /// order `smcoll` sends/receives them.
+    /// order the compiled trees send/receive them.
     fn binomial_children(v: usize, p: usize) -> Vec<usize> {
         let low = if v == 0 {
             usize::MAX
@@ -347,7 +349,8 @@ impl Builder {
         out
     }
 
-    /// Compiled `smcoll::sm_bcast` carrying `content` from `root` to all.
+    /// Binomial broadcast (`smcoll::class::BCAST`) carrying `content`
+    /// from `root` to all.
     fn emit_sm_bcast(&mut self, root: usize, content: SmContent) {
         let p = self.p;
         if p == 1 {
@@ -380,9 +383,9 @@ impl Builder {
         }
     }
 
-    /// Compiled `smcoll::sm_gather`. `has_token(r)` says whether real
-    /// rank `r` contributes a 16-byte token (vs an empty payload) —
-    /// every rank must agree on this predicate. `my_reg` is this rank's
+    /// Binomial gather (`smcoll::class::GATHER`). `has_token(r)` says
+    /// whether real rank `r` contributes a 16-byte token (vs an empty
+    /// payload) — every rank must agree on this predicate. `my_reg` is this rank's
     /// own token register iff `has_token(rank)`.
     ///
     /// At the root, returns `Some(map)` with one `Option<TokenReg>` per
@@ -1160,7 +1163,7 @@ pub fn compile_allgather(
             // Simulate every rank's have-set to compile-time-predict the
             // exchanged bitmaps; the compiled schedule sends our
             // round-start snapshot and *verifies* the partner's, which
-            // is byte-identical to the legacy exchange.
+            // is byte-identical to an exchange of live have-sets.
             let mut have: Vec<Vec<bool>> =
                 (0..p).map(|r| (0..p).map(|bk| bk == r).collect()).collect();
             let mut dist = 1usize;
@@ -1447,7 +1450,7 @@ pub fn compile_reduce(
 
     // Shared shape of one contribution pull: receive the child's token,
     // single-copy its partial into scratch, charge the arithmetic pass
-    // like a local copy (legacy `pull_and_combine`), fold, acknowledge.
+    // like a local copy, fold, acknowledge.
     let pull_and_combine = |b: &mut Builder, from: usize, scratch: Slot, acc: Slot| {
         let treg = b.reg();
         b.push(Step::CtrlRecv {

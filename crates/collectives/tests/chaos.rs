@@ -1,5 +1,7 @@
 //! Chaos suite: every collective, under deterministic fault plans, on
-//! both the simulated machine and the in-process thread transport.
+//! both the simulated machine and the in-process thread transport. One
+//! async body per collective runs on both: natively on the simulator's
+//! endpoint, and on threads through `Blocking` + `block_on`.
 //!
 //! Invariants pinned here:
 //!
@@ -20,7 +22,10 @@
 //! to add one extra seed to the fixed corpus (the CI chaos step passes a
 //! fresh random one and echoes it).
 
-use kacc_collectives::exec::{execute_with_policy, Bindings, RecoveryPolicy};
+use kacc_collectives::exec::{Bindings, RecoveryPolicy};
+use kacc_collectives::hierarchical::{
+    hier_gather_pipelined_polled, hier_gather_polled, hier_scatter_polled,
+};
 use kacc_collectives::reduce::expected_u64;
 use kacc_collectives::schedule::compile_bcast;
 use kacc_collectives::verify::{
@@ -28,16 +33,20 @@ use kacc_collectives::verify::{
     scatter_sendbuf,
 };
 use kacc_collectives::{
-    allgather, alltoall, bcast, gather, reduce, scatter, scatterv_with_report, AllgatherAlgo,
-    AlltoallAlgo, BcastAlgo, Dtype, GatherAlgo, ReduceAlgo, ReduceOp, ScatterAlgo, ScheduleReport,
+    allgather_polled, alltoall_polled, bcast_polled, execute_polled_with_policy, gatherv_polled,
+    reduce_polled, scatter_polled, scatterv_polled, AllgatherAlgo, AlltoallAlgo, BcastAlgo, Dtype,
+    GatherAlgo, ReduceAlgo, ReduceOp, ScatterAlgo, ScheduleReport,
 };
-use kacc_comm::{Comm, CommExt};
+use kacc_comm::{block_on, AsyncComm, Blocking, BufId};
 use kacc_fault::{FaultHook, FaultKind, FaultOp, FaultPlan, FaultRule};
-use kacc_machine::{run_team, run_team_faulty, run_team_faulty_traced, SimComm};
+use kacc_machine::{
+    run_polled_team, run_polled_team_faulty, run_polled_team_faulty_traced, PolledComm, TeamRun,
+};
 use kacc_model::ArchProfile;
 use kacc_native::run_threads_faulty;
 use kacc_trace::{Event, EventKind, Track};
 use proptest::prelude::*;
+use std::future::Future;
 
 fn small_arch() -> ArchProfile {
     let mut a = ArchProfile::broadwell();
@@ -73,72 +82,99 @@ fn recoverable_hook(seed: u64) -> FaultHook {
         .hook()
 }
 
+/// A buffer holding `data`.
+fn alloc_with<C: AsyncComm>(comm: &mut C, data: &[u8]) -> BufId {
+    let buf = comm.alloc(data.len());
+    comm.write_local(buf, 0, data).unwrap();
+    buf
+}
+
+/// A whole buffer's bytes.
+fn read_all<C: AsyncComm>(comm: &C, buf: BufId) -> Vec<u8> {
+    let mut out = vec![0u8; comm.buf_len(buf).unwrap()];
+    comm.read_local(buf, 0, &mut out).unwrap();
+    out
+}
+
 /// Run collective `pick` (0..6) on `comm` and return the bytes to
-/// verify; `expect_chaos` builds the reference payload for a rank.
-fn run_pick(comm: &mut dyn Comm, pick: usize, count: usize, root: usize) -> Vec<u8> {
+/// verify; `expected_pick` builds the reference payload for a rank.
+async fn run_pick<C: AsyncComm>(comm: &mut C, pick: usize, count: usize, root: usize) -> Vec<u8> {
     let p = comm.size();
     let me = comm.rank();
     match pick {
         0 => {
-            let sb = (me == root).then(|| comm.alloc_with(&scatter_sendbuf(p, count)));
+            let sb = (me == root).then(|| alloc_with(comm, &scatter_sendbuf(p, count)));
             let rb = comm.alloc(count);
-            scatter(
-                comm,
-                ScatterAlgo::ThrottledRead { k: 2 },
-                sb,
-                Some(rb),
-                count,
-                root,
-            )
-            .unwrap();
-            comm.read_all(rb).unwrap()
+            let algo = ScatterAlgo::ThrottledRead { k: 2 };
+            scatter_polled(comm, algo, sb, Some(rb), count, root)
+                .await
+                .unwrap();
+            read_all(comm, rb)
         }
         1 => {
-            let sb = comm.alloc_with(&contribution(me, count));
+            let sb = alloc_with(comm, &contribution(me, count));
             let rb = (me == root).then(|| comm.alloc(p * count));
-            gather(comm, GatherAlgo::ParallelWrite, Some(sb), rb, count, root).unwrap();
-            rb.map(|b| comm.read_all(b).unwrap()).unwrap_or_default()
+            let counts = vec![count; p];
+            let algo = GatherAlgo::ParallelWrite;
+            gatherv_polled(comm, algo, Some(sb), rb, &counts, None, root)
+                .await
+                .unwrap();
+            rb.map(|b| read_all(comm, b)).unwrap_or_default()
         }
         2 => {
             let buf = if me == root {
-                comm.alloc_with(&contribution(root, count))
+                alloc_with(comm, &contribution(root, count))
             } else {
                 comm.alloc(count)
             };
-            bcast(comm, BcastAlgo::KNomial { radix: 2 }, buf, count, root).unwrap();
-            comm.read_all(buf).unwrap()
+            let algo = BcastAlgo::KNomial { radix: 2 };
+            bcast_polled(comm, algo, buf, count, root).await.unwrap();
+            read_all(comm, buf)
         }
         3 => {
-            let sb = comm.alloc_with(&contribution(me, count));
+            let sb = alloc_with(comm, &contribution(me, count));
             let rb = comm.alloc(p * count);
-            allgather(comm, AllgatherAlgo::Bruck, Some(sb), rb, count).unwrap();
-            comm.read_all(rb).unwrap()
+            allgather_polled(comm, AllgatherAlgo::Bruck, Some(sb), rb, count)
+                .await
+                .unwrap();
+            read_all(comm, rb)
         }
         4 => {
-            let sb = comm.alloc_with(&alltoall_sendbuf(me, p, count));
+            let sb = alloc_with(comm, &alltoall_sendbuf(me, p, count));
             let rb = comm.alloc(p * count);
-            alltoall(comm, AlltoallAlgo::Pairwise, Some(sb), rb, count).unwrap();
-            comm.read_all(rb).unwrap()
+            alltoall_polled(comm, AlltoallAlgo::Pairwise, Some(sb), rb, count)
+                .await
+                .unwrap();
+            read_all(comm, rb)
         }
         5 => {
             let lanes = count / 8;
-            let sb = comm.alloc_with(&reduce_fill(me, lanes));
+            let sb = alloc_with(comm, &reduce_fill(me, lanes));
             let rb = (me == root).then(|| comm.alloc(lanes * 8));
-            reduce(
-                comm,
+            let (algo, dtype, op) = (
                 ReduceAlgo::KNomialTree { radix: 2 },
-                sb,
-                rb,
-                lanes * 8,
                 Dtype::U64,
                 ReduceOp::Sum,
-                root,
-            )
-            .unwrap();
-            rb.map(|b| comm.read_all(b).unwrap()).unwrap_or_default()
+            );
+            reduce_polled(comm, algo, sb, rb, lanes * 8, dtype, op, root)
+                .await
+                .unwrap();
+            rb.map(|b| read_all(comm, b)).unwrap_or_default()
         }
         _ => unreachable!("pick out of range"),
     }
+}
+
+/// Run `body` on every rank of a simulated `small_arch` team under `hook`.
+fn sim_team<R, F, Fut>(p: usize, hook: FaultHook, body: F) -> (TeamRun, Vec<R>)
+where
+    F: Fn(PolledComm) -> Fut + 'static,
+    Fut: Future<Output = R> + 'static,
+    R: 'static,
+{
+    run_polled_team_faulty(&small_arch(), p, hook, move |rank| {
+        body(PolledComm::new(rank))
+    })
 }
 
 fn reduce_value(rank: usize, lane: usize) -> u64 {
@@ -180,9 +216,8 @@ const PICK_NAMES: [&str; 6] = [
 ];
 
 fn check_pick_sim(pick: usize, p: usize, count: usize, root: usize, seed: u64) {
-    let arch = small_arch();
-    let (run, results) = run_team_faulty(&arch, p, recoverable_hook(seed), move |comm| {
-        run_pick(comm, pick, count, root)
+    let (run, results) = sim_team(p, recoverable_hook(seed), move |mut comm| async move {
+        run_pick(&mut comm, pick, count, root).await
     });
     for (r, got) in results.iter().enumerate() {
         if let Some(d) = diff(got, &expected_pick(pick, r, p, count, root)) {
@@ -201,7 +236,7 @@ fn check_pick_sim(pick: usize, p: usize, count: usize, root: usize, seed: u64) {
 
 fn check_pick_threads(pick: usize, p: usize, count: usize, root: usize, seed: u64) {
     let results = run_threads_faulty(p, recoverable_hook(seed), move |comm| {
-        run_pick(comm, pick, count, root)
+        block_on(run_pick(&mut Blocking(comm), pick, count, root))
     });
     for (r, got) in results.iter().enumerate() {
         if let Some(d) = diff(got, &expected_pick(pick, r, p, count, root)) {
@@ -277,26 +312,35 @@ fn bounded_bcast(
     count: usize,
     hook: FaultHook,
 ) -> Vec<std::result::Result<Vec<u8>, String>> {
-    let arch = small_arch();
-    let (_, results) = run_team_faulty(&arch, p, hook, move |comm: &mut SimComm| {
-        let me = comm.rank();
-        let buf = if me == 0 {
-            comm.alloc_with(&contribution(0, count))
-        } else {
-            comm.alloc(count)
-        };
-        let sched = compile_bcast(BcastAlgo::DirectRead, p, me, count, 0);
-        let bind = Bindings {
-            send: Some(buf),
-            recv: None,
-        };
-        let tracer = comm.tracer();
-        match execute_with_policy(comm, &sched, &bind, &tracer, &bounded_policy()) {
-            Ok(_) => Ok(comm.read_all(buf).unwrap()),
-            Err(e) => Err(format!("{e:?}")),
-        }
-    });
-    results
+    sim_team(p, hook, move |comm| {
+        direct_read_bcast(comm, count, bounded_policy())
+    })
+    .1
+}
+
+/// A direct-read broadcast of `count` bytes from rank 0, executed under
+/// `policy`; returns the payload or the stringified typed error.
+async fn direct_read_bcast(
+    mut comm: PolledComm,
+    count: usize,
+    policy: RecoveryPolicy,
+) -> std::result::Result<Vec<u8>, String> {
+    let me = comm.rank();
+    let buf = if me == 0 {
+        comm.alloc_with(&contribution(0, count)).unwrap()
+    } else {
+        comm.alloc(count)
+    };
+    let sched = compile_bcast(BcastAlgo::DirectRead, comm.size(), me, count, 0);
+    let bind = Bindings {
+        send: Some(buf),
+        recv: None,
+    };
+    let tracer = comm.tracer();
+    match execute_polled_with_policy(&mut comm, &sched, &bind, &tracer, &policy).await {
+        Ok(_) => Ok(comm.read_all(buf).unwrap()),
+        Err(e) => Err(format!("{e:?}")),
+    }
 }
 
 fn assert_typed(msg: &str, ctx: &str) {
@@ -339,26 +383,11 @@ fn permission_denied_without_fallback_is_a_typed_error() {
     let hook = FaultPlan::new(11)
         .rule(FaultRule::new(FaultKind::PermDenied, 1.0).ops_mask(&[FaultOp::CmaRead]))
         .hook();
-    let arch = small_arch();
-    let (_, results) = run_team_faulty(&arch, p, hook, move |comm: &mut SimComm| {
-        let me = comm.rank();
-        let buf = if me == 0 {
-            comm.alloc_with(&contribution(0, count))
-        } else {
-            comm.alloc(count)
-        };
-        let sched = compile_bcast(BcastAlgo::DirectRead, p, me, count, 0);
-        let bind = Bindings {
-            send: Some(buf),
-            recv: None,
-        };
-        let policy = RecoveryPolicy {
-            cma_fallback: false,
-            ..bounded_policy()
-        };
-        let tracer = comm.tracer();
-        execute_with_policy(comm, &sched, &bind, &tracer, &policy).map_err(|e| format!("{e:?}"))
-    });
+    let policy = RecoveryPolicy {
+        cma_fallback: false,
+        ..bounded_policy()
+    };
+    let (_, results) = sim_team(p, hook, move |comm| direct_read_bcast(comm, count, policy));
     // Every non-root pulls the payload with one CMA read; with the
     // fallback disabled the persistent denial must surface as-is.
     for (r, res) in results.iter().enumerate().skip(1) {
@@ -419,25 +448,10 @@ fn permission_denied_falls_back_to_shm_and_is_traced() {
     let hook = FaultPlan::new(42)
         .rule(FaultRule::new(FaultKind::PermDenied, 1.0).ops_mask(&[FaultOp::CmaRead]))
         .hook();
-    let arch = small_arch();
-    let (_, results, events) = run_team_faulty_traced(&arch, p, hook, move |comm| {
-        let me = comm.rank();
-        let counts = vec![count; p];
-        let sb = (me == root).then(|| comm.alloc_with(&scatter_sendbuf(p, count)));
-        let rb = comm.alloc(count);
-        let report = scatterv_with_report(
-            comm,
-            ScatterAlgo::ParallelRead,
-            sb,
-            Some(rb),
-            &counts,
-            None,
-            root,
-        )
-        .unwrap()
-        .expect("scatter ran a schedule");
-        (report, comm.read_all(rb).unwrap())
-    });
+    let (_, results, events) =
+        run_polled_team_faulty_traced(&small_arch(), p, hook, move |rank| async move {
+            parallel_read_scatter(PolledComm::new(rank), count, root).await
+        });
 
     for (r, (report, payload)) in results.iter().enumerate() {
         if let Some(d) = diff(payload, &scatter_expected(r, count)) {
@@ -501,24 +515,8 @@ fn truncated_cma_transfers_resume_and_are_recorded() {
                 .max(3),
         )
         .hook();
-    let arch = small_arch();
-    let (_, results) = run_team_faulty(&arch, p, hook, move |comm| {
-        let me = comm.rank();
-        let counts = vec![count; p];
-        let sb = (me == root).then(|| comm.alloc_with(&scatter_sendbuf(p, count)));
-        let rb = comm.alloc(count);
-        let report = scatterv_with_report(
-            comm,
-            ScatterAlgo::ParallelRead,
-            sb,
-            Some(rb),
-            &counts,
-            None,
-            root,
-        )
-        .unwrap()
-        .expect("scatter ran a schedule");
-        (report, comm.read_all(rb).unwrap())
+    let (_, results) = sim_team(p, hook, move |comm| {
+        parallel_read_scatter(comm, count, root)
     });
     for (r, (report, payload)) in results.iter().enumerate() {
         if let Some(d) = diff(payload, &scatter_expected(r, count)) {
@@ -537,29 +535,41 @@ fn truncated_cma_transfers_resume_and_are_recorded() {
     }
 }
 
+/// A parallel-read scatter of `count` bytes per rank from `root`,
+/// returning the executor's report and the received slice.
+async fn parallel_read_scatter(
+    mut comm: PolledComm,
+    count: usize,
+    root: usize,
+) -> (ScheduleReport, Vec<u8>) {
+    let p = comm.size();
+    let counts = vec![count; p];
+    let sb = (comm.rank() == root).then(|| comm.alloc_with(&scatter_sendbuf(p, count)).unwrap());
+    let rb = comm.alloc(count);
+    let algo = ScatterAlgo::ParallelRead;
+    let report = scatterv_polled(&mut comm, algo, sb, Some(rb), &counts, None, root)
+        .await
+        .unwrap()
+        .expect("scatter ran a schedule");
+    (report, comm.read_all(rb).unwrap())
+}
+
 // ---- 4. Zero cost when clean ---------------------------------------------
 
 #[test]
 fn installed_but_silent_injector_is_bitwise_free() {
     let p = 8;
     let count = 8 * 4096;
-    let root = 0;
-    let body = move |comm: &mut SimComm| {
-        let me = comm.rank();
-        let sb = (me == root).then(|| comm.alloc_with(&scatter_sendbuf(p, count)));
-        let rb = comm.alloc(count);
-        scatter(comm, ScatterAlgo::ParallelRead, sb, Some(rb), count, root).unwrap();
-        comm.read_all(rb).unwrap()
-    };
-    let arch = small_arch();
-    let (base_run, base) = run_team(&arch, p, body);
-    // No injector installed at all (the FaultHook::off() fast path)…
-    let (off_run, off) = run_team_faulty(&arch, p, FaultHook::off(), body);
+    let body = move |comm| parallel_read_scatter(comm, count, 0);
+    let (base_run, base) =
+        run_polled_team(&small_arch(), p, move |rank| body(PolledComm::new(rank)));
+    // An explicitly disabled hook (the FaultHook::off() fast path)…
+    let (off_run, off) = sim_team(p, FaultHook::off(), body);
     // …and an installed plan whose rules never fire.
     let silent = FaultPlan::new(9)
         .rule(FaultRule::new(FaultKind::Transient { errno: 11 }, 0.0))
         .hook();
-    let (silent_run, quiet) = run_team_faulty(&arch, p, silent, body);
+    let (silent_run, quiet) = sim_team(p, silent, body);
 
     assert_eq!(
         base_run.end_ns, off_run.end_ns,
@@ -580,9 +590,8 @@ fn same_seed_same_faults_same_timeline() {
     // Two identical chaos runs must agree on virtual end time and
     // payloads: decisions are a pure function of (seed, rank, op index).
     let run_once = || {
-        let arch = small_arch();
-        run_team_faulty(&arch, 6, recoverable_hook(0xAB), move |comm| {
-            run_pick(comm, 0, 2048, 0)
+        sim_team(6, recoverable_hook(0xAB), move |mut comm| async move {
+            run_pick(&mut comm, 0, 2048, 0).await
         })
     };
     let (run_a, a) = run_once();
@@ -597,32 +606,32 @@ fn same_seed_same_faults_same_timeline() {
 /// the simulator under the recoverable plan; returns the three payloads
 /// each rank observed.
 fn check_hier_sim(seed: u64, p: usize, count: usize, root: usize, k: usize) {
-    use kacc_collectives::hierarchical::{hier_gather, hier_gather_pipelined, hier_scatter};
-    let arch = small_arch();
-    let (run, results) = run_team_faulty(
-        &arch,
-        p,
-        recoverable_hook(seed),
-        move |comm: &mut SimComm| {
-            let me = comm.rank();
-            let ssb = (me == root).then(|| comm.alloc_with(&scatter_sendbuf(p, count)));
-            let srb = comm.alloc(count);
-            hier_scatter(comm, ssb, Some(srb), count, root, k).unwrap();
-            let scattered = comm.read_all(srb).unwrap();
+    let (run, results) = sim_team(p, recoverable_hook(seed), move |mut comm| async move {
+        let comm = &mut comm;
+        let me = comm.rank();
+        let ssb = (me == root).then(|| comm.alloc_with(&scatter_sendbuf(p, count)).unwrap());
+        let srb = comm.alloc(count);
+        hier_scatter_polled(comm, ssb, Some(srb), count, root, k)
+            .await
+            .unwrap();
+        let scattered = comm.read_all(srb).unwrap();
 
-            let gsb = comm.alloc_with(&contribution(me, count));
-            let grb = (me == root).then(|| comm.alloc(p * count));
-            hier_gather(comm, Some(gsb), grb, count, root, k).unwrap();
-            let gathered = grb.map(|b| comm.read_all(b).unwrap()).unwrap_or_default();
+        let gsb = comm.alloc_with(&contribution(me, count)).unwrap();
+        let grb = (me == root).then(|| comm.alloc(p * count));
+        hier_gather_polled(comm, Some(gsb), grb, count, root, k)
+            .await
+            .unwrap();
+        let gathered = grb.map(|b| comm.read_all(b).unwrap()).unwrap_or_default();
 
-            let psb = comm.alloc_with(&contribution(me, count));
-            let prb = (me == root).then(|| comm.alloc(p * count));
-            hier_gather_pipelined(comm, Some(psb), prb, count, root, k).unwrap();
-            let pipelined = prb.map(|b| comm.read_all(b).unwrap()).unwrap_or_default();
+        let psb = comm.alloc_with(&contribution(me, count)).unwrap();
+        let prb = (me == root).then(|| comm.alloc(p * count));
+        hier_gather_pipelined_polled(comm, Some(psb), prb, count, root, k)
+            .await
+            .unwrap();
+        let pipelined = prb.map(|b| comm.read_all(b).unwrap()).unwrap_or_default();
 
-            (scattered, gathered, pipelined)
-        },
-    );
+        (scattered, gathered, pipelined)
+    });
     for (r, (scattered, gathered, pipelined)) in results.iter().enumerate() {
         let ctx = format!("hier seed={seed} p={p} count={count} root={root} k={k} rank {r}");
         if let Some(d) = diff(scattered, &scatter_expected(r, count)) {

@@ -1,12 +1,13 @@
 //! The kernel's direct-handoff fast path (DESIGN.md §11.2) is a pure
-//! scheduling optimization: it may only skip the park/unpark round-trip
-//! when the blocking thread's own wake is strictly the next event. It
-//! must never change *which* thread runs next or *when* (in virtual
-//! time) anything happens.
+//! scheduling optimization: it may only skip the queue round-trip when
+//! the parked task's own wake is strictly the next event. It must never
+//! change *which* task runs next or *when* (in virtual time) anything
+//! happens.
 //!
 //! This suite pins that claim property-style across all six collectives:
-//! the same closure under [`run_team`] (fast path on, the default) and
-//! [`run_team_no_fastpath`] must produce bitwise-identical [`TeamRun`]s —
+//! the same bodies under [`run_polled_machine_full`] with the fast path on
+//! (the default) and off (every wake through the event queue, the
+//! reference route) must produce bitwise-identical [`TeamRun`]s —
 //! `end_ns`, per-rank `finish_ns`, step accounting, peak concurrency,
 //! event count — and identical payload bytes on every rank.
 
@@ -15,11 +16,10 @@ use kacc_collectives::verify::{
     scatter_sendbuf,
 };
 use kacc_collectives::{
-    allgather, alltoall, bcast, gather, reduce, scatter, AllgatherAlgo, AlltoallAlgo, BcastAlgo,
-    Dtype, GatherAlgo, ReduceAlgo, ReduceOp, ScatterAlgo,
+    allgather_polled, alltoall_polled, bcast_polled, gatherv_polled, reduce_polled, scatter_polled,
+    AllgatherAlgo, AlltoallAlgo, BcastAlgo, Dtype, GatherAlgo, ReduceAlgo, ReduceOp, ScatterAlgo,
 };
-use kacc_comm::{Comm, CommExt};
-use kacc_machine::{run_team, run_team_no_fastpath};
+use kacc_machine::{run_polled_machine_full, MachineState, PolledComm, TeamRun};
 use kacc_model::ArchProfile;
 use proptest::prelude::*;
 
@@ -32,7 +32,13 @@ fn small_arch() -> ArchProfile {
 
 /// Run collective `pick` (0..6), algorithm variant `var` (0..3), and
 /// return the payload bytes this rank should verify.
-fn run_pick(comm: &mut dyn Comm, pick: usize, var: usize, count: usize, root: usize) -> Vec<u8> {
+async fn run_pick(
+    comm: &mut PolledComm,
+    pick: usize,
+    var: usize,
+    count: usize,
+    root: usize,
+) -> Vec<u8> {
     let p = comm.size();
     let me = comm.rank();
     match pick {
@@ -42,9 +48,11 @@ fn run_pick(comm: &mut dyn Comm, pick: usize, var: usize, count: usize, root: us
                 ScatterAlgo::SequentialWrite,
                 ScatterAlgo::ThrottledRead { k: 2 },
             ][var];
-            let sb = (me == root).then(|| comm.alloc_with(&scatter_sendbuf(p, count)));
+            let sb = (me == root).then(|| comm.alloc_with(&scatter_sendbuf(p, count)).unwrap());
             let rb = comm.alloc(count);
-            scatter(comm, algo, sb, Some(rb), count, root).unwrap();
+            scatter_polled(comm, algo, sb, Some(rb), count, root)
+                .await
+                .unwrap();
             comm.read_all(rb).unwrap()
         }
         1 => {
@@ -53,9 +61,12 @@ fn run_pick(comm: &mut dyn Comm, pick: usize, var: usize, count: usize, root: us
                 GatherAlgo::SequentialRead,
                 GatherAlgo::ThrottledWrite { k: 2 },
             ][var];
-            let sb = comm.alloc_with(&contribution(me, count));
+            let sb = comm.alloc_with(&contribution(me, count)).unwrap();
             let rb = (me == root).then(|| comm.alloc(p * count));
-            gather(comm, algo, Some(sb), rb, count, root).unwrap();
+            let counts = vec![count; p];
+            gatherv_polled(comm, algo, Some(sb), rb, &counts, None, root)
+                .await
+                .unwrap();
             rb.map(|b| comm.read_all(b).unwrap()).unwrap_or_default()
         }
         2 => {
@@ -65,11 +76,11 @@ fn run_pick(comm: &mut dyn Comm, pick: usize, var: usize, count: usize, root: us
                 BcastAlgo::ScatterAllgather,
             ][var];
             let buf = if me == root {
-                comm.alloc_with(&contribution(root, count))
+                comm.alloc_with(&contribution(root, count)).unwrap()
             } else {
                 comm.alloc(count)
             };
-            bcast(comm, algo, buf, count, root).unwrap();
+            bcast_polled(comm, algo, buf, count, root).await.unwrap();
             comm.read_all(buf).unwrap()
         }
         3 => {
@@ -78,9 +89,11 @@ fn run_pick(comm: &mut dyn Comm, pick: usize, var: usize, count: usize, root: us
                 AllgatherAlgo::RecursiveDoubling,
                 AllgatherAlgo::Bruck,
             ][var];
-            let sb = comm.alloc_with(&contribution(me, count));
+            let sb = comm.alloc_with(&contribution(me, count)).unwrap();
             let rb = comm.alloc(p * count);
-            allgather(comm, algo, Some(sb), rb, count).unwrap();
+            allgather_polled(comm, algo, Some(sb), rb, count)
+                .await
+                .unwrap();
             comm.read_all(rb).unwrap()
         }
         4 => {
@@ -89,9 +102,11 @@ fn run_pick(comm: &mut dyn Comm, pick: usize, var: usize, count: usize, root: us
                 AlltoallAlgo::PairwiseWrite,
                 AlltoallAlgo::Bruck,
             ][var];
-            let sb = comm.alloc_with(&alltoall_sendbuf(me, p, count));
+            let sb = comm.alloc_with(&alltoall_sendbuf(me, p, count)).unwrap();
             let rb = comm.alloc(p * count);
-            alltoall(comm, algo, Some(sb), rb, count).unwrap();
+            alltoall_polled(comm, algo, Some(sb), rb, count)
+                .await
+                .unwrap();
             comm.read_all(rb).unwrap()
         }
         5 => {
@@ -101,19 +116,12 @@ fn run_pick(comm: &mut dyn Comm, pick: usize, var: usize, count: usize, root: us
                 ReduceAlgo::KNomialTree { radix: 3 },
             ][var];
             let lanes = count / 8;
-            let sb = comm.alloc_with(&reduce_fill(me, lanes));
+            let sb = comm.alloc_with(&reduce_fill(me, lanes)).unwrap();
             let rb = (me == root).then(|| comm.alloc(lanes * 8));
-            reduce(
-                comm,
-                algo,
-                sb,
-                rb,
-                lanes * 8,
-                Dtype::U64,
-                ReduceOp::Sum,
-                root,
-            )
-            .unwrap();
+            let (dtype, op) = (Dtype::U64, ReduceOp::Sum);
+            reduce_polled(comm, algo, sb, rb, lanes * 8, dtype, op, root)
+                .await
+                .unwrap();
             rb.map(|b| comm.read_all(b).unwrap()).unwrap_or_default()
         }
         _ => unreachable!("pick out of range"),
@@ -160,17 +168,35 @@ const PICK_NAMES: [&str; 6] = [
     "reduce",
 ];
 
+/// One run of `pick`/`var` with the fast path on or off.
+fn run(
+    fast_path: bool,
+    pick: usize,
+    var: usize,
+    p: usize,
+    count: usize,
+    root: usize,
+) -> (TeamRun, Vec<Vec<u8>>) {
+    let state = MachineState::new(small_arch(), p);
+    let (run, payloads, _) =
+        run_polled_machine_full(state, false, fast_path, move |rank| async move {
+            run_pick(&mut PolledComm::new(rank), pick, var, count, root).await
+        });
+    (run, payloads)
+}
+
 /// The core check: fast path on vs off must be bitwise-identical.
 fn check_equivalent(pick: usize, var: usize, p: usize, count: usize, root: usize) {
-    let arch = small_arch();
     let what = format!(
         "{} var={var} p={p} count={count} root={root}",
         PICK_NAMES[pick]
     );
-    let (mut run_fast, res_fast) =
-        run_team(&arch, p, move |comm| run_pick(comm, pick, var, count, root));
-    let (mut run_slow, res_slow) =
-        run_team_no_fastpath(&arch, p, move |comm| run_pick(comm, pick, var, count, root));
+    let (mut run_fast, res_fast) = run(true, pick, var, p, count, root);
+    let (mut run_slow, res_slow) = run(false, pick, var, p, count, root);
+    assert_eq!(
+        run_slow.sim.fast_handoffs, 0,
+        "{what}: the queue route handed off"
+    );
     // The fast path replaces queue traffic with direct handoffs, so the
     // queue-mechanics observability counters legitimately differ between
     // the two runs; the semantic result (timing, payloads, stats) and the

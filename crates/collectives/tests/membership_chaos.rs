@@ -1,5 +1,6 @@
 //! Membership chaos suite: kill ranks mid-collective and pin the
-//! detect → agree → shrink-and-re-execute loop on both engines.
+//! detect → agree → shrink-and-re-execute loop on the simulator, with a
+//! fault-free smoke run on the thread transport.
 //!
 //! Invariants pinned here:
 //!
@@ -10,9 +11,10 @@
 //! 2. **Killed ranks fail typed** — a dead rank (and every rank, when
 //!    the root dies or quorum is lost) gets a typed `CommError`, never a
 //!    hang and never a panic.
-//! 3. **Engine equivalence** — the whole recovery path (virtual end
-//!    time, per-rank outcomes, payloads) is bitwise-identical between
-//!    the blocking-thread engine and the polled engine.
+//! 3. **Pinned recovery paths** — for the fixed kill schedules the whole
+//!    recovery path (virtual end time, per-rank outcomes, payloads) is
+//!    pinned bit for bit to the values captured while a second,
+//!    thread-based simulator engine agreed with this one on them.
 //! 4. **Zero cost when clean** — a fault-free survivable run reports a
 //!    clean `MembershipReport` and a clean `RecoveryReport`.
 //! 5. **Shrink remapping is sound** — remapped plans are a bijection
@@ -28,14 +30,14 @@ use kacc_collectives::verify::{
     alltoall_sendbuf, contribution, diff, scatter_expected, scatter_sendbuf,
 };
 use kacc_collectives::{
-    remap_for_members, run_survivable, run_survivable_polled, AllgatherAlgo, AlltoallAlgo,
-    BcastAlgo, Dtype, GatherAlgo, MembershipPolicy, MembershipReport, RecoveryPolicy, ScatterAlgo,
-    Schedule, Step, SurvivableOp,
+    remap_for_members, run_survivable_polled, AllgatherAlgo, AlltoallAlgo, BcastAlgo, Dtype,
+    GatherAlgo, MembershipPolicy, MembershipReport, RecoveryPolicy, ScatterAlgo, Schedule, Step,
+    SurvivableOp,
 };
 use kacc_collectives::{ReduceAlgo, ReduceOp};
-use kacc_comm::{Comm, CommExt, Tag};
+use kacc_comm::{block_on, AsyncComm, Blocking, BufId, Tag};
 use kacc_fault::{FaultHook, FaultPlan};
-use kacc_machine::{run_polled_team_faulty, run_team_faulty, PolledComm, SimComm, TeamRun};
+use kacc_machine::{run_polled_team_faulty, PolledComm, TeamRun};
 use kacc_model::ArchProfile;
 use kacc_native::run_threads;
 use proptest::prelude::*;
@@ -47,10 +49,13 @@ fn small_arch() -> ArchProfile {
     a
 }
 
-/// Fixed reproduction corpus plus an optional fresh seed from the
-/// environment (printed in every assertion message on failure).
+/// The fixed reproduction corpus.
+const SEEDS: [u64; 4] = [1, 0xC0FFEE, 0xDEAD_BEEF, 0x9E37_79B9_7F4A_7C15];
+
+/// [`SEEDS`] plus an optional fresh seed from the environment (printed in
+/// every assertion message on failure).
 fn seed_corpus() -> Vec<u64> {
-    let mut seeds = vec![1, 0xC0FFEE, 0xDEAD_BEEF, 0x9E37_79B9_7F4A_7C15];
+    let mut seeds = SEEDS.to_vec();
     if let Ok(v) = std::env::var("KACC_CHAOS_SEED") {
         match v.parse::<u64>() {
             Ok(s) => seeds.push(s),
@@ -134,118 +139,71 @@ fn op_for(pick: usize, count: usize, root: usize) -> SurvivableOp {
 /// `RecoveryReport` was clean, and the observed payload bytes.
 type RankOutcome = std::result::Result<(Vec<usize>, MembershipReport, bool, Vec<u8>), String>;
 
-/// Run survivable collective `pick` on the blocking engine. Buffers are
-/// parent-sized; a shrunken result occupies their prefix.
-fn survivable_threads(comm: &mut SimComm, pick: usize, count: usize, root: usize) -> RankOutcome {
-    let p = comm.size();
-    let me = comm.rank();
-    let op = op_for(pick, count, root);
-    let (sb, rb, out) = match pick {
-        0 => {
-            let sb = (me == root).then(|| comm.alloc_with(&scatter_sendbuf(p, count)));
-            let rb = comm.alloc(count);
-            (sb, Some(rb), Some(rb))
-        }
-        1 => {
-            let sb = comm.alloc_with(&contribution(me, count));
-            let rb = (me == root).then(|| comm.alloc(p * count));
-            (Some(sb), rb, rb)
-        }
-        2 => {
-            let buf = if me == root {
-                comm.alloc_with(&contribution(root, count))
-            } else {
-                comm.alloc(count)
-            };
-            (Some(buf), None, Some(buf))
-        }
-        3 => {
-            let sb = comm.alloc_with(&contribution(me, count));
-            let rb = comm.alloc(p * count);
-            (Some(sb), Some(rb), Some(rb))
-        }
-        4 => {
-            let sb = comm.alloc_with(&alltoall_sendbuf(me, p, count));
-            let rb = comm.alloc(p * count);
-            (Some(sb), Some(rb), Some(rb))
-        }
-        5 => {
-            let sb = comm.alloc_with(&reduce_fill(me, count / 8));
-            let rb = (me == root).then(|| comm.alloc(count));
-            (Some(sb), rb, rb)
-        }
-        _ => unreachable!("pick out of range"),
-    };
-    match run_survivable(comm, &op, sb, rb, &RecoveryPolicy::survivable()) {
-        Ok(o) => {
-            let payload = out
-                .map(|b| comm.read_all(b).expect("read"))
-                .unwrap_or_default();
-            Ok((
-                o.members,
-                o.membership,
-                o.report.recovery.is_empty(),
-                payload,
-            ))
-        }
-        Err(e) => Err(format!("{e:?}")),
-    }
+/// A buffer holding `data`.
+fn alloc_with<C: AsyncComm>(comm: &mut C, data: &[u8]) -> BufId {
+    let buf = comm.alloc(data.len());
+    comm.write_local(buf, 0, data).expect("write");
+    buf
 }
 
-/// The polled-engine twin of [`survivable_threads`].
-async fn survivable_polled(
-    comm: &mut PolledComm,
+/// A whole buffer's bytes.
+fn read_all<C: AsyncComm>(comm: &C, buf: BufId) -> Vec<u8> {
+    let mut out = vec![0u8; comm.buf_len(buf).expect("buffer")];
+    comm.read_local(buf, 0, &mut out).expect("read");
+    out
+}
+
+/// Run survivable collective `pick` under `policy`. Buffers are
+/// parent-sized; a shrunken result occupies their prefix.
+async fn survivable<C: AsyncComm>(
+    comm: &mut C,
     pick: usize,
     count: usize,
     root: usize,
+    policy: &RecoveryPolicy,
 ) -> RankOutcome {
     let p = comm.size();
     let me = comm.rank();
     let op = op_for(pick, count, root);
     let (sb, rb, out) = match pick {
         0 => {
-            let sb =
-                (me == root).then(|| comm.alloc_with(&scatter_sendbuf(p, count)).expect("alloc"));
+            let sb = (me == root).then(|| alloc_with(comm, &scatter_sendbuf(p, count)));
             let rb = comm.alloc(count);
             (sb, Some(rb), Some(rb))
         }
         1 => {
-            let sb = comm.alloc_with(&contribution(me, count)).expect("alloc");
+            let sb = alloc_with(comm, &contribution(me, count));
             let rb = (me == root).then(|| comm.alloc(p * count));
             (Some(sb), rb, rb)
         }
         2 => {
             let buf = if me == root {
-                comm.alloc_with(&contribution(root, count)).expect("alloc")
+                alloc_with(comm, &contribution(root, count))
             } else {
                 comm.alloc(count)
             };
             (Some(buf), None, Some(buf))
         }
         3 => {
-            let sb = comm.alloc_with(&contribution(me, count)).expect("alloc");
+            let sb = alloc_with(comm, &contribution(me, count));
             let rb = comm.alloc(p * count);
             (Some(sb), Some(rb), Some(rb))
         }
         4 => {
-            let sb = comm
-                .alloc_with(&alltoall_sendbuf(me, p, count))
-                .expect("alloc");
+            let sb = alloc_with(comm, &alltoall_sendbuf(me, p, count));
             let rb = comm.alloc(p * count);
             (Some(sb), Some(rb), Some(rb))
         }
         5 => {
-            let sb = comm.alloc_with(&reduce_fill(me, count / 8)).expect("alloc");
+            let sb = alloc_with(comm, &reduce_fill(me, count / 8));
             let rb = (me == root).then(|| comm.alloc(count));
             (Some(sb), rb, rb)
         }
         _ => unreachable!("pick out of range"),
     };
-    match run_survivable_polled(comm, &op, sb, rb, &RecoveryPolicy::survivable()).await {
+    match run_survivable_polled(comm, &op, sb, rb, policy).await {
         Ok(o) => {
-            let payload = out
-                .map(|b| comm.read_all(b).expect("read"))
-                .unwrap_or_default();
+            let payload = out.map(|b| read_all(comm, b)).unwrap_or_default();
             Ok((
                 o.members,
                 o.membership,
@@ -335,12 +293,11 @@ fn assert_kill_outcomes(
     deadset: &[usize],
     seed: u64,
     results: &[RankOutcome],
-    engine: &str,
 ) {
     let survivors: Vec<usize> = (0..p).filter(|r| !deadset.contains(r)).collect();
     for (r, res) in results.iter().enumerate() {
         let ctx = format!(
-            "{engine} {} seed={seed} p={p} count={count} root={root} dead={deadset:?} rank {r}",
+            "{} seed={seed} p={p} count={count} root={root} dead={deadset:?} rank {r}",
             PICK_NAMES[pick]
         );
         if deadset.contains(&r) {
@@ -394,24 +351,7 @@ fn arch_for_p(p: usize) -> ArchProfile {
     }
 }
 
-fn run_kill_sim(
-    pick: usize,
-    p: usize,
-    count: usize,
-    root: usize,
-    dead: Vec<(usize, u64)>,
-    seed: u64,
-) -> (TeamRun, Vec<RankOutcome>) {
-    let arch = arch_for_p(p);
-    run_team_faulty(
-        &arch,
-        p,
-        silent_kill(seed, &dead),
-        move |comm: &mut SimComm| survivable_threads(comm, pick, count, root),
-    )
-}
-
-fn run_kill_polled(
+fn run_kill(
     pick: usize,
     p: usize,
     count: usize,
@@ -421,34 +361,40 @@ fn run_kill_polled(
 ) -> (TeamRun, Vec<RankOutcome>) {
     let arch = arch_for_p(p);
     run_polled_team_faulty(&arch, p, silent_kill(seed, &dead), move |rank| async move {
-        let mut comm = PolledComm::new(rank);
-        survivable_polled(&mut comm, pick, count, root).await
+        let policy = RecoveryPolicy::survivable();
+        survivable(&mut PolledComm::new(rank), pick, count, root, &policy).await
     })
 }
 
-/// Kill-k on both engines, with strict survivor verification and a
-/// bitwise engine-equivalence check over the entire recovery path.
-fn check_kill_both_engines(
+/// `(end_ns, digest)` of a run: 64-bit FNV-1a over the `Debug` rendering
+/// of every rank's outcome.
+fn pin_of(run: &TeamRun, outcomes: &[RankOutcome]) -> (u64, u64) {
+    let digest = format!("{outcomes:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+    (run.end_ns, digest)
+}
+
+/// Kill-k with strict survivor verification, and the whole recovery
+/// path against its pin.
+fn check_kill(
     pick: usize,
     p: usize,
     count: usize,
     root: usize,
     dead: &[(usize, u64)],
     seed: u64,
+    pin: (u64, u64),
 ) {
     let deadset: Vec<usize> = dead.iter().map(|d| d.0).collect();
-    let (trun, tres) = run_kill_sim(pick, p, count, root, dead.to_vec(), seed);
-    assert_kill_outcomes(pick, p, count, root, &deadset, seed, &tres, "sim-threads");
-    let (prun, pres) = run_kill_polled(pick, p, count, root, dead.to_vec(), seed);
-    assert_kill_outcomes(pick, p, count, root, &deadset, seed, &pres, "sim-polled");
+    let (run, res) = run_kill(pick, p, count, root, dead.to_vec(), seed);
+    assert_kill_outcomes(pick, p, count, root, &deadset, seed, &res);
     assert_eq!(
-        trun.end_ns, prun.end_ns,
-        "{} seed={seed} dead={deadset:?}: engines disagree on the recovery end time",
-        PICK_NAMES[pick]
-    );
-    assert_eq!(
-        tres, pres,
-        "{} seed={seed} dead={deadset:?}: engines disagree on per-rank outcomes",
+        pin_of(&run, &res),
+        pin,
+        "{} seed={seed} dead={deadset:?}: the recovery path moved",
         PICK_NAMES[pick]
     );
 }
@@ -485,11 +431,10 @@ fn assert_anywhere_outcomes(
     deadset: &[usize],
     seed: u64,
     results: &[RankOutcome],
-    engine: &str,
 ) -> Vec<usize> {
     let ctx_of = |r: usize| {
         format!(
-            "{engine} {} seed={seed} p={p} count={count} root={root} dead={deadset:?} rank {r}",
+            "{} seed={seed} p={p} count={count} root={root} dead={deadset:?} rank {r}",
             PICK_NAMES[pick]
         )
     };
@@ -564,72 +509,67 @@ fn assert_anywhere_outcomes(
     observed_dead
 }
 
-/// Kill-anywhere on both engines: relaxed per-rank verification plus
-/// the bitwise engine-equivalence check, returning the observed-dead
-/// set (identical between engines by the equivalence assert).
-fn check_anywhere_both_engines(
+/// Kill-anywhere with relaxed per-rank verification, returning the
+/// observed-dead set; the run must match `pin` when one is given.
+fn check_anywhere(
     pick: usize,
     p: usize,
     count: usize,
     root: usize,
     dead: &[(usize, u64)],
     seed: u64,
+    pin: Option<(u64, u64)>,
 ) -> Vec<usize> {
     let deadset: Vec<usize> = dead.iter().map(|d| d.0).collect();
-    let (trun, tres) = run_kill_sim(pick, p, count, root, dead.to_vec(), seed);
-    let observed =
-        assert_anywhere_outcomes(pick, p, count, root, &deadset, seed, &tres, "sim-threads");
-    let (prun, pres) = run_kill_polled(pick, p, count, root, dead.to_vec(), seed);
-    assert_anywhere_outcomes(pick, p, count, root, &deadset, seed, &pres, "sim-polled");
-    assert_eq!(
-        trun.end_ns, prun.end_ns,
-        "{} seed={seed} dead={dead:?}: engines disagree on the recovery end time",
-        PICK_NAMES[pick]
-    );
-    assert_eq!(
-        tres, pres,
-        "{} seed={seed} dead={dead:?}: engines disagree on per-rank outcomes",
-        PICK_NAMES[pick]
-    );
+    let (run, res) = run_kill(pick, p, count, root, dead.to_vec(), seed);
+    let observed = assert_anywhere_outcomes(pick, p, count, root, &deadset, seed, &res);
+    if let Some(pin) = pin {
+        assert_eq!(
+            pin_of(&run, &res),
+            pin,
+            "{} seed={seed} dead={dead:?}: the recovery path moved",
+            PICK_NAMES[pick]
+        );
+    }
     observed
 }
 
-// ---- 1. Kill-k completes over the survivors (both engines) ----------------
+// ---- 1. Kill-k completes over the survivors -------------------------------
 
 #[test]
-fn membership_kill_one_all_collectives_both_engines() {
-    for pick in 0..6 {
+fn membership_kill_one_all_collectives() {
+    // `(end_ns, outcome digest)` per collective.
+    let pins = [
+        (6822019, 0xe5c6_a6ec_b88e_7034),
+        (4818349, 0xc9ac_a8cb_5b5f_dd36),
+        (6817271, 0x2866_8eb5_78df_e53a),
+        (6822101, 0xc234_fd3a_b1ad_dd8d),
+        (6831288, 0x6edf_90ba_be80_a202),
+        (6821872, 0x9bd0_392f_4a49_a854),
+    ];
+    for (pick, pin) in pins.into_iter().enumerate() {
         // Rank 5 dies after a few ops; root 2 survives.
-        check_kill_both_engines(pick, 8, 256, 2, &[(5, 3)], 1);
+        check_kill(pick, 8, 256, 2, &[(5, 3)], 1, pin);
     }
 }
 
 #[test]
-fn membership_kill_one_immediately_sim() {
+fn membership_kill_one_immediately() {
     for &seed in &seed_corpus() {
         for pick in 0..6 {
-            let (_, res) = run_kill_sim(pick, 8, 256, 0, vec![(6, 0)], seed);
-            assert_kill_outcomes(pick, 8, 256, 0, &[6], seed, &res, "sim-threads");
+            let (_, res) = run_kill(pick, 8, 256, 0, vec![(6, 0)], seed);
+            assert_kill_outcomes(pick, 8, 256, 0, &[6], seed, &res);
         }
     }
 }
 
 #[test]
-fn membership_kill_two_all_collectives_sim() {
+fn membership_kill_two_all_collectives() {
     for pick in 0..6 {
         // Two ranks die at different points; quorum (6/8) holds.
         let dead = vec![(3, 2), (7, 5)];
-        let (_, res) = run_kill_sim(pick, 8, 256, 0, dead, 0xC0FFEE);
-        assert_kill_outcomes(pick, 8, 256, 0, &[3, 7], 0xC0FFEE, &res, "sim-threads");
-    }
-}
-
-#[test]
-fn membership_kill_two_polled() {
-    for pick in 0..6 {
-        let dead = vec![(3, 2), (7, 5)];
-        let (_, res) = run_kill_polled(pick, 8, 256, 0, dead, 0xC0FFEE);
-        assert_kill_outcomes(pick, 8, 256, 0, &[3, 7], 0xC0FFEE, &res, "sim-polled");
+        let (_, res) = run_kill(pick, 8, 256, 0, dead, 0xC0FFEE);
+        assert_kill_outcomes(pick, 8, 256, 0, &[3, 7], 0xC0FFEE, &res);
     }
 }
 
@@ -638,7 +578,7 @@ fn membership_kill_two_polled() {
 #[test]
 fn membership_dead_root_fails_typed_everywhere() {
     for pick in [0usize, 1, 2, 5] {
-        let (_, res) = run_kill_sim(pick, 8, 256, 4, vec![(4, 0)], 7);
+        let (_, res) = run_kill(pick, 8, 256, 4, vec![(4, 0)], 7);
         for (r, out) in res.iter().enumerate() {
             let ctx = format!("{} dead-root rank {r}", PICK_NAMES[pick]);
             let msg = out
@@ -653,7 +593,7 @@ fn membership_dead_root_fails_typed_everywhere() {
 #[test]
 fn membership_quorum_loss_is_a_typed_protocol_error() {
     // p = 4, two dead: 2 survivors cannot hold a majority of 4.
-    let (_, res) = run_kill_sim(3, 4, 256, 0, vec![(1, 0), (3, 0)], 11);
+    let (_, res) = run_kill(3, 4, 256, 0, vec![(1, 0), (3, 0)], 11);
     for (r, out) in res.iter().enumerate() {
         let msg = out
             .as_ref()
@@ -675,8 +615,8 @@ fn membership_quorum_loss_is_a_typed_protocol_error() {
 #[test]
 fn membership_recovery_is_deterministic_per_seed() {
     for &seed in &seed_corpus()[..2] {
-        let a = run_kill_sim(3, 8, 512, 0, vec![(5, 3)], seed);
-        let b = run_kill_sim(3, 8, 512, 0, vec![(5, 3)], seed);
+        let a = run_kill(3, 8, 512, 0, vec![(5, 3)], seed);
+        let b = run_kill(3, 8, 512, 0, vec![(5, 3)], seed);
         assert_eq!(a.0.end_ns, b.0.end_ns, "seed={seed}: end time drifted");
         assert_eq!(
             a.0.finish_ns, b.0.finish_ns,
@@ -689,14 +629,22 @@ fn membership_recovery_is_deterministic_per_seed() {
 // ---- 4. Zero cost when clean ---------------------------------------------
 
 #[test]
-fn membership_fault_free_is_clean_on_both_engines() {
+fn membership_fault_free_is_clean() {
     let p = 8;
     let count = 256;
     let all: Vec<usize> = (0..p).collect();
-    for pick in 0..6 {
-        let (trun, tres) = run_kill_sim(pick, p, count, 1, vec![], 0);
-        let (prun, pres) = run_kill_polled(pick, p, count, 1, vec![], 0);
-        for (r, out) in tres.iter().enumerate() {
+    // `(end_ns, outcome digest)` per collective.
+    let pins = [
+        (7419, 0x5127_bef6_97c0_52cd),
+        (4504, 0x322b_eb64_8eaa_cec9),
+        (6558, 0xf015_54a8_1605_eca0),
+        (10945, 0x0f9b_f804_89c5_35f7),
+        (12582, 0x8322_384a_df2d_ddfc),
+        (10623, 0x64bb_1bc0_3845_d93e),
+    ];
+    for (pick, pin) in pins.into_iter().enumerate() {
+        let (run, res) = run_kill(pick, p, count, 1, vec![], 0);
+        for (r, out) in res.iter().enumerate() {
             let (members, mrep, recovery_clean, payload) = out
                 .as_ref()
                 .unwrap_or_else(|e| panic!("sim rank {r} pick {pick}: {e}"));
@@ -708,11 +656,7 @@ fn membership_fault_free_is_clean_on_both_engines() {
                 panic!("rank {r} pick {pick}: {d}");
             }
         }
-        assert_eq!(
-            trun.end_ns, prun.end_ns,
-            "pick {pick}: engines diverge clean"
-        );
-        assert_eq!(tres, pres, "pick {pick}: engines diverge clean");
+        assert_eq!(pin_of(&run, &res), pin, "pick {pick}: the clean run moved");
     }
 }
 
@@ -733,52 +677,13 @@ fn membership_fault_free_native_threads_smoke() {
         ..RecoveryPolicy::survivable()
     };
     for pick in 0..6 {
-        let results = run_threads(p, move |comm| {
-            let me = comm.rank();
-            let op = op_for(pick, count, 0);
-            let (sb, rb, out) = match pick {
-                0 => {
-                    let sb = (me == 0).then(|| comm.alloc_with(&scatter_sendbuf(p, count)));
-                    let rb = comm.alloc(count);
-                    (sb, Some(rb), Some(rb))
-                }
-                1 => {
-                    let sb = comm.alloc_with(&contribution(me, count));
-                    let rb = (me == 0).then(|| comm.alloc(p * count));
-                    (Some(sb), rb, rb)
-                }
-                2 => {
-                    let buf = if me == 0 {
-                        comm.alloc_with(&contribution(0, count))
-                    } else {
-                        comm.alloc(count)
-                    };
-                    (Some(buf), None, Some(buf))
-                }
-                3 => {
-                    let sb = comm.alloc_with(&contribution(me, count));
-                    let rb = comm.alloc(p * count);
-                    (Some(sb), Some(rb), Some(rb))
-                }
-                4 => {
-                    let sb = comm.alloc_with(&alltoall_sendbuf(me, p, count));
-                    let rb = comm.alloc(p * count);
-                    (Some(sb), Some(rb), Some(rb))
-                }
-                5 => {
-                    let sb = comm.alloc_with(&reduce_fill(me, count / 8));
-                    let rb = (me == 0).then(|| comm.alloc(count));
-                    (Some(sb), rb, rb)
-                }
-                _ => unreachable!(),
-            };
-            let o = run_survivable(comm, &op, sb, rb, &policy).expect("fault-free survivable");
-            let payload = out
-                .map(|b| comm.read_all(b).expect("read"))
-                .unwrap_or_default();
-            (o.members, o.membership, payload)
+        let results = run_threads(p, |comm| {
+            block_on(survivable(&mut Blocking(comm), pick, count, 0, &policy))
         });
-        for (r, (members, mrep, payload)) in results.iter().enumerate() {
+        for (r, out) in results.iter().enumerate() {
+            let (members, mrep, _, payload) = out
+                .as_ref()
+                .unwrap_or_else(|e| panic!("native rank {r} pick {pick}: {e}"));
             assert_eq!(members, &all, "native rank {r} pick {pick}: shrank");
             assert!(mrep.is_clean(), "native rank {r} pick {pick}: {mrep:?}");
             let want = expected_survivor(pick, r, &all, p, count, 0);
@@ -809,12 +714,35 @@ proptest! {
         let p = 8;
         let root = 0;
         let dead = deadsel; // 1..8: never the root
-        let (_, res) = run_kill_sim(pick, p, 256, root, vec![(dead, after)], seed);
-        assert_kill_outcomes(pick, p, 256, root, &[dead], seed, &res, "sim-threads");
+        let (_, res) = run_kill(pick, p, 256, root, vec![(dead, after)], seed);
+        assert_kill_outcomes(pick, p, 256, root, &[dead], seed, &res);
     }
 }
 
 // ---- 5b. Kill-anywhere: agreement and shrink re-exec windows --------------
+
+/// Sweep rank 6's kill point over `band` with rank 5 dying early, on
+/// every corpus seed: rank 5's death must always be observed, rank 6's
+/// at some point of the band, and each run on a fixed seed must match
+/// its `(end_ns, outcome digest)` pin (the same for every fixed seed).
+fn sweep_second_kill(band: [(u64, (u64, u64)); 5], what: &str) {
+    for &seed in &seed_corpus() {
+        let mut saw_second = false;
+        for (after, pin) in band {
+            let pin = SEEDS.contains(&seed).then_some(pin);
+            let observed = check_anywhere(3, 8, 256, 0, &[(5, 2), (6, after)], seed, pin);
+            assert!(
+                observed.contains(&5),
+                "seed={seed} after={after}: first kill unobserved"
+            );
+            saw_second |= observed.contains(&6);
+        }
+        assert!(
+            saw_second,
+            "seed={seed}: no kill point in the {what} band was ever observed"
+        );
+    }
+}
 
 /// Rank 5 dies early (forcing detection and a membership agreement),
 /// then rank 6's kill point is swept across the op-index band where
@@ -823,22 +751,17 @@ proptest! {
 /// path. Across the sweep at least one kill point must be observed
 /// (both ranks dropped), proving the band reaches past the data plan.
 #[test]
-fn membership_kill_during_agreement_both_engines() {
-    for &seed in &seed_corpus() {
-        let mut saw_second = false;
-        for after in [7u64, 9, 11, 14, 18] {
-            let observed = check_anywhere_both_engines(3, 8, 256, 0, &[(5, 2), (6, after)], seed);
-            assert!(
-                observed.contains(&5),
-                "seed={seed} after={after}: first kill unobserved"
-            );
-            saw_second |= observed.contains(&6);
-        }
-        assert!(
-            saw_second,
-            "seed={seed}: no kill point in the agreement band was ever observed"
-        );
-    }
+fn membership_kill_during_agreement() {
+    sweep_second_kill(
+        [
+            (7, (11621339, 0x68f9_297b_b965_1139)),
+            (9, (11621339, 0x68f9_297b_b965_1139)),
+            (11, (11621339, 0x68f9_297b_b965_1139)),
+            (14, (15221908, 0x04c4_cde3_3ab0_05ee)),
+            (18, (14022257, 0xe128_03fd_a091_3b8b)),
+        ],
+        "agreement",
+    );
 }
 
 /// Same shape, but rank 6 survives the first agreement and dies in the
@@ -846,33 +769,32 @@ fn membership_kill_during_agreement_both_engines() {
 /// recovery's re-execution must trigger a nested detect → agree →
 /// shrink round, never a hang and never a torn payload.
 #[test]
-fn membership_kill_during_shrink_reexec_both_engines() {
-    for &seed in &seed_corpus() {
-        let mut saw_second = false;
-        for after in [24u64, 30, 36, 44, 52] {
-            let observed = check_anywhere_both_engines(3, 8, 256, 0, &[(5, 2), (6, after)], seed);
-            assert!(
-                observed.contains(&5),
-                "seed={seed} after={after}: first kill unobserved"
-            );
-            saw_second |= observed.contains(&6);
-        }
-        assert!(
-            saw_second,
-            "seed={seed}: no kill point in the re-exec band was ever observed"
-        );
-    }
+fn membership_kill_during_shrink_reexec() {
+    sweep_second_kill(
+        [
+            (24, (14022255, 0x3725_432a_ea30_4487)),
+            (30, (24424335, 0xd92c_754b_522a_74d0)),
+            (36, (41234604, 0x6c84_b128_2bbd_0c22)),
+            (44, (41233624, 0x7cc7_318f_11bd_9600)),
+            (52, (25634787, 0x718a_75fe_bd38_1c0c)),
+        ],
+        "re-exec",
+    );
 }
 
 // ---- 5c. Wide groups: past the old 64-rank mask ceiling -------------------
 
 /// p = 128 exercises the multi-word `MemberMask` end to end: rank 100
 /// (past the old single-word ceiling) dies mid-plan, and recovery must
-/// agree, shrink, and re-execute bitwise-identically on both engines.
+/// agree, shrink, and re-execute onto the pinned recovery path.
 #[test]
-fn membership_kill_wide_group_both_engines() {
-    for pick in [2usize, 3] {
-        check_kill_both_engines(pick, 128, 64, 0, &[(100, 3)], 1);
+fn membership_kill_wide_group() {
+    let pins = [
+        (2, (50801818, 0x80de_6652_032e_7786)),
+        (3, (434466626, 0xd755_d1fb_0f79_7e48)),
+    ];
+    for (pick, pin) in pins {
+        check_kill(pick, 128, 64, 0, &[(100, 3)], 1, pin);
     }
 }
 
@@ -882,8 +804,7 @@ proptest! {
     /// At p = 128, killing any non-root rank at any virtual time never
     /// hangs the group and never yields a wrong payload: every
     /// completing rank agrees on one membership and carries that
-    /// membership's exact bytes (threads engine; the fixed wide-group
-    /// test above pins engine equivalence).
+    /// membership's exact bytes.
     #[test]
     fn membership_wide_group_any_kill_point_terminates(
         seed in any::<u64>(),
@@ -891,8 +812,8 @@ proptest! {
         after in 0u64..80,
         pick in 2usize..4,
     ) {
-        let (_, res) = run_kill_sim(pick, 128, 64, 0, vec![(dead, after)], seed);
-        assert_anywhere_outcomes(pick, 128, 64, 0, &[dead], seed, &res, "sim-threads");
+        let (_, res) = run_kill(pick, 128, 64, 0, vec![(dead, after)], seed);
+        assert_anywhere_outcomes(pick, 128, 64, 0, &[dead], seed, &res);
     }
 }
 

@@ -7,11 +7,10 @@ use kacc_collectives::verify::{
     scatter_sendbuf,
 };
 use kacc_collectives::{
-    allgather, alltoall, bcast, gather, scatter, AllgatherAlgo, AlltoallAlgo, BcastAlgo,
-    GatherAlgo, ScatterAlgo,
+    allgather_polled, alltoall_polled, bcast_polled, gatherv_polled, scatter_polled, AllgatherAlgo,
+    AlltoallAlgo, BcastAlgo, GatherAlgo, ScatterAlgo,
 };
-use kacc_comm::{Comm, CommExt};
-use kacc_machine::run_team;
+use kacc_machine::{run_polled_team, PolledComm};
 use kacc_model::ArchProfile;
 
 fn small_arch() -> ArchProfile {
@@ -25,18 +24,14 @@ fn small_arch() -> ArchProfile {
 
 fn check_scatter(p: usize, count: usize, root: usize, algo: ScatterAlgo) {
     let arch = small_arch();
-    let (run, results) = run_team(&arch, p, move |comm| {
-        let me = comm.rank();
-        if me == root {
-            let sb = comm.alloc_with(&scatter_sendbuf(p, count));
-            let rb = comm.alloc(count);
-            scatter(comm, algo, Some(sb), Some(rb), count, root).unwrap();
-            comm.read_all(rb).unwrap()
-        } else {
-            let rb = comm.alloc(count);
-            scatter(comm, algo, None, Some(rb), count, root).unwrap();
-            comm.read_all(rb).unwrap()
-        }
+    let (run, results) = run_polled_team(&arch, p, move |rank| async move {
+        let comm = &mut PolledComm::new(rank);
+        let sb = (rank == root).then(|| comm.alloc_with(&scatter_sendbuf(p, count)).unwrap());
+        let rb = comm.alloc(count);
+        scatter_polled(comm, algo, sb, Some(rb), count, root)
+            .await
+            .unwrap();
+        comm.read_all(rb).unwrap()
     });
     for (r, got) in results.iter().enumerate() {
         if let Some(d) = diff(got, &scatter_expected(r, count)) {
@@ -48,17 +43,15 @@ fn check_scatter(p: usize, count: usize, root: usize, algo: ScatterAlgo) {
 
 fn check_gather(p: usize, count: usize, root: usize, algo: GatherAlgo) {
     let arch = small_arch();
-    let (run, results) = run_team(&arch, p, move |comm| {
-        let me = comm.rank();
-        let sb = comm.alloc_with(&contribution(me, count));
-        if me == root {
-            let rb = comm.alloc(p * count);
-            gather(comm, algo, Some(sb), Some(rb), count, root).unwrap();
-            comm.read_all(rb).unwrap()
-        } else {
-            gather(comm, algo, Some(sb), None, count, root).unwrap();
-            Vec::new()
-        }
+    let (run, results) = run_polled_team(&arch, p, move |rank| async move {
+        let comm = &mut PolledComm::new(rank);
+        let sb = comm.alloc_with(&contribution(rank, count)).unwrap();
+        let rb = (rank == root).then(|| comm.alloc(p * count));
+        let counts = vec![count; p];
+        gatherv_polled(comm, algo, Some(sb), rb, &counts, None, root)
+            .await
+            .unwrap();
+        rb.map(|b| comm.read_all(b).unwrap()).unwrap_or_default()
     });
     if let Some(d) = diff(&results[root], &gather_expected(p, count)) {
         panic!("{algo:?} p={p} count={count} root={root}: {d}");
@@ -68,11 +61,13 @@ fn check_gather(p: usize, count: usize, root: usize, algo: GatherAlgo) {
 
 fn check_allgather(p: usize, count: usize, algo: AllgatherAlgo) {
     let arch = small_arch();
-    let (run, results) = run_team(&arch, p, move |comm| {
-        let me = comm.rank();
-        let sb = comm.alloc_with(&contribution(me, count));
+    let (run, results) = run_polled_team(&arch, p, move |rank| async move {
+        let comm = &mut PolledComm::new(rank);
+        let sb = comm.alloc_with(&contribution(rank, count)).unwrap();
         let rb = comm.alloc(p * count);
-        allgather(comm, algo, Some(sb), rb, count).unwrap();
+        allgather_polled(comm, algo, Some(sb), rb, count)
+            .await
+            .unwrap();
         comm.read_all(rb).unwrap()
     });
     let expected = gather_expected(p, count);
@@ -86,18 +81,16 @@ fn check_allgather(p: usize, count: usize, algo: AllgatherAlgo) {
 
 fn check_alltoall(p: usize, count: usize, algo: AlltoallAlgo, in_place: bool) {
     let arch = small_arch();
-    let (run, results) = run_team(&arch, p, move |comm| {
-        let me = comm.rank();
-        if in_place {
-            let rb = comm.alloc_with(&alltoall_sendbuf(me, p, count));
-            alltoall(comm, algo, None, rb, count).unwrap();
-            comm.read_all(rb).unwrap()
+    let (run, results) = run_polled_team(&arch, p, move |rank| async move {
+        let comm = &mut PolledComm::new(rank);
+        let mine = comm.alloc_with(&alltoall_sendbuf(rank, p, count)).unwrap();
+        let (sb, rb) = if in_place {
+            (None, mine)
         } else {
-            let sb = comm.alloc_with(&alltoall_sendbuf(me, p, count));
-            let rb = comm.alloc(p * count);
-            alltoall(comm, algo, Some(sb), rb, count).unwrap();
-            comm.read_all(rb).unwrap()
-        }
+            (Some(mine), comm.alloc(p * count))
+        };
+        alltoall_polled(comm, algo, sb, rb, count).await.unwrap();
+        comm.read_all(rb).unwrap()
     });
     for (r, got) in results.iter().enumerate() {
         if let Some(d) = diff(got, &alltoall_expected(r, p, count)) {
@@ -109,14 +102,14 @@ fn check_alltoall(p: usize, count: usize, algo: AlltoallAlgo, in_place: bool) {
 
 fn check_bcast(p: usize, count: usize, root: usize, algo: BcastAlgo) {
     let arch = small_arch();
-    let (run, results) = run_team(&arch, p, move |comm| {
-        let me = comm.rank();
-        let buf = if me == root {
-            comm.alloc_with(&contribution(root, count))
+    let (run, results) = run_polled_team(&arch, p, move |rank| async move {
+        let comm = &mut PolledComm::new(rank);
+        let buf = if rank == root {
+            comm.alloc_with(&contribution(root, count)).unwrap()
         } else {
             comm.alloc(count)
         };
-        bcast(comm, algo, buf, count, root).unwrap();
+        bcast_polled(comm, algo, buf, count, root).await.unwrap();
         comm.read_all(buf).unwrap()
     });
     let expected = contribution(root, count);
@@ -245,11 +238,15 @@ fn allgather_ring_neighbor_strides() {
 #[test]
 fn allgather_ring_neighbor_rejects_bad_stride() {
     let arch = small_arch();
-    let (_, results) = run_team(&arch, 8, |comm| {
+    let (_, results) = run_polled_team(&arch, 8, |rank| async move {
+        let comm = &mut PolledComm::new(rank);
         let sb = comm.alloc(16);
         let rb = comm.alloc(8 * 16);
         // gcd(2, 8) != 1 — every rank must reject it identically.
-        allgather(comm, AllgatherAlgo::RingNeighbor { j: 2 }, Some(sb), rb, 16).is_err()
+        let algo = AllgatherAlgo::RingNeighbor { j: 2 };
+        allgather_polled(comm, algo, Some(sb), rb, 16)
+            .await
+            .is_err()
     });
     assert!(results.iter().all(|&r| r));
 }
@@ -331,9 +328,11 @@ fn bcast_knomial_radix_wider_than_team() {
 #[test]
 fn bcast_invalid_radix_rejected() {
     let arch = small_arch();
-    let (_, results) = run_team(&arch, 2, |comm| {
+    let (_, results) = run_polled_team(&arch, 2, |rank| async move {
+        let comm = &mut PolledComm::new(rank);
         let b = comm.alloc(8);
-        bcast(comm, BcastAlgo::KNomial { radix: 1 }, b, 8, 0).is_err()
+        let algo = BcastAlgo::KNomial { radix: 1 };
+        bcast_polled(comm, algo, b, 8, 0).await.is_err()
     });
     assert!(results.iter().all(|&r| r));
 }

@@ -2,10 +2,11 @@
 //! simulated machine.
 
 use kacc_collectives::verify::{contribution, diff};
-use kacc_collectives::{gatherv, scatterv, GatherAlgo, ScatterAlgo};
-use kacc_comm::{Comm, CommExt};
-use kacc_machine::run_team;
+use kacc_collectives::{gatherv_polled, scatterv_polled, GatherAlgo, ScatterAlgo};
+use kacc_comm::BufId;
+use kacc_machine::{run_polled_team, PolledComm, TeamRun};
 use kacc_model::ArchProfile;
+use std::future::Future;
 
 /// Rank r contributes/receives `base + 37·r` bytes (rank 2 gets zero to
 /// exercise empty slices).
@@ -23,6 +24,27 @@ fn packed(counts: &[usize]) -> Vec<u8> {
         .collect()
 }
 
+/// Run `body(comm, counts)` on every rank of a Broadwell team of
+/// `counts.len()` ranks.
+fn team<R, F, Fut>(counts: &[usize], body: F) -> (TeamRun, Vec<R>)
+where
+    F: Fn(PolledComm, Vec<usize>) -> Fut + 'static,
+    Fut: Future<Output = R> + 'static,
+    R: 'static,
+{
+    let counts = counts.to_vec();
+    run_polled_team(&ArchProfile::broadwell(), counts.len(), move |rank| {
+        body(PolledComm::new(rank), counts.clone())
+    })
+}
+
+/// The first `len` bytes of `buf`.
+fn prefix(comm: &PolledComm, buf: BufId, len: usize) -> Vec<u8> {
+    let mut out = vec![0u8; len];
+    comm.read_local(buf, 0, &mut out).unwrap();
+    out
+}
+
 #[test]
 fn scatterv_delivers_ragged_slices() {
     for algo in [
@@ -33,15 +55,14 @@ fn scatterv_delivers_ragged_slices() {
         for p in [2usize, 6, 9] {
             let cts = counts(p, 1000);
             let root = p - 1;
-            let cts2 = cts.clone();
-            let (_, results) = run_team(&ArchProfile::broadwell(), p, move |comm| {
+            let (_, results) = team(&cts, move |mut comm, cts| async move {
                 let me = comm.rank();
-                let sb = (me == root).then(|| comm.alloc_with(&packed(&cts2)));
-                let rb = comm.alloc(cts2[me].max(1));
-                scatterv(comm, algo, sb, Some(rb), &cts2, None, root).unwrap();
-                let mut out = vec![0u8; cts2[me]];
-                comm.read_local(rb, 0, &mut out).unwrap();
-                out
+                let sb = (me == root).then(|| comm.alloc_with(&packed(&cts)).unwrap());
+                let rb = comm.alloc(cts[me].max(1));
+                scatterv_polled(&mut comm, algo, sb, Some(rb), &cts, None, root)
+                    .await
+                    .unwrap();
+                prefix(&comm, rb, cts[me])
             });
             for (r, got) in results.iter().enumerate() {
                 if let Some(d) = diff(got, &contribution(r, cts[r])) {
@@ -61,13 +82,13 @@ fn gatherv_assembles_ragged_slices() {
     ] {
         for p in [2usize, 7] {
             let cts = counts(p, 800);
-            let cts2 = cts.clone();
-            let (_, results) = run_team(&ArchProfile::broadwell(), p, move |comm| {
+            let (_, results) = team(&cts, move |mut comm, cts| async move {
                 let me = comm.rank();
-                let sb = comm.alloc_with(&contribution(me, cts2[me]));
-                let total: usize = cts2.iter().sum();
-                let rb = (me == 0).then(|| comm.alloc(total));
-                gatherv(comm, algo, Some(sb), rb, &cts2, None, 0).unwrap();
+                let sb = comm.alloc_with(&contribution(me, cts[me])).unwrap();
+                let rb = (me == 0).then(|| comm.alloc(cts.iter().sum()));
+                gatherv_polled(&mut comm, algo, Some(sb), rb, &cts, None, 0)
+                    .await
+                    .unwrap();
                 rb.map(|b| comm.read_all(b).unwrap()).unwrap_or_default()
             });
             if let Some(d) = diff(&results[0], &packed(&cts)) {
@@ -94,23 +115,19 @@ fn gatherv_with_explicit_displacements_and_gaps() {
             .collect()
     };
     let total = displs.last().unwrap() + cts.last().unwrap() + 16;
-    let cts2 = cts.clone();
     let displs2 = displs.clone();
-    let (_, results) = run_team(&ArchProfile::broadwell(), p, move |comm| {
-        let me = comm.rank();
-        let sb = comm.alloc_with(&contribution(me, cts2[me]));
-        let rb = (me == 0).then(|| comm.alloc(total));
-        gatherv(
-            comm,
-            GatherAlgo::ThrottledWrite { k: 2 },
-            Some(sb),
-            rb,
-            &cts2,
-            Some(&displs2),
-            0,
-        )
-        .unwrap();
-        rb.map(|b| comm.read_all(b).unwrap()).unwrap_or_default()
+    let (_, results) = team(&cts, move |mut comm, cts| {
+        let displs = displs2.clone();
+        async move {
+            let me = comm.rank();
+            let sb = comm.alloc_with(&contribution(me, cts[me])).unwrap();
+            let rb = (me == 0).then(|| comm.alloc(total));
+            let algo = GatherAlgo::ThrottledWrite { k: 2 };
+            gatherv_polled(&mut comm, algo, Some(sb), rb, &cts, Some(&displs), 0)
+                .await
+                .unwrap();
+            rb.map(|b| comm.read_all(b).unwrap()).unwrap_or_default()
+        }
     });
     let got = &results[0];
     for r in 0..p {
@@ -134,18 +151,14 @@ fn zero_count_ranks_may_omit_buffers() {
         ScatterAlgo::SequentialWrite,
         ScatterAlgo::ThrottledRead { k: 2 },
     ] {
-        let cts2 = cts.clone();
-        let (_, results) = run_team(&ArchProfile::broadwell(), p, move |comm| {
+        let (_, results) = team(&cts, move |mut comm, cts| async move {
             let me = comm.rank();
-            let sb = (me == 0).then(|| comm.alloc_with(&packed(&cts2)));
-            let rb = (cts2[me] > 0 || me == 0).then(|| comm.alloc(cts2[me].max(1)));
-            scatterv(comm, salgo, sb, rb, &cts2, None, 0).unwrap();
-            rb.map(|b| {
-                let mut out = vec![0u8; cts2[me]];
-                comm.read_local(b, 0, &mut out).unwrap();
-                out
-            })
-            .unwrap_or_default()
+            let sb = (me == 0).then(|| comm.alloc_with(&packed(&cts)).unwrap());
+            let rb = (cts[me] > 0 || me == 0).then(|| comm.alloc(cts[me].max(1)));
+            scatterv_polled(&mut comm, salgo, sb, rb, &cts, None, 0)
+                .await
+                .unwrap();
+            rb.map(|b| prefix(&comm, b, cts[me])).unwrap_or_default()
         });
         for (r, got) in results.iter().enumerate() {
             assert!(
@@ -159,13 +172,13 @@ fn zero_count_ranks_may_omit_buffers() {
         GatherAlgo::SequentialRead,
         GatherAlgo::ThrottledWrite { k: 2 },
     ] {
-        let cts2 = cts.clone();
-        let (_, results) = run_team(&ArchProfile::broadwell(), p, move |comm| {
+        let (_, results) = team(&cts, move |mut comm, cts| async move {
             let me = comm.rank();
-            let sb = (cts2[me] > 0).then(|| comm.alloc_with(&contribution(me, cts2[me])));
-            let total: usize = cts2.iter().sum();
-            let rb = (me == 0).then(|| comm.alloc(total));
-            gatherv(comm, galgo, sb, rb, &cts2, None, 0).unwrap();
+            let sb = (cts[me] > 0).then(|| comm.alloc_with(&contribution(me, cts[me])).unwrap());
+            let rb = (me == 0).then(|| comm.alloc(cts.iter().sum()));
+            gatherv_polled(&mut comm, galgo, sb, rb, &cts, None, 0)
+                .await
+                .unwrap();
             rb.map(|b| comm.read_all(b).unwrap()).unwrap_or_default()
         });
         assert!(diff(&results[0], &packed(&cts)).is_none(), "{galgo:?}");
@@ -174,30 +187,19 @@ fn zero_count_ranks_may_omit_buffers() {
 
 #[test]
 fn vcoll_rejects_bad_metadata() {
-    let (_, results) = run_team(&ArchProfile::broadwell(), 3, |comm| {
+    let (_, results) = team(&[100; 3], |mut comm, _| async move {
+        let comm = &mut comm;
         let sb = comm.alloc(100);
         let rb = comm.alloc(100);
         // counts of the wrong length must fail identically everywhere.
-        let bad = scatterv(
-            comm,
-            ScatterAlgo::ParallelRead,
-            Some(sb),
-            Some(rb),
-            &[10, 20],
-            None,
-            0,
-        )
-        .is_err();
-        let bad2 = gatherv(
-            comm,
-            GatherAlgo::ParallelWrite,
-            Some(sb),
-            Some(rb),
-            &[10, 20, 30],
-            Some(&[0, 10]),
-            0,
-        )
-        .is_err();
+        let salgo = ScatterAlgo::ParallelRead;
+        let bad = scatterv_polled(comm, salgo, Some(sb), Some(rb), &[10, 20], None, 0)
+            .await
+            .is_err();
+        let (galgo, counts) = (GatherAlgo::ParallelWrite, [10, 20, 30]);
+        let bad2 = gatherv_polled(comm, galgo, Some(sb), Some(rb), &counts, Some(&[0, 10]), 0)
+            .await
+            .is_err();
         bad && bad2
     });
     assert!(results.iter().all(|&b| b));

@@ -8,9 +8,8 @@
 //! tolerance). Any drift between the trace and the accounting is a bug
 //! in the single-recording-path invariant.
 
-use kacc_collectives::{gatherv_with_report, scatter, GatherAlgo, ScatterAlgo, ScheduleReport};
-use kacc_comm::{Comm, CommExt};
-use kacc_machine::run_team_traced;
+use kacc_collectives::{gatherv_polled, scatter_polled, GatherAlgo, ScatterAlgo, ScheduleReport};
+use kacc_machine::{run_polled_team_traced, PolledComm};
 use kacc_model::ArchProfile;
 use kacc_trace::{Breakdown, Event, EventKind, Track};
 
@@ -41,22 +40,16 @@ fn contended_gather_spans_reproduce_stats_exactly() {
     let count = 16 * 4096; // multiple pin batches per transfer
     let root = 0;
     let arch = small_arch();
-    let (run, reports, events) = run_team_traced(&arch, p, move |comm| {
-        let me = comm.rank();
+    let (run, reports, events) = run_polled_team_traced(&arch, p, move |rank| async move {
+        let comm = &mut PolledComm::new(rank);
         let counts = vec![count; p];
-        let sb = comm.alloc_with(&vec![me as u8; count]);
-        let rb = (me == root).then(|| comm.alloc(p * count));
-        gatherv_with_report(
-            comm,
-            GatherAlgo::ParallelWrite,
-            Some(sb),
-            rb,
-            &counts,
-            None,
-            root,
-        )
-        .unwrap()
-        .expect("gather ran a schedule")
+        let sb = comm.alloc_with(&vec![rank as u8; count]).unwrap();
+        let rb = (rank == root).then(|| comm.alloc(p * count));
+        let algo = GatherAlgo::ParallelWrite;
+        gatherv_polled(comm, algo, Some(sb), rb, &counts, None, root)
+            .await
+            .unwrap()
+            .expect("gather ran a schedule")
     });
 
     // 1. Per-rank phase-span sums are bitwise equal to RankStats.
@@ -123,11 +116,14 @@ fn contended_scatter_lock_share_grows_superlinearly() {
     let count = 8 * 4096;
     let lock_total = |p: usize| -> f64 {
         let arch = small_arch();
-        let (_, _, events) = run_team_traced(&arch, p, move |comm| {
-            let me = comm.rank();
-            let sb = (me == 0).then(|| comm.alloc_with(&vec![1u8; p * count]));
+        let (_, _, events) = run_polled_team_traced(&arch, p, move |rank| async move {
+            let comm = &mut PolledComm::new(rank);
+            let sb = (rank == 0).then(|| comm.alloc_with(&vec![1u8; p * count]).unwrap());
             let rb = comm.alloc(count);
-            scatter(comm, ScatterAlgo::ParallelRead, sb, Some(rb), count, 0).unwrap();
+            let algo = ScatterAlgo::ParallelRead;
+            scatter_polled(comm, algo, sb, Some(rb), count, 0)
+                .await
+                .unwrap();
         });
         let b = Breakdown::from_events(&events);
         assert!(b.share("lock") > 0.0, "p={p}: no lock time recorded");

@@ -43,7 +43,7 @@ pub mod topology;
 pub use asynccomm::{block_on, AsyncComm, Blocking};
 pub use buffer::{BufId, RemoteToken};
 pub use error::{CommError, Result};
-pub use group::{validate_members, SubComm};
+pub use group::validate_members;
 pub use mask::MemberMask;
 pub use topology::Topology;
 

@@ -1,17 +1,21 @@
 //! Small-message collectives over the shared-memory control plane.
 //!
 //! The paper's native CMA collectives bootstrap themselves with tiny
-//! shared-memory transfers: buffer addresses are broadcast or gathered
-//! (one pointer per process) and completion is signalled with 0-byte
-//! messages (§III). These helpers implement those `T^sm_<coll>`
-//! primitives over [`Comm::ctrl_send`]/[`Comm::ctrl_recv`] using
-//! logarithmic trees so their cost stays negligible next to the data
-//! plane, as the model assumes.
+//! shared-memory transfers: buffer addresses are broadcast, gathered or
+//! allgathered (one pointer per process) and completion is signalled
+//! with 0-byte messages (§III). The collective compiler emits those
+//! `T^sm_<coll>` primitives as schedule steps speaking the wire format
+//! below; [`sm_allgather`] and [`sm_barrier`] are the two that
+//! hand-written bodies call directly, over
+//! [`AsyncComm::ctrl_send`]/[`AsyncComm::ctrl_recv`] in ⌈log₂ p⌉ rounds
+//! so their cost stays negligible next to the data plane, as the model
+//! assumes. A blocking [`crate::Comm`] runs them through
+//! [`crate::Blocking`] and [`crate::block_on`].
 //!
-//! Every helper takes a `class` so concurrent algorithm phases can use
+//! Each primitive owns a tag class, so concurrent algorithm phases use
 //! disjoint tag spaces.
 
-use crate::{Comm, CommExt, Result, Tag};
+use crate::{AsyncComm, Result, Tag};
 
 /// Tag classes used by the helpers in this module. Public so higher
 /// layers can avoid collisions when they hand-roll protocols. These are
@@ -28,121 +32,9 @@ pub mod class {
     pub const BARRIER: u32 = crate::tagclass::SM_BARRIER;
 }
 
-fn vrank(rank: usize, root: usize, p: usize) -> usize {
-    (rank + p - root) % p
-}
-
-fn unvrank(v: usize, root: usize, p: usize) -> usize {
-    (v + root) % p
-}
-
-/// Binomial-tree broadcast of a small payload. Every rank returns the
-/// root's payload. `root` supplies `data`; other ranks' `data` is ignored.
-pub fn sm_bcast<C: Comm + ?Sized>(comm: &mut C, root: usize, data: &[u8]) -> Result<Vec<u8>> {
-    let p = comm.size();
-    let me = comm.rank();
-    let tag = Tag::internal(class::BCAST, 0);
-    if p == 1 {
-        return Ok(data.to_vec());
-    }
-    let v = vrank(me, root, p);
-
-    let payload = if v == 0 {
-        data.to_vec()
-    } else {
-        // Parent is found by clearing our lowest set bit in virtual space.
-        let parent = v & (v - 1);
-        comm.ctrl_recv(unvrank(parent, root, p), tag)?
-    };
-
-    // Forward down the binomial tree: children are v | bit for each bit
-    // above our lowest set bit (all bits for the root).
-    let low = if v == 0 {
-        usize::MAX
-    } else {
-        v & v.wrapping_neg()
-    };
-    let mut bit = 1usize;
-    while bit < p {
-        if bit < low {
-            let child = v | bit;
-            if child != v && child < p {
-                comm.ctrl_send(unvrank(child, root, p), tag, &payload)?;
-            }
-        }
-        bit <<= 1;
-    }
-    Ok(payload)
-}
-
-/// Binomial-tree gather of small payloads. The root receives
-/// `Some(vec_of_payloads)` indexed by rank; non-roots receive `None`.
-pub fn sm_gather<C: Comm + ?Sized>(
-    comm: &mut C,
-    root: usize,
-    data: &[u8],
-) -> Result<Option<Vec<Vec<u8>>>> {
-    let p = comm.size();
-    let me = comm.rank();
-    let tag = Tag::internal(class::GATHER, 0);
-    if p == 1 {
-        return Ok(Some(vec![data.to_vec()]));
-    }
-    let v = vrank(me, root, p);
-
-    // Accumulate payloads from our binomial subtree, keyed by real rank.
-    // Wire format per entry: u32 rank, u32 len, bytes.
-    let mut acc: Vec<(u32, Vec<u8>)> = vec![(me as u32, data.to_vec())];
-
-    // Receive from children (largest subtree first mirrors the classic
-    // recursive formulation; order only matters for determinism).
-    let low = if v == 0 {
-        usize::MAX
-    } else {
-        v & v.wrapping_neg()
-    };
-    let mut bit = 1usize;
-    while bit < p {
-        if bit < low {
-            let child = v | bit;
-            if child != v && child < p {
-                let blob = comm.ctrl_recv(unvrank(child, root, p), tag)?;
-                acc.extend(decode_entries(&blob)?);
-            }
-        }
-        bit <<= 1;
-    }
-
-    if v == 0 {
-        let mut out: Vec<Vec<u8>> = vec![Vec::new(); p];
-        let mut seen = vec![false; p];
-        for (r, payload) in acc {
-            let r = r as usize;
-            if r >= p || seen[r] {
-                return Err(crate::CommError::Protocol(format!(
-                    "sm_gather saw duplicate or out-of-range rank {r}"
-                )));
-            }
-            seen[r] = true;
-            out[r] = payload;
-        }
-        if seen.iter().all(|&s| s) {
-            Ok(Some(out))
-        } else {
-            Err(crate::CommError::Protocol(
-                "sm_gather missing contributions".into(),
-            ))
-        }
-    } else {
-        let parent = v & (v - 1);
-        comm.ctrl_send(unvrank(parent, root, p), tag, &encode_entries(&acc))?;
-        Ok(None)
-    }
-}
-
 /// Bruck-style allgather of small payloads: every rank returns the vector
 /// of all ranks' payloads, indexed by rank. Runs in ⌈log2 p⌉ rounds.
-pub fn sm_allgather<C: Comm + ?Sized>(comm: &mut C, data: &[u8]) -> Result<Vec<Vec<u8>>> {
+pub async fn sm_allgather<C: AsyncComm>(comm: &mut C, data: &[u8]) -> Result<Vec<Vec<u8>>> {
     let p = comm.size();
     let me = comm.rank();
     if p == 1 {
@@ -166,8 +58,9 @@ pub fn sm_allgather<C: Comm + ?Sized>(comm: &mut C, data: &[u8]) -> Result<Vec<V
         let chunk: Vec<(u32, Vec<u8>)> = (0..send_count)
             .map(|i| have[i].clone().expect("bruck prefix is filled"))
             .collect();
-        comm.ctrl_send(send_to, tag, &encode_entries(&chunk))?;
-        let blob = comm.ctrl_recv(recv_from, tag)?;
+        comm.ctrl_send(send_to, tag, &encode_entries(&chunk))
+            .await?;
+        let blob = comm.ctrl_recv(recv_from, tag).await?;
         let entries = decode_entries(&blob)?;
         for (i, e) in entries.into_iter().enumerate() {
             let slot = dist + i;
@@ -188,15 +81,15 @@ pub fn sm_allgather<C: Comm + ?Sized>(comm: &mut C, data: &[u8]) -> Result<Vec<V
 }
 
 /// Dissemination barrier: ⌈log2 p⌉ rounds of 0-byte notifications.
-pub fn sm_barrier<C: Comm + ?Sized>(comm: &mut C) -> Result<()> {
+pub async fn sm_barrier<C: AsyncComm>(comm: &mut C) -> Result<()> {
     let p = comm.size();
     let me = comm.rank();
     let mut round = 0u32;
     let mut dist = 1usize;
     while dist < p {
         let tag = Tag::internal(class::BARRIER, round);
-        comm.notify((me + dist) % p, tag)?;
-        comm.wait_notify((me + p - dist) % p, tag)?;
+        comm.notify((me + dist) % p, tag).await?;
+        comm.wait_notify((me + p - dist) % p, tag).await?;
         dist <<= 1;
         round += 1;
     }
@@ -206,7 +99,7 @@ pub fn sm_barrier<C: Comm + ?Sized>(comm: &mut C) -> Result<()> {
 /// Encode `(rank, payload)` entries in the sm wire format: per entry a
 /// `u32` rank (LE), `u32` length (LE), then the payload bytes. Public so
 /// the compiled-schedule executor can speak the same format as
-/// [`sm_gather`]/[`sm_allgather`].
+/// [`sm_allgather`].
 pub fn encode_entries(entries: &[(u32, Vec<u8>)]) -> Vec<u8> {
     let mut out = Vec::with_capacity(entries.iter().map(|(_, d)| d.len() + 8).sum());
     for (rank, data) in entries {
@@ -384,17 +277,6 @@ mod tests {
                     .map(|e| e.map(|(rank, data)| (rank, data.to_vec())))
                     .collect();
                 proptest::prop_assert_eq!(&walked, &want);
-            }
-        }
-    }
-
-    #[test]
-    fn vrank_roundtrips() {
-        for p in 1..20 {
-            for root in 0..p {
-                for r in 0..p {
-                    assert_eq!(unvrank(vrank(r, root, p), root, p), r);
-                }
             }
         }
     }

@@ -10,9 +10,9 @@
 //! Classes 1–15 are reserved for the small-message bootstrap primitives
 //! (`smcoll`), 16+ for the bulk-data collective protocols.
 
-/// Small-message binomial broadcast (`smcoll::sm_bcast`).
+/// Small-message binomial broadcast (compiled `sm_bcast` steps).
 pub const SM_BCAST: u32 = 1;
-/// Small-message binomial gather (`smcoll::sm_gather`).
+/// Small-message binomial gather (compiled `sm_gather` steps).
 pub const SM_GATHER: u32 = 2;
 /// Small-message Bruck allgather (`smcoll::sm_allgather`).
 pub const SM_ALLGATHER: u32 = 3;
@@ -38,8 +38,8 @@ pub const MEMBERSHIP: u32 = 23;
 
 /// Every registered class with its owner, for the uniqueness audit.
 pub const ALL: &[(u32, &str)] = &[
-    (SM_BCAST, "smcoll::sm_bcast"),
-    (SM_GATHER, "smcoll::sm_gather"),
+    (SM_BCAST, "schedule::sm_bcast"),
+    (SM_GATHER, "schedule::sm_gather"),
     (SM_ALLGATHER, "smcoll::sm_allgather"),
     (SM_BARRIER, "smcoll::sm_barrier"),
     (SCATTER, "collectives::scatter"),

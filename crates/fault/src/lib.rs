@@ -135,7 +135,7 @@ pub enum FaultDecision {
     Fail(CommError),
     /// Delay the operation by `ns` nanoseconds, then proceed normally.
     Delay {
-        /// Injected latency in nanoseconds (virtual ns on `SimComm`).
+        /// Injected latency in nanoseconds (virtual ns on the simulator).
         ns: u64,
     },
 }

@@ -18,17 +18,15 @@
 //!   from it rather than being postulated;
 //! * [`fluid::MemSys`] — processor-shared memory bandwidth with per-core
 //!   ceilings and inter-socket derating;
-//! * [`simcomm::SimComm`] — a full [`kacc_comm::Comm`] endpoint charging
-//!   virtual time for syscalls, permission checks, batched pinning and
-//!   copying, plus a two-copy shared-memory data path and a
-//!   small-message control plane;
-//! * [`polled::PolledComm`] — the same model as a native
-//!   [`kacc_comm::AsyncComm`] on the thread-free kernel, the endpoint every
-//!   figure runs on; its kernel-assisted transfers are state machines
-//!   resident in the machine ([`xfer`]), stepped by the kernel itself;
-//! * [`team::run_team`] — the harness that runs one closure per rank on
-//!   a simulated node and reports per-rank timing and the Fig 4 step
-//!   breakdown;
+//! * [`polled::PolledComm`] — a native [`kacc_comm::AsyncComm`] endpoint
+//!   charging virtual time for a two-copy shared-memory data path, a
+//!   small-message control plane and local copies; its kernel-assisted
+//!   transfers (syscall, permission check, batched pinning, copying) are
+//!   state machines resident in the machine ([`xfer`]), stepped by the
+//!   kernel itself;
+//! * [`polled::run_polled_team`] and its variants — the harness that runs
+//!   one async body per rank on a simulated node (or cluster) and reports
+//!   per-rank timing and the Fig 4 step breakdown ([`team::TeamRun`]);
 //! * [`probe::SimProbe`] — the Table III parameter-extraction probes.
 //!
 //! Everything is deterministic: identical inputs produce bit-identical
@@ -37,7 +35,6 @@
 pub mod fluid;
 pub mod polled;
 pub mod probe;
-pub mod simcomm;
 pub mod state;
 pub mod team;
 pub mod xfer;
@@ -47,9 +44,6 @@ pub use polled::{
     run_polled_team_faulty_traced, run_polled_team_phantom, run_polled_team_traced, PolledComm,
 };
 pub use probe::SimProbe;
-pub use simcomm::{CmaDir, SimComm};
 pub use state::{MachineState, RankStats};
-pub use team::{
-    run_cluster, run_team, run_team_faulty, run_team_faulty_traced, run_team_no_fastpath,
-    run_team_phantom, run_team_traced, TeamRun,
-};
+pub use team::TeamRun;
+pub use xfer::CmaDir;

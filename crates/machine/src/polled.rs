@@ -11,22 +11,14 @@
 //! permission check, batched pinning through the page-lock server,
 //! copying through the memory system — from the event loop, through the
 //! step hook [`run_polled_machine_full`] installs; the rank's future is
-//! polled again only to collect the result. Every figure, the benchmark
-//! and the measurement helpers run on this endpoint.
-//!
-//! [`crate::SimComm`] is the same model as a blocking
-//! [`kacc_comm::Comm`] on the threads kernel — operation for operation
-//! the same server calls, cost arithmetic, trace spans, `RankStats`
-//! accounting and fault-gate placement, so a run of the same program is
-//! bitwise-identical on both (`tests/xfer_parity.rs` and the
-//! engine-equivalence suite pin this). It survives only as a test
-//! transport; a change to the model must be made in both until it is
-//! deleted.
+//! polled again only to collect the result. Every figure, the benchmark,
+//! the measurement helpers and every simulator test run on this
+//! endpoint; it is the simulator's only transport.
 
 use crate::fluid::FlowId;
 use crate::state::{Buf, MachineState};
 use crate::team::TeamRun;
-use crate::xfer::{step_xfer, CmaCall, Xfer};
+use crate::xfer::{step_xfer, CmaCall, CmaDir, Xfer};
 use kacc_comm::{AsyncComm, BufId, CommError, RemoteToken, Result, Tag, Topology};
 use kacc_fault::{FaultDecision, FaultHook, FaultOp, FaultSite};
 use kacc_model::{ArchProfile, FabricParams};
@@ -39,11 +31,9 @@ use std::cell::RefCell;
 use std::future::Future;
 use std::rc::Rc;
 
-pub use crate::simcomm::CmaDir;
-
-/// One rank's endpoint into the simulated machine, polled-engine
-/// flavor. Construct inside a rank task with [`PolledComm::new`]; the
-/// cached cost constants match [`crate::SimComm`] field for field.
+/// One rank's endpoint into the simulated machine. Construct inside a
+/// rank task with [`PolledComm::new`]; it caches the cost constants its
+/// operations charge.
 pub struct PolledComm {
     rank: usize,
     nranks: usize,
@@ -224,8 +214,11 @@ impl PolledComm {
         d
     }
 
-    /// Kernel-assisted transfer with separately controllable pin/copy
-    /// extents — see [`crate::SimComm::cma_transfer`].
+    /// Kernel-assisted transfer with separately controllable extents:
+    /// `remote_len` bytes of the peer's buffer are pinned, the first
+    /// `copy_len` of them move (`copy_len < remote_len` models a short
+    /// transfer). A fault decision is taken first; the call itself is
+    /// stepped by the machine ([`crate::xfer`]).
     #[allow(clippy::too_many_arguments)]
     pub async fn cma_transfer(
         &mut self,
@@ -942,32 +935,21 @@ impl AsyncComm for PolledComm {
     }
 }
 
-/// Dissemination barrier over the polled control plane — the mirror of
-/// [`kacc_comm::smcoll::sm_barrier`] (same tags, same rounds, same
-/// message sequence).
+/// Dissemination barrier over the control plane:
+/// [`kacc_comm::smcoll::sm_barrier`] on this endpoint.
 pub async fn sm_barrier_polled(comm: &mut PolledComm) -> Result<()> {
-    let p = comm.size();
-    let me = comm.rank();
-    let mut round = 0u32;
-    let mut dist = 1usize;
-    while dist < p {
-        let tag = Tag::internal(kacc_comm::smcoll::class::BARRIER, round);
-        comm.notify((me + dist) % p, tag).await?;
-        comm.wait_notify((me + p - dist) % p, tag).await?;
-        dist <<= 1;
-        round += 1;
-    }
-    Ok(())
+    kacc_comm::smcoll::sm_barrier(comm).await
 }
 
 // ---------------------------------------------------------------------
 // Harness: run one async body per rank on the polled engine.
 // ---------------------------------------------------------------------
 
-/// Run `f` on every rank of a simulated `nranks`-process node with the
-/// thread-free engine — the polled mirror of [`crate::run_team`]. `f`
+/// Run `f` on every rank of a simulated `nranks`-process node and return
+/// the timing report plus each rank's result (indexed by rank). `f`
 /// receives the rank and returns the rank's async body; the body should
-/// construct its endpoint with [`PolledComm::new`].
+/// construct its endpoint with [`PolledComm::new`]. Virtual time is a
+/// deterministic function of (arch, nranks, f).
 pub fn run_polled_team<R, F, Fut>(arch: &ArchProfile, nranks: usize, f: F) -> (TeamRun, Vec<R>)
 where
     F: Fn(usize) -> Fut + 'static,
@@ -979,8 +961,9 @@ where
     (run, results)
 }
 
-/// Phantom-buffer variant — the polled mirror of
-/// [`crate::run_team_phantom`].
+/// [`run_polled_team`] with phantom (length-only) buffers: identical
+/// virtual timing, no data plane — the memory-safe choice for large
+/// measurement sweeps where correctness is covered elsewhere.
 pub fn run_polled_team_phantom<R, F, Fut>(
     arch: &ArchProfile,
     nranks: usize,
@@ -1000,7 +983,12 @@ where
     (run, results)
 }
 
-/// Traced variant — the polled mirror of [`crate::run_team_traced`].
+/// [`run_polled_team`] with tracing enabled: additionally returns the
+/// full structured event stream — scheduler dispatches, copy-path phase
+/// spans (syscall/check/lock/pin/copy), transport spans with tag-class
+/// attribution, and lock-server queue-depth counters. Export with
+/// [`kacc_trace::chrome_trace_json`] for a Perfetto timeline or aggregate
+/// with [`kacc_trace::Breakdown`] for the Fig 2–4 tables.
 pub fn run_polled_team_traced<R, F, Fut>(
     arch: &ArchProfile,
     nranks: usize,
@@ -1014,8 +1002,9 @@ where
     run_polled_machine_full(MachineState::new(arch.clone(), nranks), true, true, f)
 }
 
-/// Fault-injecting variant — the polled mirror of
-/// [`crate::run_team_faulty`].
+/// [`run_polled_team`] with a fault injector installed: every transport
+/// operation consults `hook` before executing. With `FaultHook::off()`
+/// the run is bitwise-identical to [`run_polled_team`].
 pub fn run_polled_team_faulty<R, F, Fut>(
     arch: &ArchProfile,
     nranks: usize,
@@ -1033,8 +1022,9 @@ where
     (run, results)
 }
 
-/// Fault-injecting traced variant — the polled mirror of
-/// [`crate::run_team_faulty_traced`].
+/// [`run_polled_team_faulty`] with tracing enabled, for observing
+/// `fault:*` / `retry:*` / `fallback:*` recovery spans alongside the
+/// machine phases.
 pub fn run_polled_team_faulty_traced<R, F, Fut>(
     arch: &ArchProfile,
     nranks: usize,
@@ -1051,7 +1041,9 @@ where
     run_polled_machine_full(state, true, true, f)
 }
 
-/// Cluster variant — the polled mirror of [`crate::run_cluster`].
+/// Run `f` on every rank of a simulated cluster of `nodes` identical
+/// nodes with `ranks_per_node` processes each (see
+/// [`MachineState::cluster`] for the rank placement).
 pub fn run_polled_cluster<R, F, Fut>(
     arch: &ArchProfile,
     nodes: usize,
@@ -1073,9 +1065,13 @@ where
     (run, results)
 }
 
-/// The polled mirror of `run_machine_full` in [`crate::team`]: one
-/// buffered tracer shared by the scheduler and the machine model, one
-/// task per rank, [`TeamRun`] assembled from the same fields.
+/// The harness every variant above calls: `state` as built, with or
+/// without a trace and the kernel's direct-handoff fast path. One
+/// buffered tracer is shared by the scheduler and the machine model, so
+/// all layers land in a single correlated event stream; one task runs
+/// per rank. The fast path off routes every wake through the event
+/// queue — the reference `fastpath_equivalence` checks the default
+/// against.
 pub fn run_polled_machine_full<R, F, Fut>(
     mut state: MachineState,
     trace: bool,
@@ -1146,8 +1142,6 @@ where
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::team::{run_team, run_team_traced};
-    use kacc_comm::{Comm, CommExt};
 
     #[test]
     #[cfg(debug_assertions)]
@@ -1185,29 +1179,29 @@ mod tests {
         });
     }
 
-    /// The team-harness smoke program (two-rank CMA read) expressed for
-    /// both engines; every observable must be bitwise-identical.
+    /// 64-bit FNV-1a.
+    fn fnv(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// `run` against the clocks and event count, and the digest of the
+    /// whole report, that the thread kernel produced for the same program
+    /// (these tests compared the two engines while both existed).
+    fn assert_run(run: &TeamRun, end_ns: u64, finish_ns: &[u64], events: u64, whole: u64) {
+        assert_eq!(
+            (run.end_ns, &run.finish_ns[..], run.events),
+            (end_ns, finish_ns, events)
+        );
+        assert_eq!(fnv(format!("{run:?}").as_bytes()), whole, "{run:?}");
+    }
+
+    /// The team-harness smoke program: a two-rank CMA read.
     #[test]
     fn cma_read_matches_threads_engine() {
         let arch = ArchProfile::broadwell();
-        let (t_run, t_results) = run_team(&arch, 2, |comm| {
-            if comm.rank() == 0 {
-                let buf = comm.alloc(8192);
-                comm.write_local(buf, 0, &[0xAB; 8192]).unwrap();
-                let tok = comm.expose(buf).unwrap();
-                comm.ctrl_send(1, Tag::user(1), &tok.to_bytes()).unwrap();
-                comm.wait_notify(1, Tag::user(2)).unwrap();
-                Vec::new()
-            } else {
-                let raw = comm.ctrl_recv(0, Tag::user(1)).unwrap();
-                let tok = RemoteToken::from_bytes(&raw).unwrap();
-                let dst = comm.alloc(8192);
-                comm.cma_read(tok, 0, dst, 0, 8192).unwrap();
-                comm.notify(0, Tag::user(2)).unwrap();
-                comm.read_all(dst).unwrap()
-            }
-        });
-        let (p_run, p_results) = run_polled_team(&arch, 2, |rank| async move {
+        let (run, results) = run_polled_team(&arch, 2, |rank| async move {
             let mut comm = PolledComm::new(rank);
             if rank == 0 {
                 let buf = comm.alloc(8192);
@@ -1227,8 +1221,8 @@ mod tests {
                 comm.read_all(dst).unwrap()
             }
         });
-        assert_eq!(t_results, p_results);
-        assert_eq!(t_run, p_run);
+        assert_eq!(results, [Vec::new(), vec![0xAB; 8192]]);
+        assert_run(&run, 4448, &[4448, 4238], 9, 0xb282_d55d_0705_ca5f);
     }
 
     #[test]
@@ -1238,32 +1232,7 @@ mod tests {
         let arch = ArchProfile::knl();
         let eta = 16 * 1024;
         let readers = 6usize;
-        let threads = || {
-            run_team_traced(&arch, readers + 1, move |comm| {
-                if comm.rank() == 0 {
-                    let buf = comm.alloc(eta * readers);
-                    let tok = comm.expose(buf).unwrap();
-                    for r in 1..=readers {
-                        comm.ctrl_send(r, Tag::user(1), &tok.to_bytes()).unwrap();
-                    }
-                    for r in 1..=readers {
-                        comm.wait_notify(r, Tag::user(2)).unwrap();
-                    }
-                    0u64
-                } else {
-                    let raw = comm.ctrl_recv(0, Tag::user(1)).unwrap();
-                    let tok = RemoteToken::from_bytes(&raw).unwrap();
-                    let dst = comm.alloc(eta);
-                    let t0 = comm.time_ns();
-                    comm.cma_read(tok, (comm.rank() - 1) * eta, dst, 0, eta)
-                        .unwrap();
-                    let d = comm.time_ns() - t0;
-                    comm.notify(0, Tag::user(2)).unwrap();
-                    d
-                }
-            })
-        };
-        let polled = || {
+        let (run, durs, trace) =
             run_polled_team_traced(&arch, readers + 1, move |rank| async move {
                 let mut comm = PolledComm::new(rank);
                 if rank == 0 {
@@ -1290,61 +1259,34 @@ mod tests {
                     comm.notify(0, Tag::user(2)).await.unwrap();
                     d
                 }
-            })
-        };
-        let (t_run, t_durs, t_trace) = threads();
-        let (p_run, p_durs, p_trace) = polled();
-        assert_eq!(t_durs, p_durs);
-        assert_eq!(t_run, p_run);
+            });
+        assert_eq!(durs, [0, 12950, 14061, 14313, 14313, 14207, 14049]);
+        let finish = [16178, 13739, 15034, 15470, 15654, 15732, 15758];
+        assert_run(&run, 16178, &finish, 50, 0x2c30_aec9_e8c6_3a6c);
+        let json = kacc_trace::chrome_trace_json(&trace);
         assert_eq!(
-            kacc_trace::chrome_trace_json(&t_trace),
-            kacc_trace::chrome_trace_json(&p_trace),
-            "engines diverged in the event stream"
+            fnv(json.as_bytes()),
+            0x3f45_92d0_68ee_eff6,
+            "the event stream moved"
         );
     }
 
     #[test]
     fn barrier_matches_threads_engine() {
         let arch = ArchProfile::broadwell();
-        let (t_run, _) = run_team(&arch, 8, |comm| {
-            kacc_comm::smcoll::sm_barrier(comm).unwrap();
-            comm.time_ns()
-        });
-        let (p_run, _) = run_polled_team(&arch, 8, |rank| async move {
+        let (run, _) = run_polled_team(&arch, 8, |rank| async move {
             let mut comm = PolledComm::new(rank);
             sm_barrier_polled(&mut comm).await.unwrap();
             comm.time_ns()
         });
-        assert_eq!(t_run, p_run);
+        assert_run(&run, 900, &[900; 8], 56, 0x9bc1_f4a0_e83e_9bca);
     }
 
     #[test]
     fn cross_node_shm_send_matches_threads_engine() {
-        use crate::team::run_cluster;
         let arch = ArchProfile::broadwell();
         let fabric = arch.default_fabric();
-        let body_threads = |comm: &mut crate::SimComm| {
-            let me = comm.rank();
-            let p = comm.size();
-            let buf = comm.alloc(4096);
-            comm.write_local(buf, 0, &[me as u8; 4096]).unwrap();
-            let dst = comm.alloc(4096);
-            let peer = (me + p / 2) % p;
-            if me < p / 2 {
-                comm.shm_send_data(peer, Tag::user(3), buf, 0, 4096)
-                    .unwrap();
-                comm.shm_recv_data(peer, Tag::user(4), dst, 0, 4096)
-                    .unwrap();
-            } else {
-                comm.shm_recv_data(peer, Tag::user(3), dst, 0, 4096)
-                    .unwrap();
-                comm.shm_send_data(peer, Tag::user(4), buf, 0, 4096)
-                    .unwrap();
-            }
-            comm.read_all(dst).unwrap()[0]
-        };
-        let (t_run, t_res) = run_cluster(&arch, 2, 2, fabric.clone(), body_threads);
-        let (p_run, p_res) = run_polled_cluster(&arch, 2, 2, fabric, |rank| async move {
+        let (run, res) = run_polled_cluster(&arch, 2, 2, fabric, |rank| async move {
             let mut comm = PolledComm::new(rank);
             let me = comm.rank();
             let p = comm.size();
@@ -1369,8 +1311,14 @@ mod tests {
             }
             comm.read_all(dst).unwrap()[0]
         });
-        assert_eq!(t_res, p_res);
-        assert_eq!(t_run, p_run);
+        assert_eq!(res, [2, 3, 0, 1]);
+        assert_run(
+            &run,
+            5624,
+            &[5624, 5624, 3468, 3468],
+            20,
+            0x853d_fe8b_b9e3_d572,
+        );
     }
 
     // ---- the bulk message plane, on real and on phantom heaps ----------
@@ -1553,23 +1501,11 @@ mod tests {
         assert!(real_run.mem_recaches > 0, "the link servers did the work");
     }
 
-    /// The blocking twin refuses and times out exactly as the polled
-    /// endpoint does, on either kind of heap.
+    /// A short message and an expired deadline are refused at the times
+    /// the thread kernel refused them, on either kind of heap.
     #[test]
     fn bulk_refusals_match_threads_engine() {
-        use crate::team::run_team_phantom;
         let arch = ArchProfile::broadwell();
-        let threads = |comm: &mut crate::SimComm| {
-            let buf = comm.alloc(4096);
-            if comm.rank() == 0 {
-                comm.shm_send_data(1, Tag::user(1), buf, 0, 100).unwrap();
-                (Ok(()), Ok(true), comm.time_ns())
-            } else {
-                let short = comm.shm_recv_data(0, Tag::user(1), buf, 0, 64);
-                let expired = comm.shm_recv_deadline(0, Tag::user(2), buf, 0, 64, 900);
-                (short, expired, comm.time_ns())
-            }
-        };
         let polled = |rank| async move {
             let comm = &mut PolledComm::new(rank);
             let buf = comm.alloc(4096);
@@ -1586,22 +1522,13 @@ mod tests {
                 (short, expired, comm.time_ns())
             }
         };
-        let (p_run, p_res) = run_polled_team(&arch, 2, polled);
-        assert_eq!(
-            (&p_res[1].0, &p_res[1].1),
-            (
-                &Err(CommError::Truncated {
-                    wanted: 64,
-                    got: 100
-                }),
-                &Ok(false)
-            )
-        );
-        assert_eq!(run_team(&arch, 2, threads), (p_run.clone(), p_res.clone()));
-        assert_eq!(
-            run_team_phantom(&arch, 2, threads),
-            (p_run.clone(), p_res.clone())
-        );
-        assert_eq!(run_polled_team_phantom(&arch, 2, polled), (p_run, p_res));
+        let (run, res) = run_polled_team(&arch, 2, polled);
+        let truncated = Err(CommError::Truncated {
+            wanted: 64,
+            got: 100,
+        });
+        assert_eq!(res, [(Ok(()), Ok(true), 33), (truncated, Ok(false), 1233)]);
+        assert_run(&run, 1233, &[33, 1233], 5, 0xb465_3cc6_0324_99ff);
+        assert_eq!(run_polled_team_phantom(&arch, 2, polled), (run, res));
     }
 }

@@ -1,7 +1,8 @@
 //! Simulated Table III probes: implements `kacc_model::extract::CmaProbe`
 //! on top of the machine simulator.
 
-use crate::polled::{run_polled_team, CmaDir, PolledComm};
+use crate::polled::{run_polled_team, PolledComm};
+use crate::xfer::CmaDir;
 use kacc_comm::{RemoteToken, Tag};
 use kacc_model::extract::{CmaProbe, ProbeSpec};
 use kacc_model::ArchProfile;

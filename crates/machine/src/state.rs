@@ -374,7 +374,8 @@ pub struct MachineState {
     /// off; the team harness installs a live tracer for traced runs.
     pub tracer: kacc_trace::Tracer,
     /// Fault injector consulted by every transport operation. Defaults to
-    /// off (a single branch per site); `run_team_faulty` installs a plan.
+    /// off (a single branch per site); `run_polled_team_faulty` installs a
+    /// plan.
     pub fault: kacc_fault::FaultHook,
 }
 

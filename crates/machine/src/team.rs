@@ -1,13 +1,10 @@
-//! Team harness: run one closure per simulated rank and collect results.
+//! What a simulated team run reports: [`TeamRun`], assembled from the
+//! final machine state by the harness in [`crate::polled`].
 
-use crate::simcomm::SimComm;
 use crate::state::{MachineState, RankStats, TransportCounters};
-use kacc_fault::FaultHook;
 use kacc_metrics::LocalHist;
-use kacc_model::{ArchProfile, FabricParams};
-use kacc_sim_core::{Sim, SimRunMetrics};
-use kacc_trace::{Event, Tracer};
-use std::sync::{Arc, Mutex, OnceLock};
+use kacc_sim_core::SimRunMetrics;
+use std::sync::OnceLock;
 
 /// Timing and accounting from a completed team run.
 ///
@@ -31,9 +28,7 @@ pub struct TeamRun {
     /// Simulated events the kernel dispatched for this run (fast-path
     /// hand-offs included) — the numerator of the events/sec metric.
     pub events: u64,
-    /// Engine-level run metrics (queue traffic, wake fan-out). Identical
-    /// between the threads and polled engines by construction; `PartialEq`
-    /// on this struct makes the equivalence suite pin that.
+    /// Engine-level run metrics (queue traffic, wake fan-out).
     pub sim: SimRunMetrics,
     /// Queue-depth histogram merged across every page-lock server: one
     /// sample per pinning request, recording the active set it joined.
@@ -88,9 +83,7 @@ fn machine_handles() -> &'static MachineHandles {
 }
 
 /// Assemble a [`TeamRun`] from the final machine state and flush the
-/// machine-layer metrics into the global registry. Shared by the threads
-/// harness below and the polled harness in [`crate::polled`], so both
-/// engines account identically by construction.
+/// machine-layer metrics into the global registry.
 pub(crate) fn finish_team_run(
     st: &MachineState,
     end_ns: u64,
@@ -141,233 +134,35 @@ pub(crate) fn finish_team_run(
     run
 }
 
-/// Run `f` on every rank of a simulated `nranks`-process node and return
-/// the timing report plus each rank's return value (indexed by rank).
-///
-/// The closure runs inside the deterministic simulator: any `Comm` call
-/// advances virtual time according to the machine model. Wall-clock
-/// determinism holds for a fixed (arch, nranks, f).
-pub fn run_team<R, F>(arch: &ArchProfile, nranks: usize, f: F) -> (TeamRun, Vec<R>)
-where
-    F: Fn(&mut SimComm) -> R + Send + Sync + 'static,
-    R: Send + 'static,
-{
-    run_machine(MachineState::new(arch.clone(), nranks), f)
-}
-
-/// [`run_team`] with phantom (length-only) buffers: identical virtual
-/// timing, no data plane — the memory-safe choice for large measurement
-/// sweeps where correctness is covered elsewhere.
-pub fn run_team_phantom<R, F>(arch: &ArchProfile, nranks: usize, f: F) -> (TeamRun, Vec<R>)
-where
-    F: Fn(&mut SimComm) -> R + Send + Sync + 'static,
-    R: Send + 'static,
-{
-    run_machine(
-        MachineState::cluster_opts(arch.clone(), 1, nranks, None, true),
-        f,
-    )
-}
-
-/// [`run_team`] with tracing enabled: additionally returns the full
-/// structured event stream — scheduler dispatches, copy-path phase spans
-/// (syscall/check/lock/pin/copy), transport spans with tag-class
-/// attribution, and lock-server queue-depth counters. Export with
-/// [`kacc_trace::chrome_trace_json`] for a Perfetto timeline or aggregate
-/// with [`kacc_trace::Breakdown`] for the Fig 2–4 tables.
-pub fn run_team_traced<R, F>(
-    arch: &ArchProfile,
-    nranks: usize,
-    f: F,
-) -> (TeamRun, Vec<R>, Vec<Event>)
-where
-    F: Fn(&mut SimComm) -> R + Send + Sync + 'static,
-    R: Send + 'static,
-{
-    run_machine_opts(MachineState::new(arch.clone(), nranks), true, f)
-}
-
-/// [`run_team`] with a fault injector installed: every transport
-/// operation consults `hook` before executing. With
-/// `FaultHook::off()` the run is bitwise-identical (virtual times and
-/// payloads) to [`run_team`] — the zero-cost guard test pins this.
-pub fn run_team_faulty<R, F>(
-    arch: &ArchProfile,
-    nranks: usize,
-    hook: FaultHook,
-    f: F,
-) -> (TeamRun, Vec<R>)
-where
-    F: Fn(&mut SimComm) -> R + Send + Sync + 'static,
-    R: Send + 'static,
-{
-    let mut state = MachineState::new(arch.clone(), nranks);
-    state.fault = hook;
-    let (run, results, _) = run_machine_opts(state, false, f);
-    (run, results)
-}
-
-/// [`run_team_faulty`] with tracing enabled, for observing `fault:*` /
-/// `retry:*` / `fallback:*` recovery spans alongside the machine phases.
-pub fn run_team_faulty_traced<R, F>(
-    arch: &ArchProfile,
-    nranks: usize,
-    hook: FaultHook,
-    f: F,
-) -> (TeamRun, Vec<R>, Vec<Event>)
-where
-    F: Fn(&mut SimComm) -> R + Send + Sync + 'static,
-    R: Send + 'static,
-{
-    let mut state = MachineState::new(arch.clone(), nranks);
-    state.fault = hook;
-    run_machine_opts(state, true, f)
-}
-
-/// Run `f` on every rank of a simulated cluster of `nodes` identical
-/// nodes with `ranks_per_node` processes each (see
-/// [`MachineState::cluster`] for the rank placement).
-pub fn run_cluster<R, F>(
-    arch: &ArchProfile,
-    nodes: usize,
-    ranks_per_node: usize,
-    fabric: FabricParams,
-    f: F,
-) -> (TeamRun, Vec<R>)
-where
-    F: Fn(&mut SimComm) -> R + Send + Sync + 'static,
-    R: Send + 'static,
-{
-    run_machine(
-        MachineState::cluster(arch.clone(), nodes, ranks_per_node, Some(fabric)),
-        f,
-    )
-}
-
-/// [`run_team`] with the kernel's direct-handoff fast path disabled:
-/// every wake goes through the event queue and a condvar floor transfer.
-///
-/// Virtual-time behavior is identical by construction — the fast-path
-/// equivalence suite compares this against [`run_team`] across all
-/// collectives; it exists only for that comparison and for debugging.
-pub fn run_team_no_fastpath<R, F>(arch: &ArchProfile, nranks: usize, f: F) -> (TeamRun, Vec<R>)
-where
-    F: Fn(&mut SimComm) -> R + Send + Sync + 'static,
-    R: Send + 'static,
-{
-    let (run, results, _) =
-        run_machine_full(MachineState::new(arch.clone(), nranks), false, false, f);
-    (run, results)
-}
-
-fn run_machine<R, F>(state: MachineState, f: F) -> (TeamRun, Vec<R>)
-where
-    F: Fn(&mut SimComm) -> R + Send + Sync + 'static,
-    R: Send + 'static,
-{
-    let (run, results, _) = run_machine_opts(state, false, f);
-    (run, results)
-}
-
-fn run_machine_opts<R, F>(state: MachineState, trace: bool, f: F) -> (TeamRun, Vec<R>, Vec<Event>)
-where
-    F: Fn(&mut SimComm) -> R + Send + Sync + 'static,
-    R: Send + 'static,
-{
-    run_machine_full(state, trace, true, f)
-}
-
-fn run_machine_full<R, F>(
-    mut state: MachineState,
-    trace: bool,
-    fast_path: bool,
-    f: F,
-) -> (TeamRun, Vec<R>, Vec<Event>)
-where
-    F: Fn(&mut SimComm) -> R + Send + Sync + 'static,
-    R: Send + 'static,
-{
-    // One buffered tracer shared by the scheduler (dispatch instants) and
-    // the machine model (phase spans, queue-depth counters), so all layers
-    // land in a single correlated event stream.
-    let capture = trace.then(|| {
-        let (tracer, buf) = Tracer::buffered();
-        state.tracer = tracer.clone();
-        (tracer, buf)
-    });
-    let nranks = state.nranks;
-    let mut sim = Sim::new(state);
-    sim.set_fast_path(fast_path);
-    if let Some((tracer, _)) = &capture {
-        sim.set_tracer(tracer.clone());
-    }
-    let f = Arc::new(f);
-    let results: Arc<Mutex<Vec<Option<R>>>> =
-        Arc::new(Mutex::new((0..nranks).map(|_| None).collect()));
-    for rank in 0..nranks {
-        let f = Arc::clone(&f);
-        let results = Arc::clone(&results);
-        sim.spawn(move |ctx| {
-            let mut comm = SimComm::new(ctx, rank);
-            let r = f(&mut comm);
-            debug_assert!(
-                !comm.ctx().with_state(|s, _| s.owns_live_flow(rank)),
-                "rank {rank} finished while it owns a live flow"
-            );
-            results
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)[rank] = Some(r);
-        });
-    }
-    let report = sim.run();
-    let trace = capture.map(|(_, buf)| buf.take()).unwrap_or_default();
-    let st = report.state;
-    let run = finish_team_run(
-        &st,
-        report.end_time,
-        report.finish_times.clone(),
-        report.events,
-        report.metrics,
-    );
-    let results = Arc::try_unwrap(results)
-        .unwrap_or_else(|_| panic!("rank closures done"))
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    (
-        run,
-        results
-            .into_iter()
-            .map(|r| r.expect("every rank returned"))
-            .collect(),
-        trace,
-    )
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
-    use super::*;
-    use kacc_comm::{Comm, CommExt, Tag};
+    use crate::polled::{run_polled_team, run_polled_team_traced, PolledComm};
+    use kacc_comm::{smcoll, CommError, RemoteToken, Tag};
+    use kacc_model::ArchProfile;
 
     #[test]
     fn two_rank_cma_read_moves_data_and_time() {
         let arch = ArchProfile::broadwell();
-        let (run, results) = run_team(&arch, 2, |comm| {
-            if comm.rank() == 0 {
+        let (run, results) = run_polled_team(&arch, 2, |rank| async move {
+            let comm = &mut PolledComm::new(rank);
+            if rank == 0 {
                 // Expose a 2-page buffer of 0xAB and send the token.
                 let buf = comm.alloc(8192);
                 comm.write_local(buf, 0, &[0xAB; 8192]).unwrap();
-                let tok = comm.expose(buf).unwrap();
-                comm.ctrl_send(1, Tag::user(1), &tok.to_bytes()).unwrap();
+                let tok = comm.expose(buf).await.unwrap();
+                comm.ctrl_send(1, Tag::user(1), &tok.to_bytes())
+                    .await
+                    .unwrap();
                 // Wait for the reader's completion notification.
-                comm.wait_notify(1, Tag::user(2)).unwrap();
+                comm.wait_notify(1, Tag::user(2)).await.unwrap();
                 Vec::new()
             } else {
-                let raw = comm.ctrl_recv(0, Tag::user(1)).unwrap();
-                let tok = kacc_comm::RemoteToken::from_bytes(&raw).unwrap();
+                let raw = comm.ctrl_recv(0, Tag::user(1)).await.unwrap();
+                let tok = RemoteToken::from_bytes(&raw).unwrap();
                 let dst = comm.alloc(8192);
-                comm.cma_read(tok, 0, dst, 0, 8192).unwrap();
-                comm.notify(0, Tag::user(2)).unwrap();
+                comm.cma_read(tok, 0, dst, 0, 8192).await.unwrap();
+                comm.notify(0, Tag::user(2)).await.unwrap();
                 comm.read_all(dst).unwrap()
             }
         });
@@ -384,39 +179,56 @@ mod tests {
         assert_eq!(s.bytes_read, 8192);
     }
 
+    /// Per-reader latency of `readers` ranks each reading its own
+    /// `eta`-byte slice of one exposed buffer on rank 0, or — with
+    /// `pairs` — of `readers` distinct (reader, source) pairs.
+    fn read_latency(arch: &ArchProfile, readers: usize, eta: usize, pairs: bool) -> u64 {
+        let p = if pairs { 2 * readers } else { readers + 1 };
+        let (_, durs) = run_polled_team(arch, p, move |rank| async move {
+            let comm = &mut PolledComm::new(rank);
+            let (source, slot) = if pairs {
+                (rank - rank % 2, 0)
+            } else {
+                (0, rank.saturating_sub(1))
+            };
+            if rank == source {
+                let buf = comm.alloc(if pairs { eta } else { eta * readers });
+                let tok = comm.expose(buf).await.unwrap();
+                let mine: Vec<usize> = if pairs {
+                    vec![rank + 1]
+                } else {
+                    (1..=readers).collect()
+                };
+                for &r in &mine {
+                    comm.ctrl_send(r, Tag::user(1), &tok.to_bytes())
+                        .await
+                        .unwrap();
+                }
+                for &r in &mine {
+                    comm.wait_notify(r, Tag::user(2)).await.unwrap();
+                }
+                0u64
+            } else {
+                let raw = comm.ctrl_recv(source, Tag::user(1)).await.unwrap();
+                let tok = RemoteToken::from_bytes(&raw).unwrap();
+                let dst = comm.alloc(eta);
+                let t0 = comm.time_ns();
+                comm.cma_read(tok, slot * eta, dst, 0, eta).await.unwrap();
+                let d = comm.time_ns() - t0;
+                comm.notify(source, Tag::user(2)).await.unwrap();
+                d
+            }
+        });
+        durs.into_iter().max().unwrap()
+    }
+
     #[test]
     fn contention_inflates_one_to_all_reads() {
         // One-to-all: many ranks read *different* offsets of rank 0's
         // buffer concurrently — the Fig 2(c) pattern. Compare against a
         // single reader: per-reader latency must inflate superlinearly.
         let arch = ArchProfile::knl();
-        let eta = 64 * 1024;
-        let latency = |readers: usize| {
-            let (_, durs) = run_team(&arch, readers + 1, move |comm| {
-                if comm.rank() == 0 {
-                    let buf = comm.alloc(eta * readers);
-                    let tok = comm.expose(buf).unwrap();
-                    for r in 1..=readers {
-                        comm.ctrl_send(r, Tag::user(1), &tok.to_bytes()).unwrap();
-                    }
-                    for r in 1..=readers {
-                        comm.wait_notify(r, Tag::user(2)).unwrap();
-                    }
-                    0u64
-                } else {
-                    let raw = comm.ctrl_recv(0, Tag::user(1)).unwrap();
-                    let tok = kacc_comm::RemoteToken::from_bytes(&raw).unwrap();
-                    let dst = comm.alloc(eta);
-                    let t0 = comm.time_ns();
-                    comm.cma_read(tok, (comm.rank() - 1) * eta, dst, 0, eta)
-                        .unwrap();
-                    let d = comm.time_ns() - t0;
-                    comm.notify(0, Tag::user(2)).unwrap();
-                    d
-                }
-            });
-            *durs.iter().skip(1).max().unwrap()
-        };
+        let latency = |readers| read_latency(&arch, readers, 64 * 1024, false);
         let t1 = latency(1);
         let t8 = latency(8);
         let t32 = latency(32);
@@ -431,32 +243,7 @@ mod tests {
         // memory bandwidth saturates). Use a small message so bandwidth
         // sharing stays mild.
         let arch = ArchProfile::knl();
-        let eta = 16 * 1024;
-        let latency = |pairs: usize| {
-            let p = 2 * pairs;
-            let (_, durs) = run_team(&arch, p, move |comm| {
-                let me = comm.rank();
-                if me % 2 == 0 {
-                    // Source: expose and wait.
-                    let buf = comm.alloc(eta);
-                    let tok = comm.expose(buf).unwrap();
-                    comm.ctrl_send(me + 1, Tag::user(1), &tok.to_bytes())
-                        .unwrap();
-                    comm.wait_notify(me + 1, Tag::user(2)).unwrap();
-                    0u64
-                } else {
-                    let raw = comm.ctrl_recv(me - 1, Tag::user(1)).unwrap();
-                    let tok = kacc_comm::RemoteToken::from_bytes(&raw).unwrap();
-                    let dst = comm.alloc(eta);
-                    let t0 = comm.time_ns();
-                    comm.cma_read(tok, 0, dst, 0, eta).unwrap();
-                    let d = comm.time_ns() - t0;
-                    comm.notify(me - 1, Tag::user(2)).unwrap();
-                    d
-                }
-            });
-            durs.iter().skip(1).step_by(2).copied().max().unwrap()
-        };
+        let latency = |pairs| read_latency(&arch, pairs, 16 * 1024, true);
         let t1 = latency(1);
         let t4 = latency(4);
         assert!(
@@ -469,9 +256,11 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "rank 1 finished while it owns a live flow")]
     fn finishing_with_a_live_flow_is_caught() {
-        run_team(&ArchProfile::broadwell(), 2, |comm| {
-            if comm.rank() == 1 {
-                comm.ctx().with_state(|s, now| {
+        // The traced harness keeps the finish-time check: a rank that
+        // leaves a flow on its node's memory system is reported.
+        run_polled_team_traced(&ArchProfile::broadwell(), 2, |rank| async move {
+            if rank == 1 {
+                kacc_sim_core::polled::sim_with_state(|s: &mut crate::MachineState, now| {
                     s.mems[0].update(now);
                     s.mems[0].add(1, 4096, 1.0);
                 });
@@ -479,22 +268,27 @@ mod tests {
         });
     }
 
+    /// Every rank exposes a 4 KiB buffer filled with its rank, allgathers
+    /// the tokens and reads its ring neighbour's buffer.
+    async fn ring_read(comm: &mut PolledComm, len: usize) -> (u64, u8) {
+        let me = comm.rank();
+        let p = comm.size();
+        let buf = comm.alloc(len);
+        comm.write_local(buf, 0, &vec![me as u8; len]).unwrap();
+        let tok = comm.expose(buf).await.unwrap();
+        let toks = smcoll::sm_allgather(comm, &tok.to_bytes()).await.unwrap();
+        let dst = comm.alloc(len);
+        let t = RemoteToken::from_bytes(&toks[(me + 1) % p]).unwrap();
+        comm.cma_read(t, 0, dst, 0, len).await.unwrap();
+        (comm.time_ns(), comm.read_all(dst).unwrap()[0])
+    }
+
     #[test]
     fn runs_are_deterministic() {
         let arch = ArchProfile::power8();
         let go = || {
-            run_team(&arch, 16, |comm| {
-                let me = comm.rank();
-                let p = comm.size();
-                let buf = comm.alloc(4096);
-                comm.write_local(buf, 0, &[me as u8; 4096]).unwrap();
-                let tok = comm.expose(buf).unwrap();
-                let toks = kacc_comm::smcoll::sm_allgather(comm, &tok.to_bytes()).unwrap();
-                let dst = comm.alloc(4096);
-                let peer = (me + 1) % p;
-                let t = kacc_comm::RemoteToken::from_bytes(&toks[peer]).unwrap();
-                comm.cma_read(t, 0, dst, 0, 4096).unwrap();
-                (comm.time_ns(), comm.read_all(dst).unwrap()[0])
+            run_polled_team(&arch, 16, |rank| async move {
+                ring_read(&mut PolledComm::new(rank), 4096).await
             })
         };
         let (r1, v1) = go();
@@ -511,14 +305,8 @@ mod tests {
     #[test]
     fn traced_run_captures_timeline() {
         let arch = ArchProfile::broadwell();
-        let (run, _, trace) = run_team_traced(&arch, 3, |comm| {
-            let b = comm.alloc(8192);
-            let tok = comm.expose(b).unwrap();
-            let toks = kacc_comm::smcoll::sm_allgather(comm, &tok.to_bytes()).unwrap();
-            let peer = (comm.rank() + 1) % 3;
-            let t = kacc_comm::RemoteToken::from_bytes(&toks[peer]).unwrap();
-            let dst = comm.alloc(8192);
-            comm.cma_read(t, 0, dst, 0, 8192).unwrap();
+        let (run, _, trace) = run_polled_team_traced(&arch, 3, |rank| async move {
+            ring_read(&mut PolledComm::new(rank), 8192).await
         });
         assert!(run.end_ns > 0);
         assert!(!trace.is_empty());
@@ -554,49 +342,47 @@ mod tests {
         kacc_trace::validate::validate_chrome_json(&json).expect("trace export validates");
     }
 
-    #[test]
-    fn permission_denied_without_expose() {
-        let (_, results) = run_team(&ArchProfile::broadwell(), 2, |comm| {
-            if comm.rank() == 0 {
+    /// Rank 0 hands rank 1 `token` for a 4 KiB buffer (exposed or not);
+    /// rank 1 reads `len` bytes at `off` from it and returns the error.
+    fn refused_read(expose: bool, off: usize, len: usize) -> CommError {
+        let (_, results) = run_polled_team(&ArchProfile::broadwell(), 2, move |rank| async move {
+            let comm = &mut PolledComm::new(rank);
+            if rank == 0 {
                 let buf = comm.alloc(4096);
-                // NOT exposed; ship a forged token anyway.
-                let forged = kacc_comm::RemoteToken {
-                    rank: 0,
-                    token: buf.0,
+                let tok = if expose {
+                    comm.expose(buf).await.unwrap()
+                } else {
+                    // NOT exposed; ship a forged token anyway.
+                    RemoteToken {
+                        rank: 0,
+                        token: buf.0,
+                    }
                 };
-                comm.ctrl_send(1, Tag::user(1), &forged.to_bytes()).unwrap();
-                comm.wait_notify(1, Tag::user(2)).unwrap();
-                true
+                comm.ctrl_send(1, Tag::user(1), &tok.to_bytes())
+                    .await
+                    .unwrap();
+                comm.wait_notify(1, Tag::user(2)).await.unwrap();
+                None
             } else {
-                let raw = comm.ctrl_recv(0, Tag::user(1)).unwrap();
-                let tok = kacc_comm::RemoteToken::from_bytes(&raw).unwrap();
-                let dst = comm.alloc(4096);
-                let err = comm.cma_read(tok, 0, dst, 0, 4096).unwrap_err();
-                comm.notify(0, Tag::user(2)).unwrap();
-                err == kacc_comm::CommError::PermissionDenied
+                let raw = comm.ctrl_recv(0, Tag::user(1)).await.unwrap();
+                let tok = RemoteToken::from_bytes(&raw).unwrap();
+                let dst = comm.alloc(len);
+                let err = comm.cma_read(tok, off, dst, 0, len).await.unwrap_err();
+                comm.notify(0, Tag::user(2)).await.unwrap();
+                Some(err)
             }
         });
-        assert!(results[1]);
+        results[1].clone().unwrap()
+    }
+
+    #[test]
+    fn permission_denied_without_expose() {
+        assert_eq!(refused_read(false, 0, 4096), CommError::PermissionDenied);
     }
 
     #[test]
     fn out_of_range_cma_is_rejected() {
-        let (_, results) = run_team(&ArchProfile::broadwell(), 2, |comm| {
-            if comm.rank() == 0 {
-                let buf = comm.alloc(4096);
-                let tok = comm.expose(buf).unwrap();
-                comm.ctrl_send(1, Tag::user(1), &tok.to_bytes()).unwrap();
-                comm.wait_notify(1, Tag::user(2)).unwrap();
-                true
-            } else {
-                let raw = comm.ctrl_recv(0, Tag::user(1)).unwrap();
-                let tok = kacc_comm::RemoteToken::from_bytes(&raw).unwrap();
-                let dst = comm.alloc(8192);
-                let err = comm.cma_read(tok, 4000, dst, 0, 8192).unwrap_err();
-                comm.notify(0, Tag::user(2)).unwrap();
-                matches!(err, kacc_comm::CommError::OutOfRange { .. })
-            }
-        });
-        assert!(results[1]);
+        let err = refused_read(true, 4000, 8192);
+        assert!(matches!(err, CommError::OutOfRange { .. }), "{err:?}");
     }
 }

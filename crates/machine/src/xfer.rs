@@ -12,17 +12,28 @@
 //! the rank advances the transfer straight from the event loop and the
 //! rank's future is polled again only when the call has returned.
 //!
-//! The cost model is the one [`crate::SimComm`] spells out as blocking
-//! code (same server calls in the same order, same `RankStats` sums, same
-//! spans and counters); `tests/xfer_parity.rs` compares the two bitwise.
+//! This is the one implementation of the paper's CMA cost model (Tables
+//! II–IV): syscall entry, permission check, per-batch pinning through the
+//! peer's page-lock server, copying through the memory system. The unit
+//! tests below pin each early return and the fault paths; the figures,
+//! `trace_accounting` and the collective pins pin the rest in virtual
+//! nanoseconds.
 
 use crate::fluid::FlowId;
-use crate::simcomm::CmaDir;
 use crate::state::{move_bytes, MachineState};
 use kacc_comm::{BufId, CommError, RemoteToken, Result};
 use kacc_sim_core::polled::Step;
 use kacc_sim_core::{SimTime, Waker};
 use kacc_trace::Track;
+
+/// Direction of a kernel-assisted transfer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CmaDir {
+    /// `process_vm_readv`: data flows remote → local.
+    Read,
+    /// `process_vm_writev`: data flows local → remote.
+    Write,
+}
 
 /// The arguments of one kernel-assisted call: `remote_len` bytes of the
 /// exposed buffer are pinned, the first `copy_len` of them move.
@@ -166,10 +177,9 @@ impl Xfer {
 /// `Ready` when there is none or it has returned, `Wait` on its timer or
 /// fluid-server completion, `Again` to end the evaluation before a second
 /// server call that may request wakes (a flow leaving or joining a
-/// server). One such call per evaluation is the grouping of
-/// [`crate::SimComm`]'s poll closures — each is an evaluation of its own
-/// there, and the ones between them request nothing — so wakes coalesce
-/// and count exactly as they do in the reference.
+/// server). One such call per evaluation keeps each server call's wakes
+/// in an evaluation of their own, so wakes coalesce and the fan-out
+/// histogram counts as if every server call were its own poll closure.
 pub fn step_xfer(s: &mut MachineState, tid: usize, w: &mut Waker, now: SimTime) -> Step<()> {
     let MachineState {
         arch,

@@ -21,10 +21,9 @@
 use crate::gamma::GammaModel;
 use crate::params::ModelParams;
 use kacc_comm::Topology;
-use serde::{Deserialize, Serialize};
 
 /// Complete description of one node architecture.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArchProfile {
     /// Human-readable name ("KNL", "Broadwell", "Power8").
     pub name: String,
@@ -250,7 +249,7 @@ impl ArchProfile {
 
 /// Inter-node fabric parameters (latency-bandwidth model with per-NIC
 /// link sharing, used by the multi-node experiments of §VII-G).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FabricParams {
     /// Fabric name for display.
     pub name: String,
@@ -346,13 +345,5 @@ mod tests {
         assert!(ArchProfile::by_name("knl").is_some());
         assert!(ArchProfile::by_name("BROADWELL").is_some());
         assert!(ArchProfile::by_name("skylake").is_none());
-    }
-
-    #[test]
-    fn profiles_implement_serde() {
-        // Compile-time check that the derives exist (the repro harness
-        // serializes profiles for its records).
-        fn assert_serde<T: serde::Serialize + for<'a> serde::Deserialize<'a>>() {}
-        assert_serde::<ArchProfile>();
     }
 }

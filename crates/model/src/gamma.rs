@@ -7,10 +7,9 @@
 //! reader set spans sockets; it fits γ with nonlinear least squares.
 
 use kacc_numerics::nlls::{levenberg_marquardt, LmOptions, NllsError};
-use serde::{Deserialize, Serialize};
 
 /// A γ(c) model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum GammaModel {
     /// No contention: γ(c) = 1 for all c. Useful as an ablation.
     Unit,

@@ -1,11 +1,10 @@
 //! The Table II parameter bundle consumed by the closed-form predictions.
 
 use crate::gamma::GammaModel;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the paper's cost model (Table II), in nanoseconds and
 /// bytes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelParams {
     /// α — startup cost per message (syscall + permission check).
     pub alpha_ns: f64,

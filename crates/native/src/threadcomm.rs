@@ -5,15 +5,9 @@
 
 use kacc_comm::{BufId, Comm, CommError, RemoteToken, Result, Tag, Topology};
 use kacc_fault::{FaultDecision, FaultHook, FaultOp, FaultSite};
-use parking_lot_shim::{Condvar, Mutex};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::{Arc, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-
-// Small local alias module so this crate's only sync dependency is std.
-mod parking_lot_shim {
-    pub use std::sync::{Condvar, Mutex};
-}
 
 /// (owner rank, buffer id) → shared contents.
 type BufMap = HashMap<(usize, u64), Arc<Mutex<Vec<u8>>>>;
@@ -621,7 +615,7 @@ impl Comm for ThreadComm {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use kacc_comm::CommExt;
+    use kacc_comm::{block_on, smcoll, Blocking, CommExt};
 
     #[test]
     fn threads_exchange_via_cma_semantics() {
@@ -630,12 +624,13 @@ mod tests {
             let p = comm.size();
             let src = comm.alloc_with(&[me as u8; 1000]);
             let tok = comm.expose(src).unwrap();
-            let toks = kacc_comm::smcoll::sm_allgather(comm, &tok.to_bytes()).unwrap();
+            let toks =
+                block_on(smcoll::sm_allgather(&mut Blocking(comm), &tok.to_bytes())).unwrap();
             let dst = comm.alloc(1000);
             let peer = (me + 1) % p;
             let t = RemoteToken::from_bytes(&toks[peer]).unwrap();
             comm.cma_read(t, 0, dst, 0, 1000).unwrap();
-            kacc_comm::smcoll::sm_barrier(comm).unwrap();
+            block_on(smcoll::sm_barrier(&mut Blocking(comm))).unwrap();
             comm.read_all(dst).unwrap()
         });
         for (me, got) in results.iter().enumerate() {

@@ -2,22 +2,20 @@
 #![warn(clippy::unwrap_used)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-//! Deterministic discrete-event simulation kernel with cooperative rank
-//! threads.
+//! Deterministic discrete-event simulation kernel.
 //!
-//! Simulated processes are ordinary blocking Rust closures, each running on
-//! its own OS thread. The kernel enforces that **exactly one thread runs at
-//! a time** and hands control between threads according to a virtual-time
-//! event queue with a global sequence-number tie-break, so every run over
-//! the same program is bit-for-bit deterministic regardless of host
-//! scheduling.
+//! Simulated processes are rank tasks — `async` bodies, or hand-written
+//! [`RankTask`] state machines — that one driver, [`PolledSim`], polls on
+//! the calling thread whenever the virtual-time event queue dispatches
+//! to them. The queue breaks time ties with a global sequence number, so
+//! every run over the same program is bit-for-bit deterministic.
 //!
 //! The kernel is generic over a user state type `S` (the simulated
-//! machine). Threads interact with `S` and with virtual time through
-//! [`Ctx::poll`]: a closure that atomically inspects/mutates the shared
-//! state and either completes or blocks with an optional timer. On every
-//! wake-up — timer expiry or an explicit [`Waker::wake_at`] from another
-//! thread — the closure re-evaluates, which makes stale-event races
+//! machine). Tasks interact with `S` and with virtual time through
+//! [`polled::sim_poll`]: a closure that atomically inspects/mutates the
+//! shared state and either completes or blocks with an optional timer. On
+//! every wake-up — timer expiry or an explicit [`Waker::wake_at`] from
+//! another task — the closure re-evaluates, which makes stale-event races
 //! impossible by construction: a wake that arrives too early simply
 //! re-blocks.
 //!
@@ -27,28 +25,23 @@
 //!
 //! ## Hot-path engineering (see DESIGN.md §11)
 //!
-//! Three mechanisms keep per-event cost low without touching virtual-time
+//! Two mechanisms keep per-event cost low without touching virtual-time
 //! semantics:
 //!
-//! * **Direct-handoff fast path** — when a blocking thread's own timer is
+//! * **Direct-handoff fast path** — when a blocking task's own timer is
 //!   strictly the earliest pending event (the common case in lock-stepped
-//!   collectives), [`Ctx::poll`] advances the clock in place and
-//!   re-evaluates the closure immediately: no queue traffic, no condvar
-//!   round-trip, no floor transfer. Sequence numbers and epochs are
-//!   bumped exactly as the slow path would, so the dispatch order — and
+//!   collectives), the driver advances the clock in place and polls the
+//!   task again at once: no queue traffic. Sequence numbers and epochs are
+//!   bumped exactly as the queue route would, so the dispatch order — and
 //!   therefore every virtual timestamp — is bit-identical
-//!   ([`Sim::set_fast_path`] disables it for equivalence testing).
-//! * **Index-aware event queue** — at most one pending wake per thread,
+//!   ([`PolledSim::set_fast_path`] turns it off; the queue route is the
+//!   reference the fast path is tested against).
+//! * **Index-aware event queue** — at most one pending wake per task,
 //!   with decrease-key on earlier re-wakes and in-place replacement when
-//!   a thread's epoch advances. Stale entries stop accumulating (the old
-//!   binary heap grew O(waker-storm²) garbage under fluid-server
-//!   contention) and duplicate wakes coalesce to the earliest time
-//!   before they ever reach the queue. The heap is 4-ary with the
-//!   `(time, seq)` key inline in each node.
-//! * **Persistent worker pool** — rank bodies run on [`SimPool`] threads
-//!   that persist for the process lifetime, so a sweep of thousands of
-//!   `Sim::run` points stops paying `nranks` OS thread spawns + joins
-//!   per point.
+//!   a task's epoch advances. Stale entries never accumulate and
+//!   duplicate wakes coalesce to the earliest time before they ever reach
+//!   the queue. The heap is 4-ary with the `(time, seq)` key inline in
+//!   each node.
 
 pub mod mailbox;
 pub mod polled;
@@ -63,22 +56,20 @@ pub use polled::{PolledSim, RankTask, TaskCtx, TaskPoll};
 pub use kacc_trace::{chrome_trace_json, Event as TraceEvent, SharedBuffer, Tracer};
 
 use kacc_trace::Track;
-use parking_lot::{Condvar, Mutex};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Virtual time in nanoseconds.
 pub type SimTime = u64;
 
 /// Process-wide count of dispatched simulation events, accumulated when
-/// each [`Sim::run`] completes. The delta across a sweep divided by its
-/// wall-clock gives events/sec — the kernel throughput metric the
+/// each [`PolledSim::run`] completes. The delta across a sweep divided by
+/// its wall-clock gives events/sec — the kernel throughput metric the
 /// `des_kernel` bench and `repro --bench-out` report.
 static TOTAL_EVENTS: AtomicU64 = AtomicU64::new(0);
 
 /// Of [`total_events`], how many took the direct-handoff fast path
-/// (no queue traffic, no condvar round-trip).
+/// (no queue traffic).
 static TOTAL_FAST: AtomicU64 = AtomicU64::new(0);
 
 /// Total simulated events dispatched by completed runs in this process.
@@ -95,9 +86,7 @@ pub fn total_fast_handoffs() -> u64 {
 /// Per-run kernel metrics, carried in [`RunReport::metrics`] and flushed
 /// into the `kacc-metrics` global registry when a run completes.
 ///
-/// All fields are deterministic functions of the simulated program:
-/// both engines (threads and polled) count the same sites in the shared
-/// kernel code, so the engine-equivalence suites pin them bitwise-equal.
+/// All fields are deterministic functions of the simulated program.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SimRunMetrics {
     /// Event-queue insert calls (wake pushes, including seeds).
@@ -154,7 +143,6 @@ fn sim_handles() -> &'static SimHandles {
 }
 
 /// Flush one completed run's kernel metrics into the global registry.
-/// Shared by both engines so they publish identically by construction.
 pub(crate) fn flush_run_metrics(m: &SimRunMetrics, events: u64) {
     let h = sim_handles();
     h.runs.inc();
@@ -169,7 +157,7 @@ pub(crate) fn flush_run_metrics(m: &SimRunMetrics, events: u64) {
     h.wake_fanout.merge_local(&m.wake_fanout);
 }
 
-/// Result of one evaluation of a [`Ctx::poll`] closure.
+/// Result of one evaluation of a [`polled::sim_poll`] closure.
 pub enum Poll<T> {
     /// The operation completed with this value.
     Ready(T),
@@ -177,14 +165,14 @@ pub enum Poll<T> {
     /// time `t` (must not be in the past; debug builds assert); otherwise
     /// wait for an external [`Waker::wake_at`].
     Wait {
-        /// Optional timer for the blocking thread.
+        /// Optional timer for the blocking task.
         wake_at: Option<SimTime>,
     },
 }
 
-/// Handle other threads' wake-ups from inside a poll closure.
+/// Handle other tasks' wake-ups from inside a poll closure.
 ///
-/// Any state change that can move another thread's completion time
+/// Any state change that can move another task's completion time
 /// *earlier* must push a fresh wake for it; wakes that turn out premature
 /// are harmless (the woken closure re-blocks).
 pub struct Waker {
@@ -213,12 +201,12 @@ impl Waker {
         }
     }
 
-    /// Schedule thread `tid` to re-evaluate its poll closure at virtual
+    /// Schedule task `tid` to re-evaluate its poll closure at virtual
     /// time `at` (clamped to the current time if in the past; debug
     /// builds assert against past times so scheduling bugs can't hide
     /// behind the clamp).
     ///
-    /// Duplicate wakes for the same thread within one poll evaluation
+    /// Duplicate wakes for the same task within one poll evaluation
     /// coalesce to the earliest time here, before they ever reach the
     /// event queue.
     pub fn wake_at(&mut self, tid: usize, at: SimTime) {
@@ -413,24 +401,22 @@ impl EventQueue {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ThreadPhase {
-    /// Not yet given the floor for the first time.
+    /// Not yet dispatched for the first time.
     Starting,
-    /// Currently holds the floor.
+    /// Being polled.
     Running,
-    /// Parked inside a poll.
+    /// Blocked on a wake.
     Parked,
-    /// User closure returned.
+    /// Rank body returned.
     Finished,
 }
 
 struct ThreadSlot {
     phase: ThreadPhase,
     /// Wake-token epoch; events carry the epoch they were issued for and
-    /// are discarded if the thread has re-parked since.
+    /// are discarded if the task has re-parked since.
     epoch: u64,
-    /// Floor-transfer flag, protected by the kernel mutex.
-    go: bool,
-    /// What the thread is blocked on (for deadlock dumps).
+    /// What the task is blocked on (for deadlock dumps).
     label: &'static str,
     finish_time: Option<SimTime>,
 }
@@ -438,13 +424,12 @@ struct ThreadSlot {
 struct KernelState<S> {
     now: SimTime,
     seq: u64,
-    /// Pending wakes, one per thread at most.
+    /// Pending wakes, one per task at most.
     queue: EventQueue,
     threads: Vec<ThreadSlot>,
     live: usize,
     user: S,
     panic_msg: Option<String>,
-    all_done: bool,
     /// Events dispatched this run (includes fast-path hand-offs).
     dispatches: u64,
     /// Subset of `dispatches` that took the direct-handoff fast path.
@@ -454,7 +439,7 @@ struct KernelState<S> {
     /// invalidates the coalescing slots wholesale between evaluations.
     waker: Waker,
     /// Direct-handoff fast path enabled (default); disable via
-    /// [`Sim::set_fast_path`] to force every wake through the queue.
+    /// [`PolledSim::set_fast_path`] to force every wake through the queue.
     fast_path: bool,
     /// Wake-side metrics (raw/coalesced wakes, fan-out); queue-side
     /// counters live inside `queue` and are folded in at run end by
@@ -480,9 +465,9 @@ impl<S> KernelState<S> {
         m
     }
 
-    /// One evaluation of a poll closure, on either engine: run it against
-    /// the user state with a fresh waker generation, then push the wakes
-    /// it requested against each target's *current* epoch.
+    /// One evaluation of a poll closure: run it against the user state
+    /// with a fresh waker generation, then push the wakes it requested
+    /// against each target's *current* epoch.
     fn evaluate<R>(&mut self, f: impl FnOnce(&mut S, &mut Waker, SimTime) -> R) -> R {
         self.waker.gen += 1;
         let outcome = f(&mut self.user, &mut self.waker, self.now);
@@ -490,7 +475,7 @@ impl<S> KernelState<S> {
             let mut pending = std::mem::take(&mut self.waker.pending);
             for &(tid, at) in &pending {
                 let epoch = self.threads[tid].epoch;
-                Kernel::push_event(self, at, tid, epoch);
+                self.push_event(at, tid, epoch);
             }
             self.metrics.wake_fanout.record(pending.len() as u64);
             pending.clear();
@@ -498,320 +483,26 @@ impl<S> KernelState<S> {
         }
         outcome
     }
-}
 
-struct Kernel<S> {
-    state: Mutex<KernelState<S>>,
-    /// One condvar per thread plus one (last) for `run()`.
-    cvs: Vec<Condvar>,
-}
-
-impl<S> Kernel<S> {
     /// Push an event, bumping the global sequence counter. Past times
     /// are clamped to `now` (and assert in debug builds — a wake in the
     /// past is a modeling bug that the clamp would otherwise hide; the
     /// clamp additionally leaves a `wake:past-clamped` instant in traced
     /// release runs).
-    fn push_event(st: &mut KernelState<S>, at: SimTime, tid: usize, epoch: u64) {
+    fn push_event(&mut self, at: SimTime, tid: usize, epoch: u64) {
         debug_assert!(
-            at >= st.now,
+            at >= self.now,
             "scheduling in the past: wake for thread {tid} at t={at}ns but now={}ns",
-            st.now
+            self.now
         );
-        if at < st.now {
-            st.tracer
-                .instant(Track::Rank(tid), "wake:past-clamped", st.now);
+        if at < self.now {
+            self.tracer
+                .instant(Track::Rank(tid), "wake:past-clamped", self.now);
         }
-        let t = at.max(st.now);
-        st.seq += 1;
-        let seq = st.seq;
-        st.queue.insert(tid, t, seq, epoch);
-    }
-
-    /// Pick the next runnable thread, advance the clock, and transfer the
-    /// floor. Must be called by a thread that no longer holds the floor.
-    fn dispatch(&self, st: &mut KernelState<S>) {
-        loop {
-            let Some((t, _seq, tid, epoch)) = st.queue.peek() else {
-                // No events: either everything finished, or deadlock.
-                if st.live == 0 {
-                    st.all_done = true;
-                    self.cvs[st.threads.len()].notify_all();
-                    return;
-                }
-                let dump: Vec<String> = st
-                    .threads
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| s.phase != ThreadPhase::Finished)
-                    .map(|(i, s)| format!("  thread {i}: {:?} on '{}'", s.phase, s.label))
-                    .collect();
-                st.panic_msg = Some(format!(
-                    "simulation deadlock at t={}ns: {} live thread(s) blocked with no pending events\n{}",
-                    st.now,
-                    st.live,
-                    dump.join("\n")
-                ));
-                st.all_done = true;
-                self.cvs[st.threads.len()].notify_all();
-                // Wake everyone so parked threads can observe the abort.
-                for cv in &self.cvs {
-                    cv.notify_all();
-                }
-                return;
-            };
-            st.queue.pop();
-            let slot = &mut st.threads[tid];
-            // Discard stale wakes (thread re-parked or finished since).
-            if slot.phase == ThreadPhase::Finished || slot.epoch != epoch {
-                continue;
-            }
-            debug_assert!(t >= st.now, "event queue went backwards");
-            st.now = t;
-            st.dispatches += 1;
-            slot.go = true;
-            // The tracer's sink lock is a leaf lock taken strictly under the
-            // kernel mutex, so this cannot deadlock; disabled tracing is a
-            // single branch.
-            st.tracer.instant(Track::Rank(tid), slot.label, t);
-            self.cvs[tid].notify_one();
-            return;
-        }
-    }
-}
-
-/// Per-thread context handed to simulated-process closures.
-pub struct Ctx<S: Send + 'static> {
-    kernel: Arc<Kernel<S>>,
-    tid: usize,
-}
-
-impl<S: Send + 'static> Clone for Ctx<S> {
-    fn clone(&self) -> Self {
-        Ctx {
-            kernel: Arc::clone(&self.kernel),
-            tid: self.tid,
-        }
-    }
-}
-
-impl<S: Send + 'static> Ctx<S> {
-    /// Index of this simulated thread (spawn order).
-    pub fn tid(&self) -> usize {
-        self.tid
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.kernel.state.lock().now
-    }
-
-    /// Charge `dt` nanoseconds of virtual time to this thread.
-    pub fn advance(&self, dt: SimTime) {
-        let mut deadline = None;
-        self.poll("advance", move |_s, _w, now| {
-            let d = *deadline.get_or_insert(now + dt);
-            if now >= d {
-                Poll::Ready(())
-            } else {
-                Poll::Wait { wake_at: Some(d) }
-            }
-        })
-    }
-
-    /// Run `f` atomically against the shared state. Non-blocking: `f`
-    /// executes exactly once while this thread holds the floor.
-    pub fn with_state<T>(&self, f: impl FnOnce(&mut S, SimTime) -> T) -> T {
-        let mut guard = self.kernel.state.lock();
-        let st = &mut *guard;
-        f(&mut st.user, st.now)
-    }
-
-    /// The core blocking primitive; see the module docs. `label` appears
-    /// in deadlock dumps.
-    pub fn poll<T>(
-        &self,
-        label: &'static str,
-        mut f: impl FnMut(&mut S, &mut Waker, SimTime) -> Poll<T>,
-    ) -> T {
-        let kernel = &*self.kernel;
-        let mut guard = kernel.state.lock();
-        loop {
-            if let Some(msg) = guard.panic_msg.clone() {
-                drop(guard);
-                panic!("simulation aborted: {msg}");
-            }
-            let now = guard.now;
-            let st = &mut *guard;
-            let outcome = st.evaluate(&mut f);
-            match outcome {
-                Poll::Ready(v) => return v,
-                Poll::Wait { wake_at } => {
-                    let tid = self.tid;
-                    if let Some(at) = wake_at {
-                        debug_assert!(
-                            at >= now,
-                            "poll('{label}') timer in the past: t={at}ns but now={now}ns"
-                        );
-                        let t = at.max(now);
-                        // Purge stale heads (finished threads, or our own
-                        // superseded self-wakes) so they can't force a
-                        // needless slow handoff; dispatch would discard
-                        // them on pop anyway.
-                        if st.fast_path {
-                            while let Some((_, _, qtid, qe)) = st.queue.peek() {
-                                let s = &st.threads[qtid];
-                                if s.phase == ThreadPhase::Finished || s.epoch != qe {
-                                    st.queue.pop();
-                                } else {
-                                    break;
-                                }
-                            }
-                        }
-                        // Direct-handoff fast path: our own timer is
-                        // strictly the earliest pending event, so the
-                        // slow path would park, pop this very wake, and
-                        // hand the floor straight back. Advance the
-                        // clock in place instead — same epoch/seq
-                        // bookkeeping, same dispatch instant, no queue
-                        // traffic or condvar round-trip.
-                        if st.fast_path && st.queue.peek().is_none_or(|(qt, ..)| qt > t) {
-                            st.threads[tid].epoch += 1;
-                            st.threads[tid].label = label;
-                            st.seq += 1;
-                            st.now = t;
-                            st.dispatches += 1;
-                            st.fast_handoffs += 1;
-                            st.tracer.instant(Track::Rank(tid), label, t);
-                            continue;
-                        }
-                    }
-                    st.threads[tid].epoch += 1;
-                    st.threads[tid].phase = ThreadPhase::Parked;
-                    st.threads[tid].label = label;
-                    let epoch = st.threads[tid].epoch;
-                    if let Some(at) = wake_at {
-                        Kernel::push_event(st, at, tid, epoch);
-                    }
-                    kernel.dispatch(st);
-                    // Park until handed the floor again.
-                    while !guard.threads[self.tid].go {
-                        if let Some(msg) = guard.panic_msg.clone() {
-                            drop(guard);
-                            panic!("simulation aborted: {msg}");
-                        }
-                        kernel.cvs[self.tid].wait(&mut guard);
-                    }
-                    guard.threads[self.tid].go = false;
-                    guard.threads[self.tid].phase = ThreadPhase::Running;
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Worker pool
-// ---------------------------------------------------------------------
-
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// Process-wide pool of persistent OS threads hosting simulated-rank
-/// bodies.
-///
-/// Every [`Sim::run`] leases one worker per simulated thread and returns
-/// them when the run completes, so a sweep of thousands of simulation
-/// points pays thread-spawn cost only for the high-water mark of
-/// concurrent ranks instead of `nranks` spawns + joins per point.
-/// Workers are plain threads parked on a channel; they persist for the
-/// process lifetime. Panics inside a body are contained (the kernel
-/// already converts simulated-thread panics into a run-level abort), so
-/// a worker survives any job it hosts.
-pub struct SimPool {
-    idle: Mutex<Vec<mpsc::Sender<Job>>>,
-    spawned: AtomicUsize,
-}
-
-impl SimPool {
-    /// The process-wide pool.
-    pub fn global() -> &'static SimPool {
-        static POOL: OnceLock<SimPool> = OnceLock::new();
-        POOL.get_or_init(|| SimPool {
-            idle: Mutex::new(Vec::new()),
-            spawned: AtomicUsize::new(0),
-        })
-    }
-
-    /// Workers ever spawned — the high-water mark of concurrent leases
-    /// (observability: a sweep reusing the pool keeps this flat).
-    pub fn workers_spawned(&self) -> usize {
-        self.spawned.load(Ordering::Relaxed)
-    }
-
-    fn execute(&'static self, job: Job) {
-        let mut job = job;
-        loop {
-            let Some(tx) = self.idle.lock().pop() else {
-                break;
-            };
-            match tx.send(job) {
-                Ok(()) => return,
-                // Worker died (only possible if the host tore threads
-                // down); fall through and spawn a replacement.
-                Err(e) => job = e.0,
-            }
-        }
-        let n = self.spawned.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = mpsc::channel::<Job>();
-        std::thread::Builder::new()
-            .name(format!("sim-worker-{n}"))
-            .spawn(move || {
-                let mut next = Some(job);
-                loop {
-                    let j = match next.take() {
-                        Some(j) => j,
-                        None => match rx.recv() {
-                            Ok(j) => j,
-                            Err(_) => return,
-                        },
-                    };
-                    let _ = catch_unwind(AssertUnwindSafe(j));
-                    // Only re-register once the job has fully released
-                    // its simulation (the lease discipline).
-                    SimPool::global().idle.lock().push(tx.clone());
-                }
-            })
-            .expect("spawn sim worker");
-    }
-}
-
-/// Completion latch for one run's leased workers.
-struct JobDone {
-    left: Mutex<usize>,
-    cv: Condvar,
-}
-
-impl JobDone {
-    fn new(n: usize) -> JobDone {
-        JobDone {
-            left: Mutex::new(n),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn finish(&self) {
-        let mut left = self.left.lock();
-        *left -= 1;
-        if *left == 0 {
-            self.cv.notify_all();
-        }
-    }
-
-    fn wait(&self) {
-        let mut left = self.left.lock();
-        while *left > 0 {
-            self.cv.wait(&mut left);
-        }
+        let t = at.max(self.now);
+        self.seq += 1;
+        let seq = self.seq;
+        self.queue.insert(tid, t, seq, epoch);
     }
 }
 
@@ -819,294 +510,107 @@ impl JobDone {
 pub struct RunReport<S> {
     /// Final shared state.
     pub state: S,
-    /// Virtual time when the last thread finished.
+    /// Virtual time when the last task finished.
     pub end_time: SimTime,
-    /// Per-thread finish times, indexed by tid.
+    /// Per-task finish times, indexed by tid.
     pub finish_times: Vec<SimTime>,
     /// Simulated events dispatched over the whole run.
     pub events: u64,
     /// Kernel metrics for this run (queue traffic, wake fan-out, …) —
-    /// deterministic and engine-independent; also flushed into the
-    /// `kacc-metrics` global registry.
+    /// deterministic; also flushed into the `kacc-metrics` global
+    /// registry.
     pub metrics: SimRunMetrics,
-    /// Dispatch trace, when enabled with [`Sim::enable_trace`]. Empty when
-    /// an external tracer was installed with [`Sim::set_tracer`] instead
-    /// (events flow to that tracer's sink).
+    /// Dispatch trace, when enabled with [`PolledSim::enable_trace`].
+    /// Empty when an external tracer was installed with
+    /// [`PolledSim::set_tracer`] instead (events flow to that tracer's
+    /// sink).
     pub trace: Vec<TraceEvent>,
-}
-
-/// A simulation under construction: create, spawn threads, run.
-pub struct Sim<S: Send + 'static> {
-    state: Option<S>,
-    pending: Vec<Box<dyn FnOnce(Ctx<S>) + Send + 'static>>,
-    tracer: Tracer,
-    capture: Option<SharedBuffer>,
-    fast_path: bool,
-}
-
-impl<S: Send + 'static> Sim<S> {
-    /// Create a simulation owning the shared machine state.
-    pub fn new(state: S) -> Sim<S> {
-        Sim {
-            state: Some(state),
-            pending: Vec::new(),
-            tracer: Tracer::off(),
-            capture: None,
-            fast_path: true,
-        }
-    }
-
-    /// Record every scheduler dispatch into [`RunReport::trace`]
-    /// (observability/debugging; costs memory proportional to events).
-    pub fn enable_trace(&mut self) {
-        let (tracer, buf) = Tracer::buffered();
-        self.tracer = tracer;
-        self.capture = Some(buf);
-    }
-
-    /// Send scheduler-dispatch events to an external [`Tracer`] (shared
-    /// with other layers, e.g. the machine model). [`RunReport::trace`]
-    /// stays empty; the caller owns the sink.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-        self.capture = None;
-    }
-
-    /// Enable or disable the direct-handoff fast path (default: on).
-    ///
-    /// Disabling forces every wake through the event queue and condvar
-    /// floor transfer — virtual-time behavior is identical by
-    /// construction, which the fast-path equivalence suite pins; the
-    /// switch exists exactly for that comparison.
-    pub fn set_fast_path(&mut self, enabled: bool) {
-        self.fast_path = enabled;
-    }
-
-    /// Register a simulated thread. Threads receive the floor in spawn
-    /// order at t=0. Returns the thread's tid.
-    pub fn spawn(&mut self, f: impl FnOnce(Ctx<S>) + Send + 'static) -> usize {
-        let tid = self.pending.len();
-        self.pending.push(Box::new(f));
-        tid
-    }
-
-    /// Run the simulation to completion, returning the final state and
-    /// timing report. Panics (with the failing thread's message) if any
-    /// simulated thread panicked or the simulation deadlocked.
-    ///
-    /// Rank bodies execute on leased [`SimPool`] workers, so repeated
-    /// runs (parameter sweeps) reuse OS threads instead of spawning
-    /// `nranks` fresh ones per run.
-    pub fn run(mut self) -> RunReport<S> {
-        let n = self.pending.len();
-        let kernel = Arc::new(Kernel {
-            state: Mutex::new(KernelState {
-                now: 0,
-                seq: 0,
-                queue: EventQueue::new(n),
-                threads: (0..n)
-                    .map(|_| ThreadSlot {
-                        phase: ThreadPhase::Starting,
-                        epoch: 0,
-                        go: false,
-                        label: "start",
-                        finish_time: None,
-                    })
-                    .collect(),
-                live: n,
-                user: self.state.take().expect("run called once"),
-                panic_msg: None,
-                all_done: false,
-                dispatches: 0,
-                fast_handoffs: 0,
-                waker: Waker::new(),
-                fast_path: self.fast_path,
-                metrics: SimRunMetrics::default(),
-                tracer: self.tracer.clone(),
-            }),
-            cvs: (0..=n).map(|_| Condvar::new()).collect(),
-        });
-
-        // Seed start events in spawn order and hand the floor to the
-        // first thread (it will pick up the go-flag when it parks).
-        {
-            let mut st = kernel.state.lock();
-            for tid in 0..n {
-                let st = &mut *st;
-                Kernel::push_event(st, 0, tid, 0);
-            }
-            let st = &mut *st;
-            kernel.dispatch(st);
-        }
-
-        let done = Arc::new(JobDone::new(n));
-        let pool = SimPool::global();
-        for (tid, f) in self.pending.drain(..).enumerate() {
-            let kernel = Arc::clone(&kernel);
-            let done = Arc::clone(&done);
-            pool.execute(Box::new(move || {
-                // The body owns the kernel Arc; catching here keeps the
-                // pool worker alive and the latch exact even if kernel
-                // bookkeeping itself panicked.
-                let _ = catch_unwind(AssertUnwindSafe(move || thread_body(kernel, tid, f)));
-                done.finish();
-            }));
-        }
-
-        // Wait until every leased worker has finished its body (which
-        // implies `all_done`: the last finishing thread's dispatch set
-        // it, or a panic/deadlock path did).
-        done.wait();
-
-        let k = Arc::try_unwrap(kernel)
-            .ok()
-            .expect("all ctxs dropped at join");
-        let st = k.state.into_inner();
-        if let Some(msg) = st.panic_msg {
-            panic!("{msg}");
-        }
-        TOTAL_EVENTS.fetch_add(st.dispatches, Ordering::Relaxed);
-        TOTAL_FAST.fetch_add(st.fast_handoffs, Ordering::Relaxed);
-        let metrics = st.run_metrics();
-        flush_run_metrics(&metrics, st.dispatches);
-        RunReport {
-            end_time: st.now,
-            events: st.dispatches,
-            metrics,
-            finish_times: st
-                .threads
-                .iter()
-                .map(|t| t.finish_time.expect("finished thread has time"))
-                .collect(),
-            trace: self.capture.map(|b| b.take()).unwrap_or_default(),
-            state: st.user,
-        }
-    }
-}
-
-/// One simulated thread's life: acquire the floor, run the user closure,
-/// record the finish, and hand the floor onwards.
-fn thread_body<S: Send + 'static>(
-    kernel: Arc<Kernel<S>>,
-    tid: usize,
-    f: Box<dyn FnOnce(Ctx<S>) + Send + 'static>,
-) {
-    // Acquire the floor for the first time.
-    {
-        let mut guard = kernel.state.lock();
-        while !guard.threads[tid].go {
-            if guard.panic_msg.is_some() {
-                return;
-            }
-            kernel.cvs[tid].wait(&mut guard);
-        }
-        guard.threads[tid].go = false;
-        guard.threads[tid].phase = ThreadPhase::Running;
-    }
-    let ctx = Ctx {
-        kernel: Arc::clone(&kernel),
-        tid,
-    };
-    let result = catch_unwind(AssertUnwindSafe(|| f(ctx)));
-    let mut guard = kernel.state.lock();
-    let st = &mut *guard;
-    st.threads[tid].phase = ThreadPhase::Finished;
-    st.threads[tid].finish_time = Some(st.now);
-    st.live -= 1;
-    if let Err(p) = result {
-        let msg = p
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_else(|| "non-string panic".to_string());
-        if st.panic_msg.is_none() {
-            st.panic_msg = Some(format!("simulated thread {tid} panicked: {msg}"));
-        }
-        st.all_done = true;
-        kernel.cvs[st.threads.len()].notify_all();
-        for cv in kernel.cvs.iter() {
-            cv.notify_all();
-        }
-        return;
-    }
-    kernel.dispatch(st);
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
+    //! The kernel's behaviours on the queue route: every sim here runs
+    //! with the direct hand-off off, so each dispatch is a queue pop —
+    //! the reference the fast path is checked against. `polled::tests`
+    //! runs the driver on its default route.
+
     use super::*;
+    use crate::polled::{sim_advance, sim_now, sim_poll, sim_with_state};
+
+    /// A sim whose every wake goes through the event queue.
+    fn queued<S: 'static>(state: S) -> PolledSim<S> {
+        let mut sim = PolledSim::new(state);
+        sim.set_fast_path(false);
+        sim
+    }
 
     #[test]
     fn single_thread_advances_time() {
-        let mut sim = Sim::new(());
-        sim.spawn(|ctx| {
-            assert_eq!(ctx.now(), 0);
-            ctx.advance(100);
-            assert_eq!(ctx.now(), 100);
-            ctx.advance(0);
-            assert_eq!(ctx.now(), 100);
+        let mut sim = queued(());
+        sim.spawn(|_| async {
+            assert_eq!(sim_now::<()>(), 0);
+            sim_advance::<()>(100).await;
+            assert_eq!(sim_now::<()>(), 100);
+            sim_advance::<()>(0).await;
+            assert_eq!(sim_now::<()>(), 100);
         });
         let r = sim.run();
         assert_eq!(r.end_time, 100);
         assert_eq!(r.finish_times, vec![100]);
         assert!(r.events > 0);
+        assert_eq!(r.metrics.fast_handoffs, 0);
     }
 
     #[test]
     fn threads_interleave_deterministically() {
-        let mut sim = Sim::new(Vec::<(usize, SimTime)>::new());
-        for tid in 0..4 {
-            sim.spawn(move |ctx| {
-                for step in 0..3u64 {
-                    ctx.advance(10 + tid as u64);
-                    ctx.with_state(|log, now| log.push((tid, now)));
-                    let _ = step;
-                }
-            });
-        }
-        let a = sim.run().state;
-        // Re-run: identical log.
-        let mut sim = Sim::new(Vec::new());
-        for tid in 0..4 {
-            sim.spawn(move |ctx| {
-                for _ in 0..3 {
-                    ctx.advance(10 + tid as u64);
-                    ctx.with_state(|log, now| log.push((tid, now)));
-                }
-            });
-        }
-        let b = sim.run().state;
-        assert_eq!(a, b);
-        // Events at equal times resolve in seq order: thread 0's first
-        // advance (t=10) precedes thread 1's (t=11), etc.
+        type Log = Vec<(usize, SimTime)>;
+        let go = || {
+            let mut sim = queued(Log::new());
+            for tid in 0..4 {
+                sim.spawn(move |_| async move {
+                    for _ in 0..3 {
+                        sim_advance::<Log>(10 + tid as u64).await;
+                        sim_with_state(|log: &mut Log, now| log.push((tid, now)));
+                    }
+                });
+            }
+            sim.run().state
+        };
+        let a = go();
+        assert_eq!(a, go());
+        // Events at equal times resolve in seq order: task 0's first
+        // advance (t=10) precedes task 1's (t=11), etc.
         assert_eq!(a[0], (0, 10));
     }
 
     #[test]
     fn poll_sees_external_wakes() {
-        // Thread 1 waits on a flag; thread 0 sets it at t=50.
-        let mut sim = Sim::new((false, 0usize));
+        // Task 1 waits on a flag; task 0 sets it at t=50.
+        type Flag = (bool, usize);
+        let mut sim = queued((false, 0usize));
         let waiter = 1usize;
-        sim.spawn(move |ctx| {
-            ctx.advance(50);
-            ctx.with_state(|s, _| s.0 = true);
+        sim.spawn(move |_| async move {
+            sim_advance::<Flag>(50).await;
+            sim_with_state(|s: &mut Flag, _| s.0 = true);
             // Wake the waiter "now".
-            ctx.poll("signal", move |_, w, now| {
+            sim_poll("signal", move |_: &mut Flag, w, now| {
                 w.wake_at(waiter, now);
                 Poll::Ready(())
-            });
+            })
+            .await;
         });
-        sim.spawn(|ctx| {
-            ctx.poll("wait flag", |s: &mut (bool, usize), _w, _now| {
+        sim.spawn(|_| async {
+            sim_poll("wait flag", |s: &mut Flag, _w, _now| {
                 if s.0 {
                     Poll::Ready(())
                 } else {
                     s.1 += 1;
                     Poll::Wait { wake_at: None }
                 }
-            });
-            assert_eq!(ctx.now(), 50);
+            })
+            .await;
+            assert_eq!(sim_now::<Flag>(), 50);
         });
         let r = sim.run();
         assert_eq!(r.end_time, 50);
@@ -1116,20 +620,21 @@ mod tests {
 
     #[test]
     fn premature_wakes_reblock() {
-        let mut sim = Sim::new(());
+        let mut sim = queued(());
         let sleeper = 0usize;
-        sim.spawn(|ctx| {
-            ctx.advance(1000);
-            assert_eq!(ctx.now(), 1000);
+        sim.spawn(|_| async {
+            sim_advance::<()>(1000).await;
+            assert_eq!(sim_now::<()>(), 1000);
         });
-        sim.spawn(move |ctx| {
+        sim.spawn(move |_| async move {
             // Fire spurious wakes at the sleeper long before its deadline.
             for t in [10u64, 20, 30] {
-                ctx.poll("spur", move |_, w, now| {
+                sim_poll("spur", move |_: &mut (), w, now| {
                     w.wake_at(sleeper, now.max(t));
                     Poll::Ready(())
-                });
-                ctx.advance(5);
+                })
+                .await;
+                sim_advance::<()>(5).await;
             }
         });
         let r = sim.run();
@@ -1140,67 +645,81 @@ mod tests {
     fn duplicate_wakes_coalesce_to_earliest() {
         // Several wakes for the same sleeper in one poll cycle: only the
         // earliest matters, and the sleeper still re-blocks safely.
-        let mut sim = Sim::new(0u64);
+        let mut sim = queued(0u64);
         let sleeper = 0usize;
-        sim.spawn(|ctx| {
-            ctx.poll("wait", |hits: &mut u64, _w, _now| {
+        sim.spawn(|_| async {
+            sim_poll("wait", |hits: &mut u64, _w, _now| {
                 *hits += 1;
                 if *hits >= 2 {
                     Poll::Ready(())
                 } else {
                     Poll::Wait { wake_at: None }
                 }
-            });
+            })
+            .await;
         });
-        sim.spawn(move |ctx| {
-            ctx.advance(5);
-            ctx.poll("burst", move |_, w, now| {
+        sim.spawn(move |_| async move {
+            sim_advance::<u64>(5).await;
+            sim_poll("burst", move |_: &mut u64, w, now| {
                 // Duplicates at later times must not shadow the early one.
                 w.wake_at(sleeper, now + 100);
                 w.wake_at(sleeper, now + 10);
                 w.wake_at(sleeper, now + 40);
                 Poll::Ready(())
-            });
+            })
+            .await;
         });
         let r = sim.run();
         assert_eq!(r.finish_times[0], 15, "earliest wake (5+10) wins");
+        assert_eq!((r.metrics.wakes_raw, r.metrics.wakes_coalesced), (1, 2));
+    }
+
+    /// Six tasks advancing `7 + 3·tid` four times, logging each wake-up:
+    /// `(log, end, finish times, events, Chrome trace)` on either route.
+    pub(crate) fn staggered(
+        fast: bool,
+    ) -> (Vec<(usize, SimTime)>, SimTime, Vec<SimTime>, u64, String) {
+        type Log = Vec<(usize, SimTime)>;
+        let mut sim = PolledSim::new(Log::new());
+        sim.enable_trace();
+        sim.set_fast_path(fast);
+        for tid in 0..6 {
+            sim.spawn(move |_| async move {
+                for _ in 0..4 {
+                    sim_advance::<Log>(7 + tid as u64 * 3).await;
+                    sim_with_state(|log: &mut Log, now| log.push((tid, now)));
+                }
+            });
+        }
+        let r = sim.run();
+        let trace = chrome_trace_json(&r.trace);
+        (r.state, r.end_time, r.finish_times, r.events, trace)
     }
 
     #[test]
     fn slow_path_matches_fast_path_exactly() {
-        let go = |fast: bool| {
-            let mut sim = Sim::new(Vec::<(usize, SimTime)>::new());
-            sim.set_fast_path(fast);
-            for tid in 0..6 {
-                sim.spawn(move |ctx| {
-                    for _ in 0..4 {
-                        ctx.advance(7 + tid as u64 * 3);
-                        ctx.with_state(|log, now| log.push((tid, now)));
-                    }
-                });
-            }
-            let r = sim.run();
-            (r.state, r.end_time, r.finish_times, r.events)
-        };
-        assert_eq!(go(true), go(false));
+        let (fast, slow) = (staggered(true), staggered(false));
+        assert_eq!(fast.0, slow.0);
+        assert_eq!((fast.1, &fast.2, fast.3), (slow.1, &slow.2, slow.3));
     }
 
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "scheduling in the past")]
     fn past_wakes_assert_in_debug() {
-        let mut sim = Sim::new(());
+        let mut sim = queued(());
         let sleeper = 0usize;
-        sim.spawn(|ctx| {
-            ctx.advance(1000);
+        sim.spawn(|_| async {
+            sim_advance::<()>(1000).await;
         });
-        sim.spawn(move |ctx| {
-            ctx.advance(500);
+        sim.spawn(move |_| async move {
+            sim_advance::<()>(500).await;
             // A wake far in the past: the clamp used to hide this.
-            ctx.poll("bad", move |_, w, _now| {
+            sim_poll("bad", move |_: &mut (), w, _now| {
                 w.wake_at(sleeper, 3);
                 Poll::Ready(())
-            });
+            })
+            .await;
         });
         sim.run();
     }
@@ -1208,9 +727,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "deadlock")]
     fn deadlock_is_detected() {
-        let mut sim = Sim::new(());
-        sim.spawn(|ctx| {
-            ctx.poll::<()>("forever", |_, _, _| Poll::Wait { wake_at: None });
+        let mut sim = queued(());
+        sim.spawn(|_| async {
+            sim_poll::<(), (), _>("forever", |_, _, _| Poll::Wait { wake_at: None }).await;
         });
         sim.run();
     }
@@ -1218,76 +737,47 @@ mod tests {
     #[test]
     #[should_panic(expected = "thread 0 panicked: boom")]
     fn thread_panics_propagate() {
-        let mut sim = Sim::new(());
-        sim.spawn(|_ctx| panic!("boom"));
-        sim.spawn(|ctx| ctx.advance(10));
+        let mut sim = queued(());
+        sim.spawn(|_| async { panic!("boom") });
+        sim.spawn(|_| async {
+            sim_advance::<()>(10).await;
+        });
         sim.run();
     }
 
     #[test]
-    fn pool_reuses_workers_across_runs() {
-        // Warm the pool, note the high-water mark, then run many more
-        // same-width sims: no new workers may spawn.
-        let width = 8;
-        let once = || {
-            let mut sim = Sim::new(());
-            for _ in 0..width {
-                sim.spawn(|ctx| ctx.advance(10));
-            }
-            sim.run();
-        };
-        once();
-        let mark = SimPool::global().workers_spawned();
-        for _ in 0..20 {
-            once();
-        }
-        // Other tests run concurrently and may lease workers, so allow
-        // their growth — but 20 sequential runs of our own must not add
-        // 20×width fresh threads.
-        let grown = SimPool::global().workers_spawned() - mark;
-        assert!(grown < 20 * width, "pool did not reuse workers: +{grown}");
-    }
-
-    #[test]
     fn trace_records_dispatches_in_time_order() {
-        let mut sim = Sim::new(());
+        let mut sim = queued(());
         sim.enable_trace();
-        sim.spawn(|ctx| {
-            ctx.advance(10);
-            ctx.advance(20);
+        sim.spawn(|_| async {
+            sim_advance::<()>(10).await;
+            sim_advance::<()>(20).await;
         });
-        sim.spawn(|ctx| ctx.advance(15));
+        sim.spawn(|_| async {
+            sim_advance::<()>(15).await;
+        });
         let r = sim.run();
         assert!(!r.trace.is_empty());
         assert!(r.trace.windows(2).all(|w| w[0].ts() <= w[1].ts()));
-        // Both threads appear, with the advance label.
+        // Both tasks appear, with the advance label.
         assert!(r
             .trace
             .iter()
             .any(|e| e.track == Track::Rank(0) && e.name == "advance"));
         assert!(r.trace.iter().any(|e| e.track == Track::Rank(1)));
         // Untraced runs stay empty.
-        let mut sim = Sim::new(());
-        sim.spawn(|ctx| ctx.advance(1));
+        let mut sim = queued(());
+        sim.spawn(|_| async {
+            sim_advance::<()>(1).await;
+        });
         assert!(sim.run().trace.is_empty());
     }
 
     #[test]
     fn trace_is_identical_with_fast_path_off() {
-        let go = |fast: bool| {
-            let mut sim = Sim::new(());
-            sim.enable_trace();
-            sim.set_fast_path(fast);
-            sim.spawn(|ctx| {
-                ctx.advance(10);
-                ctx.advance(20);
-            });
-            sim.spawn(|ctx| ctx.advance(15));
-            sim.run().trace
-        };
         assert_eq!(
-            chrome_trace_json(&go(true)),
-            chrome_trace_json(&go(false)),
+            staggered(true).4,
+            staggered(false).4,
             "fast path altered the dispatch trace"
         );
     }
@@ -1295,9 +785,11 @@ mod tests {
     #[test]
     fn external_tracer_receives_dispatches() {
         let (tracer, buf) = Tracer::buffered();
-        let mut sim = Sim::new(());
+        let mut sim = queued(());
         sim.set_tracer(tracer);
-        sim.spawn(|ctx| ctx.advance(10));
+        sim.spawn(|_| async {
+            sim_advance::<()>(10).await;
+        });
         let r = sim.run();
         // Events went to the external sink, not the report.
         assert!(r.trace.is_empty());
@@ -1337,13 +829,13 @@ mod tests {
 
     #[test]
     fn many_threads_scale() {
-        let mut sim = Sim::new(0u64);
+        let mut sim = queued(0u64);
         for _ in 0..128 {
-            sim.spawn(|ctx| {
+            sim.spawn(|_| async {
                 for _ in 0..10 {
-                    ctx.advance(7);
+                    sim_advance::<u64>(7).await;
                 }
-                ctx.with_state(|count, _| *count += 1);
+                sim_with_state(|count: &mut u64, _| *count += 1);
             });
         }
         let r = sim.run();

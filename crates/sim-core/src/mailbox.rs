@@ -13,16 +13,17 @@
 //! Channels, FIFO order, waiter, wake and counter rules are the same for
 //! every `M`.
 //!
-//! Use from a [`crate::Ctx::poll`] closure:
+//! Use from a [`crate::polled::sim_poll`] closure:
 //!
 //! ```ignore
 //! // send (non-blocking):
-//! ctx.poll("send", |s, w, now| {
+//! sim_poll("send", |s, w, now| {
 //!     s.mail.deposit(w, to, from, tag, now + latency, payload.clone());
 //!     Poll::Ready(())
-//! });
+//! })
+//! .await;
 //! // receive (blocking):
-//! let msg = ctx.poll("recv", |s, w, now| s.mail.take(ctx.tid(), to, from, tag, now));
+//! let msg = sim_poll("recv", |s, _w, now| s.mail.take(sim_tid(), to, from, tag, now)).await;
 //! ```
 
 use crate::{Poll, SimTime, Waker};
@@ -219,7 +220,8 @@ impl<M> Mailboxes<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Sim;
+    use crate::polled::{sim_advance, sim_now, sim_poll};
+    use crate::PolledSim;
 
     /// A waker outside any kernel, to see which wakes a deposit requests.
     fn waker() -> Waker {
@@ -363,22 +365,23 @@ mod tests {
 
     #[test]
     fn message_latency_is_respected() {
-        let mut sim = Sim::new(Mailboxes::new());
+        let mut sim = PolledSim::new(Mailboxes::new());
         // Sender: deposits at t=10 with 25ns latency.
-        sim.spawn(|ctx| {
-            ctx.advance(10);
-            ctx.poll("send", |m: &mut Mailboxes, w, now| {
+        sim.spawn(|_| async {
+            sim_advance::<Mailboxes>(10).await;
+            sim_poll("send", |m: &mut Mailboxes, w, now| {
                 m.deposit(w, 1, 0, 7, now + 25, b"hi".to_vec());
                 Poll::Ready(())
-            });
+            })
+            .await;
         });
-        sim.spawn(|ctx| {
-            let tid = ctx.tid();
-            let msg = ctx.poll("recv", move |m: &mut Mailboxes, _w, now| {
+        sim.spawn(|tid| async move {
+            let msg = sim_poll("recv", move |m: &mut Mailboxes, _w, now| {
                 m.take(tid, 1, 0, 7, now)
-            });
+            })
+            .await;
             assert_eq!(msg, b"hi");
-            assert_eq!(ctx.now(), 35);
+            assert_eq!(sim_now::<Mailboxes>(), 35);
         });
         let r = sim.run();
         assert_eq!(r.state.pending(), 0);
@@ -387,22 +390,23 @@ mod tests {
 
     #[test]
     fn late_receiver_gets_message_immediately() {
-        let mut sim = Sim::new(Mailboxes::new());
-        sim.spawn(|ctx| {
-            ctx.poll("send", |m: &mut Mailboxes, w, now| {
+        let mut sim = PolledSim::new(Mailboxes::new());
+        sim.spawn(|_| async {
+            sim_poll("send", |m: &mut Mailboxes, w, now| {
                 m.deposit(w, 1, 0, 0, now + 5, vec![42]);
                 Poll::Ready(())
-            });
+            })
+            .await;
         });
-        sim.spawn(|ctx| {
-            ctx.advance(1000);
-            let tid = ctx.tid();
-            let msg = ctx.poll("recv", move |m: &mut Mailboxes, _w, now| {
+        sim.spawn(|tid| async move {
+            sim_advance::<Mailboxes>(1000).await;
+            let msg = sim_poll("recv", move |m: &mut Mailboxes, _w, now| {
                 m.take(tid, 1, 0, 0, now)
-            });
+            })
+            .await;
             assert_eq!(msg, vec![42]);
             assert_eq!(
-                ctx.now(),
+                sim_now::<Mailboxes>(),
                 1000,
                 "no extra wait when message already arrived"
             );
@@ -412,22 +416,23 @@ mod tests {
 
     #[test]
     fn fifo_order_per_key() {
-        let mut sim = Sim::new(Mailboxes::new());
-        sim.spawn(|ctx| {
+        let mut sim = PolledSim::new(Mailboxes::new());
+        sim.spawn(|_| async {
             for i in 0..5u8 {
-                ctx.poll("send", move |m: &mut Mailboxes, w, now| {
+                sim_poll("send", move |m: &mut Mailboxes, w, now| {
                     m.deposit(w, 1, 0, 3, now + 10, vec![i]);
                     Poll::Ready(())
-                });
-                ctx.advance(1);
+                })
+                .await;
+                sim_advance::<Mailboxes>(1).await;
             }
         });
-        sim.spawn(|ctx| {
-            let tid = ctx.tid();
+        sim.spawn(|tid| async move {
             for i in 0..5u8 {
-                let msg = ctx.poll("recv", move |m: &mut Mailboxes, _w, now| {
+                let msg = sim_poll("recv", move |m: &mut Mailboxes, _w, now| {
                     m.take(tid, 1, 0, 3, now)
-                });
+                })
+                .await;
                 assert_eq!(msg, vec![i]);
             }
         });

@@ -1,24 +1,15 @@
-//! Thread-free discrete-event engine: rank bodies as polled tasks.
+//! The discrete-event driver: rank bodies as polled tasks.
 //!
-//! The classic [`crate::Sim`] kernel runs every simulated rank as a
-//! blocking closure on its own OS thread and hands the floor between
-//! threads with condvars. That is convenient — rank bodies are ordinary
-//! sequential Rust — but each floor transfer costs a futex round-trip
-//! (~3–4 µs), which dominates handoff-bound workloads where the
-//! direct-handoff fast path never applies (symmetric collectives tie
-//! their wakes together).
-//!
-//! [`PolledSim`] removes the threads. Every rank is a [`RankTask`]: a
-//! resumable state machine the single-threaded driver polls whenever the
-//! event queue dispatches to it. Instead of parking on a condvar, a task
-//! returns [`TaskPoll::Pending`] carrying the same `(label, wake_at)`
-//! pair a blocking [`crate::Ctx::poll`] would park with; the driver runs
-//! the *identical* epoch/sequence/fast-path bookkeeping inline and moves
-//! on to the next event. Virtual-time behavior — dispatch order,
-//! sequence numbers, event counts, trace instants — is bit-for-bit
-//! identical to the threads engine by construction: both engines share
-//! the same private [`KernelState`]/[`EventQueue`] types and the same
-//! push/dispatch routines.
+//! Every rank is a [`RankTask`]: a resumable state machine the
+//! single-threaded driver polls whenever the event queue dispatches to
+//! it. A task that cannot go on returns [`TaskPoll::Pending`] carrying a
+//! `(label, wake_at)` pair; the driver records the park — epoch, label,
+//! optional timer — and moves on to the next event. When the task's own
+//! timer is strictly the earliest pending event, the driver instead
+//! advances the clock in place and polls the task again (the
+//! direct-handoff fast path), with the same epoch and sequence-number
+//! bookkeeping, so dispatch order and every virtual timestamp are the
+//! same with the fast path on or off.
 //!
 //! Rank bodies are written as `async` blocks awaiting the leaf futures
 //! in this module ([`sim_poll`], [`sim_advance`]) — the compiler derives
@@ -52,8 +43,8 @@
 //! ```
 
 use crate::{
-    flush_run_metrics, EventQueue, Kernel, KernelState, Poll, RunReport, SharedBuffer,
-    SimRunMetrics, SimTime, ThreadPhase, ThreadSlot, Tracer, Waker, TOTAL_EVENTS, TOTAL_FAST,
+    flush_run_metrics, EventQueue, KernelState, Poll, RunReport, SharedBuffer, SimRunMetrics,
+    SimTime, ThreadPhase, ThreadSlot, Tracer, Waker, TOTAL_EVENTS, TOTAL_FAST,
 };
 use kacc_trace::Track;
 use std::any::TypeId;
@@ -70,13 +61,12 @@ use std::task;
 pub enum TaskPoll {
     /// The rank body ran to completion.
     Done,
-    /// The task is blocked — the polled analogue of parking inside
-    /// [`crate::Ctx::poll`]. `label` names the operation for deadlock
+    /// The task is blocked. `label` names the operation for deadlock
     /// dumps and dispatch traces; `wake_at` optionally schedules a
     /// self-wake (external [`Waker::wake_at`] calls can always wake the
     /// task earlier).
     Pending {
-        /// Operation name, as a blocking poll's label.
+        /// Operation name.
         label: &'static str,
         /// Optional self-wake timer (must not be in the past).
         wake_at: Option<SimTime>,
@@ -125,11 +115,10 @@ pub type StepHook<S> = fn(&mut S, usize, &mut Waker, SimTime) -> Step<()>;
 
 /// A resumable rank body driven by [`PolledSim`].
 ///
-/// `poll_task` is invoked exactly when the threads engine would have
-/// handed the rank's OS thread the floor: once at t=0 (the seeded start
-/// event) and once per subsequent dispatch — timer expiry, external
-/// wake, or direct-handoff fast path. Between polls the task must hold
-/// all of its progress in `self`.
+/// `poll_task` is invoked once at t=0 (the seeded start event) and once
+/// per subsequent dispatch — timer expiry, external wake, or
+/// direct-handoff fast path. Between polls the task must hold all of its
+/// progress in `self`.
 pub trait RankTask<S> {
     /// Advance the task as far as it can go without blocking.
     fn poll_task(&mut self, cx: &mut TaskCtx<'_, S>) -> TaskPoll;
@@ -142,8 +131,7 @@ pub struct TaskCtx<'a, S> {
 }
 
 impl<S: 'static> TaskCtx<'_, S> {
-    /// Index of this task (spawn order) — the polled analogue of
-    /// [`crate::Ctx::tid`].
+    /// Index of this task (spawn order).
     pub fn tid(&self) -> usize {
         self.tid
     }
@@ -153,8 +141,7 @@ impl<S: 'static> TaskCtx<'_, S> {
         self.shared.st.borrow().now
     }
 
-    /// Run `f` atomically against the shared state (non-blocking), as
-    /// [`crate::Ctx::with_state`].
+    /// Run `f` atomically against the shared state (non-blocking).
     pub fn with_state<T>(&mut self, f: impl FnOnce(&mut S, SimTime) -> T) -> T {
         let mut st = self.shared.st.borrow_mut();
         let st = &mut *st;
@@ -162,8 +149,8 @@ impl<S: 'static> TaskCtx<'_, S> {
     }
 
     /// Evaluate one poll closure against the shared state, applying any
-    /// wakes it requests — exactly one evaluation of the loop body of
-    /// [`crate::Ctx::poll`]. A hand-written [`RankTask`] that receives
+    /// wakes it requests — exactly one evaluation of a [`sim_poll`] leaf.
+    /// A hand-written [`RankTask`] that receives
     /// [`Poll::Wait`] here should return the matching
     /// [`TaskPoll::Pending`] so the driver parks it; the closure will be
     /// re-evaluated (via a fresh `poll_op`) on the next dispatch.
@@ -184,7 +171,7 @@ struct PendingWait {
 
 /// Kernel state shared between the driver and the leaf futures of the
 /// tasks it polls. Single-threaded by design: a `RefCell` on the driver's
-/// stack replaces the threads engine's `Arc<Mutex<..>>`.
+/// stack.
 struct PolledShared<S> {
     st: RefCell<KernelState<S>>,
     /// Set by the innermost leaf future that returned `Pending`; taken
@@ -193,8 +180,7 @@ struct PolledShared<S> {
 }
 
 impl<S: 'static> PolledShared<S> {
-    /// One evaluation of a poll closure — the evaluation step inside
-    /// [`crate::Ctx::poll`], shared with it.
+    /// One evaluation of a poll closure.
     fn eval<R>(&self, f: impl FnOnce(&mut S, &mut Waker, SimTime) -> R) -> R {
         self.st.borrow_mut().evaluate(f)
     }
@@ -286,8 +272,8 @@ fn with_current<S: 'static, T>(f: impl FnOnce(&PolledShared<S>, usize) -> T) -> 
     f(shared, scope.tid)
 }
 
-/// Index of the task currently being polled (spawn order) — the polled
-/// analogue of [`crate::Ctx::tid`]. Callable from inside a task body.
+/// Index of the task currently being polled (spawn order). Callable from
+/// inside a task body.
 pub fn sim_tid() -> usize {
     SCOPE
         .get()
@@ -295,13 +281,13 @@ pub fn sim_tid() -> usize {
         .tid
 }
 
-/// Current virtual time — the polled analogue of [`crate::Ctx::now`].
+/// Current virtual time.
 pub fn sim_now<S: 'static>() -> SimTime {
     with_current::<S, _>(|shared, _| shared.st.borrow().now)
 }
 
-/// Run `f` atomically against the shared state — the polled analogue of
-/// [`crate::Ctx::with_state`]. Non-blocking, evaluates exactly once.
+/// Run `f` atomically against the shared state. Non-blocking, evaluates
+/// exactly once.
 pub fn sim_with_state<S: 'static, T>(f: impl FnOnce(&mut S, SimTime) -> T) -> T {
     with_current::<S, _>(|shared, _| {
         let mut guard = shared.st.borrow_mut();
@@ -310,11 +296,11 @@ pub fn sim_with_state<S: 'static, T>(f: impl FnOnce(&mut S, SimTime) -> T) -> T 
     })
 }
 
-/// Leaf future mirroring [`crate::Ctx::poll`]: evaluates `f` once per
-/// driver dispatch until it returns [`Poll::Ready`]. On [`Poll::Wait`]
-/// the future returns `Pending` and the driver parks the task with this
-/// leaf's `(label, wake_at)` — exactly where the blocking engine would
-/// park the rank thread.
+/// The core blocking leaf: evaluates `f` once per driver dispatch until
+/// it returns [`Poll::Ready`]. On [`Poll::Wait`] the future returns
+/// `Pending` and the driver parks the task with this leaf's
+/// `(label, wake_at)`; `label` appears in deadlock dumps and dispatch
+/// traces.
 pub fn sim_poll<S, T, F>(label: &'static str, f: F) -> SimPollFuture<S, T, F>
 where
     S: 'static,
@@ -356,9 +342,8 @@ where
     }
 }
 
-/// Charge `dt` nanoseconds of virtual time to this task — the polled
-/// analogue of [`crate::Ctx::advance`] (same closure, same label, same
-/// lazily-captured deadline).
+/// Charge `dt` nanoseconds of virtual time to this task (label
+/// `advance`; the deadline is taken at the first evaluation).
 pub async fn sim_advance<S: 'static>(dt: SimTime) {
     let mut deadline = None;
     sim_poll("advance", move |_s: &mut S, _w, now| {
@@ -445,10 +430,7 @@ impl<S: 'static> RankTask<S> for BoxTask {
     }
 }
 
-/// A thread-free simulation under construction: create, spawn tasks,
-/// run. The builder API mirrors [`crate::Sim`]; the engines are
-/// interchangeable for any rank body expressible in both forms, and the
-/// engine-equivalence suite pins their outputs bitwise.
+/// A simulation under construction: create, spawn tasks, run.
 pub struct PolledSim<S: 'static> {
     state: Option<S>,
     pending: Vec<Box<dyn RankTask<S>>>,
@@ -471,26 +453,28 @@ impl<S: 'static> PolledSim<S> {
         }
     }
 
-    /// Record every scheduler dispatch into [`RunReport::trace`], as
-    /// [`crate::Sim::enable_trace`].
+    /// Record every scheduler dispatch into [`RunReport::trace`]
+    /// (observability/debugging; costs memory proportional to events).
     pub fn enable_trace(&mut self) {
         let (tracer, buf) = Tracer::buffered();
         self.tracer = tracer;
         self.capture = Some(buf);
     }
 
-    /// Send scheduler-dispatch events to an external [`Tracer`], as
-    /// [`crate::Sim::set_tracer`].
+    /// Send scheduler-dispatch events to an external [`Tracer`] (shared
+    /// with other layers, e.g. the machine model). [`RunReport::trace`]
+    /// stays empty; the caller owns the sink.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
         self.capture = None;
     }
 
-    /// Enable or disable the direct-handoff fast path (default: on) —
-    /// same bookkeeping as [`crate::Sim::set_fast_path`]. In the polled
-    /// engine the "handoff" is an inline re-poll rather than a condvar
-    /// transfer, but epochs/sequence numbers advance identically so the
-    /// dispatch order is pinned either way.
+    /// Enable or disable the direct-handoff fast path (default: on).
+    ///
+    /// Disabling forces every wake through the event queue. Epochs and
+    /// sequence numbers advance identically on both routes, so virtual
+    /// time, dispatch order and traces are the same by construction; the
+    /// queue route is the reference the fast path is tested against.
     pub fn set_fast_path(&mut self, enabled: bool) {
         self.fast_path = enabled;
     }
@@ -510,8 +494,8 @@ impl<S: 'static> PolledSim<S> {
     }
 
     /// Register a rank body as an `async` block. `f` receives the tid
-    /// (spawn order) and returns the future to drive; the body runs its
-    /// first steps at t=0 in spawn order, as [`crate::Sim::spawn`].
+    /// (spawn order) and returns the future to drive; bodies run their
+    /// first steps at t=0 in spawn order.
     pub fn spawn<Fut>(&mut self, f: impl FnOnce(usize) -> Fut) -> usize
     where
         Fut: Future<Output = ()> + 'static,
@@ -530,11 +514,9 @@ impl<S: 'static> PolledSim<S> {
         tid
     }
 
-    /// Run the simulation to completion on the calling thread — no
-    /// worker threads, no condvars, one task poll per dispatched event.
-    /// Panics (with the failing task's message) if any task panicked or
-    /// the simulation deadlocked, with the same messages the threads
-    /// engine produces.
+    /// Run the simulation to completion on the calling thread, one task
+    /// poll per dispatched event. Panics (with the failing task's
+    /// message) if any task panicked or the simulation deadlocked.
     pub fn run(mut self) -> RunReport<S> {
         let n = self.pending.len();
         let shared = PolledShared {
@@ -546,7 +528,6 @@ impl<S: 'static> PolledSim<S> {
                     .map(|_| ThreadSlot {
                         phase: ThreadPhase::Starting,
                         epoch: 0,
-                        go: false,
                         label: "start",
                         finish_time: None,
                     })
@@ -554,7 +535,6 @@ impl<S: 'static> PolledSim<S> {
                 live: n,
                 user: self.state.take().expect("run called once"),
                 panic_msg: None,
-                all_done: false,
                 dispatches: 0,
                 fast_handoffs: 0,
                 waker: Waker::new(),
@@ -565,12 +545,11 @@ impl<S: 'static> PolledSim<S> {
             pending: Cell::new(None),
         };
 
-        // Seed start events in spawn order, as `Sim::run`.
+        // Seed start events in spawn order.
         {
-            let mut guard = shared.st.borrow_mut();
-            let st = &mut *guard;
+            let mut st = shared.st.borrow_mut();
             for tid in 0..n {
-                Kernel::push_event(st, 0, tid, 0);
+                st.push_event(0, tid, 0);
             }
         }
 
@@ -580,15 +559,14 @@ impl<S: 'static> PolledSim<S> {
 
         'outer: loop {
             // Dispatch: pick the next runnable task and advance the
-            // clock — the single-threaded analogue of `Kernel::dispatch`
-            // (same stale-event discard, same deadlock dump).
+            // clock, discarding stale wakes; an empty queue with live
+            // tasks is a deadlock.
             let tid = {
                 let mut guard = shared.st.borrow_mut();
                 let st = &mut *guard;
                 loop {
                     let Some((t, _seq, tid, epoch)) = st.queue.peek() else {
                         if st.live == 0 {
-                            st.all_done = true;
                             break 'outer;
                         }
                         let dump: Vec<String> = st
@@ -604,7 +582,6 @@ impl<S: 'static> PolledSim<S> {
                             st.live,
                             dump.join("\n")
                         ));
-                        st.all_done = true;
                         break 'outer;
                     };
                     st.queue.pop();
@@ -623,7 +600,7 @@ impl<S: 'static> PolledSim<S> {
             };
 
             // Poll: drive the dispatched task, absorbing direct-handoff
-            // re-polls inline (the fast path of `Ctx::poll`).
+            // re-polls inline.
             loop {
                 shared.pending.set(None);
                 let task = tasks[tid].as_mut().expect("dispatched task is live");
@@ -656,7 +633,6 @@ impl<S: 'static> PolledSim<S> {
                         if st.panic_msg.is_none() {
                             st.panic_msg = Some(format!("simulated thread {tid} panicked: {msg}"));
                         }
-                        st.all_done = true;
                         break 'outer;
                     }
                     Ok(TaskPoll::Done) => {
@@ -678,8 +654,10 @@ impl<S: 'static> PolledSim<S> {
                                 "poll('{label}') timer in the past: t={at}ns but now={now}ns"
                             );
                             let t = at.max(now);
-                            // Purge stale heads so they can't force a
-                            // needless slow handoff (as `Ctx::poll`).
+                            // Purge stale heads (finished tasks, or our own
+                            // superseded self-wakes) so they can't force a
+                            // needless slow handoff; dispatch would discard
+                            // them on pop anyway.
                             if st.fast_path {
                                 while let Some((_, _, qtid, qe)) = st.queue.peek() {
                                     let s = &st.threads[qtid];
@@ -691,9 +669,10 @@ impl<S: 'static> PolledSim<S> {
                                 }
                             }
                             // Direct-handoff fast path: our own timer is
-                            // strictly earliest — advance the clock in
-                            // place and re-poll, same bookkeeping as the
-                            // blocking engine's in-place re-evaluation.
+                            // strictly earliest, so the queue route would
+                            // park, pop this very wake and poll us again.
+                            // Advance the clock in place instead — same
+                            // epoch/seq bookkeeping, same dispatch instant.
                             if st.fast_path && st.queue.peek().is_none_or(|(qt, ..)| qt > t) {
                                 st.threads[tid].epoch += 1;
                                 st.threads[tid].label = label;
@@ -710,7 +689,7 @@ impl<S: 'static> PolledSim<S> {
                         st.threads[tid].label = label;
                         let epoch = st.threads[tid].epoch;
                         if let Some(at) = wake_at {
-                            Kernel::push_event(st, at, tid, epoch);
+                            st.push_event(at, tid, epoch);
                         }
                         continue 'outer;
                     }
@@ -748,7 +727,6 @@ impl<S: 'static> PolledSim<S> {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::{chrome_trace_json, Sim};
 
     #[test]
     fn single_task_advances_time() {
@@ -920,102 +898,58 @@ mod tests {
         sim.run();
     }
 
+    /// The staggered-advance program on both routes, against the log,
+    /// clocks and event count the thread kernel produced for it.
     #[test]
     fn matches_threads_engine_bitwise() {
-        // The same interleaving program on both engines, fast path on
-        // and off: identical logs, clocks, event counts, and traces.
-        type Log = Vec<(usize, SimTime)>;
-        let threads = |fast: bool| {
-            let mut sim = Sim::new(Log::new());
-            sim.enable_trace();
-            sim.set_fast_path(fast);
-            for tid in 0..6 {
-                sim.spawn(move |ctx| {
-                    for _ in 0..4 {
-                        ctx.advance(7 + tid as u64 * 3);
-                        ctx.with_state(|log, now| log.push((tid, now)));
-                    }
-                });
-            }
-            let r = sim.run();
-            (
-                r.state,
-                r.end_time,
-                r.finish_times,
-                r.events,
-                chrome_trace_json(&r.trace),
-            )
-        };
-        let polled = |fast: bool| {
-            let mut sim = PolledSim::new(Log::new());
-            sim.enable_trace();
-            sim.set_fast_path(fast);
-            for tid in 0..6 {
-                sim.spawn(move |_| async move {
-                    for _ in 0..4 {
-                        sim_advance::<Log>(7 + tid as u64 * 3).await;
-                        sim_with_state(|log: &mut Log, now| log.push((tid, now)));
-                    }
-                });
-            }
-            let r = sim.run();
-            (
-                r.state,
-                r.end_time,
-                r.finish_times,
-                r.events,
-                chrome_trace_json(&r.trace),
-            )
-        };
-        let reference = threads(true);
-        assert_eq!(reference, threads(false));
-        assert_eq!(reference, polled(true));
-        assert_eq!(reference, polled(false));
+        #[rustfmt::skip]
+        let log = vec![
+            (0, 7), (1, 10), (2, 13), (0, 14), (3, 16), (4, 19), (1, 20), (0, 21),
+            (5, 22), (2, 26), (0, 28), (1, 30), (3, 32), (4, 38), (2, 39), (1, 40),
+            (5, 44), (3, 48), (2, 52), (4, 57), (3, 64), (5, 66), (4, 76), (5, 88),
+        ];
+        let finish = vec![28, 40, 52, 64, 76, 88];
+        let (fast, slow) = (
+            crate::tests::staggered(true),
+            crate::tests::staggered(false),
+        );
+        for (got, route) in [(&fast, "fast"), (&slow, "queue")] {
+            assert_eq!(got.0, log, "{route} route log");
+            assert_eq!(
+                (got.1, &got.2, got.3),
+                (88, &finish, 30),
+                "{route} route clocks"
+            );
+        }
+        assert_eq!(fast.4, slow.4, "the routes' dispatch traces differ");
     }
 
+    /// A deposit and its take, at the times and event count the thread
+    /// kernel produced.
     #[test]
     fn mailboxes_work_identically() {
         use crate::Mailboxes;
-        let threads = || {
-            let mut sim = Sim::new(Mailboxes::new());
-            sim.spawn(|ctx| {
-                ctx.advance(10);
-                ctx.poll("send", |m: &mut Mailboxes, w, now| {
-                    m.deposit(w, 1, 0, 7, now + 25, b"hi".to_vec());
-                    Poll::Ready(())
-                });
-            });
-            sim.spawn(|ctx| {
-                let tid = ctx.tid();
-                let msg = ctx.poll("recv", move |m: &mut Mailboxes, _w, now| {
-                    m.take(tid, 1, 0, 7, now)
-                });
-                assert_eq!(msg, b"hi");
-            });
-            let r = sim.run();
-            (r.end_time, r.finish_times, r.events)
-        };
-        let polled = || {
-            let mut sim = PolledSim::new(Mailboxes::new());
-            sim.spawn(|_| async {
-                sim_advance::<Mailboxes>(10).await;
-                sim_poll("send", |m: &mut Mailboxes, w, now| {
-                    m.deposit(w, 1, 0, 7, now + 25, b"hi".to_vec());
-                    Poll::Ready(())
-                })
-                .await;
-            });
-            sim.spawn(|tid| async move {
-                let msg = sim_poll("recv", move |m: &mut Mailboxes, _w, now| {
-                    m.take(tid, 1, 0, 7, now)
-                })
-                .await;
-                assert_eq!(msg, b"hi");
-            });
-            let r = sim.run();
-            (r.end_time, r.finish_times, r.events)
-        };
-        assert_eq!(threads(), polled());
+        let mut sim = PolledSim::new(Mailboxes::new());
+        sim.spawn(|_| async {
+            sim_advance::<Mailboxes>(10).await;
+            sim_poll("send", |m: &mut Mailboxes, w, now| {
+                m.deposit(w, 1, 0, 7, now + 25, b"hi".to_vec());
+                Poll::Ready(())
+            })
+            .await;
+        });
+        sim.spawn(|tid| async move {
+            let msg = sim_poll("recv", move |m: &mut Mailboxes, _w, now| {
+                m.take(tid, 1, 0, 7, now)
+            })
+            .await;
+            assert_eq!(msg, b"hi");
+        });
+        let r = sim.run();
+        assert_eq!(
+            (r.end_time, r.finish_times, r.events),
+            (35, vec![10, 35], 4)
+        );
     }
 
     /// An inner sim of another state type, run to completion from inside a

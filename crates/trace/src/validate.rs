@@ -1,6 +1,6 @@
 //! Chrome-trace JSON schema validation (the CI `trace-validate` gate).
 //!
-//! The workspace builds offline with no `serde_json`, so this module carries
+//! The workspace builds offline with no JSON library, so this module carries
 //! a minimal hand-rolled JSON parser — just enough for the trace-event array
 //! format — and checks the properties a Perfetto-loadable trace must have:
 //! a top-level array of objects, each with a known `ph` phase, numeric

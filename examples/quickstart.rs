@@ -5,9 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use kacc::collectives::{gather, GatherAlgo, Tuner};
-use kacc::comm::{Comm, CommExt};
-use kacc::machine::run_team;
+use kacc::collectives::{gatherv_polled, GatherAlgo, Tuner};
+use kacc::machine::{run_polled_team, PolledComm};
 use kacc::model::ArchProfile;
 
 fn main() {
@@ -23,11 +22,16 @@ fn main() {
     println!("tuner selected: {algo:?}");
 
     // Every rank contributes a rank-stamped pattern; rank 0 collects.
-    let (run, results) = run_team(&arch, p, move |comm| {
-        let me = comm.rank();
-        let sb = comm.alloc_with(&kacc::collectives::verify::contribution(me, count));
-        let rb = (me == 0).then(|| comm.alloc(p * count));
-        gather(comm, algo, Some(sb), rb, count, 0).expect("gather");
+    // Each rank's body is an async block driving its simulated endpoint.
+    let (run, results) = run_polled_team(&arch, p, move |rank| async move {
+        let comm = &mut PolledComm::new(rank);
+        let mine = kacc::collectives::verify::contribution(rank, count);
+        let sb = comm.alloc_with(&mine).expect("alloc");
+        let rb = (rank == 0).then(|| comm.alloc(p * count));
+        let counts = vec![count; p];
+        gatherv_polled(comm, algo, Some(sb), rb, &counts, None, 0)
+            .await
+            .expect("gather");
         rb.map(|b| comm.read_all(b).expect("read"))
     });
 
@@ -52,11 +56,14 @@ fn main() {
         ("parallel writes (unthrottled)", GatherAlgo::ParallelWrite),
         ("sequential reads", GatherAlgo::SequentialRead),
     ] {
-        let (alt, _) = run_team(&arch, p, move |comm| {
-            let me = comm.rank();
+        let (alt, _) = run_polled_team(&arch, p, move |rank| async move {
+            let comm = &mut PolledComm::new(rank);
             let sb = comm.alloc(count);
-            let rb = (me == 0).then(|| comm.alloc(p * count));
-            gather(comm, algo, Some(sb), rb, count, 0).expect("gather");
+            let rb = (rank == 0).then(|| comm.alloc(p * count));
+            let counts = vec![count; p];
+            gatherv_polled(comm, algo, Some(sb), rb, &counts, None, 0)
+                .await
+                .expect("gather");
         });
         println!(
             "  vs {label:32} {:>9.1} us ({:.2}x slower)",

@@ -8,7 +8,7 @@
 //! ```
 
 use kacc::collectives::{bcast, BcastAlgo};
-use kacc::comm::{Comm, CommError, CommExt};
+use kacc::comm::{block_on, smcoll, Blocking, Comm, CommError, CommExt};
 use kacc::native::{cma_available, run_forked};
 
 fn main() {
@@ -39,7 +39,7 @@ fn main() {
                 comm.alloc(count)
             };
             // Synchronize, run, and report rank 0's wall time.
-            kacc::comm::smcoll::sm_barrier(comm)?;
+            block_on(smcoll::sm_barrier(&mut Blocking(&mut *comm)))?;
             let t0 = comm.time_ns();
             bcast(comm, algo, buf, count, 0)?;
             let dt = comm.time_ns() - t0;
@@ -50,7 +50,7 @@ fn main() {
                 return Err(CommError::Protocol(format!("rank {me}: {d}")));
             }
             // Rank 0 prints after everyone verified.
-            kacc::comm::smcoll::sm_barrier(comm)?;
+            block_on(smcoll::sm_barrier(&mut Blocking(&mut *comm)))?;
             if me == 0 {
                 println!(
                     "  {algo:?}: {:.1} us (verified on all ranks)",

@@ -12,10 +12,9 @@
 //! cargo run --release --example transpose_app [ranks] [n]
 //! ```
 
-use kacc::collectives::reduce::{allreduce, AllreduceAlgo, Dtype, ReduceAlgo, ReduceOp};
-use kacc::collectives::{alltoall, AlltoallAlgo, BcastAlgo, Tuner};
-use kacc::comm::{Comm, CommExt};
-use kacc::machine::run_team;
+use kacc::collectives::reduce::{allreduce_polled, AllreduceAlgo, Dtype, ReduceAlgo, ReduceOp};
+use kacc::collectives::{alltoall_polled, AlltoallAlgo, BcastAlgo, Tuner};
+use kacc::machine::{run_polled_team, PolledComm};
 use kacc::model::ArchProfile;
 use kacc::mpi::{baseline, Library};
 
@@ -52,8 +51,8 @@ fn main() {
     ];
 
     for (label, algo, lib) in variants {
-        let (run, results) = run_team(&arch, p, move |comm| {
-            let me = comm.rank();
+        let (run, results) = run_polled_team(&arch, p, move |me| async move {
+            let comm = &mut PolledComm::new(me);
             // My row block, packed so destination blocks are contiguous:
             // block d holds my rows restricted to columns [d·rows, ...).
             let block = rows * rows * 8;
@@ -69,10 +68,16 @@ fn main() {
             }
             let rb = comm.alloc(p * block);
             match (algo, lib) {
-                (Some(a), _) => alltoall(comm, a, Some(sb), rb, block).expect("alltoall"),
+                (Some(a), _) => {
+                    alltoall_polled(comm, a, Some(sb), rb, block)
+                        .await
+                        .expect("alltoall");
+                }
                 (_, Some(l)) => {
                     let tuner = Tuner::new(&ArchProfile::knl());
-                    baseline::alltoall(comm, l, &tuner, Some(sb), rb, block).expect("alltoall");
+                    baseline::alltoall_async(comm, l, &tuner, Some(sb), rb, block)
+                        .await
+                        .expect("alltoall");
                 }
                 _ => unreachable!(),
             }
@@ -96,9 +101,9 @@ fn main() {
 
             // Agree on the global max error with the extension
             // Allreduce (Max over f64 lanes).
-            let err_in = comm.alloc_with(&max_err.to_le_bytes());
+            let err_in = comm.alloc_with(&max_err.to_le_bytes()).expect("alloc");
             let err_out = comm.alloc(8);
-            allreduce(
+            allreduce_polled(
                 comm,
                 AllreduceAlgo::ReduceBcast {
                     reduce: ReduceAlgo::KNomialTree { radix: 4 },
@@ -110,6 +115,7 @@ fn main() {
                 Dtype::F64,
                 ReduceOp::Max,
             )
+            .await
             .expect("allreduce");
             let global = comm.read_all(err_out).expect("read");
             f64::from_le_bytes(global.try_into().unwrap())

@@ -19,16 +19,9 @@ cargo test -q
 echo "== benches compile =="
 cargo bench --no-run -q
 
-echo "== determinism suite (repeat runs, --jobs 1 vs 8, traces) =="
+echo "== determinism suite (repeat runs, --jobs 1 vs 8, traces; fast path vs the queue route) =="
 cargo test -q --release -p kacc-bench --test determinism
 cargo test -q --release -p kacc-collectives --test fastpath_equivalence
-
-echo "== transport equivalence (SimComm behind Blocking vs PolledComm, one executor, bitwise) =="
-cargo test -q --release -p kacc-sim-core --test polled_parity
-# Random CMA teams: the machine-resident transfer (PolledComm) vs the
-# blocking cost model (SimComm) — TeamRun, results, buffers, Chrome traces.
-cargo test -q --release -p kacc-machine --test xfer_parity
-cargo test -q --release -p kacc-collectives --test engine_equivalence
 
 echo "== differential suites (event queue, fluid servers vs their test oracles; mailbox, heap, scope units) =="
 # Tier-1 runs these in debug; release is the build every figure uses.
@@ -49,11 +42,12 @@ chaos_seed="${KACC_CHAOS_SEED:-$(od -An -N8 -tu8 /dev/urandom | tr -d ' ')}"
 echo "[chaos fresh seed: ${chaos_seed}]"
 KACC_CHAOS_SEED="$chaos_seed" cargo test -q --release -p kacc-collectives --test chaos
 
-echo "== membership chaos (kill-k recovery, fixed corpus + fresh seed, both sim transports) =="
+echo "== membership chaos (kill-k recovery, fixed corpus + fresh seed) =="
 # Silent-kill fault plans: k in {1,2} ranks die mid-collective; survivors
 # must detect, agree, shrink, and re-execute with verified payloads on the
-# blocking AND the polled simulator endpoint (the suite checks their
-# bitwise equality itself). Same seed protocol as the chaos suite above; reproduce with
+# simulator (fixed kill schedules pinned bit for bit), plus a fault-free
+# run on the thread transport. Same seed protocol as the chaos suite
+# above; reproduce with
 # `KACC_CHAOS_SEED=<seed> cargo test -p kacc-collectives --test membership_chaos`.
 echo "[membership chaos fresh seed: ${chaos_seed}]"
 KACC_CHAOS_SEED="$chaos_seed" cargo test -q --release -p kacc-collectives --test membership_chaos

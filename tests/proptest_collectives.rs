@@ -8,11 +8,10 @@ use kacc::collectives::verify::{
     scatter_sendbuf,
 };
 use kacc::collectives::{
-    allgather, alltoall, bcast, gather, reduce, scatter, AllgatherAlgo, AlltoallAlgo, BcastAlgo,
-    Dtype, GatherAlgo, ReduceAlgo, ReduceOp, ScatterAlgo,
+    allgather_polled, alltoall_polled, bcast_polled, gatherv_polled, reduce_polled, scatter_polled,
+    AllgatherAlgo, AlltoallAlgo, BcastAlgo, Dtype, GatherAlgo, ReduceAlgo, ReduceOp, ScatterAlgo,
 };
-use kacc::comm::{Comm, CommExt};
-use kacc::machine::{run_team, run_team_phantom};
+use kacc::machine::{run_polled_team, run_polled_team_phantom, PolledComm};
 use kacc::model::ArchProfile;
 use proptest::prelude::*;
 
@@ -66,11 +65,11 @@ proptest! {
         algo in scatter_algo(),
     ) {
         let root = root_seed % p;
-        let (_, results) = run_team(&small_arch(), p, move |comm| {
-            let me = comm.rank();
-            let sb = (me == root).then(|| comm.alloc_with(&scatter_sendbuf(p, count)));
+        let (_, results) = run_polled_team(&small_arch(), p, move |rank| async move {
+            let comm = &mut PolledComm::new(rank);
+            let sb = (rank == root).then(|| comm.alloc_with(&scatter_sendbuf(p, count)).unwrap());
             let rb = comm.alloc(count);
-            scatter(comm, algo, sb, Some(rb), count, root).unwrap();
+            scatter_polled(comm, algo, sb, Some(rb), count, root).await.unwrap();
             comm.read_all(rb).unwrap()
         });
         for (r, got) in results.iter().enumerate() {
@@ -87,11 +86,11 @@ proptest! {
         algo in gather_algo(),
     ) {
         let root = root_seed % p;
-        let (_, results) = run_team(&small_arch(), p, move |comm| {
-            let me = comm.rank();
-            let sb = comm.alloc_with(&contribution(me, count));
-            let rb = (me == root).then(|| comm.alloc(p * count));
-            gather(comm, algo, Some(sb), rb, count, root).unwrap();
+        let (_, results) = run_polled_team(&small_arch(), p, move |rank| async move {
+            let comm = &mut PolledComm::new(rank);
+            let sb = comm.alloc_with(&contribution(rank, count)).unwrap();
+            let rb = (rank == root).then(|| comm.alloc(p * count));
+            gatherv_polled(comm, algo, Some(sb), rb, &vec![count; p], None, root).await.unwrap();
             rb.map(|b| comm.read_all(b).unwrap()).unwrap_or_default()
         });
         prop_assert!(diff(&results[root], &gather_expected(p, count)).is_none(),
@@ -116,11 +115,11 @@ proptest! {
             3 => AllgatherAlgo::RecursiveDoubling,
             _ => AllgatherAlgo::Bruck,
         };
-        let (_, results) = run_team(&small_arch(), p, move |comm| {
-            let me = comm.rank();
-            let sb = comm.alloc_with(&contribution(me, count));
+        let (_, results) = run_polled_team(&small_arch(), p, move |rank| async move {
+            let comm = &mut PolledComm::new(rank);
+            let sb = comm.alloc_with(&contribution(rank, count)).unwrap();
             let rb = comm.alloc(p * count);
-            allgather(comm, algo, Some(sb), rb, count).unwrap();
+            allgather_polled(comm, algo, Some(sb), rb, count).await.unwrap();
             comm.read_all(rb).unwrap()
         });
         let expected = gather_expected(p, count);
@@ -137,18 +136,12 @@ proptest! {
         in_place in proptest::bool::ANY,
     ) {
         let algo = if bruck { AlltoallAlgo::Bruck } else { AlltoallAlgo::Pairwise };
-        let (_, results) = run_team(&small_arch(), p, move |comm| {
-            let me = comm.rank();
-            if in_place {
-                let rb = comm.alloc_with(&alltoall_sendbuf(me, p, count));
-                alltoall(comm, algo, None, rb, count).unwrap();
-                comm.read_all(rb).unwrap()
-            } else {
-                let sb = comm.alloc_with(&alltoall_sendbuf(me, p, count));
-                let rb = comm.alloc(p * count);
-                alltoall(comm, algo, Some(sb), rb, count).unwrap();
-                comm.read_all(rb).unwrap()
-            }
+        let (_, results) = run_polled_team(&small_arch(), p, move |rank| async move {
+            let comm = &mut PolledComm::new(rank);
+            let mine = comm.alloc_with(&alltoall_sendbuf(rank, p, count)).unwrap();
+            let (sb, rb) = if in_place { (None, mine) } else { (Some(mine), comm.alloc(p * count)) };
+            alltoall_polled(comm, algo, sb, rb, count).await.unwrap();
+            comm.read_all(rb).unwrap()
         });
         for (r, got) in results.iter().enumerate() {
             prop_assert!(diff(got, &alltoall_expected(r, p, count)).is_none(),
@@ -164,14 +157,14 @@ proptest! {
         algo in bcast_algo(),
     ) {
         let root = root_seed % p;
-        let (_, results) = run_team(&small_arch(), p, move |comm| {
-            let me = comm.rank();
-            let buf = if me == root {
-                comm.alloc_with(&contribution(root, count))
+        let (_, results) = run_polled_team(&small_arch(), p, move |rank| async move {
+            let comm = &mut PolledComm::new(rank);
+            let buf = if rank == root {
+                comm.alloc_with(&contribution(root, count)).unwrap()
             } else {
                 comm.alloc(count)
             };
-            bcast(comm, algo, buf, count, root).unwrap();
+            bcast_polled(comm, algo, buf, count, root).await.unwrap();
             comm.read_all(buf).unwrap()
         });
         let expected = contribution(root, count);
@@ -199,13 +192,13 @@ proptest! {
         };
         let value_of =
             |r: usize, l: usize| (r as u64).wrapping_mul(0xABCD_EF01).wrapping_add(l as u64);
-        let (_, results) = run_team(&small_arch(), p, move |comm| {
-            let me = comm.rank();
+        let (_, results) = run_polled_team(&small_arch(), p, move |rank| async move {
+            let comm = &mut PolledComm::new(rank);
             let data: Vec<u8> =
-                (0..lanes).flat_map(|l| value_of(me, l).to_le_bytes()).collect();
-            let sb = comm.alloc_with(&data);
-            let rb = (me == root).then(|| comm.alloc(lanes * 8));
-            reduce(comm, algo, sb, rb, lanes * 8, Dtype::U64, op, root).unwrap();
+                (0..lanes).flat_map(|l| value_of(rank, l).to_le_bytes()).collect();
+            let sb = comm.alloc_with(&data).unwrap();
+            let rb = (rank == root).then(|| comm.alloc(lanes * 8));
+            reduce_polled(comm, algo, sb, rb, lanes * 8, Dtype::U64, op, root).await.unwrap();
             rb.map(|b| comm.read_all(b).unwrap()).unwrap_or_default()
         });
         let got: Vec<u64> = results[root]
@@ -223,15 +216,16 @@ proptest! {
         algo in bcast_algo(),
     ) {
         let go = |phantom: bool| {
-            let body = move |comm: &mut kacc::machine::SimComm| {
+            let body = move |rank| async move {
+                let comm = &mut PolledComm::new(rank);
                 let buf = comm.alloc(count);
-                bcast(comm, algo, buf, count, 0).unwrap();
+                bcast_polled(comm, algo, buf, count, 0).await.unwrap();
                 comm.time_ns()
             };
             if phantom {
-                run_team_phantom(&small_arch(), p, body).0.end_ns
+                run_polled_team_phantom(&small_arch(), p, body).0.end_ns
             } else {
-                run_team(&small_arch(), p, body).0.end_ns
+                run_polled_team(&small_arch(), p, body).0.end_ns
             }
         };
         let a = go(false);
