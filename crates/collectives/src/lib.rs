@@ -29,10 +29,11 @@
 //! * **Hierarchical** ([`hierarchical`]): two-level designs whose
 //!   intra-node phase uses the contention-aware algorithms (§VII-G).
 //!
-//! Every collective is implemented once, as an `async` `*_polled` entry
-//! generic over [`kacc_comm::AsyncComm`] that compiles a plan and hands
-//! it to the one executor in [`polled`]. The polled machine simulator
-//! runs those entries natively; the blocking entry points
+//! Every collective, the two-level ones included, is implemented once,
+//! as an `async` `*_polled` entry generic over [`kacc_comm::AsyncComm`]
+//! that compiles a plan ([`schedule`]) and hands it to the one executor
+//! and recovery ladder in [`polled`]. The polled machine simulator runs
+//! those entries natively; the blocking entry points
 //! ([`scatter`](fn@scatter), [`gather`](fn@gather), …) drive the same
 //! code on any [`kacc_comm::Comm`] — the in-process thread transport,
 //! the real `process_vm_readv` transport — through
@@ -57,8 +58,8 @@ pub use alltoall::{alltoall, alltoall_polled, alltoall_with_report, AlltoallAlgo
 pub use bcast::{bcast, bcast_polled, bcast_with_report, BcastAlgo};
 pub use gather::{gather, gatherv, gatherv_polled, gatherv_with_report, GatherAlgo};
 pub use reduce::{
-    allreduce, allreduce_polled, reduce, reduce_polled, reduce_scatter_block,
-    reduce_scatter_block_polled, reduce_with_report, AllreduceAlgo, Dtype, ReduceAlgo, ReduceOp,
+    allreduce_polled, reduce, reduce_polled, reduce_scatter_block_polled, reduce_with_report,
+    AllreduceAlgo, Dtype, ReduceAlgo, ReduceOp,
 };
 
 pub(crate) use allgather::allgather_ranges;
@@ -66,9 +67,7 @@ pub use exec::{
     execute, execute_traced, execute_with_policy, Bindings, MembershipPolicy, RecoveryPolicy,
     RecoveryReport, ScheduleReport, StepStats,
 };
-pub use membership::{
-    run_survivable, run_survivable_polled, MembershipReport, SurvivableOp, SurvivableOutcome,
-};
+pub use membership::{run_survivable_polled, MembershipReport, SurvivableOp, SurvivableOutcome};
 pub use polled::{execute_polled, execute_polled_traced, execute_polled_with_policy};
 pub use scatter::{
     scatter, scatter_polled, scatterv, scatterv_polled, scatterv_with_report, ScatterAlgo,

@@ -1,8 +1,7 @@
 //! Survivable collectives: deterministic failure detection, agreement,
 //! and shrink-and-re-execute recovery (ULFM-inspired membership layer).
 //!
-//! [`run_survivable_polled`] (async over any [`AsyncComm`];
-//! [`run_survivable`] drives it on a blocking transport) wraps any of
+//! [`run_survivable_polled`] (async over any [`AsyncComm`]) wraps any of
 //! the six bulk collectives in a membership loop:
 //!
 //! 1. **Detect (adaptive)** — the data plan executes with the liveness
@@ -62,9 +61,7 @@
 use std::sync::{Arc, OnceLock};
 
 use kacc_comm::mask::{FLAG_NORESUME, FLAG_REDO};
-use kacc_comm::{
-    block_on, AsyncComm, Blocking, BufId, Comm, CommError, MemberMask, Result, Topology,
-};
+use kacc_comm::{AsyncComm, BufId, CommError, MemberMask, Result, Topology};
 use kacc_model::ArchProfile;
 use kacc_trace::{Tracer, Track};
 
@@ -1114,24 +1111,6 @@ pub async fn run_survivable_polled<C: AsyncComm>(
         iter += 1;
         aiter = 0;
     }
-}
-
-/// [`run_survivable_polled`] on a blocking transport, driven through
-/// [`Blocking`] + [`block_on`].
-pub fn run_survivable<C: Comm + ?Sized>(
-    comm: &mut C,
-    op: &SurvivableOp,
-    send: Option<BufId>,
-    recv: Option<BufId>,
-    policy: &RecoveryPolicy,
-) -> Result<SurvivableOutcome> {
-    block_on(run_survivable_polled(
-        &mut Blocking(comm),
-        op,
-        send,
-        recv,
-        policy,
-    ))
 }
 
 #[cfg(test)]

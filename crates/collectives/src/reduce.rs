@@ -18,9 +18,9 @@
 //!   the copies and the combine arithmetic are parallelized across the
 //!   node — a k-nomial broadcast run in reverse.
 //!
-//! [`allreduce`] composes these with the Bcast designs. Every entry is
-//! one `async` body over [`AsyncComm`] (the `*_polled` names) with a
-//! blocking wrapper for a [`Comm`].
+//! [`allreduce_polled`] composes these with the Bcast designs. Every
+//! entry is one `async` body over [`AsyncComm`] (the `*_polled` names);
+//! [`reduce`] and [`reduce_with_report`] drive it on a blocking [`Comm`].
 
 use crate::bcast::{bcast_polled, BcastAlgo};
 use crate::exec::{Bindings, ScheduleReport};
@@ -250,25 +250,6 @@ async fn prepare<C: AsyncComm>(
 /// Pairwise rotation keeps every step's reads on distinct source
 /// processes — the same contention-free structure as the pairwise
 /// Alltoall (§IV-C1), with a fold after each read.
-pub fn reduce_scatter_block<C: Comm + ?Sized>(
-    comm: &mut C,
-    sendbuf: BufId,
-    recvbuf: BufId,
-    count: usize,
-    dtype: Dtype,
-    op: ReduceOp,
-) -> Result<()> {
-    block_on(reduce_scatter_block_polled(
-        &mut Blocking(comm),
-        sendbuf,
-        recvbuf,
-        count,
-        dtype,
-        op,
-    ))
-}
-
-/// [`reduce_scatter_block`] on any [`AsyncComm`] endpoint.
 pub async fn reduce_scatter_block_polled<C: AsyncComm>(
     comm: &mut C,
     sendbuf: BufId,
@@ -366,28 +347,6 @@ pub enum AllreduceAlgo {
 
 /// MPI_Allreduce: every rank ends with the lane-wise combination of all
 /// contributions in `recvbuf`.
-#[allow(clippy::too_many_arguments)]
-pub fn allreduce<C: Comm + ?Sized>(
-    comm: &mut C,
-    algo: AllreduceAlgo,
-    sendbuf: BufId,
-    recvbuf: BufId,
-    count: usize,
-    dtype: Dtype,
-    op: ReduceOp,
-) -> Result<()> {
-    block_on(allreduce_polled(
-        &mut Blocking(comm),
-        algo,
-        sendbuf,
-        recvbuf,
-        count,
-        dtype,
-        op,
-    ))
-}
-
-/// [`allreduce`] on any [`AsyncComm`] endpoint.
 pub async fn allreduce_polled<C: AsyncComm>(
     comm: &mut C,
     algo: AllreduceAlgo,

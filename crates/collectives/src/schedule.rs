@@ -41,7 +41,7 @@ use crate::scatter::ScatterAlgo;
 use crate::{class, unvrank, vrank};
 
 /// Symbolic buffer the executor resolves to a `BufId` at bind time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Slot {
     /// The caller's send-side buffer (`sendbuf`, or the single data
     /// buffer for rootless/broadcast shapes).
@@ -261,7 +261,7 @@ enum SmContent {
 
 /// Builder accumulating steps and allocating registers/temps while a
 /// compile function walks its algorithm's structure.
-struct Builder {
+pub(crate) struct Builder {
     p: usize,
     rank: usize,
     class: Option<u32>,
@@ -271,7 +271,7 @@ struct Builder {
 }
 
 impl Builder {
-    fn new(p: usize, rank: usize, class: u32) -> Builder {
+    pub(crate) fn new(p: usize, rank: usize, class: u32) -> Builder {
         Builder {
             p,
             rank,
@@ -282,23 +282,23 @@ impl Builder {
         }
     }
 
-    fn reg(&mut self) -> TokenReg {
+    pub(crate) fn reg(&mut self) -> TokenReg {
         let r = TokenReg(self.regs);
         self.regs += 1;
         r
     }
 
-    fn temp(&mut self, len: usize) -> Slot {
+    pub(crate) fn temp(&mut self, len: usize) -> Slot {
         let i = self.temps.len() as u32;
         self.temps.push(len);
         Slot::Temp(i)
     }
 
-    fn push(&mut self, s: Step) {
+    pub(crate) fn push(&mut self, s: Step) {
         self.steps.push(s);
     }
 
-    fn finish(self) -> Schedule {
+    pub(crate) fn finish(self) -> Schedule {
         Schedule {
             p: self.p,
             rank: self.rank,

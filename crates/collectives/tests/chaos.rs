@@ -40,9 +40,10 @@ use kacc_collectives::{
 use kacc_comm::{block_on, AsyncComm, Blocking, BufId};
 use kacc_fault::{FaultHook, FaultKind, FaultOp, FaultPlan, FaultRule};
 use kacc_machine::{
-    run_polled_team, run_polled_team_faulty, run_polled_team_faulty_traced, PolledComm, TeamRun,
+    run_polled_machine_full, run_polled_team, run_polled_team_faulty,
+    run_polled_team_faulty_traced, MachineState, PolledComm, TeamRun,
 };
-use kacc_model::ArchProfile;
+use kacc_model::{ArchProfile, FabricParams};
 use kacc_native::run_threads_faulty;
 use kacc_trace::{Event, EventKind, Track};
 use proptest::prelude::*;
@@ -602,12 +603,17 @@ fn same_seed_same_faults_same_timeline() {
 
 // ---- 6. Hierarchical collectives ride the same chaos plans ----------------
 
-/// One full hierarchical round (scatter, gather, pipelined gather) on
-/// the simulator under the recoverable plan; returns the three payloads
-/// each rank observed.
-fn check_hier_sim(seed: u64, p: usize, count: usize, root: usize, k: usize) {
-    let (run, results) = sim_team(p, recoverable_hook(seed), move |mut comm| async move {
-        let comm = &mut comm;
+/// One full hierarchical round (scatter, gather, pipelined gather) on a
+/// simulated `nodes × rpn` cluster under the recoverable plan, every
+/// payload verified. With `nodes > 1` the leader → root bulk path, the
+/// remote leaders' staging and the pipelined waves see faults too.
+fn check_hier(seed: u64, nodes: usize, rpn: usize, count: usize, root: usize, k: usize) {
+    let p = nodes * rpn;
+    let fabric = (nodes > 1).then(FabricParams::ib_edr);
+    let mut state = MachineState::cluster(small_arch(), nodes, rpn, fabric);
+    state.fault = recoverable_hook(seed);
+    let (run, results, _) = run_polled_machine_full(state, false, true, move |rank| async move {
+        let comm = &mut PolledComm::new(rank);
         let me = comm.rank();
         let ssb = (me == root).then(|| comm.alloc_with(&scatter_sendbuf(p, count)).unwrap());
         let srb = comm.alloc(count);
@@ -633,7 +639,8 @@ fn check_hier_sim(seed: u64, p: usize, count: usize, root: usize, k: usize) {
         (scattered, gathered, pipelined)
     });
     for (r, (scattered, gathered, pipelined)) in results.iter().enumerate() {
-        let ctx = format!("hier seed={seed} p={p} count={count} root={root} k={k} rank {r}");
+        let ctx =
+            format!("hier seed={seed} {nodes}x{rpn} count={count} root={root} k={k} rank {r}");
         if let Some(d) = diff(scattered, &scatter_expected(r, count)) {
             panic!("{ctx} scatter: {d}");
         }
@@ -651,31 +658,38 @@ fn check_hier_sim(seed: u64, p: usize, count: usize, root: usize, k: usize) {
     }
     assert_eq!(
         run.mail_pending, 0,
-        "hier seed={seed}: leaked control messages"
+        "hier seed={seed} {nodes}x{rpn}: leaked control messages"
     );
 }
 
 #[test]
 fn chaos_corpus_hierarchical_sim() {
     for &seed in &seed_corpus() {
-        check_hier_sim(seed, 8, 1024, 0, 4);
-        check_hier_sim(seed, 7, 512, 2, 3);
+        check_hier(seed, 1, 8, 1024, 0, 4);
+        check_hier(seed, 1, 7, 512, 2, 3);
+        check_hier(seed, 2, 4, 1024, 0, 4);
+        // Root 4 is the middle node's second rank: a root that is not
+        // its node's lowest rank, with remote leaders on both sides.
+        check_hier(seed, 3, 3, 512, 4, 2);
+        check_hier(seed, 3, 2, 256, 5, 1);
     }
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
     /// Hierarchical designs survive any recoverable plan with exact
-    /// payloads, for any team size, leader-group width, and root.
+    /// payloads, for any node count (1–3), node size, leader-group width
+    /// and root; across nodes the fabric hops see faults too.
     #[test]
     fn chaos_any_seed_hierarchical_sim(
         seed in any::<u64>(),
-        p in 2usize..9,
+        nodes in 1usize..4,
+        rpn in 1usize..9,
         k in 1usize..5,
-        rootsel in 0usize..8,
+        rootsel in 0usize..24,
         lanes in 1usize..16,
     ) {
-        check_hier_sim(seed, p, lanes * 64, rootsel % p, k);
+        check_hier(seed, nodes, rpn, lanes * 64, rootsel % (nodes * rpn), k);
     }
 }

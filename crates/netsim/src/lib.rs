@@ -19,7 +19,10 @@
 //! The bodies are `async` and run on the polled engine, one task per
 //! rank, over a *phantom* cluster: the experiments report time, and a
 //! phantom team's heaps and bulk messages are lengths, so a point
-//! allocates and copies nothing however large `count` is.
+//! allocates and copies nothing however large `count` is. The two-level
+//! strategies are `kacc_collectives::hierarchical`'s compiled plans, run
+//! by the collectives' executor like every other collective; the
+//! single-level one is `kacc_mpi::ptcoll`'s pt2pt tree.
 //! Payload correctness is the tests' business — they run the same bodies
 //! on `run_polled_cluster`'s real buffers and verify every byte.
 

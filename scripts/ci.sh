@@ -30,7 +30,7 @@ cargo test -q --release -p kacc-sim-core -p kacc-machine --lib
 echo "== persona pins (library personas bit-for-bit vs the pre-port capture) =="
 cargo test -q --release -p kacc-bench --test persona_pins
 
-echo "== cluster pins (Fig 17 bodies bit-for-bit vs the pre-port capture, plus the netsim units) =="
+echo "== cluster pins (Fig 17 compiled two-level plans bit-for-bit vs the pre-port capture, plus the netsim units) =="
 cargo test -q --release -p kacc-netsim
 
 echo "== chaos suite (fixed seed corpus + one fresh seed) =="
