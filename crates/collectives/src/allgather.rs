@@ -3,16 +3,13 @@
 //! The entry points compile to a [`crate::schedule::Schedule`] (cached
 //! in the global [`PlanCache`]) and replay it through the executor:
 //! [`allgather_polled`] is the one implementation, async over any
-//! [`AsyncComm`], and [`allgather`]/[`allgather_with_report`] run it on
-//! a blocking [`Comm`].
+//! [`AsyncComm`], and [`allgather`] runs it on a blocking [`Comm`].
 
-use crate::class;
+use crate::check_len;
 use crate::exec::{Bindings, ScheduleReport};
 use crate::polled::execute_polled;
-use crate::schedule::{compile_allgather, PlanCache, PlanKey};
-use kacc_comm::{
-    block_on, smcoll, AsyncComm, Blocking, BufId, Comm, CommError, RemoteToken, Result, Tag,
-};
+use crate::schedule::{PlanCache, PlanKey};
+use kacc_comm::{block_on, AsyncComm, Blocking, BufId, Comm, CommError, Result};
 
 /// Allgather algorithm selection (§V-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -49,19 +46,6 @@ pub fn allgather<C: Comm + ?Sized>(
     recvbuf: BufId,
     count: usize,
 ) -> Result<()> {
-    allgather_with_report(comm, algo, sendbuf, recvbuf, count).map(|_| ())
-}
-
-/// [`allgather`] returning the executor's per-step accounting. `None`
-/// when the call was satisfied without a schedule (single rank or zero
-/// count).
-pub fn allgather_with_report<C: Comm + ?Sized>(
-    comm: &mut C,
-    algo: AllgatherAlgo,
-    sendbuf: Option<BufId>,
-    recvbuf: BufId,
-    count: usize,
-) -> Result<Option<ScheduleReport>> {
     block_on(allgather_polled(
         &mut Blocking(comm),
         algo,
@@ -69,6 +53,7 @@ pub fn allgather_with_report<C: Comm + ?Sized>(
         recvbuf,
         count,
     ))
+    .map(drop)
 }
 
 /// [`allgather`] on any [`AsyncComm`] endpoint: validate, fetch (or
@@ -82,7 +67,6 @@ pub async fn allgather_polled<C: AsyncComm>(
     count: usize,
 ) -> Result<Option<ScheduleReport>> {
     let p = comm.size();
-    let me = comm.rank();
     if !validate(comm, sendbuf, recvbuf, count).await? {
         return Ok(None);
     }
@@ -98,16 +82,13 @@ pub async fn allgather_polled<C: AsyncComm>(
         }
         other => other,
     };
-    let plan = PlanCache::global().get_or_compile(
-        PlanKey::Allgather {
-            algo,
-            p,
-            rank: me,
-            count,
-            has_sendbuf: sendbuf.is_some(),
-        },
-        || compile_allgather(algo, p, me, count, sendbuf.is_some()),
-    );
+    let plan = PlanCache::global().plan(PlanKey::Allgather {
+        algo,
+        p,
+        rank: comm.rank(),
+        count,
+        has_sendbuf: sendbuf.is_some(),
+    });
     execute_polled(
         comm,
         &plan,
@@ -129,16 +110,7 @@ async fn validate<C: AsyncComm>(
 ) -> Result<bool> {
     let p = comm.size();
     let me = comm.rank();
-    let need = p * count;
-    let cap = comm.buf_len(recvbuf)?;
-    if cap < need {
-        return Err(CommError::OutOfRange {
-            buf: recvbuf.0,
-            off: 0,
-            len: need,
-            cap,
-        });
-    }
+    check_len(comm, recvbuf, p * count)?;
     if count == 0 || p == 1 {
         if let (Some(sb), true) = (sendbuf, count > 0) {
             comm.copy_local(sb, 0, recvbuf, me * count, count).await?;
@@ -146,43 +118,6 @@ async fn validate<C: AsyncComm>(
         return Ok(false);
     }
     Ok(true)
-}
-
-/// Ring-neighbor allgather over arbitrary per-rank `(offset, len)`
-/// ranges of a common buffer layout: after completion every rank's
-/// buffer holds every rank's range. Used by variable-count collectives
-/// (Rabenseifner's chunk allgather, allgatherv).
-pub(crate) async fn allgather_ranges<C: AsyncComm>(
-    comm: &mut C,
-    buf: BufId,
-    range_of: impl Fn(usize) -> (usize, usize),
-) -> Result<()> {
-    let p = comm.size();
-    let me = comm.rank();
-    if p == 1 {
-        return Ok(());
-    }
-    let token = comm.expose(buf).await?;
-    let tokens = smcoll::sm_allgather(comm, &token.to_bytes()).await?;
-    let left = (me + p - 1) % p;
-    let right = (me + 1) % p;
-    let left_tok = RemoteToken::from_bytes(&tokens[left])
-        .ok_or(CommError::Protocol("bad range-allgather token".into()))?;
-    let tag = Tag::internal(class::ALLGATHER, 48);
-    comm.notify(right, tag).await?;
-    for i in 1..p {
-        let block = (me + p - i) % p;
-        comm.wait_notify(left, tag).await?;
-        let (off, len) = range_of(block);
-        if len > 0 {
-            comm.cma_read(left_tok, off, buf, off, len).await?;
-        }
-        if i < p - 1 {
-            comm.notify(right, tag).await?;
-        }
-    }
-    smcoll::sm_barrier(comm).await?;
-    Ok(())
 }
 
 pub(crate) fn gcd(a: usize, b: usize) -> usize {

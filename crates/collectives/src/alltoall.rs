@@ -3,13 +3,14 @@
 //! The entry points are thin compile+execute wrappers over
 //! [`crate::schedule::compile_alltoall`] (memoized in the global
 //! [`PlanCache`]): [`alltoall_polled`] is the one implementation, async
-//! over any [`AsyncComm`], and [`alltoall`]/[`alltoall_with_report`] run
-//! it on a blocking [`Comm`].
+//! over any [`AsyncComm`], and [`alltoall`] runs it on a blocking
+//! [`Comm`].
 
+use crate::check_len;
 use crate::exec::{Bindings, ScheduleReport};
 use crate::polled::execute_polled;
-use crate::schedule::{compile_alltoall, PlanCache, PlanKey};
-use kacc_comm::{block_on, AsyncComm, Blocking, BufId, Comm, CommError, Result};
+use crate::schedule::{PlanCache, PlanKey};
+use kacc_comm::{block_on, AsyncComm, Blocking, BufId, Comm, Result};
 
 /// Alltoall algorithm selection (§IV-C).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -44,19 +45,6 @@ pub fn alltoall<C: Comm + ?Sized>(
     recvbuf: BufId,
     count: usize,
 ) -> Result<()> {
-    alltoall_with_report(comm, algo, sendbuf, recvbuf, count).map(|_| ())
-}
-
-/// [`alltoall`] returning the executor's per-step accounting. `None`
-/// when the call was satisfied without a schedule (single rank or zero
-/// count).
-pub fn alltoall_with_report<C: Comm + ?Sized>(
-    comm: &mut C,
-    algo: AlltoallAlgo,
-    sendbuf: Option<BufId>,
-    recvbuf: BufId,
-    count: usize,
-) -> Result<Option<ScheduleReport>> {
     block_on(alltoall_polled(
         &mut Blocking(comm),
         algo,
@@ -64,6 +52,7 @@ pub fn alltoall_with_report<C: Comm + ?Sized>(
         recvbuf,
         count,
     ))
+    .map(drop)
 }
 
 /// [`alltoall`] on any [`AsyncComm`] endpoint: validate, stage
@@ -80,18 +69,13 @@ pub async fn alltoall_polled<C: AsyncComm>(
     if !prepare(comm, sendbuf, recvbuf, count).await? {
         return Ok(None);
     }
-    let p = comm.size();
-    let me = comm.rank();
     let (source, staged) = stage_in_place(comm, sendbuf, recvbuf, count).await?;
-    let plan = PlanCache::global().get_or_compile(
-        PlanKey::Alltoall {
-            algo,
-            p,
-            rank: me,
-            count,
-        },
-        || compile_alltoall(algo, p, me, count),
-    );
+    let plan = PlanCache::global().plan(PlanKey::Alltoall {
+        algo,
+        p: comm.size(),
+        rank: comm.rank(),
+        count,
+    });
     let result = execute_polled(
         comm,
         &plan,
@@ -116,26 +100,9 @@ async fn prepare<C: AsyncComm>(
     count: usize,
 ) -> Result<bool> {
     let p = comm.size();
-    let need = p * count;
-    let cap = comm.buf_len(recvbuf)?;
-    if cap < need {
-        return Err(CommError::OutOfRange {
-            buf: recvbuf.0,
-            off: 0,
-            len: need,
-            cap,
-        });
-    }
+    check_len(comm, recvbuf, p * count)?;
     if let Some(sb) = sendbuf {
-        let scap = comm.buf_len(sb)?;
-        if scap < need {
-            return Err(CommError::OutOfRange {
-                buf: sb.0,
-                off: 0,
-                len: need,
-                cap: scap,
-            });
-        }
+        check_len(comm, sb, p * count)?;
     }
     if count == 0 {
         return Ok(false);

@@ -3,12 +3,12 @@
 //! The entry points compile to a [`crate::schedule::Schedule`] (cached
 //! in the global [`PlanCache`]) and replay it through the executor:
 //! [`bcast_polled`] is the one implementation, async over any
-//! [`AsyncComm`], and [`bcast`]/[`bcast_with_report`] run it on a
-//! blocking [`Comm`].
+//! [`AsyncComm`], and [`bcast`] runs it on a blocking [`Comm`].
 
+use crate::check_len;
 use crate::exec::{Bindings, ScheduleReport};
 use crate::polled::execute_polled;
-use crate::schedule::{compile_bcast, PlanCache, PlanKey};
+use crate::schedule::{PlanCache, PlanKey};
 use kacc_comm::{block_on, AsyncComm, Blocking, BufId, Comm, CommError, Result};
 
 /// Broadcast algorithm selection (§V-B).
@@ -41,19 +41,7 @@ pub fn bcast<C: Comm + ?Sized>(
     count: usize,
     root: usize,
 ) -> Result<()> {
-    bcast_with_report(comm, algo, buf, count, root).map(|_| ())
-}
-
-/// [`bcast`] returning the executor's per-step accounting. `None` when
-/// the call was satisfied without a schedule (single rank or zero count).
-pub fn bcast_with_report<C: Comm + ?Sized>(
-    comm: &mut C,
-    algo: BcastAlgo,
-    buf: BufId,
-    count: usize,
-    root: usize,
-) -> Result<Option<ScheduleReport>> {
-    block_on(bcast_polled(&mut Blocking(comm), algo, buf, count, root))
+    block_on(bcast_polled(&mut Blocking(comm), algo, buf, count, root)).map(drop)
 }
 
 /// [`bcast`] on any [`AsyncComm`] endpoint: validate, fetch (or compile)
@@ -66,8 +54,6 @@ pub async fn bcast_polled<C: AsyncComm>(
     count: usize,
     root: usize,
 ) -> Result<Option<ScheduleReport>> {
-    let p = comm.size();
-    let me = comm.rank();
     if !validate(comm, buf, count, root)? {
         return Ok(None);
     }
@@ -76,16 +62,13 @@ pub async fn bcast_polled<C: AsyncComm>(
             return Err(CommError::Protocol("k-nomial radix must be ≥ 2".into()));
         }
     }
-    let plan = PlanCache::global().get_or_compile(
-        PlanKey::Bcast {
-            algo,
-            p,
-            rank: me,
-            count,
-            root,
-        },
-        || compile_bcast(algo, p, me, count, root),
-    );
+    let plan = PlanCache::global().plan(PlanKey::Bcast {
+        algo,
+        p: comm.size(),
+        rank: comm.rank(),
+        count,
+        root,
+    });
     execute_polled(
         comm,
         &plan,
@@ -104,14 +87,6 @@ fn validate<C: AsyncComm>(comm: &C, buf: BufId, count: usize, root: usize) -> Re
     if root >= p {
         return Err(CommError::BadRank(root));
     }
-    let cap = comm.buf_len(buf)?;
-    if cap < count {
-        return Err(CommError::OutOfRange {
-            buf: buf.0,
-            off: 0,
-            len: count,
-            cap,
-        });
-    }
+    check_len(comm, buf, count)?;
     Ok(!(p == 1 || count == 0))
 }

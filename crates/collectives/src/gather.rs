@@ -8,12 +8,12 @@
 //! [`crate::schedule::Schedule`] (cached in the global [`PlanCache`])
 //! and replay it through the executor: [`gatherv_polled`] is the one
 //! implementation, async over any [`AsyncComm`], and
-//! [`gather`]/[`gatherv`]/[`gatherv_with_report`] run it on a blocking
-//! [`Comm`].
+//! [`gather`](fn@gather) runs it on a blocking [`Comm`].
 
+use crate::check_len;
 use crate::exec::{Bindings, ScheduleReport};
 use crate::polled::execute_polled;
-use crate::schedule::{compile_gather, PlanCache, PlanKey};
+use crate::schedule::{PlanCache, PlanKey};
 use kacc_comm::{block_on, AsyncComm, Blocking, BufId, Comm, CommError, Result};
 
 /// Gather algorithm selection (§IV-B).
@@ -46,52 +46,20 @@ pub fn gather<C: Comm + ?Sized>(
     count: usize,
     root: usize,
 ) -> Result<()> {
-    let p = comm.size();
-    let counts = vec![count; p];
-    gatherv(comm, algo, sendbuf, recvbuf, &counts, None, root)
-}
-
-/// MPI_Gatherv: rank `r` contributes `counts[r]` bytes, landing at
-/// `displs[r]` in the root's receive buffer (contiguous packing when
-/// `displs` is `None`). Every rank passes identical `counts`/`displs`.
-pub fn gatherv<C: Comm + ?Sized>(
-    comm: &mut C,
-    algo: GatherAlgo,
-    sendbuf: Option<BufId>,
-    recvbuf: Option<BufId>,
-    counts: &[usize],
-    displs: Option<&[usize]>,
-    root: usize,
-) -> Result<()> {
-    gatherv_with_report(comm, algo, sendbuf, recvbuf, counts, displs, root).map(|_| ())
-}
-
-/// [`gatherv`] returning the executor's per-step accounting. `None`
-/// when the call was satisfied without a schedule (single rank or
-/// all-zero counts).
-pub fn gatherv_with_report<C: Comm + ?Sized>(
-    comm: &mut C,
-    algo: GatherAlgo,
-    sendbuf: Option<BufId>,
-    recvbuf: Option<BufId>,
-    counts: &[usize],
-    displs: Option<&[usize]>,
-    root: usize,
-) -> Result<Option<ScheduleReport>> {
+    let counts = vec![count; comm.size()];
+    let comm = &mut Blocking(comm);
     block_on(gatherv_polled(
-        &mut Blocking(comm),
-        algo,
-        sendbuf,
-        recvbuf,
-        counts,
-        displs,
-        root,
+        comm, algo, sendbuf, recvbuf, &counts, None, root,
     ))
+    .map(drop)
 }
 
-/// [`gatherv`] on any [`AsyncComm`] endpoint: validate, fetch (or
-/// compile) the plan, execute it. `None` when the call was satisfied
-/// without a schedule (single rank or all-zero counts).
+/// MPI_Gatherv on any [`AsyncComm`] endpoint: rank `r` contributes
+/// `counts[r]` bytes, landing at `displs[r]` in the root's receive
+/// buffer (contiguous packing when `displs` is `None`). Every rank
+/// passes identical `counts`/`displs`. Validates, fetches (or compiles)
+/// the plan and executes it; `None` when the call was satisfied without
+/// a schedule (single rank or all-zero counts).
 pub async fn gatherv_polled<C: AsyncComm>(
     comm: &mut C,
     algo: GatherAlgo,
@@ -101,28 +69,23 @@ pub async fn gatherv_polled<C: AsyncComm>(
     displs: Option<&[usize]>,
     root: usize,
 ) -> Result<Option<ScheduleReport>> {
-    let Some(layout) = prepare(comm, sendbuf, recvbuf, counts, displs, root).await? else {
+    if !prepare(comm, sendbuf, recvbuf, counts, displs, root).await? {
         return Ok(None);
-    };
+    }
     if let GatherAlgo::ThrottledWrite { k } = algo {
         if k == 0 {
             return Err(CommError::Protocol("throttle factor must be ≥ 1".into()));
         }
     }
-    let p = comm.size();
-    let me = comm.rank();
-    let plan = PlanCache::global().get_or_compile(
-        PlanKey::Gather {
-            algo,
-            p,
-            rank: me,
-            counts: counts.to_vec(),
-            displs: displs.map(<[usize]>::to_vec),
-            root,
-            has_sendbuf: sendbuf.is_some(),
-        },
-        || compile_gather(algo, p, me, &layout, root, sendbuf.is_some()),
-    );
+    let plan = PlanCache::global().plan(PlanKey::Gather {
+        algo,
+        p: comm.size(),
+        rank: comm.rank(),
+        counts: counts.to_vec(),
+        displs: displs.map(<[usize]>::to_vec),
+        root,
+        has_sendbuf: sendbuf.is_some(),
+    });
     execute_polled(
         comm,
         &plan,
@@ -135,8 +98,7 @@ pub async fn gatherv_polled<C: AsyncComm>(
     .map(Some)
 }
 
-/// Validation and degenerate-case handling: the per-rank
-/// `(offset, len)` layout to run the algorithm with, or `None` when
+/// Validation and degenerate-case handling. Returns `false` when
 /// nothing is left to do (single rank or all-zero counts).
 async fn prepare<C: AsyncComm>(
     comm: &mut C,
@@ -145,7 +107,7 @@ async fn prepare<C: AsyncComm>(
     counts: &[usize],
     displs: Option<&[usize]>,
     root: usize,
-) -> Result<Option<Vec<(usize, usize)>>> {
+) -> Result<bool> {
     let p = comm.size();
     let me = comm.rank();
     if root >= p {
@@ -159,20 +121,8 @@ async fn prepare<C: AsyncComm>(
     let layout = crate::scatter::build_layout(counts, displs);
     if me == root {
         let rb = recvbuf.ok_or(CommError::Protocol("root gather needs recvbuf".into()))?;
-        let need = layout
-            .iter()
-            .map(|&(off, len)| off + len)
-            .max()
-            .unwrap_or(0);
-        let cap = comm.buf_len(rb)?;
-        if cap < need {
-            return Err(CommError::OutOfRange {
-                buf: rb.0,
-                off: 0,
-                len: need,
-                cap,
-            });
-        }
+        let need = layout.iter().map(|&(off, len)| off + len).max();
+        check_len(comm, rb, need.unwrap_or(0))?;
     } else if sendbuf.is_none() && counts[me] > 0 {
         return Err(CommError::Protocol("non-root gather needs sendbuf".into()));
     }
@@ -182,10 +132,7 @@ async fn prepare<C: AsyncComm>(
         if let (Some(sb), true) = (sendbuf, len > 0) {
             comm.copy_local(sb, 0, rb, off, len).await?;
         }
-        return Ok(None);
+        return Ok(false);
     }
-    if counts.iter().all(|&c| c == 0) {
-        return Ok(None);
-    }
-    Ok(Some(layout))
+    Ok(counts.iter().any(|&c| c > 0))
 }

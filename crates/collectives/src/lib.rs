@@ -29,15 +29,16 @@
 //! * **Hierarchical** ([`hierarchical`]): two-level designs whose
 //!   intra-node phase uses the contention-aware algorithms (§VII-G).
 //!
-//! Every collective, the two-level ones included, is implemented once,
-//! as an `async` `*_polled` entry generic over [`kacc_comm::AsyncComm`]
-//! that compiles a plan ([`schedule`]) and hands it to the one executor
-//! and recovery ladder in [`polled`]. The polled machine simulator runs
-//! those entries natively; the blocking entry points
-//! ([`scatter`](fn@scatter), [`gather`](fn@gather), …) drive the same
-//! code on any [`kacc_comm::Comm`] — the in-process thread transport,
-//! the real `process_vm_readv` transport — through
-//! [`kacc_comm::Blocking`] and [`kacc_comm::block_on`].
+//! Every collective — the two-level ones and the reductions included —
+//! is implemented once, as an `async` `*_polled` entry generic over
+//! [`kacc_comm::AsyncComm`] that validates its arguments, compiles a plan
+//! ([`schedule`]) and hands it to the one executor and recovery ladder
+//! in [`polled`]. The polled machine simulator runs those entries
+//! natively; the blocking entry points ([`scatter`](fn@scatter),
+//! [`gather`](fn@gather), …) drive the same code on any
+//! [`kacc_comm::Comm`] — the in-process thread transport, the real
+//! `process_vm_readv` transport — through [`kacc_comm::Blocking`] and
+//! [`kacc_comm::block_on`].
 
 pub mod allgather;
 pub mod alltoall;
@@ -53,25 +54,22 @@ pub mod schedule;
 pub mod tuner;
 pub mod verify;
 
-pub use allgather::{allgather, allgather_polled, allgather_with_report, AllgatherAlgo};
-pub use alltoall::{alltoall, alltoall_polled, alltoall_with_report, AlltoallAlgo};
-pub use bcast::{bcast, bcast_polled, bcast_with_report, BcastAlgo};
-pub use gather::{gather, gatherv, gatherv_polled, gatherv_with_report, GatherAlgo};
+pub use allgather::{allgather, allgather_polled, AllgatherAlgo};
+pub use alltoall::{alltoall, alltoall_polled, AlltoallAlgo};
+pub use bcast::{bcast, bcast_polled, BcastAlgo};
+pub use gather::{gather, gatherv_polled, GatherAlgo};
 pub use reduce::{
-    allreduce_polled, reduce, reduce_polled, reduce_scatter_block_polled, reduce_with_report,
-    AllreduceAlgo, Dtype, ReduceAlgo, ReduceOp,
+    allreduce_polled, reduce, reduce_polled, reduce_scatter_block_polled, AllreduceAlgo, Dtype,
+    ReduceAlgo, ReduceOp,
 };
 
-pub(crate) use allgather::allgather_ranges;
 pub use exec::{
     execute, execute_traced, execute_with_policy, Bindings, MembershipPolicy, RecoveryPolicy,
     RecoveryReport, ScheduleReport, StepStats,
 };
 pub use membership::{run_survivable_polled, MembershipReport, SurvivableOp, SurvivableOutcome};
 pub use polled::{execute_polled, execute_polled_traced, execute_polled_with_policy};
-pub use scatter::{
-    scatter, scatter_polled, scatterv, scatterv_polled, scatterv_with_report, ScatterAlgo,
-};
+pub use scatter::{scatter, scatter_polled, scatterv_polled, ScatterAlgo};
 pub use schedule::{compile_agree, remap_for_members, PlanCache, PlanKey, Schedule, Step};
 pub use tuner::Tuner;
 
@@ -87,6 +85,24 @@ pub(crate) mod class {
     pub const HIER: u32 = kacc_comm::tagclass::HIER;
     pub const REDUCE: u32 = kacc_comm::tagclass::REDUCE;
     pub const MEMBERSHIP: u32 = kacc_comm::tagclass::MEMBERSHIP;
+}
+
+/// Fail with `OutOfRange` unless `buf` holds at least `need` bytes.
+pub(crate) fn check_len<C: kacc_comm::AsyncComm>(
+    comm: &C,
+    buf: kacc_comm::BufId,
+    need: usize,
+) -> kacc_comm::Result<()> {
+    let cap = comm.buf_len(buf)?;
+    if cap < need {
+        return Err(kacc_comm::CommError::OutOfRange {
+            buf: buf.0,
+            off: 0,
+            len: need,
+            cap,
+        });
+    }
+    Ok(())
 }
 
 /// Map a rank to its virtual rank with `root` at 0.

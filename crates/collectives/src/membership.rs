@@ -67,11 +67,7 @@ use kacc_trace::{Tracer, Track};
 
 use crate::exec::{proto, Bindings, MembershipPolicy, RecoveryPolicy, ResumeState, ScheduleReport};
 use crate::polled::{execute_polled_with_policy, execute_resumable_polled};
-use crate::schedule::{
-    compile_agree, compile_agree_split, compile_allgather, compile_alltoall, compile_bcast,
-    compile_gather, compile_reduce, compile_scatter, remap_for_members, PlanCache, PlanKey,
-    Schedule,
-};
+use crate::schedule::{compile_agree, compile_agree_split, PlanCache, PlanKey, Schedule};
 use crate::tuner::Tuner;
 use crate::{
     class, AllgatherAlgo, AlltoallAlgo, BcastAlgo, Dtype, GatherAlgo, ReduceAlgo, ReduceOp,
@@ -380,11 +376,7 @@ fn validate(
             if let ReduceAlgo::KNomialTree { radix } = algo {
                 need(radix >= 2, "tree radix must be ≥ 2")?;
             }
-            if !count.is_multiple_of(dtype.width()) {
-                return Err(proto(format!(
-                    "count {count} is not a multiple of the {dtype:?} width"
-                )));
-            }
+            crate::reduce::check_lanes(count, dtype)?;
             need(send.is_some(), "reduce needs sendbuf")?;
             if me == root {
                 need(recv.is_some(), "root reduce needs recvbuf")?;
@@ -492,77 +484,16 @@ fn member_plan(
             root: root_idx,
         },
     };
-    let inner_for_compile = inner.clone();
-    let compile = move || match inner_for_compile {
-        PlanKey::Scatter {
-            algo,
-            p,
-            rank,
-            ref counts,
-            root,
-            has_recvbuf,
-            ..
-        } => {
-            let layout = crate::scatter::build_layout(counts, None);
-            compile_scatter(algo, p, rank, &layout, root, has_recvbuf)
-        }
-        PlanKey::Gather {
-            algo,
-            p,
-            rank,
-            ref counts,
-            root,
-            has_sendbuf,
-            ..
-        } => {
-            let layout = crate::scatter::build_layout(counts, None);
-            compile_gather(algo, p, rank, &layout, root, has_sendbuf)
-        }
-        PlanKey::Bcast {
-            algo,
-            p,
-            rank,
-            count,
-            root,
-        } => compile_bcast(algo, p, rank, count, root),
-        PlanKey::Allgather {
-            algo,
-            p,
-            rank,
-            count,
-            has_sendbuf,
-        } => compile_allgather(algo, p, rank, count, has_sendbuf),
-        PlanKey::Alltoall {
-            algo,
-            p,
-            rank,
-            count,
-        } => compile_alltoall(algo, p, rank, count),
-        PlanKey::Reduce {
-            algo,
-            p,
-            rank,
-            count,
-            dtype,
-            op,
-            root,
-        } => compile_reduce(algo, p, rank, count, dtype, op, root),
-        PlanKey::Member { .. } => unreachable!("inner keys are never Member"),
-    };
-
-    Ok(if epoch == 0 {
-        PlanCache::global().get_or_compile(inner, compile)
+    Ok(PlanCache::global().plan(if epoch == 0 {
+        inner
     } else {
-        let members_vec = members.to_vec();
-        PlanCache::global().get_or_compile(
-            PlanKey::Member {
-                epoch,
-                members: members.to_vec(),
-                inner: Box::new(inner),
-            },
-            move || remap_for_members(&compile(), &members_vec, epoch, p),
-        )
-    })
+        PlanKey::Member {
+            epoch,
+            members: members.to_vec(),
+            parent_p: p,
+            inner: Box::new(inner),
+        }
+    }))
 }
 
 /// The bindings every epoch's execution uses (fixed across shrinks).

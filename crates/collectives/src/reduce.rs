@@ -18,17 +18,21 @@
 //!   the copies and the combine arithmetic are parallelized across the
 //!   node — a k-nomial broadcast run in reverse.
 //!
-//! [`allreduce_polled`] composes these with the Bcast designs. Every
-//! entry is one `async` body over [`AsyncComm`] (the `*_polled` names);
-//! [`reduce`] and [`reduce_with_report`] drive it on a blocking [`Comm`].
+//! Two more entries extend the family: [`reduce_scatter_block_polled`]
+//! folds pairwise, every step's reads on distinct source processes (the
+//! pairwise Alltoall of §IV-C1 with a fold after each read), and
+//! [`allreduce_polled`] either composes Reduce with a Bcast design or
+//! runs Rabenseifner's reduce-scatter + ring allgather. Every entry
+//! validates, compiles a plan ([`crate::schedule`]) and runs it through
+//! the one executor ([`execute_polled`]); [`reduce`] drives
+//! [`reduce_polled`] on a blocking [`Comm`].
 
 use crate::bcast::{bcast_polled, BcastAlgo};
+use crate::check_len;
 use crate::exec::{Bindings, ScheduleReport};
 use crate::polled::execute_polled;
-use crate::schedule::{compile_reduce, PlanCache, PlanKey};
-use kacc_comm::{
-    block_on, smcoll, AsyncComm, Blocking, BufId, Comm, CommError, RemoteToken, Result,
-};
+use crate::schedule::{compile_allreduce_rsa, compile_reduce_scatter_block, PlanCache, PlanKey};
+use kacc_comm::{block_on, AsyncComm, Blocking, BufId, Comm, CommError, Result};
 
 /// Element type of a reduction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -131,33 +135,11 @@ pub fn reduce<C: Comm + ?Sized>(
     op: ReduceOp,
     root: usize,
 ) -> Result<()> {
-    reduce_with_report(comm, algo, sendbuf, recvbuf, count, dtype, op, root).map(|_| ())
-}
-
-/// [`reduce`] returning the executor's per-step accounting. `None` when
-/// the call was satisfied without a schedule (single rank or zero
-/// count).
-#[allow(clippy::too_many_arguments)]
-pub fn reduce_with_report<C: Comm + ?Sized>(
-    comm: &mut C,
-    algo: ReduceAlgo,
-    sendbuf: BufId,
-    recvbuf: Option<BufId>,
-    count: usize,
-    dtype: Dtype,
-    op: ReduceOp,
-    root: usize,
-) -> Result<Option<ScheduleReport>> {
+    let comm = &mut Blocking(comm);
     block_on(reduce_polled(
-        &mut Blocking(comm),
-        algo,
-        sendbuf,
-        recvbuf,
-        count,
-        dtype,
-        op,
-        root,
+        comm, algo, sendbuf, recvbuf, count, dtype, op, root,
     ))
+    .map(drop)
 }
 
 /// [`reduce`] on any [`AsyncComm`] endpoint: validate, fetch (or
@@ -177,20 +159,15 @@ pub async fn reduce_polled<C: AsyncComm>(
     if !prepare(comm, algo, sendbuf, recvbuf, count, dtype, root).await? {
         return Ok(None);
     }
-    let p = comm.size();
-    let me = comm.rank();
-    let plan = PlanCache::global().get_or_compile(
-        PlanKey::Reduce {
-            algo,
-            p,
-            rank: me,
-            count,
-            dtype,
-            op,
-            root,
-        },
-        || compile_reduce(algo, p, me, count, dtype, op, root),
-    );
+    let plan = PlanCache::global().plan(PlanKey::Reduce {
+        algo,
+        p: comm.size(),
+        rank: comm.rank(),
+        count,
+        dtype,
+        op,
+        root,
+    });
     execute_polled(
         comm,
         &plan,
@@ -219,11 +196,7 @@ async fn prepare<C: AsyncComm>(
     if root >= p {
         return Err(CommError::BadRank(root));
     }
-    if !count.is_multiple_of(dtype.width()) {
-        return Err(CommError::Protocol(format!(
-            "count {count} is not a multiple of the {dtype:?} width"
-        )));
-    }
+    check_lanes(count, dtype)?;
     if me == root && recvbuf.is_none() {
         return Err(CommError::Protocol("root reduce needs recvbuf".into()));
     }
@@ -243,6 +216,18 @@ async fn prepare<C: AsyncComm>(
     Ok(true)
 }
 
+/// Fail with the `Protocol` error every reduction uses unless `count`
+/// is a whole number of `dtype` lanes.
+pub(crate) fn check_lanes(count: usize, dtype: Dtype) -> Result<()> {
+    if count.is_multiple_of(dtype.width()) {
+        Ok(())
+    } else {
+        Err(CommError::Protocol(format!(
+            "count {count} is not a multiple of the {dtype:?} width"
+        )))
+    }
+}
+
 /// MPI_Reduce_scatter_block: every rank contributes `p·count` bytes
 /// (block j destined for rank j) and receives the lane-wise combination
 /// of everyone's block `me` in `recvbuf`.
@@ -259,73 +244,21 @@ pub async fn reduce_scatter_block_polled<C: AsyncComm>(
     op: ReduceOp,
 ) -> Result<()> {
     let p = comm.size();
-    let me = comm.rank();
-    if !count.is_multiple_of(dtype.width()) {
-        return Err(CommError::Protocol(format!(
-            "count {count} is not a multiple of the {dtype:?} width"
-        )));
-    }
-    let need = p * count;
-    let cap = comm.buf_len(sendbuf)?;
-    if cap < need {
-        return Err(CommError::OutOfRange {
-            buf: sendbuf.0,
-            off: 0,
-            len: need,
-            cap,
-        });
-    }
+    check_lanes(count, dtype)?;
+    check_len(comm, sendbuf, p * count)?;
+    check_len(comm, recvbuf, count)?;
     if count == 0 {
         return Ok(());
     }
-    comm.copy_local(sendbuf, me * count, recvbuf, 0, count)
-        .await?;
     if p == 1 {
-        return Ok(());
+        return comm.copy_local(sendbuf, 0, recvbuf, 0, count).await;
     }
-    let token = comm.expose(sendbuf).await?;
-    let tokens = smcoll::sm_allgather(comm, &token.to_bytes()).await?;
-    let scratch = comm.alloc(count);
-    let mut acc = vec![0u8; count];
-    comm.read_local(recvbuf, 0, &mut acc)?;
-    for i in 1..p {
-        let tok = RemoteToken::from_bytes(&tokens[pairwise_source(me, p, i)])
-            .ok_or(CommError::Protocol("bad reduce-scatter token".into()))?;
-        comm.cma_read(tok, me * count, scratch, 0, count).await?;
-        fold_scratch(comm, scratch, &mut acc, dtype, op).await?;
-    }
-    comm.write_local(recvbuf, 0, &acc)?;
-    smcoll::sm_barrier(comm).await?;
-    comm.free(scratch)?;
-    Ok(())
-}
-
-/// The peer a pairwise rotation reads from in step `i` (1..p): XOR
-/// partners on power-of-two teams, a rotation otherwise — either way
-/// every step's sources are distinct.
-fn pairwise_source(me: usize, p: usize, i: usize) -> usize {
-    if p.is_power_of_two() {
-        me ^ i
-    } else {
-        (me + p - i) % p
-    }
-}
-
-/// Charge the fold pass over `scratch` like a local copy (one read and
-/// one write stream), then combine its bytes into `acc`.
-async fn fold_scratch<C: AsyncComm>(
-    comm: &mut C,
-    scratch: BufId,
-    acc: &mut [u8],
-    dtype: Dtype,
-    op: ReduceOp,
-) -> Result<()> {
-    let len = acc.len();
-    comm.copy_local(scratch, 0, scratch, 0, len).await?;
-    let mut s = vec![0u8; len];
-    comm.read_local(scratch, 0, &mut s)?;
-    combine(acc, &s, dtype, op);
-    Ok(())
+    let plan = compile_reduce_scatter_block(p, comm.rank(), count, dtype, op);
+    let bind = Bindings {
+        send: Some(sendbuf),
+        recv: Some(recvbuf),
+    };
+    execute_polled(comm, &plan, &bind).await.map(drop)
 }
 
 /// Allreduce algorithm selection.
@@ -346,7 +279,8 @@ pub enum AllreduceAlgo {
 }
 
 /// MPI_Allreduce: every rank ends with the lane-wise combination of all
-/// contributions in `recvbuf`.
+/// `count`-byte contributions in `recvbuf`. `count` must be a multiple
+/// of the dtype width and both buffers must hold `count` bytes.
 pub async fn allreduce_polled<C: AsyncComm>(
     comm: &mut C,
     algo: AllreduceAlgo,
@@ -356,6 +290,9 @@ pub async fn allreduce_polled<C: AsyncComm>(
     dtype: Dtype,
     op: ReduceOp,
 ) -> Result<()> {
+    check_lanes(count, dtype)?;
+    check_len(comm, sendbuf, count)?;
+    check_len(comm, recvbuf, count)?;
     match algo {
         AllreduceAlgo::ReduceBcast {
             reduce: ralgo,
@@ -365,61 +302,22 @@ pub async fn allreduce_polled<C: AsyncComm>(
             bcast_polled(comm, balgo, recvbuf, count, 0).await?;
             Ok(())
         }
+        AllreduceAlgo::ReduceScatterAllgather if comm.size() == 1 => {
+            // One rank folds nothing: its contribution is the result,
+            // moved without a charged copy (no virtual time passes).
+            let mut own = vec![0u8; count];
+            comm.read_local(sendbuf, 0, &mut own)?;
+            comm.write_local(recvbuf, 0, &own)
+        }
         AllreduceAlgo::ReduceScatterAllgather => {
-            rabenseifner(comm, sendbuf, recvbuf, count, dtype, op).await
+            let plan = compile_allreduce_rsa(comm.size(), comm.rank(), count, dtype, op);
+            let bind = Bindings {
+                send: Some(sendbuf),
+                recv: Some(recvbuf),
+            };
+            execute_polled(comm, &plan, &bind).await.map(drop)
         }
     }
-}
-
-/// Rabenseifner-style allreduce over lane-aligned chunks. Chunk `v`
-/// (rank v's responsibility) is folded by rank v from every peer's
-/// send buffer, then the reduced chunks ride a ring-neighbor allgather
-/// into everyone's receive buffer.
-async fn rabenseifner<C: AsyncComm>(
-    comm: &mut C,
-    sendbuf: BufId,
-    recvbuf: BufId,
-    count: usize,
-    dtype: Dtype,
-    op: ReduceOp,
-) -> Result<()> {
-    let p = comm.size();
-    let me = comm.rank();
-    let w = dtype.width();
-    // Lane-aligned chunk boundaries.
-    let lanes = count / w;
-    let chunk_lanes = lanes.div_ceil(p);
-    let range = move |v: usize| {
-        let lo = (v * chunk_lanes).min(lanes) * w;
-        let hi = ((v + 1) * chunk_lanes).min(lanes) * w;
-        (lo, hi - lo)
-    };
-
-    // Phase A — reduce-scatter my chunk: fold everyone's bytes at my
-    // chunk range, reading each peer once (distinct sources per step).
-    let token = comm.expose(sendbuf).await?;
-    let tokens = smcoll::sm_allgather(comm, &token.to_bytes()).await?;
-    let (my_off, my_len) = range(me);
-    let scratch = comm.alloc(my_len.max(1));
-    let mut acc = vec![0u8; my_len];
-    comm.read_local(sendbuf, my_off, &mut acc)?;
-    if my_len > 0 {
-        for i in 1..p {
-            let tok = RemoteToken::from_bytes(&tokens[pairwise_source(me, p, i)])
-                .ok_or(CommError::Protocol("bad allreduce token".into()))?;
-            comm.cma_read(tok, my_off, scratch, 0, my_len).await?;
-            fold_scratch(comm, scratch, &mut acc, dtype, op).await?;
-        }
-    }
-    comm.write_local(recvbuf, my_off, &acc)?;
-    comm.free(scratch)?;
-    // Everyone's reduced chunk must be committed before the allgather
-    // reads begin.
-    smcoll::sm_barrier(comm).await?;
-
-    // Phase B — ring-neighbor allgather of the reduced chunks out of
-    // the receive buffers (intra-socket-friendly forwarding).
-    crate::allgather_ranges(comm, recvbuf, range).await
 }
 
 /// Expected lane-wise combination of `p` rank-stamped u64 contributions

@@ -4,12 +4,12 @@
 //! structure is compiled once into a [`crate::schedule::Schedule`]
 //! (memoized in the global [`PlanCache`]) and replayed by the executor.
 //! [`scatterv_polled`] is the one implementation, async over any
-//! [`AsyncComm`]; [`scatter`]/[`scatterv`]/[`scatterv_with_report`] run
-//! it on a blocking [`Comm`].
+//! [`AsyncComm`]; [`scatter`](fn@scatter) runs it on a blocking [`Comm`].
 
+use crate::check_len;
 use crate::exec::{Bindings, ScheduleReport};
 use crate::polled::execute_polled;
-use crate::schedule::{compile_scatter, PlanCache, PlanKey};
+use crate::schedule::{PlanCache, PlanKey};
 use kacc_comm::{block_on, AsyncComm, Blocking, BufId, Comm, CommError, Result};
 
 /// Scatter algorithm selection (§IV-A).
@@ -46,47 +46,15 @@ pub fn scatter<C: Comm + ?Sized>(
     count: usize,
     root: usize,
 ) -> Result<()> {
-    let p = comm.size();
-    let counts = vec![count; p];
-    scatterv(comm, algo, sendbuf, recvbuf, &counts, None, root)
-}
-
-/// MPI_Scatterv: slice `r` has `counts[r]` bytes, located at
-/// `displs[r]` in the root's send buffer (contiguous packing when
-/// `displs` is `None`). Every rank passes identical `counts`/`displs`.
-pub fn scatterv<C: Comm + ?Sized>(
-    comm: &mut C,
-    algo: ScatterAlgo,
-    sendbuf: Option<BufId>,
-    recvbuf: Option<BufId>,
-    counts: &[usize],
-    displs: Option<&[usize]>,
-    root: usize,
-) -> Result<()> {
-    scatterv_with_report(comm, algo, sendbuf, recvbuf, counts, displs, root).map(|_| ())
-}
-
-/// [`scatterv`] returning the executor's per-step accounting. `None`
-/// when the call was satisfied without a schedule (single rank or
-/// all-zero counts).
-pub fn scatterv_with_report<C: Comm + ?Sized>(
-    comm: &mut C,
-    algo: ScatterAlgo,
-    sendbuf: Option<BufId>,
-    recvbuf: Option<BufId>,
-    counts: &[usize],
-    displs: Option<&[usize]>,
-    root: usize,
-) -> Result<Option<ScheduleReport>> {
-    block_on(scatterv_polled(
+    block_on(scatter_polled(
         &mut Blocking(comm),
         algo,
         sendbuf,
         recvbuf,
-        counts,
-        displs,
+        count,
         root,
     ))
+    .map(drop)
 }
 
 /// [`scatter`](fn@scatter) on any [`AsyncComm`] endpoint, returning the
@@ -103,9 +71,12 @@ pub async fn scatter_polled<C: AsyncComm>(
     scatterv_polled(comm, algo, sendbuf, recvbuf, &counts, None, root).await
 }
 
-/// [`scatterv`] on any [`AsyncComm`] endpoint: validate, fetch (or
-/// compile) the plan, execute it. `None` when the call was satisfied
-/// without a schedule (single rank or all-zero counts).
+/// MPI_Scatterv on any [`AsyncComm`] endpoint: slice `r` has `counts[r]`
+/// bytes, located at `displs[r]` in the root's send buffer (contiguous
+/// packing when `displs` is `None`). Every rank passes identical
+/// `counts`/`displs`. Validates, fetches (or compiles) the plan and
+/// executes it; `None` when the call was satisfied without a schedule
+/// (single rank or all-zero counts).
 pub async fn scatterv_polled<C: AsyncComm>(
     comm: &mut C,
     algo: ScatterAlgo,
@@ -115,28 +86,23 @@ pub async fn scatterv_polled<C: AsyncComm>(
     displs: Option<&[usize]>,
     root: usize,
 ) -> Result<Option<ScheduleReport>> {
-    let Some(layout) = prepare(comm, sendbuf, recvbuf, counts, displs, root).await? else {
+    if !prepare(comm, sendbuf, recvbuf, counts, displs, root).await? {
         return Ok(None);
-    };
+    }
     if let ScatterAlgo::ThrottledRead { k } = algo {
         if k == 0 {
             return Err(CommError::Protocol("throttle factor must be ≥ 1".into()));
         }
     }
-    let p = comm.size();
-    let me = comm.rank();
-    let plan = PlanCache::global().get_or_compile(
-        PlanKey::Scatter {
-            algo,
-            p,
-            rank: me,
-            counts: counts.to_vec(),
-            displs: displs.map(<[usize]>::to_vec),
-            root,
-            has_recvbuf: recvbuf.is_some(),
-        },
-        || compile_scatter(algo, p, me, &layout, root, recvbuf.is_some()),
-    );
+    let plan = PlanCache::global().plan(PlanKey::Scatter {
+        algo,
+        p: comm.size(),
+        rank: comm.rank(),
+        counts: counts.to_vec(),
+        displs: displs.map(<[usize]>::to_vec),
+        root,
+        has_recvbuf: recvbuf.is_some(),
+    });
     execute_polled(
         comm,
         &plan,
@@ -149,8 +115,7 @@ pub async fn scatterv_polled<C: AsyncComm>(
     .map(Some)
 }
 
-/// Validation and degenerate-case handling: the per-rank
-/// `(offset, len)` layout to run the algorithm with, or `None` when
+/// Validation and degenerate-case handling. Returns `false` when
 /// nothing is left to do (single rank or all-zero counts).
 async fn prepare<C: AsyncComm>(
     comm: &mut C,
@@ -159,7 +124,7 @@ async fn prepare<C: AsyncComm>(
     counts: &[usize],
     displs: Option<&[usize]>,
     root: usize,
-) -> Result<Option<Vec<(usize, usize)>>> {
+) -> Result<bool> {
     let p = comm.size();
     let me = comm.rank();
     if root >= p {
@@ -173,20 +138,8 @@ async fn prepare<C: AsyncComm>(
     let layout = build_layout(counts, displs);
     if me == root {
         let sb = sendbuf.ok_or(CommError::Protocol("root scatter needs sendbuf".into()))?;
-        let need = layout
-            .iter()
-            .map(|&(off, len)| off + len)
-            .max()
-            .unwrap_or(0);
-        let cap = comm.buf_len(sb)?;
-        if cap < need {
-            return Err(CommError::OutOfRange {
-                buf: sb.0,
-                off: 0,
-                len: need,
-                cap,
-            });
-        }
+        let need = layout.iter().map(|&(off, len)| off + len).max();
+        check_len(comm, sb, need.unwrap_or(0))?;
     } else if recvbuf.is_none() && counts[me] > 0 {
         return Err(CommError::Protocol("non-root scatter needs recvbuf".into()));
     }
@@ -196,12 +149,9 @@ async fn prepare<C: AsyncComm>(
         if let (Some(rb), true) = (recvbuf, len > 0) {
             comm.copy_local(sb, off, rb, 0, len).await?;
         }
-        return Ok(None);
+        return Ok(false);
     }
-    if counts.iter().all(|&c| c == 0) {
-        return Ok(None);
-    }
-    Ok(Some(layout))
+    Ok(counts.iter().any(|&c| c > 0))
 }
 
 /// Per-rank `(offset, len)` placement in the root's buffer.

@@ -37,7 +37,7 @@ use crate::alltoall::AlltoallAlgo;
 use crate::bcast::BcastAlgo;
 use crate::gather::GatherAlgo;
 use crate::reduce::{Dtype, ReduceAlgo, ReduceOp};
-use crate::scatter::ScatterAlgo;
+use crate::scatter::{build_layout, ScatterAlgo};
 use crate::{class, unvrank, vrank};
 
 /// Symbolic buffer the executor resolves to a `BufId` at bind time.
@@ -313,8 +313,8 @@ impl Builder {
     //
     // The small-message bootstrap trees (binomial bcast and gather,
     // Bruck allgather, dissemination barrier), with `kacc_comm::smcoll`'s
-    // tags and wire format: the allgather and barrier rounds are message
-    // for message those of `smcoll::sm_allgather` / `sm_barrier`.
+    // tags and wire format: the barrier rounds are message for message
+    // those of `smcoll::sm_barrier`.
 
     /// Virtual-rank children in a binomial tree, in the bit-ascending
     /// order the compiled trees send/receive them.
@@ -453,9 +453,10 @@ impl Builder {
         }
     }
 
-    /// Compiled `smcoll::sm_allgather` where every rank contributes one
-    /// token (`my_reg`). Returns the register holding each real rank's
-    /// token, indexed by rank.
+    /// Bruck allgather (`smcoll::class::ALLGATHER`) where every rank
+    /// contributes one token (`my_reg`): ⌈log₂ p⌉ rounds, each sending
+    /// every entry gathered so far. Returns the register holding each
+    /// real rank's token, indexed by rank.
     fn emit_sm_allgather(&mut self, my_reg: TokenReg) -> Vec<TokenReg> {
         let p = self.p;
         let me = self.rank;
@@ -1314,13 +1315,7 @@ pub fn compile_alltoall(algo: AlltoallAlgo, p: usize, rank: usize, count: usize)
             });
             let toks = b.emit_sm_allgather(reg);
             for i in 1..p {
-                // Distinct sources per step: XOR pairing for power-of-two
-                // p, rotation otherwise (§IV-C1).
-                let src = if p.is_power_of_two() {
-                    me ^ i
-                } else {
-                    (me + p - i) % p
-                };
+                let src = pairwise_source(me, p, i);
                 b.push(Step::CmaRead {
                     token: toks[src],
                     remote_off: me * count,
@@ -1563,6 +1558,174 @@ pub fn compile_reduce(
             }
         }
     }
+    b.finish()
+}
+
+/// The peer a pairwise rotation reads from in step `i` (1..p): XOR
+/// partners on power-of-two teams, a rotation otherwise — either way
+/// every step's sources are distinct (§IV-C1).
+fn pairwise_source(me: usize, p: usize, i: usize) -> usize {
+    if p.is_power_of_two() {
+        me ^ i
+    } else {
+        (me + p - i) % p
+    }
+}
+
+/// Fold `len` bytes at `remote_off` of every peer's exposed buffer
+/// (`toks`, indexed by rank) into [`Slot::Recv`] at `acc_off`, one peer
+/// per pairwise step through one scratch: `CmaRead`, the fold pass
+/// charged like a local copy, `Reduce`. `first_charge` replaces the
+/// first peer's charge (a copy of the same length costs the same).
+#[allow(clippy::too_many_arguments)]
+fn emit_pairwise_fold(
+    b: &mut Builder,
+    toks: &[TokenReg],
+    remote_off: usize,
+    acc_off: usize,
+    len: usize,
+    dtype: Dtype,
+    op: ReduceOp,
+    mut first_charge: Option<Step>,
+) {
+    let scratch = b.temp(len);
+    for i in 1..b.p {
+        b.push(Step::CmaRead {
+            token: toks[pairwise_source(b.rank, b.p, i)],
+            remote_off,
+            dst: scratch,
+            dst_off: 0,
+            len,
+        });
+        b.push(first_charge.take().unwrap_or(Step::CopyLocal {
+            src: scratch,
+            src_off: 0,
+            dst: scratch,
+            dst_off: 0,
+            len,
+        }));
+        b.push(Step::Reduce {
+            op,
+            dtype,
+            acc: Slot::Recv,
+            acc_off,
+            src: scratch,
+            src_off: 0,
+            len,
+        });
+    }
+}
+
+/// Compile one rank's reduce-scatter-block plan: every rank's
+/// [`Slot::Send`] holds `p` blocks of `count` bytes (block `j` for rank
+/// `j`); this rank folds everyone's block `rank` into its `count`-byte
+/// [`Slot::Recv`], reading peers pairwise — the contention-free
+/// structure of the pairwise Alltoall (§IV-C1) with a fold after each
+/// read. Callers must have validated `p > 1`, `count > 0` and lane
+/// alignment.
+pub fn compile_reduce_scatter_block(
+    p: usize,
+    rank: usize,
+    count: usize,
+    dtype: Dtype,
+    op: ReduceOp,
+) -> Schedule {
+    let mut b = Builder::new(p, rank, class::REDUCE);
+    b.push(Step::CopyLocal {
+        src: Slot::Send,
+        src_off: rank * count,
+        dst: Slot::Recv,
+        dst_off: 0,
+        len: count,
+    });
+    let reg = b.reg();
+    b.push(Step::Expose {
+        slot: Slot::Send,
+        reg,
+    });
+    let toks = b.emit_sm_allgather(reg);
+    emit_pairwise_fold(&mut b, &toks, rank * count, 0, count, dtype, op, None);
+    // Source buffers must stay valid until everyone has read.
+    b.emit_sm_barrier();
+    b.finish()
+}
+
+/// Compile one rank's Rabenseifner allreduce plan. The `count`-byte
+/// message splits into `p` lane-aligned chunks (the last ones short or
+/// empty); rank `v` folds chunk `v` from every peer's [`Slot::Send`]
+/// into its [`Slot::Recv`], then the reduced chunks ride a
+/// ring-neighbour allgather out of the receive buffers. Moves ~2η per
+/// rank regardless of `p`. Callers must have validated `p > 1` and lane
+/// alignment; `count` may be zero (the plan then only synchronizes).
+pub fn compile_allreduce_rsa(
+    p: usize,
+    rank: usize,
+    count: usize,
+    dtype: Dtype,
+    op: ReduceOp,
+) -> Schedule {
+    let mut b = Builder::new(p, rank, class::REDUCE);
+    let w = dtype.width();
+    let lanes = count / w;
+    let chunk_lanes = lanes.div_ceil(p);
+    let range = |v: usize| {
+        let lo = (v * chunk_lanes).min(lanes) * w;
+        let hi = ((v + 1) * chunk_lanes).min(lanes) * w;
+        (lo, hi - lo)
+    };
+
+    // Phase A — reduce-scatter my chunk, reading each peer once. The
+    // first fold's charge is the copy that seeds the accumulator with my
+    // own bytes, so every lane folds as mine ⊕ peer ⊕ … .
+    let reg = b.reg();
+    b.push(Step::Expose {
+        slot: Slot::Send,
+        reg,
+    });
+    let toks = b.emit_sm_allgather(reg);
+    let (my_off, my_len) = range(rank);
+    if my_len > 0 {
+        let seed = Step::CopyLocal {
+            src: Slot::Send,
+            src_off: my_off,
+            dst: Slot::Recv,
+            dst_off: my_off,
+            len: my_len,
+        };
+        emit_pairwise_fold(&mut b, &toks, my_off, my_off, my_len, dtype, op, Some(seed));
+    }
+    // Everyone's reduced chunk must be committed before the reads of
+    // phase B begin.
+    b.emit_sm_barrier();
+
+    // Phase B — ring-neighbour allgather of the reduced chunks: step `i`
+    // reads chunk `rank − i` from the left neighbour once it has it.
+    let reg = b.reg();
+    b.push(Step::Expose {
+        slot: Slot::Recv,
+        reg,
+    });
+    let toks = b.emit_sm_allgather(reg);
+    let (left, right) = ((rank + p - 1) % p, (rank + 1) % p);
+    let tag = Tag::internal(class::ALLGATHER, 48);
+    b.push(Step::Notify { to: right, tag });
+    for i in 1..p {
+        b.push(Step::WaitNotify { from: left, tag });
+        let (off, len) = range((rank + p - i) % p);
+        if len > 0 {
+            b.push(Step::CmaRead {
+                token: toks[left],
+                remote_off: off,
+                dst: Slot::Recv,
+                dst_off: off,
+                len,
+            });
+        }
+        if i < p - 1 {
+            b.push(Step::Notify { to: right, tag });
+        }
+    }
+    b.emit_sm_barrier();
     b.finish()
 }
 
@@ -1904,12 +2067,77 @@ pub enum PlanKey {
         epoch: u32,
         /// Sorted surviving parent ranks.
         members: Vec<usize>,
+        /// Size of the parent communicator the plan is remapped onto.
+        parent_p: usize,
         /// Plan identity in the subgroup's `(p, rank)` shape.
         inner: Box<PlanKey>,
     },
 }
 
 impl PlanKey {
+    /// Compile the plan this key names for `rank` — the one map from a
+    /// plan's shape to its compiler. The key's own `rank` field is not
+    /// read, so [`PlanCache`] can compile from a rank-zeroed key; for a
+    /// [`PlanKey::Member`] key `rank` is the position in `members`.
+    pub(crate) fn compile(&self, rank: usize) -> Schedule {
+        match *self {
+            PlanKey::Scatter {
+                algo,
+                p,
+                ref counts,
+                ref displs,
+                root,
+                has_recvbuf,
+                ..
+            } => {
+                let layout = build_layout(counts, displs.as_deref());
+                compile_scatter(algo, p, rank, &layout, root, has_recvbuf)
+            }
+            PlanKey::Gather {
+                algo,
+                p,
+                ref counts,
+                ref displs,
+                root,
+                has_sendbuf,
+                ..
+            } => {
+                let layout = build_layout(counts, displs.as_deref());
+                compile_gather(algo, p, rank, &layout, root, has_sendbuf)
+            }
+            PlanKey::Bcast {
+                algo,
+                p,
+                count,
+                root,
+                ..
+            } => compile_bcast(algo, p, rank, count, root),
+            PlanKey::Allgather {
+                algo,
+                p,
+                count,
+                has_sendbuf,
+                ..
+            } => compile_allgather(algo, p, rank, count, has_sendbuf),
+            PlanKey::Alltoall { algo, p, count, .. } => compile_alltoall(algo, p, rank, count),
+            PlanKey::Reduce {
+                algo,
+                p,
+                count,
+                dtype,
+                op,
+                root,
+                ..
+            } => compile_reduce(algo, p, rank, count, dtype, op, root),
+            PlanKey::Member {
+                epoch,
+                ref members,
+                parent_p,
+                ref inner,
+            } => remap_for_members(&inner.compile(rank), members, epoch, parent_p),
+        }
+    }
+
     /// Split the key into the team-wide shape and the compiling rank:
     /// zeroes the rank in place and returns it with the rank count it
     /// indexes into (the subgroup's, for a survivor-remapped plan).
@@ -2000,11 +2228,26 @@ impl PlanCache {
         GLOBAL.get_or_init(|| PlanCache::new(Self::DEFAULT_CAPACITY))
     }
 
+    /// Look up `key`, compiling (and inserting) it with
+    /// [`PlanKey::compile`] on a miss.
+    pub(crate) fn plan(&self, key: PlanKey) -> Arc<Schedule> {
+        self.lookup(key, PlanKey::compile)
+    }
+
     /// Look up `key`, compiling (and inserting) with `compile` on miss.
     pub fn get_or_compile(
         &self,
-        mut key: PlanKey,
+        key: PlanKey,
         compile: impl FnOnce() -> Schedule,
+    ) -> Arc<Schedule> {
+        self.lookup(key, |_, _| compile())
+    }
+
+    /// The cache proper: `compile` sees the rank-zeroed key and the rank.
+    fn lookup(
+        &self,
+        mut key: PlanKey,
+        compile: impl FnOnce(&PlanKey, usize) -> Schedule,
     ) -> Arc<Schedule> {
         let (rank, p) = key.take_rank();
         assert!(rank < p, "plan key for rank {rank} of {p}");
@@ -2027,13 +2270,13 @@ impl PlanCache {
                 return Arc::clone(plan);
             }
             inner.stats.misses += 1;
-            let plan = Arc::new(compile());
+            let plan = Arc::new(compile(&key, rank));
             shape.plans[rank] = Some(Arc::clone(&plan));
             inner.plans += 1;
             return plan;
         }
         inner.stats.misses += 1;
-        let plan = Arc::new(compile());
+        let plan = Arc::new(compile(&key, rank));
         if inner.map.len() >= self.capacity {
             if let Some((_, oldest)) = inner.by_tick.pop_first() {
                 let evicted = inner.map.remove(&*oldest).expect("indexed shape exists");
@@ -2408,6 +2651,7 @@ mod tests {
         let member = |epoch: u32, rank: usize| PlanKey::Member {
             epoch,
             members: vec![0, 2, 5],
+            parent_p: 6,
             inner: Box::new(bcast_key(3, rank, 8)),
         };
         // Epochs 1 and 2 hold two survivors' plans each, epoch 3 one.

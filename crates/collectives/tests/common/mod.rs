@@ -1,0 +1,318 @@
+//! The abstract machine the whole-team plan checks run on, with no
+//! simulator.
+//!
+//! Every rank's compiled plan for one shape runs against a FIFO per
+//! `(from, to, tag, plane)` channel, buffers whose bytes carry the global
+//! index of the byte they hold and the set of ranks folded into its lane,
+//! and a vector clock per rank. [`Team::run`] asserts on the way:
+//!
+//! * **Matching** — every send pairs FIFO with one receive at the peer
+//!   with the same `(from, tag)` and length, both sides of a token pack
+//!   carry the same rank labels, and no rank or message is left behind.
+//! * **Single writes** — a receive buffer's bytes are written once each,
+//!   and never with a byte nobody wrote (a stale forward).
+//! * **Folds** — `Reduce` combines only bytes of the same lane whose
+//!   folded rank sets are disjoint, so no contribution counts twice.
+//!
+//! What the final buffers must hold, and what the recorded CMA steps
+//! must satisfy, is each test's own claim.
+
+// Each test crate that includes this module uses a part of it.
+#![allow(dead_code)]
+
+use std::collections::{HashMap, VecDeque};
+
+use kacc_collectives::schedule::{Payload, RecvInto, Schedule, Slot, Step, TokenReg};
+use kacc_comm::{RemoteToken, Tag};
+
+/// A buffer on the abstract machine: owner rank and slot.
+pub type Buf = (usize, Slot);
+
+/// What one byte holds: the global index of the byte it carries and the
+/// ranks folded into its lane (bit `r` for rank `r`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Byte {
+    pub at: usize,
+    pub folded: u64,
+}
+
+/// A buffer's bytes (`None`: unwritten).
+pub type Bytes = Vec<Option<Byte>>;
+pub type Clock = Vec<u32>;
+/// `(from, to, tag, bulk plane)`.
+type Channel = (usize, usize, Tag, bool);
+
+/// Bytes `lo..lo + len`, each with the fold set `folded`.
+pub fn bytes(lo: usize, len: usize, folded: u64) -> Bytes {
+    (lo..lo + len).map(|at| Some(Byte { at, folded })).collect()
+}
+
+/// A message in flight: a token pack or a notification on the control
+/// plane, a region on the bulk plane.
+struct Msg {
+    len: usize,
+    labels: Vec<(u32, Buf)>,
+    bytes: Bytes,
+    clock: Clock,
+}
+
+/// One executed CMA step: who issued it, the remote buffer it moved data
+/// on, and the issuer's clock at that moment.
+pub struct Cma {
+    pub rank: usize,
+    pub target: Buf,
+    pub clock: Clock,
+}
+
+pub struct Team {
+    /// The shape, for failure messages.
+    ctx: String,
+    plans: Vec<Schedule>,
+    pc: Vec<usize>,
+    clocks: Vec<Clock>,
+    regs: Vec<Vec<Option<Buf>>>,
+    bufs: HashMap<Buf, Bytes>,
+    queues: HashMap<Channel, VecDeque<Msg>>,
+    /// Every CMA step, in execution order.
+    pub cma: Vec<Cma>,
+}
+
+/// Wire length of a token pack: an 8-byte header and a token per entry.
+fn pack_len(entries: &[(u32, Option<TokenReg>)]) -> usize {
+    entries.len() * (8 + RemoteToken::WIRE_LEN)
+}
+
+/// The wire length a receive step expects.
+fn wire_len(step: &Step) -> usize {
+    match step {
+        Step::CtrlRecv {
+            into: RecvInto::Pack(want),
+            ..
+        } => pack_len(want),
+        Step::ShmRecv { len, .. } => *len,
+        _ => 0,
+    }
+}
+
+/// The channel a receive step takes its message from.
+fn source(r: usize, step: &Step) -> Option<Channel> {
+    match *step {
+        Step::CtrlRecv { from, tag, .. } | Step::WaitNotify { from, tag } => {
+            Some((from, r, tag, false))
+        }
+        Step::ShmRecv { from, tag, .. } => Some((from, r, tag, true)),
+        _ => None,
+    }
+}
+
+impl Team {
+    /// Load every rank's plan with the send and receive buffers
+    /// `buffers(rank)` returns and unwritten scratch.
+    pub fn new(
+        ctx: String,
+        plans: Vec<Schedule>,
+        buffers: impl Fn(usize) -> (Bytes, Bytes),
+    ) -> Team {
+        let p = plans.len();
+        let mut bufs = HashMap::new();
+        for (r, plan) in plans.iter().enumerate() {
+            let (send, recv) = buffers(r);
+            bufs.insert((r, Slot::Send), send);
+            bufs.insert((r, Slot::Recv), recv);
+            for (i, &len) in plan.temps.iter().enumerate() {
+                bufs.insert((r, Slot::Temp(i as u32)), vec![None; len]);
+            }
+        }
+        Team {
+            ctx,
+            pc: vec![0; p],
+            clocks: vec![vec![0; p]; p],
+            regs: plans.iter().map(|s| vec![None; s.token_regs]).collect(),
+            plans,
+            bufs,
+            queues: HashMap::new(),
+            cma: Vec::new(),
+        }
+    }
+
+    /// Run every plan to its end, always stepping the first ready rank in
+    /// `order`, and assert that no rank blocks and no message is left.
+    pub fn run(&mut self, order: &[usize]) {
+        while let Some(&r) = order.iter().find(|&&r| self.ready(r)) {
+            self.step(r);
+        }
+        let ctx = &self.ctx;
+        for (r, plan) in self.plans.iter().enumerate() {
+            let at = plan.steps.get(self.pc[r]);
+            assert!(at.is_none(), "{ctx}: rank {r} blocked at {at:?}");
+        }
+        assert!(self.queues.is_empty(), "{ctx}: unmatched sends");
+    }
+
+    /// Rank `r`'s receive buffer.
+    pub fn recv(&self, r: usize) -> &Bytes {
+        &self.bufs[&(r, Slot::Recv)]
+    }
+
+    fn token(&self, r: usize, reg: Option<TokenReg>) -> Buf {
+        let reg = reg.expect("token packs carry tokens");
+        self.regs[r][reg.0 as usize].expect("token register filled before use")
+    }
+
+    fn copy(&mut self, src: Buf, src_off: usize, dst: Buf, dst_off: usize, len: usize) {
+        let bytes = self.bufs[&src][src_off..src_off + len].to_vec();
+        self.write(dst, dst_off, &bytes);
+    }
+
+    /// Write `bytes` at `dst[off..]`, once each into a receive buffer.
+    fn write(&mut self, dst: Buf, off: usize, bytes: &[Option<Byte>]) {
+        let region = &mut self.bufs.get_mut(&dst).expect("buffer exists")[off..off + bytes.len()];
+        if dst.1 == Slot::Recv {
+            let fresh = region.iter().all(Option::is_none) && bytes.iter().all(Option::is_some);
+            assert!(fresh, "{}: {dst:?} rewritten or stale at {off}", self.ctx);
+        }
+        region.copy_from_slice(bytes);
+    }
+
+    /// Fold `src[src_off..]` into `acc[acc_off..]` lane by lane.
+    fn fold(&mut self, acc: Buf, acc_off: usize, src: Buf, src_off: usize, len: usize) {
+        let src = self.bufs[&src][src_off..src_off + len].to_vec();
+        let ctx = &self.ctx;
+        let region = &mut self.bufs.get_mut(&acc).expect("buffer exists")[acc_off..acc_off + len];
+        for (a, s) in region.iter_mut().zip(src) {
+            let (Some(a), Some(s)) = (a.as_mut(), s) else {
+                panic!("{ctx}: {acc:?} folds an unwritten byte at {acc_off}");
+            };
+            assert_eq!(a.at, s.at, "{ctx}: {acc:?} folds another lane");
+            assert_eq!(a.folded & s.folded, 0, "{ctx}: {acc:?} folds a rank twice");
+            a.folded |= s.folded;
+        }
+    }
+
+    /// Queue a message stamped with the sender's clock.
+    fn send(&mut self, ch: Channel, len: usize, labels: Vec<(u32, Buf)>, bytes: Bytes) {
+        let clock = self.clocks[ch.0].clone();
+        let msg = Msg {
+            len,
+            labels,
+            bytes,
+            clock,
+        };
+        self.queues.entry(ch).or_default().push_back(msg);
+    }
+
+    fn ready(&self, r: usize) -> bool {
+        let step = self.plans[r].steps.get(self.pc[r]);
+        step.is_some_and(|s| source(r, s).is_none_or(|ch| self.queues.contains_key(&ch)))
+    }
+
+    /// Run rank `r`'s next step, which must be [`Team::ready`].
+    fn step(&mut self, r: usize) {
+        let step = self.plans[r].steps[self.pc[r]].clone();
+        self.pc[r] += 1;
+        self.clocks[r][r] += 1;
+        let msg = source(r, &step).map(|ch| {
+            let q = self.queues.get_mut(&ch).expect("ready");
+            let msg = q.pop_front().expect("queues are dropped when empty");
+            let ctx = &self.ctx;
+            assert_eq!(msg.len, wire_len(&step), "{ctx}: rank {r} <- {ch:?} length");
+            if q.is_empty() {
+                self.queues.remove(&ch);
+            }
+            for (mine, theirs) in self.clocks[r].iter_mut().zip(&msg.clock) {
+                *mine = (*mine).max(*theirs);
+            }
+            msg
+        });
+        match step {
+            Step::Expose { slot, reg } => self.regs[r][reg.0 as usize] = Some((r, slot)),
+            Step::CtrlSend {
+                to,
+                tag,
+                payload: Payload::Pack(entries),
+            } => {
+                let labels = entries
+                    .iter()
+                    .map(|&(l, g)| (l, self.token(r, g)))
+                    .collect();
+                self.send((r, to, tag, false), pack_len(&entries), labels, Vec::new());
+            }
+            Step::Notify { to, tag } => self.send((r, to, tag, false), 0, Vec::new(), Vec::new()),
+            Step::ShmSend {
+                to,
+                tag,
+                src,
+                off,
+                len,
+            } => {
+                let bytes = self.bufs[&(r, src)][off..off + len].to_vec();
+                self.send((r, to, tag, true), len, Vec::new(), bytes);
+            }
+            Step::CtrlRecv {
+                into: RecvInto::Pack(want),
+                ..
+            } => {
+                let msg = msg.expect("a receive has a message");
+                let got: Vec<u32> = msg.labels.iter().map(|&(l, _)| l).collect();
+                let wanted: Vec<u32> = want.iter().map(|&(l, _)| l).collect();
+                assert_eq!(got, wanted, "{}: rank {r} token pack labels", self.ctx);
+                for (&(_, reg), &(_, buf)) in want.iter().zip(&msg.labels) {
+                    self.regs[r][reg.expect("token entry").0 as usize] = Some(buf);
+                }
+            }
+            Step::WaitNotify { .. } => {}
+            Step::ShmRecv { dst, off, .. } => {
+                let msg = msg.expect("a receive has a message");
+                self.write((r, dst), off, &msg.bytes);
+            }
+            Step::CmaWrite {
+                token,
+                remote_off,
+                src,
+                src_off,
+                len,
+            } => {
+                let target = self.token(r, Some(token));
+                let clock = self.clocks[r].clone();
+                self.cma.push(Cma {
+                    rank: r,
+                    target,
+                    clock,
+                });
+                self.copy((r, src), src_off, target, remote_off, len);
+            }
+            Step::CmaRead {
+                token,
+                remote_off,
+                dst,
+                dst_off,
+                len,
+            } => {
+                let target = self.token(r, Some(token));
+                let clock = self.clocks[r].clone();
+                self.cma.push(Cma {
+                    rank: r,
+                    target,
+                    clock,
+                });
+                self.copy(target, remote_off, (r, dst), dst_off, len);
+            }
+            Step::CopyLocal {
+                src,
+                src_off,
+                dst,
+                dst_off,
+                len,
+            } => self.copy((r, src), src_off, (r, dst), dst_off, len),
+            Step::Reduce {
+                acc,
+                acc_off,
+                src,
+                src_off,
+                len,
+                ..
+            } => self.fold((r, acc), acc_off, (r, src), src_off, len),
+            other => panic!("rank {r}: the abstract machine does not model {other:?}"),
+        }
+    }
+}

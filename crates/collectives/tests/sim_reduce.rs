@@ -1,15 +1,18 @@
 //! Reduce / Allreduce correctness and shape over the simulated machine.
 //!
 //! The Allreduce and Reduce-scatter points also pin `(end_ns, events)`:
-//! the values were captured while these bodies were still blocking code
-//! on the thread kernel, so they hold the async port to the same
-//! operations in the same order.
+//! the first six values were captured while these bodies were still
+//! blocking code on the thread kernel, the extension and zero-byte pins
+//! while Rabenseifner and reduce-scatter-block were still hand-written
+//! async bodies. They hold each port, the compiled plans last, to the
+//! same operations in the same order.
 
 use kacc_collectives::reduce::{
     allreduce_polled, expected_u64, reduce_polled, reduce_scatter_block_polled, AllreduceAlgo,
     Dtype, ReduceAlgo, ReduceOp,
 };
 use kacc_collectives::BcastAlgo;
+use kacc_comm::CommError;
 use kacc_machine::{run_polled_team, PolledComm, TeamRun};
 use kacc_model::ArchProfile;
 
@@ -237,6 +240,100 @@ fn rabenseifner_wins_large_messages() {
     assert_eq!((tree.end_ns, tree.events), (11971035, 929));
 }
 
+/// The two reduce-extension entries the pins below cover.
+#[derive(Debug, Clone, Copy)]
+enum Entry {
+    Rabenseifner,
+    ReduceScatterBlock,
+}
+
+/// `lanes` lanes of `rank`'s contribution: [`value_of`] as u64, or
+/// spread around zero as f64.
+fn contribution(rank: usize, lanes: usize, dtype: Dtype) -> Vec<u8> {
+    match dtype {
+        Dtype::F64 => (0..lanes)
+            .flat_map(|l| ((value_of(rank, l) % 2001) as f64 * 0.37 - 370.0).to_le_bytes())
+            .collect(),
+        _ => fill(rank, lanes),
+    }
+}
+
+/// FNV-1a over every rank's receive buffer, in rank order.
+fn digest(results: &[Vec<u8>]) -> u64 {
+    results
+        .iter()
+        .flatten()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// `(end_ns, events, digest)` of one run.
+type Pin = (u64, u64, u64);
+
+/// One Broadwell run of `entry` over `p` ranks: 37 lanes per result, so
+/// Rabenseifner's chunks are ragged (and at p = 9 the last is empty).
+fn extension_point(entry: Entry, p: usize, dtype: Dtype, op: ReduceOp) -> Pin {
+    const LANES: usize = 37;
+    let count = LANES * dtype.width();
+    let (run, results) = run_polled_team(&ArchProfile::broadwell(), p, move |rank| async move {
+        let comm = &mut PolledComm::new(rank);
+        let rb = comm.alloc(count);
+        match entry {
+            Entry::Rabenseifner => {
+                let sb = comm.alloc_with(&contribution(rank, LANES, dtype)).unwrap();
+                let algo = AllreduceAlgo::ReduceScatterAllgather;
+                allreduce_polled(comm, algo, sb, rb, count, dtype, op).await
+            }
+            Entry::ReduceScatterBlock => {
+                let sb = comm
+                    .alloc_with(&contribution(rank, p * LANES, dtype))
+                    .unwrap();
+                reduce_scatter_block_polled(comm, sb, rb, count, dtype, op).await
+            }
+        }
+        .unwrap();
+        comm.read_all(rb).unwrap()
+    });
+    (run.end_ns, run.events, digest(&results))
+}
+
+/// The [`Pin`] of every [`extension_point`], captured
+/// while both entries were still hand-written bodies: the compiled plans
+/// must issue the same transport calls in the same order and fold the
+/// same bytes. Never re-captured.
+#[rustfmt::skip]
+const EXTENSION_PINS: [(Entry, usize, Dtype, ReduceOp, Pin); 20] = [
+    (Entry::Rabenseifner, 1, Dtype::U64, ReduceOp::Sum, (0, 1, 0xe4686c455a0d69ec)),
+    (Entry::Rabenseifner, 1, Dtype::F64, ReduceOp::Max, (0, 1, 0xe32eed32bac8c222)),
+    (Entry::Rabenseifner, 2, Dtype::U64, ReduceOp::Sum, (3846, 36, 0xecc7cdfc62f9c525)),
+    (Entry::Rabenseifner, 2, Dtype::F64, ReduceOp::Max, (3846, 36, 0xda0a6736cdc8b1dd)),
+    (Entry::Rabenseifner, 3, Dtype::U64, ReduceOp::Sum, (7599, 108, 0x2763ea9b604d231f)),
+    (Entry::Rabenseifner, 3, Dtype::F64, ReduceOp::Max, (7599, 108, 0xcc83a9dae6535db4)),
+    (Entry::Rabenseifner, 8, Dtype::U64, ReduceOp::Sum, (21749, 713, 0x2a0e3570b0714285)),
+    (Entry::Rabenseifner, 8, Dtype::F64, ReduceOp::Max, (21749, 713, 0x2fa4c659f8ef5ff5)),
+    (Entry::Rabenseifner, 9, Dtype::U64, ReduceOp::Sum, (25541, 895, 0x1683d4c8dc9bf098)),
+    (Entry::Rabenseifner, 9, Dtype::F64, ReduceOp::Max, (25541, 895, 0xe228cad88b51bc5d)),
+    (Entry::ReduceScatterBlock, 1, Dtype::U64, ReduceOp::Sum, (96, 2, 0xe4686c455a0d69ec)),
+    (Entry::ReduceScatterBlock, 1, Dtype::F64, ReduceOp::Max, (96, 2, 0xe32eed32bac8c222)),
+    (Entry::ReduceScatterBlock, 2, Dtype::U64, ReduceOp::Sum, (1986, 20, 0x7427fef04bbffc2b)),
+    (Entry::ReduceScatterBlock, 2, Dtype::F64, ReduceOp::Max, (1986, 20, 0x5cbfbaf6a9c32e09)),
+    (Entry::ReduceScatterBlock, 3, Dtype::U64, ReduceOp::Sum, (3891, 59, 0x0e751d0bb7023645)),
+    (Entry::ReduceScatterBlock, 3, Dtype::F64, ReduceOp::Max, (3891, 59, 0xb56dd05a48db8b4a)),
+    (Entry::ReduceScatterBlock, 8, Dtype::U64, ReduceOp::Sum, (13447, 351, 0x4ada4475308e0361)),
+    (Entry::ReduceScatterBlock, 8, Dtype::F64, ReduceOp::Max, (13447, 351, 0x6465506cc0b3a212)),
+    (Entry::ReduceScatterBlock, 9, Dtype::U64, ReduceOp::Sum, (16217, 467, 0xb3ff8309a3fcd0ea)),
+    (Entry::ReduceScatterBlock, 9, Dtype::F64, ReduceOp::Max, (16217, 467, 0x19c65c958d2407f9)),
+];
+
+#[test]
+fn extension_points_match_the_captured_runs() {
+    for (entry, p, dtype, op, pin) in EXTENSION_PINS {
+        let got = extension_point(entry, p, dtype, op);
+        assert_eq!(got, pin, "{entry:?} p={p} {dtype:?} {op:?}");
+    }
+}
+
 #[test]
 fn tree_reduce_beats_sequential_at_scale() {
     // The point of the extension: parallel combining wins once the
@@ -258,4 +355,69 @@ fn tree_reduce_beats_sequential_at_scale() {
     let seq = latency(ReduceAlgo::SequentialRead);
     let tree = latency(ReduceAlgo::KNomialTree { radix: 4 });
     assert!(tree < seq, "tree {tree} should beat sequential {seq}");
+}
+
+/// A zero-byte Rabenseifner allreduce still synchronizes (both token
+/// exchanges, both barriers, the ring's notifications); a zero-byte
+/// reduce-scatter-block returns at once. `(end_ns, events)` per team
+/// size, captured with [`EXTENSION_PINS`].
+#[test]
+fn zero_byte_reductions_match_the_captured_runs() {
+    let pins = [
+        (1, (0, 1)),
+        (2, (1516, 22)),
+        (3, (3032, 63)),
+        (8, (5814, 312)),
+        (9, (7330, 441)),
+    ];
+    for (p, pin) in pins {
+        let (run, _) = run_polled_team(&ArchProfile::broadwell(), p, move |rank| async move {
+            let comm = &mut PolledComm::new(rank);
+            let (sb, rb) = (comm.alloc(0), comm.alloc(0));
+            let (dtype, op) = (Dtype::U64, ReduceOp::Sum);
+            let algo = AllreduceAlgo::ReduceScatterAllgather;
+            allreduce_polled(comm, algo, sb, rb, 0, dtype, op)
+                .await
+                .unwrap();
+            reduce_scatter_block_polled(comm, sb, rb, 0, dtype, op)
+                .await
+                .unwrap();
+        });
+        assert_eq!((run.end_ns, run.events), pin, "p={p}");
+    }
+}
+
+/// Both allreduce algorithms refuse a count that is not a whole number
+/// of lanes with the error `reduce` uses, and a buffer shorter than the
+/// count, on every rank and before any traffic. (Rabenseifner used to
+/// return `Ok` and leave the last `count % width` bytes unreduced.)
+#[test]
+fn allreduce_validates_lanes_and_buffers_for_both_algorithms() {
+    let tree = AllreduceAlgo::ReduceBcast {
+        reduce: ReduceAlgo::SequentialRead,
+        bcast: BcastAlgo::DirectRead,
+    };
+    for algo in [AllreduceAlgo::ReduceScatterAllgather, tree] {
+        let (run, results) =
+            run_polled_team(&ArchProfile::broadwell(), 3, move |rank| async move {
+                let comm = &mut PolledComm::new(rank);
+                let (sb, rb) = (comm.alloc(20), comm.alloc(20));
+                let (dtype, op) = (Dtype::U64, ReduceOp::Sum);
+                let ragged = allreduce_polled(comm, algo, sb, rb, 20, dtype, op).await;
+                let short = allreduce_polled(comm, algo, sb, rb, 24, dtype, op).await;
+                (ragged, short, sb.0)
+            });
+        for (ragged, short, buf) in results {
+            let width = "count 20 is not a multiple of the U64 width";
+            assert_eq!(ragged, Err(CommError::Protocol(width.into())), "{algo:?}");
+            let cap = CommError::OutOfRange {
+                buf,
+                off: 0,
+                len: 24,
+                cap: 20,
+            };
+            assert_eq!(short, Err(cap), "{algo:?}");
+        }
+        assert_eq!(run.end_ns, 0, "{algo:?} refused before any traffic");
+    }
 }

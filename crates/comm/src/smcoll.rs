@@ -4,13 +4,12 @@
 //! shared-memory transfers: buffer addresses are broadcast, gathered or
 //! allgathered (one pointer per process) and completion is signalled
 //! with 0-byte messages (§III). The collective compiler emits those
-//! `T^sm_<coll>` primitives as schedule steps speaking the wire format
-//! below; [`sm_allgather`] and [`sm_barrier`] are the two that
-//! hand-written bodies call directly, over
-//! [`AsyncComm::ctrl_send`]/[`AsyncComm::ctrl_recv`] in ⌈log₂ p⌉ rounds
-//! so their cost stays negligible next to the data plane, as the model
-//! assumes. A blocking [`crate::Comm`] runs them through
-//! [`crate::Blocking`] and [`crate::block_on`].
+//! `T^sm_<coll>` primitives as schedule steps over the tag classes and
+//! the entry-pack wire format defined here. [`sm_barrier`] is the one
+//! primitive also written out as code, over [`AsyncComm::notify`] /
+//! [`AsyncComm::wait_notify`] in ⌈log₂ p⌉ rounds, for layers below the
+//! compiler (the simulator's timed barrier); a blocking [`crate::Comm`]
+//! runs it through [`crate::Blocking`] and [`crate::block_on`].
 //!
 //! Each primitive owns a tag class, so concurrent algorithm phases use
 //! disjoint tag spaces.
@@ -32,54 +31,6 @@ pub mod class {
     pub const BARRIER: u32 = crate::tagclass::SM_BARRIER;
 }
 
-/// Bruck-style allgather of small payloads: every rank returns the vector
-/// of all ranks' payloads, indexed by rank. Runs in ⌈log2 p⌉ rounds.
-pub async fn sm_allgather<C: AsyncComm>(comm: &mut C, data: &[u8]) -> Result<Vec<Vec<u8>>> {
-    let p = comm.size();
-    let me = comm.rank();
-    if p == 1 {
-        return Ok(vec![data.to_vec()]);
-    }
-
-    // `have[i]` holds the payload of rank (me + i) mod p once filled.
-    let mut have: Vec<Option<(u32, Vec<u8>)>> = vec![None; p];
-    have[0] = Some((me as u32, data.to_vec()));
-    let mut filled = 1usize;
-
-    let mut round = 0u32;
-    let mut dist = 1usize;
-    while dist < p {
-        let tag = Tag::internal(class::ALLGATHER, round);
-        let send_to = (me + p - dist) % p;
-        let recv_from = (me + dist) % p;
-        // Send the first min(dist, p - filled... ) — classic Bruck sends
-        // everything accumulated so far, capped so total reaches p.
-        let send_count = dist.min(p - filled);
-        let chunk: Vec<(u32, Vec<u8>)> = (0..send_count)
-            .map(|i| have[i].clone().expect("bruck prefix is filled"))
-            .collect();
-        comm.ctrl_send(send_to, tag, &encode_entries(&chunk))
-            .await?;
-        let blob = comm.ctrl_recv(recv_from, tag).await?;
-        let entries = decode_entries(&blob)?;
-        for (i, e) in entries.into_iter().enumerate() {
-            let slot = dist + i;
-            if slot < p && have[slot].is_none() {
-                have[slot] = Some(e);
-                filled += 1;
-            }
-        }
-        dist <<= 1;
-        round += 1;
-    }
-
-    let mut out: Vec<Vec<u8>> = vec![Vec::new(); p];
-    for slot in have.into_iter().flatten() {
-        out[slot.0 as usize] = slot.1;
-    }
-    Ok(out)
-}
-
 /// Dissemination barrier: ⌈log2 p⌉ rounds of 0-byte notifications.
 pub async fn sm_barrier<C: AsyncComm>(comm: &mut C) -> Result<()> {
     let p = comm.size();
@@ -97,9 +48,8 @@ pub async fn sm_barrier<C: AsyncComm>(comm: &mut C) -> Result<()> {
 }
 
 /// Encode `(rank, payload)` entries in the sm wire format: per entry a
-/// `u32` rank (LE), `u32` length (LE), then the payload bytes. Public so
-/// the compiled-schedule executor can speak the same format as
-/// [`sm_allgather`].
+/// `u32` rank (LE), `u32` length (LE), then the payload bytes — the body
+/// of every compiled token pack (binomial gather, Bruck allgather).
 pub fn encode_entries(entries: &[(u32, Vec<u8>)]) -> Vec<u8> {
     let mut out = Vec::with_capacity(entries.iter().map(|(_, d)| d.len() + 8).sum());
     for (rank, data) in entries {

@@ -14,7 +14,7 @@
 pub const SM_BCAST: u32 = 1;
 /// Small-message binomial gather (compiled `sm_gather` steps).
 pub const SM_GATHER: u32 = 2;
-/// Small-message Bruck allgather (`smcoll::sm_allgather`).
+/// Small-message Bruck allgather (compiled `sm_allgather` steps).
 pub const SM_ALLGATHER: u32 = 3;
 /// Small-message dissemination barrier (`smcoll::sm_barrier`).
 pub const SM_BARRIER: u32 = 4;
@@ -40,7 +40,7 @@ pub const MEMBERSHIP: u32 = 23;
 pub const ALL: &[(u32, &str)] = &[
     (SM_BCAST, "schedule::sm_bcast"),
     (SM_GATHER, "schedule::sm_gather"),
-    (SM_ALLGATHER, "smcoll::sm_allgather"),
+    (SM_ALLGATHER, "schedule::sm_allgather"),
     (SM_BARRIER, "smcoll::sm_barrier"),
     (SCATTER, "collectives::scatter"),
     (GATHER, "collectives::gather"),

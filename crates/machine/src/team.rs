@@ -268,17 +268,21 @@ mod tests {
         });
     }
 
-    /// Every rank exposes a 4 KiB buffer filled with its rank, allgathers
-    /// the tokens and reads its ring neighbour's buffer.
+    /// Every rank exposes a buffer filled with its rank, hands the token
+    /// to its left neighbour and reads its right neighbour's buffer.
     async fn ring_read(comm: &mut PolledComm, len: usize) -> (u64, u8) {
         let me = comm.rank();
         let p = comm.size();
         let buf = comm.alloc(len);
         comm.write_local(buf, 0, &vec![me as u8; len]).unwrap();
         let tok = comm.expose(buf).await.unwrap();
-        let toks = smcoll::sm_allgather(comm, &tok.to_bytes()).await.unwrap();
+        let tag = Tag::internal(smcoll::class::ALLGATHER, 0);
+        comm.ctrl_send((me + p - 1) % p, tag, &tok.to_bytes())
+            .await
+            .unwrap();
+        let right = comm.ctrl_recv((me + 1) % p, tag).await.unwrap();
         let dst = comm.alloc(len);
-        let t = RemoteToken::from_bytes(&toks[(me + 1) % p]).unwrap();
+        let t = RemoteToken::from_bytes(&right).unwrap();
         comm.cma_read(t, 0, dst, 0, len).await.unwrap();
         (comm.time_ns(), comm.read_all(dst).unwrap()[0])
     }

@@ -624,11 +624,13 @@ mod tests {
             let p = comm.size();
             let src = comm.alloc_with(&[me as u8; 1000]);
             let tok = comm.expose(src).unwrap();
-            let toks =
-                block_on(smcoll::sm_allgather(&mut Blocking(comm), &tok.to_bytes())).unwrap();
+            // Hand the token to the left neighbour; read the right one's.
+            let tag = Tag::internal(smcoll::class::ALLGATHER, 0);
+            comm.ctrl_send((me + p - 1) % p, tag, &tok.to_bytes())
+                .unwrap();
+            let right = comm.ctrl_recv((me + 1) % p, tag).unwrap();
             let dst = comm.alloc(1000);
-            let peer = (me + 1) % p;
-            let t = RemoteToken::from_bytes(&toks[peer]).unwrap();
+            let t = RemoteToken::from_bytes(&right).unwrap();
             comm.cma_read(t, 0, dst, 0, 1000).unwrap();
             block_on(smcoll::sm_barrier(&mut Blocking(comm))).unwrap();
             comm.read_all(dst).unwrap()

@@ -33,6 +33,13 @@ cargo test -q --release -p kacc-bench --test persona_pins
 echo "== cluster pins (Fig 17 compiled two-level plans bit-for-bit vs the pre-port capture, plus the netsim units) =="
 cargo test -q --release -p kacc-netsim
 
+echo "== reduce pins (compiled reduction plans bit-for-bit vs the pre-port capture, plus their whole-team static check) =="
+cargo test -q --release -p kacc-collectives --test sim_reduce --test reduce_plans
+
+echo "== examples run (not only compile) =="
+cargo run --release -q --example quickstart
+cargo run --release -q --example transpose_app -- 16 256
+
 echo "== chaos suite (fixed seed corpus + one fresh seed) =="
 # The chaos tests always run their fixed corpus; KACC_CHAOS_SEED adds one
 # fresh seed on top. Echoed up front so a failure is reproducible with
