@@ -16,13 +16,13 @@
 
 pub mod figs;
 pub mod measure;
-pub mod minijson;
 pub mod nullcomm;
 pub mod par;
 pub mod render;
 pub mod tracedemo;
 pub mod workload;
 
+pub use kacc_trace::minijson;
 pub use render::Chart;
 
 /// The standard message-size sweep used by most figures (1 KiB – 4 MiB,

@@ -5,7 +5,7 @@
 //! [`allgather_polled`] is the one implementation, async over any
 //! [`AsyncComm`], and [`allgather`] runs it on a blocking [`Comm`].
 
-use crate::check_len;
+use crate::check_call;
 use crate::exec::{Bindings, ScheduleReport};
 use crate::polled::execute_polled;
 use crate::schedule::{PlanCache, PlanKey};
@@ -56,9 +56,9 @@ pub fn allgather<C: Comm + ?Sized>(
     .map(drop)
 }
 
-/// [`allgather`] on any [`AsyncComm`] endpoint: validate, fetch (or
-/// compile) the plan, execute it. `None` when the call was satisfied
-/// without a schedule (single rank or zero count).
+/// [`allgather`] on any [`AsyncComm`] endpoint: check the call on every
+/// shape, fetch (or compile) the plan, execute it. `None` when the call
+/// was satisfied without a schedule (single rank or zero count).
 pub async fn allgather_polled<C: AsyncComm>(
     comm: &mut C,
     algo: AllgatherAlgo,
@@ -66,58 +66,45 @@ pub async fn allgather_polled<C: AsyncComm>(
     recvbuf: BufId,
     count: usize,
 ) -> Result<Option<ScheduleReport>> {
-    let p = comm.size();
-    if !validate(comm, sendbuf, recvbuf, count).await? {
-        return Ok(None);
-    }
-    // Normalize the ring stride mod p so equivalent strides share a plan.
-    let algo = match algo {
-        AllgatherAlgo::RingNeighbor { j } => {
-            if gcd(j % p, p) != 1 {
-                return Err(CommError::Protocol(format!(
-                    "ring-neighbor stride {j} shares a factor with p={p}"
-                )));
-            }
-            AllgatherAlgo::RingNeighbor { j: j % p }
-        }
-        other => other,
-    };
-    let plan = PlanCache::global().plan(PlanKey::Allgather {
-        algo,
+    let (p, me) = (comm.size(), comm.rank());
+    let key = PlanKey::Allgather {
+        algo: ring_stride(algo, p, || format!("p={p}"))?,
         p,
-        rank: comm.rank(),
+        rank: me,
         count,
         has_sendbuf: sendbuf.is_some(),
-    });
-    execute_polled(
-        comm,
-        &plan,
-        &Bindings {
-            send: sendbuf,
-            recv: Some(recvbuf),
-        },
-    )
-    .await
-    .map(Some)
-}
-
-/// Shared validation; `Ok(false)` means the degenerate case was handled.
-async fn validate<C: AsyncComm>(
-    comm: &mut C,
-    sendbuf: Option<BufId>,
-    recvbuf: BufId,
-    count: usize,
-) -> Result<bool> {
-    let p = comm.size();
-    let me = comm.rank();
-    check_len(comm, recvbuf, p * count)?;
+    };
+    let bind = Bindings {
+        send: sendbuf,
+        recv: Some(recvbuf),
+    };
+    check_call(comm, &key, &bind)?;
     if count == 0 || p == 1 {
         if let (Some(sb), true) = (sendbuf, count > 0) {
             comm.copy_local(sb, 0, recvbuf, me * count, count).await?;
         }
-        return Ok(false);
+        return Ok(None);
     }
-    Ok(true)
+    let plan = PlanCache::global().plan(key);
+    execute_polled(comm, &plan, &bind).await.map(Some)
+}
+
+/// `algo` with its ring-neighbour stride reduced mod `p`, so equivalent
+/// strides share a plan key. A stride sharing a factor with `p` is
+/// refused here, where the caller's stride is still known; `team` names
+/// the `p` ranks in the message.
+pub(crate) fn ring_stride(
+    algo: AllgatherAlgo,
+    p: usize,
+    team: impl FnOnce() -> String,
+) -> Result<AllgatherAlgo> {
+    match algo {
+        AllgatherAlgo::RingNeighbor { j } if gcd(j % p, p) != 1 => Err(CommError::Protocol(
+            format!("ring-neighbor stride {j} shares a factor with {}", team()),
+        )),
+        AllgatherAlgo::RingNeighbor { j } => Ok(AllgatherAlgo::RingNeighbor { j: j % p }),
+        other => Ok(other),
+    }
 }
 
 pub(crate) fn gcd(a: usize, b: usize) -> usize {

@@ -6,7 +6,7 @@
 //! over any [`AsyncComm`], and [`alltoall`] runs it on a blocking
 //! [`Comm`].
 
-use crate::check_len;
+use crate::check_call;
 use crate::exec::{Bindings, ScheduleReport};
 use crate::polled::execute_polled;
 use crate::schedule::{PlanCache, PlanKey};
@@ -55,10 +55,10 @@ pub fn alltoall<C: Comm + ?Sized>(
     .map(drop)
 }
 
-/// [`alltoall`] on any [`AsyncComm`] endpoint: validate, stage
-/// `MPI_IN_PLACE`, fetch (or compile) the plan, execute it. `None` when
-/// the call was satisfied without a schedule (single rank or zero
-/// count).
+/// [`alltoall`] on any [`AsyncComm`] endpoint: check the call on every
+/// shape, stage `MPI_IN_PLACE`, fetch (or compile) the plan, execute it.
+/// `None` when the call was satisfied without a schedule (single rank or
+/// zero count).
 pub async fn alltoall_polled<C: AsyncComm>(
     comm: &mut C,
     algo: AlltoallAlgo,
@@ -66,16 +66,29 @@ pub async fn alltoall_polled<C: AsyncComm>(
     recvbuf: BufId,
     count: usize,
 ) -> Result<Option<ScheduleReport>> {
-    if !prepare(comm, sendbuf, recvbuf, count).await? {
+    let p = comm.size();
+    let key = PlanKey::Alltoall {
+        algo,
+        p,
+        rank: comm.rank(),
+        count,
+    };
+    let bind = Bindings {
+        send: sendbuf,
+        recv: Some(recvbuf),
+    };
+    check_call(comm, &key, &bind)?;
+    if count == 0 {
+        return Ok(None);
+    }
+    if p == 1 {
+        if let Some(sb) = sendbuf {
+            comm.copy_local(sb, 0, recvbuf, 0, count).await?;
+        }
         return Ok(None);
     }
     let (source, staged) = stage_in_place(comm, sendbuf, recvbuf, count).await?;
-    let plan = PlanCache::global().plan(PlanKey::Alltoall {
-        algo,
-        p: comm.size(),
-        rank: comm.rank(),
-        count,
-    });
+    let plan = PlanCache::global().plan(key);
     let result = execute_polled(
         comm,
         &plan,
@@ -89,31 +102,6 @@ pub async fn alltoall_polled<C: AsyncComm>(
         comm.free(tmp)?;
     }
     result.map(Some)
-}
-
-/// Validation and degenerate-case handling. Returns `false` when nothing
-/// is left to do.
-async fn prepare<C: AsyncComm>(
-    comm: &mut C,
-    sendbuf: Option<BufId>,
-    recvbuf: BufId,
-    count: usize,
-) -> Result<bool> {
-    let p = comm.size();
-    check_len(comm, recvbuf, p * count)?;
-    if let Some(sb) = sendbuf {
-        check_len(comm, sb, p * count)?;
-    }
-    if count == 0 {
-        return Ok(false);
-    }
-    if p == 1 {
-        if let Some(sb) = sendbuf {
-            comm.copy_local(sb, 0, recvbuf, 0, count).await?;
-        }
-        return Ok(false);
-    }
-    Ok(true)
 }
 
 /// MPI_IN_PLACE: stage the outgoing blocks so concurrent peers never

@@ -1,15 +1,18 @@
 //! One-to-all non-personalized communication: MPI_Bcast (§V-B).
 //!
-//! The entry points compile to a [`crate::schedule::Schedule`] (cached
-//! in the global [`PlanCache`]) and replay it through the executor:
-//! [`bcast_polled`] is the one implementation, async over any
-//! [`AsyncComm`], and [`bcast`] runs it on a blocking [`Comm`].
+//! The entry points check the call over its [`PlanKey`], compile to a
+//! [`crate::schedule::Schedule`] (cached in the global [`PlanCache`])
+//! and replay it through the executor: [`bcast_polled`] is the one
+//! implementation, async over any [`AsyncComm`], and [`bcast`] runs it
+//! on a blocking [`Comm`]. Direct read and direct write are Scatter
+//! plans from the rooted builder in which every rank's block is the
+//! whole buffer; k-nomial and scatter-allgather compile on their own.
 
-use crate::check_len;
+use crate::check_call;
 use crate::exec::{Bindings, ScheduleReport};
 use crate::polled::execute_polled;
 use crate::schedule::{PlanCache, PlanKey};
-use kacc_comm::{block_on, AsyncComm, Blocking, BufId, Comm, CommError, Result};
+use kacc_comm::{block_on, AsyncComm, Blocking, BufId, Comm, Result};
 
 /// Broadcast algorithm selection (§V-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -44,9 +47,9 @@ pub fn bcast<C: Comm + ?Sized>(
     block_on(bcast_polled(&mut Blocking(comm), algo, buf, count, root)).map(drop)
 }
 
-/// [`bcast`] on any [`AsyncComm`] endpoint: validate, fetch (or compile)
-/// the plan, execute it. `None` when the call was satisfied without a
-/// schedule (single rank or zero count).
+/// [`bcast`] on any [`AsyncComm`] endpoint: check the call on every
+/// shape, fetch (or compile) the plan, execute it. `None` when the call
+/// was satisfied without a schedule (single rank or zero count).
 pub async fn bcast_polled<C: AsyncComm>(
     comm: &mut C,
     algo: BcastAlgo,
@@ -54,39 +57,22 @@ pub async fn bcast_polled<C: AsyncComm>(
     count: usize,
     root: usize,
 ) -> Result<Option<ScheduleReport>> {
-    if !validate(comm, buf, count, root)? {
-        return Ok(None);
-    }
-    if let BcastAlgo::KNomial { radix } = algo {
-        if radix < 2 {
-            return Err(CommError::Protocol("k-nomial radix must be ≥ 2".into()));
-        }
-    }
-    let plan = PlanCache::global().plan(PlanKey::Bcast {
+    let p = comm.size();
+    let key = PlanKey::Bcast {
         algo,
-        p: comm.size(),
+        p,
         rank: comm.rank(),
         count,
         root,
-    });
-    execute_polled(
-        comm,
-        &plan,
-        &Bindings {
-            send: Some(buf),
-            recv: None,
-        },
-    )
-    .await
-    .map(Some)
-}
-
-/// Shared validation; `Ok(false)` means the degenerate case was handled.
-fn validate<C: AsyncComm>(comm: &C, buf: BufId, count: usize, root: usize) -> Result<bool> {
-    let p = comm.size();
-    if root >= p {
-        return Err(CommError::BadRank(root));
+    };
+    let bind = Bindings {
+        send: Some(buf),
+        recv: None,
+    };
+    check_call(comm, &key, &bind)?;
+    if p == 1 || count == 0 {
+        return Ok(None);
     }
-    check_len(comm, buf, count)?;
-    Ok(!(p == 1 || count == 0))
+    let plan = PlanCache::global().plan(key);
+    execute_polled(comm, &plan, &bind).await.map(Some)
 }

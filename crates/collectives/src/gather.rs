@@ -4,17 +4,19 @@
 //! kernel-assisted operations reversed: the contended resource is the
 //! *root's* page-table lock, written to by many peers at once.
 //!
-//! Like Scatter, the entry points compile to a
-//! [`crate::schedule::Schedule`] (cached in the global [`PlanCache`])
-//! and replay it through the executor: [`gatherv_polled`] is the one
-//! implementation, async over any [`AsyncComm`], and
+//! The plans are Scatter's, from the same rooted builder, with the root
+//! and leaf buffers swapped and the leaves writing instead of reading.
+//! Like Scatter, the entry points check the call over its [`PlanKey`],
+//! compile to a [`crate::schedule::Schedule`] (cached in the global
+//! [`PlanCache`]) and replay it through the executor: [`gatherv_polled`]
+//! is the one implementation, async over any [`AsyncComm`], and
 //! [`gather`](fn@gather) runs it on a blocking [`Comm`].
 
-use crate::check_len;
+use crate::check_call;
 use crate::exec::{Bindings, ScheduleReport};
 use crate::polled::execute_polled;
 use crate::schedule::{PlanCache, PlanKey};
-use kacc_comm::{block_on, AsyncComm, Blocking, BufId, Comm, CommError, Result};
+use kacc_comm::{block_on, AsyncComm, Blocking, BufId, Comm, Result};
 
 /// Gather algorithm selection (§IV-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -57,9 +59,9 @@ pub fn gather<C: Comm + ?Sized>(
 /// MPI_Gatherv on any [`AsyncComm`] endpoint: rank `r` contributes
 /// `counts[r]` bytes, landing at `displs[r]` in the root's receive
 /// buffer (contiguous packing when `displs` is `None`). Every rank
-/// passes identical `counts`/`displs`. Validates, fetches (or compiles)
-/// the plan and executes it; `None` when the call was satisfied without
-/// a schedule (single rank or all-zero counts).
+/// passes identical `counts`/`displs`. Checks the call on every shape,
+/// fetches (or compiles) the plan and executes it; `None` when the call
+/// was satisfied without a schedule (single rank or all-zero counts).
 pub async fn gatherv_polled<C: AsyncComm>(
     comm: &mut C,
     algo: GatherAlgo,
@@ -69,70 +71,32 @@ pub async fn gatherv_polled<C: AsyncComm>(
     displs: Option<&[usize]>,
     root: usize,
 ) -> Result<Option<ScheduleReport>> {
-    if !prepare(comm, sendbuf, recvbuf, counts, displs, root).await? {
-        return Ok(None);
-    }
-    if let GatherAlgo::ThrottledWrite { k } = algo {
-        if k == 0 {
-            return Err(CommError::Protocol("throttle factor must be ≥ 1".into()));
-        }
-    }
-    let plan = PlanCache::global().plan(PlanKey::Gather {
+    let p = comm.size();
+    let key = PlanKey::Gather {
         algo,
-        p: comm.size(),
+        p,
         rank: comm.rank(),
         counts: counts.to_vec(),
         displs: displs.map(<[usize]>::to_vec),
         root,
         has_sendbuf: sendbuf.is_some(),
-    });
-    execute_polled(
-        comm,
-        &plan,
-        &Bindings {
-            send: sendbuf,
-            recv: recvbuf,
-        },
-    )
-    .await
-    .map(Some)
-}
-
-/// Validation and degenerate-case handling. Returns `false` when
-/// nothing is left to do (single rank or all-zero counts).
-async fn prepare<C: AsyncComm>(
-    comm: &mut C,
-    sendbuf: Option<BufId>,
-    recvbuf: Option<BufId>,
-    counts: &[usize],
-    displs: Option<&[usize]>,
-    root: usize,
-) -> Result<bool> {
-    let p = comm.size();
-    let me = comm.rank();
-    if root >= p {
-        return Err(CommError::BadRank(root));
-    }
-    if counts.len() != p || displs.is_some_and(|d| d.len() != p) {
-        return Err(CommError::Protocol(
-            "counts/displs length must equal size".into(),
-        ));
-    }
-    let layout = crate::scatter::build_layout(counts, displs);
-    if me == root {
-        let rb = recvbuf.ok_or(CommError::Protocol("root gather needs recvbuf".into()))?;
-        let need = layout.iter().map(|&(off, len)| off + len).max();
-        check_len(comm, rb, need.unwrap_or(0))?;
-    } else if sendbuf.is_none() && counts[me] > 0 {
-        return Err(CommError::Protocol("non-root gather needs sendbuf".into()));
-    }
+    };
+    let bind = Bindings {
+        send: sendbuf,
+        recv: recvbuf,
+    };
+    check_call(comm, &key, &bind)?;
     if p == 1 {
-        let rb = recvbuf.expect("validated: root binds recvbuf");
-        let (off, len) = layout[root];
-        if let (Some(sb), true) = (sendbuf, len > 0) {
-            comm.copy_local(sb, 0, rb, off, len).await?;
+        // The root's own block is the whole call.
+        let off = displs.map_or(0, |d| d[0]);
+        if let (Some(sb), Some(rb), true) = (sendbuf, recvbuf, counts[0] > 0) {
+            comm.copy_local(sb, 0, rb, off, counts[0]).await?;
         }
-        return Ok(false);
+        return Ok(None);
     }
-    Ok(counts.iter().any(|&c| c > 0))
+    if counts.iter().all(|&c| c == 0) {
+        return Ok(None);
+    }
+    let plan = PlanCache::global().plan(key);
+    execute_polled(comm, &plan, &bind).await.map(Some)
 }

@@ -73,6 +73,8 @@ pub use scatter::{scatter, scatter_polled, scatterv_polled, ScatterAlgo};
 pub use schedule::{compile_agree, remap_for_members, PlanCache, PlanKey, Schedule, Step};
 pub use tuner::Tuner;
 
+use kacc_comm::{AsyncComm, BufId, CommError, Result};
+
 /// Tag classes used by the collective protocols (disjoint from
 /// `kacc_comm::smcoll::class`). Re-exported from the central
 /// `kacc_comm::tagclass` registry, which owns the uniqueness audit.
@@ -88,14 +90,10 @@ pub(crate) mod class {
 }
 
 /// Fail with `OutOfRange` unless `buf` holds at least `need` bytes.
-pub(crate) fn check_len<C: kacc_comm::AsyncComm>(
-    comm: &C,
-    buf: kacc_comm::BufId,
-    need: usize,
-) -> kacc_comm::Result<()> {
+pub(crate) fn check_len<C: AsyncComm>(comm: &C, buf: BufId, need: usize) -> Result<()> {
     let cap = comm.buf_len(buf)?;
     if cap < need {
-        return Err(kacc_comm::CommError::OutOfRange {
+        return Err(CommError::OutOfRange {
             buf: buf.0,
             off: 0,
             len: need,
@@ -103,6 +101,128 @@ pub(crate) fn check_len<C: kacc_comm::AsyncComm>(
         });
     }
     Ok(())
+}
+
+/// The one argument check of every keyed call, run on the key's own rank
+/// before any short-cut, so a single-rank or zero-byte call rejects what
+/// a real one would: the root in range, `counts`/`displs` of length p,
+/// the algorithm parameter (k ≥ 1, radix ≥ 2), whole lanes, the buffers
+/// this rank must bind, and that each bound buffer holds what its plan
+/// touches. A ring stride coprime with p is checked as its key is built
+/// ([`allgather::ring_stride`]), while the caller's stride is known.
+pub(crate) fn check_call<C: AsyncComm>(comm: &C, key: &PlanKey, bind: &Bindings) -> Result<()> {
+    let proto = |msg: &str| CommError::Protocol(msg.into());
+    let bound = |buf: Option<BufId>, msg: &str| buf.ok_or_else(|| proto(msg));
+    let fits = |buf: Option<BufId>, need: usize| buf.map_or(Ok(()), |b| check_len(comm, b, need));
+    let in_range = |root: usize, p: usize| {
+        if root < p {
+            Ok(())
+        } else {
+            Err(CommError::BadRank(root))
+        }
+    };
+    // Scatter and Gather: the root binds the buffer holding every block,
+    // a leaf with a block binds its own.
+    let rooted = |p: usize,
+                  rank: usize,
+                  root: usize,
+                  counts: &[usize],
+                  displs: Option<&[usize]>,
+                  (root_buf, root_msg): (Option<BufId>, &str),
+                  (leaf_buf, leaf_msg): (Option<BufId>, &str)| {
+        in_range(root, p)?;
+        if counts.len() != p || displs.is_some_and(|d| d.len() != p) {
+            return Err(proto("counts/displs length must equal size"));
+        }
+        if rank == root {
+            let layout = scatter::build_layout(counts, displs);
+            let span = layout.iter().map(|&(off, len)| off + len).max();
+            check_len(comm, bound(root_buf, root_msg)?, span.unwrap_or(0))?;
+            fits(leaf_buf, layout[root].1)
+        } else if counts[rank] > 0 {
+            check_len(comm, bound(leaf_buf, leaf_msg)?, counts[rank])
+        } else {
+            Ok(())
+        }
+    };
+    let (send, recv) = (bind.send, bind.recv);
+    match *key {
+        PlanKey::Scatter {
+            algo,
+            p,
+            rank,
+            ref counts,
+            ref displs,
+            root,
+            ..
+        } => {
+            if matches!(algo, ScatterAlgo::ThrottledRead { k: 0 }) {
+                return Err(proto("throttle factor must be ≥ 1"));
+            }
+            let root_buf = (send, "root scatter needs sendbuf");
+            let leaf_buf = (recv, "non-root scatter needs recvbuf");
+            rooted(p, rank, root, counts, displs.as_deref(), root_buf, leaf_buf)
+        }
+        PlanKey::Gather {
+            algo,
+            p,
+            rank,
+            ref counts,
+            ref displs,
+            root,
+            ..
+        } => {
+            if matches!(algo, GatherAlgo::ThrottledWrite { k: 0 }) {
+                return Err(proto("throttle factor must be ≥ 1"));
+            }
+            let root_buf = (recv, "root gather needs recvbuf");
+            let leaf_buf = (send, "non-root gather needs sendbuf");
+            rooted(p, rank, root, counts, displs.as_deref(), root_buf, leaf_buf)
+        }
+        PlanKey::Bcast {
+            algo,
+            p,
+            count,
+            root,
+            ..
+        } => {
+            in_range(root, p)?;
+            if matches!(algo, BcastAlgo::KNomial { radix } if radix < 2) {
+                return Err(proto("k-nomial radix must be ≥ 2"));
+            }
+            let buf = bound(send, "bcast binds its data buffer as send")?;
+            check_len(comm, buf, count)
+        }
+        PlanKey::Allgather { p, count, .. } => {
+            check_len(comm, bound(recv, "allgather needs recvbuf")?, p * count)?;
+            fits(send, count)
+        }
+        PlanKey::Alltoall { p, count, .. } => {
+            fits(recv, p * count)?;
+            fits(send, p * count)
+        }
+        PlanKey::Reduce {
+            algo,
+            p,
+            rank,
+            count,
+            dtype,
+            root,
+            ..
+        } => {
+            in_range(root, p)?;
+            reduce::check_lanes(count, dtype)?;
+            if matches!(algo, ReduceAlgo::KNomialTree { radix } if radix < 2) {
+                return Err(proto("tree radix must be ≥ 2"));
+            }
+            check_len(comm, bound(send, "reduce needs sendbuf")?, count)?;
+            if rank == root {
+                check_len(comm, bound(recv, "root reduce needs recvbuf")?, count)?;
+            }
+            Ok(())
+        }
+        PlanKey::Member { ref inner, .. } => check_call(comm, inner, bind),
+    }
 }
 
 /// Map a rank to its virtual rank with `root` at 0.

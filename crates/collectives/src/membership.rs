@@ -47,6 +47,14 @@
 //!    Survivor `i` of the sorted member list contributes and receives
 //!    block `i`, so parent-sized buffers always suffice.
 //!
+//! A call is checked before anything runs: [`run_survivable_polled`]
+//! keeps its own rules (p ≥ 2, a nonzero count, an alltoall binds both
+//! buffers) and runs the plain entries' one argument check on its
+//! epoch-0 plan key, so a bad parameter or an undersized buffer fails
+//! typed on every rank at virtual time 0, with no transport traffic.
+//! Building a shrunken epoch's key checks the ring stride again (one
+//! coprime with p can share a factor with the survivor count).
+//!
 //! Everything is deterministic under simulation: the same seed produces
 //! the same suspicions, the same agreed masks, the same shrink sequence,
 //! and bitwise-identical reports on every run. A fault-free run
@@ -65,13 +73,14 @@ use kacc_comm::{AsyncComm, BufId, CommError, MemberMask, Result, Topology};
 use kacc_model::ArchProfile;
 use kacc_trace::{Tracer, Track};
 
+use crate::allgather::ring_stride;
 use crate::exec::{proto, Bindings, MembershipPolicy, RecoveryPolicy, ResumeState, ScheduleReport};
 use crate::polled::{execute_polled_with_policy, execute_resumable_polled};
 use crate::schedule::{compile_agree, compile_agree_split, PlanCache, PlanKey, Schedule};
 use crate::tuner::Tuner;
 use crate::{
-    class, AllgatherAlgo, AlltoallAlgo, BcastAlgo, Dtype, GatherAlgo, ReduceAlgo, ReduceOp,
-    ScatterAlgo,
+    check_call, class, AllgatherAlgo, AlltoallAlgo, BcastAlgo, Dtype, GatherAlgo, ReduceAlgo,
+    ReduceOp, ScatterAlgo,
 };
 
 /// One survivable collective operation: the algorithm plus the shape
@@ -298,16 +307,9 @@ fn adaptive_liveness(m: &MembershipPolicy, plan_cost_ns: u64, obs_p99_ns: u64) -
     )
 }
 
-/// Up-front validation: communicator bounds, per-op buffer
-/// requirements, and algorithm parameters the compile functions assume
-/// were already checked.
-fn validate(
-    op: &SurvivableOp,
-    p: usize,
-    me: usize,
-    send: Option<BufId>,
-    recv: Option<BufId>,
-) -> Result<()> {
+/// The rules of a survivable call itself. Everything else a call must
+/// satisfy is the plain entries' one check, run on the epoch-0 key.
+fn validate(op: &SurvivableOp, p: usize, send: Option<BufId>, recv: Option<BufId>) -> Result<()> {
     if p < 2 {
         return Err(proto(
             "survivable collectives require at least 2 ranks".into(),
@@ -318,72 +320,76 @@ fn validate(
             "survivable collectives require a nonzero count".into(),
         ));
     }
-    if let Some(root) = op.root() {
-        if root >= p {
-            return Err(CommError::BadRank(root));
-        }
-    }
-    let need = |cond: bool, msg: &str| {
-        if cond {
-            Ok(())
-        } else {
-            Err(proto(msg.into()))
-        }
-    };
-    match *op {
-        SurvivableOp::Scatter { algo, root, .. } => {
-            if let ScatterAlgo::ThrottledRead { k } = algo {
-                need(k >= 1, "throttle factor must be ≥ 1")?;
-            }
-            if me == root {
-                need(send.is_some(), "root scatter needs sendbuf")?;
-            } else {
-                need(recv.is_some(), "non-root scatter needs recvbuf")?;
-            }
-        }
-        SurvivableOp::Gather { algo, root, .. } => {
-            if let GatherAlgo::ThrottledWrite { k } = algo {
-                need(k >= 1, "throttle factor must be ≥ 1")?;
-            }
-            if me == root {
-                need(recv.is_some(), "root gather needs recvbuf")?;
-            } else {
-                need(send.is_some(), "non-root gather needs sendbuf")?;
-            }
-        }
-        SurvivableOp::Bcast { algo, .. } => {
-            if let BcastAlgo::KNomial { radix } = algo {
-                need(radix >= 2, "k-nomial radix must be ≥ 2")?;
-            }
-            need(send.is_some(), "bcast binds its data buffer as send")?;
-        }
-        SurvivableOp::Allgather { .. } => {
-            need(recv.is_some(), "allgather needs recvbuf")?;
-        }
-        SurvivableOp::Alltoall { .. } => {
-            need(
-                send.is_some() && recv.is_some(),
-                "survivable alltoall needs distinct send and recv buffers",
-            )?;
-        }
-        SurvivableOp::Reduce {
-            algo,
-            root,
-            count,
-            dtype,
-            ..
-        } => {
-            if let ReduceAlgo::KNomialTree { radix } = algo {
-                need(radix >= 2, "tree radix must be ≥ 2")?;
-            }
-            crate::reduce::check_lanes(count, dtype)?;
-            need(send.is_some(), "reduce needs sendbuf")?;
-            if me == root {
-                need(recv.is_some(), "root reduce needs recvbuf")?;
-            }
-        }
+    if matches!(op, SurvivableOp::Alltoall { .. }) && (send.is_none() || recv.is_none()) {
+        return Err(proto(
+            "survivable alltoall needs distinct send and recv buffers".into(),
+        ));
     }
     Ok(())
+}
+
+impl SurvivableOp {
+    /// The plan key of this op for member `rank` of a `p`-member team
+    /// whose root is member `root` (ignored by unrooted ops). Counts are
+    /// per member, so a shrunken team's key simply has fewer blocks.
+    fn key(&self, p: usize, rank: usize, root: usize, bind: &Bindings) -> Result<PlanKey> {
+        let (has_send, has_recv) = (bind.send.is_some(), bind.recv.is_some());
+        Ok(match *self {
+            SurvivableOp::Scatter { algo, count, .. } => PlanKey::Scatter {
+                algo,
+                p,
+                rank,
+                counts: vec![count; p],
+                displs: None,
+                root,
+                has_recvbuf: has_recv,
+            },
+            SurvivableOp::Gather { algo, count, .. } => PlanKey::Gather {
+                algo,
+                p,
+                rank,
+                counts: vec![count; p],
+                displs: None,
+                root,
+                has_sendbuf: has_send,
+            },
+            SurvivableOp::Bcast { algo, count, .. } => PlanKey::Bcast {
+                algo,
+                p,
+                rank,
+                count,
+                root,
+            },
+            SurvivableOp::Allgather { algo, count } => PlanKey::Allgather {
+                algo: ring_stride(algo, p, || format!("the {p} survivors"))?,
+                p,
+                rank,
+                count,
+                has_sendbuf: has_send,
+            },
+            SurvivableOp::Alltoall { algo, count } => PlanKey::Alltoall {
+                algo,
+                p,
+                rank,
+                count,
+            },
+            SurvivableOp::Reduce {
+                algo,
+                count,
+                dtype,
+                op,
+                ..
+            } => PlanKey::Reduce {
+                algo,
+                p,
+                rank,
+                count,
+                dtype,
+                op,
+                root,
+            },
+        })
+    }
 }
 
 /// Fetch (or compile) the plan for the current membership epoch.
@@ -394,105 +400,33 @@ fn validate(
 /// for the survivor subgroup (`p' = |members|`, `rank' = my position`,
 /// `root' = root's position`) and remap onto parent ranks under a
 /// [`PlanKey::Member`] key whose embedded epoch makes stale-membership
-/// plans unreachable after the next shrink.
-fn member_plan(
+/// plans unreachable after the next shrink. Building their key checks
+/// the ring stride again: one coprime with p can share a factor with the
+/// survivor count. The call's other rules only loosen as the team
+/// shrinks.
+fn member_plan<C: AsyncComm>(
+    comm: &C,
     op: &SurvivableOp,
-    p: usize,
-    me: usize,
     members: &[usize],
     epoch: u32,
-    has_send: bool,
-    has_recv: bool,
+    bind: &Bindings,
 ) -> Result<Arc<Schedule>> {
-    let l = members.len();
-    let my_idx = members
-        .iter()
-        .position(|&m| m == me)
-        .ok_or_else(|| proto("caller is not a surviving member".into()))?;
+    let position = |r: usize| members.iter().position(|&m| m == r);
+    let my_idx =
+        position(comm.rank()).ok_or_else(|| proto("caller is not a surviving member".into()))?;
     let root_idx = match op.root() {
-        Some(r) => members
-            .iter()
-            .position(|&m| m == r)
-            .ok_or(CommError::PeerDead(r))?,
+        Some(r) => position(r).ok_or(CommError::PeerDead(r))?,
         None => 0,
     };
-    let inner = match *op {
-        SurvivableOp::Scatter { algo, count, .. } => PlanKey::Scatter {
-            algo,
-            p: l,
-            rank: my_idx,
-            counts: vec![count; l],
-            displs: None,
-            root: root_idx,
-            has_recvbuf: has_recv,
-        },
-        SurvivableOp::Gather { algo, count, .. } => PlanKey::Gather {
-            algo,
-            p: l,
-            rank: my_idx,
-            counts: vec![count; l],
-            displs: None,
-            root: root_idx,
-            has_sendbuf: has_send,
-        },
-        SurvivableOp::Bcast { algo, count, .. } => PlanKey::Bcast {
-            algo,
-            p: l,
-            rank: my_idx,
-            count,
-            root: root_idx,
-        },
-        SurvivableOp::Allgather { algo, count } => {
-            let algo = match algo {
-                AllgatherAlgo::RingNeighbor { j } => {
-                    if crate::allgather::gcd(j % l, l) != 1 {
-                        return Err(proto(format!(
-                            "ring-neighbor stride {j} shares a factor with the {l} survivors"
-                        )));
-                    }
-                    AllgatherAlgo::RingNeighbor { j: j % l }
-                }
-                other => other,
-            };
-            PlanKey::Allgather {
-                algo,
-                p: l,
-                rank: my_idx,
-                count,
-                has_sendbuf: has_send,
-            }
-        }
-        SurvivableOp::Alltoall { algo, count } => PlanKey::Alltoall {
-            algo,
-            p: l,
-            rank: my_idx,
-            count,
-        },
-        SurvivableOp::Reduce {
-            algo,
-            count,
-            dtype,
-            op,
-            ..
-        } => PlanKey::Reduce {
-            algo,
-            p: l,
-            rank: my_idx,
-            count,
-            dtype,
-            op,
-            root: root_idx,
-        },
-    };
-    Ok(PlanCache::global().plan(if epoch == 0 {
-        inner
-    } else {
-        PlanKey::Member {
-            epoch,
-            members: members.to_vec(),
-            parent_p: p,
-            inner: Box::new(inner),
-        }
+    let inner = op.key(members.len(), my_idx, root_idx, bind)?;
+    if epoch == 0 {
+        return Ok(PlanCache::global().plan(inner));
+    }
+    Ok(PlanCache::global().plan(PlanKey::Member {
+        epoch,
+        members: members.to_vec(),
+        parent_p: comm.size(),
+        inner: Box::new(inner),
     }))
 }
 
@@ -786,9 +720,10 @@ pub async fn run_survivable_polled<C: AsyncComm>(
 ) -> Result<SurvivableOutcome> {
     let p = comm.size();
     let me = comm.rank();
-    validate(op, p, me, send, recv)?;
-    let m = effective_membership(policy);
+    validate(op, p, send, recv)?;
     let bind = bindings_for(op, send, recv);
+    check_call(comm, &op.key(p, me, op.root().unwrap_or(0), &bind)?, &bind)?;
+    let m = effective_membership(policy);
     let tracer = comm.tracer();
     let tuner = Tuner::new(&arch_for(&comm.topology()));
     let resume_cap = m.max_shrinks.min(15);
@@ -843,7 +778,7 @@ pub async fn run_survivable_polled<C: AsyncComm>(
             )));
         }
         let l = members.len();
-        let plan = match member_plan(op, p, me, &members, epoch, send.is_some(), recv.is_some()) {
+        let plan = match member_plan(comm, op, &members, epoch, &bind) {
             Ok(plan) => plan,
             Err(e) => bail!(e),
         };
@@ -1209,17 +1144,23 @@ mod tests {
             count: 8,
             root: 0,
         };
-        assert!(validate(&op, 1, 0, Some(BufId(1)), None).is_err());
+        assert!(validate(&op, 1, Some(BufId(1)), None).is_err());
         // Gen-2 membership has no rank cap: 65, 128, 256 all validate.
-        assert!(validate(&op, 65, 0, Some(BufId(1)), None).is_ok());
-        assert!(validate(&op, 256, 0, Some(BufId(1)), None).is_ok());
-        assert!(validate(&op, 4, 0, None, None).is_err());
-        assert!(validate(&op, 4, 0, Some(BufId(1)), None).is_ok());
+        assert!(validate(&op, 65, Some(BufId(1)), None).is_ok());
+        assert!(validate(&op, 256, Some(BufId(1)), None).is_ok());
+        assert!(validate(&op, 4, Some(BufId(1)), None).is_ok());
         let zero = SurvivableOp::Bcast {
             algo: BcastAlgo::DirectRead,
             count: 0,
             root: 0,
         };
-        assert!(validate(&zero, 4, 0, Some(BufId(1)), None).is_err());
+        assert!(validate(&zero, 4, Some(BufId(1)), None).is_err());
+        // An in-place survivable alltoall has nothing to re-execute from.
+        let a2a = SurvivableOp::Alltoall {
+            algo: AlltoallAlgo::Pairwise,
+            count: 8,
+        };
+        assert!(validate(&a2a, 4, None, Some(BufId(2))).is_err());
+        assert!(validate(&a2a, 4, Some(BufId(1)), Some(BufId(2))).is_ok());
     }
 }

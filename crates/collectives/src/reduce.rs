@@ -28,10 +28,10 @@
 //! [`reduce_polled`] on a blocking [`Comm`].
 
 use crate::bcast::{bcast_polled, BcastAlgo};
-use crate::check_len;
 use crate::exec::{Bindings, ScheduleReport};
 use crate::polled::execute_polled;
 use crate::schedule::{compile_allreduce_rsa, compile_reduce_scatter_block, PlanCache, PlanKey};
+use crate::{check_call, check_len};
 use kacc_comm::{block_on, AsyncComm, Blocking, BufId, Comm, CommError, Result};
 
 /// Element type of a reduction.
@@ -142,9 +142,9 @@ pub fn reduce<C: Comm + ?Sized>(
     .map(drop)
 }
 
-/// [`reduce`] on any [`AsyncComm`] endpoint: validate, fetch (or
-/// compile) the plan, execute it. `None` when the call was satisfied
-/// without a schedule (single rank or zero count).
+/// [`reduce`] on any [`AsyncComm`] endpoint: check the call on every
+/// shape, fetch (or compile) the plan, execute it. `None` when the call
+/// was satisfied without a schedule (single rank or zero count).
 #[allow(clippy::too_many_arguments)]
 pub async fn reduce_polled<C: AsyncComm>(
     comm: &mut C,
@@ -156,64 +156,31 @@ pub async fn reduce_polled<C: AsyncComm>(
     op: ReduceOp,
     root: usize,
 ) -> Result<Option<ScheduleReport>> {
-    if !prepare(comm, algo, sendbuf, recvbuf, count, dtype, root).await? {
-        return Ok(None);
-    }
-    let plan = PlanCache::global().plan(PlanKey::Reduce {
+    let p = comm.size();
+    let key = PlanKey::Reduce {
         algo,
-        p: comm.size(),
+        p,
         rank: comm.rank(),
         count,
         dtype,
         op,
         root,
-    });
-    execute_polled(
-        comm,
-        &plan,
-        &Bindings {
-            send: Some(sendbuf),
-            recv: recvbuf,
-        },
-    )
-    .await
-    .map(Some)
-}
-
-/// Validation and degenerate-case handling. Returns `false` when nothing
-/// is left to do.
-async fn prepare<C: AsyncComm>(
-    comm: &mut C,
-    algo: ReduceAlgo,
-    sendbuf: BufId,
-    recvbuf: Option<BufId>,
-    count: usize,
-    dtype: Dtype,
-    root: usize,
-) -> Result<bool> {
-    let p = comm.size();
-    let me = comm.rank();
-    if root >= p {
-        return Err(CommError::BadRank(root));
-    }
-    check_lanes(count, dtype)?;
-    if me == root && recvbuf.is_none() {
-        return Err(CommError::Protocol("root reduce needs recvbuf".into()));
-    }
-    if let ReduceAlgo::KNomialTree { radix } = algo {
-        if radix < 2 {
-            return Err(CommError::Protocol("tree radix must be ≥ 2".into()));
-        }
-    }
+    };
+    let bind = Bindings {
+        send: Some(sendbuf),
+        recv: recvbuf,
+    };
+    check_call(comm, &key, &bind)?;
     if count == 0 {
-        return Ok(false);
+        return Ok(None);
     }
     if p == 1 {
-        let rb = recvbuf.expect("validated: root binds recvbuf");
+        let rb = recvbuf.expect("checked: the root binds recvbuf");
         comm.copy_local(sendbuf, 0, rb, 0, count).await?;
-        return Ok(false);
+        return Ok(None);
     }
-    Ok(true)
+    let plan = PlanCache::global().plan(key);
+    execute_polled(comm, &plan, &bind).await.map(Some)
 }
 
 /// Fail with the `Protocol` error every reduction uses unless `count`

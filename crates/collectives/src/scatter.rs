@@ -1,16 +1,19 @@
 //! One-to-all personalized communication: MPI_Scatter (§IV-A).
 //!
-//! The entry points are thin compile+execute wrappers: the algorithm
-//! structure is compiled once into a [`crate::schedule::Schedule`]
-//! (memoized in the global [`PlanCache`]) and replayed by the executor.
-//! [`scatterv_polled`] is the one implementation, async over any
-//! [`AsyncComm`]; [`scatter`](fn@scatter) runs it on a blocking [`Comm`].
+//! The entry points are thin check+compile+execute wrappers: the call is
+//! checked by the crate's one argument check over its [`PlanKey`], the
+//! algorithm structure is compiled once into a
+//! [`crate::schedule::Schedule`] by the rooted builder it shares with
+//! Gather and direct Bcast (memoized in the global [`PlanCache`]), and
+//! the executor replays it. [`scatterv_polled`] is the one
+//! implementation, async over any [`AsyncComm`]; [`scatter`](fn@scatter)
+//! runs it on a blocking [`Comm`].
 
-use crate::check_len;
+use crate::check_call;
 use crate::exec::{Bindings, ScheduleReport};
 use crate::polled::execute_polled;
 use crate::schedule::{PlanCache, PlanKey};
-use kacc_comm::{block_on, AsyncComm, Blocking, BufId, Comm, CommError, Result};
+use kacc_comm::{block_on, AsyncComm, Blocking, BufId, Comm, Result};
 
 /// Scatter algorithm selection (§IV-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -74,9 +77,9 @@ pub async fn scatter_polled<C: AsyncComm>(
 /// MPI_Scatterv on any [`AsyncComm`] endpoint: slice `r` has `counts[r]`
 /// bytes, located at `displs[r]` in the root's send buffer (contiguous
 /// packing when `displs` is `None`). Every rank passes identical
-/// `counts`/`displs`. Validates, fetches (or compiles) the plan and
-/// executes it; `None` when the call was satisfied without a schedule
-/// (single rank or all-zero counts).
+/// `counts`/`displs`. Checks the call on every shape, fetches (or
+/// compiles) the plan and executes it; `None` when the call was
+/// satisfied without a schedule (single rank or all-zero counts).
 pub async fn scatterv_polled<C: AsyncComm>(
     comm: &mut C,
     algo: ScatterAlgo,
@@ -86,72 +89,34 @@ pub async fn scatterv_polled<C: AsyncComm>(
     displs: Option<&[usize]>,
     root: usize,
 ) -> Result<Option<ScheduleReport>> {
-    if !prepare(comm, sendbuf, recvbuf, counts, displs, root).await? {
-        return Ok(None);
-    }
-    if let ScatterAlgo::ThrottledRead { k } = algo {
-        if k == 0 {
-            return Err(CommError::Protocol("throttle factor must be ≥ 1".into()));
-        }
-    }
-    let plan = PlanCache::global().plan(PlanKey::Scatter {
+    let p = comm.size();
+    let key = PlanKey::Scatter {
         algo,
-        p: comm.size(),
+        p,
         rank: comm.rank(),
         counts: counts.to_vec(),
         displs: displs.map(<[usize]>::to_vec),
         root,
         has_recvbuf: recvbuf.is_some(),
-    });
-    execute_polled(
-        comm,
-        &plan,
-        &Bindings {
-            send: sendbuf,
-            recv: recvbuf,
-        },
-    )
-    .await
-    .map(Some)
-}
-
-/// Validation and degenerate-case handling. Returns `false` when
-/// nothing is left to do (single rank or all-zero counts).
-async fn prepare<C: AsyncComm>(
-    comm: &mut C,
-    sendbuf: Option<BufId>,
-    recvbuf: Option<BufId>,
-    counts: &[usize],
-    displs: Option<&[usize]>,
-    root: usize,
-) -> Result<bool> {
-    let p = comm.size();
-    let me = comm.rank();
-    if root >= p {
-        return Err(CommError::BadRank(root));
-    }
-    if counts.len() != p || displs.is_some_and(|d| d.len() != p) {
-        return Err(CommError::Protocol(
-            "counts/displs length must equal size".into(),
-        ));
-    }
-    let layout = build_layout(counts, displs);
-    if me == root {
-        let sb = sendbuf.ok_or(CommError::Protocol("root scatter needs sendbuf".into()))?;
-        let need = layout.iter().map(|&(off, len)| off + len).max();
-        check_len(comm, sb, need.unwrap_or(0))?;
-    } else if recvbuf.is_none() && counts[me] > 0 {
-        return Err(CommError::Protocol("non-root scatter needs recvbuf".into()));
-    }
+    };
+    let bind = Bindings {
+        send: sendbuf,
+        recv: recvbuf,
+    };
+    check_call(comm, &key, &bind)?;
     if p == 1 {
-        let sb = sendbuf.expect("validated: sender binds sendbuf");
-        let (off, len) = layout[root];
-        if let (Some(rb), true) = (recvbuf, len > 0) {
-            comm.copy_local(sb, off, rb, 0, len).await?;
+        // The root's own block is the whole call.
+        let off = displs.map_or(0, |d| d[0]);
+        if let (Some(sb), Some(rb), true) = (sendbuf, recvbuf, counts[0] > 0) {
+            comm.copy_local(sb, off, rb, 0, counts[0]).await?;
         }
-        return Ok(false);
+        return Ok(None);
     }
-    Ok(counts.iter().any(|&c| c > 0))
+    if counts.iter().all(|&c| c == 0) {
+        return Ok(None);
+    }
+    let plan = PlanCache::global().plan(key);
+    execute_polled(comm, &plan, &bind).await.map(Some)
 }
 
 /// Per-rank `(offset, len)` placement in the root's buffer.

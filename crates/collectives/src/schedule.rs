@@ -26,6 +26,15 @@
 //! Those bodies are gone; `tests/collective_pins.rs` at the repository
 //! root holds their virtual end times, which the compiled plans still
 //! reach.
+//!
+//! The rooted family is one builder: a Gather is a Scatter with the CMA
+//! direction reversed, and a direct Bcast is a Scatter whose every block
+//! is the whole buffer. [`compile_scatter`], [`compile_gather`] and the
+//! direct arms of [`compile_bcast`] only describe their slots, direction,
+//! pattern (parallel, sequential, throttled), layout and own-block copy
+//! to it. Compilers assume a checked call; the entries check theirs over
+//! the [`PlanKey`] before compiling, outside this module, which never
+//! sees a `Comm`.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -541,8 +550,181 @@ impl Builder {
 }
 
 // ---------------------------------------------------------------------
-// Scatter
+// Rooted plans: Scatter, Gather and direct Bcast
 // ---------------------------------------------------------------------
+
+/// How the leaves of a rooted plan take turns at the root's buffer.
+#[derive(Clone, Copy)]
+enum Pattern {
+    /// Every leaf moves its own block at once.
+    Parallel,
+    /// The root moves every leaf's block in turn.
+    Sequential,
+    /// At most `k` leaves move their blocks at once, each unblocking the
+    /// leaf `k` places after it in virtual-rank order.
+    Throttled(usize),
+}
+
+/// One member of the rooted family. A Gather is a Scatter with the CMA
+/// direction reversed (§IV-B), and a direct Bcast is a Scatter in which
+/// every rank's block is the whole buffer (§V-B1).
+struct Rooted<'a> {
+    /// Tag class of the plan.
+    class: u32,
+    /// The root's buffer, which holds every rank's block.
+    root_slot: Slot,
+    /// A leaf's buffer, which holds its own block.
+    leaf_slot: Slot,
+    /// Data flows from the root to the leaves: a leaf's own transfer is
+    /// a `CmaRead` (and the root's a `CmaWrite`), else the reverse.
+    leaves_read: bool,
+    pattern: Pattern,
+    /// Rank `r`'s block: `(offset in the root's buffer, len)`.
+    layout: &'a [(usize, usize)],
+    /// The root copies its own block from [`Slot::Send`] to
+    /// [`Slot::Recv`], the layout offset on the root's side.
+    own_copy: bool,
+}
+
+impl Rooted<'_> {
+    fn copy_own_block(&self, b: &mut Builder, root: usize) {
+        let (off, len) = self.layout[root];
+        if self.own_copy && len > 0 {
+            let (src_off, dst_off) = if self.leaves_read { (off, 0) } else { (0, off) };
+            b.push(Step::CopyLocal {
+                src: Slot::Send,
+                src_off,
+                dst: Slot::Recv,
+                dst_off,
+                len,
+            });
+        }
+    }
+
+    /// A leaf moving its own block through the root's token.
+    fn leaf_cma(&self, token: TokenReg, (off, len): (usize, usize)) -> Step {
+        cma(self.leaves_read, token, off, self.leaf_slot, 0, len)
+    }
+
+    /// The root moving a leaf's block through that leaf's token.
+    fn root_cma(&self, token: TokenReg, (off, len): (usize, usize)) -> Step {
+        cma(!self.leaves_read, token, 0, self.root_slot, off, len)
+    }
+}
+
+/// A CMA step between `slot` at `off` and the remote buffer behind
+/// `token` at `remote_off`: a read into the slot when `read`, else a
+/// write from it.
+fn cma(read: bool, token: TokenReg, remote_off: usize, slot: Slot, off: usize, len: usize) -> Step {
+    if read {
+        Step::CmaRead {
+            token,
+            remote_off,
+            dst: slot,
+            dst_off: off,
+            len,
+        }
+    } else {
+        Step::CmaWrite {
+            token,
+            remote_off,
+            src: slot,
+            src_off: off,
+            len,
+        }
+    }
+}
+
+/// Compile one rank's plan of a rooted family member.
+fn compile_rooted(plan: &Rooted<'_>, p: usize, rank: usize, root: usize) -> Schedule {
+    let mut b = Builder::new(p, rank, plan.class);
+    let block = plan.layout[rank];
+    let throttle = match plan.pattern {
+        Pattern::Parallel => None,
+        Pattern::Throttled(k) => Some(k),
+        Pattern::Sequential => {
+            // Leaves with a block expose their buffers and the root
+            // gathers the tokens, then moves the blocks one at a time.
+            let has_token = |r: usize| r != root && plan.layout[r].1 > 0;
+            if rank == root {
+                let map = b
+                    .emit_sm_gather(root, has_token, None)
+                    .expect("root receives the gather map");
+                plan.copy_own_block(&mut b, root);
+                for v in 1..p {
+                    let r = unvrank(v, root, p);
+                    if plan.layout[r].1 > 0 {
+                        let token = map[r].expect("peer with data exposed a token");
+                        b.push(plan.root_cma(token, plan.layout[r]));
+                    }
+                }
+            } else {
+                let my_reg = (block.1 > 0).then(|| {
+                    let reg = b.reg();
+                    b.push(Step::Expose {
+                        slot: plan.leaf_slot,
+                        reg,
+                    });
+                    reg
+                });
+                b.emit_sm_gather(root, has_token, my_reg);
+            }
+            b.emit_sm_bcast(root, SmContent::Empty);
+            return b.finish();
+        }
+    };
+    // The root exposes its buffer and broadcasts the token; each leaf
+    // moves its own block.
+    let tag_done = Tag::internal(plan.class, 1);
+    let tag_chain = Tag::internal(plan.class, 2);
+    let reg = b.reg();
+    if rank == root {
+        b.push(Step::Expose {
+            slot: plan.root_slot,
+            reg,
+        });
+        b.emit_sm_bcast(root, SmContent::Token(reg));
+        plan.copy_own_block(&mut b, root);
+        if let Some(k) = throttle {
+            // The last k leaves in virtual order report completion.
+            for v in (1..p).filter(|v| v + k > p - 1) {
+                b.push(Step::WaitNotify {
+                    from: unvrank(v, root, p),
+                    tag: tag_done,
+                });
+            }
+        }
+    } else {
+        b.emit_sm_bcast(root, SmContent::Token(reg));
+        let v = vrank(rank, root, p);
+        if let Some(k) = throttle.filter(|&k| v > k) {
+            b.push(Step::WaitNotify {
+                from: unvrank(v - k, root, p),
+                tag: tag_chain,
+            });
+        }
+        if block.1 > 0 {
+            b.push(plan.leaf_cma(reg, block));
+        }
+        if let Some(k) = throttle {
+            b.push(if v + k < p {
+                Step::Notify {
+                    to: unvrank(v + k, root, p),
+                    tag: tag_chain,
+                }
+            } else {
+                Step::Notify {
+                    to: root,
+                    tag: tag_done,
+                }
+            });
+        }
+    }
+    if throttle.is_none() {
+        b.emit_sm_gather(root, |_| false, None);
+    }
+    b.finish()
+}
 
 /// Compile one rank's scatter plan. `layout[r] = (offset, len)` into the
 /// root's send buffer; bindings: [`Slot::Send`] = root `sendbuf`,
@@ -556,140 +738,22 @@ pub fn compile_scatter(
     root: usize,
     has_recvbuf: bool,
 ) -> Schedule {
-    let mut b = Builder::new(p, rank, class::SCATTER);
-    let tag_done = Tag::internal(class::SCATTER, 1);
-    let tag_chain = Tag::internal(class::SCATTER, 2);
-    let me = rank;
-    let (off, len) = layout[me];
-
-    let root_self_copy = |b: &mut Builder| {
-        let (r_off, r_len) = layout[root];
-        if has_recvbuf && r_len > 0 {
-            b.push(Step::CopyLocal {
-                src: Slot::Send,
-                src_off: r_off,
-                dst: Slot::Recv,
-                dst_off: 0,
-                len: r_len,
-            });
-        }
+    let pattern = match algo {
+        ScatterAlgo::ParallelRead => Pattern::Parallel,
+        ScatterAlgo::SequentialWrite => Pattern::Sequential,
+        ScatterAlgo::ThrottledRead { k } => Pattern::Throttled(k),
     };
-
-    match algo {
-        ScatterAlgo::ParallelRead => {
-            let reg = b.reg();
-            if me == root {
-                b.push(Step::Expose {
-                    slot: Slot::Send,
-                    reg,
-                });
-                b.emit_sm_bcast(root, SmContent::Token(reg));
-                root_self_copy(&mut b);
-            } else {
-                b.emit_sm_bcast(root, SmContent::Token(reg));
-                if len > 0 {
-                    b.push(Step::CmaRead {
-                        token: reg,
-                        remote_off: off,
-                        dst: Slot::Recv,
-                        dst_off: 0,
-                        len,
-                    });
-                }
-            }
-            b.emit_sm_gather(root, |_| false, None);
-        }
-        ScatterAlgo::SequentialWrite => {
-            let has_token = |r: usize| r != root && layout[r].1 > 0;
-            if me == root {
-                let map = b
-                    .emit_sm_gather(root, has_token, None)
-                    .expect("root receives the gather map");
-                root_self_copy(&mut b);
-                for v in 1..p {
-                    let r = unvrank(v, root, p);
-                    let (r_off, r_len) = layout[r];
-                    if r_len == 0 {
-                        continue;
-                    }
-                    let token = map[r].expect("peer with data exposed a token");
-                    b.push(Step::CmaWrite {
-                        token,
-                        remote_off: 0,
-                        src: Slot::Send,
-                        src_off: r_off,
-                        len: r_len,
-                    });
-                }
-            } else {
-                let my_reg = if len > 0 {
-                    let reg = b.reg();
-                    b.push(Step::Expose {
-                        slot: Slot::Recv,
-                        reg,
-                    });
-                    Some(reg)
-                } else {
-                    None
-                };
-                b.emit_sm_gather(root, has_token, my_reg);
-            }
-            b.emit_sm_bcast(root, SmContent::Empty);
-        }
-        ScatterAlgo::ThrottledRead { k } => {
-            let reg = b.reg();
-            if me == root {
-                b.push(Step::Expose {
-                    slot: Slot::Send,
-                    reg,
-                });
-                b.emit_sm_bcast(root, SmContent::Token(reg));
-                root_self_copy(&mut b);
-                // The last k readers in virtual order report completion.
-                for v in (1..p).filter(|v| v + k > p - 1) {
-                    b.push(Step::WaitNotify {
-                        from: unvrank(v, root, p),
-                        tag: tag_done,
-                    });
-                }
-            } else {
-                b.emit_sm_bcast(root, SmContent::Token(reg));
-                let v = vrank(me, root, p);
-                if v > k {
-                    b.push(Step::WaitNotify {
-                        from: unvrank(v - k, root, p),
-                        tag: tag_chain,
-                    });
-                }
-                if len > 0 {
-                    b.push(Step::CmaRead {
-                        token: reg,
-                        remote_off: off,
-                        dst: Slot::Recv,
-                        dst_off: 0,
-                        len,
-                    });
-                }
-                if v + k < p {
-                    b.push(Step::Notify {
-                        to: unvrank(v + k, root, p),
-                        tag: tag_chain,
-                    });
-                } else {
-                    b.push(Step::Notify {
-                        to: root,
-                        tag: tag_done,
-                    });
-                }
-            }
-        }
-    }
-    b.finish()
+    let plan = Rooted {
+        class: class::SCATTER,
+        root_slot: Slot::Send,
+        leaf_slot: Slot::Recv,
+        leaves_read: true,
+        pattern,
+        layout,
+        own_copy: has_recvbuf,
+    };
+    compile_rooted(&plan, p, rank, root)
 }
-
-// ---------------------------------------------------------------------
-// Gather
-// ---------------------------------------------------------------------
 
 /// Compile one rank's gather plan. `layout[r] = (offset, len)` into the
 /// root's receive buffer; bindings: [`Slot::Send`] = `sendbuf`,
@@ -702,134 +766,21 @@ pub fn compile_gather(
     root: usize,
     has_sendbuf: bool,
 ) -> Schedule {
-    let mut b = Builder::new(p, rank, class::GATHER);
-    let tag_done = Tag::internal(class::GATHER, 1);
-    let tag_chain = Tag::internal(class::GATHER, 2);
-    let me = rank;
-    let (off, len) = layout[me];
-
-    let root_self_copy = |b: &mut Builder| {
-        let (r_off, r_len) = layout[root];
-        if has_sendbuf && r_len > 0 {
-            b.push(Step::CopyLocal {
-                src: Slot::Send,
-                src_off: 0,
-                dst: Slot::Recv,
-                dst_off: r_off,
-                len: r_len,
-            });
-        }
+    let pattern = match algo {
+        GatherAlgo::ParallelWrite => Pattern::Parallel,
+        GatherAlgo::SequentialRead => Pattern::Sequential,
+        GatherAlgo::ThrottledWrite { k } => Pattern::Throttled(k),
     };
-
-    match algo {
-        GatherAlgo::ParallelWrite => {
-            let reg = b.reg();
-            if me == root {
-                b.push(Step::Expose {
-                    slot: Slot::Recv,
-                    reg,
-                });
-                b.emit_sm_bcast(root, SmContent::Token(reg));
-                root_self_copy(&mut b);
-            } else {
-                b.emit_sm_bcast(root, SmContent::Token(reg));
-                if len > 0 {
-                    b.push(Step::CmaWrite {
-                        token: reg,
-                        remote_off: off,
-                        src: Slot::Send,
-                        src_off: 0,
-                        len,
-                    });
-                }
-            }
-            b.emit_sm_gather(root, |_| false, None);
-        }
-        GatherAlgo::SequentialRead => {
-            let has_token = |r: usize| r != root && layout[r].1 > 0;
-            if me == root {
-                let map = b
-                    .emit_sm_gather(root, has_token, None)
-                    .expect("root receives the gather map");
-                root_self_copy(&mut b);
-                for v in 1..p {
-                    let r = unvrank(v, root, p);
-                    let (r_off, r_len) = layout[r];
-                    if r_len == 0 {
-                        continue;
-                    }
-                    let token = map[r].expect("peer with data exposed a token");
-                    b.push(Step::CmaRead {
-                        token,
-                        remote_off: 0,
-                        dst: Slot::Recv,
-                        dst_off: r_off,
-                        len: r_len,
-                    });
-                }
-            } else {
-                let my_reg = if len > 0 {
-                    let reg = b.reg();
-                    b.push(Step::Expose {
-                        slot: Slot::Send,
-                        reg,
-                    });
-                    Some(reg)
-                } else {
-                    None
-                };
-                b.emit_sm_gather(root, has_token, my_reg);
-            }
-            b.emit_sm_bcast(root, SmContent::Empty);
-        }
-        GatherAlgo::ThrottledWrite { k } => {
-            let reg = b.reg();
-            if me == root {
-                b.push(Step::Expose {
-                    slot: Slot::Recv,
-                    reg,
-                });
-                b.emit_sm_bcast(root, SmContent::Token(reg));
-                root_self_copy(&mut b);
-                for v in (1..p).filter(|v| v + k > p - 1) {
-                    b.push(Step::WaitNotify {
-                        from: unvrank(v, root, p),
-                        tag: tag_done,
-                    });
-                }
-            } else {
-                b.emit_sm_bcast(root, SmContent::Token(reg));
-                let v = vrank(me, root, p);
-                if v > k {
-                    b.push(Step::WaitNotify {
-                        from: unvrank(v - k, root, p),
-                        tag: tag_chain,
-                    });
-                }
-                if len > 0 {
-                    b.push(Step::CmaWrite {
-                        token: reg,
-                        remote_off: off,
-                        src: Slot::Send,
-                        src_off: 0,
-                        len,
-                    });
-                }
-                if v + k < p {
-                    b.push(Step::Notify {
-                        to: unvrank(v + k, root, p),
-                        tag: tag_chain,
-                    });
-                } else {
-                    b.push(Step::Notify {
-                        to: root,
-                        tag: tag_done,
-                    });
-                }
-            }
-        }
-    }
-    b.finish()
+    let plan = Rooted {
+        class: class::GATHER,
+        root_slot: Slot::Recv,
+        leaf_slot: Slot::Send,
+        leaves_read: false,
+        pattern,
+        layout,
+        own_copy: has_sendbuf,
+    };
+    compile_rooted(&plan, p, rank, root)
 }
 
 // ---------------------------------------------------------------------
@@ -846,59 +797,31 @@ pub fn compile_bcast(
     count: usize,
     root: usize,
 ) -> Schedule {
+    let direct = match algo {
+        BcastAlgo::DirectRead => Some(Pattern::Parallel),
+        BcastAlgo::DirectWrite => Some(Pattern::Sequential),
+        _ => None,
+    };
+    if let Some(pattern) = direct {
+        let layout = vec![(0, count); p];
+        let plan = Rooted {
+            class: class::BCAST,
+            root_slot: Slot::Send,
+            leaf_slot: Slot::Send,
+            leaves_read: true,
+            pattern,
+            layout: &layout,
+            own_copy: false,
+        };
+        return compile_rooted(&plan, p, rank, root);
+    }
     let mut b = Builder::new(p, rank, class::BCAST);
     let tag_data = Tag::internal(class::BCAST, 0);
     let tag_read_done = Tag::internal(class::BCAST, 1);
     let me = rank;
 
     match algo {
-        BcastAlgo::DirectRead => {
-            let reg = b.reg();
-            if me == root {
-                b.push(Step::Expose {
-                    slot: Slot::Send,
-                    reg,
-                });
-                b.emit_sm_bcast(root, SmContent::Token(reg));
-            } else {
-                b.emit_sm_bcast(root, SmContent::Token(reg));
-                b.push(Step::CmaRead {
-                    token: reg,
-                    remote_off: 0,
-                    dst: Slot::Send,
-                    dst_off: 0,
-                    len: count,
-                });
-            }
-            b.emit_sm_gather(root, |_| false, None);
-        }
-        BcastAlgo::DirectWrite => {
-            let has_token = |r: usize| r != root;
-            if me == root {
-                let map = b
-                    .emit_sm_gather(root, has_token, None)
-                    .expect("root receives the gather map");
-                for v in 1..p {
-                    let r = unvrank(v, root, p);
-                    let token = map[r].expect("peer exposed a token");
-                    b.push(Step::CmaWrite {
-                        token,
-                        remote_off: 0,
-                        src: Slot::Send,
-                        src_off: 0,
-                        len: count,
-                    });
-                }
-            } else {
-                let reg = b.reg();
-                b.push(Step::Expose {
-                    slot: Slot::Send,
-                    reg,
-                });
-                b.emit_sm_gather(root, has_token, Some(reg));
-            }
-            b.emit_sm_bcast(root, SmContent::Empty);
-        }
+        BcastAlgo::DirectRead | BcastAlgo::DirectWrite => unreachable!("compiled as rooted plans"),
         BcastAlgo::KNomial { radix } => {
             let k = radix;
             let v = vrank(me, root, p);

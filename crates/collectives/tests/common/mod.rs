@@ -8,14 +8,17 @@
 //!
 //! * **Matching** — every send pairs FIFO with one receive at the peer
 //!   with the same `(from, tag)` and length, both sides of a token pack
-//!   carry the same rank labels, and no rank or message is left behind.
-//! * **Single writes** — a receive buffer's bytes are written once each,
-//!   and never with a byte nobody wrote (a stale forward).
+//!   carry the same rank labels with a token in the same entries, and no
+//!   rank or message is left behind. Control messages are token packs,
+//!   single tokens, notifications and empty bodies.
+//! * **Single writes** — the bytes of a caller's buffer (send or
+//!   receive; scratch may be rewritten) are written once each, and never
+//!   with a byte nobody wrote (a stale forward).
 //! * **Folds** — `Reduce` combines only bytes of the same lane whose
 //!   folded rank sets are disjoint, so no contribution counts twice.
 //!
 //! What the final buffers must hold, and what the recorded CMA steps
-//! must satisfy, is each test's own claim.
+//! must satisfy ([`max_cma_chains`]), is each test's own claim.
 
 // Each test crate that includes this module uses a part of it.
 #![allow(dead_code)]
@@ -47,11 +50,12 @@ pub fn bytes(lo: usize, len: usize, folded: u64) -> Bytes {
     (lo..lo + len).map(|at| Some(Byte { at, folded })).collect()
 }
 
-/// A message in flight: a token pack or a notification on the control
-/// plane, a region on the bulk plane.
+/// A message in flight: tokens (a pack's labelled entries, or one token
+/// under label 0) or nothing on the control plane, a region on the bulk
+/// plane.
 struct Msg {
     len: usize,
-    labels: Vec<(u32, Buf)>,
+    labels: Vec<(u32, Option<Buf>)>,
     bytes: Bytes,
     clock: Clock,
 }
@@ -77,9 +81,13 @@ pub struct Team {
     pub cma: Vec<Cma>,
 }
 
-/// Wire length of a token pack: an 8-byte header and a token per entry.
+/// Wire length of a token pack: per entry an 8-byte header and its token,
+/// if it carries one.
 fn pack_len(entries: &[(u32, Option<TokenReg>)]) -> usize {
-    entries.len() * (8 + RemoteToken::WIRE_LEN)
+    entries
+        .iter()
+        .map(|(_, reg)| 8 + reg.map_or(0, |_| RemoteToken::WIRE_LEN))
+        .sum()
 }
 
 /// The wire length a receive step expects.
@@ -89,9 +97,30 @@ fn wire_len(step: &Step) -> usize {
             into: RecvInto::Pack(want),
             ..
         } => pack_len(want),
+        Step::CtrlRecv {
+            into: RecvInto::Token(_),
+            ..
+        } => RemoteToken::WIRE_LEN,
         Step::ShmRecv { len, .. } => *len,
         _ => 0,
     }
+}
+
+/// Most chains a first-fit cover of each target buffer's CMA steps
+/// needs. Execution order is a linear extension of happens-before, so
+/// first-fit yields a valid chain cover, which bounds from above how
+/// many of the steps can run at once.
+pub fn max_cma_chains(cma: &[Cma]) -> usize {
+    let mut chains: HashMap<Buf, Vec<&Clock>> = HashMap::new();
+    for Cma { target, clock, .. } in cma {
+        let ends = chains.entry(*target).or_default();
+        let before = |end: &&Clock| end.iter().zip(clock).all(|(a, b)| a <= b);
+        match ends.iter().position(before) {
+            Some(i) => ends[i] = clock,
+            None => ends.push(clock),
+        }
+    }
+    chains.values().map(Vec::len).max().unwrap_or(0)
 }
 
 /// The channel a receive step takes its message from.
@@ -138,8 +167,19 @@ impl Team {
     /// Run every plan to its end, always stepping the first ready rank in
     /// `order`, and assert that no rank blocks and no message is left.
     pub fn run(&mut self, order: &[usize]) {
-        while let Some(&r) = order.iter().find(|&&r| self.ready(r)) {
-            self.step(r);
+        let mut pos = vec![usize::MAX; self.plans.len()];
+        for (i, &r) in order.iter().enumerate() {
+            pos[r] = i;
+        }
+        // Every rank before `order[i]` is blocked, and stays so until a
+        // message reaches it.
+        let mut i = 0;
+        while let Some(&r) = order.get(i) {
+            if !self.ready(r) {
+                i += 1;
+            } else if let Some(to) = self.step(r) {
+                i = i.min(pos[to]);
+            }
         }
         let ctx = &self.ctx;
         for (r, plan) in self.plans.iter().enumerate() {
@@ -151,11 +191,15 @@ impl Team {
 
     /// Rank `r`'s receive buffer.
     pub fn recv(&self, r: usize) -> &Bytes {
-        &self.bufs[&(r, Slot::Recv)]
+        self.buf((r, Slot::Recv))
     }
 
-    fn token(&self, r: usize, reg: Option<TokenReg>) -> Buf {
-        let reg = reg.expect("token packs carry tokens");
+    /// A buffer's bytes.
+    pub fn buf(&self, buf: Buf) -> &Bytes {
+        &self.bufs[&buf]
+    }
+
+    fn token(&self, r: usize, reg: TokenReg) -> Buf {
         self.regs[r][reg.0 as usize].expect("token register filled before use")
     }
 
@@ -164,10 +208,10 @@ impl Team {
         self.write(dst, dst_off, &bytes);
     }
 
-    /// Write `bytes` at `dst[off..]`, once each into a receive buffer.
+    /// Write `bytes` at `dst[off..]`, once each into a caller's buffer.
     fn write(&mut self, dst: Buf, off: usize, bytes: &[Option<Byte>]) {
         let region = &mut self.bufs.get_mut(&dst).expect("buffer exists")[off..off + bytes.len()];
-        if dst.1 == Slot::Recv {
+        if !matches!(dst.1, Slot::Temp(_)) {
             let fresh = region.iter().all(Option::is_none) && bytes.iter().all(Option::is_some);
             assert!(fresh, "{}: {dst:?} rewritten or stale at {off}", self.ctx);
         }
@@ -190,7 +234,7 @@ impl Team {
     }
 
     /// Queue a message stamped with the sender's clock.
-    fn send(&mut self, ch: Channel, len: usize, labels: Vec<(u32, Buf)>, bytes: Bytes) {
+    fn send(&mut self, ch: Channel, len: usize, labels: Vec<(u32, Option<Buf>)>, bytes: Bytes) {
         let clock = self.clocks[ch.0].clone();
         let msg = Msg {
             len,
@@ -206,9 +250,16 @@ impl Team {
         step.is_some_and(|s| source(r, s).is_none_or(|ch| self.queues.contains_key(&ch)))
     }
 
-    /// Run rank `r`'s next step, which must be [`Team::ready`].
-    fn step(&mut self, r: usize) {
+    /// Run rank `r`'s next step, which must be [`Team::ready`], and
+    /// return the rank it sent a message to.
+    fn step(&mut self, r: usize) -> Option<usize> {
         let step = self.plans[r].steps[self.pc[r]].clone();
+        let to = match step {
+            Step::CtrlSend { to, .. } | Step::Notify { to, .. } | Step::ShmSend { to, .. } => {
+                Some(to)
+            }
+            _ => None,
+        };
         self.pc[r] += 1;
         self.clocks[r][r] += 1;
         let msg = source(r, &step).map(|ch| {
@@ -233,10 +284,24 @@ impl Team {
             } => {
                 let labels = entries
                     .iter()
-                    .map(|&(l, g)| (l, self.token(r, g)))
+                    .map(|&(l, g)| (l, g.map(|g| self.token(r, g))))
                     .collect();
                 self.send((r, to, tag, false), pack_len(&entries), labels, Vec::new());
             }
+            Step::CtrlSend {
+                to,
+                tag,
+                payload: Payload::Token(reg),
+            } => {
+                let labels = vec![(0, Some(self.token(r, reg)))];
+                let len = RemoteToken::WIRE_LEN;
+                self.send((r, to, tag, false), len, labels, Vec::new());
+            }
+            Step::CtrlSend {
+                to,
+                tag,
+                payload: Payload::Bytes(body),
+            } if body.is_empty() => self.send((r, to, tag, false), 0, Vec::new(), Vec::new()),
             Step::Notify { to, tag } => self.send((r, to, tag, false), 0, Vec::new(), Vec::new()),
             Step::ShmSend {
                 to,
@@ -253,13 +318,26 @@ impl Team {
                 ..
             } => {
                 let msg = msg.expect("a receive has a message");
-                let got: Vec<u32> = msg.labels.iter().map(|&(l, _)| l).collect();
-                let wanted: Vec<u32> = want.iter().map(|&(l, _)| l).collect();
+                let got: Vec<_> = msg.labels.iter().map(|&(l, b)| (l, b.is_some())).collect();
+                let wanted: Vec<_> = want.iter().map(|&(l, g)| (l, g.is_some())).collect();
                 assert_eq!(got, wanted, "{}: rank {r} token pack labels", self.ctx);
                 for (&(_, reg), &(_, buf)) in want.iter().zip(&msg.labels) {
-                    self.regs[r][reg.expect("token entry").0 as usize] = Some(buf);
+                    if let Some(reg) = reg {
+                        self.regs[r][reg.0 as usize] = buf;
+                    }
                 }
             }
+            Step::CtrlRecv {
+                into: RecvInto::Token(reg),
+                ..
+            } => {
+                let msg = msg.expect("a receive has a message");
+                self.regs[r][reg.0 as usize] = msg.labels[0].1;
+            }
+            Step::CtrlRecv {
+                into: RecvInto::Verify(body),
+                ..
+            } if body.is_empty() => {}
             Step::WaitNotify { .. } => {}
             Step::ShmRecv { dst, off, .. } => {
                 let msg = msg.expect("a receive has a message");
@@ -272,7 +350,7 @@ impl Team {
                 src_off,
                 len,
             } => {
-                let target = self.token(r, Some(token));
+                let target = self.token(r, token);
                 let clock = self.clocks[r].clone();
                 self.cma.push(Cma {
                     rank: r,
@@ -288,7 +366,7 @@ impl Team {
                 dst_off,
                 len,
             } => {
-                let target = self.token(r, Some(token));
+                let target = self.token(r, token);
                 let clock = self.clocks[r].clone();
                 self.cma.push(Cma {
                     rank: r,
@@ -314,5 +392,6 @@ impl Team {
             } => self.fold((r, acc), acc_off, (r, src), src_off, len),
             other => panic!("rank {r}: the abstract machine does not model {other:?}"),
         }
+        to
     }
 }

@@ -16,31 +16,12 @@
 
 mod common;
 
-use std::collections::HashMap;
-
-use common::{bytes, Buf, Bytes, Clock, Cma, Team};
+use common::{bytes, max_cma_chains, Bytes, Team};
 use kacc_collectives::hierarchical::{
     compile_hier_gather, compile_hier_gather_pipelined, compile_hier_scatter, NodeLayout,
 };
 use kacc_collectives::schedule::Schedule;
 use kacc_comm::CommError;
-
-/// Most chains a first-fit cover of each target buffer's CMA steps
-/// needs. Execution order is a linear extension of happens-before, so
-/// first-fit yields a valid chain cover, which bounds from above how
-/// many of the steps can run at once.
-fn max_cma_chains(cma: &[Cma]) -> usize {
-    let mut chains: HashMap<Buf, Vec<&Clock>> = HashMap::new();
-    for Cma { target, clock, .. } in cma {
-        let ends = chains.entry(*target).or_default();
-        let before = |end: &&Clock| end.iter().zip(clock).all(|(a, b)| a <= b);
-        match ends.iter().position(before) {
-            Some(i) => ends[i] = clock,
-            None => ends.push(clock),
-        }
-    }
-    chains.values().map(Vec::len).max().unwrap_or(0)
-}
 
 type Compile = fn(&NodeLayout, usize, usize, usize, usize, bool) -> Schedule;
 

@@ -20,6 +20,9 @@
 //! 5. **Shrink remapping is sound** — remapped plans are a bijection
 //!    onto the survivor list and their retagged sub-tags never collide
 //!    with any pre-shrink epoch (property-based).
+//! 6. **Bad calls fail before any traffic** — the plain entries' argument
+//!    check runs on the epoch-0 key, so undersized or missing buffers and
+//!    a bad ring stride fail typed at virtual time 0 on every rank.
 //!
 //! Every failure message includes the plan seed. Set `KACC_CHAOS_SEED`
 //! to add one extra seed to the fixed corpus (the CI membership-chaos
@@ -35,9 +38,9 @@ use kacc_collectives::{
     SurvivableOp,
 };
 use kacc_collectives::{ReduceAlgo, ReduceOp};
-use kacc_comm::{block_on, AsyncComm, Blocking, BufId, Tag};
+use kacc_comm::{block_on, AsyncComm, Blocking, BufId, CommError, Tag};
 use kacc_fault::{FaultHook, FaultPlan};
-use kacc_machine::{run_polled_team_faulty, PolledComm, TeamRun};
+use kacc_machine::{run_polled_team, run_polled_team_faulty, PolledComm, TeamRun};
 use kacc_model::ArchProfile;
 use kacc_native::run_threads;
 use proptest::prelude::*;
@@ -692,6 +695,132 @@ fn membership_fault_free_native_threads_smoke() {
             }
         }
     }
+}
+
+/// A survivable call takes the plain entries' argument check on its
+/// epoch-0 key. An Allgather whose receive buffers hold one block
+/// instead of `p` fails `OutOfRange` on every rank at virtual time 0,
+/// before any message or CMA step — not part-way through its plan, with
+/// the others waiting on the failed ranks until the watchdog and shrink
+/// rounds end the call with some other error.
+#[test]
+fn membership_short_buffers_fail_before_any_traffic() {
+    let (p, count) = (8, 256);
+    let (run, res) = run_polled_team(&small_arch(), p, move |rank| async move {
+        let comm = &mut PolledComm::new(rank);
+        let sb = alloc_with(comm, &contribution(rank, count));
+        let rb = comm.alloc(count);
+        let policy = RecoveryPolicy::survivable();
+        run_survivable_polled(comm, &op_for(3, count, 0), Some(sb), Some(rb), &policy)
+            .await
+            .map(drop)
+    });
+    for (r, out) in res.iter().enumerate() {
+        assert!(
+            matches!(out, Err(CommError::OutOfRange { len, cap, .. }) if *len == p * count && *cap == count),
+            "rank {r}: {out:?}"
+        );
+    }
+    assert_no_traffic(&run, "short allgather buffers");
+}
+
+/// A rank that leaves out the buffer its role needs fails with that
+/// role's `Protocol` message at virtual time 0. Every rank of each call
+/// leaves one out, so no rank runs a plan the others abandoned.
+#[test]
+fn membership_missing_buffers_fail_before_any_traffic() {
+    let (p, count, root) = (4, 64, 1);
+    // (op, root's (send, recv), its error, a leaf's (send, recv), its error)
+    let cases = [
+        (
+            0,
+            (false, true),
+            "root scatter needs sendbuf",
+            (true, false),
+            "non-root scatter needs recvbuf",
+        ),
+        (
+            1,
+            (true, false),
+            "root gather needs recvbuf",
+            (false, true),
+            "non-root gather needs sendbuf",
+        ),
+        (
+            2,
+            (false, true),
+            "bcast binds its data buffer as send",
+            (false, true),
+            "bcast binds its data buffer as send",
+        ),
+        (
+            5,
+            (true, false),
+            "root reduce needs recvbuf",
+            (false, true),
+            "reduce needs sendbuf",
+        ),
+    ];
+    for (pick, root_binds, root_msg, leaf_binds, leaf_msg) in cases {
+        let (run, res) = run_polled_team(&small_arch(), p, move |rank| async move {
+            let comm = &mut PolledComm::new(rank);
+            let (send, recv) = if rank == root { root_binds } else { leaf_binds };
+            let send = send.then(|| comm.alloc(p * count));
+            let recv = recv.then(|| comm.alloc(p * count));
+            let policy = RecoveryPolicy::survivable();
+            run_survivable_polled(comm, &op_for(pick, count, root), send, recv, &policy)
+                .await
+                .map(drop)
+        });
+        let what = PICK_NAMES[pick];
+        for (r, out) in res.iter().enumerate() {
+            let msg = if r == root { root_msg } else { leaf_msg };
+            assert!(
+                matches!(out, Err(CommError::Protocol(m)) if m == msg),
+                "{what} rank {r}: {out:?}"
+            );
+        }
+        assert_no_traffic(&run, what);
+    }
+}
+
+/// A survivable Allgather's ring stride is checked against the whole
+/// team before any traffic; the message names the caller's stride, not
+/// the stride mod p.
+#[test]
+fn membership_bad_ring_stride_names_the_callers_stride() {
+    let (p, count) = (8, 16);
+    let (run, res) = run_polled_team(&small_arch(), p, move |rank| async move {
+        let comm = &mut PolledComm::new(rank);
+        let (sb, rb) = (comm.alloc(count), comm.alloc(p * count));
+        let op = SurvivableOp::Allgather {
+            algo: AllgatherAlgo::RingNeighbor { j: 10 },
+            count,
+        };
+        let policy = RecoveryPolicy::survivable();
+        run_survivable_polled(comm, &op, Some(sb), Some(rb), &policy)
+            .await
+            .map(drop)
+    });
+    let msg = "ring-neighbor stride 10 shares a factor with the 8 survivors";
+    for (r, out) in res.iter().enumerate() {
+        assert!(
+            matches!(out, Err(CommError::Protocol(m)) if m == msg),
+            "rank {r}: {out:?}"
+        );
+    }
+    assert_no_traffic(&run, "bad ring stride");
+}
+
+/// No virtual time passed and nothing moved, on either plane.
+fn assert_no_traffic(run: &TeamRun, what: &str) {
+    assert_eq!(
+        (run.end_ns, run.mail_pending),
+        (0, 0),
+        "{what}: time passed"
+    );
+    assert_eq!(run.total_stats().cma_ops, 0, "{what}: CMA traffic");
+    assert_eq!(run.transport, Default::default(), "{what}: shm traffic");
 }
 
 // ---- 5. Property: any kill point, never a hang, never a panic -------------

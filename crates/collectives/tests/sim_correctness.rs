@@ -336,3 +336,78 @@ fn bcast_invalid_radix_rejected() {
     });
     assert!(results.iter().all(|&r| r));
 }
+
+// ---- Invalid parameters on every shape -------------------------------------
+//
+// A single rank or a zero-byte call moves nothing, yet it refuses the
+// algorithm parameter a real call would.
+
+/// The error every rank of a `p`-rank team gets from `call`, as text.
+fn rejection<F, Fut>(p: usize, call: F) -> Vec<String>
+where
+    F: Fn(PolledComm, usize) -> Fut + Copy + 'static,
+    Fut: std::future::Future<Output = kacc_comm::Result<()>> + 'static,
+{
+    let (_, results) = run_polled_team(&small_arch(), p, move |rank| async move {
+        match call(PolledComm::new(rank), p).await {
+            Ok(()) => "accepted".to_string(),
+            Err(e) => format!("{e:?}"),
+        }
+    });
+    results
+}
+
+#[test]
+fn bcast_invalid_radix_rejected_on_one_rank_and_zero_bytes() {
+    for (p, count) in [(1, 8), (4, 0)] {
+        let got = rejection(p, move |mut comm, _| async move {
+            let b = comm.alloc(8);
+            let algo = BcastAlgo::KNomial { radix: 1 };
+            bcast_polled(&mut comm, algo, b, count, 0).await.map(drop)
+        });
+        assert!(
+            got.iter().all(|e| e.contains("radix must be")),
+            "p={p} count={count}: {got:?}"
+        );
+    }
+}
+
+#[test]
+fn zero_throttle_rejected_on_one_rank_and_zero_counts() {
+    for (p, count) in [(1, 8), (4, 0)] {
+        let scatter = rejection(p, move |mut comm, p| async move {
+            let (sb, rb) = (comm.alloc(p * 8), comm.alloc(8));
+            let algo = ScatterAlgo::ThrottledRead { k: 0 };
+            scatter_polled(&mut comm, algo, Some(sb), Some(rb), count, 0)
+                .await
+                .map(drop)
+        });
+        let gather = rejection(p, move |mut comm, p| async move {
+            let (sb, rb) = (comm.alloc(8), comm.alloc(p * 8));
+            let counts = vec![count; p];
+            let algo = GatherAlgo::ThrottledWrite { k: 0 };
+            gatherv_polled(&mut comm, algo, Some(sb), Some(rb), &counts, None, 0)
+                .await
+                .map(drop)
+        });
+        for got in [scatter, gather] {
+            assert!(
+                got.iter().all(|e| e.contains("throttle factor must be")),
+                "p={p} count={count}: {got:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn allgather_bad_stride_rejected_at_zero_count() {
+    let got = rejection(8, |mut comm, p| async move {
+        let rb = comm.alloc(p);
+        let algo = AllgatherAlgo::RingNeighbor { j: 10 };
+        allgather_polled(&mut comm, algo, None, rb, 0)
+            .await
+            .map(drop)
+    });
+    let msg = "ring-neighbor stride 10 shares a factor with p=8";
+    assert!(got.iter().all(|e| e.contains(msg)), "{got:?}");
+}

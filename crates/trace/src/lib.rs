@@ -45,6 +45,7 @@ use std::sync::{Arc, Mutex};
 
 pub mod breakdown;
 pub mod chrome;
+pub mod minijson;
 pub mod validate;
 
 pub use breakdown::Breakdown;

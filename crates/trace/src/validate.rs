@@ -1,235 +1,15 @@
 //! Chrome-trace JSON schema validation (the CI `trace-validate` gate).
 //!
-//! The workspace builds offline with no JSON library, so this module carries
-//! a minimal hand-rolled JSON parser — just enough for the trace-event array
-//! format — and checks the properties a Perfetto-loadable trace must have:
+//! The document is read by the workspace's one JSON parser
+//! ([`crate::minijson`]); this module checks the properties a
+//! Perfetto-loadable trace must have:
 //! a top-level array of objects, each with a known `ph` phase, numeric
 //! non-negative `ts`, integer `pid`/`tid`, `dur >= 0` on complete events,
 //! and per-(pid,tid)-track monotone non-decreasing timestamps.
 
 use std::collections::HashMap;
 
-/// Minimal JSON value for validation purposes.
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Value>),
-    Obj(Vec<(String, Value)>),
-}
-
-impl Value {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a Value> {
-        match self {
-            Value::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-    fn as_num(&self) -> Option<f64> {
-        match self {
-            Value::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
-        Parser {
-            b: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err(&self, msg: &str) -> String {
-        format!("JSON parse error at byte {}: {msg}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.b.len() && self.b[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.b.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        match self.peek() {
-            Some(got) if got == c => {
-                self.pos += 1;
-                Ok(())
-            }
-            Some(got) => Err(self.err(&format!(
-                "expected '{}', found '{}'",
-                c as char, got as char
-            ))),
-            None => Err(self.err(&format!("expected '{}', found end of input", c as char))),
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => self.lit("true", Value::Bool(true)),
-            Some(b'f') => self.lit("false", Value::Bool(false)),
-            Some(b'n') => self.lit("null", Value::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            Some(c) => Err(self.err(&format!("unexpected character '{}'", c as char))),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn lit(&mut self, word: &str, v: Value) -> Result<Value, String> {
-        if self.b[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected literal '{word}'")))
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, String> {
-        let start = self.pos;
-        if self.b.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        while self
-            .b
-            .get(self.pos)
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        let s = std::str::from_utf8(&self.b[start..self.pos]).map_err(|_| self.err("bad utf8"))?;
-        s.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| self.err(&format!("bad number '{s}'")))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.b.get(self.pos).copied() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.b.get(self.pos).copied() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .b
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex =
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(c) if c < 0x80 => {
-                    out.push(c as char);
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8: copy the whole scalar.
-                    let rest = std::str::from_utf8(&self.b[self.pos..])
-                        .map_err(|_| self.err("bad utf8"))?;
-                    let ch = rest.chars().next().ok_or_else(|| self.err("bad utf8"))?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            let val = self.value()?;
-            pairs.push((key, val));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(pairs));
-                }
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
-        }
-    }
-
-    fn parse(mut self) -> Result<Value, String> {
-        let v = self.value()?;
-        self.skip_ws();
-        if self.pos != self.b.len() {
-            return Err(self.err("trailing data after JSON value"));
-        }
-        Ok(v)
-    }
-}
+use crate::minijson::Json;
 
 /// What a successful validation found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -244,11 +24,11 @@ pub struct TraceSummary {
     pub counters: usize,
 }
 
-fn int_field(obj: &Value, key: &str, idx: usize) -> Result<i64, String> {
+fn int_field(obj: &Json, key: &str, idx: usize) -> Result<i64, String> {
     let n = obj
         .get(key)
         .ok_or_else(|| format!("event {idx}: missing \"{key}\""))?
-        .as_num()
+        .as_f64()
         .ok_or_else(|| format!("event {idx}: \"{key}\" is not a number"))?;
     if n.fract() != 0.0 || n < 0.0 {
         return Err(format!(
@@ -265,9 +45,9 @@ fn int_field(obj: &Value, key: &str, idx: usize) -> Result<i64, String> {
 /// integer `pid`/`tid`; `"X"` events have `dur >= 0`; and per-(pid,tid)
 /// timestamps are monotone non-decreasing.
 pub fn validate_chrome_json(json: &str) -> Result<TraceSummary, String> {
-    let root = Parser::new(json).parse()?;
+    let root = Json::parse(json)?;
     let events = match root {
-        Value::Arr(items) => items,
+        Json::Arr(items) => items,
         _ => return Err("top level must be a JSON array of trace events".into()),
     };
 
@@ -280,7 +60,7 @@ pub fn validate_chrome_json(json: &str) -> Result<TraceSummary, String> {
     };
 
     for (idx, ev) in events.iter().enumerate() {
-        if !matches!(ev, Value::Obj(_)) {
+        if !matches!(ev, Json::Obj(_)) {
             return Err(format!("event {idx}: not a JSON object"));
         }
         let ph = ev
@@ -298,7 +78,7 @@ pub fn validate_chrome_json(json: &str) -> Result<TraceSummary, String> {
         let ts = ev
             .get("ts")
             .ok_or_else(|| format!("event {idx}: missing \"ts\""))?
-            .as_num()
+            .as_f64()
             .ok_or_else(|| format!("event {idx}: \"ts\" is not a number"))?;
         if !ts.is_finite() || ts < 0.0 {
             return Err(format!(
@@ -310,7 +90,7 @@ pub fn validate_chrome_json(json: &str) -> Result<TraceSummary, String> {
             let dur = ev
                 .get("dur")
                 .ok_or_else(|| format!("event {idx}: \"X\" event missing \"dur\""))?
-                .as_num()
+                .as_f64()
                 .ok_or_else(|| format!("event {idx}: \"dur\" is not a number"))?;
             if !dur.is_finite() || dur < 0.0 {
                 return Err(format!(

@@ -33,8 +33,8 @@ cargo test -q --release -p kacc-bench --test persona_pins
 echo "== cluster pins (Fig 17 compiled two-level plans bit-for-bit vs the pre-port capture, plus the netsim units) =="
 cargo test -q --release -p kacc-netsim
 
-echo "== reduce pins (compiled reduction plans bit-for-bit vs the pre-port capture, plus their whole-team static check) =="
-cargo test -q --release -p kacc-collectives --test sim_reduce --test reduce_plans
+echo "== plan pins and whole-team checks (reduction pins bit-for-bit, rooted plan digests; reduction, rooted and two-level plans run whole-team on the abstract machine) =="
+cargo test -q --release -p kacc-collectives --test sim_reduce --test reduce_plans --test rooted_plans --test hier_plans
 
 echo "== examples run (not only compile) =="
 cargo run --release -q --example quickstart
