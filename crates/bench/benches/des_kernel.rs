@@ -17,6 +17,11 @@
 //!   contention. One read is nine dispatches (entry timer, then a pin
 //!   wait and a copy wait per batch) stepped by the machine, and two
 //!   polls of the rank's future (one starts it, one collects it).
+//! * `ctrl_fanout_polled` — a p=64 root sends a token (a 16-byte control
+//!   message) to every rank and collects a 0-byte reply from each, eight
+//!   times over: the per-message cost of the control plane that wraps
+//!   every kernel-assisted design. A send moves its rank's busy-until
+//!   horizon and costs no dispatch of its own.
 //! * `mailbox_pair_polled` — one `Mailboxes` deposit and the matching
 //!   take per poll evaluation on one task, no queue traffic: the same
 //!   loop as the benchmark's `sim_core.mailbox_pair_ns` probe, so the two
@@ -130,6 +135,30 @@ fn cma_read_multibatch_polled(arch: &ArchProfile) -> u64 {
     run.end_ns
 }
 
+fn ctrl_fanout_polled(arch: &ArchProfile) -> u64 {
+    const P: usize = 64;
+    const ROUNDS: u32 = 8;
+    let (run, _) = run_polled_team_phantom(arch, P, |rank| async move {
+        let mut comm = PolledComm::new(rank);
+        let token = RemoteToken { rank: 0, token: 0 }.to_bytes();
+        for round in 0..ROUNDS {
+            let tag = Tag::user(round);
+            if rank == 0 {
+                for peer in 1..P {
+                    comm.ctrl_send(peer, tag, &token).await.expect("token");
+                }
+                for peer in 1..P {
+                    comm.wait_notify(peer, tag).await.expect("reply");
+                }
+            } else {
+                comm.ctrl_recv(0, tag).await.expect("token");
+                comm.notify(0, tag).await.expect("reply");
+            }
+        }
+    });
+    run.end_ns
+}
+
 fn shm_bulk_pingpong_polled(arch: &ArchProfile, phantom: bool) -> u64 {
     const LEN: usize = 1 << 20;
     const ROUNDS: u32 = 32;
@@ -213,6 +242,16 @@ fn bench(c: &mut Criterion) {
     );
     g.bench_function("cma_read_multibatch_polled", |b| {
         b.iter(|| black_box(cma_read_multibatch_polled(black_box(&knl))))
+    });
+
+    let (events, eps) = probe(|| {
+        ctrl_fanout_polled(&knl);
+    });
+    println!(
+        "des_kernel/ctrl_fanout_polled: {events} simulated events, 1008 control messages per iter (~{eps:.0} events/sec)"
+    );
+    g.bench_function("ctrl_fanout_polled", |b| {
+        b.iter(|| black_box(ctrl_fanout_polled(black_box(&knl))))
     });
 
     let pairs = 10_000u64;

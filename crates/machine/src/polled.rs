@@ -109,9 +109,12 @@ impl PolledComm {
         }
     }
 
-    /// Current virtual time.
+    /// This rank's clock: the current virtual time, or the end of the
+    /// rank's last control send if that is later
+    /// ([`MachineState::busy_until`]).
     pub fn time_ns(&self) -> u64 {
-        sim_now::<MachineState>()
+        let me = self.rank;
+        sim_with_state(move |s: &mut MachineState, now| now.max(s.busy_until[me]))
     }
 
     /// Shared tracer (off unless the run was traced).
@@ -162,6 +165,13 @@ impl PolledComm {
         let start = self.time_ns();
         let pick_add = pick.clone();
         let id: FlowId = sim_poll("flow:add", move |s: &mut MachineState, w, now| {
+            // A shared server sees the rank at its own clock.
+            let horizon = s.busy_until[tid];
+            if now < horizon {
+                return Poll::Wait {
+                    wake_at: Some(horizon),
+                };
+            }
             let srv = pick_add(s);
             srv.update(now);
             let id = srv.add_weighted(tid, bytes, peak, weight);
@@ -208,7 +218,7 @@ impl PolledComm {
         });
         let d = if op.is_cma() { d } else { d.no_partial() };
         if let FaultDecision::Delay { ns } = d {
-            sim_advance::<MachineState>(ns).await;
+            self.sleep_ns(ns).await;
             return FaultDecision::Allow;
         }
         d
@@ -361,19 +371,24 @@ impl PolledComm {
             self.tracer
                 .span(Track::Rank(me), "copy", t1, w2, len as u64, None);
         }
-        // Data plane (phantom-aware), same accounting as the CMA path.
+        // Data plane (phantom-aware), same accounting and the same refusal
+        // of a source freed in flight as the CMA path.
         let (remote, near) = ((peer, token.token, remote_off), (me, local.0, local_off));
-        sim_with_state(move |s: &mut MachineState, _| match dir {
-            CmaDir::Read => {
-                s.move_bytes(remote, near, len);
-                s.stats[me].bytes_read += len as u64;
+        let (src, dst) = match dir {
+            CmaDir::Read => (remote, near),
+            CmaDir::Write => (near, remote),
+        };
+        sim_with_state(move |s: &mut MachineState, _| {
+            s.heaps[src.0]
+                .len_of(src.1)
+                .ok_or(CommError::PermissionDenied)?;
+            s.move_bytes(src, dst, len);
+            match dir {
+                CmaDir::Read => s.stats[me].bytes_read += len as u64,
+                CmaDir::Write => s.stats[me].bytes_written += len as u64,
             }
-            CmaDir::Write => {
-                s.move_bytes(near, remote, len);
-                s.stats[me].bytes_written += len as u64;
-            }
-        });
-        Ok(())
+            Ok(())
+        })
     }
 
     /// Allocate `len` bytes on this rank's heap.
@@ -524,9 +539,10 @@ impl PolledComm {
         }
         let start = self.time_ns();
         // Sender-side occupancy: enqueue bookkeeping plus the copy of the
-        // payload into the shared slot (or NIC doorbell + inline copy).
+        // payload into the shared slot (or NIC doorbell + inline copy). It
+        // delays only this rank's next operation, so it moves the rank's
+        // horizon rather than parking it on a timer.
         let occupancy = (0.3 * self.sm_msg_ns + 0.5 * data.len() as f64 * self.sm_byte_ns) as u64;
-        sim_advance::<MachineState>(occupancy).await;
         let latency = if self.node_of(to) == self.node {
             self.sm_msg_ns + data.len() as f64 * self.sm_byte_ns
         } else {
@@ -539,17 +555,17 @@ impl PolledComm {
         let mut payload = data.to_vec();
         sim_poll("ctrl:send", move |s: &mut MachineState, w, _now| {
             let payload = std::mem::take(&mut payload);
+            s.busy_until[me] = start + occupancy;
             s.mail.deposit(w, to, me, tag.0 as u64, arrival, payload);
             Poll::Ready(())
         })
         .await;
         if self.tracer.on() {
-            let dur = (self.time_ns() - start) as f64;
             self.tracer.span(
                 Track::Rank(me),
                 "ctrl_send",
                 start,
-                dur,
+                occupancy as f64,
                 data.len() as u64,
                 tag.class(),
             );
@@ -569,7 +585,8 @@ impl PolledComm {
         let tid = sim_tid();
         let t0 = if self.tracer.on() { self.time_ns() } else { 0 };
         let payload = sim_poll("ctrl:recv", move |s: &mut MachineState, _w, now| {
-            s.mail.take(tid, me, from, tag.0 as u64, now)
+            s.mail
+                .take_after(tid, me, from, tag.0 as u64, now, s.busy_until[me])
         })
         .await;
         if self.tracer.on() {
@@ -686,7 +703,8 @@ impl PolledComm {
         let tid = sim_tid();
         let t0 = if self.tracer.on() { self.time_ns() } else { 0 };
         let payload = sim_poll("shm:wait", move |s: &mut MachineState, _w, now| {
-            s.bulk.take(tid, me, from, tag.0 as u64, now)
+            s.bulk
+                .take_after(tid, me, from, tag.0 as u64, now, s.busy_until[me])
         })
         .await;
         self.shm_land(from, tag, dst, off, len, payload, t0).await
@@ -760,7 +778,10 @@ impl PolledComm {
         let deadline = self.time_ns().saturating_add(timeout_ns);
         let t0 = if self.tracer.on() { self.time_ns() } else { 0 };
         let payload = sim_poll("ctrl:recv", move |s: &mut MachineState, _w, now| {
-            match s.mail.take(tid, me, from, tag.0 as u64, now) {
+            match s
+                .mail
+                .take_after(tid, me, from, tag.0 as u64, now, s.busy_until[me])
+            {
                 Poll::Ready(p) => Poll::Ready(Some(p)),
                 Poll::Wait { .. } if now >= deadline => {
                     s.mail.unregister(me, from, tag.0 as u64, tid);
@@ -805,7 +826,7 @@ impl PolledComm {
         let deadline = self.time_ns().saturating_add(timeout_ns);
         let t0 = if self.tracer.on() { self.time_ns() } else { 0 };
         let payload = sim_poll("shm:wait", move |s: &mut MachineState, _w, now| {
-            match s.bulk.take(tid, me, from, key, now) {
+            match s.bulk.take_after(tid, me, from, key, now, s.busy_until[me]) {
                 Poll::Ready(p) => Poll::Ready(Some(p)),
                 Poll::Wait { .. } if now >= deadline => {
                     s.bulk.unregister(me, from, key, tid);
@@ -824,9 +845,11 @@ impl PolledComm {
         Ok(true)
     }
 
-    /// Charge `ns` of virtual time (retry backoff etc.).
+    /// Charge `ns` of virtual time (retry backoff etc.), counted from the
+    /// rank's own clock.
     pub async fn sleep_ns(&mut self, ns: u64) {
-        sim_advance::<MachineState>(ns).await;
+        let lag = self.time_ns() - sim_now::<MachineState>();
+        sim_advance::<MachineState>(lag + ns).await;
     }
 
     /// Two-copy fallback read — see
@@ -1118,13 +1141,16 @@ where
     let report = sim.run();
     let trace = capture.map(|(_, buf)| buf.take()).unwrap_or_default();
     let st = report.state;
-    let run = crate::team::finish_team_run(
-        &st,
-        report.end_time,
-        report.finish_times.clone(),
-        report.events,
-        report.metrics,
-    );
+    // A rank whose last operation was a send ends at its horizon, with no
+    // event of its own there.
+    let finish_ns: Vec<u64> = report
+        .finish_times
+        .iter()
+        .zip(&st.busy_until)
+        .map(|(&done, &busy)| done.max(busy))
+        .collect();
+    let end_ns = finish_ns.iter().copied().fold(report.end_time, u64::max);
+    let run = crate::team::finish_team_run(&st, end_ns, finish_ns, report.events, report.metrics);
     let results = Rc::try_unwrap(results)
         .unwrap_or_else(|_| panic!("rank tasks done"))
         .into_inner();
@@ -1188,7 +1214,10 @@ mod tests {
 
     /// `run` against the clocks and event count, and the digest of the
     /// whole report, that the thread kernel produced for the same program
-    /// (these tests compared the two engines while both existed).
+    /// (these tests compared the two engines while both existed). The
+    /// event counts and digests were refreshed once since, when a control
+    /// send stopped costing its sender an event; only the event and queue
+    /// counters of the report moved.
     fn assert_run(run: &TeamRun, end_ns: u64, finish_ns: &[u64], events: u64, whole: u64) {
         assert_eq!(
             (run.end_ns, &run.finish_ns[..], run.events),
@@ -1222,7 +1251,7 @@ mod tests {
             }
         });
         assert_eq!(results, [Vec::new(), vec![0xAB; 8192]]);
-        assert_run(&run, 4448, &[4448, 4238], 9, 0xb282_d55d_0705_ca5f);
+        assert_run(&run, 4448, &[4448, 4238], 7, 0x86f4_f79a_2bea_9953);
     }
 
     #[test]
@@ -1262,11 +1291,11 @@ mod tests {
             });
         assert_eq!(durs, [0, 12950, 14061, 14313, 14313, 14207, 14049]);
         let finish = [16178, 13739, 15034, 15470, 15654, 15732, 15758];
-        assert_run(&run, 16178, &finish, 50, 0x2c30_aec9_e8c6_3a6c);
+        assert_run(&run, 16178, &finish, 38, 0xfbcb_5031_3418_dbb6);
         let json = kacc_trace::chrome_trace_json(&trace);
         assert_eq!(
             fnv(json.as_bytes()),
-            0x3f45_92d0_68ee_eff6,
+            0x4fa8_f9e8_6a4c_def0,
             "the event stream moved"
         );
     }
@@ -1279,7 +1308,7 @@ mod tests {
             sm_barrier_polled(&mut comm).await.unwrap();
             comm.time_ns()
         });
-        assert_run(&run, 900, &[900; 8], 56, 0x9bc1_f4a0_e83e_9bca);
+        assert_run(&run, 900, &[900; 8], 32, 0xfc82_2b65_51e8_e2a0);
     }
 
     #[test]
@@ -1501,6 +1530,45 @@ mod tests {
         assert!(real_run.mem_recaches > 0, "the link servers did the work");
     }
 
+    #[test]
+    fn a_fallback_source_freed_between_the_copies_is_refused() {
+        const LEN: usize = 1 << 20;
+        let read = |free_after: Option<u64>| {
+            on_both_heaps(1, 2, move |rank| async move {
+                let comm = &mut PolledComm::new(rank);
+                let buf = if rank == 0 {
+                    let buf = comm.alloc_with(&vec![0x5A; LEN]).unwrap();
+                    comm.expose(buf).await.unwrap();
+                    buf
+                } else {
+                    comm.alloc(LEN)
+                };
+                sm_barrier_polled(comm).await.unwrap();
+                if rank == 0 {
+                    if let Some(dt) = free_after {
+                        comm.sleep_ns(dt).await;
+                        comm.free(buf).unwrap();
+                    }
+                    return None;
+                }
+                let t0 = comm.time_ns();
+                let src = RemoteToken { rank: 0, token: 0 };
+                let r = comm.shm_fallback_read(src, 0, buf, 0, LEN).await;
+                Some((r, comm.time_ns() - t0, comm.read_all(buf).unwrap()[0]))
+            })
+        };
+        let [(_, real), (_, ph)] = read(None);
+        let Some((Ok(()), dt, 0x5A)) = real[1] else {
+            panic!("the plain read: {:?}", real[1]);
+        };
+        assert!(matches!(ph[1], Some((Ok(()), t, 0)) if t == dt));
+        // Freed after the first copy: both copies are still paid for, and
+        // nothing lands.
+        for (_, res) in read(Some(dt / 2)) {
+            assert_eq!(res[1], Some((Err(CommError::PermissionDenied), dt, 0)));
+        }
+    }
+
     /// A short message and an expired deadline are refused at the times
     /// the thread kernel refused them, on either kind of heap.
     #[test]
@@ -1530,5 +1598,228 @@ mod tests {
         assert_eq!(res, [(Ok(()), Ok(true), 33), (truncated, Ok(false), 1233)]);
         assert_run(&run, 1233, &[33, 1233], 5, 0xb465_3cc6_0324_99ff);
         assert_eq!(run_polled_team_phantom(&arch, 2, polled), (run, res));
+    }
+
+    // ---- the sender's busy-until horizon -------------------------------
+
+    /// Broadwell's control plane: a 0-byte send occupies its sender for
+    /// `OCC` ns and arrives `LAT` ns after it starts.
+    const OCC: u64 = 90;
+    const LAT: u64 = 300;
+
+    #[test]
+    fn the_control_plane_constants_are_broadwells() {
+        let a = ArchProfile::broadwell();
+        assert_eq!(((0.3 * a.sm_msg_ns) as u64, a.sm_msg_ns as u64), (OCC, LAT));
+    }
+
+    /// Two Broadwell ranks, traced.
+    fn traced_pair<R, F, Fut>(f: F) -> (TeamRun, Vec<R>, Vec<Event>)
+    where
+        F: Fn(usize) -> Fut + 'static,
+        Fut: Future<Output = R> + 'static,
+        R: 'static,
+    {
+        run_polled_team_traced(&ArchProfile::broadwell(), 2, f)
+    }
+
+    /// How often the scheduler dispatched `rank`: the instants on its track.
+    fn dispatches(trace: &[Event], rank: usize) -> usize {
+        trace
+            .iter()
+            .filter(|e| e.track == Track::Rank(rank))
+            .filter(|e| matches!(e.kind, kacc_trace::EventKind::Instant { .. }))
+            .count()
+    }
+
+    /// Start of `rank`'s first span called `name`.
+    fn span_start(trace: &[Event], rank: usize, name: &str) -> u64 {
+        trace
+            .iter()
+            .find(|e| e.track == Track::Rank(rank) && e.name == name)
+            .map(Event::ts)
+            .unwrap_or_else(|| panic!("no {name} span on rank {rank}"))
+    }
+
+    #[test]
+    fn back_to_back_sends_move_the_horizon_without_a_dispatch() {
+        const K: u64 = 4;
+        let (run, arrivals, trace) = traced_pair(|rank| async move {
+            let comm = &mut PolledComm::new(rank);
+            let mut seen = Vec::new();
+            for i in 0..K as u32 {
+                if rank == 0 {
+                    comm.notify(1, Tag::user(i)).await.unwrap();
+                } else {
+                    comm.wait_notify(0, Tag::user(i)).await.unwrap();
+                    seen.push(comm.time_ns());
+                }
+            }
+            seen
+        });
+        // The i-th send starts where the (i-1)-th stopped occupying rank 0.
+        let want: Vec<u64> = (0..K).map(|i| i * OCC + LAT).collect();
+        assert_eq!(arrivals[1], want);
+        assert_eq!(dispatches(&trace, 0), 1, "only rank 0's first poll");
+        assert_eq!(run.finish_ns[0], K * OCC);
+    }
+
+    #[test]
+    fn a_rank_that_ends_on_a_send_finishes_at_its_horizon() {
+        let (run, _, trace) = traced_pair(|rank| async move {
+            if rank == 0 {
+                PolledComm::new(rank).notify(1, Tag::user(1)).await.unwrap();
+            }
+        });
+        assert_eq!((run.end_ns, &run.finish_ns[..]), (OCC, &[OCC, 0][..]));
+        assert_eq!(dispatches(&trace, 0), 1, "no trailing event at the horizon");
+        assert_eq!(run.events, 2);
+        assert_eq!(run.mail_pending, 1);
+    }
+
+    #[test]
+    fn a_reply_after_the_horizon_costs_one_dispatch() {
+        let (run, t, trace) = traced_pair(|rank| async move {
+            let comm = &mut PolledComm::new(rank);
+            let peer = 1 - rank;
+            if rank == 0 {
+                comm.notify(peer, Tag::user(1)).await.unwrap();
+            } else {
+                comm.wait_notify(peer, Tag::user(1)).await.unwrap();
+            }
+            if rank == 0 {
+                comm.wait_notify(peer, Tag::user(2)).await.unwrap();
+            } else {
+                comm.notify(peer, Tag::user(2)).await.unwrap();
+            }
+            comm.time_ns()
+        });
+        assert_eq!(t[0], 2 * LAT);
+        // The first poll, then the reply's wake: none at the horizon.
+        assert_eq!(dispatches(&trace, 0), 2);
+        assert_eq!(run.finish_ns, [2 * LAT, LAT + OCC]);
+    }
+
+    #[test]
+    fn a_reply_that_beat_the_horizon_is_taken_at_the_horizon() {
+        // A 4000-byte send occupies rank 0 well past the reply's arrival.
+        const LEN: usize = 4000;
+        let horizon = OCC + (0.5 * LEN as f64 * ArchProfile::broadwell().sm_byte_ns) as u64;
+        assert!(horizon > LAT);
+        let (_, t, trace) = traced_pair(|rank| async move {
+            let comm = &mut PolledComm::new(rank);
+            if rank == 0 {
+                comm.ctrl_send(1, Tag::user(1), &[0; LEN]).await.unwrap();
+                comm.wait_notify(1, Tag::user(2)).await.unwrap();
+            } else {
+                comm.notify(0, Tag::user(2)).await.unwrap();
+                comm.ctrl_recv(0, Tag::user(1)).await.unwrap();
+            }
+            comm.time_ns()
+        });
+        assert_eq!(t[0], horizon);
+        assert_eq!(dispatches(&trace, 0), 2);
+        // The receive opens at rank 0's own clock and is over at once.
+        assert_eq!(span_start(&trace, 0, "ctrl_recv"), horizon);
+    }
+
+    #[test]
+    fn a_deadline_counts_from_the_horizon() {
+        const TIMEOUT: u64 = 1000;
+        let (run, got, _) = traced_pair(|rank| async move {
+            let comm = &mut PolledComm::new(rank);
+            if rank == 1 {
+                return None;
+            }
+            comm.notify(1, Tag::user(1)).await.unwrap();
+            let got = comm.ctrl_recv_deadline(1, Tag::user(2), TIMEOUT).await;
+            Some((got, comm.time_ns()))
+        });
+        assert_eq!(got[0], Some((Ok(None), OCC + TIMEOUT)));
+        assert_eq!(run.finish_ns[0], OCC + TIMEOUT);
+    }
+
+    #[test]
+    fn a_system_call_after_a_send_enters_the_kernel_at_the_horizon() {
+        let (_, _, trace) = traced_pair(|rank| async move {
+            let comm = &mut PolledComm::new(rank);
+            let buf = comm.alloc(8192);
+            if rank == 0 {
+                let tok = comm.expose(buf).await.unwrap();
+                comm.ctrl_send(1, Tag::user(1), &tok.to_bytes())
+                    .await
+                    .unwrap();
+                comm.wait_notify(1, Tag::user(2)).await.unwrap();
+            } else {
+                let raw = comm.ctrl_recv(0, Tag::user(1)).await.unwrap();
+                comm.notify(0, Tag::user(2)).await.unwrap();
+                let tok = RemoteToken::from_bytes(&raw).unwrap();
+                comm.cma_read(tok, 0, buf, 0, 8192).await.unwrap();
+            }
+        });
+        let horizon = span_start(&trace, 1, "ctrl_send") + OCC;
+        assert_eq!(span_start(&trace, 1, "syscall"), horizon);
+    }
+
+    #[test]
+    fn a_flow_after_a_send_joins_its_server_at_the_horizon() {
+        let copy = |send_first: bool| {
+            let (_, _, trace) = traced_pair(move |rank| async move {
+                let comm = &mut PolledComm::new(rank);
+                if rank == 1 {
+                    return;
+                }
+                let (src, dst) = (comm.alloc(4096), comm.alloc(4096));
+                if send_first {
+                    comm.notify(1, Tag::user(1)).await.unwrap();
+                }
+                comm.copy_local(src, 0, dst, 0, 4096).await.unwrap();
+            });
+            let span = trace.iter().find(|e| e.name == "copy_local").unwrap();
+            match span.kind {
+                kacc_trace::EventKind::Span { ts, dur } => (ts, dur),
+                _ => unreachable!("copy_local is a span"),
+            }
+        };
+        let (t_plain, d_plain) = copy(false);
+        assert_eq!(copy(true), (t_plain + OCC, d_plain));
+    }
+
+    /// Delays every control send that carries a payload.
+    struct DelayPayloadSends(u64);
+
+    impl kacc_fault::FaultInjector for DelayPayloadSends {
+        fn decide(&self, site: &FaultSite) -> FaultDecision {
+            if site.op == FaultOp::CtrlSend && site.len > 0 {
+                FaultDecision::Delay { ns: self.0 }
+            } else {
+                FaultDecision::Allow
+            }
+        }
+    }
+
+    #[test]
+    fn a_delay_after_a_send_runs_from_the_horizon() {
+        const DELAY: u64 = 700;
+        let hook = FaultHook::new(std::sync::Arc::new(DelayPayloadSends(DELAY)));
+        let arch = ArchProfile::broadwell();
+        let (run, arrivals) = run_polled_team_faulty(&arch, 2, hook, |rank| async move {
+            let comm = &mut PolledComm::new(rank);
+            if rank == 0 {
+                comm.notify(1, Tag::user(1)).await.unwrap();
+                comm.ctrl_send(1, Tag::user(2), &[1]).await.unwrap();
+                return Vec::new();
+            }
+            let mut seen = Vec::new();
+            for tag in [1, 2] {
+                comm.ctrl_recv(0, Tag::user(tag)).await.unwrap();
+                seen.push(comm.time_ns());
+            }
+            seen
+        });
+        // The second send starts DELAY after the first one's horizon.
+        let second = OCC + DELAY;
+        assert_eq!(arrivals[1], [LAT, second + LAT]);
+        assert_eq!(run.finish_ns[0], second + OCC);
     }
 }

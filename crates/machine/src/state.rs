@@ -18,7 +18,7 @@ use crate::fluid::{MemSys, PageLockServer};
 use crate::xfer::Xfer;
 use kacc_comm::Topology;
 use kacc_model::{ArchProfile, FabricParams};
-use kacc_sim_core::Mailboxes;
+use kacc_sim_core::{Mailboxes, SimTime};
 
 /// One simulated buffer — or one bulk message in flight between two
 /// heaps: real bytes, or a *phantom* that tracks only its length.
@@ -368,6 +368,15 @@ pub struct MachineState {
     /// Per-rank kernel-assisted transfer in flight, if any (a rank is
     /// inside at most one system call); see [`crate::xfer`].
     pub xfers: Vec<Option<Xfer>>,
+    /// Per-rank busy-until horizon: the instant the rank's last control
+    /// send stops occupying it. A send moves the horizon instead of
+    /// parking on a timer, and the rank's clock is `max(now, horizon)`:
+    /// its next receive is delivered, its next flow joins a server and its
+    /// next system call enters the kernel no earlier than the horizon.
+    /// `alloc`, `free`, `write_local`, `read_local` and `expose` are exempt
+    /// and run at once: they are synchronous, and no peer can observe them
+    /// before the message that follows them arrives.
+    pub busy_until: Vec<SimTime>,
     /// Machine-wide per-transport traffic totals.
     pub transport: TransportCounters,
     /// Destination for phase spans and lock-server counters. Defaults to
@@ -439,6 +448,7 @@ impl MachineState {
             }),
             stats: vec![RankStats::default(); nranks],
             xfers: (0..nranks).map(|_| None).collect(),
+            busy_until: vec![0; nranks],
             transport: TransportCounters::default(),
             tracer: kacc_trace::Tracer::off(),
             fault: kacc_fault::FaultHook::off(),

@@ -105,9 +105,12 @@ pub struct Xfer {
 }
 
 impl Xfer {
-    /// The transfer `me` starts at `now`; install it in
-    /// [`MachineState::xfers`] and drive it with [`step_xfer`].
+    /// The transfer `me` calls at `now`; install it in
+    /// [`MachineState::xfers`] and drive it with [`step_xfer`]. It enters
+    /// the kernel at the rank's own clock, `now` or its busy-until horizon
+    /// if that is later.
     pub fn new(s: &MachineState, me: usize, call: CmaCall, now: SimTime) -> Xfer {
+        let t0 = now.max(s.busy_until[me]);
         assert!(
             call.copy_len <= call.remote_len,
             "cannot copy more than is pinned"
@@ -139,8 +142,8 @@ impl Xfer {
         let same_socket = s.topo.same_socket(local, s.local_rank(peer));
         Xfer {
             call,
-            t0: now,
-            entry_until: now + t_entry,
+            t0,
+            entry_until: t0 + t_entry,
             early,
             node,
             socket: s.topo.socket_of(local),
@@ -159,7 +162,7 @@ impl Xfer {
             pages_now: 0,
             copied: 0,
             copy_now: 0,
-            t_phase: now,
+            t_phase: t0,
             phase: Phase::Entry,
         }
     }
@@ -237,20 +240,24 @@ pub fn step_xfer(s: &mut MachineState, tid: usize, w: &mut Waker, now: SimTime) 
             Phase::PinAdd => {
                 if x.page_at == x.pages_total {
                     // Every batch pinned and copied: move the actual bytes
-                    // (correctness plane; phantom-aware).
+                    // (correctness plane; phantom-aware), unless the peer
+                    // freed the source while the call was in flight.
                     let c = &x.call;
+                    let remote = (peer, c.token.token, c.remote_off);
+                    let near = (me, c.local.0, c.local_off);
+                    let (src, dst) = match c.dir {
+                        CmaDir::Read => (remote, near),
+                        CmaDir::Write => (near, remote),
+                    };
+                    if heaps[src.0].len_of(src.1).is_none() {
+                        x.phase = Phase::Done(Err(CommError::PermissionDenied));
+                        continue;
+                    }
                     if c.copy_len > 0 {
-                        let remote = (peer, c.token.token, c.remote_off);
-                        let near = (me, c.local.0, c.local_off);
+                        move_bytes(heaps, src, dst, c.copy_len);
                         match c.dir {
-                            CmaDir::Read => {
-                                move_bytes(heaps, remote, near, c.copy_len);
-                                stats[me].bytes_read += c.copy_len as u64;
-                            }
-                            CmaDir::Write => {
-                                move_bytes(heaps, near, remote, c.copy_len);
-                                stats[me].bytes_written += c.copy_len as u64;
-                            }
+                            CmaDir::Read => stats[me].bytes_read += c.copy_len as u64,
+                            CmaDir::Write => stats[me].bytes_written += c.copy_len as u64,
                         }
                     }
                     x.phase = Phase::Done(Ok(()));
@@ -583,6 +590,52 @@ mod tests {
             (Err(CommError::InvalidBuffer(42)), entry_times().1)
         );
         assert_refused(&stats);
+    }
+
+    /// Rank 1 reads the whole of rank 0's exposed `len`-byte buffer right
+    /// after a barrier; with `free_after`, rank 0 frees that buffer this
+    /// long after the barrier. Returns the read's result, its start and
+    /// end, and the bytes that landed.
+    fn read_while_freed(len: usize, free_after: Option<u64>) -> (Result<()>, u64, u64, Vec<u8>) {
+        let (_, mut out, _) =
+            run_polled_machine_full(node(), false, true, move |rank| async move {
+                let mut comm = PolledComm::new(rank);
+                let buf = if rank == 0 {
+                    let buf = comm.alloc_with(&vec![7u8; len]).unwrap();
+                    comm.expose(buf).await.unwrap();
+                    buf
+                } else {
+                    comm.alloc(len)
+                };
+                sm_barrier_polled(&mut comm).await.unwrap();
+                if rank == 0 {
+                    if let Some(dt) = free_after {
+                        comm.sleep_ns(dt).await;
+                        comm.free(buf).unwrap();
+                    }
+                    return None;
+                }
+                let t0 = comm.time_ns();
+                let token = RemoteToken { rank: 0, token: 0 };
+                let r = comm.cma_read(token, 0, buf, 0, len).await;
+                Some((r, t0, comm.time_ns(), comm.read_all(buf).unwrap()))
+            });
+        out.remove(1).unwrap()
+    }
+
+    #[test]
+    fn a_source_freed_mid_read_is_refused_and_moves_nothing() {
+        // Four pin batches: the free lands between them.
+        let len = 4 * ArchProfile::broadwell().pin_batch_pages * 4096;
+        let (plain, t0, t1, bytes) = read_while_freed(len, None);
+        assert_eq!((plain, bytes), (Ok(()), vec![7u8; len]));
+        let (r, start, end, bytes) = read_while_freed(len, Some((t1 - t0) / 2));
+        // The call runs its course in time and returns what a call on an
+        // unexposed buffer returns; the destination is untouched.
+        assert_eq!(r, Err(CommError::PermissionDenied));
+        assert_eq!((start, end), (t0, t1));
+        assert_eq!((t0, t1), (300, 367_692));
+        assert_eq!(bytes, vec![0u8; len]);
     }
 
     /// Injects `0` into every kernel-assisted call.

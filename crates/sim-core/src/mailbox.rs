@@ -25,6 +25,12 @@
 //! // receive (blocking):
 //! let msg = sim_poll("recv", |s, _w, now| s.mail.take(sim_tid(), to, from, tag, now)).await;
 //! ```
+//!
+//! A receiver that is busy until some later instant of its own (a
+//! simulated process still paying for a send it just made) receives with
+//! [`Mailboxes::take_after`] and its *horizon*: nothing is delivered to it
+//! before then, and every wake it gets lands at the later of the arrival
+//! and the horizon, so it is dispatched once per message.
 
 use crate::{Poll, SimTime, Waker};
 use std::collections::hash_map::Entry;
@@ -72,7 +78,8 @@ struct Channel<M> {
     head: Option<Message<M>>,
     /// Messages behind `head`, oldest first; empty while `head` is `None`.
     backlog: VecDeque<Message<M>>,
-    waiter: Option<usize>,
+    /// The parked receiver and its horizon (see [`Mailboxes::take_after`]).
+    waiter: Option<(usize, SimTime)>,
 }
 
 // Not derived: an empty channel needs no `M: Default`.
@@ -136,7 +143,8 @@ impl Mailboxes {
 
 impl<M> Mailboxes<M> {
     /// Deposit a message arriving at `arrival`. If a receiver is already
-    /// parked on the key, schedule its wake at the arrival time.
+    /// parked on the key, schedule its wake at the arrival time, or at the
+    /// receiver's horizon if that is later.
     pub fn deposit(
         &mut self,
         waker: &mut Waker,
@@ -149,24 +157,43 @@ impl<M> Mailboxes<M> {
         let channel = self.channels.entry((to, from, tag)).or_default();
         channel.push((arrival, payload));
         self.deposited += 1;
-        if let Some(tid) = channel.waiter {
-            waker.wake_at(tid, arrival);
+        if let Some((tid, not_before)) = channel.waiter {
+            waker.wake_at(tid, arrival.max(not_before));
         }
     }
 
-    /// Poll-step for a receiver thread `tid`: returns `Ready(payload)`
-    /// once the head message for the key has arrived, otherwise blocks
-    /// (with a timer if the head message is in flight).
+    /// [`take_after`](Self::take_after) for a receiver with no horizon
+    /// (`not_before = 0`): delivery at the head's arrival.
+    pub fn take(&mut self, tid: usize, to: usize, from: usize, tag: u64, now: SimTime) -> Poll<M> {
+        self.take_after(tid, to, from, tag, now, 0)
+    }
+
+    /// Poll-step for a receiver thread `tid` that is busy until
+    /// `not_before` (its horizon): returns `Ready(payload)` once the head
+    /// message for the key has arrived and the horizon has passed,
+    /// otherwise blocks — with a timer at the later of the head's arrival
+    /// and the horizon if a message is there, without one (registered for
+    /// the deposit's wake) if not. A head that arrived before the horizon
+    /// stays in place until then.
     ///
     /// Panics if two threads wait on the same key simultaneously — that
     /// would make matching nondeterministic, and no kacc protocol does it.
-    pub fn take(&mut self, tid: usize, to: usize, from: usize, tag: u64, now: SimTime) -> Poll<M> {
+    #[allow(clippy::too_many_arguments)]
+    pub fn take_after(
+        &mut self,
+        tid: usize,
+        to: usize,
+        from: usize,
+        tag: u64,
+        now: SimTime,
+        not_before: SimTime,
+    ) -> Poll<M> {
         let key = (to, from, tag);
         let mut slot = match self.channels.entry(key) {
             Entry::Occupied(slot) => slot,
             Entry::Vacant(slot) => {
                 slot.insert(Channel {
-                    waiter: Some(tid),
+                    waiter: Some((tid, not_before)),
                     ..Channel::default()
                 });
                 return Poll::Wait { wake_at: None };
@@ -176,7 +203,7 @@ impl<M> Mailboxes<M> {
         // Look at the head's arrival before moving the payload out (bulk
         // messages can be megabytes).
         let head = channel.head.as_ref().map(|(arrival, _)| *arrival);
-        if head.is_some_and(|arrival| arrival <= now) {
+        if not_before <= now && head.is_some_and(|arrival| arrival <= now) {
             let (_, payload) = channel.pop().expect("peeked head exists");
             channel.waiter = None;
             if channel.head.is_none() {
@@ -185,14 +212,16 @@ impl<M> Mailboxes<M> {
             self.delivered += 1;
             return Poll::Ready(payload);
         }
-        match channel.waiter {
-            Some(prev) => assert_eq!(
+        if let Some((prev, _)) = channel.waiter {
+            assert_eq!(
                 prev, tid,
                 "two threads ({prev} and {tid}) waiting on mailbox {key:?}"
-            ),
-            None => channel.waiter = Some(tid),
+            );
         }
-        Poll::Wait { wake_at: head }
+        channel.waiter = Some((tid, not_before));
+        Poll::Wait {
+            wake_at: head.map(|arrival| arrival.max(not_before)),
+        }
     }
 
     /// Withdraw `tid`'s wait registration on a key without consuming a
@@ -202,7 +231,7 @@ impl<M> Mailboxes<M> {
     pub fn unregister(&mut self, to: usize, from: usize, tag: u64, tid: usize) {
         if let Entry::Occupied(mut slot) = self.channels.entry((to, from, tag)) {
             let channel = slot.get_mut();
-            if channel.waiter == Some(tid) {
+            if channel.waiter.is_some_and(|(waiter, _)| waiter == tid) {
                 channel.waiter = None;
                 if channel.head.is_none() {
                     slot.remove();
@@ -283,6 +312,77 @@ mod tests {
         let mut w = waker();
         m.deposit(&mut w, 1, 0, 7, 150, vec![2]);
         assert!(w.pending.is_empty());
+    }
+
+    #[test]
+    fn a_horizon_holds_back_an_arrived_head() {
+        let mut m = Mailboxes::new();
+        let mut w = waker();
+        m.deposit(&mut w, 1, 0, 7, 10, vec![1]);
+        // Arrived at 10, but the receiver is busy until 30: it stays put.
+        assert_eq!(wait(m.take_after(3, 1, 0, 7, 20, 30)), Some(30));
+        assert_eq!(m.pending(), 1);
+        assert_eq!(ready(m.take_after(3, 1, 0, 7, 30, 30)), vec![1]);
+        assert_eq!((m.deposited, m.delivered), (1, 1));
+    }
+
+    #[test]
+    fn a_horizon_moves_the_wake_of_an_in_flight_head() {
+        let mut m = Mailboxes::new();
+        let mut w = waker();
+        // Parked before anything was sent: the deposit wakes the receiver
+        // at its horizon, not at the earlier arrival.
+        assert_eq!(wait(m.take_after(3, 1, 0, 7, 0, 50)), None);
+        m.deposit(&mut w, 1, 0, 7, 20, vec![1]);
+        assert_eq!(w.pending, vec![(3, 50)]);
+        // A head in flight past the horizon keeps its own arrival.
+        m.deposit(&mut w, 1, 2, 7, 90, vec![2]);
+        assert_eq!(wait(m.take_after(4, 1, 2, 7, 10, 50)), Some(90));
+        let mut w = waker();
+        m.deposit(&mut w, 1, 2, 7, 95, vec![3]);
+        assert_eq!(w.pending, vec![(4, 95)]);
+        assert_eq!(ready(m.take_after(3, 1, 0, 7, 50, 50)), vec![1]);
+        assert_eq!(ready(m.take_after(4, 1, 2, 7, 90, 50)), vec![2]);
+    }
+
+    #[test]
+    fn a_zero_horizon_is_the_plain_take() {
+        // The parked-receiver and unregister units' script, once through
+        // each entry point: same answers, same wakes, same counters.
+        fn replay(take: impl Fn(&mut Mailboxes, usize, SimTime) -> Poll<Vec<u8>>) -> Vec<String> {
+            let mut m = Mailboxes::new();
+            let mut w = waker();
+            let mut log = Vec::new();
+            let mut step = |m: &mut Mailboxes, tid, now| match take(m, tid, now) {
+                Poll::Ready(msg) => log.push(format!("{tid}@{now}: {msg:?}")),
+                Poll::Wait { wake_at } => log.push(format!("{tid}@{now}: wait {wake_at:?}")),
+            };
+            step(&mut m, 3, 100);
+            m.deposit(&mut w, 1, 0, 7, 140, vec![1]);
+            step(&mut m, 3, 120);
+            step(&mut m, 3, 140);
+            step(&mut m, 4, 145);
+            m.unregister(1, 0, 7, 4);
+            m.deposit(&mut w, 1, 0, 7, 150, vec![2]);
+            step(&mut m, 3, 150);
+            let (wakes, n) = (w.pending, (m.deposited, m.delivered, m.pending()));
+            log.push(format!("woke {wakes:?}; in, out, left {n:?}"));
+            log
+        }
+        let plain = replay(|m, tid, now| m.take(tid, 1, 0, 7, now));
+        assert_eq!(
+            plain,
+            replay(|m, tid, now| m.take_after(tid, 1, 0, 7, now, 0))
+        );
+        let want = [
+            "3@100: wait None",
+            "3@120: wait Some(140)",
+            "3@140: [1]",
+            "4@145: wait None",
+            "3@150: [2]",
+            "woke [(3, 140)]; in, out, left (2, 2, 0)",
+        ];
+        assert_eq!(plain, want);
     }
 
     #[test]
