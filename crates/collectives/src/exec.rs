@@ -17,11 +17,13 @@
 //! both come from the endpoint's `time_ns`, so the report means "time
 //! this rank spent inside each primitive" on every transport.
 
+use std::cell::RefCell;
 use std::sync::OnceLock;
 
 use kacc_comm::{
     block_on, smcoll, AsyncComm, Blocking, BufId, Comm, CommError, RemoteToken, Result,
 };
+use kacc_metrics::LocalHist;
 use kacc_trace::{Event, EventKind, Tracer, Track};
 
 use crate::polled::{execute_polled, execute_polled_traced, execute_polled_with_policy};
@@ -398,38 +400,116 @@ fn coll_handles() -> &'static CollHandles {
 /// reported as [`ScheduleReport::step_p99_ns`].
 pub(crate) const P99_PPM: u64 = 990_000;
 
+thread_local! {
+    /// Histogram sets returned clean by finished executions, reused by
+    /// the next one on this thread.
+    static STEP_LAT_POOL: RefCell<Vec<Box<[LocalHist]>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// One execution's per-step-kind latency histograms, indexed by
+/// `StepKind as usize`. The storage is borrowed from a per-thread pool
+/// and handed back clean on drop, so an execution neither allocates nor
+/// zeroes it; interleaved simulated ranks each hold their own set.
+struct StepLats {
+    hists: Box<[LocalHist]>,
+    /// Bit `kind as usize` is set once that kind has a sample: only
+    /// these histograms are merged at finish and cleared on return.
+    touched: u16,
+}
+
+impl StepLats {
+    fn take() -> StepLats {
+        let hists = STEP_LAT_POOL
+            .with(|pool| pool.borrow_mut().pop())
+            .unwrap_or_else(|| StepKind::ALL.map(|_| LocalHist::default()).into());
+        StepLats { hists, touched: 0 }
+    }
+
+    fn record(&mut self, kind: StepKind, dt: u64) {
+        self.touched |= 1 << kind as u16;
+        self.hists[kind as usize].record(dt);
+    }
+
+    /// The touched kinds' histograms, with their kind index.
+    fn touched(&self) -> impl Iterator<Item = (usize, &LocalHist)> {
+        self.hists
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| self.touched & (1 << i) != 0)
+    }
+}
+
+impl Drop for StepLats {
+    fn drop(&mut self) {
+        let mut hists = std::mem::take(&mut self.hists);
+        for (i, h) in hists.iter_mut().enumerate() {
+            if self.touched & (1 << i) != 0 {
+                *h = LocalHist::default();
+            }
+        }
+        // During thread teardown the pool may be gone: then the set is
+        // simply freed.
+        let _ = STEP_LAT_POOL.try_with(|pool| {
+            if let Ok(mut pool) = pool.try_borrow_mut() {
+                pool.push(hists);
+            }
+        });
+    }
+}
+
 /// The single recording path: every executed step flows through
 /// [`Recorder::add`], which updates the [`ScheduleReport`] *and* emits the
 /// trace span from the same measurements — counts and bytes can never
 /// drift between the two.
+///
+/// The recorder also carries the execution's clock cursor: `now` is the
+/// last `time_ns` read, the end of the last recorded interval, and so the
+/// start of the next one. A step starts where the previous one ended, so
+/// a clean execution reads the clock once per step plus once at the
+/// start (DESIGN.md §8).
 pub(crate) struct Recorder<'t> {
     pub(crate) report: ScheduleReport,
     pub(crate) tracer: &'t Tracer,
     pub(crate) track: Track,
     pub(crate) class: Option<u32>,
-    /// Per-step-kind latency samples of this execution, indexed by
-    /// `StepKind as usize`; plain-field accumulation keeps the per-step
-    /// hot path free of atomics — [`Recorder::finish`] folds them into
-    /// the global histograms in one merge per touched kind.
-    pub(crate) step_lats: [kacc_metrics::LocalHist; 11],
+    /// Clock read taken before the first step.
+    start: u64,
+    /// The last clock read: the start of the next interval.
+    pub(crate) now: u64,
+    /// Per-step-kind latency samples of this execution; plain-field
+    /// accumulation keeps the per-step hot path free of atomics —
+    /// [`Recorder::finish`] folds the touched kinds into the global
+    /// histograms.
+    step_lats: StepLats,
 }
 
 impl<'t> Recorder<'t> {
-    pub(crate) fn new(tracer: &'t Tracer, track: Track, class: Option<u32>) -> Recorder<'t> {
+    /// A recorder whose first interval starts at `start`.
+    pub(crate) fn new(
+        tracer: &'t Tracer,
+        track: Track,
+        class: Option<u32>,
+        start: u64,
+    ) -> Recorder<'t> {
         Recorder {
             report: ScheduleReport::default(),
             tracer,
             track,
             class,
-            step_lats: std::array::from_fn(|_| kacc_metrics::LocalHist::default()),
+            start,
+            now: start,
+            step_lats: StepLats::take(),
         }
     }
 
+    /// Record one completed step spanning `t0..t1`; `t1` becomes the
+    /// start of the next interval.
     pub(crate) fn add(&mut self, kind: StepKind, bytes: usize, t0: u64, t1: u64) {
         let dt = t1.saturating_sub(t0);
+        self.now = t1;
         self.report.stat_mut(kind).add(bytes, dt);
         self.report.steps += 1;
-        self.step_lats[kind as usize].record(dt);
+        self.step_lats.record(kind, dt);
         self.tracer.span(
             self.track,
             kind.span_name(),
@@ -440,32 +520,33 @@ impl<'t> Recorder<'t> {
         );
     }
 
-    /// Record one recovery action (`fault:*` / `retry:*` / `fallback:*`).
+    /// Record one recovery action (`fault:*` / `retry:*` / `fallback:*`)
+    /// spanning `t0..t1`; `t1` becomes the start of the next interval.
     /// Recovery spans do not count as steps and never extend `total_ns`
     /// computation in [`ScheduleReport::from_events`] — they nest inside
     /// the step span that eventually succeeds or fails.
     pub(crate) fn recovery(&mut self, name: &'static str, bytes: usize, t0: u64, t1: u64) {
         let dt = t1.saturating_sub(t0);
+        self.now = t1;
         self.report.recovery.add_span(name, bytes as u64, dt);
         self.tracer
             .span(self.track, name, t0, dt as f64, bytes as u64, self.class);
     }
 
-    /// Close out one schedule execution: stamp `total_ns` and the
-    /// observed per-step p99, record the end-to-end latency into the
-    /// global and per-class histograms, and fold the recovery counters
-    /// into the metric registry.
-    pub(crate) fn finish(&mut self, total_ns: u64) {
+    /// Close out one schedule execution: stamp `total_ns` (start to the
+    /// last clock read) and the observed per-step p99, record the
+    /// end-to-end latency into the global and per-class histograms, and
+    /// fold the recovery counters into the metric registry.
+    pub(crate) fn finish(&mut self) {
+        let total_ns = self.now.saturating_sub(self.start);
         self.report.total_ns = total_ns;
-        let mut all = kacc_metrics::LocalHist::default();
-        for local in &self.step_lats {
+        let h = coll_handles();
+        let mut all = LocalHist::default();
+        for (kind, local) in self.step_lats.touched() {
             all.merge(local);
+            h.steps[kind].merge_local(local);
         }
         self.report.step_p99_ns = all.quantile_bound(P99_PPM);
-        let h = coll_handles();
-        for (kind, local) in h.steps.iter().zip(&self.step_lats) {
-            kind.merge_local(local);
-        }
         h.exec_ns.record(total_ns);
         if let Some(class) = self.class {
             if let Some((_, hist)) = h.class_ns.iter().find(|(c, _)| *c == class) {

@@ -155,11 +155,15 @@ pub(crate) async fn execute_resumable_polled<C: AsyncComm>(
             0,
         ),
     };
-    let mut rec = Recorder::new(tracer, Track::Rank(comm.rank()), sched.class);
-
     let t_start = comm.time_ns();
+    let mut rec = Recorder::new(tracer, Track::Rank(comm.rank()), sched.class, t_start);
     let result = run_steps(comm, sched, &mut ctx, &mut rec, policy, start).await;
-    rec.finish(comm.time_ns().saturating_sub(t_start));
+    if result.is_err() {
+        // A failure ends the execution wherever the failing call
+        // returned, which no interval read has covered yet.
+        rec.now = comm.time_ns();
+    }
+    rec.finish();
 
     match result {
         Ok(()) => {
@@ -191,7 +195,7 @@ async fn backoff<C: AsyncComm>(
         return;
     }
     let ns = policy.backoff_ns << (attempt.min(6) - 1).min(5);
-    let t0 = comm.time_ns();
+    let t0 = rec.now;
     comm.sleep_ns(ns).await;
     rec.recovery("retry:backoff", 0, t0, comm.time_ns());
 }
@@ -204,7 +208,7 @@ macro_rules! retry_transient {
     ($comm:ident, $rec:ident, $policy:ident, $op:expr) => {{
         let mut attempts = 0u32;
         loop {
-            let t0 = $comm.time_ns();
+            let t0 = $rec.now;
             match $op {
                 Ok(v) => break Ok(v),
                 Err(e) if is_transient(&e) => {
@@ -254,7 +258,7 @@ async fn recovered_cma<C: AsyncComm>(
     let mut at = 0usize;
     let mut attempts = 0u32;
     loop {
-        let t0 = comm.time_ns();
+        let t0 = rec.now;
         let r = if op.read {
             comm.cma_read(token, remote_off + at, local, local_off + at, len - at)
                 .await
@@ -325,7 +329,7 @@ async fn fallback_or<C: AsyncComm>(
         return Err(orig);
     }
     let (remote_off, local_off, rest) = (op.remote_off + at, op.local_off + at, op.len - at);
-    let t0 = comm.time_ns();
+    let t0 = rec.now;
     let (name, r) = if op.read {
         let r = comm.shm_fallback_read(op.token, remote_off, op.local, local_off, rest);
         ("fallback:read", r.await)
@@ -354,7 +358,7 @@ macro_rules! recovered_recv {
     ($comm:ident, $rec:ident, $policy:ident, |$ns:ident| $bounded:expr, $unbounded:expr) => {{
         let mut attempts = 0u32;
         loop {
-            let t0 = $comm.time_ns();
+            let t0 = $rec.now;
             let r = match recv_deadline_ns($policy) {
                 Some($ns) => match $bounded {
                     Ok(Some(v)) => Ok(v),
@@ -420,7 +424,9 @@ async fn run_steps<C: AsyncComm>(
     rec.report.completed_steps = start as u64;
     let mut suspects: Vec<usize> = Vec::new();
     for step in &sched.steps[start..] {
-        let t0 = comm.time_ns();
+        // The previous interval's end read: nothing is awaited between it
+        // and this step's first attempt.
+        let t0 = rec.now;
         let m = &policy.membership;
         if m.watch && m.tolerant {
             if let Some(peer) = step_peer(step, ctx) {

@@ -35,8 +35,7 @@ pub mod error;
 pub mod group;
 pub mod mask;
 pub mod smcoll;
-#[cfg(test)]
-mod stub;
+pub mod stub;
 pub mod tagclass;
 pub mod topology;
 

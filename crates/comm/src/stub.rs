@@ -1,13 +1,16 @@
-//! Test-only stub endpoint shared by this crate's unit tests.
+//! A do-nothing endpoint for tests of the layers above the transport.
 
 use crate::{BufId, Comm, RemoteToken, Result, Tag, Topology};
 
 /// A minimal in-memory [`Comm`]: every operation succeeds and moves
-/// nothing (the full transports exercise the real data plane in
-/// integration tests).
-pub(crate) struct StubComm {
-    pub(crate) rank: usize,
-    pub(crate) size: usize,
+/// nothing, receives return empty messages, and the clock stands at 0
+/// (the full transports exercise the real data plane in integration
+/// tests).
+pub struct StubComm {
+    /// This endpoint's rank.
+    pub rank: usize,
+    /// Number of ranks it claims.
+    pub size: usize,
 }
 
 impl Comm for StubComm {

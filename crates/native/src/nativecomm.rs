@@ -6,7 +6,7 @@ use kacc_comm::{BufId, Comm, CommError, RemoteToken, Result, Tag, Topology};
 use kacc_fault::{FaultDecision, FaultHook, FaultOp, FaultSite};
 use nix::sys::uio::{process_vm_readv, process_vm_writev, RemoteIoVec};
 use nix::unistd::Pid;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::{IoSlice, IoSliceMut};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -126,11 +126,13 @@ pub struct NativeComm {
     rx: Vec<SpscRing>,
     /// Ring (to ← me), one per peer.
     tx: Vec<SpscRing>,
-    /// Messages pulled off the rings but not yet matched.
+    /// Frames pulled off the rings ahead of their receive, per
+    /// `(peer, tag)` key. A key's queue is removed when it drains, so the
+    /// map holds only keys with frames waiting.
     pending: HashMap<(usize, u32), VecDeque<Vec<u8>>>,
-    bufs: HashMap<u64, Box<[u8]>>,
-    exposed: HashSet<u64>,
-    next_buf: u64,
+    /// Buffer slab: `BufId(n)` lives at index `n − 1`. Ids are handed out
+    /// in sequence and never reused; a freed buffer leaves `None`.
+    bufs: Vec<Option<Box<[u8]>>>,
     start: Instant,
     topo: Topology,
     /// Fault injector; off by default (one branch per operation). The
@@ -160,9 +162,7 @@ impl NativeComm {
             rx,
             tx,
             pending: HashMap::new(),
-            bufs: HashMap::new(),
-            exposed: HashSet::new(),
-            next_buf: 1,
+            bufs: Vec::new(),
             start: Instant::now(),
             topo: Topology {
                 sockets: 1,
@@ -226,11 +226,40 @@ impl NativeComm {
         Pid::from_raw(self.pid_slot(rank).load(Ordering::SeqCst) as i32)
     }
 
+    /// Slab index of a buffer id; id 0 is never handed out.
+    fn slot(id: BufId) -> Option<usize> {
+        id.0.checked_sub(1).and_then(|i| usize::try_from(i).ok())
+    }
+
     fn buf(&self, id: BufId) -> Result<&[u8]> {
-        self.bufs
-            .get(&id.0)
-            .map(|b| b.as_ref())
+        Self::slot(id)
+            .and_then(|i| self.bufs.get(i))
+            .and_then(Option::as_deref)
             .ok_or(CommError::InvalidBuffer(id.0))
+    }
+
+    fn buf_mut(&mut self, id: BufId) -> Result<&mut [u8]> {
+        Self::slot(id)
+            .and_then(|i| self.bufs.get_mut(i))
+            .and_then(Option::as_deref_mut)
+            .ok_or(CommError::InvalidBuffer(id.0))
+    }
+
+    /// Two different buffers borrowed at once, `src` shared and `dst`
+    /// mutable, so a copy between them needs no staging copy.
+    fn split_pair(&mut self, src: BufId, dst: BufId) -> Result<(&[u8], &mut [u8])> {
+        let (s, d) = match (Self::slot(src), Self::slot(dst)) {
+            (Some(s), Some(d)) if s != d && s.max(d) < self.bufs.len() => (s, d),
+            _ => return Err(CommError::InvalidBuffer(src.0)),
+        };
+        let (lo, hi) = self.bufs.split_at_mut(s.max(d));
+        let (low, high) = (&mut lo[s.min(d)], &mut hi[0]);
+        let (s_buf, d_buf) = if s < d { (low, high) } else { (high, low) };
+        match (s_buf.as_deref(), d_buf.as_deref_mut()) {
+            (Some(a), Some(b)) => Ok((a, b)),
+            (None, _) => Err(CommError::InvalidBuffer(src.0)),
+            (_, None) => Err(CommError::InvalidBuffer(dst.0)),
+        }
     }
 
     fn check(&self, buf: BufId, off: usize, len: usize) -> Result<()> {
@@ -246,8 +275,8 @@ impl NativeComm {
         Ok(())
     }
 
-    /// Drain `from`'s ring into the pending map until a `(from, key)`
-    /// message exists, then return it.
+    /// The next `(from, key)` message: a frame parked earlier for this
+    /// key, else the first one off `from`'s ring.
     fn recv_keyed(&mut self, from: usize, key: u32) -> Vec<u8> {
         self.recv_keyed_deadline(from, key, None)
             .expect("unbounded receive always yields a message")
@@ -255,19 +284,27 @@ impl NativeComm {
 
     /// [`Self::recv_keyed`] with an optional give-up deadline; `None`
     /// deadline never returns `None`.
+    ///
+    /// Per-key FIFO: frames of one key leave the ring in send order, and
+    /// only frames of *other* keys are parked, so a parked frame of this
+    /// key is always older than any still on the ring. A frame whose tag
+    /// matches is returned straight off the ring.
     fn recv_keyed_deadline(
         &mut self,
         from: usize,
         key: u32,
         deadline: Option<Instant>,
     ) -> Option<Vec<u8>> {
-        loop {
-            if let Some(q) = self.pending.get_mut(&(from, key)) {
-                if let Some(msg) = q.pop_front() {
-                    return Some(msg);
-                }
+        if let Some(q) = self.pending.get_mut(&(from, key)) {
+            let msg = q.pop_front();
+            if q.is_empty() {
+                self.pending.remove(&(from, key));
             }
+            return msg;
+        }
+        loop {
             match self.rx[from].try_pop() {
+                Some((tag, payload)) if tag == key => return Some(payload),
                 Some((tag, payload)) => {
                     self.pending
                         .entry((from, tag))
@@ -283,6 +320,12 @@ impl NativeComm {
                 }
             }
         }
+    }
+
+    /// Number of `(peer, tag)` keys with frames pulled off the rings but
+    /// not yet received: 0 once every such frame has been received.
+    pub fn parked_keys(&self) -> usize {
+        self.pending.len()
     }
 
     /// Install a fault injector on this endpoint (chaos testing).
@@ -342,17 +385,15 @@ impl Comm for NativeComm {
     }
 
     fn alloc(&mut self, len: usize) -> BufId {
-        let id = self.next_buf;
-        self.next_buf += 1;
-        self.bufs.insert(id, vec![0u8; len].into_boxed_slice());
-        BufId(id)
+        self.bufs.push(Some(vec![0u8; len].into_boxed_slice()));
+        BufId(self.bufs.len() as u64)
     }
 
     fn free(&mut self, buf: BufId) -> Result<()> {
-        self.exposed.remove(&buf.0);
-        self.bufs
-            .remove(&buf.0)
-            .map(|_| ())
+        Self::slot(buf)
+            .and_then(|i| self.bufs.get_mut(i))
+            .and_then(Option::take)
+            .map(drop)
             .ok_or(CommError::InvalidBuffer(buf.0))
     }
 
@@ -362,8 +403,7 @@ impl Comm for NativeComm {
 
     fn write_local(&mut self, buf: BufId, off: usize, data: &[u8]) -> Result<()> {
         self.check(buf, off, data.len())?;
-        self.bufs.get_mut(&buf.0).expect("buffer checked above")[off..off + data.len()]
-            .copy_from_slice(data);
+        self.buf_mut(buf)?[off..off + data.len()].copy_from_slice(data);
         Ok(())
     }
 
@@ -384,12 +424,11 @@ impl Comm for NativeComm {
         self.check(src, src_off, len)?;
         self.check(dst, dst_off, len)?;
         if src == dst {
-            let b = self.bufs.get_mut(&src.0).expect("buffer checked above");
-            b.copy_within(src_off..src_off + len, dst_off);
+            self.buf_mut(src)?
+                .copy_within(src_off..src_off + len, dst_off);
         } else {
-            let data = self.buf(src)?[src_off..src_off + len].to_vec();
-            self.bufs.get_mut(&dst.0).expect("buffer checked above")[dst_off..dst_off + len]
-                .copy_from_slice(&data);
+            let (s, d) = self.split_pair(src, dst)?;
+            d[dst_off..dst_off + len].copy_from_slice(&s[src_off..src_off + len]);
         }
         Ok(())
     }
@@ -399,7 +438,6 @@ impl Comm for NativeComm {
             return Err(e);
         }
         let addr = self.buf(buf)?.as_ptr() as u64;
-        self.exposed.insert(buf.0);
         Ok(RemoteToken {
             rank: self.rank as u64,
             token: addr,
@@ -428,8 +466,7 @@ impl Comm for NativeComm {
             _ => (len, None),
         };
         let pid = self.pid_of(peer);
-        let local =
-            &mut self.bufs.get_mut(&dst.0).expect("buffer checked above")[dst_off..dst_off + eff];
+        let local = &mut self.buf_mut(dst)?[dst_off..dst_off + eff];
         let mut moved = 0usize;
         while moved < eff {
             let n = match process_vm_readv(
@@ -613,9 +650,7 @@ impl Comm for NativeComm {
                     got: at + chunk.len(),
                 });
             }
-            self.bufs.get_mut(&dst.0).expect("buffer checked above")
-                [off + at..off + at + chunk.len()]
-                .copy_from_slice(&chunk);
+            self.buf_mut(dst)?[off + at..off + at + chunk.len()].copy_from_slice(&chunk);
             at += chunk.len();
             if at >= len {
                 return Ok(());
@@ -671,8 +706,7 @@ impl Comm for NativeComm {
             let was_empty = chunk.is_empty();
             staged.extend_from_slice(&chunk);
             if staged.len() >= len {
-                self.bufs.get_mut(&dst.0).expect("buffer checked above")[off..off + len]
-                    .copy_from_slice(&staged);
+                self.buf_mut(dst)?[off..off + len].copy_from_slice(&staged);
                 return Ok(true);
             }
             if was_empty {

@@ -36,8 +36,12 @@ cargo test -q --release -p kacc-netsim
 echo "== plan pins and whole-team checks (reduction pins bit-for-bit, rooted plan digests; reduction, rooted and two-level plans run whole-team on the abstract machine) =="
 cargo test -q --release -p kacc-collectives --test sim_reduce --test reduce_plans --test rooted_plans --test hier_plans
 
+echo "== real transport (ring units, forked process_vm_readv collectives, slab and keyed-receive checks) =="
+cargo test -q --release -p kacc-native
+
 echo "== examples run (not only compile) =="
 cargo run --release -q --example quickstart
+cargo run --release -q --example native_overhead
 cargo run --release -q --example transpose_app -- 16 256
 
 echo "== chaos suite (fixed seed corpus + one fresh seed) =="
