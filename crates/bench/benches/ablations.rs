@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use kacc_bench::measure::{allgather_ns, scatter_ns, timed_team_polled};
+use kacc_collectives::pt2pt::{self, Algo, Protocol};
 use kacc_collectives::{scatter_polled, AllgatherAlgo, ScatterAlgo};
 use kacc_machine::polled::sm_barrier_polled;
 use kacc_machine::PolledComm;
@@ -125,7 +126,8 @@ fn bench(c: &mut Criterion) {
         let pt2pt = timed_team_polled(&arch, p, async move |comm: &mut PolledComm| {
             let sb = comm.alloc(64 << 10);
             let rb = comm.alloc(p * (64 << 10));
-            kacc_mpi::ptcoll::allgather(comm, sb, rb, 64 << 10, kacc_mpi::Protocol::RendezvousCma)
+            let proto = Protocol::RendezvousCma;
+            pt2pt::run_polled(comm, Algo::Allgather, proto, Some(sb), Some(rb), 64 << 10)
                 .await
                 .unwrap();
         });

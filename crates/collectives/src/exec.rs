@@ -377,7 +377,7 @@ fn coll_handles() -> &'static CollHandles {
             kacc_metrics::hist(&format!("coll.step.{short}.ns"))
         }),
         exec_ns: kacc_metrics::hist("coll.exec.ns"),
-        class_ns: kacc_comm::tagclass::ALL
+        class_ns: kacc_comm::tagclass::PLANS
             .iter()
             .map(|&(class, name)| {
                 let short = name.rsplit("::").next().unwrap_or(name);
@@ -554,6 +554,9 @@ impl<'t> Recorder<'t> {
             }
         }
         let r = &self.report.recovery;
+        if r.is_clean() {
+            return;
+        }
         h.transient_retries.add(r.transient_retries);
         h.short_resumes.add(r.short_resumes);
         h.short_bytes.add(r.short_bytes);
@@ -730,9 +733,24 @@ impl Ctx<'_> {
         Ok(())
     }
 
-    pub(crate) fn render_payload(&self, p: &Payload) -> Result<Vec<u8>> {
+    /// The wire body of a control send; a region is read from `comm`.
+    pub(crate) fn render_payload<C: AsyncComm>(&self, comm: &C, p: &Payload) -> Result<Vec<u8>> {
         match p {
             Payload::Bytes(b) => Ok(b.clone()),
+            Payload::Region { slot, off, len } => {
+                let mut body = vec![0u8; *len];
+                comm.read_local(self.slot(*slot)?, *off, &mut body)?;
+                Ok(body)
+            }
+            Payload::Rts { token, off, len } => {
+                let mut out = Vec::with_capacity(p.wire_len());
+                if let Some(reg) = token {
+                    out.extend_from_slice(&self.token(*reg)?.to_bytes());
+                    out.extend_from_slice(&(*off as u64).to_le_bytes());
+                }
+                out.extend_from_slice(&(*len as u64).to_le_bytes());
+                Ok(out)
+            }
             Payload::Token(reg) => Ok(self.token(*reg)?.to_bytes().to_vec()),
             Payload::Pack(entries) => {
                 let mut out = Vec::with_capacity(entries.len() * (8 + RemoteToken::WIRE_LEN));
@@ -747,9 +765,53 @@ impl Ctx<'_> {
         }
     }
 
-    pub(crate) fn apply_recv(&mut self, into: &RecvInto, body: Vec<u8>) -> Result<()> {
+    /// Act on a control receive's body; a region is written through
+    /// `comm`.
+    pub(crate) fn apply_recv<C: AsyncComm>(
+        &mut self,
+        comm: &mut C,
+        into: &RecvInto,
+        body: Vec<u8>,
+    ) -> Result<()> {
         match into {
             RecvInto::Discard => Ok(()),
+            RecvInto::Region { slot, off, len } => {
+                if body.len() != *len {
+                    return Err(CommError::Truncated {
+                        wanted: *len,
+                        got: body.len(),
+                    });
+                }
+                comm.write_local(self.slot(*slot)?, *off, &body)
+            }
+            RecvInto::Rts { token, off, len } => {
+                if body.len() != into.wire_len() {
+                    return Err(proto(format!("bad RTS length {}", body.len())));
+                }
+                let word = |at: usize| {
+                    let bytes = body[at..at + 8].try_into().expect("length checked above");
+                    u64::from_le_bytes(bytes) as usize
+                };
+                let announced = word(body.len() - 8);
+                if announced != *len {
+                    return Err(CommError::Truncated {
+                        wanted: *len,
+                        got: announced,
+                    });
+                }
+                let Some(reg) = token else {
+                    return Ok(());
+                };
+                let at = word(RemoteToken::WIRE_LEN);
+                if at != *off {
+                    return Err(proto(format!(
+                        "RTS announces offset {at}, plan reads {off}"
+                    )));
+                }
+                let t =
+                    RemoteToken::from_bytes(&body).ok_or_else(|| proto("bad RTS token".into()))?;
+                self.set_token(*reg, t)
+            }
             RecvInto::Verify(expected) => {
                 if &body == expected {
                     Ok(())
@@ -963,12 +1025,18 @@ pub(crate) fn step_peer(step: &Step, ctx: &Ctx<'_>) -> Option<usize> {
 mod tests {
     use super::*;
     use crate::schedule::TokenReg;
+    use kacc_comm::stub::StubComm;
 
     fn token(rank: u64) -> RemoteToken {
         RemoteToken {
             rank,
             token: 100 + rank,
         }
+    }
+
+    /// A do-nothing endpoint: packs never touch a buffer.
+    fn stub() -> StubComm {
+        StubComm { rank: 0, size: 1 }
     }
 
     fn ctx(bind: &Bindings, regs: usize) -> Ctx<'_> {
@@ -987,7 +1055,7 @@ mod tests {
         sender.set_token(TokenReg(1), token(5)).unwrap();
         let shape = vec![(3, Some(TokenReg(0))), (4, None), (5, Some(TokenReg(1)))];
         let body = sender
-            .render_payload(&Payload::Pack(shape.clone()))
+            .render_payload(&Blocking(&mut stub()), &Payload::Pack(shape.clone()))
             .unwrap();
         let owned = [
             (3, token(3).to_bytes().to_vec()),
@@ -997,17 +1065,65 @@ mod tests {
         assert_eq!(body, smcoll::encode_entries(&owned));
 
         let mut receiver = ctx(&bind, 2);
-        receiver.apply_recv(&RecvInto::Pack(shape), body).unwrap();
+        receiver
+            .apply_recv(&mut Blocking(&mut stub()), &RecvInto::Pack(shape), body)
+            .unwrap();
         assert_eq!(receiver.regs, vec![Some(token(3)), Some(token(5))]);
 
         let unfilled = ctx(&bind, 1);
         let err = unfilled
-            .render_payload(&Payload::Pack(vec![(0, Some(TokenReg(0)))]))
+            .render_payload(
+                &Blocking(&mut stub()),
+                &Payload::Pack(vec![(0, Some(TokenReg(0)))]),
+            )
             .unwrap_err();
         assert_eq!(
             err,
             proto("token register 0 used before it was filled".into())
         );
+    }
+
+    #[test]
+    fn an_rts_is_token_offset_length_and_checks_what_it_announces() {
+        let bind = Bindings::default();
+        let rts =
+            |token: Option<TokenReg>, off: usize, len: usize| Payload::Rts { token, off, len };
+        let into =
+            |token: Option<TokenReg>, off: usize, len: usize| RecvInto::Rts { token, off, len };
+        let mut sender = ctx(&bind, 1);
+        sender.set_token(TokenReg(0), token(2)).unwrap();
+        let render = |p: &Payload| sender.render_payload(&Blocking(&mut stub()), p).unwrap();
+        let cma = render(&rts(Some(TokenReg(0)), 48, 16));
+        let mut want = token(2).to_bytes().to_vec();
+        want.extend_from_slice(&48u64.to_le_bytes());
+        want.extend_from_slice(&16u64.to_le_bytes());
+        assert_eq!(cma, want);
+        let net = render(&rts(None, 48, 16));
+        assert_eq!(net, 16u64.to_le_bytes());
+
+        let apply = |into: &RecvInto, body: &[u8]| {
+            let mut c = ctx(&bind, 1);
+            let r = c.apply_recv(&mut Blocking(&mut stub()), into, body.to_vec());
+            (r, c.regs[0])
+        };
+        assert_eq!(
+            apply(&into(Some(TokenReg(0)), 48, 16), &cma),
+            (Ok(()), Some(token(2)))
+        );
+        assert_eq!(apply(&into(None, 0, 16), &net), (Ok(()), None));
+        let short = Err(CommError::Truncated {
+            wanted: 32,
+            got: 16,
+        });
+        assert_eq!(
+            apply(&into(Some(TokenReg(0)), 48, 32), &cma),
+            (short.clone(), None)
+        );
+        assert_eq!(apply(&into(None, 0, 32), &net), (short, None));
+        let moved = Err(proto("RTS announces offset 48, plan reads 0".into()));
+        assert_eq!(apply(&into(Some(TokenReg(0)), 0, 16), &cma), (moved, None));
+        let bad = Err(proto("bad RTS length 8".into()));
+        assert_eq!(apply(&into(Some(TokenReg(0)), 48, 16), &net), (bad, None));
     }
 
     #[test]
@@ -1017,7 +1133,7 @@ mod tests {
         let good = [(1, token(1).to_bytes().to_vec()), (2, Vec::new())];
         let apply = |body: Vec<u8>| {
             let mut c = ctx(&bind, 1);
-            let r = c.apply_recv(&shape, body);
+            let r = c.apply_recv(&mut Blocking(&mut stub()), &shape, body);
             (r, c.regs[0])
         };
         let refused = |body: Vec<u8>, msg: &str, reg: Option<RemoteToken>| {

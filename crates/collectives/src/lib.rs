@@ -27,9 +27,13 @@
 //!   (architecture, process count, message size), the moral equivalent of
 //!   the MVAPICH2 tuning framework the paper plugs into;
 //! * **Hierarchical** ([`hierarchical`]): two-level designs whose
-//!   intra-node phase uses the contention-aware algorithms (§VII-G).
+//!   intra-node phase uses the contention-aware algorithms (§VII-G);
+//! * **Point-to-point stacks** ([`pt2pt`]): the eager, two-copy and
+//!   rendezvous protocols and the classic trees, ring and pairwise
+//!   exchange that the baseline MPI libraries build from them.
 //!
-//! Every collective — the two-level ones and the reductions included —
+//! Every collective — the two-level ones, the reductions and the
+//! point-to-point stacks included —
 //! is implemented once, as an `async` `*_polled` entry generic over
 //! [`kacc_comm::AsyncComm`] that validates its arguments, compiles a plan
 //! ([`schedule`]) and hands it to the one executor and recovery ladder
@@ -48,6 +52,7 @@ pub mod gather;
 pub mod hierarchical;
 pub mod membership;
 pub mod polled;
+pub mod pt2pt;
 pub mod reduce;
 pub mod scatter;
 pub mod schedule;
@@ -87,6 +92,10 @@ pub(crate) mod class {
     pub const HIER: u32 = kacc_comm::tagclass::HIER;
     pub const REDUCE: u32 = kacc_comm::tagclass::REDUCE;
     pub const MEMBERSHIP: u32 = kacc_comm::tagclass::MEMBERSHIP;
+    pub const PT2PT: u32 = kacc_comm::tagclass::PT2PT;
+    pub const PT2PT_RTS: u32 = kacc_comm::tagclass::PT2PT_RTS;
+    pub const PT2PT_FIN: u32 = kacc_comm::tagclass::PT2PT_FIN;
+    pub const PT2PT_CTS: u32 = kacc_comm::tagclass::PT2PT_CTS;
 }
 
 /// Fail with `OutOfRange` unless `buf` holds at least `need` bytes.

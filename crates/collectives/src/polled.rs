@@ -531,14 +531,14 @@ async fn run_one_step<C: AsyncComm>(
             rec.add(StepKind::CopyLocal, *len, t0, comm.time_ns());
         }
         Step::CtrlSend { to, tag, payload } => {
-            let body = ctx.render_payload(payload)?;
+            let body = ctx.render_payload(comm, payload)?;
             retry_transient!(comm, rec, policy, comm.ctrl_send(*to, *tag, &body).await)?;
             rec.add(StepKind::CtrlSend, body.len(), t0, comm.time_ns());
         }
         Step::CtrlRecv { from, tag, into } => {
             let body = recovered_ctrl_recv(comm, rec, policy, *from, *tag).await?;
             let n = body.len();
-            ctx.apply_recv(into, body)?;
+            ctx.apply_recv(comm, into, body)?;
             rec.add(StepKind::CtrlRecv, n, t0, comm.time_ns());
         }
         Step::Notify { to, tag } => {

@@ -8,7 +8,7 @@
 //! choice adapts to α/β/l/γ and the socket layout without hand-written
 //! tables.
 
-use crate::schedule::{Payload, RecvInto, Schedule, Step};
+use crate::schedule::{Schedule, Step};
 use crate::{AllgatherAlgo, AlltoallAlgo, BcastAlgo, GatherAlgo, ReduceAlgo, ScatterAlgo};
 use kacc_model::params::ceil_log2;
 use kacc_model::{predict, ArchProfile, CostStep, ModelParams};
@@ -234,42 +234,16 @@ fn lower_step(step: &Step, contention: usize) -> CostStep {
         },
         Step::CopyLocal { len, .. } => CostStep::Memcpy { bytes: *len },
         Step::CtrlSend { payload, .. } => CostStep::CtrlSend {
-            bytes: payload_wire_len(payload),
+            bytes: payload.wire_len(),
         },
         Step::CtrlRecv { into, .. } => CostStep::CtrlRecv {
-            bytes: recv_wire_len(into),
+            bytes: into.wire_len(),
         },
         Step::Notify { .. } => CostStep::Notify,
         Step::WaitNotify { .. } => CostStep::WaitNotify,
         Step::ShmSend { len, .. } => CostStep::ShmSend { bytes: *len },
         Step::ShmRecv { len, .. } => CostStep::ShmRecv { bytes: *len },
         Step::Reduce { len, .. } => CostStep::Reduce { bytes: *len },
-    }
-}
-
-/// Wire bytes a compiled payload will occupy (tokens are 16 bytes;
-/// pack entries add an 8-byte header each).
-fn payload_wire_len(p: &Payload) -> usize {
-    match p {
-        Payload::Bytes(b) => b.len(),
-        Payload::Token(_) => kacc_comm::RemoteToken::WIRE_LEN,
-        Payload::Pack(entries) => entries
-            .iter()
-            .map(|(_, reg)| 8 + reg.map_or(0, |_| kacc_comm::RemoteToken::WIRE_LEN))
-            .sum(),
-    }
-}
-
-/// Wire bytes a compiled receive expects.
-fn recv_wire_len(into: &RecvInto) -> usize {
-    match into {
-        RecvInto::Discard => 0,
-        RecvInto::Verify(b) => b.len(),
-        RecvInto::Token(_) => kacc_comm::RemoteToken::WIRE_LEN,
-        RecvInto::Pack(entries) => entries
-            .iter()
-            .map(|(_, reg)| 8 + reg.map_or(0, |_| kacc_comm::RemoteToken::WIRE_LEN))
-            .sum(),
     }
 }
 

@@ -8,9 +8,11 @@
 //!
 //! * **Matching** — every send pairs FIFO with one receive at the peer
 //!   with the same `(from, tag)` and length, both sides of a token pack
-//!   carry the same rank labels with a token in the same entries, and no
-//!   rank or message is left behind. Control messages are token packs,
-//!   single tokens, notifications and empty bodies.
+//!   carry the same rank labels with a token in the same entries, a
+//!   request-to-send announces the offset and length its receiver
+//!   expects, and no rank or message is left behind. Control messages are
+//!   token packs, single tokens, requests-to-send, eager data regions,
+//!   notifications and empty bodies.
 //! * **Single writes** — the bytes of a caller's buffer (send or
 //!   receive; scratch may be rewritten) are written once each, and never
 //!   with a byte nobody wrote (a stale forward).
@@ -26,7 +28,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use kacc_collectives::schedule::{Payload, RecvInto, Schedule, Slot, Step, TokenReg};
-use kacc_comm::{RemoteToken, Tag};
+use kacc_comm::Tag;
 
 /// A buffer on the abstract machine: owner rank and slot.
 pub type Buf = (usize, Slot);
@@ -51,12 +53,15 @@ pub fn bytes(lo: usize, len: usize, folded: u64) -> Bytes {
 }
 
 /// A message in flight: tokens (a pack's labelled entries, or one token
-/// under label 0) or nothing on the control plane, a region on the bulk
-/// plane.
+/// under label 0), an eager region or nothing on the control plane, a
+/// region on the bulk plane; a request-to-send also carries the offset
+/// and length it announces.
+#[derive(Default)]
 struct Msg {
     len: usize,
     labels: Vec<(u32, Option<Buf>)>,
     bytes: Bytes,
+    announce: Option<(usize, usize)>,
     clock: Clock,
 }
 
@@ -81,26 +86,10 @@ pub struct Team {
     pub cma: Vec<Cma>,
 }
 
-/// Wire length of a token pack: per entry an 8-byte header and its token,
-/// if it carries one.
-fn pack_len(entries: &[(u32, Option<TokenReg>)]) -> usize {
-    entries
-        .iter()
-        .map(|(_, reg)| 8 + reg.map_or(0, |_| RemoteToken::WIRE_LEN))
-        .sum()
-}
-
 /// The wire length a receive step expects.
 fn wire_len(step: &Step) -> usize {
     match step {
-        Step::CtrlRecv {
-            into: RecvInto::Pack(want),
-            ..
-        } => pack_len(want),
-        Step::CtrlRecv {
-            into: RecvInto::Token(_),
-            ..
-        } => RemoteToken::WIRE_LEN,
+        Step::CtrlRecv { into, .. } => into.wire_len(),
         Step::ShmRecv { len, .. } => *len,
         _ => 0,
     }
@@ -234,14 +223,9 @@ impl Team {
     }
 
     /// Queue a message stamped with the sender's clock.
-    fn send(&mut self, ch: Channel, len: usize, labels: Vec<(u32, Option<Buf>)>, bytes: Bytes) {
+    fn send(&mut self, ch: Channel, msg: Msg) {
         let clock = self.clocks[ch.0].clone();
-        let msg = Msg {
-            len,
-            labels,
-            bytes,
-            clock,
-        };
+        let msg = Msg { clock, ..msg };
         self.queues.entry(ch).or_default().push_back(msg);
     }
 
@@ -277,32 +261,38 @@ impl Team {
         });
         match step {
             Step::Expose { slot, reg } => self.regs[r][reg.0 as usize] = Some((r, slot)),
-            Step::CtrlSend {
-                to,
-                tag,
-                payload: Payload::Pack(entries),
-            } => {
-                let labels = entries
-                    .iter()
-                    .map(|&(l, g)| (l, g.map(|g| self.token(r, g))))
-                    .collect();
-                self.send((r, to, tag, false), pack_len(&entries), labels, Vec::new());
+            Step::CtrlSend { to, tag, payload } => {
+                let len = payload.wire_len();
+                let msg = match payload {
+                    Payload::Pack(entries) => Msg {
+                        labels: entries
+                            .iter()
+                            .map(|&(l, g)| (l, g.map(|g| self.token(r, g))))
+                            .collect(),
+                        ..Msg::default()
+                    },
+                    Payload::Token(reg) => Msg {
+                        labels: vec![(0, Some(self.token(r, reg)))],
+                        ..Msg::default()
+                    },
+                    Payload::Bytes(body) if body.is_empty() => Msg::default(),
+                    Payload::Region { slot, off, len } => Msg {
+                        bytes: self.bufs[&(r, slot)][off..off + len].to_vec(),
+                        ..Msg::default()
+                    },
+                    Payload::Rts { token, off, len } => Msg {
+                        labels: token
+                            .map(|g| (0, Some(self.token(r, g))))
+                            .into_iter()
+                            .collect(),
+                        announce: Some((off, len)),
+                        ..Msg::default()
+                    },
+                    other => panic!("rank {r}: the abstract machine does not send {other:?}"),
+                };
+                self.send((r, to, tag, false), Msg { len, ..msg });
             }
-            Step::CtrlSend {
-                to,
-                tag,
-                payload: Payload::Token(reg),
-            } => {
-                let labels = vec![(0, Some(self.token(r, reg)))];
-                let len = RemoteToken::WIRE_LEN;
-                self.send((r, to, tag, false), len, labels, Vec::new());
-            }
-            Step::CtrlSend {
-                to,
-                tag,
-                payload: Payload::Bytes(body),
-            } if body.is_empty() => self.send((r, to, tag, false), 0, Vec::new(), Vec::new()),
-            Step::Notify { to, tag } => self.send((r, to, tag, false), 0, Vec::new(), Vec::new()),
+            Step::Notify { to, tag } => self.send((r, to, tag, false), Msg::default()),
             Step::ShmSend {
                 to,
                 tag,
@@ -311,7 +301,12 @@ impl Team {
                 len,
             } => {
                 let bytes = self.bufs[&(r, src)][off..off + len].to_vec();
-                self.send((r, to, tag, true), len, Vec::new(), bytes);
+                let msg = Msg {
+                    len,
+                    bytes,
+                    ..Msg::default()
+                };
+                self.send((r, to, tag, true), msg);
             }
             Step::CtrlRecv {
                 into: RecvInto::Pack(want),
@@ -338,6 +333,24 @@ impl Team {
                 into: RecvInto::Verify(body),
                 ..
             } if body.is_empty() => {}
+            Step::CtrlRecv {
+                into: RecvInto::Region { slot, off, .. },
+                ..
+            } => {
+                let msg = msg.expect("a receive has a message");
+                self.write((r, slot), off, &msg.bytes);
+            }
+            Step::CtrlRecv {
+                into: RecvInto::Rts { token, off, len },
+                ..
+            } => {
+                let msg = msg.expect("a receive has a message");
+                let ctx = &self.ctx;
+                assert_eq!(msg.announce, Some((off, len)), "{ctx}: rank {r} RTS");
+                if let Some(reg) = token {
+                    self.regs[r][reg.0 as usize] = msg.labels[0].1;
+                }
+            }
             Step::WaitNotify { .. } => {}
             Step::ShmRecv { dst, off, .. } => {
                 let msg = msg.expect("a receive has a message");

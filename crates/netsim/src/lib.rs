@@ -8,9 +8,9 @@
 //! supplies the cluster-level experiment surface:
 //!
 //! * [`cluster_gather`] / [`cluster_scatter`] — run a rooted collective
-//!   across nodes either **single-level** (one flat binomial tree over
-//!   point-to-point transfers, the strategy libraries default to when
-//!   intra-node gathers are slow) or **two-level** (contention-aware
+//!   across nodes either **single-level** (one flat exchange with the root
+//!   over point-to-point transfers, the strategy libraries default to
+//!   when intra-node gathers are slow) or **two-level** (contention-aware
 //!   kernel-assisted intra-node phase + leader exchange, the paper's
 //!   design), and report the latency;
 //! * shape checks that reproduce Fig 17's observation: the two-level
@@ -21,18 +21,18 @@
 //! phantom team's heaps and bulk messages are lengths, so a point
 //! allocates and copies nothing however large `count` is. The two-level
 //! strategies are `kacc_collectives::hierarchical`'s compiled plans, run
-//! by the collectives' executor like every other collective; the
-//! single-level one is `kacc_mpi::ptcoll`'s pt2pt tree.
+//! by the collectives' executor like every other collective, and so is
+//! the single-level one, `kacc_collectives::pt2pt`'s flat exchange.
 //! Payload correctness is the tests' business — they run the same bodies
 //! on `run_polled_cluster`'s real buffers and verify every byte.
 
 use kacc_collectives::hierarchical::{
     hier_gather_pipelined_polled, hier_gather_polled, hier_scatter_polled,
 };
+use kacc_collectives::pt2pt::{self, Algo, Protocol};
 use kacc_comm::{BufId, Result};
 use kacc_machine::{run_polled_machine_full, MachineState, PolledComm, TeamRun};
 use kacc_model::{ArchProfile, FabricParams};
-use kacc_mpi::{ptcoll, Protocol};
 
 /// Strategy for a multi-node rooted collective.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,9 +56,19 @@ pub enum MultiNodeStrategy {
     },
 }
 
-/// The pt2pt protocol single-level trees use for a message of `len`.
-fn single_level_proto(len: usize) -> Protocol {
-    Protocol::for_len(len, 16 * 1024)
+/// The single-level strategy: one flat pt2pt exchange with rank 0, under
+/// the protocol a CMA-capable library picks for `count` bytes.
+async fn single_level(
+    comm: &mut PolledComm,
+    algo: Algo,
+    sendbuf: Option<BufId>,
+    recvbuf: Option<BufId>,
+    count: usize,
+) -> Result<()> {
+    let proto = Protocol::for_len(count, 16 * 1024);
+    pt2pt::run_polled(comm, algo, proto, sendbuf, recvbuf, count)
+        .await
+        .map(drop)
 }
 
 /// Gather `count` bytes per rank to global rank 0 across a cluster.
@@ -91,7 +101,7 @@ async fn gather_body(
     let rb: Option<BufId> = (me == 0).then(|| comm.alloc(p * count));
     match strategy {
         MultiNodeStrategy::SingleLevel => {
-            ptcoll::gather_direct(comm, sb, rb, count, 0, single_level_proto(count)).await
+            single_level(comm, Algo::FlatGather { root: 0 }, Some(sb), rb, count).await
         }
         MultiNodeStrategy::TwoLevel { k } => {
             hier_gather_polled(comm, Some(sb), rb, count, 0, k).await
@@ -131,7 +141,7 @@ async fn scatter_body(
     let rb = comm.alloc(count);
     match strategy {
         MultiNodeStrategy::SingleLevel => {
-            ptcoll::scatter_direct(comm, sb, rb, count, 0, single_level_proto(count)).await
+            single_level(comm, Algo::FlatScatter { root: 0 }, sb, Some(rb), count).await
         }
         MultiNodeStrategy::TwoLevel { k } | MultiNodeStrategy::TwoLevelPipelined { k } => {
             hier_scatter_polled(comm, sb, Some(rb), count, 0, k).await
@@ -270,7 +280,7 @@ mod tests {
                 let p = comm.size();
                 let sb = comm.alloc_with(&contribution(me, count)).unwrap();
                 let rb = (me == 0).then(|| comm.alloc(p * count));
-                ptcoll::gather_direct(comm, sb, rb, count, 0, single_level_proto(count))
+                single_level(comm, Algo::FlatGather { root: 0 }, Some(sb), rb, count)
                     .await
                     .unwrap();
                 rb.map(|b| comm.read_all(b).unwrap()).unwrap_or_default()
