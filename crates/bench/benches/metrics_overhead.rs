@@ -2,7 +2,8 @@
 //!
 //! `kacc-metrics` is always-on: every executed step records into the
 //! per-step-kind latency histogram through a pre-resolved handle (one
-//! relaxed enabled-check plus a few relaxed atomic adds). This bench
+//! relaxed enabled-check plus relaxed loads and stores into the calling
+//! thread's shard). This bench
 //! replays the same step-dense single-rank schedule as the
 //! `trace_overhead` bench on an instant-cost transport — so almost all
 //! measured time *is* executor bookkeeping — and compares the default

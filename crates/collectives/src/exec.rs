@@ -17,13 +17,12 @@
 //! both come from the endpoint's `time_ns`, so the report means "time
 //! this rank spent inside each primitive" on every transport.
 
-use std::cell::RefCell;
 use std::sync::OnceLock;
 
 use kacc_comm::{
     block_on, smcoll, AsyncComm, Blocking, BufId, Comm, CommError, RemoteToken, Result,
 };
-use kacc_metrics::LocalHist;
+use kacc_metrics::{bucket_index, bucket_quantile_bound, BUCKETS};
 use kacc_trace::{Event, EventKind, Tracer, Track};
 
 use crate::polled::{execute_polled, execute_polled_traced, execute_polled_with_policy};
@@ -348,9 +347,9 @@ impl StepKind {
 }
 
 /// Pre-resolved `kacc-metrics` handles for the executor. Registered
-/// once per process; recording through a cached handle is a couple of
-/// relaxed atomic ops, so the always-on path stays off the lock in the
-/// metric registry.
+/// once per process; recording through a cached handle writes the
+/// calling thread's shard (relaxed loads and stores), so the always-on
+/// path stays off the lock in the metric registry.
 struct CollHandles {
     /// Per-step-kind latency histograms, indexed by `StepKind as usize`.
     steps: [kacc_metrics::Hist; 11],
@@ -400,60 +399,33 @@ fn coll_handles() -> &'static CollHandles {
 /// reported as [`ScheduleReport::step_p99_ns`].
 pub(crate) const P99_PPM: u64 = 990_000;
 
-thread_local! {
-    /// Histogram sets returned clean by finished executions, reused by
-    /// the next one on this thread.
-    static STEP_LAT_POOL: RefCell<Vec<Box<[LocalHist]>>> = const { RefCell::new(Vec::new()) };
+/// One execution's per-step latency tally: a count per log₂ bucket and
+/// the largest sample, which is all [`ScheduleReport::step_p99_ns`]
+/// needs. The samples themselves go straight into the global per-kind
+/// histograms.
+struct StepTally {
+    buckets: [u32; BUCKETS],
+    max: u64,
 }
 
-/// One execution's per-step-kind latency histograms, indexed by
-/// `StepKind as usize`. The storage is borrowed from a per-thread pool
-/// and handed back clean on drop, so an execution neither allocates nor
-/// zeroes it; interleaved simulated ranks each hold their own set.
-struct StepLats {
-    hists: Box<[LocalHist]>,
-    /// Bit `kind as usize` is set once that kind has a sample: only
-    /// these histograms are merged at finish and cleared on return.
-    touched: u16,
-}
-
-impl StepLats {
-    fn take() -> StepLats {
-        let hists = STEP_LAT_POOL
-            .with(|pool| pool.borrow_mut().pop())
-            .unwrap_or_else(|| StepKind::ALL.map(|_| LocalHist::default()).into());
-        StepLats { hists, touched: 0 }
-    }
-
-    fn record(&mut self, kind: StepKind, dt: u64) {
-        self.touched |= 1 << kind as u16;
-        self.hists[kind as usize].record(dt);
-    }
-
-    /// The touched kinds' histograms, with their kind index.
-    fn touched(&self) -> impl Iterator<Item = (usize, &LocalHist)> {
-        self.hists
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| self.touched & (1 << i) != 0)
-    }
-}
-
-impl Drop for StepLats {
-    fn drop(&mut self) {
-        let mut hists = std::mem::take(&mut self.hists);
-        for (i, h) in hists.iter_mut().enumerate() {
-            if self.touched & (1 << i) != 0 {
-                *h = LocalHist::default();
-            }
+impl StepTally {
+    fn new() -> StepTally {
+        StepTally {
+            buckets: [0; BUCKETS],
+            max: 0,
         }
-        // During thread teardown the pool may be gone: then the set is
-        // simply freed.
-        let _ = STEP_LAT_POOL.try_with(|pool| {
-            if let Ok(mut pool) = pool.try_borrow_mut() {
-                pool.push(hists);
-            }
-        });
+    }
+
+    fn record(&mut self, dt: u64) {
+        self.buckets[bucket_index(dt)] += 1;
+        self.max = self.max.max(dt);
+    }
+
+    /// The p99 bound of the `steps` tallied samples, equal to
+    /// [`kacc_metrics::LocalHist::quantile_bound`] over the same samples.
+    fn p99(&self, steps: u64) -> u64 {
+        let counts = self.buckets.iter().map(|&n| u64::from(n));
+        bucket_quantile_bound(counts, steps, self.max, P99_PPM)
     }
 }
 
@@ -476,11 +448,8 @@ pub(crate) struct Recorder<'t> {
     start: u64,
     /// The last clock read: the start of the next interval.
     pub(crate) now: u64,
-    /// Per-step-kind latency samples of this execution; plain-field
-    /// accumulation keeps the per-step hot path free of atomics —
-    /// [`Recorder::finish`] folds the touched kinds into the global
-    /// histograms.
-    step_lats: StepLats,
+    /// This execution's step latencies, for its p99.
+    tally: StepTally,
 }
 
 impl<'t> Recorder<'t> {
@@ -498,7 +467,7 @@ impl<'t> Recorder<'t> {
             class,
             start,
             now: start,
-            step_lats: StepLats::take(),
+            tally: StepTally::new(),
         }
     }
 
@@ -509,7 +478,8 @@ impl<'t> Recorder<'t> {
         self.now = t1;
         self.report.stat_mut(kind).add(bytes, dt);
         self.report.steps += 1;
-        self.step_lats.record(kind, dt);
+        self.tally.record(dt);
+        coll_handles().steps[kind as usize].record(dt);
         self.tracer.span(
             self.track,
             kind.span_name(),
@@ -540,13 +510,8 @@ impl<'t> Recorder<'t> {
     pub(crate) fn finish(&mut self) {
         let total_ns = self.now.saturating_sub(self.start);
         self.report.total_ns = total_ns;
+        self.report.step_p99_ns = self.tally.p99(self.report.steps);
         let h = coll_handles();
-        let mut all = LocalHist::default();
-        for (kind, local) in self.step_lats.touched() {
-            all.merge(local);
-            h.steps[kind].merge_local(local);
-        }
-        self.report.step_p99_ns = all.quantile_bound(P99_PPM);
         h.exec_ns.record(total_ns);
         if let Some(class) = self.class {
             if let Some((_, hist)) = h.class_ns.iter().find(|(c, _)| *c == class) {

@@ -118,7 +118,10 @@ pub(crate) fn check_len<C: AsyncComm>(comm: &C, buf: BufId, need: usize) -> Resu
 /// the algorithm parameter (k ≥ 1, radix ≥ 2), whole lanes, the buffers
 /// this rank must bind, and that each bound buffer holds what its plan
 /// touches. A ring stride coprime with p is checked as its key is built
-/// ([`allgather::ring_stride`]), while the caller's stride is known.
+/// ([`allgather::ring_stride`]), while the caller's stride is known. A
+/// point-to-point persona's key checks only its root: the buffer the rank
+/// must bind is checked as the key is built ([`pt2pt::run_polled`]), and
+/// a short buffer fails at its step.
 pub(crate) fn check_call<C: AsyncComm>(comm: &C, key: &PlanKey, bind: &Bindings) -> Result<()> {
     let proto = |msg: &str| CommError::Protocol(msg.into());
     let bound = |buf: Option<BufId>, msg: &str| buf.ok_or_else(|| proto(msg));
@@ -230,6 +233,7 @@ pub(crate) fn check_call<C: AsyncComm>(comm: &C, key: &PlanKey, bind: &Bindings)
             }
             Ok(())
         }
+        PlanKey::Pt2pt { algo, p, .. } => in_range(algo.root(), p),
         PlanKey::Member { ref inner, .. } => check_call(comm, inner, bind),
     }
 }

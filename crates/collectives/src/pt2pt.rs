@@ -29,20 +29,22 @@
 //! The classic algorithms libraries fall back to are compiled from those
 //! messages ([`Algo`]): binomial broadcast, scatter and gather, flat
 //! (direct) scatter and gather, ring allgather and pairwise alltoall.
-//! [`run_polled`] checks the call, compiles this rank's plan over the
-//! communicator's placement and runs it on the one executor, so the
-//! personas get step telemetry, trace spans and the recovery ladder like
-//! every other plan.
+//! [`run_polled`] checks the call, looks this rank's plan up in the
+//! [`PlanCache`] (compiling it over the communicator's placement on a
+//! miss) and runs it on the one executor, so the personas get step
+//! telemetry, trace spans and the recovery ladder like every other plan.
 
 use crate::class;
 use crate::exec::{Bindings, ScheduleReport};
 use crate::polled::execute_polled;
-use crate::schedule::{Builder, Payload, RecvInto, Schedule, Slot, Step, TokenReg};
-use crate::{unvrank, vrank};
+use crate::schedule::{
+    Builder, Payload, PlanCache, PlanKey, RecvInto, Schedule, Slot, Step, TokenReg,
+};
+use crate::{check_call, unvrank, vrank};
 use kacc_comm::{AsyncComm, BufId, CommError, Result, Tag};
 
 /// Point-to-point transfer protocol. Sender and receiver must agree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Protocol {
     /// Payload inlined on the control plane.
     Eager,
@@ -70,7 +72,7 @@ impl Protocol {
 
 /// A classic collective over point-to-point messages. The rooted ones
 /// number ranks virtually, with the root at 0.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algo {
     /// Binomial-tree broadcast of the data buffer (bound as send): every
     /// rank receives the whole message from its parent, then forwards it
@@ -126,7 +128,7 @@ impl Algo {
         }
     }
 
-    fn root(self) -> usize {
+    pub(crate) fn root(self) -> usize {
         match self {
             Algo::Bcast { root }
             | Algo::Scatter { root }
@@ -556,8 +558,9 @@ fn inc(from: usize, slot: Slot, off: usize, len: usize, src_off: usize) -> Msg {
     }
 }
 
-/// Run `algo` over `comm` under `proto`: check the call, compile this
-/// rank's plan over the communicator's placement and execute it.
+/// Run `algo` over `comm` under `proto`: check the call, look this rank's
+/// plan up in the [`PlanCache`] (compiled over the communicator's
+/// placement on a miss) and execute it.
 ///
 /// Buffers: Bcast binds its data buffer as `sendbuf`. A Scatter root
 /// binds `sendbuf` (`p·count` bytes) and may omit `recvbuf`; a Gather
@@ -574,11 +577,8 @@ pub async fn run_polled<C: AsyncComm>(
     recvbuf: Option<BufId>,
     count: usize,
 ) -> Result<ScheduleReport> {
-    let (me, root) = (comm.rank(), algo.root());
-    if root >= comm.size() {
-        return Err(CommError::BadRank(root));
-    }
-    let leaf = me != root;
+    let (me, p) = (comm.rank(), comm.size());
+    let leaf = me != algo.root();
     let (needed, msg, in_place) = match algo {
         Algo::Bcast { .. } => (sendbuf, "bcast binds its data buffer as send", false),
         Algo::Scatter { .. } | Algo::FlatScatter { .. } if leaf => {
@@ -596,24 +596,31 @@ pub async fn run_polled<C: AsyncComm>(
         Algo::Allgather => (recvbuf, "allgather needs recvbuf", sendbuf.is_none()),
         Algo::Alltoall => (recvbuf, "alltoall needs recvbuf", sendbuf.is_none()),
     };
+    // Only a CMA rendezvous consults the placement (to fall back to the
+    // network rendezvous across nodes), so only its key carries it.
+    let nodes =
+        (proto == Protocol::RendezvousCma).then(|| (0..p).map(|r| comm.node_of(r)).collect());
+    let key = PlanKey::Pt2pt {
+        algo,
+        proto,
+        p,
+        rank: me,
+        count,
+        in_place,
+        nodes,
+    };
+    let bind = Bindings {
+        send: sendbuf,
+        recv: recvbuf,
+    };
+    check_call(comm, &key, &bind)?;
     if needed.is_none() {
         return Err(CommError::Protocol(msg.into()));
     }
     if count == 0 {
         return Ok(ScheduleReport::default());
     }
-    let plan = algo.compile(
-        comm.size(),
-        me,
-        &|r| comm.node_of(r),
-        count,
-        proto,
-        in_place,
-    );
-    let bind = Bindings {
-        send: sendbuf,
-        recv: recvbuf,
-    };
+    let plan = PlanCache::global().plan(key);
     execute_polled(comm, &plan, &bind).await
 }
 

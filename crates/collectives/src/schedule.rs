@@ -45,6 +45,7 @@ use crate::allgather::AllgatherAlgo;
 use crate::alltoall::AlltoallAlgo;
 use crate::bcast::BcastAlgo;
 use crate::gather::GatherAlgo;
+use crate::pt2pt::{Algo as Pt2ptAlgo, Protocol};
 use crate::reduce::{Dtype, ReduceAlgo, ReduceOp};
 use crate::scatter::{build_layout, ScatterAlgo};
 use crate::{class, unvrank, vrank};
@@ -2067,6 +2068,24 @@ pub enum PlanKey {
         /// Root rank.
         root: usize,
     },
+    /// Point-to-point library stack identity ([`crate::pt2pt`]).
+    Pt2pt {
+        /// Classic algorithm (with its root).
+        algo: Pt2ptAlgo,
+        /// Protocol every message runs under.
+        proto: Protocol,
+        /// Rank count.
+        p: usize,
+        /// Compiling rank.
+        rank: usize,
+        /// Bytes per block.
+        count: usize,
+        /// Whether the rank's own block sits in the other buffer.
+        in_place: bool,
+        /// Node of every rank; only under [`Protocol::RendezvousCma`],
+        /// the one protocol whose steps depend on the placement.
+        nodes: Option<Vec<usize>>,
+    },
     /// Survivor-remapped plan identity: `inner` describes the plan in
     /// the subgroup's shape, remapped onto the parent communicator for
     /// the given shrink epoch and member list.
@@ -2137,6 +2156,18 @@ impl PlanKey {
                 root,
                 ..
             } => compile_reduce(algo, p, rank, count, dtype, op, root),
+            PlanKey::Pt2pt {
+                algo,
+                proto,
+                p,
+                count,
+                in_place,
+                ref nodes,
+                ..
+            } => {
+                let node_of = |r: usize| nodes.as_ref().map_or(0, |n| n[r]);
+                algo.compile(p, rank, &node_of, count, proto, in_place)
+            }
             PlanKey::Member {
                 epoch,
                 ref members,
@@ -2156,7 +2187,8 @@ impl PlanKey {
             | PlanKey::Bcast { p, rank, .. }
             | PlanKey::Allgather { p, rank, .. }
             | PlanKey::Alltoall { p, rank, .. }
-            | PlanKey::Reduce { p, rank, .. } => (std::mem::take(rank), *p),
+            | PlanKey::Reduce { p, rank, .. }
+            | PlanKey::Pt2pt { p, rank, .. } => (std::mem::take(rank), *p),
             PlanKey::Member { inner, .. } => inner.take_rank(),
         }
     }

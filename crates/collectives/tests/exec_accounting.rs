@@ -10,86 +10,22 @@ use kacc_collectives::{
     execute, execute_polled, execute_traced, AllgatherAlgo, AlltoallAlgo, BcastAlgo, Bindings,
     Dtype, GatherAlgo, ReduceOp, ScatterAlgo, Schedule, ScheduleReport, Step,
 };
-use kacc_comm::stub::StubComm;
-use kacc_comm::{Blocking, BufId, Comm, CommExt, RemoteToken, Result, Tag, Topology};
+use kacc_comm::stub::{Clocked, StubComm};
+use kacc_comm::{Blocking, BufId, Comm, CommExt, Tag};
 use kacc_native::run_threads;
 use kacc_trace::Tracer;
 use std::cell::Cell;
 
-/// [`StubComm`] whose clock counts its own reads: the n-th `time_ns`
-/// call returns n − 1.
-struct Counting {
-    inner: StubComm,
-    reads: Cell<u64>,
-}
-
-impl Comm for Counting {
-    fn rank(&self) -> usize {
-        self.inner.rank()
-    }
-    fn size(&self) -> usize {
-        self.inner.size()
-    }
-    fn topology(&self) -> Topology {
-        self.inner.topology()
-    }
-    fn alloc(&mut self, len: usize) -> BufId {
-        self.inner.alloc(len)
-    }
-    fn free(&mut self, buf: BufId) -> Result<()> {
-        self.inner.free(buf)
-    }
-    fn buf_len(&self, buf: BufId) -> Result<usize> {
-        self.inner.buf_len(buf)
-    }
-    fn write_local(&mut self, buf: BufId, off: usize, data: &[u8]) -> Result<()> {
-        self.inner.write_local(buf, off, data)
-    }
-    fn read_local(&self, buf: BufId, off: usize, out: &mut [u8]) -> Result<()> {
-        self.inner.read_local(buf, off, out)
-    }
-    fn copy_local(&mut self, s: BufId, so: usize, d: BufId, doff: usize, l: usize) -> Result<()> {
-        self.inner.copy_local(s, so, d, doff, l)
-    }
-    fn expose(&mut self, buf: BufId) -> Result<RemoteToken> {
-        self.inner.expose(buf)
-    }
-    fn cma_read(
-        &mut self,
-        t: RemoteToken,
-        ro: usize,
-        d: BufId,
-        doff: usize,
-        l: usize,
-    ) -> Result<()> {
-        self.inner.cma_read(t, ro, d, doff, l)
-    }
-    fn cma_write(
-        &mut self,
-        t: RemoteToken,
-        ro: usize,
-        s: BufId,
-        so: usize,
-        l: usize,
-    ) -> Result<()> {
-        self.inner.cma_write(t, ro, s, so, l)
-    }
-    fn ctrl_send(&mut self, to: usize, tag: Tag, data: &[u8]) -> Result<()> {
-        self.inner.ctrl_send(to, tag, data)
-    }
-    fn ctrl_recv(&mut self, from: usize, tag: Tag) -> Result<Vec<u8>> {
-        self.inner.ctrl_recv(from, tag)
-    }
-    fn shm_send_data(&mut self, to: usize, tag: Tag, s: BufId, o: usize, l: usize) -> Result<()> {
-        self.inner.shm_send_data(to, tag, s, o, l)
-    }
-    fn shm_recv_data(&mut self, f: usize, tag: Tag, d: BufId, o: usize, l: usize) -> Result<()> {
-        self.inner.shm_recv_data(f, tag, d, o, l)
-    }
-    fn time_ns(&self) -> u64 {
-        let n = self.reads.get();
-        self.reads.set(n + 1);
-        n
+/// A stub whose clock counts its own reads: the n-th `time_ns` call
+/// returns `clock(n − 1)`. The read count is kept in `reads`.
+fn counting<'a>(reads: &'a Cell<u64>, clock: fn(u64) -> u64) -> Clocked<impl Fn() -> u64 + 'a> {
+    Clocked {
+        stub: StubComm { rank: 0, size: 2 },
+        clock: move || {
+            let n = reads.get();
+            reads.set(n + 1);
+            clock(n)
+        },
     }
 }
 
@@ -177,10 +113,8 @@ fn every_kind_plan() -> Schedule {
 #[test]
 fn a_clean_execution_reads_the_clock_once_per_step_boundary() {
     let plan = every_kind_plan();
-    let mut comm = Counting {
-        inner: StubComm { rank: 0, size: 2 },
-        reads: Cell::new(0),
-    };
+    let reads = Cell::new(0);
+    let mut comm = counting(&reads, |n| n);
     let bind = Bindings {
         send: Some(BufId(1)),
         recv: Some(BufId(2)),
@@ -190,10 +124,60 @@ fn a_clean_execution_reads_the_clock_once_per_step_boundary() {
     assert_eq!(steps, 11);
     assert!(report.recovery.is_clean());
     assert_eq!(report.steps, steps);
-    assert_eq!(comm.reads.get(), steps + 1);
+    assert_eq!(reads.get(), steps + 1);
     // Every step spans exactly one tick of the counting clock.
     assert_eq!(report.total_ns, steps);
     assert_eq!(report.step_p99_ns, 1);
+}
+
+/// A clock that advances by a fixed, uneven pattern per read: mostly
+/// sub-microsecond steps, every 97th one about 33 ms.
+fn jumpy_clock(n: u64) -> u64 {
+    let dt = |k: u64| {
+        if k % 97 == 96 {
+            1 << 25
+        } else {
+            1 + (k * k * 7919) % 900
+        }
+    };
+    (0..n).map(dt).sum()
+}
+
+#[test]
+fn step_p99_matches_the_rebuilt_report_past_a_hundred_steps() {
+    let steps: Vec<Step> = (0..300)
+        .map(|i| Step::CopyLocal {
+            src: Slot::Send,
+            src_off: 0,
+            dst: Slot::Recv,
+            dst_off: i % 8,
+            len: 8,
+        })
+        .collect();
+    let plan = Schedule {
+        p: 2,
+        rank: 0,
+        token_regs: 0,
+        temps: Vec::new(),
+        steps,
+        class: None,
+    };
+    let reads = Cell::new(0);
+    let mut comm = counting(&reads, jumpy_clock);
+    let bind = Bindings {
+        send: Some(BufId(1)),
+        recv: Some(BufId(2)),
+    };
+    let (tracer, events) = Tracer::buffered();
+    let report = execute_traced(&mut comm, &plan, &bind, &tracer).expect("stub completes");
+    let rebuilt = ScheduleReport::from_events(&events.take());
+    assert_eq!(report.steps, 300);
+    assert_eq!(report.step_p99_ns, rebuilt.step_p99_ns);
+    assert_eq!(report, rebuilt);
+    // Three outliers in 300 steps: the p99 bound sits below the max, so
+    // the tally's bucket walk (not the max cap) decided it.
+    assert!(report.step_p99_ns < 1 << 25, "p99 {}", report.step_p99_ns);
+    assert!(report.step_p99_ns >= 512, "p99 {}", report.step_p99_ns);
 }
 
 /// The benchmark's five collectives, compiled for `rank` of `p`, with

@@ -104,3 +104,82 @@ impl Comm for StubComm {
         0
     }
 }
+
+/// A [`StubComm`] with a clock: every operation behaves as the stub's,
+/// and `time_ns` returns `clock()` — a real `Instant` to time the layers
+/// above the transport alone, or a scripted sequence to pin what they
+/// measure.
+pub struct Clocked<F: Fn() -> u64> {
+    /// The endpoint every operation goes to.
+    pub stub: StubComm,
+    /// The clock `time_ns` reads.
+    pub clock: F,
+}
+
+impl<F: Fn() -> u64> Comm for Clocked<F> {
+    fn rank(&self) -> usize {
+        self.stub.rank()
+    }
+    fn size(&self) -> usize {
+        self.stub.size()
+    }
+    fn topology(&self) -> Topology {
+        self.stub.topology()
+    }
+    fn alloc(&mut self, len: usize) -> BufId {
+        self.stub.alloc(len)
+    }
+    fn free(&mut self, buf: BufId) -> Result<()> {
+        self.stub.free(buf)
+    }
+    fn buf_len(&self, buf: BufId) -> Result<usize> {
+        self.stub.buf_len(buf)
+    }
+    fn write_local(&mut self, b: BufId, o: usize, d: &[u8]) -> Result<()> {
+        self.stub.write_local(b, o, d)
+    }
+    fn read_local(&self, b: BufId, o: usize, out: &mut [u8]) -> Result<()> {
+        self.stub.read_local(b, o, out)
+    }
+    fn copy_local(&mut self, s: BufId, so: usize, d: BufId, doff: usize, l: usize) -> Result<()> {
+        self.stub.copy_local(s, so, d, doff, l)
+    }
+    fn expose(&mut self, buf: BufId) -> Result<RemoteToken> {
+        self.stub.expose(buf)
+    }
+    fn cma_read(
+        &mut self,
+        t: RemoteToken,
+        ro: usize,
+        d: BufId,
+        doff: usize,
+        l: usize,
+    ) -> Result<()> {
+        self.stub.cma_read(t, ro, d, doff, l)
+    }
+    fn cma_write(
+        &mut self,
+        t: RemoteToken,
+        ro: usize,
+        s: BufId,
+        so: usize,
+        l: usize,
+    ) -> Result<()> {
+        self.stub.cma_write(t, ro, s, so, l)
+    }
+    fn ctrl_send(&mut self, to: usize, tag: Tag, d: &[u8]) -> Result<()> {
+        self.stub.ctrl_send(to, tag, d)
+    }
+    fn ctrl_recv(&mut self, from: usize, tag: Tag) -> Result<Vec<u8>> {
+        self.stub.ctrl_recv(from, tag)
+    }
+    fn shm_send_data(&mut self, to: usize, tag: Tag, s: BufId, o: usize, l: usize) -> Result<()> {
+        self.stub.shm_send_data(to, tag, s, o, l)
+    }
+    fn shm_recv_data(&mut self, f: usize, tag: Tag, d: BufId, o: usize, l: usize) -> Result<()> {
+        self.stub.shm_recv_data(f, tag, d, o, l)
+    }
+    fn time_ns(&self) -> u64 {
+        (self.clock)()
+    }
+}

@@ -1,6 +1,6 @@
 //! Always-on, near-zero-overhead metrics for the kacc workspace.
 //!
-//! Three primitives, all built from commutative atomic updates so that
+//! Three primitives whose updates are all commutative, so that
 //! concurrent recording under any thread interleaving (`repro --jobs N`)
 //! produces bitwise-identical snapshots:
 //!
@@ -10,12 +10,20 @@
 //!   interleaving-dependent.
 //! * [`Hist`] — log₂-bucketed histogram of `u64` samples (virtual-ns
 //!   latencies, sizes, queue depths). Per-bucket counts, the sample sum
-//!   and the sample max are all commutative, so merging shards in any
+//!   and the sample max are all commutative, so summing shards in any
 //!   order yields the same result exactly — no floating point anywhere.
 //!
-//! [`LocalHist`] is the plain-field twin of [`Hist`] for per-run hot
-//! paths: record into unshared memory, then [`Hist::merge_local`] once at
-//! the end (one `fetch_add` per touched bucket).
+//! A [`Hist`] is sharded per thread: each recording thread owns one
+//! shard, found by the histogram's registry index in a thread-local
+//! table and registered with the histogram on first use. A record is a
+//! relaxed load and a store into the caller's own shard — no
+//! read-modify-write, no CAS — so the executor can record every step
+//! straight into the shared histogram. A snapshot sums the live shards
+//! and the cells that exited threads' shards were folded into.
+//!
+//! [`LocalHist`] is the plain-field value type: what a snapshot returns,
+//! and a single-owner accumulator for per-run statistics that are also
+//! reported on their own (folded in with [`Hist::merge_local`]).
 //!
 //! ## Registry and determinism contract
 //!
@@ -39,8 +47,9 @@
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used)]
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Number of histogram buckets: bucket 0 holds the value 0; bucket `b ≥ 1`
@@ -125,11 +134,21 @@ impl Gauge {
     }
 }
 
+/// One shard's cells. Every cell has a single writer at a time — the
+/// owning thread for a live shard, the holder of the histogram's shard
+/// lock for the retired cells — so an update is a relaxed load and a
+/// store, never a read-modify-write.
 #[derive(Debug)]
 struct HistCells {
     buckets: [AtomicU64; BUCKETS],
     sum: AtomicU64,
     max: AtomicU64,
+}
+
+/// Single-writer `cell += n`.
+#[inline]
+fn bump(cell: &AtomicU64, n: u64) {
+    cell.store(cell.load(Relaxed).wrapping_add(n), Relaxed);
 }
 
 impl HistCells {
@@ -140,54 +159,198 @@ impl HistCells {
             max: AtomicU64::new(0),
         }
     }
+
+    #[inline]
+    fn record(&self, v: u64) {
+        bump(&self.buckets[bucket_index(v)], 1);
+        bump(&self.sum, v);
+        if v > self.max.load(Relaxed) {
+            self.max.store(v, Relaxed);
+        }
+    }
+
+    fn add(&self, buckets: &[u64; BUCKETS], sum: u64, max: u64) {
+        for (cell, &n) in self.buckets.iter().zip(buckets) {
+            if n > 0 {
+                bump(cell, n);
+            }
+        }
+        bump(&self.sum, sum);
+        if max > self.max.load(Relaxed) {
+            self.max.store(max, Relaxed);
+        }
+    }
+
+    fn load_into(&self, out: &mut LocalHist) {
+        for (o, b) in out.buckets.iter_mut().zip(&self.buckets) {
+            *o += b.load(Relaxed);
+        }
+        out.sum = out.sum.wrapping_add(self.sum.load(Relaxed));
+        out.max = out.max.max(self.max.load(Relaxed));
+    }
+
+    fn clear(&self) {
+        for b in &self.buckets {
+            b.store(0, Relaxed);
+        }
+        self.sum.store(0, Relaxed);
+        self.max.store(0, Relaxed);
+    }
 }
 
-/// Shared log₂-bucketed histogram handle.
+#[derive(Debug)]
+struct HistInner {
+    /// Registry index: this histogram's slot in every thread's shard
+    /// table.
+    id: usize,
+    /// Samples of exited threads' shards (and of records made while a
+    /// thread's shard table was being torn down). Written only under
+    /// the `shards` lock.
+    retired: HistCells,
+    /// The live threads' shards.
+    shards: Mutex<Vec<Arc<HistCells>>>,
+}
+
+impl HistInner {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Arc<HistCells>>> {
+        self.shards.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Fold an exiting thread's shard into the retired cells and drop it
+    /// from the live set, atomically with respect to snapshots.
+    fn retire(&self, shard: &Arc<HistCells>) {
+        let mut shards = self.lock();
+        let mut folded = LocalHist::default();
+        shard.load_into(&mut folded);
+        self.retired.add(&folded.buckets, folded.sum, folded.max);
+        shards.retain(|s| !Arc::ptr_eq(s, shard));
+    }
+}
+
+/// This thread's shards, indexed by histogram registry index. Dropped
+/// when the thread exits, which folds every shard into its histogram.
+struct ThreadShards(Vec<Option<(Arc<HistInner>, Arc<HistCells>)>>);
+
+impl ThreadShards {
+    /// This thread's shard of `hist`, registered on first use.
+    #[inline]
+    fn shard(&mut self, hist: &Arc<HistInner>) -> &HistCells {
+        if !matches!(self.0.get(hist.id), Some(Some(_))) {
+            self.register(hist);
+        }
+        &self.0[hist.id].as_ref().expect("registered above").1
+    }
+
+    #[cold]
+    fn register(&mut self, hist: &Arc<HistInner>) {
+        if self.0.len() <= hist.id {
+            self.0.resize_with(hist.id + 1, || None);
+        }
+        let cells = Arc::new(HistCells::new());
+        hist.lock().push(Arc::clone(&cells));
+        self.0[hist.id] = Some((Arc::clone(hist), cells));
+    }
+}
+
+impl Drop for ThreadShards {
+    fn drop(&mut self) {
+        for (hist, cells) in self.0.drain(..).flatten() {
+            hist.retire(&cells);
+        }
+    }
+}
+
+thread_local! {
+    static SHARDS: RefCell<ThreadShards> = const { RefCell::new(ThreadShards(Vec::new())) };
+}
+
+/// Next histogram registry index.
+static NEXT_HIST_ID: AtomicUsize = AtomicUsize::new(0);
+
+/// Shared log₂-bucketed histogram handle, sharded per recording thread.
 #[derive(Debug, Clone)]
-pub struct Hist(Arc<HistCells>);
+pub struct Hist(Arc<HistInner>);
 
 impl Hist {
+    fn new() -> Hist {
+        Hist(Arc::new(HistInner {
+            id: NEXT_HIST_ID.fetch_add(1, Relaxed),
+            retired: HistCells::new(),
+            shards: Mutex::new(Vec::new()),
+        }))
+    }
+
+    /// Apply `write` to the calling thread's shard. While the thread's
+    /// shard table is being torn down the write goes to the retired
+    /// cells under the lock, exactly where the shard is being folded.
+    #[inline]
+    fn write(&self, write: impl FnOnce(&HistCells)) {
+        let mut write = Some(write);
+        let _ = SHARDS.try_with(|t| {
+            if let Ok(mut t) = t.try_borrow_mut() {
+                if let Some(w) = write.take() {
+                    w(t.shard(&self.0));
+                }
+            }
+        });
+        if let Some(w) = write {
+            let _shards = self.0.lock();
+            w(&self.0.retired);
+        }
+    }
+
     /// Record one sample.
     #[inline]
     pub fn record(&self, v: u64) {
         if enabled() {
-            self.0.buckets[bucket_index(v)].fetch_add(1, Relaxed);
-            self.0.sum.fetch_add(v, Relaxed);
-            self.0.max.fetch_max(v, Relaxed);
+            self.write(|c| c.record(v));
         }
     }
 
-    /// Fold a per-run [`LocalHist`] in: one `fetch_add` per touched
-    /// bucket, commutative with any concurrent merge.
+    /// Fold a per-run [`LocalHist`] into this thread's shard.
     pub fn merge_local(&self, local: &LocalHist) {
         if !enabled() || local.count == 0 {
             return;
         }
-        for (i, &n) in local.buckets.iter().enumerate() {
-            if n > 0 {
-                self.0.buckets[i].fetch_add(n, Relaxed);
-            }
-        }
-        self.0.sum.fetch_add(local.sum, Relaxed);
-        self.0.max.fetch_max(local.max, Relaxed);
+        self.write(|c| c.add(&local.buckets, local.sum, local.max));
     }
 
-    /// Snapshot this histogram's current contents.
+    /// Snapshot this histogram's current contents: the retired cells
+    /// plus every live shard.
     pub fn load(&self) -> LocalHist {
         let mut out = LocalHist::default();
-        for (i, b) in self.0.buckets.iter().enumerate() {
-            out.buckets[i] = b.load(Relaxed);
-            out.count += out.buckets[i];
+        let shards = self.0.lock();
+        self.0.retired.load_into(&mut out);
+        for shard in shards.iter() {
+            shard.load_into(&mut out);
         }
-        out.sum = self.0.sum.load(Relaxed);
-        out.max = self.0.max.load(Relaxed);
+        out.count = out.buckets.iter().sum();
         out
+    }
+
+    /// Zero the retired cells and every live shard. Call it while no
+    /// thread records into this histogram: a concurrent owner's
+    /// load-and-store can write back a pre-reset value.
+    fn reset(&self) {
+        let shards = self.0.lock();
+        self.0.retired.clear();
+        for shard in shards.iter() {
+            shard.clear();
+        }
+    }
+
+    /// Live shards: threads that recorded into this histogram and have
+    /// not exited.
+    #[cfg(test)]
+    fn live_shards(&self) -> usize {
+        self.0.lock().len()
     }
 }
 
-/// Plain-field histogram for single-owner hot paths; merge into a shared
-/// [`Hist`] (or another `LocalHist`) when done. `PartialEq` compares every
-/// bucket, so determinism suites can pin whole distributions.
+/// Plain-field histogram: a snapshot's value, and a single-owner
+/// accumulator for per-run statistics (fold it into a shared [`Hist`]
+/// with [`Hist::merge_local`]). `PartialEq` compares every bucket, so
+/// determinism suites can pin whole distributions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LocalHist {
     buckets: [u64; BUCKETS],
@@ -209,7 +372,7 @@ impl Default for LocalHist {
 
 impl LocalHist {
     /// Record one sample. The sum wraps at `u64::MAX` (matching the
-    /// shared [`Hist`]'s atomic adds), which stays exact and
+    /// shared [`Hist`]'s shards), which stays exact and
     /// order-invariant modulo 2⁶⁴.
     #[inline]
     pub fn record(&mut self, v: u64) {
@@ -270,20 +433,33 @@ impl LocalHist {
     /// conservative estimate, which is exactly what a liveness deadline
     /// wants: never below the true quantile, at most 2x above it.
     pub fn quantile_bound(&self, q_ppm: u64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        // Smallest bucket whose cumulative count covers the quantile.
-        let need = (self.count.saturating_mul(q_ppm)).div_ceil(1_000_000);
-        let mut seen = 0u64;
-        for (i, c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= need {
-                return bucket_bound(i).min(self.max);
-            }
-        }
-        self.max
+        bucket_quantile_bound(self.buckets.iter().copied(), self.count, self.max, q_ppm)
     }
+}
+
+/// [`LocalHist::quantile_bound`] over any per-bucket tally: `buckets`
+/// yields the count of each bucket in index order, `count` is their sum
+/// and `max` the largest sample. Lets a caller keep a narrower tally than
+/// a `LocalHist` and still get the identical bound.
+pub fn bucket_quantile_bound(
+    buckets: impl IntoIterator<Item = u64>,
+    count: u64,
+    max: u64,
+    q_ppm: u64,
+) -> u64 {
+    if count == 0 {
+        return 0;
+    }
+    // Smallest bucket whose cumulative count covers the quantile.
+    let need = (count.saturating_mul(q_ppm)).div_ceil(1_000_000);
+    let mut seen = 0u64;
+    for (i, c) in buckets.into_iter().enumerate() {
+        seen += c;
+        if seen >= need {
+            return bucket_bound(i).min(max);
+        }
+    }
+    max
 }
 
 #[derive(Debug, Clone)]
@@ -338,27 +514,22 @@ pub fn gauge(name: &str) -> Gauge {
 
 /// Get or create the named global histogram.
 pub fn hist(name: &str) -> Hist {
-    match get_or_create(name, || Metric::Hist(Hist(Arc::new(HistCells::new())))) {
+    match get_or_create(name, || Metric::Hist(Hist::new())) {
         Metric::Hist(h) => h,
         other => panic!("metric '{name}' is a {}, not a histogram", other.kind()),
     }
 }
 
-/// Zero every registered metric (handles stay valid). Test support: lets
-/// a test observe only its own activity in a shared process.
+/// Zero every registered metric (handles stay valid), every thread's
+/// histogram shards included. Test support: lets a test observe only its
+/// own activity in a shared process. Call it while nothing records.
 pub fn reset() {
     let map = registry().lock().unwrap_or_else(PoisonError::into_inner);
     for m in map.values() {
         match m {
             Metric::Counter(c) => c.0.store(0, Relaxed),
             Metric::Gauge(g) => g.0.store(0, Relaxed),
-            Metric::Hist(h) => {
-                for b in &h.0.buckets {
-                    b.store(0, Relaxed);
-                }
-                h.0.sum.store(0, Relaxed);
-                h.0.max.store(0, Relaxed);
-            }
+            Metric::Hist(h) => h.reset(),
         }
     }
 }
@@ -559,6 +730,137 @@ mod tests {
         h.merge_local(&extra);
         l.merge(&extra);
         assert_eq!(h.load(), l);
+    }
+
+    /// Samples spread over N threads snapshot exactly like the same
+    /// samples recorded by one thread, whichever thread ran when.
+    #[test]
+    fn sharded_recording_matches_one_thread() {
+        let _g = guard();
+        let samples: Vec<u64> = (0..4000u64).map(|i| (i * 7919) % 100_003).collect();
+        let one = hist("test.shards.one");
+        for &v in &samples {
+            one.record(v);
+        }
+        let many = hist("test.shards.many");
+        std::thread::scope(|s| {
+            for chunk in samples.chunks(500) {
+                let many = many.clone();
+                s.spawn(move || {
+                    for &v in chunk {
+                        many.record(v);
+                    }
+                    let mut local = LocalHist::default();
+                    local.record(chunk[0]);
+                    many.merge_local(&local);
+                });
+            }
+        });
+        for chunk in samples.chunks(500) {
+            one.record(chunk[0]);
+        }
+        assert_eq!(many.load(), one.load());
+        assert_eq!(many.load().count(), 4008);
+    }
+
+    /// A thread's shard outlives the thread only as folded samples: the
+    /// histogram keeps every sample and drops the shard.
+    #[test]
+    fn exited_thread_shard_is_folded_away() {
+        let _g = guard();
+        let h = hist("test.shards.exit");
+        h.record(5);
+        let before = h.live_shards();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        let worker = {
+            let h = h.clone();
+            std::thread::spawn(move || {
+                h.record(1 << 20);
+                h.record(3);
+                tx.send(()).unwrap();
+                go_rx.recv().unwrap();
+            })
+        };
+        rx.recv().unwrap();
+        assert_eq!(h.live_shards(), before + 1, "worker registered a shard");
+        go_tx.send(()).unwrap();
+        worker.join().unwrap();
+        assert_eq!(h.live_shards(), before, "worker's shard folded away");
+        let mut want = LocalHist::default();
+        for v in [5, 1 << 20, 3] {
+            want.record(v);
+        }
+        assert_eq!(h.load(), want);
+    }
+
+    /// A record made by another thread-local's destructor, after this
+    /// thread's shard table may already be gone, is still counted.
+    #[test]
+    fn record_during_thread_teardown_is_kept() {
+        struct RecordOnDrop(Hist);
+        impl Drop for RecordOnDrop {
+            fn drop(&mut self) {
+                self.0.record(77);
+            }
+        }
+        thread_local! {
+            static LATE: RefCell<Option<RecordOnDrop>> = const { RefCell::new(None) };
+        }
+        let _g = guard();
+        let h = hist("test.shards.teardown");
+        std::thread::spawn({
+            let h = h.clone();
+            move || {
+                // Registered before the shard table, so destroyed after it.
+                LATE.with(|l| *l.borrow_mut() = Some(RecordOnDrop(h.clone())));
+                h.record(1);
+            }
+        })
+        .join()
+        .unwrap();
+        let mut want = LocalHist::default();
+        want.record(1);
+        want.record(77);
+        assert_eq!(h.load(), want);
+        assert_eq!(h.live_shards(), 0);
+    }
+
+    /// `reset` zeroes the retired cells and every live shard, including
+    /// a shard whose thread is still alive.
+    #[test]
+    fn reset_zeroes_every_shard() {
+        let _g = guard();
+        let h = hist("test.shards.reset");
+        h.record(9);
+        std::thread::spawn({
+            let h = h.clone();
+            move || h.record(70)
+        })
+        .join()
+        .unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        let live = {
+            let h = h.clone();
+            std::thread::spawn(move || {
+                h.record(400);
+                tx.send(()).unwrap();
+                go_rx.recv().unwrap();
+                h.record(2);
+            })
+        };
+        rx.recv().unwrap();
+        assert_eq!(h.load().count(), 3);
+        reset();
+        assert_eq!(h.load(), LocalHist::default());
+        go_tx.send(()).unwrap();
+        live.join().unwrap();
+        h.record(1);
+        let mut want = LocalHist::default();
+        want.record(2);
+        want.record(1);
+        assert_eq!(h.load(), want);
     }
 
     #[test]

@@ -25,6 +25,7 @@
 //! direct children); [`cma_available`] probes this at runtime so callers
 //! can skip gracefully.
 
+mod backoff;
 pub mod nativecomm;
 pub mod probe;
 pub mod ring;

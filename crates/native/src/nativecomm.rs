@@ -1,5 +1,6 @@
 //! [`Comm`] over forked processes with real kernel-assisted copies.
 
+use crate::backoff::Backoff;
 use crate::ring::{ring_bytes, SpscRing};
 use crate::shm::ShmRegion;
 use kacc_comm::{BufId, Comm, CommError, RemoteToken, Result, Tag, Topology};
@@ -178,8 +179,9 @@ impl NativeComm {
             .store(std::process::id() as i64, Ordering::SeqCst);
         // Wait for the whole team's pids before anyone communicates.
         for r in 0..p {
+            let mut backoff = Backoff::default();
             while comm.pid_slot(r).load(Ordering::SeqCst) == 0 {
-                std::thread::yield_now();
+                backoff.snooze();
             }
         }
         comm.barrier_wait();
@@ -201,16 +203,16 @@ impl NativeComm {
         unsafe { &*(self.shm.at(self.layout.barrier_gen, 8) as *const AtomicU64) }
     }
 
-    /// Sense-reversing spin barrier over the shared counters.
+    /// Sense-reversing barrier over the shared counters.
     pub fn barrier_wait(&self) {
         let generation = self.barrier_gen().load(Ordering::Acquire);
         if self.barrier_count().fetch_add(1, Ordering::AcqRel) + 1 == self.p as u64 {
             self.barrier_count().store(0, Ordering::Release);
             self.barrier_gen().fetch_add(1, Ordering::AcqRel);
         } else {
+            let mut backoff = Backoff::default();
             while self.barrier_gen().load(Ordering::Acquire) == generation {
-                std::hint::spin_loop();
-                std::thread::yield_now();
+                backoff.snooze();
             }
         }
     }
@@ -302,6 +304,7 @@ impl NativeComm {
             }
             return msg;
         }
+        let mut backoff = Backoff::default();
         loop {
             match self.rx[from].try_pop() {
                 Some((tag, payload)) if tag == key => return Some(payload),
@@ -315,8 +318,7 @@ impl NativeComm {
                     if deadline.is_some_and(|d| Instant::now() >= d) {
                         return None;
                     }
-                    std::hint::spin_loop();
-                    std::thread::yield_now();
+                    backoff.snooze();
                 }
             }
         }

@@ -2,11 +2,12 @@
 //! memory — the native control plane.
 //!
 //! Each directed rank pair owns one ring. Frames are `[len: u32][tag:
-//! u32][payload]`, 8-byte aligned. The producer blocks (spin + yield)
+//! u32][payload]`, 8-byte aligned. The producer waits (spin, then yield)
 //! when the ring is full; the consumer when it is empty. Head/tail are
 //! `AtomicU64` with acquire/release ordering, the textbook SPSC design
 //! (Rust Atomics and Locks, ch. 5).
 
+use crate::backoff::Backoff;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Frame header size: u32 payload length + u32 tag.
@@ -104,7 +105,7 @@ impl SpscRing {
         }
     }
 
-    /// Push one frame, spinning while the ring lacks space. The frame
+    /// Push one frame, waiting while the ring lacks space. The frame
     /// (header + padded payload) must fit the ring at all.
     pub fn push(&self, tag: u32, payload: &[u8]) {
         let frame = HDR + pad8(payload.len());
@@ -113,6 +114,7 @@ impl SpscRing {
             "frame of {frame} bytes exceeds ring capacity {}",
             self.capacity
         );
+        let mut backoff = Backoff::default();
         loop {
             let head = self.head().load(Ordering::Acquire);
             let tail = self.tail().load(Ordering::Relaxed);
@@ -126,8 +128,7 @@ impl SpscRing {
                 self.tail().store(tail + frame as u64, Ordering::Release);
                 return;
             }
-            std::hint::spin_loop();
-            std::thread::yield_now();
+            backoff.snooze();
         }
     }
 
@@ -149,14 +150,14 @@ impl SpscRing {
         Some((tag, payload))
     }
 
-    /// Pop, spinning until a frame arrives.
+    /// Pop, waiting until a frame arrives.
     pub fn pop(&self) -> (u32, Vec<u8>) {
+        let mut backoff = Backoff::default();
         loop {
             if let Some(frame) = self.try_pop() {
                 return frame;
             }
-            std::hint::spin_loop();
-            std::thread::yield_now();
+            backoff.snooze();
         }
     }
 }
@@ -226,6 +227,61 @@ mod tests {
             tx.push(i, &[i as u8; 64]);
         }
         assert_eq!(consumer.join().unwrap(), 50);
+    }
+
+    /// Pin the calling thread to `cpu`; false if the kernel refuses.
+    fn pin_to(cpu: usize) -> bool {
+        let mut set = libc::cpu_set_t::default();
+        libc::CPU_SET(cpu, &mut set);
+        // SAFETY: `set` is a valid cpu set of the size passed.
+        unsafe { libc::sched_setaffinity(0, std::mem::size_of_val(&set), &set) == 0 }
+    }
+
+    /// The lowest CPU this thread may run on.
+    fn first_allowed_cpu() -> Option<usize> {
+        let mut set = libc::cpu_set_t::default();
+        // SAFETY: the kernel writes at most `size` bytes into `set`.
+        let rc = unsafe { libc::sched_getaffinity(0, std::mem::size_of_val(&set), &mut set) };
+        if rc < 0 {
+            return None;
+        }
+        (0..libc::CPU_SETSIZE as usize).find(|&c| libc::CPU_ISSET(c, &set))
+    }
+
+    /// Producer and consumer share one CPU, so neither can make progress
+    /// while the other spins: the waits must give the CPU up. A wait that
+    /// only spun would still finish, one scheduler tick per handoff, but
+    /// would count no yields; the count, unlike the wall time, does not
+    /// depend on what else the host is running.
+    #[test]
+    fn producer_and_consumer_on_one_cpu_finish() {
+        use crate::backoff::YIELDS;
+        let Some(cpu) = first_allowed_cpu() else {
+            return;
+        };
+        let (_shm, tx, rx) = ring_pair(256);
+        let frames = 3000u32;
+        let consumer = std::thread::spawn(move || {
+            let pinned = pin_to(cpu);
+            let before = YIELDS.with(|y| y.get());
+            for i in 0..frames {
+                assert_eq!(rx.pop(), (i, vec![i as u8; 64]));
+            }
+            (pinned, YIELDS.with(|y| y.get()) - before)
+        });
+        let pinned = pin_to(cpu);
+        let before = YIELDS.with(|y| y.get());
+        for i in 0..frames {
+            tx.push(i, &[i as u8; 64]);
+        }
+        let producer_yields = YIELDS.with(|y| y.get()) - before;
+        let (consumer_pinned, consumer_yields) = consumer.join().unwrap();
+        if pinned && consumer_pinned {
+            assert!(
+                producer_yields + consumer_yields > 0,
+                "{frames} one-CPU handoffs made no yield"
+            );
+        }
     }
 
     #[test]

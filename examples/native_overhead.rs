@@ -6,6 +6,13 @@
 //! executor future on this transport. The gap between a collective and
 //! its hand-rolled calls is what the library adds on top of the kernel.
 //!
+//! Three more rows time the executor alone, on an in-memory stub whose
+//! every call returns at once and whose clock is a real `Instant`: a
+//! 6-step token / read / notify plan via `execute`, the same six calls
+//! by hand, and an empty plan. No CMA, ring or scheduler is involved, so
+//! the gap between the first two is the executor's own cost per call.
+//! These rows run in-process and print even where CMA is denied.
+//!
 //! ```text
 //! cargo run --release --example native_overhead [calls]
 //! ```
@@ -14,13 +21,14 @@
 //! 4000), each started from a team barrier. The Bcast's payload is
 //! checked on every rank once its row is measured.
 
-use kacc::collectives::schedule::compile_bcast;
+use kacc::collectives::schedule::{compile_bcast, Payload, RecvInto, Slot, TokenReg};
 use kacc::collectives::verify::contribution;
 use kacc::collectives::{
     allgather, alltoall, bcast, execute, execute_polled, gather, scatter, AllgatherAlgo,
-    AlltoallAlgo, BcastAlgo, Bindings, GatherAlgo, ScatterAlgo, Schedule,
+    AlltoallAlgo, BcastAlgo, Bindings, GatherAlgo, ScatterAlgo, Schedule, Step,
 };
-use kacc::comm::{Blocking, Comm, CommError, CommExt, RemoteToken, Result, Tag};
+use kacc::comm::stub::{Clocked, StubComm};
+use kacc::comm::{Blocking, BufId, Comm, CommError, CommExt, RemoteToken, Result, Tag};
 use kacc::native::team::run_forked_collect;
 use kacc::native::{cma_available, NativeComm};
 
@@ -49,24 +57,121 @@ const ROWS: [&str; 9] = [
     "executor future on NativeComm",
 ];
 
-/// Rank 0's median latency of `op` over `calls` barrier-started calls.
-fn median_ns(
-    comm: &mut NativeComm,
-    calls: usize,
-    mut op: impl FnMut(&mut NativeComm) -> Result<()>,
-) -> Result<u64> {
+/// The median of `calls` timed calls, after [`WARM`] untimed ones;
+/// `timed` runs one call and returns its latency.
+fn median(calls: usize, mut timed: impl FnMut() -> Result<u64>) -> Result<u64> {
     let mut lat = Vec::with_capacity(calls);
     for i in 0..WARM + calls {
-        comm.barrier_wait();
-        let t0 = comm.time_ns();
-        op(comm)?;
-        let dt = comm.time_ns() - t0;
+        let dt = timed()?;
         if i >= WARM {
             lat.push(dt);
         }
     }
     lat.sort_unstable();
     Ok(lat[lat.len() / 2])
+}
+
+/// Rank 0's median latency of `op` over `calls` barrier-started calls.
+fn median_ns(
+    comm: &mut NativeComm,
+    calls: usize,
+    mut op: impl FnMut(&mut NativeComm) -> Result<()>,
+) -> Result<u64> {
+    median(calls, || {
+        comm.barrier_wait();
+        let t0 = comm.time_ns();
+        op(comm)?;
+        Ok(comm.time_ns() - t0)
+    })
+}
+
+/// The in-memory rows, in print order.
+const STUB_ROWS: [&str; 3] = [
+    "6-step token / read / notify plan via execute",
+    "the same 6 calls by hand",
+    "empty schedule via execute",
+];
+
+/// One endpoint's token / read / notify exchange as a plan: expose,
+/// send the token, receive the peer's message, read, notify, wait.
+fn token_read_notify_plan() -> Schedule {
+    let tag = Tag::user(7);
+    let steps = vec![
+        Step::Expose {
+            slot: Slot::Send,
+            reg: TokenReg(0),
+        },
+        Step::CtrlSend {
+            to: 1,
+            tag,
+            payload: Payload::Token(TokenReg(0)),
+        },
+        Step::CtrlRecv {
+            from: 1,
+            tag,
+            into: RecvInto::Discard,
+        },
+        Step::CmaRead {
+            token: TokenReg(0),
+            remote_off: 0,
+            dst: Slot::Recv,
+            dst_off: 0,
+            len: BYTES,
+        },
+        Step::Notify { to: 1, tag },
+        Step::WaitNotify { from: 1, tag },
+    ];
+    Schedule {
+        p: P,
+        rank: 0,
+        token_regs: 1,
+        temps: Vec::new(),
+        steps,
+        class: None,
+    }
+}
+
+/// The plan's six calls, written by hand.
+fn token_read_notify_by_hand(comm: &mut impl Comm, send: BufId, recv: BufId) -> Result<()> {
+    let tag = Tag::user(7);
+    let token = comm.expose(send)?;
+    comm.ctrl_send(1, tag, &token.to_bytes())?;
+    comm.ctrl_recv(1, tag)?;
+    comm.cma_read(token, 0, recv, 0, BYTES)?;
+    comm.notify(1, tag)?;
+    comm.wait_notify(1, tag)
+}
+
+/// Median latencies of [`STUB_ROWS`] over `calls` calls each.
+fn measure_stub(calls: usize) -> Result<[u64; 3]> {
+    let start = std::time::Instant::now();
+    let mut comm = Clocked {
+        stub: StubComm { rank: 0, size: P },
+        clock: || start.elapsed().as_nanos() as u64,
+    };
+    let (send, recv) = (BufId(1), BufId(2));
+    let plan = token_read_notify_plan();
+    let bind = Bindings {
+        send: Some(send),
+        recv: Some(recv),
+    };
+    let empty = Schedule {
+        steps: Vec::new(),
+        token_regs: 0,
+        ..plan.clone()
+    };
+    let mut timed = |op: &mut dyn FnMut(&mut Clocked<_>) -> Result<()>| {
+        median(calls, || {
+            let t0 = comm.time_ns();
+            op(&mut comm)?;
+            Ok(comm.time_ns() - t0)
+        })
+    };
+    Ok([
+        timed(&mut |c| execute(c, &plan, &bind).map(drop))?,
+        timed(&mut |c| token_read_notify_by_hand(c, send, recv))?,
+        timed(&mut |c| execute(c, &empty, &Bindings::default()).map(drop))?,
+    ])
 }
 
 /// The k-nomial Bcast's transport calls at p = 2, without the library:
@@ -156,8 +261,14 @@ fn main() {
     let calls: usize = std::env::args()
         .nth(1)
         .and_then(|a| a.parse().ok())
-        .unwrap_or(4000);
-    let slots = match measure(calls.max(1)) {
+        .unwrap_or(4000)
+        .max(1);
+    let stub = measure_stub(calls).unwrap_or_else(|e| panic!("in-memory rows failed: {e}"));
+    println!("executor alone: in-memory stub, real clock, median of {calls} calls");
+    for (name, ns) in STUB_ROWS.iter().zip(stub) {
+        println!("  {name:<44} {:>8.2} us", ns as f64 / 1e3);
+    }
+    let slots = match measure(calls) {
         Ok(slots) => slots,
         Err(Skip::CmaDenied) => {
             eprintln!(

@@ -3,7 +3,8 @@
 //! The build environment has no registry access, so the workspace vendors
 //! the *tiny* slice of libc that `kacc-native` actually uses: process
 //! control (`fork`/`waitpid`/`kill`), anonymous shared mappings
-//! (`mmap`/`munmap`), and `sysconf`. Constants are the Linux ABI values;
+//! (`mmap`/`munmap`), `sysconf`, and CPU affinity
+//! (`sched_{get,set}affinity` over a `cpu_set_t`). Constants are the Linux ABI values;
 //! this crate is gated to Linux by `kacc-native` itself.
 
 #![allow(non_camel_case_types)]
@@ -41,6 +42,27 @@ pub const MAP_FAILED: *mut c_void = !0usize as *mut c_void;
 pub const SIGKILL: c_int = 9;
 /// `sysconf` name for the page size.
 pub const _SC_PAGESIZE: c_int = 30;
+/// CPUs a [`cpu_set_t`] can name.
+pub const CPU_SETSIZE: c_int = 1024;
+
+/// A set of CPUs, the glibc `cpu_set_t` (1024 bits).
+#[repr(C)]
+#[derive(Clone, Copy, Debug, Default)]
+pub struct cpu_set_t {
+    bits: [u64; 16],
+}
+
+/// Add `cpu` to `set`.
+#[allow(non_snake_case)]
+pub fn CPU_SET(cpu: usize, set: &mut cpu_set_t) {
+    set.bits[cpu / 64] |= 1 << (cpu % 64);
+}
+
+/// Is `cpu` in `set`?
+#[allow(non_snake_case)]
+pub fn CPU_ISSET(cpu: usize, set: &cpu_set_t) -> bool {
+    set.bits[cpu / 64] & (1 << (cpu % 64)) != 0
+}
 
 extern "C" {
     /// `fork(2)`.
@@ -64,6 +86,10 @@ extern "C" {
     pub fn munmap(addr: *mut c_void, len: size_t) -> c_int;
     /// `sysconf(3)`.
     pub fn sysconf(name: c_int) -> c_long;
+    /// `sched_getaffinity(2)`.
+    pub fn sched_getaffinity(pid: pid_t, cpusetsize: size_t, cpuset: *mut cpu_set_t) -> c_int;
+    /// `sched_setaffinity(2)`.
+    pub fn sched_setaffinity(pid: pid_t, cpusetsize: size_t, cpuset: *const cpu_set_t) -> c_int;
 }
 
 /// Did the child exit normally? (Linux `WIFEXITED`.)
@@ -89,6 +115,15 @@ mod tests {
         assert_eq!(WEXITSTATUS(3 << 8), 3);
         // Killed by SIGKILL (low 7 bits nonzero) is not a normal exit.
         assert!(!WIFEXITED(SIGKILL));
+    }
+
+    #[test]
+    fn cpu_set_marks_only_the_cpus_set() {
+        let mut set = cpu_set_t::default();
+        CPU_SET(0, &mut set);
+        CPU_SET(70, &mut set);
+        assert!(CPU_ISSET(0, &set) && CPU_ISSET(70, &set));
+        assert!(!CPU_ISSET(1, &set) && !CPU_ISSET(69, &set));
     }
 
     #[test]
