@@ -40,7 +40,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use kacc_bench::measure::one_to_all_read_ns;
-use kacc_comm::{RemoteToken, Tag};
+use kacc_comm::{AsyncComm, RemoteToken, Tag};
 use kacc_machine::polled::sm_barrier_polled;
 use kacc_machine::{run_polled_team, run_polled_team_phantom, PolledComm};
 use kacc_model::ArchProfile;

@@ -128,8 +128,13 @@ impl Comm for FaultyComm {
         self.inner.ctrl_send(to, tag, data)
     }
 
-    fn ctrl_recv(&mut self, from: usize, tag: Tag) -> Result<Vec<u8>> {
-        self.inner.ctrl_recv(from, tag)
+    fn ctrl_recv_deadline(
+        &mut self,
+        from: usize,
+        tag: Tag,
+        timeout_ns: Option<u64>,
+    ) -> Result<Vec<u8>> {
+        self.inner.ctrl_recv_deadline(from, tag, timeout_ns)
     }
 
     fn shm_send_data(
@@ -143,15 +148,17 @@ impl Comm for FaultyComm {
         self.inner.shm_send_data(to, tag, src, off, len)
     }
 
-    fn shm_recv_data(
+    fn shm_recv_deadline(
         &mut self,
         from: usize,
         tag: Tag,
         dst: BufId,
         off: usize,
         len: usize,
+        timeout_ns: Option<u64>,
     ) -> Result<()> {
-        self.inner.shm_recv_data(from, tag, dst, off, len)
+        self.inner
+            .shm_recv_deadline(from, tag, dst, off, len, timeout_ns)
     }
 
     fn time_ns(&self) -> u64 {

@@ -128,7 +128,12 @@ impl Comm for NullComm {
         unimplemented!("single-rank demo schedule has no control traffic")
     }
 
-    fn ctrl_recv(&mut self, _from: usize, _tag: Tag) -> Result<Vec<u8>> {
+    fn ctrl_recv_deadline(
+        &mut self,
+        _from: usize,
+        _tag: Tag,
+        _timeout_ns: Option<u64>,
+    ) -> Result<Vec<u8>> {
         unimplemented!("single-rank demo schedule has no control traffic")
     }
 
@@ -143,13 +148,14 @@ impl Comm for NullComm {
         unimplemented!("single-rank demo schedule has no shm traffic")
     }
 
-    fn shm_recv_data(
+    fn shm_recv_deadline(
         &mut self,
         _from: usize,
         _tag: Tag,
         _dst: BufId,
         _off: usize,
         _len: usize,
+        _timeout_ns: Option<u64>,
     ) -> Result<()> {
         unimplemented!("single-rank demo schedule has no shm traffic")
     }

@@ -131,18 +131,6 @@ impl Default for RecoveryPolicy {
 }
 
 impl RecoveryPolicy {
-    /// A policy that retries nothing and falls back to nothing: every
-    /// transport error propagates on first occurrence.
-    pub fn none() -> RecoveryPolicy {
-        RecoveryPolicy {
-            max_retries: 0,
-            backoff_ns: 0,
-            cma_fallback: false,
-            step_timeout_ns: None,
-            membership: MembershipPolicy::disabled(),
-        }
-    }
-
     /// The default recovery ladder with the liveness watchdog armed
     /// ([`MembershipPolicy::survivable`]).
     pub fn survivable() -> RecoveryPolicy {
@@ -197,12 +185,6 @@ impl RecoveryReport {
     /// True when no recovery action fired (the execution was fault-free).
     pub fn is_clean(&self) -> bool {
         *self == RecoveryReport::default()
-    }
-
-    /// Alias of [`RecoveryReport::is_clean`] named for the survivable
-    /// API: a fault-free survivable run reports an *empty* recovery.
-    pub fn is_empty(&self) -> bool {
-        self.is_clean()
     }
 
     /// Fold one recovery span into the counters; returns false for span

@@ -200,10 +200,13 @@ async fn backoff<C: AsyncComm>(
     rec.recovery("retry:backoff", 0, t0, comm.time_ns());
 }
 
-/// Run one non-resumable operation under the transient-retry loop. A
-/// macro because the retried operation is an `.await`ed expression
-/// re-evaluated per attempt, which a closure cannot express without
-/// boxing every call.
+/// Run one non-resumable operation under the retry loop: a transient
+/// error is retried after a backoff. An expired wait
+/// ([`CommError::Timeout`], which only the receives report: they run
+/// under [`recv_deadline_ns`]) counts against the same budget without
+/// backoff — the wait itself was the delay. A macro because the retried
+/// operation is an `.await`ed expression re-evaluated per attempt, which
+/// a closure cannot express without boxing every call.
 macro_rules! retry_transient {
     ($comm:ident, $rec:ident, $policy:ident, $op:expr) => {{
         let mut attempts = 0u32;
@@ -211,6 +214,13 @@ macro_rules! retry_transient {
             let t0 = $rec.now;
             match $op {
                 Ok(v) => break Ok(v),
+                Err(e @ CommError::Timeout { .. }) => {
+                    $rec.recovery("fault:timeout", 0, t0, $comm.time_ns());
+                    attempts += 1;
+                    if attempts > $policy.max_retries {
+                        break Err(e);
+                    }
+                }
                 Err(e) if is_transient(&e) => {
                     $rec.recovery("fault:transient", 0, t0, $comm.time_ns());
                     attempts += 1;
@@ -346,51 +356,8 @@ async fn fallback_or<C: AsyncComm>(
     }
 }
 
-/// A receive under the policy: bounded by the step (or liveness)
-/// deadline when one applies — expiry surfaces as
-/// [`CommError::Timeout`] and counts against the retry budget without
-/// backoff, the wait itself was the delay — and retried on transient
-/// errors like every other step. `$bounded` sees the deadline as `$ns`
-/// and yields `Result<Option<T>>` (`None` = expired); `$unbounded`
-/// yields `Result<T>`. A macro for the same reason as
-/// [`retry_transient!`].
-macro_rules! recovered_recv {
-    ($comm:ident, $rec:ident, $policy:ident, |$ns:ident| $bounded:expr, $unbounded:expr) => {{
-        let mut attempts = 0u32;
-        loop {
-            let t0 = $rec.now;
-            let r = match recv_deadline_ns($policy) {
-                Some($ns) => match $bounded {
-                    Ok(Some(v)) => Ok(v),
-                    Ok(None) => Err(CommError::Timeout { waited_ns: $ns }),
-                    Err(e) => Err(e),
-                },
-                None => $unbounded,
-            };
-            match r {
-                Ok(v) => break Ok(v),
-                Err(e @ CommError::Timeout { .. }) => {
-                    $rec.recovery("fault:timeout", 0, t0, $comm.time_ns());
-                    attempts += 1;
-                    if attempts > $policy.max_retries {
-                        break Err(e);
-                    }
-                }
-                Err(e) if is_transient(&e) => {
-                    $rec.recovery("fault:transient", 0, t0, $comm.time_ns());
-                    attempts += 1;
-                    if attempts > $policy.max_retries {
-                        break Err(e);
-                    }
-                    backoff($comm, $rec, $policy, attempts).await;
-                }
-                Err(e) => break Err(e),
-            }
-        }
-    }};
-}
-
-/// A control receive under the policy (see [`recovered_recv!`]).
+/// A control receive under the policy, bounded by the step (or liveness)
+/// deadline when one applies (see [`retry_transient!`]).
 async fn recovered_ctrl_recv<C: AsyncComm>(
     comm: &mut C,
     rec: &mut Recorder<'_>,
@@ -398,12 +365,12 @@ async fn recovered_ctrl_recv<C: AsyncComm>(
     from: usize,
     tag: Tag,
 ) -> Result<Vec<u8>> {
-    recovered_recv!(
+    retry_transient!(
         comm,
         rec,
         policy,
-        |ns| comm.ctrl_recv_deadline(from, tag, ns).await,
-        comm.ctrl_recv(from, tag).await
+        comm.ctrl_recv_deadline(from, tag, recv_deadline_ns(policy))
+            .await
     )
 }
 
@@ -582,15 +549,12 @@ async fn run_one_step<C: AsyncComm>(
             len,
         } => {
             let dst = ctx.slot(*dst)?;
-            recovered_recv!(
+            retry_transient!(
                 comm,
                 rec,
                 policy,
-                |ns| comm
-                    .shm_recv_deadline(*from, *tag, dst, *off, *len, ns)
+                comm.shm_recv_deadline(*from, *tag, dst, *off, *len, recv_deadline_ns(policy))
                     .await
-                    .map(|done| done.then_some(())),
-                comm.shm_recv_data(*from, *tag, dst, *off, *len).await
             )?;
             rec.add(StepKind::ShmRecv, *len, t0, comm.time_ns());
         }

@@ -210,7 +210,7 @@ async fn survivable<C: AsyncComm>(
             Ok((
                 o.members,
                 o.membership,
-                o.report.recovery.is_empty(),
+                o.report.recovery.is_clean(),
                 payload,
             ))
         }

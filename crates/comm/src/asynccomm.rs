@@ -99,16 +99,20 @@ pub trait AsyncComm {
     /// Buffered small-message send on the control plane.
     async fn ctrl_send(&mut self, to: usize, tag: Tag, data: &[u8]) -> Result<()>;
 
-    /// Receive the next control message from `(from, tag)`.
-    async fn ctrl_recv(&mut self, from: usize, tag: Tag) -> Result<Vec<u8>>;
-
-    /// Bounded receive: `Ok(None)` once `timeout_ns` has passed.
+    /// Receive the next control message from `(from, tag)` within
+    /// `timeout_ns` (`None` waits indefinitely); expiry is
+    /// [`CommError::Timeout`] and leaves the message claimable.
     async fn ctrl_recv_deadline(
         &mut self,
         from: usize,
         tag: Tag,
-        timeout_ns: u64,
-    ) -> Result<Option<Vec<u8>>>;
+        timeout_ns: Option<u64>,
+    ) -> Result<Vec<u8>>;
+
+    /// Receive the next control message from `(from, tag)`.
+    async fn ctrl_recv(&mut self, from: usize, tag: Tag) -> Result<Vec<u8>> {
+        self.ctrl_recv_deadline(from, tag, None).await
+    }
 
     /// Sleep for `ns` nanoseconds on this transport's clock.
     async fn sleep_ns(&mut self, ns: u64);
@@ -123,6 +127,19 @@ pub trait AsyncComm {
         len: usize,
     ) -> Result<()>;
 
+    /// Two-copy shared-memory bulk receive within `timeout_ns` (`None`
+    /// waits indefinitely); expiry is [`CommError::Timeout`] with nothing
+    /// landed in `dst`.
+    async fn shm_recv_deadline(
+        &mut self,
+        from: usize,
+        tag: Tag,
+        dst: BufId,
+        off: usize,
+        len: usize,
+        timeout_ns: Option<u64>,
+    ) -> Result<()>;
+
     /// Two-copy shared-memory bulk receive.
     async fn shm_recv_data(
         &mut self,
@@ -131,18 +148,9 @@ pub trait AsyncComm {
         dst: BufId,
         off: usize,
         len: usize,
-    ) -> Result<()>;
-
-    /// Bounded bulk receive: `Ok(false)` once `timeout_ns` has passed.
-    async fn shm_recv_deadline(
-        &mut self,
-        from: usize,
-        tag: Tag,
-        dst: BufId,
-        off: usize,
-        len: usize,
-        timeout_ns: u64,
-    ) -> Result<bool>;
+    ) -> Result<()> {
+        self.shm_recv_deadline(from, tag, dst, off, len, None).await
+    }
 
     /// Two-copy fallback read from a peer's exposed buffer.
     async fn shm_fallback_read(
@@ -274,16 +282,12 @@ impl<C: Comm + ?Sized> AsyncComm for Blocking<'_, C> {
         self.0.ctrl_send(to, tag, data)
     }
 
-    async fn ctrl_recv(&mut self, from: usize, tag: Tag) -> Result<Vec<u8>> {
-        self.0.ctrl_recv(from, tag)
-    }
-
     async fn ctrl_recv_deadline(
         &mut self,
         from: usize,
         tag: Tag,
-        timeout_ns: u64,
-    ) -> Result<Option<Vec<u8>>> {
+        timeout_ns: Option<u64>,
+    ) -> Result<Vec<u8>> {
         self.0.ctrl_recv_deadline(from, tag, timeout_ns)
     }
 
@@ -302,17 +306,6 @@ impl<C: Comm + ?Sized> AsyncComm for Blocking<'_, C> {
         self.0.shm_send_data(to, tag, src, off, len)
     }
 
-    async fn shm_recv_data(
-        &mut self,
-        from: usize,
-        tag: Tag,
-        dst: BufId,
-        off: usize,
-        len: usize,
-    ) -> Result<()> {
-        self.0.shm_recv_data(from, tag, dst, off, len)
-    }
-
     async fn shm_recv_deadline(
         &mut self,
         from: usize,
@@ -320,8 +313,8 @@ impl<C: Comm + ?Sized> AsyncComm for Blocking<'_, C> {
         dst: BufId,
         off: usize,
         len: usize,
-        timeout_ns: u64,
-    ) -> Result<bool> {
+        timeout_ns: Option<u64>,
+    ) -> Result<()> {
         self.0
             .shm_recv_deadline(from, tag, dst, off, len, timeout_ns)
     }

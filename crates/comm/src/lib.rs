@@ -27,7 +27,7 @@
 //! moral equivalent of a `(pid, address)` pair), exchange those tokens
 //! over the small-message control plane, and then move bulk data with
 //! single-copy [`Comm::cma_read`] / [`Comm::cma_write`] operations or
-//! two-copy [`Comm::shm_send_data`] / [`Comm::shm_recv_data`] transfers.
+//! two-copy [`Comm::shm_send_data`] / [`Comm::shm_recv_deadline`] transfers.
 
 pub mod asynccomm;
 pub mod buffer;
@@ -167,25 +167,24 @@ pub trait Comm {
     /// synchronization (RTS/CTS, 0-byte messages).
     fn ctrl_send(&mut self, to: usize, tag: Tag, data: &[u8]) -> Result<()>;
 
-    /// Blocking receive of the next control message from `(from, tag)`.
-    fn ctrl_recv(&mut self, from: usize, tag: Tag) -> Result<Vec<u8>>;
-
-    /// Bounded receive: like [`Comm::ctrl_recv`] but gives up after
-    /// `timeout_ns` nanoseconds and returns `Ok(None)`. The executor's
-    /// step-timeout recovery uses this to turn a silent hang (lost control
-    /// message, dead peer) into a typed [`CommError::Timeout`].
-    ///
-    /// The default ignores the deadline and blocks — correct for
-    /// transports without timed waits, where recovery then degrades to
-    /// unbounded blocking exactly as before this method existed.
+    /// Receive the next control message from `(from, tag)`, waiting at
+    /// most `timeout_ns` nanoseconds on this transport's clock; `None`
+    /// waits for as long as it takes. On expiry the transport returns
+    /// [`CommError::Timeout`] carrying `timeout_ns`, and the message, if
+    /// it arrives later, stays claimable by the next receive. The
+    /// executor's step-timeout recovery bounds every receive this way,
+    /// turning a silent hang (lost control message, dead peer) into a
+    /// typed error.
     fn ctrl_recv_deadline(
         &mut self,
         from: usize,
         tag: Tag,
-        timeout_ns: u64,
-    ) -> Result<Option<Vec<u8>>> {
-        let _ = timeout_ns;
-        self.ctrl_recv(from, tag).map(Some)
+        timeout_ns: Option<u64>,
+    ) -> Result<Vec<u8>>;
+
+    /// Blocking receive of the next control message from `(from, tag)`.
+    fn ctrl_recv(&mut self, from: usize, tag: Tag) -> Result<Vec<u8>> {
+        self.ctrl_recv_deadline(from, tag, None)
     }
 
     /// Sleep for `ns` nanoseconds on this transport's clock: virtual time
@@ -209,22 +208,9 @@ pub trait Comm {
 
     /// Two-copy shared-memory bulk receive: waits for the matching
     /// descriptor, then copies out of staging into the local buffer
-    /// (second copy).
-    fn shm_recv_data(
-        &mut self,
-        from: usize,
-        tag: Tag,
-        dst: BufId,
-        off: usize,
-        len: usize,
-    ) -> Result<()>;
-
-    /// Bounded bulk receive: like [`Comm::shm_recv_data`] but gives up
-    /// after `timeout_ns` nanoseconds and returns `Ok(false)` (the
-    /// destination range is then unspecified and the message, if it
-    /// arrives later, remains claimable by a retry). Returns `Ok(true)`
-    /// once the payload has been copied out. The default ignores the
-    /// deadline and blocks, mirroring [`Comm::ctrl_recv_deadline`].
+    /// (second copy). The wait is bounded like
+    /// [`Comm::ctrl_recv_deadline`]'s: on [`CommError::Timeout`] nothing
+    /// has landed in `dst` and the message stays claimable.
     fn shm_recv_deadline(
         &mut self,
         from: usize,
@@ -232,10 +218,20 @@ pub trait Comm {
         dst: BufId,
         off: usize,
         len: usize,
-        timeout_ns: u64,
-    ) -> Result<bool> {
-        let _ = timeout_ns;
-        self.shm_recv_data(from, tag, dst, off, len).map(|()| true)
+        timeout_ns: Option<u64>,
+    ) -> Result<()>;
+
+    /// Blocking two-copy bulk receive: [`Comm::shm_recv_deadline`]
+    /// without a deadline.
+    fn shm_recv_data(
+        &mut self,
+        from: usize,
+        tag: Tag,
+        dst: BufId,
+        off: usize,
+        len: usize,
+    ) -> Result<()> {
+        self.shm_recv_deadline(from, tag, dst, off, len, None)
     }
 
     /// Two-copy fallback read from a peer's exposed buffer, used when the

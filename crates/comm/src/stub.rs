@@ -77,7 +77,7 @@ impl Comm for StubComm {
     fn ctrl_send(&mut self, _to: usize, _tag: Tag, _d: &[u8]) -> Result<()> {
         Ok(())
     }
-    fn ctrl_recv(&mut self, _from: usize, _tag: Tag) -> Result<Vec<u8>> {
+    fn ctrl_recv_deadline(&mut self, _from: usize, _tag: Tag, _t: Option<u64>) -> Result<Vec<u8>> {
         Ok(Vec::new())
     }
     fn shm_send_data(
@@ -90,13 +90,14 @@ impl Comm for StubComm {
     ) -> Result<()> {
         Ok(())
     }
-    fn shm_recv_data(
+    fn shm_recv_deadline(
         &mut self,
         _f: usize,
         _tag: Tag,
         _d: BufId,
         _o: usize,
         _l: usize,
+        _t: Option<u64>,
     ) -> Result<()> {
         Ok(())
     }
@@ -170,14 +171,22 @@ impl<F: Fn() -> u64> Comm for Clocked<F> {
     fn ctrl_send(&mut self, to: usize, tag: Tag, d: &[u8]) -> Result<()> {
         self.stub.ctrl_send(to, tag, d)
     }
-    fn ctrl_recv(&mut self, from: usize, tag: Tag) -> Result<Vec<u8>> {
-        self.stub.ctrl_recv(from, tag)
+    fn ctrl_recv_deadline(&mut self, from: usize, tag: Tag, t: Option<u64>) -> Result<Vec<u8>> {
+        self.stub.ctrl_recv_deadline(from, tag, t)
     }
     fn shm_send_data(&mut self, to: usize, tag: Tag, s: BufId, o: usize, l: usize) -> Result<()> {
         self.stub.shm_send_data(to, tag, s, o, l)
     }
-    fn shm_recv_data(&mut self, f: usize, tag: Tag, d: BufId, o: usize, l: usize) -> Result<()> {
-        self.stub.shm_recv_data(f, tag, d, o, l)
+    fn shm_recv_deadline(
+        &mut self,
+        f: usize,
+        tag: Tag,
+        d: BufId,
+        o: usize,
+        l: usize,
+        t: Option<u64>,
+    ) -> Result<()> {
+        self.stub.shm_recv_deadline(f, tag, d, o, l, t)
     }
     fn time_ns(&self) -> u64 {
         (self.clock)()

@@ -16,7 +16,7 @@
 //! endpoint; it is the simulator's only transport.
 
 use crate::fluid::FlowId;
-use crate::state::{Buf, MachineState};
+use crate::state::MachineState;
 use crate::team::TeamRun;
 use crate::xfer::{step_xfer, CmaCall, CmaDir, Xfer};
 use kacc_comm::{AsyncComm, BufId, CommError, RemoteToken, Result, Tag, Topology};
@@ -575,6 +575,18 @@ impl PolledComm {
 
     /// Small-message control-plane receive (blocking in virtual time).
     pub async fn ctrl_recv(&mut self, from: usize, tag: Tag) -> Result<Vec<u8>> {
+        self.ctrl_recv_deadline(from, tag, None).await
+    }
+
+    /// Control-plane receive giving up after `timeout_ns` of virtual
+    /// time (`None`: never) with [`CommError::Timeout`]; the abandoned
+    /// wait leaves the mailbox, so a late message stays claimable.
+    pub async fn ctrl_recv_deadline(
+        &mut self,
+        from: usize,
+        tag: Tag,
+        timeout_ns: Option<u64>,
+    ) -> Result<Vec<u8>> {
         if from >= self.nranks {
             return Err(CommError::BadRank(from));
         }
@@ -583,24 +595,23 @@ impl PolledComm {
         }
         let me = self.rank;
         let tid = sim_tid();
+        let deadline = timeout_ns.map(|ns| self.time_ns().saturating_add(ns));
         let t0 = if self.tracer.on() { self.time_ns() } else { 0 };
         let payload = sim_poll("ctrl:recv", move |s: &mut MachineState, _w, now| {
-            s.mail
-                .take_after(tid, me, from, tag.0 as u64, now, s.busy_until[me])
+            let key = tag.0 as u64;
+            let got = s.mail.take_after(tid, me, from, key, now, s.busy_until[me]);
+            until(got, deadline, now, || s.mail.unregister(me, from, key, tid))
         })
         .await;
         if self.tracer.on() {
             let dur = (self.time_ns() - t0) as f64;
-            self.tracer.span(
-                Track::Rank(me),
-                "ctrl_recv",
-                t0,
-                dur,
-                payload.len() as u64,
-                tag.class(),
-            );
+            let bytes = payload.as_ref().map_or(0, Vec::len) as u64;
+            self.tracer
+                .span(Track::Rank(me), "ctrl_recv", t0, dur, bytes, tag.class());
         }
-        Ok(payload)
+        payload.ok_or(CommError::Timeout {
+            waited_ns: timeout_ns.unwrap_or_default(),
+        })
     }
 
     /// 0-byte notification — the polled mirror of
@@ -683,14 +694,18 @@ impl PolledComm {
         Ok(())
     }
 
-    /// Bulk shared-memory receive.
-    pub async fn shm_recv_data(
+    /// Bulk shared-memory receive giving up after `timeout_ns` of
+    /// virtual time (`None`: never) with [`CommError::Timeout`], before
+    /// anything lands in `dst`.
+    #[allow(clippy::too_many_arguments)]
+    pub async fn shm_recv_deadline(
         &mut self,
         from: usize,
         tag: Tag,
         dst: BufId,
         off: usize,
         len: usize,
+        timeout_ns: Option<u64>,
     ) -> Result<()> {
         if from >= self.nranks {
             return Err(CommError::BadRank(from));
@@ -701,30 +716,19 @@ impl PolledComm {
         self.check_local(dst, off, len)?;
         let me = self.rank;
         let tid = sim_tid();
+        let deadline = timeout_ns.map(|ns| self.time_ns().saturating_add(ns));
         let t0 = if self.tracer.on() { self.time_ns() } else { 0 };
         let payload = sim_poll("shm:wait", move |s: &mut MachineState, _w, now| {
-            s.bulk
-                .take_after(tid, me, from, tag.0 as u64, now, s.busy_until[me])
+            let key = tag.0 as u64;
+            let got = s.bulk.take_after(tid, me, from, key, now, s.busy_until[me]);
+            until(got, deadline, now, || s.bulk.unregister(me, from, key, tid))
         })
         .await;
-        self.shm_land(from, tag, dst, off, len, payload, t0).await
-    }
-
-    /// Second half of a bulk receive, shared by the plain and the deadline
-    /// variant: the length check on the message taken from the mailbox,
-    /// the second copy (or the ingress link), the message landing in
-    /// `dst`, and the `shm_recv` span opened at `t0`.
-    #[allow(clippy::too_many_arguments)]
-    async fn shm_land(
-        &mut self,
-        from: usize,
-        tag: Tag,
-        dst: BufId,
-        off: usize,
-        len: usize,
-        payload: Buf,
-        t0: u64,
-    ) -> Result<()> {
+        let Some(payload) = payload else {
+            return Err(CommError::Timeout {
+                waited_ns: timeout_ns.unwrap_or_default(),
+            });
+        };
         if payload.len() != len {
             return Err(CommError::Truncated {
                 wanted: len,
@@ -742,7 +746,6 @@ impl PolledComm {
             let inter = !self.topo.same_socket(self.local, self.local_of(from));
             self.copy_flow_routed(len, peak, inter).await;
         }
-        let me = self.rank;
         let landed =
             sim_with_state(|s: &mut MachineState, _| s.heaps[me].copy_in(dst.0, off, &payload));
         debug_assert!(landed, "range checked before the wait");
@@ -758,91 +761,6 @@ impl PolledComm {
             );
         }
         Ok(())
-    }
-
-    /// Control-plane receive with a deadline; `Ok(None)` on timeout.
-    pub async fn ctrl_recv_deadline(
-        &mut self,
-        from: usize,
-        tag: Tag,
-        timeout_ns: u64,
-    ) -> Result<Option<Vec<u8>>> {
-        if from >= self.nranks {
-            return Err(CommError::BadRank(from));
-        }
-        if let FaultDecision::Fail(e) = self.fault_gate(Some(from), FaultOp::CtrlRecv, 0).await {
-            return Err(e);
-        }
-        let me = self.rank;
-        let tid = sim_tid();
-        let deadline = self.time_ns().saturating_add(timeout_ns);
-        let t0 = if self.tracer.on() { self.time_ns() } else { 0 };
-        let payload = sim_poll("ctrl:recv", move |s: &mut MachineState, _w, now| {
-            match s
-                .mail
-                .take_after(tid, me, from, tag.0 as u64, now, s.busy_until[me])
-            {
-                Poll::Ready(p) => Poll::Ready(Some(p)),
-                Poll::Wait { .. } if now >= deadline => {
-                    s.mail.unregister(me, from, tag.0 as u64, tid);
-                    Poll::Ready(None)
-                }
-                Poll::Wait { wake_at } => Poll::Wait {
-                    wake_at: Some(wake_at.map_or(deadline, |a| a.min(deadline))),
-                },
-            }
-        })
-        .await;
-        if self.tracer.on() {
-            let dur = (self.time_ns() - t0) as f64;
-            let bytes = payload.as_ref().map_or(0, Vec::len) as u64;
-            self.tracer
-                .span(Track::Rank(me), "ctrl_recv", t0, dur, bytes, tag.class());
-        }
-        Ok(payload)
-    }
-
-    /// Bulk receive with a deadline; `Ok(false)` on timeout.
-    #[allow(clippy::too_many_arguments)]
-    pub async fn shm_recv_deadline(
-        &mut self,
-        from: usize,
-        tag: Tag,
-        dst: BufId,
-        off: usize,
-        len: usize,
-        timeout_ns: u64,
-    ) -> Result<bool> {
-        if from >= self.nranks {
-            return Err(CommError::BadRank(from));
-        }
-        if let FaultDecision::Fail(e) = self.fault_gate(Some(from), FaultOp::ShmRecv, len).await {
-            return Err(e);
-        }
-        self.check_local(dst, off, len)?;
-        let me = self.rank;
-        let tid = sim_tid();
-        let key = tag.0 as u64;
-        let deadline = self.time_ns().saturating_add(timeout_ns);
-        let t0 = if self.tracer.on() { self.time_ns() } else { 0 };
-        let payload = sim_poll("shm:wait", move |s: &mut MachineState, _w, now| {
-            match s.bulk.take_after(tid, me, from, key, now, s.busy_until[me]) {
-                Poll::Ready(p) => Poll::Ready(Some(p)),
-                Poll::Wait { .. } if now >= deadline => {
-                    s.bulk.unregister(me, from, key, tid);
-                    Poll::Ready(None)
-                }
-                Poll::Wait { wake_at } => Poll::Wait {
-                    wake_at: Some(wake_at.map_or(deadline, |a| a.min(deadline))),
-                },
-            }
-        })
-        .await;
-        let Some(payload) = payload else {
-            return Ok(false);
-        };
-        self.shm_land(from, tag, dst, off, len, payload, t0).await?;
-        Ok(true)
     }
 
     /// Charge `ns` of virtual time (retry backoff etc.), counted from the
@@ -878,6 +796,30 @@ impl PolledComm {
     ) -> Result<()> {
         self.shm_fallback_transfer(token, remote_off, src, src_off, len, CmaDir::Write)
             .await
+    }
+}
+
+/// One poll of a mailbox wait under an optional virtual-time `deadline`.
+/// Without one, `got` passes through untouched — the same wakes as an
+/// unbounded wait. With one, a wait at or past it gives up (`give_up`
+/// withdraws the waiter so a late message stays claimable) and an earlier
+/// wait also wakes at the deadline.
+fn until<T>(
+    got: Poll<T>,
+    deadline: Option<u64>,
+    now: u64,
+    give_up: impl FnOnce(),
+) -> Poll<Option<T>> {
+    match (got, deadline) {
+        (Poll::Ready(p), _) => Poll::Ready(Some(p)),
+        (Poll::Wait { wake_at }, None) => Poll::Wait { wake_at },
+        (Poll::Wait { .. }, Some(d)) if now >= d => {
+            give_up();
+            Poll::Ready(None)
+        }
+        (Poll::Wait { wake_at }, Some(d)) => Poll::Wait {
+            wake_at: Some(wake_at.map_or(d, |a| a.min(d))),
+        },
     }
 }
 
@@ -947,12 +889,10 @@ impl AsyncComm for PolledComm {
         cma_read(token: RemoteToken, remote_off: usize, dst: BufId, dst_off: usize, len: usize) -> Result<()>;
         cma_write(token: RemoteToken, remote_off: usize, src: BufId, src_off: usize, len: usize) -> Result<()>;
         ctrl_send(to: usize, tag: Tag, data: &[u8]) -> Result<()>;
-        ctrl_recv(from: usize, tag: Tag) -> Result<Vec<u8>>;
-        ctrl_recv_deadline(from: usize, tag: Tag, timeout_ns: u64) -> Result<Option<Vec<u8>>>;
+        ctrl_recv_deadline(from: usize, tag: Tag, timeout_ns: Option<u64>) -> Result<Vec<u8>>;
         sleep_ns(ns: u64) -> ();
         shm_send_data(to: usize, tag: Tag, src: BufId, off: usize, len: usize) -> Result<()>;
-        shm_recv_data(from: usize, tag: Tag, dst: BufId, off: usize, len: usize) -> Result<()>;
-        shm_recv_deadline(from: usize, tag: Tag, dst: BufId, off: usize, len: usize, timeout_ns: u64) -> Result<bool>;
+        shm_recv_deadline(from: usize, tag: Tag, dst: BufId, off: usize, len: usize, timeout_ns: Option<u64>) -> Result<()>;
         shm_fallback_read(token: RemoteToken, remote_off: usize, dst: BufId, dst_off: usize, len: usize) -> Result<()>;
         shm_fallback_write(token: RemoteToken, remote_off: usize, src: BufId, src_off: usize, len: usize) -> Result<()>;
     }
@@ -1168,6 +1108,7 @@ where
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::state::Buf;
 
     #[test]
     #[cfg(debug_assertions)]
@@ -1440,9 +1381,9 @@ mod tests {
                 let short = comm.shm_recv_data(0, Tag::user(1), buf, 0, 64).await;
                 let t_short = comm.time_ns();
                 let long = comm
-                    .shm_recv_deadline(0, Tag::user(2), buf, 0, 4096, 1_000_000)
+                    .shm_recv_deadline(0, Tag::user(2), buf, 0, 4096, Some(1_000_000))
                     .await;
-                vec![(short, t_short), (long.map(|_| ()), comm.time_ns())]
+                vec![(short, t_short), (long, comm.time_ns())]
             }
         });
         let want = |wanted| Err(CommError::Truncated { wanted, got: 100 });
@@ -1458,7 +1399,7 @@ mod tests {
     }
 
     #[test]
-    fn an_expired_bulk_deadline_is_false_and_leaves_no_waiter() {
+    fn an_expired_bulk_deadline_times_out_and_leaves_no_waiter() {
         let [(real_run, real), (ph_run, ph)] = on_both_heaps(1, 2, |rank| async move {
             if rank == 0 {
                 return None;
@@ -1466,7 +1407,7 @@ mod tests {
             let comm = &mut PolledComm::new(rank);
             let dst = comm.alloc(64);
             let got = comm
-                .shm_recv_deadline(0, Tag::user(1), dst, 0, 64, 700)
+                .shm_recv_deadline(0, Tag::user(1), dst, 0, 64, Some(700))
                 .await;
             let expired_at = comm.time_ns();
             // A second receiver may claim the key (a leftover registration
@@ -1483,7 +1424,8 @@ mod tests {
             });
             Some((got, expired_at, channels))
         });
-        assert_eq!(real[1], Some((Ok(false), 700, (0, 0))));
+        let expired = Err(CommError::Timeout { waited_ns: 700 });
+        assert_eq!(real[1], Some((expired, 700, (0, 0))));
         assert_eq!(real, ph);
         assert_eq!(real_run, ph_run);
     }
@@ -1504,9 +1446,9 @@ mod tests {
                 2 => {
                     let dst = comm.alloc(LEN);
                     let got = comm
-                        .shm_recv_deadline(1, Tag::user(1), dst, 0, LEN, u64::MAX / 2)
+                        .shm_recv_deadline(1, Tag::user(1), dst, 0, LEN, Some(u64::MAX / 2))
                         .await;
-                    assert_eq!(got, Ok(true));
+                    assert_eq!(got, Ok(()));
                     (comm.time_ns(), comm.read_all(dst).unwrap())
                 }
                 _ => (0, Vec::new()),
@@ -1581,11 +1523,11 @@ mod tests {
                 comm.shm_send_data(1, Tag::user(1), buf, 0, 100)
                     .await
                     .unwrap();
-                (Ok(()), Ok(true), comm.time_ns())
+                (Ok(()), Ok(()), comm.time_ns())
             } else {
                 let short = comm.shm_recv_data(0, Tag::user(1), buf, 0, 64).await;
                 let expired = comm
-                    .shm_recv_deadline(0, Tag::user(2), buf, 0, 64, 900)
+                    .shm_recv_deadline(0, Tag::user(2), buf, 0, 64, Some(900))
                     .await;
                 (short, expired, comm.time_ns())
             }
@@ -1595,7 +1537,8 @@ mod tests {
             wanted: 64,
             got: 100,
         });
-        assert_eq!(res, [(Ok(()), Ok(true), 33), (truncated, Ok(false), 1233)]);
+        let expired = Err(CommError::Timeout { waited_ns: 900 });
+        assert_eq!(res, [(Ok(()), Ok(()), 33), (truncated, expired, 1233)]);
         assert_run(&run, 1233, &[33, 1233], 5, 0xb465_3cc6_0324_99ff);
         assert_eq!(run_polled_team_phantom(&arch, 2, polled), (run, res));
     }
@@ -1732,10 +1675,13 @@ mod tests {
                 return None;
             }
             comm.notify(1, Tag::user(1)).await.unwrap();
-            let got = comm.ctrl_recv_deadline(1, Tag::user(2), TIMEOUT).await;
+            let got = comm
+                .ctrl_recv_deadline(1, Tag::user(2), Some(TIMEOUT))
+                .await;
             Some((got, comm.time_ns()))
         });
-        assert_eq!(got[0], Some((Ok(None), OCC + TIMEOUT)));
+        let expired = Err(CommError::Timeout { waited_ns: TIMEOUT });
+        assert_eq!(got[0], Some((expired, OCC + TIMEOUT)));
         assert_eq!(run.finish_ns[0], OCC + TIMEOUT);
     }
 

@@ -40,6 +40,11 @@ pub use threadcomm::{run_threads, run_threads_faulty, ThreadComm};
 
 use std::sync::OnceLock;
 
+/// Bulk (two-copy) messages travel under their tag with this bit set, so
+/// they never match a control message of the same tag; both transports
+/// refuse a control tag that has it.
+const BULK_BIT: u32 = 0x8000_0000;
+
 /// Does cross-process CMA work here? Probes once by forking a child and
 /// reading a page from it.
 pub fn cma_available() -> bool {

@@ -3,6 +3,7 @@
 use crate::backoff::Backoff;
 use crate::ring::{ring_bytes, SpscRing};
 use crate::shm::ShmRegion;
+use crate::BULK_BIT;
 use kacc_comm::{BufId, Comm, CommError, RemoteToken, Result, Tag, Topology};
 use kacc_fault::{FaultDecision, FaultHook, FaultOp, FaultSite};
 use nix::sys::uio::{process_vm_readv, process_vm_writev, RemoteIoVec};
@@ -17,9 +18,6 @@ use std::time::{Duration, Instant};
 pub const RING_CAP: usize = 256 * 1024;
 /// Bulk fragments pushed through the rings by the two-copy path.
 const BULK_CHUNK: usize = 32 * 1024;
-/// Bulk frames set this tag bit so they never collide with control
-/// messages of the same user tag.
-const BULK_BIT: u32 = 0x8000_0000;
 /// Per-rank error-message slot size.
 const ERR_SLOT: usize = 256;
 /// Shared u64 result slots available to team closures.
@@ -278,25 +276,14 @@ impl NativeComm {
     }
 
     /// The next `(from, key)` message: a frame parked earlier for this
-    /// key, else the first one off `from`'s ring.
-    fn recv_keyed(&mut self, from: usize, key: u32) -> Vec<u8> {
-        self.recv_keyed_deadline(from, key, None)
-            .expect("unbounded receive always yields a message")
-    }
-
-    /// [`Self::recv_keyed`] with an optional give-up deadline; `None`
-    /// deadline never returns `None`.
+    /// key, else the first one off `from`'s ring; `None` once `deadline`
+    /// (if any) has passed with no such frame.
     ///
     /// Per-key FIFO: frames of one key leave the ring in send order, and
     /// only frames of *other* keys are parked, so a parked frame of this
     /// key is always older than any still on the ring. A frame whose tag
     /// matches is returned straight off the ring.
-    fn recv_keyed_deadline(
-        &mut self,
-        from: usize,
-        key: u32,
-        deadline: Option<Instant>,
-    ) -> Option<Vec<u8>> {
+    fn recv_keyed(&mut self, from: usize, key: u32, deadline: Option<Instant>) -> Option<Vec<u8>> {
         if let Some(q) = self.pending.get_mut(&(from, key)) {
             let msg = q.pop_front();
             if q.is_empty() {
@@ -321,6 +308,66 @@ impl NativeComm {
                     backoff.snooze();
                 }
             }
+        }
+    }
+
+    /// One single-copy transfer between `len` bytes of the local buffer
+    /// at `local_off` and a peer's exposed buffer at `remote_off`:
+    /// `process_vm_writev` into the peer for [`FaultOp::CmaWrite`],
+    /// `process_vm_readv` from it for [`FaultOp::CmaRead`]. Short
+    /// transfers resume until the range has moved.
+    fn cma(
+        &mut self,
+        op: FaultOp,
+        token: RemoteToken,
+        remote_off: usize,
+        local: BufId,
+        local_off: usize,
+        len: usize,
+    ) -> Result<()> {
+        let peer = token.rank as usize;
+        if peer >= self.p {
+            return Err(CommError::BadRank(peer));
+        }
+        self.check(local, local_off, len)?;
+        // A `Truncate` decision caps the bytes this call may move; the
+        // shortfall surfaces as `Truncated` so callers exercise their
+        // resume path against the real syscall.
+        let (eff, trunc) = match self.fault_gate(Some(peer), op, len) {
+            FaultDecision::Fail(e) => return Err(e),
+            FaultDecision::Truncate { got } => (got.min(len), Some(len)),
+            _ => (len, None),
+        };
+        let pid = self.pid_of(peer);
+        let local = &mut self.buf_mut(local)?[local_off..local_off + eff];
+        let mut moved = 0usize;
+        while moved < eff {
+            let remote = [RemoteIoVec {
+                base: token.token as usize + remote_off + moved,
+                len: eff - moved,
+            }];
+            let done = if op == FaultOp::CmaWrite {
+                process_vm_writev(pid, &[IoSlice::new(&local[moved..])], &remote)
+            } else {
+                process_vm_readv(pid, &mut [IoSliceMut::new(&mut local[moved..])], &remote)
+            };
+            let n = match done {
+                Ok(n) => n,
+                // Interrupted before any bytes moved: retry transparently.
+                Err(nix::errno::Errno::EINTR) => continue,
+                Err(e) => return Err(errno_of(e)),
+            };
+            if n == 0 {
+                return Err(CommError::Truncated {
+                    wanted: len,
+                    got: moved,
+                });
+            }
+            moved += n;
+        }
+        match trunc {
+            Some(wanted) => Err(CommError::Truncated { wanted, got: eff }),
+            None => Ok(()),
         }
     }
 
@@ -454,48 +501,7 @@ impl Comm for NativeComm {
         dst_off: usize,
         len: usize,
     ) -> Result<()> {
-        let peer = token.rank as usize;
-        if peer >= self.p {
-            return Err(CommError::BadRank(peer));
-        }
-        self.check(dst, dst_off, len)?;
-        // A `Truncate` decision caps the bytes this call may move; the
-        // shortfall surfaces as `Truncated` so callers exercise their
-        // resume path against the real syscall.
-        let (eff, trunc) = match self.fault_gate(Some(peer), FaultOp::CmaRead, len) {
-            FaultDecision::Fail(e) => return Err(e),
-            FaultDecision::Truncate { got } => (got.min(len), Some(len)),
-            _ => (len, None),
-        };
-        let pid = self.pid_of(peer);
-        let local = &mut self.buf_mut(dst)?[dst_off..dst_off + eff];
-        let mut moved = 0usize;
-        while moved < eff {
-            let n = match process_vm_readv(
-                pid,
-                &mut [IoSliceMut::new(&mut local[moved..])],
-                &[RemoteIoVec {
-                    base: token.token as usize + remote_off + moved,
-                    len: eff - moved,
-                }],
-            ) {
-                Ok(n) => n,
-                // Interrupted before any bytes moved: retry transparently.
-                Err(nix::errno::Errno::EINTR) => continue,
-                Err(e) => return Err(errno_of(e)),
-            };
-            if n == 0 {
-                return Err(CommError::Truncated {
-                    wanted: len,
-                    got: moved,
-                });
-            }
-            moved += n;
-        }
-        match trunc {
-            Some(wanted) => Err(CommError::Truncated { wanted, got: eff }),
-            None => Ok(()),
-        }
+        self.cma(FaultOp::CmaRead, token, remote_off, dst, dst_off, len)
     }
 
     fn cma_write(
@@ -506,45 +512,7 @@ impl Comm for NativeComm {
         src_off: usize,
         len: usize,
     ) -> Result<()> {
-        let peer = token.rank as usize;
-        if peer >= self.p {
-            return Err(CommError::BadRank(peer));
-        }
-        self.check(src, src_off, len)?;
-        let (eff, trunc) = match self.fault_gate(Some(peer), FaultOp::CmaWrite, len) {
-            FaultDecision::Fail(e) => return Err(e),
-            FaultDecision::Truncate { got } => (got.min(len), Some(len)),
-            _ => (len, None),
-        };
-        let pid = self.pid_of(peer);
-        let local = &self.buf(src)?[src_off..src_off + eff];
-        let mut moved = 0usize;
-        while moved < eff {
-            let n = match process_vm_writev(
-                pid,
-                &[IoSlice::new(&local[moved..])],
-                &[RemoteIoVec {
-                    base: token.token as usize + remote_off + moved,
-                    len: eff - moved,
-                }],
-            ) {
-                Ok(n) => n,
-                // Interrupted before any bytes moved: retry transparently.
-                Err(nix::errno::Errno::EINTR) => continue,
-                Err(e) => return Err(errno_of(e)),
-            };
-            if n == 0 {
-                return Err(CommError::Truncated {
-                    wanted: len,
-                    got: moved,
-                });
-            }
-            moved += n;
-        }
-        match trunc {
-            Some(wanted) => Err(CommError::Truncated { wanted, got: eff }),
-            None => Ok(()),
-        }
+        self.cma(FaultOp::CmaWrite, token, remote_off, src, src_off, len)
     }
 
     fn ctrl_send(&mut self, to: usize, tag: Tag, data: &[u8]) -> Result<()> {
@@ -563,30 +531,23 @@ impl Comm for NativeComm {
         Ok(())
     }
 
-    fn ctrl_recv(&mut self, from: usize, tag: Tag) -> Result<Vec<u8>> {
-        if from >= self.p {
-            return Err(CommError::BadRank(from));
-        }
-        if let FaultDecision::Fail(e) = self.fault_gate(Some(from), FaultOp::CtrlRecv, 0) {
-            return Err(e);
-        }
-        Ok(self.recv_keyed(from, tag.0))
-    }
-
     fn ctrl_recv_deadline(
         &mut self,
         from: usize,
         tag: Tag,
-        timeout_ns: u64,
-    ) -> Result<Option<Vec<u8>>> {
+        timeout_ns: Option<u64>,
+    ) -> Result<Vec<u8>> {
         if from >= self.p {
             return Err(CommError::BadRank(from));
         }
         if let FaultDecision::Fail(e) = self.fault_gate(Some(from), FaultOp::CtrlRecv, 0) {
             return Err(e);
         }
-        let deadline = Instant::now() + Duration::from_nanos(timeout_ns);
-        Ok(self.recv_keyed_deadline(from, tag.0, Some(deadline)))
+        let deadline = timeout_ns.map(|ns| Instant::now() + Duration::from_nanos(ns));
+        self.recv_keyed(from, tag.0, deadline)
+            .ok_or(CommError::Timeout {
+                waited_ns: timeout_ns.unwrap_or_default(),
+            })
     }
 
     /// Two-copy bulk send. Deviation from the abstract contract: when a
@@ -627,13 +588,14 @@ impl Comm for NativeComm {
         Ok(())
     }
 
-    fn shm_recv_data(
+    fn shm_recv_deadline(
         &mut self,
         from: usize,
         tag: Tag,
         dst: BufId,
         off: usize,
         len: usize,
+        timeout_ns: Option<u64>,
     ) -> Result<()> {
         if from >= self.p {
             return Err(CommError::BadRank(from));
@@ -643,9 +605,21 @@ impl Comm for NativeComm {
             return Err(e);
         }
         let key = tag.0 | BULK_BIT;
+        let deadline = timeout_ns.map(|ns| Instant::now() + Duration::from_nanos(ns));
         let mut at = 0usize;
         loop {
-            let chunk = self.recv_keyed(from, key);
+            // Nothing lands before the first fragment, so expiry then is a
+            // retryable timeout with the message still claimable. A stall
+            // after it means the sender died between fragments: that is a
+            // permanent `Truncated`.
+            let Some(chunk) = self.recv_keyed(from, key, deadline) else {
+                return Err(match at {
+                    0 => CommError::Timeout {
+                        waited_ns: timeout_ns.unwrap_or_default(),
+                    },
+                    got => CommError::Truncated { wanted: len, got },
+                });
+            };
             if at + chunk.len() > len {
                 return Err(CommError::Truncated {
                     wanted: len,
@@ -661,60 +635,6 @@ impl Comm for NativeComm {
                 return Err(CommError::Truncated {
                     wanted: len,
                     got: at,
-                });
-            }
-        }
-    }
-
-    fn shm_recv_deadline(
-        &mut self,
-        from: usize,
-        tag: Tag,
-        dst: BufId,
-        off: usize,
-        len: usize,
-        timeout_ns: u64,
-    ) -> Result<bool> {
-        if from >= self.p {
-            return Err(CommError::BadRank(from));
-        }
-        self.check(dst, off, len)?;
-        if let FaultDecision::Fail(e) = self.fault_gate(Some(from), FaultOp::ShmRecv, len) {
-            return Err(e);
-        }
-        let key = tag.0 | BULK_BIT;
-        let deadline = Instant::now() + Duration::from_nanos(timeout_ns);
-        // Stage into scratch so a timeout before the first fragment
-        // leaves both `dst` and the ring-claimable message untouched. A
-        // stall *mid*-message means the sender died between fragments:
-        // that is a permanent `Truncated`, not a retryable timeout.
-        let mut staged = Vec::with_capacity(len);
-        loop {
-            let Some(chunk) = self.recv_keyed_deadline(from, key, Some(deadline)) else {
-                if staged.is_empty() && len > 0 {
-                    return Ok(false);
-                }
-                return Err(CommError::Truncated {
-                    wanted: len,
-                    got: staged.len(),
-                });
-            };
-            if staged.len() + chunk.len() > len {
-                return Err(CommError::Truncated {
-                    wanted: len,
-                    got: staged.len() + chunk.len(),
-                });
-            }
-            let was_empty = chunk.is_empty();
-            staged.extend_from_slice(&chunk);
-            if staged.len() >= len {
-                self.buf_mut(dst)?[off..off + len].copy_from_slice(&staged);
-                return Ok(true);
-            }
-            if was_empty {
-                return Err(CommError::Truncated {
-                    wanted: len,
-                    got: staged.len(),
                 });
             }
         }

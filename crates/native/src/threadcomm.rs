@@ -3,6 +3,7 @@
 //! instead of syscalls. Portable reference implementation used by
 //! integration tests and cross-transport differential checks.
 
+use crate::BULK_BIT;
 use kacc_comm::{BufId, Comm, CommError, RemoteToken, Result, Tag, Topology};
 use kacc_fault::{FaultDecision, FaultHook, FaultOp, FaultSite};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -79,30 +80,32 @@ impl ThreadComm {
         d
     }
 
-    /// Two-copy degradation path shared by `shm_fallback_read`/`write`:
-    /// same addressing and exposure rules as the CMA ops, staged through
-    /// an intermediate vector (the "shared staging" copy).
-    fn fallback_transfer(
+    /// One copy of `len` bytes between the local buffer at `local_off`
+    /// and a peer's exposed buffer at `remote_off`: into the peer for
+    /// [`FaultOp::CmaWrite`] and [`FaultOp::FallbackWrite`], out of it for
+    /// the reads. Single-copy and two-copy fallback share it: both are a
+    /// staged copy here (the stage keeps lock ordering acyclic), with the
+    /// same addressing and exposure rules. A `Truncate` decision (CMA
+    /// sites only) genuinely moves the first `got` bytes and then reports
+    /// the short count, mirroring `process_vm_readv`.
+    fn transfer(
         &mut self,
+        op: FaultOp,
         token: RemoteToken,
         remote_off: usize,
         local: BufId,
         local_off: usize,
         len: usize,
-        write: bool,
     ) -> Result<()> {
         let peer = token.rank as usize;
         if peer >= self.hub.p {
             return Err(CommError::BadRank(peer));
         }
-        let op = if write {
-            FaultOp::FallbackWrite
-        } else {
-            FaultOp::FallbackRead
+        let (len, trunc) = match self.fault_gate(Some(peer), op, len) {
+            FaultDecision::Fail(e) => return Err(e),
+            FaultDecision::Truncate { got } => (got.min(len), Some(len)),
+            _ => (len, None),
         };
-        if let FaultDecision::Fail(e) = self.fault_gate(Some(peer), op, len) {
-            return Err(e);
-        }
         if !self
             .hub
             .exposed
@@ -114,35 +117,54 @@ impl ThreadComm {
         }
         self.check(local, local_off, len)?;
         let remote = self.buf_arc(peer, token.token)?;
-        {
-            let guard = remote.lock().unwrap_or_else(PoisonError::into_inner);
-            if remote_off + len > guard.len() {
-                return Err(CommError::OutOfRange {
-                    buf: token.token,
-                    off: remote_off,
-                    len,
-                    cap: guard.len(),
-                });
+        let cap = remote.lock().unwrap_or_else(PoisonError::into_inner).len();
+        if remote_off + len > cap {
+            return Err(CommError::OutOfRange {
+                buf: token.token,
+                off: remote_off,
+                len,
+                cap,
+            });
+        }
+        let mine = self.buf_arc(self.rank, local.0)?;
+        let ((from, from_off), (to, to_off)) =
+            if matches!(op, FaultOp::CmaWrite | FaultOp::FallbackWrite) {
+                ((mine, local_off), (remote, remote_off))
+            } else {
+                ((remote, remote_off), (mine, local_off))
+            };
+        let staged =
+            from.lock().unwrap_or_else(PoisonError::into_inner)[from_off..from_off + len].to_vec();
+        to.lock().unwrap_or_else(PoisonError::into_inner)[to_off..to_off + len]
+            .copy_from_slice(&staged);
+        match trunc {
+            Some(wanted) => Err(CommError::Truncated { wanted, got: len }),
+            None => Ok(()),
+        }
+    }
+
+    /// The next message posted to `key`, waiting for it until `deadline`
+    /// (`None`: for as long as it takes); `None` once the deadline has
+    /// passed, with the queue untouched.
+    fn take_mail(&self, key: (usize, usize, u32), deadline: Option<Instant>) -> Option<Vec<u8>> {
+        let mut mail = self.hub.mail.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            if let Some(msg) = mail.get_mut(&key).and_then(|q| q.pop_front()) {
+                return Some(msg);
             }
-        }
-        if write {
-            let staging = {
-                let arc = self.buf_arc(self.rank, local.0)?;
-                let guard = arc.lock().unwrap_or_else(PoisonError::into_inner);
-                guard[local_off..local_off + len].to_vec()
+            let cv = &self.hub.mail_cv;
+            mail = match deadline {
+                None => cv.wait(mail).unwrap_or_else(PoisonError::into_inner),
+                Some(d) => {
+                    let now = Instant::now();
+                    if now >= d {
+                        return None;
+                    }
+                    let waited = cv.wait_timeout(mail, d - now);
+                    waited.unwrap_or_else(PoisonError::into_inner).0
+                }
             };
-            remote.lock().unwrap_or_else(PoisonError::into_inner)[remote_off..remote_off + len]
-                .copy_from_slice(&staging);
-        } else {
-            let staging = {
-                let guard = remote.lock().unwrap_or_else(PoisonError::into_inner);
-                guard[remote_off..remote_off + len].to_vec()
-            };
-            let arc = self.buf_arc(self.rank, local.0)?;
-            arc.lock().unwrap_or_else(PoisonError::into_inner)[local_off..local_off + len]
-                .copy_from_slice(&staging);
         }
-        Ok(())
     }
 }
 
@@ -312,48 +334,7 @@ impl Comm for ThreadComm {
         dst_off: usize,
         len: usize,
     ) -> Result<()> {
-        let peer = token.rank as usize;
-        if peer >= self.hub.p {
-            return Err(CommError::BadRank(peer));
-        }
-        // A Truncate decision genuinely moves the first `got` bytes and
-        // then reports the short count, mirroring process_vm_readv.
-        let (len, trunc) = match self.fault_gate(Some(peer), FaultOp::CmaRead, len) {
-            FaultDecision::Fail(e) => return Err(e),
-            FaultDecision::Truncate { got } => (got.min(len), Some(len)),
-            _ => (len, None),
-        };
-        if !self
-            .hub
-            .exposed
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .contains(&(peer, token.token))
-        {
-            return Err(CommError::PermissionDenied);
-        }
-        self.check(dst, dst_off, len)?;
-        // Single-copy semantics; staged to keep lock ordering acyclic.
-        let data = {
-            let arc = self.buf_arc(peer, token.token)?;
-            let guard = arc.lock().unwrap_or_else(PoisonError::into_inner);
-            if remote_off + len > guard.len() {
-                return Err(CommError::OutOfRange {
-                    buf: token.token,
-                    off: remote_off,
-                    len,
-                    cap: guard.len(),
-                });
-            }
-            guard[remote_off..remote_off + len].to_vec()
-        };
-        let arc = self.buf_arc(self.rank, dst.0)?;
-        arc.lock().unwrap_or_else(PoisonError::into_inner)[dst_off..dst_off + len]
-            .copy_from_slice(&data);
-        match trunc {
-            Some(wanted) => Err(CommError::Truncated { wanted, got: len }),
-            None => Ok(()),
-        }
+        self.transfer(FaultOp::CmaRead, token, remote_off, dst, dst_off, len)
     }
 
     fn cma_write(
@@ -364,51 +345,15 @@ impl Comm for ThreadComm {
         src_off: usize,
         len: usize,
     ) -> Result<()> {
-        let peer = token.rank as usize;
-        if peer >= self.hub.p {
-            return Err(CommError::BadRank(peer));
-        }
-        let (len, trunc) = match self.fault_gate(Some(peer), FaultOp::CmaWrite, len) {
-            FaultDecision::Fail(e) => return Err(e),
-            FaultDecision::Truncate { got } => (got.min(len), Some(len)),
-            _ => (len, None),
-        };
-        if !self
-            .hub
-            .exposed
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .contains(&(peer, token.token))
-        {
-            return Err(CommError::PermissionDenied);
-        }
-        self.check(src, src_off, len)?;
-        let data = {
-            let arc = self.buf_arc(self.rank, src.0)?;
-            let guard = arc.lock().unwrap_or_else(PoisonError::into_inner);
-            guard[src_off..src_off + len].to_vec()
-        };
-        let arc = self.buf_arc(peer, token.token)?;
-        let mut guard = arc.lock().unwrap_or_else(PoisonError::into_inner);
-        if remote_off + len > guard.len() {
-            return Err(CommError::OutOfRange {
-                buf: token.token,
-                off: remote_off,
-                len,
-                cap: guard.len(),
-            });
-        }
-        guard[remote_off..remote_off + len].copy_from_slice(&data);
-        drop(guard);
-        match trunc {
-            Some(wanted) => Err(CommError::Truncated { wanted, got: len }),
-            None => Ok(()),
-        }
+        self.transfer(FaultOp::CmaWrite, token, remote_off, src, src_off, len)
     }
 
     fn ctrl_send(&mut self, to: usize, tag: Tag, data: &[u8]) -> Result<()> {
         if to >= self.hub.p {
             return Err(CommError::BadRank(to));
+        }
+        if tag.0 & BULK_BIT != 0 {
+            return Err(CommError::Protocol("tag collides with bulk channel".into()));
         }
         // Drops surface as typed send failures, never silent losses.
         if let FaultDecision::Fail(e) = self.fault_gate(Some(to), FaultOp::CtrlSend, data.len()) {
@@ -422,57 +367,23 @@ impl Comm for ThreadComm {
         Ok(())
     }
 
-    fn ctrl_recv(&mut self, from: usize, tag: Tag) -> Result<Vec<u8>> {
-        if from >= self.hub.p {
-            return Err(CommError::BadRank(from));
-        }
-        if let FaultDecision::Fail(e) = self.fault_gate(Some(from), FaultOp::CtrlRecv, 0) {
-            return Err(e);
-        }
-        let key = (self.rank, from, tag.0);
-        let mut mail = self.hub.mail.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(msg) = mail.get_mut(&key).and_then(|q| q.pop_front()) {
-                return Ok(msg);
-            }
-            mail = self
-                .hub
-                .mail_cv
-                .wait(mail)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
     fn ctrl_recv_deadline(
         &mut self,
         from: usize,
         tag: Tag,
-        timeout_ns: u64,
-    ) -> Result<Option<Vec<u8>>> {
+        timeout_ns: Option<u64>,
+    ) -> Result<Vec<u8>> {
         if from >= self.hub.p {
             return Err(CommError::BadRank(from));
         }
         if let FaultDecision::Fail(e) = self.fault_gate(Some(from), FaultOp::CtrlRecv, 0) {
             return Err(e);
         }
-        let key = (self.rank, from, tag.0);
-        let deadline = Instant::now() + Duration::from_nanos(timeout_ns);
-        let mut mail = self.hub.mail.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(msg) = mail.get_mut(&key).and_then(|q| q.pop_front()) {
-                return Ok(Some(msg));
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Ok(None);
-            }
-            let (guard, _timed_out) = self
-                .hub
-                .mail_cv
-                .wait_timeout(mail, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            mail = guard;
-        }
+        let deadline = timeout_ns.map(|ns| Instant::now() + Duration::from_nanos(ns));
+        self.take_mail((self.rank, from, tag.0), deadline)
+            .ok_or(CommError::Timeout {
+                waited_ns: timeout_ns.unwrap_or_default(),
+            })
     }
 
     fn shm_send_data(
@@ -495,48 +406,11 @@ impl Comm for ThreadComm {
         // Distinct channel from ctrl traffic; posted directly so the
         // bulk path is one fault site, not a nested ctrl_send one.
         let mut mail = self.hub.mail.lock().unwrap_or_else(PoisonError::into_inner);
-        mail.entry((to, self.rank, tag.0 | 0x8000_0000))
+        mail.entry((to, self.rank, tag.0 | BULK_BIT))
             .or_default()
             .push_back(payload);
         self.hub.mail_cv.notify_all();
         Ok(())
-    }
-
-    fn shm_recv_data(
-        &mut self,
-        from: usize,
-        tag: Tag,
-        dst: BufId,
-        off: usize,
-        len: usize,
-    ) -> Result<()> {
-        if from >= self.hub.p {
-            return Err(CommError::BadRank(from));
-        }
-        if let FaultDecision::Fail(e) = self.fault_gate(Some(from), FaultOp::ShmRecv, len) {
-            return Err(e);
-        }
-        let key = (self.rank, from, tag.0 | 0x8000_0000);
-        let payload = {
-            let mut mail = self.hub.mail.lock().unwrap_or_else(PoisonError::into_inner);
-            loop {
-                if let Some(msg) = mail.get_mut(&key).and_then(|q| q.pop_front()) {
-                    break msg;
-                }
-                mail = self
-                    .hub
-                    .mail_cv
-                    .wait(mail)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        };
-        if payload.len() != len {
-            return Err(CommError::Truncated {
-                wanted: len,
-                got: payload.len(),
-            });
-        }
-        self.write_local(dst, off, &payload)
     }
 
     fn shm_recv_deadline(
@@ -546,42 +420,27 @@ impl Comm for ThreadComm {
         dst: BufId,
         off: usize,
         len: usize,
-        timeout_ns: u64,
-    ) -> Result<bool> {
+        timeout_ns: Option<u64>,
+    ) -> Result<()> {
         if from >= self.hub.p {
             return Err(CommError::BadRank(from));
         }
         if let FaultDecision::Fail(e) = self.fault_gate(Some(from), FaultOp::ShmRecv, len) {
             return Err(e);
         }
-        let key = (self.rank, from, tag.0 | 0x8000_0000);
-        let deadline = Instant::now() + Duration::from_nanos(timeout_ns);
-        let payload = {
-            let mut mail = self.hub.mail.lock().unwrap_or_else(PoisonError::into_inner);
-            loop {
-                if let Some(msg) = mail.get_mut(&key).and_then(|q| q.pop_front()) {
-                    break msg;
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    return Ok(false);
-                }
-                let (guard, _timed_out) = self
-                    .hub
-                    .mail_cv
-                    .wait_timeout(mail, deadline - now)
-                    .unwrap_or_else(PoisonError::into_inner);
-                mail = guard;
-            }
-        };
+        let deadline = timeout_ns.map(|ns| Instant::now() + Duration::from_nanos(ns));
+        let payload = self
+            .take_mail((self.rank, from, tag.0 | BULK_BIT), deadline)
+            .ok_or(CommError::Timeout {
+                waited_ns: timeout_ns.unwrap_or_default(),
+            })?;
         if payload.len() != len {
             return Err(CommError::Truncated {
                 wanted: len,
                 got: payload.len(),
             });
         }
-        self.write_local(dst, off, &payload)?;
-        Ok(true)
+        self.write_local(dst, off, &payload)
     }
 
     fn shm_fallback_read(
@@ -592,7 +451,7 @@ impl Comm for ThreadComm {
         dst_off: usize,
         len: usize,
     ) -> Result<()> {
-        self.fallback_transfer(token, remote_off, dst, dst_off, len, false)
+        self.transfer(FaultOp::FallbackRead, token, remote_off, dst, dst_off, len)
     }
 
     fn shm_fallback_write(
@@ -603,7 +462,7 @@ impl Comm for ThreadComm {
         src_off: usize,
         len: usize,
     ) -> Result<()> {
-        self.fallback_transfer(token, remote_off, src, src_off, len, true)
+        self.transfer(FaultOp::FallbackWrite, token, remote_off, src, src_off, len)
     }
 
     fn time_ns(&self) -> u64 {
@@ -678,5 +537,29 @@ mod tests {
         });
         let expect: Vec<u8> = (0..100_000).map(|i| (i % 251) as u8).collect();
         assert_eq!(results[1], expect);
+    }
+
+    #[test]
+    fn a_control_tag_in_the_bulk_channel_is_refused() {
+        let tag = Tag(3 | BULK_BIT);
+        let results = run_threads(2, |comm| {
+            if comm.rank() == 0 {
+                let sent = comm.ctrl_send(1, tag, b"x");
+                comm.notify(1, Tag::user(1)).unwrap();
+                return sent;
+            }
+            comm.wait_notify(0, Tag::user(1)).unwrap();
+            // Nothing reached the bulk channel of the tag without the bit.
+            let dst = comm.alloc(1);
+            comm.shm_recv_deadline(0, Tag(3), dst, 0, 1, Some(1_000_000))
+        });
+        let refused = CommError::Protocol("tag collides with bulk channel".into());
+        assert_eq!(results[0], Err(refused));
+        assert_eq!(
+            results[1],
+            Err(CommError::Timeout {
+                waited_ns: 1_000_000
+            })
+        );
     }
 }

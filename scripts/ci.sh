@@ -10,6 +10,9 @@ cargo fmt --all -- --check
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== non-test Rust lines per crate (reported, no threshold) =="
+scripts/loc.sh
+
 echo "== cargo build --release =="
 cargo build --release
 
