@@ -1,7 +1,7 @@
 //! [`Comm`] over forked processes with real kernel-assisted copies.
 
 use crate::backoff::Backoff;
-use crate::ring::{ring_bytes, SpscRing};
+use crate::ring::{frame_bytes, ring_bytes, SpscRing};
 use crate::shm::ShmRegion;
 use crate::BULK_BIT;
 use kacc_comm::{BufId, Comm, CommError, RemoteToken, Result, Tag, Topology};
@@ -14,7 +14,8 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Payload capacity of each directed ring (power of two).
+/// Data bytes of each directed ring (power of two). A control message
+/// fits if its frame, [`frame_bytes`] of its length, is no larger.
 pub const RING_CAP: usize = 256 * 1024;
 /// Bulk fragments pushed through the rings by the two-copy path.
 const BULK_CHUNK: usize = 32 * 1024;
@@ -284,12 +285,14 @@ impl NativeComm {
     /// key is always older than any still on the ring. A frame whose tag
     /// matches is returned straight off the ring.
     fn recv_keyed(&mut self, from: usize, key: u32, deadline: Option<Instant>) -> Option<Vec<u8>> {
-        if let Some(q) = self.pending.get_mut(&(from, key)) {
-            let msg = q.pop_front();
-            if q.is_empty() {
-                self.pending.remove(&(from, key));
+        if !self.pending.is_empty() {
+            if let Some(q) = self.pending.get_mut(&(from, key)) {
+                let msg = q.pop_front();
+                if q.is_empty() {
+                    self.pending.remove(&(from, key));
+                }
+                return msg;
             }
-            return msg;
         }
         let mut backoff = Backoff::default();
         loop {
@@ -521,6 +524,12 @@ impl Comm for NativeComm {
         }
         if tag.0 & BULK_BIT != 0 {
             return Err(CommError::Protocol("tag collides with bulk channel".into()));
+        }
+        if frame_bytes(data.len()) > RING_CAP {
+            return Err(CommError::Protocol(format!(
+                "control message of {} bytes does not fit a {RING_CAP}-byte ring",
+                data.len()
+            )));
         }
         // A dropped control message surfaces as a typed send failure,
         // never as silent loss (which would deadlock the receiver).

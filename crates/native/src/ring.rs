@@ -1,30 +1,79 @@
 //! Lock-free single-producer/single-consumer byte rings over raw shared
 //! memory — the native control plane.
 //!
-//! Each directed rank pair owns one ring. Frames are `[len: u32][tag:
-//! u32][payload]`, 8-byte aligned. The producer waits (spin, then yield)
-//! when the ring is full; the consumer when it is empty. Head/tail are
-//! `AtomicU64` with acquire/release ordering, the textbook SPSC design
-//! (Rust Atomics and Locks, ch. 5).
+//! Each directed rank pair owns one ring. Its wire format is built so
+//! that a control message crosses cores as one cache line:
+//!
+//! ```text
+//! line 0    head                 written by the consumer; read by the
+//!                                producer only when the ring looks full
+//! line 1    tail, head seen      the producer's own words
+//! line 2..  data                 frames, each starting on a line
+//!
+//! frame     [stamp: u64][len: u32][tag: u32][payload][pad to a line]
+//! ```
+//!
+//! * **Stamp.** A frame's first word is its absolute ring position (bytes
+//!   since the ring was made) + 1, never 0. The producer writes `len`,
+//!   `tag` and the payload, then stores the stamp with `Release`: the
+//!   stamp commits the frame. Up to [`LINE`] − 16 = 48 payload bytes
+//!   share the stamp's line, so a buffer token or a notification is one
+//!   line.
+//! * **Consumer.** It polls the word at `head` with `Acquire` until it
+//!   reads `head + 1`. The miss that brings the stamp in brings the frame
+//!   with it; polling a separate `tail` would cost one more cross-core
+//!   miss before the data. After copying the frame out it clears the first
+//!   word of every line the frame covered, then publishes the new `head`
+//!   with `Release`.
+//! * **Why the clear.** A frame longer than a line leaves payload bytes at
+//!   the start of later lines. When a later lap's `head` lands on such a
+//!   line, a payload word equal to `head + 1` would read as a committed
+//!   frame. A cleared word is 0, which no stamp is. The clear happens
+//!   before the `head` release, so the producer, which acquires `head`
+//!   before it reuses the space, never writes over a line still being
+//!   cleared.
+//! * **Producer.** It keeps `tail` and the last `head` it read on its own
+//!   line, and re-reads the shared `head` only when that copy says the
+//!   frame does not fit. A push touches the consumer's line only when the
+//!   ring looks full.
+//!
+//! A full or an empty ring is waited on by spinning, then yielding.
 
 use crate::backoff::Backoff;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Frame header size: u32 payload length + u32 tag.
-const HDR: usize = 8;
+/// Cache-line size: every frame starts on a line, and the consumer's and
+/// the producer's words sit on lines of their own.
+pub const LINE: usize = 64;
+/// Frame header: stamp u64 + payload length u32 + tag u32.
+const HDR: usize = 16;
 
-/// Offsets of the control words within a ring's memory.
+/// The consumer's word: the ring position of the next frame to pop.
 const HEAD_OFF: usize = 0;
-const TAIL_OFF: usize = 8;
-/// First payload byte.
-pub const DATA_OFF: usize = 64; // keep producer/consumer words on separate cache lines
+/// The producer's words: the ring position of the next frame to push,
+/// and the last `head` the producer read. Only the producer touches them,
+/// so they are `Relaxed`; the space `head` frees is acquired when `head`
+/// is read.
+const TAIL_OFF: usize = LINE;
+const SEEN_OFF: usize = LINE + 8;
+/// First data byte.
+const DATA_OFF: usize = 2 * LINE;
 
-/// Bytes of shared memory a ring with `capacity` payload bytes needs.
+/// Bytes of shared memory a ring with `capacity` data bytes needs.
 pub const fn ring_bytes(capacity: usize) -> usize {
     DATA_OFF + capacity
 }
 
+/// Ring bytes a frame carrying `payload` bytes takes: the header and the
+/// payload, rounded up to whole lines. A frame can be pushed only if this
+/// is at most the ring's capacity.
+pub const fn frame_bytes(payload: usize) -> usize {
+    (HDR + payload).div_ceil(LINE) * LINE
+}
+
 /// One endpoint's view of an SPSC ring at a fixed shared-memory address.
+/// The ring's state lives in the shared memory, so any number of views
+/// agree; one view may both push and pop.
 ///
 /// Safety contract: exactly one producer process/thread calls `push`,
 /// exactly one consumer calls `pop`, and the underlying memory outlives
@@ -34,31 +83,48 @@ pub struct SpscRing {
     capacity: usize,
 }
 
+// SAFETY: the view holds only a pointer into shared memory and the
+// capacity; every access through it is an atomic or is ordered by the
+// stamp / `head` release-acquire pairs, whichever thread or process the
+// view is on.
 unsafe impl Send for SpscRing {}
 
 impl SpscRing {
-    /// Wrap ring memory at `base` with `capacity` payload bytes.
-    /// `capacity` must be a power of two.
+    /// Wrap ring memory at `base` with `capacity` data bytes. `capacity`
+    /// must be a power of two from [`LINE`] bytes to 2 GiB (a frame's
+    /// length is a u32), and `base` must be [`LINE`]-aligned.
     ///
     /// # Safety
     /// `base` must point to at least [`ring_bytes`]`(capacity)` bytes of
     /// zero-initialized memory shared between producer and consumer.
     pub unsafe fn attach(base: *mut u8, capacity: usize) -> SpscRing {
         assert!(
-            capacity.is_power_of_two(),
-            "ring capacity must be a power of two"
+            capacity.is_power_of_two() && (LINE..=1 << 31).contains(&capacity),
+            "ring capacity must be a power of two from {LINE} B to 2 GiB"
+        );
+        assert!(
+            (base as usize).is_multiple_of(LINE),
+            "ring memory must start on a cache line"
         );
         SpscRing { base, capacity }
     }
 
+    fn control(&self, off: usize) -> &AtomicU64 {
+        // SAFETY: the control words lie within the region per the attach
+        // contract and are 8-aligned.
+        unsafe { &*(self.base.add(off) as *const AtomicU64) }
+    }
+
     fn head(&self) -> &AtomicU64 {
-        // SAFETY: within the region per the attach contract; aligned.
-        unsafe { &*(self.base.add(HEAD_OFF) as *const AtomicU64) }
+        self.control(HEAD_OFF)
     }
 
     fn tail(&self) -> &AtomicU64 {
-        // SAFETY: as above.
-        unsafe { &*(self.base.add(TAIL_OFF) as *const AtomicU64) }
+        self.control(TAIL_OFF)
+    }
+
+    fn seen(&self) -> &AtomicU64 {
+        self.control(SEEN_OFF)
     }
 
     fn slot(&self, pos: u64) -> *mut u8 {
@@ -67,6 +133,13 @@ impl SpscRing {
             self.base
                 .add(DATA_OFF + (pos as usize & (self.capacity - 1)))
         }
+    }
+
+    /// The first word of the line at ring position `pos` (a multiple of
+    /// [`LINE`]): a frame's stamp, or a cleared or payload word.
+    fn stamp(&self, pos: u64) -> &AtomicU64 {
+        // SAFETY: `slot` is in bounds; a line start is 8-aligned.
+        unsafe { &*(self.slot(pos) as *const AtomicU64) }
     }
 
     /// Copy `bytes` into the ring starting at logical position `pos`,
@@ -106,47 +179,66 @@ impl SpscRing {
     }
 
     /// Push one frame, waiting while the ring lacks space. The frame
-    /// (header + padded payload) must fit the ring at all.
+    /// ([`frame_bytes`] of the payload) must fit the ring at all.
     pub fn push(&self, tag: u32, payload: &[u8]) {
-        let frame = HDR + pad8(payload.len());
+        let frame = frame_bytes(payload.len());
         assert!(
             frame <= self.capacity,
             "frame of {frame} bytes exceeds ring capacity {}",
             self.capacity
         );
-        let mut backoff = Backoff::default();
-        loop {
-            let head = self.head().load(Ordering::Acquire);
-            let tail = self.tail().load(Ordering::Relaxed);
-            let used = (tail - head) as usize;
-            if self.capacity - used >= frame {
-                let mut hdr = [0u8; HDR];
-                hdr[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-                hdr[4..].copy_from_slice(&tag.to_le_bytes());
-                self.write_wrapped(tail, &hdr);
-                self.write_wrapped(tail + HDR as u64, payload);
-                self.tail().store(tail + frame as u64, Ordering::Release);
-                return;
+        let tail = self.tail().load(Ordering::Relaxed);
+        // The frame fits once the consumer's head has reached `need`.
+        let need = (tail + frame as u64).saturating_sub(self.capacity as u64);
+        if self.seen().load(Ordering::Relaxed) < need {
+            let mut backoff = Backoff::default();
+            loop {
+                let head = self.head().load(Ordering::Acquire);
+                if head >= need {
+                    self.seen().store(head, Ordering::Relaxed);
+                    break;
+                }
+                backoff.snooze();
             }
-            backoff.snooze();
         }
+        // SAFETY: the frame's lines are free (the consumer's head passed
+        // them) and the header line is contiguous inside the data area.
+        unsafe {
+            let line = self.slot(tail);
+            (line.add(8) as *mut u32).write(payload.len() as u32);
+            (line.add(12) as *mut u32).write(tag);
+        }
+        self.write_wrapped(tail + HDR as u64, payload);
+        self.stamp(tail).store(tail + 1, Ordering::Release);
+        self.tail().store(tail + frame as u64, Ordering::Relaxed);
     }
 
     /// Pop the next frame if one is ready.
     pub fn try_pop(&self) -> Option<(u32, Vec<u8>)> {
         let head = self.head().load(Ordering::Relaxed);
-        let tail = self.tail().load(Ordering::Acquire);
-        if head == tail {
+        if self.stamp(head).load(Ordering::Acquire) != head + 1 {
             return None;
         }
-        let mut hdr = [0u8; HDR];
-        self.read_wrapped(head, &mut hdr);
-        let len = u32::from_le_bytes(hdr[..4].try_into().expect("slice length fixed")) as usize;
-        let tag = u32::from_le_bytes(hdr[4..].try_into().expect("slice length fixed"));
+        // SAFETY: the stamp's acquire makes the producer's header visible;
+        // the header line is contiguous inside the data area.
+        let (len, tag) = unsafe {
+            let line = self.slot(head);
+            (
+                (line.add(8) as *const u32).read() as usize,
+                (line.add(12) as *const u32).read(),
+            )
+        };
+        let frame = frame_bytes(len);
+        assert!(
+            frame <= self.capacity,
+            "corrupt frame of {len} bytes at ring position {head}"
+        );
         let mut payload = vec![0u8; len];
         self.read_wrapped(head + HDR as u64, &mut payload);
-        self.head()
-            .store(head + (HDR + pad8(len)) as u64, Ordering::Release);
+        for line in (head..head + frame as u64).step_by(LINE) {
+            self.stamp(line).store(0, Ordering::Relaxed);
+        }
+        self.head().store(head + frame as u64, Ordering::Release);
         Some((tag, payload))
     }
 
@@ -160,10 +252,6 @@ impl SpscRing {
             backoff.snooze();
         }
     }
-}
-
-fn pad8(n: usize) -> usize {
-    n.div_ceil(8) * 8
 }
 
 #[cfg(test)]
@@ -282,6 +370,48 @@ mod tests {
                 "{frames} one-CPU handoffs made no yield"
             );
         }
+    }
+
+    /// A frame longer than a line leaves payload words at the start of
+    /// later lines. Here each such word holds the stamp its line would
+    /// carry one lap later, and frames of one to three lines move `head`
+    /// across every line phase. The ring is empty after every pop, so any
+    /// frame `try_pop` then returns is a phantom; `traps` counts the polls
+    /// that land on a line whose stale word is exactly the stamp expected
+    /// there, and must be non-zero for the test to mean anything.
+    #[test]
+    fn stale_payload_words_never_read_as_stamps() {
+        const CAP: usize = 256;
+        let (_shm, tx, rx) = ring_pair(CAP);
+        // The first word of each physical line as the producer last wrote
+        // it, clearing aside.
+        let mut stale = [0u64; CAP / LINE];
+        let mut pos = 0u64;
+        let mut traps = 0;
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        for i in 0..2000u32 {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let lines = 1 + (rng % 3) as usize;
+            let mut payload = vec![0u8; lines * LINE - HDR];
+            stale[(pos as usize % CAP) / LINE] = pos + 1;
+            for k in 1..lines {
+                let line = pos + (k * LINE) as u64;
+                let next_lap = line + CAP as u64 + 1;
+                let at = k * LINE - HDR;
+                payload[at..at + 8].copy_from_slice(&next_lap.to_le_bytes());
+                stale[(line as usize % CAP) / LINE] = next_lap;
+            }
+            tx.push(i, &payload);
+            assert_eq!(rx.pop(), (i, payload));
+            pos += (lines * LINE) as u64;
+            if stale[(pos as usize % CAP) / LINE] == pos + 1 {
+                traps += 1;
+            }
+            assert_eq!(rx.try_pop(), None, "phantom frame at ring position {pos}");
+        }
+        assert!(traps > 0, "no poll landed on a stale stamp");
     }
 
     #[test]

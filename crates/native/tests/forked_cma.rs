@@ -13,6 +13,7 @@ use kacc_collectives::{
     GatherAlgo, ScatterAlgo,
 };
 use kacc_comm::{BufId, Comm, CommError, CommExt, Tag};
+use kacc_native::nativecomm::RING_CAP;
 use kacc_native::{cma_available, run_forked};
 
 fn proto_err(msg: String) -> CommError {
@@ -157,6 +158,83 @@ fn real_cma_collectives_end_to_end() {
         }
     })
     .unwrap_or_else(|e| panic!("keyed receive failed: {e}"));
+
+    // Streams through the real rings: each rank sends 10 000 frames of
+    // 0..600 pseudo-random bytes and receives as many, in windows small
+    // enough for a ring to hold, so both directions run at once and the
+    // rings wrap many times. Lengths and bytes come from one generator per
+    // direction, and the receiver checks a checksum of all it got and
+    // every frame's length.
+    run_forked(2, |comm| {
+        const FRAMES: u64 = 10_000;
+        const WINDOW: u64 = 64;
+        let me = comm.rank();
+        let peer = 1 - me;
+        let tag = Tag::user(5);
+        let frame = |gen: &mut u64| -> Vec<u8> {
+            let mut next = || {
+                *gen ^= *gen << 13;
+                *gen ^= *gen >> 7;
+                *gen ^= *gen << 17;
+                *gen
+            };
+            let len = (next() % 600) as usize;
+            (0..len).map(|_| next() as u8).collect()
+        };
+        let fnv = |sum: u64, bytes: &[u8]| {
+            bytes.iter().fold(sum, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+            })
+        };
+        let (mut send_gen, mut want_gen) = (0x5EED + me as u64, 0x5EED + peer as u64);
+        let (mut got_sum, mut want_sum) = (0xcbf2_9ce4_8422_2325u64, 0xcbf2_9ce4_8422_2325u64);
+        for start in (0..FRAMES).step_by(WINDOW as usize) {
+            let n = WINDOW.min(FRAMES - start);
+            for _ in 0..n {
+                comm.ctrl_send(peer, tag, &frame(&mut send_gen))?;
+            }
+            for i in start..start + n {
+                let got = comm.ctrl_recv(peer, tag)?;
+                let want = frame(&mut want_gen);
+                if got.len() != want.len() {
+                    return Err(proto_err(format!(
+                        "frame {i}: {} bytes, sent {}",
+                        got.len(),
+                        want.len()
+                    )));
+                }
+                got_sum = fnv(got_sum, &got);
+                want_sum = fnv(want_sum, &want);
+            }
+        }
+        if got_sum != want_sum {
+            return Err(proto_err(format!(
+                "stream checksum {got_sum:#x}, sent {want_sum:#x}"
+            )));
+        }
+        Ok(())
+    })
+    .unwrap_or_else(|e| panic!("ring stream failed: {e}"));
+
+    // A control message too large for the ring is refused with a typed
+    // error before anything is pushed, and the ring still works after.
+    run_forked(2, |comm| {
+        let tag = Tag::user(6);
+        if comm.rank() == 0 {
+            match comm.ctrl_send(1, tag, &vec![0u8; RING_CAP]) {
+                Err(CommError::Protocol(_)) => {}
+                other => return Err(proto_err(format!("oversize send returned {other:?}"))),
+            }
+            return comm.ctrl_send(1, tag, b"after");
+        }
+        match comm.ctrl_recv(0, tag)? {
+            body if body == b"after" => Ok(()),
+            body => Err(proto_err(format!(
+                "received {body:?} after an oversize send"
+            ))),
+        }
+    })
+    .unwrap_or_else(|e| panic!("oversize control message: {e}"));
 
     // Buffer slab: copies between buffers in both index orders, an
     // overlapping copy inside one buffer, and typed errors for ids that

@@ -1,7 +1,7 @@
 //! Property-based tests for the SPSC shared-memory ring: arbitrary frame
 //! sequences survive unchanged, in order, across thread boundaries.
 
-use kacc_native::ring::{ring_bytes, SpscRing};
+use kacc_native::ring::{frame_bytes, ring_bytes, SpscRing, LINE};
 use kacc_native::shm::ShmRegion;
 use proptest::prelude::*;
 
@@ -40,6 +40,58 @@ proptest! {
             producer.join().unwrap();
         });
         prop_assert!(rx.try_pop().is_none(), "ring must drain completely");
+    }
+
+    #[test]
+    fn frames_ending_at_the_ring_end_and_empty_frames(
+        ops in proptest::collection::vec((0u8..4, any::<u16>()), 1..120),
+        cap_pow in 7u32..11,
+    ) {
+        // Kind 0 is a 0-byte frame, 1 a frame of arbitrary length, 2 one
+        // whose payload fills the space to the ring's end exactly, and 3
+        // one whose padded frame ends there, 1..47 bytes short. Positions
+        // depend only on frame sizes, so the frames are laid out up front.
+        let cap = 1usize << cap_pow;
+        let mut pos = 0usize;
+        let mut ends_at_ring_end = 0;
+        let frames: Vec<(u32, Vec<u8>)> = ops
+            .iter()
+            .enumerate()
+            .map(|(i, &(kind, r))| {
+                let room = cap - pos % cap;
+                let len = match kind {
+                    0 => 0,
+                    1 => r as usize % (cap - 15),
+                    2 => room - 16,
+                    _ => room - 16 - (1 + r as usize % (LINE - 17)),
+                };
+                pos += frame_bytes(len);
+                if pos.is_multiple_of(cap) {
+                    ends_at_ring_end += 1;
+                }
+                let payload = (0..len).map(|b| (b * 31 + i) as u8).collect();
+                (i as u32, payload)
+            })
+            .collect();
+        prop_assert!(frames.iter().all(|(_, p)| frame_bytes(p.len()) <= cap));
+        let shm = ShmRegion::new(ring_bytes(cap)).unwrap();
+        // SAFETY: fresh zeroed region; one producer and one consumer.
+        let tx = unsafe { SpscRing::attach(shm.as_ptr(), cap) };
+        let rx = unsafe { SpscRing::attach(shm.as_ptr(), cap) };
+        std::thread::scope(|scope| {
+            let sent = &frames;
+            scope.spawn(move || {
+                for (tag, payload) in sent {
+                    tx.push(*tag, payload);
+                }
+            });
+            for want in &frames {
+                assert_eq!(&rx.pop(), want);
+            }
+        });
+        prop_assert!(rx.try_pop().is_none(), "ring must drain completely");
+        let fills = ops.iter().filter(|(kind, _)| *kind >= 2).count();
+        prop_assert!(ends_at_ring_end >= fills);
     }
 
     #[test]

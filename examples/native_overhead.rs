@@ -1,10 +1,14 @@
 //! Where a small real-CMA collective's time goes. A forked two-rank team
 //! times, at 4 KiB, each benchmark collective through its blocking entry,
 //! the k-nomial Bcast plan through `execute`, the same transport calls
-//! written by hand (token send, `process_vm_readv`, notify), and an
-//! empty schedule through `execute`; it also prints the size of the
+//! written by hand (token send, `process_vm_readv`, notify), an empty
+//! schedule through `execute`, and a control round trip (a token-sized
+//! `ctrl_send` answered by one back); it also prints the size of the
 //! executor future on this transport. The gap between a collective and
 //! its hand-rolled calls is what the library adds on top of the kernel.
+//! When at least p CPUs are allowed, rank r is pinned to the r-th of
+//! them, as the benchmark's `native_cma` workload pins its ranks;
+//! unpinned rows move with the scheduler.
 //!
 //! Three more rows time the executor alone, on an in-memory stub whose
 //! every call returns at once and whose clock is a real `Instant`: a
@@ -45,7 +49,7 @@ enum Skip {
 }
 
 /// The rows, in print order; the last slot holds the future size.
-const ROWS: [&str; 9] = [
+const ROWS: [&str; 10] = [
     "bcast k-nomial, blocking entry",
     "scatter parallel-read, blocking entry",
     "gather parallel-write, blocking entry",
@@ -54,6 +58,7 @@ const ROWS: [&str; 9] = [
     "bcast k-nomial plan via execute",
     "hand-rolled token / read / notify",
     "empty schedule via execute",
+    "control round trip",
     "executor future on NativeComm",
 ];
 
@@ -192,12 +197,54 @@ fn hand_rolled_bcast(comm: &mut NativeComm, buf: kacc::comm::BufId) -> Result<()
     }
 }
 
-fn measure(calls: usize) -> std::result::Result<Vec<u64>, Skip> {
+/// One control round trip at p = 2: rank 0 sends a token-sized message
+/// and waits for rank 1's answer.
+fn ping_pong(comm: &mut NativeComm) -> Result<()> {
+    let tag = Tag::user(9);
+    let body = [0u8; RemoteToken::WIRE_LEN];
+    if comm.rank() == 0 {
+        comm.ctrl_send(1, tag, &body)?;
+        comm.ctrl_recv(1, tag).map(drop)
+    } else {
+        comm.ctrl_recv(0, tag)?;
+        comm.ctrl_send(0, tag, &body)
+    }
+}
+
+/// The CPUs this process may run on, ascending (empty if the call fails).
+fn allowed_cpus() -> Vec<usize> {
+    let mut set = libc::cpu_set_t::default();
+    // SAFETY: the kernel writes at most `size` bytes into `set`.
+    let rc = unsafe { libc::sched_getaffinity(0, std::mem::size_of_val(&set), &mut set) };
+    if rc < 0 {
+        return Vec::new();
+    }
+    (0..libc::CPU_SETSIZE as usize)
+        .filter(|&c| libc::CPU_ISSET(c, &set))
+        .collect()
+}
+
+/// Pin the calling process to `cpu`; false if the kernel refuses.
+fn pin_to(cpu: usize) -> bool {
+    let mut set = libc::cpu_set_t::default();
+    libc::CPU_SET(cpu, &mut set);
+    // SAFETY: `set` is a valid cpu set of the size passed.
+    unsafe { libc::sched_setaffinity(0, std::mem::size_of_val(&set), &set) == 0 }
+}
+
+/// The rows' medians; with `cpus` (at least P allowed CPUs), rank r is
+/// pinned to `cpus[r]`.
+fn measure(calls: usize, cpus: Option<&[usize]>) -> std::result::Result<Vec<u64>, Skip> {
     if !cma_available() {
         return Err(Skip::CmaDenied);
     }
     let slots = run_forked_collect(P, ROWS.len(), |comm| {
         let me = comm.rank();
+        if let Some(cpus) = cpus {
+            if !pin_to(cpus[me]) {
+                return Err(CommError::Protocol(format!("pinning to cpu {}", cpus[me])));
+            }
+        }
         let fill = |comm: &mut NativeComm, len: usize| comm.alloc_with(&contribution(me, len));
         let one = fill(comm, BYTES);
         let all = fill(comm, P * BYTES);
@@ -244,6 +291,7 @@ fn measure(calls: usize) -> std::result::Result<Vec<u64>, Skip> {
             median_ns(comm, calls, |c| {
                 execute(c, &empty, &Bindings::default()).map(drop)
             })?,
+            median_ns(comm, calls, ping_pong)?,
             std::mem::size_of_val(&execute_polled(&mut Blocking(comm), &plan, &plan_bind)) as u64,
         ];
         if me == 0 {
@@ -268,7 +316,9 @@ fn main() {
     for (name, ns) in STUB_ROWS.iter().zip(stub) {
         println!("  {name:<44} {:>8.2} us", ns as f64 / 1e3);
     }
-    let slots = match measure(calls) {
+    let allowed = allowed_cpus();
+    let cpus = (allowed.len() >= P).then_some(allowed.as_slice());
+    let slots = match measure(calls, cpus) {
         Ok(slots) => slots,
         Err(Skip::CmaDenied) => {
             eprintln!(
@@ -279,7 +329,13 @@ fn main() {
             return;
         }
     };
-    println!("native call overhead: p = {P}, {BYTES} B, rank 0 median of {calls} calls");
+    let placement = match cpus {
+        Some(_) => "one rank per CPU",
+        None => "unpinned",
+    };
+    println!(
+        "native call overhead: p = {P}, {BYTES} B, {placement}, rank 0 median of {calls} calls"
+    );
     let (last, lats) = ROWS.split_last().expect("rows are not empty");
     for (name, ns) in lats.iter().zip(&slots) {
         println!("  {name:<44} {:>8.2} us", *ns as f64 / 1e3);

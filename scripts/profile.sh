@@ -37,10 +37,12 @@
 #   callers    for each of the top 8 flat symbols, its immediate callers
 # Addresses are mapped to symbols through /proc/PID/maps (saved with the
 # samples), the ELF program headers (`readelf -l`) and `nm -C`. Frames
-# in the executable are named; frames in shared libraries are named from
-# their dynamic symbols where they have them, so a stripped library's
-# internal function (glibc's memcpy variants, say) shows under the
-# nearest exported symbol below it.
+# in the executable are named. A stripped shared library has only its
+# exported (dynamic) symbols, and its internal functions (glibc's memmove
+# variants, say) lie between them: a frame within 4 KiB past an exported
+# symbol is named after it, and a frame farther away prints as the
+# library and its ELF address, `libc.so.6+0x16db75`, which `addr2line -e`
+# or a disassembler can place.
 #
 # Needs gcc, nm, readelf and python3.
 set -euo pipefail
@@ -208,6 +210,7 @@ import bisect, collections, glob, os, re, subprocess, sys
 
 out, top = sys.argv[1], int(sys.argv[2])
 HASH = re.compile(r"::h[0-9a-f]{16}$")
+NEAR = 4096  # farthest a frame may lie past an exported symbol named for it
 
 class Image:
     """One mapped ELF file: its LOAD segments and sorted symbols."""
@@ -222,8 +225,9 @@ class Image:
             if f[:1] == ["LOAD"]:
                 off, vaddr, filesz = int(f[1], 16), int(f[2], 16), int(f[4], 16)
                 self.loads.append((off, vaddr, filesz))
-        syms = {}
+        syms, self.exported_only = {}, False
         for flags in (["-C", "--defined-only"], ["-C", "-D", "--defined-only"]):
+            self.exported_only = "-D" in flags
             res = subprocess.run(["nm", *flags, path], capture_output=True, text=True)
             for line in res.stdout.splitlines():
                 f = line.split(" ", 2)
@@ -243,7 +247,9 @@ class Image:
                 vaddr = off - o + v
                 break
         i = bisect.bisect_right(self.addrs, vaddr) - 1
-        return self.names[i] if i >= 0 else f"[{self.base}]"
+        if i < 0 or (self.exported_only and vaddr - self.addrs[i] > NEAR):
+            return f"{self.base}+{vaddr:#x}"
+        return self.names[i]
 
 images, stacks, procs, dropped = {}, [], 0, 0
 for path in sorted(glob.glob(os.path.join(out, "samples.*.txt"))):
