@@ -5,7 +5,6 @@
 //! bench-regress                          # check vs BENCH_BASELINE.json
 //! bench-regress --baseline FILE         # alternate baseline
 //! bench-regress --out verdict.json      # machine-readable verdict
-//! bench-regress --wall-tol-pct 50       # loosen the wall-clock tolerance
 //! bench-regress --write-baseline FILE   # regenerate the baseline
 //! ```
 //!
@@ -16,9 +15,8 @@
 //! diagnostics, and the full `kacc-metrics` snapshot — must match
 //! **exactly**; any drift is a hard failure (exit 1), because those
 //! quantities are virtual-time/count facts about the simulation, not
-//! measurements. Wall-clock quantities (`wall_s`, `events_per_sec`)
-//! vary across machines, so they only warn when they drift past the
-//! tolerance (default 30%).
+//! measurements. Nothing here is wall-clock: `benchmark/run.sh` compares
+//! host time, and `repro --bench-out` reports it per figure.
 //!
 //! The per-failure recovery cost (virtual ns a single silent kill adds
 //! to a survivable collective, worst case over the op set) is gated
@@ -36,8 +34,6 @@ use kacc_metrics::Value;
 
 /// The deterministic quick-mode reference measurement.
 struct Reference {
-    wall_s: f64,
-    events_per_sec: f64,
     total_events: u64,
     figures: Vec<(String, u64)>,
     storm: WakeStorm,
@@ -59,7 +55,6 @@ fn quick_reference() -> Reference {
     eprintln!("[reference run: --jobs 1, quick]");
     kacc_metrics::reset();
     par::set_jobs(1);
-    let t0 = std::time::Instant::now();
     let mut figures = Vec::new();
     let mut total_events = 0u64;
     for (name, f) in registry() {
@@ -72,7 +67,6 @@ fn quick_reference() -> Reference {
     let storm = measure::wake_storm_probe(&kacc_model::ArchProfile::knl(), 8, 32 << 10, 5);
     total_events += storm.events;
     let per_failure_cost_ns = kacc_bench::figs::failures::per_failure_cost_ns();
-    let wall_s = t0.elapsed().as_secs_f64();
     let mut metrics = Vec::new();
     for (name, v) in kacc_metrics::snapshot().metrics {
         match v {
@@ -85,8 +79,6 @@ fn quick_reference() -> Reference {
         }
     }
     Reference {
-        wall_s,
-        events_per_sec: total_events as f64 / wall_s.max(1e-9),
         total_events,
         figures,
         storm,
@@ -99,11 +91,9 @@ fn baseline_json(r: &Reference) -> String {
     let mut s = String::from("{\n");
     s.push_str("  \"schema\": \"kacc-bench-regress-v2\",\n");
     s.push_str(
-        "  \"note\": \"Committed quick-mode regression baseline for bench-regress: per-figure event counts, wake-storm diagnostics, the per-failure recovery cost, and the full kacc-metrics snapshot are deterministic and compared exactly; the recovery cost is additionally hard-capped at 40 ms virtual regardless of the baseline; wall_s / events_per_sec are machine-dependent and only warn; metrics newly registered since the baseline warn as additions. Regenerate with: cargo run --release -p kacc-bench --bin bench-regress -- --write-baseline BENCH_BASELINE.json\",\n",
+        "  \"note\": \"Committed quick-mode regression baseline for bench-regress: per-figure event counts, wake-storm diagnostics, the per-failure recovery cost, and the full kacc-metrics snapshot are deterministic and compared exactly; the recovery cost is additionally hard-capped at 40 ms virtual regardless of the baseline; metrics newly registered since the baseline warn as additions. Regenerate with: cargo run --release -p kacc-bench --bin bench-regress -- --write-baseline BENCH_BASELINE.json\",\n",
     );
     s.push_str("  \"quick\": true,\n  \"jobs\": 1,\n");
-    s.push_str(&format!("  \"wall_s\": {:.3},\n", r.wall_s));
-    s.push_str(&format!("  \"events_per_sec\": {:.0},\n", r.events_per_sec));
     s.push_str(&format!("  \"total_events\": {},\n", r.total_events));
     s.push_str("  \"figures\": [\n");
     for (j, (name, ev)) in r.figures.iter().enumerate() {
@@ -135,7 +125,7 @@ fn baseline_json(r: &Reference) -> String {
 
 /// Compare the fresh reference against the baseline document.
 /// Returns (hard failures, warnings).
-fn check(base: &Json, fresh: &Reference, wall_tol_pct: f64) -> (Vec<String>, Vec<String>) {
+fn check(base: &Json, fresh: &Reference) -> (Vec<String>, Vec<String>) {
     let mut hard = Vec::new();
     let mut warn = Vec::new();
 
@@ -237,22 +227,6 @@ fn check(base: &Json, fresh: &Reference, wall_tol_pct: f64) -> (Vec<String>, Vec
         }
     }
 
-    // Wall-clock: machine-dependent, warn-only past the tolerance.
-    let mut wall_field = |key: &str, got: f64| {
-        if let Some(want) = base.get(key).and_then(Json::as_f64) {
-            if want > 0.0 {
-                let drift = (got - want) / want * 100.0;
-                if drift.abs() > wall_tol_pct {
-                    warn.push(format!(
-                        "{key}: baseline {want:.3}, fresh {got:.3} ({drift:+.0}%)"
-                    ));
-                }
-            }
-        }
-    };
-    wall_field("wall_s", fresh.wall_s);
-    wall_field("events_per_sec", fresh.events_per_sec);
-
     (hard, warn)
 }
 
@@ -282,7 +256,6 @@ fn main() {
     let mut baseline = String::from("BENCH_BASELINE.json");
     let mut out: Option<String> = None;
     let mut write_baseline: Option<String> = None;
-    let mut wall_tol_pct = 30.0;
 
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
@@ -296,15 +269,9 @@ fn main() {
             "--baseline" => baseline = value("--baseline"),
             "--out" => out = Some(value("--out")),
             "--write-baseline" => write_baseline = Some(value("--write-baseline")),
-            "--wall-tol-pct" => {
-                wall_tol_pct = value("--wall-tol-pct").parse().unwrap_or_else(|_| {
-                    eprintln!("--wall-tol-pct needs a number");
-                    std::process::exit(2);
-                });
-            }
             "--help" | "-h" => {
                 println!(
-                    "usage: bench-regress [--baseline FILE] [--out FILE] [--wall-tol-pct P] [--write-baseline FILE]"
+                    "usage: bench-regress [--baseline FILE] [--out FILE] [--write-baseline FILE]"
                 );
                 return;
             }
@@ -333,7 +300,7 @@ fn main() {
         std::process::exit(2);
     });
 
-    let (hard, warn) = check(&doc, &quick_reference(), wall_tol_pct);
+    let (hard, warn) = check(&doc, &quick_reference());
     eprintln!(
         "[{} hard failure(s), {} warning(s)]",
         hard.len(),
@@ -356,5 +323,101 @@ fn main() {
     }
     if !hard.is_empty() {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A small reference run: two figures, a wake-storm probe, a
+    /// recovery cost under the cap and two metrics.
+    fn reference() -> Reference {
+        Reference {
+            total_events: 30,
+            figures: vec![("fig1".into(), 10), ("fig2".into(), 20)],
+            storm: WakeStorm {
+                iterations: 5,
+                events: 100,
+                events_per_barrier: 20.0,
+                peak_queue_len: 8,
+                wake_fanout_max: 1,
+                wake_fanout_mean: 1.0,
+                wakes_raw: 7,
+                wakes_coalesced: 0,
+            },
+            per_failure_cost_ns: 30_000_000,
+            metrics: vec![("coll.exec.ns#count".into(), 4), ("sim.events".into(), 30)],
+        }
+    }
+
+    /// `check` of `fresh` against `base` rendered as a committed baseline.
+    fn verdict(base: &Reference, fresh: &Reference) -> (Vec<String>, Vec<String>) {
+        let doc = Json::parse(&baseline_json(base)).expect("baseline parses");
+        check(&doc, fresh)
+    }
+
+    #[test]
+    fn an_exact_baseline_passes() {
+        assert_eq!(verdict(&reference(), &reference()), (vec![], vec![]));
+    }
+
+    #[test]
+    fn a_drifted_figure_event_count_fails() {
+        let mut fresh = reference();
+        fresh.figures[1].1 += 1;
+        let (hard, warn) = verdict(&reference(), &fresh);
+        assert_eq!(hard, ["figure fig2: baseline 20 events, fresh 21"]);
+        assert!(warn.is_empty());
+    }
+
+    #[test]
+    fn a_drifted_metric_fails() {
+        let mut fresh = reference();
+        fresh.metrics[0].1 = 5;
+        let (hard, _) = verdict(&reference(), &fresh);
+        assert_eq!(hard, ["metric coll.exec.ns#count: baseline 4, fresh 5"]);
+    }
+
+    #[test]
+    fn a_figure_missing_from_either_side_fails() {
+        let mut fresh = reference();
+        fresh.figures.pop();
+        let (hard, _) = verdict(&reference(), &fresh);
+        assert_eq!(hard, ["figure fig2: in baseline but not produced"]);
+
+        let mut fresh = reference();
+        fresh.figures.push(("fig3".into(), 0));
+        let (hard, _) = verdict(&reference(), &fresh);
+        assert_eq!(
+            hard,
+            ["figure fig3: produced but absent from baseline (regenerate with --write-baseline)"]
+        );
+    }
+
+    #[test]
+    fn a_recovery_cost_over_the_cap_fails_even_when_the_baseline_agrees() {
+        let mut over = reference();
+        over.per_failure_cost_ns = RECOVERY_CAP_NS + 1;
+        let (hard, _) = verdict(&over, &over);
+        assert_eq!(
+            hard,
+            [format!(
+                "recovery.per_failure_cost_ns: {} exceeds the absolute {RECOVERY_CAP_NS} ns cap",
+                RECOVERY_CAP_NS + 1
+            )]
+        );
+    }
+
+    #[test]
+    fn a_metric_new_since_the_baseline_only_warns() {
+        let mut fresh = reference();
+        fresh.metrics.push(("sim.new".into(), 1));
+        let (hard, warn) = verdict(&reference(), &fresh);
+        assert!(hard.is_empty(), "{hard:?}");
+        assert_eq!(
+            warn,
+            ["metric sim.new: new since baseline (refresh with --write-baseline)"]
+        );
     }
 }

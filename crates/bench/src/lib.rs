@@ -7,9 +7,9 @@
 //!
 //! Each `figs::figNN` / `figs::tableN` function returns [`render::Chart`]
 //! values; the `repro` binary prints them as aligned text tables and
-//! optional CSV. The Criterion benches under `benches/` re-run the same
-//! experiments through `cargo bench`, reporting *simulated* time via
-//! `iter_custom`.
+//! optional CSV, and `bench-regress` gates the quick-mode run's event
+//! counts and metrics against `BENCH_BASELINE.json`. Wall-clock cost
+//! per layer is the benchmark's (`benchmark/`), not this crate's.
 //!
 //! See `DESIGN.md` §5 for the experiment index and `EXPERIMENTS.md` for
 //! recorded paper-vs-measured outcomes.

@@ -1,9 +1,10 @@
-//! A single-rank, instant-cost transport for executor micro-benches.
+//! A single-rank, instant-cost transport for executor probes.
 //!
 //! Every operation completes immediately and `time_ns` never advances,
 //! so replaying a schedule on [`NullComm`] measures executor dispatch
-//! and recording overhead, not data movement. Shared by the
-//! `trace_overhead` and `recovery_overhead` criterion benches.
+//! and recording overhead, not data movement. The benchmark's
+//! `collectives.exec_step_ns` and `trace.buffered_step_ns` probes replay
+//! their 513-step schedule on it.
 
 use kacc_comm::{BufId, Comm, CommError, RemoteToken, Result, Tag, Topology};
 use std::collections::HashMap;

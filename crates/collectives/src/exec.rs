@@ -8,9 +8,10 @@
 //! [`MembershipPolicy`] knobs, the [`ScheduleReport`] /
 //! [`RecoveryReport`] accounting with its single [`Recorder`] write
 //! path, the slot/register context a plan executes in, and
-//! [`execute`] / [`execute_traced`] / [`execute_with_policy`], which run
-//! that executor on a blocking [`Comm`] through [`Blocking`] +
-//! [`block_on`].
+//! [`execute`] / [`execute_traced`], which run that executor on a
+//! blocking [`Comm`] through [`Blocking`] + [`block_on`]. A recovery
+//! policy other than the default is set on the async entry,
+//! [`crate::polled::execute_polled_with_policy`].
 //!
 //! On the simulator the timings are deterministic virtual nanoseconds;
 //! on the native transports they are monotonic wall-clock nanoseconds —
@@ -25,7 +26,7 @@ use kacc_comm::{
 use kacc_metrics::{bucket_index, bucket_quantile_bound, BUCKETS};
 use kacc_trace::{Event, EventKind, Tracer, Track};
 
-use crate::polled::{execute_polled, execute_polled_traced, execute_polled_with_policy};
+use crate::polled::{execute_polled, execute_polled_traced};
 use crate::schedule::{Payload, RecvInto, Schedule, Slot, Step};
 
 /// Liveness-watchdog and shrink parameters of the membership layer:
@@ -842,24 +843,6 @@ pub fn execute_traced<C: Comm + ?Sized>(
         sched,
         bind,
         tracer,
-    ))
-}
-
-/// [`execute_traced`] with an explicit [`RecoveryPolicy`] — see
-/// [`execute_polled_with_policy`] for the recovery ladder.
-pub fn execute_with_policy<C: Comm + ?Sized>(
-    comm: &mut C,
-    sched: &Schedule,
-    bind: &Bindings,
-    tracer: &Tracer,
-    policy: &RecoveryPolicy,
-) -> Result<ScheduleReport> {
-    block_on(execute_polled_with_policy(
-        &mut Blocking(comm),
-        sched,
-        bind,
-        tracer,
-        policy,
     ))
 }
 

@@ -69,8 +69,8 @@ pub use reduce::{
 };
 
 pub use exec::{
-    execute, execute_traced, execute_with_policy, Bindings, MembershipPolicy, RecoveryPolicy,
-    RecoveryReport, ScheduleReport, StepStats,
+    execute, execute_traced, Bindings, MembershipPolicy, RecoveryPolicy, RecoveryReport,
+    ScheduleReport, StepStats,
 };
 pub use membership::{run_survivable_polled, MembershipReport, SurvivableOp, SurvivableOutcome};
 pub use polled::{execute_polled, execute_polled_traced, execute_polled_with_policy};

@@ -19,7 +19,7 @@
 //!   `Option<Arc<dyn FaultInjector>>` mirroring `kacc_trace::Tracer`: the
 //!   disabled state costs a single branch per call site and allocates
 //!   nothing, which is what keeps the fault-free path bitwise-identical to
-//!   a build without the hook (the `recovery_overhead` bench enforces it).
+//!   a build without the hook (the chaos suite pins it).
 //! - [`FaultPlan`] is the built-in injector: a seed plus an ordered list of
 //!   declarative [`FaultRule`]s. Decisions are a pure function of
 //!   `(seed, rule index, rank, per-rank op counter)` via a splitmix64 hash,

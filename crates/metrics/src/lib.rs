@@ -38,10 +38,9 @@
 //! ## Relation to `kacc-trace`
 //!
 //! `kacc-trace` answers "what happened, when" (opt-in, per-event); this
-//! crate answers "how much, how often" (always-on, aggregated). Both use
-//! the same gating idiom: recording is a relaxed load + branch when
-//! disabled via [`set_enabled`], and the default is **on** — the
-//! aggregation itself is cheap enough to leave running everywhere.
+//! crate answers "how much, how often" (always-on, aggregated). There is
+//! no switch: the aggregation is cheap enough to leave running
+//! everywhere.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,7 +48,7 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Number of histogram buckets: bucket 0 holds the value 0; bucket `b ≥ 1`
@@ -75,21 +74,6 @@ pub fn bucket_bound(i: usize) -> u64 {
     }
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Is recording enabled? Metrics are always-on by default; recording
-/// while disabled is a relaxed load and a branch.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Relaxed)
-}
-
-/// Globally enable or disable recording. Registered metrics keep their
-/// accumulated values; only future records are gated.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Relaxed);
-}
-
 /// Monotonic counter handle. Cloning shares the underlying cell.
 #[derive(Debug, Clone)]
 pub struct Counter(Arc<AtomicU64>);
@@ -98,9 +82,7 @@ impl Counter {
     /// Add `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        if enabled() {
-            self.0.fetch_add(n, Relaxed);
-        }
+        self.0.fetch_add(n, Relaxed);
     }
 
     /// Add 1.
@@ -123,9 +105,7 @@ impl Gauge {
     /// Raise the high-water mark to at least `v`.
     #[inline]
     pub fn observe(&self, v: u64) {
-        if enabled() {
-            self.0.fetch_max(v, Relaxed);
-        }
+        self.0.fetch_max(v, Relaxed);
     }
 
     /// Current high-water mark.
@@ -302,14 +282,12 @@ impl Hist {
     /// Record one sample.
     #[inline]
     pub fn record(&self, v: u64) {
-        if enabled() {
-            self.write(|c| c.record(v));
-        }
+        self.write(|c| c.record(v));
     }
 
     /// Fold a per-run [`LocalHist`] into this thread's shard.
     pub fn merge_local(&self, local: &LocalHist) {
-        if !enabled() || local.count == 0 {
+        if local.count == 0 {
             return;
         }
         self.write(|c| c.add(&local.buckets, local.sum, local.max));
@@ -673,8 +651,8 @@ fn prom_name(name: &str) -> String {
 mod tests {
     use super::*;
 
-    /// Tests that record or toggle the global enable flag serialize here
-    /// so the disabled-window test cannot drop another test's records.
+    /// Tests that record serialize here so the registry-wide [`reset`]
+    /// in `reset_zeroes_every_shard` cannot zero another test's records.
     fn guard() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock().unwrap_or_else(PoisonError::into_inner)
@@ -882,17 +860,6 @@ mod tests {
     fn kind_mismatch_panics() {
         let _ = counter("test.kindmismatch");
         let _ = gauge("test.kindmismatch");
-    }
-
-    #[test]
-    fn disabled_recording_is_dropped() {
-        let _g = guard();
-        let c = counter("test.disabled.ctr");
-        set_enabled(false);
-        c.inc();
-        set_enabled(true);
-        c.inc();
-        assert_eq!(c.get(), 1);
     }
 
     #[test]

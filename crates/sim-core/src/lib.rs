@@ -51,9 +51,9 @@ mod queue_reference;
 pub use mailbox::Mailboxes;
 pub use polled::{PolledSim, RankTask, TaskCtx, TaskPoll};
 
-// Scheduler dispatches are emitted as `kacc_trace` instant events; re-export
-// the pieces callers need to consume a captured dispatch trace.
-pub use kacc_trace::{chrome_trace_json, Event as TraceEvent, SharedBuffer, Tracer};
+// Scheduler dispatches are emitted as `kacc_trace` instant events to the
+// tracer installed with `PolledSim::set_tracer`.
+pub use kacc_trace::Tracer;
 
 use kacc_trace::Track;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -64,8 +64,8 @@ pub type SimTime = u64;
 
 /// Process-wide count of dispatched simulation events, accumulated when
 /// each [`PolledSim::run`] completes. The delta across a sweep divided by
-/// its wall-clock gives events/sec — the kernel throughput metric the
-/// `des_kernel` bench and `repro --bench-out` report.
+/// its wall-clock gives events/sec — the kernel throughput metric
+/// `repro --bench-out` reports.
 static TOTAL_EVENTS: AtomicU64 = AtomicU64::new(0);
 
 /// Of [`total_events`], how many took the direct-handoff fast path
@@ -520,11 +520,6 @@ pub struct RunReport<S> {
     /// deterministic; also flushed into the `kacc-metrics` global
     /// registry.
     pub metrics: SimRunMetrics,
-    /// Dispatch trace, when enabled with [`PolledSim::enable_trace`].
-    /// Empty when an external tracer was installed with
-    /// [`PolledSim::set_tracer`] instead (events flow to that tracer's
-    /// sink).
-    pub trace: Vec<TraceEvent>,
 }
 
 #[cfg(test)]
@@ -537,6 +532,7 @@ mod tests {
 
     use super::*;
     use crate::polled::{sim_advance, sim_now, sim_poll, sim_with_state};
+    use kacc_trace::chrome_trace_json;
 
     /// A sim whose every wake goes through the event queue.
     fn queued<S: 'static>(state: S) -> PolledSim<S> {
@@ -680,8 +676,9 @@ mod tests {
         fast: bool,
     ) -> (Vec<(usize, SimTime)>, SimTime, Vec<SimTime>, u64, String) {
         type Log = Vec<(usize, SimTime)>;
+        let (tracer, buf) = Tracer::buffered();
         let mut sim = PolledSim::new(Log::new());
-        sim.enable_trace();
+        sim.set_tracer(tracer);
         sim.set_fast_path(fast);
         for tid in 0..6 {
             sim.spawn(move |_| async move {
@@ -692,7 +689,7 @@ mod tests {
             });
         }
         let r = sim.run();
-        let trace = chrome_trace_json(&r.trace);
+        let trace = chrome_trace_json(&buf.take());
         (r.state, r.end_time, r.finish_times, r.events, trace)
     }
 
@@ -747,8 +744,9 @@ mod tests {
 
     #[test]
     fn trace_records_dispatches_in_time_order() {
+        let (tracer, buf) = Tracer::buffered();
         let mut sim = queued(());
-        sim.enable_trace();
+        sim.set_tracer(tracer);
         sim.spawn(|_| async {
             sim_advance::<()>(10).await;
             sim_advance::<()>(20).await;
@@ -756,21 +754,15 @@ mod tests {
         sim.spawn(|_| async {
             sim_advance::<()>(15).await;
         });
-        let r = sim.run();
-        assert!(!r.trace.is_empty());
-        assert!(r.trace.windows(2).all(|w| w[0].ts() <= w[1].ts()));
+        sim.run();
+        let trace = buf.take();
+        assert!(!trace.is_empty());
+        assert!(trace.windows(2).all(|w| w[0].ts() <= w[1].ts()));
         // Both tasks appear, with the advance label.
-        assert!(r
-            .trace
+        assert!(trace
             .iter()
             .any(|e| e.track == Track::Rank(0) && e.name == "advance"));
-        assert!(r.trace.iter().any(|e| e.track == Track::Rank(1)));
-        // Untraced runs stay empty.
-        let mut sim = queued(());
-        sim.spawn(|_| async {
-            sim_advance::<()>(1).await;
-        });
-        assert!(sim.run().trace.is_empty());
+        assert!(trace.iter().any(|e| e.track == Track::Rank(1)));
     }
 
     #[test]
@@ -790,9 +782,7 @@ mod tests {
         sim.spawn(|_| async {
             sim_advance::<()>(10).await;
         });
-        let r = sim.run();
-        // Events went to the external sink, not the report.
-        assert!(r.trace.is_empty());
+        sim.run();
         let evs = buf.take();
         assert!(evs
             .iter()

@@ -43,8 +43,8 @@
 //! ```
 
 use crate::{
-    flush_run_metrics, EventQueue, KernelState, Poll, RunReport, SharedBuffer, SimRunMetrics,
-    SimTime, ThreadPhase, ThreadSlot, Tracer, Waker, TOTAL_EVENTS, TOTAL_FAST,
+    flush_run_metrics, EventQueue, KernelState, Poll, RunReport, SimRunMetrics, SimTime,
+    ThreadPhase, ThreadSlot, Tracer, Waker, TOTAL_EVENTS, TOTAL_FAST,
 };
 use kacc_trace::Track;
 use std::any::TypeId;
@@ -435,7 +435,6 @@ pub struct PolledSim<S: 'static> {
     state: Option<S>,
     pending: Vec<Box<dyn RankTask<S>>>,
     tracer: Tracer,
-    capture: Option<SharedBuffer>,
     fast_path: bool,
     hook: Option<StepHook<S>>,
 }
@@ -447,26 +446,16 @@ impl<S: 'static> PolledSim<S> {
             state: Some(state),
             pending: Vec::new(),
             tracer: Tracer::off(),
-            capture: None,
             fast_path: true,
             hook: None,
         }
     }
 
-    /// Record every scheduler dispatch into [`RunReport::trace`]
-    /// (observability/debugging; costs memory proportional to events).
-    pub fn enable_trace(&mut self) {
-        let (tracer, buf) = Tracer::buffered();
-        self.tracer = tracer;
-        self.capture = Some(buf);
-    }
-
-    /// Send scheduler-dispatch events to an external [`Tracer`] (shared
-    /// with other layers, e.g. the machine model). [`RunReport::trace`]
-    /// stays empty; the caller owns the sink.
+    /// Send every scheduler dispatch, as an instant event on the task's
+    /// rank track, to `tracer` (shared with other layers, e.g. the
+    /// machine model); `Tracer::buffered()` captures them in memory.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
-        self.capture = None;
     }
 
     /// Enable or disable the direct-handoff fast path (default: on).
@@ -717,7 +706,6 @@ impl<S: 'static> PolledSim<S> {
                 .iter()
                 .map(|t| t.finish_time.expect("finished task has time"))
                 .collect(),
-            trace: self.capture.map(|b| b.take()).unwrap_or_default(),
             state: st.user,
         }
     }
@@ -1080,8 +1068,9 @@ mod tests {
         // Another task's wake at t=4 dispatches the sleeper early: the
         // hook re-parks it without touching its future. The sleeper's
         // leaf runs once to start the operation and once to collect it.
+        let (tracer, buf) = Tracer::buffered();
         let mut sim = PolledSim::new(Resident::default());
-        sim.enable_trace();
+        sim.set_tracer(tracer);
         sim.set_step_hook(resident_hook);
         sim.spawn(|_| resident_sleep(10));
         sim.spawn(|_| async {
@@ -1099,8 +1088,8 @@ mod tests {
         // Evaluated while resident: by the leaf at 0 (starts it), by the
         // hook at 4 (premature) and 10 (completes it).
         assert_eq!(r.state.hook_evals, vec![0, 4, 10]);
-        let dispatched: Vec<SimTime> = r
-            .trace
+        let dispatched: Vec<SimTime> = buf
+            .take()
             .iter()
             .filter(|e| e.track == Track::Rank(0) && e.name == "resident")
             .map(|e| e.ts())
@@ -1195,8 +1184,7 @@ mod tests {
         sim.spawn(|_| async {
             sim_advance::<()>(10).await;
         });
-        let r = sim.run();
-        assert!(r.trace.is_empty());
+        sim.run();
         let evs = buf.take();
         assert!(evs
             .iter()

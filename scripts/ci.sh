@@ -1,8 +1,14 @@
 #!/usr/bin/env bash
-# Local mirror of .github/workflows/ci.yml — run before pushing.
-# Fails fast on the first gate that trips.
+# The CI gates, in order; .github/workflows/ci.yml runs this script and
+# nothing else. Fails fast on the first gate that trips. The bench
+# snapshot, metrics snapshot and bench-regress verdict land in
+# target/ci/, where the workflow uploads them from.
+#
+#   scripts/ci.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
+out=target/ci
+mkdir -p "$out"
 
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
@@ -18,9 +24,6 @@ cargo build --release
 
 echo "== cargo test (tier-1) =="
 cargo test -q
-
-echo "== benches compile =="
-cargo bench --no-run -q
 
 echo "== determinism suite (repeat runs, --jobs 1 vs 8, traces; fast path vs the queue route) =="
 cargo test -q --release -p kacc-bench --test determinism
@@ -46,6 +49,7 @@ echo "== examples run (not only compile) =="
 cargo run --release -q --example quickstart
 cargo run --release -q --example native_overhead
 cargo run --release -q --example transpose_app -- 16 256
+cargo run --release -q --example ablations
 
 echo "== chaos suite (fixed seed corpus + one fresh seed) =="
 # The chaos tests always run their fixed corpus; KACC_CHAOS_SEED adds one
@@ -82,23 +86,24 @@ cargo run --release -q -p kacc-trace --bin trace-validate -- "$trace_tmp"
 echo "== metrics snapshot determinism (--jobs 1 vs 4) =="
 cargo test -q --release -p kacc-bench --test metrics_determinism
 
-echo "== perf-regression gate (bench-regress vs committed baseline) =="
+echo "== perf-regression gate (bench-regress units, then bench-regress vs committed baseline) =="
 # Hard-fails (exit 1) on any event-count or metric drift from the
 # committed BENCH_BASELINE.json; brand-new metric keys only warn (additions,
-# not regressions); wall-clock drift only warns (machines vary).
+# not regressions). Tier-1 leaves kacc-bench out, so its units run here.
 # Refresh the baseline after an intentional behavior change via
 #   cargo run --release -p kacc-bench --bin bench-regress -- --write-baseline BENCH_BASELINE.json
+cargo test -q --release -p kacc-bench --bin bench-regress
 cargo run --release -q -p kacc-bench --bin bench-regress -- \
-  --baseline BENCH_BASELINE.json --out /tmp/bench-regress-verdict.json
-cat /tmp/bench-regress-verdict.json
+  --baseline BENCH_BASELINE.json --out "$out/bench-regress-verdict.json"
+cat "$out/bench-regress-verdict.json"
 
 echo "== bench metrics snapshot =="
 # Quick-scale events/sec + wall-clock snapshot, including the p=64
 # one-to-all probe (the PR-4 acceptance metric) and wake-storm
 # diagnostics, plus the always-on metrics registry dump. Kept out of git
 # status noise: CI uploads them.
-cargo run --release -q -p kacc-bench --bin repro -- --quick --bench-out /tmp/BENCH_quick.json --metrics-out /tmp/METRICS_quick.json all >/dev/null
-cat /tmp/BENCH_quick.json
+cargo run --release -q -p kacc-bench --bin repro -- --quick --bench-out "$out/BENCH_quick.json" --metrics-out "$out/METRICS_quick.json" all >/dev/null
+cat "$out/BENCH_quick.json"
 
 echo "== benchmark package (public-API drift fails here, not in the pipeline) =="
 # benchmark/ is a package of its own reaching the crates through
