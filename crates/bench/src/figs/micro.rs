@@ -158,24 +158,23 @@ pub fn fig04(quick: bool) -> Vec<Chart> {
                 "Number of Pages",
                 "Time Taken (us)",
             );
-            let mut syscall = Vec::new();
-            let mut check = Vec::new();
-            let mut lock = Vec::new();
-            let mut pin = Vec::new();
-            let mut copy = Vec::new();
+            // One column per phase, in `breakdown`'s order.
+            let mut cols: [Vec<f64>; 5] = Default::default();
             for b in crate::par::pmap(pages.clone(), |n| breakdown(&arch, readers, n)) {
-                syscall.push(b.syscall_ns / US);
-                check.push(b.check_ns / US);
-                lock.push(b.lock_ns / US);
-                pin.push(b.pin_ns / US);
-                copy.push(b.copy_ns / US);
+                for (col, ns) in cols.iter_mut().zip(b) {
+                    col.push(ns / US);
+                }
             }
-            c.series.push(Series::new("Syscall", &pages, &syscall));
-            c.series
-                .push(Series::new("Permission Check", &pages, &check));
-            c.series.push(Series::new("Acquire Locks", &pages, &lock));
-            c.series.push(Series::new("Pin Pages", &pages, &pin));
-            c.series.push(Series::new("Copy Data", &pages, &copy));
+            let names = [
+                "Syscall",
+                "Permission Check",
+                "Acquire Locks",
+                "Pin Pages",
+                "Copy Data",
+            ];
+            for (name, col) in names.into_iter().zip(&cols) {
+                c.series.push(Series::new(name, &pages, col));
+            }
             c
         })
         .collect()

@@ -12,10 +12,15 @@ use kacc_collectives::{
 };
 use kacc_comm::{RemoteToken, Tag};
 use kacc_machine::polled::sm_barrier_polled;
-use kacc_machine::{run_polled_team_phantom, PolledComm, RankStats, TeamRun};
+use kacc_machine::{
+    run_polled_machine_full, run_polled_team_phantom, MachineState, PolledComm, TeamRun,
+};
 use kacc_model::ArchProfile;
 use kacc_mpi::baseline::{self, Library};
 use kacc_numerics::stats;
+use kacc_trace::{EventKind, Track};
+
+use crate::tracedemo::PHASES;
 
 /// Run `f` on a simulated team and return the collective latency in
 /// nanoseconds: ranks synchronize over the dissemination barrier, then
@@ -340,26 +345,31 @@ pub fn wake_storm_probe(arch: &ArchProfile, p: usize, eta: usize, iters: usize) 
 }
 
 /// Aggregate step breakdown of `readers` concurrent reads of `pages`
-/// pages each from rank 0 (per-reader mean), the Fig 4 experiment.
-pub fn breakdown(arch: &ArchProfile, readers: usize, pages: usize) -> RankStats {
+/// pages each from rank 0, the Fig 4 experiment: per-reader mean time in
+/// each of [`PHASES`], ns. Read off the run's phase spans — each
+/// reader's summed in emission order, the readers' sums added in rank
+/// order.
+pub fn breakdown(arch: &ArchProfile, readers: usize, pages: usize) -> [f64; 5] {
     let eta = pages * arch.page_size;
-    let (run, _) = contention_team(arch, readers + 1, eta, move |rank| {
-        one_to_all_role(rank, readers, eta, false)
+    let state = MachineState::cluster_opts(arch.clone(), 1, readers + 1, None, true);
+    let (_, _, trace) = run_polled_machine_full(state, true, true, move |rank| {
+        let role = one_to_all_role(rank, readers, eta, false);
+        async move { serve_or_read(&mut PolledComm::new(rank), role, eta).await }
     });
-    let mut total = RankStats::default();
-    for s in run.stats.iter().skip(1) {
-        total.merge(s);
+    let mut per_rank = vec![[0.0f64; 5]; readers + 1];
+    for e in &trace {
+        let phase = PHASES.iter().position(|&name| name == e.name);
+        if let (Track::Rank(r), EventKind::Span { dur, .. }, Some(i)) = (e.track, e.kind, phase) {
+            per_rank[r][i] += dur;
+        }
     }
-    RankStats {
-        syscall_ns: total.syscall_ns / readers as f64,
-        check_ns: total.check_ns / readers as f64,
-        lock_ns: total.lock_ns / readers as f64,
-        pin_ns: total.pin_ns / readers as f64,
-        copy_ns: total.copy_ns / readers as f64,
-        cma_ops: total.cma_ops / readers as u64,
-        bytes_read: total.bytes_read / readers as u64,
-        bytes_written: total.bytes_written / readers as u64,
+    let mut total = [0.0f64; 5];
+    for sums in &per_rank[1..] {
+        for (t, x) in total.iter_mut().zip(sums) {
+            *t += x;
+        }
     }
+    total.map(|t| t / readers as f64)
 }
 
 #[cfg(test)]
@@ -408,15 +418,10 @@ mod tests {
     fn breakdown_is_lock_dominated_under_contention() {
         // Fig 4's message: with concurrency, lock time dominates.
         let arch = ArchProfile::broadwell();
-        let solo = breakdown(&arch, 1, 128);
-        let packed = breakdown(&arch, 27, 128);
-        assert!(packed.lock_ns > solo.lock_ns * 5.0);
-        assert!(
-            packed.lock_ns > packed.copy_ns,
-            "lock {} should dominate copy {}",
-            packed.lock_ns,
-            packed.copy_ns
-        );
+        let [_, _, solo_lock, _, _] = breakdown(&arch, 1, 128);
+        let [_, _, lock, _, copy] = breakdown(&arch, 27, 128);
+        assert!(lock > solo_lock * 5.0);
+        assert!(lock > copy, "lock {lock} should dominate copy {copy}");
     }
 
     #[test]

@@ -26,7 +26,7 @@ use kacc_comm::{
 use kacc_metrics::{bucket_index, bucket_quantile_bound, BUCKETS};
 use kacc_trace::{Event, EventKind, Tracer, Track};
 
-use crate::polled::{execute_polled, execute_polled_traced};
+use crate::polled::{execute_polled, execute_polled_with_policy};
 use crate::schedule::{Payload, RecvInto, Schedule, Slot, Step};
 
 /// Liveness-watchdog and shrink parameters of the membership layer:
@@ -44,14 +44,6 @@ pub struct MembershipPolicy {
     /// nanoseconds (virtual under simulation). Ignored while `watch` is
     /// off or `step_timeout_ns` sets a deadline of its own.
     pub liveness_timeout_ns: u64,
-    /// Most shrink-and-re-execute rounds the survivable driver attempts
-    /// before surfacing the last typed error. Capped at 15 by the
-    /// epoch re-tagging scheme (one hex nibble of the sub-tag).
-    pub max_shrinks: u32,
-    /// Pause between agreeing on a shrink and re-executing over the
-    /// survivors, charged through [`Comm::sleep_ns`] so it is virtual
-    /// time under simulation.
-    pub restart_backoff_ns: u64,
     /// Record suspicions and *skip* the failing step instead of aborting
     /// on the first suspected peer. Only the agreement collective runs
     /// tolerant: it must complete over the survivors no matter who died.
@@ -66,8 +58,6 @@ impl MembershipPolicy {
         MembershipPolicy {
             watch: false,
             liveness_timeout_ns: 0,
-            max_shrinks: 0,
-            restart_backoff_ns: 0,
             tolerant: false,
         }
     }
@@ -77,8 +67,6 @@ impl MembershipPolicy {
         MembershipPolicy {
             watch: true,
             liveness_timeout_ns: 200_000,
-            max_shrinks: 8,
-            restart_backoff_ns: 10_000,
             tolerant: false,
         }
     }
@@ -831,18 +819,23 @@ pub fn execute<C: Comm + ?Sized>(
     block_on(execute_polled(&mut Blocking(comm), sched, bind))
 }
 
-/// [`execute`] with an explicit tracer — see [`execute_polled_traced`].
+/// [`execute`] with an explicit tracer: every IR step emits one
+/// `step:<kind>` span on this rank's track, through the same recording
+/// path that feeds the returned [`ScheduleReport`] — see
+/// [`execute_polled_with_policy`], which this drives under
+/// [`RecoveryPolicy::default`].
 pub fn execute_traced<C: Comm + ?Sized>(
     comm: &mut C,
     sched: &Schedule,
     bind: &Bindings,
     tracer: &Tracer,
 ) -> Result<ScheduleReport> {
-    block_on(execute_polled_traced(
+    block_on(execute_polled_with_policy(
         &mut Blocking(comm),
         sched,
         bind,
         tracer,
+        &RecoveryPolicy::default(),
     ))
 }
 

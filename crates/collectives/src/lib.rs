@@ -73,7 +73,7 @@ pub use exec::{
     ScheduleReport, StepStats,
 };
 pub use membership::{run_survivable_polled, MembershipReport, SurvivableOp, SurvivableOutcome};
-pub use polled::{execute_polled, execute_polled_traced, execute_polled_with_policy};
+pub use polled::{execute_polled, execute_polled_with_policy};
 pub use scatter::{scatter, scatter_polled, scatterv_polled, ScatterAlgo};
 pub use schedule::{compile_agree, remap_for_members, PlanCache, PlanKey, Schedule, Step};
 pub use tuner::Tuner;

@@ -63,8 +63,8 @@
 //!
 //! The membership protocol never blocks forever: every wait is bounded
 //! by the watchdog, disagreement only ever causes further shrinks, and
-//! the loop is capped by [`MembershipPolicy::max_shrinks`] and the
-//! quorum rule (survivors must outnumber half the parent communicator).
+//! the loop is capped by [`MAX_SHRINKS`] and the quorum rule (survivors
+//! must outnumber half the parent communicator).
 
 use std::sync::{Arc, OnceLock};
 
@@ -259,6 +259,22 @@ fn member_handles() -> &'static MemberHandles {
 /// every kill the chaos corpus can schedule into one iteration.
 const MAX_AGREE_ATTEMPTS: u32 = 4;
 
+/// Most shrink-and-re-execute rounds the survivable driver attempts
+/// before surfacing the last typed error, and most agreements it resumes
+/// within one epoch.
+const MAX_SHRINKS: u32 = 8;
+
+// Each shrink epoch re-tags its plans with one hex nibble of the sub-tag.
+const _: () = assert!(
+    MAX_SHRINKS <= 0xF,
+    "shrink epochs must fit the tag's epoch nibble"
+);
+
+/// Pause between agreeing on a shrink and re-executing over the
+/// survivors, charged through [`AsyncComm::sleep_ns`] so it is virtual
+/// time under simulation.
+const RESTART_BACKOFF_NS: u64 = 10_000;
+
 /// The sorted list of parent ranks not marked dead.
 fn survivor_list(dead: &MemberMask, p: usize) -> Vec<usize> {
     (0..p).filter(|&r| !dead.get(r)).collect()
@@ -440,7 +456,8 @@ fn bindings_for(op: &SurvivableOp, send: Option<BufId>, recv: Option<BufId>) -> 
 }
 
 /// The effective membership parameters: the caller's, with the watchdog
-/// forced on and zeroed fields replaced by the survivable defaults.
+/// forced on and a zero liveness timeout replaced by the survivable
+/// default.
 fn effective_membership(policy: &RecoveryPolicy) -> MembershipPolicy {
     let defaults = MembershipPolicy::survivable();
     let mut m = if policy.membership.watch {
@@ -450,9 +467,6 @@ fn effective_membership(policy: &RecoveryPolicy) -> MembershipPolicy {
     };
     if m.liveness_timeout_ns == 0 {
         m.liveness_timeout_ns = defaults.liveness_timeout_ns;
-    }
-    if m.max_shrinks == 0 {
-        m.max_shrinks = defaults.max_shrinks;
     }
     m.watch = true;
     m
@@ -726,14 +740,13 @@ pub async fn run_survivable_polled<C: AsyncComm>(
     let m = effective_membership(policy);
     let tracer = comm.tracer();
     let tuner = Tuner::new(&arch_for(&comm.topology()));
-    let resume_cap = m.max_shrinks.min(15);
     let mut dead = MemberMask::new(p);
     let mut epoch = 0u32;
     // `iter` counts loop iterations (for cost attribution); `aiter`
     // counts agreement iterations *within the current epoch* and
     // namespaces agreement tags together with the epoch nibble: it
     // advances on resume (same epoch, new agreement) and resets on
-    // shrink (the epoch bump re-namespaces). Bounded by resume_cap
+    // shrink (the epoch bump re-namespaces). Bounded by MAX_SHRINKS
     // (≤ 15), so `aiter*12 + attempt*3 + round` stays inside the tag's
     // 8-bit round field: ≤ 15·12 + 3·3 + 2 = 191.
     let mut iter = 0u32;
@@ -803,7 +816,6 @@ pub async fn run_survivable_polled<C: AsyncComm>(
             watch: true,
             tolerant: false,
             liveness_timeout_ns: liveness,
-            ..m
         };
         let t_exec = comm.time_ns();
         let exec: Result<ScheduleReport> = if let Some(report) = done {
@@ -829,7 +841,7 @@ pub async fn run_survivable_polled<C: AsyncComm>(
                     own.set(*q);
                 }
                 own.set_flag(FLAG_REDO);
-                if resumes >= resume_cap {
+                if resumes >= MAX_SHRINKS {
                     own.set_flag(FLAG_NORESUME);
                 }
             }
@@ -909,7 +921,7 @@ pub async fn run_survivable_polled<C: AsyncComm>(
                 members,
             });
         }
-        if newly.is_empty() && !agreed.has_flag(FLAG_NORESUME) && resumes < resume_cap {
+        if newly.is_empty() && !agreed.has_flag(FLAG_NORESUME) && resumes < MAX_SHRINKS {
             // Partial-progress resume: somebody's plan tore but the
             // membership did not change, so every remaining step still
             // touches only survivors. Completed ranks skip re-execution
@@ -940,15 +952,12 @@ pub async fn run_survivable_polled<C: AsyncComm>(
         epoch += 1;
         mrep.epochs = epoch;
         mrep.dead_mask = dead.low64();
-        if epoch > m.max_shrinks.min(15) {
-            bail!(proto(format!(
-                "membership exceeded {} shrinks",
-                m.max_shrinks.min(15)
-            )));
+        if epoch > MAX_SHRINKS {
+            bail!(proto(format!("membership exceeded {MAX_SHRINKS} shrinks")));
         }
         member_handles().shrinks.add(1);
         let t0 = comm.time_ns();
-        comm.sleep_ns(m.restart_backoff_ns).await;
+        comm.sleep_ns(RESTART_BACKOFF_NS).await;
         PlanCache::global().invalidate_members_before(epoch);
         tracer.span(
             Track::Rank(me),
@@ -1127,14 +1136,11 @@ mod tests {
             membership: MembershipPolicy {
                 watch: true,
                 liveness_timeout_ns: 77,
-                max_shrinks: 2,
-                restart_backoff_ns: 5,
                 tolerant: false,
             },
             ..RecoveryPolicy::default()
         };
-        assert_eq!(effective_membership(&custom).liveness_timeout_ns, 77);
-        assert_eq!(effective_membership(&custom).max_shrinks, 2);
+        assert_eq!(effective_membership(&custom), custom.membership);
     }
 
     #[test]

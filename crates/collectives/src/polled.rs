@@ -42,24 +42,7 @@ pub async fn execute_polled<C: AsyncComm>(
     execute_polled_with_policy(comm, sched, bind, &tracer, &RecoveryPolicy::default()).await
 }
 
-/// [`execute_polled`] with an explicit tracer: every IR step emits one
-/// `step:<kind>` span on this rank's track, attributed to the schedule's
-/// collective class, through the same recording path that feeds the
-/// returned [`ScheduleReport`] (see [`ScheduleReport::from_events`]).
-///
-/// Runs under [`RecoveryPolicy::default`]: a fault-free execution takes
-/// exactly the transport calls the plan lists, while injected or real
-/// transient faults are retried instead of aborting the collective.
-pub async fn execute_polled_traced<C: AsyncComm>(
-    comm: &mut C,
-    sched: &Schedule,
-    bind: &Bindings,
-    tracer: &Tracer,
-) -> Result<ScheduleReport> {
-    execute_polled_with_policy(comm, sched, bind, tracer, &RecoveryPolicy::default()).await
-}
-
-/// [`execute_polled_traced`] with an explicit [`RecoveryPolicy`].
+/// [`execute_polled`] with an explicit tracer and [`RecoveryPolicy`].
 ///
 /// Every fallible step runs through a bounded retry loop:
 ///

@@ -504,6 +504,28 @@ fn permission_denied_falls_back_to_shm_and_is_traced() {
     kacc_trace::validate::validate_chrome_json(&json).expect("fallback trace fails trace-validate");
 }
 
+/// A read the kernel refuses completes through the two-copy path, and
+/// its bytes count as fallback bytes only: none of them is kernel-assisted.
+#[test]
+fn a_denied_read_counts_its_bytes_as_fallback_not_cma() {
+    let count = 2048;
+    let hook = FaultPlan::new(7)
+        .rule(FaultRule::new(FaultKind::PermDenied, 1.0).ops_mask(&[FaultOp::CmaRead]))
+        .hook();
+    let (run, results) = sim_team(2, hook, move |comm| parallel_read_scatter(comm, count, 0));
+    assert_eq!(results[1].1, scatter_expected(1, count));
+    let reader = run.stats[1];
+    assert_eq!(
+        (
+            reader.bytes_read + reader.bytes_written,
+            reader.fallback_ops,
+            reader.fallback_bytes
+        ),
+        (0, 1, count as u64),
+        "{reader:?}"
+    );
+}
+
 #[test]
 fn truncated_cma_transfers_resume_and_are_recorded() {
     let p = 4;

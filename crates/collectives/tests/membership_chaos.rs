@@ -819,8 +819,7 @@ fn assert_no_traffic(run: &TeamRun, what: &str) {
         (0, 0),
         "{what}: time passed"
     );
-    assert_eq!(run.total_stats().cma_ops, 0, "{what}: CMA traffic");
-    assert_eq!(run.transport, Default::default(), "{what}: shm traffic");
+    assert_eq!(run.total_stats(), Default::default(), "{what}: traffic");
 }
 
 // ---- 5. Property: any kill point, never a hang, never a panic -------------

@@ -1,12 +1,9 @@
 //! Pinned accounting invariants of a traced simulated run.
 //!
-//! The machine layer emits its phase spans with the *same* `f64` values
-//! it adds to `RankStats`, in the same order, and the executor records
-//! `ScheduleReport` and `step:*` spans through one shared path — so a
-//! traced run's events must reproduce both accounting structures
-//! **exactly** (bitwise `f64` equality and `==` on the reports, not a
-//! tolerance). Any drift between the trace and the accounting is a bug
-//! in the single-recording-path invariant.
+//! The executor records `ScheduleReport` and `step:*` spans through one
+//! shared path, so a traced run's events must reproduce every report
+//! **exactly** (`==`, not a tolerance). The machine's phase times have
+//! no second record to check: its phase spans are the only one.
 
 use kacc_collectives::{gatherv_polled, scatter_polled, GatherAlgo, ScatterAlgo, ScheduleReport};
 use kacc_machine::{run_polled_team_traced, PolledComm};
@@ -20,22 +17,8 @@ fn small_arch() -> ArchProfile {
     a
 }
 
-/// Sum the durations of spans named `name` on `track`, in emission order
-/// (the order the machine layer accumulated them into `RankStats`).
-fn span_sum(events: &[Event], track: Track, name: &str) -> f64 {
-    let mut total = 0.0f64;
-    for ev in events {
-        if ev.track == track && ev.name == name {
-            if let EventKind::Span { dur, .. } = ev.kind {
-                total += dur;
-            }
-        }
-    }
-    total
-}
-
 #[test]
-fn contended_gather_spans_reproduce_stats_exactly() {
+fn contended_gather_trace_reproduces_the_reports_exactly() {
     let p = 12;
     let count = 16 * 4096; // multiple pin batches per transfer
     let root = 0;
@@ -52,31 +35,13 @@ fn contended_gather_spans_reproduce_stats_exactly() {
             .expect("gather ran a schedule")
     });
 
-    // 1. Per-rank phase-span sums are bitwise equal to RankStats.
-    for (r, stats) in run.stats.iter().enumerate() {
-        let t = Track::Rank(r);
-        assert_eq!(
-            span_sum(&events, t, "syscall"),
-            stats.syscall_ns,
-            "rank {r} syscall"
-        );
-        assert_eq!(
-            span_sum(&events, t, "check"),
-            stats.check_ns,
-            "rank {r} check"
-        );
-        assert_eq!(span_sum(&events, t, "lock"), stats.lock_ns, "rank {r} lock");
-        assert_eq!(span_sum(&events, t, "pin"), stats.pin_ns, "rank {r} pin");
-        assert_eq!(span_sum(&events, t, "copy"), stats.copy_ns, "rank {r} copy");
-    }
-
-    // 2. The trace covers the whole run: the latest event timestamp is
+    // 1. The trace covers the whole run: the latest event timestamp is
     // the simulator's virtual end time (the final dispatch of the
     // last-finishing rank happens at its finish time).
     let max_ts = events.iter().map(Event::ts).max().unwrap();
     assert_eq!(max_ts, run.end_ns);
 
-    // 3. The executor's step spans rebuild each rank's ScheduleReport
+    // 2. The executor's step spans rebuild each rank's ScheduleReport
     // exactly — report and spans flow through one recording path.
     for (r, report) in reports.iter().enumerate() {
         let mine: Vec<Event> = events
@@ -91,7 +56,7 @@ fn contended_gather_spans_reproduce_stats_exactly() {
         );
     }
 
-    // 4. The contended root lock server published queue-depth counters,
+    // 3. The contended root lock server published queue-depth counters,
     // and the contention actually materialized (depth > 1).
     let depth_peak = events
         .iter()

@@ -349,8 +349,8 @@ impl PolledComm {
             return Ok(());
         }
         sim_with_state(move |s: &mut MachineState, _| {
-            s.transport.fallback_ops += 1;
-            s.transport.fallback_bytes += len as u64;
+            s.stats[me].fallback_ops += 1;
+            s.stats[me].fallback_bytes += len as u64;
         });
         let traced = self.tracer.on();
         let peak = self.peak_bw(peer);
@@ -358,7 +358,6 @@ impl PolledComm {
         // First copy: peer's memory ↔ shared staging.
         let t0 = if traced { self.time_ns() } else { 0 };
         let w1 = self.copy_flow_routed(len, peak, inter).await as f64;
-        sim_with_state(move |s: &mut MachineState, _| s.stats[me].copy_ns += w1);
         if traced {
             self.tracer
                 .span(Track::Rank(me), "copy", t0, w1, len as u64, None);
@@ -366,13 +365,12 @@ impl PolledComm {
         // Second copy: staging ↔ local buffer (same socket).
         let t1 = if traced { self.time_ns() } else { 0 };
         let w2 = self.copy_flow(len, self.bw_core).await as f64;
-        sim_with_state(move |s: &mut MachineState, _| s.stats[me].copy_ns += w2);
         if traced {
             self.tracer
                 .span(Track::Rank(me), "copy", t1, w2, len as u64, None);
         }
-        // Data plane (phantom-aware), same accounting and the same refusal
-        // of a source freed in flight as the CMA path.
+        // Data plane (phantom-aware), with the same refusal of a source
+        // freed in flight as the CMA path.
         let (remote, near) = ((peer, token.token, remote_off), (me, local.0, local_off));
         let (src, dst) = match dir {
             CmaDir::Read => (remote, near),
@@ -383,10 +381,6 @@ impl PolledComm {
                 .len_of(src.1)
                 .ok_or(CommError::PermissionDenied)?;
             s.move_bytes(src, dst, len);
-            match dir {
-                CmaDir::Read => s.stats[me].bytes_read += len as u64,
-                CmaDir::Write => s.stats[me].bytes_written += len as u64,
-            }
             Ok(())
         })
     }
@@ -669,8 +663,8 @@ impl PolledComm {
                 self.sm_msg_ns as u64
             };
         sim_poll("shm:post", move |s: &mut MachineState, w, _now| {
-            s.transport.shm_ops += 1;
-            s.transport.shm_bytes += len as u64;
+            s.stats[me].shm_ops += 1;
+            s.stats[me].shm_bytes += len as u64;
             // The message is the region as it is once the copy is paid
             // for: its bytes, or for a phantom team its length.
             let payload = s.heaps[me]
@@ -1158,20 +1152,77 @@ mod tests {
     /// (these tests compared the two engines while both existed). The
     /// event counts and digests were refreshed once since, when a control
     /// send stopped costing its sender an event; only the event and queue
-    /// counters of the report moved.
-    fn assert_run(run: &TeamRun, end_ns: u64, finish_ns: &[u64], events: u64, whole: u64) {
+    /// counters of the report moved. The digest is of [`pinned_record`].
+    fn assert_run(
+        (run, trace): (&TeamRun, &[Event]),
+        end_ns: u64,
+        finish_ns: &[u64],
+        events: u64,
+        whole: u64,
+    ) {
         assert_eq!(
             (run.end_ns, &run.finish_ns[..], run.events),
             (end_ns, finish_ns, events)
         );
-        assert_eq!(fnv(format!("{run:?}").as_bytes()), whole, "{run:?}");
+        let record = pinned_record(run, trace);
+        assert_eq!(fnv(record.as_bytes()), whole, "{record}");
+    }
+
+    /// `run` as `{run:?}` printed it when the digests were taken: each
+    /// rank's `RankStats` then also carried its phase times — the sums,
+    /// in emission order, of its phase spans in the run's `trace` — and
+    /// the shared-memory counts sat in one machine-wide
+    /// `TransportCounters` after `mem_recaches`.
+    fn pinned_record(run: &TeamRun, trace: &[Event]) -> String {
+        let stats: Vec<String> = (run.stats.iter().enumerate())
+            .map(|(r, s)| {
+                let [sys, chk, lock, pin, copy] =
+                    ["syscall", "check", "lock", "pin", "copy"].map(|phase| {
+                        (trace.iter())
+                            .filter(|e| e.track == Track::Rank(r) && e.name == phase)
+                            .fold(0.0, |sum, e| match e.kind {
+                                kacc_trace::EventKind::Span { dur, .. } => sum + dur,
+                                _ => sum,
+                            })
+                    });
+                format!(
+                    "RankStats {{ syscall_ns: {sys:?}, check_ns: {chk:?}, lock_ns: {lock:?}, \
+                     pin_ns: {pin:?}, copy_ns: {copy:?}, cma_ops: {}, bytes_read: {}, \
+                     bytes_written: {} }}",
+                    s.cma_ops, s.bytes_read, s.bytes_written
+                )
+            })
+            .collect();
+        let t = run.total_stats();
+        format!(
+            "TeamRun {{ end_ns: {}, finish_ns: {:?}, stats: [{}], mem_peak_concurrency: {:?}, \
+             lock_peak_concurrency: {:?}, mail_pending: {}, events: {}, sim: {:?}, \
+             lock_depth: {:?}, lock_recaches: {}, mem_recaches: {}, transport: \
+             TransportCounters {{ shm_ops: {}, shm_bytes: {}, fallback_ops: {}, \
+             fallback_bytes: {} }} }}",
+            run.end_ns,
+            run.finish_ns,
+            stats.join(", "),
+            run.mem_peak_concurrency,
+            run.lock_peak_concurrency,
+            run.mail_pending,
+            run.events,
+            run.sim,
+            run.lock_depth,
+            run.lock_recaches,
+            run.mem_recaches,
+            t.shm_ops,
+            t.shm_bytes,
+            t.fallback_ops,
+            t.fallback_bytes
+        )
     }
 
     /// The team-harness smoke program: a two-rank CMA read.
     #[test]
     fn cma_read_matches_threads_engine() {
         let arch = ArchProfile::broadwell();
-        let (run, results) = run_polled_team(&arch, 2, |rank| async move {
+        let (run, results, trace) = run_polled_team_traced(&arch, 2, |rank| async move {
             let mut comm = PolledComm::new(rank);
             if rank == 0 {
                 let buf = comm.alloc(8192);
@@ -1192,7 +1243,13 @@ mod tests {
             }
         });
         assert_eq!(results, [Vec::new(), vec![0xAB; 8192]]);
-        assert_run(&run, 4448, &[4448, 4238], 7, 0x86f4_f79a_2bea_9953);
+        assert_run(
+            (&run, &trace),
+            4448,
+            &[4448, 4238],
+            7,
+            0x86f4_f79a_2bea_9953,
+        );
     }
 
     #[test]
@@ -1232,7 +1289,7 @@ mod tests {
             });
         assert_eq!(durs, [0, 12950, 14061, 14313, 14313, 14207, 14049]);
         let finish = [16178, 13739, 15034, 15470, 15654, 15732, 15758];
-        assert_run(&run, 16178, &finish, 38, 0xfbcb_5031_3418_dbb6);
+        assert_run((&run, &trace), 16178, &finish, 38, 0xfbcb_5031_3418_dbb6);
         let json = kacc_trace::chrome_trace_json(&trace);
         assert_eq!(
             fnv(json.as_bytes()),
@@ -1244,19 +1301,20 @@ mod tests {
     #[test]
     fn barrier_matches_threads_engine() {
         let arch = ArchProfile::broadwell();
-        let (run, _) = run_polled_team(&arch, 8, |rank| async move {
+        let (run, _, trace) = run_polled_team_traced(&arch, 8, |rank| async move {
             let mut comm = PolledComm::new(rank);
             sm_barrier_polled(&mut comm).await.unwrap();
             comm.time_ns()
         });
-        assert_run(&run, 900, &[900; 8], 32, 0xfc82_2b65_51e8_e2a0);
+        assert_run((&run, &trace), 900, &[900; 8], 32, 0xfc82_2b65_51e8_e2a0);
     }
 
     #[test]
     fn cross_node_shm_send_matches_threads_engine() {
         let arch = ArchProfile::broadwell();
         let fabric = arch.default_fabric();
-        let (run, res) = run_polled_cluster(&arch, 2, 2, fabric, |rank| async move {
+        let cluster = MachineState::cluster(arch, 2, 2, Some(fabric));
+        let (run, res, trace) = run_polled_machine_full(cluster, true, true, |rank| async move {
             let mut comm = PolledComm::new(rank);
             let me = comm.rank();
             let p = comm.size();
@@ -1283,7 +1341,7 @@ mod tests {
         });
         assert_eq!(res, [2, 3, 0, 1]);
         assert_run(
-            &run,
+            (&run, &trace),
             5624,
             &[5624, 5624, 3468, 3468],
             20,
@@ -1358,7 +1416,7 @@ mod tests {
         assert_eq!(ph[1], Some((Buf::Phantom(LEN), vec![0; LEN], true)));
         assert_eq!(real_run, ph_run, "the heaps' kind is invisible in time");
         assert_eq!(
-            (real_run.transport.shm_ops, real_run.transport.shm_bytes),
+            (real_run.stats[0].shm_ops, real_run.stats[0].shm_bytes),
             (2, 2 * LEN as u64)
         );
         assert_eq!(real_run.mail_pending, 0);
@@ -1532,14 +1590,14 @@ mod tests {
                 (short, expired, comm.time_ns())
             }
         };
-        let (run, res) = run_polled_team(&arch, 2, polled);
+        let (run, res, trace) = run_polled_team_traced(&arch, 2, polled);
         let truncated = Err(CommError::Truncated {
             wanted: 64,
             got: 100,
         });
         let expired = Err(CommError::Timeout { waited_ns: 900 });
         assert_eq!(res, [(Ok(()), Ok(()), 33), (truncated, expired, 1233)]);
-        assert_run(&run, 1233, &[33, 1233], 5, 0xb465_3cc6_0324_99ff);
+        assert_run((&run, &trace), 1233, &[33, 1233], 5, 0xb465_3cc6_0324_99ff);
         assert_eq!(run_polled_team_phantom(&arch, 2, polled), (run, res));
     }
 

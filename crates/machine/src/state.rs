@@ -268,59 +268,40 @@ impl RankHeap {
     }
 }
 
-/// Per-rank step accounting: the Fig 4 breakdown.
-#[derive(Debug, Default, Clone, Copy, PartialEq)]
+/// What one rank issued, counted per path. The Fig 4 phase times
+/// (syscall, check, lock, pin, copy) are not kept here: they live only in
+/// the phase spans a traced run emits — [`crate::xfer`] for
+/// kernel-assisted calls, the shared-memory fallback for its two copies
+/// — which [`kacc_trace::Breakdown`] aggregates.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct RankStats {
-    /// Time in syscall entry/exit, ns.
-    pub syscall_ns: f64,
-    /// Time in the permission check, ns.
-    pub check_ns: f64,
-    /// Time acquiring page locks (contended share), ns.
-    pub lock_ns: f64,
-    /// Time pinning pages, ns.
-    pub pin_ns: f64,
-    /// Time copying data, ns.
-    pub copy_ns: f64,
     /// Kernel-assisted operations issued.
     pub cma_ops: u64,
     /// Bytes moved by kernel-assisted reads issued by this rank.
     pub bytes_read: u64,
     /// Bytes moved by kernel-assisted writes issued by this rank.
     pub bytes_written: u64,
-}
-
-impl RankStats {
-    /// Total accounted time.
-    pub fn total_ns(&self) -> f64 {
-        self.syscall_ns + self.check_ns + self.lock_ns + self.pin_ns + self.copy_ns
-    }
-
-    /// Element-wise sum.
-    pub fn merge(&mut self, other: &RankStats) {
-        self.syscall_ns += other.syscall_ns;
-        self.check_ns += other.check_ns;
-        self.lock_ns += other.lock_ns;
-        self.pin_ns += other.pin_ns;
-        self.copy_ns += other.copy_ns;
-        self.cma_ops += other.cma_ops;
-        self.bytes_read += other.bytes_read;
-        self.bytes_written += other.bytes_written;
-    }
-}
-
-/// Machine-wide per-transport traffic totals (observability). CMA
-/// traffic is accounted per rank in [`RankStats`]; these cover the
-/// shared-memory paths, which have no per-rank home.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct TransportCounters {
-    /// Mailbox shared-memory data sends (eager/rendezvous path).
+    /// Bulk shared-memory sends (eager/rendezvous path).
     pub shm_ops: u64,
-    /// Bytes moved by mailbox shared-memory data sends.
+    /// Bytes moved by bulk shared-memory sends.
     pub shm_bytes: u64,
-    /// Two-copy shared-memory fallback transfers (CMA denied/failed).
+    /// Two-copy shared-memory fallback transfers (CMA denied or failed).
     pub fallback_ops: u64,
     /// Bytes moved by two-copy fallback transfers.
     pub fallback_bytes: u64,
+}
+
+impl RankStats {
+    /// Element-wise sum.
+    pub fn merge(&mut self, other: &RankStats) {
+        self.cma_ops += other.cma_ops;
+        self.bytes_read += other.bytes_read;
+        self.bytes_written += other.bytes_written;
+        self.shm_ops += other.shm_ops;
+        self.shm_bytes += other.shm_bytes;
+        self.fallback_ops += other.fallback_ops;
+        self.fallback_bytes += other.fallback_bytes;
+    }
 }
 
 /// Inter-node fabric state: per-node NIC servers plus the latency model.
@@ -363,7 +344,7 @@ pub struct MachineState {
     pub mems: Vec<MemSys>,
     /// Fabric, for multi-node machines.
     pub net: Option<NetState>,
-    /// Per-rank step accounting.
+    /// Per-rank operation counts.
     pub stats: Vec<RankStats>,
     /// Per-rank kernel-assisted transfer in flight, if any (a rank is
     /// inside at most one system call); see [`crate::xfer`].
@@ -377,8 +358,6 @@ pub struct MachineState {
     /// and run at once: they are synchronous, and no peer can observe them
     /// before the message that follows them arrives.
     pub busy_until: Vec<SimTime>,
-    /// Machine-wide per-transport traffic totals.
-    pub transport: TransportCounters,
     /// Destination for phase spans and lock-server counters. Defaults to
     /// off; the team harness installs a live tracer for traced runs.
     pub tracer: kacc_trace::Tracer,
@@ -449,7 +428,6 @@ impl MachineState {
             stats: vec![RankStats::default(); nranks],
             xfers: (0..nranks).map(|_| None).collect(),
             busy_until: vec![0; nranks],
-            transport: TransportCounters::default(),
             tracer: kacc_trace::Tracer::off(),
             fault: kacc_fault::FaultHook::off(),
             arch,
@@ -715,21 +693,28 @@ mod tests {
     #[test]
     fn stats_merge_accumulates() {
         let mut a = RankStats {
-            syscall_ns: 1.0,
             cma_ops: 2,
+            shm_bytes: 5,
             ..Default::default()
         };
         let b = RankStats {
-            syscall_ns: 3.0,
-            copy_ns: 4.0,
             cma_ops: 1,
-            ..Default::default()
+            bytes_read: 3,
+            bytes_written: 4,
+            shm_ops: 6,
+            shm_bytes: 7,
+            fallback_ops: 8,
+            fallback_bytes: 9,
         };
         a.merge(&b);
-        assert_eq!(a.syscall_ns, 4.0);
-        assert_eq!(a.copy_ns, 4.0);
-        assert_eq!(a.cma_ops, 3);
-        assert_eq!(a.total_ns(), 8.0);
+        assert_eq!(
+            a,
+            RankStats {
+                cma_ops: 3,
+                shm_bytes: 12,
+                ..b
+            }
+        );
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! What a simulated team run reports: [`TeamRun`], assembled from the
 //! final machine state by the harness in [`crate::polled`].
 
-use crate::state::{MachineState, RankStats, TransportCounters};
+use crate::state::{MachineState, RankStats};
 use kacc_metrics::LocalHist;
 use kacc_sim_core::SimRunMetrics;
 use std::sync::OnceLock;
 
-/// Timing and accounting from a completed team run.
+/// Timing and counts from a completed team run. Phase times (syscall,
+/// check, lock, pin, copy) are not here: a traced run's phase spans carry
+/// them (see [`RankStats`]).
 ///
 /// `PartialEq` compares every field, so the determinism suite can assert
 /// whole runs bitwise-identical across repeats and job counts.
@@ -16,7 +18,7 @@ pub struct TeamRun {
     pub end_ns: u64,
     /// Per-rank finish times, ns.
     pub finish_ns: Vec<u64>,
-    /// Per-rank step accounting.
+    /// Per-rank operation counts, on every path.
     pub stats: Vec<RankStats>,
     /// Peak concurrent flows each node's memory system saw.
     pub mem_peak_concurrency: Vec<usize>,
@@ -38,13 +40,10 @@ pub struct TeamRun {
     /// Rate recomputations summed across all memory systems (node DRAM
     /// plus fabric egress/ingress links).
     pub mem_recaches: u64,
-    /// Machine-wide per-transport traffic totals (shm + fallback paths;
-    /// CMA traffic is in [`RankStats`]).
-    pub transport: TransportCounters,
 }
 
 impl TeamRun {
-    /// Aggregate step accounting across all ranks.
+    /// Operation counts summed across all ranks.
     pub fn total_stats(&self) -> RankStats {
         let mut total = RankStats::default();
         for s in &self.stats {
@@ -118,17 +117,16 @@ pub(crate) fn finish_team_run(
         lock_depth,
         lock_recaches,
         mem_recaches,
-        transport: st.transport,
     };
     let h = machine_handles();
     h.lock_depth.merge_local(&run.lock_depth);
     h.lock_recaches.add(run.lock_recaches);
     h.mem_recaches.add(run.mem_recaches);
-    h.shm_ops.add(run.transport.shm_ops);
-    h.shm_bytes.add(run.transport.shm_bytes);
-    h.fallback_ops.add(run.transport.fallback_ops);
-    h.fallback_bytes.add(run.transport.fallback_bytes);
     let total = run.total_stats();
+    h.shm_ops.add(total.shm_ops);
+    h.shm_bytes.add(total.shm_bytes);
+    h.fallback_ops.add(total.fallback_ops);
+    h.fallback_bytes.add(total.fallback_bytes);
     h.cma_ops.add(total.cma_ops);
     h.cma_bytes.add(total.bytes_read + total.bytes_written);
     run
@@ -144,7 +142,7 @@ mod tests {
     #[test]
     fn two_rank_cma_read_moves_data_and_time() {
         let arch = ArchProfile::broadwell();
-        let (run, results) = run_polled_team(&arch, 2, |rank| async move {
+        let (run, results, trace) = run_polled_team_traced(&arch, 2, |rank| async move {
             let comm = &mut PolledComm::new(rank);
             if rank == 0 {
                 // Expose a 2-page buffer of 0xAB and send the token.
@@ -174,9 +172,15 @@ mod tests {
             (a.t_syscall_ns + a.t_permcheck_ns + 2.0 * a.l_ns() + 8192.0 * a.beta_ns_per_byte())
                 as u64;
         assert!(run.end_ns >= floor, "end {} < floor {}", run.end_ns, floor);
-        let s = &run.stats[1];
-        assert!(s.lock_ns > 0.0 && s.pin_ns > 0.0 && s.copy_ns > 0.0);
-        assert_eq!(s.bytes_read, 8192);
+        for phase in ["lock", "pin", "copy"] {
+            assert!(
+                trace.iter().any(|e| e.track == kacc_trace::Track::Rank(1)
+                    && e.name == phase
+                    && matches!(e.kind, kacc_trace::EventKind::Span { dur, .. } if dur > 0.0)),
+                "no {phase} time on the reader"
+            );
+        }
+        assert_eq!(run.stats[1].bytes_read, 8192);
     }
 
     /// Per-reader latency of `readers` ranks each reading its own

@@ -22,7 +22,7 @@
 use crate::fluid::FlowId;
 use crate::state::{move_bytes, MachineState};
 use kacc_comm::{BufId, CommError, RemoteToken, Result};
-use kacc_sim_core::polled::Step;
+use kacc_sim_core::polled::{Park, Step};
 use kacc_sim_core::{SimTime, Waker};
 use kacc_trace::Track;
 
@@ -207,16 +207,15 @@ pub fn step_xfer(s: &mut MachineState, tid: usize, w: &mut Waker, now: SimTime) 
             Phase::Done(_) => return Step::Ready(()),
             Phase::Entry => {
                 if now < x.entry_until {
-                    return Step::Wait {
+                    return Step::Wait(Park {
                         label: "advance",
                         wake_at: Some(x.entry_until),
-                    };
+                    });
                 }
-                // Phase spans carry the same f64 values added to
-                // `RankStats`, in the same order, so per-rank span sums
-                // equal the stats bitwise (trace_accounting pins this).
+                // The phase spans are the only record of the phase times:
+                // a rank's spans, summed in emission order, are its Fig 4
+                // breakdown.
                 let t_sys = arch.t_syscall_ns as u64;
-                stats[me].syscall_ns += t_sys as f64;
                 stats[me].cma_ops += 1;
                 if traced {
                     tracer.span(Track::Rank(me), "syscall", x.t0, t_sys as f64, 0, None);
@@ -226,7 +225,6 @@ pub fn step_xfer(s: &mut MachineState, tid: usize, w: &mut Waker, now: SimTime) 
                     continue;
                 }
                 let t_chk = arch.t_permcheck_ns as u64 as f64;
-                stats[me].check_ns += t_chk;
                 if traced {
                     tracer.span(Track::Rank(me), "check", x.t0 + t_sys, t_chk, 0, None);
                 }
@@ -281,10 +279,10 @@ pub fn step_xfer(s: &mut MachineState, tid: usize, w: &mut Waker, now: SimTime) 
                 let lock = &mut locks[peer];
                 lock.update(now);
                 if !lock.is_done(id) {
-                    return Step::Wait {
+                    return Step::Wait(Park {
                         label: "pin:wait",
                         wake_at: lock.park(id, now),
-                    };
+                    });
                 }
                 if std::mem::replace(&mut woke, true) {
                     return Step::Again;
@@ -296,8 +294,6 @@ pub fn step_xfer(s: &mut MachineState, tid: usize, w: &mut Waker, now: SimTime) 
                     now,
                     lock.concurrency() as f64,
                 );
-                stats[me].lock_ns += lock_ns;
-                stats[me].pin_ns += pin_ns;
                 if traced {
                     // The batch's wall time splits into a lock share then
                     // a pin share (the server attributes every dt to one
@@ -332,18 +328,17 @@ pub fn step_xfer(s: &mut MachineState, tid: usize, w: &mut Waker, now: SimTime) 
                 let mem = &mut mems[x.node];
                 mem.update(now);
                 if !mem.is_done(id) {
-                    return Step::Wait {
+                    return Step::Wait(Park {
                         label: "flow:wait",
                         wake_at: mem.park(id, now),
-                    };
+                    });
                 }
                 if std::mem::replace(&mut woke, true) {
                     return Step::Again;
                 }
                 mem.remove_with(id, now, |t, at| w.wake_at(t, at));
-                let wall = (now - x.t_phase) as f64;
-                stats[me].copy_ns += wall;
                 if traced {
+                    let wall = (now - x.t_phase) as f64;
                     let bytes = x.copy_now as u64;
                     tracer.span(Track::Rank(me), "copy", x.t_phase, wall, bytes, None);
                 }
@@ -392,6 +387,7 @@ mod tests {
     use crate::state::RankStats;
     use kacc_fault::{FaultDecision, FaultHook, FaultInjector, FaultOp, FaultSite};
     use kacc_model::ArchProfile;
+    use kacc_trace::EventKind;
     use std::sync::Arc;
 
     const LEN: usize = 8192;
@@ -404,17 +400,20 @@ mod tests {
         ExposesThenFrees,
     }
 
+    /// Rank 1's phase spans, `(name, duration)` in emission order.
+    type Phases = Vec<(&'static str, f64)>;
+
     /// Rank 0 prepares a `LEN`-byte buffer (id 0); after a barrier rank 1
     /// allocates `LEN` bytes of its own and makes the call `shape` builds
     /// from `(token of rank 0's buffer, rank 1's buffer)`. Returns the
-    /// call's result, its duration and rank 1's accounting.
+    /// call's result, its duration, rank 1's counts and its phase spans.
     fn one_call(
         state: MachineState,
         owner: Owner,
         shape: fn(RemoteToken, BufId) -> CmaCall,
-    ) -> (Result<()>, SimTime, RankStats) {
-        let (run, mut out, _) =
-            run_polled_machine_full(state, false, true, move |rank| async move {
+    ) -> (Result<()>, SimTime, RankStats, Phases) {
+        let (run, mut out, trace) =
+            run_polled_machine_full(state, true, true, move |rank| async move {
                 let mut comm = PolledComm::new(rank);
                 if rank == 0 {
                     let buf = comm.alloc_with(&[7u8; LEN]).unwrap();
@@ -447,7 +446,16 @@ mod tests {
                 Some((r, comm.time_ns() - t0))
             });
         let (r, dt) = out.remove(1).unwrap();
-        (r, dt, run.stats[1])
+        let phases = trace
+            .iter()
+            .filter(|e| e.track == Track::Rank(1))
+            .filter_map(|e| match e.kind {
+                EventKind::Span { dur, .. } => Some((e.name, dur)),
+                _ => None,
+            })
+            .filter(|(name, _)| ["syscall", "check", "lock", "pin", "copy"].contains(name))
+            .collect();
+        (r, dt, run.stats[1], phases)
     }
 
     fn whole(token: RemoteToken, local: BufId) -> CmaCall {
@@ -473,38 +481,43 @@ mod tests {
         (t_sys, t_sys + a.t_permcheck_ns as u64)
     }
 
-    /// A call that returned after the syscall: charged that and nothing else.
-    fn assert_syscall_only(stats: &RankStats) {
-        let (t_sys, _) = entry_times();
-        let expect = RankStats {
-            syscall_ns: t_sys as f64,
+    /// The counts of one kernel-assisted call that moved nothing.
+    fn one_empty_call() -> RankStats {
+        RankStats {
             cma_ops: 1,
             ..RankStats::default()
-        };
-        assert_eq!(*stats, expect);
+        }
+    }
+
+    /// A call that returned after the syscall: charged that and nothing else.
+    fn assert_syscall_only(stats: &RankStats, phases: &Phases) {
+        let (t_sys, _) = entry_times();
+        assert_eq!(*stats, one_empty_call());
+        assert_eq!(*phases, vec![("syscall", t_sys as f64)]);
     }
 
     /// A call refused by the permission check: charged syscall and check.
-    fn assert_refused(stats: &RankStats) {
+    fn assert_refused(stats: &RankStats, phases: &Phases) {
         let (t_sys, t_both) = entry_times();
-        let expect = RankStats {
-            syscall_ns: t_sys as f64,
-            check_ns: (t_both - t_sys) as f64,
-            cma_ops: 1,
-            ..RankStats::default()
-        };
-        assert_eq!(*stats, expect);
+        assert_eq!(*stats, one_empty_call());
+        assert_eq!(
+            *phases,
+            vec![
+                ("syscall", t_sys as f64),
+                ("check", (t_both - t_sys) as f64)
+            ]
+        );
     }
 
     #[test]
     fn a_bad_rank_costs_the_syscall() {
-        let (r, dt, stats) = one_call(node(), Owner::Exposes, |mut token, local| {
+        let (r, dt, stats, phases) = one_call(node(), Owner::Exposes, |mut token, local| {
             token.rank = 9;
             whole(token, local)
         });
         assert_eq!(r, Err(CommError::BadRank(9)));
         assert_eq!(dt, entry_times().0);
-        assert_syscall_only(&stats);
+        assert_syscall_only(&stats, &phases);
     }
 
     #[test]
@@ -512,40 +525,41 @@ mod tests {
         let arch = ArchProfile::broadwell();
         let fabric = arch.default_fabric();
         let cluster = MachineState::cluster(arch, 2, 1, Some(fabric));
-        let (r, dt, stats) = one_call(cluster, Owner::Exposes, whole);
+        let (r, dt, stats, phases) = one_call(cluster, Owner::Exposes, whole);
         assert!(
             matches!(&r, Err(CommError::Protocol(m)) if m.contains("crosses nodes (1 -> 0)")),
             "{r:?}"
         );
         assert_eq!(dt, entry_times().0);
-        assert_syscall_only(&stats);
+        assert_syscall_only(&stats, &phases);
     }
 
     #[test]
     fn an_empty_extent_returns_after_the_syscall() {
-        let (r, dt, stats) = one_call(node(), Owner::NeverExposes, |token, local| CmaCall {
-            remote_len: 0,
-            copy_len: 0,
-            ..whole(token, local)
-        });
+        let (r, dt, stats, phases) =
+            one_call(node(), Owner::NeverExposes, |token, local| CmaCall {
+                remote_len: 0,
+                copy_len: 0,
+                ..whole(token, local)
+            });
         assert_eq!(r, Ok(()));
         assert_eq!(dt, entry_times().0);
-        assert_syscall_only(&stats);
+        assert_syscall_only(&stats, &phases);
     }
 
     #[test]
     fn an_unexposed_or_freed_buffer_is_refused_after_the_check() {
         for owner in [Owner::NeverExposes, Owner::ExposesThenFrees] {
-            let (r, dt, stats) = one_call(node(), owner, whole);
+            let (r, dt, stats, phases) = one_call(node(), owner, whole);
             assert_eq!(r, Err(CommError::PermissionDenied));
             assert_eq!(dt, entry_times().1);
-            assert_refused(&stats);
+            assert_refused(&stats, &phases);
         }
     }
 
     #[test]
     fn out_of_range_extents_are_refused_after_the_check() {
-        let (r, dt, stats) = one_call(node(), Owner::Exposes, |token, local| CmaCall {
+        let (r, dt, stats, phases) = one_call(node(), Owner::Exposes, |token, local| CmaCall {
             remote_off: 1,
             ..whole(token, local)
         });
@@ -556,18 +570,18 @@ mod tests {
             cap: LEN,
         };
         assert_eq!((r, dt), (Err(remote), entry_times().1));
-        assert_refused(&stats);
+        assert_refused(&stats, &phases);
 
         // The local range is checked against the copy extent, not the
         // pinned one: 100 bytes fit at LEN - 100.
-        let (r, _, stats) = one_call(node(), Owner::Exposes, |token, local| CmaCall {
+        let (r, _, stats, _) = one_call(node(), Owner::Exposes, |token, local| CmaCall {
             local_off: LEN - 100,
             copy_len: 100,
             ..whole(token, local)
         });
         assert_eq!(r, Ok(()));
         assert_eq!(stats.bytes_read, 100);
-        let (r, dt, stats) = one_call(node(), Owner::Exposes, |token, local| CmaCall {
+        let (r, dt, stats, phases) = one_call(node(), Owner::Exposes, |token, local| CmaCall {
             local_off: LEN - 100,
             copy_len: 101,
             ..whole(token, local)
@@ -579,17 +593,18 @@ mod tests {
             cap: LEN,
         };
         assert_eq!((r, dt), (Err(local), entry_times().1));
-        assert_refused(&stats);
+        assert_refused(&stats, &phases);
     }
 
     #[test]
     fn an_invalid_local_buffer_is_refused_after_the_check() {
-        let (r, dt, stats) = one_call(node(), Owner::Exposes, |token, _| whole(token, BufId(42)));
+        let (r, dt, stats, phases) =
+            one_call(node(), Owner::Exposes, |token, _| whole(token, BufId(42)));
         assert_eq!(
             (r, dt),
             (Err(CommError::InvalidBuffer(42)), entry_times().1)
         );
-        assert_refused(&stats);
+        assert_refused(&stats, &phases);
     }
 
     /// Rank 1 reads the whole of rank 0's exposed `len`-byte buffer right
@@ -659,51 +674,51 @@ mod tests {
 
     #[test]
     fn an_injected_failure_costs_an_empty_call() {
-        let (r, dt, stats) = one_call(
+        let (r, dt, stats, phases) = one_call(
             faulty(FaultDecision::Fail(CommError::Os(11))),
             Owner::Exposes,
             whole,
         );
         assert_eq!((r, dt), (Err(CommError::Os(11)), entry_times().0));
-        assert_syscall_only(&stats);
+        assert_syscall_only(&stats, &phases);
     }
 
     #[test]
     fn an_injected_truncation_moves_and_charges_the_short_extent() {
         let got = 5000;
-        let (plain, plain_dt, plain_stats) =
+        let (plain, plain_dt, plain_stats, plain_phases) =
             one_call(node(), Owner::Exposes, |token, local| CmaCall {
                 remote_len: 5000,
                 copy_len: 5000,
                 ..whole(token, local)
             });
         assert_eq!(plain, Ok(()));
-        let (r, dt, stats) = one_call(
+        let (r, dt, stats, phases) = one_call(
             faulty(FaultDecision::Truncate { got }),
             Owner::Exposes,
             whole,
         );
         assert_eq!(r, Err(CommError::Truncated { wanted: LEN, got }));
-        assert_eq!((dt, stats), (plain_dt, plain_stats));
+        assert_eq!((dt, stats, phases), (plain_dt, plain_stats, plain_phases));
         assert_eq!(stats.bytes_read, got as u64);
     }
 
     #[test]
     fn an_injected_delay_precedes_the_whole_call() {
-        let (plain, plain_dt, plain_stats) = one_call(node(), Owner::Exposes, whole);
-        let (r, dt, stats) = one_call(
+        let (plain, plain_dt, plain_stats, plain_phases) = one_call(node(), Owner::Exposes, whole);
+        let (r, dt, stats, phases) = one_call(
             faulty(FaultDecision::Delay { ns: 700 }),
             Owner::Exposes,
             whole,
         );
         assert_eq!((plain, r), (Ok(()), Ok(())));
         assert_eq!(dt, plain_dt + 700);
-        assert_eq!(stats, plain_stats);
+        assert_eq!((stats, &phases), (plain_stats, &plain_phases));
         // Two pages in one batch: entry, one pin, one copy.
         let (_, t_both) = entry_times();
         assert!(plain_dt > t_both);
         assert_eq!(
-            plain_stats.total_ns(),
+            plain_phases.iter().map(|(_, dur)| dur).sum::<f64>(),
             plain_dt as f64,
             "an uncontended call is all accounted time"
         );

@@ -405,7 +405,7 @@ mod tests {
         let (real_run, real) = run_polled_team(&arch, P, body);
         let (phantom_run, phantom) = run_polled_team_phantom(&arch, P, body);
         assert_eq!(real_run, phantom_run);
-        assert_eq!(real_run.transport.shm_ops, (P * (P - 1)) as u64);
+        assert_eq!(real_run.total_stats().shm_ops, (P * (P - 1)) as u64);
         for (r, got) in real.iter().enumerate() {
             if let Some(d) = diff(got, &alltoall_expected(r, P, COUNT)) {
                 panic!("rank {r}: {d}");

@@ -4,11 +4,11 @@
 
 //! Deterministic discrete-event simulation kernel.
 //!
-//! Simulated processes are rank tasks — `async` bodies, or hand-written
-//! [`RankTask`] state machines — that one driver, [`PolledSim`], polls on
-//! the calling thread whenever the virtual-time event queue dispatches
-//! to them. The queue breaks time ties with a global sequence number, so
-//! every run over the same program is bit-for-bit deterministic.
+//! Simulated processes are rank bodies — futures, written as `async`
+//! blocks — that one driver, [`PolledSim`], polls on the calling thread
+//! whenever the virtual-time event queue dispatches to them. The queue
+//! breaks time ties with a global sequence number, so every run over the
+//! same program is bit-for-bit deterministic.
 //!
 //! The kernel is generic over a user state type `S` (the simulated
 //! machine). Tasks interact with `S` and with virtual time through
@@ -49,7 +49,7 @@ pub mod polled;
 mod queue_reference;
 
 pub use mailbox::Mailboxes;
-pub use polled::{PolledSim, RankTask, TaskCtx, TaskPoll};
+pub use polled::PolledSim;
 
 // Scheduler dispatches are emitted as `kacc_trace` instant events to the
 // tracer installed with `PolledSim::set_tracer`.
@@ -467,21 +467,29 @@ impl<S> KernelState<S> {
 
     /// One evaluation of a poll closure: run it against the user state
     /// with a fresh waker generation, then push the wakes it requested
-    /// against each target's *current* epoch.
+    /// against each target's *current* epoch. The flush is a function of
+    /// its own so that this stays small enough to inline into every leaf,
+    /// where the closure's result is returned in registers.
     fn evaluate<R>(&mut self, f: impl FnOnce(&mut S, &mut Waker, SimTime) -> R) -> R {
         self.waker.gen += 1;
         let outcome = f(&mut self.user, &mut self.waker, self.now);
         if !self.waker.pending.is_empty() {
-            let mut pending = std::mem::take(&mut self.waker.pending);
-            for &(tid, at) in &pending {
-                let epoch = self.threads[tid].epoch;
-                self.push_event(at, tid, epoch);
-            }
-            self.metrics.wake_fanout.record(pending.len() as u64);
-            pending.clear();
-            self.waker.pending = pending;
+            self.flush_wakes();
         }
         outcome
+    }
+
+    /// Push the wakes the last evaluation requested and record its
+    /// fan-out.
+    fn flush_wakes(&mut self) {
+        let mut pending = std::mem::take(&mut self.waker.pending);
+        for &(tid, at) in &pending {
+            let epoch = self.threads[tid].epoch;
+            self.push_event(at, tid, epoch);
+        }
+        self.metrics.wake_fanout.record(pending.len() as u64);
+        pending.clear();
+        self.waker.pending = pending;
     }
 
     /// Push an event, bumping the global sequence counter. Past times

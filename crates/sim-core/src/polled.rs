@@ -1,28 +1,24 @@
-//! The discrete-event driver: rank bodies as polled tasks.
+//! The discrete-event driver: rank bodies as polled futures.
 //!
-//! Every rank is a [`RankTask`]: a resumable state machine the
-//! single-threaded driver polls whenever the event queue dispatches to
-//! it. A task that cannot go on returns [`TaskPoll::Pending`] carrying a
-//! `(label, wake_at)` pair; the driver records the park — epoch, label,
-//! optional timer — and moves on to the next event. When the task's own
-//! timer is strictly the earliest pending event, the driver instead
-//! advances the clock in place and polls the task again (the
-//! direct-handoff fast path), with the same epoch and sequence-number
-//! bookkeeping, so dispatch order and every virtual timestamp are the
-//! same with the fast path on or off.
-//!
-//! Rank bodies are written as `async` blocks awaiting the leaf futures
-//! in this module ([`sim_poll`], [`sim_advance`]) — the compiler derives
-//! the state machine. Hand-rolled [`RankTask`] impls are also accepted
-//! for bodies that want explicit control over their states.
+//! Every rank body is a future — an `async` block awaiting the leaf
+//! futures in this module ([`sim_poll`], [`sim_steps`], [`sim_advance`]),
+//! whose state machine the compiler derives. The single-threaded driver
+//! polls a body whenever the event queue dispatches to it. A leaf that
+//! cannot go on records a [`Park`] (label and optional timer) and the
+//! body returns `Pending`; the driver parks the task under a fresh epoch
+//! and moves on to the next event. When the task's own timer is strictly
+//! the earliest pending event, the driver instead advances the clock in
+//! place and polls the task again (the direct-handoff fast path), with
+//! the same epoch and sequence-number bookkeeping, so dispatch order and
+//! every virtual timestamp are the same with the fast path on or off.
 //!
 //! An operation that waits only on timers and on the shared state need
-//! not live in the task at all. It keeps its progress in `S`, reports
-//! through the three-valued [`Step`], and is started by the task with
+//! not live in the body at all. It keeps its progress in `S`, reports
+//! through the three-valued [`Step`], and is started by the body with
 //! [`sim_steps`]; if the same function is installed with
 //! [`PolledSim::set_step_hook`], the driver evaluates it on every
-//! dispatch *before* polling the task and re-parks the task on
-//! [`Step::Wait`] without entering its future — the task is polled again
+//! dispatch *before* polling the body and re-parks the task on
+//! [`Step::Wait`] without entering its future — the body is polled again
 //! only when the operation has completed. Epochs, sequence numbers, the
 //! fast path, labels and dispatch instants are those of a [`sim_poll`]
 //! leaf returning the same waits.
@@ -56,21 +52,15 @@ use std::pin::Pin;
 use std::sync::atomic::Ordering;
 use std::task;
 
-/// What a [`RankTask`] reports back to the driver after one poll.
+/// Why a task parks: the operation's name, for deadlock dumps and
+/// dispatch traces, and an optional self-wake timer (external
+/// [`Waker::wake_at`] calls can always wake the task earlier).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TaskPoll {
-    /// The rank body ran to completion.
-    Done,
-    /// The task is blocked. `label` names the operation for deadlock
-    /// dumps and dispatch traces; `wake_at` optionally schedules a
-    /// self-wake (external [`Waker::wake_at`] calls can always wake the
-    /// task earlier).
-    Pending {
-        /// Operation name.
-        label: &'static str,
-        /// Optional self-wake timer (must not be in the past).
-        wake_at: Option<SimTime>,
-    },
+pub struct Park {
+    /// Operation name.
+    pub label: &'static str,
+    /// Optional self-wake timer (must not be in the past).
+    pub wake_at: Option<SimTime>,
 }
 
 /// Result of one evaluation of a stepped operation ([`sim_steps`], or
@@ -88,13 +78,8 @@ pub enum Step<T> {
     /// coalescing and the fan-out histogram see the same evaluations a
     /// chain of [`sim_poll`] leaves would produce.
     Again,
-    /// Park, as [`TaskPoll::Pending`].
-    Wait {
-        /// Operation name for deadlock dumps and dispatch traces.
-        label: &'static str,
-        /// Optional self-wake timer (must not be in the past).
-        wake_at: Option<SimTime>,
-    },
+    /// Park the task.
+    Wait(Park),
 }
 
 impl<T> Step<T> {
@@ -104,7 +89,7 @@ impl<T> Step<T> {
         match self {
             Step::Ready(v) => Step::Ready(f(v)),
             Step::Again => Step::Again,
-            Step::Wait { label, wake_at } => Step::Wait { label, wake_at },
+            Step::Wait(park) => Step::Wait(park),
         }
     }
 }
@@ -113,90 +98,30 @@ impl<T> Step<T> {
 /// before the task itself is polled. See [`PolledSim::set_step_hook`].
 pub type StepHook<S> = fn(&mut S, usize, &mut Waker, SimTime) -> Step<()>;
 
-/// A resumable rank body driven by [`PolledSim`].
-///
-/// `poll_task` is invoked once at t=0 (the seeded start event) and once
-/// per subsequent dispatch — timer expiry, external wake, or
-/// direct-handoff fast path. Between polls the task must hold all of its
-/// progress in `self`.
-pub trait RankTask<S> {
-    /// Advance the task as far as it can go without blocking.
-    fn poll_task(&mut self, cx: &mut TaskCtx<'_, S>) -> TaskPoll;
-}
-
-/// Per-poll context handed to [`RankTask::poll_task`].
-pub struct TaskCtx<'a, S> {
-    shared: &'a PolledShared<S>,
-    tid: usize,
-}
-
-impl<S: 'static> TaskCtx<'_, S> {
-    /// Index of this task (spawn order).
-    pub fn tid(&self) -> usize {
-        self.tid
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.shared.st.borrow().now
-    }
-
-    /// Run `f` atomically against the shared state (non-blocking).
-    pub fn with_state<T>(&mut self, f: impl FnOnce(&mut S, SimTime) -> T) -> T {
-        let mut st = self.shared.st.borrow_mut();
-        let st = &mut *st;
-        f(&mut st.user, st.now)
-    }
-
-    /// Evaluate one poll closure against the shared state, applying any
-    /// wakes it requests — exactly one evaluation of a [`sim_poll`] leaf.
-    /// A hand-written [`RankTask`] that receives
-    /// [`Poll::Wait`] here should return the matching
-    /// [`TaskPoll::Pending`] so the driver parks it; the closure will be
-    /// re-evaluated (via a fresh `poll_op`) on the next dispatch.
-    pub fn poll_op<T>(
-        &mut self,
-        f: &mut impl FnMut(&mut S, &mut Waker, SimTime) -> Poll<T>,
-    ) -> Poll<T> {
-        self.shared.eval(f)
-    }
-}
-
-/// A scheduled-but-not-yet-applied park request from a leaf future.
-#[derive(Clone, Copy)]
-struct PendingWait {
-    label: &'static str,
-    wake_at: Option<SimTime>,
-}
-
 /// Kernel state shared between the driver and the leaf futures of the
 /// tasks it polls. Single-threaded by design: a `RefCell` on the driver's
 /// stack.
 struct PolledShared<S> {
     st: RefCell<KernelState<S>>,
     /// Set by the innermost leaf future that returned `Pending`; taken
-    /// by the task adapter to build its [`TaskPoll::Pending`].
-    pending: Cell<Option<PendingWait>>,
+    /// by the driver to park the task.
+    pending: Cell<Option<Park>>,
 }
 
 impl<S: 'static> PolledShared<S> {
-    /// One evaluation of a poll closure.
-    fn eval<R>(&self, f: impl FnOnce(&mut S, &mut Waker, SimTime) -> R) -> R {
-        self.st.borrow_mut().evaluate(f)
-    }
-
     /// Evaluate a step function for `tid` until it completes or parks,
-    /// one [`Self::eval`] (hence one wake flush) per evaluation.
+    /// one wake-flushing evaluation per [`Step`].
     fn steps<T>(
         &self,
         tid: usize,
         mut f: impl FnMut(&mut S, usize, &mut Waker, SimTime) -> Step<T>,
-    ) -> Result<T, PendingWait> {
+    ) -> Result<T, Park> {
         loop {
-            match self.eval(|s, w, now| f(s, tid, w, now)) {
+            let step = self.st.borrow_mut().evaluate(|s, w, now| f(s, tid, w, now));
+            match step {
                 Step::Ready(v) => return Ok(v),
                 Step::Again => {}
-                Step::Wait { label, wake_at } => return Err(PendingWait { label, wake_at }),
+                Step::Wait(park) => return Err(park),
             }
         }
     }
@@ -300,46 +225,16 @@ pub fn sim_with_state<S: 'static, T>(f: impl FnOnce(&mut S, SimTime) -> T) -> T 
 /// it returns [`Poll::Ready`]. On [`Poll::Wait`] the future returns
 /// `Pending` and the driver parks the task with this leaf's
 /// `(label, wake_at)`; `label` appears in deadlock dumps and dispatch
-/// traces.
-pub fn sim_poll<S, T, F>(label: &'static str, f: F) -> SimPollFuture<S, T, F>
-where
-    S: 'static,
-    F: FnMut(&mut S, &mut Waker, SimTime) -> Poll<T>,
-{
-    SimPollFuture {
-        label,
-        f,
-        _types: PhantomData,
-    }
-}
-
-/// Future returned by [`sim_poll`].
-pub struct SimPollFuture<S, T, F> {
-    label: &'static str,
-    f: F,
-    _types: PhantomData<fn(&mut S) -> T>,
-}
-
-impl<S, T, F> Future for SimPollFuture<S, T, F>
+/// traces. A [`sim_steps`] leaf whose every wait carries `label`.
+pub fn sim_poll<S, T, F>(label: &'static str, mut f: F) -> impl Future<Output = T>
 where
     S: 'static,
     F: FnMut(&mut S, &mut Waker, SimTime) -> Poll<T> + Unpin,
 {
-    type Output = T;
-
-    fn poll(self: Pin<&mut Self>, _cx: &mut task::Context<'_>) -> task::Poll<T> {
-        let this = self.get_mut();
-        with_current::<S, _>(|shared, _| match shared.eval(&mut this.f) {
-            Poll::Ready(v) => task::Poll::Ready(v),
-            Poll::Wait { wake_at } => {
-                shared.pending.set(Some(PendingWait {
-                    label: this.label,
-                    wake_at,
-                }));
-                task::Poll::Pending
-            }
-        })
-    }
+    sim_steps(move |s: &mut S, _tid, w, now| match f(s, w, now) {
+        Poll::Ready(v) => Step::Ready(v),
+        Poll::Wait { wake_at } => Step::Wait(Park { label, wake_at }),
+    })
 }
 
 /// Charge `dt` nanoseconds of virtual time to this task (label
@@ -357,13 +252,12 @@ pub async fn sim_advance<S: 'static>(dt: SimTime) {
     .await
 }
 
-/// Leaf future for an operation whose progress lives in the shared state
-/// rather than in the awaiting task: evaluates `f` (with the task's tid)
-/// until it returns [`Step::Ready`], parking the task on [`Step::Wait`]
-/// with the label the step names. Paired with
-/// [`PolledSim::set_step_hook`], the kernel advances the operation on
-/// every later dispatch and this future is polled again only to collect
-/// the result.
+/// The leaf future: evaluates `f` (with the task's tid) until it returns
+/// [`Step::Ready`], parking the task on [`Step::Wait`]. An operation
+/// whose progress lives in the shared state rather than in the awaiting
+/// task pairs it with [`PolledSim::set_step_hook`]: the kernel advances
+/// the operation on every later dispatch and this future is polled again
+/// only to collect the result.
 pub fn sim_steps<S, T, F>(f: F) -> SimStepsFuture<S, T, F>
 where
     S: 'static,
@@ -392,48 +286,21 @@ where
         let this = self.get_mut();
         with_current::<S, _>(|shared, tid| match shared.steps(tid, &mut this.f) {
             Ok(v) => task::Poll::Ready(v),
-            Err(wait) => {
-                shared.pending.set(Some(wait));
+            Err(park) => {
+                shared.pending.set(Some(park));
                 task::Poll::Pending
             }
         })
     }
 }
 
-/// Adapter: a boxed future is a [`RankTask`]. The compiler-derived
-/// state machine of an `async` block is exactly the resumable step
-/// machine the driver wants; this adapter installs the task-local scope
-/// for the leaf futures and translates `Pending` into the park request
-/// the innermost leaf recorded.
-struct BoxTask {
-    fut: Pin<Box<dyn Future<Output = ()>>>,
-}
-
-impl<S: 'static> RankTask<S> for BoxTask {
-    fn poll_task(&mut self, cx: &mut TaskCtx<'_, S>) -> TaskPoll {
-        let _scope = ScopeGuard::enter(cx.shared, cx.tid);
-        let waker = task::Waker::noop();
-        let mut fcx = task::Context::from_waker(waker);
-        match self.fut.as_mut().poll(&mut fcx) {
-            task::Poll::Ready(()) => TaskPoll::Done,
-            task::Poll::Pending => {
-                let pw = cx.shared.pending.take().expect(
-                    "task returned Pending without blocking on a sim leaf \
-                     (await sim_poll/sim_advance, not foreign futures)",
-                );
-                TaskPoll::Pending {
-                    label: pw.label,
-                    wake_at: pw.wake_at,
-                }
-            }
-        }
-    }
-}
+/// A rank body as the driver owns it.
+type Body = Pin<Box<dyn Future<Output = ()>>>;
 
 /// A simulation under construction: create, spawn tasks, run.
 pub struct PolledSim<S: 'static> {
     state: Option<S>,
-    pending: Vec<Box<dyn RankTask<S>>>,
+    bodies: Vec<Body>,
     tracer: Tracer,
     fast_path: bool,
     hook: Option<StepHook<S>>,
@@ -444,7 +311,7 @@ impl<S: 'static> PolledSim<S> {
     pub fn new(state: S) -> PolledSim<S> {
         PolledSim {
             state: Some(state),
-            pending: Vec::new(),
+            bodies: Vec::new(),
             tracer: Tracer::off(),
             fast_path: true,
             hook: None,
@@ -489,17 +356,8 @@ impl<S: 'static> PolledSim<S> {
     where
         Fut: Future<Output = ()> + 'static,
     {
-        let tid = self.pending.len();
-        self.pending.push(Box::new(BoxTask {
-            fut: Box::pin(f(tid)),
-        }));
-        tid
-    }
-
-    /// Register a hand-written [`RankTask`] state machine.
-    pub fn spawn_task(&mut self, task: Box<dyn RankTask<S>>) -> usize {
-        let tid = self.pending.len();
-        self.pending.push(task);
+        let tid = self.bodies.len();
+        self.bodies.push(Box::pin(f(tid)));
         tid
     }
 
@@ -507,7 +365,7 @@ impl<S: 'static> PolledSim<S> {
     /// poll per dispatched event. Panics (with the failing task's
     /// message) if any task panicked or the simulation deadlocked.
     pub fn run(mut self) -> RunReport<S> {
-        let n = self.pending.len();
+        let n = self.bodies.len();
         let shared = PolledShared {
             st: RefCell::new(KernelState {
                 now: 0,
@@ -542,9 +400,9 @@ impl<S: 'static> PolledSim<S> {
             }
         }
 
-        let mut tasks: Vec<Option<Box<dyn RankTask<S>>>> =
-            self.pending.drain(..).map(Some).collect();
+        let mut bodies: Vec<Option<Body>> = self.bodies.drain(..).map(Some).collect();
         let hook = self.hook;
+        let mut fcx = task::Context::from_waker(task::Waker::noop());
 
         'outer: loop {
             // Dispatch: pick the next runnable task and advance the
@@ -592,20 +450,21 @@ impl<S: 'static> PolledSim<S> {
             // re-polls inline.
             loop {
                 shared.pending.set(None);
-                let task = tasks[tid].as_mut().expect("dispatched task is live");
-                let mut cx = TaskCtx {
-                    shared: &shared,
-                    tid,
-                };
+                let body = bodies[tid].as_mut().expect("dispatched task is live");
                 let polled = catch_unwind(AssertUnwindSafe(|| {
                     // The resident operation first: while it waits, the
                     // task's own future has nothing to do.
-                    if let Some(PendingWait { label, wake_at }) =
-                        hook.and_then(|hook| shared.steps(tid, hook).err())
-                    {
-                        return TaskPoll::Pending { label, wake_at };
+                    if let Some(park) = hook.and_then(|hook| shared.steps(tid, hook).err()) {
+                        return Some(park);
                     }
-                    task.poll_task(&mut cx)
+                    let _scope = ScopeGuard::enter(&shared, tid);
+                    match body.as_mut().poll(&mut fcx) {
+                        task::Poll::Ready(()) => None,
+                        task::Poll::Pending => Some(shared.pending.take().expect(
+                            "task returned Pending without blocking on a sim leaf \
+                             (await sim_poll/sim_advance, not foreign futures)",
+                        )),
+                    }
                 }));
                 match polled {
                     Err(p) => {
@@ -624,16 +483,16 @@ impl<S: 'static> PolledSim<S> {
                         }
                         break 'outer;
                     }
-                    Ok(TaskPoll::Done) => {
+                    Ok(None) => {
                         let mut guard = shared.st.borrow_mut();
                         let st = &mut *guard;
                         st.threads[tid].phase = ThreadPhase::Finished;
                         st.threads[tid].finish_time = Some(st.now);
                         st.live -= 1;
-                        tasks[tid] = None;
+                        bodies[tid] = None;
                         continue 'outer;
                     }
-                    Ok(TaskPoll::Pending { label, wake_at }) => {
+                    Ok(Some(Park { label, wake_at })) => {
                         let mut guard = shared.st.borrow_mut();
                         let st = &mut *guard;
                         let now = st.now;
@@ -686,9 +545,9 @@ impl<S: 'static> PolledSim<S> {
             }
         }
 
-        // Run the task state machines' destructors now, not while a panic
-        // raised below unwinds.
-        drop(tasks);
+        // Run the bodies' destructors now, not while a panic raised below
+        // unwinds.
+        drop(bodies);
         let st = shared.st.into_inner();
         if let Some(msg) = st.panic_msg {
             panic!("{msg}");
@@ -806,67 +665,9 @@ mod tests {
     }
 
     #[test]
-    fn hand_written_rank_task_runs() {
-        // A two-state machine: advance 25ns, then bump the counter. The
-        // deadline latches on first poll — task state must live in the
-        // machine, not be recomputed per re-poll.
-        enum Steps {
-            Sleep,
-            Tally,
-        }
-        struct Machine {
-            step: Steps,
-            deadline: Option<SimTime>,
-        }
-        impl RankTask<u64> for Machine {
-            fn poll_task(&mut self, cx: &mut TaskCtx<'_, u64>) -> TaskPoll {
-                loop {
-                    match self.step {
-                        Steps::Sleep => {
-                            let deadline = *self.deadline.get_or_insert(cx.now() + 25);
-                            let wait = cx.poll_op(&mut |_: &mut u64, _w, now| {
-                                if now >= deadline {
-                                    Poll::Ready(())
-                                } else {
-                                    Poll::Wait {
-                                        wake_at: Some(deadline),
-                                    }
-                                }
-                            });
-                            match wait {
-                                Poll::Ready(()) => self.step = Steps::Tally,
-                                Poll::Wait { wake_at } => {
-                                    return TaskPoll::Pending {
-                                        label: "sleep",
-                                        wake_at,
-                                    }
-                                }
-                            }
-                        }
-                        Steps::Tally => {
-                            cx.with_state(|count, _| *count += 1);
-                            return TaskPoll::Done;
-                        }
-                    }
-                }
-            }
-        }
-        let mut sim = PolledSim::new(0u64);
-        sim.spawn_task(Box::new(Machine {
-            step: Steps::Sleep,
-            deadline: None,
-        }));
-        sim.spawn_task(Box::new(Machine {
-            step: Steps::Sleep,
-            deadline: None,
-        }));
-        let r = sim.run();
-        assert_eq!(r.state, 2);
-        assert_eq!(r.end_time, 25);
-    }
-
-    #[test]
-    #[should_panic(expected = "deadlock")]
+    #[should_panic(
+        expected = "deadlock at t=0ns: 1 live thread(s) blocked with no pending events\n  thread 0: Parked on 'forever'"
+    )]
     fn deadlock_is_detected() {
         let mut sim = PolledSim::new(());
         sim.spawn(|_| async {
@@ -995,10 +796,10 @@ mod tests {
             Some(u) if tid == 0 => {
                 s.hook_evals.push(now);
                 if now < u {
-                    Step::Wait {
+                    Step::Wait(Park {
                         label: "resident",
                         wake_at: Some(u),
-                    }
+                    })
                 } else {
                     s.until = None;
                     Step::Ready(())
@@ -1145,10 +946,10 @@ mod tests {
             if now == 0 {
                 Step::Ready(())
             } else {
-                Step::Wait {
+                Step::Wait(Park {
                     label: "resident",
                     wake_at: None,
-                }
+                })
             }
         }
         let mut sim = PolledSim::new(());

@@ -19,9 +19,8 @@ pub struct PhaseStat {
     pub name: &'static str,
     /// Number of spans observed.
     pub calls: u64,
-    /// Summed duration in nanoseconds. Accumulated in event order, so for a
-    /// deterministic simulation run this is bitwise equal to the machine's
-    /// own `StepStats` accumulation of the same values.
+    /// Summed duration in nanoseconds, accumulated in event order, so a
+    /// deterministic simulation run sums to the same bits every time.
     pub total_ns: f64,
     /// Summed bytes attributed to the phase's spans.
     pub bytes: u64,

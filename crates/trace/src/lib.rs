@@ -14,9 +14,9 @@
 //! plus one per page-lock server). Three kinds exist:
 //!
 //! - **Span** — a phase with a start timestamp and an `f64` duration
-//!   (e.g. `lock`, `pin`, `copy`). Durations are `f64` so that span sums are
-//!   *bitwise equal* to the machine's own `StepStats` accumulation: the
-//!   emitter hands the tracer the very same values, in the same order.
+//!   (e.g. `lock`, `pin`, `copy`). The machine's phase spans are the only
+//!   record of its phase times: a rank's spans, summed in emission order,
+//!   are its Fig 4 breakdown, to the bit on every run.
 //! - **Instant** — a point event (e.g. a scheduler dispatch).
 //! - **Counter** — a sampled value over time (e.g. lock-server queue depth).
 //!
@@ -65,8 +65,9 @@ pub enum Track {
 /// What kind of record an [`Event`] is.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EventKind {
-    /// A phase with a start time and duration. `dur` is `f64` nanoseconds so
-    /// span sums reproduce the machine's `StepStats` accumulation bitwise.
+    /// A phase with a start time and duration. `dur` is `f64` nanoseconds:
+    /// the machine's phase times are fractional, and its spans are their
+    /// only record.
     Span {
         /// Virtual start time in nanoseconds.
         ts: u64,

@@ -73,7 +73,8 @@ KACC_CHAOS_SEED="$chaos_seed" cargo test -q --release -p kacc-collectives --test
 echo "== trace-validate (Chrome-trace export schema) =="
 trace_tmp="$(mktemp -t kacc-trace-XXXXXX.json)"
 fault_tmp="$(mktemp -t kacc-fault-plan-XXXXXX.txt)"
-trap 'rm -f "$trace_tmp" "$fault_tmp"' EXIT
+csv_tmp="$(mktemp -d -t kacc-csv-XXXXXX)"
+trap 'rm -rf "$trace_tmp" "$fault_tmp" "$csv_tmp"' EXIT
 cargo run --release -q -p kacc-bench --bin repro -- --quick --trace-out "$trace_tmp"
 cargo run --release -q -p kacc-trace --bin trace-validate -- "$trace_tmp"
 
@@ -82,6 +83,14 @@ cargo run --release -q -p kacc-trace --bin trace-validate -- "$trace_tmp"
 printf 'seed 42\nrule prob=0.05 kind=transient errno=11\nrule ops=cma_read prob=0.25 max=2 kind=truncate frac=1/2\n' > "$fault_tmp"
 cargo run --release -q -p kacc-bench --bin repro -- --quick --fault-plan "$fault_tmp" --trace-out "$trace_tmp"
 cargo run --release -q -p kacc-trace --bin trace-validate -- "$trace_tmp"
+
+echo "== artifact contract (full-scale repro --csv all is byte-identical to results/) =="
+# The committed CSVs are what every figure claims; a change that moves a
+# virtual nanosecond in any of them fails here. Refresh them (and
+# repro_full.txt) only for an intended behaviour change:
+#   repro all --csv results/ > repro_full.txt
+cargo run --release -q -p kacc-bench --bin repro -- --csv "$csv_tmp" all >/dev/null
+diff -r results "$csv_tmp"
 
 echo "== metrics snapshot determinism (--jobs 1 vs 4) =="
 cargo test -q --release -p kacc-bench --test metrics_determinism

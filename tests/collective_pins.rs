@@ -15,6 +15,9 @@
 //! when a control send stopped costing its sender an event: every end
 //! time and untraced digest stood, and the traced points' Chrome traces
 //! were equal with the scheduler's dispatch instants filtered out.
+//! Every point runs under the tracer, since a rank's phase times are
+//! read back from its spans ([`pinned_stats`]); only the traced points'
+//! digests cover the Chrome trace itself.
 
 use kacc::collectives::verify::{alltoall_sendbuf, contribution, pat2, scatter_sendbuf};
 use kacc::collectives::{
@@ -23,11 +26,10 @@ use kacc::collectives::{
     ReduceOp, ScatterAlgo, ScheduleReport,
 };
 use kacc::machine::{
-    run_polled_team, run_polled_team_faulty, run_polled_team_faulty_traced, run_polled_team_traced,
-    PolledComm, TeamRun,
+    run_polled_team, run_polled_team_faulty_traced, run_polled_team_traced, PolledComm, TeamRun,
 };
 use kacc::model::ArchProfile;
-use kacc::trace::{chrome_trace_json, Event};
+use kacc::trace::{chrome_trace_json, Event, EventKind, Track};
 use kacc_fault::{FaultHook, FaultKind, FaultOp, FaultPlan, FaultRule};
 
 /// `(end_ns, events, digest)` of one simulated team run.
@@ -66,22 +68,42 @@ impl Fnv {
     }
 }
 
-fn pin_of(run: &TeamRun, outs: &[RankOut], trace: &[Event]) -> Pin {
+fn pin_of(run: &TeamRun, outs: &[RankOut], trace: &[Event], traced: bool) -> Pin {
     let mut h = Fnv::new();
     for (r, (report, payload)) in outs.iter().enumerate() {
         let head = format!(
-            "{} {:?} {report:?} {}",
+            "{} {} {report:?} {}",
             run.finish_ns[r],
-            run.stats[r],
+            pinned_stats(run, trace, r),
             payload.len()
         );
         h.write(head.as_bytes());
         h.write(payload);
     }
-    if !trace.is_empty() {
+    if traced {
         h.write(chrome_trace_json(trace).as_bytes());
     }
     (run.end_ns, run.events, h.0)
+}
+
+/// Rank `r`'s step accounting as `{:?}` printed it when the pins were
+/// captured: `RankStats` then also carried the phase times, which are
+/// the sums, in emission order, of the rank's phase spans in `trace`.
+fn pinned_stats(run: &TeamRun, trace: &[Event], r: usize) -> String {
+    let [sys, chk, lock, pin, copy] = ["syscall", "check", "lock", "pin", "copy"].map(|phase| {
+        (trace.iter())
+            .filter(|e| e.track == Track::Rank(r) && e.name == phase)
+            .fold(0.0, |sum, e| match e.kind {
+                EventKind::Span { dur, .. } => sum + dur,
+                _ => sum,
+            })
+    });
+    let s = &run.stats[r];
+    format!(
+        "RankStats {{ syscall_ns: {sys:?}, check_ns: {chk:?}, lock_ns: {lock:?}, \
+         pin_ns: {pin:?}, copy_ns: {copy:?}, cma_ops: {}, bytes_read: {}, bytes_written: {} }}",
+        s.cma_ops, s.bytes_read, s.bytes_written
+    )
 }
 
 /// Pins that moved, reported together so one run names all of them.
@@ -215,11 +237,12 @@ fn clean_runs_match_the_captured_engine_runs() {
     let mut moved = Moved::default();
     for (&(p, count, root), pins) in [(8, 4096, 2), (7, 1024, 0)].iter().zip(CLEAN) {
         for (pick, want) in pins.into_iter().enumerate() {
-            let (run, outs) = run_polled_team(&equiv_arch(), p, move |rank| async move {
-                run_pick(&mut PolledComm::new(rank), pick, count, root).await
-            });
+            let (run, outs, trace) =
+                run_polled_team_traced(&equiv_arch(), p, move |rank| async move {
+                    run_pick(&mut PolledComm::new(rank), pick, count, root).await
+                });
             let what = format!("clean {} p={p} count={count}", PICK_NAMES[pick]);
-            moved.check(what, pin_of(&run, &outs, &[]), want);
+            moved.check(what, pin_of(&run, &outs, &trace, false), want);
         }
     }
     moved.assert_none();
@@ -232,12 +255,12 @@ fn faulty_runs_match_the_captured_engine_runs() {
     for (seed, pins) in SEEDS.into_iter().zip(FAULTY) {
         for (pick, want) in pins.into_iter().enumerate() {
             let hook = recoverable_hook(seed);
-            let (run, outs) =
-                run_polled_team_faulty(&equiv_arch(), p, hook, move |rank| async move {
+            let (run, outs, trace) =
+                run_polled_team_faulty_traced(&equiv_arch(), p, hook, move |rank| async move {
                     run_pick(&mut PolledComm::new(rank), pick, count, root).await
                 });
             let what = format!("faulty {} seed={seed:#x}", PICK_NAMES[pick]);
-            moved.check(what, pin_of(&run, &outs, &[]), want);
+            moved.check(what, pin_of(&run, &outs, &trace, false), want);
         }
     }
     moved.assert_none();
@@ -252,7 +275,7 @@ fn traced_runs_match_the_captured_engine_runs() {
             run_pick(&mut PolledComm::new(rank), pick, count, 1).await
         });
         let what = format!("traced {}", PICK_NAMES[pick]);
-        moved.check(what, pin_of(&run, &outs, &trace), want);
+        moved.check(what, pin_of(&run, &outs, &trace, true), want);
     }
     for (pick, want) in TRACED_FAULTY.into_iter().enumerate() {
         let hook = recoverable_hook(0xC0FFEE);
@@ -261,7 +284,7 @@ fn traced_runs_match_the_captured_engine_runs() {
                 run_pick(&mut PolledComm::new(rank), pick, count, 0).await
             });
         let what = format!("faulty-traced {}", PICK_NAMES[pick]);
-        moved.check(what, pin_of(&run, &outs, &trace), want);
+        moved.check(what, pin_of(&run, &outs, &trace, true), want);
     }
     moved.assert_none();
 }
@@ -272,7 +295,7 @@ fn traced_runs_match_the_captured_engine_runs() {
 fn scatterv_cases_match_the_captured_runs() {
     let mut moved = Moved::default();
     for (p, counts, root, algo, want) in SCATTERV {
-        let (run, outs) = run_polled_team(&case_arch(), p, move |rank| async move {
+        let (run, outs, trace) = run_polled_team_traced(&case_arch(), p, move |rank| async move {
             let comm = &mut PolledComm::new(rank);
             let total: usize = counts.iter().sum();
             let payload: Vec<u8> = (0..total).map(|i| (i % 251) as u8).collect();
@@ -282,7 +305,7 @@ fn scatterv_cases_match_the_captured_runs() {
             (rep.expect("scatterv"), comm.read_all(rb).expect("read"))
         });
         let what = format!("scatterv {algo:?} p={p} counts={counts:?} root={root}");
-        moved.check(what, pin_of(&run, &outs, &[]), want);
+        moved.check(what, pin_of(&run, &outs, &trace, false), want);
     }
     moved.assert_none();
 }
@@ -300,7 +323,7 @@ fn gatherv_cases_match_the_captured_runs() {
             })
             .collect();
         let cap = displs[p - 1] + counts[p - 1] + gap;
-        let (run, outs) = run_polled_team(&case_arch(), p, move |rank| {
+        let (run, outs, trace) = run_polled_team_traced(&case_arch(), p, move |rank| {
             let displs = displs.clone();
             async move {
                 let comm = &mut PolledComm::new(rank);
@@ -315,7 +338,7 @@ fn gatherv_cases_match_the_captured_runs() {
             }
         });
         let what = format!("gatherv {algo:?} p={p} counts={counts:?} gap={gap} root={root}");
-        moved.check(what, pin_of(&run, &outs, &[]), want);
+        moved.check(what, pin_of(&run, &outs, &trace, false), want);
     }
     moved.assert_none();
 }
@@ -324,7 +347,7 @@ fn gatherv_cases_match_the_captured_runs() {
 fn bcast_cases_match_the_captured_runs() {
     let mut moved = Moved::default();
     for (p, count, root, algo, want) in BCAST {
-        let (run, outs) = run_polled_team(&case_arch(), p, move |rank| async move {
+        let (run, outs, trace) = run_polled_team_traced(&case_arch(), p, move |rank| async move {
             let comm = &mut PolledComm::new(rank);
             let init: Vec<u8> = if rank == root {
                 (0..count).map(|i| pat2(root, i)).collect()
@@ -336,7 +359,7 @@ fn bcast_cases_match_the_captured_runs() {
             (rep.expect("bcast"), comm.read_all(buf).expect("read"))
         });
         let what = format!("bcast {algo:?} p={p} count={count} root={root}");
-        moved.check(what, pin_of(&run, &outs, &[]), want);
+        moved.check(what, pin_of(&run, &outs, &trace, false), want);
     }
     moved.assert_none();
 }
@@ -353,22 +376,23 @@ fn allgather_cases_match_the_captured_runs() {
             AllgatherAlgo::Bruck,
         ];
         for (algo, want) in algos.into_iter().zip(pins) {
-            let (run, outs) = run_polled_team(&case_arch(), p, move |rank| async move {
-                let comm = &mut PolledComm::new(rank);
-                let mine = contribution(rank, count);
-                let (sb, rb) = if in_place {
-                    let mut init = vec![0u8; p * count];
-                    init[rank * count..(rank + 1) * count].copy_from_slice(&mine);
-                    (None, comm.alloc_with(&init).expect("alloc"))
-                } else {
-                    let sb = comm.alloc_with(&mine).expect("alloc");
-                    (Some(sb), comm.alloc(p * count))
-                };
-                let rep = allgather_polled(comm, algo, sb, rb, count).await;
-                (rep.expect("allgather"), comm.read_all(rb).expect("read"))
-            });
+            let (run, outs, trace) =
+                run_polled_team_traced(&case_arch(), p, move |rank| async move {
+                    let comm = &mut PolledComm::new(rank);
+                    let mine = contribution(rank, count);
+                    let (sb, rb) = if in_place {
+                        let mut init = vec![0u8; p * count];
+                        init[rank * count..(rank + 1) * count].copy_from_slice(&mine);
+                        (None, comm.alloc_with(&init).expect("alloc"))
+                    } else {
+                        let sb = comm.alloc_with(&mine).expect("alloc");
+                        (Some(sb), comm.alloc(p * count))
+                    };
+                    let rep = allgather_polled(comm, algo, sb, rb, count).await;
+                    (rep.expect("allgather"), comm.read_all(rb).expect("read"))
+                });
             let what = format!("allgather {algo:?} p={p} count={count} in_place={in_place}");
-            moved.check(what, pin_of(&run, &outs, &[]), want);
+            moved.check(what, pin_of(&run, &outs, &trace, false), want);
         }
     }
     moved.assert_none();
@@ -379,7 +403,7 @@ fn fixed_cases_match_the_captured_runs() {
     let mut moved = Moved::default();
     for (p, algo, want) in ALLTOALL {
         let count = 96;
-        let (run, outs) = run_polled_team(&equiv_arch(), p, move |rank| async move {
+        let (run, outs, trace) = run_polled_team_traced(&equiv_arch(), p, move |rank| async move {
             let comm = &mut PolledComm::new(rank);
             let sb = comm
                 .alloc_with(&alltoall_sendbuf(rank, p, count))
@@ -390,12 +414,12 @@ fn fixed_cases_match_the_captured_runs() {
         });
         moved.check(
             format!("alltoall {algo:?} p={p}"),
-            pin_of(&run, &outs, &[]),
+            pin_of(&run, &outs, &trace, false),
             want,
         );
     }
     let (p, count) = (5, 64);
-    let (run, outs) = run_polled_team(&equiv_arch(), p, move |rank| async move {
+    let (run, outs, trace) = run_polled_team_traced(&equiv_arch(), p, move |rank| async move {
         let comm = &mut PolledComm::new(rank);
         let rb = comm
             .alloc_with(&alltoall_sendbuf(rank, p, count))
@@ -405,19 +429,19 @@ fn fixed_cases_match_the_captured_runs() {
     });
     moved.check(
         "alltoall in place".into(),
-        pin_of(&run, &outs, &[]),
+        pin_of(&run, &outs, &trace, false),
         ALLTOALL_IN_PLACE,
     );
     for (p, root, algo, want) in REDUCE {
-        let (run, outs) = run_polled_team(&equiv_arch(), p, move |rank| async move {
+        let (run, outs, trace) = run_polled_team_traced(&equiv_arch(), p, move |rank| async move {
             reduce_rank(&mut PolledComm::new(rank), algo, 129, root).await
         });
         let what = format!("reduce {algo:?} p={p} root={root}");
-        moved.check(what, pin_of(&run, &outs, &[]), want);
+        moved.check(what, pin_of(&run, &outs, &trace, false), want);
     }
     for (algo, want) in SCATTER {
         let (p, count) = (7, 128);
-        let (run, outs) = run_polled_team(&equiv_arch(), p, move |rank| async move {
+        let (run, outs, trace) = run_polled_team_traced(&equiv_arch(), p, move |rank| async move {
             let comm = &mut PolledComm::new(rank);
             let counts = vec![count; p];
             let sb =
@@ -428,7 +452,7 @@ fn fixed_cases_match_the_captured_runs() {
         });
         moved.check(
             format!("scatter {algo:?} p={p}"),
-            pin_of(&run, &outs, &[]),
+            pin_of(&run, &outs, &trace, false),
             want,
         );
     }
