@@ -44,10 +44,6 @@ pub struct MembershipPolicy {
     /// nanoseconds (virtual under simulation). Ignored while `watch` is
     /// off or `step_timeout_ns` sets a deadline of its own.
     pub liveness_timeout_ns: u64,
-    /// Record suspicions and *skip* the failing step instead of aborting
-    /// on the first suspected peer. Only the agreement collective runs
-    /// tolerant: it must complete over the survivors no matter who died.
-    pub tolerant: bool,
 }
 
 impl MembershipPolicy {
@@ -58,7 +54,6 @@ impl MembershipPolicy {
         MembershipPolicy {
             watch: false,
             liveness_timeout_ns: 0,
-            tolerant: false,
         }
     }
 
@@ -67,7 +62,6 @@ impl MembershipPolicy {
         MembershipPolicy {
             watch: true,
             liveness_timeout_ns: 200_000,
-            tolerant: false,
         }
     }
 }

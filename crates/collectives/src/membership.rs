@@ -75,7 +75,7 @@ use kacc_trace::{Tracer, Track};
 
 use crate::allgather::ring_stride;
 use crate::exec::{proto, Bindings, MembershipPolicy, RecoveryPolicy, ResumeState, ScheduleReport};
-use crate::polled::{execute_polled_with_policy, execute_resumable_polled};
+use crate::polled::execute_resumable_polled;
 use crate::schedule::{compile_agree, compile_agree_split, PlanCache, PlanKey, Schedule};
 use crate::tuner::Tuner;
 use crate::{
@@ -472,21 +472,35 @@ fn effective_membership(policy: &RecoveryPolicy) -> MembershipPolicy {
     m
 }
 
-/// The tolerant policy one agreement round runs under: no retries, no
-/// fallback, every wait bounded by `timeout`, and failing steps skipped
-/// after recording the suspicion.
+/// The policy one agreement round runs under: no retries, no fallback,
+/// every wait bounded by `timeout`; [`execute_tolerant`] skips failing
+/// steps after recording the suspicion.
 fn agree_policy(m: &MembershipPolicy, timeout: u64) -> RecoveryPolicy {
     RecoveryPolicy {
         max_retries: 0,
         backoff_ns: 0,
         cma_fallback: false,
         step_timeout_ns: Some(timeout),
-        membership: MembershipPolicy {
-            watch: true,
-            tolerant: true,
-            ..*m
-        },
+        membership: MembershipPolicy { watch: true, ..*m },
     }
+}
+
+/// Run one agreement plan tolerantly and never resume it: a torn run's
+/// scratch is freed here.
+async fn execute_tolerant<C: AsyncComm>(
+    comm: &mut C,
+    plan: &Schedule,
+    bind: &Bindings,
+    tracer: &Tracer,
+    policy: &RecoveryPolicy,
+) -> Result<()> {
+    let mut resume = None;
+    let (res, _) =
+        execute_resumable_polled(comm, plan, bind, tracer, policy, true, &mut resume).await;
+    if let Some(state) = resume {
+        state.abandon(comm);
+    }
+    res
 }
 
 /// Fold one agreement round's results into the suspected mask.
@@ -682,10 +696,10 @@ async fn agree<C: AsyncComm>(
                 recv: Some(recv),
             };
             let live = agree_policy(m, deadline);
-            execute_polled_with_policy(comm, &live_plan, &bind, tracer, &live).await?;
+            execute_tolerant(comm, &live_plan, &bind, tracer, &live).await?;
             if !susp_plan.steps.is_empty() {
                 let cap = agree_policy(m, if r < 2 { a0.saturating_mul(2) } else { a0 });
-                execute_polled_with_policy(comm, &susp_plan, &bind, tracer, &cap).await?;
+                execute_tolerant(comm, &susp_plan, &bind, tracer, &cap).await?;
             }
             let mut bytes = vec![0u8; width * l];
             comm.read_local(recv, 0, &mut bytes)?;
@@ -814,16 +828,22 @@ pub async fn run_survivable_polled<C: AsyncComm>(
         let mut pol = *policy;
         pol.membership = MembershipPolicy {
             watch: true,
-            tolerant: false,
             liveness_timeout_ns: liveness,
         };
         let t_exec = comm.time_ns();
         let exec: Result<ScheduleReport> = if let Some(report) = done {
             Ok(report)
         } else {
-            let (res, report) =
-                execute_resumable_polled(comm, &plan, &bind, &tracer, &pol, &mut resume_state)
-                    .await;
+            let (res, report) = execute_resumable_polled(
+                comm,
+                &plan,
+                &bind,
+                &tracer,
+                &pol,
+                false,
+                &mut resume_state,
+            )
+            .await;
             obs_p99 = obs_p99.max(report.step_p99_ns);
             res.map(|()| report)
         };
@@ -1136,7 +1156,6 @@ mod tests {
             membership: MembershipPolicy {
                 watch: true,
                 liveness_timeout_ns: 77,
-                tolerant: false,
             },
             ..RecoveryPolicy::default()
         };

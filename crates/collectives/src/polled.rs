@@ -71,7 +71,7 @@ pub async fn execute_polled_with_policy<C: AsyncComm>(
 ) -> Result<ScheduleReport> {
     let mut resume = None;
     let (result, report) =
-        execute_resumable_polled(comm, sched, bind, tracer, policy, &mut resume).await;
+        execute_resumable_polled(comm, sched, bind, tracer, policy, false, &mut resume).await;
     // Public entry points never resume: abandon any torn-execution
     // state so scratch is freed exactly as it always was.
     if let Some(state) = resume {
@@ -82,6 +82,11 @@ pub async fn execute_polled_with_policy<C: AsyncComm>(
 
 /// [`execute_polled_with_policy`] with partial-progress resume: the
 /// membership layer's crate-internal entry point.
+///
+/// A `tolerant` run (only the agreement collective's, which must
+/// complete over the survivors no matter who died) records a failing
+/// step with an identifiable peer as a suspicion and skips it instead of
+/// aborting, when the membership watch is armed.
 ///
 /// Always returns the execution's [`ScheduleReport`], even when a step
 /// failed — a torn run's report carries the watermark
@@ -100,6 +105,7 @@ pub(crate) async fn execute_resumable_polled<C: AsyncComm>(
     bind: &Bindings,
     tracer: &Tracer,
     policy: &RecoveryPolicy,
+    tolerant: bool,
     resume: &mut Option<ResumeState>,
 ) -> (Result<()>, ScheduleReport) {
     if sched.rank != comm.rank() || sched.p != comm.size() {
@@ -140,7 +146,7 @@ pub(crate) async fn execute_resumable_polled<C: AsyncComm>(
     };
     let t_start = comm.time_ns();
     let mut rec = Recorder::new(tracer, Track::Rank(comm.rank()), sched.class, t_start);
-    let result = run_steps(comm, sched, &mut ctx, &mut rec, policy, start).await;
+    let result = run_steps(comm, sched, &mut ctx, &mut rec, policy, tolerant, start).await;
     if result.is_err() {
         // A failure ends the execution wherever the failing call
         // returned, which no interval read has covered yet.
@@ -361,7 +367,7 @@ async fn recovered_ctrl_recv<C: AsyncComm>(
 /// membership watch is armed and a step with an identifiable peer dies
 /// with a suspect error (timeout, `ESRCH`), the failure is recorded as
 /// a `membership:suspect` span and either converted to the typed
-/// [`CommError::PeerDead`] or — under a tolerant policy — the step is
+/// [`CommError::PeerDead`] or — in a `tolerant` run — the step is
 /// skipped so the rest of the schedule still runs.
 async fn run_steps<C: AsyncComm>(
     comm: &mut C,
@@ -369,6 +375,7 @@ async fn run_steps<C: AsyncComm>(
     ctx: &mut Ctx<'_>,
     rec: &mut Recorder<'_>,
     policy: &RecoveryPolicy,
+    tolerant: bool,
     start: usize,
 ) -> Result<()> {
     rec.report.completed_steps = start as u64;
@@ -377,8 +384,8 @@ async fn run_steps<C: AsyncComm>(
         // The previous interval's end read: nothing is awaited between it
         // and this step's first attempt.
         let t0 = rec.now;
-        let m = &policy.membership;
-        if m.watch && m.tolerant {
+        let watch = policy.membership.watch;
+        if watch && tolerant {
             if let Some(peer) = step_peer(step, ctx) {
                 if suspects.contains(&peer) {
                     // A peer that already missed one deadline in this
@@ -394,11 +401,10 @@ async fn run_steps<C: AsyncComm>(
             }
         }
         if let Err(e) = run_one_step(comm, step, ctx, rec, policy, t0).await {
-            let m = &policy.membership;
-            if m.watch && is_suspect_error(&e) {
+            if watch && is_suspect_error(&e) {
                 if let Some(peer) = step_peer(step, ctx) {
                     rec.recovery("membership:suspect", peer, t0, comm.time_ns());
-                    if m.tolerant {
+                    if tolerant {
                         // A tolerated failure still moves the watermark:
                         // the executor is past this step for good.
                         suspects.push(peer);

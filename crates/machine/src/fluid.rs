@@ -19,8 +19,9 @@
 //! `clock(t_fold) + (now − t_fold)·rate`. Server state is therefore a
 //! function of the add/remove history alone: extra `update`/`is_done`/
 //! `eta` calls, i.e. extra dispatches, cannot move a completion time.
-//! A min-heap on finish tags per class gives the next flow to drain, so
-//! every operation is O(log c) in the number of live flows c. Clocks
+//! Each class keeps its flows in a [`IndexedHeap`] keyed by finish tag
+//! (ties by arrival), which gives the next flow to drain, so every
+//! operation is O(log c) in the number of live flows c. Clocks
 //! restart at zero whenever their class goes idle, which keeps
 //! magnitudes small and makes an isolated flow exact.
 //!
@@ -63,6 +64,8 @@
 //! `rate_i = min(peak_i, bw_total / Σw)`. The rate is uniform among
 //! flows with the same `peak`, so there is one byte clock per distinct
 //! peak — two in the machine model (intra- and inter-socket copies).
+
+use kacc_sim_core::heap::IndexedHeap;
 
 /// Numerical slack for "flow is drained" checks (work units).
 const EPS: f64 = 1e-6;
@@ -125,8 +128,6 @@ impl Clock {
 struct Slab<T> {
     slots: Vec<Option<T>>,
     free: Vec<usize>,
-    /// Heap position of each live slot, maintained by [`TagHeap`].
-    pos: Vec<usize>,
 }
 
 impl<T> Slab<T> {
@@ -134,7 +135,6 @@ impl<T> Slab<T> {
         Slab {
             slots: Vec::new(),
             free: Vec::new(),
-            pos: Vec::new(),
         }
     }
 
@@ -150,7 +150,6 @@ impl<T> Slab<T> {
             }
             None => {
                 self.slots.push(Some(v));
-                self.pos.push(0);
                 self.slots.len() - 1
             }
         }
@@ -165,91 +164,28 @@ impl<T> Slab<T> {
     fn get(&self, i: usize) -> &T {
         self.slots[i].as_ref().expect("live flow")
     }
-}
 
-/// One flow's place in a [`TagHeap`].
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    tag: f64,
-    /// Arrival order, breaking ties between equal tags.
-    seq: u64,
-    slot: usize,
-}
-
-impl Entry {
-    fn before(&self, other: &Entry) -> bool {
-        (self.tag, self.seq) < (other.tag, other.seq)
+    /// The live values, O(slots): for invariant checks.
+    fn iter(&self) -> impl Iterator<Item = &T> {
+        self.slots.iter().flatten()
     }
 }
 
-/// Min-heap of one rate class's flows by finish tag. Positions live in
-/// the owning [`Slab`] so that any flow, not only the top, leaves in
-/// O(log c) (flows with equal tags drain together; whichever owner runs
-/// first removes its own).
-#[derive(Debug, Default)]
-struct TagHeap {
-    heap: Vec<Entry>,
+/// Heap key of a flow: its finish tag, ties broken by arrival order
+/// `seq`. For finite tags ≥ 0 the IEEE bit pattern orders as the number
+/// does; `+ 0.0` folds −0.0 into +0.0, whose bits would sort last.
+fn tag_key(tag: f64, seq: u64) -> u128 {
+    let tag = tag + 0.0;
+    debug_assert!(
+        tag.is_finite() && tag >= 0.0,
+        "finish tag {tag} cannot be packed"
+    );
+    (u128::from(tag.to_bits()) << 64) | u128::from(seq)
 }
 
-impl TagHeap {
-    fn top(&self) -> Option<Entry> {
-        self.heap.first().copied()
-    }
-
-    fn push(&mut self, e: Entry, pos: &mut [usize]) {
-        self.heap.push(e);
-        self.sift_up(self.heap.len() - 1, pos);
-    }
-
-    /// Remove the entry at heap index `i`.
-    fn remove(&mut self, i: usize, pos: &mut [usize]) {
-        let last = self.heap.pop().expect("nonempty heap");
-        if i == self.heap.len() {
-            return;
-        }
-        self.heap[i] = last;
-        if i > 0 && last.before(&self.heap[(i - 1) / 2]) {
-            self.sift_up(i, pos);
-        } else {
-            self.sift_down(i, pos);
-        }
-    }
-
-    fn sift_up(&mut self, mut i: usize, pos: &mut [usize]) {
-        let e = self.heap[i];
-        while i > 0 {
-            let p = (i - 1) / 2;
-            if !e.before(&self.heap[p]) {
-                break;
-            }
-            self.heap[i] = self.heap[p];
-            pos[self.heap[i].slot] = i;
-            i = p;
-        }
-        self.heap[i] = e;
-        pos[e.slot] = i;
-    }
-
-    fn sift_down(&mut self, mut i: usize, pos: &mut [usize]) {
-        let e = self.heap[i];
-        loop {
-            let mut m = 2 * i + 1;
-            if m >= self.heap.len() {
-                break;
-            }
-            if m + 1 < self.heap.len() && self.heap[m + 1].before(&self.heap[m]) {
-                m += 1;
-            }
-            if !self.heap[m].before(&e) {
-                break;
-            }
-            self.heap[i] = self.heap[m];
-            pos[self.heap[i].slot] = i;
-            i = m;
-        }
-        self.heap[i] = e;
-        pos[e.slot] = i;
-    }
+/// The finish tag and arrival order [`tag_key`] packed.
+fn tag_of(key: u128) -> (f64, u64) {
+    (f64::from_bits((key >> 64) as u64), key as u64)
 }
 
 /// The flow that drains first under the current active set.
@@ -322,7 +258,8 @@ pub struct PageLockServer {
     k_bounce: f64,
     x_socket: f64,
     flows: Slab<LockFlow>,
-    heap: TagHeap,
+    /// Live requests by slot, keyed by [`tag_key`].
+    heap: IndexedHeap,
     seq: u64,
     /// Live requests per requester socket; the set spans sockets when
     /// more than one count is nonzero.
@@ -358,7 +295,7 @@ impl PageLockServer {
             k_bounce,
             x_socket,
             flows: Slab::new(),
-            heap: TagHeap::default(),
+            heap: IndexedHeap::default(),
             seq: 0,
             per_socket: Vec::new(),
             pages: Clock::default(),
@@ -382,11 +319,7 @@ impl PageLockServer {
 
     /// Does `tid` own a live request here? (Invariant checks only: O(c).)
     pub fn owns_flow(&self, tid: usize) -> bool {
-        self.flows
-            .slots
-            .iter()
-            .flatten()
-            .any(|f| f.owner_tid == tid)
+        self.flows.iter().any(|f| f.owner_tid == tid)
     }
 
     /// Record the current time. Progress is read off the clocks on
@@ -424,10 +357,18 @@ impl PageLockServer {
         self.grant =
             self.l_lock_ns * (1.0 + self.k_bounce * (c - 1.0).max(0.0) * xs) + self.l_pin_ns;
         self.next.head = None;
-        if let Some(e) = self.heap.top() {
-            self.pages.rate = 1.0 / (c * self.grant); // pages per ns, per flow
-            let at = self.t_fold.saturating_add(self.pages.drains_after(e.tag));
-            self.next.head = Some(Head { slot: e.slot, at });
+        if let Some((key, slot)) = self.heap.peek() {
+            // Pages per ns, per flow. Work conservation: every request in
+            // the heap gets this share, and together they take one grant
+            // per grant time.
+            self.pages.rate = 1.0 / (c * self.grant);
+            debug_assert!(
+                (self.heap.len() as f64 * self.pages.rate * self.grant - 1.0).abs() <= 1e-9,
+                "lock server idle or over-committed while requests wait"
+            );
+            let tag = tag_of(key).0;
+            let at = self.t_fold.saturating_add(self.pages.drains_after(tag));
+            self.next.head = Some(Head { slot, at });
         }
     }
 
@@ -445,9 +386,7 @@ impl PageLockServer {
             pin0: self.pin_clock,
         });
         self.seq += 1;
-        let seq = self.seq;
-        self.heap
-            .push(Entry { tag, seq, slot }, &mut self.flows.pos);
+        self.heap.push(slot, tag_key(tag, self.seq));
         if socket >= self.per_socket.len() {
             self.per_socket.resize(socket + 1, 0);
         }
@@ -497,7 +436,7 @@ impl PageLockServer {
     ) -> (f64, f64) {
         self.fold();
         let f = self.flows.remove(id.0);
-        self.heap.remove(self.flows.pos[id.0], &mut self.flows.pos);
+        self.heap.remove(id.0);
         self.per_socket[f.socket] -= 1;
         self.recache();
         if let Some(h) = self.next.arm(true) {
@@ -514,7 +453,8 @@ struct PeakClass {
     peak: f64,
     /// Bytes delivered to every live flow of the class since it was idle.
     bytes: Clock,
-    heap: TagHeap,
+    /// The class's live flows by slot, keyed by [`tag_key`].
+    heap: IndexedHeap,
 }
 
 /// A copy flow in the memory system.
@@ -574,11 +514,7 @@ impl MemSys {
 
     /// Does `tid` own a live flow here? (Invariant checks only: O(c).)
     pub fn owns_flow(&self, tid: usize) -> bool {
-        self.flows
-            .slots
-            .iter()
-            .flatten()
-            .any(|f| f.owner_tid == tid)
+        self.flows.iter().any(|f| f.owner_tid == tid)
     }
 
     /// Record the current time. Progress is read off the clocks on
@@ -593,7 +529,7 @@ impl MemSys {
         let dt = self.now.saturating_sub(self.t_fold);
         self.t_fold = self.now;
         for k in &mut self.classes {
-            k.bytes.at_fold = if k.heap.heap.is_empty() {
+            k.bytes.at_fold = if k.heap.is_empty() {
                 0.0
             } else {
                 k.bytes.read(dt)
@@ -613,18 +549,35 @@ impl MemSys {
         let share = self.bw_total / w.max(1.0);
         let mut head_seq = 0;
         for k in &mut self.classes {
-            let Some(e) = k.heap.top() else { continue };
+            let Some((key, slot)) = k.heap.peek() else {
+                continue;
+            };
+            let (tag, seq) = tag_of(key);
             k.bytes.rate = k.peak.min(share);
-            let at = self.t_fold.saturating_add(k.bytes.drains_after(e.tag));
-            if self
-                .next
-                .head
-                .is_none_or(|h| (at, e.seq) < (h.at, head_seq))
-            {
-                self.next.head = Some(Head { slot: e.slot, at });
-                head_seq = e.seq;
+            let at = self.t_fold.saturating_add(k.bytes.drains_after(tag));
+            if self.next.head.is_none_or(|h| (at, seq) < (h.at, head_seq)) {
+                self.next.head = Some(Head { slot, at });
+                head_seq = seq;
             }
         }
+        debug_assert!(
+            self.conserves_work(share),
+            "memory system over- or under-committed"
+        );
+    }
+
+    /// Work conservation of the equal-rate split: Σ wᵢ·rᵢ ≤ `bw_total`
+    /// over the live flows, with equality unless a class is held below
+    /// the share by its peak.
+    fn conserves_work(&self, share: f64) -> bool {
+        let rate = |f: &MemFlow| self.weights[f.weight].0 * self.classes[f.class].bytes.rate;
+        let used: f64 = self.flows.iter().map(rate).sum();
+        let capped = self
+            .classes
+            .iter()
+            .any(|k| !k.heap.is_empty() && k.peak < share);
+        let tol = 1e-9 * self.bw_total;
+        used <= self.bw_total + tol && (capped || used >= self.bw_total - tol)
     }
 
     /// Add a copy flow of unit weight. Call `update(now)` first.
@@ -649,7 +602,7 @@ impl MemSys {
                 self.classes.push(PeakClass {
                     peak,
                     bytes: Clock::default(),
-                    heap: TagHeap::default(),
+                    heap: IndexedHeap::default(),
                 });
                 self.classes.len() - 1
             }
@@ -670,10 +623,7 @@ impl MemSys {
             weight,
         });
         self.seq += 1;
-        let seq = self.seq;
-        self.classes[class]
-            .heap
-            .push(Entry { tag, seq, slot }, &mut self.flows.pos);
+        self.classes[class].heap.push(slot, tag_key(tag, self.seq));
         self.recache();
         self.next.admit(slot);
         self.peak_concurrency = self.peak_concurrency.max(self.flows.live());
@@ -724,9 +674,7 @@ impl MemSys {
     pub fn remove_with(&mut self, id: FlowId, now: u64, wake: impl FnOnce(usize, u64)) {
         self.fold();
         let f = self.flows.remove(id.0);
-        self.classes[f.class]
-            .heap
-            .remove(self.flows.pos[id.0], &mut self.flows.pos);
+        self.classes[f.class].heap.remove(id.0);
         self.weights[f.weight].1 -= 1;
         self.recache();
         if let Some(h) = self.next.arm(true) {
@@ -953,6 +901,42 @@ mod tests {
         let (m, [.., z]) = overtaken_head();
         // `arm_head` skipped: Y would drain with nobody scheduled to notice.
         m.park(z, 0);
+    }
+
+    #[test]
+    fn negative_zero_tags_pack_like_zero() {
+        assert_eq!(tag_key(-0.0, 7), tag_key(0.0, 7));
+        assert!(tag_key(-0.0, 7) < tag_key(0.0, 8));
+        assert!(tag_key(-0.0, 9) < tag_key(f64::MIN_POSITIVE, 0));
+        assert_eq!(tag_of(tag_key(-0.0, 7)), (0.0, 7));
+    }
+
+    #[test]
+    fn equal_tags_drain_in_arrival_order_not_slot_order() {
+        // b and c finish at the same tag; c arrives later into a's freed,
+        // lower slot, yet b stays the head.
+        let mut srv = PageLockServer::new(100.0, 0.0, 0.0, 1.0);
+        srv.update(0);
+        let a = srv.add(0, 0, 5);
+        let b = srv.add(1, 0, 10);
+        let _ = srv.remove(a, 0);
+        let c = srv.add(2, 0, 10);
+        assert_eq!(c.0, a.0, "slot reused");
+        assert_eq!((srv.park(b, 0), srv.park(c, 0)), (Some(2000), None));
+        srv.update(2000);
+        assert_eq!(srv.remove(b, 2000).1, vec![(2, 2000)]);
+
+        let mut m = MemSys::new(10.0);
+        m.update(0);
+        let a = m.add(0, 50, 100.0);
+        let b = m.add(1, 100, 100.0);
+        m.remove(a, 0);
+        let c = m.add(2, 100, 100.0);
+        m.arm_head(0, |_, _| unreachable!("b is still the head"));
+        assert_eq!(c.0, a.0, "slot reused");
+        assert_eq!((m.park(b, 0), m.park(c, 0)), (Some(20), None));
+        m.update(20);
+        assert_eq!(m.remove(b, 20), vec![(2, 20)]);
     }
 
     #[test]

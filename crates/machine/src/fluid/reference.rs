@@ -2,6 +2,12 @@
 //! kept verbatim in its arithmetic as the oracle of the differential
 //! tests in [`super::props`]: every `update` subtracts `dt·rate` from
 //! every live flow, `eta` divides the remainder by the current rate.
+//!
+//! Both models conserve work, and the servers assert it after every
+//! rate recomputation in debug builds: the lock serves one grant per
+//! grant time while any request waits (`c · rate · grant = 1`), and
+//! the memory system's flows use `Σ wᵢ·rᵢ ≤ bw_total`, with equality
+//! unless some flow is held below the share by its peak.
 
 use super::EPS;
 

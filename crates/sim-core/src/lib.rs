@@ -40,9 +40,12 @@
 //!   with decrease-key on earlier re-wakes and in-place replacement when
 //!   a task's epoch advances. Stale entries never accumulate and
 //!   duplicate wakes coalesce to the earliest time before they ever reach
-//!   the queue. The heap is 4-ary with the `(time, seq)` key inline in
-//!   each node.
+//!   the queue. The queue is an [`heap::IndexedHeap`] — the simulator's
+//!   one priority queue, which `kacc-machine`'s fluid servers share —
+//!   keyed by `(time << 64) | seq`, so a comparison is one integer
+//!   compare.
 
+pub mod heap;
 pub mod mailbox;
 pub mod polled;
 #[cfg(test)]
@@ -55,6 +58,7 @@ pub use polled::PolledSim;
 // tracer installed with `PolledSim::set_tracer`.
 pub use kacc_trace::Tracer;
 
+use heap::IndexedHeap;
 use kacc_trace::Track;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -238,20 +242,18 @@ impl Waker {
 /// a decrease-key (same epoch, earlier time), or replaces the entry
 /// outright (newer epoch — the old entry is stale by construction and
 /// would only be popped and discarded). This keeps the queue at ≤ one
-/// entry per live thread where the old `BinaryHeap` accumulated a stale
-/// entry per wake under fluid-server waker storms.
+/// entry per live thread, even under fluid-server wake storms.
 ///
-/// The heap is 4-ary and its nodes carry their own `(time, seq)`, so a
-/// sift compares neighbouring nodes without chasing a per-thread key
-/// table. `seq` is unique per insert, so the order is total and the pop
+/// The entries live in an [`IndexedHeap`] keyed by `(time << 64) | seq`.
+/// `seq` is unique per insert, so the order is total and the pop
 /// sequence does not depend on the heap's shape (the binary heap of tids
 /// this replaced is the test oracle in `queue_reference.rs`).
+#[derive(Default)]
 struct EventQueue {
-    /// 4-ary min-heap of pending wakes.
-    heap: Vec<QueueNode>,
-    /// Per-thread side of the index: where the thread's node sits and
-    /// which epoch it was issued for.
-    slots: Vec<QueueSlot>,
+    /// Pending wakes, one per thread at most, by thread id.
+    heap: IndexedHeap,
+    /// Epoch each thread's entry was issued for; valid while it has one.
+    epochs: Vec<u64>,
     /// Insert calls (metrics).
     inserts: u64,
     /// Inserts dropped by same-epoch later-time coalescing (metrics).
@@ -262,102 +264,24 @@ struct EventQueue {
     len_hwm: usize,
 }
 
-#[derive(Clone, Copy)]
-struct QueueNode {
-    t: SimTime,
-    seq: u64,
-    tid: u32,
-}
-
-impl QueueNode {
-    fn before(&self, other: &QueueNode) -> bool {
-        (self.t, self.seq) < (other.t, other.seq)
-    }
-}
-
-#[derive(Clone, Copy, Default)]
-struct QueueSlot {
-    /// Epoch of the thread's node; valid while `pos != 0`.
-    epoch: u64,
-    /// Heap index + 1, or 0 when the thread has no node.
-    pos: u32,
-}
-
 impl EventQueue {
-    const ARITY: usize = 4;
-
     fn new(nthreads: usize) -> EventQueue {
-        assert!(
-            u32::try_from(nthreads).is_ok(),
-            "thread ids must fit the queue's 32-bit index"
-        );
+        let epochs = vec![0; nthreads];
         EventQueue {
-            heap: Vec::with_capacity(nthreads),
-            slots: vec![QueueSlot::default(); nthreads],
-            inserts: 0,
-            coalesce_drops: 0,
-            pops: 0,
-            len_hwm: 0,
+            epochs,
+            ..EventQueue::default()
         }
-    }
-
-    fn place(&mut self, i: usize, node: QueueNode) {
-        self.heap[i] = node;
-        self.slots[node.tid as usize].pos = i as u32 + 1;
-    }
-
-    /// Settle `node` at or above the hole `i`.
-    fn sift_up(&mut self, mut i: usize, node: QueueNode) {
-        while i > 0 {
-            let p = (i - 1) / Self::ARITY;
-            let parent = self.heap[p];
-            if !node.before(&parent) {
-                break;
-            }
-            self.place(i, parent);
-            i = p;
-        }
-        self.place(i, node);
-    }
-
-    /// Settle `node` at or below the hole `i`.
-    fn sift_down(&mut self, mut i: usize, node: QueueNode) {
-        loop {
-            let first = Self::ARITY * i + 1;
-            if first >= self.heap.len() {
-                break;
-            }
-            let end = (first + Self::ARITY).min(self.heap.len());
-            let mut least = first;
-            for c in first + 1..end {
-                if self.heap[c].before(&self.heap[least]) {
-                    least = c;
-                }
-            }
-            let child = self.heap[least];
-            if !child.before(&node) {
-                break;
-            }
-            self.place(i, child);
-            i = least;
-        }
-        self.place(i, node);
     }
 
     /// Insert or update thread `tid`'s wake. See the type docs for the
     /// coalesce/decrease-key/replace rules; all three preserve the exact
     /// dispatch order the duplicate-tolerant heap produced.
+    #[inline]
     fn insert(&mut self, tid: usize, t: SimTime, seq: u64, epoch: u64) {
         self.inserts += 1;
-        let node = QueueNode {
-            t,
-            seq,
-            tid: tid as u32,
-        };
-        let slot = &mut self.slots[tid];
-        if slot.pos != 0 {
-            let i = slot.pos as usize - 1;
-            if slot.epoch == epoch && t >= self.heap[i].t {
+        let key = (u128::from(t) << 64) | u128::from(seq);
+        if let Some(pending) = self.heap.key(tid) {
+            if self.epochs[tid] == epoch && t >= (pending >> 64) as SimTime {
                 // Same-epoch duplicate at a later (or equal) time: the
                 // existing earlier wake dispatches first and the thread
                 // re-parks with a new epoch, so this one could only ever
@@ -365,36 +289,26 @@ impl EventQueue {
                 self.coalesce_drops += 1;
                 return;
             }
-            slot.epoch = epoch;
-            if i > 0 && node.before(&self.heap[(i - 1) / Self::ARITY]) {
-                self.sift_up(i, node);
-            } else {
-                self.sift_down(i, node);
-            }
+            self.heap.update(tid, key);
         } else {
-            slot.epoch = epoch;
-            self.heap.push(node);
+            self.heap.push(tid, key);
             self.len_hwm = self.len_hwm.max(self.heap.len());
-            self.sift_up(self.heap.len() - 1, node);
         }
+        self.epochs[tid] = epoch;
     }
 
     /// Earliest pending wake as `(time, seq, tid, epoch)`.
+    #[inline]
     fn peek(&self) -> Option<(SimTime, u64, usize, u64)> {
-        self.heap.first().map(|n| {
-            let tid = n.tid as usize;
-            (n.t, n.seq, tid, self.slots[tid].epoch)
-        })
+        let (key, tid) = self.heap.peek()?;
+        Some(((key >> 64) as SimTime, key as u64, tid, self.epochs[tid]))
     }
 
+    #[inline]
     fn pop(&mut self) -> Option<(SimTime, u64, usize, u64)> {
         let top = self.peek()?;
+        self.heap.pop();
         self.pops += 1;
-        let last = self.heap.pop().expect("nonempty");
-        self.slots[top.2].pos = 0;
-        if !self.heap.is_empty() {
-            self.sift_down(0, last);
-        }
         Some(top)
     }
 }

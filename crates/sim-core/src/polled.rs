@@ -412,7 +412,7 @@ impl<S: 'static> PolledSim<S> {
                 let mut guard = shared.st.borrow_mut();
                 let st = &mut *guard;
                 loop {
-                    let Some((t, _seq, tid, epoch)) = st.queue.peek() else {
+                    let Some((t, _seq, tid, epoch)) = st.queue.pop() else {
                         if st.live == 0 {
                             break 'outer;
                         }
@@ -431,12 +431,12 @@ impl<S: 'static> PolledSim<S> {
                         ));
                         break 'outer;
                     };
-                    st.queue.pop();
                     let slot = &mut st.threads[tid];
                     // Discard stale wakes (task re-parked or finished since).
                     if slot.phase == ThreadPhase::Finished || slot.epoch != epoch {
                         continue;
                     }
+                    // Virtual time is monotone.
                     debug_assert!(t >= st.now, "event queue went backwards");
                     st.now = t;
                     st.dispatches += 1;
