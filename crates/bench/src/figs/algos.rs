@@ -264,80 +264,3 @@ pub fn fig12(quick: bool) -> Vec<Chart> {
         })
         .collect()
 }
-
-#[cfg(test)]
-#[allow(clippy::unwrap_used)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fig07_knl_shapes() {
-        let charts = fig07(true);
-        let knl = &charts[0];
-        let big = *knl.xs().last().unwrap();
-        let at = |label: &str| {
-            knl.series
-                .iter()
-                .find(|s| s.label == label)
-                .unwrap_or_else(|| panic!("missing {label}"))
-                .at(big)
-                .unwrap()
-        };
-        // Large messages: a throttled variant beats parallel read.
-        let best_throttle = knl
-            .series
-            .iter()
-            .filter(|s| s.label.starts_with("Throttle"))
-            .map(|s| s.at(big).unwrap())
-            .fold(f64::MAX, f64::min);
-        assert!(best_throttle < at("Parallel Read"));
-        assert!(best_throttle < at("Sequential Write"));
-    }
-
-    #[test]
-    fn fig09_native_collective_wins_medium_messages() {
-        let charts = fig09(true);
-        for c in &charts {
-            let eta = 64 << 10;
-            let shm = c.series[0].at(eta).unwrap();
-            let pt = c.series[1].at(eta).unwrap();
-            let coll = c.series[2].at(eta).unwrap();
-            assert!(coll < pt, "{}: coll {coll} !< pt2pt {pt}", c.id);
-            assert!(coll < shm, "{}: coll {coll} !< shmem {shm}", c.id);
-        }
-    }
-
-    #[test]
-    fn fig11_scatter_allgather_wins_large_bcast() {
-        let charts = fig11(true);
-        let knl = &charts[0];
-        let big = *knl.xs().last().unwrap();
-        let sag = knl.series.last().unwrap().at(big).unwrap();
-        let dr = knl.series[0].at(big).unwrap();
-        assert!(sag < dr, "SAG {sag} !< direct read {dr}");
-    }
-
-    #[test]
-    fn fig12_model_tracks_simulation() {
-        let charts = fig12(true);
-        for c in &charts {
-            for pair in c.series.chunks(2) {
-                let (actual, modeled) = (&pair[0], &pair[1]);
-                for (x, a) in &actual.points {
-                    let m = modeled.at(*x).unwrap();
-                    let rel = (a - m).abs() / a.max(1e-9);
-                    // Small messages deviate most: the binomial token
-                    // distribution staggers readers, so the effective
-                    // concurrency is below the model's worst case (the
-                    // paper's Fig 12 shows the same small-size gap).
-                    assert!(
-                        rel < 0.6,
-                        "{}: {} at {x}: actual {a} vs modeled {m} ({rel:.2})",
-                        c.id,
-                        actual.label
-                    );
-                }
-            }
-        }
-    }
-}

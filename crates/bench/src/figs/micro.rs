@@ -405,69 +405,3 @@ pub fn table5(_quick: bool) -> Vec<Chart> {
     }
     vec![c]
 }
-
-#[cfg(test)]
-#[allow(clippy::unwrap_used)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fig01_small_jobs_dominate() {
-        let charts = fig01(true);
-        assert_eq!(charts.len(), 2);
-        let jobs = &charts[0].series[0];
-        assert!(
-            jobs.points[0].1 > jobs.points[4].1,
-            "1-node jobs outnumber 9-16"
-        );
-    }
-
-    #[test]
-    fn fig02_one_to_all_degrades_all_to_all_does_not() {
-        let charts = fig02(true);
-        let pairs = &charts[0];
-        let diff = &charts[2];
-        let eta = 64 << 10;
-        let p1 = pairs.series[0].at(eta).unwrap();
-        let p16 = pairs.series.last().unwrap().at(eta).unwrap();
-        let d1 = diff.series[0].at(eta).unwrap();
-        let d16 = diff.series.last().unwrap().at(eta).unwrap();
-        assert!(p16 < 2.5 * p1, "pairs scale: {p16} vs {p1}");
-        assert!(d16 > 4.0 * d1, "one-to-all contends: {d16} vs {d1}");
-    }
-
-    #[test]
-    fn fig04_lock_grows_with_contention() {
-        let charts = fig04(true);
-        let solo_lock = charts[0].series[2].points.last().unwrap().1;
-        let packed_lock = charts[2].series[2].points.last().unwrap().1;
-        assert!(packed_lock > 5.0 * solo_lock);
-    }
-
-    #[test]
-    fn table4_extraction_matches_profiles() {
-        let t = table4(true)[0].clone();
-        // β within 10% of the Table IV targets for all three archs.
-        let betas = &t.series[1];
-        for (i, target) in [3.29f64, 3.1, 3.7].iter().enumerate() {
-            let got = betas.points[i].1;
-            assert!((got - target).abs() / target < 0.1, "beta[{i}] = {got}");
-        }
-    }
-
-    #[test]
-    fn fig06_has_a_throughput_sweet_spot_on_knl() {
-        let charts = fig06(true);
-        let knl = &charts[0];
-        // At the largest size, some intermediate concurrency beats both
-        // 1 reader and the maximum plotted concurrency.
-        let eta = *knl.xs().last().unwrap();
-        let vals: Vec<f64> = knl.series.iter().map(|s| s.at(eta).unwrap()).collect();
-        let best = vals.iter().cloned().fold(f64::MIN, f64::max);
-        assert!(best > vals[0], "some concurrency beats one reader");
-        assert!(
-            best > *vals.last().unwrap(),
-            "max concurrency is past the sweet spot: {vals:?}"
-        );
-    }
-}

@@ -340,43 +340,4 @@ mod tests {
             "pipelining should overlap transfers: {pipe} vs {plain}"
         );
     }
-
-    #[test]
-    fn two_level_gather_beats_single_level_and_scales() {
-        // Fig 17's shape: two-level wins, and the improvement factor
-        // grows with node count.
-        let arch = ArchProfile::knl();
-        let count = 32 * 1024;
-        let rpn = 16;
-        let mut improvements = Vec::new();
-        for nodes in [2usize, 4, 8] {
-            let single = cluster_gather(
-                &arch,
-                nodes,
-                rpn,
-                FabricParams::omni_path(),
-                count,
-                MultiNodeStrategy::SingleLevel,
-            )
-            .end_ns;
-            let two = cluster_gather(
-                &arch,
-                nodes,
-                rpn,
-                FabricParams::omni_path(),
-                count,
-                MultiNodeStrategy::TwoLevel { k: 4 },
-            )
-            .end_ns;
-            assert!(
-                two < single,
-                "{nodes} nodes: two-level {two} !< single {single}"
-            );
-            improvements.push(single as f64 / two as f64);
-        }
-        assert!(
-            improvements.windows(2).all(|w| w[1] > w[0]),
-            "improvement should grow with node count: {improvements:?}"
-        );
-    }
 }

@@ -45,6 +45,18 @@ cargo test -q --release -p kacc-collectives --test sim_reduce --test reduce_plan
 echo "== real transport (ring units, forked process_vm_readv collectives, slab and keyed-receive checks) =="
 cargo test -q --release -p kacc-native
 
+echo "== real transport under AddressSanitizer (nightly toolchain) =="
+# kacc-native holds the workspace's unsafe code (shared mappings, the
+# lock-free ring, process_vm_readv); ASan checks every access its tests
+# make. --target keeps build scripts uninstrumented. ThreadSanitizer
+# would need -Zbuild-std, so it is not run.
+if cargo +nightly --version >/dev/null 2>&1; then
+  RUSTFLAGS=-Zsanitizer=address cargo +nightly test -q --offline -p kacc-native \
+    --target x86_64-unknown-linux-gnu
+else
+  echo "[skipped: no nightly toolchain is installed, and -Zsanitizer=address needs one]"
+fi
+
 echo "== examples run (not only compile) =="
 cargo run --release -q --example quickstart
 cargo run --release -q --example native_overhead
@@ -85,23 +97,23 @@ cargo run --release -q -p kacc-bench --bin repro -- --quick --fault-plan "$fault
 cargo run --release -q -p kacc-trace --bin trace-validate -- "$trace_tmp"
 
 echo "== artifact contract (full-scale repro --csv all is byte-identical to results/) =="
-# The committed CSVs are what every figure claims; a change that moves a
-# virtual nanosecond in any of them fails here. Refresh them (and
-# repro_full.txt) only for an intended behaviour change:
-#   repro all --csv results/ > repro_full.txt
+# The committed CSVs are what every figure shows, and tests/claims.rs
+# (tier-1) checks the paper's claims against them; a change that moves a
+# virtual nanosecond in any of them fails here. Refresh them only for an
+# intended behaviour change, and keep tests/claims.rs passing:
+#   repro all --csv results/
 cargo run --release -q -p kacc-bench --bin repro -- --csv "$csv_tmp" all >/dev/null
 diff -r results "$csv_tmp"
 
 echo "== metrics snapshot determinism (--jobs 1 vs 4) =="
 cargo test -q --release -p kacc-bench --test metrics_determinism
 
-echo "== perf-regression gate (bench-regress units, then bench-regress vs committed baseline) =="
+echo "== perf-regression gate (bench-regress vs committed baseline) =="
 # Hard-fails (exit 1) on any event-count or metric drift from the
 # committed BENCH_BASELINE.json; brand-new metric keys only warn (additions,
-# not regressions). Tier-1 leaves kacc-bench out, so its units run here.
-# Refresh the baseline after an intentional behavior change via
+# not regressions). Refresh the baseline after an intentional behavior
+# change via
 #   cargo run --release -p kacc-bench --bin bench-regress -- --write-baseline BENCH_BASELINE.json
-cargo test -q --release -p kacc-bench --bin bench-regress
 cargo run --release -q -p kacc-bench --bin bench-regress -- \
   --baseline BENCH_BASELINE.json --out "$out/bench-regress-verdict.json"
 cat "$out/bench-regress-verdict.json"

@@ -2,7 +2,9 @@
 # Non-test Rust lines per crate: every line of crates/*/src/**/*.rs,
 # except each file's `#[cfg(test)] mod tests { ... }` block (the
 # attribute, any attributes between it and the `mod tests` line, and
-# the block up to its closing `}` in column 0). Takes no options.
+# the block up to its closing `}` in column 0) and every file a
+# column-0 `#[cfg(test)] mod name;` declares (with its submodules).
+# Takes no options.
 #
 #   scripts/loc.sh
 set -euo pipefail
@@ -22,13 +24,35 @@ count() {
     ' "$@"
 }
 
+# The module paths (without `.rs`) that `#[cfg(test)] mod name;` lines
+# in the given files declare.
+test_modules() {
+    for f in "$@"; do
+        case "$(basename "$f")" in
+            lib.rs | main.rs | mod.rs) parent=$(dirname "$f") ;;
+            *) parent=${f%.rs} ;;
+        esac
+        awk '
+            held && /^#\[/ { next }
+            held && /^(pub(\([a-z]+\))? )?mod [a-z0-9_]+;$/ {
+                sub(/^(pub(\([a-z]+\))? )?mod /, ""); sub(/;$/, ""); print
+            }
+            { held = ($0 ~ /^#\[cfg\(test\)\]$/) }
+        ' "$f" | sed "s|^|$parent/|"
+    done
+}
+
 total=0
 for dir in crates/*/; do
     name=$(basename "$dir")
     files=$(find "$dir/src" -name '*.rs' | sort)
     [ -n "$files" ] || continue
+    tests=$(test_modules $files)
     lines=0
     for f in $files; do
+        for t in $tests; do
+            case "$f" in "$t.rs" | "$t"/*) continue 2 ;; esac
+        done
         lines=$((lines + $(count "$f")))
     done
     printf '%-12s %7d\n' "$name" "$lines"
