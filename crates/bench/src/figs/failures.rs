@@ -138,10 +138,11 @@ fn survivable_point(
     let count = op.count();
     let (run, reps) = run_polled_team_faulty(arch, p, kill_hook(&dead), move |rank| async move {
         let mut comm = PolledComm::new(rank);
-        let sb = comm
-            .alloc_with(&vec![rank as u8; p * count])
-            .expect("alloc");
+        let sb = comm.alloc(p * count);
         let rb = comm.alloc(p * count);
+        let sent = source_blocks(op, rank, root, p) * count;
+        comm.write_local(sb, 0, &vec![rank as u8; sent])
+            .expect("write");
         let (s, r) = bindings(op, rank, root, sb, rb);
         match run_survivable_polled(&mut comm, &op, s, r, &RecoveryPolicy::survivable()).await {
             Ok(o) => (
@@ -175,6 +176,21 @@ fn bindings(
         SurvivableOp::Bcast { .. } => (Some(sb), None),
         SurvivableOp::Allgather { .. } | SurvivableOp::Alltoall { .. } => (Some(sb), Some(rb)),
         SurvivableOp::Reduce { .. } => (Some(sb), (me == root).then_some(rb)),
+    }
+}
+
+/// How many leading `count`-byte blocks of rank `me`'s send buffer some
+/// epoch reads: one per member for a Scatter root and every Alltoall
+/// rank (block `i` goes to survivor `i`), block 0 for a Bcast root and
+/// every Gather, Allgather or Reduce rank, none for the other ranks.
+/// Only these are written; the rest of the parent-sized buffer is never
+/// materialized.
+fn source_blocks(op: SurvivableOp, me: usize, root: usize, p: usize) -> usize {
+    match op {
+        SurvivableOp::Scatter { .. } if me == root => p,
+        SurvivableOp::Alltoall { .. } => p,
+        SurvivableOp::Scatter { .. } | SurvivableOp::Bcast { .. } if me != root => 0,
+        _ => 1,
     }
 }
 

@@ -4,10 +4,11 @@
 //! endpoint reaches through poll closures: the fluid servers, the per-rank
 //! heaps and the two message planes.
 //!
-//! A heap buffer is a [`Buf`] — real bytes, or for a *phantom* team just
-//! a length. The same type is what a bulk shared-memory message is
-//! ([`MachineState::bulk`]): [`RankHeap::copy_out`] takes it from the
-//! sender's heap and [`RankHeap::copy_in`] lands it in the receiver's, so
+//! A heap buffer is real bytes, held in chunks allocated on first write
+//! (see [`RankHeap`]), or for a *phantom* team just a length. A bulk
+//! shared-memory message is a [`Buf`] ([`MachineState::bulk`]):
+//! [`RankHeap::copy_out`] takes it from the sender's heap and
+//! [`RankHeap::copy_in`] lands it in the receiver's, so
 //! a phantom team's messages are lengths (every range, length and
 //! truncation check runs on lengths alone; no byte is allocated or
 //! touched) and a real team's bytes are copied once out and once in.
@@ -20,13 +21,13 @@ use kacc_comm::Topology;
 use kacc_model::{ArchProfile, FabricParams};
 use kacc_sim_core::{Mailboxes, SimTime};
 
-/// One simulated buffer — or one bulk message in flight between two
-/// heaps: real bytes, or a *phantom* that tracks only its length.
-/// Phantoms let measurement sweeps simulate terabyte-scale traffic
-/// without allocating it (timing is unaffected; reads return zeroes).
+/// One bulk message in flight between two heaps: real bytes, or a
+/// *phantom* that tracks only its length. Phantoms let measurement
+/// sweeps simulate terabyte-scale traffic without allocating it (timing
+/// is unaffected; reads return zeroes).
 #[derive(Debug, PartialEq, Eq)]
 pub enum Buf {
-    /// Backed by real bytes (default; data-correctness tests use this).
+    /// Real bytes (default; data-correctness tests use this).
     Real(Vec<u8>),
     /// Length-only placeholder for measurement runs.
     Phantom(usize),
@@ -45,18 +46,6 @@ impl Buf {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Write bytes in (no-op into phantoms). False if out of range.
-    fn write(&mut self, off: usize, data: &[u8]) -> bool {
-        match self {
-            Buf::Real(v) if off + data.len() <= v.len() => {
-                v[off..off + data.len()].copy_from_slice(data);
-                true
-            }
-            Buf::Real(_) => false,
-            Buf::Phantom(n) => off + data.len() <= *n,
-        }
-    }
 }
 
 /// Does `[off, off + len)` lie inside a buffer of `cap` bytes?
@@ -64,14 +53,190 @@ fn in_range(off: usize, len: usize, cap: usize) -> bool {
     off.checked_add(len).is_some_and(|end| end <= cap)
 }
 
+/// Bytes per chunk of a real heap buffer.
+const CHUNK: usize = 64 << 10;
+
+#[cfg(test)]
+thread_local! {
+    /// Chunks materialized on this thread (tests read the difference).
+    static MATERIALIZED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// A chunk's storage, built from `bytes` (counted in test builds).
+fn chunk(bytes: Vec<u8>) -> Box<[u8]> {
+    #[cfg(test)]
+    MATERIALIZED.with(|n| n.set(n.get() + 1));
+    bytes.into_boxed_slice()
+}
+
+/// The bytes of a real heap buffer: `len` bytes as fixed [`CHUNK`]-byte
+/// chunks (the last one shorter), each allocated by the first write that
+/// touches it. A missing chunk reads as zeros, so a buffer costs one
+/// pointer per chunk plus the chunks someone has written.
+#[derive(Debug)]
+struct Chunks {
+    len: usize,
+    chunks: Vec<Option<Box<[u8]>>>,
+}
+
+/// Where the bytes of a write come from: a flat slice, or the region of
+/// a chunked buffer starting at an offset.
+#[derive(Clone, Copy)]
+enum Src<'a> {
+    Flat(&'a [u8]),
+    Chunks(&'a Chunks, usize),
+}
+
+impl<'a> Src<'a> {
+    /// The longest run of the source starting `at` bytes in, at most
+    /// `max` long: its length, and its bytes unless it lies in a missing
+    /// chunk (zeros).
+    fn run(self, at: usize, max: usize) -> (usize, Option<&'a [u8]>) {
+        match self {
+            Src::Flat(bytes) => (max, Some(&bytes[at..at + max])),
+            Src::Chunks(c, off) => {
+                let pos = off + at;
+                let (i, o) = (pos / CHUNK, pos % CHUNK);
+                let n = (c.chunk_len(i) - o).min(max);
+                (n, c.chunks[i].as_deref().map(|b| &b[o..o + n]))
+            }
+        }
+    }
+
+    /// Does `[at, at + len)` lie wholly in missing chunks?
+    fn is_missing(self, at: usize, len: usize) -> bool {
+        let mut k = 0;
+        while k < len {
+            let (n, bytes) = self.run(at + k, len - k);
+            if bytes.is_some() {
+                return false;
+            }
+            k += n;
+        }
+        true
+    }
+
+    /// Copy `[at, at + dst.len())` into `dst`, zeros for missing chunks.
+    fn fill(self, at: usize, dst: &mut [u8]) {
+        let mut k = 0;
+        while k < dst.len() {
+            let (n, bytes) = self.run(at + k, dst.len() - k);
+            match bytes {
+                Some(b) => dst[k..k + n].copy_from_slice(b),
+                None => dst[k..k + n].fill(0),
+            }
+            k += n;
+        }
+    }
+
+    /// Append `[at, at + len)` to `v`, without zero-filling first.
+    fn append(self, at: usize, len: usize, v: &mut Vec<u8>) {
+        let mut k = 0;
+        while k < len {
+            let (n, bytes) = self.run(at + k, len - k);
+            match bytes {
+                Some(b) => v.extend_from_slice(b),
+                None => v.resize(v.len() + n, 0),
+            }
+            k += n;
+        }
+    }
+
+    /// `[at, at + len)` as a vector.
+    fn to_vec(self, at: usize, len: usize) -> Vec<u8> {
+        let mut v = Vec::with_capacity(len);
+        self.append(at, len, &mut v);
+        v
+    }
+}
+
+impl Chunks {
+    /// `len` zero bytes, none of them allocated.
+    fn zeroed(len: usize) -> Chunks {
+        Chunks {
+            len,
+            chunks: vec![None; len.div_ceil(CHUNK)],
+        }
+    }
+
+    /// `len` bytes copied from `src`.
+    fn copied(len: usize, src: Src) -> Chunks {
+        let mut c = Chunks::zeroed(len);
+        c.write(0, len, src);
+        c
+    }
+
+    /// Length of chunk `i`.
+    fn chunk_len(&self, i: usize) -> usize {
+        CHUNK.min(self.len - i * CHUNK)
+    }
+
+    /// Write `len` bytes of `src` at `off` (in range; the caller checks).
+    /// A missing chunk the source leaves all zeros stays missing; any
+    /// other is built as its zeros before the write, the source bytes and
+    /// its zeros after, each byte written once.
+    fn write(&mut self, off: usize, len: usize, src: Src) {
+        let mut done = 0;
+        while done < len {
+            let pos = off + done;
+            let (i, o) = (pos / CHUNK, pos % CHUNK);
+            let whole = self.chunk_len(i);
+            let n = (whole - o).min(len - done);
+            match &mut self.chunks[i] {
+                Some(c) => src.fill(done, &mut c[o..o + n]),
+                None if src.is_missing(done, n) => {}
+                slot => {
+                    let mut v = Vec::with_capacity(whole);
+                    v.resize(o, 0);
+                    src.append(done, n, &mut v);
+                    v.resize(whole, 0);
+                    *slot = Some(chunk(v));
+                }
+            }
+            done += n;
+        }
+    }
+}
+
+/// The storage of one heap buffer: chunked bytes, or a length alone.
+#[derive(Debug)]
+enum Mem {
+    Real(Chunks),
+    Phantom(usize),
+}
+
+impl Mem {
+    fn len(&self) -> usize {
+        match self {
+            Mem::Real(c) => c.len,
+            Mem::Phantom(n) => *n,
+        }
+    }
+
+    /// Write `len` bytes of `src` at `off` (a range check alone into a
+    /// phantom). False if out of range.
+    fn write(&mut self, off: usize, len: usize, src: Src) -> bool {
+        let ok = in_range(off, len, self.len());
+        if let (true, Mem::Real(c)) = (ok, self) {
+            c.write(off, len, src);
+        }
+        ok
+    }
+}
+
 /// One live buffer and whether its owner exposed it.
 #[derive(Debug)]
 struct HeapSlot {
-    buf: Buf,
+    mem: Mem,
     exposed: bool,
 }
 
 /// One simulated process's private memory: buffers and exposure set.
+///
+/// A real buffer is stored in 64 KiB chunks allocated on first write, so
+/// allocating one costs a pointer per chunk and the bytes nobody writes
+/// are never zero-filled or copied; every accessor behaves as if the
+/// whole buffer were present and zero-initialised.
 #[derive(Debug, Default)]
 pub struct RankHeap {
     /// `slots[id]`: ids are handed out in sequence and never reused, so a
@@ -98,9 +263,9 @@ impl RankHeap {
     /// Allocate a zeroed buffer, returning its id.
     pub fn alloc(&mut self, len: usize) -> u64 {
         self.push(if self.phantom {
-            Buf::Phantom(len)
+            Mem::Phantom(len)
         } else {
-            Buf::Real(vec![0u8; len])
+            Mem::Real(Chunks::zeroed(len))
         })
     }
 
@@ -108,15 +273,15 @@ impl RankHeap {
     /// phantom heap), returning its id.
     pub fn alloc_from(&mut self, data: &[u8]) -> u64 {
         self.push(if self.phantom {
-            Buf::Phantom(data.len())
+            Mem::Phantom(data.len())
         } else {
-            Buf::Real(data.to_vec())
+            Mem::Real(Chunks::copied(data.len(), Src::Flat(data)))
         })
     }
 
-    fn push(&mut self, buf: Buf) -> u64 {
+    fn push(&mut self, mem: Mem) -> u64 {
         self.slots.push(Some(HeapSlot {
-            buf,
+            mem,
             exposed: false,
         }));
         self.slots.len() as u64 - 1
@@ -129,18 +294,18 @@ impl RankHeap {
 
     /// Buffer length, if allocated.
     pub fn len_of(&self, id: u64) -> Option<usize> {
-        self.slot(id).map(|s| s.buf.len())
+        self.slot(id).map(|s| s.mem.len())
     }
 
     /// Read bytes out (phantoms yield zeroes). False if the access is
     /// invalid.
     pub fn read(&self, id: u64, off: usize, out: &mut [u8]) -> bool {
-        match self.slot(id).map(|s| &s.buf) {
-            Some(Buf::Real(v)) if off + out.len() <= v.len() => {
-                out.copy_from_slice(&v[off..off + out.len()]);
+        match self.slot(id).map(|s| &s.mem) {
+            Some(Mem::Real(c)) if in_range(off, out.len(), c.len) => {
+                Src::Chunks(c, off).fill(0, out);
                 true
             }
-            Some(Buf::Phantom(n)) if off + out.len() <= *n => {
+            Some(Mem::Phantom(n)) if in_range(off, out.len(), *n) => {
                 out.fill(0);
                 true
             }
@@ -150,7 +315,8 @@ impl RankHeap {
 
     /// Write bytes in (no-op into phantoms). False if invalid.
     pub fn write(&mut self, id: u64, off: usize, data: &[u8]) -> bool {
-        self.slot_mut(id).is_some_and(|s| s.buf.write(off, data))
+        self.slot_mut(id)
+            .is_some_and(|s| s.mem.write(off, data.len(), Src::Flat(data)))
     }
 
     /// Copy a region out as a vector (zeroes for phantoms). None if
@@ -166,9 +332,9 @@ impl RankHeap {
     /// the length alone of a phantom (nothing is allocated). None if the
     /// access is invalid.
     pub fn copy_out(&self, id: u64, off: usize, len: usize) -> Option<Buf> {
-        match &self.slot(id)?.buf {
-            Buf::Real(_) => Some(Buf::Real(self.region(id, off, len)?.to_vec())),
-            Buf::Phantom(cap) => in_range(off, len, *cap).then_some(Buf::Phantom(len)),
+        match &self.slot(id)?.mem {
+            Mem::Real(_) => Some(Buf::Real(self.region(id, off, len)?.to_vec(0, len))),
+            Mem::Phantom(cap) => in_range(off, len, *cap).then_some(Buf::Phantom(len)),
         }
     }
 
@@ -178,16 +344,16 @@ impl RankHeap {
     /// the access is invalid.
     pub fn copy_in(&mut self, id: u64, off: usize, msg: &Buf) -> bool {
         self.slot_mut(id).is_some_and(|s| match msg {
-            Buf::Real(bytes) => s.buf.write(off, bytes),
-            Buf::Phantom(len) => in_range(off, *len, s.buf.len()),
+            Buf::Real(bytes) => s.mem.write(off, bytes.len(), Src::Flat(bytes)),
+            Buf::Phantom(len) => in_range(off, *len, s.mem.len()),
         })
     }
 
-    /// The bytes of a region of a real buffer; `None` for phantoms and
-    /// invalid accesses.
-    fn region(&self, id: u64, off: usize, len: usize) -> Option<&[u8]> {
-        match &self.slot(id)?.buf {
-            Buf::Real(v) if in_range(off, len, v.len()) => Some(&v[off..off + len]),
+    /// A region of a real buffer as a copy source; `None` for phantoms
+    /// and invalid accesses.
+    fn region(&self, id: u64, off: usize, len: usize) -> Option<Src<'_>> {
+        match &self.slot(id)?.mem {
+            Mem::Real(c) if in_range(off, len, c.len) => Some(Src::Chunks(c, off)),
             _ => None,
         }
     }
@@ -205,8 +371,10 @@ impl RankHeap {
         src_off: usize,
         len: usize,
     ) -> bool {
-        src.region(src_id, src_off, len)
-            .is_some_and(|bytes| self.write(dst, dst_off, bytes))
+        src.region(src_id, src_off, len).is_some_and(|from| {
+            self.slot_mut(dst)
+                .is_some_and(|s| s.mem.write(dst_off, len, from))
+        })
     }
 
     /// [`copy_from`](Self::copy_from) between two buffers of this heap,
@@ -220,9 +388,12 @@ impl RankHeap {
         len: usize,
     ) -> bool {
         if src == dst {
-            return match self.slot_mut(dst).map(|s| &mut s.buf) {
-                Some(Buf::Real(v)) if src_off + len <= v.len() && dst_off + len <= v.len() => {
-                    v.copy_within(src_off..src_off + len, dst_off);
+            return match self.slot_mut(dst).map(|s| &mut s.mem) {
+                Some(Mem::Real(c))
+                    if in_range(src_off, len, c.len) && in_range(dst_off, len, c.len) =>
+                {
+                    let from = Chunks::copied(len, Src::Chunks(c, src_off));
+                    c.write(dst_off, len, Src::Chunks(&from, 0));
                     true
                 }
                 _ => false,
@@ -235,7 +406,7 @@ impl RankHeap {
         };
         let ok = self
             .region(src, src_off, len)
-            .is_some_and(|bytes| to.buf.write(dst_off, bytes));
+            .is_some_and(|from| to.mem.write(dst_off, len, from));
         self.slots[dst as usize] = Some(to);
         ok
     }
@@ -243,7 +414,7 @@ impl RankHeap {
     /// Is the buffer a phantom?
     pub fn is_phantom(&self, id: u64) -> bool {
         self.slot(id)
-            .is_some_and(|s| matches!(s.buf, Buf::Phantom(_)))
+            .is_some_and(|s| matches!(s.mem, Mem::Phantom(_)))
     }
 
     /// Mark a buffer exposed for kernel-assisted access.
@@ -259,7 +430,7 @@ impl RankHeap {
     /// Length of a buffer a peer may access: `None` unless it is allocated
     /// and exposed.
     pub fn exposed_len(&self, id: u64) -> Option<usize> {
-        self.slot(id).filter(|s| s.exposed).map(|s| s.buf.len())
+        self.slot(id).filter(|s| s.exposed).map(|s| s.mem.len())
     }
 
     /// Number of live buffers (leak checks in tests).
@@ -498,6 +669,7 @@ pub(crate) fn move_bytes(
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn heap_alloc_free_expose_lifecycle() {
@@ -682,6 +854,216 @@ mod tests {
         let b = st.heaps[1].alloc(4);
         st.heaps[0].free(a);
         st.move_bytes((0, a, 0), (1, b, 0), 4);
+    }
+
+    /// Chunks materialized on this thread so far.
+    fn materialized() -> usize {
+        MATERIALIZED.with(|n| n.get())
+    }
+
+    #[test]
+    fn chunks_materialize_on_first_write_only() {
+        let mut h = RankHeap::default();
+        let n0 = materialized();
+        let a = h.alloc(16 * CHUNK + 3);
+        assert_eq!(materialized(), n0, "alloc touches no byte");
+        assert!(h.write(a, 5 * CHUNK + 7, &[1]));
+        assert_eq!(materialized(), n0 + 1, "a one-byte write builds one chunk");
+        assert!(h.write(a, 5 * CHUNK, &[2; 8]));
+        assert_eq!(materialized(), n0 + 1, "the chunk is reused");
+
+        // Copies from missing chunks leave missing destinations missing
+        // and zero present ones.
+        let b = h.alloc(16 * CHUNK + 3);
+        assert!(h.copy_within(b, 0, a, CHUNK, 8 * CHUNK));
+        assert_eq!(materialized(), n0 + 1, "zeros onto zeros");
+        assert_eq!(h.extract(a, 5 * CHUNK, 8), Some(vec![0; 8]));
+        let mut other = RankHeap::default();
+        let c = other.alloc(3 * CHUNK);
+        assert!(other.copy_from(c, 0, &h, b, 0, 3 * CHUNK));
+        assert_eq!(materialized(), n0 + 1);
+
+        // A whole-chunk write and alloc_from build each chunk once, and
+        // a straddling write builds both chunks it touches.
+        assert!(h.write(b, CHUNK, &vec![9; CHUNK]));
+        assert_eq!(materialized(), n0 + 2);
+        h.alloc_from(&vec![1; 2 * CHUNK + 1]);
+        assert_eq!(materialized(), n0 + 5);
+        assert!(h.write(b, 3 * CHUNK - 1, &[4, 4]));
+        assert_eq!(materialized(), n0 + 7);
+    }
+
+    /// One heap operation for the model check: a kind, a heap, two
+    /// buffer picks; two offset picks and a length pick; a fill byte.
+    type Op = ((u8, bool, u8, u8), (usize, usize, usize), u8);
+
+    /// Buffer lengths around chunk edges, with small ones mixed in.
+    const LENS: [usize; 8] = [
+        0,
+        1,
+        13,
+        CHUNK - 1,
+        CHUNK,
+        CHUNK + 1,
+        2 * CHUNK + 5,
+        3 * CHUNK,
+    ];
+
+    /// An offset into a buffer of `cap` bytes near a chunk edge; one
+    /// pick in `cap + 2` lands past the end.
+    fn pick_off(raw: usize, cap: usize) -> usize {
+        let edge = (raw % 4) * CHUNK + (raw / 4) % 7;
+        edge.saturating_sub(3) % (cap + 2)
+    }
+
+    /// A length for an access at `off` of a `cap`-byte buffer: short,
+    /// chunk-sized or to the end, overshooting by one in one pick of 16.
+    fn pick_len(raw: usize, off: usize, cap: usize) -> usize {
+        let room = cap.saturating_sub(off);
+        let want = match raw % 4 {
+            0 => raw / 4 % 9,
+            1 => CHUNK + raw / 4 % 3 - 1,
+            2 => room,
+            _ => raw / 4 % (2 * CHUNK + 1),
+        };
+        want.min(room) + usize::from(raw % 16 == 15)
+    }
+
+    fn pattern(len: usize, seed: u8) -> Vec<u8> {
+        (0..len)
+            .map(|i| seed.wrapping_add((i % 251) as u8))
+            .collect()
+    }
+
+    /// A heap as flat vectors, `None` where a buffer was freed.
+    type Model = Vec<Option<Vec<u8>>>;
+
+    /// The flat model of a buffer's range, if the access is valid.
+    fn flat(model: &Model, id: usize, off: usize, len: usize) -> Option<&[u8]> {
+        let v = model.get(id)?.as_ref()?;
+        in_range(off, len, v.len()).then(|| &v[off..off + len])
+    }
+
+    /// Apply one operation to both heaps and their models; every
+    /// result, byte and length must agree.
+    fn apply(heaps: &mut [RankHeap; 2], models: &mut [Model; 2], op: Op) -> TestCaseResult {
+        let ((kind, other, x, y), (r0, r1, r2), seed) = op;
+        let kind = kind % 9;
+        // Destination heap `h`; the source heap is the other one for
+        // `copy_from`.
+        let h = usize::from(other);
+        let sh = if kind == 4 { 1 - h } else { h };
+        let a = usize::from(x) % (models[h].len() + 1);
+        let b = usize::from(y) % (models[sh].len() + 1);
+        // `copy_within` copies between two buffers, or inside one.
+        let b = if kind == 5 && seed % 2 == 0 { a } else { b };
+        let cap = |m: &Model, id: usize| m.get(id).and_then(Option::as_ref).map_or(0, Vec::len);
+        let off = pick_off(r0, cap(&models[h], a));
+        let src_off = pick_off(r1, cap(&models[sh], b));
+        let len = pick_len(r2, off, cap(&models[h], a));
+        let src = flat(&models[sh], b, src_off, len).map(<[u8]>::to_vec);
+        let (id, src_id) = (a as u64, b as u64);
+        // What a successful write of `data` at `off` of `a` leaves.
+        let mut landed: Option<Vec<u8>> = None;
+        match kind {
+            0 | 1 => {
+                let n = LENS[r2 % LENS.len()];
+                let data = if kind == 0 {
+                    vec![0; n]
+                } else {
+                    pattern(n, seed)
+                };
+                let got = if kind == 0 {
+                    heaps[h].alloc(n)
+                } else {
+                    heaps[h].alloc_from(&data)
+                };
+                prop_assert_eq!(got, models[h].len() as u64);
+                models[h].push(Some(data));
+            }
+            2 => {
+                let mut out = vec![0xEE; len];
+                let want = flat(&models[h], a, off, len);
+                prop_assert_eq!(heaps[h].read(id, off, &mut out), want.is_some());
+                if let Some(w) = want {
+                    prop_assert!(out == w, "read {a}@{off}+{len}");
+                }
+            }
+            3 | 7 => {
+                let data = pattern(len, seed);
+                let got = if kind == 3 {
+                    heaps[h].write(id, off, &data)
+                } else {
+                    heaps[h].copy_in(id, off, &Buf::Real(data.clone()))
+                };
+                landed = Some(data);
+                prop_assert_eq!(got, flat(&models[h], a, off, len).is_some());
+            }
+            4 => {
+                let [lo, hi] = heaps;
+                let (dst, from) = if h == 0 { (lo, &*hi) } else { (hi, &*lo) };
+                let got = dst.copy_from(id, off, from, src_id, src_off, len);
+                landed = src.filter(|_| flat(&models[h], a, off, len).is_some());
+                prop_assert_eq!(got, landed.is_some());
+            }
+            5 => {
+                let got = heaps[h].copy_within(src_id, src_off, id, off, len);
+                landed = src.filter(|_| flat(&models[h], a, off, len).is_some());
+                prop_assert_eq!(got, landed.is_some());
+            }
+            6 => {
+                let want = flat(&models[h], a, off, len).map(|w| Buf::Real(w.to_vec()));
+                prop_assert_eq!(heaps[h].copy_out(id, off, len), want);
+            }
+            _ => {
+                let live = models[h].get(a).is_some_and(Option::is_some);
+                prop_assert_eq!(heaps[h].free(id), live);
+                if live {
+                    models[h][a] = None;
+                }
+            }
+        }
+        if let Some(v) = models[h].get_mut(a).and_then(Option::as_mut) {
+            if let Some(data) = landed.filter(|d| in_range(off, d.len(), v.len())) {
+                v[off..off + len].copy_from_slice(&data);
+            }
+        }
+        for (heap, model) in heaps.iter().zip(models.iter()) {
+            for (id, v) in model.iter().enumerate() {
+                prop_assert_eq!(heap.len_of(id as u64), v.as_ref().map(Vec::len));
+            }
+        }
+        Ok(())
+    }
+
+    fn heap_ops() -> impl Strategy<Value = Vec<Op>> {
+        proptest::collection::vec(
+            (
+                (0u8..=255, any::<bool>(), 0u8..=255, 0u8..=255),
+                (0usize..1 << 20, 0usize..1 << 20, 0usize..1 << 20),
+                0u8..=255,
+            ),
+            1..40,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+        #[test]
+        fn chunked_heap_matches_a_flat_model(ops in heap_ops()) {
+            let mut heaps = [RankHeap::default(), RankHeap::default()];
+            let mut models = [Vec::new(), Vec::new()];
+            for op in ops {
+                apply(&mut heaps, &mut models, op)?;
+            }
+            // Every byte of every live buffer, read back whole.
+            for (heap, model) in heaps.iter().zip(&models) {
+                for (id, v) in model.iter().enumerate() {
+                    prop_assert_eq!(heap.extract(id as u64, 0, v.as_ref().map_or(0, Vec::len)),
+                                    v.clone());
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used)]
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 //! Real transports: forked processes with genuine
 //! `process_vm_readv`/`process_vm_writev` syscalls, and an in-process

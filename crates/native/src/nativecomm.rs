@@ -154,6 +154,8 @@ impl NativeComm {
             })
             .collect();
         let tx = (0..p)
+            // SAFETY: as for `rx`: the ring `rank → to` has this rank as
+            // its only producer.
             .map(|to| unsafe { SpscRing::attach(shm.at(layout.ring_off(to, rank), 0), RING_CAP) })
             .collect();
         let comm = NativeComm {

@@ -264,6 +264,7 @@ mod tests {
         let shm = ShmRegion::new(ring_bytes(cap)).unwrap();
         // SAFETY: fresh zeroed region of the right size.
         let a = unsafe { SpscRing::attach(shm.as_ptr(), cap) };
+        // SAFETY: the same ring; `a` only produces and `b` only consumes.
         let b = unsafe { SpscRing::attach(shm.as_ptr(), cap) };
         (shm, a, b)
     }
@@ -425,6 +426,8 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_capacity_rejected() {
         let shm = ShmRegion::new(ring_bytes(100)).unwrap();
+        // SAFETY: a fresh zeroed region; `attach` panics on the capacity
+        // before it touches the memory.
         let _ = unsafe { SpscRing::attach(shm.as_ptr(), 100) };
     }
 }

@@ -12,9 +12,12 @@ pub struct ShmRegion {
     len: usize,
 }
 
-// The region is plain shared bytes; all access goes through atomics or
-// is externally synchronized by the ring/barrier protocols.
+// SAFETY: the region is plain shared bytes that the mapping owns; all
+// access goes through atomics or is externally synchronized by the
+// ring/barrier protocols, whichever thread holds the handle.
 unsafe impl Send for ShmRegion {}
+// SAFETY: `&ShmRegion` only hands out raw pointers into the mapping;
+// the same protocols order every access made through them.
 unsafe impl Sync for ShmRegion {}
 
 impl ShmRegion {
@@ -105,14 +108,17 @@ mod tests {
         let flag = shm.at(0, 8) as *mut std::sync::atomic::AtomicU64;
         // SAFETY: AtomicU64 is valid on zeroed aligned memory.
         let flag = unsafe { &*flag };
+        // SAFETY: the child only stores to the flag and leaves via _exit.
         match unsafe { libc::fork() } {
             0 => {
                 // Child: set and exit without running destructors.
                 flag.store(7, std::sync::atomic::Ordering::SeqCst);
+                // SAFETY: terminate without unwinding into the test harness.
                 unsafe { libc::_exit(0) };
             }
             pid if pid > 0 => {
                 let mut status = 0;
+                // SAFETY: reaping our own child.
                 unsafe { libc::waitpid(pid, &mut status, 0) };
                 assert_eq!(flag.load(std::sync::atomic::Ordering::SeqCst), 7);
             }

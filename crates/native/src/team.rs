@@ -80,6 +80,7 @@ where
             _ => {
                 // Fork failed: reap whoever exists and bail.
                 for pid in pids {
+                    // SAFETY: killing and reaping our own children.
                     unsafe {
                         libc::kill(pid, libc::SIGKILL);
                         libc::waitpid(pid, std::ptr::null_mut(), 0);

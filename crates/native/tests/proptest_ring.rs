@@ -23,6 +23,7 @@ proptest! {
         // SAFETY: fresh zeroed region; single producer and single
         // consumer below.
         let tx = unsafe { SpscRing::attach(shm.as_ptr(), cap) };
+        // SAFETY: the same ring; `tx` only produces and `rx` only consumes.
         let rx = unsafe { SpscRing::attach(shm.as_ptr(), cap) };
 
         let expected = frames.clone();
@@ -77,6 +78,7 @@ proptest! {
         let shm = ShmRegion::new(ring_bytes(cap)).unwrap();
         // SAFETY: fresh zeroed region; one producer and one consumer.
         let tx = unsafe { SpscRing::attach(shm.as_ptr(), cap) };
+        // SAFETY: the same ring; `tx` only produces and `rx` only consumes.
         let rx = unsafe { SpscRing::attach(shm.as_ptr(), cap) };
         std::thread::scope(|scope| {
             let sent = &frames;
@@ -103,6 +105,8 @@ proptest! {
         let cap = 256;
         prop_assume!(payload_lens.iter().all(|&l| l + 16 <= cap));
         let shm = ShmRegion::new(ring_bytes(cap)).unwrap();
+        // SAFETY: fresh zeroed region; this thread is its only producer
+        // and only consumer.
         let ring = unsafe { SpscRing::attach(shm.as_ptr(), cap) };
         for (i, &len) in payload_lens.iter().enumerate() {
             let payload: Vec<u8> = (0..len).map(|b| (b ^ i) as u8).collect();

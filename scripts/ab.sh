@@ -3,6 +3,7 @@
 #
 #   scripts/ab.sh [--workloads W1,W2,..] [--seeds LO-HI] [--seconds S]
 #                 [--pairs N] REV-A REV-B
+#   scripts/ab.sh --repro ART1,ART2,.. [--quick] [--pairs N] REV-A REV-B
 #
 # Exports each revision with `git archive` into target/ab/src-<commit>,
 # builds its benchmark offline into target/ab/target-<commit>, then runs
@@ -25,22 +26,30 @@
 #   same        every run of both sides read the same value
 # plus each side's failed operations. The table and every raw value are
 # also written to target/ab/<A>-<B>.json.
+#
+# With --repro the pairs run each revision's own `repro --jobs 1
+# --bench-out FILE ARTS` (full scale, or --quick) instead, built into the
+# same target directory, and the table compares each artifact's `wall_s`
+# from that file: one row per artifact, the same statistics and verdict.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
-workloads="" seeds="1-1" seconds="" pairs=10 revs=()
+workloads="" seeds="1-1" seconds="" pairs=10 revs=() repro="" quick=""
 while [[ $# -gt 0 ]]; do
     case "$1" in
         --workloads) workloads="$2"; shift 2 ;;
         --seeds) seeds="$2"; shift 2 ;;
         --seconds) seconds="$2"; shift 2 ;;
         --pairs) pairs="$2"; shift 2 ;;
+        --repro) repro="$2"; shift 2 ;;
+        --quick) quick="--quick"; shift ;;
         -*) echo "ab.sh: unknown option $1" >&2; exit 2 ;;
         *) revs+=("$1"); shift ;;
     esac
 done
 if [[ ${#revs[@]} -ne 2 ]]; then
     echo "usage: scripts/ab.sh [--workloads W,..] [--seeds LO-HI] [--seconds S] [--pairs N] REV-A REV-B" >&2
+    echo "       scripts/ab.sh --repro ART,.. [--quick] [--pairs N] REV-A REV-B" >&2
     exit 2
 fi
 [[ "$seeds" =~ ^([0-9]+)-([0-9]+)$ ]] || { echo "ab.sh: --seeds takes LO-HI" >&2; exit 2; }
@@ -64,11 +73,17 @@ for rev in "${revs[@]}"; do
         mv "$src.tmp" "$src"
     fi
     echo "== building $rev ($c) ==" >&2
-    (cd "$src" && CARGO_TARGET_DIR="$root/$out/target-$c" \
-        cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml >&2)
+    if [[ -n "$repro" ]]; then
+        (cd "$src" && CARGO_TARGET_DIR="$root/$out/target-$c" \
+            cargo build --release --offline --quiet -p kacc-bench --bin repro >&2)
+    else
+        (cd "$src" && CARGO_TARGET_DIR="$root/$out/target-$c" \
+            cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml >&2)
+    fi
 done
 
-tag="${commits[0]:0:12}-${commits[1]:0:12}"
+tag="${commits[0]:0:12}-${commits[1]:0:12}${repro:+-repro}"
+[[ "$seeds" == 1-1 ]] || tag="$tag-s$seeds"
 raw="$out/$tag.tsv"
 : >"$raw"
 
@@ -83,8 +98,38 @@ run() {
     printf '%s\t%s\t%s\t%s\t%s\n' "$side" "$w" "$k" "$seed" "$line" >>"$raw"
 }
 
-IFS=, read -ra ws <<<"$workloads"
-for w in "${ws[@]}"; do
+# One repro run of side $1: appends one raw line per artifact, its
+# `wall_s` as the only metric.
+run_repro() {
+    local side=$1 k=$2 c=${commits[$1]} a wall line arts
+    local json="$out/bench-$side.json"
+    rm -f "$json"
+    IFS=, read -ra arts <<<"$repro"
+    "$out/target-$c/release/repro" --jobs 1 $quick --bench-out "$json" "${arts[@]}" >/dev/null 2>&1 || true
+    for a in "${arts[@]}"; do
+        wall=$(jq -r --arg a "$a" '.figures[] | select(.name == $a) | .wall_s' "$json" 2>/dev/null) || wall=""
+        if [[ -n "$wall" ]]; then
+            line="{\"correct\": true, \"attempted\": 1, \"failed\": 0, \"metrics\": {\"wall_s\": {\"value\": $wall}}}"
+        else
+            line='{"correct": false, "attempted": 1, "failed": 1, "metrics": {}}'
+        fi
+        printf '%s\t%s\t%s\t%s\t%s\n' "$side" "$a" "$k" 0 "$line" >>"$raw"
+    done
+}
+
+if [[ -n "$repro" ]]; then
+    metrics='[{"name": "wall_s", "unit": "s", "better": "lower"}]'
+    for ((k = 0; k < pairs; k++)); do
+        echo "== repro $repro pair $((k + 1))/$pairs ==" >&2
+        if ((k % 2 == 0)); then run_repro 0 "$k"; run_repro 1 "$k"
+        else run_repro 1 "$k"; run_repro 0 "$k"; fi
+    done
+    ws=()
+else
+    metrics=$(jq -c '.end_to_end' BENCHMARK.json)
+    IFS=, read -ra ws <<<"$workloads"
+fi
+for w in ${ws[@]+"${ws[@]}"}; do
     for ((k = 0; k < pairs; k++)); do
         seed=$((seed_lo + k % seed_n))
         echo "== $w pair $((k + 1))/$pairs seed $seed ==" >&2
@@ -93,11 +138,10 @@ for w in "${ws[@]}"; do
     done
 done
 
-python3 - "$raw" "$out/$tag.json" "${revs[0]}" "${revs[1]}" <<'EOF'
+python3 - "$raw" "$out/$tag.json" "${revs[0]}" "${revs[1]}" "$metrics" <<'EOF'
 import json, sys
 
-raw, dest, rev_a, rev_b = sys.argv[1:]
-spec = json.load(open("BENCHMARK.json"))
+raw, dest, rev_a, rev_b, metrics = sys.argv[1:]
 runs = {}  # (workload, pair) -> [result A, result B]
 for line in open(raw):
     side, w, k, seed, result = line.rstrip("\n").split("\t", 4)
@@ -114,7 +158,7 @@ workloads = list(dict.fromkeys(w for w, _ in runs))
 for w in workloads:
     pairs = [runs[key] for key in sorted(k for k in runs if k[0] == w)]
     failed = [sum(p[s]["failed"] for p in pairs) for s in (0, 1)]
-    for m in spec["end_to_end"]:
+    for m in json.loads(metrics):
         name, lower = m["name"], m["better"] == "lower"
         both = [(p[0]["metrics"].get(name, {}).get("value"),
                  p[1]["metrics"].get(name, {}).get("value")) for p in pairs]
