@@ -123,11 +123,14 @@ struct FailurePoint {
     agree_ns: u64,
     /// Worst-rank virtual time re-executing / resuming the data plan.
     reexec_ns: u64,
+    /// Ranks that were not killed but returned an error.
+    survivor_errors: usize,
 }
 
-/// Run one survivable collective under a silent-kill plan. Per-rank
-/// errors on killed ranks are expected and count a zero breakdown; the
-/// end time covers every rank's exit.
+/// Run one survivable collective under a silent-kill plan. Errors on
+/// killed ranks are expected and add nothing to the breakdown; an error
+/// on any other rank is counted in `survivor_errors`. The end time
+/// covers every rank's exit.
 fn survivable_point(
     arch: &ArchProfile,
     p: usize,
@@ -144,20 +147,22 @@ fn survivable_point(
         comm.write_local(sb, 0, &vec![rank as u8; sent])
             .expect("write");
         let (s, r) = bindings(op, rank, root, sb, rb);
-        match run_survivable_polled(&mut comm, &op, s, r, &RecoveryPolicy::survivable()).await {
-            Ok(o) => (
-                o.membership.detect_ns,
-                o.membership.agree_ns,
-                o.membership.reexec_ns,
-            ),
-            Err(_) => (0, 0, 0),
-        }
+        run_survivable_polled(&mut comm, &op, s, r, &RecoveryPolicy::survivable())
+            .await
+            .ok()
+            .map(|o| o.membership)
     });
+    let phase = |f: fn(&kacc_collectives::MembershipReport) -> u64| {
+        reps.iter().flatten().map(f).max().unwrap_or(0)
+    };
     FailurePoint {
         end_ns: run.end_ns,
-        detect_ns: reps.iter().map(|t| t.0).max().unwrap_or(0),
-        agree_ns: reps.iter().map(|t| t.1).max().unwrap_or(0),
-        reexec_ns: reps.iter().map(|t| t.2).max().unwrap_or(0),
+        detect_ns: phase(|m| m.detect_ns),
+        agree_ns: phase(|m| m.agree_ns),
+        reexec_ns: phase(|m| m.reexec_ns),
+        survivor_errors: (0..p)
+            .filter(|&r| reps[r].is_none() && !dead.iter().any(|&(d, _)| d == r))
+            .count(),
     }
 }
 
@@ -220,7 +225,9 @@ fn count_for(p: usize, quick: bool) -> usize {
 /// Completion time vs injected failures for every survivable
 /// collective, one panel per group size, plus a recovery-phase
 /// breakdown panel (detect / agree / re-execute, worst rank, from the
-/// membership report) for the 2-nomial bcast.
+/// membership report) for the 2-nomial bcast and a panel counting the
+/// survivors that returned an error (a completion time that includes
+/// one is a time-to-fail, not a recovery).
 pub fn fig_failures(quick: bool) -> Vec<Chart> {
     let root = 0;
     let failure_counts: Vec<usize> = vec![0, 1, 2, 3, 4];
@@ -246,6 +253,15 @@ pub fn fig_failures(quick: bool) -> Vec<Chart> {
             "Ranks killed mid-collective",
             "Worst-rank phase time (us)",
         );
+        let mut e = Chart::new(
+            format!("failures_errors_p{p}"),
+            format!(
+                "Survivors that returned an error vs injected rank failures, {} ({p} processes)",
+                arch.name
+            ),
+            "Ranks killed mid-collective",
+            "Survivors with an error",
+        );
         for (label, op) in ops(count, root) {
             let pts: Vec<FailurePoint> = failure_counts
                 .iter()
@@ -253,6 +269,8 @@ pub fn fig_failures(quick: bool) -> Vec<Chart> {
                 .collect();
             let ys: Vec<f64> = pts.iter().map(|pt| pt.end_ns as f64 / US).collect();
             c.series.push(Series::new(label, &failure_counts, &ys));
+            let errs: Vec<f64> = pts.iter().map(|pt| pt.survivor_errors as f64).collect();
+            e.series.push(Series::new(label, &failure_counts, &errs));
             if matches!(op, SurvivableOp::Bcast { .. }) {
                 for (phase, f) in [
                     (
@@ -277,8 +295,14 @@ pub fn fig_failures(quick: bool) -> Vec<Chart> {
              {detect_ns, agree_ns, reexec_ns}"
                 .into(),
         );
+        e.notes.push(
+            "ranks not killed whose survivable call returned an error; zero \
+             means every survivor recovered"
+                .into(),
+        );
         charts.push(c);
         charts.push(b);
+        charts.push(e);
     }
     charts
 }
@@ -344,6 +368,23 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn quick_sweep_has_no_survivor_errors() {
+        let charts = fig_failures(true);
+        let errors = charts
+            .iter()
+            .find(|c| c.id == "failures_errors_p16")
+            .expect("survivor-error panel");
+        for s in &errors.series {
+            assert!(
+                s.points.iter().all(|&(_, y)| y == 0.0),
+                "{}: survivors failed {:?}",
+                s.label,
+                s.points
+            );
         }
     }
 

@@ -18,7 +18,7 @@
 use crate::fluid::FlowId;
 use crate::state::MachineState;
 use crate::team::TeamRun;
-use crate::xfer::{step_xfer, CmaCall, CmaDir, Xfer};
+use crate::xfer::{refusal, step_xfer, CmaCall, CmaDir, Xfer};
 use kacc_comm::{AsyncComm, BufId, CommError, RemoteToken, Result, Tag, Topology};
 use kacc_fault::{FaultDecision, FaultHook, FaultOp, FaultSite};
 use kacc_model::{ArchProfile, FabricParams};
@@ -379,7 +379,7 @@ impl PolledComm {
         sim_with_state(move |s: &mut MachineState, _| {
             s.heaps[src.0]
                 .len_of(src.1)
-                .ok_or(CommError::PermissionDenied)?;
+                .ok_or_else(|| refusal(&s.exited, src.0))?;
             s.move_bytes(src, dst, len);
             Ok(())
         })
@@ -1061,6 +1061,7 @@ where
         sim.spawn(move |tid| async move {
             debug_assert_eq!(tid, rank, "tasks spawn in rank order");
             let r = f(rank).await;
+            sim_with_state(|s: &mut MachineState, _| s.exited[rank] = true);
             debug_assert!(
                 !sim_with_state(|s: &mut MachineState, _| s.owns_live_flow(rank)),
                 "rank {rank} finished while it owns a live flow"
@@ -1533,7 +1534,7 @@ mod tests {
     #[test]
     fn a_fallback_source_freed_between_the_copies_is_refused() {
         const LEN: usize = 1 << 20;
-        let read = |free_after: Option<u64>| {
+        let read = |free_after: Option<u64>, exits: bool| {
             on_both_heaps(1, 2, move |rank| async move {
                 let comm = &mut PolledComm::new(rank);
                 let buf = if rank == 0 {
@@ -1549,6 +1550,10 @@ mod tests {
                         comm.sleep_ns(dt).await;
                         comm.free(buf).unwrap();
                     }
+                    if !exits {
+                        // Outlive the read.
+                        comm.sleep_ns(1 << 30).await;
+                    }
                     return None;
                 }
                 let t0 = comm.time_ns();
@@ -1557,15 +1562,21 @@ mod tests {
                 Some((r, comm.time_ns() - t0, comm.read_all(buf).unwrap()[0]))
             })
         };
-        let [(_, real), (_, ph)] = read(None);
+        let [(_, real), (_, ph)] = read(None, true);
         let Some((Ok(()), dt, 0x5A)) = real[1] else {
             panic!("the plain read: {:?}", real[1]);
         };
         assert!(matches!(ph[1], Some((Ok(()), t, 0)) if t == dt));
-        // Freed after the first copy: both copies are still paid for, and
-        // nothing lands.
-        for (_, res) in read(Some(dt / 2)) {
-            assert_eq!(res[1], Some((Err(CommError::PermissionDenied), dt, 0)));
+        // Freed after the first copy: both copies are still paid for,
+        // nothing lands, and the refusal is EPERM while the owner lives
+        // and ESRCH once it has exited.
+        for (exits, refused) in [
+            (false, CommError::PermissionDenied),
+            (true, CommError::Os(3 /* ESRCH */)),
+        ] {
+            for (_, res) in read(Some(dt / 2), exits) {
+                assert_eq!(res[1], Some((Err(refused.clone()), dt, 0)));
+            }
         }
     }
 

@@ -520,6 +520,10 @@ pub struct MachineState {
     /// Per-rank kernel-assisted transfer in flight, if any (a rank is
     /// inside at most one system call); see [`crate::xfer`].
     pub xfers: Vec<Option<Xfer>>,
+    /// Per-rank: has the rank's task returned? Its process is gone, so a
+    /// transfer that finds its memory missing fails with `ESRCH` rather
+    /// than `EPERM`.
+    pub exited: Vec<bool>,
     /// Per-rank busy-until horizon: the instant the rank's last control
     /// send stops occupying it. A send moves the horizon instead of
     /// parking on a timer, and the rank's clock is `max(now, horizon)`:
@@ -598,6 +602,7 @@ impl MachineState {
             }),
             stats: vec![RankStats::default(); nranks],
             xfers: (0..nranks).map(|_| None).collect(),
+            exited: vec![false; nranks],
             busy_until: vec![0; nranks],
             tracer: kacc_trace::Tracer::off(),
             fault: kacc_fault::FaultHook::off(),

@@ -187,6 +187,7 @@ pub fn step_xfer(s: &mut MachineState, tid: usize, w: &mut Waker, now: SimTime) 
     let MachineState {
         arch,
         xfers,
+        exited,
         heaps,
         locks,
         mems,
@@ -230,7 +231,8 @@ pub fn step_xfer(s: &mut MachineState, tid: usize, w: &mut Waker, now: SimTime) 
                 }
                 let exposed_len = heaps[peer].exposed_len(x.call.token.token);
                 let local_len = heaps[me].len_of(x.call.local.0);
-                x.phase = match admit(&x.call, exposed_len, local_len) {
+                let refused = refusal(exited, peer);
+                x.phase = match admit(&x.call, exposed_len, local_len, refused) {
                     Ok(()) => Phase::PinAdd,
                     Err(e) => Phase::Done(Err(e)),
                 };
@@ -248,7 +250,7 @@ pub fn step_xfer(s: &mut MachineState, tid: usize, w: &mut Waker, now: SimTime) 
                         CmaDir::Write => (near, remote),
                     };
                     if heaps[src.0].len_of(src.1).is_none() {
-                        x.phase = Phase::Done(Err(CommError::PermissionDenied));
+                        x.phase = Phase::Done(Err(refusal(exited, src.0)));
                         continue;
                     }
                     if c.copy_len > 0 {
@@ -349,10 +351,31 @@ pub fn step_xfer(s: &mut MachineState, tid: usize, w: &mut Waker, now: SimTime) 
     }
 }
 
+/// `errno` of a system call on a process that no longer exists.
+const ESRCH: i32 = 3;
+
+/// What a transfer returns when `owner`'s side of it is not (or no
+/// longer) there: `ESRCH` once `owner`'s task has returned — the process
+/// is gone — and `EPERM` while it lives (a buffer never exposed, or freed
+/// in flight).
+pub(crate) fn refusal(exited: &[bool], owner: usize) -> CommError {
+    if exited[owner] {
+        CommError::Os(ESRCH)
+    } else {
+        CommError::PermissionDenied
+    }
+}
+
 /// The checks `process_vm_readv` makes once it has found the target
-/// process: the region must be exposed, both extents in range.
-fn admit(c: &CmaCall, exposed_len: Option<usize>, local_len: Option<usize>) -> Result<()> {
-    let rcap = exposed_len.ok_or(CommError::PermissionDenied)?;
+/// process: the region must be exposed (else `refused`), both extents in
+/// range.
+fn admit(
+    c: &CmaCall,
+    exposed_len: Option<usize>,
+    local_len: Option<usize>,
+    refused: CommError,
+) -> Result<()> {
+    let rcap = exposed_len.ok_or(refused)?;
     if c.remote_off
         .checked_add(c.remote_len)
         .is_none_or(|end| end > rcap)
@@ -403,13 +426,28 @@ mod tests {
     /// Rank 1's phase spans, `(name, duration)` in emission order.
     type Phases = Vec<(&'static str, f64)>;
 
-    /// Rank 0 prepares a `LEN`-byte buffer (id 0); after a barrier rank 1
-    /// allocates `LEN` bytes of its own and makes the call `shape` builds
-    /// from `(token of rank 0's buffer, rank 1's buffer)`. Returns the
-    /// call's result, its duration, rank 1's counts and its phase spans.
+    /// Virtual ns rank 0 outlives the barrier by unless it exits: longer
+    /// than any call made here.
+    const LIVE_NS: u64 = 10_000_000;
+
+    /// [`call_with_owner`] with rank 0 alive throughout the call.
     fn one_call(
         state: MachineState,
         owner: Owner,
+        shape: fn(RemoteToken, BufId) -> CmaCall,
+    ) -> (Result<()>, SimTime, RankStats, Phases) {
+        call_with_owner(state, owner, false, shape)
+    }
+
+    /// Rank 0 prepares a `LEN`-byte buffer (id 0); after a barrier rank 1
+    /// allocates `LEN` bytes of its own and makes the call `shape` builds
+    /// from `(token of rank 0's buffer, rank 1's buffer)`, while rank 0
+    /// lives on or (`exits`) has returned. Returns the call's result, its
+    /// duration, rank 1's counts and its phase spans.
+    fn call_with_owner(
+        state: MachineState,
+        owner: Owner,
+        exits: bool,
         shape: fn(RemoteToken, BufId) -> CmaCall,
     ) -> (Result<()>, SimTime, RankStats, Phases) {
         let (run, mut out, trace) =
@@ -426,6 +464,9 @@ mod tests {
                 }
                 sm_barrier_polled(&mut comm).await.unwrap();
                 if rank != 1 {
+                    if !exits {
+                        comm.sleep_ns(LIVE_NS).await;
+                    }
                     return None;
                 }
                 let local = comm.alloc(LEN);
@@ -558,6 +599,20 @@ mod tests {
     }
 
     #[test]
+    fn an_exited_peer_is_refused_with_esrch_after_the_check() {
+        for owner in [Owner::NeverExposes, Owner::ExposesThenFrees] {
+            let (r, dt, stats, phases) = call_with_owner(node(), owner, true, whole);
+            assert_eq!(r, Err(CommError::Os(ESRCH)));
+            assert_eq!(dt, entry_times().1);
+            assert_refused(&stats, &phases);
+        }
+        // A buffer the exited rank left exposed is still there to read:
+        // only a refusal becomes ESRCH.
+        let (r, _, stats, _) = call_with_owner(node(), Owner::Exposes, true, whole);
+        assert_eq!((r, stats.bytes_read), (Ok(()), LEN as u64));
+    }
+
+    #[test]
     fn out_of_range_extents_are_refused_after_the_check() {
         let (r, dt, stats, phases) = one_call(node(), Owner::Exposes, |token, local| CmaCall {
             remote_off: 1,
@@ -609,9 +664,13 @@ mod tests {
 
     /// Rank 1 reads the whole of rank 0's exposed `len`-byte buffer right
     /// after a barrier; with `free_after`, rank 0 frees that buffer this
-    /// long after the barrier. Returns the read's result, its start and
-    /// end, and the bytes that landed.
-    fn read_while_freed(len: usize, free_after: Option<u64>) -> (Result<()>, u64, u64, Vec<u8>) {
+    /// long after the barrier, then lives on or (`exits`) returns. Returns
+    /// the read's result, its start and end, and the bytes that landed.
+    fn read_while_freed(
+        len: usize,
+        free_after: Option<u64>,
+        exits: bool,
+    ) -> (Result<()>, u64, u64, Vec<u8>) {
         let (_, mut out, _) =
             run_polled_machine_full(node(), false, true, move |rank| async move {
                 let mut comm = PolledComm::new(rank);
@@ -628,6 +687,9 @@ mod tests {
                         comm.sleep_ns(dt).await;
                         comm.free(buf).unwrap();
                     }
+                    if !exits {
+                        comm.sleep_ns(LIVE_NS).await;
+                    }
                     return None;
                 }
                 let t0 = comm.time_ns();
@@ -642,15 +704,21 @@ mod tests {
     fn a_source_freed_mid_read_is_refused_and_moves_nothing() {
         // Four pin batches: the free lands between them.
         let len = 4 * ArchProfile::broadwell().pin_batch_pages * 4096;
-        let (plain, t0, t1, bytes) = read_while_freed(len, None);
+        let (plain, t0, t1, bytes) = read_while_freed(len, None, false);
         assert_eq!((plain, bytes), (Ok(()), vec![7u8; len]));
-        let (r, start, end, bytes) = read_while_freed(len, Some((t1 - t0) / 2));
         // The call runs its course in time and returns what a call on an
-        // unexposed buffer returns; the destination is untouched.
-        assert_eq!(r, Err(CommError::PermissionDenied));
-        assert_eq!((start, end), (t0, t1));
+        // unexposed buffer returns: EPERM while the owner lives, ESRCH
+        // once it has exited. The destination is untouched.
+        for (exits, refused) in [
+            (false, CommError::PermissionDenied),
+            (true, CommError::Os(ESRCH)),
+        ] {
+            let (r, start, end, bytes) = read_while_freed(len, Some((t1 - t0) / 2), exits);
+            assert_eq!(r, Err(refused));
+            assert_eq!((start, end), (t0, t1));
+            assert_eq!(bytes, vec![0u8; len]);
+        }
         assert_eq!((t0, t1), (300, 367_692));
-        assert_eq!(bytes, vec![0u8; len]);
     }
 
     /// Injects `0` into every kernel-assisted call.
