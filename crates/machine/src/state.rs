@@ -4,7 +4,7 @@
 //! endpoint reaches through poll closures: the fluid servers, the per-rank
 //! heaps and the two message planes.
 //!
-//! A heap buffer is real bytes, held in chunks allocated on first write
+//! A heap buffer is real bytes, allocated by its first write
 //! (see [`RankHeap`]), or for a *phantom* team just a length. A bulk
 //! shared-memory message is a [`Buf`] ([`MachineState::bulk`]):
 //! [`RankHeap::copy_out`] takes it from the sender's heap and
@@ -53,155 +53,51 @@ fn in_range(off: usize, len: usize, cap: usize) -> bool {
     off.checked_add(len).is_some_and(|end| end <= cap)
 }
 
-/// Bytes per chunk of a real heap buffer.
-const CHUNK: usize = 64 << 10;
-
 #[cfg(test)]
 thread_local! {
-    /// Chunks materialized on this thread (tests read the difference).
+    /// Buffers materialized on this thread (tests read the difference).
     static MATERIALIZED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
-/// A chunk's storage, built from `bytes` (counted in test builds).
-fn chunk(bytes: Vec<u8>) -> Box<[u8]> {
+/// The storage of a real buffer, once it exists (counted in test builds).
+fn materialize(bytes: Vec<u8>) -> Vec<u8> {
     #[cfg(test)]
     MATERIALIZED.with(|n| n.set(n.get() + 1));
-    bytes.into_boxed_slice()
+    bytes
 }
 
-/// The bytes of a real heap buffer: `len` bytes as fixed [`CHUNK`]-byte
-/// chunks (the last one shorter), each allocated by the first write that
-/// touches it. A missing chunk reads as zeros, so a buffer costs one
-/// pointer per chunk plus the chunks someone has written.
+/// The bytes of a real heap buffer: `len` bytes, allocated whole by the
+/// first write that is not all zeros. Until then the buffer reads as
+/// zeros and costs nothing but its length.
 #[derive(Debug)]
-struct Chunks {
+struct Lazy {
     len: usize,
-    chunks: Vec<Option<Box<[u8]>>>,
+    bytes: Option<Vec<u8>>,
 }
 
-/// Where the bytes of a write come from: a flat slice, or the region of
-/// a chunked buffer starting at an offset.
-#[derive(Clone, Copy)]
-enum Src<'a> {
-    Flat(&'a [u8]),
-    Chunks(&'a Chunks, usize),
-}
-
-impl<'a> Src<'a> {
-    /// The longest run of the source starting `at` bytes in, at most
-    /// `max` long: its length, and its bytes unless it lies in a missing
-    /// chunk (zeros).
-    fn run(self, at: usize, max: usize) -> (usize, Option<&'a [u8]>) {
-        match self {
-            Src::Flat(bytes) => (max, Some(&bytes[at..at + max])),
-            Src::Chunks(c, off) => {
-                let pos = off + at;
-                let (i, o) = (pos / CHUNK, pos % CHUNK);
-                let n = (c.chunk_len(i) - o).min(max);
-                (n, c.chunks[i].as_deref().map(|b| &b[o..o + n]))
-            }
-        }
+impl Lazy {
+    /// `[off, off + len)` (in range): its bytes, or `None` while the
+    /// buffer is unallocated (zeros).
+    fn region(&self, off: usize, len: usize) -> Option<&[u8]> {
+        self.bytes.as_deref().map(|b| &b[off..off + len])
     }
 
-    /// Does `[at, at + len)` lie wholly in missing chunks?
-    fn is_missing(self, at: usize, len: usize) -> bool {
-        let mut k = 0;
-        while k < len {
-            let (n, bytes) = self.run(at + k, len - k);
-            if bytes.is_some() {
-                return false;
-            }
-            k += n;
-        }
-        true
-    }
-
-    /// Copy `[at, at + dst.len())` into `dst`, zeros for missing chunks.
-    fn fill(self, at: usize, dst: &mut [u8]) {
-        let mut k = 0;
-        while k < dst.len() {
-            let (n, bytes) = self.run(at + k, dst.len() - k);
-            match bytes {
-                Some(b) => dst[k..k + n].copy_from_slice(b),
-                None => dst[k..k + n].fill(0),
-            }
-            k += n;
-        }
-    }
-
-    /// Append `[at, at + len)` to `v`, without zero-filling first.
-    fn append(self, at: usize, len: usize, v: &mut Vec<u8>) {
-        let mut k = 0;
-        while k < len {
-            let (n, bytes) = self.run(at + k, len - k);
-            match bytes {
-                Some(b) => v.extend_from_slice(b),
-                None => v.resize(v.len() + n, 0),
-            }
-            k += n;
-        }
-    }
-
-    /// `[at, at + len)` as a vector.
-    fn to_vec(self, at: usize, len: usize) -> Vec<u8> {
-        let mut v = Vec::with_capacity(len);
-        self.append(at, len, &mut v);
-        v
-    }
-}
-
-impl Chunks {
-    /// `len` zero bytes, none of them allocated.
-    fn zeroed(len: usize) -> Chunks {
-        Chunks {
-            len,
-            chunks: vec![None; len.div_ceil(CHUNK)],
-        }
-    }
-
-    /// `len` bytes copied from `src`.
-    fn copied(len: usize, src: Src) -> Chunks {
-        let mut c = Chunks::zeroed(len);
-        c.write(0, len, src);
-        c
-    }
-
-    /// Length of chunk `i`.
-    fn chunk_len(&self, i: usize) -> usize {
-        CHUNK.min(self.len - i * CHUNK)
-    }
-
-    /// Write `len` bytes of `src` at `off` (in range; the caller checks).
-    /// A missing chunk the source leaves all zeros stays missing; any
-    /// other is built as its zeros before the write, the source bytes and
-    /// its zeros after, each byte written once.
-    fn write(&mut self, off: usize, len: usize, src: Src) {
-        let mut done = 0;
-        while done < len {
-            let pos = off + done;
-            let (i, o) = (pos / CHUNK, pos % CHUNK);
-            let whole = self.chunk_len(i);
-            let n = (whole - o).min(len - done);
-            match &mut self.chunks[i] {
-                Some(c) => src.fill(done, &mut c[o..o + n]),
-                None if src.is_missing(done, n) => {}
-                slot => {
-                    let mut v = Vec::with_capacity(whole);
-                    v.resize(o, 0);
-                    src.append(done, n, &mut v);
-                    v.resize(whole, 0);
-                    *slot = Some(chunk(v));
-                }
-            }
-            done += n;
+    /// Write `len` bytes of `src` (`None`: zeros) at `off` (in range).
+    /// Zeros onto an unallocated buffer leave it unallocated.
+    fn write(&mut self, off: usize, len: usize, src: Option<&[u8]>) {
+        match (&mut self.bytes, src) {
+            (None, None) => {}
+            (Some(b), None) => b[off..off + len].fill(0),
+            (b, Some(s)) => b.get_or_insert_with(|| materialize(vec![0; self.len]))[off..off + len]
+                .copy_from_slice(s),
         }
     }
 }
 
-/// The storage of one heap buffer: chunked bytes, or a length alone.
+/// The storage of one heap buffer: lazy bytes, or a length alone.
 #[derive(Debug)]
 enum Mem {
-    Real(Chunks),
+    Real(Lazy),
     Phantom(usize),
 }
 
@@ -215,7 +111,7 @@ impl Mem {
 
     /// Write `len` bytes of `src` at `off` (a range check alone into a
     /// phantom). False if out of range.
-    fn write(&mut self, off: usize, len: usize, src: Src) -> bool {
+    fn write(&mut self, off: usize, len: usize, src: Option<&[u8]>) -> bool {
         let ok = in_range(off, len, self.len());
         if let (true, Mem::Real(c)) = (ok, self) {
             c.write(off, len, src);
@@ -233,10 +129,10 @@ struct HeapSlot {
 
 /// One simulated process's private memory: buffers and exposure set.
 ///
-/// A real buffer is stored in 64 KiB chunks allocated on first write, so
-/// allocating one costs a pointer per chunk and the bytes nobody writes
-/// are never zero-filled or copied; every accessor behaves as if the
-/// whole buffer were present and zero-initialised.
+/// A real buffer's bytes are allocated by the first write that is not
+/// all zeros, so allocating one costs its length alone and a buffer
+/// nobody writes is never zero-filled or copied; every accessor behaves
+/// as if the whole buffer were present and zero-initialised.
 #[derive(Debug, Default)]
 pub struct RankHeap {
     /// `slots[id]`: ids are handed out in sequence and never reused, so a
@@ -265,7 +161,7 @@ impl RankHeap {
         self.push(if self.phantom {
             Mem::Phantom(len)
         } else {
-            Mem::Real(Chunks::zeroed(len))
+            Mem::Real(Lazy { len, bytes: None })
         })
     }
 
@@ -275,7 +171,10 @@ impl RankHeap {
         self.push(if self.phantom {
             Mem::Phantom(data.len())
         } else {
-            Mem::Real(Chunks::copied(data.len(), Src::Flat(data)))
+            Mem::Real(Lazy {
+                len: data.len(),
+                bytes: Some(materialize(data.to_vec())),
+            })
         })
     }
 
@@ -302,7 +201,10 @@ impl RankHeap {
     pub fn read(&self, id: u64, off: usize, out: &mut [u8]) -> bool {
         match self.slot(id).map(|s| &s.mem) {
             Some(Mem::Real(c)) if in_range(off, out.len(), c.len) => {
-                Src::Chunks(c, off).fill(0, out);
+                match c.region(off, out.len()) {
+                    Some(b) => out.copy_from_slice(b),
+                    None => out.fill(0),
+                }
                 true
             }
             Some(Mem::Phantom(n)) if in_range(off, out.len(), *n) => {
@@ -316,7 +218,7 @@ impl RankHeap {
     /// Write bytes in (no-op into phantoms). False if invalid.
     pub fn write(&mut self, id: u64, off: usize, data: &[u8]) -> bool {
         self.slot_mut(id)
-            .is_some_and(|s| s.mem.write(off, data.len(), Src::Flat(data)))
+            .is_some_and(|s| s.mem.write(off, data.len(), Some(data)))
     }
 
     /// Copy a region out as a vector (zeroes for phantoms). None if
@@ -333,7 +235,10 @@ impl RankHeap {
     /// access is invalid.
     pub fn copy_out(&self, id: u64, off: usize, len: usize) -> Option<Buf> {
         match &self.slot(id)?.mem {
-            Mem::Real(_) => Some(Buf::Real(self.region(id, off, len)?.to_vec(0, len))),
+            Mem::Real(_) => Some(Buf::Real(match self.region(id, off, len)? {
+                Some(b) => b.to_vec(),
+                None => vec![0; len],
+            })),
             Mem::Phantom(cap) => in_range(off, len, *cap).then_some(Buf::Phantom(len)),
         }
     }
@@ -344,16 +249,16 @@ impl RankHeap {
     /// the access is invalid.
     pub fn copy_in(&mut self, id: u64, off: usize, msg: &Buf) -> bool {
         self.slot_mut(id).is_some_and(|s| match msg {
-            Buf::Real(bytes) => s.mem.write(off, bytes.len(), Src::Flat(bytes)),
+            Buf::Real(bytes) => s.mem.write(off, bytes.len(), Some(bytes)),
             Buf::Phantom(len) => in_range(off, *len, s.mem.len()),
         })
     }
 
-    /// A region of a real buffer as a copy source; `None` for phantoms
-    /// and invalid accesses.
-    fn region(&self, id: u64, off: usize, len: usize) -> Option<Src<'_>> {
+    /// A region of a real buffer as a copy source (`Some(None)` while it
+    /// reads as zeros); `None` for phantoms and invalid accesses.
+    fn region(&self, id: u64, off: usize, len: usize) -> Option<Option<&[u8]>> {
         match &self.slot(id)?.mem {
-            Mem::Real(c) if in_range(off, len, c.len) => Some(Src::Chunks(c, off)),
+            Mem::Real(c) if in_range(off, len, c.len) => Some(c.region(off, len)),
             _ => None,
         }
     }
@@ -392,8 +297,9 @@ impl RankHeap {
                 Some(Mem::Real(c))
                     if in_range(src_off, len, c.len) && in_range(dst_off, len, c.len) =>
                 {
-                    let from = Chunks::copied(len, Src::Chunks(c, src_off));
-                    c.write(dst_off, len, Src::Chunks(&from, 0));
+                    if let Some(b) = &mut c.bytes {
+                        b.copy_within(src_off..src_off + len, dst_off);
+                    }
                     true
                 }
                 _ => false,
@@ -861,75 +767,68 @@ mod tests {
         st.move_bytes((0, a, 0), (1, b, 0), 4);
     }
 
-    /// Chunks materialized on this thread so far.
+    /// Buffers materialized on this thread so far.
     fn materialized() -> usize {
         MATERIALIZED.with(|n| n.get())
     }
 
     #[test]
-    fn chunks_materialize_on_first_write_only() {
+    fn a_buffer_materializes_on_its_first_write_only() {
         let mut h = RankHeap::default();
         let n0 = materialized();
-        let a = h.alloc(16 * CHUNK + 3);
+        let a = h.alloc(16 * BIG + 3);
         assert_eq!(materialized(), n0, "alloc touches no byte");
-        assert!(h.write(a, 5 * CHUNK + 7, &[1]));
-        assert_eq!(materialized(), n0 + 1, "a one-byte write builds one chunk");
-        assert!(h.write(a, 5 * CHUNK, &[2; 8]));
-        assert_eq!(materialized(), n0 + 1, "the chunk is reused");
+        assert!(h.write(a, 5 * BIG + 7, &[1]));
+        assert_eq!(materialized(), n0 + 1, "a one-byte write builds the buffer");
+        assert!(h.write(a, 5 * BIG, &[2; 8]));
+        assert_eq!(materialized(), n0 + 1, "the buffer is reused");
 
-        // Copies from missing chunks leave missing destinations missing
-        // and zero present ones.
-        let b = h.alloc(16 * CHUNK + 3);
-        assert!(h.copy_within(b, 0, a, CHUNK, 8 * CHUNK));
+        // Copies from an unwritten buffer leave an unwritten destination
+        // unwritten and zero a written one.
+        let b = h.alloc(16 * BIG + 3);
+        assert!(h.copy_within(b, 0, a, BIG, 8 * BIG));
         assert_eq!(materialized(), n0 + 1, "zeros onto zeros");
-        assert_eq!(h.extract(a, 5 * CHUNK, 8), Some(vec![0; 8]));
+        assert_eq!(h.extract(a, 5 * BIG, 8), Some(vec![0; 8]));
+        assert!(h.copy_within(b, 0, b, 7, 3 * BIG));
         let mut other = RankHeap::default();
-        let c = other.alloc(3 * CHUNK);
-        assert!(other.copy_from(c, 0, &h, b, 0, 3 * CHUNK));
+        let c = other.alloc(3 * BIG);
+        assert!(other.copy_from(c, 0, &h, b, 0, 3 * BIG));
         assert_eq!(materialized(), n0 + 1);
 
-        // A whole-chunk write and alloc_from build each chunk once, and
-        // a straddling write builds both chunks it touches.
-        assert!(h.write(b, CHUNK, &vec![9; CHUNK]));
+        // alloc_from and a copy from a written buffer build one each.
+        let d = h.alloc_from(&[1; 5]);
         assert_eq!(materialized(), n0 + 2);
-        h.alloc_from(&vec![1; 2 * CHUNK + 1]);
-        assert_eq!(materialized(), n0 + 5);
-        assert!(h.write(b, 3 * CHUNK - 1, &[4, 4]));
-        assert_eq!(materialized(), n0 + 7);
+        assert!(other.copy_from(c, 1, &h, d, 0, 3));
+        assert_eq!(materialized(), n0 + 3);
+        assert_eq!(other.extract(c, 0, 5), Some(vec![0, 1, 1, 1, 0]));
     }
 
     /// One heap operation for the model check: a kind, a heap, two
     /// buffer picks; two offset picks and a length pick; a fill byte.
     type Op = ((u8, bool, u8, u8), (usize, usize, usize), u8);
 
-    /// Buffer lengths around chunk edges, with small ones mixed in.
-    const LENS: [usize; 8] = [
-        0,
-        1,
-        13,
-        CHUNK - 1,
-        CHUNK,
-        CHUNK + 1,
-        2 * CHUNK + 5,
-        3 * CHUNK,
-    ];
+    /// The scale of the model check's large buffers and accesses.
+    const BIG: usize = 64 << 10;
 
-    /// An offset into a buffer of `cap` bytes near a chunk edge; one
-    /// pick in `cap + 2` lands past the end.
+    /// Buffer lengths from empty to a few `BIG`.
+    const LENS: [usize; 8] = [0, 1, 13, BIG - 1, BIG, BIG + 1, 2 * BIG + 5, 3 * BIG];
+
+    /// An offset into a buffer of `cap` bytes near a multiple of `BIG`;
+    /// one pick in `cap + 2` lands past the end.
     fn pick_off(raw: usize, cap: usize) -> usize {
-        let edge = (raw % 4) * CHUNK + (raw / 4) % 7;
+        let edge = (raw % 4) * BIG + (raw / 4) % 7;
         edge.saturating_sub(3) % (cap + 2)
     }
 
     /// A length for an access at `off` of a `cap`-byte buffer: short,
-    /// chunk-sized or to the end, overshooting by one in one pick of 16.
+    /// about `BIG` or to the end, overshooting by one in one pick of 16.
     fn pick_len(raw: usize, off: usize, cap: usize) -> usize {
         let room = cap.saturating_sub(off);
         let want = match raw % 4 {
             0 => raw / 4 % 9,
-            1 => CHUNK + raw / 4 % 3 - 1,
+            1 => BIG + raw / 4 % 3 - 1,
             2 => room,
-            _ => raw / 4 % (2 * CHUNK + 1),
+            _ => raw / 4 % (2 * BIG + 1),
         };
         want.min(room) + usize::from(raw % 16 == 15)
     }
@@ -1055,7 +954,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
         #[test]
-        fn chunked_heap_matches_a_flat_model(ops in heap_ops()) {
+        fn lazy_heap_matches_a_flat_model(ops in heap_ops()) {
             let mut heaps = [RankHeap::default(), RankHeap::default()];
             let mut models = [Vec::new(), Vec::new()];
             for op in ops {
