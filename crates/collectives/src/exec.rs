@@ -21,7 +21,7 @@
 use std::sync::OnceLock;
 
 use kacc_comm::{
-    block_on, smcoll, AsyncComm, Blocking, BufId, Comm, CommError, RemoteToken, Result,
+    block_on, smcoll, AsyncComm, Blocking, BufId, Comm, CommError, RemoteToken, Result, ESRCH,
 };
 use kacc_metrics::{bucket_index, bucket_quantile_bound, BUCKETS};
 use kacc_trace::{Event, EventKind, Tracer, Track};
@@ -880,10 +880,6 @@ impl ResumeState {
         }
     }
 }
-
-/// `errno` for "no such process": the peer died. Named locally to keep
-/// this crate libc-free.
-pub(crate) const ESRCH: i32 = 3;
 
 /// True for errors worth retrying in place: the operation may succeed on
 /// a later attempt with no change of data path. `Os(ESRCH)` — peer died —

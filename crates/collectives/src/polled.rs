@@ -19,11 +19,11 @@
 
 use crate::exec::{
     is_suspect_error, is_transient, proto, recv_deadline_ns, step_peer, Bindings, Ctx, Recorder,
-    RecoveryPolicy, ResumeState, ScheduleReport, StepKind, ESRCH,
+    RecoveryPolicy, ResumeState, ScheduleReport, StepKind,
 };
 use crate::reduce::combine;
 use crate::schedule::{Schedule, Step};
-use kacc_comm::{AsyncComm, BufId, CommError, RemoteToken, Result, Tag};
+use kacc_comm::{AsyncComm, BufId, CommError, RemoteToken, Result, Tag, ESRCH};
 use kacc_trace::{Tracer, Track};
 
 /// Execute a compiled schedule on `comm` with the given bindings.

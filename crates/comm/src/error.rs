@@ -2,6 +2,12 @@
 
 use std::fmt;
 
+/// `errno` of a call on a process that no longer exists (`ESRCH`): what
+/// [`CommError::Os`] carries when a peer has died. Every transport and
+/// the recovery code that tells peer death from other errors use this
+/// one value.
+pub const ESRCH: i32 = 3;
+
 /// Errors surfaced by [`crate::Comm`] operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CommError {

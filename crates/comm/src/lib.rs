@@ -41,7 +41,7 @@ pub mod topology;
 
 pub use asynccomm::{block_on, AsyncComm, Blocking};
 pub use buffer::{BufId, RemoteToken};
-pub use error::{CommError, Result};
+pub use error::{CommError, Result, ESRCH};
 pub use group::validate_members;
 pub use mask::MemberMask;
 pub use topology::Topology;

@@ -41,7 +41,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use kacc_comm::CommError;
+use kacc_comm::{CommError, ESRCH};
 
 /// Transport operation kinds a fault can target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -230,7 +230,7 @@ pub enum FaultKind {
     /// CMA→SHM fallback rather than retries.
     PermDenied,
     /// Rank `rank` is dead: every operation initiated by it or targeting
-    /// it fails with `CommError::Os(3)` (`ESRCH`). Fires unconditionally
+    /// it fails with `CommError::Os(ESRCH)`. Fires unconditionally
     /// on match — death is not probabilistic.
     PeerDead {
         /// The dead rank.
@@ -354,7 +354,7 @@ impl FaultRule {
             }
             FaultKind::Transient { errno } => FaultDecision::Fail(CommError::Os(errno)),
             FaultKind::PermDenied => FaultDecision::Fail(CommError::PermissionDenied),
-            FaultKind::PeerDead { .. } => FaultDecision::Fail(CommError::Os(3 /* ESRCH */)),
+            FaultKind::PeerDead { .. } => FaultDecision::Fail(CommError::Os(ESRCH)),
             FaultKind::Delay { ns } => FaultDecision::Delay { ns },
         }
     }
@@ -810,7 +810,7 @@ mod tests {
     #[test]
     fn peer_dead_fires_on_both_directions_unconditionally() {
         let p = FaultPlan::new(5).rule(FaultRule::new(FaultKind::PeerDead { rank: 2 }, 0.0));
-        let dead = FaultDecision::Fail(CommError::Os(3));
+        let dead = FaultDecision::Fail(CommError::Os(ESRCH));
         assert_eq!(p.decide(&site(2, 0, FaultOp::CtrlSend, 8)), dead);
         assert_eq!(p.decide(&site(0, 2, FaultOp::CmaRead, 64)), dead);
         assert_eq!(
@@ -868,7 +868,7 @@ mod tests {
                 } else {
                     assert_eq!(
                         d,
-                        FaultDecision::Fail(CommError::Os(3)),
+                        FaultDecision::Fail(CommError::Os(ESRCH)),
                         "rank {rank} op {i}"
                     );
                 }

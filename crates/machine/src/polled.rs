@@ -1572,7 +1572,7 @@ mod tests {
         // and ESRCH once it has exited.
         for (exits, refused) in [
             (false, CommError::PermissionDenied),
-            (true, CommError::Os(3 /* ESRCH */)),
+            (true, CommError::Os(kacc_comm::ESRCH)),
         ] {
             for (_, res) in read(Some(dt / 2), exits) {
                 assert_eq!(res[1], Some((Err(refused.clone()), dt, 0)));

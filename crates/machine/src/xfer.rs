@@ -21,7 +21,7 @@
 
 use crate::fluid::FlowId;
 use crate::state::{move_bytes, MachineState};
-use kacc_comm::{BufId, CommError, RemoteToken, Result};
+use kacc_comm::{BufId, CommError, RemoteToken, Result, ESRCH};
 use kacc_sim_core::polled::{Park, Step};
 use kacc_sim_core::{SimTime, Waker};
 use kacc_trace::Track;
@@ -350,9 +350,6 @@ pub fn step_xfer(s: &mut MachineState, tid: usize, w: &mut Waker, now: SimTime) 
         }
     }
 }
-
-/// `errno` of a system call on a process that no longer exists.
-const ESRCH: i32 = 3;
 
 /// What a transfer returns when `owner`'s side of it is not (or no
 /// longer) there: `ESRCH` once `owner`'s task has returned — the process
