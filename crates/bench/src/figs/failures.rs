@@ -340,6 +340,7 @@ mod tests {
         assert_eq!(a.len(), b.len());
         assert!(a.iter().any(|c| c.id.starts_with("failures_p")));
         assert!(a.iter().any(|c| c.id.starts_with("failures_breakdown_")));
+        assert!(a.iter().any(|c| c.id.starts_with("failures_errors_")));
         for (ca, cb) in a.iter().zip(&b) {
             assert_eq!(ca.id, cb.id);
             for (sa, sb) in ca.series.iter().zip(&cb.series) {
@@ -354,6 +355,19 @@ mod tests {
             // breakdown panel is not monotone by construction — a
             // watermark resume can shrink reexec_ns while detect_ns
             // grows.)
+            // Every survivor of the quick sweep recovers: no survivor
+            // errors (the full sweep still has some, see EXPERIMENTS.md).
+            if ca.id.starts_with("failures_errors_") {
+                for sa in &ca.series {
+                    assert!(
+                        sa.points.iter().all(|&(_, y)| y == 0.0),
+                        "{}/{}: survivors failed {:?}",
+                        ca.id,
+                        sa.label,
+                        sa.points
+                    );
+                }
+            }
             if ca.id.starts_with("failures_p") {
                 for sa in &ca.series {
                     for w in sa.points.windows(2) {
@@ -368,23 +382,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn quick_sweep_has_no_survivor_errors() {
-        let charts = fig_failures(true);
-        let errors = charts
-            .iter()
-            .find(|c| c.id == "failures_errors_p16")
-            .expect("survivor-error panel");
-        for s in &errors.series {
-            assert!(
-                s.points.iter().all(|&(_, y)| y == 0.0),
-                "{}: survivors failed {:?}",
-                s.label,
-                s.points
-            );
         }
     }
 

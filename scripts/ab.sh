@@ -3,7 +3,7 @@
 #
 #   scripts/ab.sh [--workloads W1,W2,..] [--seeds LO-HI] [--seconds S]
 #                 [--pairs N] REV-A REV-B
-#   scripts/ab.sh --repro ART1,ART2,.. [--quick] [--pairs N] REV-A REV-B
+#   scripts/ab.sh --repro ART1,ART2,.. [--pairs N] REV-A REV-B
 #
 # Exports each revision with `git archive` into target/ab/src-<commit>,
 # builds its benchmark offline into target/ab/target-<commit>, then runs
@@ -28,13 +28,13 @@
 # also written to target/ab/<A>-<B>.json.
 #
 # With --repro the pairs run each revision's own `repro --jobs 1
-# --bench-out FILE ARTS` (full scale, or --quick) instead, built into the
+# --bench-out FILE ARTS` (full scale) instead, built into the
 # same target directory, and the table compares each artifact's `wall_s`
 # from that file: one row per artifact, the same statistics and verdict.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
-workloads="" seeds="1-1" seconds="" pairs=10 revs=() repro="" quick=""
+workloads="" seeds="1-1" seconds="" pairs=10 revs=() repro=""
 while [[ $# -gt 0 ]]; do
     case "$1" in
         --workloads) workloads="$2"; shift 2 ;;
@@ -42,14 +42,13 @@ while [[ $# -gt 0 ]]; do
         --seconds) seconds="$2"; shift 2 ;;
         --pairs) pairs="$2"; shift 2 ;;
         --repro) repro="$2"; shift 2 ;;
-        --quick) quick="--quick"; shift ;;
         -*) echo "ab.sh: unknown option $1" >&2; exit 2 ;;
         *) revs+=("$1"); shift ;;
     esac
 done
 if [[ ${#revs[@]} -ne 2 ]]; then
     echo "usage: scripts/ab.sh [--workloads W,..] [--seeds LO-HI] [--seconds S] [--pairs N] REV-A REV-B" >&2
-    echo "       scripts/ab.sh --repro ART,.. [--quick] [--pairs N] REV-A REV-B" >&2
+    echo "       scripts/ab.sh --repro ART,.. [--pairs N] REV-A REV-B" >&2
     exit 2
 fi
 [[ "$seeds" =~ ^([0-9]+)-([0-9]+)$ ]] || { echo "ab.sh: --seeds takes LO-HI" >&2; exit 2; }
@@ -105,7 +104,7 @@ run_repro() {
     local json="$out/bench-$side.json"
     rm -f "$json"
     IFS=, read -ra arts <<<"$repro"
-    "$out/target-$c/release/repro" --jobs 1 $quick --bench-out "$json" "${arts[@]}" >/dev/null 2>&1 || true
+    "$out/target-$c/release/repro" --jobs 1 --bench-out "$json" "${arts[@]}" >/dev/null 2>&1 || true
     for a in "${arts[@]}"; do
         wall=$(jq -r --arg a "$a" '.figures[] | select(.name == $a) | .wall_s' "$json" 2>/dev/null) || wall=""
         if [[ -n "$wall" ]]; then
