@@ -932,6 +932,14 @@ mod tests {
                 v[off..off + len].copy_from_slice(&data);
             }
         }
+        // The buffer an operation targets must match its model in full,
+        // bytes it did not touch included.
+        if let Some(v) = models[h].get(a).and_then(Option::as_ref) {
+            prop_assert!(
+                heaps[h].extract(id, 0, v.len()).as_deref() == Some(&v[..]),
+                "{a}"
+            );
+        }
         for (heap, model) in heaps.iter().zip(models.iter()) {
             for (id, v) in model.iter().enumerate() {
                 prop_assert_eq!(heap.len_of(id as u64), v.as_ref().map(Vec::len));
