@@ -1,10 +1,12 @@
 //! Simulated-latency measurement helpers shared by every figure.
 //!
 //! Every helper runs one async body per rank on the polled engine
-//! (`run_polled_team_phantom` / `PolledComm`): the native collectives
+//! (`run_polled_team` / `PolledComm`): the native collectives
 //! through their `*_polled` entries, the library personas through
 //! `kacc_mpi::baseline::*_async`, the microbenchmarks straight on the
-//! endpoint. All reported quantities are virtual time or counts.
+//! endpoint. All reported quantities are virtual time or counts, and no
+//! body writes its buffers, so however large a point's buffers are they
+//! stay lengths and cost no memory.
 
 use kacc_collectives::{
     allgather_polled, alltoall_polled, bcast_polled, gatherv_polled, scatter_polled, AllgatherAlgo,
@@ -12,9 +14,7 @@ use kacc_collectives::{
 };
 use kacc_comm::{RemoteToken, Tag};
 use kacc_machine::polled::sm_barrier_polled;
-use kacc_machine::{
-    run_polled_machine_full, run_polled_team_phantom, MachineState, PolledComm, TeamRun,
-};
+use kacc_machine::{run_polled_machine_full, run_polled_team, MachineState, PolledComm, TeamRun};
 use kacc_model::ArchProfile;
 use kacc_mpi::baseline::{self, Library};
 use kacc_numerics::stats;
@@ -31,7 +31,7 @@ pub fn timed_team_polled<F>(arch: &ArchProfile, p: usize, f: F) -> f64
 where
     F: AsyncFn(&mut PolledComm) + Clone + 'static,
 {
-    let (_, durs) = run_polled_team_phantom(arch, p, move |rank| {
+    let (_, durs) = run_polled_team(arch, p, move |rank| {
         let f = f.clone();
         async move {
             let mut comm = PolledComm::new(rank);
@@ -222,7 +222,7 @@ fn contention_team(
     eta: usize,
     role: impl Fn(usize) -> Role + 'static,
 ) -> (TeamRun, Vec<u64>) {
-    run_polled_team_phantom(arch, p, move |rank| {
+    run_polled_team(arch, p, move |rank| {
         let role = role(rank);
         async move { serve_or_read(&mut PolledComm::new(rank), role, eta).await }
     })
@@ -320,7 +320,7 @@ pub struct WakeStorm {
 /// `p`-rank team (`eta` bytes per rank) and report the wake-storm
 /// diagnostics carried back on the `TeamRun`.
 pub fn wake_storm_probe(arch: &ArchProfile, p: usize, eta: usize, iters: usize) -> WakeStorm {
-    let (run, _) = run_polled_team_phantom(arch, p, move |rank| async move {
+    let (run, _) = run_polled_team(arch, p, move |rank| async move {
         let mut comm = PolledComm::new(rank);
         let sb = comm.alloc(eta);
         let rb = comm.alloc(p * eta);
@@ -351,7 +351,7 @@ pub fn wake_storm_probe(arch: &ArchProfile, p: usize, eta: usize, iters: usize) 
 /// order.
 pub fn breakdown(arch: &ArchProfile, readers: usize, pages: usize) -> [f64; 5] {
     let eta = pages * arch.page_size;
-    let state = MachineState::cluster_opts(arch.clone(), 1, readers + 1, None, true);
+    let state = MachineState::new(arch.clone(), readers + 1);
     let (_, _, trace) = run_polled_machine_full(state, true, true, move |rank| {
         let role = one_to_all_role(rank, readers, eta, false);
         async move { serve_or_read(&mut PolledComm::new(rank), role, eta).await }

@@ -369,8 +369,8 @@ impl PolledComm {
             self.tracer
                 .span(Track::Rank(me), "copy", t1, w2, len as u64, None);
         }
-        // Data plane (phantom-aware), with the same refusal of a source
-        // freed in flight as the CMA path.
+        // Data plane (zeros onto zeros move nothing), with the same
+        // refusal of a source freed in flight as the CMA path.
         let (remote, near) = ((peer, token.token, remote_off), (me, local.0, local_off));
         let (src, dst) = match dir {
             CmaDir::Read => (remote, near),
@@ -666,7 +666,7 @@ impl PolledComm {
             s.stats[me].shm_ops += 1;
             s.stats[me].shm_bytes += len as u64;
             // The message is the region as it is once the copy is paid
-            // for: its bytes, or for a phantom team its length.
+            // for: its bytes, or the length of a region nobody wrote.
             let payload = s.heaps[me]
                 .copy_out(src.0, off, len)
                 .expect("range checked above");
@@ -918,9 +918,9 @@ where
     (run, results)
 }
 
-/// [`run_polled_team`] with phantom (length-only) buffers: identical
-/// virtual timing, no data plane — the memory-safe choice for large
-/// measurement sweeps where correctness is covered elsewhere.
+/// [`run_polled_team`] under its former name, kept only because the
+/// benchmark package imports it: a team that never writes its buffers
+/// allocates none of them on any heap.
 pub fn run_polled_team_phantom<R, F, Fut>(
     arch: &ArchProfile,
     nranks: usize,
@@ -931,13 +931,7 @@ where
     Fut: Future<Output = R> + 'static,
     R: 'static,
 {
-    let (run, results, _) = run_polled_machine_full(
-        MachineState::cluster_opts(arch.clone(), 1, nranks, None, true),
-        false,
-        true,
-        f,
-    );
-    (run, results)
+    run_polled_team(arch, nranks, f)
 }
 
 /// [`run_polled_team`] with tracing enabled: additionally returns the
@@ -1350,21 +1344,27 @@ mod tests {
         );
     }
 
-    // ---- the bulk message plane, on real and on phantom heaps ----------
+    // ---- the bulk message plane, on written and on unwritten heaps ----
 
-    /// Run `f` on a `nodes × rpn` Broadwell cluster twice, with real and
-    /// with phantom heaps.
+    /// Byte the written runs of [`on_both_heaps`] fill their buffers with.
+    const FILL: u8 = 0xA5;
+
+    /// Run `f(rank, fill)` on a `nodes × rpn` Broadwell cluster twice:
+    /// with buffers filled with [`FILL`] (written), and with zeros (never
+    /// allocated). Virtual time must not tell the two apart.
     fn on_both_heaps<R, F, Fut>(nodes: usize, rpn: usize, f: F) -> [(TeamRun, Vec<R>); 2]
     where
-        F: Fn(usize) -> Fut + Clone + 'static,
+        F: Fn(usize, u8) -> Fut + Clone + 'static,
         Fut: Future<Output = R> + 'static,
         R: 'static,
     {
-        [false, true].map(|phantom| {
+        [FILL, 0].map(|fill| {
             let arch = ArchProfile::broadwell();
             let fabric = (nodes > 1).then(|| arch.default_fabric());
-            let state = MachineState::cluster_opts(arch, nodes, rpn, fabric, phantom);
-            let (run, results, _) = run_polled_machine_full(state, false, true, f.clone());
+            let state = MachineState::cluster(arch, nodes, rpn, fabric);
+            let f = f.clone();
+            let (run, results, _) =
+                run_polled_machine_full(state, false, true, move |rank| f(rank, fill));
             (run, results)
         })
     }
@@ -1382,11 +1382,11 @@ mod tests {
     }
 
     #[test]
-    fn a_phantom_message_is_a_length_and_a_real_one_its_bytes() {
+    fn a_zero_message_is_a_length_and_a_written_one_its_bytes() {
         const LEN: usize = 1 << 20;
-        let [(real_run, real), (ph_run, ph)] = on_both_heaps(1, 2, |rank| async move {
+        let [(real_run, real), (zero_run, zero)] = on_both_heaps(1, 2, |rank, fill| async move {
             let comm = &mut PolledComm::new(rank);
-            let buf = comm.alloc_with(&vec![0xA5; LEN + 8]).unwrap();
+            let buf = comm.alloc_with(&vec![fill; LEN + 8]).unwrap();
             if rank == 0 {
                 for tag in [1, 2] {
                     comm.shm_send_data(1, Tag::user(tag), buf, 8, LEN)
@@ -1403,19 +1403,17 @@ mod tests {
                     .await
                     .unwrap();
                 comm.notify(0, Tag::user(3)).await.unwrap();
-                let landed = comm.read_all(dst).unwrap();
                 let me = comm.rank();
-                let still_phantom =
-                    sim_with_state(|s: &mut MachineState, _| s.heaps[me].is_phantom(dst.0));
-                Some((in_flight, landed, still_phantom))
+                let landed = sim_with_state(|s: &mut MachineState, _| {
+                    s.heaps[me].copy_out(dst.0, 0, LEN).unwrap()
+                });
+                Some((in_flight, landed))
             }
         });
-        assert_eq!(
-            real[1],
-            Some((Buf::Real(vec![0xA5; LEN]), vec![0xA5; LEN], false))
-        );
-        assert_eq!(ph[1], Some((Buf::Phantom(LEN), vec![0; LEN], true)));
-        assert_eq!(real_run, ph_run, "the heaps' kind is invisible in time");
+        let bytes = || Buf::Real(vec![FILL; LEN]);
+        assert_eq!(real[1], Some((bytes(), bytes())));
+        assert_eq!(zero[1], Some((Buf::Zeros(LEN), Buf::Zeros(LEN))));
+        assert_eq!(real_run, zero_run, "the data is invisible in time");
         assert_eq!(
             (real_run.stats[0].shm_ops, real_run.stats[0].shm_bytes),
             (2, 2 * LEN as u64)
@@ -1425,9 +1423,9 @@ mod tests {
 
     #[test]
     fn a_length_mismatch_is_truncated_on_both_heaps() {
-        let [(real_run, real), (ph_run, ph)] = on_both_heaps(1, 2, |rank| async move {
+        let [(real_run, real), (zero_run, zero)] = on_both_heaps(1, 2, |rank, fill| async move {
             let comm = &mut PolledComm::new(rank);
-            let buf = comm.alloc(4096);
+            let buf = comm.alloc_with(&vec![fill; 4096]).unwrap();
             if rank == 0 {
                 comm.shm_send_data(1, Tag::user(1), buf, 0, 100)
                     .await
@@ -1448,8 +1446,8 @@ mod tests {
         let want = |wanted| Err(CommError::Truncated { wanted, got: 100 });
         assert_eq!(real[1][0].0, want(64));
         assert_eq!(real[1][1].0, want(4096));
-        assert_eq!(real, ph, "same errors at the same virtual times");
-        assert_eq!(real_run, ph_run);
+        assert_eq!(real, zero, "same errors at the same virtual times");
+        assert_eq!(real_run, zero_run);
         // The refused messages were consumed, and the receiver was charged
         // no copy: it fails the moment the second message arrives.
         assert_eq!(real_run.mail_pending, 0);
@@ -1459,12 +1457,12 @@ mod tests {
 
     #[test]
     fn an_expired_bulk_deadline_times_out_and_leaves_no_waiter() {
-        let [(real_run, real), (ph_run, ph)] = on_both_heaps(1, 2, |rank| async move {
+        let [(real_run, real), (zero_run, zero)] = on_both_heaps(1, 2, |rank, fill| async move {
             if rank == 0 {
                 return None;
             }
             let comm = &mut PolledComm::new(rank);
-            let dst = comm.alloc(64);
+            let dst = comm.alloc_with(&[fill; 64]).unwrap();
             let got = comm
                 .shm_recv_deadline(0, Tag::user(1), dst, 0, 64, Some(700))
                 .await;
@@ -1485,18 +1483,18 @@ mod tests {
         });
         let expired = Err(CommError::Timeout { waited_ns: 700 });
         assert_eq!(real[1], Some((expired, 700, (0, 0))));
-        assert_eq!(real, ph);
-        assert_eq!(real_run, ph_run);
+        assert_eq!(real, zero);
+        assert_eq!(real_run, zero_run);
     }
 
     #[test]
     fn a_cross_node_message_rides_the_fabric_servers() {
         const LEN: usize = 256 << 10;
-        let [(real_run, real), (ph_run, ph)] = on_both_heaps(2, 2, |rank| async move {
+        let [(real_run, real), (zero_run, zero)] = on_both_heaps(2, 2, |rank, fill| async move {
             let comm = &mut PolledComm::new(rank);
             match rank {
                 1 => {
-                    let src = comm.alloc_with(&vec![0x3C; LEN]).unwrap();
+                    let src = comm.alloc_with(&vec![fill; LEN]).unwrap();
                     comm.shm_send_data(2, Tag::user(1), src, 0, LEN)
                         .await
                         .unwrap();
@@ -1513,9 +1511,9 @@ mod tests {
                 _ => (0, Vec::new()),
             }
         });
-        assert_eq!(real[2].1, vec![0x3C; LEN]);
-        assert_eq!(ph[2].1, vec![0; LEN]);
-        assert_eq!(real_run, ph_run);
+        assert_eq!(real[2].1, vec![FILL; LEN]);
+        assert_eq!(zero[2].1, vec![0; LEN]);
+        assert_eq!(real_run, zero_run);
         // Egress link, the fabric's latency, ingress link — and no node's
         // memory system.
         let fabric = ArchProfile::broadwell().default_fabric();
@@ -1531,14 +1529,63 @@ mod tests {
         assert!(real_run.mem_recaches > 0, "the link servers did the work");
     }
 
+    /// Buffers materialized on this thread so far.
+    fn materialized() -> usize {
+        crate::state::MATERIALIZED.with(|n| n.get())
+    }
+
+    /// A team that never writes its buffers moves any volume through
+    /// every data path without allocating a byte of it.
+    #[test]
+    fn a_team_that_writes_nothing_allocates_nothing() {
+        const P: usize = 16;
+        const LEN: usize = 1 << 20;
+        const ROUNDS: usize = 22;
+        let n0 = materialized();
+        let (run, moved) = run_polled_team(&ArchProfile::broadwell(), P, |rank| async move {
+            let comm = &mut PolledComm::new(rank);
+            let (next, prev) = ((rank + 1) % P, (rank + P - 1) % P);
+            let [src, dst, tmp] = [0; 3].map(|_| comm.alloc(LEN));
+            let tok = comm.expose(src).await.unwrap();
+            comm.ctrl_send(prev, Tag::user(1), &tok.to_bytes())
+                .await
+                .unwrap();
+            let raw = comm.ctrl_recv(next, Tag::user(1)).await.unwrap();
+            let peer = RemoteToken::from_bytes(&raw).unwrap();
+            for _ in 0..ROUNDS {
+                comm.cma_read(peer, 0, dst, 0, LEN).await.unwrap();
+                comm.shm_send_data(next, Tag::user(2), dst, 0, LEN)
+                    .await
+                    .unwrap();
+                comm.shm_recv_data(prev, Tag::user(2), tmp, 0, LEN)
+                    .await
+                    .unwrap();
+                comm.copy_local(tmp, 0, src, 0, LEN).await.unwrap();
+            }
+            sm_barrier_polled(comm).await.unwrap();
+            3 * ROUNDS * LEN
+        });
+        assert!(moved.iter().sum::<usize>() >= 1 << 30);
+        let cma: u64 = run.stats.iter().map(|s| s.bytes_read).sum();
+        let shm: u64 = run.stats.iter().map(|s| s.shm_bytes).sum();
+        let each = (P * ROUNDS * LEN) as u64;
+        assert_eq!((cma, shm), (each, each));
+        assert_eq!(materialized() - n0, 0, "no buffer was allocated");
+        // The count sees the simulated team: one written byte builds one.
+        run_polled_team(&ArchProfile::broadwell(), 1, |rank| async move {
+            PolledComm::new(rank).alloc_with(&[1]).unwrap();
+        });
+        assert_eq!(materialized() - n0, 1);
+    }
+
     #[test]
     fn a_fallback_source_freed_between_the_copies_is_refused() {
         const LEN: usize = 1 << 20;
         let read = |free_after: Option<u64>, exits: bool| {
-            on_both_heaps(1, 2, move |rank| async move {
+            on_both_heaps(1, 2, move |rank, fill| async move {
                 let comm = &mut PolledComm::new(rank);
                 let buf = if rank == 0 {
-                    let buf = comm.alloc_with(&vec![0x5A; LEN]).unwrap();
+                    let buf = comm.alloc_with(&vec![fill; LEN]).unwrap();
                     comm.expose(buf).await.unwrap();
                     buf
                 } else {
@@ -1562,11 +1609,11 @@ mod tests {
                 Some((r, comm.time_ns() - t0, comm.read_all(buf).unwrap()[0]))
             })
         };
-        let [(_, real), (_, ph)] = read(None, true);
-        let Some((Ok(()), dt, 0x5A)) = real[1] else {
+        let [(_, real), (_, zero)] = read(None, true);
+        let Some((Ok(()), dt, FILL)) = real[1] else {
             panic!("the plain read: {:?}", real[1]);
         };
-        assert!(matches!(ph[1], Some((Ok(()), t, 0)) if t == dt));
+        assert!(matches!(zero[1], Some((Ok(()), t, 0)) if t == dt));
         // Freed after the first copy: both copies are still paid for,
         // nothing lands, and the refusal is EPERM while the owner lives
         // and ESRCH once it has exited.
@@ -1581,27 +1628,30 @@ mod tests {
     }
 
     /// A short message and an expired deadline are refused at the times
-    /// the thread kernel refused them, on either kind of heap.
+    /// the thread kernel refused them, whether the buffers were written
+    /// or not.
     #[test]
     fn bulk_refusals_match_threads_engine() {
         let arch = ArchProfile::broadwell();
-        let polled = |rank| async move {
-            let comm = &mut PolledComm::new(rank);
-            let buf = comm.alloc(4096);
-            if rank == 0 {
-                comm.shm_send_data(1, Tag::user(1), buf, 0, 100)
-                    .await
-                    .unwrap();
-                (Ok(()), Ok(()), comm.time_ns())
-            } else {
-                let short = comm.shm_recv_data(0, Tag::user(1), buf, 0, 64).await;
-                let expired = comm
-                    .shm_recv_deadline(0, Tag::user(2), buf, 0, 64, Some(900))
-                    .await;
-                (short, expired, comm.time_ns())
+        let polled = |fill: u8| {
+            move |rank| async move {
+                let comm = &mut PolledComm::new(rank);
+                let buf = comm.alloc_with(&[fill; 4096]).unwrap();
+                if rank == 0 {
+                    comm.shm_send_data(1, Tag::user(1), buf, 0, 100)
+                        .await
+                        .unwrap();
+                    (Ok(()), Ok(()), comm.time_ns())
+                } else {
+                    let short = comm.shm_recv_data(0, Tag::user(1), buf, 0, 64).await;
+                    let expired = comm
+                        .shm_recv_deadline(0, Tag::user(2), buf, 0, 64, Some(900))
+                        .await;
+                    (short, expired, comm.time_ns())
+                }
             }
         };
-        let (run, res, trace) = run_polled_team_traced(&arch, 2, polled);
+        let (run, res, trace) = run_polled_team_traced(&arch, 2, polled(0));
         let truncated = Err(CommError::Truncated {
             wanted: 64,
             got: 100,
@@ -1609,7 +1659,7 @@ mod tests {
         let expired = Err(CommError::Timeout { waited_ns: 900 });
         assert_eq!(res, [(Ok(()), Ok(()), 33), (truncated, expired, 1233)]);
         assert_run((&run, &trace), 1233, &[33, 1233], 5, 0xb465_3cc6_0324_99ff);
-        assert_eq!(run_polled_team_phantom(&arch, 2, polled), (run, res));
+        assert_eq!(run_polled_team(&arch, 2, polled(FILL)), (run, res));
     }
 
     // ---- the sender's busy-until horizon -------------------------------

@@ -4,16 +4,17 @@
 //! endpoint reaches through poll closures: the fluid servers, the per-rank
 //! heaps and the two message planes.
 //!
-//! A heap buffer is real bytes, allocated by its first write
-//! (see [`RankHeap`]), or for a *phantom* team just a length. A bulk
-//! shared-memory message is a [`Buf`] ([`MachineState::bulk`]):
-//! [`RankHeap::copy_out`] takes it from the sender's heap and
-//! [`RankHeap::copy_in`] lands it in the receiver's, so
-//! a phantom team's messages are lengths (every range, length and
-//! truncation check runs on lengths alone; no byte is allocated or
-//! touched) and a real team's bytes are copied once out and once in.
-//! Control messages ([`MachineState::mail`]) are always real bytes: the
-//! protocols read them.
+//! A heap buffer is a length until its first write that is not all zeros
+//! allocates its bytes (see [`RankHeap`]). A bulk shared-memory message is
+//! a [`Buf`] ([`MachineState::bulk`]): [`RankHeap::copy_out`] takes it
+//! from the sender's heap and [`RankHeap::copy_in`] lands it in the
+//! receiver's, so a region nobody wrote travels as its length (every
+//! range, length and truncation check runs on lengths alone; no byte is
+//! allocated or touched) and written bytes are copied once out and once
+//! in. A team whose bodies never write their buffers therefore simulates
+//! any volume of traffic without allocating it. Control messages
+//! ([`MachineState::mail`]) are always real bytes: the protocols read
+//! them.
 
 use crate::fluid::{MemSys, PageLockServer};
 use crate::xfer::Xfer;
@@ -21,16 +22,15 @@ use kacc_comm::Topology;
 use kacc_model::{ArchProfile, FabricParams};
 use kacc_sim_core::{Mailboxes, SimTime};
 
-/// One bulk message in flight between two heaps: real bytes, or a
-/// *phantom* that tracks only its length. Phantoms let measurement
-/// sweeps simulate terabyte-scale traffic without allocating it (timing
-/// is unaffected; reads return zeroes).
+/// One bulk message in flight between two heaps: the bytes of a written
+/// region, or the length alone of a region nobody wrote (it reads as
+/// zeros).
 #[derive(Debug, PartialEq, Eq)]
 pub enum Buf {
-    /// Real bytes (default; data-correctness tests use this).
+    /// The region's bytes.
     Real(Vec<u8>),
-    /// Length-only placeholder for measurement runs.
-    Phantom(usize),
+    /// `len` zeros, never allocated.
+    Zeros(usize),
 }
 
 impl Buf {
@@ -38,7 +38,7 @@ impl Buf {
     pub fn len(&self) -> usize {
         match self {
             Buf::Real(v) => v.len(),
-            Buf::Phantom(n) => *n,
+            Buf::Zeros(n) => *n,
         }
     }
 
@@ -53,22 +53,31 @@ fn in_range(off: usize, len: usize, cap: usize) -> bool {
     off.checked_add(len).is_some_and(|end| end <= cap)
 }
 
+/// Are all of `bytes` zero? Each 512-byte block is ORed whole (a loop
+/// the compiler vectorizes) and the scan stops at the first block that
+/// is not.
+fn all_zero(bytes: &[u8]) -> bool {
+    let mut blocks = bytes.chunks_exact(512);
+    let tail = blocks.remainder();
+    blocks.all(|b| b.iter().fold(0, |acc, &x| acc | x) == 0) && tail.iter().all(|&x| x == 0)
+}
+
 #[cfg(test)]
 thread_local! {
     /// Buffers materialized on this thread (tests read the difference).
-    static MATERIALIZED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    pub(crate) static MATERIALIZED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
-/// The storage of a real buffer, once it exists (counted in test builds).
+/// The storage of a buffer, once it exists (counted in test builds).
 fn materialize(bytes: Vec<u8>) -> Vec<u8> {
     #[cfg(test)]
     MATERIALIZED.with(|n| n.set(n.get() + 1));
     bytes
 }
 
-/// The bytes of a real heap buffer: `len` bytes, allocated whole by the
-/// first write that is not all zeros. Until then the buffer reads as
-/// zeros and costs nothing but its length.
+/// The bytes of a heap buffer: `len` bytes, allocated whole by the first
+/// write that is not all zeros. Until then the buffer reads as zeros and
+/// costs nothing but its length.
 #[derive(Debug)]
 struct Lazy {
     len: usize,
@@ -82,64 +91,44 @@ impl Lazy {
         self.bytes.as_deref().map(|b| &b[off..off + len])
     }
 
-    /// Write `len` bytes of `src` (`None`: zeros) at `off` (in range).
-    /// Zeros onto an unallocated buffer leave it unallocated.
-    fn write(&mut self, off: usize, len: usize, src: Option<&[u8]>) {
-        match (&mut self.bytes, src) {
-            (None, None) => {}
-            (Some(b), None) => b[off..off + len].fill(0),
-            (b, Some(s)) => b.get_or_insert_with(|| materialize(vec![0; self.len]))[off..off + len]
-                .copy_from_slice(s),
-        }
-    }
-}
-
-/// The storage of one heap buffer: lazy bytes, or a length alone.
-#[derive(Debug)]
-enum Mem {
-    Real(Lazy),
-    Phantom(usize),
-}
-
-impl Mem {
-    fn len(&self) -> usize {
-        match self {
-            Mem::Real(c) => c.len,
-            Mem::Phantom(n) => *n,
-        }
-    }
-
-    /// Write `len` bytes of `src` at `off` (a range check alone into a
-    /// phantom). False if out of range.
+    /// Write `len` bytes of `src` (`None`: zeros) at `off`. Zeros onto an
+    /// unallocated buffer leave it unallocated. False if out of range.
     fn write(&mut self, off: usize, len: usize, src: Option<&[u8]>) -> bool {
-        let ok = in_range(off, len, self.len());
-        if let (true, Mem::Real(c)) = (ok, self) {
-            c.write(off, len, src);
+        if !in_range(off, len, self.len) {
+            return false;
         }
-        ok
+        match (&mut self.bytes, src) {
+            (Some(b), None) => b[off..off + len].fill(0),
+            (Some(b), Some(s)) => b[off..off + len].copy_from_slice(s),
+            (None, Some(s)) if !all_zero(s) => {
+                let mut b = vec![0; self.len];
+                b[off..off + len].copy_from_slice(s);
+                self.bytes = Some(materialize(b));
+            }
+            (None, _) => {}
+        }
+        true
     }
 }
 
 /// One live buffer and whether its owner exposed it.
 #[derive(Debug)]
 struct HeapSlot {
-    mem: Mem,
+    mem: Lazy,
     exposed: bool,
 }
 
 /// One simulated process's private memory: buffers and exposure set.
 ///
-/// A real buffer's bytes are allocated by the first write that is not
-/// all zeros, so allocating one costs its length alone and a buffer
-/// nobody writes is never zero-filled or copied; every accessor behaves
-/// as if the whole buffer were present and zero-initialised.
+/// A buffer's bytes are allocated by the first write that is not all
+/// zeros, so allocating one costs its length alone and a buffer nobody
+/// writes is never zero-filled or copied; every accessor behaves as if
+/// the whole buffer were present and zero-initialised.
 #[derive(Debug, Default)]
 pub struct RankHeap {
     /// `slots[id]`: ids are handed out in sequence and never reused, so a
     /// buffer id is its index and a freed id stays `None` for good.
     slots: Vec<Option<HeapSlot>>,
-    /// Allocate phantoms instead of real buffers.
-    pub phantom: bool,
 }
 
 impl RankHeap {
@@ -158,27 +147,19 @@ impl RankHeap {
 
     /// Allocate a zeroed buffer, returning its id.
     pub fn alloc(&mut self, len: usize) -> u64 {
-        self.push(if self.phantom {
-            Mem::Phantom(len)
-        } else {
-            Mem::Real(Lazy { len, bytes: None })
-        })
+        self.push(Lazy { len, bytes: None })
     }
 
-    /// Allocate a buffer holding a copy of `data` (its length alone on a
-    /// phantom heap), returning its id.
+    /// Allocate a buffer holding a copy of `data` (unallocated if `data`
+    /// is all zeros), returning its id.
     pub fn alloc_from(&mut self, data: &[u8]) -> u64 {
-        self.push(if self.phantom {
-            Mem::Phantom(data.len())
-        } else {
-            Mem::Real(Lazy {
-                len: data.len(),
-                bytes: Some(materialize(data.to_vec())),
-            })
+        self.push(Lazy {
+            len: data.len(),
+            bytes: (!all_zero(data)).then(|| materialize(data.to_vec())),
         })
     }
 
-    fn push(&mut self, mem: Mem) -> u64 {
+    fn push(&mut self, mem: Lazy) -> u64 {
         self.slots.push(Some(HeapSlot {
             mem,
             exposed: false,
@@ -193,80 +174,71 @@ impl RankHeap {
 
     /// Buffer length, if allocated.
     pub fn len_of(&self, id: u64) -> Option<usize> {
-        self.slot(id).map(|s| s.mem.len())
+        self.slot(id).map(|s| s.mem.len)
     }
 
-    /// Read bytes out (phantoms yield zeroes). False if the access is
-    /// invalid.
+    /// Read bytes out. False if the access is invalid.
     pub fn read(&self, id: u64, off: usize, out: &mut [u8]) -> bool {
-        match self.slot(id).map(|s| &s.mem) {
-            Some(Mem::Real(c)) if in_range(off, out.len(), c.len) => {
-                match c.region(off, out.len()) {
-                    Some(b) => out.copy_from_slice(b),
-                    None => out.fill(0),
-                }
-                true
-            }
-            Some(Mem::Phantom(n)) if in_range(off, out.len(), *n) => {
-                out.fill(0);
-                true
-            }
-            _ => false,
+        match self.region(id, off, out.len()) {
+            Some(Some(b)) => out.copy_from_slice(b),
+            Some(None) => out.fill(0),
+            None => return false,
         }
+        true
     }
 
-    /// Write bytes in (no-op into phantoms). False if invalid.
+    /// Write bytes in. False if invalid.
     pub fn write(&mut self, id: u64, off: usize, data: &[u8]) -> bool {
         self.slot_mut(id)
             .is_some_and(|s| s.mem.write(off, data.len(), Some(data)))
     }
 
-    /// Copy a region out as a vector (zeroes for phantoms). None if
-    /// invalid.
+    /// Copy a region out as a vector. None if invalid.
     pub fn extract(&self, id: u64, off: usize, len: usize) -> Option<Vec<u8>> {
         self.copy_out(id, off, len).map(|msg| match msg {
             Buf::Real(bytes) => bytes,
-            Buf::Phantom(len) => vec![0u8; len],
+            Buf::Zeros(len) => vec![0u8; len],
         })
     }
 
-    /// Copy a region out as a bulk message: the bytes of a real buffer,
-    /// the length alone of a phantom (nothing is allocated). None if the
-    /// access is invalid.
+    /// Copy a region out as a bulk message: its bytes, or
+    /// [`Buf::Zeros`] while the buffer is unwritten (nothing is
+    /// allocated). None if the access is invalid.
     pub fn copy_out(&self, id: u64, off: usize, len: usize) -> Option<Buf> {
-        match &self.slot(id)?.mem {
-            Mem::Real(_) => Some(Buf::Real(match self.region(id, off, len)? {
-                Some(b) => b.to_vec(),
-                None => vec![0; len],
-            })),
-            Mem::Phantom(cap) => in_range(off, len, *cap).then_some(Buf::Phantom(len)),
-        }
+        Some(match self.region(id, off, len)? {
+            Some(b) => Buf::Real(b.to_vec()),
+            None => Buf::Zeros(len),
+        })
     }
 
-    /// Land a bulk message at `off` of a buffer: one copy of real bytes
-    /// into a real buffer; with a phantom on either side the range check
-    /// alone (as [`MachineState::move_bytes`], nothing moves). False if
-    /// the access is invalid.
+    /// Land a bulk message at `off` of a buffer: one copy of its bytes;
+    /// [`Buf::Zeros`] leaves an unwritten destination unwritten and
+    /// zeroes a written one, as [`copy_from`](Self::copy_from) does.
+    /// False if the access is invalid.
     pub fn copy_in(&mut self, id: u64, off: usize, msg: &Buf) -> bool {
         self.slot_mut(id).is_some_and(|s| match msg {
             Buf::Real(bytes) => s.mem.write(off, bytes.len(), Some(bytes)),
-            Buf::Phantom(len) => in_range(off, *len, s.mem.len()),
+            Buf::Zeros(len) => s.mem.write(off, *len, None),
         })
     }
 
-    /// A region of a real buffer as a copy source (`Some(None)` while it
-    /// reads as zeros); `None` for phantoms and invalid accesses.
+    /// A region of a buffer as a copy source (`Some(None)` while it reads
+    /// as zeros); `None` if the access is invalid.
     fn region(&self, id: u64, off: usize, len: usize) -> Option<Option<&[u8]>> {
-        match &self.slot(id)?.mem {
-            Mem::Real(c) if in_range(off, len, c.len) => Some(c.region(off, len)),
-            _ => None,
-        }
+        let c = &self.slot(id)?.mem;
+        in_range(off, len, c.len).then(|| c.region(off, len))
+    }
+
+    /// Is the buffer live and allocated (written with a byte that is not
+    /// zero)?
+    fn is_written(&self, id: u64) -> bool {
+        self.slot(id).is_some_and(|s| s.mem.bytes.is_some())
     }
 
     /// Copy `len` bytes from a buffer of `src` straight into a buffer of
     /// this heap — one memcpy where [`extract`](Self::extract) then
     /// [`write`](Self::write) allocate and copy twice. False (and nothing
-    /// moves) if either access is invalid or the source is a phantom.
+    /// moves) if either access is invalid.
     pub fn copy_from(
         &mut self,
         dst: u64,
@@ -294,9 +266,7 @@ impl RankHeap {
     ) -> bool {
         if src == dst {
             return match self.slot_mut(dst).map(|s| &mut s.mem) {
-                Some(Mem::Real(c))
-                    if in_range(src_off, len, c.len) && in_range(dst_off, len, c.len) =>
-                {
+                Some(c) if in_range(src_off, len, c.len) && in_range(dst_off, len, c.len) => {
                     if let Some(b) = &mut c.bytes {
                         b.copy_within(src_off..src_off + len, dst_off);
                     }
@@ -317,12 +287,6 @@ impl RankHeap {
         ok
     }
 
-    /// Is the buffer a phantom?
-    pub fn is_phantom(&self, id: u64) -> bool {
-        self.slot(id)
-            .is_some_and(|s| matches!(s.mem, Mem::Phantom(_)))
-    }
-
     /// Mark a buffer exposed for kernel-assisted access.
     pub fn expose(&mut self, id: u64) -> bool {
         self.slot_mut(id).map(|s| s.exposed = true).is_some()
@@ -336,7 +300,7 @@ impl RankHeap {
     /// Length of a buffer a peer may access: `None` unless it is allocated
     /// and exposed.
     pub fn exposed_len(&self, id: u64) -> Option<usize> {
-        self.slot(id).filter(|s| s.exposed).map(|s| s.mem.len())
+        self.slot(id).filter(|s| s.exposed).map(|s| s.mem.len)
     }
 
     /// Number of live buffers (leak checks in tests).
@@ -408,9 +372,9 @@ pub struct MachineState {
     /// real bytes.
     pub mail: Mailboxes,
     /// Bulk shared-memory messages in flight (`shm_send_data` →
-    /// `shm_recv_data`): regions copied out of the sender's heap, so a
-    /// phantom team's are lengths. A plane of its own — a control and a
-    /// bulk message of the same `(to, from, tag)` never meet.
+    /// `shm_recv_data`): regions copied out of the sender's heap, so an
+    /// unwritten region's is its length. A plane of its own — a control
+    /// and a bulk message of the same `(to, from, tag)` never meet.
     pub bulk: Mailboxes<Buf>,
     /// Per-rank private heaps.
     pub heaps: Vec<RankHeap>,
@@ -463,19 +427,6 @@ impl MachineState {
         ranks_per_node: usize,
         fabric: Option<FabricParams>,
     ) -> MachineState {
-        MachineState::cluster_opts(arch, nodes, ranks_per_node, fabric, false)
-    }
-
-    /// [`MachineState::cluster`] with a `phantom` switch: phantom heaps
-    /// track buffer lengths only, so measurement sweeps can simulate
-    /// arbitrarily large traffic without allocating it.
-    pub fn cluster_opts(
-        arch: ArchProfile,
-        nodes: usize,
-        ranks_per_node: usize,
-        fabric: Option<FabricParams>,
-        phantom: bool,
-    ) -> MachineState {
         assert!(nodes >= 1 && ranks_per_node >= 1);
         assert!(
             nodes == 1 || fabric.is_some(),
@@ -489,12 +440,7 @@ impl MachineState {
             node_of: (0..nranks).map(|r| r / ranks_per_node).collect(),
             mail: Mailboxes::new(),
             bulk: Mailboxes::default(),
-            heaps: (0..nranks)
-                .map(|_| RankHeap {
-                    phantom,
-                    ..RankHeap::default()
-                })
-                .collect(),
+            heaps: (0..nranks).map(|_| RankHeap::default()).collect(),
             locks: (0..nranks)
                 .map(|_| {
                     PageLockServer::new(arch.l_lock_ns, arch.l_pin_ns, arch.k_bounce, arch.x_socket)
@@ -524,9 +470,9 @@ impl MachineState {
 
     /// Data plane of a transfer whose ranges the caller has already
     /// checked: move `len` bytes from `src` to `dst`, each a `(rank,
-    /// buffer id, offset)`. Nothing moves when either buffer is a phantom
-    /// (phantom runs model time only), or when the destination was freed
-    /// while the transfer was in flight.
+    /// buffer id, offset)`. Nothing moves when both buffers are unwritten
+    /// (zeros onto zeros), or when the destination was freed while the
+    /// transfer was in flight.
     pub fn move_bytes(&mut self, src: (usize, u64, usize), dst: (usize, u64, usize), len: usize) {
         move_bytes(&mut self.heaps, src, dst, len);
     }
@@ -554,15 +500,13 @@ pub(crate) fn move_bytes(
     len: usize,
 ) {
     let ((from, src, src_off), (to, dst, dst_off)) = (src, dst);
-    if heaps[from].is_phantom(src) || heaps[to].is_phantom(dst) {
+    let written = heaps[from]
+        .region(src, src_off, len)
+        .expect("range checked above")
+        .is_some();
+    if !written && !heaps[to].is_written(dst) {
         return;
     }
-    assert!(
-        heaps[from]
-            .len_of(src)
-            .is_some_and(|cap| src_off + len <= cap),
-        "range checked above"
-    );
     if from == to {
         heaps[to].copy_within(src, src_off, dst, dst_off, len);
     } else {
@@ -617,7 +561,6 @@ mod tests {
             assert_eq!(h.len_of(id), None, "id {id}");
             assert_eq!(h.exposed_len(id), None, "id {id}");
             assert!(!h.is_exposed(id), "id {id}");
-            assert!(!h.is_phantom(id), "id {id}");
             assert!(!h.read(id, 0, &mut out), "id {id}");
             assert!(!h.write(id, 0, &[1]), "id {id}");
             assert_eq!(h.extract(id, 0, 1), None, "id {id}");
@@ -658,15 +601,16 @@ mod tests {
         assert!(!a.copy_within(src, 0, hi, 2, 3));
         assert_eq!(a.live_buffers(), 2, "a failed copy puts the slot back");
 
-        // Phantoms: a sink that checks the range, never a source.
-        let mut ph = RankHeap {
-            phantom: true,
-            ..RankHeap::default()
-        };
-        let p = ph.alloc(4);
-        assert!(ph.copy_from(p, 0, &a, src, 0, 4));
-        assert!(!ph.copy_from(p, 2, &a, src, 0, 4));
-        assert!(!a.copy_from(src, 0, &ph, p, 0, 4));
+        // An unwritten buffer: a source of zeros that zeroes a written
+        // destination, and a sink that checks the range.
+        let mut z = RankHeap::default();
+        let u = z.alloc(4);
+        assert!(!z.copy_from(u, 2, &a, src, 0, 4), "destination overflow");
+        assert!(!b.copy_from(dst, 0, &z, u, 1, 4), "source overflow");
+        assert!(b.copy_from(dst, 1, &z, u, 0, 2));
+        assert_eq!(b.extract(dst, 0, 4), Some(vec![0, 0, 0, 5]));
+        assert!(z.copy_from(u, 0, &a, src, 0, 4));
+        assert_eq!(z.extract(u, 0, 4), Some(vec![7, 7, 8, 3]));
     }
 
     #[test]
@@ -674,75 +618,71 @@ mod tests {
         let mut real = RankHeap::default();
         let a = real.alloc_from(&[7, 8, 9]);
         assert_eq!(real.extract(a, 0, 3), Some(vec![7, 8, 9]));
-        assert!(!real.is_phantom(a) && !real.is_exposed(a));
+        assert!(!real.is_exposed(a));
         let empty = real.alloc_from(&[]);
         assert_eq!((empty, real.len_of(empty)), (a + 1, Some(0)));
 
-        let mut ph = RankHeap {
-            phantom: true,
-            ..RankHeap::default()
-        };
-        let p = ph.alloc_from(&[7, 8, 9]);
-        assert!(ph.is_phantom(p));
-        assert_eq!(ph.len_of(p), Some(3));
-        assert_eq!(
-            ph.extract(p, 0, 3),
-            Some(vec![0, 0, 0]),
-            "phantoms read as zeroes"
-        );
+        // All zeros: the length alone.
+        let n0 = materialized();
+        let z = real.alloc_from(&[0; 3]);
+        assert_eq!(materialized(), n0);
+        assert_eq!(real.len_of(z), Some(3));
+        assert_eq!(real.copy_out(z, 0, 3), Some(Buf::Zeros(3)));
+        assert_eq!(real.extract(z, 0, 3), Some(vec![0, 0, 0]));
     }
 
     #[test]
     fn bulk_messages_carry_bytes_or_lengths() {
-        let mut real = RankHeap::default();
-        let src = real.alloc_from(&[1, 2, 3, 4, 5, 6]);
-        let dst = real.alloc(4);
-        let mut ph = RankHeap {
-            phantom: true,
-            ..RankHeap::default()
-        };
-        let p = ph.alloc(6);
+        let mut h = RankHeap::default();
+        let src = h.alloc_from(&[1, 2, 3, 4, 5, 6]);
+        let dst = h.alloc(4);
+        let z = h.alloc(6);
 
-        // Out: the bytes of a real region, the length of a phantom one.
-        assert_eq!(real.copy_out(src, 2, 3), Some(Buf::Real(vec![3, 4, 5])));
-        assert_eq!(real.copy_out(src, 6, 0), Some(Buf::Real(Vec::new())));
-        assert_eq!(ph.copy_out(p, 2, 3), Some(Buf::Phantom(3)));
-        for heap in [&real, &ph] {
-            assert_eq!(heap.copy_out(0, 4, 3), None, "past the end");
-            assert_eq!(heap.copy_out(0, usize::MAX, 2), None, "offset overflow");
-            assert_eq!(heap.extract(0, 4, 3), None);
+        // Out: the bytes of a written region, the length of an unwritten
+        // one.
+        assert_eq!(h.copy_out(src, 2, 3), Some(Buf::Real(vec![3, 4, 5])));
+        assert_eq!(h.copy_out(src, 6, 0), Some(Buf::Real(Vec::new())));
+        assert_eq!(h.copy_out(z, 2, 3), Some(Buf::Zeros(3)));
+        for id in [src, z] {
+            assert_eq!(h.copy_out(id, 4, 3), None, "past the end");
+            assert_eq!(h.copy_out(id, usize::MAX, 2), None, "offset overflow");
+            assert_eq!(h.extract(id, 4, 3), None);
         }
 
-        // In: one copy real → real; a range check with a phantom on
-        // either side.
-        assert!(real.copy_in(dst, 1, &Buf::Real(vec![3, 4, 5])));
-        assert_eq!(real.extract(dst, 0, 4), Some(vec![0, 3, 4, 5]));
-        assert!(!real.copy_in(dst, 2, &Buf::Real(vec![9, 9, 9])), "overflow");
-        assert!(real.copy_in(dst, 0, &Buf::Phantom(4)));
-        assert!(!real.copy_in(dst, 1, &Buf::Phantom(4)));
-        assert!(!real.copy_in(dst, usize::MAX, &Buf::Phantom(2)));
-        assert_eq!(real.extract(dst, 0, 4), Some(vec![0, 3, 4, 5]), "untouched");
-        assert!(ph.copy_in(p, 3, &Buf::Real(vec![1, 2, 3])));
-        assert!(!ph.copy_in(p, 4, &Buf::Real(vec![1, 2, 3])));
-        assert!(ph.copy_in(p, 0, &Buf::Phantom(6)));
-        assert!(!ph.copy_in(p, 0, &Buf::Phantom(7)));
+        // In: one copy of bytes; zeros zero a written destination and
+        // leave an unwritten one unwritten; the range is checked either
+        // way.
+        assert!(h.copy_in(dst, 1, &Buf::Real(vec![3, 4, 5])));
+        assert_eq!(h.extract(dst, 0, 4), Some(vec![0, 3, 4, 5]));
+        assert!(!h.copy_in(dst, 2, &Buf::Real(vec![9, 9, 9])), "overflow");
+        assert!(!h.copy_in(dst, 1, &Buf::Zeros(4)));
+        assert!(!h.copy_in(dst, usize::MAX, &Buf::Zeros(2)));
+        assert_eq!(h.extract(dst, 0, 4), Some(vec![0, 3, 4, 5]), "untouched");
+        assert!(h.copy_in(dst, 2, &Buf::Zeros(1)));
+        assert_eq!(h.extract(dst, 0, 4), Some(vec![0, 3, 0, 5]));
+        assert!(h.copy_in(z, 0, &Buf::Zeros(6)));
+        assert!(!h.copy_in(z, 0, &Buf::Zeros(7)));
+        assert_eq!(h.copy_out(z, 0, 6), Some(Buf::Zeros(6)), "still unwritten");
+        assert!(h.copy_in(z, 3, &Buf::Real(vec![1, 2, 3])));
+        assert!(!h.copy_in(z, 4, &Buf::Real(vec![1, 2, 3])));
+        assert_eq!(h.extract(z, 0, 6), Some(vec![0, 0, 0, 1, 2, 3]));
 
         // Dead ids: freed, next to be handed out, unindexable.
-        real.free(src);
-        for id in [src, 2, u64::MAX] {
-            assert_eq!(real.copy_out(id, 0, 0), None, "id {id}");
-            assert!(!real.copy_in(id, 0, &Buf::Phantom(0)), "id {id}");
-            assert!(!real.copy_in(id, 0, &Buf::Real(Vec::new())), "id {id}");
+        h.free(src);
+        for id in [src, 3, u64::MAX] {
+            assert_eq!(h.copy_out(id, 0, 0), None, "id {id}");
+            assert!(!h.copy_in(id, 0, &Buf::Zeros(0)), "id {id}");
+            assert!(!h.copy_in(id, 0, &Buf::Real(Vec::new())), "id {id}");
         }
     }
 
     #[test]
-    fn move_bytes_skips_phantoms_and_freed_destinations() {
+    fn move_bytes_skips_unwritten_pairs_and_freed_destinations() {
         let mut st = MachineState::new(ArchProfile::broadwell(), 3);
-        st.heaps[2].phantom = true;
         let a = st.heaps[0].alloc(4);
         let b = st.heaps[1].alloc(4);
-        let ph = st.heaps[2].alloc(4);
+        let z = st.heaps[2].alloc(4);
+        let z2 = st.heaps[2].alloc(4);
         st.heaps[0].write(a, 0, &[9, 8, 7, 6]);
         st.move_bytes((0, a, 1), (1, b, 0), 3);
         assert_eq!(st.heaps[1].extract(b, 0, 4), Some(vec![8, 7, 6, 0]));
@@ -750,11 +690,20 @@ mod tests {
         assert_eq!(st.heaps[0].extract(a, 0, 4), Some(vec![9, 8, 8, 7]));
         st.move_bytes((0, a, 0), (0, a, 1), 3);
         assert_eq!(st.heaps[0].extract(a, 0, 4), Some(vec![9, 9, 8, 8]));
-        st.move_bytes((2, ph, 0), (0, a, 0), 4);
-        st.move_bytes((0, a, 0), (2, ph, 0), 4);
-        assert_eq!(st.heaps[0].extract(a, 0, 4), Some(vec![9, 9, 8, 8]));
+        // Zeros onto zeros allocate nothing; zeros onto written bytes
+        // zero them.
+        let n0 = materialized();
+        st.move_bytes((2, z, 0), (2, z2, 0), 4);
+        st.move_bytes((2, z, 1), (2, z, 0), 3);
+        st.move_bytes((2, z, 0), (1, b, 0), 2);
+        assert_eq!(materialized(), n0);
+        assert_eq!(st.heaps[2].copy_out(z2, 0, 4), Some(Buf::Zeros(4)));
+        assert_eq!(st.heaps[1].extract(b, 0, 4), Some(vec![0, 0, 6, 0]));
+        st.move_bytes((0, a, 0), (2, z, 0), 4);
+        assert_eq!(st.heaps[2].extract(z, 0, 4), Some(vec![9, 9, 8, 8]));
         st.heaps[1].free(b);
         st.move_bytes((0, a, 0), (1, b, 0), 4);
+        st.move_bytes((2, z2, 0), (1, b, 0), 4);
     }
 
     #[test]
@@ -778,6 +727,14 @@ mod tests {
         let n0 = materialized();
         let a = h.alloc(16 * BIG + 3);
         assert_eq!(materialized(), n0, "alloc touches no byte");
+        // Zeros written, landed or copied in allocate nothing.
+        assert!(h.write(a, 3 * BIG, &vec![0; 2 * BIG + 9]));
+        assert!(h.copy_in(a, 0, &Buf::Real(vec![0; BIG])));
+        assert!(h.copy_in(a, 7, &Buf::Zeros(BIG)));
+        let z = h.alloc_from(&vec![0; 3 * BIG]);
+        assert_eq!(materialized(), n0, "zeros allocate nothing");
+        assert_eq!(h.copy_out(a, 0, 8), Some(Buf::Zeros(8)));
+        assert_eq!(h.copy_out(z, BIG, 8), Some(Buf::Zeros(8)));
         assert!(h.write(a, 5 * BIG + 7, &[1]));
         assert_eq!(materialized(), n0 + 1, "a one-byte write builds the buffer");
         assert!(h.write(a, 5 * BIG, &[2; 8]));
@@ -795,12 +752,29 @@ mod tests {
         assert!(other.copy_from(c, 0, &h, b, 0, 3 * BIG));
         assert_eq!(materialized(), n0 + 1);
 
+        // A zero write onto the written buffer lands.
+        assert!(h.write(a, 5 * BIG + 7, &[0]));
+        assert_eq!(h.extract(a, 5 * BIG + 7, 1), Some(vec![0]));
+
         // alloc_from and a copy from a written buffer build one each.
         let d = h.alloc_from(&[1; 5]);
         assert_eq!(materialized(), n0 + 2);
         assert!(other.copy_from(c, 1, &h, d, 0, 3));
         assert_eq!(materialized(), n0 + 3);
         assert_eq!(other.extract(c, 0, 5), Some(vec![0, 1, 1, 1, 0]));
+    }
+
+    #[test]
+    fn all_zero_sees_a_set_byte_anywhere() {
+        for len in [0, 1, 511, 512, 513, 1029] {
+            let mut v = vec![0u8; len];
+            assert!(all_zero(&v), "{len}");
+            for i in 0..len {
+                v[i] = 0x80;
+                assert!(!all_zero(&v), "{len}: byte {i}");
+                v[i] = 0;
+            }
+        }
     }
 
     /// One heap operation for the model check: a kind, a heap, two
@@ -853,6 +827,8 @@ mod tests {
     fn apply(heaps: &mut [RankHeap; 2], models: &mut [Model; 2], op: Op) -> TestCaseResult {
         let ((kind, other, x, y), (r0, r1, r2), seed) = op;
         let kind = kind % 9;
+        // One write in three carries zeros.
+        let zeros = seed % 3 == 0;
         // Destination heap `h`; the source heap is the other one for
         // `copy_from`.
         let h = usize::from(other);
@@ -872,7 +848,7 @@ mod tests {
         match kind {
             0 | 1 => {
                 let n = LENS[r2 % LENS.len()];
-                let data = if kind == 0 {
+                let data = if kind == 0 || zeros {
                     vec![0; n]
                 } else {
                     pattern(n, seed)
@@ -894,11 +870,15 @@ mod tests {
                 }
             }
             3 | 7 => {
-                let data = pattern(len, seed);
-                let got = if kind == 3 {
-                    heaps[h].write(id, off, &data)
+                let data = if zeros {
+                    vec![0; len]
                 } else {
-                    heaps[h].copy_in(id, off, &Buf::Real(data.clone()))
+                    pattern(len, seed)
+                };
+                let got = match kind {
+                    3 => heaps[h].write(id, off, &data),
+                    _ if zeros && seed % 2 == 0 => heaps[h].copy_in(id, off, &Buf::Zeros(len)),
+                    _ => heaps[h].copy_in(id, off, &Buf::Real(data.clone())),
                 };
                 landed = Some(data);
                 prop_assert_eq!(got, flat(&models[h], a, off, len).is_some());
@@ -916,8 +896,11 @@ mod tests {
                 prop_assert_eq!(got, landed.is_some());
             }
             6 => {
-                let want = flat(&models[h], a, off, len).map(|w| Buf::Real(w.to_vec()));
-                prop_assert_eq!(heaps[h].copy_out(id, off, len), want);
+                let got = heaps[h].copy_out(id, off, len).map(|msg| match msg {
+                    Buf::Real(bytes) => bytes,
+                    Buf::Zeros(n) => vec![0; n],
+                });
+                prop_assert_eq!(got.as_deref(), flat(&models[h], a, off, len));
             }
             _ => {
                 let live = models[h].get(a).is_some_and(Option::is_some);

@@ -240,8 +240,9 @@ pub fn step_xfer(s: &mut MachineState, tid: usize, w: &mut Waker, now: SimTime) 
             Phase::PinAdd => {
                 if x.page_at == x.pages_total {
                     // Every batch pinned and copied: move the actual bytes
-                    // (correctness plane; phantom-aware), unless the peer
-                    // freed the source while the call was in flight.
+                    // (correctness plane; zeros onto zeros move nothing),
+                    // unless the peer freed the source while the call was
+                    // in flight.
                     let c = &x.call;
                     let remote = (peer, c.token.token, c.remote_off);
                     let near = (me, c.local.0, c.local_off);

@@ -232,19 +232,6 @@ impl ArchProfile {
             _ => FabricParams::ib_edr(),
         }
     }
-
-    /// Table V row for this profile (label, value) pairs, for the repro
-    /// harness.
-    pub fn table5_row(&self) -> Vec<(String, String)> {
-        vec![
-            ("Processor Family".into(), self.name.clone()),
-            ("No. of Sockets".into(), self.sockets.to_string()),
-            ("Cores Per Socket".into(), self.cores_per_socket.to_string()),
-            ("Threads per Core".into(), self.threads_per_core.to_string()),
-            ("Page Size (B)".into(), self.page_size.to_string()),
-            ("Default Procs".into(), self.default_procs.to_string()),
-        ]
-    }
 }
 
 /// Inter-node fabric parameters (latency-bandwidth model with per-NIC

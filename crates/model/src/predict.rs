@@ -52,11 +52,6 @@ pub fn gather_parallel_write(m: &ModelParams, p: usize, eta: usize) -> f64 {
     scatter_parallel_read(m, p, eta)
 }
 
-/// §IV-B2 Sequential Reads (mirror of sequential-write scatter).
-pub fn gather_sequential_read(m: &ModelParams, p: usize, eta: usize, in_place: bool) -> f64 {
-    scatter_sequential_write(m, p, eta, in_place)
-}
-
 /// §IV-B3 Throttled Writes (mirror of throttled-read scatter).
 pub fn gather_throttled_write(m: &ModelParams, p: usize, eta: usize, k: usize) -> f64 {
     scatter_throttled_read(m, p, eta, k)

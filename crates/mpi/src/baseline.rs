@@ -294,7 +294,7 @@ mod tests {
         alltoall_expected, alltoall_sendbuf, contribution, diff, gather_expected,
     };
     use kacc_comm::CommError;
-    use kacc_machine::{run_polled_team, run_polled_team_phantom, PolledComm};
+    use kacc_machine::{run_polled_team, PolledComm};
     use kacc_model::ArchProfile;
 
     const LIBS: [Library; 4] = [
@@ -382,36 +382,43 @@ mod tests {
         assert_eq!(Library::IntelMpi.pt_proto(4096), Protocol::ShmCopy);
     }
 
-    /// One point of the persona sweep on both kinds of heap: the two-copy
+    /// One point of the persona sweep with and without data: the two-copy
     /// persona's alltoall at 64 KiB (`Protocol::ShmCopy`, 56 bulk messages)
     /// takes the same virtual time, events and kernel traffic whether the
-    /// messages carry bytes or lengths — and the bytes arrive.
+    /// send buffers were written (the messages carry bytes) or not (they
+    /// carry lengths) — and the bytes arrive.
     #[test]
-    fn a_shm_copy_point_is_the_same_run_on_phantom_and_real_heaps() {
+    fn a_shm_copy_point_is_the_same_run_on_written_and_unwritten_heaps() {
         const P: usize = 8;
         const COUNT: usize = 64 << 10;
         assert_eq!(Library::IntelMpi.pt_proto(COUNT), Protocol::ShmCopy);
-        let body = |me| async move {
-            let comm = &mut PolledComm::new(me);
-            let tuner = Tuner::new(&ArchProfile::broadwell());
-            let sb = comm.alloc_with(&alltoall_sendbuf(me, P, COUNT)).unwrap();
-            let rb = comm.alloc(P * COUNT);
-            alltoall_async(comm, Library::IntelMpi, &tuner, Some(sb), rb, COUNT)
-                .await
-                .unwrap();
-            comm.read_all(rb).unwrap()
+        let body = |written: bool| {
+            move |me| async move {
+                let comm = &mut PolledComm::new(me);
+                let tuner = Tuner::new(&ArchProfile::broadwell());
+                let sb = if written {
+                    comm.alloc_with(&alltoall_sendbuf(me, P, COUNT)).unwrap()
+                } else {
+                    comm.alloc(P * COUNT)
+                };
+                let rb = comm.alloc(P * COUNT);
+                alltoall_async(comm, Library::IntelMpi, &tuner, Some(sb), rb, COUNT)
+                    .await
+                    .unwrap();
+                comm.read_all(rb).unwrap()
+            }
         };
         let arch = ArchProfile::broadwell();
-        let (real_run, real) = run_polled_team(&arch, P, body);
-        let (phantom_run, phantom) = run_polled_team_phantom(&arch, P, body);
-        assert_eq!(real_run, phantom_run);
+        let (real_run, real) = run_polled_team(&arch, P, body(true));
+        let (zero_run, zero) = run_polled_team(&arch, P, body(false));
+        assert_eq!(real_run, zero_run);
         assert_eq!(real_run.total_stats().shm_ops, (P * (P - 1)) as u64);
         for (r, got) in real.iter().enumerate() {
             if let Some(d) = diff(got, &alltoall_expected(r, P, COUNT)) {
                 panic!("rank {r}: {d}");
             }
         }
-        assert!(phantom.iter().all(|got| got == &vec![0u8; P * COUNT]));
+        assert!(zero.iter().all(|got| got == &vec![0u8; P * COUNT]));
     }
 
     #[test]

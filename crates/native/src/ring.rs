@@ -377,7 +377,7 @@ mod tests {
     /// later lines. Here each such word holds the stamp its line would
     /// carry one lap later, and frames of one to three lines move `head`
     /// across every line phase. The ring is empty after every pop, so any
-    /// frame `try_pop` then returns is a phantom; `traps` counts the polls
+    /// frame `try_pop` then returns is spurious; `traps` counts the polls
     /// that land on a line whose stale word is exactly the stamp expected
     /// there, and must be non-zero for the test to mean anything.
     #[test]
@@ -410,7 +410,7 @@ mod tests {
             if stale[(pos as usize % CAP) / LINE] == pos + 1 {
                 traps += 1;
             }
-            assert_eq!(rx.try_pop(), None, "phantom frame at ring position {pos}");
+            assert_eq!(rx.try_pop(), None, "spurious frame at ring position {pos}");
         }
         assert!(traps > 0, "no poll landed on a stale stamp");
     }

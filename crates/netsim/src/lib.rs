@@ -17,21 +17,21 @@
 //!   design wins, and its advantage *grows* with node count.
 //!
 //! The bodies are `async` and run on the polled engine, one task per
-//! rank, over a *phantom* cluster: the experiments report time, and a
-//! phantom team's heaps and bulk messages are lengths, so a point
-//! allocates and copies nothing however large `count` is. The two-level
-//! strategies are `kacc_collectives::hierarchical`'s compiled plans, run
+//! rank, on `run_polled_cluster`: the experiments report time and never
+//! write their buffers, so their heaps and bulk messages stay lengths
+//! and a point allocates and copies nothing however large `count` is.
+//! The two-level strategies are `kacc_collectives::hierarchical`'s compiled plans, run
 //! by the collectives' executor like every other collective, and so is
 //! the single-level one, `kacc_collectives::pt2pt`'s flat exchange.
 //! Payload correctness is the tests' business — they run the same bodies
-//! on `run_polled_cluster`'s real buffers and verify every byte.
+//! with written buffers and verify every byte.
 
 use kacc_collectives::hierarchical::{
     hier_gather_pipelined_polled, hier_gather_polled, hier_scatter_polled,
 };
 use kacc_collectives::pt2pt::{self, Algo, Protocol};
 use kacc_comm::{BufId, Result};
-use kacc_machine::{run_polled_machine_full, MachineState, PolledComm, TeamRun};
+use kacc_machine::{run_polled_cluster, PolledComm, TeamRun};
 use kacc_model::{ArchProfile, FabricParams};
 
 /// Strategy for a multi-node rooted collective.
@@ -81,13 +81,12 @@ pub fn cluster_gather(
     count: usize,
     strategy: MultiNodeStrategy,
 ) -> TeamRun {
-    let state = MachineState::cluster_opts(arch.clone(), nodes, ranks_per_node, Some(fabric), true);
-    let (run, _, _) = run_polled_machine_full(state, false, true, move |rank| async move {
+    let body = move |rank| async move {
         gather_body(&mut PolledComm::new(rank), count, strategy)
             .await
             .expect("cluster gather body")
-    });
-    run
+    };
+    run_polled_cluster(arch, nodes, ranks_per_node, fabric, body).0
 }
 
 async fn gather_body(
@@ -121,13 +120,12 @@ pub fn cluster_scatter(
     count: usize,
     strategy: MultiNodeStrategy,
 ) -> TeamRun {
-    let state = MachineState::cluster_opts(arch.clone(), nodes, ranks_per_node, Some(fabric), true);
-    let (run, _, _) = run_polled_machine_full(state, false, true, move |rank| async move {
+    let body = move |rank| async move {
         scatter_body(&mut PolledComm::new(rank), count, strategy)
             .await
             .expect("cluster scatter body")
-    });
-    run
+    };
+    run_polled_cluster(arch, nodes, ranks_per_node, fabric, body).0
 }
 
 async fn scatter_body(
@@ -157,7 +155,6 @@ mod tests {
         contribution, diff, gather_expected, scatter_expected, scatter_sendbuf,
     };
     use kacc_comm::{RemoteToken, Tag};
-    use kacc_machine::run_polled_cluster;
 
     fn mini_arch() -> ArchProfile {
         let mut a = ArchProfile::knl();

@@ -2,8 +2,8 @@
 //!
 //! The values were captured on the commit *before* `cluster_gather` /
 //! `cluster_scatter` were ported from blocking closures with real buffers
-//! on the threads engine to async bodies over a phantom cluster on the
-//! polled engine (PR 17), so they pin that port — and any later change to
+//! on the threads engine to async bodies over a length-only cluster on
+//! the polled engine (PR 17), so they pin that port — and any later change to
 //! the hierarchical designs, the pt2pt protocols or the fabric model under
 //! them — bit for bit in virtual nanoseconds and in dispatched events.
 //! The event counts alone were refreshed once since, when a control send
