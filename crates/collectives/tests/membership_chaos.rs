@@ -557,6 +557,19 @@ fn membership_kill_one_all_collectives() {
 }
 
 #[test]
+fn membership_kill_one_moves_payloads_of_several_pages() {
+    // Each block spans whole pages plus a tail, so the simulated heap
+    // shares runs between buffers instead of copying bytes; the shrunken
+    // re-execution lands in parent buffers the torn epoch partly filled,
+    // where a stale shared run would show in the survivors' bytes.
+    let count = 3 * 4096 + 8;
+    for pick in 0..6 {
+        let (_, res) = run_kill(pick, 8, count, 2, vec![(5, 3)], 1);
+        assert_kill_outcomes(pick, 8, count, 2, &[5], 1, &res);
+    }
+}
+
+#[test]
 fn membership_kill_one_immediately() {
     for &seed in &seed_corpus() {
         for pick in 0..6 {

@@ -4,12 +4,15 @@
 //! endpoint reaches through poll closures: the fluid servers, the per-rank
 //! heaps and the two message planes.
 //!
-//! A heap buffer is a length until its first write that is not all zeros
-//! allocates its bytes (see [`RankHeap`]). A bulk shared-memory message is
-//! a [`Buf`] ([`MachineState::bulk`]): [`RankHeap::copy_out`] takes it
-//! from the sender's heap and [`RankHeap::copy_in`] lands it in the
-//! receiver's, so a region nobody wrote travels as its length (every
-//! range, length and truncation check runs on lengths alone; no byte is
+//! A heap buffer is a piece table (see [`RankHeap`]): runs of zeros and
+//! runs of immutable shared stores. A copy of at least a page between
+//! buffers (a kernel-assisted transfer, a local copy) shares the source's
+//! runs and moves no byte; a buffer nobody wrote has no run at all and
+//! costs its length alone. A bulk shared-memory message is a [`Buf`]
+//! ([`MachineState::bulk`]): [`RankHeap::copy_out`] takes it from the
+//! sender's heap and [`RankHeap::copy_in`] lands it in the receiver's, so
+//! a region of a buffer nobody wrote travels as its length (every range,
+//! length and truncation check runs on lengths alone; no byte is
 //! allocated or touched) and written bytes are copied once out and once
 //! in. A team whose bodies never write their buffers therefore simulates
 //! any volume of traffic without allocating it. Control messages
@@ -21,6 +24,7 @@ use crate::xfer::Xfer;
 use kacc_comm::Topology;
 use kacc_model::{ArchProfile, FabricParams};
 use kacc_sim_core::{Mailboxes, SimTime};
+use std::sync::Arc;
 
 /// One bulk message in flight between two heaps: the bytes of a written
 /// region, or the length alone of a region nobody wrote (it reads as
@@ -62,68 +66,310 @@ fn all_zero(bytes: &[u8]) -> bool {
     blocks.all(|b| b.iter().fold(0, |acc, &x| acc | x) == 0) && tail.iter().all(|&x| x == 0)
 }
 
+/// A copy of at least this many bytes shares its source's runs instead
+/// of copying them; a shorter one copies bytes. One page: the unit a
+/// kernel-assisted copy pins, above the agreement's masks, which must
+/// land in place rather than cut their receive buffer into runs.
+const PAGE: usize = 4096;
+
+/// The most runs a buffer holds; a splice past it flattens the buffer.
+/// Twice the blocks of a 64-rank Bruck or pairwise result, each of which
+/// may come from a different store.
+const MAX_RUNS: usize = 128;
+
 #[cfg(test)]
 thread_local! {
-    /// Buffers materialized on this thread (tests read the difference).
+    /// Stores made on this thread (tests read the difference).
     pub(crate) static MATERIALIZED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
-/// The storage of a buffer, once it exists (counted in test builds).
-fn materialize(bytes: Vec<u8>) -> Vec<u8> {
+/// A new store holding `bytes` (counted in test builds).
+fn materialize(bytes: Vec<u8>) -> Arc<Vec<u8>> {
     #[cfg(test)]
     MATERIALIZED.with(|n| n.set(n.get() + 1));
-    bytes
+    Arc::new(bytes)
 }
 
-/// The bytes of a heap buffer: `len` bytes, allocated whole by the first
-/// write that is not all zeros. Until then the buffer reads as zeros and
-/// costs nothing but its length.
+/// `len` bytes of a buffer from its offset `at`: zeros, or the bytes of a
+/// store from offset `from`. A store is never written while a second run
+/// (in any buffer) holds it, so a run is a snapshot.
 #[derive(Debug)]
-struct Lazy {
+struct Run {
+    at: usize,
     len: usize,
-    bytes: Option<Vec<u8>>,
+    store: Option<(Arc<Vec<u8>>, usize)>,
 }
 
-impl Lazy {
-    /// `[off, off + len)` (in range): its bytes, or `None` while the
-    /// buffer is unallocated (zeros).
-    fn region(&self, off: usize, len: usize) -> Option<&[u8]> {
-        self.bytes.as_deref().map(|b| &b[off..off + len])
+impl Run {
+    /// The bytes at buffer offsets `[lo, hi)` inside this run (`None`:
+    /// zeros).
+    fn bytes(&self, lo: usize, hi: usize) -> Option<&[u8]> {
+        let skip = lo - self.at;
+        self.store
+            .as_ref()
+            .map(|(s, from)| &s[from + skip..from + skip + (hi - lo)])
     }
 
-    /// Write `len` bytes of `src` (`None`: zeros) at `off`. Zeros onto an
-    /// unallocated buffer leave it unallocated. False if out of range.
-    fn write(&mut self, off: usize, len: usize, src: Option<&[u8]>) -> bool {
-        if !in_range(off, len, self.len) {
-            return false;
+    /// Buffer offsets `[lo, hi)` of this run as a run of their own
+    /// starting at `to`.
+    fn cut(&self, lo: usize, hi: usize, to: usize) -> Run {
+        Run {
+            at: to,
+            len: hi - lo,
+            store: self
+                .store
+                .as_ref()
+                .map(|(s, from)| (Arc::clone(s), from + lo - self.at)),
         }
-        match (&mut self.bytes, src) {
-            (Some(b), None) => b[off..off + len].fill(0),
-            (Some(b), Some(s)) => b[off..off + len].copy_from_slice(s),
-            (None, Some(s)) if !all_zero(s) => {
-                let mut b = vec![0; self.len];
-                b[off..off + len].copy_from_slice(s);
-                self.bytes = Some(materialize(b));
+    }
+
+    /// Does `next` carry on where this run ends: zeros after zeros, or
+    /// the next bytes of the same store?
+    fn continues(&self, next: &Run) -> bool {
+        match (&self.store, &next.store) {
+            (None, None) => true,
+            (Some((a, from)), Some((b, next_from))) => {
+                Arc::ptr_eq(a, b) && from + self.len == *next_from
             }
-            (None, _) => {}
+            _ => false,
         }
-        true
+    }
+}
+
+/// The bytes of a heap buffer: `len` bytes as an ordered list of runs
+/// that tile them, or no run at all while the buffer reads as zeros.
+/// Adjacent runs never continue each other and a buffer is never a lone
+/// zero run; both are checked in tests.
+#[derive(Debug)]
+struct Pieces {
+    len: usize,
+    runs: Vec<Run>,
+}
+
+impl Pieces {
+    /// `len` zeros: no run, nothing allocated.
+    fn zeros(len: usize) -> Pieces {
+        Pieces {
+            len,
+            runs: Vec::new(),
+        }
+    }
+
+    /// A copy of `data`: one store, or none if `data` is all zeros.
+    fn of(data: &[u8]) -> Pieces {
+        let mut p = Pieces::zeros(data.len());
+        if !all_zero(data) {
+            p.runs.push(Run {
+                at: 0,
+                len: data.len(),
+                store: Some((materialize(data.to_vec()), 0)),
+            });
+        }
+        p
+    }
+
+    /// Has any byte been written (is there a run)?
+    fn is_written(&self) -> bool {
+        !self.runs.is_empty()
+    }
+
+    /// Index of the run holding byte `off` (`runs.len()` past the end).
+    fn find(&self, off: usize) -> usize {
+        self.runs.partition_point(|r| r.at + r.len <= off)
+    }
+
+    /// The runs crossing `[off, off + len)` (in range), each with its
+    /// part inside the region as buffer offsets `(lo, hi)`.
+    fn crossing(&self, off: usize, len: usize) -> impl Iterator<Item = (&Run, usize, usize)> {
+        let end = off + len;
+        self.runs[self.find(off)..]
+            .iter()
+            .take_while(move |r| r.at < end)
+            .map(move |r| (r, r.at.max(off), (r.at + r.len).min(end)))
+    }
+
+    /// `[off, off + len)` (in range) into `out`, zeros included.
+    fn read(&self, off: usize, out: &mut [u8]) {
+        if !self.is_written() {
+            return out.fill(0);
+        }
+        for (r, lo, hi) in self.crossing(off, out.len()) {
+            fill(&mut out[lo - off..hi - off], r.bytes(lo, hi));
+        }
+    }
+
+    /// `[off, off + len)` (in range) as a vector, one pass over its runs.
+    fn gather(&self, off: usize, len: usize) -> Vec<u8> {
+        if !self.is_written() {
+            return vec![0; len];
+        }
+        let mut v = Vec::with_capacity(len);
+        for (r, lo, hi) in self.crossing(off, len) {
+            match r.bytes(lo, hi) {
+                Some(b) => v.extend_from_slice(b),
+                None => v.resize(v.len() + (hi - lo), 0),
+            }
+        }
+        v
+    }
+
+    /// Write `len` bytes of `src` (`None`: zeros) at `off` (in range). A
+    /// write lands in place in a run whose store only this buffer holds;
+    /// failing that, one of at least a page becomes a run of its own and
+    /// a shorter one flattens the buffer first. Zeros onto zeros change
+    /// nothing.
+    fn write(&mut self, off: usize, len: usize, src: Option<&[u8]>) {
+        if len == 0 {
+            return;
+        }
+        let i = self.find(off);
+        if let Some(r) = self.runs.get_mut(i) {
+            if off + len <= r.at + r.len {
+                match &mut r.store {
+                    Some((s, from)) => {
+                        if let Some(s) = Arc::get_mut(s) {
+                            let at = *from + off - r.at;
+                            return fill(&mut s[at..at + len], src);
+                        }
+                    }
+                    None if src.is_none_or(all_zero) => return,
+                    None => {}
+                }
+            }
+        } else if src.is_none_or(all_zero) {
+            return;
+        }
+        if len >= PAGE {
+            let store = src.map(|b| (materialize(b.to_vec()), 0));
+            return self.splice(
+                off,
+                len,
+                [Run {
+                    at: off,
+                    len,
+                    store,
+                }],
+            );
+        }
+        self.flatten();
+        self.write(off, len, src);
+    }
+
+    /// Copy `len` bytes at `src_off` of `from` (`None`: this buffer) to
+    /// `dst_off` (both in range); overlap behaves as `memmove`. From a
+    /// page up this shares `from`'s runs; a shorter copy is a write.
+    fn copy(&mut self, dst_off: usize, from: Option<&Pieces>, src_off: usize, len: usize) {
+        let src = from.unwrap_or(self);
+        if !src.is_written() {
+            return self.write(dst_off, len, None);
+        }
+        if len >= PAGE {
+            let runs: Vec<Run> = src
+                .crossing(src_off, len)
+                .map(|(r, lo, hi)| r.cut(lo, hi, lo - src_off + dst_off))
+                .collect();
+            return self.splice(dst_off, len, runs);
+        }
+        // One run holds the region (the common case): write from it
+        // without a staging copy.
+        if let Some(from) = from {
+            let mut parts = from.crossing(src_off, len);
+            if let (Some((r, lo, hi)), None) = (parts.next(), parts.next()) {
+                return self.write(dst_off, len, r.bytes(lo, hi));
+            }
+        }
+        let bytes = src.gather(src_off, len);
+        self.write(dst_off, len, Some(&bytes));
+    }
+
+    /// Replace `[off, off + len)` (in range, not empty) with `new`, runs
+    /// that tile it, then join runs that continue each other at its two
+    /// ends; flatten if that leaves more than [`MAX_RUNS`].
+    fn splice(&mut self, off: usize, len: usize, new: impl IntoIterator<Item = Run>) {
+        if !self.is_written() {
+            self.runs.push(Run {
+                at: 0,
+                len: self.len,
+                store: None,
+            });
+        }
+        let i = self.split(off);
+        let j = self.split(off + len);
+        let before = self.runs.len();
+        drop(self.runs.splice(i..j, new));
+        let end = i + (self.runs.len() + (j - i) - before);
+        self.join(end);
+        self.join(i);
+        if matches!(&self.runs[..], [only] if only.store.is_none()) {
+            self.runs.clear();
+        }
+        if self.runs.len() > MAX_RUNS {
+            self.flatten();
+        }
+    }
+
+    /// Make a run start at `off` (at most `len`), splitting the run that
+    /// holds it; the index of that run.
+    fn split(&mut self, off: usize) -> usize {
+        let i = self.find(off);
+        let Some(r) = self.runs.get(i) else {
+            return i;
+        };
+        if r.at == off {
+            return i;
+        }
+        let (head, tail) = (off - r.at, r.cut(off, r.at + r.len, off));
+        self.runs[i].len = head;
+        self.runs.insert(i + 1, tail);
+        i + 1
+    }
+
+    /// Fold run `i` into run `i - 1` if it continues it.
+    fn join(&mut self, i: usize) {
+        if i > 0 && i < self.runs.len() && self.runs[i - 1].continues(&self.runs[i]) {
+            let r = self.runs.remove(i);
+            self.runs[i - 1].len += r.len;
+        }
+    }
+
+    /// Replace every run with one new store of the buffer's bytes, which
+    /// only this buffer holds.
+    fn flatten(&mut self) {
+        let bytes = self.gather(0, self.len);
+        self.runs.clear();
+        self.runs.push(Run {
+            at: 0,
+            len: self.len,
+            store: Some((materialize(bytes), 0)),
+        });
+    }
+}
+
+/// Overwrite `dst` with `src` (`None`: zeros).
+fn fill(dst: &mut [u8], src: Option<&[u8]>) {
+    match src {
+        Some(b) => dst.copy_from_slice(b),
+        None => dst.fill(0),
     }
 }
 
 /// One live buffer and whether its owner exposed it.
 #[derive(Debug)]
 struct HeapSlot {
-    mem: Lazy,
+    mem: Pieces,
     exposed: bool,
 }
 
 /// One simulated process's private memory: buffers and exposure set.
 ///
-/// A buffer's bytes are allocated by the first write that is not all
-/// zeros, so allocating one costs its length alone and a buffer nobody
-/// writes is never zero-filled or copied; every accessor behaves as if
-/// the whole buffer were present and zero-initialised.
+/// A buffer is a piece table: runs of zeros and runs of immutable shared
+/// stores, none at all until something other than zeros is written, so
+/// allocating one costs its length alone and a buffer nobody writes is
+/// never zero-filled or copied. A copy of at least a page between buffers
+/// (of this heap or another) shares the source's runs; a shorter copy or
+/// any write lands in place in a store only that buffer holds. Every
+/// accessor behaves as if the whole buffer were present and
+/// zero-initialised.
 #[derive(Debug, Default)]
 pub struct RankHeap {
     /// `slots[id]`: ids are handed out in sequence and never reused, so a
@@ -147,19 +393,16 @@ impl RankHeap {
 
     /// Allocate a zeroed buffer, returning its id.
     pub fn alloc(&mut self, len: usize) -> u64 {
-        self.push(Lazy { len, bytes: None })
+        self.push(Pieces::zeros(len))
     }
 
     /// Allocate a buffer holding a copy of `data` (unallocated if `data`
     /// is all zeros), returning its id.
     pub fn alloc_from(&mut self, data: &[u8]) -> u64 {
-        self.push(Lazy {
-            len: data.len(),
-            bytes: (!all_zero(data)).then(|| materialize(data.to_vec())),
-        })
+        self.push(Pieces::of(data))
     }
 
-    fn push(&mut self, mem: Lazy) -> u64 {
+    fn push(&mut self, mem: Pieces) -> u64 {
         self.slots.push(Some(HeapSlot {
             mem,
             exposed: false,
@@ -177,37 +420,49 @@ impl RankHeap {
         self.slot(id).map(|s| s.mem.len)
     }
 
+    /// A live buffer's bytes, if `[off, off + len)` lies inside it.
+    fn mem(&self, id: u64, off: usize, len: usize) -> Option<&Pieces> {
+        self.slot(id)
+            .map(|s| &s.mem)
+            .filter(|m| in_range(off, len, m.len))
+    }
+
+    /// [`mem`](Self::mem), writable.
+    fn mem_mut(&mut self, id: u64, off: usize, len: usize) -> Option<&mut Pieces> {
+        self.slot_mut(id)
+            .map(|s| &mut s.mem)
+            .filter(|m| in_range(off, len, m.len))
+    }
+
     /// Read bytes out. False if the access is invalid.
     pub fn read(&self, id: u64, off: usize, out: &mut [u8]) -> bool {
-        match self.region(id, off, out.len()) {
-            Some(Some(b)) => out.copy_from_slice(b),
-            Some(None) => out.fill(0),
-            None => return false,
-        }
-        true
+        self.mem(id, off, out.len())
+            .map(|m| m.read(off, out))
+            .is_some()
     }
 
     /// Write bytes in. False if invalid.
     pub fn write(&mut self, id: u64, off: usize, data: &[u8]) -> bool {
-        self.slot_mut(id)
-            .is_some_and(|s| s.mem.write(off, data.len(), Some(data)))
+        self.mem_mut(id, off, data.len())
+            .map(|m| m.write(off, data.len(), Some(data)))
+            .is_some()
     }
 
     /// Copy a region out as a vector. None if invalid.
     pub fn extract(&self, id: u64, off: usize, len: usize) -> Option<Vec<u8>> {
-        self.copy_out(id, off, len).map(|msg| match msg {
-            Buf::Real(bytes) => bytes,
-            Buf::Zeros(len) => vec![0u8; len],
-        })
+        self.mem(id, off, len).map(|m| m.gather(off, len))
     }
 
     /// Copy a region out as a bulk message: its bytes, or
     /// [`Buf::Zeros`] while the buffer is unwritten (nothing is
     /// allocated). None if the access is invalid.
     pub fn copy_out(&self, id: u64, off: usize, len: usize) -> Option<Buf> {
-        Some(match self.region(id, off, len)? {
-            Some(b) => Buf::Real(b.to_vec()),
-            None => Buf::Zeros(len),
+        self.mem(id, off, len).map(|m| {
+            if m.is_written() {
+                Buf::Real(m.gather(off, len))
+            } else {
+                Buf::Zeros(len)
+            }
         })
     }
 
@@ -216,29 +471,23 @@ impl RankHeap {
     /// zeroes a written one, as [`copy_from`](Self::copy_from) does.
     /// False if the access is invalid.
     pub fn copy_in(&mut self, id: u64, off: usize, msg: &Buf) -> bool {
-        self.slot_mut(id).is_some_and(|s| match msg {
-            Buf::Real(bytes) => s.mem.write(off, bytes.len(), Some(bytes)),
-            Buf::Zeros(len) => s.mem.write(off, *len, None),
-        })
+        self.mem_mut(id, off, msg.len())
+            .map(|m| match msg {
+                Buf::Real(bytes) => m.write(off, bytes.len(), Some(bytes)),
+                Buf::Zeros(len) => m.write(off, *len, None),
+            })
+            .is_some()
     }
 
-    /// A region of a buffer as a copy source (`Some(None)` while it reads
-    /// as zeros); `None` if the access is invalid.
-    fn region(&self, id: u64, off: usize, len: usize) -> Option<Option<&[u8]>> {
-        let c = &self.slot(id)?.mem;
-        in_range(off, len, c.len).then(|| c.region(off, len))
-    }
-
-    /// Is the buffer live and allocated (written with a byte that is not
-    /// zero)?
+    /// Is the buffer live and written (with a byte that is not zero)?
     fn is_written(&self, id: u64) -> bool {
-        self.slot(id).is_some_and(|s| s.mem.bytes.is_some())
+        self.slot(id).is_some_and(|s| s.mem.is_written())
     }
 
-    /// Copy `len` bytes from a buffer of `src` straight into a buffer of
-    /// this heap — one memcpy where [`extract`](Self::extract) then
-    /// [`write`](Self::write) allocate and copy twice. False (and nothing
-    /// moves) if either access is invalid.
+    /// Copy `len` bytes from a buffer of `src` into a buffer of this
+    /// heap: from a page up the destination shares the source's runs and
+    /// no byte moves; below it, one memcpy. False (and nothing moves) if
+    /// either access is invalid.
     pub fn copy_from(
         &mut self,
         dst: u64,
@@ -248,9 +497,10 @@ impl RankHeap {
         src_off: usize,
         len: usize,
     ) -> bool {
-        src.region(src_id, src_off, len).is_some_and(|from| {
-            self.slot_mut(dst)
-                .is_some_and(|s| s.mem.write(dst_off, len, from))
+        src.mem(src_id, src_off, len).is_some_and(|from| {
+            self.mem_mut(dst, dst_off, len)
+                .map(|to| to.copy(dst_off, Some(from), src_off, len))
+                .is_some()
         })
     }
 
@@ -265,24 +515,22 @@ impl RankHeap {
         len: usize,
     ) -> bool {
         if src == dst {
-            return match self.slot_mut(dst).map(|s| &mut s.mem) {
-                Some(c) if in_range(src_off, len, c.len) && in_range(dst_off, len, c.len) => {
-                    if let Some(b) = &mut c.bytes {
-                        b.copy_within(src_off..src_off + len, dst_off);
-                    }
-                    true
-                }
-                _ => false,
-            };
+            return self
+                .mem_mut(dst, dst_off, len)
+                .filter(|m| in_range(src_off, len, m.len))
+                .map(|m| m.copy(dst_off, None, src_off, len))
+                .is_some();
         }
         // Lift the destination out of the slab while the source is
         // borrowed from it.
         let Some(mut to) = self.entry_mut(dst).and_then(Option::take) else {
             return false;
         };
-        let ok = self
-            .region(src, src_off, len)
-            .is_some_and(|from| to.mem.write(dst_off, len, from));
+        let ok = in_range(dst_off, len, to.mem.len)
+            && self
+                .mem(src, src_off, len)
+                .map(|from| to.mem.copy(dst_off, Some(from), src_off, len))
+                .is_some();
         self.slots[dst as usize] = Some(to);
         ok
     }
@@ -501,9 +749,9 @@ pub(crate) fn move_bytes(
 ) {
     let ((from, src, src_off), (to, dst, dst_off)) = (src, dst);
     let written = heaps[from]
-        .region(src, src_off, len)
+        .mem(src, src_off, len)
         .expect("range checked above")
-        .is_some();
+        .is_written();
     if !written && !heaps[to].is_written(dst) {
         return;
     }
@@ -765,6 +1013,126 @@ mod tests {
     }
 
     #[test]
+    fn a_copy_of_a_page_or_more_shares_the_source_and_materializes_nothing() {
+        let mut st = MachineState::new(ArchProfile::broadwell(), 2);
+        let data = pattern(3 * PAGE + 8, 7);
+        let src = st.heaps[0].alloc_from(&data);
+        let dst = st.heaps[1].alloc(4 * PAGE);
+        let n0 = materialized();
+        // Across heaps, within one heap, within one buffer, and through
+        // `move_bytes` both ways: exactly a page and more.
+        let (a, b) = st.heaps.split_at_mut(1);
+        assert!(b[0].copy_from(dst, 8, &a[0], src, 0, PAGE));
+        st.move_bytes((0, src, PAGE), (1, dst, PAGE + 8), 2 * PAGE + 8);
+        let again = st.heaps[1].alloc(4 * PAGE);
+        assert!(st.heaps[1].copy_within(dst, 0, again, 0, 4 * PAGE));
+        assert!(st.heaps[1].copy_within(again, 8, again, 16, PAGE));
+        st.move_bytes((1, again, 0), (0, src, PAGE), PAGE);
+        assert_eq!(materialized(), n0, "a shared copy makes no store");
+        let mut want = vec![0; 4 * PAGE];
+        want[8..8 + data.len()].copy_from_slice(&data);
+        assert_eq!(st.heaps[1].extract(dst, 0, 4 * PAGE), Some(want.clone()));
+        want.copy_within(8..8 + PAGE, 16);
+        assert_eq!(st.heaps[1].extract(again, 0, 4 * PAGE), Some(want));
+        // One store holds every byte the three buffers carry.
+        for (h, id) in [(0, src), (1, dst), (1, again)] {
+            let runs = &st.heaps[h].slot(id).unwrap().mem.runs;
+            assert!(runs.len() <= 5, "{h}/{id}: {runs:?}");
+        }
+        // A copy one byte short of a page copies bytes.
+        let (a, b) = st.heaps.split_at_mut(1);
+        assert!(b[0].copy_from(dst, 0, &a[0], src, 0, PAGE - 1));
+        assert_eq!(materialized(), n0 + 1, "the destination was flattened");
+    }
+
+    #[test]
+    fn a_shared_copy_is_a_snapshot_of_its_source() {
+        let mut a = RankHeap::default();
+        let mut b = RankHeap::default();
+        let src = a.alloc_from(&pattern(2 * PAGE, 1));
+        let dst = b.alloc(2 * PAGE);
+        assert!(b.copy_from(dst, 0, &a, src, 0, 2 * PAGE));
+        let inner = b.alloc(PAGE + 1);
+        assert!(b.copy_within(dst, 3, inner, 0, PAGE + 1));
+        let want = pattern(2 * PAGE, 1);
+        // Writes to the source, short and long, in place or not, a zero
+        // landing, then its death: the copies keep what they copied.
+        assert!(a.write(src, 5, &[0xFF; 3]));
+        assert!(a.write(src, PAGE, &vec![0xEE; PAGE]));
+        assert!(a.copy_in(src, 0, &Buf::Zeros(PAGE)));
+        assert!(a.copy_in(src, 9, &Buf::Zeros(2)));
+        let mut changed = want.clone();
+        changed[..PAGE].fill(0);
+        changed[PAGE..].fill(0xEE);
+        assert_eq!(a.extract(src, 0, 2 * PAGE), Some(changed));
+        assert!(a.free(src));
+        assert_eq!(b.extract(dst, 0, 2 * PAGE), Some(want.clone()));
+        assert_eq!(
+            b.extract(inner, 0, PAGE + 1),
+            Some(want[3..PAGE + 4].to_vec())
+        );
+        // And the other way: writing a copy leaves its source alone.
+        assert!(b.write(dst, 3, &[0xAB; 4]));
+        assert!(b.write(dst, PAGE, &vec![0xCD; PAGE]));
+        assert_eq!(
+            b.extract(inner, 0, PAGE + 1),
+            Some(want[3..PAGE + 4].to_vec())
+        );
+    }
+
+    #[test]
+    fn an_agreement_rounds_landings_leave_one_run() {
+        // `l` members each land a `width`-byte mask in its slot of one
+        // receive buffer, after the owner zeroes it and writes its own.
+        let (l, width) = (64, 9);
+        let mut st = MachineState::new(ArchProfile::broadwell(), l);
+        let sends: Vec<u64> = (0..l)
+            .map(|r| st.heaps[r].alloc_from(&[r as u8 + 1; 9]))
+            .collect();
+        let n0 = materialized();
+        let recv = st.heaps[0].alloc(width * l);
+        for round in 0..3 {
+            assert!(st.heaps[0].write(recv, 0, &vec![0; width * l]));
+            assert!(st.heaps[0].write(recv, 0, &[1; 9]));
+            for (r, &send) in sends.iter().enumerate().skip(1) {
+                st.move_bytes((r, send, 0), (0, recv, width * r), width);
+            }
+            assert_eq!(
+                st.heaps[0].slot(recv).unwrap().mem.runs.len(),
+                1,
+                "round {round}"
+            );
+        }
+        assert_eq!(materialized(), n0 + 1, "one store, written in place");
+        let want: Vec<u8> = (0..l).flat_map(|r| [r as u8 + 1; 9]).collect();
+        assert_eq!(st.heaps[0].extract(recv, 0, width * l), Some(want));
+    }
+
+    #[test]
+    fn a_buffer_past_the_run_bound_is_flattened() {
+        let mut h = RankHeap::default();
+        let srcs: Vec<u64> = (0..=MAX_RUNS)
+            .map(|i| h.alloc_from(&[i as u8 + 1; PAGE]))
+            .collect();
+        let dst = h.alloc(PAGE * MAX_RUNS);
+        let runs = |h: &RankHeap| h.slot(dst).unwrap().mem.runs.len();
+        let n0 = materialized();
+        let mut want = vec![0; PAGE * MAX_RUNS];
+        // A page from each of MAX_RUNS stores: at the bound, still shared.
+        for (i, &s) in srcs[..MAX_RUNS].iter().enumerate() {
+            assert!(h.copy_within(s, 0, dst, i * PAGE, PAGE));
+            want[i * PAGE..(i + 1) * PAGE].fill(i as u8 + 1);
+            assert_eq!(runs(&h), (i + 2).min(MAX_RUNS), "copy {i}");
+        }
+        assert_eq!(materialized(), n0);
+        // A page across two of them is one run more: one store.
+        assert!(h.copy_within(srcs[MAX_RUNS], 0, dst, PAGE / 2, PAGE));
+        want[PAGE / 2..PAGE / 2 + PAGE].fill(MAX_RUNS as u8 + 1);
+        assert_eq!((runs(&h), materialized()), (1, n0 + 1));
+        assert_eq!(h.extract(dst, 0, want.len()), Some(want));
+    }
+
+    #[test]
     fn all_zero_sees_a_set_byte_anywhere() {
         for len in [0, 1, 511, 512, 513, 1029] {
             let mut v = vec![0u8; len];
@@ -784,27 +1152,69 @@ mod tests {
     /// The scale of the model check's large buffers and accesses.
     const BIG: usize = 64 << 10;
 
-    /// Buffer lengths from empty to a few `BIG`.
-    const LENS: [usize; 8] = [0, 1, 13, BIG - 1, BIG, BIG + 1, 2 * BIG + 5, 3 * BIG];
+    /// Buffer lengths from empty to a few `BIG`, on both sides of a
+    /// page.
+    const LENS: [usize; 11] = [
+        0,
+        1,
+        13,
+        PAGE - 1,
+        PAGE,
+        PAGE + 1,
+        BIG - 1,
+        BIG,
+        BIG + 1,
+        2 * BIG + 5,
+        3 * BIG,
+    ];
 
-    /// An offset into a buffer of `cap` bytes near a multiple of `BIG`;
-    /// one pick in `cap + 2` lands past the end.
+    /// An offset into a buffer of `cap` bytes near a multiple of a page
+    /// or of `BIG`; one pick in `cap + 2` lands past the end.
     fn pick_off(raw: usize, cap: usize) -> usize {
-        let edge = (raw % 4) * BIG + (raw / 4) % 7;
+        let unit = if raw.is_multiple_of(2) { PAGE } else { BIG };
+        let edge = (raw / 2 % 4) * unit + (raw / 8) % 7;
         edge.saturating_sub(3) % (cap + 2)
     }
 
     /// A length for an access at `off` of a `cap`-byte buffer: short,
-    /// about `BIG` or to the end, overshooting by one in one pick of 16.
+    /// about a page, about `BIG` or to the end, overshooting by one in
+    /// one pick of 16.
     fn pick_len(raw: usize, off: usize, cap: usize) -> usize {
         let room = cap.saturating_sub(off);
-        let want = match raw % 4 {
-            0 => raw / 4 % 9,
-            1 => BIG + raw / 4 % 3 - 1,
-            2 => room,
-            _ => raw / 4 % (2 * BIG + 1),
+        let want = match raw % 5 {
+            0 => raw / 5 % 9,
+            1 => PAGE + raw / 5 % 3 - 1,
+            2 => BIG + raw / 5 % 3 - 1,
+            3 => room,
+            _ => raw / 5 % (2 * BIG + 1),
         };
         want.min(room) + usize::from(raw % 16 == 15)
+    }
+
+    /// The piece table's invariants on every live buffer of `h`: runs
+    /// tile it in order, none empty, none past its store, no two
+    /// adjacent that continue each other, never a lone zero run, and at
+    /// most [`MAX_RUNS`].
+    fn check_runs(h: &RankHeap) -> TestCaseResult {
+        for (id, m) in h.slots.iter().enumerate() {
+            let Some(m) = m.as_ref().map(|s| &s.mem) else {
+                continue;
+            };
+            prop_assert!(m.runs.len() <= MAX_RUNS, "{id}: {} runs", m.runs.len());
+            let mut at = 0;
+            for (i, r) in m.runs.iter().enumerate() {
+                prop_assert!(r.at == at && r.len > 0, "{id}: run {i} {r:?} at {at}");
+                if let Some((s, from)) = &r.store {
+                    prop_assert!(from + r.len <= s.len(), "{id}: run {i} past its store");
+                }
+                prop_assert!(i == 0 || !m.runs[i - 1].continues(r), "{id}: run {i} joins");
+                at += r.len;
+            }
+            prop_assert!(m.runs.is_empty() || at == m.len, "{id}: runs cover {at}");
+            let lone_zeros = matches!(&m.runs[..], [r] if r.store.is_none());
+            prop_assert!(!lone_zeros, "{id}: a lone zero run");
+        }
+        Ok(())
     }
 
     fn pattern(len: usize, seed: u8) -> Vec<u8> {
@@ -927,6 +1337,7 @@ mod tests {
             for (id, v) in model.iter().enumerate() {
                 prop_assert_eq!(heap.len_of(id as u64), v.as_ref().map(Vec::len));
             }
+            check_runs(heap)?;
         }
         Ok(())
     }
@@ -938,14 +1349,14 @@ mod tests {
                 (0usize..1 << 20, 0usize..1 << 20, 0usize..1 << 20),
                 0u8..=255,
             ),
-            1..40,
+            1..64,
         )
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+        #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
         #[test]
-        fn lazy_heap_matches_a_flat_model(ops in heap_ops()) {
+        fn piece_heap_matches_a_flat_model(ops in heap_ops()) {
             let mut heaps = [RankHeap::default(), RankHeap::default()];
             let mut models = [Vec::new(), Vec::new()];
             for op in ops {

@@ -133,4 +133,16 @@ echo "== benchmark package (public-API drift fails here, not in the pipeline) ==
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
+echo "== simulated workloads, one short run each (correct, no failed operation) =="
+# Each set-up's smoke checks compare the simulator's bytes with the thread
+# transport's on 4160-byte buffers, past a page, so a wrong byte in the
+# heap's shared runs fails here rather than in the benchmark pipeline;
+# every pass is then judged against the warm one. About 12 s.
+for w in allgather_storm one_to_all survivable persona_sweep; do
+  last=$(benchmark/run.sh --workload "$w" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+  echo "$w: $last"
+  jq -e '.correct == true and .failed == 0' <<<"$last" >/dev/null ||
+    { echo "workload $w: not correct, or an operation failed" >&2; exit 1; }
+done
+
 echo "CI gates all green."

@@ -3,13 +3,15 @@
 # valgrind: a wall-clock sampler preloaded into the program, a
 # frame-pointer build, and reports from `nm` symbol tables.
 #
-#   scripts/profile.sh [--out DIR] [CARGO BUILD ARGS] -- [PROGRAM ARGS]
+#   scripts/profile.sh [--out DIR] [--only SYMBOL] [CARGO BUILD ARGS] -- [PROGRAM ARGS]
 #
 # Examples:
 #   scripts/profile.sh --example native_overhead -- 4000
 #   scripts/profile.sh --bin repro -p kacc-bench -- --quick fig10
 #   scripts/profile.sh --manifest-path benchmark/Cargo.toml -- \
 #       --workload native_cma --seed 1 --seconds 8 --trace 0
+#   scripts/profile.sh --only execute_tolerant --manifest-path \
+#       benchmark/Cargo.toml -- --workload survivable --seed 1 --seconds 8 --trace 0
 #
 # Everything before `--` goes to `cargo build --release`, which must
 # build exactly one executable; it is built with frame pointers into
@@ -35,6 +37,11 @@
 #              is in the symbol (self time)
 #   inclusive  the 25 symbols with the symbol anywhere on the stack
 #   callers    for each of the top 8 flat symbols, its immediate callers
+# With --only SYMBOL the three reports count only the samples whose
+# stack has a frame whose name contains SYMBOL (a substring: `set_up`,
+# `execute_tolerant`, `RankHeap::copy_within`), after a first line giving
+# that subset's share of all samples; every percentage stays a share of
+# all samples, so the subset's rows read as rows of the full report.
 # Addresses are mapped to symbols through /proc/PID/maps (saved with the
 # samples), the ELF program headers (`readelf -l`) and `nm -C`. Frames
 # in the executable are named. A stripped shared library has only its
@@ -50,10 +57,12 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
 readonly HZ=4000 TOP=25
 out=target/profile
+only=""
 build=()
 while [[ $# -gt 0 ]]; do
     case "$1" in
         --out) out="$2"; shift 2 ;;
+        --only) only="$2"; shift 2 ;;
         --) shift; break ;;
         *) build+=("$1"); shift ;;
     esac
@@ -205,10 +214,10 @@ status=0
 LD_PRELOAD="$out/sampler.so" "$exe" "$@" || status=$?
 
 # --- the reports -------------------------------------------------------
-python3 - "$out" "$TOP" <<'EOF' | tee "$out/report.txt"
+python3 - "$out" "$TOP" "$only" <<'EOF' | tee "$out/report.txt"
 import bisect, collections, glob, os, re, subprocess, sys
 
-out, top = sys.argv[1], int(sys.argv[2])
+out, top, only = sys.argv[1], int(sys.argv[2]), sys.argv[3]
 HASH = re.compile(r"::h[0-9a-f]{16}$")
 NEAR = 4096  # farthest a frame may lie past an exported symbol named for it
 
@@ -283,6 +292,9 @@ total = len(stacks)
 print(f"{total} samples from {procs} processes ({dropped} dropped)")
 if not total:
     sys.exit(0)
+if only:
+    stacks = [s for s in stacks if any(only in f for f in s)]
+    print(f"--only {only}: {len(stacks)} samples, {100 * len(stacks) / total:.2f}% of all")
 flat = collections.Counter(s[0] for s in stacks)
 incl = collections.Counter()
 for s in stacks:
