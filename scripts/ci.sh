@@ -137,7 +137,8 @@ echo "== simulated workloads, one short run each (correct, no failed operation) 
 # Each set-up's smoke checks compare the simulator's bytes with the thread
 # transport's on 4160-byte buffers, past a page, so a wrong byte in the
 # heap's shared runs fails here rather than in the benchmark pipeline;
-# every pass is then judged against the warm one. About 12 s.
+# every pass is then judged against the warm one. About 7 s on a 2-core VM
+# once the step above has built the benchmark.
 for w in allgather_storm one_to_all survivable persona_sweep; do
   last=$(benchmark/run.sh --workload "$w" --seed 1 --seconds 1 --trace 0 | tail -n 1)
   echo "$w: $last"
