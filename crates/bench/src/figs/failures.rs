@@ -356,7 +356,8 @@ mod tests {
             // watermark resume can shrink reexec_ns while detect_ns
             // grows.)
             // Every survivor of the quick sweep recovers: no survivor
-            // errors (the full sweep still has some, see EXPERIMENTS.md).
+            // errors (the full sweep still has some, see
+            // experiments/08-gen-2-survivability.md, "Survivor errors").
             if ca.id.starts_with("failures_errors_") {
                 for sa in &ca.series {
                     assert!(

@@ -11,8 +11,9 @@
 //! counts and metrics against `BENCH_BASELINE.json`. Wall-clock cost
 //! per layer is the benchmark's (`benchmark/`), not this crate's.
 //!
-//! See `DESIGN.md` §5 for the experiment index and `EXPERIMENTS.md` for
-//! recorded paper-vs-measured outcomes.
+//! See `DESIGN.md` §5 for the experiment index, `EXPERIMENTS.md` for
+//! recorded paper-vs-measured outcomes and `experiments/` for the
+//! per-change measurements.
 
 pub mod figs;
 pub mod measure;

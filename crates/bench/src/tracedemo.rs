@@ -240,7 +240,7 @@ mod tests {
 
     #[test]
     fn fault_plan_report_recovers_and_validates() {
-        // The EXPERIMENTS.md §"Recovery" plan: 5% transient EAGAIN on
+        // The plan of experiments/03-recovery-under-faults.md: 5% transient EAGAIN on
         // every transport op plus probabilistic half-way CMA truncation.
         let plan = FaultPlan::parse(
             "seed 42\n\

@@ -6,7 +6,7 @@
 //! [`kacc_comm::AsyncComm`]. This module holds what every execution
 //! shares regardless of transport: the [`RecoveryPolicy`] /
 //! [`MembershipPolicy`] knobs, the [`ScheduleReport`] /
-//! [`RecoveryReport`] accounting with its single [`Recorder`] write
+//! [`RecoveryReport`] accounting with its single `Recorder` write
 //! path, the slot/register context a plan executes in, and
 //! [`execute`] / [`execute_traced`], which run that executor on a
 //! blocking [`Comm`] through [`Blocking`] + [`block_on`]. A recovery
@@ -32,18 +32,15 @@ use crate::schedule::{Payload, RecvInto, Schedule, Slot, Step};
 /// Liveness-watchdog and shrink parameters of the membership layer:
 /// turns silent peer death into the typed [`CommError::PeerDead`] and
 /// governs the shrink-and-re-execute loop in [`crate::membership`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MembershipPolicy {
-    /// Arm the liveness watchdog: blocking receives are bounded by
-    /// `liveness_timeout_ns` (unless `step_timeout_ns` already bounds
-    /// them), and an expired wait or transport `ESRCH` on a step with an
-    /// identifiable peer becomes [`CommError::PeerDead`] naming that
-    /// peer.
-    pub watch: bool,
     /// Per-attempt liveness deadline for blocking receives, in
-    /// nanoseconds (virtual under simulation). Ignored while `watch` is
-    /// off or `step_timeout_ns` sets a deadline of its own.
-    pub liveness_timeout_ns: u64,
+    /// nanoseconds (virtual under simulation); `Some` arms the watchdog.
+    /// Armed, blocking receives are bounded by this deadline (unless
+    /// `step_timeout_ns` sets one of its own), and an expired wait or
+    /// transport `ESRCH` on a step with an identifiable peer becomes
+    /// [`CommError::PeerDead`] naming that peer.
+    pub liveness_ns: Option<u64>,
 }
 
 impl MembershipPolicy {
@@ -51,24 +48,14 @@ impl MembershipPolicy {
     /// membership layer existed. This is the `Default`, so existing
     /// policies are unchanged.
     pub fn disabled() -> MembershipPolicy {
-        MembershipPolicy {
-            watch: false,
-            liveness_timeout_ns: 0,
-        }
+        MembershipPolicy { liveness_ns: None }
     }
 
     /// Watchdog armed with the defaults the survivable drivers use.
     pub fn survivable() -> MembershipPolicy {
         MembershipPolicy {
-            watch: true,
-            liveness_timeout_ns: 200_000,
+            liveness_ns: Some(200_000),
         }
-    }
-}
-
-impl Default for MembershipPolicy {
-    fn default() -> MembershipPolicy {
-        MembershipPolicy::disabled()
     }
 }
 
@@ -838,39 +825,17 @@ pub fn execute_traced<C: Comm + ?Sized>(
 /// buffers hold staged data (e.g. Bruck rotations), token registers hold
 /// the peers' exposures already collected by completed control steps.
 pub(crate) struct ResumeState {
-    temps: Vec<BufId>,
-    regs: Vec<Option<RemoteToken>>,
+    pub(crate) temps: Vec<BufId>,
+    pub(crate) regs: Vec<Option<RemoteToken>>,
     /// Index of the first IR step the next attempt must run.
-    next_step: usize,
+    pub(crate) next_step: usize,
 }
 
 impl ResumeState {
-    pub(crate) fn new(
-        temps: Vec<BufId>,
-        regs: Vec<Option<RemoteToken>>,
-        next_step: usize,
-    ) -> ResumeState {
-        ResumeState {
-            temps,
-            regs,
-            next_step,
-        }
-    }
-
-    /// Index of the first IR step the next attempt must run.
-    pub(crate) fn next_step(&self) -> usize {
-        self.next_step
-    }
-
     /// Whether this state's shape matches `sched` — the guard against
     /// resuming into a different plan.
     pub(crate) fn matches(&self, sched: &Schedule) -> bool {
         self.temps.len() == sched.temps.len() && self.regs.len() == sched.token_regs
-    }
-
-    /// Tear the state apart for reuse by the next attempt.
-    pub(crate) fn into_parts(self) -> (Vec<BufId>, Vec<Option<RemoteToken>>) {
-        (self.temps, self.regs)
     }
 
     /// Give up on resuming: free the preserved scratch buffers.
@@ -907,12 +872,7 @@ pub(crate) fn is_suspect_error(e: &CommError) -> bool {
 /// when set, else the membership liveness deadline when the watchdog is
 /// armed, else unbounded.
 pub(crate) fn recv_deadline_ns(policy: &RecoveryPolicy) -> Option<u64> {
-    policy.step_timeout_ns.or_else(|| {
-        policy
-            .membership
-            .watch
-            .then_some(policy.membership.liveness_timeout_ns)
-    })
+    policy.step_timeout_ns.or(policy.membership.liveness_ns)
 }
 
 /// The remote rank a step communicates with, when one is identifiable —

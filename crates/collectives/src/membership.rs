@@ -30,7 +30,7 @@
 //!    together even when the suspicion that caused the failure was
 //!    refuted. A peer dying *inside* an agreement folds into the
 //!    suspect set and restarts the agreement under fresh tags
-//!    (kill-anywhere recovery), bounded by [`MAX_AGREE_ATTEMPTS`].
+//!    (kill-anywhere recovery), bounded by `MAX_AGREE_ATTEMPTS`.
 //! 3. **Resume or shrink-and-re-execute** — when the agreed mask names
 //!    no new dead rank but carries [`FLAG_REDO`] (somebody's plan tore
 //!    on a refuted suspicion), survivors *resume*: ranks that completed
@@ -63,7 +63,7 @@
 //!
 //! The membership protocol never blocks forever: every wait is bounded
 //! by the watchdog, disagreement only ever causes further shrinks, and
-//! the loop is capped by [`MAX_SHRINKS`] and the quorum rule (survivors
+//! the loop is capped by `MAX_SHRINKS` and the quorum rule (survivors
 //! must outnumber half the parent communicator).
 
 use std::sync::{Arc, OnceLock};
@@ -75,8 +75,8 @@ use kacc_trace::{Tracer, Track};
 
 use crate::allgather::ring_stride;
 use crate::exec::{proto, Bindings, MembershipPolicy, RecoveryPolicy, ResumeState, ScheduleReport};
-use crate::polled::execute_resumable_polled;
-use crate::schedule::{compile_agree, compile_agree_split, PlanCache, PlanKey, Schedule};
+use crate::polled::{execute_once, execute_resumable_polled};
+use crate::schedule::{compile_agree, PlanCache, PlanKey, Schedule};
 use crate::tuner::Tuner;
 use crate::{
     check_call, class, AllgatherAlgo, AlltoallAlgo, BcastAlgo, Dtype, GatherAlgo, ReduceAlgo,
@@ -165,18 +165,6 @@ impl SurvivableOp {
             | SurvivableOp::Allgather { count, .. }
             | SurvivableOp::Alltoall { count, .. }
             | SurvivableOp::Reduce { count, .. } => count,
-        }
-    }
-
-    /// Short name for diagnostics.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SurvivableOp::Scatter { .. } => "scatter",
-            SurvivableOp::Gather { .. } => "gather",
-            SurvivableOp::Bcast { .. } => "bcast",
-            SurvivableOp::Allgather { .. } => "allgather",
-            SurvivableOp::Alltoall { .. } => "alltoall",
-            SurvivableOp::Reduce { .. } => "reduce",
         }
     }
 }
@@ -315,12 +303,11 @@ fn arch_for(topo: &Topology) -> ArchProfile {
 /// deadline itself — it is the floor of a window that scales with the
 /// plan, so big communicators and big payloads stop tripping false
 /// suspicions while small plans keep PR 8's exact detection latency.
-fn adaptive_liveness(m: &MembershipPolicy, plan_cost_ns: u64, obs_p99_ns: u64) -> u64 {
+fn adaptive_liveness(floor: u64, plan_cost_ns: u64, obs_p99_ns: u64) -> u64 {
     let predicted = plan_cost_ns.max(obs_p99_ns.saturating_mul(2));
-    predicted.saturating_mul(4).clamp(
-        m.liveness_timeout_ns,
-        m.liveness_timeout_ns.saturating_mul(64),
-    )
+    predicted
+        .saturating_mul(4)
+        .clamp(floor, floor.saturating_mul(64))
 }
 
 /// The rules of a survivable call itself. Everything else a call must
@@ -455,52 +442,32 @@ fn bindings_for(op: &SurvivableOp, send: Option<BufId>, recv: Option<BufId>) -> 
     }
 }
 
-/// The effective membership parameters: the caller's, with the watchdog
-/// forced on and a zero liveness timeout replaced by the survivable
-/// default.
-fn effective_membership(policy: &RecoveryPolicy) -> MembershipPolicy {
-    let defaults = MembershipPolicy::survivable();
-    let mut m = if policy.membership.watch {
-        policy.membership
-    } else {
-        defaults
-    };
-    if m.liveness_timeout_ns == 0 {
-        m.liveness_timeout_ns = defaults.liveness_timeout_ns;
+/// The effective liveness floor: the caller's watchdog deadline, or the
+/// survivable default when the caller leaves the watchdog off or its
+/// deadline zero. The watchdog is always on in a survivable call.
+fn effective_membership(policy: &RecoveryPolicy) -> u64 {
+    match policy.membership.liveness_ns {
+        Some(ns) if ns > 0 => ns,
+        _ => MembershipPolicy::survivable()
+            .liveness_ns
+            .expect("the survivable policy arms the watchdog"),
     }
-    m.watch = true;
-    m
 }
 
 /// The policy one agreement round runs under: no retries, no fallback,
-/// every wait bounded by `timeout`; [`execute_tolerant`] skips failing
-/// steps after recording the suspicion.
-fn agree_policy(m: &MembershipPolicy, timeout: u64) -> RecoveryPolicy {
+/// every wait bounded by `timeout`, and the watchdog armed so that a
+/// tolerant run ([`execute_once`]) skips failing steps after recording
+/// the suspicion.
+fn agree_policy(timeout: u64) -> RecoveryPolicy {
     RecoveryPolicy {
         max_retries: 0,
         backoff_ns: 0,
         cma_fallback: false,
         step_timeout_ns: Some(timeout),
-        membership: MembershipPolicy { watch: true, ..*m },
+        membership: MembershipPolicy {
+            liveness_ns: Some(timeout),
+        },
     }
-}
-
-/// Run one agreement plan tolerantly and never resume it: a torn run's
-/// scratch is freed here.
-async fn execute_tolerant<C: AsyncComm>(
-    comm: &mut C,
-    plan: &Schedule,
-    bind: &Bindings,
-    tracer: &Tracer,
-    policy: &RecoveryPolicy,
-) -> Result<()> {
-    let mut resume = None;
-    let (res, _) =
-        execute_resumable_polled(comm, plan, bind, tracer, policy, true, &mut resume).await;
-    if let Some(state) = resume {
-        state.abandon(comm);
-    }
-    res
 }
 
 /// Fold one agreement round's results into the suspected mask.
@@ -645,7 +612,6 @@ async fn agree<C: AsyncComm>(
     epoch: u32,
     base_round: u32,
     suspected: &MemberMask,
-    m: &MembershipPolicy,
     retries: u32,
     liveness: u64,
     w0_floor: u64,
@@ -690,16 +656,20 @@ async fn agree<C: AsyncComm>(
             comm.write_local(recv, 0, &vec![0u8; width * l])?;
             comm.write_local(recv, width * my_idx, &wire)?;
             let (live_plan, susp_plan) =
-                compile_agree_split(p, me, members, epoch, base_round + r, width, &cur);
+                compile_agree(p, me, members, epoch, base_round + r, width, &cur);
             let bind = Bindings {
                 send: Some(send),
                 recv: Some(recv),
             };
-            let live = agree_policy(m, deadline);
-            execute_tolerant(comm, &live_plan, &bind, tracer, &live).await?;
+            let live = agree_policy(deadline);
+            execute_once(comm, &live_plan, &bind, tracer, &live, true)
+                .await
+                .0?;
             if !susp_plan.steps.is_empty() {
-                let cap = agree_policy(m, if r < 2 { a0.saturating_mul(2) } else { a0 });
-                execute_tolerant(comm, &susp_plan, &bind, tracer, &cap).await?;
+                let cap = agree_policy(if r < 2 { a0.saturating_mul(2) } else { a0 });
+                execute_once(comm, &susp_plan, &bind, tracer, &cap, true)
+                    .await
+                    .0?;
             }
             let mut bytes = vec![0u8; width * l];
             comm.read_local(recv, 0, &mut bytes)?;
@@ -751,7 +721,7 @@ pub async fn run_survivable_polled<C: AsyncComm>(
     validate(op, p, send, recv)?;
     let bind = bindings_for(op, send, recv);
     check_call(comm, &op.key(p, me, op.root().unwrap_or(0), &bind)?, &bind)?;
-    let m = effective_membership(policy);
+    let floor = effective_membership(policy);
     let tracer = comm.tracer();
     let tuner = Tuner::new(&arch_for(&comm.topology()));
     let mut dead = MemberMask::new(p);
@@ -811,24 +781,27 @@ pub async fn run_survivable_polled<C: AsyncComm>(
         };
         // Adaptive detection: deadline from the analytic plan cost and
         // the step latencies this call has already observed.
-        let liveness = adaptive_liveness(&m, tuner.cost_schedule(&plan, l) as u64, obs_p99);
+        let liveness = adaptive_liveness(floor, tuner.cost_schedule(&plan, l) as u64, obs_p99);
         // The agreement's own all-to-all fan-out grows with l even when
         // the data plan's cost does not, so its deadlines are derived
         // from the agreement plan's modeled cost (identical on every
-        // member: the schedule is symmetric).
-        let agree_liveness = adaptive_liveness(
-            &m,
-            tuner.cost_schedule(
-                &compile_agree(p, me, &members, epoch, 0, MemberMask::wire_len(p)),
-                l,
-            ) as u64,
-            obs_p99,
-        )
-        .max(liveness);
+        // member: the schedule is symmetric). With nobody suspected the
+        // live plan is the whole round.
+        let (agree_plan, _) = compile_agree(
+            p,
+            me,
+            &members,
+            epoch,
+            0,
+            MemberMask::wire_len(p),
+            &MemberMask::new(p),
+        );
+        let agree_liveness =
+            adaptive_liveness(floor, tuner.cost_schedule(&agree_plan, l) as u64, obs_p99)
+                .max(liveness);
         let mut pol = *policy;
         pol.membership = MembershipPolicy {
-            watch: true,
-            liveness_timeout_ns: liveness,
+            liveness_ns: Some(liveness),
         };
         let t_exec = comm.time_ns();
         let exec: Result<ScheduleReport> = if let Some(report) = done {
@@ -884,7 +857,6 @@ pub async fn run_survivable_polled<C: AsyncComm>(
                 epoch,
                 base_round,
                 &own,
-                &m,
                 policy.max_retries,
                 agree_liveness,
                 skew_hint,
@@ -1132,34 +1104,38 @@ mod tests {
 
     #[test]
     fn adaptive_liveness_clamps_to_policy_window() {
-        let m = MembershipPolicy::survivable();
-        let floor = m.liveness_timeout_ns;
+        let floor = effective_membership(&RecoveryPolicy::survivable());
         // Tiny plans stay at the policy floor (PR 8's exact behavior).
-        assert_eq!(adaptive_liveness(&m, 0, 0), floor);
-        assert_eq!(adaptive_liveness(&m, floor / 8, 0), floor);
+        assert_eq!(adaptive_liveness(floor, 0, 0), floor);
+        assert_eq!(adaptive_liveness(floor, floor / 8, 0), floor);
         // Bigger plans scale the deadline; observations can widen it.
-        assert_eq!(adaptive_liveness(&m, floor, 0), 4 * floor);
-        assert_eq!(adaptive_liveness(&m, floor, floor), 8 * floor);
+        assert_eq!(adaptive_liveness(floor, floor, 0), 4 * floor);
+        assert_eq!(adaptive_liveness(floor, floor, floor), 8 * floor);
         // And the ceiling caps runaway estimates.
-        assert_eq!(adaptive_liveness(&m, u64::MAX / 2, 0), 64 * floor);
+        assert_eq!(adaptive_liveness(floor, u64::MAX / 2, 0), 64 * floor);
     }
 
     #[test]
     fn effective_membership_fills_zeroed_fields() {
-        let m = effective_membership(&RecoveryPolicy::default());
-        assert!(m.watch);
+        let survivable = MembershipPolicy::survivable().liveness_ns;
         assert_eq!(
-            m.liveness_timeout_ns,
-            MembershipPolicy::survivable().liveness_timeout_ns
+            Some(effective_membership(&RecoveryPolicy::default())),
+            survivable
         );
-        let custom = RecoveryPolicy {
+        let zero = RecoveryPolicy {
             membership: MembershipPolicy {
-                watch: true,
-                liveness_timeout_ns: 77,
+                liveness_ns: Some(0),
             },
             ..RecoveryPolicy::default()
         };
-        assert_eq!(effective_membership(&custom), custom.membership);
+        assert_eq!(Some(effective_membership(&zero)), survivable);
+        let custom = RecoveryPolicy {
+            membership: MembershipPolicy {
+                liveness_ns: Some(77),
+            },
+            ..RecoveryPolicy::default()
+        };
+        assert_eq!(effective_membership(&custom), 77);
     }
 
     #[test]

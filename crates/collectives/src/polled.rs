@@ -8,7 +8,7 @@
 //! runs every step in order under the [`RecoveryPolicy`] ladder
 //! (transient retries with exponential backoff, short-CMA resume,
 //! fallback degradation, deadline-bounded waits, the liveness watchdog)
-//! while the [`Recorder`] turns each step into report counters, metric
+//! while the `Recorder` turns each step into report counters, metric
 //! samples and trace spans.
 //!
 //! On the polled simulator the endpoint is `kacc_machine::PolledComm`
@@ -69,15 +69,29 @@ pub async fn execute_polled_with_policy<C: AsyncComm>(
     tracer: &Tracer,
     policy: &RecoveryPolicy,
 ) -> Result<ScheduleReport> {
+    let (result, report) = execute_once(comm, sched, bind, tracer, policy, false).await;
+    result.map(|()| report)
+}
+
+/// Run `sched` once and never resume it: a torn run's scratch is freed
+/// here, exactly as on success. The public entry points run this way,
+/// and so does each agreement round (`tolerant`, see
+/// [`execute_resumable_polled`]).
+pub(crate) async fn execute_once<C: AsyncComm>(
+    comm: &mut C,
+    sched: &Schedule,
+    bind: &Bindings,
+    tracer: &Tracer,
+    policy: &RecoveryPolicy,
+    tolerant: bool,
+) -> (Result<()>, ScheduleReport) {
     let mut resume = None;
-    let (result, report) =
-        execute_resumable_polled(comm, sched, bind, tracer, policy, false, &mut resume).await;
-    // Public entry points never resume: abandon any torn-execution
-    // state so scratch is freed exactly as it always was.
+    let out =
+        execute_resumable_polled(comm, sched, bind, tracer, policy, tolerant, &mut resume).await;
     if let Some(state) = resume {
         state.abandon(comm);
     }
-    result.map(|()| report)
+    out
 }
 
 /// [`execute_polled_with_policy`] with partial-progress resume: the
@@ -130,11 +144,11 @@ pub(crate) async fn execute_resumable_polled<C: AsyncComm>(
         None => None,
     };
     let (mut ctx, start) = match resumed {
-        Some(st) => {
-            let start = st.next_step().min(sched.steps.len());
-            let (temps, regs) = st.into_parts();
-            (Ctx { bind, temps, regs }, start)
-        }
+        Some(ResumeState {
+            temps,
+            regs,
+            next_step,
+        }) => (Ctx { bind, temps, regs }, next_step.min(sched.steps.len())),
         None => (
             Ctx {
                 bind,
@@ -162,11 +176,11 @@ pub(crate) async fn execute_resumable_polled<C: AsyncComm>(
             (Ok(()), rec.report)
         }
         Err(e) => {
-            *resume = Some(ResumeState::new(
-                std::mem::take(&mut ctx.temps),
-                std::mem::take(&mut ctx.regs),
-                rec.report.completed_steps as usize,
-            ));
+            *resume = Some(ResumeState {
+                temps: std::mem::take(&mut ctx.temps),
+                regs: std::mem::take(&mut ctx.regs),
+                next_step: rec.report.completed_steps as usize,
+            });
             (Err(e), rec.report)
         }
     }
@@ -384,7 +398,7 @@ async fn run_steps<C: AsyncComm>(
         // The previous interval's end read: nothing is awaited between it
         // and this step's first attempt.
         let t0 = rec.now;
-        let watch = policy.membership.watch;
+        let watch = policy.membership.liveness_ns.is_some();
         if watch && tolerant {
             if let Some(peer) = step_peer(step, ctx) {
                 if suspects.contains(&peer) {

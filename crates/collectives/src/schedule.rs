@@ -326,7 +326,7 @@ pub struct Schedule {
     pub temps: Vec<usize>,
     /// The ordered operation list.
     pub steps: Vec<Step>,
-    /// Collective tag class ([`crate::class`]) this plan belongs to —
+    /// Collective tag class (`crate::class`) this plan belongs to —
     /// attached to executor trace spans for per-collective attribution.
     pub class: Option<u32>,
 }
@@ -1769,53 +1769,19 @@ pub(crate) fn agree_tag(epoch: u32, round: u32) -> Tag {
 /// member at position `i` of the sorted `members` list lands in
 /// `Slot::Recv` at offset `width * i` (the caller pre-fills its own
 /// position, which the plan never touches).
+///
+/// The round comes in two plans for per-slot receive deadlines: the
+/// first (`live`) sends this rank's mask to every other member and then
+/// receives from the members *not* in `suspects`, executed under the
+/// wide adaptive window; the second receives only from suspected
+/// members, to be executed under a capped window. Mailbox deposits
+/// queue, so a suspect's refutation that already arrived is still taken
+/// instantly under the cap — the cap only bounds how long a *genuinely
+/// dead* slot can burn, which is what keeps the per-failure agreement
+/// price linear instead of compounding one full window per dead slot
+/// per round. With no suspects the second plan is empty and the first
+/// is the whole round.
 pub fn compile_agree(
-    p: usize,
-    me: usize,
-    members: &[usize],
-    epoch: u32,
-    round: u32,
-    width: usize,
-) -> Schedule {
-    let mut b = Builder::new(p, me, class::MEMBERSHIP);
-    let tag = agree_tag(epoch, round);
-    for &m in members {
-        if m != me {
-            b.push(Step::ShmSend {
-                to: m,
-                tag,
-                src: Slot::Send,
-                off: 0,
-                len: width,
-            });
-        }
-    }
-    for (i, &m) in members.iter().enumerate() {
-        if m != me {
-            b.push(Step::ShmRecv {
-                from: m,
-                tag,
-                dst: Slot::Recv,
-                off: width * i,
-                len: width,
-            });
-        }
-    }
-    b.finish()
-}
-
-/// Split form of [`compile_agree`] for per-slot receive deadlines: the
-/// first plan sends this rank's mask to every other member and then
-/// receives from the members *not* in `suspects` (live slots, executed
-/// under the wide adaptive window); the second receives only from
-/// suspected members, to be executed under a capped window. Mailbox
-/// deposits queue, so a suspect's refutation that already arrived is
-/// still taken instantly under the cap — the cap only bounds how long
-/// a *genuinely dead* slot can burn, which is what keeps the
-/// per-failure agreement price linear instead of compounding one full
-/// window per dead slot per round. Tags, offsets, and fold semantics
-/// are identical to the unsplit plan.
-pub(crate) fn compile_agree_split(
     p: usize,
     me: usize,
     members: &[usize],
@@ -2586,7 +2552,9 @@ mod tests {
     fn agree_plan_sends_before_receiving_every_member() {
         let members = [0usize, 2, 5, 7];
         let width = kacc_comm::MemberMask::wire_len(8);
-        let plan = compile_agree(8, 2, &members, 1, 0, width);
+        let (plan, susp) =
+            compile_agree(8, 2, &members, 1, 0, width, &kacc_comm::MemberMask::new(8));
+        assert!(susp.steps.is_empty(), "nobody suspected: one plan");
         assert_eq!((plan.p, plan.rank), (8, 2));
         assert_eq!(plan.class, Some(class::MEMBERSHIP));
         // 3 sends to the other members, then 3 receives from them, with
@@ -2624,7 +2592,15 @@ mod tests {
         let members: Vec<usize> = (0..128).collect();
         let width = kacc_comm::MemberMask::wire_len(128);
         assert_eq!(width, 24);
-        let plan = compile_agree(128, 100, &members, 2, 1, width);
+        let (plan, _) = compile_agree(
+            128,
+            100,
+            &members,
+            2,
+            1,
+            width,
+            &kacc_comm::MemberMask::new(128),
+        );
         assert_eq!(plan.steps.len(), 2 * 127);
         for s in &plan.steps {
             match s {

@@ -30,14 +30,6 @@ impl Tuner {
         }
     }
 
-    /// Build a tuner from explicitly extracted/fitted parameters.
-    pub fn with_params(params: ModelParams, procs_per_socket: usize) -> Tuner {
-        Tuner {
-            params,
-            procs_per_socket_hint: procs_per_socket.max(1),
-        }
-    }
-
     /// The model parameters in use.
     pub fn params(&self) -> &ModelParams {
         &self.params
@@ -337,7 +329,10 @@ mod tests {
         let arch = ArchProfile::knl();
         let mut params = arch.nominal_model();
         params.node_bw_ns_per_byte = 0.0;
-        let paper = Tuner::with_params(params, arch.cores_per_socket);
+        let paper = Tuner {
+            params,
+            procs_per_socket_hint: arch.cores_per_socket,
+        };
         let small = paper.allgather(64, 1 << 10);
         assert!(
             matches!(

@@ -687,8 +687,7 @@ fn membership_fault_free_native_threads_smoke() {
     // to the rest of the suite for that long would be declared dead.
     let policy = RecoveryPolicy {
         membership: MembershipPolicy {
-            liveness_timeout_ns: 2_000_000_000,
-            ..MembershipPolicy::survivable()
+            liveness_ns: Some(2_000_000_000),
         },
         ..RecoveryPolicy::survivable()
     };

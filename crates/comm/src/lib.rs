@@ -32,7 +32,6 @@
 pub mod asynccomm;
 pub mod buffer;
 pub mod error;
-pub mod group;
 pub mod mask;
 pub mod smcoll;
 pub mod stub;
@@ -42,7 +41,6 @@ pub mod topology;
 pub use asynccomm::{block_on, AsyncComm, Blocking};
 pub use buffer::{BufId, RemoteToken};
 pub use error::{CommError, Result, ESRCH};
-pub use group::validate_members;
 pub use mask::MemberMask;
 pub use topology::Topology;
 

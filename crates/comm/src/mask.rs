@@ -61,11 +61,6 @@ impl MemberMask {
         self.p
     }
 
-    /// Number of u64 rank-bit words (excludes the header word).
-    pub fn word_count(&self) -> usize {
-        self.words.len()
-    }
-
     /// Wire length in bytes of a mask over `p` ranks: header word plus
     /// one word per 64 ranks.
     pub fn wire_len(p: usize) -> usize {
@@ -245,7 +240,7 @@ mod tests {
         // Reinterpret over a 70-rank domain: bit 100 is wire noise.
         let narrow = MemberMask::from_bytes(70, &bytes).unwrap();
         assert!(narrow.is_empty());
-        assert_eq!(narrow.word_count(), 2);
+        assert_eq!(narrow.words.len(), 2);
     }
 
     #[test]

@@ -57,25 +57,6 @@ impl Topology {
     pub fn same_socket(&self, a: usize, b: usize) -> bool {
         self.socket_of(a) == self.socket_of(b)
     }
-
-    /// Number of pages needed to back `bytes` (Table II's ⌈η/s⌉ term).
-    pub fn pages_for(&self, bytes: usize) -> usize {
-        bytes.div_ceil(self.page_size)
-    }
-
-    /// True if the set of ranks `ranks` spans more than one socket.
-    pub fn spans_sockets<I: IntoIterator<Item = usize>>(&self, ranks: I) -> bool {
-        let mut seen: Option<usize> = None;
-        for r in ranks {
-            let s = self.socket_of(r);
-            match seen {
-                None => seen = Some(s),
-                Some(prev) if prev != s => return true,
-                Some(_) => {}
-            }
-        }
-        false
-    }
 }
 
 #[cfg(test)]
@@ -120,25 +101,6 @@ mod tests {
         assert_eq!(t.hardware_threads(), 160);
         // rank 160 wraps entirely.
         assert_eq!(t.socket_of(160), t.socket_of(0));
-    }
-
-    #[test]
-    fn pages_round_up() {
-        let t = broadwell();
-        assert_eq!(t.pages_for(1), 1);
-        assert_eq!(t.pages_for(4096), 1);
-        assert_eq!(t.pages_for(4097), 2);
-        let p8 = power8();
-        assert_eq!(p8.pages_for(65536), 1);
-        assert_eq!(p8.pages_for(65537), 2);
-    }
-
-    #[test]
-    fn spans_sockets_detects_cross_socket_sets() {
-        let t = broadwell();
-        assert!(!t.spans_sockets([0, 1, 13]));
-        assert!(t.spans_sockets([0, 14]));
-        assert!(!t.spans_sockets(std::iter::empty()));
     }
 
     #[test]

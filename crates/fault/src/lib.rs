@@ -274,8 +274,8 @@ pub struct FaultRule {
 impl FaultRule {
     /// A rule injecting `kind` with probability `prob` (0.0–1.0) on every
     /// site. Restrict with [`ops`](Self::ops_mask) /
-    /// [`ranks`](Self::ranks_mask) / [`peers`](Self::peers_mask) and bound
-    /// with [`max`](Self::max).
+    /// [`ranks`](Self::ranks_mask) or the [`peers`](Self::peers) field and
+    /// bound with [`max`](Self::max).
     pub fn new(kind: FaultKind, prob: f64) -> Self {
         FaultRule {
             ops: Vec::new(),
@@ -297,12 +297,6 @@ impl FaultRule {
     /// Restrict the rule to these initiating ranks.
     pub fn ranks_mask(mut self, ranks: &[usize]) -> Self {
         self.ranks = ranks.to_vec();
-        self
-    }
-
-    /// Restrict the rule to these peer ranks.
-    pub fn peers_mask(mut self, peers: &[usize]) -> Self {
-        self.peers = peers.to_vec();
         self
     }
 

@@ -16,7 +16,7 @@
 //! endpoint; it is the simulator's only transport.
 
 use crate::fluid::FlowId;
-use crate::state::MachineState;
+use crate::state::{move_bytes, MachineState};
 use crate::team::TeamRun;
 use crate::xfer::{refusal, step_xfer, CmaCall, CmaDir, Xfer};
 use kacc_comm::{AsyncComm, BufId, CommError, RemoteToken, Result, Tag, Topology};
@@ -380,7 +380,7 @@ impl PolledComm {
             s.heaps[src.0]
                 .len_of(src.1)
                 .ok_or_else(|| refusal(&s.exited, src.0))?;
-            s.move_bytes(src, dst, len);
+            move_bytes(&mut s.heaps, src, dst, len);
             Ok(())
         })
     }
@@ -473,7 +473,12 @@ impl PolledComm {
         );
         let me = self.rank;
         sim_with_state(move |s: &mut MachineState, _| {
-            s.move_bytes((me, src.0, src_off), (me, dst.0, dst_off), len);
+            move_bytes(
+                &mut s.heaps,
+                (me, src.0, src_off),
+                (me, dst.0, dst_off),
+                len,
+            );
         });
         Ok(())
     }

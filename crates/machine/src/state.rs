@@ -716,15 +716,6 @@ impl MachineState {
         rank % rpn
     }
 
-    /// Data plane of a transfer whose ranges the caller has already
-    /// checked: move `len` bytes from `src` to `dst`, each a `(rank,
-    /// buffer id, offset)`. Nothing moves when both buffers are unwritten
-    /// (zeros onto zeros), or when the destination was freed while the
-    /// transfer was in flight.
-    pub fn move_bytes(&mut self, src: (usize, u64, usize), dst: (usize, u64, usize), len: usize) {
-        move_bytes(&mut self.heaps, src, dst, len);
-    }
-
     /// Does `tid` own a live flow in any fluid server? The harnesses
     /// assert it does not when a rank finishes: a leaked flow would sit
     /// at its server's head forever, and with head-only completion wakes
@@ -739,8 +730,12 @@ impl MachineState {
     }
 }
 
-/// [`MachineState::move_bytes`] over the heaps alone, for callers that
-/// hold other fields of the state borrowed.
+/// Data plane of a transfer whose ranges the caller has already
+/// checked: move `len` bytes from `src` to `dst`, each a `(rank,
+/// buffer id, offset)`. Nothing moves when both buffers are unwritten
+/// (zeros onto zeros), or when the destination was freed while the
+/// transfer was in flight. Takes the heaps alone, so callers may hold
+/// other fields of the [`MachineState`] borrowed.
 pub(crate) fn move_bytes(
     heaps: &mut [RankHeap],
     src: (usize, u64, usize),
@@ -932,26 +927,26 @@ mod tests {
         let z = st.heaps[2].alloc(4);
         let z2 = st.heaps[2].alloc(4);
         st.heaps[0].write(a, 0, &[9, 8, 7, 6]);
-        st.move_bytes((0, a, 1), (1, b, 0), 3);
+        move_bytes(&mut st.heaps, (0, a, 1), (1, b, 0), 3);
         assert_eq!(st.heaps[1].extract(b, 0, 4), Some(vec![8, 7, 6, 0]));
-        st.move_bytes((1, b, 0), (0, a, 2), 2);
+        move_bytes(&mut st.heaps, (1, b, 0), (0, a, 2), 2);
         assert_eq!(st.heaps[0].extract(a, 0, 4), Some(vec![9, 8, 8, 7]));
-        st.move_bytes((0, a, 0), (0, a, 1), 3);
+        move_bytes(&mut st.heaps, (0, a, 0), (0, a, 1), 3);
         assert_eq!(st.heaps[0].extract(a, 0, 4), Some(vec![9, 9, 8, 8]));
         // Zeros onto zeros allocate nothing; zeros onto written bytes
         // zero them.
         let n0 = materialized();
-        st.move_bytes((2, z, 0), (2, z2, 0), 4);
-        st.move_bytes((2, z, 1), (2, z, 0), 3);
-        st.move_bytes((2, z, 0), (1, b, 0), 2);
+        move_bytes(&mut st.heaps, (2, z, 0), (2, z2, 0), 4);
+        move_bytes(&mut st.heaps, (2, z, 1), (2, z, 0), 3);
+        move_bytes(&mut st.heaps, (2, z, 0), (1, b, 0), 2);
         assert_eq!(materialized(), n0);
         assert_eq!(st.heaps[2].copy_out(z2, 0, 4), Some(Buf::Zeros(4)));
         assert_eq!(st.heaps[1].extract(b, 0, 4), Some(vec![0, 0, 6, 0]));
-        st.move_bytes((0, a, 0), (2, z, 0), 4);
+        move_bytes(&mut st.heaps, (0, a, 0), (2, z, 0), 4);
         assert_eq!(st.heaps[2].extract(z, 0, 4), Some(vec![9, 9, 8, 8]));
         st.heaps[1].free(b);
-        st.move_bytes((0, a, 0), (1, b, 0), 4);
-        st.move_bytes((2, z2, 0), (1, b, 0), 4);
+        move_bytes(&mut st.heaps, (0, a, 0), (1, b, 0), 4);
+        move_bytes(&mut st.heaps, (2, z2, 0), (1, b, 0), 4);
     }
 
     #[test]
@@ -961,7 +956,7 @@ mod tests {
         let a = st.heaps[0].alloc(4);
         let b = st.heaps[1].alloc(4);
         st.heaps[0].free(a);
-        st.move_bytes((0, a, 0), (1, b, 0), 4);
+        move_bytes(&mut st.heaps, (0, a, 0), (1, b, 0), 4);
     }
 
     /// Buffers materialized on this thread so far.
@@ -1023,11 +1018,16 @@ mod tests {
         // `move_bytes` both ways: exactly a page and more.
         let (a, b) = st.heaps.split_at_mut(1);
         assert!(b[0].copy_from(dst, 8, &a[0], src, 0, PAGE));
-        st.move_bytes((0, src, PAGE), (1, dst, PAGE + 8), 2 * PAGE + 8);
+        move_bytes(
+            &mut st.heaps,
+            (0, src, PAGE),
+            (1, dst, PAGE + 8),
+            2 * PAGE + 8,
+        );
         let again = st.heaps[1].alloc(4 * PAGE);
         assert!(st.heaps[1].copy_within(dst, 0, again, 0, 4 * PAGE));
         assert!(st.heaps[1].copy_within(again, 8, again, 16, PAGE));
-        st.move_bytes((1, again, 0), (0, src, PAGE), PAGE);
+        move_bytes(&mut st.heaps, (1, again, 0), (0, src, PAGE), PAGE);
         assert_eq!(materialized(), n0, "a shared copy makes no store");
         let mut want = vec![0; 4 * PAGE];
         want[8..8 + data.len()].copy_from_slice(&data);
@@ -1095,7 +1095,7 @@ mod tests {
             assert!(st.heaps[0].write(recv, 0, &vec![0; width * l]));
             assert!(st.heaps[0].write(recv, 0, &[1; 9]));
             for (r, &send) in sends.iter().enumerate().skip(1) {
-                st.move_bytes((r, send, 0), (0, recv, width * r), width);
+                move_bytes(&mut st.heaps, (r, send, 0), (0, recv, width * r), width);
             }
             assert_eq!(
                 st.heaps[0].slot(recv).unwrap().mem.runs.len(),

@@ -18,8 +18,7 @@
 //! `kacc-machine` (simulated) / `kacc-native` (real syscalls) provide the
 //! probes.
 
-use crate::gamma::{fit_gamma, GammaFit, GammaPoint};
-use kacc_numerics::nlls::NllsError;
+use crate::gamma::GammaPoint;
 
 /// One probe configuration: `readers` concurrent `process_vm_readv`-like
 /// calls against a single source process, each with the given iovec
@@ -167,15 +166,11 @@ pub fn measure_gamma(
     out
 }
 
-/// Fit the measured γ points with the paper's quadratic form.
-pub fn fit_measured_gamma(points: &[GammaPoint]) -> Result<GammaFit, NllsError> {
-    fit_gamma(points)
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::gamma::fit_gamma;
 
     /// A synthetic probe that follows the analytic model exactly —
     /// verifies the extraction algebra is self-consistent.
@@ -254,7 +249,7 @@ mod tests {
                 expect
             );
         }
-        let fit = fit_measured_gamma(&points).unwrap();
+        let fit = fit_gamma(&points).unwrap();
         match fit.model {
             crate::gamma::GammaModel::Quadratic { a, b } => {
                 assert!((a - 0.1).abs() < 0.05, "a={a}");

@@ -69,24 +69,6 @@ pub fn alltoall_pairwise(m: &ModelParams, p: usize, eta: usize) -> f64 {
     m.t_sm_allgather(p, ADDR_BYTES) + (p - 1) as f64 * m.t_cma_shared(eta, 1, p)
 }
 
-/// Pairwise exchange over point-to-point CMA: adds the RTS/CTS control
-/// round-trip every step (what a pt2pt rendezvous protocol pays).
-pub fn alltoall_pairwise_pt2pt(m: &ModelParams, p: usize, eta: usize) -> f64 {
-    if p == 1 {
-        return 0.0;
-    }
-    (p - 1) as f64 * (2.0 * m.t_sm_msg(ADDR_BYTES) + m.t_cma_shared(eta, 1, p))
-}
-
-/// Pairwise exchange over two-copy shared memory: each step moves η bytes
-/// with a copy-in and a copy-out (all p ranks copying concurrently).
-pub fn alltoall_pairwise_shmem(m: &ModelParams, p: usize, eta: usize) -> f64 {
-    if p == 1 {
-        return 0.0;
-    }
-    (p - 1) as f64 * (m.t_sm_msg(0) + 2.0 * m.t_memcpy_shared(eta, p))
-}
-
 // -------------------------------------------------------------- Allgather
 
 /// §V-A1/2 Ring (neighbor or source variant): p−1 contention-free steps.
@@ -276,27 +258,13 @@ mod tests {
     }
 
     #[test]
-    fn native_collective_beats_pt2pt_beats_shmem_for_large_alltoall() {
-        // Fig 9 ordering for medium/large messages.
-        let m = knl();
-        let p = 64;
-        for eta in [16 << 10, 256 << 10] {
-            let coll = alltoall_pairwise(&m, p, eta);
-            let pt = alltoall_pairwise_pt2pt(&m, p, eta);
-            let shm = alltoall_pairwise_shmem(&m, p, eta);
-            assert!(coll < pt, "native ({coll}) vs pt2pt ({pt}) at {eta}");
-            assert!(pt < shm, "pt2pt ({pt}) vs shmem ({shm}) at {eta}");
-        }
-    }
-
-    #[test]
     fn bruck_allgather_wins_small_loses_large_paper_model() {
         // Fig 10(a) under the paper's bandwidth-unaware model
         // (node_bw = 0): Bruck best for small messages (log p startups),
         // worst for large (extra copies). With our aggregate-bandwidth
         // extension the small-message advantage shrinks because Bruck's
         // extra copies also share the memory system (recorded in
-        // EXPERIMENTS.md).
+        // EXPERIMENTS.md, "Fig 10").
         let mut m = knl();
         m.node_bw_ns_per_byte = 0.0;
         let p = 64;

@@ -54,11 +54,6 @@ impl Library {
         }
     }
 
-    /// Everything except the proposed design.
-    pub fn baselines() -> [Library; 3] {
-        [Library::Mvapich2, Library::IntelMpi, Library::OpenMpi]
-    }
-
     /// Rendezvous threshold the pt2pt personas use (the paper cites
     /// ~16 KiB as where kernel-assisted pt2pt starts paying off).
     pub const RNDV_THRESHOLD: usize = 16 * 1024;
@@ -444,7 +439,7 @@ mod tests {
                 });
                 lat.insert(lib, run.end_ns);
             }
-            for lib in Library::baselines() {
+            for lib in [Library::Mvapich2, Library::IntelMpi, Library::OpenMpi] {
                 assert!(
                     lat[&Library::Kacc] < lat[&lib],
                     "{}: kacc {} !< {lib:?} {}",

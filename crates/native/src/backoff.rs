@@ -11,8 +11,8 @@
 /// PAUSE-spins a wait may make before every further check yields: with
 /// the checks between them, one to two microseconds on a host where a
 /// PAUSE takes ~22 ns. Chosen by a sweep of 0, 64, 256 and 1024 spins
-/// (EXPERIMENTS.md, "Per-thread metric shards and spin-then-yield
-/// waits"): 64 and 256 are equally fast for a two-rank team, and only 64
+/// (experiments/21-per-thread-metric-shards-and-spin-then-yield-waits.md):
+/// 64 and 256 are equally fast for a two-rank team, and only 64
 /// leaves an oversubscribed team as fast as yielding at once.
 const SPIN_LIMIT: u32 = 64;
 

@@ -9,18 +9,12 @@
 //! numerical dependencies:
 //!
 //! * [`matrix`] — small dense row-major matrices with LU decomposition,
-//! * [`lls`] — linear least squares via normal equations,
 //! * [`nlls`] — Levenberg–Marquardt with numeric or analytic Jacobians,
-//! * [`poly`] — polynomial models and fitting,
 //! * [`stats`] — descriptive statistics used by the bench harness.
 
-pub mod lls;
 pub mod matrix;
 pub mod nlls;
-pub mod poly;
 pub mod stats;
 
-pub use lls::lstsq;
 pub use matrix::Matrix;
 pub use nlls::{levenberg_marquardt, LmOptions, LmReport, NllsError};
-pub use poly::Polynomial;

@@ -18,12 +18,6 @@ pub fn geomean(xs: &[f64]) -> Option<f64> {
     Some((xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp())
 }
 
-/// Population standard deviation. Returns `None` for empty input.
-pub fn stddev(xs: &[f64]) -> Option<f64> {
-    let m = mean(xs)?;
-    Some((xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / xs.len() as f64).sqrt())
-}
-
 /// Linear-interpolated percentile, `q` in [0, 100]. Returns `None` for
 /// empty input.
 pub fn percentile(xs: &[f64], q: f64) -> Option<f64> {
@@ -49,27 +43,15 @@ pub fn median(xs: &[f64]) -> Option<f64> {
     percentile(xs, 50.0)
 }
 
-/// Max / min ratio, used for "up to Nx improvement" summaries.
-pub fn max_speedup(baseline: &[f64], ours: &[f64]) -> Option<f64> {
-    assert_eq!(baseline.len(), ours.len());
-    baseline
-        .iter()
-        .zip(ours)
-        .filter(|(_, &o)| o > 0.0)
-        .map(|(&b, &o)| b / o)
-        .max_by(|a, b| a.total_cmp(b))
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_stddev() {
+    fn mean_averages_and_refuses_empty_input() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert_eq!(mean(&xs), Some(5.0));
-        assert!((stddev(&xs).unwrap() - 2.0).abs() < 1e-12);
         assert_eq!(mean(&[]), None);
     }
 
@@ -92,12 +74,5 @@ mod tests {
     fn percentile_unsorted_input() {
         let xs = [9.0, 1.0, 5.0];
         assert_eq!(median(&xs), Some(5.0));
-    }
-
-    #[test]
-    fn speedup_picks_best_point() {
-        let base = [100.0, 50.0, 10.0];
-        let ours = [2.0, 25.0, 10.0];
-        assert_eq!(max_speedup(&base, &ours), Some(50.0));
     }
 }

@@ -1,8 +1,7 @@
 //! Property-based tests for the numerics substrate.
 
-use kacc_numerics::lls::{fit_line, r_squared};
 use kacc_numerics::nlls::{levenberg_marquardt, LmOptions};
-use kacc_numerics::{lstsq, Matrix, Polynomial};
+use kacc_numerics::Matrix;
 use proptest::prelude::*;
 
 fn well_conditioned_matrix(n: usize, vals: &[f64]) -> Matrix {
@@ -45,35 +44,6 @@ proptest! {
     }
 
     #[test]
-    fn line_fit_recovers_exact_lines(
-        m in -50.0f64..50.0,
-        c in -50.0f64..50.0,
-        n in 3usize..40,
-    ) {
-        let xs: Vec<f64> = (0..n).map(|i| i as f64).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| m * x + c).collect();
-        let (fm, fc) = fit_line(&xs, &ys).unwrap();
-        prop_assert!((fm - m).abs() < 1e-6 * (1.0 + m.abs()), "m {fm} vs {m}");
-        prop_assert!((fc - c).abs() < 1e-5 * (1.0 + c.abs()), "c {fc} vs {c}");
-        let fitted: Vec<f64> = xs.iter().map(|x| fm * x + fc).collect();
-        prop_assert!(r_squared(&ys, &fitted) > 1.0 - 1e-9);
-    }
-
-    #[test]
-    fn polynomial_fit_is_exact_on_polynomial_data(
-        coeffs in proptest::collection::vec(-5.0f64..5.0, 1..5),
-    ) {
-        let truth = Polynomial::new(coeffs);
-        let deg = truth.degree();
-        let xs: Vec<f64> = (0..(3 * (deg + 1))).map(|i| i as f64 / 2.0 - 2.0).collect();
-        let ys: Vec<f64> = xs.iter().map(|&x| truth.eval(x)).collect();
-        let fit = Polynomial::fit(&xs, &ys, deg).unwrap();
-        for (a, b) in fit.coeffs().iter().zip(truth.coeffs()) {
-            prop_assert!((a - b).abs() < 1e-6, "{a} vs {b}");
-        }
-    }
-
-    #[test]
     fn nlls_recovers_gamma_quadratics_under_noise(
         a in 0.01f64..0.5,
         b in 0.1f64..3.0,
@@ -95,23 +65,5 @@ proptest! {
             "a {} vs {a}", fit.params[0]);
         prop_assert!((fit.params[1] - b).abs() < 50.0 * noise * b + 1e-4,
             "b {} vs {b}", fit.params[1]);
-    }
-
-    #[test]
-    fn lstsq_residual_is_orthogonal_to_columns(
-        ys in proptest::collection::vec(-10.0f64..10.0, 12),
-    ) {
-        // Normal-equation property: Aᵀ(Ax − y) = 0.
-        let mut a = Matrix::zeros(12, 3);
-        for i in 0..12 {
-            a[(i, 0)] = 1.0;
-            a[(i, 1)] = i as f64;
-            a[(i, 2)] = (i as f64).sin();
-        }
-        let x = lstsq(&a, &ys).unwrap();
-        let fitted = a.matmul(&Matrix::col_vec(&x));
-        let resid = fitted.add_scaled(&Matrix::col_vec(&ys), -1.0);
-        let ortho = a.transpose().matmul(&resid);
-        prop_assert!(ortho.max_abs() < 1e-8, "orthogonality violated: {}", ortho.max_abs());
     }
 }

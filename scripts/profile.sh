@@ -10,7 +10,7 @@
 #   scripts/profile.sh --bin repro -p kacc-bench -- --quick fig10
 #   scripts/profile.sh --manifest-path benchmark/Cargo.toml -- \
 #       --workload native_cma --seed 1 --seconds 8 --trace 0
-#   scripts/profile.sh --only execute_tolerant --manifest-path \
+#   scripts/profile.sh --only membership::agree --manifest-path \
 #       benchmark/Cargo.toml -- --workload survivable --seed 1 --seconds 8 --trace 0
 #
 # Everything before `--` goes to `cargo build --release`, which must
@@ -39,7 +39,7 @@
 #   callers    for each of the top 8 flat symbols, its immediate callers
 # With --only SYMBOL the three reports count only the samples whose
 # stack has a frame whose name contains SYMBOL (a substring: `set_up`,
-# `execute_tolerant`, `RankHeap::copy_within`), after a first line giving
+# `membership::agree`, `RankHeap::copy_within`), after a first line giving
 # that subset's share of all samples; every percentage stays a share of
 # all samples, so the subset's rows read as rows of the full report.
 # Addresses are mapped to symbols through /proc/PID/maps (saved with the

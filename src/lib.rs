@@ -31,7 +31,8 @@
 //!   Chrome trace-event JSON export for Perfetto.
 //!
 //! See `README.md` for a quickstart, `DESIGN.md` for the system
-//! inventory, and `EXPERIMENTS.md` for paper-vs-measured results.
+//! inventory, and `EXPERIMENTS.md` for paper-vs-measured results (with
+//! an index of the per-change measurements under `experiments/`).
 
 pub use kacc_collectives as collectives;
 pub use kacc_comm as comm;
